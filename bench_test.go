@@ -7,6 +7,7 @@ package ccube_test
 // evaluation and records the measured values alongside the harness cost.
 
 import (
+	"context"
 	"testing"
 
 	"ccube/internal/autotune"
@@ -93,12 +94,12 @@ func BenchmarkFig4RingVsTreeModel(b *testing.B) {
 func BenchmarkFig12aOverlapSpeedup(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		base, err := collective.Run(collective.Config{
+		base, err := collective.RunCtx(context.Background(), collective.Config{
 			Graph: dgx1(), Algorithm: collective.AlgDoubleTree, Bytes: 64 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}
-		over, err := collective.Run(collective.Config{
+		over, err := collective.RunCtx(context.Background(), collective.Config{
 			Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 64 << 20})
 		if err != nil {
 			b.Fatal(err)
@@ -113,12 +114,12 @@ func BenchmarkFig12aOverlapSpeedup(b *testing.B) {
 func BenchmarkFig12bModelAccuracy(b *testing.B) {
 	var relErr float64
 	for i := 0; i < b.N; i++ {
-		base, err := collective.Run(collective.Config{
+		base, err := collective.RunCtx(context.Background(), collective.Config{
 			Graph: dgx1(), Algorithm: collective.AlgDoubleTree, Bytes: 64 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}
-		over, err := collective.Run(collective.Config{
+		over, err := collective.RunCtx(context.Background(), collective.Config{
 			Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 64 << 20})
 		if err != nil {
 			b.Fatal(err)
@@ -147,7 +148,7 @@ func BenchmarkFig13TrainingModes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		results := map[train.Mode]*train.Result{}
 		for _, m := range train.Modes() {
-			res, err := train.Run(train.Config{
+			res, err := train.RunCtx(context.Background(), train.Config{
 				Model: dnn.ResNet50(), Batch: 64, Graph: dgx1Low(), Mode: m})
 			if err != nil {
 				b.Fatal(err)
@@ -190,7 +191,7 @@ func BenchmarkFig14Scaleout(b *testing.B) {
 func BenchmarkFig15DetourOverhead(b *testing.B) {
 	var loss float64
 	for i := 0; i < b.N; i++ {
-		res, err := train.Run(train.Config{
+		res, err := train.RunCtx(context.Background(), train.Config{
 			Model: dnn.ResNet50(), Batch: 64, Graph: dgx1(), Mode: train.ModeCC})
 		if err != nil {
 			b.Fatal(err)
@@ -214,7 +215,7 @@ func BenchmarkFig15DetourOverhead(b *testing.B) {
 func BenchmarkFig16Patterns(b *testing.B) {
 	var bubbles float64
 	for i := 0; i < b.N; i++ {
-		res, err := train.Run(train.Config{
+		res, err := train.RunCtx(context.Background(), train.Config{
 			Model: dnn.SyntheticPattern(dnn.Case2), Batch: 64, Graph: dgx1Low(),
 			Mode: train.ModeCC, Chunks: 64})
 		if err != nil {
@@ -252,14 +253,14 @@ func BenchmarkFig17LayerProfile(b *testing.B) {
 func BenchmarkAblationChunkCount(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		opt, err := collective.Run(collective.Config{
+		opt, err := collective.RunCtx(context.Background(), collective.Config{
 			Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 64 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}
 		worst = 1
 		for _, k := range []int{2, 8, 512} {
-			res, err := collective.Run(collective.Config{
+			res, err := collective.RunCtx(context.Background(), collective.Config{
 				Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap,
 				Bytes: 64 << 20, Chunks: k})
 			if err != nil {
@@ -295,12 +296,12 @@ func BenchmarkAblationDetourVsPCIe(b *testing.B) {
 func BenchmarkAblationSingleVsDoubleTree(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		single, err := collective.Run(collective.Config{
+		single, err := collective.RunCtx(context.Background(), collective.Config{
 			Graph: dgx1(), Algorithm: collective.AlgTreeOverlap, Bytes: 64 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}
-		double, err := collective.Run(collective.Config{
+		double, err := collective.RunCtx(context.Background(), collective.Config{
 			Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 64 << 20})
 		if err != nil {
 			b.Fatal(err)
@@ -316,12 +317,12 @@ func BenchmarkAblationSingleVsDoubleTree(b *testing.B) {
 func BenchmarkAblationForwardVsBackwardOverlap(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		ddp, err := train.RunBackwardOverlap(train.Config{
+		ddp, err := train.RunBackwardOverlapCtx(context.Background(), train.Config{
 			Model: dnn.VGG16(), Batch: 32, Graph: dgx1Low()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		cc, err := train.Run(train.Config{
+		cc, err := train.RunCtx(context.Background(), train.Config{
 			Model: dnn.VGG16(), Batch: 32, Graph: dgx1Low(), Mode: train.ModeCC})
 		if err != nil {
 			b.Fatal(err)
@@ -338,7 +339,7 @@ func BenchmarkAblationForwardVsBackwardOverlap(b *testing.B) {
 func BenchmarkDESCollective(b *testing.B) {
 	g := dgx1()
 	for i := 0; i < b.N; i++ {
-		if _, err := collective.Run(collective.Config{
+		if _, err := collective.RunCtx(context.Background(), collective.Config{
 			Graph: g, Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 64 << 20}); err != nil {
 			b.Fatal(err)
 		}
@@ -374,7 +375,7 @@ func BenchmarkGpusimAllReduce(b *testing.B) {
 func BenchmarkTrainIteration(b *testing.B) {
 	g := dgx1()
 	for i := 0; i < b.N; i++ {
-		if _, err := train.Run(train.Config{
+		if _, err := train.RunCtx(context.Background(), train.Config{
 			Model: dnn.ResNet50(), Batch: 64, Graph: g, Mode: train.ModeCC}); err != nil {
 			b.Fatal(err)
 		}
@@ -392,7 +393,7 @@ func BenchmarkExtHierarchicalChaining(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		base, err := collective.RunHierarchical(collective.HierarchicalConfig{
+		base, err := collective.RunHierarchical(context.Background(), collective.HierarchicalConfig{
 			Cluster: mn1, Bytes: 64 << 20, Chained: false})
 		if err != nil {
 			b.Fatal(err)
@@ -401,7 +402,7 @@ func BenchmarkExtHierarchicalChaining(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		chained, err := collective.RunHierarchical(collective.HierarchicalConfig{
+		chained, err := collective.RunHierarchical(context.Background(), collective.HierarchicalConfig{
 			Cluster: mn2, Bytes: 64 << 20, Chained: true})
 		if err != nil {
 			b.Fatal(err)
@@ -416,12 +417,12 @@ func BenchmarkExtHierarchicalChaining(b *testing.B) {
 func BenchmarkExtHalvingDoubling(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		hd, err := collective.Run(collective.Config{
+		hd, err := collective.RunCtx(context.Background(), collective.Config{
 			Graph: dgx1(), Algorithm: collective.AlgHalvingDoubling, Bytes: 64 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ring, err := collective.Run(collective.Config{
+		ring, err := collective.RunCtx(context.Background(), collective.Config{
 			Graph: dgx1(), Algorithm: collective.AlgRing, Bytes: 64 << 20})
 		if err != nil {
 			b.Fatal(err)
@@ -435,7 +436,7 @@ func BenchmarkExtHalvingDoubling(b *testing.B) {
 func BenchmarkExtAutotune(b *testing.B) {
 	g := dgx1()
 	for i := 0; i < b.N; i++ {
-		if _, err := autotune.Best(g, 64<<20, autotune.Latency, false); err != nil {
+		if _, err := autotune.BestWith(context.Background(), g, 64<<20, autotune.Options{Objective: autotune.Latency}); err != nil {
 			b.Fatal(err)
 		}
 	}

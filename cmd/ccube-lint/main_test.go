@@ -55,14 +55,18 @@ func TestDriverRuleListing(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, rule := range []string{
+	rules := []string{
 		"no-sleep", "lock-pairing", "kernel-goroutine", "des-hot-alloc",
-		"server-ctx", "ctx-propagation", "goroutine-leak",
-		"metrics-cardinality", "virtual-time", "unchecked-engine-err",
-	} {
+		"goroutine-leak", "metrics-cardinality", "virtual-time",
+		"unchecked-engine-err",
+	}
+	for _, rule := range rules {
 		if !strings.Contains(stdout.String(), rule) {
 			t.Errorf("-rules output missing %q", rule)
 		}
+	}
+	if got := strings.Count(strings.TrimSpace(stdout.String()), "\n") + 1; got != len(rules) {
+		t.Errorf("-rules lists %d rules, want %d", got, len(rules))
 	}
 }
 

@@ -42,7 +42,7 @@ func main() {
 	timeout := flag.Duration("timeout", server.DefaultTimeoutDur, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", server.DefaultMaxTimeout, "upper bound on client-requested deadlines")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "maximum request body bytes")
-	cacheSize := flag.Int("cache", server.DefaultCacheSize, "response cache entries (0 disables)")
+	cacheSize := flag.Int("cache", server.DefaultCacheSize, "response cache entries (negative disables)")
 	pprofOn := flag.Bool("pprof", false, "mount /debug/pprof/")
 	accessLog := flag.Bool("access-log", true, "log one line per request to stderr")
 	drainWait := flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight work on shutdown")

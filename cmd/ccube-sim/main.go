@@ -142,7 +142,7 @@ func main() {
 		}
 		fmt.Printf("schedcheck: %s\n\n", r.Summary())
 	}
-	res, taskGraph, err := sched.ExecuteTraced()
+	res, taskGraph, err := sched.ExecuteOnCtx(context.Background(), sched.Graph.Resources())
 	if err != nil {
 		fail("%v", err)
 	}
@@ -235,7 +235,7 @@ func runFaulted(g *topology.Graph, cfg collective.Config, algo, topo, spec strin
 	}
 	fmt.Println(ft.Render())
 
-	res, rep, err := fault.RunCollective(cfg, plan)
+	res, rep, err := fault.RunCollectiveCtx(context.Background(), cfg, plan)
 	if err != nil {
 		fail("%v", err)
 	}

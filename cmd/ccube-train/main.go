@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -18,7 +19,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"ccube/internal/des"
 	"ccube/internal/dnn"
 	"ccube/internal/metrics"
 	"ccube/internal/report"
@@ -121,18 +121,17 @@ func main() {
 		"mode", "iteration", "normalized perf", "comm (standalone)", "first fwd wait", "bubbles")
 	for _, m := range modes {
 		var res *train.Result
-		var taskGraph *des.Graph
 		var err error
 		tc := train.Config{Model: model, Batch: *batch, Graph: g, Mode: m}
 		if m == train.ModeDDP {
-			res, err = train.RunBackwardOverlap(tc)
+			res, err = train.RunBackwardOverlapCtx(context.Background(), tc)
 		} else {
-			res, taskGraph, err = train.RunTraced(tc)
+			res, err = train.RunCtx(context.Background(), tc)
 		}
 		if err != nil {
 			fail("mode %s: %v", m, err)
 		}
-		if len(modes) == 1 && taskGraph != nil {
+		if taskGraph := res.Graph; len(modes) == 1 && taskGraph != nil {
 			if *gantt {
 				fmt.Println(trace.Gantt(taskGraph, trace.GanttOptions{Width: 100, MaxLanes: 12}))
 			}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -52,7 +53,7 @@ func main() {
 	cfg := topology.DefaultDGX1Config()
 	cfg.IncludePCIe = true
 	gp := topology.DGX1(cfg)
-	detourRes, err := collective.Run(collective.Config{
+	detourRes, err := collective.RunCtx(context.Background(), collective.Config{
 		Graph: g, Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 64 << 20})
 	if err != nil {
 		log.Fatal(err)
@@ -65,7 +66,7 @@ func main() {
 	fmt.Printf("  full 64MB AllReduce with detours: %v\n\n", detourRes.Total)
 
 	// 4. The cost to the forwarding GPUs (Fig. 15).
-	res, err := train.Run(train.Config{
+	res, err := train.RunCtx(context.Background(), train.Config{
 		Model: dnn.ResNet50(), Batch: 64, Graph: g, Mode: train.ModeCC,
 	})
 	if err != nil {

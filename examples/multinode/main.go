@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,7 +45,7 @@ func runOne(bytes int64, chained bool) *collective.Result {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := collective.RunHierarchical(collective.HierarchicalConfig{
+	res, err := collective.RunHierarchical(context.Background(), collective.HierarchicalConfig{
 		Cluster: mn,
 		Bytes:   bytes,
 		Chained: chained,

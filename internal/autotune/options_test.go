@@ -11,35 +11,6 @@ import (
 	"ccube/internal/topology"
 )
 
-// The options path with synthesis off must rank identically to the
-// deprecated positional path — the refactor is a spelling change, not a
-// behavior change.
-func TestOptionsPathMatchesDeprecatedPath(t *testing.T) {
-	g := dgx1()
-	const bytes = 16 << 20
-	oldRanked, err := SelectCtx(context.Background(), g, bytes, Turnaround, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRanked, err := SelectWith(context.Background(), g, bytes, Options{
-		Objective:      Turnaround,
-		RequireInOrder: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oldRanked) != len(newRanked) {
-		t.Fatalf("rankings differ in length: %d vs %d", len(oldRanked), len(newRanked))
-	}
-	for i := range oldRanked {
-		if oldRanked[i].Algorithm != newRanked[i].Algorithm || oldRanked[i].Total != newRanked[i].Total {
-			t.Fatalf("rank %d differs: %v/%s vs %v/%s", i,
-				oldRanked[i].Algorithm, oldRanked[i].Total,
-				newRanked[i].Algorithm, newRanked[i].Total)
-		}
-	}
-}
-
 func TestAllowSynthAddsCandidate(t *testing.T) {
 	g := dgx1()
 	const bytes = 1 << 20

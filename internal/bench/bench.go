@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -58,12 +59,14 @@ func benchmarks() []benchmark {
 				for j := 0; j < n; j++ {
 					e.At(base+des.Time(j%13), fn)
 				}
-				e.Run()
+				if _, err := e.RunCtx(context.Background()); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 		{"EngineBatchDrain1024", func(b *testing.B) {
 			// Batched-drain stress: 1024 events on only 4 distinct
-			// timestamps, so Run drains runs of ~256 equal-time events per
+			// timestamps, so RunCtx drains runs of ~256 equal-time events per
 			// batch — the shape the equal-timestamp drain is built for
 			// (chunked collectives fire whole waves at one simulated time).
 			e := des.NewEngine()
@@ -77,7 +80,9 @@ func benchmarks() []benchmark {
 				for j := 0; j < n; j++ {
 					e.At(base+des.Time(j%4), fn)
 				}
-				e.Run()
+				if _, err := e.RunCtx(context.Background()); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 		{"EngineScheduleCancelRun1024", func(b *testing.B) {
@@ -95,7 +100,9 @@ func benchmarks() []benchmark {
 						h.Cancel()
 					}
 				}
-				e.Run()
+				if _, err := e.RunCtx(context.Background()); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 		{"GraphPipeline8x256", func(b *testing.B) {
@@ -130,7 +137,9 @@ func benchmarks() []benchmark {
 						}
 					}
 				}
-				g.Run()
+				if _, err := g.RunCtx(context.Background()); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 		{"ScheduleCacheHit", func(b *testing.B) {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -88,7 +89,9 @@ func TestGraphPipelineReuseWithinBudget(t *testing.T) {
 				}
 			}
 		}
-		g.Run()
+		if _, err := g.RunCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	op() // warm the backing arrays
 	budget := Budgets["GraphPipeline8x256"]
@@ -119,11 +122,11 @@ func TestEngineBatchDrainShape(t *testing.T) {
 	for j := 0; j < n; j++ {
 		e.At(base+des.Time(j%4), fn)
 	}
-	e.Run()
+	e.RunCtx(context.Background())
 	if fired != n {
 		t.Errorf("fired %d events, want %d", fired, n)
 	}
 	if e.Pending() != 0 {
-		t.Errorf("pending = %d after Run", e.Pending())
+		t.Errorf("pending = %d after RunCtx", e.Pending())
 	}
 }

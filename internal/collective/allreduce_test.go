@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -92,7 +93,7 @@ func TestAllReduceDataPropertyRandomSizes(t *testing.T) {
 
 func TestExecuteTimingBasics(t *testing.T) {
 	for _, alg := range []Algorithm{AlgRing, AlgTree, AlgTreeOverlap, AlgDoubleTree, AlgDoubleTreeOverlap} {
-		res, err := Run(Config{Graph: dgx1(), Algorithm: alg, Bytes: 64 << 20})
+		res, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: alg, Bytes: 64 << 20})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -117,11 +118,11 @@ func TestOverlappedTreeBeatsBaselineTree(t *testing.T) {
 	// Paper Fig. 12(a): C1 consistently outperforms B on the DGX-1.
 	for _, mb := range []int64{16, 64, 256} {
 		bytes := mb << 20
-		base, err := Run(Config{Graph: dgx1(), Algorithm: AlgDoubleTree, Bytes: bytes})
+		base, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgDoubleTree, Bytes: bytes})
 		if err != nil {
 			t.Fatal(err)
 		}
-		over, err := Run(Config{Graph: dgx1(), Algorithm: AlgDoubleTreeOverlap, Bytes: bytes})
+		over, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgDoubleTreeOverlap, Bytes: bytes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,11 +141,11 @@ func TestSingleOverlapTreeMatchesDoubleTreeBandwidth(t *testing.T) {
 	// Paper Fig. 6(c): a single overlapped tree is NOT faster overall than
 	// the double tree — its win is the turnaround. Allow 25% slack.
 	bytes := int64(64 << 20)
-	double, err := Run(Config{Graph: dgx1(), Algorithm: AlgDoubleTree, Bytes: bytes})
+	double, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgDoubleTree, Bytes: bytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := Run(Config{Graph: dgx1(), Algorithm: AlgTreeOverlap, Bytes: bytes})
+	single, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgTreeOverlap, Bytes: bytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +164,11 @@ func TestTurnaroundImprovementGrowsWithChunks(t *testing.T) {
 	// tree no longer waits for the rest of the reduction.
 	speedupAt := func(chunks int) float64 {
 		bytes := int64(64 << 20)
-		base, err := Run(Config{Graph: dgx1(), Algorithm: AlgDoubleTree, Bytes: bytes, Chunks: chunks})
+		base, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgDoubleTree, Bytes: bytes, Chunks: chunks})
 		if err != nil {
 			t.Fatal(err)
 		}
-		over, err := Run(Config{Graph: dgx1(), Algorithm: AlgDoubleTreeOverlap, Bytes: bytes, Chunks: chunks})
+		over, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgDoubleTreeOverlap, Bytes: bytes, Chunks: chunks})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +187,7 @@ func TestInOrderPropertyPerNode(t *testing.T) {
 	// Observation #3: within each tree, chunks become ready at every node in
 	// chunk-index order. With round-robin assignment, tree 0 owns even
 	// chunks and tree 1 odd chunks.
-	res, err := Run(Config{Graph: dgx1(), Algorithm: AlgDoubleTreeOverlap, Bytes: 8 << 20, Chunks: 32})
+	res, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgDoubleTreeOverlap, Bytes: 8 << 20, Chunks: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestInOrderPropertyPerNode(t *testing.T) {
 	if !res.InOrder {
 		t.Error("tree result not marked in-order")
 	}
-	ring, err := Run(Config{Graph: dgx1(), Algorithm: AlgRing, Bytes: 8 << 20})
+	ring, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgRing, Bytes: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,12 +234,12 @@ func TestOverlapOnSharedChannelsGivesNoBenefit(t *testing.T) {
 	}
 	t1, t2 := DGX1Trees()
 	bytes := int64(64 << 20)
-	base, err := Run(Config{Graph: g, Algorithm: AlgDoubleTree, Bytes: bytes,
+	base, err := RunCtx(context.Background(), Config{Graph: g, Algorithm: AlgDoubleTree, Bytes: bytes,
 		Trees: []Tree{t1, t2}, AllowSharedChannels: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	over, err := Run(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: bytes,
+	over, err := RunCtx(context.Background(), Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: bytes,
 		Trees: []Tree{t1, t2}, AllowSharedChannels: true})
 	if err != nil {
 		t.Fatal(err)
@@ -246,11 +247,11 @@ func TestOverlapOnSharedChannelsGivesNoBenefit(t *testing.T) {
 	shared := float64(base.Total) / float64(over.Total)
 
 	// Same trees on the real DGX-1 (with duplicates) overlap fully.
-	baseD, err := Run(Config{Graph: dgx1(), Algorithm: AlgDoubleTree, Bytes: bytes})
+	baseD, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgDoubleTree, Bytes: bytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	overD, err := Run(Config{Graph: dgx1(), Algorithm: AlgDoubleTreeOverlap, Bytes: bytes})
+	overD, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgDoubleTreeOverlap, Bytes: bytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestRingMatchesCostModelShape(t *testing.T) {
 	// The DES ring time should approximate Eq. (2). On the DGX-1 two
 	// link-disjoint rings each carry N/2 in parallel.
 	bytes := int64(64 << 20)
-	res, err := Run(Config{Graph: dgx1(), Algorithm: AlgRing, Bytes: bytes})
+	res, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgRing, Bytes: bytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestRingMatchesCostModelShape(t *testing.T) {
 		t.Errorf("ring time %v vs model %v (rel err %.3f)", got, want, rel)
 	}
 	// A single-ring embedding takes ~2x as long.
-	single, err := Run(Config{Graph: dgx1(), Algorithm: AlgRing, Bytes: bytes,
+	single, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgRing, Bytes: bytes,
 		RingOrder: DGX1RingOrder()})
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +324,7 @@ func TestOverlappedTreeMatchesCostModelShape(t *testing.T) {
 	// distort the comparison). The model assumes uniform hop cost; allow 15%.
 	bytes := int64(64 << 20)
 	g := topology.FullyConnected(8, 25e9, 3*des.Microsecond)
-	res, err := Run(Config{Graph: g, Algorithm: AlgTreeOverlap, Bytes: bytes})
+	res, err := RunCtx(context.Background(), Config{Graph: g, Algorithm: AlgTreeOverlap, Bytes: bytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +391,7 @@ func TestAutoChunkCount(t *testing.T) {
 }
 
 func TestBandwidthMetric(t *testing.T) {
-	res, err := Run(Config{Graph: dgx1(), Algorithm: AlgDoubleTreeOverlap, Bytes: 64 << 20})
+	res, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgDoubleTreeOverlap, Bytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +408,7 @@ func TestDetourUsesIntermediateGPUChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Execute()
+	res, err := s.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,9 @@ import (
 // synthesized collectives flow through schedcheck, the cache/store, and the
 // DES engine unchanged.
 //
-// Assemble performs no verification beyond index sanity. A schedule it
-// returns must pass through Verify/Validate (or a verifying constructor
-// such as Cache.BuildWith) before it may execute — the synth-verify lint
-// rule enforces this at every module-local call site.
+// Assemble is the only way to obtain an externally compiled schedule, and it
+// runs the full static verifier before returning, so an assembled schedule
+// the checker never saw cannot exist.
 
 // OpSpec describes one operation of an externally assembled schedule, in
 // the same vocabulary as the internal transfer DAG.
@@ -63,11 +62,11 @@ type AssembleSpec struct {
 	Ops       []OpSpec
 }
 
-// Assemble materializes an externally compiled schedule. It checks only
-// index sanity (dep and relay references must point at earlier ops, chunks
-// must exist in the partition); the result is NOT verified — callers must
-// run Verify/Validate before executing it, or build through Cache.BuildWith
-// which verifies on every miss.
+// Assemble materializes an externally compiled schedule. Index sanity (dep
+// and relay references must point at earlier ops, chunks must exist in the
+// partition) is checked while building; the result then passes Validate —
+// structure, hazards, link validity, conservation and any in-order claim —
+// and is stamped against the current topology before it is returned.
 func Assemble(spec AssembleSpec) (*Schedule, error) {
 	if spec.Graph == nil {
 		return nil, fmt.Errorf("collective: assemble: nil graph")
@@ -120,5 +119,9 @@ func Assemble(spec AssembleSpec) (*Schedule, error) {
 			s.markFinal(id, op.Final)
 		}
 	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("collective: assembled schedule failed verification: %w", err)
+	}
+	s.stamp()
 	return s, nil
 }

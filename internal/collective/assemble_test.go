@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -40,15 +41,15 @@ func TestAssembleMinimalAllReduce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if s.BuiltFingerprint() != g.Fingerprint() {
+		t.Fatal("assembled schedule was not stamped against the topology")
 	}
 	if err := s.VerifyDeep(); err != nil {
 		t.Fatalf("VerifyDeep: %v", err)
 	}
-	res, err := s.Execute()
+	res, err := s.ExecuteCtx(context.Background())
 	if err != nil {
-		t.Fatalf("Execute: %v", err)
+		t.Fatalf("ExecuteCtx: %v", err)
 	}
 	if res.Total <= 0 {
 		t.Fatalf("Total = %s, want > 0", res.Total)
@@ -99,29 +100,48 @@ func TestAssembleRejectsMalformedSpecs(t *testing.T) {
 	}
 }
 
-// Assemble itself is only an index-sanity boundary: a structurally sane but
-// semantically wrong program (payload on a channel that does not connect its
-// endpoints) assembles fine and is caught by Validate — which is why every
-// Assemble call site must be followed by a verification gate.
-func TestAssembleIsUnverified(t *testing.T) {
+// Assemble verifies before it returns: specs whose indexes are all valid but
+// whose semantics are wrong never yield a schedule.
+func TestAssembleRejectsUnverifiableSpec(t *testing.T) {
 	g := topology.FullyConnected(3, 10e9, 5*des.Microsecond)
 	nodes := g.GPUs()
+	up := g.ChannelsBetween(nodes[0], nodes[1])[0]
+	down := g.ChannelsBetween(nodes[1], nodes[0])[0]
 	wrong := g.ChannelsBetween(nodes[1], nodes[2])[0] // does not touch node 0
-	s, err := Assemble(AssembleSpec{
-		Graph:     g,
-		Nodes:     nodes,
-		Partition: chunk.Split(1<<16, 1),
-		Streams:   1,
-		Contract:  ContractAllReduce,
-		Ops: []OpSpec{
+	cases := []struct {
+		name  string
+		class string // the verifier class that must reject the spec
+		ops   []OpSpec
+	}{
+		{"channel does not connect its endpoints", "link", []OpSpec{
 			{Channel: wrong, Bytes: 1 << 16, SrcNode: nodes[0], DstNode: nodes[1]},
-		},
-	})
-	if err != nil {
-		t.Fatalf("Assemble: %v", err)
+		}},
+		// The minimal two-node allreduce with the reduction turned into an
+		// overwrite: node 1 loses its own contribution.
+		{"ops do not conserve the data", "conservation", []OpSpec{
+			{Label: "up", Channel: up, Bytes: 1 << 16, SrcNode: nodes[0], DstNode: nodes[1]},
+			{Label: "rootready", Channel: -1, HasFinal: true, Final: nodes[1], Deps: []int{0}},
+			{Label: "down", Channel: down, Bytes: 1 << 16, SrcNode: nodes[1], DstNode: nodes[0],
+				HasFinal: true, Final: nodes[0], Deps: []int{1}},
+		}},
 	}
-	if err := s.Validate(); err == nil {
-		t.Fatal("Validate accepted a payload on a channel that does not connect its endpoints")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Assemble(AssembleSpec{
+				Graph:     g,
+				Nodes:     nodes[:2],
+				Partition: chunk.Split(1<<16, 1),
+				Streams:   1,
+				Contract:  ContractAllReduce,
+				Ops:       tc.ops,
+			})
+			if err == nil {
+				t.Fatal("Assemble returned a schedule the verifier rejects")
+			}
+			if !strings.Contains(err.Error(), tc.class) {
+				t.Fatalf("err = %v, want a %s violation", err, tc.class)
+			}
+		})
 	}
 }
 

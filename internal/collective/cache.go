@@ -123,7 +123,7 @@ func NewCache() *Cache {
 }
 
 // DefaultCache is the process-wide schedule cache used by BuildCached and
-// Run. Experiment sweeps share it across goroutines.
+// RunCtx. Experiment sweeps share it across goroutines.
 var DefaultCache = NewCache()
 
 // BuildCached builds the configured collective through the DefaultCache.
@@ -179,25 +179,38 @@ func (c *Cache) key(cfg Config) cacheKey {
 // Levels 2 and 3 write the result through to the disk store, so the next
 // process starts at level 1.
 func (c *Cache) Build(cfg Config) (*Schedule, error) {
-	return c.buildThrough(cfg, func() (*Schedule, error) { return Build(cfg) })
+	return c.buildThrough(cfg, func() (*Schedule, error) {
+		s, err := Build(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
+		return s, nil
+	})
 }
 
 // BuildWith is Build for schedules the package cannot construct itself:
 // builder runs on a full miss (memory, disk, no patchable sibling) and its
-// result is validated, stamped, cached, and written through to the disk
-// store exactly like a built-in's. internal/synth uses it to give compiled
-// schedules the same memoization and the same miss-verify invariant as the
-// hand-written algorithms; the cache key additionally carries cfg.SynthKey
-// so distinct synthesis configs never alias. Sibling patching is skipped —
-// the cache cannot derive an external builder's partition shape.
+// result is stamped, cached, and written through to the disk store exactly
+// like a built-in's. The builder must return a verified schedule — an
+// external one can only come from Assemble, which verifies before it
+// returns. internal/synth uses it to give compiled schedules the same
+// memoization as the hand-written algorithms; the cache key additionally
+// carries cfg.SynthKey so distinct synthesis configs never alias. Sibling
+// patching is skipped — the cache cannot derive an external builder's
+// partition shape.
 func (c *Cache) BuildWith(cfg Config, builder func() (*Schedule, error)) (*Schedule, error) {
 	return c.buildThrough(cfg, builder)
 }
 
+// buildThrough resolves cfg through the cache levels. builder must return a
+// verified schedule; the cache only stamps what it stores. Uncacheable
+// configurations (Trees overrides) and a disabled cache call builder
+// directly, so they are verified the same way and only skip memoization.
 func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Schedule, error) {
 	if !cacheable(cfg) {
-		// Uncacheable builds keep the historical uncached, unverified
-		// contract (such callers verify themselves).
 		return builder()
 	}
 	k := c.key(cfg)
@@ -209,7 +222,7 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 	c.mu.Lock()
 	if c.disabled {
 		c.mu.Unlock()
-		return Build(cfg)
+		return builder()
 	}
 	if el, ok := c.entries[k]; ok {
 		c.hits++
@@ -249,9 +262,6 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 		var err error
 		s, err = builder()
 		if err != nil {
-			return nil, err
-		}
-		if err := s.Validate(); err != nil {
 			return nil, err
 		}
 		s.stamp()
@@ -406,9 +416,9 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// SetEnabled turns memoization on or off. Disabled, Build degrades to the
-// plain uncached (and unverified) construction path — the pre-cache
-// behavior. ccube-bench uses this for its reference timing.
+// SetEnabled turns memoization on or off. Disabled, every Build and
+// BuildWith runs its builder — construction plus verification — with no
+// lookup and no store. ccube-bench uses this for its reference timing.
 func (c *Cache) SetEnabled(on bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

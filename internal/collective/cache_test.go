@@ -1,9 +1,11 @@
 package collective
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"ccube/internal/des"
 	"ccube/internal/topology"
 )
 
@@ -37,7 +39,7 @@ func TestCacheHitReturnsSameVerifiedSchedule(t *testing.T) {
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Fatalf("stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
-	if _, err := second.Execute(); err != nil {
+	if _, err := second.ExecuteCtx(context.Background()); err != nil {
 		t.Fatalf("executing cached schedule: %v", err)
 	}
 }
@@ -52,7 +54,7 @@ func TestCacheStaleScheduleFailsLoudlyAfterKillChannel(t *testing.T) {
 	}
 
 	g.KillChannel(0)
-	_, err = s.Execute()
+	_, err = s.ExecuteCtx(context.Background())
 	var stale *StaleScheduleError
 	if !errors.As(err, &stale) {
 		t.Fatalf("executing cached schedule on mutated topology: got %v, want *StaleScheduleError", err)
@@ -71,7 +73,7 @@ func TestCacheStaleScheduleFailsLoudlyAfterKillChannel(t *testing.T) {
 	if again != s {
 		t.Fatal("restore did not bring back the original cache entry")
 	}
-	if _, err := again.Execute(); err != nil {
+	if _, err := again.ExecuteCtx(context.Background()); err != nil {
 		t.Fatalf("executing restored schedule: %v", err)
 	}
 
@@ -86,10 +88,10 @@ func TestCacheStaleScheduleFailsLoudlyAfterKillChannel(t *testing.T) {
 	if rebuilt == s {
 		t.Fatal("cache served the pre-degrade schedule for the mutated topology")
 	}
-	if _, err := rebuilt.Execute(); err != nil {
+	if _, err := rebuilt.ExecuteCtx(context.Background()); err != nil {
 		t.Fatalf("executing rebuilt schedule: %v", err)
 	}
-	if _, err := s.Execute(); !errors.As(err, &stale) {
+	if _, err := s.ExecuteCtx(context.Background()); !errors.As(err, &stale) {
 		t.Fatalf("executing pre-degrade schedule: got %v, want *StaleScheduleError", err)
 	}
 	if hits, misses := c.Stats(); hits != 1 || misses != 2 {
@@ -176,6 +178,63 @@ func TestCacheBypassesTreeOverrides(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatalf("cache holds %d entries after bypass-only builds, want 0", c.Len())
+	}
+}
+
+// Verification happens in one place per builder — Cache.Build's built-in
+// builder runs Validate, Assemble runs it for external builders — and the
+// cache only stamps. So a disabled cache and a Trees override verify
+// built-ins too, a disabled cache still runs an external builder, and the
+// cache never proves a builder's result a second time.
+func TestCacheVerifiesInOnePlace(t *testing.T) {
+	// Halving-doubling takes the first channel of each pair without checking
+	// its health, so with rank 0's first partner channel dead, Build succeeds
+	// and Validate's link check fails.
+	g := topology.FullyConnected(4, 10e9, 5*des.Microsecond)
+	nodes := g.GPUs()
+	g.KillChannel(g.ChannelsBetween(nodes[0], nodes[2])[0])
+	bad := Config{Graph: g, Algorithm: AlgHalvingDoubling, Bytes: 1 << 16}
+	unverified, err := Build(bad)
+	if err != nil {
+		t.Fatalf("precondition: Build: %v", err)
+	}
+	if err := unverified.Validate(); err == nil {
+		t.Fatal("precondition: schedule over a dead channel validates")
+	}
+
+	c := NewCache()
+	// A Trees override makes the config uncacheable; halving-doubling
+	// ignores it.
+	override := bad
+	tree, _ := DoubleTrees(len(nodes))
+	override.Trees = []Tree{tree}
+	if _, err := c.Build(override); err == nil {
+		t.Error("uncacheable built-in escaped verification")
+	}
+	c.SetEnabled(false)
+	if _, err := c.Build(bad); err == nil {
+		t.Error("built-in escaped verification with the cache disabled")
+	}
+
+	// Disabled, BuildWith runs the caller's builder; Build cannot construct
+	// a synth config.
+	g2 := topology.FullyConnected(2, 10e9, 5*des.Microsecond)
+	synthCfg := Config{Graph: g2, Algorithm: AlgSynth, Bytes: 1 << 16, SynthKey: "v1.a"}
+	if _, err := c.BuildWith(synthCfg, func() (*Schedule, error) { return assembleAllReduce2(g2) }); err != nil {
+		t.Errorf("BuildWith with the cache disabled: %v", err)
+	}
+
+	// Enabled, the cache stamps and stores the builder's result as is. Only
+	// in-package code can hand it an unverified schedule; external builders
+	// go through Assemble, which has already verified.
+	c.SetEnabled(true)
+	got, err := c.BuildWith(Config{Graph: g, Algorithm: AlgSynth, Bytes: 1 << 16, SynthKey: "v1.a"},
+		func() (*Schedule, error) { return unverified, nil })
+	if err != nil {
+		t.Fatalf("BuildWith verified its builder's result again: %v", err)
+	}
+	if got != unverified || got.BuiltFingerprint() != g.Fingerprint() {
+		t.Fatal("BuildWith did not stamp and return its builder's schedule")
 	}
 }
 

@@ -2,7 +2,7 @@
 // ring, pipelined tree, double tree, and the overlapped (C1 / C-Cube) trees —
 // as explicit transfer schedules over a physical topology.
 //
-// A Schedule can be executed two ways: Execute runs it on the deterministic
+// A Schedule can be executed two ways: ExecuteCtx runs it on the deterministic
 // discrete-event engine and reports times (the basis of every figure
 // reproduction), while ExecuteData runs its data semantics over real vectors
 // to prove each algorithm actually computes an AllReduce.
@@ -265,22 +265,13 @@ func Build(cfg Config) (*Schedule, error) {
 	}
 }
 
-// Run builds and executes the configured AllReduce, returning its timing.
+// RunCtx builds and executes the configured AllReduce, returning its timing.
 // Builds go through the DefaultCache: repeated runs of the same (topology
 // content, algorithm, size) reuse the verified schedule and pay only for
-// execution.
-func Run(cfg Config) (*Result, error) {
-	s, err := BuildCached(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.Execute()
-}
-
-// RunCtx is Run under a cancellation context: the build still goes through
-// the DefaultCache (building is fast and verified; cancelling it would
-// poison nothing), while the execution aborts at its next checkpoint when
-// ctx is cancelled, surfacing a wrapped *des.CanceledError.
+// execution. The build itself is not cancellable (it is fast and verified;
+// cancelling it would poison nothing), while the execution aborts at its
+// next checkpoint when ctx is cancelled, surfacing a wrapped
+// *des.CanceledError.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("collective: execution canceled: %w",

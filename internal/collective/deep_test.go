@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -60,7 +61,7 @@ func TestVerifyDeepGrid(t *testing.T) {
 				if bound <= 0 {
 					t.Fatalf("MakespanBound = %s, want > 0", bound)
 				}
-				res, err := s.Execute()
+				res, err := s.ExecuteCtx(context.Background())
 				if err != nil {
 					t.Fatalf("Execute: %v", err)
 				}
@@ -114,7 +115,7 @@ func TestMakespanBoundDetectsCostDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Execute()
+	res, err := s.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

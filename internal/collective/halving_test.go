@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestHalvingDoublingMatchesClosedForm(t *testing.T) {
 	// DES time vs 2·log2(P)·α + 2·βN·(P-1)/P on a contention-free topology.
 	bytes := int64(64 << 20)
 	g := topology.FullyConnected(8, 25e9, 3*des.Microsecond)
-	res, err := Run(Config{Graph: g, Algorithm: AlgHalvingDoubling, Bytes: bytes})
+	res, err := RunCtx(context.Background(), Config{Graph: g, Algorithm: AlgHalvingDoubling, Bytes: bytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +82,11 @@ func TestHalvingDoublingBeatsSingleRingOnLatency(t *testing.T) {
 	// Same bandwidth term as a single ring, log-vs-linear latency term:
 	// at small messages halving-doubling must win clearly.
 	g := topology.FullyConnected(16, 25e9, 3*des.Microsecond)
-	hd, err := Run(Config{Graph: g, Algorithm: AlgHalvingDoubling, Bytes: 16 << 10})
+	hd, err := RunCtx(context.Background(), Config{Graph: g, Algorithm: AlgHalvingDoubling, Bytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := Run(Config{Graph: g, Algorithm: AlgRing, Bytes: 16 << 10})
+	ring, err := RunCtx(context.Background(), Config{Graph: g, Algorithm: AlgRing, Bytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +95,11 @@ func TestHalvingDoublingBeatsSingleRingOnLatency(t *testing.T) {
 			ring.Total, hd.Total)
 	}
 	// At large sizes the bandwidth terms dominate and the two converge.
-	hdBig, err := Run(Config{Graph: g, Algorithm: AlgHalvingDoubling, Bytes: 256 << 20})
+	hdBig, err := RunCtx(context.Background(), Config{Graph: g, Algorithm: AlgHalvingDoubling, Bytes: 256 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ringBig, err := Run(Config{Graph: g, Algorithm: AlgRing, Bytes: 256 << 20})
+	ringBig, err := RunCtx(context.Background(), Config{Graph: g, Algorithm: AlgRing, Bytes: 256 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestHalvingDoublingBeatsSingleRingOnLatency(t *testing.T) {
 }
 
 func TestHalvingDoublingNotInOrder(t *testing.T) {
-	res, err := Run(Config{Graph: dgx1(), Algorithm: AlgHalvingDoubling, Bytes: 1 << 20})
+	res, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgHalvingDoubling, Bytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/chunk"
@@ -170,12 +171,12 @@ func BuildHierarchical(cfg HierarchicalConfig) (*Schedule, error) {
 }
 
 // RunHierarchical builds and times the hierarchical AllReduce.
-func RunHierarchical(cfg HierarchicalConfig) (*Result, error) {
+func RunHierarchical(ctx context.Context, cfg HierarchicalConfig) (*Result, error) {
 	s, err := BuildHierarchical(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return s.Execute()
+	return s.ExecuteCtx(ctx)
 }
 
 func indexOf(nodes []topology.NodeID, n topology.NodeID) int {

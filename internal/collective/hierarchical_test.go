@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -38,12 +39,12 @@ func TestHierarchicalCorrectness(t *testing.T) {
 func TestHierarchicalChainingBeatsBarriers(t *testing.T) {
 	mn := cluster(t, 4)
 	bytes := int64(64 << 20)
-	base, err := RunHierarchical(HierarchicalConfig{Cluster: mn, Bytes: bytes, Chained: false})
+	base, err := RunHierarchical(context.Background(), HierarchicalConfig{Cluster: mn, Bytes: bytes, Chained: false})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mn2 := cluster(t, 4)
-	chained, err := RunHierarchical(HierarchicalConfig{Cluster: mn2, Bytes: bytes, Chained: true})
+	chained, err := RunHierarchical(context.Background(), HierarchicalConfig{Cluster: mn2, Bytes: bytes, Chained: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +68,12 @@ func TestHierarchicalTurnaroundAdvantageGrows(t *testing.T) {
 	// after a single climb+descent through all levels, while the barriered
 	// version waits for every phase to drain.
 	mn := cluster(t, 4)
-	base, err := RunHierarchical(HierarchicalConfig{Cluster: mn, Bytes: 64 << 20, Chunks: 64, Chained: false})
+	base, err := RunHierarchical(context.Background(), HierarchicalConfig{Cluster: mn, Bytes: 64 << 20, Chunks: 64, Chained: false})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mn2 := cluster(t, 4)
-	chained, err := RunHierarchical(HierarchicalConfig{Cluster: mn2, Bytes: 64 << 20, Chunks: 64, Chained: true})
+	chained, err := RunHierarchical(context.Background(), HierarchicalConfig{Cluster: mn2, Bytes: 64 << 20, Chunks: 64, Chained: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestHierarchicalTurnaroundAdvantageGrows(t *testing.T) {
 
 func TestHierarchicalInOrderPerBox(t *testing.T) {
 	mn := cluster(t, 2)
-	res, err := RunHierarchical(HierarchicalConfig{Cluster: mn, Bytes: 4 << 20, Chunks: 16, Chained: true})
+	res, err := RunHierarchical(context.Background(), HierarchicalConfig{Cluster: mn, Bytes: 4 << 20, Chunks: 16, Chained: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func (s *Schedule) OverlapEfficiency(g *des.Graph, taskIDs []int) float64 {
 }
 
 // publishExecutionMetrics records one execution's channel traffic, bandwidth
-// achievement, detour share, and overlap efficiency. Called from ExecuteOn
+// achievement, detour share, and overlap efficiency. Called from ExecuteOnCtx
 // only when collection is enabled: the aggregation allocates and must stay
 // off the disabled path.
 func (s *Schedule) publishExecutionMetrics(res []*des.Resource, g *des.Graph, taskIDs []int, total des.Time) {

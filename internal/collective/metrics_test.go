@@ -2,6 +2,7 @@ package collective
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func executedOverlap(t *testing.T, alg Algorithm) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Execute(); err != nil {
+	if _, err := s.ExecuteCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return mOverlapEfficiency.Value()
@@ -61,7 +62,7 @@ func TestExecutionMetricsPublished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Execute()
+	res, err := s.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestExecutionMetricsDisabledRecordsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Execute(); err != nil {
+	if _, err := s.ExecuteCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if mExecutions.Value() != 0 || mBytesMoved.Value() != 0 {

@@ -222,7 +222,7 @@ func (r *decReader) str(n int) string {
 // graph and the payload's own declared counts, so arbitrary bytes can fail
 // but never panic or allocate unboundedly. A nil error here still does NOT
 // make the schedule trustworthy — the caller must run verify-on-load
-// (Schedule.ValidateLoaded) before stamping or executing it.
+// (Schedule.Validate) before stamping or executing it.
 func decodeSchedule(data []byte, g *topology.Graph) (*Schedule, error) {
 	if g == nil {
 		return nil, fmt.Errorf("collective: decode into nil graph")
@@ -367,7 +367,7 @@ func (c *Cache) loadFromStore(disk *store.Store, k cacheKey) (*Schedule, bool) {
 		disk.Invalidate(key)
 		return nil, false
 	}
-	if err := s.ValidateLoaded(); err != nil {
+	if err := s.Validate(); err != nil {
 		disk.Invalidate(key)
 		return nil, false
 	}

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"os"
 	"reflect"
 	"sync"
@@ -79,14 +80,14 @@ func TestScheduleCodecRoundTrip(t *testing.T) {
 			if !schedulesEqual(orig, dec) {
 				t.Fatal("decoded schedule differs from the original")
 			}
-			if err := dec.ValidateLoaded(); err != nil {
+			if err := dec.Validate(); err != nil {
 				t.Fatalf("verify-on-load: %v", err)
 			}
-			ro, err := orig.Execute()
+			ro, err := orig.ExecuteCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			rd, err := dec.Execute()
+			rd, err := dec.ExecuteCtx(context.Background())
 			if err != nil {
 				t.Fatalf("executing decoded schedule: %v", err)
 			}
@@ -133,7 +134,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 			if schedulesEqual(orig, s) {
 				continue // flip landed in a don't-care position (e.g. label)
 			}
-			_ = s.ValidateLoaded() // must not panic; outcome irrelevant
+			_ = s.Validate() // must not panic; outcome irrelevant
 		}
 	})
 	t.Run("trailing-bytes", func(t *testing.T) {
@@ -157,7 +158,7 @@ func TestStoreWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rCold, err := sCold.Execute()
+	rCold, err := sCold.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestStoreWarmStart(t *testing.T) {
 		InOrder: sWarm.InOrder, Streams: sWarm.Streams, Contract: sWarm.Contract, transfers: sWarm.transfers}) {
 		t.Fatal("loaded schedule content differs from the built one")
 	}
-	rWarm, err := sWarm.Execute()
+	rWarm, err := sWarm.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatalf("executing store-loaded schedule: %v", err)
 	}
@@ -328,7 +329,7 @@ func TestStoreVerifyOnLoadCatchesTamperedPayload(t *testing.T) {
 	if !rerouted {
 		t.Fatal("could not construct a rerouted transfer")
 	}
-	if err := bad.ValidateLoaded(); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Fatal("tampered schedule passes verification; test premise broken")
 	}
 
@@ -450,11 +451,11 @@ func TestIncrementalMatchesFullBuild(t *testing.T) {
 			if patched.BuiltFingerprint() != g.Fingerprint() {
 				t.Fatal("patched schedule unstamped")
 			}
-			rp, err := patched.Execute()
+			rp, err := patched.ExecuteCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			rf, err := full.Execute()
+			rf, err := full.ExecuteCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

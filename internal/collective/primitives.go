@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/chunk"
@@ -108,12 +109,12 @@ func BuildPrimitive(cfg PrimitiveConfig) (*Schedule, error) {
 }
 
 // RunPrimitive builds and times a standalone collective.
-func RunPrimitive(cfg PrimitiveConfig) (*Result, error) {
+func RunPrimitive(ctx context.Context, cfg PrimitiveConfig) (*Result, error) {
 	s, err := BuildPrimitive(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return s.Execute()
+	return s.ExecuteCtx(ctx)
 }
 
 // primitiveTree resolves the logical tree, rerooting to cfg.Root if set.

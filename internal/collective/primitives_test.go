@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -114,7 +115,7 @@ func TestBroadcastMatchesEq3(t *testing.T) {
 	// A single pipelined tree phase is Eq. (3): (log P + K)(alpha + beta*N/K).
 	bytes := int64(64 << 20)
 	g := fullMesh(8)
-	res, err := RunPrimitive(PrimitiveConfig{Graph: g, Primitive: PrimBroadcast, Bytes: bytes})
+	res, err := RunPrimitive(context.Background(), PrimitiveConfig{Graph: g, Primitive: PrimBroadcast, Bytes: bytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,19 +132,19 @@ func TestAllReduceEqualsReducePlusBroadcastShape(t *testing.T) {
 	// phases; the overlapped one clearly less (the C-Cube observation).
 	bytes := int64(64 << 20)
 	g := fullMesh(8)
-	red, err := RunPrimitive(PrimitiveConfig{Graph: g, Primitive: PrimReduce, Bytes: bytes})
+	red, err := RunPrimitive(context.Background(), PrimitiveConfig{Graph: g, Primitive: PrimReduce, Bytes: bytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := RunPrimitive(PrimitiveConfig{Graph: g, Primitive: PrimBroadcast, Bytes: bytes})
+	bc, err := RunPrimitive(context.Background(), PrimitiveConfig{Graph: g, Primitive: PrimBroadcast, Bytes: bytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(Config{Graph: g, Algorithm: AlgTree, Bytes: bytes})
+	full, err := RunCtx(context.Background(), Config{Graph: g, Algorithm: AlgTree, Bytes: bytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	over, err := Run(Config{Graph: g, Algorithm: AlgTreeOverlap, Bytes: bytes})
+	over, err := RunCtx(context.Background(), Config{Graph: g, Algorithm: AlgTreeOverlap, Bytes: bytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestPrimitivesOnDGX1(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("%v: %v", prim, err)
 		}
-		res, err := s.Execute()
+		res, err := s.ExecuteCtx(context.Background())
 		if err != nil {
 			t.Fatalf("%v execute: %v", prim, err)
 		}

@@ -63,12 +63,12 @@ type PatchReport struct {
 //     parallel channels including itself, shifting load toward the faster
 //     links.
 //
-// The returned schedule is deliberately NOT verified and NOT stamped:
-// callers must pass it through VerifyPatch (delta verification against the
-// base) or full Verify before executing it — ccube-lint's repair-verify
-// check enforces this at every call site. When a stranded transfer has no
-// healthy replacement route the repair fails with *UnrepairableError and
-// the caller falls back to full repair + relaunch.
+// The patch is delta-verified against s (verifyPatch) and stamped against
+// the current topology before it is returned, so an unverified patch never
+// escapes. When a stranded transfer has no healthy replacement route the
+// repair fails with *UnrepairableError, and a patch that fails verification
+// returns an error too; either way the caller falls back to full repair +
+// relaunch.
 func RepairScheduleIncremental(s *Schedule, channels []topology.ChannelID, opts *PatchOptions) (*Schedule, *PatchReport, error) {
 	rep := &PatchReport{}
 	out := s.clone()
@@ -193,6 +193,9 @@ func RepairScheduleIncremental(s *Schedule, channels []topology.ChannelID, opts 
 	if err := out.validateStructure(); err != nil {
 		return nil, nil, fmt.Errorf("collective: patched schedule failed structural validation: %w", err)
 	}
+	if err := verifyPatch(s, out, rep); err != nil {
+		return nil, nil, err
+	}
 	return out, rep, nil
 }
 
@@ -238,16 +241,13 @@ func (s *Schedule) rebalance(stranded []*transfer, group []topology.ChannelID, t
 	return moved
 }
 
-// VerifyPatch is the execution gate for incrementally repaired schedules:
+// verifyPatch is the execution gate for incrementally repaired schedules:
 // it runs schedcheck.CheckPatch — delta verification of the patched
 // schedule against the verified base it came from — and stamps the patched
-// schedule against the current topology on success. RepairScheduleIncremental
-// returns its result unstamped and unverified on purpose; a patch that has
-// not passed VerifyPatch (or full Verify) must never execute, and
-// ccube-lint's repair-verify check flags call sites that try.
-func VerifyPatch(base, patched *Schedule, rep *PatchReport) error {
+// schedule against the current topology on success.
+func verifyPatch(base, patched *Schedule, rep *PatchReport) error {
 	if rep == nil {
-		return fmt.Errorf("collective: VerifyPatch requires the PatchReport from RepairScheduleIncremental")
+		return fmt.Errorf("collective: patch verification requires the PatchReport from RepairScheduleIncremental")
 	}
 	r := schedcheck.CheckPatch(patched.Program(), &schedcheck.PatchSpec{
 		Base:     base.Program(),

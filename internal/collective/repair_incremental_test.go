@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -38,9 +39,10 @@ func TestRepairIncrementalEverySingleLinkFailure(t *testing.T) {
 		if len(rep.Touched) == 0 {
 			t.Fatalf("channel %d: patch rerouted %d transfers but touched none", dead, rep.Rerouted)
 		}
-		// Delta verification is the execution gate.
-		if err := VerifyPatch(s, patched, rep); err != nil {
-			t.Fatalf("channel %d: %v", dead, err)
+		// Delta verification is the execution gate: the repair only returns
+		// a patch that passed it, stamped for execution.
+		if patched.BuiltFingerprint() != g.Fingerprint() {
+			t.Fatalf("channel %d: patch returned without its verification stamp", dead)
 		}
 		// CheckPatch-verified implies full-Verify clean: the delta proofs
 		// must never accept a schedule the whole-program oracle rejects.
@@ -79,9 +81,6 @@ func TestRepairIncrementalTouchesOnlyStrandedRegion(t *testing.T) {
 	g.KillChannel(dead)
 	patched, rep, err := RepairScheduleIncremental(s, []topology.ChannelID{dead}, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyPatch(s, patched, rep); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Touched) >= s.NumTransfers()/2 {
@@ -136,10 +135,8 @@ func TestRepairIncrementalSkipsExecutedPrefix(t *testing.T) {
 	}
 	// A patched schedule keeping an executed transfer on a dead channel can
 	// only be resumed, never re-verified whole against the dead fabric —
-	// VerifyPatch (static structure) must still accept it.
-	if err := VerifyPatch(s, patched, rep); err != nil {
-		t.Fatal(err)
-	}
+	// the delta verifier (static structure) must still have accepted it,
+	// which the nil error above already shows.
 
 	// Bad skip set length is rejected.
 	if _, _, err := RepairScheduleIncremental(s, []topology.ChannelID{dead}, &PatchOptions{Skip: make([]bool, 3)}); err == nil {
@@ -175,19 +172,16 @@ func TestRepairIncrementalDegradedRebalance(t *testing.T) {
 	if rep.Rerouted == 0 || rep.Rebalanced != rep.Rerouted || rep.AddedHops != 0 {
 		t.Fatalf("report = %+v, want pure rebalancing off the degraded channel", rep)
 	}
-	if err := VerifyPatch(s, patched, rep); err != nil {
-		t.Fatal(err)
-	}
 	if err := patched.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Rebalancing must actually relieve the slow link: the degraded run on
 	// the patched schedule beats the unpatched one.
-	slow, err := s.Execute()
+	slow, err := s.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := patched.Execute()
+	fast, err := patched.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +240,6 @@ func TestRepairIncrementalIdentity(t *testing.T) {
 	if rep.Rerouted != 0 || len(rep.Touched) != 0 || patched.NumTransfers() != s.NumTransfers() {
 		t.Fatalf("report = %+v, want identity", rep)
 	}
-	if err := VerifyPatch(s, patched, rep); err != nil {
-		t.Fatal(err)
-	}
 
 	// Out-of-range channel ids are rejected.
 	if _, _, err := RepairScheduleIncremental(s, []topology.ChannelID{topology.ChannelID(g.NumChannels())}, nil); err == nil {
@@ -256,7 +247,7 @@ func TestRepairIncrementalIdentity(t *testing.T) {
 	}
 }
 
-// VerifyPatch rejects tampering: a patched program whose untouched region
+// verifyPatch rejects tampering: a patched program whose untouched region
 // was silently modified must fail delta verification — the proof-transfer
 // argument depends on untouched ops being bit-identical modulo renumbering.
 func TestVerifyPatchRejectsTampering(t *testing.T) {
@@ -297,12 +288,12 @@ func TestVerifyPatchRejectsTampering(t *testing.T) {
 	if !tampered {
 		t.Skip("no untouched transfer with a parallel sibling")
 	}
-	if err := VerifyPatch(s, patched, rep); err == nil {
-		t.Fatal("VerifyPatch accepted a tampered untouched region")
+	if err := verifyPatch(s, patched, rep); err == nil {
+		t.Fatal("verifyPatch accepted a tampered untouched region")
 	}
 
 	// And a nil report is rejected outright.
-	if err := VerifyPatch(s, patched, nil); err == nil {
-		t.Fatal("VerifyPatch accepted a nil report")
+	if err := verifyPatch(s, patched, nil); err == nil {
+		t.Fatal("verifyPatch accepted a nil report")
 	}
 }

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -43,7 +44,7 @@ func TestRepairScheduleDGX1DoubleTreeDeadLink(t *testing.T) {
 			if err := s.Verify(); err == nil {
 				t.Fatal("schedule over a dead channel verified clean")
 			}
-			if _, err := s.Execute(); err == nil {
+			if _, err := s.ExecuteCtx(context.Background()); err == nil {
 				t.Fatal("Execute over a dead channel succeeded")
 			} else {
 				var dce *DeadChannelError
@@ -72,7 +73,7 @@ func TestRepairScheduleDGX1DoubleTreeDeadLink(t *testing.T) {
 			// The repaired schedule still computes an exact AllReduce.
 			checkAllReduceData(t, repaired, rng, 1024)
 			// And it executes end to end on the timing engine.
-			res, err := repaired.Execute()
+			res, err := repaired.ExecuteCtx(context.Background())
 			if err != nil {
 				t.Fatalf("repaired Execute: %v", err)
 			}
@@ -166,14 +167,14 @@ func TestDegradedChannelSlowsButCompletes(t *testing.T) {
 		return s
 	}
 	gh := dgx1()
-	healthy, err := build(gh).Execute()
+	healthy, err := build(gh).ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	gd := dgx1()
 	sd := build(gd)
 	gd.DegradeChannel(usedChannels(sd)[0], 8)
-	degraded, err := sd.Execute()
+	degraded, err := sd.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,28 +57,8 @@ func (cp *Checkpoint) Remap(oldToNew []int, n int) *Checkpoint {
 // checkpoint is an aborted run, not a result. Cancellation and other errors
 // return no checkpoint.
 func (s *Schedule) ExecuteCheckpointCtx(ctx context.Context, res []*des.Resource) (*Result, *Checkpoint, error) {
-	g := des.NewGraph()
-	inst, err := s.Instantiate(g, res, -1)
-	if err != nil {
-		return nil, nil, err
-	}
-	total, err := g.RunCtxErr(ctx)
-	if err != nil {
-		var fe *des.FaultError
-		if errors.As(err, &fe) {
-			return nil, s.checkpointFrom(g, inst.TaskIDs, res, total), fmt.Errorf("collective: execution aborted: %w", err)
-		}
-		var ce *des.CanceledError
-		if errors.As(err, &ce) {
-			return nil, nil, fmt.Errorf("collective: execution canceled: %w", err)
-		}
-		return nil, nil, fmt.Errorf("collective: execution aborted: %w", err)
-	}
-	r, err := s.buildResult(g, inst, res, total)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, nil, nil
+	r, _, cp, err := s.execute(ctx, res)
+	return r, cp, err
 }
 
 // checkpointFrom reads the executed prefix out of an aborted graph run.
@@ -195,7 +175,7 @@ func (s *Schedule) ResumeOnCtx(ctx context.Context, cp *Checkpoint, res []*des.R
 		}
 	}
 
-	total, err := g.RunCtxErr(ctx)
+	total, err := g.RunCtx(ctx)
 	if err != nil {
 		var fe *des.FaultError
 		if errors.As(err, &fe) {

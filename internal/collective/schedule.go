@@ -65,7 +65,7 @@ const (
 )
 
 // Schedule is a complete dependency DAG for one collective operation over a
-// physical topology. Build it with an algorithm constructor, then Execute it
+// physical topology. Build it with an algorithm constructor, then ExecuteCtx it
 // for timing or ExecuteData for functional verification.
 type Schedule struct {
 	Graph     *topology.Graph
@@ -295,63 +295,59 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 	return &Instantiation{ReadyTask: readyTask, TaskIDs: ids}, nil
 }
 
-// Execute runs the schedule on the discrete-event engine and returns timing.
-func (s *Schedule) Execute() (*Result, error) {
-	r, _, err := s.ExecuteTraced()
-	return r, err
-}
-
-// ExecuteCtx is Execute under a cancellation context: a request deadline
-// (or explicit cancel) aborts the discrete-event run at its next task-pop
-// checkpoint with a wrapped *des.CanceledError.
+// ExecuteCtx runs the schedule on the discrete-event engine over fresh
+// channel resources and returns timing. A request deadline (or explicit
+// cancel) aborts the run at its next task-pop checkpoint with a wrapped
+// *des.CanceledError.
 func (s *Schedule) ExecuteCtx(ctx context.Context) (*Result, error) {
 	r, _, err := s.ExecuteOnCtx(ctx, s.Graph.Resources())
 	return r, err
 }
 
-// ExecuteTraced is Execute, additionally returning the executed task graph
-// for timeline export (see internal/trace).
-func (s *Schedule) ExecuteTraced() (*Result, *des.Graph, error) {
-	return s.ExecuteOn(s.Graph.Resources())
-}
-
-// ExecuteOn is ExecuteTraced over caller-provided channel resources (index =
-// ChannelID), the entry point for fault injection: the caller may arm
-// resources with SetSlowdownAt/FailAt breakpoints before the run. A failed
-// resource surfaces as a *des.FaultError (wrapped), never a panic.
-func (s *Schedule) ExecuteOn(res []*des.Resource) (*Result, *des.Graph, error) {
-	return s.ExecuteOnCtx(context.Background(), res)
-}
-
-// ExecuteOnCtx is ExecuteOn under a cancellation context — the fully
-// general execution entry point. Cancellation surfaces as a wrapped
-// *des.CanceledError (which unwraps further to the context error);
-// resource faults surface as a wrapped *des.FaultError, exactly as in
-// ExecuteOn.
+// ExecuteOnCtx is ExecuteCtx over caller-provided channel resources (index =
+// ChannelID), additionally returning the executed task graph for timeline
+// export (see internal/trace). It is the entry point for fault injection:
+// the caller may arm resources with SetSlowdownAt/FailAt breakpoints before
+// the run, and a failed resource surfaces as a wrapped *des.FaultError,
+// never a panic. Cancellation surfaces as a wrapped *des.CanceledError
+// (which unwraps further to the context error).
 func (s *Schedule) ExecuteOnCtx(ctx context.Context, res []*des.Resource) (*Result, *des.Graph, error) {
+	r, g, _, err := s.execute(ctx, res)
+	return r, g, err
+}
+
+// execute is the run loop behind ExecuteOnCtx and ExecuteCheckpointCtx: it
+// instantiates the schedule into a fresh task graph over res and runs it.
+// A resource fault additionally yields a checkpoint of the executed prefix.
+func (s *Schedule) execute(ctx context.Context, res []*des.Resource) (*Result, *des.Graph, *Checkpoint, error) {
 	g := des.NewGraph()
 	inst, err := s.Instantiate(g, res, -1)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	total, err := g.RunCtxErr(ctx)
+	total, err := g.RunCtx(ctx)
 	if err != nil {
 		var ce *des.CanceledError
 		if errors.As(err, &ce) {
-			return nil, nil, fmt.Errorf("collective: execution canceled: %w", err)
+			return nil, nil, nil, fmt.Errorf("collective: execution canceled: %w", err)
 		}
-		return nil, nil, fmt.Errorf("collective: execution aborted: %w", err)
+		var cp *Checkpoint
+		var fe *des.FaultError
+		if errors.As(err, &fe) {
+			cp = s.checkpointFrom(g, inst.TaskIDs, res, total)
+		}
+		return nil, nil, cp, fmt.Errorf("collective: execution aborted: %w", err)
 	}
 	r, err := s.buildResult(g, inst, res, total)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return r, g, nil
+	return r, g, nil, nil
 }
 
 // buildResult assembles the Result of a completed run: per-(node, chunk)
 // readiness from the instantiation's final tasks, serialization validation,
-// and metrics. Shared by ExecuteOnCtx and ExecuteCheckpointCtx.
+// and metrics.
 func (s *Schedule) buildResult(g *des.Graph, inst *Instantiation, res []*des.Resource, total des.Time) (*Result, error) {
 	k := s.Partition.NumChunks()
 	ready := make([][]des.Time, len(s.Nodes))
@@ -591,8 +587,8 @@ func (s *Schedule) VerifyDeep() error {
 
 // MakespanBound returns a provable lower bound on the schedule's execution
 // time under the alpha-beta cost model: the larger of the dependency
-// critical path and the busiest channel's serialized load. Execute can
-// never beat it; the grid test asserts Execute stays within a small slack
+// critical path and the busiest channel's serialized load. Execution can
+// never beat it; the grid test asserts execution stays within a small slack
 // factor of it, pinning the analyzer's cost model to the DES's.
 func (s *Schedule) MakespanBound() (des.Time, error) {
 	return schedcheck.MakespanBound(s.Program())
@@ -611,9 +607,9 @@ func (s *Schedule) Validate() error {
 
 // validateStructure runs Validate's cheap structural pass alone: index
 // ranges, positive transfer sizes, dependency validity, acyclicity. It is
-// the fast path shared by Validate, by incremental rebuilds (which patch a
-// verified sibling and re-check only structure — the byte-independent
-// proofs carry over), and by verify-on-load.
+// the fast path shared by Validate and by incremental rebuilds (which patch
+// a verified sibling and re-check only structure — the byte-independent
+// proofs carry over).
 func (s *Schedule) validateStructure() error {
 	k := s.Partition.NumChunks()
 	for _, t := range s.transfers {
@@ -638,18 +634,4 @@ func (s *Schedule) validateStructure() error {
 		return err
 	}
 	return nil
-}
-
-// ValidateLoaded is the verify-on-load entry point for schedules
-// reconstructed from untrusted bytes (the on-disk schedule store). It runs
-// the same structural pass as Validate and then the verifier's loaded-input
-// checks (schedcheck.CheckLoaded): the disk entry may have been proven
-// correct by whatever process wrote it, but this process has proven
-// nothing, so the full proof is redone before the schedule is stamped,
-// cached, or executed.
-func (s *Schedule) ValidateLoaded() error {
-	if err := s.validateStructure(); err != nil {
-		return err
-	}
-	return schedcheck.CheckLoaded(s.Program()).Err()
 }

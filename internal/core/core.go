@@ -17,6 +17,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/collective"
@@ -79,7 +80,7 @@ type AllReduceOptions struct {
 
 // AllReduce runs one AllReduce on the system's DES and returns its timing.
 func (s *System) AllReduce(opts AllReduceOptions) (*collective.Result, error) {
-	return collective.Run(collective.Config{
+	return collective.RunCtx(context.TODO(), collective.Config{
 		Graph:               s.Graph,
 		Algorithm:           opts.Algorithm,
 		Bytes:               opts.Bytes,
@@ -100,7 +101,7 @@ type TrainOptions struct {
 
 // Train simulates one steady-state training iteration.
 func (s *System) Train(opts TrainOptions) (*train.Result, error) {
-	return train.Run(train.Config{
+	return train.RunCtx(context.TODO(), train.Config{
 		Model:               opts.Model,
 		Batch:               opts.Batch,
 		Device:              s.Device,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/collective"
@@ -32,7 +33,7 @@ func (c *ClusterOfDGX1) NumGPUs() int { return c.Cluster.Graph.NumNodes() }
 // the C-Cube observation across all three levels; otherwise the phases run
 // barriered.
 func (c *ClusterOfDGX1) AllReduce(bytes int64, chained bool) (*collective.Result, error) {
-	return collective.RunHierarchical(collective.HierarchicalConfig{
+	return collective.RunHierarchical(context.TODO(), collective.HierarchicalConfig{
 		Cluster: c.Cluster,
 		Bytes:   bytes,
 		Chained: chained,
@@ -45,7 +46,7 @@ func (c *ClusterOfDGX1) Train(opts TrainOptions) (*train.Result, error) {
 	if opts.Mode == train.ModeR {
 		return nil, fmt.Errorf("core: ring is not supported on a multi-node cluster")
 	}
-	return train.Run(train.Config{
+	return train.RunCtx(context.TODO(), train.Config{
 		Model:   opts.Model,
 		Batch:   opts.Batch,
 		Device:  c.Device,

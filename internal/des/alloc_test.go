@@ -24,7 +24,7 @@ func TestEngineScheduleRunZeroAllocSteadyState(t *testing.T) {
 		for i := 0; i < n; i++ {
 			e.At(base+Time(i%7), fn)
 		}
-		e.Run()
+		e.RunCtx(context.Background())
 	}
 	cycle() // warm up: grow pool and heap once
 	if allocs := testing.AllocsPerRun(50, cycle); allocs > steadyStateAllocBudget {
@@ -45,7 +45,7 @@ func TestEngineReservePreallocatesZeroAlloc(t *testing.T) {
 		for i := 0; i < n; i++ {
 			e.At(base+Time(i), fn)
 		}
-		e.Run()
+		e.RunCtx(context.Background())
 	}
 	if allocs := testing.AllocsPerRun(20, cycle); allocs > steadyStateAllocBudget {
 		t.Fatalf("reserved engine allocates %.1f/op, budget %d", allocs, steadyStateAllocBudget)
@@ -66,7 +66,7 @@ func TestEngineCancelZeroAllocSteadyState(t *testing.T) {
 				h.Cancel()
 			}
 		}
-		e.Run()
+		e.RunCtx(context.Background())
 	}
 	cycle()
 	if allocs := testing.AllocsPerRun(50, cycle); allocs > steadyStateAllocBudget {
@@ -139,9 +139,10 @@ func TestEngineRunCtxZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestGraphRunCtxErrZeroExtraAlloc pins that the task-graph checkpoint adds
-// no per-task allocations: an identical graph run via RunCtxErr with a live
-// context allocates exactly as much as RunErr (construction allocations
-// only, measured as the delta between the two paths being zero).
+// no per-task allocations: an identical graph run with a live context
+// allocates exactly as much as with a background one, whose nil Done skips
+// the checkpoint (construction allocations only, measured as the delta
+// between the two paths being zero).
 func TestGraphRunCtxErrZeroExtraAlloc(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -160,17 +161,17 @@ func TestGraphRunCtxErrZeroExtraAlloc(t *testing.T) {
 		return g
 	}
 	plain := testing.AllocsPerRun(20, func() {
-		if _, err := build().RunErr(); err != nil {
+		if _, err := build().RunCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	})
 	withCtx := testing.AllocsPerRun(20, func() {
-		if _, err := build().RunCtxErr(ctx); err != nil {
+		if _, err := build().RunCtx(ctx); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if withCtx > plain {
-		t.Fatalf("RunCtxErr allocates %.1f/op vs RunErr %.1f/op; the context check must add 0", withCtx, plain)
+		t.Fatalf("live-context run allocates %.1f/op vs background %.1f/op; the context check must add 0", withCtx, plain)
 	}
 }
 
@@ -188,7 +189,7 @@ func allocCycle(t *testing.T, e *Engine, r *Resource) {
 			h.Cancel()
 		}
 	}
-	e.Run()
+	e.RunCtx(context.Background())
 	for i := 0; i < n; i++ {
 		if _, _, err := r.reserve(Time(i), 10, i); err != nil {
 			t.Fatal(err)
@@ -243,7 +244,7 @@ func TestEventHandleSurvivesRecycling(t *testing.T) {
 	e := NewEngine()
 	firstRan := false
 	stale := e.At(1, func() { firstRan = true })
-	e.Run()
+	e.RunCtx(context.Background())
 	if !firstRan {
 		t.Fatal("first event did not run")
 	}
@@ -257,7 +258,7 @@ func TestEventHandleSurvivesRecycling(t *testing.T) {
 		t.Fatalf("pool did not recycle the fired event's record")
 	}
 	stale.Cancel() // must NOT cancel the unrelated second event
-	e.Run()
+	e.RunCtx(context.Background())
 	if !secondRan {
 		t.Fatal("stale Cancel killed a recycled event — generation guard broken")
 	}
@@ -276,7 +277,7 @@ func TestCancelledEventRecycledAtPop(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d before pop, want 1 (lazy cancellation)", e.Pending())
 	}
-	e.Run()
+	e.RunCtx(context.Background())
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d after run, want 0", e.Pending())
 	}

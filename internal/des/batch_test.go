@@ -70,7 +70,7 @@ type trace struct {
 }
 
 // playWorkload schedules specs on e and drains it. useSerial selects the
-// step-based reference loop over the production batched Run/RunCtx; abort
+// step-based reference loop over the production batched RunCtx; abort
 // events call cancel mid-run.
 func playWorkload(e *Engine, specs []batchSpec, ctx context.Context, cancel context.CancelFunc, useSerial bool) trace {
 	var tr trace
@@ -198,7 +198,7 @@ func TestBatchedDrainMatchesSerial(t *testing.T) {
 				iter, dSerial, dBatched)
 		}
 		if prod.Pending() != 0 {
-			t.Fatalf("iter %d: %d events left pending after Run", iter, prod.Pending())
+			t.Fatalf("iter %d: %d events left pending after RunCtx", iter, prod.Pending())
 		}
 	}
 }
@@ -222,8 +222,11 @@ func TestBatchedRunCtxMatchesSerialUnderCancellation(t *testing.T) {
 		if serial.err != nil {
 			// An aborted batched run pushes the unfired remainder back into
 			// the heap; both engines must hold identical pending sets. Drain
-			// both with the plain Run and compare final clocks and totals.
-			if sf, bf := ref.Run(), prod.Run(); sf != bf {
+			// both under a background context and compare final clocks and
+			// totals.
+			sf, _ := ref.RunCtx(context.Background())
+			bf, _ := prod.RunCtx(context.Background())
+			if sf != bf {
 				t.Fatalf("iter %d: post-abort drain final time diverges: %v vs %v", iter, sf, bf)
 			}
 			if ref.Fired() != prod.Fired() {
@@ -246,7 +249,7 @@ func TestBatchedDrainZeroAllocSteadyState(t *testing.T) {
 		for i := 0; i < n; i++ {
 			e.At(e.Now()+Time(i%3), fn) // 3 distinct times -> runs of ~170
 		}
-		e.Run()
+		e.RunCtx(context.Background())
 	})
 	if allocs != 0 {
 		t.Errorf("batched drain steady state: %v allocs/op, want 0", allocs)

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -23,7 +24,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 		for j := 0; j < n; j++ {
 			e.At(base+Time(j%13), fn)
 		}
-		e.Run()
+		e.RunCtx(context.Background())
 	}
 	b.ReportMetric(float64(e.Fired())/float64(b.N), "events/op")
 }
@@ -45,7 +46,7 @@ func BenchmarkEngineScheduleCancelRun(b *testing.B) {
 				h.Cancel()
 			}
 		}
-		e.Run()
+		e.RunCtx(context.Background())
 	}
 }
 
@@ -89,7 +90,7 @@ func BenchmarkGraphPipeline(b *testing.B) {
 						}
 					}
 				}
-				g.Run()
+				mustRun(b, g)
 			}
 		})
 	}

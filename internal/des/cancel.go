@@ -1,9 +1,6 @@
 package des
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // CanceledError reports that a run stopped at a cancellation checkpoint
 // before draining its work: the caller's context was cancelled (or its
@@ -30,59 +27,3 @@ func (e *CanceledError) Error() string {
 
 // Unwrap exposes the context error for errors.Is chains.
 func (e *CanceledError) Unwrap() error { return e.Cause }
-
-// RunCtx executes events in timestamp order until none remain or ctx is
-// cancelled, whichever comes first. The context is checked before every
-// event — including the events inside a drained equal-timestamp batch — so
-// a cancelled run stops without firing another callback and returns a
-// *CanceledError recording the virtual time reached. Events still pending
-// at cancellation stay in the heap (a mid-batch abort pushes the unfired
-// remainder back), so the engine remains usable: a later Run drains them,
-// which keeps cancelled engines safe to recycle.
-//
-// The checkpoint is a non-blocking channel receive — no allocation, no
-// syscall — so RunCtx preserves the engine's zero-alloc steady state
-// (pinned by the alloc gate in alloc_test.go). A context that can never be
-// cancelled (Done() == nil, e.g. context.Background) degrades to the plain
-// Run loop with no per-event cost at all.
-func (e *Engine) RunCtx(ctx context.Context) (Time, error) {
-	done := ctx.Done()
-	if done == nil {
-		//lint:ignore ctx-propagation this IS RunCtx: a nil Done degrades to the uncancellable fast path by design
-		return e.Run(), nil
-	}
-	for len(e.events) > 0 {
-		// fireBatch checks done before its first element, so the pre-pop
-		// checkpoint the serial loop had is preserved.
-		e.popRun()
-		if _, err := e.fireBatch(ctx, done); err != nil {
-			return e.now, err
-		}
-	}
-	return e.now, nil
-}
-
-// RunCtxErr executes the graph like RunErr, additionally aborting with a
-// *CanceledError when ctx is cancelled mid-run. The cancellation
-// checkpoint sits at task-pop granularity: it is checked each time the
-// scheduler would grant the next ready task, so at most the task already
-// holding its resource completes after cancellation. A graph aborted by
-// cancellation counts as ran — build a fresh graph to retry.
-func (g *Graph) RunCtxErr(ctx context.Context) (Time, error) {
-	return g.runErr(ctx)
-}
-
-// RunCtx is RunCtxErr for callers that treat faults as fatal: resource
-// refusals still panic (as Run does), but cancellation returns the typed
-// error. It exists so cancellation-aware callers are not forced onto the
-// fault-handling path.
-func (g *Graph) RunCtx(ctx context.Context) (Time, error) {
-	m, err := g.runErr(ctx)
-	if err != nil {
-		if _, canceled := err.(*CanceledError); canceled {
-			return m, err
-		}
-		panic(err.Error())
-	}
-	return m, nil
-}

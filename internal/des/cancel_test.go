@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// TestEngineRunCtxUncancelled proves RunCtx with a background context is
-// exactly Run: same final time, all events fired.
+// TestEngineRunCtxUncancelled proves RunCtx with a background context
+// drains every event: same final time, all events fired.
 func TestEngineRunCtxUncancelled(t *testing.T) {
 	e := NewEngine()
 	fired := 0
@@ -61,8 +61,8 @@ func TestEngineRunCtxCancelMidRun(t *testing.T) {
 	if e.Pending() != 49 {
 		t.Fatalf("pending=%d after cancelled run, want 49", e.Pending())
 	}
-	// The engine stays usable: a plain Run drains the leftovers.
-	e.Run()
+	// The engine stays usable: a second run drains the leftovers.
+	e.RunCtx(context.Background())
 	if fired != 100 || e.Pending() != 0 {
 		t.Fatalf("drain run: fired=%d pending=%d, want 100/0", fired, e.Pending())
 	}
@@ -101,7 +101,7 @@ func TestGraphRunCtxErrCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := g.RunCtxErr(ctx)
+	_, err := g.RunCtx(ctx)
 	var ce *CanceledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("got %v, want *CanceledError", err)
@@ -114,8 +114,9 @@ func TestGraphRunCtxErrCancelled(t *testing.T) {
 	}
 }
 
-// TestGraphRunCtxErrUncancelled proves an uncancelled RunCtxErr matches
-// RunErr exactly on an identical graph (determinism contract).
+// TestGraphRunCtxErrUncancelled proves a cancellable but never-cancelled
+// context (checkpoint on) matches a background one (checkpoint skipped)
+// exactly on an identical graph (determinism contract).
 func TestGraphRunCtxErrUncancelled(t *testing.T) {
 	build := func() *Graph {
 		g := NewGraph()
@@ -125,18 +126,20 @@ func TestGraphRunCtxErrUncancelled(t *testing.T) {
 		g.Add("c", nil, 3, a, b)
 		return g
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	g1, g2 := build(), build()
-	m1, err1 := g1.RunErr()
-	m2, err2 := g2.RunCtxErr(context.Background())
+	m1, err1 := g1.RunCtx(context.Background())
+	m2, err2 := g2.RunCtx(ctx)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errs: %v / %v", err1, err2)
 	}
 	if m1 != m2 {
-		t.Fatalf("makespan diverged: RunErr=%v RunCtxErr=%v", m1, m2)
+		t.Fatalf("makespan diverged: background=%v cancellable=%v", m1, m2)
 	}
 }
 
-// TestGraphRunCtxPanicsOnFaultNotCancel pins Graph.RunCtx's contract:
+// TestGraphRunCtxCancelReturnsError pins Graph.RunCtx's contract:
 // cancellation returns the typed error rather than panicking.
 func TestGraphRunCtxCancelReturnsError(t *testing.T) {
 	g := NewGraph()

@@ -71,7 +71,7 @@ type event struct {
 // At/After. It is a small value; copying it is cheap and safe.
 //
 // Cancel contract: cancelling is only meaningful while the event is pending.
-// Once the event has fired (or a completed Run has drained it), the engine
+// Once the event has fired (or a completed RunCtx has drained it), the engine
 // recycles its storage for future events; the handle detects this through a
 // generation check, so Cancel after fire is always a safe no-op — it can
 // never cancel an unrelated event that happened to reuse the storage. The
@@ -104,7 +104,7 @@ func (h Event) Pending() bool {
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
-// concurrent use; all callbacks run on the goroutine that calls Run.
+// concurrent use; all callbacks run on the goroutine that calls RunCtx.
 type Engine struct {
 	now    Time
 	events []*event // binary min-heap by (at, seq)
@@ -196,32 +196,34 @@ func (e *Engine) After(d Time, fn func()) Event {
 	return e.At(e.now+d, fn)
 }
 
-// Run executes events in timestamp order until none remain. It returns the
-// final virtual time.
+// RunCtx executes events in timestamp order until none remain or ctx is
+// cancelled, whichever comes first, and returns the final virtual time.
 //
 // Internally events are drained in runs of equal timestamps (popRun) and
 // fired in seq order, which is bit-identical to popping them one at a time:
 // (at, seq) is a total order, and callbacks scheduled mid-run receive higher
 // seq values, so they land in a later batch of the same timestamp.
-func (e *Engine) Run() Time {
+//
+// The context is checked before every event — including the events inside a
+// drained batch — so a cancelled run stops without firing another callback
+// and returns a *CanceledError recording the virtual time reached. Events
+// still pending at cancellation stay in the heap (a mid-batch abort pushes
+// the unfired remainder back), so a later RunCtx drains them and cancelled
+// engines stay safe to recycle.
+//
+// The checkpoint is a non-blocking channel receive — no allocation, no
+// syscall — and a context that can never be cancelled (Done() == nil, e.g.
+// context.Background) skips it entirely, so the loop keeps the engine's
+// zero-alloc steady state either way (pinned in alloc_test.go).
+func (e *Engine) RunCtx(ctx context.Context) (Time, error) {
+	done := ctx.Done()
 	for len(e.events) > 0 {
 		e.popRun()
-		e.fireBatch(nil, nil)
+		if err := e.fireBatch(ctx, done); err != nil {
+			return e.now, err
+		}
 	}
-	return e.now
-}
-
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline. Events beyond the deadline stay pending.
-func (e *Engine) RunUntil(deadline Time) Time {
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.popRun()
-		e.fireBatch(nil, nil)
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return e.now
+	return e.now, nil
 }
 
 // step pops and executes a single event. It is the per-event reference
@@ -445,12 +447,12 @@ func siftEntryDown(a []seqEntry, i, n int) {
 // dropped at fire position — exactly where the serial pop would have dropped
 // them, so a callback cancelling a later event in the same batch still
 // suppresses it. When done is non-nil the context is checked before every
-// event (fired or dropped), matching the serial RunCtx checkpoint; on
-// cancellation the unfired remainder is pushed back into the heap so the
-// engine stays reusable and Remaining counts every still-pending event.
+// event (fired or dropped), a per-event checkpoint; on cancellation the
+// unfired remainder is pushed back into the heap so the engine stays
+// reusable and Remaining counts every still-pending event.
 // Metrics are published as one batched add per counter; the totals match the
 // serial engine's per-event increments.
-func (e *Engine) fireBatch(ctx context.Context, done <-chan struct{}) (Time, error) {
+func (e *Engine) fireBatch(ctx context.Context, done <-chan struct{}) error {
 	fired, cancelled := 0, 0
 	for i, ent := range e.batch {
 		ev := ent.ev
@@ -462,7 +464,7 @@ func (e *Engine) fireBatch(ctx context.Context, done <-chan struct{}) (Time, err
 				}
 				e.batch = e.batch[:0]
 				e.flushBatchMetrics(fired, cancelled)
-				return e.now, &CanceledError{
+				return &CanceledError{
 					At:        e.now,
 					Executed:  e.fired,
 					Remaining: len(e.events),
@@ -488,7 +490,7 @@ func (e *Engine) fireBatch(ctx context.Context, done <-chan struct{}) (Time, err
 	}
 	e.batch = e.batch[:0]
 	e.flushBatchMetrics(fired, cancelled)
-	return e.now, nil
+	return nil
 }
 
 // flushBatchMetrics publishes one batch's counter deltas.

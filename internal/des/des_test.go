@@ -1,8 +1,20 @@
 package des
 
 import (
+	"context"
 	"testing"
 )
+
+// mustRun executes g under a background context, failing the test on a
+// fault.
+func mustRun(tb testing.TB, g *Graph) Time {
+	tb.Helper()
+	m, err := g.RunCtx(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine()
@@ -10,7 +22,7 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e.At(30, func() { got = append(got, 3) })
 	e.At(10, func() { got = append(got, 1) })
 	e.At(20, func() { got = append(got, 2) })
-	end := e.Run()
+	end, _ := e.RunCtx(context.Background())
 	if end != 30 {
 		t.Fatalf("end time = %v, want 30", end)
 	}
@@ -29,7 +41,7 @@ func TestEngineEqualTimesPreserveScheduleOrder(t *testing.T) {
 		i := i
 		e.At(5, func() { got = append(got, i) })
 	}
-	e.Run()
+	e.RunCtx(context.Background())
 	for i := 0; i < 10; i++ {
 		if got[i] != i {
 			t.Fatalf("tie order broken: %v", got)
@@ -44,7 +56,7 @@ func TestEngineAfterAndNestedScheduling(t *testing.T) {
 		fired = append(fired, e.Now())
 		e.After(15, func() { fired = append(fired, e.Now()) })
 	})
-	e.Run()
+	e.RunCtx(context.Background())
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 25 {
 		t.Fatalf("fired = %v, want [10 25]", fired)
 	}
@@ -55,7 +67,7 @@ func TestEngineCancel(t *testing.T) {
 	ran := false
 	ev := e.At(5, func() { ran = true })
 	ev.Cancel()
-	e.Run()
+	e.RunCtx(context.Background())
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
@@ -71,24 +83,7 @@ func TestEngineSchedulingInPastPanics(t *testing.T) {
 		}()
 		e.At(50, func() {})
 	})
-	e.Run()
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var got []Time
-	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		e.At(at, func() { got = append(got, at) })
-	}
-	e.RunUntil(25)
-	if len(got) != 2 || e.Now() != 25 {
-		t.Fatalf("after RunUntil(25): fired=%v now=%v", got, e.Now())
-	}
-	e.Run()
-	if len(got) != 4 {
-		t.Fatalf("after Run: fired=%v", got)
-	}
+	e.RunCtx(context.Background())
 }
 
 func TestResourceSerializesAndRecordsIntervals(t *testing.T) {
@@ -133,7 +128,7 @@ func TestGraphLinearChain(t *testing.T) {
 	a := g.Add("a", r, 10)
 	b := g.Add("b", r, 20, a)
 	c := g.Add("c", r, 30, b)
-	end := g.Run()
+	end := mustRun(t, g)
 	if end != 60 {
 		t.Fatalf("makespan = %v, want 60", end)
 	}
@@ -149,14 +144,14 @@ func TestGraphResourceContention(t *testing.T) {
 	r := NewResource("r")
 	g1.Add("a", r, 10)
 	g1.Add("b", r, 10)
-	if end := g1.Run(); end != 20 {
+	if end := mustRun(t, g1); end != 20 {
 		t.Fatalf("shared resource makespan = %v, want 20", end)
 	}
 
 	g2 := NewGraph()
 	g2.Add("a", NewResource("r1"), 10)
 	g2.Add("b", NewResource("r2"), 10)
-	if end := g2.Run(); end != 10 {
+	if end := mustRun(t, g2); end != 10 {
 		t.Fatalf("separate resources makespan = %v, want 10", end)
 	}
 }
@@ -167,7 +162,7 @@ func TestGraphDiamondDependency(t *testing.T) {
 	l := g.Add("l", NewResource("rl"), 10, src)
 	rr := g.Add("r", NewResource("rr"), 20, src)
 	sink := g.Add("sink", nil, 0, l, rr)
-	end := g.Run()
+	end := mustRun(t, g)
 	if end != 25 {
 		t.Fatalf("makespan = %v, want 25", end)
 	}
@@ -184,7 +179,7 @@ func TestGraphFIFOGrantOrderIsDeterministic(t *testing.T) {
 	slow := g.Add("slow-prereq", nil, 100)
 	late := g.Add("late", r, 10, slow) // ready at 100
 	early := g.Add("early", r, 10)     // ready at 0
-	g.Run()
+	mustRun(t, g)
 	if g.Task(early).Start != 0 {
 		t.Fatalf("early start = %v, want 0", g.Task(early).Start)
 	}
@@ -197,7 +192,7 @@ func TestGraphSetEarliest(t *testing.T) {
 	g := NewGraph()
 	a := g.Add("a", NewResource("r"), 10)
 	g.SetEarliest(a, 50)
-	g.Run()
+	mustRun(t, g)
 	if g.Task(a).Start != 50 {
 		t.Fatalf("start = %v, want 50", g.Task(a).Start)
 	}
@@ -213,7 +208,7 @@ func TestGraphCycleDetection(t *testing.T) {
 			t.Error("cyclic graph did not panic")
 		}
 	}()
-	g.Run()
+	g.RunCtx(context.Background())
 }
 
 func TestGraphCriticalPath(t *testing.T) {
@@ -221,7 +216,7 @@ func TestGraphCriticalPath(t *testing.T) {
 	a := g.Add("a", nil, 10)
 	b := g.Add("b", nil, 5)
 	c := g.Add("c", nil, 20, a, b) // critical predecessor is a
-	g.Run()
+	mustRun(t, g)
 	path := g.CriticalPath()
 	if len(path) != 2 || path[0] != a || path[1] != c {
 		t.Fatalf("critical path = %v, want [%d %d]", path, a, c)
@@ -231,13 +226,13 @@ func TestGraphCriticalPath(t *testing.T) {
 func TestGraphRunTwicePanics(t *testing.T) {
 	g := NewGraph()
 	g.Add("a", nil, 1)
-	g.Run()
+	mustRun(t, g)
 	defer func() {
 		if recover() == nil {
-			t.Error("second Run did not panic")
+			t.Error("second run did not panic")
 		}
 	}()
-	g.Run()
+	g.RunCtx(context.Background())
 }
 
 func TestTimeString(t *testing.T) {
@@ -282,7 +277,7 @@ func TestPipelineMatchesAlphaBetaModel(t *testing.T) {
 			ids[l][c] = g.Add("hop", links[l], hop, deps...)
 		}
 	}
-	end := g.Run()
+	end := mustRun(t, g)
 	want := Time(d+k-1) * hop
 	if end != want {
 		t.Fatalf("pipeline makespan = %v, want %v", end, want)

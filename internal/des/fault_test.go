@@ -1,6 +1,7 @@
 package des
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -110,7 +111,7 @@ func TestGraphRunErrSurfacesFault(t *testing.T) {
 	g.Add("send-b", link, 10, a) // would start at 10 < 15: fine? start = freeAt = 10 < 15 -> ok, ends 20
 	c := g.Add("send-c", link, 10, a)
 	_ = c // starts at 20 >= 15: refused
-	_, err := g.RunErr()
+	_, err := g.RunCtx(context.Background())
 	var fe *FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("err = %v, want *FaultError", err)
@@ -124,34 +125,5 @@ func TestGraphRunErrSurfacesFault(t *testing.T) {
 	}
 	if fe.Error() == "" {
 		t.Fatal("empty error string")
-	}
-}
-
-func TestGraphRunPanicsOnFault(t *testing.T) {
-	g := NewGraph()
-	link := NewResource("ch0")
-	link.FailAt(0)
-	g.Add("send", link, 10)
-	defer func() {
-		if recover() == nil {
-			t.Error("Run over a failed resource did not panic")
-		}
-	}()
-	g.Run()
-}
-
-func TestRunErrNoFaultMatchesRun(t *testing.T) {
-	build := func() *Graph {
-		g := NewGraph()
-		r := NewResource("r")
-		a := g.Add("a", r, 10)
-		g.Add("b", r, 20, a)
-		return g
-	}
-	g1, g2 := build(), build()
-	m1 := g1.Run()
-	m2, err := g2.RunErr()
-	if err != nil || m1 != m2 {
-		t.Fatalf("Run=%v RunErr=%v err=%v", m1, m2, err)
 	}
 }

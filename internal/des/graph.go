@@ -15,7 +15,7 @@ type Task struct {
 	Resource *Resource // nil for a delay/join task
 	Duration Time
 
-	// Filled in by Graph.Run.
+	// Filled in by Graph.RunCtx.
 	Ready Time // when all dependencies ended
 	Start Time // when the resource was granted
 	End   Time // Start + Duration (after resource slowdown)
@@ -28,7 +28,7 @@ type Task struct {
 }
 
 // Graph is a DAG of Tasks executed over serialized Resources. Build it once,
-// then call Run; the computed Start/End times answer every timing question an
+// then call RunCtx; the computed Start/End times answer every timing question an
 // experiment asks.
 //
 // Tasks live in one contiguous slice — adding a task is an amortized slice
@@ -41,7 +41,7 @@ type Task struct {
 type Graph struct {
 	tasks []Task
 	edges []depEdge // (pred, succ) in insertion order
-	// CSR adjacency compiled by RunErr: dependents of task i are
+	// CSR adjacency compiled by RunCtx: dependents of task i are
 	// depAdj[depOff[i-1]:depOff[i]] (depOff[-1] treated as 0), preserving
 	// per-pred insertion order for deterministic scheduling.
 	depOff []int32
@@ -192,7 +192,7 @@ func (g *Graph) SetEarliest(id int, t Time) {
 
 // The ready queue is a hand-rolled binary min-heap of task ids ordered by
 // (ready time, id) for deterministic FIFO grants — ids rather than pointers,
-// and manual sifting rather than container/heap, to keep RunErr's inner loop
+// and manual sifting rather than container/heap, to keep RunCtx's inner loop
 // free of interface dispatch.
 
 func readyLess(tasks []Task, a, b int32) bool {
@@ -203,7 +203,7 @@ func readyLess(tasks []Task, a, b int32) bool {
 }
 
 func readyPush(tasks []Task, h []int32, id int32) []int32 {
-	h = append(h, id) // amortized: RunErr preallocates full capacity
+	h = append(h, id) // amortized: RunCtx preallocates full capacity
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -264,39 +264,27 @@ func (e *FaultError) Error() string {
 		f.TaskID, f.Label, f.Resource, f.FailedAt, f.At, e.Executed, e.Total)
 }
 
-// Run executes the graph and returns the makespan (max task End). It panics
-// if the graph contains a dependency cycle (tasks would remain unexecuted)
-// or if a failed resource refuses a task — use RunErr when faults are
-// expected. Run may be called once per graph.
-func (g *Graph) Run() Time {
-	m, err := g.RunErr()
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// RunErr executes the graph and returns the makespan (max task End). When a
-// failed resource (Resource.FailAt) refuses a task, the run aborts at that
-// point and returns the makespan so far together with a *FaultError naming
-// the refused task; callers repair the schedule and retry on a fresh graph.
-// Dependency cycles still panic — they are construction bugs, not faults.
-// RunErr may be called once per graph.
-func (g *Graph) RunErr() (Time, error) { return g.runErr(nil) }
-
-// runErr is the shared run loop behind RunErr and RunCtxErr. A nil ctx
-// (or one whose Done channel is nil) skips the cancellation checkpoint
-// entirely, so the uncancellable path pays nothing.
-func (g *Graph) runErr(ctx context.Context) (Time, error) {
+// RunCtx executes the graph and returns the makespan (max task End). It may
+// be called once per graph, and it stops early in two ways:
+//
+//   - a failed resource (Resource.FailAt) refuses a task: the run returns
+//     the makespan so far with a *FaultError naming the refused task;
+//     callers repair the schedule and retry on a fresh graph.
+//   - ctx is cancelled: the run returns a *CanceledError. The checkpoint
+//     sits at task-pop granularity, so at most the task already holding its
+//     resource completes after cancellation. A context whose Done channel is
+//     nil skips the checkpoint entirely, so the uncancellable path pays
+//     nothing.
+//
+// Either way the graph counts as ran. Dependency cycles panic — they are
+// construction bugs, not faults.
+func (g *Graph) RunCtx(ctx context.Context) (Time, error) {
 	if g.ran {
 		panic("des: graph ran twice")
 	}
 	g.ran = true
 	g.buildAdjacency()
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
+	done := ctx.Done()
 
 	ready := g.ready[:0]
 	if cap(ready) < len(g.tasks) {
@@ -387,19 +375,19 @@ func (g *Graph) runErr(ctx context.Context) (Time, error) {
 	return makespan, nil
 }
 
-// Ran reports whether Run has executed.
+// Ran reports whether RunCtx has executed.
 func (g *Graph) Ran() bool { return g.ran }
 
-// End returns the end time of task id (valid after Run).
+// End returns the end time of task id (valid after RunCtx).
 func (g *Graph) End(id int) Time { return g.tasks[id].End }
 
-// Done reports whether task id completed. After a clean Run every task is
+// Done reports whether task id completed. After a clean run every task is
 // done; after an aborted run (FaultError, CanceledError) the done set is the
 // executed prefix, which is what checkpoint/resume machinery needs to decide
 // which work survives a mid-run repair.
 func (g *Graph) Done(id int) bool { return g.tasks[id].done }
 
-// Makespan recomputes the maximum End across all tasks (valid after Run).
+// Makespan recomputes the maximum End across all tasks (valid after RunCtx).
 func (g *Graph) Makespan() Time {
 	var m Time
 	for i := range g.tasks {

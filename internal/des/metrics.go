@@ -18,7 +18,7 @@ var (
 	mPoolAlloc = metrics.Default.Counter("des_event_pool_alloc_total",
 		"event records allocated because the free list was empty")
 	mTasksExecuted = metrics.Default.Counter("des_tasks_executed_total",
-		"graph tasks completed by Graph.Run/RunErr")
+		"graph tasks completed by Graph.RunCtx")
 	mReadyDepthMax = metrics.Default.Gauge("des_ready_queue_depth_max",
 		"high-water mark of the ready-task heap across runs")
 	mResourceBusyNS = metrics.Default.Counter("des_resource_busy_ns_total",

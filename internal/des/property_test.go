@@ -37,7 +37,7 @@ func TestGraphPropertyInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for iter := 0; iter < 200; iter++ {
 		g, res, deps := randomGraph(rng)
-		makespan := g.Run()
+		makespan := mustRun(t, g)
 
 		var maxEnd Time
 		for i := 0; i < g.NumTasks(); i++ {
@@ -86,7 +86,7 @@ func TestGraphDeterminism(t *testing.T) {
 		return g
 	}
 	g1, g2 := build(), build()
-	if g1.Run() != g2.Run() {
+	if mustRun(t, g1) != mustRun(t, g2) {
 		t.Fatal("identical graphs produced different makespans")
 	}
 	for i := 0; i < g1.NumTasks(); i++ {
@@ -102,7 +102,7 @@ func TestGraphWorkConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for iter := 0; iter < 50; iter++ {
 		g, res, _ := randomGraph(rng)
-		g.Run()
+		mustRun(t, g)
 		var wantBusy Time
 		for i := 0; i < g.NumTasks(); i++ {
 			task := g.Task(i)
@@ -124,7 +124,7 @@ func TestCriticalPathProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for iter := 0; iter < 50; iter++ {
 		g, _, _ := randomGraph(rng)
-		g.Run()
+		mustRun(t, g)
 		path := g.CriticalPath()
 		if len(path) == 0 {
 			t.Fatalf("iter %d: empty critical path", iter)

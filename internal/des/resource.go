@@ -88,7 +88,7 @@ func (r *Resource) SetSlowdownAt(at Time, factor float64) {
 }
 
 // FailAt schedules the resource's death: any reservation starting at or
-// after `at` is refused with a structured error (Graph.RunErr surfaces it as
+// after `at` is refused with a structured error (Graph.RunCtx surfaces it as
 // a FaultError). A reservation already started when the failure hits runs to
 // completion — links fail between transfers, not mid-flit, in this model.
 func (r *Resource) FailAt(at Time) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/collective"
@@ -18,7 +19,7 @@ func ExtAblation() ([]*report.Table, error) {
 		"ablation", "variant", "metric", "value")
 
 	// 1. Chunk count: Eq. 4 optimum vs fixed choices (64MB C-Cube comm).
-	opt, err := collective.Run(collective.Config{
+	opt, err := collective.RunCtx(context.TODO(), collective.Config{
 		Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 64 << 20})
 	if err != nil {
 		return nil, err
@@ -26,7 +27,7 @@ func ExtAblation() ([]*report.Table, error) {
 	t.AddRow("chunk count", fmt.Sprintf("K_opt = %d", opt.Partition.NumChunks()),
 		"AllReduce time", report.Time(opt.Total))
 	for _, k := range []int{2, 8, 512} {
-		res, err := collective.Run(collective.Config{
+		res, err := collective.RunCtx(context.TODO(), collective.Config{
 			Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap,
 			Bytes: 64 << 20, Chunks: k})
 		if err != nil {
@@ -50,7 +51,7 @@ func ExtAblation() ([]*report.Table, error) {
 		fmt.Sprintf("%v (%s worse)", hostCost, report.Ratio(float64(hostCost)/float64(detourCost))))
 
 	// 3. Single overlapped tree (Fig. 6(c)) vs C-Cube double tree (Fig. 6(d)).
-	single, err := collective.Run(collective.Config{
+	single, err := collective.RunCtx(context.TODO(), collective.Config{
 		Graph: dgx1(), Algorithm: collective.AlgTreeOverlap, Bytes: 64 << 20})
 	if err != nil {
 		return nil, err
@@ -60,12 +61,12 @@ func ExtAblation() ([]*report.Table, error) {
 		fmt.Sprintf("%v (%s faster)", opt.Total, report.Ratio(float64(single.Total)/float64(opt.Total))))
 
 	// 4. Forward-overlap (C-Cube) vs backward-overlap (DDP buckets).
-	ddp, err := train.RunBackwardOverlap(train.Config{
+	ddp, err := train.RunBackwardOverlapCtx(context.TODO(), train.Config{
 		Model: dnn.VGG16(), Batch: 32, Graph: dgx1Low()})
 	if err != nil {
 		return nil, err
 	}
-	cc, err := train.Run(train.Config{
+	cc, err := train.RunCtx(context.TODO(), train.Config{
 		Model: dnn.VGG16(), Batch: 32, Graph: dgx1Low(), Mode: train.ModeCC})
 	if err != nil {
 		return nil, err
@@ -88,7 +89,7 @@ func ExtAblation() ([]*report.Table, error) {
 }
 
 func dedicatedOverlapSpeedup(over *collective.Result) float64 {
-	base, err := collective.Run(collective.Config{
+	base, err := collective.RunCtx(context.TODO(), collective.Config{
 		Graph: dgx1(), Algorithm: collective.AlgDoubleTree, Bytes: 64 << 20})
 	if err != nil {
 		return 0
@@ -114,13 +115,13 @@ func sharedChannelOverlap() (float64, error) {
 			topology.NVLinkBandwidth, topology.NVLinkLatency, "nvlink")
 	}
 	t1, t2 := collective.DGX1Trees()
-	base, err := collective.Run(collective.Config{
+	base, err := collective.RunCtx(context.TODO(), collective.Config{
 		Graph: g, Algorithm: collective.AlgDoubleTree, Bytes: 64 << 20,
 		Trees: []collective.Tree{t1, t2}, AllowSharedChannels: true})
 	if err != nil {
 		return 0, err
 	}
-	over, err := collective.Run(collective.Config{
+	over, err := collective.RunCtx(context.TODO(), collective.Config{
 		Graph: g, Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 64 << 20,
 		Trees: []collective.Tree{t1, t2}, AllowSharedChannels: true})
 	if err != nil {

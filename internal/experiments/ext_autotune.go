@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/autotune"
@@ -27,11 +28,11 @@ func ExtAutotune() ([]*report.Table, error) {
 		"platform", "size", "latency winner", "total", "turnaround winner", "turnaround")
 	for _, p := range platforms {
 		for _, n := range sizes {
-			lat, err := autotune.Best(p.g, n, autotune.Latency, false)
+			lat, err := autotune.BestWith(context.TODO(), p.g, n, autotune.Options{Objective: autotune.Latency})
 			if err != nil {
 				return nil, fmt.Errorf("autotune %s %d: %w", p.name, n, err)
 			}
-			turn, err := autotune.Best(p.g, n, autotune.Turnaround, false)
+			turn, err := autotune.BestWith(context.TODO(), p.g, n, autotune.Options{Objective: autotune.Turnaround})
 			if err != nil {
 				return nil, err
 			}
@@ -46,11 +47,11 @@ func ExtAutotune() ([]*report.Table, error) {
 	io := report.New("Auto-tuning under the gradient-queuing constraint (in-order algorithms only, dgx1-high)",
 		"size", "winner", "turnaround", "vs unconstrained winner")
 	for _, n := range sizes {
-		all, err := autotune.Best(dgx1(), n, autotune.Turnaround, false)
+		all, err := autotune.BestWith(context.TODO(), dgx1(), n, autotune.Options{Objective: autotune.Turnaround})
 		if err != nil {
 			return nil, err
 		}
-		constrained, err := autotune.Best(dgx1(), n, autotune.Turnaround, true)
+		constrained, err := autotune.BestWith(context.TODO(), dgx1(), n, autotune.Options{Objective: autotune.Turnaround, RequireInOrder: true})
 		if err != nil {
 			return nil, err
 		}

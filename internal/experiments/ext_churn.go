@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/collective"
@@ -72,7 +73,7 @@ func RunChurnPoint(nodes int, alg collective.Algorithm, fails int, latency des.T
 	}
 	out := &ChurnFloor{Nodes: nodes, Alg: alg, Fails: fails, Latency: latency}
 	for _, mode := range []fault.Mode{fault.ModeRelaunch, fault.ModeAdapt} {
-		rep, err := fault.RunChurn(fault.ChurnConfig{
+		rep, err := fault.RunChurnCtx(context.TODO(), fault.ChurnConfig{
 			Collective:    cfg,
 			Seed:          7,
 			Epochs:        3,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/collective"
@@ -50,7 +51,7 @@ func ExtDGX2() ([]*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dgx2 %v: %w", alg, err)
 		}
-		res, err := sched.Execute()
+		res, err := sched.ExecuteCtx(context.TODO())
 		if err != nil {
 			return nil, err
 		}
@@ -69,7 +70,7 @@ func ExtDGX2() ([]*report.Table, error) {
 	trainT := report.New("Extension: ResNet-50 training on DGX-2 (batch 64/GPU)",
 		"mode", "iteration", "normalized perf")
 	for _, m := range train.Modes() {
-		res, err := train.Run(train.Config{
+		res, err := train.RunCtx(context.TODO(), train.Config{
 			Model: dnn.ResNet50(), Batch: 64, Graph: g, Mode: m,
 		})
 		if err != nil {

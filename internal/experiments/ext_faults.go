@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/collective"
@@ -44,7 +45,7 @@ func ExtFaults() ([]*report.Table, error) {
 	rows, err := sweep.Grid(len(algs), Parallelism, func(i int) ([]extFaultRow, error) {
 		alg := algs[i]
 		g := dgx1()
-		healthy, _, err := fault.RunCollective(collective.Config{
+		healthy, _, err := fault.RunCollectiveCtx(context.TODO(), collective.Config{
 			Graph: g, Algorithm: alg, Bytes: bytes}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("faults healthy %v: %w", alg, err)
@@ -52,7 +53,7 @@ func ExtFaults() ([]*report.Table, error) {
 		var out []extFaultRow
 		for failed := 0; failed <= 3; failed++ {
 			plan := fault.RandomLinkFailures(g, seed, failed)
-			res, rep, err := fault.RunCollective(collective.Config{
+			res, rep, err := fault.RunCollectiveCtx(context.TODO(), collective.Config{
 				Graph: g, Algorithm: alg, Bytes: bytes}, plan)
 			if err != nil {
 				return nil, fmt.Errorf("faults %v n=%d: %w", alg, failed, err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/collective"
@@ -35,12 +36,12 @@ func ExtHetero() ([]*report.Table, error) {
 	type heteroRow struct{ healthy, degraded *collective.Result }
 	rows, err := sweep.Grid(len(algs), Parallelism, func(i int) (heteroRow, error) {
 		alg := algs[i]
-		healthy, err := collective.Run(collective.Config{
+		healthy, err := collective.RunCtx(context.TODO(), collective.Config{
 			Graph: healthyG, Algorithm: alg, Bytes: 64 << 20})
 		if err != nil {
 			return heteroRow{}, fmt.Errorf("hetero healthy %v: %w", alg, err)
 		}
-		degraded, err := collective.Run(collective.Config{
+		degraded, err := collective.RunCtx(context.TODO(), collective.Config{
 			Graph: degradedG, Algorithm: alg, Bytes: 64 << 20})
 		if err != nil {
 			return heteroRow{}, fmt.Errorf("hetero degraded %v: %w", alg, err)

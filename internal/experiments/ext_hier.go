@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/collective"
@@ -24,7 +25,7 @@ func ExtHierarchical() ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := collective.RunHierarchical(collective.HierarchicalConfig{
+		base, err := collective.RunHierarchical(context.TODO(), collective.HierarchicalConfig{
 			Cluster: mn, Bytes: 64 << 20, Chained: false,
 		})
 		if err != nil {
@@ -34,7 +35,7 @@ func ExtHierarchical() ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		chained, err := collective.RunHierarchical(collective.HierarchicalConfig{
+		chained, err := collective.RunHierarchical(context.TODO(), collective.HierarchicalConfig{
 			Cluster: mn2, Bytes: 64 << 20, Chained: true,
 		})
 		if err != nil {
@@ -61,7 +62,7 @@ func ExtHierarchical() ([]*report.Table, error) {
 		return nil, err
 	}
 	for _, m := range []train.Mode{train.ModeB, train.ModeC1, train.ModeC2, train.ModeCC} {
-		res, err := train.Run(train.Config{
+		res, err := train.RunCtx(context.TODO(), train.Config{
 			Model: dnn.ResNet50(), Batch: 64, Cluster: mn, Mode: m,
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/collective"
@@ -32,7 +33,7 @@ func ExtInterference() ([]*report.Table, error) {
 
 	solo := map[string]des.Time{}
 	for _, j := range jobs {
-		res, err := collective.Run(collective.Config{Graph: dgx1(), Algorithm: j.alg, Bytes: bytes})
+		res, err := collective.RunCtx(context.TODO(), collective.Config{Graph: dgx1(), Algorithm: j.alg, Bytes: bytes})
 		if err != nil {
 			return nil, fmt.Errorf("interference solo %s: %w", j.name, err)
 		}
@@ -86,7 +87,9 @@ func runPair(a, b collective.Algorithm, bytes int64) (des.Time, des.Time, error)
 	if err != nil {
 		return 0, 0, err
 	}
-	g.Run()
+	if _, err := g.RunCtx(context.TODO()); err != nil {
+		return 0, 0, err
+	}
 	latest := func(inst *collective.Instantiation) des.Time {
 		var end des.Time
 		for _, row := range inst.ReadyTask {

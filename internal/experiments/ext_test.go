@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -35,12 +36,12 @@ func TestExtDGX2NoDetours(t *testing.T) {
 	if n := len(sched.DetourNodes()); n != 0 {
 		t.Fatalf("DGX-2 double tree uses %d detours, want 0", n)
 	}
-	base, err := collective.Run(collective.Config{
+	base, err := collective.RunCtx(context.Background(), collective.Config{
 		Graph: g, Algorithm: collective.AlgDoubleTree, Bytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	over, err := sched.Execute()
+	over, err := sched.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

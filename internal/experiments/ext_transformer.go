@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/dnn"
@@ -24,7 +25,7 @@ func ExtTransformer() ([]*report.Table, error) {
 			g = dgx1Low()
 		}
 		for _, m := range train.Modes() {
-			res, err := train.Run(train.Config{
+			res, err := train.RunCtx(context.TODO(), train.Config{
 				Model: dnn.BERTBase(), Batch: 32, Graph: g, Mode: m,
 			})
 			if err != nil {
@@ -40,7 +41,7 @@ func ExtTransformer() ([]*report.Table, error) {
 	cmp := report.New("Case-3 hazard: first-forward wait as a share of AllReduce time (CC, low bandwidth)",
 		"model", "first fwd wait", "comm time", "share")
 	for _, model := range []dnn.Model{dnn.ResNet50(), dnn.BERTBase()} {
-		res, err := train.Run(train.Config{
+		res, err := train.RunCtx(context.TODO(), train.Config{
 			Model: model, Batch: 32, Graph: dgx1Low(), Mode: train.ModeCC,
 		})
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"ccube/internal/costmodel"
 	"ccube/internal/report"
 	"ccube/internal/topology"
+	"context"
 )
 
 // fig12Sizes are the message sizes of the DGX-1 communication study.
@@ -18,11 +19,11 @@ func Fig12a() ([]*report.Table, error) {
 	t := report.New("Fig 12(a): overlapped tree (C1) vs baseline tree (B) on DGX-1",
 		"size", "B time", "C1 time", "B bandwidth", "C1 bandwidth", "C1 speedup")
 	for _, n := range fig12Sizes {
-		base, err := collective.Run(collective.Config{Graph: g, Algorithm: collective.AlgDoubleTree, Bytes: n})
+		base, err := collective.RunCtx(context.TODO(), collective.Config{Graph: g, Algorithm: collective.AlgDoubleTree, Bytes: n})
 		if err != nil {
 			return nil, err
 		}
-		over, err := collective.Run(collective.Config{Graph: g, Algorithm: collective.AlgDoubleTreeOverlap,
+		over, err := collective.RunCtx(context.TODO(), collective.Config{Graph: g, Algorithm: collective.AlgDoubleTreeOverlap,
 			Bytes: n, Chunks: base.Partition.NumChunks()})
 		if err != nil {
 			return nil, err
@@ -48,11 +49,11 @@ func Fig12b() ([]*report.Table, error) {
 	t := report.New("Fig 12(b): measured C1/B speedup vs cost model",
 		"size", "measured", "model (Eq6/Eq7)", "relative error")
 	for _, n := range fig12Sizes {
-		base, err := collective.Run(collective.Config{Graph: g, Algorithm: collective.AlgDoubleTree, Bytes: n})
+		base, err := collective.RunCtx(context.TODO(), collective.Config{Graph: g, Algorithm: collective.AlgDoubleTree, Bytes: n})
 		if err != nil {
 			return nil, err
 		}
-		over, err := collective.Run(collective.Config{Graph: g, Algorithm: collective.AlgDoubleTreeOverlap,
+		over, err := collective.RunCtx(context.TODO(), collective.Config{Graph: g, Algorithm: collective.AlgDoubleTreeOverlap,
 			Bytes: n, Chunks: base.Partition.NumChunks()})
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/dnn"
@@ -55,7 +56,7 @@ func fig13Grid() []fig13Point {
 func runFig13Grid(pts []fig13Point, workers int) ([]Fig13Cell, error) {
 	return sweep.Grid(len(pts), workers, func(i int) (Fig13Cell, error) {
 		p := pts[i]
-		res, err := train.Run(train.Config{
+		res, err := train.RunCtx(context.TODO(), train.Config{
 			Model: p.model, Batch: p.batch, Graph: p.graph, Mode: p.mode,
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/dnn"
@@ -13,7 +14,7 @@ import (
 // C-Cube at batch 64 with high bandwidth. GPU0 and GPU1 run the static
 // detour-forwarding kernels. Paper headline: detour nodes lose only 3-4%.
 func Fig15() ([]*report.Table, error) {
-	res, err := train.Run(train.Config{
+	res, err := train.RunCtx(context.TODO(), train.Config{
 		Model: dnn.ResNet50(), Batch: 64, Graph: dgx1(), Mode: train.ModeCC,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/dnn"
@@ -26,7 +27,7 @@ func Fig16() ([]*report.Table, error) {
 		dnn.Case3: "comm concentrated early",
 	}
 	for _, c := range []dnn.PatternCase{dnn.Case1, dnn.Case2, dnn.Case3} {
-		res, err := train.Run(train.Config{
+		res, err := train.RunCtx(context.TODO(), train.Config{
 			Model: dnn.SyntheticPattern(c), Batch: 64, Graph: dgx1Low(),
 			Mode: train.ModeCC, Chunks: 64,
 		})

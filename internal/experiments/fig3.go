@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/collective"
@@ -64,7 +65,7 @@ func GranularityBandwidth(g *topology.Graph, granularity string) (bw float64, ca
 	var total des.Time
 	var bytes int64
 	for _, n := range plan {
-		res, err := collective.Run(collective.Config{
+		res, err := collective.RunCtx(context.TODO(), collective.Config{
 			Graph:     g,
 			Algorithm: collective.AlgRing,
 			Bytes:     n,

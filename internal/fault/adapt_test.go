@@ -39,13 +39,13 @@ func completeResult(t *testing.T, res *collective.Result, label string) {
 func TestAdaptMidRunDeathResumes(t *testing.T) {
 	cfg := collective.Config{Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}
 	fp := cfg.Graph.Fingerprint()
-	baseline, _, err := fault.RunCollective(cfg, nil)
+	baseline, _, err := fault.RunCollectiveCtx(t.Context(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead := usedChannel(t, cfg)
 	plan := fault.NewPlan(fault.Event{Kind: fault.LinkDown, Channel: dead, At: baseline.Total / 4})
-	res, rep, err := fault.RunCollectiveOpts(t.Context(), cfg, plan, fault.Options{Mode: fault.ModeAdapt})
+	res, rep, err := fault.RunCollectiveMode(t.Context(), cfg, plan, fault.ModeAdapt)
 	if err != nil {
 		t.Fatalf("adapt mode under mid-run death: %v", err)
 	}
@@ -83,15 +83,15 @@ func TestAdaptMidRunDeathResumes(t *testing.T) {
 func TestAdaptVsRelaunchEquivalence(t *testing.T) {
 	cfg := collective.Config{Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}
 	fp := cfg.Graph.Fingerprint()
-	baseline, _, err := fault.RunCollective(cfg, nil)
+	baseline, _, err := fault.RunCollectiveCtx(t.Context(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	adapted := 0
 	for seed := int64(1); seed <= 12; seed++ {
 		plan := fault.RandomTimedLinkFailures(cfg.Graph, seed, 1, baseline.Total)
-		relRes, relRep, relErr := fault.RunCollectiveOpts(t.Context(), cfg, plan, fault.Options{Mode: fault.ModeRelaunch})
-		adpRes, adpRep, adpErr := fault.RunCollectiveOpts(t.Context(), cfg, plan, fault.Options{Mode: fault.ModeAdapt})
+		relRes, relRep, relErr := fault.RunCollectiveCtx(t.Context(), cfg, plan)
+		adpRes, adpRep, adpErr := fault.RunCollectiveMode(t.Context(), cfg, plan, fault.ModeAdapt)
 		if got := cfg.Graph.Fingerprint(); got != fp {
 			t.Fatalf("seed %d: fabric altered, fingerprint %x want %x", seed, got, fp)
 		}
@@ -138,7 +138,7 @@ func TestAdaptDeterministic(t *testing.T) {
 	run := func() (des.Time, int, int, int) {
 		cfg := collective.Config{Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}
 		plan := fault.RandomTimedLinkFailures(cfg.Graph, 7, 2, 1<<20)
-		res, rep, err := fault.RunCollectiveOpts(t.Context(), cfg, plan, fault.Options{Mode: fault.ModeAdapt})
+		res, rep, err := fault.RunCollectiveMode(t.Context(), cfg, plan, fault.ModeAdapt)
 		if err != nil {
 			return -1, rep.Attempts, rep.Resumes, rep.Adapted
 		}
@@ -167,7 +167,7 @@ func TestSameTimestampEventOrderDeterministic(t *testing.T) {
 	)
 	run := func(p *fault.Plan) (des.Time, int) {
 		cfg := collective.Config{Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}
-		res, rep, err := fault.RunCollective(cfg, p)
+		res, rep, err := fault.RunCollectiveCtx(t.Context(), cfg, p)
 		if err != nil {
 			return -1, rep.Attempts
 		}
@@ -249,14 +249,14 @@ func TestStackedFaultRevertRestoresBaselineDegrade(t *testing.T) {
 	// the degraded channel is promoted to statically dead during the run and
 	// must be demoted back to the degraded baseline, not to full bandwidth.
 	cfg := collective.Config{Graph: g, Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}
-	baseline, _, err := fault.RunCollective(cfg, nil)
+	baseline, _, err := fault.RunCollectiveCtx(t.Context(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead := usedChannel(t, cfg)
 	timed := fault.NewPlan(fault.Event{Kind: fault.LinkDown, Channel: dead, At: baseline.Total / 4})
 	for _, mode := range []fault.Mode{fault.ModeRelaunch, fault.ModeAdapt} {
-		if _, _, err := fault.RunCollectiveOpts(t.Context(), cfg, timed, fault.Options{Mode: mode}); err != nil {
+		if _, _, err := fault.RunCollectiveMode(t.Context(), cfg, timed, mode); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		if got := g.Fingerprint(); got != want {

@@ -81,11 +81,6 @@ func (r *ChurnReport) RecoveredBandwidth() float64 {
 	return r.FloorThroughput / r.HealthyThroughput
 }
 
-// RunChurn is RunChurnCtx with a background context.
-func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
-	return RunChurnCtx(context.Background(), cfg)
-}
-
 // RunChurnCtx runs the churn sweep: per epoch, a seeded set of physical
 // links dies at seeded virtual times inside the healthy makespan, the
 // collective runs under the configured mode, and the fabric then recovers
@@ -105,7 +100,7 @@ func RunChurnCtx(ctx context.Context, cfg ChurnConfig) (*ChurnReport, error) {
 	snap := g.SnapshotHealth()
 	healthyFP := g.Fingerprint()
 
-	healthy, _, err := RunCollectiveOpts(ctx, cfg.Collective, nil, Options{Mode: cfg.Mode})
+	healthy, _, err := runCollective(ctx, cfg.Collective, nil, cfg.Mode)
 	if err != nil {
 		return nil, fmt.Errorf("fault: churn healthy baseline: %w", err)
 	}
@@ -141,7 +136,7 @@ func RunChurnCtx(ctx context.Context, cfg ChurnConfig) (*ChurnReport, error) {
 		} else {
 			plan = RandomTimedLinkFailures(g, epochSeed, cfg.FailLinks, window)
 		}
-		res, run, err := RunCollectiveOpts(ctx, cfg.Collective, plan, Options{Mode: cfg.Mode})
+		res, run, err := runCollective(ctx, cfg.Collective, plan, cfg.Mode)
 		if err != nil {
 			return nil, fmt.Errorf("fault: churn epoch %d (%s): %w", e, cfg.Mode, err)
 		}

@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"context"
 	"testing"
 
 	"ccube/internal/collective"
@@ -17,7 +18,7 @@ func TestRunChurnAdaptFloorBeatsRelaunch(t *testing.T) {
 	cfg := collective.Config{Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}
 	fp := cfg.Graph.Fingerprint()
 	run := func(mode fault.Mode) *fault.ChurnReport {
-		rep, err := fault.RunChurn(fault.ChurnConfig{
+		rep, err := fault.RunChurnCtx(context.Background(), fault.ChurnConfig{
 			Collective:    cfg,
 			Seed:          1,
 			Epochs:        4,
@@ -71,11 +72,11 @@ func TestRunChurnDeterministic(t *testing.T) {
 		RepairLatency: des.Time(100_000),
 		Mode:          fault.ModeAdapt,
 	}
-	a, err := fault.RunChurn(cfg)
+	a, err := fault.RunChurnCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fault.RunChurn(cfg)
+	b, err := fault.RunChurnCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestRunChurnDeterministic(t *testing.T) {
 
 // A churn config without a graph fails loudly.
 func TestRunChurnNoGraph(t *testing.T) {
-	if _, err := fault.RunChurn(fault.ChurnConfig{}); err == nil {
+	if _, err := fault.RunChurnCtx(context.Background(), fault.ChurnConfig{}); err == nil {
 		t.Fatal("churn without a topology graph accepted")
 	}
 }

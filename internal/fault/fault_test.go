@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -165,7 +166,7 @@ func TestFaultMatrix(t *testing.T) {
 
 			// Healthy baseline for slowdown comparisons.
 			c0 := cfg()
-			baseline, _, err := fault.RunCollective(c0, nil)
+			baseline, _, err := fault.RunCollectiveCtx(context.Background(), c0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +175,7 @@ func TestFaultMatrix(t *testing.T) {
 				c := cfg()
 				dead := usedChannel(t, c)
 				plan := fault.NewPlan(fault.Event{Kind: fault.LinkDown, Channel: dead})
-				res, rep, err := fault.RunCollective(c, plan)
+				res, rep, err := fault.RunCollectiveCtx(context.Background(), c, plan)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,7 +183,7 @@ func TestFaultMatrix(t *testing.T) {
 					t.Fatalf("total=%v rerouted=%d, want a repaired run", res.Total, rep.Rerouted())
 				}
 				if c.Graph.Channel(dead).Down() {
-					t.Fatal("graph health not restored after RunCollective")
+					t.Fatal("graph health not restored after RunCollectiveCtx")
 				}
 			})
 
@@ -194,7 +195,7 @@ func TestFaultMatrix(t *testing.T) {
 				for _, cid := range c.Graph.Out(topology.NodeID(0)) {
 					plan.Events = append(plan.Events, fault.Event{Kind: fault.LinkDown, Channel: cid})
 				}
-				_, _, err := fault.RunCollective(c, plan)
+				_, _, err := fault.RunCollectiveCtx(context.Background(), c, plan)
 				var ue *collective.UnrepairableError
 				if !errors.As(err, &ue) {
 					t.Fatalf("err = %v, want *UnrepairableError", err)
@@ -204,7 +205,7 @@ func TestFaultMatrix(t *testing.T) {
 			t.Run("degraded-link", func(t *testing.T) {
 				c := cfg()
 				plan := fault.NewPlan(fault.Event{Kind: fault.LinkDegrade, Channel: usedChannel(t, c), Factor: 8})
-				res, _, err := fault.RunCollective(c, plan)
+				res, _, err := fault.RunCollectiveCtx(context.Background(), c, plan)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -218,7 +219,7 @@ func TestFaultMatrix(t *testing.T) {
 				// without repair, only slower. No structured error expected.
 				c := cfg()
 				plan := fault.NewPlan(fault.Event{Kind: fault.LinkDegrade, Channel: usedChannel(t, c), Factor: 1000})
-				res, _, err := fault.RunCollective(c, plan)
+				res, _, err := fault.RunCollectiveCtx(context.Background(), c, plan)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -230,7 +231,7 @@ func TestFaultMatrix(t *testing.T) {
 			t.Run("slow-gpu", func(t *testing.T) {
 				c := cfg()
 				plan := fault.NewPlan(fault.Event{Kind: fault.GPUSlow, GPU: 0, Factor: 2})
-				res, _, err := fault.RunCollective(c, plan)
+				res, _, err := fault.RunCollectiveCtx(context.Background(), c, plan)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -247,15 +248,15 @@ func TestFaultMatrix(t *testing.T) {
 // relaunch completes.
 func TestRunCollectiveMidRunDeathRecovers(t *testing.T) {
 	cfg := collective.Config{Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}
-	baseline, _, err := fault.RunCollective(cfg, nil)
+	baseline, _, err := fault.RunCollectiveCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead := usedChannel(t, cfg)
 	plan := fault.NewPlan(fault.Event{Kind: fault.LinkDown, Channel: dead, At: baseline.Total / 4})
-	res, rep, err := fault.RunCollective(cfg, plan)
+	res, rep, err := fault.RunCollectiveCtx(context.Background(), cfg, plan)
 	if err != nil {
-		t.Fatalf("RunCollective under mid-run death: %v", err)
+		t.Fatalf("RunCollectiveCtx under mid-run death: %v", err)
 	}
 	if rep.Attempts != 2 {
 		t.Fatalf("attempts = %d, want 2 (abort + relaunch)", rep.Attempts)
@@ -278,7 +279,7 @@ func TestRunCollectiveMidRunDeathRecovers(t *testing.T) {
 // repairs, same makespan as healthy.
 func TestRunCollectiveIrrelevantTimedDeath(t *testing.T) {
 	cfg := collective.Config{Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}
-	baseline, _, err := fault.RunCollective(cfg, nil)
+	baseline, _, err := fault.RunCollectiveCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestRunCollectiveIrrelevantTimedDeath(t *testing.T) {
 		t.Skip("schedule uses every channel")
 	}
 	plan := fault.NewPlan(fault.Event{Kind: fault.LinkDown, Channel: unused, At: des.Time(1)})
-	res, rep, err := fault.RunCollective(cfg, plan)
+	res, rep, err := fault.RunCollectiveCtx(context.Background(), cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestRunCollectiveDeterministic(t *testing.T) {
 	run := func() (des.Time, int) {
 		cfg := collective.Config{Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}
 		plan := fault.RandomLinkFailures(cfg.Graph, 99, 2)
-		res, rep, err := fault.RunCollective(cfg, plan)
+		res, rep, err := fault.RunCollectiveCtx(context.Background(), cfg, plan)
 		if err != nil {
 			// Unrepairable is a legal outcome for a random 2-link kill; it
 			// must at least be deterministic.

@@ -21,7 +21,7 @@ const (
 	ModeRelaunch Mode = iota
 	// ModeAdapt keeps the progress: checkpoint the executed transfers,
 	// patch only the remaining subgraph around the dead channel
-	// (collective.RepairScheduleIncremental, delta-verified by VerifyPatch),
+	// (collective.RepairScheduleIncremental, which delta-verifies the patch),
 	// and resume on the same virtual clock. Relaunch remains the fallback
 	// when the patch is unrepairable or fails delta verification.
 	ModeAdapt
@@ -32,11 +32,6 @@ func (m Mode) String() string {
 		return "adapt"
 	}
 	return "relaunch"
-}
-
-// Options tunes RunCollectiveOpts.
-type Options struct {
-	Mode Mode
 }
 
 // RunReport traces one resilient collective run.
@@ -86,37 +81,33 @@ func (r *RunReport) Rerouted() int {
 	return n
 }
 
-// RunCollective builds the configured collective on the healthy fabric, then
-// runs it under the fault plan: static faults are injected, the schedule is
-// statically repaired around dead links (detour mechanism, §IV-A) and
-// re-verified, and the run executes with timed faults armed. A link that
-// dies mid-run aborts the attempt with a structured fault; RunCollective
-// then promotes the channel to statically dead, repairs again, and relaunches
-// — bounded by the number of timed link deaths, so an unrepairable fabric
-// always surfaces as an error, never a hang.
+// RunCollectiveCtx builds the configured collective on the healthy fabric,
+// then runs it under the fault plan: static faults are injected, the
+// schedule is statically repaired around dead links (detour mechanism,
+// §IV-A) and re-verified, and the run executes with timed faults armed. A
+// link that dies mid-run aborts the attempt with a structured fault; the run
+// then promotes the channel to statically dead, repairs again, and
+// relaunches (ModeRelaunch) — bounded by the number of timed link deaths, so
+// an unrepairable fabric always surfaces as an error, never a hang.
 //
-// The graph's health state is restored before returning.
-func RunCollective(cfg collective.Config, plan *Plan) (*collective.Result, *RunReport, error) {
-	return RunCollectiveCtx(context.Background(), cfg, plan)
-}
-
-// RunCollectiveCtx is RunCollective under a cancellation context. A
-// cancellation surfaces as a wrapped *des.CanceledError: it is not a
+// A cancellation surfaces as a wrapped *des.CanceledError: it is not a
 // *des.FaultError, so the relaunch loop returns it directly instead of
-// attempting a repair.
+// attempting a repair. The graph's health state is restored before
+// returning. RunChurnCtx selects the other fault response, ModeAdapt,
+// through ChurnConfig.Mode.
 func RunCollectiveCtx(ctx context.Context, cfg collective.Config, plan *Plan) (*collective.Result, *RunReport, error) {
-	return RunCollectiveOpts(ctx, cfg, plan, Options{})
+	return runCollective(ctx, cfg, plan, ModeRelaunch)
 }
 
-// RunCollectiveOpts is RunCollectiveCtx with an explicit fault-response
-// mode. In ModeAdapt a mid-run link death is absorbed in place: the executed
-// prefix is checkpointed (des fault machinery), the remaining transfers are
-// patched around the dead channel and delta-verified, and the run resumes on
-// the same virtual clock — so Result.Total includes the time before the
-// fault, directly comparable to an uninterrupted run. When the patch cannot
-// be built or verified, the run falls back to the relaunch path and the
+// runCollective is RunCollectiveCtx with an explicit fault-response mode. In
+// ModeAdapt a mid-run link death is absorbed in place: the executed prefix
+// is checkpointed (des fault machinery), the remaining transfers are patched
+// around the dead channel and delta-verified, and the run resumes on the
+// same virtual clock — so Result.Total includes the time before the fault,
+// directly comparable to an uninterrupted run. When the patch cannot be
+// built or verified, the run falls back to the relaunch path and the
 // discarded progress is accounted in RunReport.LostTime.
-func RunCollectiveOpts(ctx context.Context, cfg collective.Config, plan *Plan, opts Options) (*collective.Result, *RunReport, error) {
+func runCollective(ctx context.Context, cfg collective.Config, plan *Plan, mode Mode) (*collective.Result, *RunReport, error) {
 	g := cfg.Graph
 	if err := plan.Validate(g); err != nil {
 		return nil, nil, err
@@ -216,13 +207,10 @@ func RunCollectiveOpts(ctx context.Context, cfg collective.Config, plan *Plan, o
 		}
 		promote(died)
 
-		if opts.Mode == ModeAdapt {
+		if mode == ModeAdapt {
 			mRepairAttempts.Inc()
 			patched, prep, perr := collective.RepairScheduleIncremental(cur,
 				[]topology.ChannelID{died}, &collective.PatchOptions{Skip: next.Executed})
-			if perr == nil {
-				perr = collective.VerifyPatch(cur, patched, prep)
-			}
 			if perr == nil {
 				report.Adapted++
 				mAdapted.Inc()

@@ -140,10 +140,9 @@ func f() {
 
 func TestRegistryHasAllRules(t *testing.T) {
 	want := []string{
-		"ctx-propagation", "des-hot-alloc", "goroutine-leak",
+		"des-hot-alloc", "goroutine-leak",
 		"kernel-goroutine", "lock-pairing", "metrics-cardinality",
-		"no-sleep", "repair-verify", "server-ctx", "synth-verify",
-		"unchecked-engine-err", "virtual-time",
+		"no-sleep", "unchecked-engine-err", "virtual-time",
 	}
 	for _, name := range want {
 		if Lookup(name) == nil {

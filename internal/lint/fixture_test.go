@@ -10,7 +10,7 @@ import (
 // TestFixtures runs every registered analyzer over the fixture module in
 // testdata/src and compares the surviving diagnostics against the inline
 // `// want "regexp"` expectations, analysistest-style. Regexps match against
-// "<rule>: <message>". Each of the twelve rules has at least one firing case
+// "<rule>: <message>". Each of the eight rules has at least one firing case
 // here and one //lint:ignore-suppressed case (counted at the bottom).
 func TestFixtures(t *testing.T) {
 	loader, err := NewLoader("testdata/src")
@@ -87,9 +87,9 @@ func TestFixtures(t *testing.T) {
 		}
 	}
 
-	// One suppressed case per rule: twelve //lint:ignore directives, each
+	// One suppressed case per rule: eight //lint:ignore directives, each
 	// silencing exactly one diagnostic.
-	if res.Suppressed != 12 {
-		t.Errorf("suppressed = %d, want 12 (one silenced case per rule)", res.Suppressed)
+	if res.Suppressed != 8 {
+		t.Errorf("suppressed = %d, want 8 (one silenced case per rule)", res.Suppressed)
 	}
 }

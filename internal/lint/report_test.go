@@ -17,10 +17,10 @@ func sampleResult() *Result {
 				Message: "time.Sleep in a simulator package; advance time through the DES engine",
 			},
 			{
-				Rule:    "server-ctx",
+				Rule:    "unchecked-engine-err",
 				Pos:     token.Position{Filename: "internal/server/api.go", Line: 40, Column: 9},
-				Message: "eng.Run ignores the request context",
-				Fix:     &SuggestedFix{Message: "propagate the request context", NewText: "eng.RunCtx(r.Context(), ...)"},
+				Message: "error from s.ExecuteCtx is discarded (call used as a statement)",
+				Fix:     &SuggestedFix{Message: "route the error", NewText: "if _, err := s.ExecuteCtx(ctx); err != nil {"},
 			},
 		},
 		Suppressed:  3,
@@ -37,7 +37,7 @@ func TestWriteText(t *testing.T) {
 	out := buf.String()
 	for _, wantSub := range []string{
 		"internal/des/des.go:12:2: [no-sleep]",
-		"suggested fix: propagate the request context",
+		"suggested fix: route the error",
 		"ccube-lint: 2 issues (3 suppressed)",
 	} {
 		if !strings.Contains(out, wantSub) {

@@ -27,20 +27,20 @@ func init() {
 // by the event count. The zero-alloc contract is enforced dynamically by the
 // AllocsPerRun tests; this rule enforces the paper trail.
 var desHotFuncs = map[string]bool{
+	// des.go / graph.go — the run loops (Engine.RunCtx, Graph.RunCtx); the
+	// cancellation checkpoint must stay allocation-free too
+	"RunCtx": true,
 	// des.go — event engine
-	"At": true, "After": true, "Run": true, "RunUntil": true,
+	"At": true, "After": true,
 	"step": true, "recycle": true, "recycleQuiet": true, "push": true,
 	"pop": true, "siftDown": true, "Reserve": true,
 	// des.go — batched equal-timestamp drain
 	"popRun": true, "fireBatch": true, "sortBySeq": true,
 	"siftEntryDown": true, "flushBatchMetrics": true,
-	// graph.go — task graph run loop
-	"Add": true, "AddDeps": true, "RunErr": true, "buildAdjacency": true,
+	// graph.go — task graph construction and run-loop helpers
+	"Add": true, "AddDeps": true, "buildAdjacency": true,
 	"dependents": true, "readyPush": true, "readyPop": true,
 	"Reset": true, "ReserveEdges": true,
-	// cancel.go / graph.go — context-checkpointed run loops; the
-	// cancellation checkpoint must stay allocation-free too
-	"runErr": true, "RunCtx": true, "RunCtxErr": true,
 	// resource.go — per-grant path
 	"reserve": true, "Prealloc": true,
 	// internal/server — JSON fast path buffer pool and key hashing

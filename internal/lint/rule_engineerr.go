@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 func init() {
@@ -19,12 +20,11 @@ func init() {
 // never be discarded. They are matched by name against type-resolved,
 // module-local callees whose last result is error.
 var engineErrFuncs = map[string]bool{
-	"RunCtx": true, "RunCtxErr": true, "RunErr": true,
-	"ExecuteCtx": true, "ExecuteOnCtx": true, "ExecuteTracedCtx": true,
+	"RunCtx": true, "RunChurnCtx": true,
+	"ExecuteCtx": true, "ExecuteOnCtx": true,
 	"ExecuteCheckpointCtx": true, "ResumeOnCtx": true,
 	"Verify": true, "VerifyDeep": true, "Validate": true,
-	"RepairSchedule": true, "RepairScheduleIncremental": true, "VerifyPatch": true,
-	"RunChurn": true,
+	"RepairSchedule": true, "RepairScheduleIncremental": true,
 }
 
 func runUncheckedEngineErr(p *Pass) {
@@ -73,4 +73,15 @@ func runUncheckedEngineErr(p *Pass) {
 			return true
 		})
 	}
+}
+
+// renderCallee formats the call target for messages ("s.ExecuteCtx", "RunCtx").
+func renderCallee(call *ast.CallExpr) string {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return types.ExprString(fun.X) + "." + fun.Sel.Name
+	}
+	return types.ExprString(call.Fun)
 }

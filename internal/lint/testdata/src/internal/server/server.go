@@ -1,30 +1,9 @@
-// Package server is a lint fixture for the server-ctx rule: handler code
-// must launch simulations through the engine's context-aware entry points.
+// Package server is a lint fixture for the serve path's JSON fast path:
+// des-hot-alloc covers internal/server's pooled-buffer helpers too.
 package server
 
-import (
-	"context"
-
-	"ccube/internal/des"
-)
-
-// Handle launches a simulation detached from the request context.
-func Handle(eng *des.Engine) int {
-	return eng.Run() // want "server-ctx"
-}
-
-// HandleCtx is the corrected shape.
-func HandleCtx(ctx context.Context, eng *des.Engine) (int, error) {
-	return eng.RunCtx(ctx)
-}
-
-// HandleQuiet is the suppressed twin.
-func HandleQuiet(eng *des.Engine) int {
-	return eng.Run() //lint:ignore server-ctx fixture: suppressed detached run
-}
-
 // getBuf models the JSON fast path's pool feeder: an undocumented make in a
-// server hot function is flagged by des-hot-alloc too.
+// server hot function is flagged by des-hot-alloc.
 func getBuf() []byte {
 	return make([]byte, 0, 64) // want "des-hot-alloc"
 }

@@ -1,3 +1,6 @@
+// Package sim is a lint fixture for the repo-wide typed rules:
+// goroutine-leak, lock-pairing, metrics-cardinality, and
+// unchecked-engine-err.
 package sim
 
 import "errors"

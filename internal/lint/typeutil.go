@@ -81,49 +81,6 @@ func funcReturnsErrorLast(obj types.Object) bool {
 	return ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil
 }
 
-// hasCtxVariant reports whether the callee has a sibling named
-// <name>Ctx taking a context.Context first: a package-level function in the
-// same package scope, or a method on the same receiver type.
-func hasCtxVariant(obj types.Object) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	want := fn.Name() + "Ctx"
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	var variant types.Object
-	if recv := sig.Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		named, ok := t.(*types.Named)
-		if !ok {
-			return false
-		}
-		for i := 0; i < named.NumMethods(); i++ {
-			if m := named.Method(i); m.Name() == want {
-				variant = m
-				break
-			}
-		}
-	} else {
-		variant = fn.Pkg().Scope().Lookup(want)
-	}
-	vfn, ok := variant.(*types.Func)
-	if !ok {
-		return false
-	}
-	vsig, ok := vfn.Type().(*types.Signature)
-	if !ok || vsig.Params().Len() == 0 {
-		return false
-	}
-	return isContextType(vsig.Params().At(0).Type())
-}
-
 // funcScopes walks every function body in the file — declared functions and
 // function literals — calling fn with the enclosing callable's body. Each
 // literal is visited once as its own scope.
@@ -141,22 +98,4 @@ func funcScopes(file *ast.File, fn func(body *ast.BlockStmt, decl *ast.FuncDecl,
 		}
 		return true
 	})
-}
-
-// ctxParamName returns the name of a context.Context parameter of the given
-// function type, or "" when none exists.
-func ctxParamName(info *types.Info, ft *ast.FuncType) string {
-	if ft == nil || ft.Params == nil {
-		return ""
-	}
-	for _, field := range ft.Params.List {
-		if tv, ok := info.Types[field.Type]; ok && isContextType(tv.Type) {
-			for _, name := range field.Names {
-				if name.Name != "_" {
-					return name.Name
-				}
-			}
-		}
-	}
-	return ""
 }

@@ -26,6 +26,7 @@
 package replay
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -186,7 +187,11 @@ func Run(t Trace, cfg Config) (*Result, error) {
 		opEnds[i] = prev
 	}
 
-	res.Total = g.Run()
+	total, err := g.RunCtx(context.TODO())
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	res.Total = total
 	var lastEnd des.Time
 	for i, op := range t.Ops {
 		end := g.End(opEnds[i])

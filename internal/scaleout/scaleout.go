@@ -11,6 +11,7 @@
 package scaleout
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/collective"
@@ -145,14 +146,14 @@ func runPoint(g *topology.Graph, p int, bytes int64, chunks int) (Point, error) 
 	for i := range identity {
 		identity[i] = i
 	}
-	ring, err := collective.Run(collective.Config{Graph: g, Algorithm: collective.AlgRing,
+	ring, err := collective.RunCtx(context.TODO(), collective.Config{Graph: g, Algorithm: collective.AlgRing,
 		Bytes: bytes, RingOrders: [][]int{identity, identity}})
 	if err != nil {
 		return pt, err
 	}
 	pt.RingTime = ring.Total
 
-	tree, err := collective.Run(collective.Config{Graph: g, Algorithm: collective.AlgDoubleTree,
+	tree, err := collective.RunCtx(context.TODO(), collective.Config{Graph: g, Algorithm: collective.AlgDoubleTree,
 		Bytes: bytes, Chunks: chunks})
 	if err != nil {
 		return pt, err
@@ -160,7 +161,7 @@ func runPoint(g *topology.Graph, p int, bytes int64, chunks int) (Point, error) 
 	pt.TreeTime = tree.Total
 	pt.TreeTurnaround = tree.Turnaround
 
-	over, err := collective.Run(collective.Config{Graph: g, Algorithm: collective.AlgDoubleTreeOverlap,
+	over, err := collective.RunCtx(context.TODO(), collective.Config{Graph: g, Algorithm: collective.AlgDoubleTreeOverlap,
 		Bytes: bytes, Chunks: chunks})
 	if err != nil {
 		return pt, err

@@ -113,7 +113,7 @@ func TestCheckPatchMappingObligations(t *testing.T) {
 	check("short mapping", &schedcheck.PatchSpec{Base: fx.base, OldToNew: fx.spec.OldToNew[:1], Touched: fx.spec.Touched})
 
 	bad := append([]int(nil), fx.spec.OldToNew...)
-	bad[0], bad[1] = bad[1], bad[1] // two base ops map to one image
+	bad[0] = bad[1] // two base ops map to one image
 	check("non-injective mapping", &schedcheck.PatchSpec{Base: fx.base, OldToNew: bad, Touched: fx.spec.Touched})
 
 	oob := append([]int(nil), fx.spec.OldToNew...)

@@ -233,18 +233,12 @@ func (r *Report) Err() error {
 
 // Check verifies the correctness classes over the program. If structural
 // checks fail, the deeper classes are skipped — their analyses assume a
-// well-formed acyclic program.
+// well-formed acyclic program. The structural pass assumes nothing about its
+// input (every id, dep, chunk, channel, relay and final reference is
+// bounds-checked before the deeper classes run), so Check is also the
+// schedule store's verify-on-load step: deserialized garbage fails cleanly
+// instead of panicking.
 func Check(p *Program) *Report { return check(p, false) }
-
-// CheckLoaded verifies a program reconstructed from bytes that were never
-// proven in this process — the schedule store's verify-on-load step. It runs
-// exactly Check: the structural pass already assumes nothing about its input
-// (every id, dep, chunk, channel, relay and final reference is bounds-checked
-// before the deeper classes run), so deserialized garbage fails cleanly
-// instead of panicking. It has its own name so call sites document which
-// invariant they are maintaining, and so the loaded-input contract can grow
-// checks without touching the trusted-build path.
-func CheckLoaded(p *Program) *Report { return Check(p) }
 
 // CheckDeep is Check plus the performance proofs of deep.go: channel
 // contention (no link oversubscribed past the dependency critical path) and

@@ -35,7 +35,8 @@ type Config struct {
 	MaxTimeout time.Duration
 	// MaxBodyBytes caps request body size (413 beyond it).
 	MaxBodyBytes int64
-	// CacheSize is the response-cache capacity in entries (0 disables).
+	// CacheSize is the response-cache capacity in entries. Zero takes the
+	// default; negative disables the cache.
 	CacheSize int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool

@@ -281,6 +281,22 @@ func TestResponseCache(t *testing.T) {
 	}
 }
 
+// A negative CacheSize disables the response cache (zero takes the
+// default): a repeated identical request is computed again, never replayed.
+func TestResponseCacheDisabledByNegativeSize(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheSize: -1})
+	const body = `{"topology":"dgx1","bytes":"1M"}`
+	for i := 0; i < 2; i++ {
+		r, b := postJSON(t, ts.URL+"/v1/plan", body)
+		if r.StatusCode != 200 {
+			t.Fatalf("request %d: %d %s", i, r.StatusCode, b)
+		}
+		if got := r.Header.Get("X-Cache"); got != "miss" {
+			t.Fatalf("request %d: X-Cache = %q with CacheSize -1, want miss", i, got)
+		}
+	}
+}
+
 func TestSingleflightCollapsesIdenticalRequests(t *testing.T) {
 	var mu sync.Mutex
 	executions := 0

@@ -9,10 +9,10 @@ import (
 
 const testLat = 5 * des.Microsecond
 
-func fc(n int) *topology.Graph  { return topology.FullyConnected(n, 10e9, testLat) }
-func dgx1() *topology.Graph     { return topology.DGX1(topology.DefaultDGX1Config()) }
-func rr16() *topology.Graph     { return topology.RandomRegular(16, 4, 10e9, testLat, 1) }
-func asymFC8() *topology.Graph  { return topology.AsymmetricFullyConnected(8, 10e9, testLat, 1) }
+func fc(n int) *topology.Graph { return topology.FullyConnected(n, 10e9, testLat) }
+func dgx1() *topology.Graph    { return topology.DGX1(topology.DefaultDGX1Config()) }
+func rr16() *topology.Graph    { return topology.RandomRegular(16, 4, 10e9, testLat, 1) }
+func asymFC8() *topology.Graph { return topology.AsymmetricFullyConnected(8, 10e9, testLat, 1) }
 
 // checkForest asserts the packing invariants: every tree spans the
 // participants, and no physical channel is claimed twice — neither across

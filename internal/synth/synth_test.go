@@ -65,7 +65,7 @@ func TestSynthesizeGrid(t *testing.T) {
 				if err != nil {
 					t.Fatalf("MakespanBound: %v", err)
 				}
-				sim, err := s.Execute()
+				sim, err := s.ExecuteCtx(context.Background())
 				if err != nil {
 					t.Fatalf("Execute: %v", err)
 				}
@@ -99,7 +99,7 @@ func bestBuiltin(g *topology.Graph, bytes int64) (des.Time, bool) {
 		if err != nil {
 			continue
 		}
-		res, err := s.Execute()
+		res, err := s.ExecuteCtx(context.Background())
 		if err != nil {
 			continue
 		}
@@ -133,7 +133,7 @@ func TestSynthesizeCompetitiveWithBuiltins(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Synthesize: %v", err)
 			}
-			sim, err := res.Schedule.Execute()
+			sim, err := res.Schedule.ExecuteCtx(context.Background())
 			if err != nil {
 				t.Fatalf("Execute: %v", err)
 			}
@@ -164,7 +164,7 @@ func TestSynthesizeBeatsBuiltinsOnIrregular(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Synthesize: %v", err)
 			}
-			sim, err := res.Schedule.Execute()
+			sim, err := res.Schedule.ExecuteCtx(context.Background())
 			if err != nil {
 				t.Fatalf("Execute: %v", err)
 			}
@@ -211,6 +211,25 @@ func TestSynthesizeCaches(t *testing.T) {
 	}
 	if b.Report.Trees != a.Report.Trees || b.Report.Chunks != a.Report.Chunks {
 		t.Errorf("cached report %+v does not match compiled report %+v", b.Report, a.Report)
+	}
+}
+
+// With the schedule cache disabled, synthesis still compiles: the cache runs
+// the compiler as its builder instead of the built-in constructor, which
+// cannot build AlgSynth.
+func TestSynthesizeWithCacheDisabled(t *testing.T) {
+	collective.DefaultCache.SetEnabled(false)
+	defer collective.DefaultCache.SetEnabled(true)
+	g := fc(4)
+	res, err := Synthesize(context.Background(), g, 1<<16, Options{Seed: 43})
+	if err != nil {
+		t.Fatalf("Synthesize with the cache disabled: %v", err)
+	}
+	if res.Report.CacheHit {
+		t.Fatal("disabled cache reported a hit")
+	}
+	if res.Schedule.BuiltFingerprint() != g.Fingerprint() {
+		t.Fatal("uncached synthesis returned an unstamped schedule")
 	}
 }
 

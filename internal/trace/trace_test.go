@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func executedGraph(t *testing.T) *des.Graph {
 	b := g.Add("send-2", link, 100, a)
 	g.Add("compute", gpu, 150, a)
 	g.Add("marker", nil, 0, b)
-	g.Run()
+	g.RunCtx(context.Background())
 	return g
 }
 
@@ -94,7 +95,7 @@ func TestChromeInstantOnResourceLane(t *testing.T) {
 	link := des.NewResource("link:A->B")
 	a := g.Add("send", link, 100)
 	g.Add("flush", link, 0, a)
-	g.Run()
+	g.RunCtx(context.Background())
 	var buf bytes.Buffer
 	if err := Chrome(&buf, g); err != nil {
 		t.Fatal(err)
@@ -162,7 +163,7 @@ func TestGanttLaneCap(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		g.Add("t", des.NewResource("r"), 10)
 	}
-	g.Run()
+	g.RunCtx(context.Background())
 	out := Gantt(g, GanttOptions{Width: 20, MaxLanes: 5})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 7 { // header + 5 lanes + truncation footer
@@ -178,7 +179,7 @@ func TestGanttZeroMaxLanesShowsAll(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		g.Add("t", des.NewResource("r"), 10)
 	}
-	g.Run()
+	g.RunCtx(context.Background())
 	out := Gantt(g, GanttOptions{Width: 20}) // MaxLanes 0 = all
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 31 { // header + all 30 lanes, no footer
@@ -191,7 +192,7 @@ func TestGanttZeroMaxLanesShowsAll(t *testing.T) {
 
 func TestGanttEmpty(t *testing.T) {
 	g := des.NewGraph()
-	g.Run()
+	g.RunCtx(context.Background())
 	if out := Gantt(g, GanttOptions{}); !strings.Contains(out, "empty") {
 		t.Fatalf("empty graph gantt = %q", out)
 	}
@@ -208,7 +209,7 @@ func TestTraceOfCollectiveSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, g, err := sched.ExecuteTraced()
+	res, g, err := sched.ExecuteOnCtx(context.Background(), sched.Graph.Resources())
 	if err != nil {
 		t.Fatal(err)
 	}

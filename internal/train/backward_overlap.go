@@ -74,13 +74,10 @@ func makeBuckets(layerBytes []int64, bucketBytes int64) []bucket {
 	return out
 }
 
-// RunBackwardOverlap simulates one iteration with DDP-style bucketed
-// backward overlap. The cfg.Mode field is ignored (forced to ModeDDP).
-func RunBackwardOverlap(cfg Config) (*Result, error) {
-	return RunBackwardOverlapCtx(context.Background(), cfg)
-}
-
-// RunBackwardOverlapCtx is RunBackwardOverlap under a cancellation context.
+// RunBackwardOverlapCtx simulates one iteration with DDP-style bucketed
+// backward overlap. The cfg.Mode field is ignored (forced to ModeDDP). A
+// deadline or explicit cancel aborts the run with a wrapped
+// *des.CanceledError.
 func RunBackwardOverlapCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
@@ -172,7 +169,7 @@ func RunBackwardOverlapCtx(ctx context.Context, cfg Config) (*Result, error) {
 		fwdLast[i] = prev
 	}
 
-	if _, err := g.RunCtxErr(ctx); err != nil {
+	if _, err := g.RunCtx(ctx); err != nil {
 		var ce *des.CanceledError
 		if errors.As(err, &ce) {
 			return nil, fmt.Errorf("train: DDP iteration canceled: %w", err)

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"testing"
 
 	"ccube/internal/dnn"
@@ -42,7 +43,7 @@ func TestMakeBucketsSingleSmallModel(t *testing.T) {
 }
 
 func TestBackwardOverlapRuns(t *testing.T) {
-	res, err := RunBackwardOverlap(Config{Model: dnn.ResNet50(), Batch: 64, Graph: dgx1()})
+	res, err := RunBackwardOverlapCtx(context.Background(), Config{Model: dnn.ResNet50(), Batch: 64, Graph: dgx1()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestBackwardOverlapBeatsNoOverlapButLosesToCC(t *testing.T) {
 	// significant improvement.
 	model := dnn.VGG16()
 	g := lowBW()
-	ddp, err := RunBackwardOverlap(Config{Model: model, Batch: 32, Graph: g})
+	ddp, err := RunBackwardOverlapCtx(context.Background(), Config{Model: model, Batch: 32, Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +80,13 @@ func TestBackwardOverlapBeatsNoOverlapButLosesToCC(t *testing.T) {
 }
 
 func TestBackwardOverlapValidation(t *testing.T) {
-	if _, err := RunBackwardOverlap(Config{Model: dnn.Model{}, Batch: 1, Graph: dgx1()}); err == nil {
+	if _, err := RunBackwardOverlapCtx(context.Background(), Config{Model: dnn.Model{}, Batch: 1, Graph: dgx1()}); err == nil {
 		t.Error("empty model accepted")
 	}
-	if _, err := RunBackwardOverlap(Config{Model: dnn.ZFNet(), Batch: 0, Graph: dgx1()}); err == nil {
+	if _, err := RunBackwardOverlapCtx(context.Background(), Config{Model: dnn.ZFNet(), Batch: 0, Graph: dgx1()}); err == nil {
 		t.Error("zero batch accepted")
 	}
-	if _, err := RunBackwardOverlap(Config{Model: dnn.ZFNet(), Batch: 1}); err == nil {
+	if _, err := RunBackwardOverlapCtx(context.Background(), Config{Model: dnn.ZFNet(), Batch: 1}); err == nil {
 		t.Error("nil graph accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -83,7 +84,7 @@ func TestTrainingMidRunLinkDeathFailsLoudly(t *testing.T) {
 	// Arm the kill inside the communication window: after backward starts
 	// but well before the iteration ends.
 	cfg.Faults = fault.NewPlan(fault.Event{Kind: fault.LinkDown, Channel: dead, At: healthy.IterTime / 2})
-	_, err := Run(cfg)
+	_, err := RunCtx(context.Background(), cfg)
 	if err == nil {
 		t.Skip("kill landed outside the channel's busy window")
 	}
@@ -107,7 +108,7 @@ func TestTrainingUnrepairableFault(t *testing.T) {
 		plan.Events = append(plan.Events, fault.Event{Kind: fault.LinkDown, Channel: cid})
 	}
 	cfg.Faults = plan
-	_, err := Run(cfg)
+	_, err := RunCtx(context.Background(), cfg)
 	if err == nil {
 		t.Fatal("training over an unrepairable fabric succeeded")
 	}

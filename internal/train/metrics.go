@@ -14,7 +14,7 @@ var (
 	mSteps = metrics.Default.Counter("train_steps_total",
 		"simulated training iterations completed")
 	mStepWallSeconds = metrics.Default.Gauge("train_step_wall_seconds",
-		"host wall-clock seconds the last RunTraced took")
+		"host wall-clock seconds the last RunCtx took")
 	mIterTimeUS = metrics.Default.GaugeVec("train_iter_time_us",
 		"last simulated iteration time (virtual us)", "mode")
 	mFirstFwdWaitUS = metrics.Default.GaugeVec("train_first_forward_wait_us",
@@ -27,7 +27,7 @@ var (
 		metrics.ExpBuckets(1, 4, 12))
 )
 
-// publishIteration records one RunTraced outcome; called only when
+// publishIteration records one RunCtx outcome; called only when
 // collection is enabled (the vec lookups allocate on first use).
 func publishIteration(res *Result, bwdEnd des.Time, wall time.Duration) {
 	mSteps.Inc()

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -43,7 +44,7 @@ func snapshotValue(t *testing.T, name string) float64 {
 func TestCCMetricsShowChainingBenefit(t *testing.T) {
 	withMetrics(t)
 
-	cc, _, err := RunTraced(Config{Model: dnn.ResNet50(), Batch: 64, Graph: dgx1(), Mode: ModeCC})
+	cc, err := RunCtx(context.Background(), Config{Model: dnn.ResNet50(), Batch: 64, Graph: dgx1(), Mode: ModeCC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestCCMetricsShowChainingBenefit(t *testing.T) {
 			cc.LayerForwardStart[0], cc.CommDone)
 	}
 
-	b, _, err := RunTraced(Config{Model: dnn.ResNet50(), Batch: 64, Graph: dgx1(), Mode: ModeB})
+	b, err := RunCtx(context.Background(), Config{Model: dnn.ResNet50(), Batch: 64, Graph: dgx1(), Mode: ModeB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestCCMetricsShowChainingBenefit(t *testing.T) {
 // present with the mode label attached.
 func TestTrainMetricsInPrometheusOutput(t *testing.T) {
 	withMetrics(t)
-	if _, _, err := RunTraced(Config{Model: dnn.ResNet50(), Batch: 64, Graph: dgx1(), Mode: ModeCC}); err != nil {
+	if _, err := RunCtx(context.Background(), Config{Model: dnn.ResNet50(), Batch: 64, Graph: dgx1(), Mode: ModeCC}); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -117,7 +118,7 @@ func TestTrainMetricsInPrometheusOutput(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabledTrainRecordsNothing: a RunTraced with collection off
+// TestMetricsDisabledTrainRecordsNothing: a RunCtx with collection off
 // must leave the registry empty-valued.
 func TestMetricsDisabledTrainRecordsNothing(t *testing.T) {
 	metrics.Default.Reset()
@@ -125,7 +126,7 @@ func TestMetricsDisabledTrainRecordsNothing(t *testing.T) {
 	if metrics.Default.Enabled() {
 		t.Fatal("default registry unexpectedly enabled")
 	}
-	if _, _, err := RunTraced(Config{Model: dnn.ResNet50(), Batch: 64, Graph: dgx1(), Mode: ModeCC}); err != nil {
+	if _, err := RunCtx(context.Background(), Config{Model: dnn.ResNet50(), Batch: 64, Graph: dgx1(), Mode: ModeCC}); err != nil {
 		t.Fatal(err)
 	}
 	if got := snapshotValue(t, "train_steps_total"); got != 0 {

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"testing"
 
 	"ccube/internal/dnn"
@@ -20,7 +21,7 @@ func TestMultiNodeTrainingModes(t *testing.T) {
 	mn := testCluster(t, 4)
 	results := map[Mode]*Result{}
 	for _, m := range []Mode{ModeB, ModeC1, ModeC2, ModeCC} {
-		res, err := Run(Config{Model: dnn.ResNet50(), Batch: 64, Cluster: mn, Mode: m})
+		res, err := RunCtx(context.Background(), Config{Model: dnn.ResNet50(), Batch: 64, Cluster: mn, Mode: m})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -44,7 +45,7 @@ func TestMultiNodeTrainingModes(t *testing.T) {
 
 func TestMultiNodeRingUnsupported(t *testing.T) {
 	mn := testCluster(t, 2)
-	if _, err := Run(Config{Model: dnn.ZFNet(), Batch: 16, Cluster: mn, Mode: ModeR}); err == nil {
+	if _, err := RunCtx(context.Background(), Config{Model: dnn.ZFNet(), Batch: 16, Cluster: mn, Mode: ModeR}); err == nil {
 		t.Fatal("ring on a cluster accepted")
 	}
 }
@@ -52,7 +53,7 @@ func TestMultiNodeRingUnsupported(t *testing.T) {
 func TestMultiNodeGraphMismatchRejected(t *testing.T) {
 	mn := testCluster(t, 2)
 	other := topology.DGX1(topology.DefaultDGX1Config())
-	if _, err := Run(Config{Model: dnn.ZFNet(), Batch: 16, Cluster: mn, Graph: other, Mode: ModeB}); err == nil {
+	if _, err := RunCtx(context.Background(), Config{Model: dnn.ZFNet(), Batch: 16, Cluster: mn, Graph: other, Mode: ModeB}); err == nil {
 		t.Fatal("mismatched Graph/Cluster accepted")
 	}
 }
@@ -61,7 +62,7 @@ func TestMultiNodeDetourTaxAppliesPerBox(t *testing.T) {
 	// Every box has its own detour forwarders (GPU0, GPU1 locally); their
 	// forward passes carry the SM tax.
 	mn := testCluster(t, 2)
-	res, err := Run(Config{Model: dnn.ResNet50(), Batch: 64, Cluster: mn, Mode: ModeCC})
+	res, err := RunCtx(context.Background(), Config{Model: dnn.ResNet50(), Batch: 64, Cluster: mn, Mode: ModeCC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +78,11 @@ func TestMultiNodeDetourTaxAppliesPerBox(t *testing.T) {
 func TestMultiNodePipeline(t *testing.T) {
 	mn := testCluster(t, 2)
 	cfg := Config{Model: dnn.VGG16(), Batch: 32, Cluster: mn, Mode: ModeCC}
-	single, err := Run(cfg)
+	single, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := RunPipeline(cfg, 3)
+	pipe, err := RunPipeline(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/chunk"
@@ -8,7 +9,7 @@ import (
 	"ccube/internal/des"
 )
 
-// PipelineResult reports a multi-iteration simulation: Run models a single
+// PipelineResult reports a multi-iteration simulation: RunCtx models a single
 // steady-state cycle; RunPipeline executes several back-to-back iterations
 // in one task graph and measures the actual cycle times, validating that
 // the single-cycle abstraction holds (no cross-iteration interference: the
@@ -35,8 +36,10 @@ func (p *PipelineResult) SteadyCycle() des.Time {
 // RunPipeline simulates `iters` consecutive training iterations. Iteration
 // k's backward pass on each GPU starts once that GPU finished iteration k's
 // forward pass (which consumed iteration k-1's gradients); the one-shot
-// AllReduce of iteration k launches when every GPU finished backward.
-func RunPipeline(cfg Config, iters int) (*PipelineResult, error) {
+// AllReduce of iteration k launches when every GPU finished backward. A
+// deadline or explicit cancel aborts the run with a wrapped
+// *des.CanceledError.
+func RunPipeline(ctx context.Context, cfg Config, iters int) (*PipelineResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -162,7 +165,9 @@ func RunPipeline(cfg Config, iters int) (*PipelineResult, error) {
 		boundaryTasks[k] = iterLast
 	}
 
-	g.Run()
+	if _, err := g.RunCtx(ctx); err != nil {
+		return nil, fmt.Errorf("train: pipeline aborted: %w", err)
+	}
 	var prevBoundary des.Time
 	for k := 0; k < iters; k++ {
 		var boundary des.Time

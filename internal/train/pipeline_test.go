@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"testing"
 
 	"ccube/internal/des"
@@ -9,12 +10,12 @@ import (
 
 func TestPipelineValidatesSingleCycleModel(t *testing.T) {
 	// The steady-state cycle of a 4-iteration pipeline must equal the
-	// single-cycle estimate from Run, for every mode — the single-iteration
+	// single-cycle estimate from RunCtx, for every mode — the single-iteration
 	// abstraction is only valid if iterations do not interfere.
 	for _, m := range Modes() {
 		cfg := Config{Model: dnn.ResNet50(), Batch: 32, Graph: lowBW(), Mode: m}
 		single := run(t, cfg)
-		pipe, err := RunPipeline(cfg, 4)
+		pipe, err := RunPipeline(context.Background(), cfg, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -35,7 +36,7 @@ func TestPipelineValidatesSingleCycleModel(t *testing.T) {
 
 func TestPipelineCyclesStabilize(t *testing.T) {
 	cfg := Config{Model: dnn.VGG16(), Batch: 32, Graph: dgx1(), Mode: ModeCC}
-	pipe, err := RunPipeline(cfg, 5)
+	pipe, err := RunPipeline(context.Background(), cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +60,12 @@ func TestPipelineCyclesStabilize(t *testing.T) {
 
 func TestPipelineValidation(t *testing.T) {
 	cfg := Config{Model: dnn.ZFNet(), Batch: 16, Graph: dgx1(), Mode: ModeB}
-	if _, err := RunPipeline(cfg, 0); err == nil {
+	if _, err := RunPipeline(context.Background(), cfg, 0); err == nil {
 		t.Error("zero iterations accepted")
 	}
 	bad := cfg
 	bad.Batch = 0
-	if _, err := RunPipeline(bad, 2); err == nil {
+	if _, err := RunPipeline(context.Background(), bad, 2); err == nil {
 		t.Error("bad config accepted")
 	}
 }

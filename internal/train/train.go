@@ -169,6 +169,10 @@ type Result struct {
 	// waited for its gradients after its compute dependency (previous layer,
 	// or backward for l=0) had finished — the per-layer gradient-queue wait.
 	LayerDequeueWait []des.Time
+
+	// Graph is the executed iteration pipeline, for timeline export
+	// (internal/trace). RunBackwardOverlapCtx leaves it nil.
+	Graph *des.Graph
 }
 
 // Efficiency returns Normalized as a percentage.
@@ -239,37 +243,21 @@ func (cfg *Config) buildSchedule(nodes []topology.NodeID) (*collective.Schedule,
 	})
 }
 
-// Run simulates one iteration and returns its timing decomposition.
-func Run(cfg Config) (*Result, error) {
-	res, _, err := RunTraced(cfg)
-	return res, err
-}
-
-// RunCtx is Run under a cancellation context: a deadline or explicit
-// cancel aborts both discrete-event runs the iteration performs (the
-// standalone collective and the full pipeline graph) at their next
-// checkpoint, surfacing a wrapped *des.CanceledError.
+// RunCtx simulates one iteration and returns its timing decomposition,
+// with the executed pipeline graph on Result.Graph for timeline export
+// (internal/trace). A deadline or explicit cancel aborts both
+// discrete-event runs the iteration performs (the standalone collective and
+// the full pipeline graph) at their next checkpoint, surfacing a wrapped
+// *des.CanceledError.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
-	res, _, err := RunTracedCtx(ctx, cfg)
-	return res, err
-}
-
-// RunTraced is Run, additionally returning the executed task graph for
-// timeline export (internal/trace).
-func RunTraced(cfg Config) (*Result, *des.Graph, error) {
-	return RunTracedCtx(context.Background(), cfg)
-}
-
-// RunTracedCtx is RunTraced under a cancellation context.
-func RunTracedCtx(ctx context.Context, cfg Config) (*Result, *des.Graph, error) {
 	//lint:ignore virtual-time host-side instrumentation only: wallStart feeds the metrics exporter, never the DES clock
 	wallStart := time.Now()
 	if err := cfg.validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	alg, err := cfg.Mode.algorithm()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	nodes := cfg.Nodes
 	if nodes == nil {
@@ -281,7 +269,7 @@ func RunTracedCtx(ctx context.Context, cfg Config) (*Result, *des.Graph, error) 
 	// the SM tax.
 	sched, err := cfg.buildSchedule(nodes)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Fault injection: the schedule above was built for the healthy fabric;
@@ -289,13 +277,13 @@ func RunTracedCtx(ctx context.Context, cfg Config) (*Result, *des.Graph, error) 
 	// before anything executes.
 	if !cfg.Faults.Empty() {
 		if err := cfg.Faults.Validate(cfg.Graph); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		revert := cfg.Faults.Apply(cfg.Graph)
 		defer revert()
 		repaired, _, err := collective.RepairSchedule(sched)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		sched = repaired
 	}
@@ -303,7 +291,7 @@ func RunTracedCtx(ctx context.Context, cfg Config) (*Result, *des.Graph, error) 
 	// Standalone communication time and turnaround for the decomposition.
 	commRes, err := sched.ExecuteCtx(ctx)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	dev := cfg.device()
@@ -325,7 +313,7 @@ func RunTracedCtx(ctx context.Context, cfg Config) (*Result, *des.Graph, error) 
 		detour[n] = true
 	}
 	if cfg.ComputeScale != nil && len(cfg.ComputeScale) != len(nodes) {
-		return nil, nil, fmt.Errorf("train: %d compute scales for %d GPUs",
+		return nil, fmt.Errorf("train: %d compute scales for %d GPUs",
 			len(cfg.ComputeScale), len(nodes))
 	}
 	faultFactor := func(int) float64 { return 1 }
@@ -374,7 +362,7 @@ func RunTracedCtx(ctx context.Context, cfg Config) (*Result, *des.Graph, error) 
 	// One-shot AllReduce after backward (paper §II-B).
 	inst, err := sched.Instantiate(g, chres, bwdDone)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Forward pass of the next iteration.
@@ -435,12 +423,12 @@ func RunTracedCtx(ctx context.Context, cfg Config) (*Result, *des.Graph, error) 
 		}
 	}
 
-	if _, err := g.RunCtxErr(ctx); err != nil {
+	if _, err := g.RunCtx(ctx); err != nil {
 		var ce *des.CanceledError
 		if errors.As(err, &ce) {
-			return nil, nil, fmt.Errorf("train: iteration canceled: %w", err)
+			return nil, fmt.Errorf("train: iteration canceled: %w", err)
 		}
-		return nil, nil, fmt.Errorf("train: iteration aborted by mid-run fault: %w", err)
+		return nil, fmt.Errorf("train: iteration aborted by mid-run fault: %w", err)
 	}
 
 	res := &Result{
@@ -449,6 +437,7 @@ func RunTracedCtx(ctx context.Context, cfg Config) (*Result, *des.Graph, error) 
 		ComputeTime: computeTime,
 		CommTime:    commRes.Total,
 		Turnaround:  commRes.Turnaround,
+		Graph:       g,
 	}
 	bwdEnd := g.End(bwdDone)
 	for i := range nodes {
@@ -490,10 +479,10 @@ func RunTracedCtx(ctx context.Context, cfg Config) (*Result, *des.Graph, error) 
 
 	for _, r := range chres {
 		if err := r.ValidateSerialized(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return res, g, nil
+	return res, nil
 }
 
 // lastTreeChunkAtMost returns the largest chunk index <= limit assigned to

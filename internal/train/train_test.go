@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"testing"
 
 	"ccube/internal/des"
@@ -18,7 +19,7 @@ func lowBW() *topology.Graph {
 
 func run(t *testing.T, cfg Config) *Result {
 	t.Helper()
-	res, err := Run(cfg)
+	res, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run(%v, %s): %v", cfg.Mode, cfg.Model.Name, err)
 	}
@@ -201,7 +202,7 @@ func TestPatternCases(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	good := Config{Model: dnn.ZFNet(), Batch: 16, Graph: dgx1(), Mode: ModeB}
-	if _, err := Run(good); err != nil {
+	if _, err := RunCtx(context.Background(), good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	bad := []Config{
@@ -211,7 +212,7 @@ func TestConfigValidation(t *testing.T) {
 		{Model: dnn.ZFNet(), Batch: 16, Graph: dgx1(), Mode: Mode("X")},
 	}
 	for i, cfg := range bad {
-		if _, err := Run(cfg); err == nil {
+		if _, err := RunCtx(context.Background(), cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
@@ -245,7 +246,7 @@ func TestChainedFirstForwardStartsBeforeCommEnds(t *testing.T) {
 func TestGenericTopologyTraining(t *testing.T) {
 	g := topology.FullyConnected(8, 25e9, 3*des.Microsecond)
 	for _, m := range Modes() {
-		res, err := Run(Config{Model: dnn.ZFNet(), Batch: 32, Graph: g, Mode: m,
+		res, err := RunCtx(context.Background(), Config{Model: dnn.ZFNet(), Batch: 32, Graph: g, Mode: m,
 			AllowSharedChannels: true})
 		if err != nil {
 			t.Fatalf("%s on fully connected: %v", m, err)
@@ -281,7 +282,7 @@ func TestStragglerStretchesEveryGPU(t *testing.T) {
 }
 
 func TestComputeScaleValidation(t *testing.T) {
-	_, err := Run(Config{Model: dnn.ZFNet(), Batch: 16, Graph: dgx1(), Mode: ModeB,
+	_, err := RunCtx(context.Background(), Config{Model: dnn.ZFNet(), Batch: 16, Graph: dgx1(), Mode: ModeB,
 		ComputeScale: []float64{1, 1}})
 	if err == nil {
 		t.Fatal("wrong-length ComputeScale accepted")

@@ -8,6 +8,7 @@
 package validate
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/collective"
@@ -121,7 +122,7 @@ func checkPoint(g *topology.Graph, p int, n int64) ([]Entry, error) {
 	}
 	var out []Entry
 	for _, c := range cases {
-		res, err := collective.Run(c.cfg)
+		res, err := collective.RunCtx(context.TODO(), c.cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", c.cfg.Algorithm, err)
 		}

@@ -12,6 +12,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 
 	"ccube/internal/collective"
@@ -100,7 +101,7 @@ type Ratio struct {
 // for a profile on the given topology with the given algorithm — the bars
 // of Fig. 1 (the paper uses NCCL ring, i.e. AlgRing).
 func AllReduceRatio(p Profile, g *topology.Graph, alg collective.Algorithm) (Ratio, error) {
-	res, err := collective.Run(collective.Config{
+	res, err := collective.RunCtx(context.TODO(), collective.Config{
 		Graph:     g,
 		Algorithm: alg,
 		Bytes:     p.GradientBytes,
