@@ -346,29 +346,37 @@ func BenchmarkDESCollective(b *testing.B) {
 	}
 }
 
-// BenchmarkGpusimAllReduce measures the goroutine persistent-kernel
-// emulation on 8 GPUs.
-func BenchmarkGpusimAllReduce(b *testing.B) {
-	t1, t2 := collective.DGX1Trees()
-	inputs := make([][]float32, 8)
+// benchGpusim times the goroutine interpreter running a verified schedule
+// over elems per GPU; building and verifying it stay outside the timer.
+func benchGpusim(b *testing.B, s *collective.Schedule, err error, elems int) {
+	if err == nil {
+		err = s.Validate()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := s.Program()
+	inputs := make([][]float32, len(s.Nodes))
 	for g := range inputs {
-		inputs[g] = make([]float32, 1<<16)
+		inputs[g] = make([]float32, elems)
 		for j := range inputs[g] {
 			inputs[g][j] = float32(g + j)
 		}
 	}
-	cfg := gpusim.Config{
-		Trees:   []collective.Tree{t1, t2},
-		Detours: gpusim.DGX1Detours(),
-		Chunks:  32,
-		Overlap: true,
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := gpusim.AllReduce(inputs, cfg); err != nil {
+		if _, err := gpusim.Run(p, inputs, gpusim.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkGpusimAllReduce measures the goroutine persistent-kernel
+// emulation of C-Cube on the 8-GPU DGX-1.
+func BenchmarkGpusimAllReduce(b *testing.B) {
+	s, err := collective.Build(collective.Config{
+		Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 32})
+	benchGpusim(b, s, err, 1<<16)
 }
 
 // BenchmarkTrainIteration measures one full training-iteration simulation.
@@ -457,18 +465,11 @@ func BenchmarkExtReplay(b *testing.B) {
 // BenchmarkGpusimHierarchical measures the multi-box persistent-kernel
 // emulation (2 boxes, 16 goroutine GPUs).
 func BenchmarkGpusimHierarchical(b *testing.B) {
-	inputs := make([][]float32, 16)
-	for g := range inputs {
-		inputs[g] = make([]float32, 1<<14)
-		for j := range inputs[g] {
-			inputs[g][j] = float32(g + j)
-		}
+	mn, err := topology.BuildMultiNode(topology.DefaultMultiNodeConfig(2))
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gpusim.AllReduceHierarchical(inputs, gpusim.HierConfig{
-			Boxes: 2, Chunks: 16, Chained: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	s, err := collective.BuildHierarchical(collective.HierarchicalConfig{
+		Cluster: mn, Bytes: 1 << 20, Chunks: 16, Chained: true})
+	benchGpusim(b, s, err, 1<<14)
 }

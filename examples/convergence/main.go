@@ -1,11 +1,11 @@
 // Convergence neutrality: the paper's accuracy claim, demonstrated with
 // real arithmetic instead of a simulator. An MLP is trained data-parallel
-// across 8 emulated GPUs; gradients are aggregated through the goroutine
-// implementation of the tree AllReduce (persistent kernels + device-side
-// semaphores), with updates applied layer by layer in gradient-queue
-// dequeue order. Because C-Cube changes only *when* communication happens —
-// never the order of any reduction or update — the baseline tree and the
-// fully chained C-Cube produce bit-identical weights.
+// across 8 emulated GPUs; gradients are aggregated by running the DGX-1
+// double-tree schedule on the goroutine interpreter (persistent kernels +
+// device-side semaphores), with updates applied layer by layer in
+// gradient-queue dequeue order. Because C-Cube changes only *when*
+// communication happens — never the order of any reduction or update — the
+// baseline tree and the fully chained C-Cube produce bit-identical weights.
 //
 //	go run ./examples/convergence
 package main
@@ -18,6 +18,7 @@ import (
 	"ccube/internal/collective"
 	"ccube/internal/dnn"
 	"ccube/internal/gpusim"
+	"ccube/internal/topology"
 )
 
 const (
@@ -63,8 +64,25 @@ func trainRun(xs, ys [][][]float32, overlap bool) *dnn.MLP {
 	for g := range replicas {
 		replicas[g] = dnn.NewMLP([]int{2, 16, 8, 1}, 7) // same seed: same init
 	}
-	elems := replicas[0].LayerElems()
-	t1, t2 := collective.DGX1Trees()
+	alg := collective.AlgDoubleTree
+	if overlap {
+		alg = collective.AlgDoubleTreeOverlap
+	}
+	s, err := collective.Build(collective.Config{
+		Graph: topology.DGX1(topology.DefaultDGX1Config()), Algorithm: alg, Bytes: 1 << 20, Chunks: 8})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	prog := s.Program()
+	cfg := gpusim.Config{
+		LayerElems: replicas[0].LayerElems(),
+		OnLayer: func(gpu, layer int, grad []float32) {
+			replicas[gpu].ApplyLayer(layer, grad, lr, 1.0/float32(gpus*shardSize))
+		},
+	}
 
 	for iter := 0; iter < iterations; iter++ {
 		// Local backward pass per GPU.
@@ -74,17 +92,7 @@ func trainRun(xs, ys [][][]float32, overlap bool) *dnn.MLP {
 		}
 		// One-shot AllReduce through the persistent-kernel emulation, with
 		// gradient queuing driving per-layer SGD updates in dequeue order.
-		cfg := gpusim.Config{
-			Trees:      []collective.Tree{t1, t2},
-			Detours:    gpusim.DGX1Detours(),
-			Chunks:     8,
-			Overlap:    overlap,
-			LayerElems: elems,
-			OnLayer: func(gpu, layer int, grad []float32) {
-				replicas[gpu].ApplyLayer(layer, grad, lr, 1.0/float32(gpus*shardSize))
-			},
-		}
-		if _, err := gpusim.AllReduce(grads, cfg); err != nil {
+		if _, err := gpusim.Run(prog, grads, cfg); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -232,9 +232,11 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 		} else {
 			c.lru.MoveToFront(el)
 		}
+		// Read under the lock: a concurrent duplicate insert rewrites e.s.
+		s := e.s
 		c.mu.Unlock()
 		mCacheHits.Inc()
-		return e.s, nil
+		return s, nil
 	}
 	disk := c.disk
 	var sib *Schedule

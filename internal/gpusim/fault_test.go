@@ -7,42 +7,63 @@ import (
 	"testing"
 
 	"ccube/internal/collective"
+	"ccube/internal/schedcheck"
+	"ccube/internal/topology"
 )
 
-// A generous budget: far more spins than a healthy run needs, small enough
-// that a genuinely dead path stalls in well under a second.
-const testSpinBudget = 1 << 18
+// killRidden kills the first channel the program rides that satisfies pick
+// and returns it.
+func killRidden(t *testing.T, p *schedcheck.Program, pick func(i int, ch *topology.Channel) bool) topology.ChannelID {
+	t.Helper()
+	for i := range p.Ops {
+		if op := &p.Ops[i]; !op.Marker() && pick(i, p.Graph.Channel(op.Channel)) {
+			p.Graph.KillChannel(op.Channel)
+			return op.Channel
+		}
+	}
+	t.Fatal("no ridden channel to kill")
+	return -1
+}
 
-// The acceptance scenario on the functional emulator: the direct links for
-// the detoured tree edges are dead, and the run still computes an exact
-// AllReduce because traffic rides the static forwarding kernels (§IV-A).
+func anyChannel(int, *topology.Channel) bool { return true }
+
+// The acceptance scenario on the functional emulator: a direct link the
+// C-Cube schedule rides dies, the static repair splices a forwarding hop
+// through an intermediate GPU (§IV-A), and the repaired schedule still
+// computes an exact AllReduce.
 func TestDeadEdgeRecoversViaDetour(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, overlap := range []bool{false, true} {
-		inputs, want := randInputs(rng, 8, 1000)
-		cfg := dgx1Config(8, overlap)
-		cfg.DeadEdges = map[[2]int]bool{{2, 4}: true, {3, 5}: true}
-		cfg.SpinBudget = testSpinBudget
-		res, err := AllReduce(inputs, cfg)
+		g := dgx1()
+		s := build(t, collective.Config{Graph: g, Algorithm: collective.AlgDoubleTreeOverlap, Chunks: 8})
+		if !overlap {
+			s = build(t, collective.Config{Graph: g, Algorithm: collective.AlgDoubleTree, Chunks: 8})
+		}
+		killRidden(t, s.Program(), func(_ int, ch *topology.Channel) bool {
+			return len(g.ChannelsBetween(ch.From, ch.To)) == 1 // no parallel link left
+		})
+		repaired, rep, err := collective.RepairSchedule(s)
 		if err != nil {
 			t.Fatalf("overlap=%v: %v", overlap, err)
 		}
-		checkSum(t, res, want)
+		if rep.AddedHops == 0 {
+			t.Fatalf("overlap=%v: repair added no forwarding hop: %v", overlap, rep.Routes)
+		}
+		inputs, want := randInputs(rng, 8, 1000)
+		runSum(t, repaired.Program(), inputs, want)
 	}
 }
 
-// A dead edge with no detour must fail loudly with a *StallError naming the
-// starved kernels — never deadlock. The test completing at all is the
-// no-deadlock proof.
+// An unrepaired schedule over a down channel must fail loudly with a
+// *StallError naming the starved kernels — never deadlock. The test
+// completing at all is the no-deadlock proof.
 func TestDeadEdgeWithoutDetourFailsLoudly(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, overlap := range []bool{false, true} {
 		inputs, _ := randInputs(rng, 8, 1000)
-		cfg := dgx1Config(8, overlap)
-		// Tree 1's GPU1->GPU2 edge has no detour mapping.
-		cfg.DeadEdges = map[[2]int]bool{{1, 2}: true}
-		cfg.SpinBudget = testSpinBudget
-		_, err := AllReduce(inputs, cfg)
+		p := dgx1Program(t, dgx1(), 8, overlap)
+		killRidden(t, p, anyChannel)
+		_, err := Run(p, inputs, Config{})
 		var se *StallError
 		if !errors.As(err, &se) {
 			t.Fatalf("overlap=%v: err = %v, want *StallError", overlap, err)
@@ -59,38 +80,24 @@ func TestDeadEdgeWithoutDetourFailsLoudly(t *testing.T) {
 func TestDeadEdgeStallsGradientQueueLoudly(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	inputs, _ := randInputs(rng, 8, 1000)
-	cfg := dgx1Config(8, true)
-	cfg.DeadEdges = map[[2]int]bool{{1, 2}: true}
-	cfg.SpinBudget = testSpinBudget
-	cfg.LayerElems = []int{300, 400, 300}
-	_, err := AllReduce(inputs, cfg)
+	p := dgx1Program(t, dgx1(), 8, true)
+	killRidden(t, p, anyChannel)
+	_, err := Run(p, inputs, Config{LayerElems: []int{300, 400, 300}})
 	var se *StallError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StallError", err)
 	}
-}
-
-// Dead edge + no detour + unbounded spins is refused up front: that
-// configuration cannot terminate.
-func TestDeadEdgeWithoutBudgetRejected(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	inputs, _ := randInputs(rng, 8, 100)
-	cfg := dgx1Config(4, true)
-	cfg.DeadEdges = map[[2]int]bool{{1, 2}: true}
-	_, err := AllReduce(inputs, cfg)
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("err = %v, want config rejection", err)
+	if !strings.Contains(se.Error(), "compute kernel") {
+		t.Fatalf("no compute kernel reported the stall: %v", se)
 	}
 }
 
-// SpinBudget on a healthy fabric is harmless: same exact result.
+// The spin budget a run over a down channel imposes is harmless on a
+// healthy program: same exact result, every layer dequeued.
 func TestSpinBudgetHealthyRunUnaffected(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	inputs, want := randInputs(rng, 8, 1000)
-	cfg := dgx1Config(8, true)
-	cfg.SpinBudget = testSpinBudget
-	cfg.LayerElems = []int{250, 250, 250, 250}
-	res, err := AllReduce(inputs, cfg)
+	res, err := run(dgx1Program(t, dgx1(), 8, true), inputs, Config{LayerElems: []int{250, 250, 250, 250}}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,25 +109,22 @@ func TestSpinBudgetHealthyRunUnaffected(t *testing.T) {
 	}
 }
 
-// Killing a detoured edge must not perturb results across tree shapes and
-// chunk counts (the forwarding kernel is the same either way).
+// Killing a link that a relay hop rides and patching the live schedule
+// around it must not perturb results across chunk counts: the patched
+// schedule computes the same sums as the healthy one.
 func TestDeadDetouredEdgeMatchesHealthy(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	t1, t2 := collective.DGX1Trees()
 	for _, chunks := range []int{2, 7, 16} {
 		inputs, want := randInputs(rng, 8, 500)
-		cfg := Config{
-			Trees:      []collective.Tree{t1, t2},
-			Detours:    DGX1Detours(),
-			Chunks:     chunks,
-			Overlap:    true,
-			DeadEdges:  map[[2]int]bool{{2, 4}: true},
-			SpinBudget: testSpinBudget,
-		}
-		res, err := AllReduce(inputs, cfg)
+		g := dgx1()
+		s := build(t, collective.Config{Graph: g, Algorithm: collective.AlgDoubleTreeOverlap, Chunks: chunks})
+		runSum(t, s.Program(), inputs, want)
+		p := s.Program()
+		dead := killRidden(t, p, func(i int, _ *topology.Channel) bool { return p.Ops[i].Dst.IsRelay() })
+		patched, _, err := collective.RepairScheduleIncremental(s, []topology.ChannelID{dead}, nil)
 		if err != nil {
 			t.Fatalf("chunks=%d: %v", chunks, err)
 		}
-		checkSum(t, res, want)
+		runSum(t, patched.Program(), inputs, want)
 	}
 }

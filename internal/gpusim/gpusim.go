@@ -1,17 +1,19 @@
-// Package gpusim is a functional emulation of the paper's proof-of-concept:
-// C-Cube implemented as persistent kernels synchronized entirely on the
-// device side. Each GPU is a set of goroutines ("persistent kernels") —
-// reduce, broadcast, detour-forwarding, and forward-compute consumers —
-// that communicate only through p2psync mailboxes and semaphores (Fig. 11)
-// and per-GPU gradient queues (Fig. 9). No Go channels, mutexes, or host
-// coordination appear on the data path.
+// Package gpusim is a functional emulation of the paper's proof of concept:
+// collectives run as persistent kernels synchronized entirely on the device
+// side (Fig. 11). Run interprets any verified schedule — the
+// schedcheck.Program that collective.Schedule.Program returns — with one
+// persistent kernel goroutine per participant GPU. Kernels share data only
+// through the per-GPU buffers and synchronize only through p2psync
+// semaphores and, when gradient queuing is on, per-GPU gradient queues
+// (Fig. 9). No Go channels, mutexes, or host coordination appear on the data
+// path.
 //
 // The package answers the correctness questions the real-system prototype
-// answers: the chained algorithms deadlock-free deliver exact AllReduce
-// results, chunks arrive in order per tree, detour kernels forward
-// transparently, and gradient queuing releases layers exactly when their
-// chunks are in. Timing questions are answered by the des-based simulator
-// in internal/collective.
+// answers: the ops of a schedule, run concurrently, deliver its exact data
+// contract without deadlock, chunks arrive in the order the schedule
+// promises, relay hops forward transparently, and gradient queuing releases
+// layers exactly when their chunks are in. Timing questions are answered by
+// the DES-based simulator in internal/collective.
 package gpusim
 
 import (
@@ -21,64 +23,34 @@ import (
 	"sync"
 
 	"ccube/internal/chunk"
-	"ccube/internal/collective"
 	"ccube/internal/gradqueue"
 	"ccube/internal/p2psync"
+	"ccube/internal/schedcheck"
+	"ccube/internal/topology"
 )
 
-// Config describes one emulated AllReduce.
+// stallSpins bounds every device-side wait of a run whose program rides a
+// down channel: far more failed spins than a healthy wait needs, few enough
+// that the starved kernels give up in well under a second. Programs on
+// healthy channels wait unboundedly.
+const stallSpins = 1 << 16
+
+// Config holds the optional gradient-queuing setup of one run.
 type Config struct {
-	// Trees are the logical reduction trees (1 = single tree, 2 = double
-	// tree). Chunks are assigned round-robin across trees, as in the
-	// schedule-based simulator.
-	Trees []collective.Tree
-
-	// Detours maps a tree edge (child, parent) to the intermediate GPU that
-	// statically forwards its traffic in both directions (paper §IV-A). Use
-	// DGX1Detours for the paper's mapping.
-	Detours map[[2]int]int
-
-	// Chunks is the number of pipeline chunks (must be >= len(Trees)).
-	Chunks int
-
-	// Overlap chains each chunk's broadcast with the ongoing reduction
-	// (C1). When false the root broadcasts only after its tree's entire
-	// reduction completes (baseline).
-	Overlap bool
-
-	// MailboxDepth is the number of receive buffers per channel direction
-	// (default 2).
-	MailboxDepth int
-
-	// LayerElems optionally enables gradient queuing: element counts per
-	// layer (summing to the input length). Each GPU then runs a
-	// forward-compute consumer that dequeues layers in order and invokes
-	// OnLayer with the layer's freshly reduced gradients.
+	// LayerElems enables gradient queuing: element counts per layer (summing
+	// to the input length). Each GPU then runs a forward-compute kernel that
+	// dequeues layers in order and invokes OnLayer with the layer's freshly
+	// reduced gradients.
 	LayerElems []int
 
 	// OnLayer is called by GPU g's compute kernel when layer l is dequeued,
 	// with a view of the reduced gradient slice. May be nil.
 	OnLayer func(gpu, layer int, grad []float32)
-
-	// DeadEdges marks tree edges (child, parent) whose direct NVLink has
-	// failed. A dead edge that has a Detours entry recovers transparently:
-	// traffic rides the intermediate GPU's forwarding kernel, exactly the
-	// paper's detour mechanism. A dead edge with no detour delivers nothing;
-	// kernels touching it exhaust their SpinBudget and the run fails loudly
-	// with a *StallError instead of deadlocking.
-	DeadEdges map[[2]int]bool
-
-	// SpinBudget bounds every device-side wait (mailbox send/recv, semaphore
-	// check, gradient-queue dequeue) to this many failed spins before the
-	// kernel gives up and reports a stall. <= 0 means unbounded waits (the
-	// healthy-fabric default). Required whenever DeadEdges contains an edge
-	// without a detour.
-	SpinBudget int
 }
 
 // StallError reports persistent kernels that exhausted their spin budget —
-// the loud-failure outcome for an unrepaired dead link. Kernels lists one
-// description per stalled kernel.
+// the loud-failure outcome for a program riding a down channel. Kernels lists
+// one description per stalled kernel.
 type StallError struct {
 	Kernels []string
 }
@@ -111,82 +83,121 @@ func (s *stallTracker) err() *StallError {
 	return &StallError{Kernels: append([]string(nil), s.kernels...)}
 }
 
-// Result reports the outcome of one emulated AllReduce.
+// Result reports the outcome of one run.
 type Result struct {
-	// Buffers are the per-GPU gradient buffers after the operation; every
-	// buffer must equal the element-wise sum of the inputs.
+	// Buffers are the per-GPU buffers after the run, indexed like the
+	// program's participants.
 	Buffers [][]float32
 
-	// ArrivalOrder[g] lists chunk indices in the order GPU g enqueued them
-	// (per-tree in-order arrival can be checked against it).
+	// ArrivalOrder[g] lists chunk indices in the order they became final at
+	// GPU g (in-order delivery can be checked against it).
 	ArrivalOrder [][]int
 
 	// DequeueOrder[g] lists layers in dequeue order (gradient queuing only).
 	DequeueOrder [][]int
 }
 
-// DGX1Detours returns the detour map of the paper's DGX-1 mapping: tree 1's
-// GPU2->GPU4 edge through GPU0 and tree 2's GPU3->GPU5 edge through GPU1.
-func DGX1Detours() map[[2]int]int {
-	return map[[2]int]int{
-		{2, 4}: 0,
-		{3, 5}: 1,
-	}
+// plan is a program validated as far as the interpreter relies on it, with
+// every op assigned to one kernel.
+type plan struct {
+	kernel  map[topology.NodeID]int // participant -> kernel (GPU) index
+	ops     [][]int                 // per kernel, ascending op ids
+	dead    []bool                  // op rides a down channel: never delivers
+	anyDead bool
 }
 
-// edgeLink is the mailbox pair for one tree edge direction, possibly with a
-// forwarding kernel in the middle.
-type edgeLink struct {
-	first *p2psync.Mailbox // sender writes here
-	last  *p2psync.Mailbox // receiver reads here (== first when direct)
-}
-
-// newEdgeLink builds the mailboxes for an edge and, when detoured, starts
-// the static forwarding kernel on the intermediate GPU: a persistent loop
-// moving nChunks chunks from the inbound to the outbound mailbox. A dead
-// edge without a detour is wired as two disconnected mailboxes: sends fill
-// the first and never reach the last, so bounded kernels stall loudly.
-func newEdgeLink(depth, nChunks int, detoured, dead bool, desc string,
-	st *stallTracker, budget int, wg *sync.WaitGroup) edgeLink {
-
-	in := p2psync.NewMailbox(depth)
-	if dead && !detoured {
-		return edgeLink{first: in, last: p2psync.NewMailbox(depth)}
+// newPlan assigns every op to the kernel of the GPU that receives it:
+//   - an op marking a chunk final runs on that node's kernel, so each GPU's
+//     arrival log and gradient queue have a single writer;
+//   - otherwise a node destination runs on that node's kernel;
+//   - a relay-slot destination runs on the kernel of its channel's far end,
+//     which makes that GPU the forwarder (§IV-A);
+//   - a marker with no final node runs on the first participant's kernel.
+//
+// Each kernel's list is in ascending id order, and every dependency must
+// have a lower id than its op. Then the lowest unfinished op always has its
+// dependencies done and is next in line on its kernel, so the kernels cannot
+// deadlock. Hazard freedom and the data contract are schedcheck's proof;
+// newPlan rejects only what would make the interpreter hang or panic.
+func newPlan(p *schedcheck.Program) (*plan, error) {
+	if p == nil || p.Graph == nil || len(p.Nodes) < 2 || p.NumChunks < 1 {
+		return nil, fmt.Errorf("gpusim: program needs a graph, >= 2 participants and >= 1 chunk")
 	}
-	if !detoured {
-		return edgeLink{first: in, last: in}
+	pl := &plan{
+		kernel: make(map[topology.NodeID]int, len(p.Nodes)),
+		ops:    make([][]int, len(p.Nodes)),
+		dead:   make([]bool, len(p.Ops)),
 	}
-	out := p2psync.NewMailbox(depth)
-	wg.Add(1)
-	go func() { // forwarding kernel (paper §IV-A)
-		defer wg.Done()
-		for i := 0; i < nChunks; i++ {
-			sendStalled := false
-			forwarded := in.RecvBounded(func(data []float32) {
-				if !out.SendBounded(data, budget) {
-					st.note("forwarding kernel %s: send stalled at chunk slot %d", desc, i)
-					sendStalled = true
-				}
-			}, budget)
-			if !forwarded {
-				st.note("forwarding kernel %s: recv stalled at chunk slot %d", desc, i)
-				return
-			}
-			if sendStalled {
-				return
-			}
-			mChunksForwarded.Inc()
+	for i, n := range p.Nodes {
+		pl.kernel[n] = i
+	}
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		if op.ID != i || op.Chunk < 0 || op.Chunk >= p.NumChunks {
+			return nil, fmt.Errorf("gpusim: op %d has id %d, chunk %d of %d", i, op.ID, op.Chunk, p.NumChunks)
 		}
-	}()
-	return edgeLink{first: in, last: out}
+		for _, d := range op.Deps {
+			if d < 0 || d >= i {
+				return nil, fmt.Errorf("gpusim: op %d depends on op %d: ids must be a topological order", i, d)
+			}
+		}
+		on := p.Nodes[0]
+		if !op.Marker() {
+			if int(op.Channel) >= p.Graph.NumChannels() || !pl.bufOK(p, op.Src, i, false) || !pl.bufOK(p, op.Dst, i, true) {
+				return nil, fmt.Errorf("gpusim: op %d has a bad channel or buffer", i)
+			}
+			ch := p.Graph.Channel(op.Channel)
+			pl.dead[i] = ch.Down()
+			pl.anyDead = pl.anyDead || ch.Down()
+			on = ch.To
+			if op.Dst.IsNode() {
+				on = op.Dst.Node
+			}
+		}
+		if op.Final >= 0 {
+			on = op.Final
+		}
+		g, ok := pl.kernel[on]
+		if !ok {
+			return nil, fmt.Errorf("gpusim: op %d runs on node %d, which is not a participant", i, on)
+		}
+		pl.ops[g] = append(pl.ops[g], i)
+	}
+	return pl, nil
 }
 
-// AllReduce runs the emulation over per-GPU input vectors and returns the
-// reduced buffers. All inputs must share one length.
-func AllReduce(inputs [][]float32, cfg Config) (*Result, error) {
-	p := len(inputs)
-	if p < 2 {
-		return nil, fmt.Errorf("gpusim: %d GPUs", p)
+// bufOK reports whether op i may read (or, with write, write) buffer b: a
+// participant's region, or a relay slot — its own when writing, an earlier
+// op's when reading.
+func (pl *plan) bufOK(p *schedcheck.Program, b schedcheck.Buf, i int, write bool) bool {
+	if b.IsRelay() {
+		if write {
+			return b.Relay == i
+		}
+		return b.Relay < i && p.Ops[b.Relay].Dst.Relay == b.Relay
+	}
+	_, ok := pl.kernel[b.Node]
+	return b.IsNode() && ok
+}
+
+// Run executes the program over per-GPU input vectors (indexed like
+// p.Nodes, one shared length) and returns the resulting buffers. Elements
+// split into the program's chunks the way Schedule.ExecuteData splits them.
+// An op whose channel is down never delivers; a program riding one bounds
+// every wait and fails with *StallError instead of hanging.
+func Run(p *schedcheck.Program, inputs [][]float32, cfg Config) (*Result, error) {
+	return run(p, inputs, cfg, false)
+}
+
+// run is Run; bounded forces bounded waits even when the program rides no
+// down channel.
+func run(p *schedcheck.Program, inputs [][]float32, cfg Config, bounded bool) (*Result, error) {
+	pl, err := newPlan(p)
+	if err != nil {
+		return nil, err
+	}
+	if len(inputs) != len(p.Nodes) {
+		return nil, fmt.Errorf("gpusim: %d inputs for %d participants", len(inputs), len(p.Nodes))
 	}
 	elems := len(inputs[0])
 	for g, in := range inputs {
@@ -194,256 +205,127 @@ func AllReduce(inputs [][]float32, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("gpusim: GPU %d has %d elements, want %d", g, len(in), elems)
 		}
 	}
-	if elems == 0 {
-		return nil, fmt.Errorf("gpusim: empty inputs")
+	if elems < p.NumChunks {
+		return nil, fmt.Errorf("gpusim: %d elements cannot form %d chunks", elems, p.NumChunks)
 	}
-	mAllReduces.Inc()
-	if len(cfg.Trees) == 0 {
-		return nil, fmt.Errorf("gpusim: no trees")
+	part := chunk.SplitAtMost(int64(elems), p.NumChunks)
+	budget := 0
+	if bounded || pl.anyDead {
+		budget = stallSpins
 	}
-	for ti, tr := range cfg.Trees {
-		if len(tr.Parent) != p {
-			return nil, fmt.Errorf("gpusim: tree %d spans %d nodes, want %d", ti, len(tr.Parent), p)
-		}
-	}
-	k := cfg.Chunks
-	if k < len(cfg.Trees) {
-		return nil, fmt.Errorf("gpusim: %d chunks for %d trees", k, len(cfg.Trees))
-	}
-	if int64(k) > int64(elems) {
-		return nil, fmt.Errorf("gpusim: %d chunks for %d elements", k, elems)
-	}
-	depth := cfg.MailboxDepth
-	if depth == 0 {
-		depth = 2
-	}
-	for e, dead := range cfg.DeadEdges {
-		if !dead {
-			continue
-		}
-		if _, ok := cfg.Detours[e]; !ok && cfg.SpinBudget <= 0 {
-			return nil, fmt.Errorf("gpusim: dead edge %d->%d has no detour and no spin budget: run would deadlock", e[0], e[1])
-		}
-	}
-	st := &stallTracker{}
 
-	part := chunk.Split(int64(elems), k)
 	res := &Result{
-		Buffers:      make([][]float32, p),
-		ArrivalOrder: make([][]int, p),
+		Buffers:      make([][]float32, len(inputs)),
+		ArrivalOrder: make([][]int, len(inputs)),
 	}
-	for g := range res.Buffers {
+	for g := range inputs {
 		res.Buffers[g] = append([]float32(nil), inputs[g]...)
-	}
-	for g := range res.ArrivalOrder {
-		res.ArrivalOrder[g] = make([]int, 0, k) // prealloc: every chunk arrives exactly once per GPU
-	}
-	slice := func(g, c int) []float32 {
-		lo := part.Offsets[c]
-		return res.Buffers[g][lo : lo+part.Sizes[c]]
+		res.ArrivalOrder[g] = make([]int, 0, p.NumChunks) // prealloc: an AllReduce makes every chunk final once per GPU
 	}
 
 	// Gradient queues (optional).
 	var queues []*gradqueue.Queue
-	var arrivalMu []sync.Mutex
-	arrivalMu = make([]sync.Mutex, p)
+	layerOff := make([]int, len(cfg.LayerElems)+1)
 	if cfg.LayerElems != nil {
-		total := 0
+		if !p.AllReduce {
+			return nil, fmt.Errorf("gpusim: gradient queuing needs a program with the AllReduce contract")
+		}
 		layerBytes := make([]int64, len(cfg.LayerElems))
 		for i, e := range cfg.LayerElems {
 			if e < 0 {
 				return nil, fmt.Errorf("gpusim: layer %d has %d elements", i, e)
 			}
-			total += e
+			layerOff[i+1] = layerOff[i] + e
 			layerBytes[i] = int64(e)
 		}
-		if total != elems {
-			return nil, fmt.Errorf("gpusim: layers cover %d elements, inputs have %d", total, elems)
+		if layerOff[len(cfg.LayerElems)] != elems {
+			return nil, fmt.Errorf("gpusim: layers cover %d elements, inputs have %d", layerOff[len(cfg.LayerElems)], elems)
 		}
 		table := chunk.BuildLayerChunkTable(layerBytes, part)
-		queues = make([]*gradqueue.Queue, p)
+		queues = make([]*gradqueue.Queue, len(inputs))
+		res.DequeueOrder = make([][]int, len(inputs))
 		for g := range queues {
-			queues[g] = gradqueue.New(k, table)
-		}
-		res.DequeueOrder = make([][]int, p)
-		for g := range res.DequeueOrder {
+			queues[g] = gradqueue.New(p.NumChunks, table)
 			res.DequeueOrder[g] = make([]int, 0, len(cfg.LayerElems)) // prealloc: each layer dequeues exactly once
 		}
 	}
+	mRuns.Inc()
 
-	enqueue := func(g, c int) {
-		arrivalMu[g].Lock()
-		res.ArrivalOrder[g] = append(res.ArrivalOrder[g], c)
-		arrivalMu[g].Unlock()
-		if queues != nil {
-			queues[g].Enqueue(c)
+	done := make([]p2psync.Semaphore, len(p.Ops)) // done[i] is posted once, when op i completes
+	relay := make([][]float32, len(p.Ops))
+	view := func(b schedcheck.Buf, c int) []float32 {
+		if b.IsRelay() {
+			return relay[b.Relay]
 		}
+		lo := part.Offsets[c]
+		return res.Buffers[pl.kernel[b.Node]][lo : lo+part.Sizes[c]]
 	}
-
+	label := func(i int) string { return fmt.Sprintf("#%d(%s)", i, p.Ops[i].Label) }
+	st := &stallTracker{}
 	var wg sync.WaitGroup
-	for ti, tr := range cfg.Trees {
-		chunks := treeChunkList(k, len(cfg.Trees), ti)
-		runTree(ti, tr, chunks, cfg, depth, st, slice, enqueue, &wg)
-	}
-
-	// Forward-compute consumers (gradient queuing).
-	layerOffsets := make([]int, len(cfg.LayerElems)+1)
-	for i, e := range cfg.LayerElems {
-		layerOffsets[i+1] = layerOffsets[i] + e
-	}
-	if queues != nil {
-		for g := 0; g < p; g++ {
-			g := g
-			wg.Add(1)
-			go func() { // forward-compute kernel
-				defer wg.Done()
-				for {
-					l, ok, stalled := queues[g].DequeueLayerBounded(cfg.SpinBudget)
-					if stalled {
-						st.note("compute kernel gpu %d: dequeue of layer %d stalled", g, l)
+	for g := range pl.ops {
+		wg.Add(1)
+		go func() { // persistent kernel for GPU g: its ops in id order
+			defer wg.Done()
+			for _, id := range pl.ops[g] {
+				op := &p.Ops[id]
+				for _, d := range op.Deps {
+					if !done[d].CheckBounded(1, budget) {
+						st.note("gpu %d kernel: op %s starved waiting for op %s", g, label(id), label(d))
 						return
-					}
-					if !ok {
-						return
-					}
-					res.DequeueOrder[g] = append(res.DequeueOrder[g], l)
-					if cfg.OnLayer != nil {
-						cfg.OnLayer(g, l, res.Buffers[g][layerOffsets[l]:layerOffsets[l+1]])
 					}
 				}
-			}()
-		}
+				if pl.dead[id] {
+					st.note("gpu %d kernel: op %s never arrives over down channel %d", g, label(id), op.Channel)
+					return
+				}
+				if !op.Marker() {
+					src := view(op.Src, op.Chunk)
+					switch {
+					case op.Dst.IsRelay():
+						relay[id] = append([]float32(nil), src...)
+					case op.Accumulate:
+						dst := view(op.Dst, op.Chunk)
+						for j := range dst {
+							dst[j] += src[j]
+						}
+					default:
+						copy(view(op.Dst, op.Chunk), src)
+					}
+				}
+				if op.Final >= 0 {
+					res.ArrivalOrder[g] = append(res.ArrivalOrder[g], op.Chunk)
+					if queues != nil {
+						queues[g].Enqueue(op.Chunk)
+					}
+				}
+				done[id].Post()
+			}
+		}()
 	}
-
+	for g := range queues {
+		wg.Add(1)
+		go func() { // forward-compute kernel for GPU g
+			defer wg.Done()
+			for {
+				l, ok, stalled := queues[g].DequeueLayerBounded(budget)
+				if stalled {
+					st.note("gpu %d compute kernel: layer %d never completed", g, l)
+					return
+				}
+				if !ok {
+					return
+				}
+				res.DequeueOrder[g] = append(res.DequeueOrder[g], l)
+				if cfg.OnLayer != nil {
+					cfg.OnLayer(g, l, res.Buffers[g][layerOff[l]:layerOff[l+1]])
+				}
+			}
+		}()
+	}
 	wg.Wait()
 	if err := st.err(); err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-func treeChunkList(k, numTrees, t int) []int {
-	var out []int
-	for c := t; c < k; c += numTrees {
-		out = append(out, c)
-	}
-	return out
-}
-
-// runTree launches the persistent kernels for one tree: a reduce kernel per
-// GPU and a broadcast kernel per non-root GPU (plus forwarding kernels
-// inside detoured edge links). Every wait is bounded by cfg.SpinBudget
-// (unbounded when <= 0); a kernel that exhausts its budget records a stall
-// and exits, so a dead un-detoured link can never deadlock the run.
-func runTree(ti int, tr collective.Tree, chunks []int, cfg Config, depth int,
-	st *stallTracker, slice func(g, c int) []float32, enqueue func(g, c int), wg *sync.WaitGroup) {
-
-	budget := cfg.SpinBudget
-	p := len(tr.Parent)
-	up := make([]edgeLink, p)   // up[v]: v -> parent(v)
-	down := make([]edgeLink, p) // down[v]: parent(v) -> v
-	for v := 0; v < p; v++ {
-		if tr.Parent[v] < 0 {
-			continue
-		}
-		edge := [2]int{v, tr.Parent[v]}
-		_, detoured := cfg.Detours[edge]
-		dead := cfg.DeadEdges[edge]
-		upDesc := fmt.Sprintf("tree %d edge %d->%d", ti, v, tr.Parent[v])
-		downDesc := fmt.Sprintf("tree %d edge %d->%d", ti, tr.Parent[v], v)
-		up[v] = newEdgeLink(depth, len(chunks), detoured, dead, upDesc, st, budget, wg)
-		down[v] = newEdgeLink(depth, len(chunks), detoured, dead, downDesc, st, budget, wg)
-	}
-
-	// Barrier for the non-overlapped tree: the root's broadcast waits until
-	// its reduction phase has consumed every chunk.
-	reductionDone := p2psync.NewSemaphore(0, 0)
-
-	for v := 0; v < p; v++ {
-		v := v
-		isRoot := v == tr.Root
-		children := tr.Children[v]
-
-		// Reduce kernel: accumulate children contributions chunk by chunk,
-		// then pass up (or, at the root, hand to broadcast).
-		wg.Add(1)
-		go func() { // reduce kernel for GPU v
-			defer wg.Done()
-			for _, c := range chunks {
-				local := slice(v, c)
-				for _, w := range children {
-					got := up[w].last.RecvBounded(func(data []float32) {
-						for i := range local {
-							local[i] += data[i]
-						}
-					}, budget)
-					if !got {
-						st.note("reduce kernel gpu %d tree %d: recv of chunk %d from child %d stalled", v, ti, c, w)
-						return
-					}
-				}
-				if !isRoot {
-					if !up[v].first.SendBounded(local, budget) {
-						st.note("reduce kernel gpu %d tree %d: send of chunk %d to parent %d stalled", v, ti, c, tr.Parent[v])
-						return
-					}
-					continue
-				}
-				// Chunk fully reduced at the root.
-				enqueue(v, c)
-				if cfg.Overlap {
-					for _, w := range children {
-						if !down[w].first.SendBounded(local, budget) {
-							st.note("reduce kernel gpu %d tree %d: broadcast of chunk %d to child %d stalled", v, ti, c, w)
-							return
-						}
-					}
-				} else {
-					reductionDone.Post()
-				}
-			}
-			if isRoot && !cfg.Overlap {
-				// Separate broadcast phase (baseline, Fig. 5(a)).
-				if !reductionDone.CheckBounded(int64(len(chunks)), budget) {
-					st.note("reduce kernel gpu %d tree %d: reduction barrier stalled", v, ti)
-					return
-				}
-				for _, c := range chunks {
-					local := slice(v, c)
-					for _, w := range children {
-						if !down[w].first.SendBounded(local, budget) {
-							st.note("reduce kernel gpu %d tree %d: broadcast of chunk %d to child %d stalled", v, ti, c, w)
-							return
-						}
-					}
-				}
-			}
-		}()
-
-		// Broadcast kernel: receive the final value, enqueue it, forward to
-		// children.
-		if !isRoot {
-			wg.Add(1)
-			go func() { // broadcast kernel for GPU v
-				defer wg.Done()
-				for _, c := range chunks {
-					local := slice(v, c)
-					got := down[v].last.RecvBounded(func(data []float32) {
-						copy(local, data)
-					}, budget)
-					if !got {
-						st.note("broadcast kernel gpu %d tree %d: recv of chunk %d from parent %d stalled", v, ti, c, tr.Parent[v])
-						return
-					}
-					enqueue(v, c)
-					for _, w := range children {
-						if !down[w].first.SendBounded(local, budget) {
-							st.note("broadcast kernel gpu %d tree %d: send of chunk %d to child %d stalled", v, ti, c, w)
-							return
-						}
-					}
-				}
-			}()
-		}
-	}
 }

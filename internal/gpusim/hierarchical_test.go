@@ -2,22 +2,43 @@ package gpusim
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
+
+	"ccube/internal/collective"
+	"ccube/internal/schedcheck"
+	"ccube/internal/topology"
 )
+
+// hierarchical returns the verified multi-box C-Cube composition (chained)
+// or its phase-barriered baseline.
+func hierarchical(t *testing.T, boxes, chunks int, chained bool) *schedcheck.Program {
+	t.Helper()
+	return hierSchedule(t, boxes, chunks, chained).Program()
+}
+
+func hierSchedule(t *testing.T, boxes, chunks int, chained bool) *collective.Schedule {
+	t.Helper()
+	mn, err := topology.BuildMultiNode(topology.DefaultMultiNodeConfig(boxes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := collective.BuildHierarchical(collective.HierarchicalConfig{
+		Cluster: mn, Bytes: 1 << 20, Chunks: chunks, Chained: chained})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func TestHierarchicalEmulationCorrectness(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for _, boxes := range []int{2, 3, 4} {
 		for _, chained := range []bool{false, true} {
 			inputs, want := randInputs(rng, boxes*8, 600)
-			res, err := AllReduceHierarchical(inputs, HierConfig{
-				Boxes: boxes, Chunks: 8, Chained: chained,
-			})
-			if err != nil {
-				t.Fatalf("boxes=%d chained=%v: %v", boxes, chained, err)
-			}
-			checkSum(t, res, want)
+			runSum(t, hierarchical(t, boxes, 8, chained), inputs, want)
 		}
 	}
 }
@@ -25,7 +46,7 @@ func TestHierarchicalEmulationCorrectness(t *testing.T) {
 func TestHierarchicalEmulationInOrderArrivals(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	inputs, _ := randInputs(rng, 16, 512)
-	res, err := AllReduceHierarchical(inputs, HierConfig{Boxes: 2, Chunks: 16, Chained: true})
+	res, err := Run(hierarchical(t, 2, 16, true), inputs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,16 +64,11 @@ func TestHierarchicalEmulationInOrderArrivals(t *testing.T) {
 
 func TestHierarchicalEmulationMatchesFlat(t *testing.T) {
 	// The hierarchical composition must compute the same sums as a flat
-	// tree over all GPUs (integer data: exact equality regardless of
-	// reduction order differences... the orders differ, so use values whose
-	// sums are exact in fp32: small integers).
+	// AllReduce over all GPUs. The reduction orders differ, so use values
+	// whose sums are exact in fp32: small integers.
 	rng := rand.New(rand.NewSource(93))
 	inputs, want := randInputs(rng, 16, 400)
-	hier, err := AllReduceHierarchical(inputs, HierConfig{Boxes: 2, Chunks: 4, Chained: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSum(t, hier, want)
+	runSum(t, hierarchical(t, 2, 4, true), inputs, want)
 }
 
 func TestHierarchicalEmulationValidation(t *testing.T) {
@@ -60,37 +76,29 @@ func TestHierarchicalEmulationValidation(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = make([]float32, 32)
 	}
-	bad := []HierConfig{
-		{Boxes: 1, Chunks: 4},
-		{Boxes: 2, Chunks: 0},
-		{Boxes: 2, Chunks: 64}, // more chunks than elements
-		{Boxes: 3, Chunks: 4},  // 16 inputs != 24
+	bad := []*schedcheck.Program{
+		hierarchical(t, 3, 4, true),  // 16 inputs for 24 GPUs
+		hierarchical(t, 2, 64, true), // more chunks than elements
 	}
-	for i, cfg := range bad {
-		if _, err := AllReduceHierarchical(inputs, cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
+	for i, p := range bad {
+		if _, err := Run(p, inputs, Config{}); err == nil {
+			t.Errorf("bad run %d accepted", i)
 		}
 	}
 }
 
 func TestHierarchicalEmulationBaselineSameResultAsChained(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
-	inputs, _ := randInputs(rng, 24, 333)
-	base, err := AllReduceHierarchical(inputs, HierConfig{Boxes: 3, Chunks: 7, Chained: false})
+	inputs := fracInputs(rng, 24, 333)
+	base, err := Run(hierarchical(t, 3, 7, false), inputs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chained, err := AllReduceHierarchical(inputs, HierConfig{Boxes: 3, Chunks: 7, Chained: true})
+	chained, err := Run(hierarchical(t, 3, 7, true), inputs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for g := range base.Buffers {
-		for j := range base.Buffers[g] {
-			if base.Buffers[g][j] != chained.Buffers[g][j] {
-				t.Fatalf("GPU %d elem %d differs between barriered and chained", g, j)
-			}
-		}
-	}
+	checkBitIdentical(t, base, chained, "barriered and chained")
 }
 
 func TestHierarchicalGradientQueueChaining(t *testing.T) {
@@ -100,41 +108,13 @@ func TestHierarchicalGradientQueueChaining(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	layerElems := []int{50, 150, 300}
 	inputs, want := randInputs(rng, 16, 500)
-	var mu sync.Mutex
-	good := true
-	cfg := HierConfig{
-		Boxes: 2, Chunks: 10, Chained: true,
-		LayerElems: layerElems,
-		OnLayer: func(gpu, layer int, grad []float32) {
-			offsets := []int{0, 50, 200, 500}
-			for j := range grad {
-				if grad[j] != want[offsets[layer]+j] {
-					mu.Lock()
-					good = false
-					mu.Unlock()
-					return
-				}
-			}
-		},
-	}
-	res, err := AllReduceHierarchical(inputs, cfg)
+	cfg, seen := layerConfig(16, layerElems, want)
+	res, err := Run(hierarchical(t, 2, 10, true), inputs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSum(t, res, want)
-	if !good {
-		t.Fatal("a layer was dequeued before its gradients were fully reduced")
-	}
-	for g, order := range res.DequeueOrder {
-		if len(order) != 3 {
-			t.Fatalf("GPU %d dequeued %d layers", g, len(order))
-		}
-		for i, l := range order {
-			if l != i {
-				t.Fatalf("GPU %d dequeue order %v", g, order)
-			}
-		}
-	}
+	checkLayerChaining(t, res, seen, len(layerElems))
 }
 
 func TestHierarchicalLayerElemsValidation(t *testing.T) {
@@ -142,8 +122,7 @@ func TestHierarchicalLayerElemsValidation(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = make([]float32, 100)
 	}
-	cfg := HierConfig{Boxes: 2, Chunks: 4, LayerElems: []int{30, 30}}
-	if _, err := AllReduceHierarchical(inputs, cfg); err == nil {
+	if _, err := Run(hierarchical(t, 2, 4, true), inputs, Config{LayerElems: []int{30, 30}}); err == nil {
 		t.Fatal("mismatched layer elements accepted")
 	}
 }

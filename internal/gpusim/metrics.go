@@ -4,10 +4,8 @@ import "ccube/internal/metrics"
 
 // Persistent-kernel emulation instruments.
 var (
-	mAllReduces = metrics.Default.Counter("gpusim_allreduce_total",
-		"emulated AllReduce operations started")
+	mRuns = metrics.Default.Counter("gpusim_runs_total",
+		"emulated schedule runs started")
 	mKernelStalls = metrics.Default.Counter("gpusim_kernel_stalls_total",
 		"persistent kernels that exhausted their spin budget")
-	mChunksForwarded = metrics.Default.Counter("gpusim_chunks_forwarded_total",
-		"chunks moved by detour forwarding kernels")
 )

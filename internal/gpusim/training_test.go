@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ccube/internal/collective"
 	"ccube/internal/dnn"
 )
 
@@ -29,24 +28,19 @@ func trainMLP(t *testing.T, overlap bool, iterations int) *dnn.MLP {
 	for g := range replicas {
 		replicas[g] = dnn.NewMLP([]int{2, 8, 1}, 3)
 	}
-	t1, t2 := collective.DGX1Trees()
-	elems := replicas[0].LayerElems()
+	prog := dgx1Program(t, dgx1(), 6, overlap)
+	cfg := Config{
+		LayerElems: replicas[0].LayerElems(),
+		OnLayer: func(gpu, layer int, grad []float32) {
+			replicas[gpu].ApplyLayer(layer, grad, 0.15, 1.0/float32(gpus*shard))
+		},
+	}
 	for iter := 0; iter < iterations; iter++ {
 		grads := make([][]float32, gpus)
 		for g := 0; g < gpus; g++ {
 			grads[g] = replicas[g].GradBuffer(xs[g], ys[g])
 		}
-		cfg := Config{
-			Trees:      []collective.Tree{t1, t2},
-			Detours:    DGX1Detours(),
-			Chunks:     6,
-			Overlap:    overlap,
-			LayerElems: elems,
-			OnLayer: func(gpu, layer int, grad []float32) {
-				replicas[gpu].ApplyLayer(layer, grad, 0.15, 1.0/float32(gpus*shard))
-			},
-		}
-		if _, err := AllReduce(grads, cfg); err != nil {
+		if _, err := Run(prog, grads, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}

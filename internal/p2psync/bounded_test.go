@@ -39,29 +39,3 @@ func TestCheckBoundedStalls(t *testing.T) {
 		t.Fatalf("Check consumed the count: %d", s.Count())
 	}
 }
-
-func TestMailboxBoundedStallAndRecovery(t *testing.T) {
-	m := NewMailbox(1)
-	// Empty mailbox: bounded Recv stalls, consume never runs.
-	called := false
-	if m.RecvBounded(func([]float32) { called = true }, 64) {
-		t.Fatal("RecvBounded succeeded on an empty mailbox")
-	}
-	if called {
-		t.Fatal("consume called on a stalled RecvBounded")
-	}
-	if !m.SendBounded([]float32{1, 2}, 64) {
-		t.Fatal("SendBounded failed with a free slot")
-	}
-	// Full mailbox: bounded Send stalls.
-	if m.SendBounded([]float32{3}, 64) {
-		t.Fatal("SendBounded succeeded on a full mailbox")
-	}
-	var got []float32
-	if !m.RecvBounded(func(d []float32) { got = append(got[:0], d...) }, 64) {
-		t.Fatal("RecvBounded failed with a chunk available")
-	}
-	if len(got) != 2 || got[0] != 1 {
-		t.Fatalf("received %v, want [1 2]", got)
-	}
-}

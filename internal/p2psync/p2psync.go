@@ -7,8 +7,10 @@
 //
 // The Go ports keep the same structure — CAS spin loops and a count guarded
 // by the lock — with runtime.Gosched standing in for the GPU's hardware
-// thread scheduling. The gpusim package drives real goroutine "kernels"
-// through these primitives, so their deadlock-freedom and ordering behavior
+// thread scheduling. The gpusim interpreter runs one goroutine "kernel" per
+// GPU and orders every op after its dependencies by checking one semaphore
+// per op, posted when that op completes; the gradient queue's enqueue
+// counter is a semaphore too. Their deadlock-freedom and ordering behavior
 // is exercised under the race detector, which is the property the CUDA
 // originals rely on.
 package p2psync
@@ -52,6 +54,8 @@ func (l *SpinLock) Unlock() {
 // receive buffers of the overlapped tree and the gradient queue's enqueue
 // counter. The count is guarded by a SpinLock exactly as in the paper's
 // pseudocode (no blocking OS primitives — persistent kernels cannot sleep).
+//
+// The zero value is an unbounded semaphore with count 0.
 type Semaphore struct {
 	lock SpinLock
 	cnt  int64

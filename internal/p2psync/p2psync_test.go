@@ -146,72 +146,3 @@ func TestSemaphoreManyProducersConsumers(t *testing.T) {
 		t.Fatalf("final count = %d, want 0", c)
 	}
 }
-
-func TestMailboxFIFO(t *testing.T) {
-	m := NewMailbox(2)
-	go func() {
-		for i := 0; i < 100; i++ {
-			m.Send([]float32{float32(i)})
-		}
-	}()
-	for i := 0; i < 100; i++ {
-		got := m.RecvCopy()
-		if len(got) != 1 || got[0] != float32(i) {
-			t.Fatalf("recv %d = %v", i, got)
-		}
-	}
-}
-
-func TestMailboxBoundedDepth(t *testing.T) {
-	m := NewMailbox(1)
-	m.Send([]float32{1})
-	var sentSecond atomic.Bool
-	go func() {
-		m.Send([]float32{2})
-		sentSecond.Store(true)
-	}()
-	if m.Len() != 1 {
-		t.Fatalf("len = %d, want 1", m.Len())
-	}
-	got := m.RecvCopy()
-	if got[0] != 1 {
-		t.Fatalf("first recv = %v", got)
-	}
-	for !sentSecond.Load() {
-	}
-	if got := m.RecvCopy(); got[0] != 2 {
-		t.Fatalf("second recv = %v", got)
-	}
-}
-
-func TestMailboxRecvInSlotAccumulate(t *testing.T) {
-	m := NewMailbox(4)
-	sum := make([]float32, 3)
-	go func() {
-		for i := 1; i <= 5; i++ {
-			m.Send([]float32{float32(i), float32(i * 10), float32(i * 100)})
-		}
-	}()
-	for i := 0; i < 5; i++ {
-		m.Recv(func(data []float32) {
-			for j := range sum {
-				sum[j] += data[j]
-			}
-		})
-	}
-	want := []float32{15, 150, 1500}
-	for j := range want {
-		if sum[j] != want[j] {
-			t.Fatalf("sum = %v, want %v", sum, want)
-		}
-	}
-}
-
-func TestMailboxZeroDepthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewMailbox(0) did not panic")
-		}
-	}()
-	NewMailbox(0)
-}

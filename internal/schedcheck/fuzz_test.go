@@ -7,6 +7,7 @@ import (
 
 	"ccube/internal/collective"
 	"ccube/internal/des"
+	"ccube/internal/gpusim"
 	"ccube/internal/schedcheck"
 	"ccube/internal/synth"
 	"ccube/internal/topology"
@@ -26,6 +27,9 @@ import (
 // and mutating a schedule produced by the synthesis compiler — corrupting a
 // chunk identity or dropping a lowered tree-edge dependency — so compiled
 // programs get the same adversarial coverage as the hand-written menu.
+// Every schedule the verifier accepts — pristine, repaired, genuinely
+// patched, synthesized — must also run on the goroutine interpreter with the
+// same output as ExecuteData: the second, data-level oracle.
 // The contention and wait-for kinds corrupt performance, not delivery, so
 // the shallow classes must stay silent and only CheckDeep may object. Each
 // corruption is guarded so the assertion only fires when the mutation is
@@ -59,6 +63,7 @@ func FuzzSchedCheck(f *testing.F) {
 		if r := schedcheck.CheckDeep(p); !r.OK() {
 			t.Fatalf("pristine schedule rejected: %s", r.Err())
 		}
+		interpreterAgrees(t, s)
 		switch kind % 8 {
 		case 0:
 			fuzzDropDep(t, p, pick, pick2)
@@ -102,10 +107,43 @@ func fuzzSynth(t *testing.T, algo uint8, pick, pick2 uint16) {
 	if r := schedcheck.CheckDeep(p); !r.OK() {
 		t.Fatalf("pristine synthesized schedule rejected: %s", r.Err())
 	}
+	interpreterAgrees(t, res.Schedule)
 	if pick2%2 == 0 {
 		fuzzSwapChunks(t, p, pick, pick2/2)
 	} else {
 		fuzzDropDep(t, p, pick, pick2/2)
+	}
+}
+
+// interpreterAgrees runs integer-valued inputs through the goroutine
+// interpreter and through ExecuteData and requires identical outputs.
+func interpreterAgrees(t *testing.T, s *collective.Schedule) {
+	t.Helper()
+	const elems = 96 // >= every fuzzed schedule's chunk count
+	in := make([][]float64, len(s.Nodes))
+	in32 := make([][]float32, len(s.Nodes))
+	for n := range in {
+		in[n] = make([]float64, elems)
+		in32[n] = make([]float32, elems)
+		for j := range in[n] {
+			in[n][j] = float64((n*31+j*7)%17 - 8)
+			in32[n][j] = float32(in[n][j])
+		}
+	}
+	want, err := s.ExecuteData(in)
+	if err != nil {
+		t.Fatalf("ExecuteData: %v", err)
+	}
+	got, err := gpusim.Run(s.Program(), in32, gpusim.Config{})
+	if err != nil {
+		t.Fatalf("interpreter: %v", err)
+	}
+	for n := range want {
+		for j := range want[n] {
+			if float64(got.Buffers[n][j]) != want[n][j] {
+				t.Fatalf("node %d elem %d: interpreter %v, ExecuteData %v", n, j, got.Buffers[n][j], want[n][j])
+			}
+		}
 	}
 }
 
@@ -244,6 +282,7 @@ func fuzzRepair(t *testing.T, g *topology.Graph, s *collective.Schedule, p *sche
 	if r := schedcheck.Check(repaired.Program()); !r.OK() {
 		t.Fatalf("repaired schedule failed verification: %s", r.Err())
 	}
+	interpreterAgrees(t, repaired)
 }
 
 // fuzzIncrementalRepair kills a used channel and patches the live schedule
@@ -283,6 +322,7 @@ func fuzzIncrementalRepair(t *testing.T, g *topology.Graph, s *collective.Schedu
 	if r := schedcheck.Check(pp); !r.OK() {
 		t.Fatalf("CheckPatch accepted but the full verifier rejects: %s", r.Err())
 	}
+	interpreterAgrees(t, patched)
 
 	touched := make(map[int]bool)
 	for _, id := range rep.Touched {
