@@ -594,22 +594,18 @@ func (s *Schedule) MakespanBound() (des.Time, error) {
 	return schedcheck.MakespanBound(s.Program())
 }
 
-// Validate checks the schedule's correctness without executing it. Cheap
-// structural checks (index ranges, acyclicity) run first as a fast path;
-// if they pass, the full static verifier in internal/schedcheck proves
-// hazard freedom, link validity, conservation, and the in-order claim.
+// Validate checks the schedule's correctness without executing it: the
+// static verifier in internal/schedcheck checks structure (index ranges,
+// acyclicity) first, then proves hazard freedom, link validity,
+// conservation, and the in-order claim.
 func (s *Schedule) Validate() error {
-	if err := s.validateStructure(); err != nil {
-		return err
-	}
 	return s.Verify()
 }
 
-// validateStructure runs Validate's cheap structural pass alone: index
-// ranges, positive transfer sizes, dependency validity, acyclicity. It is
-// the fast path shared by Validate and by incremental rebuilds (which patch
-// a verified sibling and re-check only structure — the byte-independent
-// proofs carry over).
+// validateStructure runs a cheap structural pass alone: index ranges,
+// positive transfer sizes, dependency validity, acyclicity. Incremental
+// rebuilds use it (they patch a verified sibling and re-check only
+// structure — the byte-independent proofs carry over).
 func (s *Schedule) validateStructure() error {
 	k := s.Partition.NumChunks()
 	for _, t := range s.transfers {

@@ -6,29 +6,26 @@ import (
 	"ccube/internal/topology"
 )
 
-// checker carries the shared state of one verification run.
+// checker carries the shared state of one verification run. Buffer regions
+// are dense: region ni*NumChunks+c is participant index ni's storage for
+// chunk c.
 type checker struct {
 	p *Program
 	r *Report
 
-	nodeIdx map[topology.NodeID]int // participant -> index in p.Nodes
-	topo    []int                   // topological order of op ids
-	reach   []bitset                // reach[i] = ops reachable from i via dependents
-	readers [][]int                 // readers[i] = ops whose Src is op i's relay slot
-
-	forcedMemo map[[2]int]bool
+	nodeIdx    []int32         // NodeID -> index in p.Nodes, -1 for non-participants
+	topo       []int           // topological order of op ids
+	pos        []int32         // pos[id] = position of op id in topo
+	dependents csr[int32]      // row i = ops listing i in Deps, in id order
+	closure    []uint64        // reachability rows by topological position (bitset.go)
+	words      int             // words in a full closure row
+	readers    csr[int32]      // row i = ops whose Src is op i's relay slot
+	finals     csr[int32]      // row r = ops marking region r ready, in id order
+	forcedMemo map[[2]int]bool // forcedAfter results
 }
 
 func newChecker(p *Program) *checker {
-	ck := &checker{
-		p:       p,
-		r:       &Report{NumOps: len(p.Ops)},
-		nodeIdx: make(map[topology.NodeID]int, len(p.Nodes)),
-	}
-	for i, n := range p.Nodes {
-		ck.nodeIdx[n] = i
-	}
-	return ck
+	return &checker{p: p, r: &Report{NumOps: len(p.Ops)}}
 }
 
 func (ck *checker) fail(class Class, op int, format string, args ...any) {
@@ -38,8 +35,50 @@ func (ck *checker) fail(class Class, op int, format string, args ...any) {
 }
 
 func (ck *checker) participant(n topology.NodeID) bool {
-	_, ok := ck.nodeIdx[n]
-	return ok
+	return n >= 0 && int(n) < len(ck.nodeIdx) && ck.nodeIdx[n] >= 0
+}
+
+// region returns the dense index of participant n's storage for chunk c.
+func (ck *checker) region(n topology.NodeID, c int) int {
+	return int(ck.nodeIdx[n])*ck.p.NumChunks + c
+}
+
+// csr is a compressed row index: row i holds items[off[i]:off[i+1]].
+type csr[T any] struct {
+	off   []int32
+	items []T
+}
+
+func (c *csr[T]) row(i int) []T { return c.items[c.off[i]:c.off[i+1]] }
+
+// buildCSR indexes n rows from visit, which must emit the same (row, item)
+// sequence on both of its calls: the first counts, the second fills. Items
+// keep their emission order within a row.
+func buildCSR[T any](n int, visit func(emit func(row int, item T))) csr[T] {
+	off := make([]int32, n+1)
+	visit(func(row int, _ T) { off[row+1]++ })
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	items := make([]T, off[n])
+	next := append([]int32(nil), off[:n]...)
+	visit(func(row int, item T) {
+		items[next[row]] = item
+		next[row]++
+	})
+	return csr[T]{off: off, items: items}
+}
+
+// indexReaders fills ck.readers, used by linkOp (relay never read) and the
+// relay read-after-write checks.
+func (ck *checker) indexReaders() {
+	ck.readers = buildCSR(len(ck.p.Ops), func(emit func(int, int32)) {
+		for i := range ck.p.Ops {
+			if r := ck.p.Ops[i].Src.Relay; r >= 0 {
+				emit(r, int32(i))
+			}
+		}
+	})
 }
 
 // label renders an op for messages.
@@ -75,6 +114,18 @@ func (ck *checker) structure() {
 		ck.fail(ClassStructure, -1, "program has no operations")
 		return
 	}
+	nn := p.Graph.NumNodes()
+	ck.nodeIdx = make([]int32, nn)
+	for i := range ck.nodeIdx {
+		ck.nodeIdx[i] = -1
+	}
+	for i, n := range p.Nodes {
+		if n < 0 || int(n) >= nn {
+			ck.fail(ClassStructure, -1, "participant %d is node %d, outside the graph's %d nodes", i, n, nn)
+			continue
+		}
+		ck.nodeIdx[n] = int32(i)
+	}
 	for i := range p.Ops {
 		op := &p.Ops[i]
 		if op.ID != i {
@@ -94,7 +145,7 @@ func (ck *checker) structure() {
 				return
 			}
 		}
-		if op.Final >= 0 && !ck.participant(op.Final) {
+		if op.Final != -1 && !ck.participant(op.Final) {
 			ck.fail(ClassStructure, i, "final node %d is not a participant", op.Final)
 		}
 		if op.Marker() {
@@ -147,32 +198,31 @@ func (ck *checker) structure() {
 	ck.topoSort()
 }
 
-// topoSort fills ck.topo (Kahn's algorithm) or reports a cycle.
+// topoSort fills ck.dependents, ck.topo and ck.pos (Kahn's algorithm) or
+// reports a cycle.
 func (ck *checker) topoSort() {
 	ops := ck.p.Ops
-	indeg := make([]int, len(ops))
-	dependents := make([][]int, len(ops))
-	for i := range ops {
-		indeg[i] = len(ops[i].Deps)
-		for _, d := range ops[i].Deps {
-			dependents[d] = append(dependents[d], i)
+	indeg := make([]int32, len(ops))
+	ck.dependents = buildCSR(len(ops), func(emit func(int, int32)) {
+		for i := range ops {
+			for _, d := range ops[i].Deps {
+				emit(d, int32(i))
+			}
 		}
-	}
-	queue := make([]int, 0, len(ops))
-	for id, d := range indeg {
-		if d == 0 {
-			queue = append(queue, id)
-		}
-	}
+	})
+	// order doubles as the FIFO queue: ops are appended once runnable.
 	order := make([]int, 0, len(ops))
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, dep := range dependents[id] {
+	for i := range ops {
+		indeg[i] = int32(len(ops[i].Deps))
+		if indeg[i] == 0 {
+			order = append(order, i)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		for _, dep := range ck.dependents.row(order[head]) {
 			indeg[dep]--
 			if indeg[dep] == 0 {
-				queue = append(queue, dep)
+				order = append(order, int(dep))
 			}
 		}
 	}
@@ -182,43 +232,10 @@ func (ck *checker) topoSort() {
 		return
 	}
 	ck.topo = order
-}
-
-// --- reachability ----------------------------------------------------------
-
-// computeReach builds the full descendant relation: reach[i] has bit j set
-// iff a dependency path i -> ... -> j exists (j transitively depends on i).
-func (ck *checker) computeReach() {
-	ops := ck.p.Ops
-	n := len(ops)
-	dependents := make([][]int, n)
-	for i := range ops {
-		for _, d := range ops[i].Deps {
-			dependents[d] = append(dependents[d], i)
-		}
+	ck.pos = make([]int32, len(ops))
+	for k, id := range order {
+		ck.pos[id] = int32(k)
 	}
-	ck.reach = make([]bitset, n)
-	// Walk in reverse topological order so every dependent's set is final.
-	for k := n - 1; k >= 0; k-- {
-		id := ck.topo[k]
-		b := newBitset(n)
-		for _, dep := range dependents[id] {
-			b.set(dep)
-			b.or(ck.reach[dep])
-		}
-		ck.reach[id] = b
-	}
-	ck.readers = make([][]int, n)
-	for i := range ops {
-		if r := ops[i].Src.Relay; r >= 0 {
-			ck.readers[r] = append(ck.readers[r], i)
-		}
-	}
-}
-
-// pathBetween reports a dependency path in either direction.
-func (ck *checker) pathBetween(a, b int) bool {
-	return ck.reach[a].has(b) || ck.reach[b].has(a)
 }
 
 // --- link validity ---------------------------------------------------------
@@ -278,7 +295,7 @@ func (ck *checker) linkOp(i int) {
 				ck.fail(ClassLink, i, "detour intermediate %s is not a GPU (forwarding kernels run on GPUs)",
 					p.Graph.Node(ch.To).Name)
 			}
-			if len(ck.readers[i]) == 0 {
+			if len(ck.readers.row(i)) == 0 {
 				ck.fail(ClassLink, i, "relay slot is never read: detour data dropped at %s",
 					p.Graph.Node(ch.To).Name)
 			}
@@ -288,20 +305,12 @@ func (ck *checker) linkOp(i int) {
 
 // --- data hazards ----------------------------------------------------------
 
-// bufKey identifies one concrete buffer region: a participant's storage for
-// one chunk. Relay slots are handled separately (single writer by
-// construction, checked against their readers).
-type bufKey struct {
-	node  topology.NodeID
-	chunk int
-}
-
 // accessKind classifies how an op touches a buffer region. Accumulation is
 // an atomic read-modify-write: two accumulations into the same region
 // commute (sums are order-independent; floating-point reassociation is
 // accepted exactly as NCCL accepts it), so accum/accum pairs need no
 // ordering. Every other combination with a write does.
-type accessKind int
+type accessKind int32
 
 const (
 	accRead  accessKind = iota
@@ -310,7 +319,7 @@ const (
 )
 
 type access struct {
-	op   int
+	op   int32
 	kind accessKind
 }
 
@@ -321,6 +330,41 @@ func compatible(a, b accessKind) bool {
 	return a == accAccum && b == accAccum
 }
 
+// writeKind is how op touches its destination region.
+func writeKind(op *Op) accessKind {
+	if op.Accumulate {
+		return accAccum
+	}
+	return accCopy
+}
+
+// accessIndex lists, per buffer region, the ops touching it in id order.
+// Relay slots are not regions: each has a single writer by construction and
+// is checked against its readers. An op whose source and destination are
+// the same region is listed once, with its (stronger) write kind. hazards
+// and CheckPatch's deltaHazards share it.
+func (ck *checker) accessIndex() csr[access] {
+	p := ck.p
+	return buildCSR(len(p.Nodes)*p.NumChunks, func(emit func(int, access)) {
+		for i := range p.Ops {
+			op := &p.Ops[i]
+			src, dst := -1, -1
+			if op.Src.IsNode() {
+				src = ck.region(op.Src.Node, op.Chunk)
+			}
+			if op.Dst.IsNode() {
+				dst = ck.region(op.Dst.Node, op.Chunk)
+			}
+			if src >= 0 && src != dst {
+				emit(src, access{op: int32(i), kind: accRead})
+			}
+			if dst >= 0 {
+				emit(dst, access{op: int32(i), kind: writeKind(op)})
+			}
+		}
+	})
+}
+
 // hazards proves data-race freedom: for every pair of operations touching
 // the same buffer region, where the pair does not commute (anything but
 // read/read or accumulate/accumulate), a dependency path must order them.
@@ -328,54 +372,28 @@ func compatible(a, b accessKind) bool {
 // reading a chunk that some reduction can still write, under any
 // interleaving, is reported here. Relay slots additionally require the
 // reader to be ordered after the writer (read-after-write), not merely
-// ordered.
+// ordered. Violations come out in op order, then region order.
 func (ck *checker) hazards() {
 	p := ck.p
-	accesses := make(map[bufKey][]access)
-	record := func(key bufKey, id int, kind accessKind) {
-		list := accesses[key]
-		// Merge repeat touches by the same op: the stronger kind wins.
-		for j := range list {
-			if list[j].op == id {
-				if kind > list[j].kind {
-					list[j].kind = kind
-				}
-				return
-			}
-		}
-		accesses[key] = append(list, access{op: id, kind: kind})
-	}
 	for i := range p.Ops {
-		op := &p.Ops[i]
-		if op.Marker() {
-			continue
-		}
-		if op.Src.IsNode() {
-			record(bufKey{op.Src.Node, op.Chunk}, i, accRead)
-		}
-		if op.Dst.IsNode() {
-			k := accCopy
-			if op.Accumulate {
-				k = accAccum
-			}
-			record(bufKey{op.Dst.Node, op.Chunk}, i, k)
-		}
 		// Relay read-after-write: the reader must depend on the slot's
 		// writer, or it can observe an empty slot.
-		if r := op.Src.Relay; r >= 0 && !ck.reach[r].has(i) {
+		if r := p.Ops[i].Src.Relay; r >= 0 && !ck.reaches(r, i) {
 			ck.fail(ClassHazard, i, "reads relay slot of %s without depending on it", ck.label(r))
 		}
 	}
-	for key, list := range accesses {
+	acc := ck.accessIndex()
+	for r := 0; r < len(acc.off)-1; r++ {
+		list := acc.row(r)
 		for a := 0; a < len(list); a++ {
 			for b := a + 1; b < len(list); b++ {
 				if compatible(list[a].kind, list[b].kind) {
 					continue
 				}
-				if !ck.pathBetween(list[a].op, list[b].op) {
-					ck.fail(ClassHazard, list[a].op,
+				if x, y := int(list[a].op), int(list[b].op); !ck.pathBetween(x, y) {
+					ck.fail(ClassHazard, x,
 						"unordered conflicting access to node %d chunk %d: %s and %s",
-						key.node, key.chunk, ck.label(list[a].op), ck.label(list[b].op))
+						p.Nodes[r/p.NumChunks], r%p.NumChunks, ck.label(x), ck.label(y))
 				}
 			}
 		}
@@ -394,63 +412,63 @@ func (ck *checker) hazards() {
 // It reports chunks
 // reduced twice, missing or duplicated contributions under the AllReduce
 // contract, (node, chunk) pairs that never become ready, and readiness
-// markers not ordered after the writes they announce.
+// markers not ordered after the writes they announce. It leaves the finals
+// index in ck.finals for the order check.
 func (ck *checker) conservation() {
 	p := ck.p
-	np, k := len(p.Nodes), p.NumChunks
+	np, nr := len(p.Nodes), len(p.Nodes)*p.NumChunks
 
-	// finals[ni][c] collects ops marking chunk c ready at participant ni.
-	finals := make([][][]int, np)
-	for ni := range finals {
-		finals[ni] = make([][]int, k)
-	}
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		if op.Final < 0 {
-			continue
-		}
-		ni := ck.nodeIdx[op.Final]
-		finals[ni][op.Chunk] = append(finals[ni][op.Chunk], i)
-	}
-
-	// state[ni][c] = contribution counts (indexed by participant);
-	// writes[ni][c] = every op writing the region, in sweep order.
-	state := make([][][]int32, np)
-	writes := make([][][]int, np)
-	for ni := range state {
-		state[ni] = make([][]int32, k)
-		writes[ni] = make([][]int, k)
-		for c := 0; c < k; c++ {
-			v := make([]int32, np)
-			v[ni] = 1 // the participant's own input
-			state[ni][c] = v
-		}
-	}
-	relay := make(map[int][]int32)
-	zero := make([]int32, np)
-
-	srcVec := func(op *Op) []int32 {
-		if op.Src.IsRelay() {
-			if v, ok := relay[op.Src.Relay]; ok {
-				return v
+	ck.finals = buildCSR(nr, func(emit func(int, int32)) {
+		for i := range p.Ops {
+			if op := &p.Ops[i]; op.Final >= 0 {
+				emit(ck.region(op.Final, op.Chunk), int32(i))
 			}
-			return zero // empty-slot read; already a hazard violation
 		}
-		return state[ck.nodeIdx[op.Src.Node]][op.Chunk]
+	})
+	// writes lists every op writing each region, in sweep order.
+	writes := buildCSR(nr, func(emit func(int, int32)) {
+		for _, id := range ck.topo {
+			if op := &p.Ops[id]; op.Dst.IsNode() {
+				emit(ck.region(op.Dst.Node, op.Chunk), int32(id))
+			}
+		}
+	})
+
+	// state holds one contribution-count vector (indexed by participant)
+	// per region, starting with the participant's own input; relays holds
+	// one per relay slot, numbered by relaySlot (zero until written: an
+	// empty-slot read is already a hazard violation).
+	state := make([]int32, nr*np)
+	for r := 0; r < nr; r++ {
+		state[r*np+r/p.NumChunks] = 1
 	}
+	relaySlot := make([]int32, len(p.Ops))
+	slots := 0
+	for i := range p.Ops {
+		if p.Ops[i].Dst.IsRelay() {
+			relaySlot[i] = int32(slots)
+			slots++
+		}
+	}
+	relays := make([]int32, slots*np)
+	vec := func(arena []int32, i int) []int32 { return arena[i*np : (i+1)*np] }
 
 	for _, id := range ck.topo {
-		op := &ck.p.Ops[id]
+		op := &p.Ops[id]
 		if op.Marker() {
 			continue
 		}
-		src := srcVec(op)
+		var src []int32
+		if op.Src.IsRelay() {
+			src = vec(relays, int(relaySlot[op.Src.Relay]))
+		} else {
+			src = vec(state, ck.region(op.Src.Node, op.Chunk))
+		}
 		if op.Dst.IsRelay() {
-			relay[id] = append([]int32(nil), src...)
+			copy(vec(relays, int(relaySlot[id])), src)
 			continue
 		}
-		ni := ck.nodeIdx[op.Dst.Node]
-		dst := state[ni][op.Chunk]
+		dst := vec(state, ck.region(op.Dst.Node, op.Chunk))
 		if op.Accumulate {
 			for j := range dst {
 				if src[j] > 0 && dst[j] > 0 {
@@ -463,7 +481,6 @@ func (ck *checker) conservation() {
 		} else {
 			copy(dst, src)
 		}
-		writes[ni][op.Chunk] = append(writes[ni][op.Chunk], id)
 	}
 
 	complete := func(v []int32) bool {
@@ -475,34 +492,33 @@ func (ck *checker) conservation() {
 		return true
 	}
 
-	for ni := 0; ni < np; ni++ {
-		for c := 0; c < k; c++ {
-			if len(finals[ni][c]) == 0 {
-				ck.fail(ClassConservation, -1,
-					"chunk %d never becomes ready at node %d", c, p.Nodes[ni])
-				continue
+	for r := 0; r < nr; r++ {
+		n, c := p.Nodes[r/p.NumChunks], r%p.NumChunks
+		finals := ck.finals.row(r)
+		if len(finals) == 0 {
+			ck.fail(ClassConservation, -1, "chunk %d never becomes ready at node %d", c, n)
+			continue
+		}
+		if !p.AllReduce {
+			continue
+		}
+		ws := writes.row(r)
+		if v := vec(state, r); !complete(v) {
+			op := -1
+			if len(ws) > 0 {
+				op = int(ws[len(ws)-1])
 			}
-			if !p.AllReduce {
-				continue
-			}
-			if !complete(state[ni][c]) {
-				op := -1
-				if ws := writes[ni][c]; len(ws) > 0 {
-					op = ws[len(ws)-1]
-				}
-				ck.fail(ClassConservation, op,
-					"node %d ends chunk %d with contributions %v, want exactly one each",
-					p.Nodes[ni], c, state[ni][c])
-			}
-			// Readiness must come after the data: every write to the region
-			// has to be ordered before every final op announcing it.
-			for _, w := range writes[ni][c] {
-				for _, f := range finals[ni][c] {
-					if f != w && !ck.reach[w].has(f) {
-						ck.fail(ClassConservation, f,
-							"chunk %d marked ready at node %d without depending on write %s",
-							c, p.Nodes[ni], ck.label(w))
-					}
+			ck.fail(ClassConservation, op,
+				"node %d ends chunk %d with contributions %v, want exactly one each", n, c, v)
+		}
+		// Readiness must come after the data: every write to the region
+		// has to be ordered before every final op announcing it.
+		for _, w := range ws {
+			for _, f := range finals {
+				if f != w && !ck.reaches(int(w), int(f)) {
+					ck.fail(ClassConservation, int(f),
+						"chunk %d marked ready at node %d without depending on write %s",
+						c, n, ck.label(int(w)))
 				}
 			}
 		}
@@ -518,31 +534,27 @@ func (ck *checker) conservation() {
 // dependency path exists, or the earlier final is a zero-cost marker whose
 // every dependency is itself forced before the later final (markers finish
 // the instant their inputs do, so they inherit their inputs' ordering).
+// Requires ck.finals from conservation.
 func (ck *checker) order() {
 	p := ck.p
-	np, k := len(p.Nodes), p.NumChunks
+	k := p.NumChunks
 	streams := p.Streams
 	if streams < 1 {
 		streams = 1
 	}
 	// The effective final per (node, chunk) is the last one added, matching
 	// Schedule.Instantiate's overwrite semantics.
-	finalAt := make([][]int, np)
-	for ni := range finalAt {
-		finalAt[ni] = make([]int, k)
-		for c := range finalAt[ni] {
-			finalAt[ni][c] = -1
+	finalAt := func(r int) int {
+		f := ck.finals.row(r)
+		if len(f) == 0 {
+			return -1
 		}
-	}
-	for i := range p.Ops {
-		if op := &p.Ops[i]; op.Final >= 0 {
-			finalAt[ck.nodeIdx[op.Final]][op.Chunk] = i
-		}
+		return int(f[len(f)-1])
 	}
 	ck.forcedMemo = make(map[[2]int]bool)
-	for ni := 0; ni < np; ni++ {
+	for ni := range p.Nodes {
 		for c := streams; c < k; c++ {
-			prev, cur := finalAt[ni][c-streams], finalAt[ni][c]
+			prev, cur := finalAt(ni*k+c-streams), finalAt(ni*k+c)
 			if prev < 0 || cur < 0 {
 				continue // missing finals already reported by conservation
 			}
@@ -558,7 +570,7 @@ func (ck *checker) order() {
 // forcedAfter reports whether op b can never complete before op a, under
 // any interleaving consistent with the dependencies.
 func (ck *checker) forcedAfter(a, b int) bool {
-	if a == b || ck.reach[a].has(b) {
+	if a == b || ck.reaches(a, b) {
 		return true
 	}
 	op := &ck.p.Ops[a]

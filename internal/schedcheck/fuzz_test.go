@@ -14,7 +14,7 @@ import (
 )
 
 // FuzzSchedCheck corrupts valid schedules and asserts the verifier notices.
-// Eight corruption kinds mirror the mistakes a scheduler change could make:
+// Nine corruption kinds mirror the mistakes a scheduler change could make:
 // dropping a dependency edge (overlap race), retargeting a transfer onto a
 // channel that does not start at its source (phantom link), swapping the
 // chunk indices of two transfers (mis-routed data), killing a channel
@@ -26,7 +26,10 @@ import (
 // agree with the full one on the genuine patch and flag a tampered one),
 // and mutating a schedule produced by the synthesis compiler — corrupting a
 // chunk identity or dropping a lowered tree-edge dependency — so compiled
-// programs get the same adversarial coverage as the hand-written menu.
+// programs get the same adversarial coverage as the hand-written menu —
+// and naming a node outside the graph (negative or past NumNodes) as a
+// participant, source, destination or final, which must be rejected as
+// malformed structure, never panic.
 // Every schedule the verifier accepts — pristine, repaired, genuinely
 // patched, synthesized — must also run on the goroutine interpreter with the
 // same output as ExecuteData: the second, data-level oracle.
@@ -34,7 +37,9 @@ import (
 // the shallow classes must stay silent and only CheckDeep may object. Each
 // corruption is guarded so the assertion only fires when the mutation is
 // provably observable — e.g. a dropped edge that another dependency path
-// still covers must instead keep the program clean.
+// still covers must instead keep the program clean. Every program verified
+// with at most maxExactOps ops also has its reachability closure checked
+// against BFS.
 // Run `go test -fuzz=FuzzSchedCheck ./internal/schedcheck` to explore
 // beyond the seeds; `go test` replays the seed corpus as regression tests.
 func FuzzSchedCheck(f *testing.F) {
@@ -44,8 +49,12 @@ func FuzzSchedCheck(f *testing.F) {
 			f.Add(algo, kind, uint16(13), uint16(101))
 		}
 	}
+	// Kind 8: one seed per node-naming slot and bound.
+	for field := uint16(0); field < 8; field++ {
+		f.Add(uint8(0), uint8(8), field, uint16(5))
+	}
 	f.Fuzz(func(t *testing.T, algo, kind uint8, pick, pick2 uint16) {
-		if kind%8 == 7 {
+		if kind%fuzzKinds == 7 {
 			fuzzSynth(t, algo, pick, pick2)
 			return
 		}
@@ -60,11 +69,11 @@ func FuzzSchedCheck(f *testing.F) {
 			t.Fatal(err)
 		}
 		p := s.Program()
-		if r := schedcheck.CheckDeep(p); !r.OK() {
+		if r := checkDeep(t, p); !r.OK() {
 			t.Fatalf("pristine schedule rejected: %s", r.Err())
 		}
 		interpreterAgrees(t, s)
-		switch kind % 8 {
+		switch kind % fuzzKinds {
 		case 0:
 			fuzzDropDep(t, p, pick, pick2)
 		case 1:
@@ -79,8 +88,30 @@ func FuzzSchedCheck(f *testing.F) {
 			fuzzWaitFor(t, p, pick)
 		case 6:
 			fuzzIncrementalRepair(t, g, s, p, pick, pick2)
+		case 8:
+			fuzzNodeIDs(t, p, pick, pick2)
 		}
 	})
+}
+
+// fuzzKinds is the number of corruption kinds FuzzSchedCheck cycles through.
+const fuzzKinds = 9
+
+// fuzzNodeIDs names a node outside the graph in one node-naming slot (see
+// corruptNodeID). The verifier indexes participants by node id, so every
+// entry point must reject the program as malformed structure.
+func fuzzNodeIDs(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
+	if !corruptNodeID(p, int(pick), int(pick2)) {
+		t.Skip()
+	}
+	for _, r := range []*schedcheck.Report{check(t, p), checkDeep(t, p)} {
+		if !hasClass(r, schedcheck.ClassStructure) {
+			t.Fatalf("node id outside the graph (slot %d) not flagged as structure: %s", pick%8, r.Summary())
+		}
+	}
+	if _, err := schedcheck.MakespanBound(p); err == nil {
+		t.Fatal("MakespanBound accepted a node id outside the graph")
+	}
 }
 
 // fuzzSynth compiles a schedule with the synthesis compiler and corrupts it
@@ -104,7 +135,7 @@ func fuzzSynth(t *testing.T, algo uint8, pick, pick2 uint16) {
 		t.Fatal(err)
 	}
 	p := res.Schedule.Program()
-	if r := schedcheck.CheckDeep(p); !r.OK() {
+	if r := checkDeep(t, p); !r.OK() {
 		t.Fatalf("pristine synthesized schedule rejected: %s", r.Err())
 	}
 	interpreterAgrees(t, res.Schedule)
@@ -163,32 +194,6 @@ func conflicts(w, o *schedcheck.Op) bool {
 	return false
 }
 
-// stillReaches reports whether a dependency path from -> to survives in the
-// (already mutated) program.
-func stillReaches(p *schedcheck.Program, from, to int) bool {
-	dependents := make([][]int, len(p.Ops))
-	for i := range p.Ops {
-		for _, d := range p.Ops[i].Deps {
-			dependents[d] = append(dependents[d], i)
-		}
-	}
-	seen := make([]bool, len(p.Ops))
-	stack := []int{from}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if id == to {
-			return true
-		}
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		stack = append(stack, dependents[id]...)
-	}
-	return false
-}
-
 func fuzzDropDep(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
 	type edge struct{ op, di int }
 	var candidates []edge
@@ -206,7 +211,7 @@ func fuzzDropDep(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
 	op := &p.Ops[e.op]
 	d := op.Deps[e.di]
 	op.Deps = append(append([]int(nil), op.Deps[:e.di]...), op.Deps[e.di+1:]...)
-	r := schedcheck.Check(p)
+	r := check(t, p)
 	if stillReaches(p, d, e.op) {
 		// The edge was redundant; the program is semantically unchanged and
 		// must still verify.
@@ -241,7 +246,7 @@ func fuzzRetargetChannel(t *testing.T, p *schedcheck.Program, pick, pick2 uint16
 		t.Skip()
 	}
 	op.Channel = wrong[int(pick2)%len(wrong)]
-	if r := schedcheck.Check(p); !hasClass(r, schedcheck.ClassLink) {
+	if r := check(t, p); !hasClass(r, schedcheck.ClassLink) {
 		t.Fatalf("transfer %d on a channel not starting at its source went unnoticed: %s",
 			op.ID, r.Summary())
 	}
@@ -265,7 +270,7 @@ func fuzzRepair(t *testing.T, g *topology.Graph, s *collective.Schedule, p *sche
 	}
 	dead := used[int(pick)%len(used)]
 	g.KillChannel(dead)
-	if r := schedcheck.Check(p); !hasClass(r, schedcheck.ClassLink) {
+	if r := check(t, p); !hasClass(r, schedcheck.ClassLink) {
 		t.Fatalf("schedule over dead channel %d went unnoticed: %s", dead, r.Summary())
 	}
 	repaired, rep, err := collective.RepairSchedule(s)
@@ -279,7 +284,7 @@ func fuzzRepair(t *testing.T, g *topology.Graph, s *collective.Schedule, p *sche
 	if rep.Rerouted == 0 {
 		t.Fatalf("channel %d was used but repair rerouted nothing", dead)
 	}
-	if r := schedcheck.Check(repaired.Program()); !r.OK() {
+	if r := check(t, repaired.Program()); !r.OK() {
 		t.Fatalf("repaired schedule failed verification: %s", r.Err())
 	}
 	interpreterAgrees(t, repaired)
@@ -319,7 +324,7 @@ func fuzzIncrementalRepair(t *testing.T, g *topology.Graph, s *collective.Schedu
 	if r := schedcheck.CheckPatch(pp, spec); !r.OK() {
 		t.Fatalf("genuine incremental patch rejected: %s", r.Err())
 	}
-	if r := schedcheck.Check(pp); !r.OK() {
+	if r := check(t, pp); !r.OK() {
 		t.Fatalf("CheckPatch accepted but the full verifier rejects: %s", r.Err())
 	}
 	interpreterAgrees(t, patched)
@@ -391,10 +396,10 @@ func fuzzContention(t *testing.T, p *schedcheck.Program, pick uint16) {
 	}
 	e := candidates[int(pick)%len(candidates)]
 	p.Ops[e.a].Channel = p.Ops[e.b].Channel
-	if r := schedcheck.Check(p); !r.OK() {
+	if r := check(t, p); !r.OK() {
 		t.Fatalf("parallel-channel collapse must be invisible to shallow checks, got: %s", r.Err())
 	}
-	if r := schedcheck.CheckDeep(p); !hasClass(r, schedcheck.ClassContention) {
+	if r := checkDeep(t, p); !hasClass(r, schedcheck.ClassContention) {
 		t.Fatalf("ops %d and %d of concurrent streams share channel %d unordered, not flagged: %s",
 			e.a, e.b, p.Ops[e.b].Channel, r.Summary())
 	}
@@ -429,10 +434,10 @@ func fuzzWaitFor(t *testing.T, p *schedcheck.Program, pick uint16) {
 	}
 	e := candidates[int(pick)%len(candidates)]
 	p.Ops[e.a].Deps = append(p.Ops[e.a].Deps, e.b)
-	if r := schedcheck.Check(p); !r.OK() {
+	if r := check(t, p); !r.OK() {
 		t.Fatalf("forward dependency must be invisible to shallow checks, got: %s", r.Err())
 	}
-	if r := schedcheck.CheckDeep(p); !hasClass(r, schedcheck.ClassWaitFor) {
+	if r := checkDeep(t, p); !hasClass(r, schedcheck.ClassWaitFor) {
 		t.Fatalf("op %d waits for later op %d on channel %d, deadlock not flagged: %s",
 			e.a, e.b, p.Ops[e.a].Channel, r.Summary())
 	}
@@ -461,7 +466,7 @@ func fuzzSwapChunks(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
 		t.Skip()
 	}
 	a.Chunk, b.Chunk = b.Chunk, a.Chunk
-	if r := schedcheck.Check(p); r.OK() {
+	if r := check(t, p); r.OK() {
 		t.Fatalf("swapping chunks of ops %d and %d went unnoticed", a.ID, b.ID)
 	}
 }

@@ -1,6 +1,10 @@
 package schedcheck
 
-import "sort"
+import (
+	"sort"
+
+	"ccube/internal/topology"
+)
 
 // PatchSpec relates a patched program to the verified base it was derived
 // from. OldToNew maps every base op id to its id in the patched program
@@ -63,13 +67,9 @@ func CheckPatch(patched *Program, spec *PatchSpec) *Report {
 	}
 
 	// readers is needed by linkOp (relay-never-read) and the relay hazard
-	// delta; it is a cheap O(ops) scan, unlike the full reach bitsets.
-	ck.readers = make([][]int, len(patched.Ops))
-	for i := range patched.Ops {
-		if r := patched.Ops[i].Src.Relay; r >= 0 {
-			ck.readers[r] = append(ck.readers[r], i)
-		}
-	}
+	// delta; it is a cheap O(ops) scan, unlike the full reachability
+	// closure, which the delta mode never builds.
+	ck.indexReaders()
 	for _, id := range touched {
 		ck.linkOp(id)
 	}
@@ -296,70 +296,41 @@ func depsSuperset(have, want []int) bool {
 
 // deltaHazards re-proves race freedom for every conflicting pair that
 // involves a touched op, using per-op BFS over the patched dependency graph
-// instead of the full reachability bitsets. Pairs of untouched ops need no
+// instead of the full reachability closure. Pairs of untouched ops need no
 // re-proof: their fields and regions are unchanged and the patched edge set
 // is a superset of the base's (modulo renumbering), so the base's ordering
 // paths still exist.
 func (ck *checker) deltaHazards(touched []int) {
 	p := ck.p
 	n := len(p.Ops)
-	dependents := make([][]int, n)
-	for i := range p.Ops {
-		for _, d := range p.Ops[i].Deps {
-			dependents[d] = append(dependents[d], i)
-		}
-	}
+	acc := ck.accessIndex()
 
-	// Same region-access index the full hazard pass builds.
-	accesses := make(map[bufKey][]access)
-	record := func(key bufKey, id int, kind accessKind) {
-		list := accesses[key]
-		for j := range list {
-			if list[j].op == id {
-				if kind > list[j].kind {
-					list[j].kind = kind
-				}
-				return
-			}
-		}
-		accesses[key] = append(list, access{op: id, kind: kind})
-	}
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		if op.Marker() {
-			continue
-		}
-		if op.Src.IsNode() {
-			record(bufKey{op.Src.Node, op.Chunk}, i, accRead)
-		}
-		if op.Dst.IsNode() {
-			k := accCopy
-			if op.Accumulate {
-				k = accAccum
-			}
-			record(bufKey{op.Dst.Node, op.Chunk}, i, k)
-		}
-	}
-
-	bfs := func(start int, adj [][]int) []bool {
+	// bfs marks every op reachable from start along dependents (forward) or
+	// dependencies (backward).
+	bfs := func(start int, forward bool) []bool {
 		seen := make([]bool, n)
-		queue := []int{start}
 		seen[start] = true
+		queue := []int{start}
+		visit := func(next int) {
+			if !seen[next] {
+				seen[next] = true
+				queue = append(queue, next)
+			}
+		}
 		for len(queue) > 0 {
 			id := queue[0]
 			queue = queue[1:]
-			for _, next := range adj[id] {
-				if !seen[next] {
-					seen[next] = true
-					queue = append(queue, next)
+			if forward {
+				for _, next := range ck.dependents.row(id) {
+					visit(int(next))
+				}
+			} else {
+				for _, next := range p.Ops[id].Deps {
+					visit(next)
 				}
 			}
 		}
 		return seen
-	}
-	deps := make([][]int, n)
-	for i := range p.Ops {
-		deps[i] = p.Ops[i].Deps
 	}
 
 	for _, t := range touched {
@@ -367,9 +338,8 @@ func (ck *checker) deltaHazards(touched []int) {
 		if op.Marker() {
 			continue
 		}
-		fwd := bfs(t, dependents) // t -> x paths
-		bwd := bfs(t, deps)       // x -> t paths
-		ordered := func(x int) bool { return fwd[x] || bwd[x] }
+		fwd := bfs(t, true)  // t -> x paths
+		bwd := bfs(t, false) // x -> t paths
 
 		// Relay read-after-write: the touched reader must depend on its
 		// slot's writer, not merely be ordered with it.
@@ -379,33 +349,30 @@ func (ck *checker) deltaHazards(touched []int) {
 		// If the touched op writes a relay, each of its readers must read
 		// after the write.
 		if op.Dst.IsRelay() {
-			for _, reader := range ck.readers[t] {
+			for _, reader := range ck.readers.row(t) {
 				if !fwd[reader] {
-					ck.fail(ClassHazard, reader, "reads relay slot of %s without depending on it", ck.label(t))
+					ck.fail(ClassHazard, int(reader), "reads relay slot of %s without depending on it", ck.label(t))
 				}
 			}
 		}
-		check := func(key bufKey, kind accessKind) {
-			for _, other := range accesses[key] {
-				if other.op == t || compatible(kind, other.kind) {
+		check := func(node topology.NodeID, kind accessKind) {
+			for _, other := range acc.row(ck.region(node, op.Chunk)) {
+				x := int(other.op)
+				if x == t || compatible(kind, other.kind) {
 					continue
 				}
-				if !ordered(other.op) {
+				if !fwd[x] && !bwd[x] {
 					ck.fail(ClassHazard, t,
 						"unordered conflicting access to node %d chunk %d: %s and %s",
-						key.node, key.chunk, ck.label(t), ck.label(other.op))
+						node, op.Chunk, ck.label(t), ck.label(x))
 				}
 			}
 		}
 		if op.Src.IsNode() {
-			check(bufKey{op.Src.Node, op.Chunk}, accRead)
+			check(op.Src.Node, accRead)
 		}
 		if op.Dst.IsNode() {
-			k := accCopy
-			if op.Accumulate {
-				k = accAccum
-			}
-			check(bufKey{op.Dst.Node, op.Chunk}, k)
+			check(op.Dst.Node, writeKind(op))
 		}
 	}
 }

@@ -218,7 +218,7 @@ func TestCheckPatchRejectsTampering(t *testing.T) {
 
 // A spliced detour introduces new relay ops; those may never write node
 // buffers or mark finals, and the touched reader must still depend on the
-// slot writer — the delta hazard pass, not the full bitset pass, catches a
+// slot writer — the delta hazard pass, not the full closure pass, catches a
 // dropped relay edge.
 func TestCheckPatchDetourObligations(t *testing.T) {
 	fx := buildPatchFixture(t, soleLink)

@@ -86,7 +86,7 @@ type Op struct {
 	NoAlpha bool
 
 	// Final >= 0 records that completion of this op makes chunk Chunk
-	// fully reduced and available at that node.
+	// fully reduced and available at that node; -1 means none.
 	Final topology.NodeID
 }
 
@@ -234,10 +234,10 @@ func (r *Report) Err() error {
 // Check verifies the correctness classes over the program. If structural
 // checks fail, the deeper classes are skipped — their analyses assume a
 // well-formed acyclic program. The structural pass assumes nothing about its
-// input (every id, dep, chunk, channel, relay and final reference is
-// bounds-checked before the deeper classes run), so Check is also the
-// schedule store's verify-on-load step: deserialized garbage fails cleanly
-// instead of panicking.
+// input (every id, dep, chunk, channel, relay, participant and node
+// reference is bounds-checked before the deeper classes run), so Check is
+// also the schedule store's verify-on-load step: deserialized garbage fails
+// cleanly instead of panicking. Violations come out in a fixed order.
 func Check(p *Program) *Report { return check(p, false) }
 
 // CheckDeep is Check plus the performance proofs of deep.go: channel
@@ -255,6 +255,8 @@ func check(p *Program, deep bool) *Report {
 		return ck.r
 	}
 	ck.computeReach()
+	defer ck.releaseReach()
+	ck.indexReaders()
 	ck.links()
 	ck.r.Checked = append(ck.r.Checked, ClassLink)
 	ck.hazards()

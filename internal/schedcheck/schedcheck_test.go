@@ -4,7 +4,9 @@
 package schedcheck_test
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"ccube/internal/collective"
@@ -28,7 +30,7 @@ func fullyConnected(p int) *topology.Graph {
 	return topology.FullyConnected(p, 25e9, 3*des.Microsecond)
 }
 
-func buildProgram(t *testing.T, cfg collective.Config) *schedcheck.Program {
+func buildProgram(t testing.TB, cfg collective.Config) *schedcheck.Program {
 	t.Helper()
 	s, err := collective.Build(cfg)
 	if err != nil {
@@ -296,4 +298,139 @@ func TestReportRendering(t *testing.T) {
 	if len(r.Violations) > 8 && !strings.Contains(r.Err().Error(), "more") {
 		t.Fatalf("long violation list not elided: %v", r.Err())
 	}
+}
+
+// corruptNodeID sets one node-naming slot of p to a node outside the graph.
+// field%4 picks the slot kind — participant list, transfer source, transfer
+// destination or final — and field/4%2 the bound: negative when even, at or
+// past NumNodes when odd. pick chooses among the slots of that kind. It
+// reports false when p has no slot of the kind.
+func corruptNodeID(p *schedcheck.Program, field, pick int) bool {
+	bad := topology.NodeID(-2 - pick%64) // -1 would mean "no final"
+	if field/4%2 == 1 {
+		bad = topology.NodeID(p.Graph.NumNodes() + pick%64)
+	}
+	var slots []*topology.NodeID
+	switch field % 4 {
+	case 0:
+		p.Nodes = append([]topology.NodeID(nil), p.Nodes...) // shared with the schedule
+		for i := range p.Nodes {
+			slots = append(slots, &p.Nodes[i])
+		}
+	case 1:
+		for i := range p.Ops {
+			if p.Ops[i].Src.IsNode() {
+				slots = append(slots, &p.Ops[i].Src.Node)
+			}
+		}
+	case 2:
+		for i := range p.Ops {
+			if p.Ops[i].Dst.IsNode() {
+				slots = append(slots, &p.Ops[i].Dst.Node)
+			}
+		}
+	case 3:
+		for i := range p.Ops {
+			if p.Ops[i].Final >= 0 {
+				slots = append(slots, &p.Ops[i].Final)
+			}
+		}
+	}
+	if len(slots) == 0 {
+		return false
+	}
+	*slots[pick%len(slots)] = bad
+	return true
+}
+
+// TestNodeIDsOutsideGraph feeds every entry point programs that name a node
+// outside the graph, negative or past NumNodes, in each node-naming slot.
+// Participants are indexed by node id, so each must come back as a
+// structure violation, never a panic.
+func TestNodeIDsOutsideGraph(t *testing.T) {
+	base := treeProgram(t)
+	identity := make([]int, len(base.Ops))
+	for i := range identity {
+		identity[i] = i
+	}
+	for field := 0; field < 8; field++ {
+		p := cloneProgram(base)
+		if !corruptNodeID(p, field, 3) {
+			t.Fatalf("slot kind %d: no slot to corrupt", field%4)
+		}
+		reports := []*schedcheck.Report{
+			schedcheck.Check(p),
+			schedcheck.CheckDeep(p),
+			schedcheck.CheckPatch(p, &schedcheck.PatchSpec{Base: base, OldToNew: identity}),
+		}
+		for _, r := range reports {
+			if !hasClass(r, schedcheck.ClassStructure) {
+				t.Fatalf("field %d: node id outside the graph not flagged as structure: %s", field, r.Summary())
+			}
+		}
+		if _, err := schedcheck.MakespanBound(p); err == nil {
+			t.Fatalf("field %d: MakespanBound accepted a node id outside the graph", field)
+		}
+	}
+}
+
+// TestViolationOrderIsDeterministic strips every dependency from a tree
+// schedule, leaving many unordered conflicting accesses, and requires the
+// same error text on every run: violations follow region order, not Go's
+// randomized map order.
+func TestViolationOrderIsDeterministic(t *testing.T) {
+	p := buildProgram(t, collective.Config{
+		Graph: fullyConnected(8), Algorithm: collective.AlgTree, Bytes: 1 << 20, Chunks: 8,
+		AllowSharedChannels: true,
+	})
+	for i := range p.Ops {
+		p.Ops[i].Deps = nil
+	}
+	r := schedcheck.Check(p)
+	if n := len(r.Class(schedcheck.ClassHazard)); n < 9 {
+		t.Fatalf("only %d hazard violations; the test needs more than Err prints", n)
+	}
+	want := r.Err().Error()
+	for run := 1; run < 20; run++ {
+		if got := schedcheck.Check(p).Err().Error(); got != want {
+			t.Fatalf("run %d rendered differently:\n%s\nvs\n%s", run, got, want)
+		}
+	}
+}
+
+// TestCheckConcurrent verifies programs of different sizes from several
+// goroutines at once: checks share pooled closure buffers, so every report
+// must match the serial one.
+func TestCheckConcurrent(t *testing.T) {
+	var progs []*schedcheck.Program
+	for _, n := range []int{4, 8, 16} {
+		progs = append(progs, buildProgram(t, collective.Config{
+			Graph: fullyConnected(n), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20,
+			Chunks: 2 * n, AllowSharedChannels: true,
+		}))
+	}
+	broken := cloneProgram(progs[1])
+	for i := range broken.Ops {
+		broken.Ops[i].Deps = nil
+	}
+	progs = append(progs, broken)
+	want := make([]string, len(progs))
+	for i, p := range progs {
+		want[i] = fmt.Sprint(schedcheck.CheckDeep(p).Violations)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 8; round++ {
+				i := (g + round) % len(progs)
+				if got := fmt.Sprint(schedcheck.CheckDeep(progs[i]).Violations); got != want[i] {
+					t.Errorf("program %d: concurrent report differs from the serial one", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
