@@ -87,7 +87,7 @@ type storeReport struct {
 // churnFloor records one cell of the scale-out churn gate: at 64 nodes the
 // adapt-in-place throughput floor must dominate the relaunch floor for every
 // algorithm — adaptation keeps the executed prefix, so a lower floor would
-// mean the incremental repair path costs more than it saves.
+// mean the patch-and-resume path costs more than it saves.
 type churnFloor struct {
 	Nodes            int     `json:"nodes"`
 	Algorithm        string  `json:"algorithm"`

@@ -46,26 +46,15 @@ import (
 // sweeps (ext-faults kills/degrades mint a fresh fingerprint per mutation)
 // grow the process-wide cache monotonically; dead fingerprints can never hit
 // again, so evicting the least-recently-used entry is free in practice.
-//
-// Entries built against an unhealthy fabric (any channel down or degraded at
-// build time) live on their own small LRU with its own quota. Fault churn
-// mints a fresh fingerprint per mutation, and under the old single-list
-// policy a 1000-event churn sweep would cycle hundreds of one-shot faulted
-// fingerprints through the shared list, evicting the long-lived healthy
-// entries every sweep and tanking the clean hit rate. Quarantining faulted
-// fingerprints bounds the damage: churn evicts other churn, never the
-// healthy working set.
 type Cache struct {
-	mu         sync.Mutex
-	entries    map[cacheKey]*list.Element // -> *lruEntry element in lru or faulted
-	lru        *list.List                 // healthy-fabric entries; front = MRU
-	faulted    *list.List                 // unhealthy-fabric entries; front = MRU
-	capacity   int                        // max healthy entries; <= 0 means unbounded
-	faultedCap int                        // max faulted entries; <= 0 means unbounded
-	hits       uint64
-	misses     uint64
-	evictions  uint64
-	disabled   bool
+	mu        sync.Mutex
+	entries   map[cacheKey]*list.Element // -> *lruEntry element in lru
+	lru       *list.List                 // front = MRU
+	capacity  int                        // max entries; <= 0 means unbounded
+	hits      uint64
+	misses    uint64
+	evictions uint64
+	disabled  bool
 
 	// disk is the optional second cache level (SetStore): a content-
 	// addressed on-disk store consulted on memory misses and written through
@@ -81,9 +70,8 @@ type Cache struct {
 }
 
 type lruEntry struct {
-	key     cacheKey
-	s       *Schedule
-	faulted bool // which list the entry lives on
+	key cacheKey
+	s   *Schedule
 }
 
 // DefaultCacheCapacity bounds DefaultCache (and every NewCache). Sized for
@@ -91,13 +79,6 @@ type lruEntry struct {
 // distinct (topology fingerprint, operation) keys, so the bound only bites
 // on pathological fingerprint churn.
 const DefaultCacheCapacity = 256
-
-// DefaultFaultedCacheCapacity bounds the faulted-fingerprint side list.
-// Faulted entries are near-one-shot (each distinct kill/degrade combination
-// is its own fingerprint), so the quota only needs to cover the handful of
-// fault states a single experiment cell revisits — repair loops re-building
-// against the same promoted-dead fabric — not a churn sweep's whole history.
-const DefaultFaultedCacheCapacity = 32
 
 type cacheKey struct {
 	graph  *topology.Graph
@@ -111,14 +92,12 @@ type cacheKey struct {
 }
 
 // NewCache returns an empty schedule cache bounded at DefaultCacheCapacity
-// healthy entries plus DefaultFaultedCacheCapacity faulted ones.
+// entries.
 func NewCache() *Cache {
 	return &Cache{
-		entries:    make(map[cacheKey]*list.Element),
-		lru:        list.New(),
-		faulted:    list.New(),
-		capacity:   DefaultCacheCapacity,
-		faultedCap: DefaultFaultedCacheCapacity,
+		entries:  make(map[cacheKey]*list.Element),
+		lru:      list.New(),
+		capacity: DefaultCacheCapacity,
 	}
 }
 
@@ -164,8 +143,8 @@ func (c *Cache) key(cfg Config) cacheKey {
 
 // Build returns the memoized schedule for cfg, constructing and verifying it
 // on a miss. The returned schedule is shared and must be treated as
-// immutable (every execution path already does); use Schedule.Clone before
-// rewriting transfers.
+// immutable (every execution path already does); RepairSchedule clones
+// before it rewrites transfers.
 //
 // A miss resolves through up to three levels, cheapest first:
 //
@@ -214,10 +193,6 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 		return builder()
 	}
 	k := c.key(cfg)
-	// Health is part of the fingerprint, so the faulted flag is as stable as
-	// the key itself: a key minted against a wounded fabric can only ever hit
-	// again while the fabric is in exactly that state.
-	faulted := !cfg.Graph.Healthy()
 
 	c.mu.Lock()
 	if c.disabled {
@@ -226,14 +201,10 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 	}
 	if el, ok := c.entries[k]; ok {
 		c.hits++
-		e := el.Value.(*lruEntry)
-		if e.faulted {
-			c.faulted.MoveToFront(el)
-		} else {
-			c.lru.MoveToFront(el)
-		}
-		// Read under the lock: a concurrent duplicate insert rewrites e.s.
-		s := e.s
+		c.lru.MoveToFront(el)
+		// Read under the lock: a concurrent duplicate insert rewrites the
+		// entry's schedule.
+		s := el.Value.(*lruEntry).s
 		c.mu.Unlock()
 		mCacheHits.Inc()
 		return s, nil
@@ -279,7 +250,7 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 	if patched {
 		c.incremental++
 	}
-	evicted := c.insertLocked(k, s, faulted)
+	evicted := c.insertLocked(k, s)
 	c.mu.Unlock()
 	mCacheMisses.Inc()
 	if patched {
@@ -289,39 +260,22 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 	return s, nil
 }
 
-// insertLocked inserts (or refreshes) an entry as most-recently-used on its
-// list — healthy or faulted — and evicts from that list's LRU end while it
-// is over its own capacity, returning how many entries were dropped. Faulted
-// inserts can never evict healthy entries, and vice versa. Caller holds c.mu.
-func (c *Cache) insertLocked(k cacheKey, s *Schedule, faulted bool) (evicted int) {
+// insertLocked inserts (or refreshes) an entry as most-recently-used and
+// evicts from the LRU end while the cache is over capacity, returning how
+// many entries were dropped. Caller holds c.mu.
+func (c *Cache) insertLocked(k cacheKey, s *Schedule) (evicted int) {
 	if el, ok := c.entries[k]; ok {
 		// A concurrent duplicate build of the same key landed first; keep
 		// the newer result (both are identical) and just refresh recency.
-		e := el.Value.(*lruEntry)
-		e.s = s
-		if e.faulted {
-			c.faulted.MoveToFront(el)
-		} else {
-			c.lru.MoveToFront(el)
-		}
+		el.Value.(*lruEntry).s = s
+		c.lru.MoveToFront(el)
 		return 0
 	}
-	l, limit := c.lru, c.capacity
-	if faulted {
-		l, limit = c.faulted, c.faultedCap
-	}
-	c.entries[k] = l.PushFront(&lruEntry{key: k, s: s, faulted: faulted})
-	return c.evictLocked(l, limit)
-}
-
-// evictLocked drops entries from l's LRU end until it fits limit. Caller
-// holds c.mu.
-func (c *Cache) evictLocked(l *list.List, limit int) (evicted int) {
-	for limit > 0 && l.Len() > limit {
-		oldest := l.Back()
-		e := oldest.Value.(*lruEntry)
-		l.Remove(oldest)
-		delete(c.entries, e.key)
+	c.entries[k] = c.lru.PushFront(&lruEntry{key: k, s: s})
+	for c.capacity > 0 && c.lru.Len() > c.capacity {
+		oldest := c.lru.Back()
+		c.lru.Remove(oldest)
+		delete(c.entries, oldest.Value.(*lruEntry).key)
 		c.evictions++
 		evicted++
 	}
@@ -370,47 +324,6 @@ func (c *Cache) Store() *store.Store {
 	return c.disk
 }
 
-// Capacity returns the current entry bound (<= 0 means unbounded).
-func (c *Cache) Capacity() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.capacity
-}
-
-// SetCapacity changes the healthy-entry bound and immediately evicts down to
-// it; n <= 0 removes the bound. The faulted side list keeps its own quota
-// (SetFaultedCapacity).
-func (c *Cache) SetCapacity(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = n
-	mCacheEvictions.Add(int64(c.evictLocked(c.lru, c.capacity)))
-}
-
-// FaultedCapacity returns the faulted-entry bound (<= 0 means unbounded).
-func (c *Cache) FaultedCapacity() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.faultedCap
-}
-
-// SetFaultedCapacity changes the faulted-entry bound and immediately evicts
-// down to it; n <= 0 removes the bound.
-func (c *Cache) SetFaultedCapacity(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.faultedCap = n
-	mCacheEvictions.Add(int64(c.evictLocked(c.faulted, c.faultedCap)))
-}
-
-// FaultedLen reports how many cached schedules were built against an
-// unhealthy fabric (the side list's current population).
-func (c *Cache) FaultedLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.faulted.Len()
-}
-
 // Len reports the number of cached schedules.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -436,6 +349,5 @@ func (c *Cache) Clear() {
 	defer c.mu.Unlock()
 	c.entries = make(map[cacheKey]*list.Element)
 	c.lru.Init()
-	c.faulted.Init()
 	c.hits, c.misses, c.evictions, c.incremental = 0, 0, 0, 0
 }

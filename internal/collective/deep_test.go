@@ -80,7 +80,7 @@ func TestVerifyDeepGrid(t *testing.T) {
 
 // TestVerifyDeepFlagsSharedDoubleTree is the contention negative: forcing
 // the two trees of an overlapped double tree onto fc4's single channel per
-// GPU pair delivers every chunk — Verify stays green — but the claimed
+// GPU pair delivers every chunk — Validate stays green — but the claimed
 // overlap serializes on the shared links, which VerifyDeep must reject.
 // This is the paper's disjoint-channel requirement as a failing test.
 func TestVerifyDeepFlagsSharedDoubleTree(t *testing.T) {
@@ -92,8 +92,8 @@ func TestVerifyDeepFlagsSharedDoubleTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Verify(); err != nil {
-		t.Fatalf("shared channels do not break delivery; Verify must pass: %v", err)
+	if err := s.Validate(); err != nil {
+		t.Fatalf("shared channels do not break delivery; Validate must pass: %v", err)
 	}
 	err = s.VerifyDeep()
 	if err == nil {

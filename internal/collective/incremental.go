@@ -65,7 +65,7 @@ func patchFromSibling(sib *Schedule, cfg Config) (*Schedule, bool) {
 			return nil, false
 		}
 	}
-	s := sib.Clone()
+	s := sib.clone()
 	s.Partition = part
 	for _, t := range s.transfers {
 		if !t.isMarker() {

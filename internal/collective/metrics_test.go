@@ -125,12 +125,10 @@ func TestExecutionMetricsDisabledRecordsNothing(t *testing.T) {
 // TestCacheLRUBoundsMutationSweep reproduces the unbounded-growth bug's
 // trigger: a sweep that mutates topology health each step mints a fresh
 // fingerprint per build, and the cache must stay within its bounds instead
-// of holding one dead entry per mutation. Every entry here is built against
-// a degraded fabric, so the sweep exercises the faulted side list's quota.
+// of holding one dead entry per mutation.
 func TestCacheLRUBoundsMutationSweep(t *testing.T) {
 	c := NewCache()
-	c.SetCapacity(8)
-	c.SetFaultedCapacity(8)
+	c.capacity = 8
 	g := topology.DGX1(topology.DefaultDGX1Config())
 	const sweeps = 100
 	for i := 0; i < sweeps; i++ {
@@ -144,9 +142,6 @@ func TestCacheLRUBoundsMutationSweep(t *testing.T) {
 	if c.Len() > 8 {
 		t.Fatalf("cache holds %d entries, capacity 8", c.Len())
 	}
-	if c.FaultedLen() != c.Len() {
-		t.Fatalf("faulted-fabric builds landed on the healthy list: %d of %d", c.FaultedLen(), c.Len())
-	}
 	hits, misses := c.Stats()
 	if misses != sweeps {
 		t.Fatalf("misses = %d, want %d (every mutation is a fresh fingerprint)", misses, sweeps)
@@ -159,69 +154,11 @@ func TestCacheLRUBoundsMutationSweep(t *testing.T) {
 	}
 }
 
-// TestCacheChurnPreservesCleanHitRate is the churn-pollution regression: a
-// 1000-event fault/recovery churn interleaved with healthy-fabric lookups
-// must leave the healthy working set untouched — faulted fingerprints are
-// quarantined on their own small LRU and can never evict clean entries, so
-// the clean hit rate survives the sweep.
-func TestCacheChurnPreservesCleanHitRate(t *testing.T) {
-	c := NewCache()
-	g := topology.DGX1(topology.DefaultDGX1Config())
-	cleanCfgs := []Config{
-		{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 1 << 20},
-		{Graph: g, Algorithm: AlgDoubleTree, Bytes: 1 << 20},
-		{Graph: g, Algorithm: AlgHalvingDoubling, Bytes: 1 << 20},
-	}
-	for _, cfg := range cleanCfgs {
-		if _, err := c.Build(cfg); err != nil { // warm the healthy working set
-			t.Fatal(err)
-		}
-	}
-	_, cleanMisses := c.Stats()
-
-	const events = 1000
-	snap := g.SnapshotHealth()
-	for i := 0; i < events; i++ {
-		// Each event wounds the fabric differently (fresh fingerprint),
-		// builds against it, then recovers — the churn harness's lifecycle.
-		// Degrades, not kills: a build over a dead channel correctly refuses
-		// to verify (repair owns that path).
-		g.DegradeChannel(topology.ChannelID(i%g.NumChannels()), 1.5+float64(i)/events)
-		if _, err := c.Build(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 1 << 20}); err != nil {
-			t.Fatal(err)
-		}
-		g.RestoreHealth(snap)
-		// Healthy lookups interleave with the churn and must keep hitting.
-		if _, err := c.Build(cleanCfgs[i%len(cleanCfgs)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	hits, misses := c.Stats()
-	if faultedMisses := misses - cleanMisses; faultedMisses != events {
-		t.Fatalf("faulted misses = %d, want %d (every churn event is a fresh fingerprint)", faultedMisses, events)
-	}
-	if hits != events {
-		t.Fatalf("clean hits = %d, want %d — churn polluted the healthy working set", hits, events)
-	}
-	if c.FaultedLen() > DefaultFaultedCacheCapacity {
-		t.Fatalf("faulted list holds %d entries, quota %d", c.FaultedLen(), DefaultFaultedCacheCapacity)
-	}
-	if c.Len()-c.FaultedLen() != len(cleanCfgs) {
-		t.Fatalf("healthy list holds %d entries, want %d", c.Len()-c.FaultedLen(), len(cleanCfgs))
-	}
-	// And the quarantine is visible in the eviction ledger: only faulted
-	// entries were dropped.
-	if ev := c.Evictions(); ev != events-DefaultFaultedCacheCapacity {
-		t.Fatalf("evictions = %d, want %d", ev, events-DefaultFaultedCacheCapacity)
-	}
-}
-
 // TestCacheLRUEvictsLeastRecentlyUsed pins the eviction order: touching an
 // old entry must protect it over a colder one.
 func TestCacheLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	c := NewCache()
-	c.SetCapacity(2)
+	c.capacity = 2
 	g := topology.DGX1(topology.DefaultDGX1Config())
 	cfg := func(bytes int64) Config {
 		return Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: bytes}
@@ -253,27 +190,5 @@ func TestCacheLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 	if c.Evictions() != 2 {
 		t.Fatalf("evictions = %d, want 2", c.Evictions())
-	}
-}
-
-// TestCacheSetCapacityShrinksInPlace verifies lowering the bound evicts
-// immediately and Len stays consistent.
-func TestCacheSetCapacityShrinksInPlace(t *testing.T) {
-	c := NewCache()
-	if c.Capacity() != DefaultCacheCapacity {
-		t.Fatalf("default capacity = %d, want %d", c.Capacity(), DefaultCacheCapacity)
-	}
-	g := topology.DGX1(topology.DefaultDGX1Config())
-	for i := int64(1); i <= 5; i++ {
-		if _, err := c.Build(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: i << 20}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.SetCapacity(3)
-	if c.Len() != 3 {
-		t.Fatalf("len after shrink = %d, want 3", c.Len())
-	}
-	if c.Evictions() != 2 {
-		t.Fatalf("evictions after shrink = %d, want 2", c.Evictions())
 	}
 }

@@ -307,7 +307,7 @@ func TestStoreVerifyOnLoadCatchesTamperedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bad := orig.Clone()
+	bad := orig.clone()
 	rerouted := false
 	for _, tr := range bad.transfers {
 		if tr.isMarker() {

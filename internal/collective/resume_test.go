@@ -64,7 +64,7 @@ func TestCheckpointPatchResume(t *testing.T) {
 	}
 
 	g.KillChannel(dead)
-	patched, rep, err := RepairScheduleIncremental(s, []topology.ChannelID{dead}, &PatchOptions{Skip: cp.Executed})
+	patched, rep, err := RepairSchedule(s, g.DownChannels(), cp.Executed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestResumeHonorsCarryover(t *testing.T) {
 	}
 	cp, dead := forceCheckpoint(t, s)
 	g.KillChannel(dead)
-	patched, rep, err := RepairScheduleIncremental(s, []topology.ChannelID{dead}, &PatchOptions{Skip: cp.Executed})
+	patched, rep, err := RepairSchedule(s, g.DownChannels(), cp.Executed)
 	if err != nil {
 		t.Fatal(err)
 	}

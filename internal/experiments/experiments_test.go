@@ -34,6 +34,9 @@ func TestAllExperimentsRun(t *testing.T) {
 					t.Errorf("%s: table %q has no rows", e.ID, tab.Title)
 				}
 			}
+			if goldenIDs[e.ID] {
+				checkGolden(t, e.ID, tables)
+			}
 		})
 	}
 }

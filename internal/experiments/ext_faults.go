@@ -12,9 +12,11 @@ import (
 
 // ExtFaults measures degradation under link failures (framed like the
 // paper's Fig. 15 overhead study): n random NVLinks are killed, every
-// schedule is statically repaired around them — parallel channel first, then
-// a one-GPU detour, the paper's §IV-A forwarding mechanism — and the
-// repaired collective's makespan is compared against the healthy fabric.
+// schedule is repaired around them before launch — each dead channel's
+// transfers take one shared route: an idle route first, then a surviving
+// parallel channel, then a one-GPU detour, the paper's §IV-A forwarding
+// mechanism — and the repaired collective's makespan is compared against the
+// healthy fabric.
 // Reroutes funnel traffic onto surviving links, so perf degrades smoothly
 // with the failure count instead of falling off a cliff; the double tree is
 // the most exposed because every killed tree edge adds a two-hop detour to a
@@ -75,7 +77,7 @@ func ExtFaults() ([]*report.Table, error) {
 				fmt.Sprintf("%d", r.rerouted))
 		}
 	}
-	t.AddNote("dead links repaired statically: parallel channel when one survives, else a one-GPU detour (§IV-A)")
+	t.AddNote("dead links repaired before launch: an idle route first, then a surviving parallel channel, then a one-GPU detour (§IV-A)")
 	t.AddNote("slowdown is graceful because repaired flows share surviving links; contention is simulated, not assumed")
 	return []*report.Table{t}, nil
 }

@@ -20,10 +20,10 @@ const (
 	// model applied wholesale.
 	ModeRelaunch Mode = iota
 	// ModeAdapt keeps the progress: checkpoint the executed transfers,
-	// patch only the remaining subgraph around the dead channel
-	// (collective.RepairScheduleIncremental, which delta-verifies the patch),
-	// and resume on the same virtual clock. Relaunch remains the fallback
-	// when the patch is unrepairable or fails delta verification.
+	// patch only the remaining subgraph around the dead channel (the same
+	// collective.RepairSchedule a relaunch runs, with the executed set
+	// skipped), and resume on the same virtual clock. Relaunch remains the
+	// fallback when the patch is unrepairable or fails delta verification.
 	ModeAdapt
 )
 
@@ -42,11 +42,11 @@ type RunReport struct {
 	Attempts int
 	Resumes  int
 
-	// Repairs holds one report per full RepairSchedule invocation, in
-	// order: the pre-launch repair (when it rewired anything) first, then
-	// one per relaunch. Patches holds one report per adopted incremental
-	// patch (adapt mode).
-	Repairs []*collective.RepairReport
+	// Repairs holds one report per repair of the whole schedule, in order:
+	// the pre-launch repair (when it rewired anything) first, then one per
+	// relaunch. Patches holds one report per adopted mid-run patch (adapt
+	// mode).
+	Repairs []*collective.PatchReport
 	Patches []*collective.PatchReport
 
 	// MidRunDeaths lists channels that died mid-run, in failure order.
@@ -83,12 +83,13 @@ func (r *RunReport) Rerouted() int {
 
 // RunCollectiveCtx builds the configured collective on the healthy fabric,
 // then runs it under the fault plan: static faults are injected, the
-// schedule is statically repaired around dead links (detour mechanism,
-// §IV-A) and re-verified, and the run executes with timed faults armed. A
-// link that dies mid-run aborts the attempt with a structured fault; the run
-// then promotes the channel to statically dead, repairs again, and
-// relaunches (ModeRelaunch) — bounded by the number of timed link deaths, so
-// an unrepairable fabric always surfaces as an error, never a hang.
+// schedule is repaired around every dead link (collective.RepairSchedule:
+// detour mechanism, §IV-A, delta-verified), and the run executes with timed
+// faults armed. A link that dies mid-run aborts the attempt with a
+// structured fault; the run then promotes the channel to statically dead,
+// repairs again, and relaunches (ModeRelaunch) — bounded by the number of
+// timed link deaths, so an unrepairable fabric always surfaces as an error,
+// never a hang.
 //
 // A cancellation surfaces as a wrapped *des.CanceledError: it is not a
 // *des.FaultError, so the relaunch loop returns it directly instead of
@@ -146,7 +147,7 @@ func runCollective(ctx context.Context, cfg collective.Config, plan *Plan, mode 
 		g.KillChannel(id)
 	}
 
-	cur, rep, err := collective.RepairSchedule(s)
+	cur, rep, err := collective.RepairSchedule(s, g.DownChannels(), nil)
 	if err != nil {
 		return nil, report, err
 	}
@@ -209,8 +210,7 @@ func runCollective(ctx context.Context, cfg collective.Config, plan *Plan, mode 
 
 		if mode == ModeAdapt {
 			mRepairAttempts.Inc()
-			patched, prep, perr := collective.RepairScheduleIncremental(cur,
-				[]topology.ChannelID{died}, &collective.PatchOptions{Skip: next.Executed})
+			patched, prep, perr := collective.RepairSchedule(cur, g.DownChannels(), next.Executed)
 			if perr == nil {
 				report.Adapted++
 				mAdapted.Inc()
@@ -231,7 +231,7 @@ func runCollective(ctx context.Context, cfg collective.Config, plan *Plan, mode 
 		report.LostTime += next.At
 		cp = nil
 		mRepairAttempts.Inc()
-		nextSched, rep, rerr2 := collective.RepairSchedule(cur)
+		nextSched, rep, rerr2 := collective.RepairSchedule(cur, g.DownChannels(), nil)
 		if rerr2 != nil {
 			return nil, report, rerr2
 		}

@@ -11,26 +11,32 @@ import (
 	"ccube/internal/topology"
 )
 
-// killRidden kills the first channel the program rides that satisfies pick
-// and returns it.
-func killRidden(t *testing.T, p *schedcheck.Program, pick func(i int, ch *topology.Channel) bool) topology.ChannelID {
+// ridden returns the first channel the program rides that satisfies pick.
+func ridden(t *testing.T, p *schedcheck.Program, pick func(i int, ch *topology.Channel) bool) topology.ChannelID {
 	t.Helper()
 	for i := range p.Ops {
 		if op := &p.Ops[i]; !op.Marker() && pick(i, p.Graph.Channel(op.Channel)) {
-			p.Graph.KillChannel(op.Channel)
 			return op.Channel
 		}
 	}
-	t.Fatal("no ridden channel to kill")
+	t.Fatal("no ridden channel matches")
 	return -1
+}
+
+// killRidden kills ridden's channel and returns it.
+func killRidden(t *testing.T, p *schedcheck.Program, pick func(i int, ch *topology.Channel) bool) topology.ChannelID {
+	t.Helper()
+	cid := ridden(t, p, pick)
+	p.Graph.KillChannel(cid)
+	return cid
 }
 
 func anyChannel(int, *topology.Channel) bool { return true }
 
 // The acceptance scenario on the functional emulator: a direct link the
-// C-Cube schedule rides dies, the static repair splices a forwarding hop
-// through an intermediate GPU (§IV-A), and the repaired schedule still
-// computes an exact AllReduce.
+// C-Cube schedule rides dies, the repair splices a forwarding hop through an
+// intermediate GPU (§IV-A), and the repaired schedule still computes an
+// exact AllReduce.
 func TestDeadEdgeRecoversViaDetour(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, overlap := range []bool{false, true} {
@@ -42,7 +48,7 @@ func TestDeadEdgeRecoversViaDetour(t *testing.T) {
 		killRidden(t, s.Program(), func(_ int, ch *topology.Channel) bool {
 			return len(g.ChannelsBetween(ch.From, ch.To)) == 1 // no parallel link left
 		})
-		repaired, rep, err := collective.RepairSchedule(s)
+		repaired, rep, err := collective.RepairSchedule(s, g.DownChannels(), nil)
 		if err != nil {
 			t.Fatalf("overlap=%v: %v", overlap, err)
 		}
@@ -121,7 +127,7 @@ func TestDeadDetouredEdgeMatchesHealthy(t *testing.T) {
 		runSum(t, s.Program(), inputs, want)
 		p := s.Program()
 		dead := killRidden(t, p, func(i int, _ *topology.Channel) bool { return p.Ops[i].Dst.IsRelay() })
-		patched, _, err := collective.RepairScheduleIncremental(s, []topology.ChannelID{dead}, nil)
+		patched, _, err := collective.RepairSchedule(s, []topology.ChannelID{dead}, nil)
 		if err != nil {
 			t.Fatalf("chunks=%d: %v", chunks, err)
 		}

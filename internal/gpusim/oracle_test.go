@@ -22,11 +22,12 @@ type oracleCase struct {
 	want  func(in [][]float64) [][]float64
 }
 
-// TestDifferentialOracle runs every schedule kind through both data
-// executors — ExecuteData's sequential walk and the concurrent interpreter —
-// on integer-valued inputs, whose sums are exact in any order. Both must
-// produce the same buffers, and those buffers must meet the schedule's data
-// contract.
+// TestDifferentialOracle runs every schedule kind through all three
+// executors. The two data executors — ExecuteData's sequential walk and the
+// concurrent interpreter — run on integer-valued inputs, whose sums are
+// exact in any order; both must produce the same buffers, and those buffers
+// must meet the schedule's data contract. The timing executor (the DES)
+// must start every transfer only after all of its dependencies have ended.
 func TestDifferentialOracle(t *testing.T) {
 	const elems = 4096
 	var cases []oracleCase
@@ -61,7 +62,7 @@ func TestDifferentialOracle(t *testing.T) {
 		oracleCase{name: "dgx1/repaired", build: func(t *testing.T) *collective.Schedule {
 			s := build(t, collective.Config{Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Chunks: 8})
 			killRidden(t, s.Program(), anyChannel)
-			repaired, _, err := collective.RepairSchedule(s)
+			repaired, _, err := collective.RepairSchedule(s, s.Graph.DownChannels(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,15 +71,22 @@ func TestDifferentialOracle(t *testing.T) {
 		oracleCase{name: "dgx1/patched", build: func(t *testing.T) *collective.Schedule {
 			g := dgx1()
 			s := build(t, collective.Config{Graph: g, Algorithm: collective.AlgDoubleTreeOverlap, Chunks: 8})
-			dead := killRidden(t, s.Program(), func(_ int, ch *topology.Channel) bool {
-				return len(g.ChannelsBetween(ch.From, ch.To)) > 1 // rebalance onto the parallel link
+			// A degraded link with a parallel sibling: the patch rebalances
+			// its load across the pair.
+			slow := ridden(t, s.Program(), func(_ int, ch *topology.Channel) bool {
+				return len(g.ChannelsBetween(ch.From, ch.To)) > 1
 			})
-			patched, _, err := collective.RepairScheduleIncremental(s, []topology.ChannelID{dead}, nil)
+			g.DegradeChannel(slow, 8)
+			patched, rep, err := collective.RepairSchedule(s, []topology.ChannelID{slow}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if rep.Rebalanced == 0 {
+				t.Fatalf("degraded channel %d: nothing rebalanced (%v)", slow, rep.Routes)
+			}
 			return patched
 		}},
+		oracleCase{name: "dgx1/resumed", build: resumed},
 		oracleCase{name: "hierarchical/2-boxes", build: func(t *testing.T) *collective.Schedule {
 			return hierSchedule(t, 2, 8, true)
 		}},
@@ -106,6 +114,7 @@ func TestDifferentialOracle(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := c.build(t)
+			desRespectsDeps(t, s)
 			in := make([][]float64, len(s.Nodes))
 			in32 := make([][]float32, len(s.Nodes))
 			for n := range in {
@@ -144,6 +153,82 @@ func TestDifferentialOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// desRespectsDeps is the timing leg of the oracle. ExecuteOnCtx instantiates
+// the schedule into a fresh task graph, one task per transfer in id order,
+// and no task may start before every one of its dependencies has ended.
+func desRespectsDeps(t *testing.T, s *collective.Schedule) {
+	t.Helper()
+	_, g, err := s.ExecuteOnCtx(context.Background(), s.Graph.Resources())
+	if err != nil {
+		t.Fatalf("ExecuteOnCtx: %v", err)
+	}
+	p := s.Program()
+	if g.NumTasks() != len(p.Ops) {
+		t.Fatalf("DES ran %d tasks for %d transfers", g.NumTasks(), len(p.Ops))
+	}
+	for i, op := range p.Ops {
+		task := g.Task(i)
+		if task.Label != op.Label {
+			t.Fatalf("task %d is %q, transfer %d is %q", i, task.Label, i, op.Label)
+		}
+		for _, d := range op.Deps {
+			if dep := g.Task(d); task.Start < dep.End {
+				t.Fatalf("transfer %d (%s) starts at %v, before dependency %d (%s) ends at %v",
+					i, op.Label, task.Start, d, dep.Label, dep.End)
+			}
+		}
+	}
+}
+
+// resumed checkpoints the C-Cube schedule on a timed link death, patches the
+// unexecuted remainder around the dead link, and resumes it on the same
+// virtual clock. The link then recovers, as at the end of a churn epoch, and
+// an empty repair restamps the patched schedule for the healed fabric, so
+// every executor can run its whole program, executed prefix included.
+func resumed(t *testing.T) *collective.Schedule {
+	ctx := context.Background()
+	g := dgx1()
+	s := build(t, collective.Config{Graph: g, Algorithm: collective.AlgDoubleTreeOverlap, Chunks: 8})
+	healthy, err := s.ExecuteCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp *collective.Checkpoint
+	dead := topology.ChannelID(-1)
+	for _, op := range s.Program().Ops {
+		if op.Marker() {
+			continue
+		}
+		res := g.Resources()
+		res[op.Channel].FailAt(healthy.Total / 2)
+		if _, next, err := s.ExecuteCheckpointCtx(ctx, res); err != nil && next != nil && next.NumExecuted > 0 {
+			cp, dead = next, op.Channel
+			break
+		}
+	}
+	if cp == nil {
+		t.Fatal("no timed link death aborts the run mid-way")
+	}
+	g.KillChannel(dead)
+	patched, rep, err := collective.RepairSchedule(s, g.DownChannels(), cp.Executed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := patched.ResumeOnCtx(ctx, cp.Remap(rep.OldToNew, patched.NumTransfers()), g.Resources())
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if res.Total < cp.At {
+		t.Fatalf("resumed run ends at %v, before its checkpoint at %v", res.Total, cp.At)
+	}
+	g.RestoreChannel(dead)
+	healed, _, err := collective.RepairSchedule(patched, g.DownChannels(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return healed
 }
 
 func sumAt(in [][]float64, j int) float64 {

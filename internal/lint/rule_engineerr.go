@@ -9,7 +9,7 @@ func init() {
 	Register(&Analyzer{
 		Name: "unchecked-engine-err",
 		Doc: "discarding the error from the engine's run/verify entry points " +
-			"(RunCtx, ExecuteCtx, Verify, RepairSchedule, ...) fails the build: " +
+			"(RunCtx, ExecuteCtx, Validate, RepairSchedule, ...) fails the build: " +
 			"these errors carry cancellation, fault, and verification outcomes " +
 			"that callers must route, not drop",
 		Run: runUncheckedEngineErr,
@@ -23,8 +23,7 @@ var engineErrFuncs = map[string]bool{
 	"RunCtx": true, "RunChurnCtx": true,
 	"ExecuteCtx": true, "ExecuteOnCtx": true,
 	"ExecuteCheckpointCtx": true, "ResumeOnCtx": true,
-	"Verify": true, "VerifyDeep": true, "Validate": true,
-	"RepairSchedule": true, "RepairScheduleIncremental": true,
+	"Validate": true, "VerifyDeep": true, "RepairSchedule": true,
 }
 
 func runUncheckedEngineErr(p *Pass) {

@@ -7,8 +7,8 @@ import "errors"
 
 var errBad = errors.New("schedule does not verify")
 
-// Verify checks one schedule; its error is the verification outcome.
-func Verify(ok bool) error {
+// Validate checks one schedule; its error is the verification outcome.
+func Validate(ok bool) error {
 	if !ok {
 		return errBad
 	}
@@ -17,20 +17,20 @@ func Verify(ok bool) error {
 
 // Check drops the verification outcome on the floor.
 func Check() {
-	Verify(true) // want "unchecked-engine-err"
+	Validate(true) // want "unchecked-engine-err"
 }
 
 // CheckBlank discards it through the blank identifier.
 func CheckBlank() {
-	_ = Verify(true) // want "unchecked-engine-err"
+	_ = Validate(true) // want "unchecked-engine-err"
 }
 
 // CheckRight routes the error to its caller.
 func CheckRight() error {
-	return Verify(true)
+	return Validate(true)
 }
 
 // CheckQuiet is the suppressed twin.
 func CheckQuiet() {
-	Verify(true) //lint:ignore unchecked-engine-err fixture: suppressed dropped verification
+	Validate(true) //lint:ignore unchecked-engine-err fixture: suppressed dropped verification
 }

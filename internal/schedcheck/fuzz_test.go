@@ -273,7 +273,7 @@ func fuzzRepair(t *testing.T, g *topology.Graph, s *collective.Schedule, p *sche
 	if r := check(t, p); !hasClass(r, schedcheck.ClassLink) {
 		t.Fatalf("schedule over dead channel %d went unnoticed: %s", dead, r.Summary())
 	}
-	repaired, rep, err := collective.RepairSchedule(s)
+	repaired, rep, err := collective.RepairSchedule(s, g.DownChannels(), nil)
 	if err != nil {
 		var ue *collective.UnrepairableError
 		if errors.As(err, &ue) {
@@ -311,13 +311,13 @@ func fuzzIncrementalRepair(t *testing.T, g *topology.Graph, s *collective.Schedu
 	}
 	dead := used[int(pick)%len(used)]
 	g.KillChannel(dead)
-	patched, rep, err := collective.RepairScheduleIncremental(s, []topology.ChannelID{dead}, nil)
+	patched, rep, err := collective.RepairSchedule(s, []topology.ChannelID{dead}, nil)
 	if err != nil {
 		var ue *collective.UnrepairableError
 		if errors.As(err, &ue) {
 			t.Skip() // a legitimately unrepairable kill, not a verifier bug
 		}
-		t.Fatalf("RepairScheduleIncremental: %v", err)
+		t.Fatalf("RepairSchedule: %v", err)
 	}
 	pp := patched.Program()
 	spec := &schedcheck.PatchSpec{Base: p, OldToNew: rep.OldToNew, Touched: rep.Touched}

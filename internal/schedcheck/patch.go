@@ -49,7 +49,7 @@ type PatchSpec struct {
 //	            untouched ops are covered by the transfer argument above.
 //
 // CheckPatch assumes the base program itself passed Check; it proves nothing
-// about the base. The test suite keeps full Verify as the oracle: every
+// about the base. The test suite keeps the full Check as the oracle: every
 // CheckPatch-accepted patch must also pass Check once dead channels are
 // taken out of the picture.
 func CheckPatch(patched *Program, spec *PatchSpec) *Report {

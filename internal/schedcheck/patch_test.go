@@ -40,7 +40,7 @@ func buildPatchFixture(t *testing.T, pickChannel func(*topology.Graph, []topolog
 		t.Skip("no channel matching the fixture's requirement")
 	}
 	g.KillChannel(dead)
-	patched, rep, err := collective.RepairScheduleIncremental(s, []topology.ChannelID{dead}, nil)
+	patched, rep, err := collective.RepairSchedule(s, []topology.ChannelID{dead}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func TestReachabilityIsExact(t *testing.T) {
 					break
 				}
 			}
-			repaired, _, err := collective.RepairSchedule(s)
+			repaired, _, err := collective.RepairSchedule(s, g.DownChannels(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -55,8 +55,8 @@ func TestSynthesizeGrid(t *testing.T) {
 					t.Fatalf("Synthesize: %v", err)
 				}
 				s := res.Schedule
-				if err := s.Verify(); err != nil {
-					t.Fatalf("Verify: %v", err)
+				if err := s.Validate(); err != nil {
+					t.Fatalf("Validate: %v", err)
 				}
 				if err := s.VerifyDeep(); err != nil {
 					t.Fatalf("VerifyDeep: %v", err)

@@ -323,18 +323,6 @@ func (g *Graph) RestoreHealth(snap []ChannelHealth) {
 	}
 }
 
-// Healthy reports whether every channel is up at nominal bandwidth. The
-// schedule cache uses this to segregate entries built against a faulted
-// topology from the hot clean-topology entries.
-func (g *Graph) Healthy() bool {
-	for i := range g.channels {
-		if g.channels[i].down || g.channels[i].degrade > 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // DownChannels returns the ids of all failed channels, in id order.
 func (g *Graph) DownChannels() []ChannelID {
 	var ids []ChannelID

@@ -281,7 +281,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		revert := cfg.Faults.Apply(cfg.Graph)
 		defer revert()
-		repaired, _, err := collective.RepairSchedule(sched)
+		repaired, _, err := collective.RepairSchedule(sched, cfg.Graph.DownChannels(), nil)
 		if err != nil {
 			return nil, err
 		}
