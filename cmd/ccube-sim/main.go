@@ -147,6 +147,11 @@ func main() {
 		fail("%v", err)
 	}
 	if *traceFile != "" {
+		// The fresh graph holds one task per transfer, in id order, named
+		// only by kind; name each by its chunk and endpoints for the viewer.
+		for i := 0; i < sched.NumTransfers(); i++ {
+			taskGraph.Task(i).Label = sched.Label(i)
+		}
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			fail("%v", err)

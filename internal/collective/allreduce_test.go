@@ -465,20 +465,21 @@ func TestScheduleValidateCatchesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt a transfer's chunk index.
-	s.transfers[0].chunk = 99
+	s.ops[0].Chunk = 99
 	if err := s.Validate(); err == nil {
 		t.Error("out-of-range chunk accepted")
 	}
-	s.transfers[0].chunk = 0
+	s.ops[0].Chunk = 0
 	// Corrupt bytes.
-	s.transfers[0].bytes = 0
+	s.ops[0].Bytes = 0
 	if err := s.Validate(); err == nil {
 		t.Error("zero-byte transfer accepted")
 	}
-	s.transfers[0].bytes = 100
+	s.ops[0].Bytes = 100
 	// Introduce a dependency cycle.
-	s.transfers[0].deps = append(s.transfers[0].deps, s.transfers[len(s.transfers)-1].id)
-	s.transfers[len(s.transfers)-1].deps = append(s.transfers[len(s.transfers)-1].deps, 0)
+	last := len(s.ops) - 1
+	s.ops[0].Deps = append(s.ops[0].Deps, last)
+	s.ops[last].Deps = append(s.ops[last].Deps, 0)
 	if err := s.Validate(); err == nil {
 		t.Error("cyclic schedule accepted")
 	}
@@ -493,24 +494,25 @@ func TestScheduleValidateCatchesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	caught := false
-	for _, tr := range s.transfers {
-		if caught || tr.isMarker() || tr.src.relay >= 0 {
+	for i := range s.ops {
+		tr := &s.ops[i]
+		if caught || tr.Marker() || tr.Src.Relay >= 0 {
 			continue
 		}
-		for di, d := range tr.deps {
-			w := s.transfers[d]
-			if w.isMarker() || !w.accumulate || w.dst != tr.src || w.chunk != tr.chunk {
+		for di, d := range tr.Deps {
+			w := &s.ops[d]
+			if w.Marker() || !w.Accumulate || w.Dst != tr.Src || w.Chunk != tr.Chunk {
 				continue
 			}
-			dropped := tr.deps[di]
-			tr.deps = append(tr.deps[:di], tr.deps[di+1:]...)
+			dropped := tr.Deps[di]
+			tr.Deps = append(tr.Deps[:di], tr.Deps[di+1:]...)
 			if err := s.Validate(); err != nil {
 				caught = true
 				break
 			}
 			// Edge was redundant (another path orders the pair); restore
 			// and keep looking.
-			tr.deps = append(tr.deps, dropped)
+			tr.Deps = append(tr.Deps, dropped)
 		}
 	}
 	if !caught {

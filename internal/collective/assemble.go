@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ccube/internal/chunk"
+	"ccube/internal/schedcheck"
 	"ccube/internal/topology"
 )
 
@@ -20,8 +21,6 @@ import (
 // OpSpec describes one operation of an externally assembled schedule, in
 // the same vocabulary as the internal transfer DAG.
 type OpSpec struct {
-	// Label names the op for verifier diagnostics and traces.
-	Label string
 	// Channel is the physical channel the op occupies; < 0 makes the op a
 	// zero-cost marker (a dependency join).
 	Channel topology.ChannelID
@@ -82,42 +81,39 @@ func Assemble(spec AssembleSpec) (*Schedule, error) {
 	s.Streams = spec.Streams
 	s.Contract = spec.Contract
 	numChunks := spec.Partition.NumChunks()
+	deps := 0
+	for i := range spec.Ops {
+		deps += len(spec.Ops[i].Deps)
+	}
+	s.reserve(len(spec.Ops), deps)
 	for i, op := range spec.Ops {
 		if op.Chunk < 0 || op.Chunk >= numChunks {
-			return nil, fmt.Errorf("collective: assemble: op %d (%s): chunk %d outside partition [0,%d)", i, op.Label, op.Chunk, numChunks)
+			return nil, fmt.Errorf("collective: assemble: op %d: chunk %d outside partition [0,%d)", i, op.Chunk, numChunks)
 		}
 		for _, d := range op.Deps {
 			if d < 0 || d >= i {
-				return nil, fmt.Errorf("collective: assemble: op %d (%s): dep %d is not an earlier op", i, op.Label, d)
+				return nil, fmt.Errorf("collective: assemble: op %d: dep %d is not an earlier op", i, d)
 			}
 		}
-		if op.Channel < 0 {
-			final := topology.NodeID(-1)
-			if op.HasFinal {
-				final = op.Final
-			}
-			id := s.addMarker(op.Label, op.Chunk, final, op.Deps...)
-			if id != i {
-				return nil, fmt.Errorf("collective: assemble: op id drift (%d != %d)", id, i)
-			}
-			continue
-		}
-		src := nodeBuf(op.SrcNode)
-		if op.FromRelay {
-			if op.SrcRelay < 0 || op.SrcRelay >= i {
-				return nil, fmt.Errorf("collective: assemble: op %d (%s): relay source %d is not an earlier op", i, op.Label, op.SrcRelay)
-			}
-			src = relayBuf(op.SrcRelay)
-		}
-		dst := nodeBuf(op.DstNode)
-		id := s.addTransfer(op.Label, op.Channel, op.Chunk, op.Bytes, src, dst, op.Accumulate, op.Deps...)
-		if op.DstRelaySelf {
-			s.transfers[id].dst = relayBuf(id)
-		}
-		s.transfers[id].noAlpha = op.NoAlpha
+		o := schedcheck.Op{Chunk: op.Chunk, Channel: -1, Src: schedcheck.NoBuf(), Dst: schedcheck.NoBuf(), Final: -1}
 		if op.HasFinal {
-			s.markFinal(id, op.Final)
+			o.Final = op.Final
 		}
+		if op.Channel >= 0 {
+			o.Channel, o.Bytes, o.Accumulate, o.NoAlpha = op.Channel, op.Bytes, op.Accumulate, op.NoAlpha
+			o.Src = schedcheck.NodeBuf(op.SrcNode)
+			if op.FromRelay {
+				if op.SrcRelay < 0 || op.SrcRelay >= i {
+					return nil, fmt.Errorf("collective: assemble: op %d: relay source %d is not an earlier op", i, op.SrcRelay)
+				}
+				o.Src = schedcheck.RelayBuf(op.SrcRelay)
+			}
+			o.Dst = schedcheck.NodeBuf(op.DstNode)
+			if op.DstRelaySelf {
+				o.Dst = schedcheck.RelayBuf(i)
+			}
+		}
+		s.add(o, op.Deps...)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("collective: assembled schedule failed verification: %w", err)

@@ -24,11 +24,11 @@ func assembleAllReduce2(g *topology.Graph) (*Schedule, error) {
 		Streams:   1,
 		Contract:  ContractAllReduce,
 		Ops: []OpSpec{
-			{Label: "up", Channel: up, Chunk: 0, Bytes: 1 << 16,
+			{Channel: up, Chunk: 0, Bytes: 1 << 16,
 				SrcNode: nodes[0], DstNode: nodes[1], Accumulate: true},
-			{Label: "rootready", Channel: -1, Chunk: 0,
+			{Channel: -1, Chunk: 0,
 				HasFinal: true, Final: nodes[1], Deps: []int{0}},
-			{Label: "down", Channel: down, Chunk: 0, Bytes: 1 << 16,
+			{Channel: down, Chunk: 0, Bytes: 1 << 16,
 				SrcNode: nodes[1], DstNode: nodes[0],
 				HasFinal: true, Final: nodes[0], Deps: []int{1}},
 		},
@@ -119,9 +119,9 @@ func TestAssembleRejectsUnverifiableSpec(t *testing.T) {
 		// The minimal two-node allreduce with the reduction turned into an
 		// overwrite: node 1 loses its own contribution.
 		{"ops do not conserve the data", "conservation", []OpSpec{
-			{Label: "up", Channel: up, Bytes: 1 << 16, SrcNode: nodes[0], DstNode: nodes[1]},
-			{Label: "rootready", Channel: -1, HasFinal: true, Final: nodes[1], Deps: []int{0}},
-			{Label: "down", Channel: down, Bytes: 1 << 16, SrcNode: nodes[1], DstNode: nodes[0],
+			{Channel: up, Bytes: 1 << 16, SrcNode: nodes[0], DstNode: nodes[1]},
+			{Channel: -1, HasFinal: true, Final: nodes[1], Deps: []int{0}},
+			{Channel: down, Bytes: 1 << 16, SrcNode: nodes[1], DstNode: nodes[0],
 				HasFinal: true, Final: nodes[0], Deps: []int{1}},
 		}},
 	}

@@ -119,7 +119,7 @@ func TestMakespanBoundDetectsCostDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := s.Program()
+	p := s.Program().Clone()
 	for i := range p.Ops {
 		p.Ops[i].Bytes *= 2
 	}

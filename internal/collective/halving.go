@@ -42,6 +42,21 @@ func buildHalvingDoublingSchedule(g *topology.Graph, nodes []topology.NodeID, pa
 	s := newSchedule(g, nodes, part)
 	s.InOrder = false
 	s.Contract = ContractAllReduce
+	// Each step of both phases sends p*block chunks, block = p>>(step+1),
+	// and adds p step markers joining 2*block sends each. All-gather sends,
+	// and reduce-scatter sends after the first step, depend on the chunk's
+	// last arrival and the rank's previous step; so do the p readiness
+	// markers between the phases.
+	ops, ndeps := p, 2*p
+	for step := 0; step < d; step++ {
+		block := p >> (step + 1)
+		ops += 2 * (p*block + p)
+		ndeps += 4*p*block + 2*p*block // step markers, all-gather sends
+		if step > 0 {
+			ndeps += 2 * p * block // reduce-scatter sends
+		}
+	}
+	s.reserve(ops, ndeps)
 
 	channel := func(from, to int) (topology.ChannelID, error) {
 		chs := g.ChannelsBetween(nodes[from], nodes[to])
@@ -52,15 +67,12 @@ func buildHalvingDoublingSchedule(g *topology.Graph, nodes []topology.NodeID, pa
 		return chs[0], nil
 	}
 
-	// arrival[r][c] = transfer id that last updated chunk c at rank r
+	// arrival[r*p+c] = transfer id that last updated chunk c at rank r
 	// (reduce-scatter accumulation or all-gather overwrite); -1 = only the
 	// local contribution so far.
-	arrival := make([][]int, p)
-	for r := range arrival {
-		arrival[r] = make([]int, p)
-		for c := range arrival[r] {
-			arrival[r][c] = -1
-		}
+	arrival := make([]int, p*p)
+	for i := range arrival {
+		arrival[i] = -1
 	}
 
 	// blockOf returns the chunk range owned by rank r after s halving steps:
@@ -80,10 +92,45 @@ func buildHalvingDoublingSchedule(g *topology.Graph, nodes []topology.NodeID, pa
 	for r := range stepDone {
 		stepDone[r] = -1
 	}
+	deps := make([]int, 0, p) // scratch
+	// send appends rank r's transfer of chunk c to partner, depending on
+	// the chunk's last update at r (per from) and r's previous step.
+	send := func(ch topology.ChannelID, r, partner, c int, accumulate, first bool, from []int) int {
+		deps = deps[:0]
+		if prev := from[r*p+c]; prev >= 0 {
+			deps = append(deps, prev)
+		}
+		if stepDone[r] >= 0 {
+			deps = append(deps, stepDone[r])
+		}
+		id := s.addTransfer(ch, c, nodes[r], nodes[partner], accumulate, deps...)
+		s.ops[id].NoAlpha = !first
+		arrival[partner*p+c] = id
+		return id
+	}
+	// stepMarkers joins, per rank, everything it sent and received in one
+	// step. The step's sends start at id base, rank by rank, block each, so
+	// rank r's activity is its own sends and its partner's, in id order.
+	stepMarkers := func(step, base int) {
+		block := p >> (step + 1)
+		for r := 0; r < p; r++ {
+			lo, hi := r, r^(p>>(step+1))
+			if hi < lo {
+				lo, hi = hi, lo
+			}
+			deps = deps[:0]
+			for _, x := range [2]int{lo, hi} {
+				for i := 0; i < block; i++ {
+					deps = append(deps, base+x*block+i)
+				}
+			}
+			stepDone[r] = s.addMarker(0, -1, deps...)
+		}
+	}
 
 	// Reduce-scatter.
 	for step := 0; step < d; step++ {
-		activity := make([][]int, p) // per rank: this step's transfer ids
+		base := len(s.ops)
 		for r := 0; r < p; r++ {
 			partner := r ^ (p >> (step + 1))
 			lo, hi := blockOf(partner, step+1) // the half that leaves r
@@ -91,30 +138,11 @@ func buildHalvingDoublingSchedule(g *topology.Graph, nodes []topology.NodeID, pa
 			if err != nil {
 				return nil, err
 			}
-			first := true
 			for c := lo; c < hi; c++ {
-				var deps []int
-				if prev := arrival[r][c]; prev >= 0 {
-					deps = append(deps, prev)
-				}
-				if stepDone[r] >= 0 {
-					deps = append(deps, stepDone[r])
-				}
-				label := fmt.Sprintf("hd:rs:s%d:%d->%d:c%d", step, r, partner, c)
-				id := s.addTransfer(label, ch, c, part.Sizes[c],
-					nodeBuf(nodes[r]), nodeBuf(nodes[partner]), true, deps...)
-				if !first {
-					s.transfers[id].noAlpha = true
-				}
-				first = false
-				arrival[partner][c] = id
-				activity[r] = append(activity[r], id)
-				activity[partner] = append(activity[partner], id)
+				send(ch, r, partner, c, true, c == lo, arrival)
 			}
 		}
-		for r := 0; r < p; r++ {
-			stepDone[r] = s.addMarker(fmt.Sprintf("hd:rs:s%d:done:%d", step, r), 0, -1, activity[r]...)
-		}
+		stepMarkers(step, base)
 	}
 	// Rank r now owns fully reduced chunk r. Readiness must cover every
 	// accumulation into (r, chunk r), not just the last step's: earlier-step
@@ -123,26 +151,22 @@ func buildHalvingDoublingSchedule(g *topology.Graph, nodes []topology.NodeID, pa
 	// through all of rank r's receives, closing that gap (found by
 	// schedcheck's conservation pass).
 	for r := 0; r < p; r++ {
-		var deps []int
-		if prev := arrival[r][r]; prev >= 0 {
+		deps = deps[:0]
+		if prev := arrival[r*p+r]; prev >= 0 {
 			deps = append(deps, prev)
 		}
 		if stepDone[r] >= 0 {
 			deps = append(deps, stepDone[r])
 		}
-		id := s.addMarker(fmt.Sprintf("hd:rs:done:%d", r), r, nodes[r], deps...)
-		arrival[r][r] = id
+		arrival[r*p+r] = s.addMarker(r, nodes[r], deps...)
 	}
 
-	// All-gather: doubling, reversing the halving order.
+	// All-gather: doubling, reversing the halving order. Both directions of
+	// a step exchange blocks simultaneously, based on the pre-step arrivals.
+	snapshot := make([]int, p*p)
 	for step := d - 1; step >= 0; step-- {
-		// Snapshot arrivals: both directions of a step exchange blocks
-		// simultaneously, based on pre-step state.
-		snapshot := make([][]int, p)
-		for r := range snapshot {
-			snapshot[r] = append([]int(nil), arrival[r]...)
-		}
-		activity := make([][]int, p)
+		copy(snapshot, arrival)
+		base := len(s.ops)
 		for r := 0; r < p; r++ {
 			partner := r ^ (p >> (step + 1))
 			lo, hi := blockOf(r, step+1) // r's currently held block
@@ -150,31 +174,12 @@ func buildHalvingDoublingSchedule(g *topology.Graph, nodes []topology.NodeID, pa
 			if err != nil {
 				return nil, err
 			}
-			first := true
 			for c := lo; c < hi; c++ {
-				var deps []int
-				if prev := snapshot[r][c]; prev >= 0 {
-					deps = append(deps, prev)
-				}
-				if stepDone[r] >= 0 {
-					deps = append(deps, stepDone[r])
-				}
-				label := fmt.Sprintf("hd:ag:s%d:%d->%d:c%d", step, r, partner, c)
-				id := s.addTransfer(label, ch, c, part.Sizes[c],
-					nodeBuf(nodes[r]), nodeBuf(nodes[partner]), false, deps...)
-				if !first {
-					s.transfers[id].noAlpha = true
-				}
-				first = false
-				s.markFinal(id, nodes[partner])
-				arrival[partner][c] = id
-				activity[r] = append(activity[r], id)
-				activity[partner] = append(activity[partner], id)
+				id := send(ch, r, partner, c, false, c == lo, snapshot)
+				s.ops[id].Final = nodes[partner]
 			}
 		}
-		for r := 0; r < p; r++ {
-			stepDone[r] = s.addMarker(fmt.Sprintf("hd:ag:s%d:done:%d", step, r), 0, -1, activity[r]...)
-		}
+		stepMarkers(step, base)
 	}
 	return s, nil
 }

@@ -78,94 +78,110 @@ func BuildHierarchical(cfg HierarchicalConfig) (*Schedule, error) {
 		return nil, fmt.Errorf("collective: leader GPU must be the intra-node tree root (GPU%d)", intraTree.Root)
 	}
 
-	// Phase 1: intra-node reduction per box.
-	boxReady := make([][]int, m) // boxReady[b][ci]
-	intraRoutes := make([]edgeRoutes, m)
+	// Route every phase before emitting anything, so the schedule reserves
+	// its exact size.
+	boxUp := make([]*treePhase, m)
+	boxDown := make([]*treePhase, m)
 	for b := 0; b < m; b++ {
-		router := topology.NewRouter(g)
-		routes, err := assignRoutes(g, boxes[b], intraTree, router, false)
+		routes, err := assignRoutes(g, boxes[b], intraTree, topology.NewRouter(g), false)
 		if err != nil {
 			return nil, fmt.Errorf("collective: box %d intra routes: %w", b, err)
 		}
-		intraRoutes[b] = routes
-		boxReady[b] = addReducePhase(s, boxes[b], intraTree, routes, k, nil,
-			fmt.Sprintf("box%d:reduce", b))
+		boxUp[b] = newTreePhase(s, boxes[b], intraTree, routes, true)
+		boxDown[b] = newTreePhase(s, boxes[b], intraTree, routes, false)
+	}
+	interTree := InorderTree(m)
+	interRoutes, err := assignRoutes(g, leaders, interTree, topology.NewRouter(g), false)
+	if err != nil {
+		return nil, fmt.Errorf("collective: inter-node routes: %w", err)
+	}
+	interUp := newTreePhase(s, leaders, interTree, interRoutes, true)
+	interDown := newTreePhase(s, leaders, interTree, interRoutes, false)
+
+	ops, deps := 0, 0
+	add := func(o, d int) { ops, deps = ops+o, deps+d }
+	for b := 0; b < m; b++ {
+		add(boxUp[b].cost(k, false))
+		add(k, k*len(intraTree.Children[intraTree.Root])) // box-ready markers
+		add(boxDown[b].cost(k, true))
+	}
+	add(interUp.cost(k, true))
+	add(k, k*(len(interTree.Children[interTree.Root])+1)) // inter-ready markers
+	add(interDown.cost(k, true))
+	if !cfg.Chained {
+		add(3, 2*m+1) // the three phase barriers
+	}
+	s.reserve(ops, deps)
+
+	// Phase 1: intra-node reduction per box. boxReady[b*k+ci] marks chunk
+	// ci reduced at box b's leader.
+	boxReady := make([]int, m*k)
+	for b := 0; b < m; b++ {
+		for ci := 0; ci < k; ci++ {
+			boxReady[b*k+ci] = s.addMarker(ci, -1, boxUp[b].reduce(ci, ci > 0, nil)...)
+		}
 	}
 
 	barrier1 := -1
 	if !cfg.Chained {
-		var deps []int
+		barrier1 = s.addMarker(k-1, -1)
 		for b := 0; b < m; b++ {
-			deps = append(deps, boxReady[b][k-1])
+			s.addDep(boxReady[b*k+k-1])
 		}
-		barrier1 = s.addMarker("barrier:intra-reduce", k-1, -1, deps...)
 	}
 
 	// Phase 2: inter-node AllReduce among leaders over a single tree,
-	// overlapped in chained mode.
-	interTree := InorderTree(m)
-	interRouter := topology.NewRouter(g)
-	interRoutes, err := assignRoutes(g, leaders, interTree, interRouter, false)
-	if err != nil {
-		return nil, fmt.Errorf("collective: inter-node routes: %w", err)
-	}
-	interReady := addReducePhase(s, leaders, interTree, interRoutes, k,
-		func(l, ci int) []int {
-			if cfg.Chained {
-				return []int{boxReady[l][ci]}
-			}
-			return []int{barrier1}
-		},
-		"inter:reduce")
-	// The inter-root leader's buffer is globally reduced at interReady.
+	// overlapped in chained mode. The inter-root leader's buffer is globally
+	// reduced at interReady.
+	interReady := make([]int, k)
 	for ci := 0; ci < k; ci++ {
-		s.markFinal(interReady[ci], leaders[interTree.Root])
+		boxDone := func(l int) int {
+			if cfg.Chained {
+				return boxReady[l*k+ci]
+			}
+			return barrier1
+		}
+		interReady[ci] = s.addMarker(ci, leaders[interTree.Root], interUp.reduce(ci, ci > 0, boxDone)...)
 	}
 
 	barrier2 := -1
 	if !cfg.Chained {
-		barrier2 = s.addMarker("barrier:inter-reduce", k-1, -1, interReady[k-1])
+		barrier2 = s.addMarker(k-1, -1, interReady[k-1])
 	}
 
-	interArrive := addBroadcastPhase(s, leaders, interTree, interRoutes, k,
-		func(ci int) []int {
-			if cfg.Chained {
-				return []int{interReady[ci]}
+	// leaderHas[b*k+ci]: the op making chunk ci final at box b's leader.
+	leaderHas := make([]int, m*k)
+	for ci := 0; ci < k; ci++ {
+		dep := barrier2
+		if cfg.Chained {
+			dep = interReady[ci]
+		}
+		interDown.broadcast(ci, ci > 0, dep)
+		for b := 0; b < m; b++ {
+			leaderHas[b*k+ci] = interReady[ci]
+			if b != interTree.Root {
+				leaderHas[b*k+ci] = interDown.last(b)
 			}
-			return []int{barrier2}
-		},
-		true, "inter:bcast")
-
-	// leaderHas[b][ci]: task making chunk ci final at box b's leader.
-	leaderHas := make([][]int, m)
-	for b := 0; b < m; b++ {
-		if b == interTree.Root {
-			leaderHas[b] = interReady
-		} else {
-			leaderHas[b] = interArrive[b]
 		}
 	}
 
 	barrier3 := -1
 	if !cfg.Chained {
-		var deps []int
+		barrier3 = s.addMarker(k-1, -1)
 		for b := 0; b < m; b++ {
-			deps = append(deps, leaderHas[b][k-1])
+			s.addDep(leaderHas[b*k+k-1])
 		}
-		barrier3 = s.addMarker("barrier:inter-bcast", k-1, -1, deps...)
 	}
 
 	// Phase 3: intra-node broadcast per box.
 	for b := 0; b < m; b++ {
-		b := b
-		addBroadcastPhase(s, boxes[b], intraTree, intraRoutes[b], k,
-			func(ci int) []int {
-				if cfg.Chained {
-					return []int{leaderHas[b][ci]}
-				}
-				return []int{barrier3}
-			},
-			true, fmt.Sprintf("box%d:bcast", b))
+		for ci := 0; ci < k; ci++ {
+			dep := barrier3
+			if cfg.Chained {
+				dep = leaderHas[b*k+ci]
+			}
+			boxDown[b].broadcast(ci, ci > 0, dep)
+		}
 	}
 	return s, nil
 }
@@ -198,138 +214,4 @@ func autoChunksFor(ch *topology.Channel, p int, bytes int64) int {
 		k = MaxAutoChunks
 	}
 	return k
-}
-
-// addReducePhase adds one pipelined reduction over a tree of participants;
-// extraDeps (optional) injects per-participant per-chunk external
-// dependencies (e.g. "box b reduced chunk ci") into each up-send. It
-// returns the per-chunk root-ready marker ids.
-func addReducePhase(s *Schedule, parts []topology.NodeID, tree Tree, routes edgeRoutes, k int,
-	extraDeps func(participant, ci int) []int, prefix string) []int {
-
-	upHops := make(map[int][][]int)
-	ready := make([]int, k)
-	for ci := 0; ci < k; ci++ {
-		bytes := s.Partition.Sizes[ci]
-		for _, v := range tree.PostOrder() {
-			if v == tree.Root {
-				continue
-			}
-			route := routes.up[v]
-			var deps []int
-			for _, w := range tree.Children[v] {
-				hops := upHops[w][ci]
-				deps = append(deps, hops[len(hops)-1])
-			}
-			if extraDeps != nil {
-				deps = append(deps, extraDeps(v, ci)...)
-			}
-			hopIDs := make([]int, 0, route.Hops())
-			prev := -1
-			for h, ch := range route.Channels {
-				src := nodeBuf(parts[v])
-				if h > 0 {
-					src = relayBuf(prev)
-				}
-				var hopDeps []int
-				if h == 0 {
-					hopDeps = deps
-				} else {
-					hopDeps = []int{prev}
-				}
-				if ci > 0 {
-					hopDeps = append(hopDeps, upHops[v][ci-1][h])
-				}
-				label := fmt.Sprintf("%s:up:%d->%d:c%d:h%d", prefix, v, tree.Parent[v], ci, h)
-				var id int
-				if h == route.Hops()-1 {
-					id = s.addTransfer(label, ch, ci, bytes, src, nodeBuf(parts[tree.Parent[v]]), true, hopDeps...)
-				} else {
-					id = s.addTransfer(label, ch, ci, bytes, src, bufRef{node: -1, relay: -1}, false, hopDeps...)
-					s.transfers[id].dst = relayBuf(id)
-				}
-				hopIDs = append(hopIDs, id)
-				prev = id
-			}
-			upHops[v] = append(upHops[v], hopIDs)
-		}
-		var deps []int
-		for _, w := range tree.Children[tree.Root] {
-			hops := upHops[w][ci]
-			deps = append(deps, hops[len(hops)-1])
-		}
-		if extraDeps != nil {
-			deps = append(deps, extraDeps(tree.Root, ci)...)
-		}
-		ready[ci] = s.addMarker(fmt.Sprintf("%s:ready:c%d", prefix, ci), ci, -1, deps...)
-	}
-	return ready
-}
-
-// addBroadcastPhase adds one pipelined broadcast from the tree root;
-// chunkDeps(ci) gates the root's send of chunk ci (e.g. "chunk globally
-// reduced"). When markFinals is set, each arrival marks the chunk final at
-// the receiving participant. It returns arrive[participant][ci] task ids
-// (the root has none).
-func addBroadcastPhase(s *Schedule, parts []topology.NodeID, tree Tree, routes edgeRoutes, k int,
-	chunkDeps func(ci int) []int, markFinals bool, prefix string) [][]int {
-
-	downHops := make(map[int][][]int)
-	arrive := make([][]int, len(parts))
-	for i := range arrive {
-		arrive[i] = make([]int, k)
-		for ci := range arrive[i] {
-			arrive[i][ci] = -1
-		}
-	}
-	for ci := 0; ci < k; ci++ {
-		bytes := s.Partition.Sizes[ci]
-		for _, v := range tree.PreOrder() {
-			for _, w := range tree.Children[v] {
-				route := routes.down[w]
-				var deps []int
-				if v == tree.Root {
-					if chunkDeps != nil {
-						deps = append(deps, chunkDeps(ci)...)
-					}
-				} else {
-					hops := downHops[v][ci]
-					deps = append(deps, hops[len(hops)-1])
-				}
-				hopIDs := make([]int, 0, route.Hops())
-				prev := -1
-				for h, ch := range route.Channels {
-					src := nodeBuf(parts[v])
-					if h > 0 {
-						src = relayBuf(prev)
-					}
-					var hopDeps []int
-					if h == 0 {
-						hopDeps = deps
-					} else {
-						hopDeps = []int{prev}
-					}
-					if ci > 0 {
-						hopDeps = append(hopDeps, downHops[w][ci-1][h])
-					}
-					label := fmt.Sprintf("%s:%d->%d:c%d:h%d", prefix, v, w, ci, h)
-					var id int
-					if h == route.Hops()-1 {
-						id = s.addTransfer(label, ch, ci, bytes, src, nodeBuf(parts[w]), false, hopDeps...)
-						if markFinals {
-							s.markFinal(id, parts[w])
-						}
-					} else {
-						id = s.addTransfer(label, ch, ci, bytes, src, bufRef{node: -1, relay: -1}, false, hopDeps...)
-						s.transfers[id].dst = relayBuf(id)
-					}
-					hopIDs = append(hopIDs, id)
-					prev = id
-				}
-				downHops[w] = append(downHops[w], hopIDs)
-				arrive[w][ci] = hopIDs[len(hopIDs)-1]
-			}
-		}
-	}
-	return arrive
 }

@@ -57,20 +57,21 @@ func patchFromSibling(sib *Schedule, cfg Config) (*Schedule, bool) {
 	if part.NumChunks() != sib.Partition.NumChunks() {
 		return nil, false
 	}
-	// The patch assumes every transfer moves exactly its chunk's bytes. All
-	// current builders satisfy this; if a future one does not, bail to the
-	// full build rather than mis-scale.
-	for _, t := range sib.transfers {
-		if !t.isMarker() && t.bytes != sib.Partition.Sizes[t.chunk] {
-			return nil, false
-		}
-	}
+	// The clone copies the op slice once and shares the sibling's deps
+	// arena: only bytes change. The patch assumes every transfer moves
+	// exactly its chunk's bytes. All current builders satisfy this; if a
+	// future one does not, bail to the full build rather than mis-scale.
 	s := sib.clone()
 	s.Partition = part
-	for _, t := range s.transfers {
-		if !t.isMarker() {
-			t.bytes = part.Sizes[t.chunk]
+	for i := range s.ops {
+		op := &s.ops[i]
+		if op.Marker() {
+			continue
 		}
+		if op.Bytes != sib.Partition.Sizes[op.Chunk] {
+			return nil, false
+		}
+		op.Bytes = part.Sizes[op.Chunk]
 	}
 	if err := s.validateStructure(); err != nil {
 		return nil, false

@@ -45,17 +45,17 @@ var (
 // through relay slots. Construction is topological (a relay slot's owner
 // precedes its reader), so one descending pass settles every chain.
 func (s *Schedule) reductionTransfers() []bool {
-	red := make([]bool, len(s.transfers))
-	for i := len(s.transfers) - 1; i >= 0; i-- {
-		t := s.transfers[i]
-		if t.isMarker() {
+	red := make([]bool, len(s.ops))
+	for i := len(s.ops) - 1; i >= 0; i-- {
+		op := &s.ops[i]
+		if op.Marker() {
 			continue
 		}
-		if t.accumulate {
+		if op.Accumulate {
 			red[i] = true
 		}
-		if red[i] && t.src.relay >= 0 {
-			red[t.src.relay] = true
+		if red[i] && op.Src.Relay >= 0 {
+			red[op.Src.Relay] = true
 		}
 	}
 	return red
@@ -71,8 +71,8 @@ func (s *Schedule) OverlapEfficiency(g *des.Graph, taskIDs []int) float64 {
 	red := s.reductionTransfers()
 	var wStart, wEnd des.Time
 	haveWindow := false
-	for i, t := range s.transfers {
-		if t.isMarker() || !red[i] {
+	for i := range s.ops {
+		if s.ops[i].Marker() || !red[i] {
 			continue
 		}
 		task := g.Task(taskIDs[i])
@@ -90,8 +90,8 @@ func (s *Schedule) OverlapEfficiency(g *des.Graph, taskIDs []int) float64 {
 	// Collect broadcast-side occupancy clipped to the window and measure
 	// the union of the intervals.
 	var spans []des.Interval
-	for i, t := range s.transfers {
-		if t.isMarker() || red[i] {
+	for i := range s.ops {
+		if s.ops[i].Marker() || red[i] {
 			continue
 		}
 		task := g.Task(taskIDs[i])
@@ -135,14 +135,15 @@ func (s *Schedule) publishExecutionMetrics(res []*des.Resource, g *des.Graph, ta
 
 	chBytes := make([]int64, len(res))
 	var totalBytes, detourBytes int64
-	for _, t := range s.transfers {
-		if t.isMarker() {
+	for i := range s.ops {
+		op := &s.ops[i]
+		if op.Marker() {
 			continue
 		}
-		chBytes[t.channel] += t.bytes
-		totalBytes += t.bytes
-		if t.src.relay >= 0 || t.dst.relay >= 0 {
-			detourBytes += t.bytes
+		chBytes[op.Channel] += op.Bytes
+		totalBytes += op.Bytes
+		if op.Src.Relay >= 0 || op.Dst.Relay >= 0 {
+			detourBytes += op.Bytes
 		}
 	}
 	mBytesMoved.Add(totalBytes)

@@ -8,6 +8,7 @@ import (
 
 	"ccube/internal/chunk"
 	"ccube/internal/collective/store"
+	"ccube/internal/schedcheck"
 	"ccube/internal/topology"
 )
 
@@ -27,8 +28,9 @@ import (
 // schedCodecVersion versions the payload encoding below. Bump it whenever
 // the byte layout or the Schedule fields it captures change; old entries
 // then decode-fail and are dropped as corrupt, which is the intended
-// migration path (the store is a cache, not a database).
-const schedCodecVersion = 1
+// migration path (the store is a cache, not a database). Version 2 dropped
+// the per-transfer labels and declares the total dependency count up front.
+const schedCodecVersion = 2
 
 // storeKey renders a cache key as the store's content address. It is the
 // in-memory cacheKey minus the graph pointer: the pointer is meaningless in
@@ -85,6 +87,12 @@ const (
 // schedule flag bits.
 const sfInOrder = 1 << 0
 
+// minTransferBytes is the smallest encoded transfer: eleven varints of at
+// least one byte each. decodeSchedule checks the declared counts against it
+// before reserving, so a corrupted count cannot demand more memory than the
+// payload could fill.
+const minTransferBytes = 11
+
 // encodeSchedule serializes a schedule's graph-independent content. The
 // graph itself is not encoded — the store key's topology fingerprint names
 // it, and decodeSchedule re-binds to the caller's live graph.
@@ -94,13 +102,14 @@ const sfInOrder = 1 << 0
 //	codecVersion, nodeCount, nodes...,
 //	partition: totalBytes, chunkCount, sizes...   (offsets are recomputed)
 //	flags (InOrder), streams, contract,
-//	transferCount, then per transfer:
+//	transferCount, depCount (all transfers), then per transfer:
 //	  chunk, bytes, channel, depCount, deps...,
 //	  src.node, src.relay, dst.node, dst.relay,
-//	  flags (accumulate|noAlpha), finalNode, labelLen, label
+//	  flags (accumulate|noAlpha), finalNode
 func encodeSchedule(s *Schedule) []byte {
-	// Rough size guess: ~32 bytes per transfer avoids most regrowth.
-	buf := make([]byte, 0, 64+32*len(s.transfers))
+	// Rough size guess: ~16 bytes per transfer and 2 per dependency avoids
+	// most regrowth.
+	buf := make([]byte, 0, 64+16*len(s.ops)+2*len(s.deps))
 	buf = binary.AppendUvarint(buf, schedCodecVersion)
 
 	buf = binary.AppendUvarint(buf, uint64(len(s.Nodes)))
@@ -122,30 +131,30 @@ func encodeSchedule(s *Schedule) []byte {
 	buf = binary.AppendVarint(buf, int64(s.Streams))
 	buf = binary.AppendUvarint(buf, uint64(s.Contract))
 
-	buf = binary.AppendUvarint(buf, uint64(len(s.transfers)))
-	for _, t := range s.transfers {
-		buf = binary.AppendVarint(buf, int64(t.chunk))
-		buf = binary.AppendVarint(buf, t.bytes)
-		buf = binary.AppendVarint(buf, int64(t.channel))
-		buf = binary.AppendUvarint(buf, uint64(len(t.deps)))
-		for _, d := range t.deps {
+	buf = binary.AppendUvarint(buf, uint64(len(s.ops)))
+	buf = binary.AppendUvarint(buf, uint64(len(s.deps)))
+	for i := range s.ops {
+		op := &s.ops[i]
+		buf = binary.AppendVarint(buf, int64(op.Chunk))
+		buf = binary.AppendVarint(buf, op.Bytes)
+		buf = binary.AppendVarint(buf, int64(op.Channel))
+		buf = binary.AppendUvarint(buf, uint64(len(op.Deps)))
+		for _, d := range op.Deps {
 			buf = binary.AppendVarint(buf, int64(d))
 		}
-		buf = binary.AppendVarint(buf, int64(t.src.node))
-		buf = binary.AppendVarint(buf, int64(t.src.relay))
-		buf = binary.AppendVarint(buf, int64(t.dst.node))
-		buf = binary.AppendVarint(buf, int64(t.dst.relay))
+		buf = binary.AppendVarint(buf, int64(op.Src.Node))
+		buf = binary.AppendVarint(buf, int64(op.Src.Relay))
+		buf = binary.AppendVarint(buf, int64(op.Dst.Node))
+		buf = binary.AppendVarint(buf, int64(op.Dst.Relay))
 		var tf uint64
-		if t.accumulate {
+		if op.Accumulate {
 			tf |= tfAccumulate
 		}
-		if t.noAlpha {
+		if op.NoAlpha {
 			tf |= tfNoAlpha
 		}
 		buf = binary.AppendUvarint(buf, tf)
-		buf = binary.AppendVarint(buf, int64(t.finalNode))
-		buf = binary.AppendUvarint(buf, uint64(len(t.label)))
-		buf = append(buf, t.label...)
+		buf = binary.AppendVarint(buf, int64(op.Final))
 	}
 	return buf
 }
@@ -202,19 +211,6 @@ func (r *decReader) count(what string) int {
 		return 0
 	}
 	return int(v)
-}
-
-func (r *decReader) str(n int) string {
-	if r.err != nil {
-		return ""
-	}
-	if n > len(r.data) {
-		r.fail("collective: truncated string")
-		return ""
-	}
-	s := string(r.data[:n])
-	r.data = r.data[n:]
-	return s
 }
 
 // decodeSchedule reconstructs a schedule from an encoded payload, re-bound
@@ -282,6 +278,11 @@ func decodeSchedule(data []byte, g *topology.Graph) (*Schedule, error) {
 	}
 
 	numTransfers := r.count("transfer")
+	numDeps := r.count("dep")
+	if r.err == nil && numTransfers*minTransferBytes+numDeps > len(r.data) {
+		return nil, fmt.Errorf("collective: %d transfers and %d deps exceed the remaining payload (%d bytes)",
+			numTransfers, numDeps, len(r.data))
+	}
 	s := &Schedule{
 		Graph:     g,
 		Nodes:     nodes,
@@ -289,47 +290,48 @@ func decodeSchedule(data []byte, g *topology.Graph) (*Schedule, error) {
 		InOrder:   flags&sfInOrder != 0,
 		Streams:   streams,
 		Contract:  contract,
-		transfers: make([]*transfer, 0, numTransfers),
 	}
+	s.reserve(numTransfers, numDeps)
 	for i := 0; i < numTransfers && r.err == nil; i++ {
-		t := &transfer{id: i}
-		t.chunk = int(r.varint())
-		t.bytes = r.varint()
-		t.channel = topology.ChannelID(r.varint())
-		numDeps := r.count("dep")
-		if numDeps > 0 {
-			t.deps = make([]int, 0, numDeps)
-			for d := 0; d < numDeps; d++ {
-				dep := int(r.varint())
-				if r.err != nil {
-					break
-				}
-				if dep < 0 || dep >= numTransfers {
-					return nil, fmt.Errorf("collective: decoded transfer %d dep %d out of range", i, dep)
-				}
-				t.deps = append(t.deps, dep)
-			}
+		op := schedcheck.Op{ID: i}
+		op.Chunk = int(r.varint())
+		op.Bytes = r.varint()
+		op.Channel = topology.ChannelID(r.varint())
+		nd := r.count("dep")
+		if len(s.deps)+nd > numDeps {
+			return nil, fmt.Errorf("collective: decoded transfer %d overflows the declared %d deps", i, numDeps)
 		}
-		t.src = bufRef{node: topology.NodeID(r.varint()), relay: int(r.varint())}
-		t.dst = bufRef{node: topology.NodeID(r.varint()), relay: int(r.varint())}
+		start := len(s.deps)
+		for d := 0; d < nd && r.err == nil; d++ {
+			dep := int(r.varint())
+			if r.err == nil && (dep < 0 || dep >= numTransfers) {
+				return nil, fmt.Errorf("collective: decoded transfer %d dep %d out of range", i, dep)
+			}
+			s.deps = append(s.deps, dep)
+		}
+		op.Deps = s.deps[start:len(s.deps):len(s.deps)]
+		op.Src = schedcheck.Buf{Node: topology.NodeID(r.varint()), Relay: int(r.varint())}
+		op.Dst = schedcheck.Buf{Node: topology.NodeID(r.varint()), Relay: int(r.varint())}
 		tf := r.uvarint()
-		t.accumulate = tf&tfAccumulate != 0
-		t.noAlpha = tf&tfNoAlpha != 0
-		t.finalNode = topology.NodeID(r.varint())
-		t.label = r.str(r.count("label"))
+		op.Accumulate = tf&tfAccumulate != 0
+		op.NoAlpha = tf&tfNoAlpha != 0
+		op.Final = topology.NodeID(r.varint())
 		if r.err != nil {
 			break
 		}
-		if t.chunk < 0 || t.chunk >= numChunks {
-			return nil, fmt.Errorf("collective: decoded transfer %d chunk %d out of range [0,%d)", i, t.chunk, numChunks)
+		if op.Chunk < 0 || op.Chunk >= numChunks {
+			return nil, fmt.Errorf("collective: decoded transfer %d chunk %d out of range [0,%d)", i, op.Chunk, numChunks)
 		}
-		if int(t.channel) >= g.NumChannels() {
-			return nil, fmt.Errorf("collective: decoded transfer %d channel %d outside graph (%d channels)", i, t.channel, g.NumChannels())
+		if int(op.Channel) >= g.NumChannels() {
+			return nil, fmt.Errorf("collective: decoded transfer %d channel %d outside graph (%d channels)", i, op.Channel, g.NumChannels())
 		}
-		if !t.isMarker() && t.bytes <= 0 {
-			return nil, fmt.Errorf("collective: decoded transfer %d moves %d bytes", i, t.bytes)
+		if !op.Marker() && op.Bytes <= 0 {
+			return nil, fmt.Errorf("collective: decoded transfer %d moves %d bytes", i, op.Bytes)
 		}
-		s.transfers = append(s.transfers, t)
+		s.ops = append(s.ops, op)
+	}
+	if r.err == nil && len(s.deps) != numDeps {
+		return nil, fmt.Errorf("collective: decoded %d deps, payload declared %d", len(s.deps), numDeps)
 	}
 	if r.err != nil {
 		return nil, r.err

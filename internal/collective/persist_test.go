@@ -24,18 +24,10 @@ func openStoreT(t *testing.T) *store.Store {
 // fingerprint stamp (both sides are expected to be stamped identically
 // anyway when built on the same graph).
 func schedulesEqual(a, b *Schedule) bool {
-	if a.Graph != b.Graph || !reflect.DeepEqual(a.Nodes, b.Nodes) ||
-		!reflect.DeepEqual(a.Partition, b.Partition) ||
-		a.InOrder != b.InOrder || a.Streams != b.Streams || a.Contract != b.Contract ||
-		len(a.transfers) != len(b.transfers) {
-		return false
-	}
-	for i := range a.transfers {
-		if !reflect.DeepEqual(*a.transfers[i], *b.transfers[i]) {
-			return false
-		}
-	}
-	return true
+	return a.Graph == b.Graph && reflect.DeepEqual(a.Nodes, b.Nodes) &&
+		reflect.DeepEqual(a.Partition, b.Partition) &&
+		a.InOrder == b.InOrder && a.Streams == b.Streams && a.Contract == b.Contract &&
+		reflect.DeepEqual(a.ops, b.ops)
 }
 
 var codecConfigs = []struct {
@@ -132,7 +124,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 				continue
 			}
 			if schedulesEqual(orig, s) {
-				continue // flip landed in a don't-care position (e.g. label)
+				continue // flip landed in a don't-care position
 			}
 			_ = s.Validate() // must not panic; outcome irrelevant
 		}
@@ -189,7 +181,7 @@ func TestStoreWarmStart(t *testing.T) {
 		t.Fatal("loaded schedule not stamped against the live topology")
 	}
 	if !schedulesEqual(sCold, &Schedule{Graph: sCold.Graph, Nodes: sWarm.Nodes, Partition: sWarm.Partition,
-		InOrder: sWarm.InOrder, Streams: sWarm.Streams, Contract: sWarm.Contract, transfers: sWarm.transfers}) {
+		InOrder: sWarm.InOrder, Streams: sWarm.Streams, Contract: sWarm.Contract, ops: sWarm.ops}) {
 		t.Fatal("loaded schedule content differs from the built one")
 	}
 	rWarm, err := sWarm.ExecuteCtx(context.Background())
@@ -309,15 +301,16 @@ func TestStoreVerifyOnLoadCatchesTamperedPayload(t *testing.T) {
 
 	bad := orig.clone()
 	rerouted := false
-	for _, tr := range bad.transfers {
-		if tr.isMarker() {
+	for i := range bad.ops {
+		tr := &bad.ops[i]
+		if tr.Marker() {
 			continue
 		}
-		ch := bad.Graph.Channel(tr.channel)
+		ch := bad.Graph.Channel(tr.Channel)
 		for cid := 0; cid < bad.Graph.NumChannels(); cid++ {
 			cand := bad.Graph.Channel(topology.ChannelID(cid))
 			if cand.From != ch.From || cand.To != ch.To {
-				tr.channel = topology.ChannelID(cid)
+				tr.Channel = topology.ChannelID(cid)
 				rerouted = true
 				break
 			}

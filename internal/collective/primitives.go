@@ -167,113 +167,36 @@ func buildTreePhase(g *topology.Graph, nodes []topology.NodeID, part chunk.Parti
 	if err != nil {
 		return nil, err
 	}
+	k, root := part.NumChunks(), tree.Root
 
 	if reduce {
-		upHops := make(map[int][][]int)
-		for ci := 0; ci < part.NumChunks(); ci++ {
-			for _, v := range tree.PostOrder() {
-				if v == tree.Root {
-					continue
-				}
-				route := routes.up[v]
-				var deps []int
-				for _, w := range tree.Children[v] {
-					hops := upHops[w][ci]
-					deps = append(deps, hops[len(hops)-1])
-				}
-				hopIDs := make([]int, 0, route.Hops())
-				prev := -1
-				for h, ch := range route.Channels {
-					src := nodeBuf(nodes[v])
-					if h > 0 {
-						src = relayBuf(prev)
-					}
-					var hopDeps []int
-					if h == 0 {
-						hopDeps = deps
-					} else {
-						hopDeps = []int{prev}
-					}
-					if ci > 0 {
-						hopDeps = append(hopDeps, upHops[v][ci-1][h])
-					}
-					label := fmt.Sprintf("reduce:up:%d->%d:c%d:h%d", v, tree.Parent[v], ci, h)
-					var id int
-					if h == route.Hops()-1 {
-						id = s.addTransfer(label, ch, ci, part.Sizes[ci], src, nodeBuf(nodes[tree.Parent[v]]), true, hopDeps...)
-					} else {
-						id = s.addTransfer(label, ch, ci, part.Sizes[ci], src, bufRef{node: -1, relay: -1}, false, hopDeps...)
-						s.transfers[id].dst = relayBuf(id)
-					}
-					hopIDs = append(hopIDs, id)
-					prev = id
-				}
-				upHops[v] = append(upHops[v], hopIDs)
-			}
-			var deps []int
-			for _, w := range tree.Children[tree.Root] {
-				hops := upHops[w][ci]
-				deps = append(deps, hops[len(hops)-1])
-			}
-			s.addMarker(fmt.Sprintf("reduce:done:c%d", ci), ci, nodes[tree.Root], deps...)
+		up := newTreePhase(s, nodes, tree, routes, true)
+		// Per chunk, one done marker at the root and one sent marker per
+		// other participant.
+		ops, deps := up.cost(k, false)
+		s.reserve(ops+k*len(nodes), deps+k*(len(tree.Children[root])+len(nodes)-1))
+		for ci := 0; ci < k; ci++ {
+			s.addMarker(ci, nodes[root], up.reduce(ci, ci > 0, nil)...)
 			// A non-root's part in chunk ci is done once its up-send left.
-			for _, v := range tree.PostOrder() {
-				if v == tree.Root {
-					continue
+			for _, v := range up.order {
+				if v != root {
+					s.addMarker(ci, nodes[v], up.last(v))
 				}
-				hops := upHops[v][ci]
-				s.addMarker(fmt.Sprintf("reduce:sent:%d:c%d", v, ci), ci, nodes[v], hops[len(hops)-1])
 			}
 		}
 		return s, nil
 	}
 
 	// Broadcast: root's buffer flows down, pipelined per chunk.
-	downHops := make(map[int][][]int)
-	for ci := 0; ci < part.NumChunks(); ci++ {
-		for _, v := range tree.PreOrder() {
-			for _, w := range tree.Children[v] {
-				route := routes.down[w]
-				var deps []int
-				if v != tree.Root {
-					hops := downHops[v][ci]
-					deps = append(deps, hops[len(hops)-1])
-				}
-				hopIDs := make([]int, 0, route.Hops())
-				prev := -1
-				for h, ch := range route.Channels {
-					src := nodeBuf(nodes[v])
-					if h > 0 {
-						src = relayBuf(prev)
-					}
-					var hopDeps []int
-					if h == 0 {
-						hopDeps = deps
-					} else {
-						hopDeps = []int{prev}
-					}
-					if ci > 0 {
-						hopDeps = append(hopDeps, downHops[w][ci-1][h])
-					}
-					label := fmt.Sprintf("bcast:%d->%d:c%d:h%d", v, w, ci, h)
-					var id int
-					if h == route.Hops()-1 {
-						id = s.addTransfer(label, ch, ci, part.Sizes[ci], src, nodeBuf(nodes[w]), false, hopDeps...)
-						s.markFinal(id, nodes[w])
-					} else {
-						id = s.addTransfer(label, ch, ci, part.Sizes[ci], src, bufRef{node: -1, relay: -1}, false, hopDeps...)
-						s.transfers[id].dst = relayBuf(id)
-					}
-					hopIDs = append(hopIDs, id)
-					prev = id
-				}
-				downHops[w] = append(downHops[w], hopIDs)
-			}
-		}
+	down := newTreePhase(s, nodes, tree, routes, false)
+	ops, deps := down.cost(k, false)
+	s.reserve(ops+k, deps)
+	for ci := 0; ci < k; ci++ {
+		down.broadcast(ci, ci > 0, -1)
 	}
 	// The root trivially has every chunk.
-	for ci := 0; ci < part.NumChunks(); ci++ {
-		s.addMarker(fmt.Sprintf("bcast:root:c%d", ci), ci, nodes[tree.Root])
+	for ci := 0; ci < k; ci++ {
+		s.addMarker(ci, nodes[root])
 	}
 	return s, nil
 }
@@ -289,6 +212,7 @@ func buildRingPhase(g *topology.Graph, nodes []topology.NodeID, part chunk.Parti
 	s.InOrder = false
 	router := topology.NewRouter(g)
 	node := func(pos int) topology.NodeID { return nodes[order[((pos%p)+p)%p]] }
+	prev := func(pos int) int { return ((pos-1)%p + p) % p }
 	next := make([]topology.ChannelID, p)
 	for i := 0; i < p; i++ {
 		rt, err := router.Route(node(i), node(i+1))
@@ -298,26 +222,37 @@ func buildRingPhase(g *topology.Graph, nodes []topology.NodeID, part chunk.Parti
 		}
 		next[i] = rt.Channels[0]
 	}
-
+	// p-1 steps of p sends, each after the first step chained to its
+	// predecessor. Reduce-scatter adds p*p markers, p of them with one
+	// dependency; all-gather p without.
 	if reduceScatter {
-		rs := make([][]int, p)
-		for i := range rs {
-			rs[i] = make([]int, p-1)
-		}
+		s.reserve(p*(p-1)+p*p, p*(p-2)+p)
+	} else {
+		s.reserve(p*(p-1)+p, p*(p-2))
+	}
+
+	// sent[pos*(p-1)+step] is position pos's send at step.
+	sent := make([]int, p*(p-1))
+	steps := func(accumulate bool) {
 		for step := 0; step < p-1; step++ {
 			for pos := 0; pos < p; pos++ {
 				c := ((pos-step)%p + p) % p
-				var deps []int
+				id := s.addTransfer(next[pos], c, node(pos), node(pos+1), accumulate)
 				if step > 0 {
-					deps = append(deps, rs[((pos-1)%p+p)%p][step-1])
+					s.addDep(sent[prev(pos)*(p-1)+step-1])
 				}
-				rs[pos][step] = s.addTransfer(fmt.Sprintf("rs:s%d:pos%d:c%d", step, pos, c),
-					next[pos], c, part.Sizes[c], nodeBuf(node(pos)), nodeBuf(node(pos+1)), true, deps...)
+				if !accumulate {
+					s.ops[id].Final = node(pos + 1)
+				}
+				sent[pos*(p-1)+step] = id
 			}
 		}
+	}
+
+	if reduceScatter {
+		steps(true)
 		for pos := 0; pos < p; pos++ {
-			c := (pos + 1) % p
-			s.addMarker(fmt.Sprintf("rs:done:pos%d", pos), c, node(pos), rs[((pos-1)%p+p)%p][p-2])
+			s.addMarker((pos+1)%p, node(pos), sent[prev(pos)*(p-1)+p-2])
 		}
 		// ReduceScatter completes each chunk only at its owner; other
 		// (node, chunk) pairs never become "ready", so mark them trivially
@@ -326,7 +261,7 @@ func buildRingPhase(g *topology.Graph, nodes []topology.NodeID, part chunk.Parti
 		for pos := 0; pos < p; pos++ {
 			for c := 0; c < p; c++ {
 				if c != (pos+1)%p {
-					s.addMarker(fmt.Sprintf("rs:unowned:pos%d:c%d", pos, c), c, node(pos))
+					s.addMarker(c, node(pos))
 				}
 			}
 		}
@@ -334,25 +269,9 @@ func buildRingPhase(g *topology.Graph, nodes []topology.NodeID, part chunk.Parti
 	}
 
 	// AllGather: position i starts owning chunk i.
-	ag := make([][]int, p)
-	for i := range ag {
-		ag[i] = make([]int, p-1)
-	}
 	for pos := 0; pos < p; pos++ {
-		s.addMarker(fmt.Sprintf("ag:own:pos%d", pos), pos, node(pos))
+		s.addMarker(pos, node(pos))
 	}
-	for step := 0; step < p-1; step++ {
-		for pos := 0; pos < p; pos++ {
-			c := ((pos-step)%p + p) % p
-			var deps []int
-			if step > 0 {
-				deps = append(deps, ag[((pos-1)%p+p)%p][step-1])
-			}
-			id := s.addTransfer(fmt.Sprintf("ag:s%d:pos%d:c%d", step, pos, c),
-				next[pos], c, part.Sizes[c], nodeBuf(node(pos)), nodeBuf(node(pos+1)), false, deps...)
-			s.markFinal(id, node(pos+1))
-			ag[pos][step] = id
-		}
-	}
+	steps(false)
 	return s, nil
 }

@@ -89,11 +89,11 @@ type PatchReport struct {
 func RepairSchedule(s *Schedule, channels []topology.ChannelID, skip []bool) (*Schedule, *PatchReport, error) {
 	rep := &PatchReport{}
 	out := s.clone()
-	oldN := len(out.transfers)
+	oldN := len(out.ops)
 	if skip != nil && len(skip) != oldN {
 		return nil, nil, fmt.Errorf("collective: skip set covers %d of %d transfers", len(skip), oldN)
 	}
-	skipped := func(t *transfer) bool { return t.isMarker() || (skip != nil && skip[t.id]) }
+	skipped := func(id int) bool { return out.ops[id].Marker() || (skip != nil && skip[id]) }
 
 	targetSet := make(map[topology.ChannelID]bool, len(channels))
 	var targets []topology.ChannelID
@@ -108,10 +108,10 @@ func RepairSchedule(s *Schedule, channels []topology.ChannelID, skip []bool) (*S
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
 
-	byChannel := make(map[topology.ChannelID][]*transfer)
-	for _, t := range out.transfers {
-		if !skipped(t) && targetSet[t.channel] {
-			byChannel[t.channel] = append(byChannel[t.channel], t)
+	byChannel := make(map[topology.ChannelID][]int)
+	for id := range out.ops {
+		if ch := out.ops[id].Channel; !skipped(id) && targetSet[ch] {
+			byChannel[ch] = append(byChannel[ch], id)
 		}
 	}
 
@@ -122,12 +122,13 @@ func RepairSchedule(s *Schedule, channels []topology.ChannelID, skip []bool) (*S
 	getRouter := func() *topology.Router {
 		if router == nil {
 			router = topology.NewRouter(out.Graph)
-			for _, t := range out.transfers {
-				if t.isMarker() || out.Graph.Channel(t.channel).Down() {
+			for i := range out.ops {
+				op := &out.ops[i]
+				if op.Marker() || out.Graph.Channel(op.Channel).Down() {
 					continue
 				}
-				if !router.Claimed(t.channel) {
-					router.Claim(t.channel)
+				if !router.Claimed(op.Channel) {
+					router.Claim(op.Channel)
 				}
 			}
 		}
@@ -172,19 +173,19 @@ func RepairSchedule(s *Schedule, channels []topology.ChannelID, skip []bool) (*S
 
 	// Stranded transfers take their dead channel's route in id order, so
 	// the forwarding hops splice appends are numbered in that order too.
-	for _, t := range out.transfers[:oldN] {
-		rt, ok := routeFor[t.channel]
-		if !ok || skipped(t) {
+	for id := 0; id < oldN; id++ {
+		rt, ok := routeFor[out.ops[id].Channel]
+		if !ok || skipped(id) {
 			continue
 		}
 		rep.Rerouted++
-		touched[t.id] = true
+		touched[id] = true
 		if rt.Direct() {
-			t.channel = rt.Channels[0]
+			out.ops[id].Channel = rt.Channels[0]
 			continue
 		}
 		rep.AddedHops += rt.Hops() - 1
-		out.splice(t, rt)
+		out.splice(id, rt)
 	}
 
 	if len(touched) == 0 {
@@ -278,42 +279,44 @@ func describeRoute(g *topology.Graph, dead topology.ChannelID, rt topology.Route
 		g.Node(ch.From).Name, g.Node(ch.To).Name, names)
 }
 
-// rebalance assigns each stranded transfer (id order) to the channel in
-// group that would finish it earliest: per-channel load is seeded with the
-// traffic the rest of the schedule already places there, and each
+// rebalance assigns each stranded transfer (ids, ascending) to the channel
+// in group that would finish it earliest: per-channel load is seeded with
+// the traffic the rest of the schedule already places there, and each
 // assignment adds bytes/effective-bandwidth. Deterministic: ties go to the
 // earliest group position. Returns how many transfers changed channel.
-func (s *Schedule) rebalance(stranded []*transfer, group []topology.ChannelID, touched map[int]bool) int {
+func (s *Schedule) rebalance(stranded []int, group []topology.ChannelID, touched map[int]bool) int {
 	inStranded := make(map[int]bool, len(stranded))
-	for _, t := range stranded {
-		inStranded[t.id] = true
+	for _, id := range stranded {
+		inStranded[id] = true
 	}
 	idx := make(map[topology.ChannelID]int, len(group))
 	load := make([]float64, len(group))
 	for k, cid := range group {
 		idx[cid] = k
 	}
-	for _, t := range s.transfers {
-		if t.isMarker() || inStranded[t.id] {
+	for i := range s.ops {
+		op := &s.ops[i]
+		if op.Marker() || inStranded[i] {
 			continue
 		}
-		if k, ok := idx[t.channel]; ok {
-			load[k] += float64(t.bytes) / s.Graph.Channel(t.channel).EffectiveBandwidth()
+		if k, ok := idx[op.Channel]; ok {
+			load[k] += float64(op.Bytes) / s.Graph.Channel(op.Channel).EffectiveBandwidth()
 		}
 	}
 	moved := 0
-	for _, t := range stranded {
+	for _, id := range stranded {
+		op := &s.ops[id]
 		best, bestCost := -1, 0.0
 		for k, cid := range group {
-			cost := load[k] + float64(t.bytes)/s.Graph.Channel(cid).EffectiveBandwidth()
+			cost := load[k] + float64(op.Bytes)/s.Graph.Channel(cid).EffectiveBandwidth()
 			if best < 0 || cost < bestCost {
 				best, bestCost = k, cost
 			}
 		}
 		load[best] = bestCost
-		if group[best] != t.channel {
-			t.channel = group[best]
-			touched[t.id] = true
+		if group[best] != op.Channel {
+			op.Channel = group[best]
+			touched[id] = true
 			moved++
 		}
 	}
@@ -340,59 +343,38 @@ func verifyPatch(base, patched *Schedule, rep *PatchReport) error {
 	return nil
 }
 
-// clone deep-copies the schedule (transfers, deps) sharing the immutable
-// Graph/Nodes/Partition.
+// clone copies the schedule's op slice for editing and shares everything
+// else, the deps arena included: the arena is immutable. An op whose deps
+// change gets a slice of its own (its three-index subslice cannot grow in
+// place), and renumber rebuilds a fresh arena. The clone is unstamped.
 func (s *Schedule) clone() *Schedule {
-	out := &Schedule{
-		Graph:     s.Graph,
-		Nodes:     s.Nodes,
-		Partition: s.Partition,
-		InOrder:   s.InOrder,
-		Streams:   s.Streams,
-		Contract:  s.Contract,
-		transfers: make([]*transfer, len(s.transfers)),
-	}
-	for i, t := range s.transfers {
-		c := *t
-		c.deps = append([]int(nil), t.deps...)
-		out.transfers[i] = &c
-	}
-	return out
+	out := *s
+	out.ops = append([]schedcheck.Op(nil), s.ops...)
+	out.builtFor = 0
+	return &out
 }
 
-// splice rewires a stranded transfer t over multi-hop route rt: forwarding
+// splice rewires stranded transfer id over multi-hop route rt: forwarding
 // transfers for every hop but the last are appended (writing relay slots),
-// and t itself becomes the final hop, reading the last relay. The appended
-// transfers carry ids after t — renumber restores topological id order.
-func (s *Schedule) splice(t *transfer, rt topology.Route) {
-	prevSrc := t.src
-	prevDeps := append([]int(nil), t.deps...)
-	var prevID int
+// and the transfer itself becomes the final hop, reading the last relay.
+// The appended transfers carry ids after it — renumber restores
+// topological id order.
+func (s *Schedule) splice(id int, rt topology.Route) {
+	t := s.ops[id]
+	prevSrc, prevDeps, prevID := t.Src, t.Deps, 0
 	for h := 0; h < rt.Hops()-1; h++ {
-		id := len(s.transfers)
-		hop := &transfer{
-			id:      id,
-			chunk:   t.chunk,
-			bytes:   t.bytes,
-			channel: rt.Channels[h],
-			deps:    prevDeps,
-			src:     prevSrc,
-			dst:     relayBuf(id),
-			// Forwarding never reduces; accumulation happens at the final dst.
-			accumulate: false,
-			finalNode:  -1,
-			label:      fmt.Sprintf("%s/hop%d", t.label, h+1),
-		}
-		s.transfers = append(s.transfers, hop)
-		prevSrc = relayBuf(id)
-		prevDeps = []int{id}
-		prevID = id
+		hop := len(s.ops)
+		// Forwarding never reduces; accumulation happens at the final dst.
+		s.ops = append(s.ops, schedcheck.Op{ID: hop, Chunk: t.Chunk, Bytes: t.Bytes, Channel: rt.Channels[h],
+			Deps: prevDeps, Src: prevSrc, Dst: schedcheck.RelayBuf(hop), Final: -1})
+		prevSrc, prevDeps, prevID = schedcheck.RelayBuf(hop), []int{hop}, hop
 	}
-	t.channel = rt.Channels[rt.Hops()-1]
-	t.src = relayBuf(prevID)
-	// Keep t's original ordering edges (buffer hazards) and add the data
+	op := &s.ops[id]
+	op.Channel = rt.Channels[rt.Hops()-1]
+	op.Src = schedcheck.RelayBuf(prevID)
+	// Keep the original ordering edges (buffer hazards) and add the data
 	// dependency on the last forwarding hop.
-	t.deps = appendUnique(t.deps, prevID)
+	op.Deps = appendUnique(op.Deps, prevID)
 }
 
 func appendUnique(deps []int, d int) []int {
@@ -405,39 +387,41 @@ func appendUnique(deps []int, d int) []int {
 }
 
 // renumber rewrites transfers into topological id order (dependencies
-// before dependents), rewriting ids, deps, and relay-slot references, and
-// returns the mapping: newID[old] is the id transfer old was assigned.
-// Instantiate and the verifier both require id order to respect the DAG;
-// splice violates it by appending hops that stranded transfers depend on.
-// RepairSchedule threads the mapping into PatchReport.OldToNew so delta
-// verification (schedcheck.CheckPatch) and checkpoint remapping can line the
-// patched schedule up with its base.
+// before dependents), rewriting ids, deps, and relay-slot references into a
+// fresh op slice and deps arena, and returns the mapping: newID[old] is the
+// id transfer old was assigned. Instantiate and the verifier both require
+// id order to respect the DAG; splice violates it by appending hops that
+// stranded transfers depend on. RepairSchedule threads the mapping into
+// PatchReport.OldToNew so delta verification (schedcheck.CheckPatch) and
+// checkpoint remapping can line the patched schedule up with its base.
 func (s *Schedule) renumber() ([]int, error) {
 	order, err := s.topoOrder()
 	if err != nil {
 		return nil, err
 	}
-	newID := make([]int, len(s.transfers))
+	newID := make([]int, len(s.ops))
+	deps := 0
 	for pos, old := range order {
 		newID[old] = pos
+		deps += len(s.ops[old].Deps)
 	}
-	remapBuf := func(r bufRef) bufRef {
-		if r.relay >= 0 {
-			r.relay = newID[r.relay]
+	remap := func(b schedcheck.Buf) schedcheck.Buf {
+		if b.Relay >= 0 {
+			b.Relay = newID[b.Relay]
 		}
-		return r
+		return b
 	}
-	transfers := make([]*transfer, len(s.transfers))
-	for _, t := range s.transfers {
-		t.id = newID[t.id]
-		for i, d := range t.deps {
-			t.deps[i] = newID[d]
+	out := &Schedule{}
+	out.reserve(len(s.ops), deps)
+	for _, old := range order {
+		op := s.ops[old]
+		op.Src, op.Dst = remap(op.Src), remap(op.Dst)
+		id := out.add(op)
+		for _, d := range op.Deps {
+			out.addDep(newID[d])
 		}
-		sort.Ints(t.deps)
-		t.src = remapBuf(t.src)
-		t.dst = remapBuf(t.dst)
-		transfers[t.id] = t
+		sort.Ints(out.ops[id].Deps)
 	}
-	s.transfers = transfers
+	s.ops, s.deps = out.ops, out.deps
 	return newID, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ccube/internal/des"
@@ -14,12 +15,13 @@ import (
 func usedChannels(s *Schedule) []topology.ChannelID {
 	seen := make(map[topology.ChannelID]bool)
 	var out []topology.ChannelID
-	for _, t := range s.transfers {
-		if t.isMarker() || seen[t.channel] {
+	for i := range s.ops {
+		op := &s.ops[i]
+		if op.Marker() || seen[op.Channel] {
 			continue
 		}
-		seen[t.channel] = true
-		out = append(out, t.channel)
+		seen[op.Channel] = true
+		out = append(out, op.Channel)
 	}
 	return out
 }
@@ -190,8 +192,8 @@ func TestRepairIncrementalEverySingleLinkFailure(t *testing.T) {
 		checkRepaired(t, s, patched, rep, rng)
 		checkAllReduceData(t, patched, rng, 1024)
 		found := false
-		for _, tr := range s.transfers {
-			if !tr.isMarker() && tr.channel == dead {
+		for i := range s.ops {
+			if !s.ops[i].Marker() && s.ops[i].Channel == dead {
 				found = true
 			}
 		}
@@ -262,8 +264,8 @@ func TestRepairTwoRingHierarchyTakesIdleDetour(t *testing.T) {
 			t.Fatalf("channel %d: repair %v added no detour hop", cid, rep.Routes)
 		}
 		for _, id := range rep.Touched {
-			if tr := repaired.transfers[id]; used[tr.channel] {
-				t.Fatalf("channel %d: rerouted transfer %d rides busy channel %d (%v)", cid, id, tr.channel, rep.Routes)
+			if ch := repaired.ops[id].Channel; used[ch] {
+				t.Fatalf("channel %d: rerouted transfer %d rides busy channel %d (%v)", cid, id, ch, rep.Routes)
 			}
 		}
 	}
@@ -316,8 +318,8 @@ func TestRepairScheduleDGX1DoubleTreeDeadLink(t *testing.T) {
 				t.Fatal("repaired run has non-positive makespan")
 			}
 			// The original schedule is untouched by the repair.
-			for _, tr := range s.transfers {
-				if !tr.isMarker() && tr.channel == dead {
+			for i := range s.ops {
+				if !s.ops[i].Marker() && s.ops[i].Channel == dead {
 					return // still references the dead channel, as built
 				}
 			}
@@ -391,8 +393,8 @@ func TestRepairScheduleNoFaultsIsIdentity(t *testing.T) {
 	if repaired.NumTransfers() != s.NumTransfers() {
 		t.Fatalf("transfers %d != %d", repaired.NumTransfers(), s.NumTransfers())
 	}
-	for id, tr := range s.transfers {
-		if rep.OldToNew[id] != id || repaired.transfers[id].channel != tr.channel || repaired.transfers[id].label != tr.label {
+	for id := range s.ops {
+		if rep.OldToNew[id] != id || !reflect.DeepEqual(repaired.ops[id], s.ops[id]) {
 			t.Fatalf("transfer %d renumbered or moved by an empty repair", id)
 		}
 	}
@@ -447,12 +449,12 @@ func TestRepairIncrementalTouchesOnlyStrandedRegion(t *testing.T) {
 	for _, id := range rep.Touched {
 		touched[id] = true
 	}
-	for old, tr := range s.transfers {
-		id := rep.OldToNew[old]
-		if touched[id] || tr.isMarker() {
+	for old := range s.ops {
+		tr, id := &s.ops[old], rep.OldToNew[old]
+		if touched[id] || tr.Marker() {
 			continue
 		}
-		if patched.transfers[id].channel != tr.channel || patched.transfers[id].bytes != tr.bytes {
+		if patched.ops[id].Channel != tr.Channel || patched.ops[id].Bytes != tr.Bytes {
 			t.Fatalf("untouched transfer %d changed channel/bytes under renumbering", old)
 		}
 	}
@@ -469,9 +471,9 @@ func TestRepairIncrementalSkipsExecutedPrefix(t *testing.T) {
 	}
 	dead := usedChannels(s)[0]
 	var onDead []int
-	for _, tr := range s.transfers {
-		if !tr.isMarker() && tr.channel == dead {
-			onDead = append(onDead, tr.id)
+	for i := range s.ops {
+		if !s.ops[i].Marker() && s.ops[i].Channel == dead {
+			onDead = append(onDead, i)
 		}
 	}
 	if len(onDead) < 2 {
@@ -487,7 +489,7 @@ func TestRepairIncrementalSkipsExecutedPrefix(t *testing.T) {
 	if rep.Rerouted != len(onDead)-1 {
 		t.Fatalf("rerouted %d, want %d (one transfer was executed)", rep.Rerouted, len(onDead)-1)
 	}
-	if got := patched.transfers[rep.OldToNew[onDead[0]]].channel; got != dead {
+	if got := patched.ops[rep.OldToNew[onDead[0]]].Channel; got != dead {
 		t.Fatalf("executed transfer moved to channel %d", got)
 	}
 	// A patched schedule keeping an executed transfer on a dead channel can
@@ -605,14 +607,15 @@ func TestVerifyPatchRejectsTampering(t *testing.T) {
 	// Retarget one untouched transfer onto a sibling channel behind the
 	// verifier's back.
 	tampered := false
-	for _, tr := range patched.transfers {
-		if tr.isMarker() || touched[tr.id] {
+	for i := range patched.ops {
+		tr := &patched.ops[i]
+		if tr.Marker() || touched[i] {
 			continue
 		}
-		ch := patched.Graph.Channel(tr.channel)
+		ch := patched.Graph.Channel(tr.Channel)
 		for _, sib := range patched.Graph.ChannelsBetween(ch.From, ch.To) {
-			if sib != tr.channel && !patched.Graph.Channel(sib).Down() {
-				tr.channel = sib
+			if sib != tr.Channel && !patched.Graph.Channel(sib).Down() {
+				tr.Channel = sib
 				tampered = true
 				break
 			}

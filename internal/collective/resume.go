@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"ccube/internal/des"
-	"ccube/internal/topology"
 )
 
 // Checkpoint captures the state of a run that a resource fault aborted: the
@@ -67,8 +66,8 @@ func (s *Schedule) ExecuteCheckpointCtx(ctx context.Context, res []*des.Resource
 func (s *Schedule) checkpointFrom(g *des.Graph, taskIDs []int, res []*des.Resource, at des.Time) *Checkpoint {
 	cp := &Checkpoint{
 		At:       at,
-		Executed: make([]bool, len(s.transfers)),
-		End:      make([]des.Time, len(s.transfers)),
+		Executed: make([]bool, len(s.ops)),
+		End:      make([]des.Time, len(s.ops)),
 		FreeAt:   make([]des.Time, len(res)),
 	}
 	for i, id := range taskIDs {
@@ -102,9 +101,9 @@ func (s *Schedule) ResumeOnCtx(ctx context.Context, cp *Checkpoint, res []*des.R
 	if cp == nil {
 		return nil, nil, fmt.Errorf("collective: resume without a checkpoint")
 	}
-	if len(cp.Executed) != len(s.transfers) || len(cp.End) != len(s.transfers) {
+	if len(cp.Executed) != len(s.ops) || len(cp.End) != len(s.ops) {
 		return nil, nil, fmt.Errorf("collective: checkpoint covers %d transfers, schedule has %d (missing Remap?)",
-			len(cp.Executed), len(s.transfers))
+			len(cp.Executed), len(s.ops))
 	}
 	if len(res) != s.Graph.NumChannels() || len(cp.FreeAt) != len(res) {
 		return nil, nil, fmt.Errorf("collective: %d resources / %d channel horizons for %d channels",
@@ -120,16 +119,17 @@ func (s *Schedule) ResumeOnCtx(ctx context.Context, cp *Checkpoint, res []*des.R
 	// prefix may sit on a link that has since died — that is the whole point
 	// of resuming.
 	usedCh := make([]bool, len(res))
-	for i, t := range s.transfers {
-		if cp.Executed[i] || t.isMarker() {
+	for i := range s.ops {
+		op := &s.ops[i]
+		if cp.Executed[i] || op.Marker() {
 			continue
 		}
-		ch := s.Graph.Channel(t.channel)
+		ch := s.Graph.Channel(op.Channel)
 		if ch.Down() {
-			return nil, nil, &DeadChannelError{Transfer: i, Label: t.label, Channel: t.channel,
+			return nil, nil, &DeadChannelError{Transfer: i, Label: s.Label(i), Channel: op.Channel,
 				From: ch.From, To: ch.To}
 		}
-		usedCh[t.channel] = true
+		usedCh[op.Channel] = true
 	}
 
 	g := des.NewGraph()
@@ -141,26 +141,27 @@ func (s *Schedule) ResumeOnCtx(ctx context.Context, cp *Checkpoint, res []*des.R
 			g.Add("resume/carryover", res[c], cp.FreeAt[c])
 		}
 	}
-	ids := make([]int, len(s.transfers))
+	ids := make([]int, len(s.ops))
 	var deps []int
-	for i, t := range s.transfers {
+	for i := range s.ops {
+		op := &s.ops[i]
 		ids[i] = -1
 		if cp.Executed[i] {
 			continue
 		}
 		var r *des.Resource
 		var d des.Time
-		if !t.isMarker() {
-			ch := s.Graph.Channel(t.channel)
-			r = res[t.channel]
-			d = ch.TransferTime(t.bytes)
-			if t.noAlpha {
+		if !op.Marker() {
+			ch := s.Graph.Channel(op.Channel)
+			r = res[op.Channel]
+			d = ch.TransferTime(op.Bytes)
+			if op.NoAlpha {
 				d -= ch.Latency
 			}
 		}
 		deps = deps[:0]
 		var earliest des.Time
-		for _, dep := range t.deps {
+		for _, dep := range op.Deps {
 			if cp.Executed[dep] {
 				if cp.End[dep] > earliest {
 					earliest = cp.End[dep]
@@ -169,7 +170,7 @@ func (s *Schedule) ResumeOnCtx(ctx context.Context, cp *Checkpoint, res []*des.R
 				deps = append(deps, ids[dep])
 			}
 		}
-		ids[i] = g.Add(t.label, r, d, deps...)
+		ids[i] = g.Add(op.Kind(), r, d, deps...)
 		if earliest > 0 {
 			g.SetEarliest(ids[i], earliest)
 		}
@@ -197,16 +198,13 @@ func (s *Schedule) ResumeOnCtx(ctx context.Context, cp *Checkpoint, res []*des.R
 	if total < cp.At {
 		total = cp.At
 	}
-	for i := range s.transfers {
+	for i := range s.ops {
 		if cp.Executed[i] && cp.End[i] > total {
 			total = cp.End[i]
 		}
 	}
 
-	nodeIdx := make(map[topology.NodeID]int, len(s.Nodes))
-	for i, n := range s.Nodes {
-		nodeIdx[n] = i
-	}
+	idx := s.nodeIndex()
 	k := s.Partition.NumChunks()
 	ready := make([][]des.Time, len(s.Nodes))
 	seen := make([][]bool, len(s.Nodes))
@@ -214,17 +212,18 @@ func (s *Schedule) ResumeOnCtx(ctx context.Context, cp *Checkpoint, res []*des.R
 		ready[i] = make([]des.Time, k)
 		seen[i] = make([]bool, k)
 	}
-	for i, t := range s.transfers {
-		if t.finalNode < 0 {
+	for i := range s.ops {
+		op := &s.ops[i]
+		if op.Final < 0 {
 			continue
 		}
-		ni, ok := nodeIdx[t.finalNode]
-		if !ok {
-			return nil, nil, fmt.Errorf("collective: final node %d not a participant", t.finalNode)
+		ni := idx.of(op.Final)
+		if ni < 0 {
+			return nil, nil, fmt.Errorf("collective: final node %d not a participant", op.Final)
 		}
 		// Last final wins, matching Instantiate's overwrite semantics.
-		ready[ni][t.chunk] = end(i)
-		seen[ni][t.chunk] = true
+		ready[ni][op.Chunk] = end(i)
+		seen[ni][op.Chunk] = true
 	}
 	done := make([]des.Time, k)
 	for c := 0; c < k; c++ {
@@ -266,7 +265,7 @@ func (s *Schedule) mergeCheckpoint(cp *Checkpoint, g *des.Graph, ids []int, res 
 	if out.At < cp.At {
 		out.At = cp.At
 	}
-	for i := range s.transfers {
+	for i := range s.ops {
 		if !out.Executed[i] && ids[i] >= 0 && g.Done(ids[i]) {
 			out.Executed[i] = true
 			out.End[i] = g.End(ids[i])

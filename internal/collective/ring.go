@@ -35,6 +35,11 @@ func buildRingSchedule(g *topology.Graph, nodes []topology.NodeID, part chunk.Pa
 	s := newSchedule(g, nodes, part)
 	s.InOrder = false
 	s.Contract = ContractAllReduce
+	// Per ring: p(p-1) reduce-scatter sends, all but the first step's
+	// chained to their predecessor, p done markers and p(p-1) chained
+	// all-gather sends.
+	rings := len(orders)
+	s.reserve(rings*(2*p*(p-1)+p), rings*(p*(p-2)+p+p*(p-1)))
 	router := topology.NewRouter(g)
 	for r, order := range orders {
 		if err := validateRingOrder(order, p); err != nil {
@@ -83,52 +88,38 @@ func buildOneRing(s *Schedule, router *topology.Router, order []int, ringIdx, nu
 	}
 
 	// Reduce-scatter: at step s, position i sends ring chunk (i-s) to i+1,
-	// which accumulates it.
-	rs := make([][]int, p)
-	for i := range rs {
-		rs[i] = make([]int, p-1)
-	}
+	// which accumulates it. rs[pos*(p-1)+step] is that send's id.
+	prev := func(pos int) int { return ((pos-1)%p + p) % p }
+	rs := make([]int, p*(p-1))
 	for step := 0; step < p-1; step++ {
 		for pos := 0; pos < p; pos++ {
 			c := global(pos - step)
-			var deps []int
+			id := s.addTransfer(next[pos], c, node(pos), node(pos+1), true)
 			if step > 0 {
-				deps = append(deps, rs[((pos-1)%p+p)%p][step-1])
+				s.addDep(rs[prev(pos)*(p-1)+step-1])
 			}
-			label := fmt.Sprintf("r%d:rs:s%d:pos%d:c%d", ringIdx, step, pos, c)
-			rs[pos][step] = s.addTransfer(label, next[pos], c, s.Partition.Sizes[c],
-				nodeBuf(node(pos)), nodeBuf(node(pos+1)), true, deps...)
+			rs[pos*(p-1)+step] = id
 		}
 	}
 
 	// After reduce-scatter, position i holds the fully reduced ring chunk
 	// (i+1) mod p.
 	for pos := 0; pos < p; pos++ {
-		c := global(pos + 1)
-		s.addMarker(fmt.Sprintf("r%d:rs:done:pos%d:c%d", ringIdx, pos, c), c, node(pos),
-			rs[((pos-1)%p+p)%p][p-2])
+		s.addMarker(global(pos+1), node(pos), rs[prev(pos)*(p-1)+p-2])
 	}
 
 	// All-gather: at step s, position i sends ring chunk (i+1-s) to i+1,
 	// overwriting.
-	ag := make([][]int, p)
-	for i := range ag {
-		ag[i] = make([]int, p-1)
-	}
+	ag := make([]int, p*(p-1))
 	for step := 0; step < p-1; step++ {
 		for pos := 0; pos < p; pos++ {
-			c := global(pos + 1 - step)
-			var deps []int
-			if step == 0 {
-				deps = append(deps, rs[((pos-1)%p+p)%p][p-2])
-			} else {
-				deps = append(deps, ag[((pos-1)%p+p)%p][step-1])
+			dep := rs[prev(pos)*(p-1)+p-2]
+			if step > 0 {
+				dep = ag[prev(pos)*(p-1)+step-1]
 			}
-			label := fmt.Sprintf("r%d:ag:s%d:pos%d:c%d", ringIdx, step, pos, c)
-			id := s.addTransfer(label, next[pos], c, s.Partition.Sizes[c],
-				nodeBuf(node(pos)), nodeBuf(node(pos+1)), false, deps...)
-			s.markFinal(id, node(pos+1))
-			ag[pos][step] = id
+			id := s.addTransfer(next[pos], global(pos+1-step), node(pos), node(pos+1), false, dep)
+			s.ops[id].Final = node(pos + 1)
+			ag[pos*(p-1)+step] = id
 		}
 	}
 	return nil

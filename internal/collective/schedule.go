@@ -12,44 +12,6 @@ import (
 	"ccube/internal/topology"
 )
 
-// bufRef names a buffer touched by a transfer: either a node's gradient
-// buffer (relay < 0) or the relay slot owned by a previous detour hop.
-type bufRef struct {
-	node  topology.NodeID
-	relay int // transfer id owning the relay slot, or -1
-}
-
-func nodeBuf(n topology.NodeID) bufRef { return bufRef{node: n, relay: -1} }
-func relayBuf(tid int) bufRef          { return bufRef{node: -1, relay: tid} }
-
-// transfer is one scheduled operation: a chunk moving over a channel, or a
-// zero-cost marker/barrier (channel < 0).
-type transfer struct {
-	id      int
-	chunk   int // global chunk index
-	bytes   int64
-	channel topology.ChannelID // -1 for markers and barriers
-	deps    []int
-
-	// Data semantics (ignored for markers: src.relay<0 && src.node<0).
-	src        bufRef
-	dst        bufRef
-	accumulate bool // dst += src (reduction) vs dst = src (broadcast/forward)
-
-	// If finalNode >= 0, completion of this transfer makes chunk `chunk`
-	// fully reduced and available at finalNode.
-	finalNode topology.NodeID
-
-	// noAlpha drops the channel's fixed latency from this transfer's cost:
-	// chunks after the first within one contiguous block message pay only
-	// the bandwidth term (halving-doubling sends whole blocks per step).
-	noAlpha bool
-
-	label string
-}
-
-func (t *transfer) isMarker() bool { return t.channel < 0 }
-
 // Contract declares a schedule's data semantics, used by the static
 // verifier to decide how strict the conservation check should be.
 type Contract int
@@ -82,7 +44,13 @@ type Schedule struct {
 	// Contract records what the schedule computes, for verification.
 	Contract Contract
 
-	transfers []*transfer
+	// ops is the schedule in its one representation, the verifier's IR:
+	// transfer i is ops[i], with ID i, and ids are a topological order. Every
+	// op's Deps is a three-index subslice of deps, the one dependency arena,
+	// so appending to one op's deps reallocates instead of overwriting its
+	// neighbour's. Builders reserve both slices at their exact final size.
+	ops  []schedcheck.Op
+	deps []int
 
 	// builtFor is the topology fingerprint the schedule was built (and, for
 	// cached schedules, schedcheck-verified) against; 0 means unstamped.
@@ -95,36 +63,78 @@ func newSchedule(g *topology.Graph, nodes []topology.NodeID, part chunk.Partitio
 	return &Schedule{Graph: g, Nodes: nodes, Partition: part}
 }
 
-// addTransfer appends a channel transfer and returns its id.
-func (s *Schedule) addTransfer(label string, ch topology.ChannelID, c int, bytes int64, src, dst bufRef, accumulate bool, deps ...int) int {
-	id := len(s.transfers)
-	s.transfers = append(s.transfers, &transfer{
-		id: id, chunk: c, bytes: bytes, channel: ch,
-		src: src, dst: dst, accumulate: accumulate,
-		deps: append([]int(nil), deps...), finalNode: -1, label: label,
-	})
-	return id
+// reserve sizes the op slice and the deps arena for exactly ops operations
+// holding deps dependencies in total, so building grows neither.
+func (s *Schedule) reserve(ops, deps int) {
+	s.ops = make([]schedcheck.Op, 0, ops)
+	s.deps = make([]int, 0, deps)
+}
+
+// add appends op with id len(ops) and deps copied into the arena, and
+// returns the id.
+func (s *Schedule) add(op schedcheck.Op, deps ...int) int {
+	op.ID = len(s.ops)
+	start := len(s.deps)
+	s.deps = append(s.deps, deps...)
+	op.Deps = s.deps[start:len(s.deps):len(s.deps)]
+	s.ops = append(s.ops, op)
+	return op.ID
+}
+
+// addDep appends d to the dependencies of the op added last, whose deps end
+// the arena.
+func (s *Schedule) addDep(d int) {
+	op := &s.ops[len(s.ops)-1]
+	s.deps = append(s.deps, d)
+	n := len(s.deps)
+	op.Deps = s.deps[n-len(op.Deps)-1 : n : n]
+}
+
+// addTransfer appends chunk c moving over channel ch from node from's buffer
+// into node to's, accumulating or overwriting, and returns its id.
+func (s *Schedule) addTransfer(ch topology.ChannelID, c int, from, to topology.NodeID, accumulate bool, deps ...int) int {
+	return s.add(schedcheck.Op{Chunk: c, Bytes: s.Partition.Sizes[c], Channel: ch,
+		Src: schedcheck.NodeBuf(from), Dst: schedcheck.NodeBuf(to), Accumulate: accumulate, Final: -1}, deps...)
 }
 
 // addMarker appends a zero-cost join; if final >= 0 its completion marks the
 // chunk ready at that node.
-func (s *Schedule) addMarker(label string, c int, final topology.NodeID, deps ...int) int {
-	id := len(s.transfers)
-	s.transfers = append(s.transfers, &transfer{
-		id: id, chunk: c, channel: -1,
-		src: bufRef{node: -1, relay: -1}, dst: bufRef{node: -1, relay: -1},
-		deps: append([]int(nil), deps...), finalNode: final, label: label,
-	})
-	return id
+func (s *Schedule) addMarker(c int, final topology.NodeID, deps ...int) int {
+	return s.add(schedcheck.Op{Chunk: c, Channel: -1, Src: schedcheck.NoBuf(), Dst: schedcheck.NoBuf(), Final: final}, deps...)
 }
-
-// markFinal records that completion of transfer id makes its chunk ready at
-// node n.
-func (s *Schedule) markFinal(id int, n topology.NodeID) { s.transfers[id].finalNode = n }
 
 // NumTransfers reports how many operations the schedule contains (markers
 // included).
-func (s *Schedule) NumTransfers() int { return len(s.transfers) }
+func (s *Schedule) NumTransfers() int { return len(s.ops) }
+
+// Label renders transfer id for diagnostics and traces, e.g.
+// "reduce c5 3->1" (see schedcheck.Program.Label).
+func (s *Schedule) Label(id int) string { return s.Program().Label(id) }
+
+// nodeIndex maps a NodeID to its index in Schedule.Nodes, -1 for nodes that
+// do not participate.
+type nodeIndex []int32
+
+func (s *Schedule) nodeIndex() nodeIndex {
+	idx := make(nodeIndex, s.Graph.NumNodes())
+	for i := range idx {
+		idx[i] = -1
+	}
+	for i, n := range s.Nodes {
+		if n >= 0 && int(n) < len(idx) {
+			idx[n] = int32(i)
+		}
+	}
+	return idx
+}
+
+// of returns n's participant index, or -1.
+func (x nodeIndex) of(n topology.NodeID) int {
+	if n < 0 || int(n) >= len(x) {
+		return -1
+	}
+	return int(x[n])
+}
 
 // StaleScheduleError reports an attempt to instantiate a stamped schedule on
 // a topology whose fingerprint no longer matches the one it was built and
@@ -208,19 +218,19 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 			return nil, &StaleScheduleError{Built: s.builtFor, Current: fp}
 		}
 	}
-	g.Reserve(len(s.transfers))
+	g.Reserve(len(s.ops))
 	// Size each channel's interval log up front: busy-slice growth inside
 	// the run loop was a measurable allocation source across a sweep. The
-	// edge count is counted in the same pass so the graph's flat edge list
-	// and CSR payload are sized once too.
+	// graph's flat edge list and CSR payload are sized from the deps arena,
+	// plus one startDep edge per root op.
 	chCount := make([]int, len(res))
-	edges := 0
-	for _, t := range s.transfers {
-		if !t.isMarker() {
-			chCount[t.channel]++
+	edges := len(s.deps)
+	for i := range s.ops {
+		op := &s.ops[i]
+		if !op.Marker() {
+			chCount[op.Channel]++
 		}
-		edges += len(t.deps)
-		if startDep >= 0 && len(t.deps) == 0 {
+		if startDep >= 0 && len(op.Deps) == 0 {
 			edges++
 		}
 	}
@@ -230,37 +240,35 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 			res[i].Prealloc(n)
 		}
 	}
-	ids := make([]int, len(s.transfers))
+	ids := make([]int, len(s.ops))
 	var deps []int // scratch, reused: Graph.Add copies deps into its edge list
-	for i, t := range s.transfers {
+	for i := range s.ops {
+		op := &s.ops[i]
 		var r *des.Resource
 		var d des.Time
-		if !t.isMarker() {
-			ch := s.Graph.Channel(t.channel)
+		if !op.Marker() {
+			ch := s.Graph.Channel(op.Channel)
 			if ch.Down() {
-				return nil, &DeadChannelError{Transfer: i, Label: t.label, Channel: t.channel,
+				return nil, &DeadChannelError{Transfer: i, Label: s.Label(i), Channel: op.Channel,
 					From: ch.From, To: ch.To}
 			}
-			r = res[t.channel]
-			d = ch.TransferTime(t.bytes)
-			if t.noAlpha {
+			r = res[op.Channel]
+			d = ch.TransferTime(op.Bytes)
+			if op.NoAlpha {
 				d -= ch.Latency
 			}
 		}
 		deps = deps[:0]
-		for _, dep := range t.deps {
+		for _, dep := range op.Deps {
 			deps = append(deps, ids[dep])
 		}
-		if len(t.deps) == 0 && startDep >= 0 {
+		if len(op.Deps) == 0 && startDep >= 0 {
 			deps = append(deps, startDep)
 		}
-		ids[i] = g.Add(t.label, r, d, deps...)
+		ids[i] = g.Add(op.Kind(), r, d, deps...)
 	}
 
-	nodeIdx := make(map[topology.NodeID]int, len(s.Nodes))
-	for i, n := range s.Nodes {
-		nodeIdx[n] = i
-	}
+	idx := s.nodeIndex()
 	k := s.Partition.NumChunks()
 	readyTask := make([][]int, len(s.Nodes))
 	for i := range readyTask {
@@ -269,15 +277,16 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 			readyTask[i][c] = -1
 		}
 	}
-	for i, t := range s.transfers {
-		if t.finalNode < 0 {
+	for i := range s.ops {
+		op := &s.ops[i]
+		if op.Final < 0 {
 			continue
 		}
-		ni, ok := nodeIdx[t.finalNode]
-		if !ok {
-			return nil, fmt.Errorf("collective: final node %d not a participant", t.finalNode)
+		ni := idx.of(op.Final)
+		if ni < 0 {
+			return nil, fmt.Errorf("collective: final node %d not a participant", op.Final)
 		}
-		readyTask[ni][t.chunk] = ids[i]
+		readyTask[ni][op.Chunk] = ids[i]
 	}
 	for i := range readyTask {
 		for c, id := range readyTask[i] {
@@ -402,31 +411,27 @@ func (s *Schedule) ExecuteData(inputs [][]float64) ([][]float64, error) {
 	if part.NumChunks() != s.Partition.NumChunks() {
 		return nil, fmt.Errorf("collective: %d elements cannot form %d chunks", n, s.Partition.NumChunks())
 	}
-	nodeIdx := make(map[topology.NodeID]int, len(s.Nodes))
-	for i, nd := range s.Nodes {
-		nodeIdx[nd] = i
-	}
+	idx := s.nodeIndex()
 	// Node buffers start as copies of the inputs.
 	buf := make([][]float64, len(inputs))
 	for i, in := range inputs {
 		buf[i] = append([]float64(nil), in...)
 	}
-	relay := make(map[int][]float64)
+	relay := make([][]float64, len(s.ops)) // relay[id]: op id's relay slot, nil until written
 
-	view := func(r bufRef, c int, t *transfer) ([]float64, error) {
-		lo, sz := part.Offsets[c], part.Sizes[c]
-		if r.relay >= 0 {
-			v, ok := relay[r.relay]
-			if !ok {
-				return nil, fmt.Errorf("collective: transfer %d (%s) reads empty relay slot %d", t.id, t.label, r.relay)
+	view := func(b schedcheck.Buf, c, id int) ([]float64, error) {
+		if b.Relay >= 0 {
+			if b.Relay >= len(relay) || relay[b.Relay] == nil {
+				return nil, fmt.Errorf("collective: transfer %d (%s) reads empty relay slot %d", id, s.Label(id), b.Relay)
 			}
-			return v, nil
+			return relay[b.Relay], nil
 		}
-		ni, ok := nodeIdx[r.node]
-		if !ok {
-			return nil, fmt.Errorf("collective: transfer %d (%s) references non-participant node %d", t.id, t.label, r.node)
+		ni := idx.of(b.Node)
+		if ni < 0 {
+			return nil, fmt.Errorf("collective: transfer %d (%s) references non-participant node %d", id, s.Label(id), b.Node)
 		}
-		return buf[ni][lo : lo+sz], nil
+		lo := part.Offsets[c]
+		return buf[ni][lo : lo+part.Sizes[c]], nil
 	}
 
 	order, err := s.topoOrder()
@@ -434,23 +439,23 @@ func (s *Schedule) ExecuteData(inputs [][]float64) ([][]float64, error) {
 		return nil, err
 	}
 	for _, id := range order {
-		t := s.transfers[id]
-		if t.isMarker() {
+		op := &s.ops[id]
+		if op.Marker() {
 			continue
 		}
-		src, err := view(t.src, t.chunk, t)
+		src, err := view(op.Src, op.Chunk, id)
 		if err != nil {
 			return nil, err
 		}
-		if t.dst.relay >= 0 {
-			relay[t.dst.relay] = append([]float64(nil), src...)
+		if op.Dst.Relay >= 0 {
+			relay[id] = append([]float64(nil), src...)
 			continue
 		}
-		dst, err := view(t.dst, t.chunk, t)
+		dst, err := view(op.Dst, op.Chunk, id)
 		if err != nil {
 			return nil, err
 		}
-		if t.accumulate {
+		if op.Accumulate {
 			for i := range dst {
 				dst[i] += src[i]
 			}
@@ -467,11 +472,12 @@ func (s *Schedule) ExecuteData(inputs [][]float64) ([][]float64, error) {
 // is the SM work Fig. 15 measures.
 func (s *Schedule) ForwardedBytes() map[topology.NodeID]int64 {
 	out := make(map[topology.NodeID]int64)
-	for _, t := range s.transfers {
-		if t.isMarker() || t.dst.relay < 0 {
+	for i := range s.ops {
+		op := &s.ops[i]
+		if op.Marker() || op.Dst.Relay < 0 {
 			continue
 		}
-		out[s.Graph.Channel(t.channel).To] += t.bytes
+		out[s.Graph.Channel(op.Channel).To] += op.Bytes
 	}
 	return out
 }
@@ -488,67 +494,59 @@ func (s *Schedule) DetourNodes() []topology.NodeID {
 	return nodes
 }
 
-// topoOrder returns transfer ids in dependency order (Kahn's algorithm).
+// topoOrder returns transfer ids in dependency order: Kahn's algorithm with
+// a FIFO queue, over the dependents in CSR form (row i, the ops listing i,
+// is targets[off[i]:off[i+1]] in id order), read off the deps arena in one
+// counting pass and one filling pass.
 func (s *Schedule) topoOrder() ([]int, error) {
-	indeg := make([]int, len(s.transfers))
-	dependents := make([][]int, len(s.transfers))
-	for _, t := range s.transfers {
-		indeg[t.id] = len(t.deps)
-		for _, d := range t.deps {
-			dependents[d] = append(dependents[d], t.id)
+	n := len(s.ops)
+	off := make([]int32, n+1)
+	indeg := make([]int32, n)
+	for i := range s.ops {
+		indeg[i] = int32(len(s.ops[i].Deps))
+		for _, d := range s.ops[i].Deps {
+			off[d+1]++
 		}
 	}
-	var queue, order []int
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	targets := make([]int32, off[n])
+	next := append([]int32(nil), off[:n]...)
+	for i := range s.ops {
+		for _, d := range s.ops[i].Deps {
+			targets[next[d]] = int32(i)
+			next[d]++
+		}
+	}
+	// order doubles as the queue: ops are appended once runnable.
+	order := make([]int, 0, n)
 	for id, d := range indeg {
 		if d == 0 {
-			queue = append(queue, id)
+			order = append(order, id)
 		}
 	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, dep := range dependents[id] {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				queue = append(queue, dep)
+	for head := 0; head < len(order); head++ {
+		id := order[head]
+		for _, t := range targets[off[id]:off[id+1]] {
+			indeg[t]--
+			if indeg[t] == 0 {
+				order = append(order, int(t))
 			}
 		}
 	}
-	if len(order) != len(s.transfers) {
-		return nil, fmt.Errorf("collective: schedule has a dependency cycle (%d of %d ordered)",
-			len(order), len(s.transfers))
+	if len(order) != n {
+		return nil, fmt.Errorf("collective: schedule has a dependency cycle (%d of %d ordered)", len(order), n)
 	}
 	return order, nil
 }
 
-// Program lowers the schedule into the static verifier's neutral IR. The
-// mapping is 1:1 — transfer ids become op ids — so verifier diagnostics
-// point directly at schedule transfers.
+// Program returns the schedule as the static verifier's program. It is a
+// view, not a copy: its ops are the schedule's own, so verifier
+// diagnostics point directly at schedule transfers. A schedule from the
+// cache is shared by every caller, so treat the program as read-only and
+// edit a Clone.
 func (s *Schedule) Program() *schedcheck.Program {
-	ops := make([]schedcheck.Op, len(s.transfers))
-	buf := func(r bufRef) schedcheck.Buf {
-		return schedcheck.Buf{Node: r.node, Relay: r.relay}
-	}
-	for i, t := range s.transfers {
-		ch := t.channel
-		if t.isMarker() {
-			ch = -1
-		}
-		ops[i] = schedcheck.Op{
-			ID:         t.id,
-			Label:      t.label,
-			Chunk:      t.chunk,
-			Bytes:      t.bytes,
-			Channel:    ch,
-			Deps:       t.deps,
-			Src:        buf(t.src),
-			Dst:        buf(t.dst),
-			Accumulate: t.accumulate,
-			NoAlpha:    t.noAlpha,
-			Final:      t.finalNode,
-		}
-	}
 	return &schedcheck.Program{
 		Graph:     s.Graph,
 		Nodes:     s.Nodes,
@@ -556,7 +554,7 @@ func (s *Schedule) Program() *schedcheck.Program {
 		InOrder:   s.InOrder,
 		Streams:   s.Streams,
 		AllReduce: s.Contract == ContractAllReduce,
-		Ops:       ops,
+		Ops:       s.ops,
 	}
 }
 
@@ -595,26 +593,25 @@ func (s *Schedule) Validate() error {
 // structure — the byte-independent proofs carry over).
 func (s *Schedule) validateStructure() error {
 	k := s.Partition.NumChunks()
-	for _, t := range s.transfers {
-		if t.chunk < 0 || t.chunk >= k {
-			return fmt.Errorf("collective: transfer %d chunk %d out of range", t.id, t.chunk)
+	for i := range s.ops {
+		op := &s.ops[i]
+		if op.Chunk < 0 || op.Chunk >= k {
+			return fmt.Errorf("collective: transfer %d chunk %d out of range", i, op.Chunk)
 		}
-		if !t.isMarker() {
-			if int(t.channel) >= s.Graph.NumChannels() {
-				return fmt.Errorf("collective: transfer %d references channel %d", t.id, t.channel)
+		if !op.Marker() {
+			if int(op.Channel) >= s.Graph.NumChannels() {
+				return fmt.Errorf("collective: transfer %d references channel %d", i, op.Channel)
 			}
-			if t.bytes <= 0 {
-				return fmt.Errorf("collective: transfer %d moves %d bytes", t.id, t.bytes)
+			if op.Bytes <= 0 {
+				return fmt.Errorf("collective: transfer %d moves %d bytes", i, op.Bytes)
 			}
 		}
-		for _, d := range t.deps {
-			if d < 0 || d >= len(s.transfers) {
-				return fmt.Errorf("collective: transfer %d has invalid dep %d", t.id, d)
+		for _, d := range op.Deps {
+			if d < 0 || d >= len(s.ops) {
+				return fmt.Errorf("collective: transfer %d has invalid dep %d", i, d)
 			}
 		}
 	}
-	if _, err := s.topoOrder(); err != nil {
-		return err
-	}
-	return nil
+	_, err := s.topoOrder()
+	return err
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ccube/internal/chunk"
+	"ccube/internal/schedcheck"
 	"ccube/internal/topology"
 )
 
@@ -192,17 +193,18 @@ func DGX1Trees() (Tree, Tree) {
 // treeChunks assigns global chunk indices round-robin over numTrees trees,
 // so tree t carries chunks {c : c % numTrees == t}.
 func treeChunks(k, numTrees, t int) []int {
-	var out []int
+	out := make([]int, 0, (k-t+numTrees-1)/numTrees)
 	for c := t; c < k; c += numTrees {
 		out = append(out, c)
 	}
 	return out
 }
 
-// edgeRoutes holds the physical routes assigned to one tree's edges.
+// edgeRoutes holds the physical routes assigned to one tree's edges, indexed
+// by child participant (the root's entries are empty).
 type edgeRoutes struct {
-	up   map[int]topology.Route // child participant -> route child=>parent
-	down map[int]topology.Route // child participant -> route parent=>child
+	up   []topology.Route // child => parent
+	down []topology.Route // parent => child
 }
 
 // assignRoutes claims physical routes for every edge of a tree, in both
@@ -211,7 +213,7 @@ type edgeRoutes struct {
 // sharing is permitted (see buildTreeSchedule), claim failures fall back to
 // reusing claimed channels.
 func assignRoutes(g *topology.Graph, nodes []topology.NodeID, t Tree, r *topology.Router, allowShared bool) (edgeRoutes, error) {
-	er := edgeRoutes{up: make(map[int]topology.Route), down: make(map[int]topology.Route)}
+	er := edgeRoutes{up: make([]topology.Route, len(nodes)), down: make([]topology.Route, len(nodes))}
 	var direct, detour []int
 	for _, v := range t.PostOrder() {
 		if v == t.Root {
@@ -287,8 +289,9 @@ func buildTreeSchedule(g *topology.Graph, nodes []topology.NodeID, part chunk.Pa
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("collective: no trees")
 	}
-	if part.NumChunks() < len(trees) {
-		return nil, fmt.Errorf("collective: %d chunks cannot feed %d trees", part.NumChunks(), len(trees))
+	k := part.NumChunks()
+	if k < len(trees) {
+		return nil, fmt.Errorf("collective: %d chunks cannot feed %d trees", k, len(trees))
 	}
 	s := newSchedule(g, nodes, part)
 	s.InOrder = true
@@ -296,6 +299,13 @@ func buildTreeSchedule(g *topology.Graph, nodes []topology.NodeID, part chunk.Pa
 	s.Contract = ContractAllReduce
 	router := topology.NewRouter(g)
 
+	// Route every tree before emitting anything, so the schedule reserves
+	// its exact size.
+	up := make([]*treePhase, len(trees))
+	down := make([]*treePhase, len(trees))
+	chunks := make([][]int, len(trees))
+	ops, deps := 0, 0
+	add := func(o, d int) { ops, deps = ops+o, deps+d }
 	for ti, tree := range trees {
 		if len(tree.Parent) != len(nodes) {
 			return nil, fmt.Errorf("collective: tree %d spans %d participants, want %d", ti, len(tree.Parent), len(nodes))
@@ -304,73 +314,32 @@ func buildTreeSchedule(g *topology.Graph, nodes []topology.NodeID, part chunk.Pa
 		if err != nil {
 			return nil, err
 		}
-		chunks := treeChunks(part.NumChunks(), len(trees), ti)
-		if err := buildSingleTree(s, tree, routes, chunks, overlap, ti); err != nil {
-			return nil, err
+		up[ti] = newTreePhase(s, nodes, tree, routes, true)
+		down[ti] = newTreePhase(s, nodes, tree, routes, false)
+		chunks[ti] = treeChunks(k, len(trees), ti)
+		n := len(chunks[ti])
+		add(up[ti].cost(n, false))
+		add(n, n*len(tree.Children[tree.Root])) // root-ready markers
+		if !overlap {
+			add(1, 1) // the barrier
 		}
+		add(down[ti].cost(n, true))
+	}
+	s.reserve(ops, deps)
+	for ti := range trees {
+		buildSingleTree(s, up[ti], down[ti], chunks[ti], overlap)
 	}
 	return s, nil
 }
 
 // buildSingleTree adds one tree's transfers to the schedule.
-func buildSingleTree(s *Schedule, tree Tree, routes edgeRoutes, chunks []int, overlap bool, ti int) error {
-	nodes := s.Nodes
-	post := tree.PostOrder()
-	pre := tree.PreOrder()
-
-	// upHops[v][ci] = per-hop transfer ids of v's up-send for local chunk ci.
-	upHops := make(map[int][][]int, len(post))
+func buildSingleTree(s *Schedule, up, down *treePhase, chunks []int, overlap bool) {
+	root := up.tree.Root
 	rootReady := make([]int, len(chunks))
-
 	for ci, c := range chunks {
-		bytes := s.Partition.Sizes[c]
-		for _, v := range post {
-			if v == tree.Root {
-				continue
-			}
-			route := routes.up[v]
-			var deps []int
-			for _, w := range tree.Children[v] {
-				hops := upHops[w][ci]
-				deps = append(deps, hops[len(hops)-1])
-			}
-			hopIDs := make([]int, 0, route.Hops())
-			prev := -1
-			for h, ch := range route.Channels {
-				src := nodeBuf(nodes[v])
-				if h > 0 {
-					src = relayBuf(prev)
-				}
-				last := h == route.Hops()-1
-				var hopDeps []int
-				if h == 0 {
-					hopDeps = deps
-				} else {
-					hopDeps = []int{prev}
-				}
-				if ci > 0 {
-					hopDeps = append(hopDeps, upHops[v][ci-1][h]) // FIFO per hop
-				}
-				label := fmt.Sprintf("t%d:up:%d->%d:c%d:h%d", ti, v, tree.Parent[v], c, h)
-				var id int
-				if last {
-					id = s.addTransfer(label, ch, c, bytes, src, nodeBuf(nodes[tree.Parent[v]]), true, hopDeps...)
-				} else {
-					id = s.addTransfer(label, ch, c, bytes, src, bufRef{node: -1, relay: -1}, false, hopDeps...)
-					s.transfers[id].dst = relayBuf(id)
-				}
-				hopIDs = append(hopIDs, id)
-				prev = id
-			}
-			upHops[v] = append(upHops[v], hopIDs)
-		}
-		// Chunk c fully reduced at the root once all root children delivered.
-		var deps []int
-		for _, w := range tree.Children[tree.Root] {
-			hops := upHops[w][ci]
-			deps = append(deps, hops[len(hops)-1])
-		}
-		rootReady[ci] = s.addMarker(fmt.Sprintf("t%d:rootready:c%d", ti, c), c, nodes[tree.Root], deps...)
+		// Chunk c is fully reduced at the root once all root children
+		// delivered it.
+		rootReady[ci] = s.addMarker(c, up.parts[root], up.reduce(c, ci > 0, nil)...)
 	}
 
 	// Barrier for the non-overlapped tree: broadcast waits for the whole
@@ -378,59 +347,145 @@ func buildSingleTree(s *Schedule, tree Tree, routes edgeRoutes, chunks []int, ov
 	// imply all earlier ones.
 	barrier := -1
 	if !overlap {
-		barrier = s.addMarker(fmt.Sprintf("t%d:barrier", ti), chunks[len(chunks)-1], -1, rootReady[len(chunks)-1])
+		barrier = s.addMarker(chunks[len(chunks)-1], -1, rootReady[len(chunks)-1])
 	}
-
-	// downHops[w][ci] = per-hop ids of the broadcast parent->w.
-	downHops := make(map[int][][]int, len(pre))
 	for ci, c := range chunks {
-		bytes := s.Partition.Sizes[c]
-		for _, v := range pre {
-			for _, w := range tree.Children[v] {
-				route := routes.down[w]
-				var deps []int
-				if v == tree.Root {
-					if overlap {
-						deps = append(deps, rootReady[ci])
-					} else {
-						deps = append(deps, barrier)
-					}
-				} else {
-					hops := downHops[v][ci]
-					deps = append(deps, hops[len(hops)-1])
-				}
-				hopIDs := make([]int, 0, route.Hops())
-				prev := -1
-				for h, ch := range route.Channels {
-					src := nodeBuf(nodes[v])
-					if h > 0 {
-						src = relayBuf(prev)
-					}
-					last := h == route.Hops()-1
-					var hopDeps []int
-					if h == 0 {
-						hopDeps = deps
-					} else {
-						hopDeps = []int{prev}
-					}
-					if ci > 0 {
-						hopDeps = append(hopDeps, downHops[w][ci-1][h])
-					}
-					label := fmt.Sprintf("t%d:down:%d->%d:c%d:h%d", ti, v, w, c, h)
-					var id int
-					if last {
-						id = s.addTransfer(label, ch, c, bytes, src, nodeBuf(nodes[w]), false, hopDeps...)
-						s.markFinal(id, nodes[w])
-					} else {
-						id = s.addTransfer(label, ch, c, bytes, src, bufRef{node: -1, relay: -1}, false, hopDeps...)
-						s.transfers[id].dst = relayBuf(id)
-					}
-					hopIDs = append(hopIDs, id)
-					prev = id
-				}
-				downHops[w] = append(downHops[w], hopIDs)
-			}
+		dep := barrier
+		if overlap {
+			dep = rootReady[ci]
+		}
+		down.broadcast(c, ci > 0, dep)
+	}
+}
+
+// treePhase emits one tree's pipelined per-chunk sends over its routed
+// edges: a reduction up the tree or a broadcast down it. Each
+// participant's latest hop ids sit in one flat table, so a hop can depend
+// on the same hop of the previous chunk without per-chunk storage.
+type treePhase struct {
+	s        *Schedule
+	parts    []topology.NodeID // participant index -> node
+	tree     Tree
+	order    []int            // post-order to reduce, pre-order to broadcast
+	routes   []topology.Route // per child participant: its edge's route this way
+	hopOff   []int            // participant v's latest hop ids are hops[hopOff[v]:hopOff[v+1]]
+	hops     []int
+	deps     []int // scratch for hop-0 dependencies
+	reducing bool  // up the tree, accumulating; else down, copying
+}
+
+func newTreePhase(s *Schedule, parts []topology.NodeID, tree Tree, routes edgeRoutes, reduce bool) *treePhase {
+	tp := &treePhase{s: s, parts: parts, tree: tree, hopOff: make([]int, len(parts)+1), reducing: reduce}
+	if reduce {
+		tp.order, tp.routes = tree.PostOrder(), routes.up
+	} else {
+		tp.order, tp.routes = tree.PreOrder(), routes.down
+	}
+	for v, rt := range tp.routes {
+		tp.hopOff[v+1] = tp.hopOff[v] + rt.Hops()
+	}
+	tp.hops = make([]int, tp.hopOff[len(parts)])
+	return tp
+}
+
+// last returns the op delivering participant v's latest send.
+func (tp *treePhase) last(v int) int { return tp.hops[tp.hopOff[v+1]-1] }
+
+// reduce appends chunk c's reduction: in post-order every non-root
+// participant sends c to its parent once its children's sends of c have
+// landed, and once extra(v) has when extra is non-nil. fifo chains every
+// hop behind the same hop of the previous chunk. It returns the
+// dependencies of the root's completion of c — its children's deliveries,
+// plus extra(root) — valid until the next call.
+func (tp *treePhase) reduce(c int, fifo bool, extra func(v int) int) []int {
+	for _, v := range tp.order {
+		if v != tp.tree.Root {
+			tp.send(v, c, tp.parts[v], tp.parts[tp.tree.Parent[v]], fifo, tp.gather(v, extra))
 		}
 	}
-	return nil
+	return tp.gather(tp.tree.Root, extra)
+}
+
+// gather collects, in the scratch slice, the deliveries of v's children's
+// latest sends, plus extra(v) when extra is non-nil.
+func (tp *treePhase) gather(v int, extra func(v int) int) []int {
+	tp.deps = tp.deps[:0]
+	for _, w := range tp.tree.Children[v] {
+		tp.deps = append(tp.deps, tp.last(w))
+	}
+	if extra != nil {
+		tp.deps = append(tp.deps, extra(v))
+	}
+	return tp.deps
+}
+
+// broadcast appends chunk c's broadcast: in pre-order every participant
+// forwards c to its children once it holds it; the root's sends wait for
+// rootDep when it is >= 0. fifo chains every hop behind the same hop of the
+// previous chunk.
+func (tp *treePhase) broadcast(c int, fifo bool, rootDep int) {
+	for _, v := range tp.order {
+		for _, w := range tp.tree.Children[v] {
+			tp.deps = tp.deps[:0]
+			if v != tp.tree.Root {
+				tp.deps = append(tp.deps, tp.last(v))
+			} else if rootDep >= 0 {
+				tp.deps = append(tp.deps, rootDep)
+			}
+			tp.send(w, c, tp.parts[v], tp.parts[w], fifo, tp.deps)
+		}
+	}
+}
+
+// send appends chunk c's send over child participant v's edge, from node
+// src's buffer to dst's, one op per hop. Hop 0 depends on deps and every
+// later hop on the hop before it; with fifo, hop h also depends on v's hop h
+// of the previous chunk. Intermediate hops park the chunk in their own relay
+// slot for the next GPU to forward (paper §IV-A). The last hop writes dst:
+// accumulating when reducing, otherwise copying and marking the chunk final
+// at dst.
+func (tp *treePhase) send(v, c int, src, dst topology.NodeID, fifo bool, deps []int) {
+	s := tp.s
+	hops := tp.hops[tp.hopOff[v]:tp.hopOff[v+1]]
+	last := len(hops) - 1
+	for h, ch := range tp.routes[v].Channels {
+		id := len(s.ops)
+		op := schedcheck.Op{Chunk: c, Bytes: s.Partition.Sizes[c], Channel: ch,
+			Src: schedcheck.NodeBuf(src), Dst: schedcheck.RelayBuf(id), Final: -1}
+		if h > 0 {
+			op.Src = schedcheck.RelayBuf(id - 1)
+		}
+		if h == last {
+			op.Dst, op.Accumulate = schedcheck.NodeBuf(dst), tp.reducing
+			if !tp.reducing {
+				op.Final = dst
+			}
+		}
+		if h == 0 {
+			s.add(op, deps...)
+		} else {
+			s.add(op, id-1)
+		}
+		if fifo {
+			s.addDep(hops[h])
+		}
+		hops[h] = id
+	}
+}
+
+// cost returns the ops and deps that chunks calls of reduce or broadcast
+// append, the first without FIFO edges. A call's hop-0 sends depend once
+// per tree edge whose parent is not the root and, with dep, once more per
+// sender (reduce's extra) or per root child (broadcast's rootDep).
+func (tp *treePhase) cost(chunks int, dep bool) (ops, deps int) {
+	edges, rootKids := len(tp.parts)-1, len(tp.tree.Children[tp.tree.Root])
+	head := edges - rootKids
+	switch {
+	case dep && tp.reducing:
+		head += edges
+	case dep:
+		head += rootKids
+	}
+	hops := len(tp.hops)
+	return chunks * hops, chunks*(head+hops-edges) + (chunks-1)*hops
 }

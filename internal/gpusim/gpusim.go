@@ -260,7 +260,7 @@ func run(p *schedcheck.Program, inputs [][]float32, cfg Config, bounded bool) (*
 		lo := part.Offsets[c]
 		return res.Buffers[pl.kernel[b.Node]][lo : lo+part.Sizes[c]]
 	}
-	label := func(i int) string { return fmt.Sprintf("#%d(%s)", i, p.Ops[i].Label) }
+	label := func(i int) string { return fmt.Sprintf("#%d(%s)", i, p.Label(i)) }
 	st := &stallTracker{}
 	var wg sync.WaitGroup
 	for g := range pl.ops {

@@ -272,8 +272,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	mismatched := inputs(8, 10)
 	mismatched[3] = make([]float32, 9)
-	forward := *p
-	forward.Ops = append([]schedcheck.Op(nil), p.Ops...)
+	forward := p.Clone()
 	forward.Ops[0].Deps = []int{1}
 	bcast, err := collective.BuildPrimitive(collective.PrimitiveConfig{
 		Graph: dgx1(), Primitive: collective.PrimBroadcast, Bytes: 1 << 20, Chunks: 4})
@@ -290,7 +289,7 @@ func TestConfigValidation(t *testing.T) {
 		{"too few inputs", p, inputs(2, 10), Config{}},
 		{"mismatched lengths", p, mismatched, Config{}},
 		{"too few elements for the chunks", p, inputs(8, 3), Config{}},
-		{"forward dependency", &forward, inputs(8, 10), Config{}},
+		{"forward dependency", forward, inputs(8, 10), Config{}},
 		{"queuing without the AllReduce contract", bcast.Program(), inputs(8, 10), Config{LayerElems: []int{10}}},
 	}
 	for _, c := range cases {

@@ -156,11 +156,13 @@ func TestDifferentialOracle(t *testing.T) {
 }
 
 // desRespectsDeps is the timing leg of the oracle. ExecuteOnCtx instantiates
-// the schedule into a fresh task graph, one task per transfer in id order,
+// the schedule into a fresh task graph, one task per transfer in id order:
+// task i is named by transfer i's kind and occupies transfer i's channel,
 // and no task may start before every one of its dependencies has ended.
 func desRespectsDeps(t *testing.T, s *collective.Schedule) {
 	t.Helper()
-	_, g, err := s.ExecuteOnCtx(context.Background(), s.Graph.Resources())
+	res := s.Graph.Resources()
+	_, g, err := s.ExecuteOnCtx(context.Background(), res)
 	if err != nil {
 		t.Fatalf("ExecuteOnCtx: %v", err)
 	}
@@ -170,13 +172,17 @@ func desRespectsDeps(t *testing.T, s *collective.Schedule) {
 	}
 	for i, op := range p.Ops {
 		task := g.Task(i)
-		if task.Label != op.Label {
-			t.Fatalf("task %d is %q, transfer %d is %q", i, task.Label, i, op.Label)
+		var want *des.Resource
+		if !op.Marker() {
+			want = res[op.Channel]
+		}
+		if task.Label != op.Kind() || task.Resource != want {
+			t.Fatalf("task %d is a %s on %v, transfer %d (%s) is not", i, task.Label, task.Resource, i, p.Label(i))
 		}
 		for _, d := range op.Deps {
 			if dep := g.Task(d); task.Start < dep.End {
 				t.Fatalf("transfer %d (%s) starts at %v, before dependency %d (%s) ends at %v",
-					i, op.Label, task.Start, d, dep.Label, dep.End)
+					i, p.Label(i), task.Start, d, p.Label(d), dep.End)
 			}
 		}
 	}

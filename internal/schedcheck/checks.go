@@ -83,11 +83,7 @@ func (ck *checker) indexReaders() {
 
 // label renders an op for messages.
 func (ck *checker) label(id int) string {
-	op := &ck.p.Ops[id]
-	if op.Label == "" {
-		return fmt.Sprintf("#%d", id)
-	}
-	return fmt.Sprintf("#%d(%s)", id, op.Label)
+	return fmt.Sprintf("#%d(%s)", id, ck.p.Label(id))
 }
 
 // --- structure -------------------------------------------------------------

@@ -36,7 +36,7 @@ func channelBetween(t *testing.T, g *topology.Graph, from, to topology.NodeID) t
 // marker returns a readiness marker announcing chunk c at node n.
 func marker(id, c int, n topology.NodeID) schedcheck.Op {
 	return schedcheck.Op{
-		ID: id, Label: "ready", Chunk: c, Channel: -1,
+		ID: id, Chunk: c, Channel: -1,
 		Src: schedcheck.NoBuf(), Dst: schedcheck.NoBuf(), Final: n,
 	}
 }
@@ -50,9 +50,9 @@ func twoStreamProgram(t *testing.T, ordered bool, streams int) *schedcheck.Progr
 	g := deepGraph()
 	up := channelBetween(t, g, 0, 1)
 	ops := []schedcheck.Op{
-		{ID: 0, Label: "s0", Chunk: 0, Bytes: 1000, Channel: up,
+		{ID: 0, Chunk: 0, Bytes: 1000, Channel: up,
 			Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
-		{ID: 1, Label: "s1", Chunk: 1, Bytes: 1000, Channel: up,
+		{ID: 1, Chunk: 1, Bytes: 1000, Channel: up,
 			Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
 		marker(2, 0, 0),
 		marker(3, 1, 0),
@@ -113,9 +113,9 @@ func waitForProgram(t *testing.T) *schedcheck.Program {
 	g := deepGraph()
 	up := channelBetween(t, g, 0, 1)
 	ops := []schedcheck.Op{
-		{ID: 0, Label: "first-in-line", Chunk: 0, Bytes: 1000, Channel: up, Deps: []int{1},
+		{ID: 0, Chunk: 0, Bytes: 1000, Channel: up, Deps: []int{1},
 			Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
-		{ID: 1, Label: "blocked-behind", Chunk: 1, Bytes: 1000, Channel: up,
+		{ID: 1, Chunk: 1, Bytes: 1000, Channel: up,
 			Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
 		marker(2, 0, 0),
 		marker(3, 1, 0),
@@ -136,7 +136,7 @@ func TestWaitForFlagsChannelOrderDeadlock(t *testing.T) {
 		t.Fatalf("dependency+channel-order deadlock went unnoticed: %s", r.Summary())
 	}
 	v := r.Class(schedcheck.ClassWaitFor)[0]
-	if !strings.Contains(v.Msg, "wait-for cycle") || !strings.Contains(v.Msg, "first-in-line") {
+	if !strings.Contains(v.Msg, "wait-for cycle") || !strings.Contains(v.Msg, "#0(reduce c0 0->1)") {
 		t.Errorf("violation does not show the deadlock cycle: %s", v.Msg)
 	}
 }
@@ -204,9 +204,9 @@ func chainProgram(t *testing.T) *schedcheck.Program {
 	return &schedcheck.Program{
 		Graph: g, Nodes: []topology.NodeID{0, 1}, NumChunks: 1, AllReduce: true,
 		Ops: []schedcheck.Op{
-			{ID: 0, Label: "reduce", Chunk: 0, Bytes: 1000, Channel: up,
+			{ID: 0, Chunk: 0, Bytes: 1000, Channel: up,
 				Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
-			{ID: 1, Label: "bcast", Chunk: 0, Bytes: 1000, Channel: down, Deps: []int{0},
+			{ID: 1, Chunk: 0, Bytes: 1000, Channel: down, Deps: []int{0},
 				Src: schedcheck.NodeBuf(1), Dst: schedcheck.NodeBuf(0), Final: 0},
 		},
 	}

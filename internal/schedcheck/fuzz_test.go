@@ -1,11 +1,14 @@
 package schedcheck_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"ccube/internal/collective"
+	"ccube/internal/collective/store"
 	"ccube/internal/des"
 	"ccube/internal/gpusim"
 	"ccube/internal/schedcheck"
@@ -54,44 +57,160 @@ func FuzzSchedCheck(f *testing.F) {
 		f.Add(uint8(0), uint8(8), field, uint16(5))
 	}
 	f.Fuzz(func(t *testing.T, algo, kind uint8, pick, pick2 uint16) {
+		var s *collective.Schedule
 		if kind%fuzzKinds == 7 {
-			fuzzSynth(t, algo, pick, pick2)
-			return
+			s = synthesize(t, synthGraph(algo), true)
+		} else {
+			var err error
+			if s, err = collective.Build(fuzzConfig(algo)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		g := topology.DGX1(topology.DefaultDGX1Config())
-		s, err := collective.Build(collective.Config{
-			Graph:     g,
-			Algorithm: collective.Algorithm(algo % 6),
-			Bytes:     1 << 18,
-			Chunks:    6,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := s.Program()
-		if r := checkDeep(t, p); !r.OK() {
-			t.Fatalf("pristine schedule rejected: %s", r.Err())
-		}
-		interpreterAgrees(t, s)
-		switch kind % fuzzKinds {
-		case 0:
-			fuzzDropDep(t, p, pick, pick2)
-		case 1:
-			fuzzRetargetChannel(t, p, pick, pick2)
-		case 2:
-			fuzzSwapChunks(t, p, pick, pick2)
-		case 3:
-			fuzzRepair(t, g, s, p, pick)
-		case 4:
-			fuzzContention(t, p, pick)
-		case 5:
-			fuzzWaitFor(t, p, pick)
-		case 6:
-			fuzzIncrementalRepair(t, g, s, p, pick, pick2)
-		case 8:
-			fuzzNodeIDs(t, p, pick, pick2)
-		}
+		fuzzOne(t, s, kind, pick, pick2)
 	})
+}
+
+// fuzzConfig is the built-in schedule algo%6 corrupts, on a fresh DGX-1.
+func fuzzConfig(algo uint8) collective.Config {
+	return collective.Config{
+		Graph:     topology.DGX1(topology.DefaultDGX1Config()),
+		Algorithm: collective.Algorithm(algo % 6),
+		Bytes:     1 << 18,
+		Chunks:    6,
+	}
+}
+
+// synthGraph is the fabric the synthesis kind compiles for: fully connected
+// for even algo, the DGX-1 for odd.
+func synthGraph(algo uint8) *topology.Graph {
+	if algo%2 == 0 {
+		return topology.FullyConnected(8, 10e9, 5*des.Microsecond)
+	}
+	return topology.DGX1(topology.DefaultDGX1Config())
+}
+
+// synthesize compiles a schedule for g with the synthesis compiler.
+func synthesize(t *testing.T, g *topology.Graph, noCache bool) *collective.Schedule {
+	t.Helper()
+	res, err := synth.Synthesize(context.Background(), g, 1<<18, synth.Options{MaxChunks: 8, NoCache: noCache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Schedule
+}
+
+// fuzzOne requires s to verify pristine and to run identically on both data
+// executors, then applies corruption kind to it.
+func fuzzOne(t *testing.T, s *collective.Schedule, kind uint8, pick, pick2 uint16) {
+	g, p := s.Graph, s.Program()
+	if r := checkDeep(t, p); !r.OK() {
+		t.Fatalf("pristine schedule rejected: %s", r.Err())
+	}
+	interpreterAgrees(t, s)
+	switch kind % fuzzKinds {
+	case 0:
+		fuzzDropDep(t, p, pick, pick2)
+	case 1:
+		fuzzRetargetChannel(t, p, pick, pick2)
+	case 2:
+		fuzzSwapChunks(t, p, pick, pick2)
+	case 3:
+		fuzzRepair(t, g, s, p, pick)
+	case 4:
+		fuzzContention(t, p, pick)
+	case 5:
+		fuzzWaitFor(t, p, pick)
+	case 6:
+		fuzzIncrementalRepair(t, g, s, p, pick, pick2)
+	case 7:
+		fuzzSynth(t, p, pick, pick2)
+	case 8:
+		fuzzNodeIDs(t, p, pick, pick2)
+	}
+}
+
+// TestFuzzKindsLeaveCachedSchedulesIntact runs every corruption kind
+// against cached schedules: a built-in from a schedule cache, and for the
+// synthesis kind a compiled schedule from the default cache. A program is a
+// view of its schedule, so a kind corrupting the view instead of a Clone
+// would corrupt the cached schedule for every later caller: after each kind
+// (and with any channel it killed restored) the schedule must still verify
+// and encode to the same bytes.
+func TestFuzzKindsLeaveCachedSchedulesIntact(t *testing.T) {
+	for kind := uint8(0); kind < fuzzKinds; kind++ {
+		corrupted := 0
+		for algo := uint8(0); algo < 6; algo++ {
+			for _, pick := range [][2]uint16{{0, 7}, {13, 101}, {5, 2}} {
+				t.Run(fmt.Sprintf("kind%d/algo%d/pick%d", kind, algo, pick[0]), func(t *testing.T) {
+					s := cachedSchedule(t, kind, algo)
+					before := storedBytes(t, s)
+					t.Run("corrupt", func(t *testing.T) {
+						fuzzOne(t, s, kind, pick[0], pick[1])
+						corrupted++ // not reached when the kind skips
+					})
+					for _, ch := range s.Graph.DownChannels() {
+						s.Graph.RestoreChannel(ch)
+					}
+					if err := s.Validate(); err != nil {
+						t.Fatalf("cached schedule corrupted: %v", err)
+					}
+					if !bytes.Equal(storedBytes(t, s), before) {
+						t.Fatal("cached schedule's encoding changed")
+					}
+				})
+			}
+		}
+		if corrupted == 0 {
+			t.Errorf("kind %d skipped on every cached schedule", kind)
+		}
+	}
+}
+
+// cachedSchedule returns the schedule corruption kind starts from, out of a
+// cache: a built-in from a fresh schedule cache, or for the synthesis kind
+// a compiled schedule from the default one.
+func cachedSchedule(t *testing.T, kind, algo uint8) *collective.Schedule {
+	t.Helper()
+	if kind%fuzzKinds == 7 {
+		g := synthGraph(algo)
+		s := synthesize(t, g, false)
+		if again := synthesize(t, g, false); again != s {
+			t.Fatal("synthesized schedule did not come from the cache")
+		}
+		return s
+	}
+	cfg := fuzzConfig(algo)
+	c := collective.NewCache()
+	s, err := c.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := c.Build(cfg); again != s {
+		t.Fatal("schedule did not come from the cache")
+	}
+	return s
+}
+
+// storedBytes returns the schedule store's encoding of s: a fresh cache with
+// a fresh store takes s as a verified external build and writes it through.
+func storedBytes(t *testing.T, s *collective.Schedule) []byte {
+	t.Helper()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := collective.NewCache()
+	c.SetStore(st)
+	cfg := collective.Config{Graph: s.Graph, Algorithm: collective.AlgSynth, Bytes: 1, SynthKey: "snapshot"}
+	if _, err := c.BuildWith(cfg, func() (*collective.Schedule, error) { return s, nil }); err != nil {
+		t.Fatal(err)
+	}
+	key, _ := collective.StoreKey(cfg)
+	payload, ok := st.Get(key)
+	if !ok {
+		t.Fatal("store holds no encoding")
+	}
+	return payload
 }
 
 // fuzzKinds is the number of corruption kinds FuzzSchedCheck cycles through.
@@ -101,7 +220,8 @@ const fuzzKinds = 9
 // corruptNodeID). The verifier indexes participants by node id, so every
 // entry point must reject the program as malformed structure.
 func fuzzNodeIDs(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
-	if !corruptNodeID(p, int(pick), int(pick2)) {
+	p, ok := corruptNodeID(p, int(pick), int(pick2))
+	if !ok {
 		t.Skip()
 	}
 	for _, r := range []*schedcheck.Report{check(t, p), checkDeep(t, p)} {
@@ -114,31 +234,13 @@ func fuzzNodeIDs(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
 	}
 }
 
-// fuzzSynth compiles a schedule with the synthesis compiler and corrupts it
-// at the lowered-program level: chunk-identity corruption (a chunk swap
-// between structurally distinct ops) or a dropped tree-edge dependency (an
-// ordering edge the lowering emitted between conflicting ops). Both must
-// surface exactly like corruptions of hand-written schedules — the verifier
-// owes compiled programs the same guarantees.
-func fuzzSynth(t *testing.T, algo uint8, pick, pick2 uint16) {
-	var g *topology.Graph
-	if algo%2 == 0 {
-		g = topology.FullyConnected(8, 10e9, 5*des.Microsecond)
-	} else {
-		g = topology.DGX1(topology.DefaultDGX1Config())
-	}
-	res, err := synth.Synthesize(context.Background(), g, 1<<18, synth.Options{
-		MaxChunks: 8,
-		NoCache:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := res.Schedule.Program()
-	if r := checkDeep(t, p); !r.OK() {
-		t.Fatalf("pristine synthesized schedule rejected: %s", r.Err())
-	}
-	interpreterAgrees(t, res.Schedule)
+// fuzzSynth corrupts a schedule produced by the synthesis compiler at the
+// lowered-program level: chunk-identity corruption (a chunk swap between
+// structurally distinct ops) or a dropped tree-edge dependency (an ordering
+// edge the lowering emitted between conflicting ops). Both must surface
+// exactly like corruptions of hand-written schedules — the verifier owes
+// compiled programs the same guarantees.
+func fuzzSynth(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
 	if pick2%2 == 0 {
 		fuzzSwapChunks(t, p, pick, pick2/2)
 	} else {
@@ -195,6 +297,7 @@ func conflicts(w, o *schedcheck.Op) bool {
 }
 
 func fuzzDropDep(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
+	p = p.Clone()
 	type edge struct{ op, di int }
 	var candidates []edge
 	for i := range p.Ops {
@@ -226,6 +329,7 @@ func fuzzDropDep(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
 }
 
 func fuzzRetargetChannel(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
+	p = p.Clone()
 	var candidates []int
 	for i := range p.Ops {
 		if !p.Ops[i].Marker() && p.Ops[i].Src.IsNode() {
@@ -342,7 +446,7 @@ func fuzzIncrementalRepair(t *testing.T, g *topology.Graph, s *collective.Schedu
 	if len(untampered) == 0 {
 		return // nothing untouched to tamper with
 	}
-	tampered := cloneProgram(pp)
+	tampered := pp.Clone()
 	v := untampered[int(pick2)%len(untampered)]
 	if pick2%2 == 0 {
 		tampered.Ops[v].Bytes++
@@ -364,6 +468,7 @@ func fuzzIncrementalRepair(t *testing.T, g *topology.Graph, s *collective.Schedu
 // the schedule's cross-stream overlap now serializes on one physical link,
 // which only the deep contention pass can see.
 func fuzzContention(t *testing.T, p *schedcheck.Program, pick uint16) {
+	p = p.Clone()
 	streams := p.Streams
 	if streams < 2 {
 		t.Skip() // single-stream schedules claim no channel-level overlap
@@ -411,6 +516,7 @@ func fuzzContention(t *testing.T, p *schedcheck.Program, pick uint16) {
 // in-order channel service the pair deadlocks, which only the deep wait-for
 // pass proves.
 func fuzzWaitFor(t *testing.T, p *schedcheck.Program, pick uint16) {
+	p = p.Clone()
 	type pair struct{ a, b int }
 	var candidates []pair
 	for i := range p.Ops {
@@ -444,6 +550,7 @@ func fuzzWaitFor(t *testing.T, p *schedcheck.Program, pick uint16) {
 }
 
 func fuzzSwapChunks(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
+	p = p.Clone()
 	var candidates []int
 	for i := range p.Ops {
 		if !p.Ops[i].Marker() {

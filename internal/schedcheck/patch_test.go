@@ -69,16 +69,6 @@ func soleLink(g *topology.Graph, used []topology.ChannelID) topology.ChannelID {
 	return -1
 }
 
-// cloneProgram deep-copies the parts of a program the tamper tests mutate.
-func cloneProgram(p *schedcheck.Program) *schedcheck.Program {
-	out := *p
-	out.Ops = append([]schedcheck.Op(nil), p.Ops...)
-	for i := range out.Ops {
-		out.Ops[i].Deps = append([]int(nil), out.Ops[i].Deps...)
-	}
-	return &out
-}
-
 // A real incremental repair passes CheckPatch, and the delta mode runs
 // exactly the structure, patch, link and hazard classes.
 func TestCheckPatchAcceptsRealRepair(t *testing.T) {
@@ -123,11 +113,11 @@ func TestCheckPatchMappingObligations(t *testing.T) {
 	check("out-of-range touched", &schedcheck.PatchSpec{Base: fx.base, OldToNew: fx.spec.OldToNew,
 		Touched: []int{len(fx.patched.Ops)}})
 
-	otherBase := cloneProgram(fx.base)
+	otherBase := fx.base.Clone()
 	otherBase.Graph = dgx1() // different graph object
 	check("different topology", &schedcheck.PatchSpec{Base: otherBase, OldToNew: fx.spec.OldToNew, Touched: fx.spec.Touched})
 
-	contract := cloneProgram(fx.base)
+	contract := fx.base.Clone()
 	contract.NumChunks++
 	check("contract change", &schedcheck.PatchSpec{Base: contract, OldToNew: fx.spec.OldToNew, Touched: fx.spec.Touched})
 }
@@ -157,7 +147,7 @@ func TestCheckPatchRejectsTampering(t *testing.T) {
 	// are skipped individually without aborting the other cases.
 	expect := func(name string, mutate func(p *schedcheck.Program) bool) {
 		t.Helper()
-		p := cloneProgram(fx.patched)
+		p := fx.patched.Clone()
 		if !mutate(p) {
 			t.Logf("%s: not applicable on this fixture", name)
 			return
@@ -249,7 +239,7 @@ func TestCheckPatchDetourObligations(t *testing.T) {
 	// as well as the patch obligation itself — any listed rejection is sound.
 	expect := func(name string, mutate func(p *schedcheck.Program), classes ...schedcheck.Class) {
 		t.Helper()
-		p := cloneProgram(fx.patched)
+		p := fx.patched.Clone()
 		mutate(p)
 		r := schedcheck.CheckPatch(p, fx.spec)
 		if r.OK() {

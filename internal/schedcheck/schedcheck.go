@@ -67,10 +67,11 @@ func RelayBuf(id int) Buf { return Buf{Node: -1, Relay: id} }
 func NoBuf() Buf { return Buf{Node: -1, Relay: -1} }
 
 // Op is one scheduled operation: a chunk moving over a channel, or a
-// zero-cost marker (Channel < 0) joining dependencies.
+// zero-cost marker (Channel < 0) joining dependencies. It is also the
+// schedule IR collective builds, stores and executes: ops carry no label,
+// Program.Label renders one from the fields when a message needs it.
 type Op struct {
 	ID      int
-	Label   string
 	Chunk   int
 	Bytes   int64
 	Channel topology.ChannelID // < 0 for markers
@@ -92,6 +93,23 @@ type Op struct {
 
 // Marker reports whether the op is a zero-cost dependency join.
 func (o *Op) Marker() bool { return o.Channel < 0 }
+
+// Kind names the op's role: "marker", "relay" (a detour hop parking the
+// chunk in its own relay slot), "reduce" (accumulating into a node buffer)
+// or "copy" (overwriting one). The names are constants, so the timing
+// engine can name its tasks by kind without formatting anything.
+func (o *Op) Kind() string {
+	switch {
+	case o.Marker():
+		return "marker"
+	case o.Dst.IsRelay():
+		return "relay"
+	case o.Accumulate:
+		return "reduce"
+	default:
+		return "copy"
+	}
+}
 
 // Program is the verifier's view of one collective schedule.
 type Program struct {
@@ -117,6 +135,49 @@ type Program struct {
 	AllReduce bool
 
 	Ops []Op
+}
+
+// Label renders op id for diagnostics from its fields: kind, chunk and the
+// channel's endpoints, e.g. "reduce c5 3->1", "relay c5 3->2" or
+// "marker c5". Labels are derived on demand and never stored. Ids and
+// channels outside the program or graph render without endpoints, so
+// messages about malformed programs never panic.
+func (p *Program) Label(id int) string {
+	if id < 0 || id >= len(p.Ops) {
+		return fmt.Sprintf("op %d", id)
+	}
+	op := &p.Ops[id]
+	if op.Marker() {
+		return fmt.Sprintf("marker c%d", op.Chunk)
+	}
+	if p.Graph == nil || int(op.Channel) >= p.Graph.NumChannels() {
+		return fmt.Sprintf("%s c%d ch%d", op.Kind(), op.Chunk, op.Channel)
+	}
+	ch := p.Graph.Channel(op.Channel)
+	return fmt.Sprintf("%s c%d %d->%d", op.Kind(), op.Chunk, ch.From, ch.To)
+}
+
+// Clone returns a deep copy of p: participants, ops, and the ops'
+// dependencies in one fresh arena. The topology graph is shared. A program
+// from Schedule.Program is a view of the schedule, possibly a cached and
+// verified one, so code that edits a program edits a clone.
+func (p *Program) Clone() *Program {
+	out := *p
+	out.Nodes = append([]topology.NodeID(nil), p.Nodes...)
+	out.Ops = append([]Op(nil), p.Ops...)
+	n := 0
+	for i := range p.Ops {
+		n += len(p.Ops[i].Deps)
+	}
+	arena := make([]int, 0, n)
+	for i := range out.Ops {
+		if deps := out.Ops[i].Deps; deps != nil {
+			start := len(arena)
+			arena = append(arena, deps...)
+			out.Ops[i].Deps = arena[start:len(arena):len(arena)]
+		}
+	}
+	return &out
 }
 
 // Class identifies one of the verifier's check families.

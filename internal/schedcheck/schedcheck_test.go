@@ -144,11 +144,13 @@ func TestPrimitivesVerify(t *testing.T) {
 	}
 }
 
+// treeProgram returns a clone of a tree schedule's program, for the
+// negative tests to corrupt.
 func treeProgram(t *testing.T) *schedcheck.Program {
 	t.Helper()
 	return buildProgram(t, collective.Config{
 		Graph: dgx1(), Algorithm: collective.AlgTree, Bytes: 1 << 20, Chunks: 4,
-	})
+	}).Clone()
 }
 
 // --- negative tests: one seeded violation per check class ------------------
@@ -300,12 +302,13 @@ func TestReportRendering(t *testing.T) {
 	}
 }
 
-// corruptNodeID sets one node-naming slot of p to a node outside the graph.
-// field%4 picks the slot kind — participant list, transfer source, transfer
-// destination or final — and field/4%2 the bound: negative when even, at or
-// past NumNodes when odd. pick chooses among the slots of that kind. It
-// reports false when p has no slot of the kind.
-func corruptNodeID(p *schedcheck.Program, field, pick int) bool {
+// corruptNodeID returns a clone of p with one node-naming slot set to a
+// node outside the graph. field%4 picks the slot kind — participant list,
+// transfer source, transfer destination or final — and field/4%2 the bound:
+// negative when even, at or past NumNodes when odd. pick chooses among the
+// slots of that kind. It reports false when p has no slot of the kind.
+func corruptNodeID(p *schedcheck.Program, field, pick int) (*schedcheck.Program, bool) {
+	p = p.Clone()
 	bad := topology.NodeID(-2 - pick%64) // -1 would mean "no final"
 	if field/4%2 == 1 {
 		bad = topology.NodeID(p.Graph.NumNodes() + pick%64)
@@ -313,7 +316,6 @@ func corruptNodeID(p *schedcheck.Program, field, pick int) bool {
 	var slots []*topology.NodeID
 	switch field % 4 {
 	case 0:
-		p.Nodes = append([]topology.NodeID(nil), p.Nodes...) // shared with the schedule
 		for i := range p.Nodes {
 			slots = append(slots, &p.Nodes[i])
 		}
@@ -337,10 +339,10 @@ func corruptNodeID(p *schedcheck.Program, field, pick int) bool {
 		}
 	}
 	if len(slots) == 0 {
-		return false
+		return p, false
 	}
 	*slots[pick%len(slots)] = bad
-	return true
+	return p, true
 }
 
 // TestNodeIDsOutsideGraph feeds every entry point programs that name a node
@@ -354,8 +356,8 @@ func TestNodeIDsOutsideGraph(t *testing.T) {
 		identity[i] = i
 	}
 	for field := 0; field < 8; field++ {
-		p := cloneProgram(base)
-		if !corruptNodeID(p, field, 3) {
+		p, ok := corruptNodeID(base, field, 3)
+		if !ok {
 			t.Fatalf("slot kind %d: no slot to corrupt", field%4)
 		}
 		reports := []*schedcheck.Report{
@@ -382,7 +384,7 @@ func TestViolationOrderIsDeterministic(t *testing.T) {
 	p := buildProgram(t, collective.Config{
 		Graph: fullyConnected(8), Algorithm: collective.AlgTree, Bytes: 1 << 20, Chunks: 8,
 		AllowSharedChannels: true,
-	})
+	}).Clone()
 	for i := range p.Ops {
 		p.Ops[i].Deps = nil
 	}
@@ -409,7 +411,7 @@ func TestCheckConcurrent(t *testing.T) {
 			Chunks: 2 * n, AllowSharedChannels: true,
 		}))
 	}
-	broken := cloneProgram(progs[1])
+	broken := progs[1].Clone()
 	for i := range broken.Ops {
 		broken.Ops[i].Deps = nil
 	}

@@ -24,7 +24,6 @@ func Lower(p *Program) (*collective.Schedule, error) {
 	}
 	for i, op := range p.Ops {
 		o := collective.OpSpec{
-			Label:   op.Label,
 			Chunk:   op.Chunk,
 			Bytes:   op.Bytes,
 			Deps:    op.Deps,
