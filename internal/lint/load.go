@@ -1,14 +1,18 @@
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -53,6 +57,7 @@ type Loader struct {
 
 	fset    *token.FileSet
 	std     types.Importer
+	exports map[string]string   // import path -> export data file (lookupExport)
 	cache   map[string]*Package // by import path
 	loading map[string]bool     // import cycle guard
 }
@@ -68,14 +73,95 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: %w", err)
 	}
-	return &Loader{
+	l := &Loader{
 		ModuleRoot: abs,
 		ModulePath: modPath,
 		fset:       token.NewFileSet(),
-		std:        importer.Default(),
 		cache:      map[string]*Package{},
 		loading:    map[string]bool{},
-	}, nil
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", l.lookupExport)
+	return l, nil
+}
+
+// lookupExport opens the compiler export data for a non-module import
+// path. The default importer finds each package's file with its own
+// `go list -export` process, a fork per package that dominates a cold
+// lint; instead the first lookup resolves every standard-library package
+// the module's files import with one batched `go list`, and a path outside
+// that batch costs one more.
+func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
+	if _, ok := l.exports[path]; !ok {
+		paths := []string{path}
+		if l.exports == nil {
+			l.exports = map[string]string{}
+			paths = append(paths, l.externalImports()...)
+		}
+		if err := l.listExports(paths); err != nil {
+			return nil, err
+		}
+	}
+	file := l.exports[path]
+	if file == "" {
+		return nil, fmt.Errorf("lint: no export data for %q", path)
+	}
+	return os.Open(file)
+}
+
+// listExports records the export data files of paths with one `go list`.
+// A path go list cannot build records no file.
+func (l *Loader) listExports(paths []string) error {
+	args := append([]string{"list", "-e", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, paths...)
+	cmd := exec.Command(filepath.Join(build.Default.GOROOT, "bin", "go"), args...)
+	cmd.Dir = l.ModuleRoot
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("lint: go list -export: %v: %s", err, stderr.Bytes())
+	}
+	for _, p := range paths {
+		l.exports[p] = ""
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok {
+			l.exports[path] = file
+		}
+	}
+	return nil
+}
+
+// externalImports returns the sorted import paths outside the module that
+// its non-test files name.
+func (l *Loader) externalImports() []string {
+	dirs, _ := goDirsUnder(l.ModuleRoot)
+	seen := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			name := e.Name()
+			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
+			if err != nil {
+				continue
+			}
+			for _, imp := range f.Imports {
+				path := strings.Trim(imp.Path.Value, `"`)
+				if path != "C" && path != "unsafe" && path != l.ModulePath && !strings.HasPrefix(path, l.ModulePath+"/") {
+					seen[path] = true
+				}
+			}
+		}
+	}
+	paths := make([]string, 0, len(seen))
+	for p := range seen {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	return paths
 }
 
 // modulePath extracts the module path from a go.mod file without depending

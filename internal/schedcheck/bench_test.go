@@ -9,10 +9,11 @@ import (
 )
 
 // BenchmarkCheck times the full verifier on real schedules: the six DGX-1
-// built-ins at 64 MiB (cost-model chunk count) and the C-Cube schedule on
-// the 64-GPU cluster hierarchy at 128 chunks, the shapes the served
-// /v1/plan and /v1/simulate requests verify cold. Schedules are built and
-// lowered outside the timer; ns/transfer divides by every op checked.
+// built-ins at 64 MiB (cost-model chunk count), the C-Cube schedule on the
+// 64-GPU cluster hierarchy at 128 chunks, and the other tree schedules the
+// served /v1/simulate requests verify cold there, at 96 chunks. Schedules
+// are built and lowered outside the timer; ns/transfer divides by every op
+// checked, and closure-B/transfer is the reachability closure Check builds.
 func BenchmarkCheck(b *testing.B) {
 	b.Run("dgx1-builtins-64MiB", func(b *testing.B) {
 		g := dgx1()
@@ -24,19 +25,32 @@ func BenchmarkCheck(b *testing.B) {
 		}
 		runCheckBench(b, progs)
 	})
-	b.Run("cluster64-ccube-128chunks", func(b *testing.B) {
-		runCheckBench(b, []*schedcheck.Program{buildProgram(b, collective.Config{
-			Graph:     topology.Hierarchy(topology.DefaultHierarchyConfig(64)),
-			Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 64 << 20, Chunks: 128,
-			AllowSharedChannels: true,
-		})})
-	})
+	cluster := []struct {
+		name   string
+		alg    collective.Algorithm
+		chunks int
+	}{
+		{"cluster64-ccube-128chunks", collective.AlgDoubleTreeOverlap, 128},
+		{"cluster64-double-tree-96chunks", collective.AlgDoubleTree, 96},
+		{"cluster64-tree-overlap-96chunks", collective.AlgTreeOverlap, 96},
+		{"cluster64-tree-96chunks", collective.AlgTree, 96},
+	}
+	for _, c := range cluster {
+		b.Run(c.name, func(b *testing.B) {
+			runCheckBench(b, []*schedcheck.Program{buildProgram(b, collective.Config{
+				Graph:     topology.Hierarchy(topology.DefaultHierarchyConfig(64)),
+				Algorithm: c.alg, Bytes: 64 << 20, Chunks: c.chunks,
+				AllowSharedChannels: true,
+			})})
+		})
+	}
 }
 
 func runCheckBench(b *testing.B, progs []*schedcheck.Program) {
-	ops := 0
+	ops, closure := 0, 0
 	for _, p := range progs {
 		ops += len(p.Ops)
+		closure += schedcheck.CheckPlan(p).BandWords * 8
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -48,5 +62,6 @@ func runCheckBench(b *testing.B, progs []*schedcheck.Program) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ops), "ns/transfer")
+	b.ReportMetric(float64(closure)/float64(ops), "closure-B/transfer")
 	b.ReportMetric(float64(ops), "transfers")
 }

@@ -2,6 +2,7 @@ package schedcheck
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ccube/internal/topology"
 )
@@ -13,15 +14,27 @@ type checker struct {
 	p *Program
 	r *Report
 
-	nodeIdx    []int32         // NodeID -> index in p.Nodes, -1 for non-participants
-	topo       []int           // topological order of op ids
-	pos        []int32         // pos[id] = position of op id in topo
-	dependents csr[int32]      // row i = ops listing i in Deps, in id order
-	closure    []uint64        // reachability rows by topological position (bitset.go)
-	words      int             // words in a full closure row
-	readers    csr[int32]      // row i = ops whose Src is op i's relay slot
-	finals     csr[int32]      // row r = ops marking region r ready, in id order
-	forcedMemo map[[2]int]bool // forcedAfter results
+	nodeIdx    []int32    // NodeID -> index in p.Nodes, -1 for non-participants
+	topo       []int32    // chunk-priority topological order of op ids
+	pos        []int32    // pos[id] = position of op id in topo
+	dependents csr[int32] // row i = ops listing i in Deps, in id order
+	readers    csr[int32] // row i = ops whose Src is op i's relay slot
+	finals     csr[int32] // row r = ops marking region r ready, in id order
+
+	// Reachability (bitset.go). plan selects the planned mode; hubs are the
+	// barrier hubs' op ids, up and down their labels (nil without hubs);
+	// hz, rowOff and closure are the band; queries are the questions
+	// waiting for it.
+	plan       bool
+	hubs       []int32
+	up, down   []uint64
+	hz         []int32
+	rowOff     []int
+	closure    []uint64
+	queries    []query
+	forcedGen  []int32 // forcedAfter memo: generation stamp per op
+	forcedVal  []bool  // forcedAfter memo: result per op, valid at forcedGen
+	forcedCall int32   // current forcedAfter generation
 }
 
 func newChecker(p *Program) *checker {
@@ -61,11 +74,14 @@ func buildCSR[T any](n int, visit func(emit func(row int, item T))) csr[T] {
 		off[i+1] += off[i]
 	}
 	items := make([]T, off[n])
-	next := append([]int32(nil), off[:n]...)
+	// off[row] is row's fill cursor; filled, it has advanced to the row's
+	// end, so shifting the array by one restores the starts.
 	visit(func(row int, item T) {
-		items[next[row]] = item
-		next[row]++
+		items[off[row]] = item
+		off[row]++
 	})
+	copy(off[1:], off[:n])
+	off[0] = 0
 	return csr[T]{off: off, items: items}
 }
 
@@ -194,44 +210,130 @@ func (ck *checker) structure() {
 	ck.topoSort()
 }
 
-// topoSort fills ck.dependents, ck.topo and ck.pos (Kahn's algorithm) or
-// reports a cycle.
+// topoSort fills ck.dependents, ck.topo and ck.pos or reports a cycle. It
+// is Kahn's algorithm with the lowest ready chunk always going first (FIFO
+// within a chunk), so a chunk's ops sit together wherever the dependencies
+// allow and the reachability band stays about one chunk wide. In the
+// planned mode the same sweep hands out the barrier hub bits, propagates
+// the up labels and sets every horizon to its floor.
 func (ck *checker) topoSort() {
 	ops := ck.p.Ops
-	indeg := make([]int32, len(ops))
-	ck.dependents = buildCSR(len(ops), func(emit func(int, int32)) {
-		for i := range ops {
-			for _, d := range ops[i].Deps {
-				emit(d, int32(i))
-			}
-		}
-	})
-	// order doubles as the FIFO queue: ops are appended once runnable.
-	order := make([]int, 0, len(ops))
+	n := len(ops)
+	// The dependents index is buildCSR's, written out: it is the largest
+	// one, and the count pass also seeds the in-degrees and the queues.
+	indeg := make([]int32, n)
+	off := make([]int32, n+1)
+	q := newChunkQueues(n, ck.p.NumChunks)
 	for i := range ops {
-		indeg[i] = int32(len(ops[i].Deps))
-		if indeg[i] == 0 {
-			order = append(order, i)
+		deps := ops[i].Deps
+		for _, d := range deps {
+			off[d+1]++
+		}
+		if indeg[i] = int32(len(deps)); indeg[i] == 0 {
+			q.push(int32(i), ops[i].Chunk)
 		}
 	}
-	for head := 0; head < len(order); head++ {
-		for _, dep := range ck.dependents.row(order[head]) {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				order = append(order, int(dep))
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	items := make([]int32, off[n])
+	for i := range ops {
+		for _, d := range ops[i].Deps {
+			items[off[d]] = int32(i)
+			off[d]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	ck.dependents = csr[int32]{off: off, items: items}
+	order := make([]int32, 0, n)
+	for id := q.pop(); id >= 0; id = q.pop() {
+		order = append(order, id)
+		if op := &ops[id]; ck.plan && op.Marker() && op.Final == -1 && len(ck.hubs) < 64 {
+			if ck.up == nil {
+				ck.up = make([]uint64, n) // no op before the first hub has a label
+			}
+			ck.up[id] |= 1 << uint(len(ck.hubs))
+			ck.hubs = append(ck.hubs, id)
+		}
+		var lab uint64
+		if ck.up != nil {
+			lab = ck.up[id]
+		}
+		for _, dep := range ck.dependents.row(int(id)) {
+			if lab != 0 {
+				ck.up[dep] |= lab
+			}
+			if indeg[dep]--; indeg[dep] == 0 {
+				q.push(dep, ops[dep].Chunk)
 			}
 		}
 	}
-	if len(order) != len(ops) {
+	if len(order) != n {
 		ck.fail(ClassStructure, -1,
-			"dependency cycle: only %d of %d ops can execute (deadlock)", len(order), len(ops))
+			"dependency cycle: only %d of %d ops can execute (deadlock)", len(order), n)
 		return
 	}
 	ck.topo = order
-	ck.pos = make([]int32, len(ops))
+	ck.pos = q.next // every op is placed, so its queue link is free
+	if ck.plan {
+		ck.hz = indeg // all zero now; the horizons' floor is set below
+	}
 	for k, id := range order {
 		ck.pos[id] = int32(k)
+		if ck.plan {
+			ck.hz[k] = int32(k)
+		}
 	}
+}
+
+// chunkQueues is Kahn's ready set for topoSort: one FIFO per chunk, threaded
+// through next, and a bitmap of the chunks whose FIFO is non-empty.
+type chunkQueues struct {
+	head, tail, next []int32
+	ready            []uint64
+	lo               int // every word of ready below lo is zero
+}
+
+func newChunkQueues(ops, chunks int) *chunkQueues {
+	q := &chunkQueues{
+		head:  make([]int32, chunks),
+		tail:  make([]int32, chunks),
+		next:  make([]int32, ops),
+		ready: make([]uint64, (chunks+63)>>6),
+	}
+	for c := range q.head {
+		q.head[c] = -1
+	}
+	return q
+}
+
+func (q *chunkQueues) push(id int32, c int) {
+	q.next[id] = -1
+	if q.head[c] < 0 {
+		q.head[c] = id
+		q.ready[c>>6] |= 1 << uint(c&63)
+		q.lo = min(q.lo, c>>6)
+	} else {
+		q.next[q.tail[c]] = id
+	}
+	q.tail[c] = id
+}
+
+// pop removes the head of the lowest non-empty chunk's FIFO, or returns -1.
+func (q *chunkQueues) pop() int32 {
+	for q.lo < len(q.ready) && q.ready[q.lo] == 0 {
+		q.lo++
+	}
+	if q.lo == len(q.ready) {
+		return -1
+	}
+	c := q.lo<<6 + bits.TrailingZeros64(q.ready[q.lo])
+	id := q.head[c]
+	if q.head[c] = q.next[id]; q.head[c] < 0 {
+		q.ready[q.lo] &^= 1 << uint(c&63)
+	}
+	return id
 }
 
 // --- link validity ---------------------------------------------------------
@@ -334,16 +436,21 @@ func writeKind(op *Op) accessKind {
 	return accCopy
 }
 
-// accessIndex lists, per buffer region, the ops touching it in id order.
-// Relay slots are not regions: each has a single writer by construction and
-// is checked against its readers. An op whose source and destination are
-// the same region is listed once, with its (stronger) write kind. hazards
-// and CheckPatch's deltaHazards share it.
-func (ck *checker) accessIndex() csr[access] {
+// accessIndex lists, per buffer region, the ops touching it: in topological
+// order for Check's run walk, in id order for the exact report and
+// CheckPatch's deltaHazards. Relay slots are not regions: each has a single
+// writer by construction and is checked against its readers. An op whose
+// source and destination are the same region is listed once, with its
+// (stronger) write kind.
+func (ck *checker) accessIndex(inTopo bool) csr[access] {
 	p := ck.p
 	return buildCSR(len(p.Nodes)*p.NumChunks, func(emit func(int, access)) {
 		for i := range p.Ops {
-			op := &p.Ops[i]
+			id := i
+			if inTopo {
+				id = int(ck.topo[i])
+			}
+			op := &p.Ops[id]
 			src, dst := -1, -1
 			if op.Src.IsNode() {
 				src = ck.region(op.Src.Node, op.Chunk)
@@ -352,33 +459,93 @@ func (ck *checker) accessIndex() csr[access] {
 				dst = ck.region(op.Dst.Node, op.Chunk)
 			}
 			if src >= 0 && src != dst {
-				emit(src, access{op: int32(i), kind: accRead})
+				emit(src, access{op: int32(id), kind: accRead})
 			}
 			if dst >= 0 {
-				emit(dst, access{op: int32(i), kind: writeKind(op)})
+				emit(dst, access{op: int32(id), kind: writeKind(op)})
 			}
 		}
 	})
 }
 
-// hazards proves data-race freedom: for every pair of operations touching
+// pending is what a class's planning walk leaves for its report: the
+// questions it queued in ck.queries[from:to], and whether it already knows
+// the class cannot pass as planned.
+type pending struct {
+	from, to int
+	failed   bool
+}
+
+// passes reports whether the planned walk proved the class: nothing failed
+// and the band confirms every queued question.
+func (ck *checker) passes(pd pending) bool {
+	return !pd.failed && ck.answered(pd.from, pd.to)
+}
+
+// planHazards plans the hazard class. For every pair of operations touching
 // the same buffer region, where the pair does not commute (anything but
 // read/read or accumulate/accumulate), a dependency path must order them.
-// This is the check that makes the C1 overlap trustworthy — a broadcast
-// reading a chunk that some reduction can still write, under any
-// interleaving, is reported here. Relay slots additionally require the
-// reader to be ordered after the writer (read-after-write), not merely
-// ordered. Violations come out in op order, then region order.
-func (ck *checker) hazards() {
+// That is what makes the C1 overlap trustworthy: a broadcast reading a chunk
+// that some reduction can still write, under any interleaving, fails here.
+// Relay slots additionally require the reader to be ordered after the writer
+// (read-after-write), not merely ordered.
+//
+// All pairs need not be asked. Walking a region's accesses in topological
+// order, group them into maximal runs of mutually compatible accesses (reads,
+// or accumulations; each copy is a run of its own). Two adjacent runs always
+// conflict pairwise, so they must be ordered; and once every adjacent pair
+// is ordered, any conflicting pair further apart is ordered through any op
+// of each run in between. So the adjacent-run pairs decide the class.
+func (ck *checker) planHazards() pending {
 	p := ck.p
+	pd := pending{from: len(ck.queries)}
 	for i := range p.Ops {
 		// Relay read-after-write: the reader must depend on the slot's
 		// writer, or it can observe an empty slot.
+		if r := p.Ops[i].Src.Relay; r >= 0 && !ck.ask(r, i) {
+			pd.failed = true
+		}
+	}
+	acc := ck.accessIndex(true)
+	for r := 0; r < len(acc.off)-1 && !pd.failed; r++ {
+		list := acc.row(r)
+		prev := 0 // the previous run is list[prev:cur]
+		for cur := 0; cur < len(list); {
+			end := cur + 1
+			if kind := list[cur].kind; kind != accCopy {
+				for end < len(list) && list[end].kind == kind {
+					end++
+				}
+			}
+			for _, x := range list[prev:cur] {
+				for _, y := range list[cur:end] {
+					if !ck.ask(int(x.op), int(y.op)) {
+						pd.failed = true
+					}
+				}
+			}
+			prev, cur = cur, end
+		}
+	}
+	pd.to = len(ck.queries)
+	return pd
+}
+
+// hazards reports the hazard class. When the plan does not prove it, the
+// exact pass asks about every conflicting pair, so the violations come out
+// as the all-pairs definition has them: relay reads in op order, then
+// regions in order, pairs in id order.
+func (ck *checker) hazards(pd pending) {
+	if ck.passes(pd) {
+		return
+	}
+	p := ck.p
+	for i := range p.Ops {
 		if r := p.Ops[i].Src.Relay; r >= 0 && !ck.reaches(r, i) {
 			ck.fail(ClassHazard, i, "reads relay slot of %s without depending on it", ck.label(r))
 		}
 	}
-	acc := ck.accessIndex()
+	acc := ck.accessIndex(false)
 	for r := 0; r < len(acc.off)-1; r++ {
 		list := acc.row(r)
 		for a := 0; a < len(list); a++ {
@@ -398,22 +565,25 @@ func (ck *checker) hazards() {
 
 // --- conservation / coverage -----------------------------------------------
 
-// conservation runs an abstract interpretation of the schedule's data
-// semantics over contribution multisets: buffer state is "which
-// participants' inputs are summed here, with what multiplicity", copies
-// clone it, accumulations add it. Because the hazard check proves all
-// non-commuting conflicting accesses are ordered (and the remaining
-// unordered pairs — concurrent accumulations — commute), any topological
-// order yields the same end state, so one sweep is a proof, not a sample.
-// It reports chunks
-// reduced twice, missing or duplicated contributions under the AllReduce
-// contract, (node, chunk) pairs that never become ready, and readiness
-// markers not ordered after the writes they announce. It leaves the finals
-// index in ck.finals for the order check.
-func (ck *checker) conservation() {
+// planConservation plans the conservation class: an abstract interpretation
+// of the schedule's data semantics over contribution sets. Buffer state is
+// "which participants' inputs are summed here"; copies clone it,
+// accumulations add it. Because the hazard check proves all non-commuting
+// conflicting accesses are ordered (and the remaining unordered pairs —
+// concurrent accumulations — commute), any topological order yields the
+// same end state, so one sweep is a proof, not a sample. The class rejects
+// chunks reduced twice, missing or duplicated contributions under the
+// AllReduce contract, (node, chunk) pairs that never become ready, and
+// readiness markers not ordered after the writes they announce.
+//
+// Each region and relay slot holds a ⌈P/64⌉-word set, and accumulation is
+// an overlap test plus OR. While no accumulation overlaps, every count is 0
+// or 1 and the sets are the count vectors exactly; the first overlap, like
+// any other failure, leaves the report to conservation's exact pass. The finals
+// index is left in ck.finals for the order check.
+func (ck *checker) planConservation() pending {
 	p := ck.p
 	np, nr := len(p.Nodes), len(p.Nodes)*p.NumChunks
-
 	ck.finals = buildCSR(nr, func(emit func(int, int32)) {
 		for i := range p.Ops {
 			if op := &p.Ops[i]; op.Final >= 0 {
@@ -421,73 +591,149 @@ func (ck *checker) conservation() {
 			}
 		}
 	})
-	// writes lists every op writing each region, in sweep order.
-	writes := buildCSR(nr, func(emit func(int, int32)) {
-		for _, id := range ck.topo {
-			if op := &p.Ops[id]; op.Dst.IsNode() {
-				emit(ck.region(op.Dst.Node, op.Chunk), int32(id))
+	pd := pending{from: len(ck.queries)}
+
+	// One arena: a set per region, starting with the participant's own
+	// input, then a set per relay slot (empty until written: an empty-slot
+	// read is already a hazard violation).
+	w := (np + 63) >> 6
+	slot, slots := ck.relaySlots()
+	arena := make([]uint64, (nr+slots)*w)
+	set := func(i int) []uint64 { return arena[i*w : (i+1)*w] }
+	for r := 0; r < nr; r++ {
+		ni := r / p.NumChunks
+		arena[r*w+ni>>6] |= 1 << uint(ni&63)
+	}
+	for _, t := range ck.topo {
+		id := int(t)
+		op := &p.Ops[id]
+		if op.Marker() {
+			continue
+		}
+		var src []uint64
+		if op.Src.IsRelay() {
+			src = set(nr + int(slot[op.Src.Relay]))
+		} else {
+			src = set(ck.region(op.Src.Node, op.Chunk))
+		}
+		if op.Dst.IsRelay() {
+			copy(set(nr+int(slot[id])), src)
+			continue
+		}
+		r := ck.region(op.Dst.Node, op.Chunk)
+		dst := set(r)
+		if op.Accumulate {
+			for j, x := range src {
+				if dst[j]&x != 0 {
+					pd.failed = true
+				}
+				dst[j] |= x
+			}
+		} else {
+			copy(dst, src)
+		}
+		if p.AllReduce {
+			// Readiness must come after the data: every write to the region
+			// has to be ordered before every final op announcing it.
+			for _, f := range ck.finals.row(r) {
+				if int(f) != id && !ck.ask(id, int(f)) {
+					pd.failed = true
+				}
 			}
 		}
-	})
+	}
+	for r := 0; r < nr; r++ {
+		if len(ck.finals.row(r)) == 0 || p.AllReduce && !fullSet(set(r), np) {
+			pd.failed = true
+		}
+	}
+	pd.to = len(ck.queries)
+	return pd
+}
 
-	// state holds one contribution-count vector (indexed by participant)
-	// per region, starting with the participant's own input; relays holds
-	// one per relay slot, numbered by relaySlot (zero until written: an
-	// empty-slot read is already a hazard violation).
-	state := make([]int32, nr*np)
+// fullSet reports whether s holds exactly the indices 0..n-1.
+func fullSet(s []uint64, n int) bool {
+	for i, x := range s {
+		want := ^uint64(0)
+		if rem := n - 64*i; rem < 64 {
+			want = 1<<uint(rem) - 1
+		}
+		if x != want {
+			return false
+		}
+	}
+	return true
+}
+
+// relaySlots numbers the relay slots densely in op order: slot[id] for every
+// op writing one, and the slot count.
+func (ck *checker) relaySlots() ([]int32, int) {
+	slot := make([]int32, len(ck.p.Ops))
+	n := 0
+	for i := range ck.p.Ops {
+		if ck.p.Ops[i].Dst.IsRelay() {
+			slot[i] = int32(n)
+			n++
+		}
+	}
+	return slot, n
+}
+
+// conservation reports the conservation class. When the plan does not prove
+// it, the exact pass reruns the interpretation over contribution-count
+// vectors (indexed by participant), so every report names the counts as they
+// are: a double sum shows as a 2, not as a set member.
+func (ck *checker) conservation(pd pending) {
+	if ck.passes(pd) {
+		return
+	}
+	p := ck.p
+	np, nr := len(p.Nodes), len(p.Nodes)*p.NumChunks
+	slot, slots := ck.relaySlots()
+	state := make([]int32, (nr+slots)*np)
+	vec := func(i int) []int32 { return state[i*np : (i+1)*np] }
 	for r := 0; r < nr; r++ {
 		state[r*np+r/p.NumChunks] = 1
 	}
-	relaySlot := make([]int32, len(p.Ops))
-	slots := 0
-	for i := range p.Ops {
-		if p.Ops[i].Dst.IsRelay() {
-			relaySlot[i] = int32(slots)
-			slots++
-		}
-	}
-	relays := make([]int32, slots*np)
-	vec := func(arena []int32, i int) []int32 { return arena[i*np : (i+1)*np] }
-
-	for _, id := range ck.topo {
+	for _, t := range ck.topo {
+		id := int(t)
 		op := &p.Ops[id]
 		if op.Marker() {
 			continue
 		}
 		var src []int32
 		if op.Src.IsRelay() {
-			src = vec(relays, int(relaySlot[op.Src.Relay]))
+			src = vec(nr + int(slot[op.Src.Relay]))
 		} else {
-			src = vec(state, ck.region(op.Src.Node, op.Chunk))
+			src = vec(ck.region(op.Src.Node, op.Chunk))
 		}
 		if op.Dst.IsRelay() {
-			copy(vec(relays, int(relaySlot[id])), src)
+			copy(vec(nr+int(slot[id])), src)
 			continue
 		}
-		dst := vec(state, ck.region(op.Dst.Node, op.Chunk))
-		if op.Accumulate {
-			for j := range dst {
-				if src[j] > 0 && dst[j] > 0 {
-					ck.fail(ClassConservation, id,
-						"chunk %d at node %d would sum node %d's contribution twice",
-						op.Chunk, op.Dst.Node, p.Nodes[j])
-				}
-				dst[j] += src[j]
-			}
-		} else {
+		dst := vec(ck.region(op.Dst.Node, op.Chunk))
+		if !op.Accumulate {
 			copy(dst, src)
+			continue
+		}
+		for j := range dst {
+			if src[j] > 0 && dst[j] > 0 {
+				ck.fail(ClassConservation, id,
+					"chunk %d at node %d would sum node %d's contribution twice",
+					op.Chunk, op.Dst.Node, p.Nodes[j])
+			}
+			dst[j] += src[j]
 		}
 	}
 
-	complete := func(v []int32) bool {
-		for _, c := range v {
-			if c != 1 {
-				return false
+	// writes lists every op writing each region, in sweep order.
+	writes := buildCSR(nr, func(emit func(int, int32)) {
+		for _, id := range ck.topo {
+			if op := &p.Ops[id]; op.Dst.IsNode() {
+				emit(ck.region(op.Dst.Node, op.Chunk), id)
 			}
 		}
-		return true
-	}
-
+	})
 	for r := 0; r < nr; r++ {
 		n, c := p.Nodes[r/p.NumChunks], r%p.NumChunks
 		finals := ck.finals.row(r)
@@ -499,7 +745,7 @@ func (ck *checker) conservation() {
 			continue
 		}
 		ws := writes.row(r)
-		if v := vec(state, r); !complete(v) {
+		if v := vec(r); !exactlyOnce(v) {
 			op := -1
 			if len(ws) > 0 {
 				op = int(ws[len(ws)-1])
@@ -507,8 +753,6 @@ func (ck *checker) conservation() {
 			ck.fail(ClassConservation, op,
 				"node %d ends chunk %d with contributions %v, want exactly one each", n, c, v)
 		}
-		// Readiness must come after the data: every write to the region
-		// has to be ordered before every final op announcing it.
 		for _, w := range ws {
 			for _, f := range finals {
 				if f != w && !ck.reaches(int(w), int(f)) {
@@ -521,6 +765,16 @@ func (ck *checker) conservation() {
 	}
 }
 
+// exactlyOnce reports whether every count in v is 1.
+func exactlyOnce(v []int32) bool {
+	for _, c := range v {
+		if c != 1 {
+			return false
+		}
+	}
+	return true
+}
+
 // --- in-order proof --------------------------------------------------------
 
 // order proves the schedule's InOrder claim — the property gradient queuing
@@ -530,31 +784,29 @@ func (ck *checker) conservation() {
 // dependency path exists, or the earlier final is a zero-cost marker whose
 // every dependency is itself forced before the later final (markers finish
 // the instant their inputs do, so they inherit their inputs' ordering).
-// Requires ck.finals from conservation.
-func (ck *checker) order() {
+// Requires ck.finals from planConservation.
+//
+// With planning set it proves nothing yet: it queues every question
+// forcedAfter can ask, through planForced, for the band the proof will run
+// on.
+func (ck *checker) order(planning bool) {
 	p := ck.p
 	k := p.NumChunks
-	streams := p.Streams
-	if streams < 1 {
-		streams = 1
+	streams := max(p.Streams, 1)
+	if ck.forcedGen == nil {
+		ck.forcedGen = make([]int32, len(p.Ops))
+		ck.forcedVal = make([]bool, len(p.Ops))
 	}
-	// The effective final per (node, chunk) is the last one added, matching
-	// Schedule.Instantiate's overwrite semantics.
-	finalAt := func(r int) int {
-		f := ck.finals.row(r)
-		if len(f) == 0 {
-			return -1
-		}
-		return int(f[len(f)-1])
-	}
-	ck.forcedMemo = make(map[[2]int]bool)
 	for ni := range p.Nodes {
 		for c := streams; c < k; c++ {
-			prev, cur := finalAt(ni*k+c-streams), finalAt(ni*k+c)
+			prev, cur := ck.finalAt(ni*k+c-streams), ck.finalAt(ni*k+c)
 			if prev < 0 || cur < 0 {
 				continue // missing finals already reported by conservation
 			}
-			if !ck.forcedAfter(prev, cur) {
+			ck.forcedCall++
+			if planning {
+				ck.planForced(prev, cur)
+			} else if !ck.forcedAfter(prev, cur) {
 				ck.fail(ClassOrder, cur,
 					"node %d: chunk %d may complete before chunk %d — in-order claim unproven",
 					p.Nodes[ni], c, c-streams)
@@ -563,8 +815,45 @@ func (ck *checker) order() {
 	}
 }
 
+// planForced queues the questions forcedAfter(a, b) can ask: (a, b) itself
+// and, because a marker's answer may come from its dependencies, the same
+// question for each dependency down the marker chains. That is a superset of
+// what forcedAfter asks once answers short-circuit it.
+func (ck *checker) planForced(a, b int) {
+	if a == b {
+		return
+	}
+	if ck.pos[a] < ck.pos[b] {
+		if ck.settled(a, b) {
+			return
+		}
+		ck.enqueue(a, b)
+	}
+	op := &ck.p.Ops[a]
+	if !op.Marker() {
+		return
+	}
+	for _, d := range op.Deps {
+		if ck.forcedGen[d] != ck.forcedCall {
+			ck.forcedGen[d] = ck.forcedCall
+			ck.planForced(d, b)
+		}
+	}
+}
+
+// finalAt returns the effective final of region r, or -1: the last one
+// added, matching Schedule.Instantiate's overwrite semantics.
+func (ck *checker) finalAt(r int) int {
+	f := ck.finals.row(r)
+	if len(f) == 0 {
+		return -1
+	}
+	return int(f[len(f)-1])
+}
+
 // forcedAfter reports whether op b can never complete before op a, under
-// any interleaving consistent with the dependencies.
+// any interleaving consistent with the dependencies. The memo holds results
+// for the current b (one generation per top-level call).
 func (ck *checker) forcedAfter(a, b int) bool {
 	if a == b || ck.reaches(a, b) {
 		return true
@@ -576,11 +865,10 @@ func (ck *checker) forcedAfter(a, b int) bool {
 	if len(op.Deps) == 0 {
 		return true // completes at time zero
 	}
-	key := [2]int{a, b}
-	if v, ok := ck.forcedMemo[key]; ok {
-		return v
+	if ck.forcedGen[a] == ck.forcedCall {
+		return ck.forcedVal[a]
 	}
-	ck.forcedMemo[key] = true // break hypothetical sharing; DAG has no cycles
+	ck.forcedGen[a], ck.forcedVal[a] = ck.forcedCall, true // a DAG never re-enters a
 	out := true
 	for _, d := range op.Deps {
 		if !ck.forcedAfter(d, b) {
@@ -588,6 +876,6 @@ func (ck *checker) forcedAfter(a, b int) bool {
 			break
 		}
 	}
-	ck.forcedMemo[key] = out
+	ck.forcedVal[a] = out
 	return out
 }

@@ -303,7 +303,7 @@ func depsSuperset(have, want []int) bool {
 func (ck *checker) deltaHazards(touched []int) {
 	p := ck.p
 	n := len(p.Ops)
-	acc := ck.accessIndex()
+	acc := ck.accessIndex(false)
 
 	// bfs marks every op reachable from start along dependents (forward) or
 	// dependencies (backward).

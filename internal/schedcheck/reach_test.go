@@ -2,6 +2,7 @@ package schedcheck_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"ccube/internal/collective"
@@ -70,21 +71,89 @@ func assertExactReach(t *testing.T, p *schedcheck.Program) {
 const maxExactOps = 2000
 
 // check and checkDeep run the verifier and, on programs of at most
-// maxExactOps ops, assert its reachability closure is exact.
+// maxExactOps ops, assert its reachability closure is exact and its report
+// matches the reference verifier's.
 func check(t *testing.T, p *schedcheck.Program) *schedcheck.Report {
 	t.Helper()
+	r := schedcheck.Check(p)
 	if len(p.Ops) <= maxExactOps {
 		assertExactReach(t, p)
+		assertMatchesReference(t, p, r)
 	}
-	return schedcheck.Check(p)
+	return r
 }
 
 func checkDeep(t *testing.T, p *schedcheck.Program) *schedcheck.Report {
 	t.Helper()
 	if len(p.Ops) <= maxExactOps {
 		assertExactReach(t, p)
+		assertMatchesReference(t, p, schedcheck.Check(p))
 	}
 	return schedcheck.CheckDeep(p)
+}
+
+// assertMatchesReference compares Check's report on p with the reference
+// verifier's (the pre-planning algorithm: breadth-first order, full closure,
+// all-pairs hazards, count vectors). OK, the checked classes and every
+// structure, link, hazard and order violation must be identical, in order.
+// Conservation violations must match as a multiset, with two allowances for
+// Check's different topological sweep order:
+//   - when two accumulations into the same region double-count a
+//     contribution, the report may name either of them;
+//   - when the hazard class fails, unordered conflicting writes make the
+//     interpretation's end state depend on the sweep order (the class is a
+//     proof only on hazard-free programs), so conservation is not compared.
+func assertMatchesReference(t *testing.T, p *schedcheck.Program, got *schedcheck.Report) {
+	t.Helper()
+	want := schedcheck.ReferenceCheck(p)
+	if got.OK() != want.OK() || fmt.Sprint(got.Checked) != fmt.Sprint(want.Checked) {
+		t.Fatalf("Check and the reference disagree:\n%s\n%v\nvs\n%s\n%v",
+			got.Summary(), got.Err(), want.Summary(), want.Err())
+	}
+	split := func(r *schedcheck.Report) (rest, cons []schedcheck.Violation) {
+		for _, v := range r.Violations {
+			if v.Class == schedcheck.ClassConservation {
+				cons = append(cons, v)
+			} else {
+				rest = append(rest, v)
+			}
+		}
+		return rest, cons
+	}
+	gotRest, gotCons := split(got)
+	wantRest, wantCons := split(want)
+	if fmt.Sprint(gotRest) != fmt.Sprint(wantRest) {
+		t.Fatalf("violations differ from the reference:\n%v\nvs\n%v", gotRest, wantRest)
+	}
+	if len(got.Class(schedcheck.ClassHazard)) > 0 {
+		return
+	}
+	used := make([]bool, len(gotCons))
+	for _, w := range wantCons {
+		found := false
+		for i, g := range gotCons {
+			if !used[i] && g.Msg == w.Msg && (g.Op == w.Op || sameRegionAccumulations(p, g.Op, w.Op)) {
+				used[i], found = true, true
+				break
+			}
+		}
+		if !found {
+			t.Fatalf("conservation violation %v missing from Check's report %v", w, gotCons)
+		}
+	}
+	if len(gotCons) != len(wantCons) {
+		t.Fatalf("conservation violations differ:\n%v\nvs\n%v", gotCons, wantCons)
+	}
+}
+
+// sameRegionAccumulations reports whether ops a and b both accumulate into
+// the same node buffer region.
+func sameRegionAccumulations(p *schedcheck.Program, a, b int) bool {
+	if a < 0 || b < 0 || a >= len(p.Ops) || b >= len(p.Ops) {
+		return false
+	}
+	oa, ob := &p.Ops[a], &p.Ops[b]
+	return oa.Accumulate && ob.Accumulate && oa.Dst.IsNode() && oa.Dst == ob.Dst && oa.Chunk == ob.Chunk
 }
 
 // TestReachabilityIsExact pins the position-space closure to BFS on every

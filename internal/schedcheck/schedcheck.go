@@ -310,22 +310,44 @@ func CheckDeep(p *Program) *Report { return check(p, true) }
 
 func check(p *Program, deep bool) *Report {
 	ck := newChecker(p)
+	ck.run(deep)
+	return ck.r
+}
+
+// run runs Check's classes, and CheckDeep's too when deep is set.
+func (ck *checker) run(deep bool) {
+	p := ck.p
+	ck.plan = !deep
 	ck.structure()
 	ck.r.Checked = append(ck.r.Checked, ClassStructure)
 	if !ck.r.OK() {
-		return ck.r
+		return
 	}
-	ck.computeReach()
-	defer ck.releaseReach()
+	// Plan every reachability question, build only the closure they need,
+	// then report. CheckDeep's contention pass asks about arbitrary pairs,
+	// so there the full closure comes first and the walks answer as they go.
+	if ck.plan {
+		ck.hubLabels()
+	} else {
+		ck.buildClosure()
+	}
 	ck.indexReaders()
 	ck.links()
 	ck.r.Checked = append(ck.r.Checked, ClassLink)
-	ck.hazards()
+	haz := ck.planHazards()
+	cons := ck.planConservation()
+	if p.InOrder && ck.plan {
+		ck.order(true)
+	}
+	if ck.rowOff == nil {
+		ck.buildClosure()
+	}
+	ck.hazards(haz)
 	ck.r.Checked = append(ck.r.Checked, ClassHazard)
-	ck.conservation()
+	ck.conservation(cons)
 	ck.r.Checked = append(ck.r.Checked, ClassConservation)
 	if p.InOrder {
-		ck.order()
+		ck.order(false)
 		ck.r.Checked = append(ck.r.Checked, ClassOrder)
 	}
 	if deep {
@@ -334,5 +356,4 @@ func check(p *Program, deep bool) *Report {
 		ck.waitFor()
 		ck.r.Checked = append(ck.r.Checked, ClassWaitFor)
 	}
-	return ck.r
 }

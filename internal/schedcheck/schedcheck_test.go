@@ -401,8 +401,8 @@ func TestViolationOrderIsDeterministic(t *testing.T) {
 }
 
 // TestCheckConcurrent verifies programs of different sizes from several
-// goroutines at once: checks share pooled closure buffers, so every report
-// must match the serial one.
+// goroutines at once: checks share no state, so every report must match the
+// serial one.
 func TestCheckConcurrent(t *testing.T) {
 	var progs []*schedcheck.Program
 	for _, n := range []int{4, 8, 16} {
