@@ -7,8 +7,21 @@ import (
 
 	"ccube/internal/chunk"
 	"ccube/internal/des"
+	"ccube/internal/schedcheck"
 	"ccube/internal/topology"
 )
+
+// xfer is an assembled transfer of chunk c over channel ch between node
+// buffers, overwriting or accumulating; final >= 0 marks the chunk ready there.
+func xfer(ch topology.ChannelID, c int, bytes int64, from, to topology.NodeID, acc bool, final topology.NodeID, deps ...int) schedcheck.Op {
+	return schedcheck.Op{Channel: ch, Chunk: c, Bytes: bytes, Src: schedcheck.NodeBuf(from), Dst: schedcheck.NodeBuf(to),
+		Accumulate: acc, Final: final, Deps: deps}
+}
+
+// marker is an assembled zero-cost join marking chunk c ready at final.
+func marker(c int, final topology.NodeID, deps ...int) schedcheck.Op {
+	return schedcheck.Op{Channel: -1, Chunk: c, Src: schedcheck.NoBuf(), Dst: schedcheck.NoBuf(), Final: final, Deps: deps}
+}
 
 // assembleAllReduce2 hand-assembles the minimal two-node allreduce: reduce
 // 0->1, root-ready marker, broadcast 1->0.
@@ -23,14 +36,10 @@ func assembleAllReduce2(g *topology.Graph) (*Schedule, error) {
 		InOrder:   true,
 		Streams:   1,
 		Contract:  ContractAllReduce,
-		Ops: []OpSpec{
-			{Channel: up, Chunk: 0, Bytes: 1 << 16,
-				SrcNode: nodes[0], DstNode: nodes[1], Accumulate: true},
-			{Channel: -1, Chunk: 0,
-				HasFinal: true, Final: nodes[1], Deps: []int{0}},
-			{Channel: down, Chunk: 0, Bytes: 1 << 16,
-				SrcNode: nodes[1], DstNode: nodes[0],
-				HasFinal: true, Final: nodes[0], Deps: []int{1}},
+		Ops: []schedcheck.Op{
+			xfer(up, 0, 1<<16, nodes[0], nodes[1], true, -1),
+			marker(0, nodes[1], 0),
+			xfer(down, 0, 1<<16, nodes[1], nodes[0], false, nodes[0], 1),
 		},
 	})
 }
@@ -59,6 +68,19 @@ func TestAssembleMinimalAllReduce(t *testing.T) {
 	}
 }
 
+// Assemble adopts the caller's ops but never their deps storage: every
+// op's deps land in the schedule's one arena, which holds nothing else.
+func TestAssembleMovesDepsIntoArena(t *testing.T) {
+	g := topology.FullyConnected(2, 10e9, 5*des.Microsecond)
+	s, err := assembleAllReduce2(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ArenaError(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAssembleRejectsMalformedSpecs(t *testing.T) {
 	g := topology.FullyConnected(2, 10e9, 5*des.Microsecond)
 	nodes := g.GPUs()
@@ -72,22 +94,16 @@ func TestAssembleRejectsMalformedSpecs(t *testing.T) {
 			Contract:  ContractAllReduce,
 		}
 	}
+	fromRelay := xfer(ch, 0, 1, nodes[0], nodes[1], false, -1)
+	fromRelay.Src = schedcheck.RelayBuf(0)
 	cases := []struct {
 		name string
-		ops  []OpSpec
+		ops  []schedcheck.Op
 	}{
-		{"forward dep", []OpSpec{
-			{Channel: ch, Bytes: 1, SrcNode: nodes[0], DstNode: nodes[1], Deps: []int{1}},
-		}},
-		{"self dep", []OpSpec{
-			{Channel: ch, Bytes: 1, SrcNode: nodes[0], DstNode: nodes[1], Deps: []int{0}},
-		}},
-		{"chunk out of range", []OpSpec{
-			{Channel: ch, Chunk: 3, Bytes: 1, SrcNode: nodes[0], DstNode: nodes[1]},
-		}},
-		{"relay forward reference", []OpSpec{
-			{Channel: ch, Bytes: 1, FromRelay: true, SrcRelay: 0, DstNode: nodes[1]},
-		}},
+		{"forward dep", []schedcheck.Op{xfer(ch, 0, 1, nodes[0], nodes[1], false, -1, 1)}},
+		{"self dep", []schedcheck.Op{xfer(ch, 0, 1, nodes[0], nodes[1], false, -1, 0)}},
+		{"chunk out of range", []schedcheck.Op{xfer(ch, 3, 1, nodes[0], nodes[1], false, -1)}},
+		{"relay forward reference", []schedcheck.Op{fromRelay}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -111,18 +127,17 @@ func TestAssembleRejectsUnverifiableSpec(t *testing.T) {
 	cases := []struct {
 		name  string
 		class string // the verifier class that must reject the spec
-		ops   []OpSpec
+		ops   []schedcheck.Op
 	}{
-		{"channel does not connect its endpoints", "link", []OpSpec{
-			{Channel: wrong, Bytes: 1 << 16, SrcNode: nodes[0], DstNode: nodes[1]},
+		{"channel does not connect its endpoints", "link", []schedcheck.Op{
+			xfer(wrong, 0, 1<<16, nodes[0], nodes[1], false, -1),
 		}},
 		// The minimal two-node allreduce with the reduction turned into an
 		// overwrite: node 1 loses its own contribution.
-		{"ops do not conserve the data", "conservation", []OpSpec{
-			{Channel: up, Bytes: 1 << 16, SrcNode: nodes[0], DstNode: nodes[1]},
-			{Channel: -1, HasFinal: true, Final: nodes[1], Deps: []int{0}},
-			{Channel: down, Bytes: 1 << 16, SrcNode: nodes[1], DstNode: nodes[0],
-				HasFinal: true, Final: nodes[0], Deps: []int{1}},
+		{"ops do not conserve the data", "conservation", []schedcheck.Op{
+			xfer(up, 0, 1<<16, nodes[0], nodes[1], false, -1),
+			marker(0, nodes[1], 0),
+			xfer(down, 0, 1<<16, nodes[1], nodes[0], false, nodes[0], 1),
 		}},
 	}
 	for _, tc := range cases {

@@ -9,6 +9,7 @@ import (
 
 	"ccube/internal/collective"
 	"ccube/internal/collective/store"
+	"ccube/internal/des"
 	"ccube/internal/synth"
 	"ccube/internal/topology"
 )
@@ -80,6 +81,58 @@ func TestScheduleCodecV2RoundTrip(t *testing.T) {
 			}
 			if again := collective.EncodeSchedule(dec); string(again) != string(enc) {
 				t.Fatal("re-encoding the decoded schedule changed its bytes")
+			}
+		})
+	}
+}
+
+// relayFabric is a three-GPU fabric whose only spanning trees relay: gpu2's
+// one egress channel leads to gpu1, so its reduction toward gpu0 must be
+// forwarded through gpu1's relay slot.
+func relayFabric() *topology.Graph {
+	g := topology.NewGraph()
+	a := g.AddNode("gpu0", topology.GPU)
+	b := g.AddNode("gpu1", topology.GPU)
+	c := g.AddNode("gpu2", topology.GPU)
+	g.AddChannel(a, b, 10e9, des.Microsecond, "link")
+	g.AddChannel(b, a, 10e9, des.Microsecond, "link")
+	g.AddChannel(b, a, 10e9, des.Microsecond, "link")
+	g.AddChannel(c, b, 10e9, des.Microsecond, "link")
+	g.AddChannel(a, c, 10e9, des.Microsecond, "link")
+	return g
+}
+
+// TestAssembledScheduleStoreRoundTrip: a synthesized schedule — adopted by
+// Assemble from the compiler's ops, relay hops included — keeps the arena
+// invariant (every op's deps a three-index subslice of the one arena, which
+// holds nothing else) through the store codec, and the decoded copy
+// verifies.
+func TestAssembledScheduleStoreRoundTrip(t *testing.T) {
+	for name, g := range map[string]*topology.Graph{"dgx1": dgx1(), "relay": relayFabric()} {
+		t.Run(name, func(t *testing.T) {
+			res, err := synth.Synthesize(context.Background(), g, 1<<20, synth.Options{NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := res.Schedule
+			if err := s.ArenaError(); err != nil {
+				t.Fatalf("assembled: %v", err)
+			}
+			dec, err := collective.DecodeSchedule(collective.EncodeSchedule(s), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dec.ArenaError(); err != nil {
+				t.Fatalf("decoded: %v", err)
+			}
+			if err := dec.Validate(); err != nil {
+				t.Fatalf("decoded schedule fails verification: %v", err)
+			}
+			if name == "relay" && len(dec.DetourNodes()) == 0 {
+				t.Fatal("relay fabric schedule has no relay hop")
+			}
+			if !reflect.DeepEqual(s.Program().Ops, dec.Program().Ops) {
+				t.Fatal("decoded ops differ from the assembled ones")
 			}
 		})
 	}

@@ -52,21 +52,11 @@ func PackForest(g *topology.Graph, nodes []topology.NodeID, want int, seed int64
 	if want < 1 {
 		want = 1
 	}
-
-	// Participant lookup and the dead-channel set.
-	idx := make(map[topology.NodeID]int, n)
-	for i, id := range nodes {
-		idx[id] = i
-	}
-	down := make(map[topology.ChannelID]bool)
-	for _, ch := range g.DownChannels() {
-		down[ch] = true
-	}
-	claimed := make(map[topology.ChannelID]bool)
+	pk := newPacker(g, nodes, allowDetour)
 
 	// Root order: participants by descending healthy egress bandwidth,
 	// rotated by the seed so different seeds explore different packings.
-	roots := rootOrder(g, nodes, down)
+	roots := rootOrder(g, nodes)
 	if seed != 0 {
 		off := int(seed%int64(n)+int64(n)) % n
 		roots = append(roots[off:], roots[:off]...)
@@ -74,7 +64,7 @@ func PackForest(g *topology.Graph, nodes []topology.NodeID, want int, seed int64
 
 	f := &Forest{}
 	for ti := 0; ti < want; ti++ {
-		t := packTree(g, nodes, roots[ti%n], claimed, down, allowDetour)
+		t := pk.packTree(roots[ti%n])
 		if t == nil {
 			break
 		}
@@ -90,13 +80,13 @@ func PackForest(g *topology.Graph, nodes []topology.NodeID, want int, seed int64
 // rootOrder sorts participant indexes by descending total healthy effective
 // egress bandwidth (ties by index): high-capacity nodes make the best roots
 // and attract the first trees.
-func rootOrder(g *topology.Graph, nodes []topology.NodeID, down map[topology.ChannelID]bool) []int {
+func rootOrder(g *topology.Graph, nodes []topology.NodeID) []int {
 	n := len(nodes)
 	egress := make([]float64, n)
 	for i, id := range nodes {
 		for _, ch := range g.Out(id) {
-			if !down[ch] {
-				egress[i] += g.Channel(ch).EffectiveBandwidth()
+			if c := g.Channel(ch); !c.Down() {
+				egress[i] += c.EffectiveBandwidth()
 			}
 		}
 	}
@@ -108,22 +98,51 @@ func rootOrder(g *topology.Graph, nodes []topology.NodeID, down map[topology.Cha
 	return order
 }
 
+// packer is the state of one PackForest call.
+type packer struct {
+	g           *topology.Graph
+	nodes       []topology.NodeID
+	allowDetour bool
+	claimed     []bool                 // by channel id: taken by a tree so far
+	out         [][]topology.ChannelID // by participant: g.Out of its node, looked up once
+}
+
+func newPacker(g *topology.Graph, nodes []topology.NodeID, allowDetour bool) *packer {
+	pk := &packer{g: g, nodes: nodes, allowDetour: allowDetour,
+		claimed: make([]bool, g.NumChannels()), out: make([][]topology.ChannelID, len(nodes))}
+	for i, id := range nodes {
+		pk.out[i] = g.Out(id)
+	}
+	return pk
+}
+
+// path is a route of one or two channels, held by value so that comparing
+// candidate attachments allocates nothing.
+type path struct {
+	ch   [2]topology.ChannelID
+	hops int
+}
+
+func (p path) route() topology.Route {
+	return topology.Route{Channels: append([]topology.ChannelID(nil), p.ch[:p.hops]...)}
+}
+
 // attachment is one candidate way to connect participant v to the growing
 // tree under participant u.
 type attachment struct {
 	v, u  int
-	up    topology.Route // nodes[v] -> nodes[u]
-	down  topology.Route // nodes[u] -> nodes[v]
-	score float64        // bottleneck effective bandwidth (halved for detours)
-	hops  int            // total physical hops across both routes
+	up    path    // nodes[v] -> nodes[u]
+	down  path    // nodes[u] -> nodes[v]
+	score float64 // bottleneck effective bandwidth (halved for detours)
+	hops  int     // total physical hops across both routes
 }
 
 // packTree grows one spanning tree from root with Prim-style greedy
 // maximum-bottleneck attachments over unclaimed healthy channels. On
-// success every claimed channel is recorded in `claimed`; on failure the
+// success every channel the tree uses is marked claimed; on failure the
 // tree's provisional claims are rolled back and nil is returned.
-func packTree(g *topology.Graph, nodes []topology.NodeID, root int, claimed, down map[topology.ChannelID]bool, allowDetour bool) *Tree {
-	n := len(nodes)
+func (pk *packer) packTree(root int) *Tree {
+	n := len(pk.nodes)
 	t := &Tree{
 		Root:     root,
 		Parent:   make([]int, n),
@@ -139,20 +158,19 @@ func packTree(g *topology.Graph, nodes []topology.NodeID, root int, claimed, dow
 	inTree[root] = true
 	t.Order = append(t.Order, root)
 
-	mine := make(map[topology.ChannelID]bool) // this tree's claims, for rollback
-	claim := func(r topology.Route) {
-		for _, ch := range r.Channels {
-			claimed[ch] = true
-			mine[ch] = true
+	var mine []topology.ChannelID // this tree's claims, for rollback
+	claim := func(p path) {
+		for _, ch := range p.ch[:p.hops] {
+			pk.claimed[ch] = true
+			mine = append(mine, ch)
 		}
 	}
-	taken := func(ch topology.ChannelID) bool { return claimed[ch] || down[ch] }
 
 	for len(t.Order) < n {
-		best, ok := bestAttachment(g, nodes, inTree, depth, t, taken, allowDetour)
+		best, ok := pk.bestAttachment(inTree, depth, t)
 		if !ok {
-			for ch := range mine {
-				delete(claimed, ch)
+			for _, ch := range mine {
+				pk.claimed[ch] = false
 			}
 			return nil
 		}
@@ -161,15 +179,15 @@ func packTree(g *topology.Graph, nodes []topology.NodeID, root int, claimed, dow
 		v, u := best.v, best.u
 		t.Parent[v] = u
 		t.Children[u] = append(t.Children[u], v)
-		t.Up[v] = best.up
-		t.Down[v] = best.down
+		t.Up[v] = best.up.route()
+		t.Down[v] = best.down.route()
 		depth[v] = depth[u] + 1
 		inTree[v] = true
 		t.Order = append(t.Order, v)
-		if best.up.Hops() > 1 {
+		if best.up.hops > 1 {
 			t.Detours++
 		}
-		if best.down.Hops() > 1 {
+		if best.down.hops > 1 {
 			t.Detours++
 		}
 		if t.Bottleneck == 0 || best.score < t.Bottleneck {
@@ -182,12 +200,13 @@ func packTree(g *topology.Graph, nodes []topology.NodeID, root int, claimed, dow
 // bestAttachment scans every (outside v, inside u) pair for the best
 // attachment. The up (v->u) and down (u->v) routes are found independently —
 // each direct when an unclaimed channel exists, else relay-spliced through a
-// third GPU when allowDetour — so an edge whose fabric is exhausted in one
-// direction can still attach by detouring just that direction. Preference
-// order: maximum bottleneck bandwidth (detoured routes score half — the
-// relay carries the payload twice), then fewest physical hops, then balanced
-// shallow trees (smallest children-count+depth of u), then smallest ids.
-func bestAttachment(g *topology.Graph, nodes []topology.NodeID, inTree []bool, depth []int, t *Tree, taken func(topology.ChannelID) bool, allowDetour bool) (attachment, bool) {
+// third GPU when detours are allowed — so an edge whose fabric is exhausted
+// in one direction can still attach by detouring just that direction.
+// Preference order: maximum bottleneck bandwidth (detoured routes score half
+// — the relay carries the payload twice), then fewest physical hops, then
+// balanced shallow trees (smallest children-count+depth of u), then
+// smallest ids.
+func (pk *packer) bestAttachment(inTree []bool, depth []int, t *Tree) (attachment, bool) {
 	var best attachment
 	found := false
 	balance := func(u int) int { return len(t.Children[u]) + depth[u] }
@@ -210,26 +229,26 @@ func bestAttachment(g *topology.Graph, nodes []topology.NodeID, inTree []bool, d
 		return c.u < best.u
 	}
 
-	for v := range nodes {
+	for v := range pk.nodes {
 		if inTree[v] {
 			continue
 		}
-		for u := range nodes {
+		for u := range pk.nodes {
 			if !inTree[u] {
 				continue
 			}
-			up, upBW, ok := bestRouteDir(g, nodes, v, u, taken, allowDetour)
+			up, upBW, ok := pk.bestRouteDir(v, u)
 			if !ok {
 				continue
 			}
-			down, dnBW, ok := bestRouteDir(g, nodes, u, v, taken, allowDetour)
+			down, dnBW, ok := pk.bestRouteDir(u, v)
 			if !ok {
 				continue
 			}
 			c := attachment{
 				v: v, u: u, up: up, down: down,
 				score: min2(upBW, dnBW),
-				hops:  up.Hops() + down.Hops(),
+				hops:  up.hops + down.hops,
 			}
 			if better(c) {
 				best, found = c, true
@@ -241,47 +260,52 @@ func bestAttachment(g *topology.Graph, nodes []topology.NodeID, inTree []bool, d
 
 // bestRouteDir finds the best usable route from participant `from` to
 // participant `to`: the highest-bandwidth unclaimed direct channel when one
-// exists, else (when allowDetour) the best two-hop splice through another
-// GPU, scored at half its bottleneck bandwidth because the relay moves the
-// payload twice. Up- and down-routes of one attachment can never collide:
-// every hop is a directed (src, dst) pair and the two routes traverse
-// opposite directions.
-func bestRouteDir(g *topology.Graph, nodes []topology.NodeID, from, to int, taken func(topology.ChannelID) bool, allowDetour bool) (topology.Route, float64, bool) {
-	if ch, bw, ok := bestChannel(g, nodes[from], nodes[to], taken); ok {
-		return topology.Route{Channels: []topology.ChannelID{ch}}, bw, true
+// exists, else (when detours are allowed) the best two-hop splice through
+// another GPU, scored at half its bottleneck bandwidth because the relay
+// moves the payload twice. Up- and down-routes of one attachment can never
+// collide: every hop is a directed (src, dst) pair and the two routes
+// traverse opposite directions.
+func (pk *packer) bestRouteDir(from, to int) (path, float64, bool) {
+	if ch, bw, ok := pk.bestChannel(from, to); ok {
+		return path{ch: [2]topology.ChannelID{ch}, hops: 1}, bw, true
 	}
-	if !allowDetour {
-		return topology.Route{}, 0, false
+	if !pk.allowDetour {
+		return path{}, 0, false
 	}
-	var best topology.Route
+	var best path
 	bestBW := 0.0
-	for m := range nodes {
+	for m := range pk.nodes {
 		if m == from || m == to {
 			continue
 		}
-		h1, bw1, ok1 := bestChannel(g, nodes[from], nodes[m], taken)
-		h2, bw2, ok2 := bestChannel(g, nodes[m], nodes[to], taken)
-		if !ok1 || !ok2 {
+		h1, bw1, ok := pk.bestChannel(from, m)
+		if !ok {
 			continue
 		}
-		if bw := min2(bw1, bw2) / 2; len(best.Channels) == 0 || bw > bestBW {
-			best = topology.Route{Channels: []topology.ChannelID{h1, h2}}
+		h2, bw2, ok := pk.bestChannel(m, to)
+		if !ok {
+			continue
+		}
+		if bw := min2(bw1, bw2) / 2; best.hops == 0 || bw > bestBW {
+			best = path{ch: [2]topology.ChannelID{h1, h2}, hops: 2}
 			bestBW = bw
 		}
 	}
-	return best, bestBW, len(best.Channels) > 0
+	return best, bestBW, best.hops > 0
 }
 
-// bestChannel picks the highest-effective-bandwidth usable channel from a
-// to b (ties to the lowest id, for determinism).
-func bestChannel(g *topology.Graph, a, b topology.NodeID, taken func(topology.ChannelID) bool) (topology.ChannelID, float64, bool) {
+// bestChannel picks the highest-effective-bandwidth channel from
+// participant a to participant b that is neither claimed nor dead (ties to
+// the lowest id, for determinism).
+func (pk *packer) bestChannel(a, b int) (topology.ChannelID, float64, bool) {
 	bestID := topology.ChannelID(-1)
 	bestBW := 0.0
-	for _, ch := range g.ChannelsBetween(a, b) {
-		if taken(ch) {
+	for _, ch := range pk.out[a] {
+		c := pk.g.Channel(ch)
+		if c.To != pk.nodes[b] || pk.claimed[ch] || c.Down() {
 			continue
 		}
-		bw := g.Channel(ch).EffectiveBandwidth()
+		bw := c.EffectiveBandwidth()
 		if bestID < 0 || bw > bestBW {
 			bestID, bestBW = ch, bw
 		}

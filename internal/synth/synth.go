@@ -1,3 +1,28 @@
+// Package synth compiles collective schedules for arbitrary physical
+// topologies instead of picking from the hand-written algorithm menu.
+//
+// The compiler follows GC3 (collective programs lowered through one IR)
+// seeded by a ForestColl-style generator (throughput-oriented packing of
+// channel-disjoint spanning trees over the measured fabric). Its IR is the
+// schedule IR itself, schedcheck.Op: one emitter loop over the forest
+// writes every plan variant straight into it.
+//
+//	primitive        Allreduce(bytes) over topology.Graph
+//	   │  PackForest: bandwidth-weighted, health-aware spanning-tree packing
+//	   ▼
+//	forest           trees whose edges claim physical (maybe relay) routes
+//	   │  newChunkPass: one chunk's up hops → root-ready marker → down hops
+//	   ▼
+//	chunk passes     one per tree, ids relative to the chunk
+//	   │  emit(t, k): chunk c rides tree c mod t; FIFO dep on chunk c-t
+//	   ▼
+//	collective.Schedule   via collective.Assemble + Validate
+//
+// Every emitted schedule passes the full static verifier before it is
+// ranked or escapes this package, and Synthesize memoizes through the
+// schedule cache/store under a key that includes the synthesis-config
+// fingerprint, so compiled schedules get the exact same correctness gate,
+// staleness detection, and warm-start behavior as the built-in algorithms.
 package synth
 
 import (
@@ -76,8 +101,8 @@ func (o Options) Fingerprint() string {
 type Report struct {
 	Trees    int      // spanning trees the winning plan uses
 	Chunks   int      // pipeline chunk count of the winning plan
-	Detours  int      // relay-spliced edges in the winning plan
-	Passes   []string // applied pass pipeline, in order
+	Detours  int      // relay-spliced tree edges in the winning plan
+	Passes   []string // compilation stages of the winning plan, in order
 	Variants int      // (forest prefix, chunk count) plans evaluated
 	CacheHit bool     // served from the schedule cache/store; Passes empty
 }
@@ -90,8 +115,8 @@ type Result struct {
 
 // Synthesize compiles an AllReduce schedule for the graph's GPUs: packs
 // channel-disjoint spanning trees weighted by effective bandwidth (degraded
-// links avoided, dead links never used), runs the IR pass pipeline over
-// candidate tree counts and chunk counts, ranks the plans by their static
+// links avoided, dead links never used), emits a verified schedule for
+// every candidate tree count and chunk count, ranks the plans by their static
 // makespan bound, executes the finalists on the DES, and returns the
 // fastest. The winner is cached — memory, then disk store — under the
 // topology fingerprint plus Options.Fingerprint, with the same
@@ -143,46 +168,42 @@ func Synthesize(ctx context.Context, g *topology.Graph, bytes int64, opts Option
 		rep = Report{
 			Trees:    s.Streams,
 			Chunks:   s.Partition.NumChunks(),
-			Detours:  len(s.DetourNodes()),
+			Detours:  planDetours(s),
 			CacheHit: true,
 		}
 	}
 	return &Result{Schedule: s, Report: rep}, nil
 }
 
-// plan is one evaluated (forest prefix, chunk count) compilation.
+// plan is one verified (forest prefix, chunk count) variant.
 type plan struct {
 	trees  int
 	chunks int
-	prog   *Program
 	sched  *collective.Schedule
 	bound  des.Time
 }
 
-// compileBest runs the plan search: pack once at the tree ceiling, compile
-// every (forest prefix, chunk count) candidate, rank by static bound,
+// compileBest runs the plan search: pack once at the tree ceiling, emit and
+// verify every (forest prefix, chunk count) candidate, rank by static bound,
 // execute the finalists, return the fastest schedule.
 func compileBest(ctx context.Context, g *topology.Graph, nodes []topology.NodeID, bytes int64, opts Options) (*collective.Schedule, Report, error) {
 	forest, err := PackForest(g, nodes, opts.MaxTrees, opts.Seed, !opts.NoDetour)
 	if err != nil {
 		return nil, Report{}, err
 	}
+	e := newEmitter(g, nodes, bytes, forest)
 
-	var plans []plan
-	for t := 1; t <= len(forest.Trees); t++ {
-		sub := &Forest{Trees: forest.Trees[:t]}
-		for _, d := range sub.Trees {
-			sub.Detours += d.Detours
-		}
+	// The finalists are the first executeFinalists plans of a stable sort
+	// by bound, kept as the variants stream by so that every other variant
+	// is garbage as soon as it is ranked.
+	var top [executeFinalists]plan
+	finalists, variants := 0, 0
+	for t := 1; t <= len(e.passes); t++ {
 		for _, k := range chunkCandidates(g, nodes, bytes, t, opts.MaxChunks) {
 			if err := ctx.Err(); err != nil {
 				return nil, Report{}, fmt.Errorf("synth: compilation canceled: %w", &des.CanceledError{Cause: err})
 			}
-			prog, err := Compile(g, nodes, bytes, sub, k)
-			if err != nil {
-				continue
-			}
-			sched, err := Lower(prog)
+			sched, err := e.emit(t, k)
 			if err != nil {
 				// A plan that fails verification is discarded, never patched:
 				// the search must only ever rank proven schedules.
@@ -192,22 +213,26 @@ func compileBest(ctx context.Context, g *topology.Graph, nodes []topology.NodeID
 			if err != nil {
 				continue
 			}
-			plans = append(plans, plan{trees: t, chunks: k, prog: prog, sched: sched, bound: bound})
+			variants++
+			i := finalists
+			for i > 0 && top[i-1].bound > bound {
+				i--
+			}
+			if i < executeFinalists {
+				finalists = min(finalists+1, executeFinalists)
+				copy(top[i+1:finalists], top[i:finalists-1])
+				top[i] = plan{trees: t, chunks: k, sched: sched, bound: bound}
+			}
 		}
 	}
-	if len(plans) == 0 {
+	if variants == 0 {
 		return nil, Report{}, fmt.Errorf("synth: no compilable plan for %d participants at %d bytes", len(nodes), bytes)
 	}
 
-	sort.SliceStable(plans, func(a, b int) bool { return plans[a].bound < plans[b].bound })
-	finalists := plans
-	if len(finalists) > executeFinalists {
-		finalists = finalists[:executeFinalists]
-	}
 	best := -1
 	var bestTotal des.Time
-	for i := range finalists {
-		res, err := finalists[i].sched.ExecuteCtx(ctx)
+	for i := range top[:finalists] {
+		res, err := top[i].sched.ExecuteCtx(ctx)
 		if err != nil {
 			var ce *des.CanceledError
 			if isCanceled(err, &ce) {
@@ -222,14 +247,32 @@ func compileBest(ctx context.Context, g *topology.Graph, nodes []topology.NodeID
 	if best < 0 {
 		return nil, Report{}, fmt.Errorf("synth: no plan executed successfully")
 	}
-	w := finalists[best]
+	w := top[best]
+	detours := 0
+	for _, p := range e.passes[:w.trees] {
+		detours += p.detours
+	}
 	return w.sched, Report{
 		Trees:    w.trees,
 		Chunks:   w.chunks,
-		Detours:  w.prog.Detours,
-		Passes:   w.prog.Passes,
-		Variants: len(plans),
+		Detours:  detours,
+		Passes:   e.passNames(w.trees, w.chunks),
+		Variants: variants,
 	}, nil
+}
+
+// planDetours counts the detoured tree edges of a compiled schedule's plan:
+// a detoured edge writes one relay slot per chunk it carries, and chunks
+// 0..Streams-1 ride each tree exactly once.
+func planDetours(s *collective.Schedule) int {
+	n := 0
+	ops := s.Program().Ops
+	for i := range ops {
+		if ops[i].Chunk < s.Streams && ops[i].Dst.IsRelay() {
+			n++
+		}
+	}
+	return n
 }
 
 // chunkCandidates returns the chunk counts the pipelining search evaluates
