@@ -20,12 +20,17 @@ race:
 	$(GO) test -race ./internal/p2psync/... ./internal/gpusim/... ./internal/gradqueue/... ./internal/fault/... ./internal/sweep/... ./internal/server/... ./internal/loadgen/... ./internal/collective/...
 	$(GO) test -race -run ParallelMatchesSerial ./internal/experiments/
 
-# Engine micro-benchmarks (with the alloc gate) plus the experiment-level
-# timing report: writes BENCH_ccube.json with ns/op, allocs/op, schedule-cache
-# hit rates, the fig13 cached+parallel vs serial+uncached reference, and the
-# schedule-store cold vs warm fig13 timings with the corruption probe.
+# Engine micro-benchmarks (with the alloc gate), the real-layer benches on
+# built-in and synthesized schedules (verify, build, synthesis), plus the
+# experiment-level timing report: writes BENCH_ccube.json with ns/op,
+# allocs/op, schedule-cache hit rates, the fig13 cached+parallel vs
+# serial+uncached reference, and the schedule-store cold vs warm fig13
+# timings with the corruption probe.
 bench:
 	$(GO) test -run ZeroAlloc -bench . -benchmem ./internal/des/
+	$(GO) test -run '^$$' -bench Check -benchmem ./internal/schedcheck/
+	$(GO) test -run '^$$' -bench Build -benchmem ./internal/collective/
+	$(GO) test -run '^$$' -bench Synthesize -benchmem ./internal/synth/
 	rm -rf /tmp/ccube-bench-store && $(GO) run ./cmd/ccube-bench -fig 13 -benchjson BENCH_ccube.json -store /tmp/ccube-bench-store
 
 vet:

@@ -140,9 +140,11 @@ func CandidatesWith(ctx context.Context, g *topology.Graph, bytes int64, opts Op
 	return out, nil
 }
 
-// synthCandidate compiles and simulates the synthesis candidate. The
-// compiled schedule rides along in Candidate.Schedule so the winner can be
-// executed without recompiling.
+// synthCandidate compiles and simulates the synthesis candidate. A cold
+// compile already ran its winner on the DES to pick it, so its numbers are
+// reused; a cache hit executes the schedule. The compiled schedule rides
+// along in Candidate.Schedule so the winner can be executed without
+// recompiling.
 func synthCandidate(ctx context.Context, g *topology.Graph, bytes int64, opts synth.Options) Candidate {
 	c := Candidate{Algorithm: collective.AlgSynth}
 	res, err := synth.Synthesize(ctx, g, bytes, opts)
@@ -150,10 +152,12 @@ func synthCandidate(ctx context.Context, g *topology.Graph, bytes int64, opts sy
 		c.Err = err
 		return c
 	}
-	sim, err := res.Schedule.ExecuteCtx(ctx)
-	if err != nil {
-		c.Err = err
-		return c
+	sim := res.Run
+	if sim == nil {
+		if sim, err = res.Schedule.ExecuteCtx(ctx); err != nil {
+			c.Err = err
+			return c
+		}
 	}
 	c.Total = sim.Total
 	c.Turnaround = sim.Turnaround

@@ -77,3 +77,31 @@ func TestSynthCandidateCancellation(t *testing.T) {
 		t.Fatalf("error %v does not wrap *des.CanceledError", err)
 	}
 }
+
+// TestSynthCandidateMatchesFreshRun: the synthesis candidate's Total,
+// Turnaround and InOrder equal a fresh ExecuteCtx of its schedule, both on
+// a cold compile (which reuses the run that picked the winner) and on a
+// cache hit (which executes the cached schedule).
+func TestSynthCandidateMatchesFreshRun(t *testing.T) {
+	g := topology.AsymmetricFullyConnected(8, 25e9, des.Microsecond, 1)
+	const bytes = 3 << 20
+	opts := synth.Options{Seed: 29}
+	for _, path := range []string{"cold", "cached"} {
+		before, _ := collective.DefaultCache.Stats()
+		c := synthCandidate(context.Background(), g, bytes, opts)
+		if c.Err != nil {
+			t.Fatalf("%s: %v", path, c.Err)
+		}
+		if after, _ := collective.DefaultCache.Stats(); (after > before) != (path == "cached") {
+			t.Fatalf("%s: schedule cache hits went from %d to %d", path, before, after)
+		}
+		fresh, err := c.Schedule.ExecuteCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Total != fresh.Total || c.Turnaround != fresh.Turnaround || c.InOrder != fresh.InOrder {
+			t.Fatalf("%s: candidate (%s, %s, %v), fresh run (%s, %s, %v)", path,
+				c.Total, c.Turnaround, c.InOrder, fresh.Total, fresh.Turnaround, fresh.InOrder)
+		}
+	}
+}

@@ -11,9 +11,9 @@ import (
 // BenchmarkSynthesize times cold compiles (NoCache) on the fabrics and
 // message sizes the served synth_irregular requests compile for: the DGX-1,
 // an asymmetric 8-GPU mesh and a 16-GPU random 4-regular graph, cycling
-// 1-256 MiB. One op is one Synthesize — packing, every plan variant emitted
-// and verified, the finalists executed. Besides ns/op, B/op and allocs/op
-// it reports ns/variant, the cost of one evaluated plan.
+// 1-256 MiB. One op is one Synthesize — packing, every plan variant ranked
+// by its bound, the finalists emitted, verified and executed. Besides
+// ns/op, B/op and allocs/op it reports ns/variant, the cost per ranked plan.
 func BenchmarkSynthesize(b *testing.B) {
 	fabrics := []struct {
 		name  string

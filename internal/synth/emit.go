@@ -5,6 +5,7 @@ import (
 
 	"ccube/internal/chunk"
 	"ccube/internal/collective"
+	"ccube/internal/des"
 	"ccube/internal/schedcheck"
 	"ccube/internal/topology"
 )
@@ -18,6 +19,19 @@ type chunkPass struct {
 	ops     []schedcheck.Op
 	deps    int // dependencies of one chunk, before pipelining
 	detours int // tree edges routed through a relay GPU
+	// hops counts the pass's ops per channel: one chunk's load on each
+	// channel the tree rides, in units of that chunk's transfer time.
+	hops []channelHops
+	// small, big and finish are bound's per-op scratch: the op's duration
+	// at the variant's two chunk sizes, and its finish time in the latest
+	// chunk to ride this tree.
+	small, big, finish []des.Time
+}
+
+// channelHops is how many of one chunk pass's ops ride a channel.
+type channelHops struct {
+	ch topology.ChannelID
+	n  int64
 }
 
 // newChunkPass lays out chunk traffic over tree t:
@@ -100,6 +114,22 @@ func newChunkPass(t *Tree, nodes []topology.NodeID) (*chunkPass, error) {
 		}
 	}
 	p.deps = len(arena)
+	for i := range p.ops {
+		if p.ops[i].Marker() {
+			continue
+		}
+		j := 0
+		for j < len(p.hops) && p.hops[j].ch != p.ops[i].Channel {
+			j++
+		}
+		if j == len(p.hops) {
+			p.hops = append(p.hops, channelHops{ch: p.ops[i].Channel})
+		}
+		p.hops[j].n++
+	}
+	p.small = make([]des.Time, len(p.ops))
+	p.big = make([]des.Time, len(p.ops))
+	p.finish = make([]des.Time, len(p.ops))
 	return p, nil
 }
 
@@ -112,13 +142,14 @@ type emitter struct {
 	bytes  int64
 	passes []*chunkPass // per usable tree of the forest
 	deps   []int
+	loads  []des.Time // bound's per-channel scratch
 }
 
 // newEmitter lays out the chunk pass of every tree of f. A tree that cannot
 // be laid out ends the usable forest: every prefix holding it is
 // uncompilable.
 func newEmitter(g *topology.Graph, nodes []topology.NodeID, bytes int64, f *Forest) *emitter {
-	e := &emitter{g: g, nodes: nodes, bytes: bytes}
+	e := &emitter{g: g, nodes: nodes, bytes: bytes, loads: make([]des.Time, g.NumChannels())}
 	for _, t := range f.Trees {
 		p, err := newChunkPass(t, nodes)
 		if err != nil {
@@ -187,7 +218,7 @@ func (e *emitter) emit(t, k int) (*collective.Schedule, error) {
 		prev[ti] = base
 		base += len(passes[ti].ops)
 	}
-	return collective.Assemble(collective.AssembleSpec{
+	return assemble(collective.AssembleSpec{
 		Graph:     e.g,
 		Nodes:     e.nodes,
 		Partition: part,
@@ -196,6 +227,69 @@ func (e *emitter) emit(t, k int) (*collective.Schedule, error) {
 		Contract:  collective.ContractAllReduce,
 		Ops:       ops,
 	})
+}
+
+// assemble adopts an emitted variant as a verified schedule. It is
+// collective.Assemble; tests replace it to plant a verification failure.
+var assemble = collective.Assemble
+
+// bound returns the two terms of the (t, k) variant's makespan lower bound
+// without emitting it: the dependency critical path and the busiest
+// channel's serialized load, exactly as schedcheck.CriticalPath and
+// schedcheck.ChannelLoads compute them on the variant emit returns.
+// schedcheck.MakespanBound is the larger of the two.
+//
+// Every dep points to an earlier op, so id order is a topological order and
+// the critical path is one forward sweep over the chunks. Chunk c's ops
+// depend on its own earlier ops and on the same hop of chunk c-t, the
+// previous chunk on its tree, so one finish-time array per tree, rewritten
+// in place, holds every value the sweep reads. chunk.Split gives chunks
+// c < bytes%k one byte more than the rest, so each op has two possible
+// durations, and a channel's load is, per tree, its hop count in the pass
+// times the summed transfer times of the chunks riding that tree.
+func (e *emitter) bound(t, k int) (path, load des.Time) {
+	small := e.bytes / int64(k)
+	extra := int(e.bytes % int64(k))
+	passes := e.passes[:t]
+	for _, p := range passes {
+		for j := range p.ops {
+			p.finish[j] = 0
+			if op := &p.ops[j]; !op.Marker() {
+				ch := e.g.Channel(op.Channel)
+				p.small[j], p.big[j] = ch.TransferTime(small), ch.TransferTime(small+1)
+			}
+		}
+	}
+	for c := 0; c < k; c++ {
+		p := passes[c%t]
+		dur := p.small
+		if c < extra {
+			dur = p.big
+		}
+		for j := range p.ops {
+			op := &p.ops[j]
+			var start des.Time
+			if !op.Marker() {
+				start = p.finish[j] // the same hop of chunk c-t; zero for c < t
+			}
+			for _, d := range op.Deps {
+				start = max(start, p.finish[d])
+			}
+			p.finish[j] = start + dur[j]
+			path = max(path, p.finish[j])
+		}
+	}
+	clear(e.loads)
+	for ti, p := range passes {
+		n := des.Time((k - ti + t - 1) / t)        // chunks riding tree ti
+		nBig := des.Time((extra - ti + t - 1) / t) // of which one byte larger
+		for _, h := range p.hops {
+			ch := e.g.Channel(h.ch)
+			e.loads[h.ch] += des.Time(h.n) * ((n-nBig)*ch.TransferTime(small) + nBig*ch.TransferTime(small+1))
+			load = max(load, e.loads[h.ch])
+		}
+	}
+	return path, load
 }
 
 // passNames renders the stages that compiled the (t, k) variant, under the

@@ -14,20 +14,23 @@
 //	   │  newChunkPass: one chunk's up hops → root-ready marker → down hops
 //	   ▼
 //	chunk passes     one per tree, ids relative to the chunk
+//	   │  bound(t, k): every variant ranked, no op emitted
 //	   │  emit(t, k): chunk c rides tree c mod t; FIFO dep on chunk c-t
 //	   ▼
 //	collective.Schedule   via collective.Assemble + Validate
 //
-// Every emitted schedule passes the full static verifier before it is
-// ranked or escapes this package, and Synthesize memoizes through the
-// schedule cache/store under a key that includes the synthesis-config
-// fingerprint, so compiled schedules get the exact same correctness gate,
-// staleness detection, and warm-start behavior as the built-in algorithms.
+// Only the variants the search walks to are emitted, and each passes the
+// full static verifier in collective.Assemble before it is executed or
+// escapes this package. Synthesize memoizes through the schedule
+// cache/store under a key that includes the synthesis-config fingerprint,
+// so compiled schedules get the exact same correctness gate, staleness
+// detection, and warm-start behavior as the built-in algorithms.
 package synth
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,8 +50,8 @@ const DefaultMaxTrees = 4
 // Options.MaxChunks is zero.
 const DefaultMaxChunks = 64
 
-// executeFinalists is how many bound-ranked plan variants are executed on
-// the DES to pick the winner: the static bound orders plans well but cannot
+// executeFinalists is the most bound-ranked plan variants executed on the
+// DES to pick the winner: the static bound orders plans well but cannot
 // see queueing, so the top few run for real.
 const executeFinalists = 3
 
@@ -103,7 +106,7 @@ type Report struct {
 	Chunks   int      // pipeline chunk count of the winning plan
 	Detours  int      // relay-spliced tree edges in the winning plan
 	Passes   []string // compilation stages of the winning plan, in order
-	Variants int      // (forest prefix, chunk count) plans evaluated
+	Variants int      // (forest prefix, chunk count) plans ranked, less any that failed verification
 	CacheHit bool     // served from the schedule cache/store; Passes empty
 }
 
@@ -111,14 +114,17 @@ type Report struct {
 type Result struct {
 	Schedule *collective.Schedule
 	Report   Report
+	// Run is the DES run that picked the schedule on a cold compile, so the
+	// caller need not execute it again. It is nil on a cache hit.
+	Run *collective.Result
 }
 
 // Synthesize compiles an AllReduce schedule for the graph's GPUs: packs
 // channel-disjoint spanning trees weighted by effective bandwidth (degraded
-// links avoided, dead links never used), emits a verified schedule for
-// every candidate tree count and chunk count, ranks the plans by their static
-// makespan bound, executes the finalists on the DES, and returns the
-// fastest. The winner is cached — memory, then disk store — under the
+// links avoided, dead links never used), ranks every candidate tree count
+// and chunk count by its static makespan bound, emits, verifies and executes
+// on the DES the finalists that can still win, and returns the fastest with
+// its timing. The winner is cached — memory, then disk store — under the
 // topology fingerprint plus Options.Fingerprint, with the same
 // verify-on-miss invariant as the built-in algorithms.
 func Synthesize(ctx context.Context, g *topology.Graph, bytes int64, opts Options) (*Result, error) {
@@ -134,16 +140,14 @@ func Synthesize(ctx context.Context, g *topology.Graph, bytes int64, opts Option
 		return nil, fmt.Errorf("synth: %d participants", len(nodes))
 	}
 
-	var rep Report
-	cold := false
+	var cold *Result
 	builder := func() (*collective.Schedule, error) {
-		cold = true
-		s, r, err := compileBest(ctx, g, nodes, bytes, opts)
+		r, err := compileBest(ctx, g, nodes, bytes, opts)
 		if err != nil {
 			return nil, err
 		}
-		rep = r
-		return s, nil
+		cold = r
+		return r.Schedule, nil
 	}
 
 	var s *collective.Schedule
@@ -162,102 +166,109 @@ func Synthesize(ctx context.Context, g *topology.Graph, bytes int64, opts Option
 	if err != nil {
 		return nil, err
 	}
-	if !cold {
-		// Cache or store hit: the plan metadata was not recomputed, but the
-		// load-bearing facts survive in the schedule itself.
-		rep = Report{
-			Trees:    s.Streams,
-			Chunks:   s.Partition.NumChunks(),
-			Detours:  planDetours(s),
-			CacheHit: true,
-		}
+	if cold != nil {
+		return cold, nil
 	}
-	return &Result{Schedule: s, Report: rep}, nil
+	// Cache or store hit: the plan metadata was not recomputed, but the
+	// load-bearing facts survive in the schedule itself.
+	return &Result{Schedule: s, Report: Report{
+		Trees:    s.Streams,
+		Chunks:   s.Partition.NumChunks(),
+		Detours:  planDetours(s),
+		CacheHit: true,
+	}}, nil
 }
 
-// plan is one verified (forest prefix, chunk count) variant.
-type plan struct {
+// variant is one (forest prefix, chunk count) plan, ranked by its bound.
+// It is emitted, and so verified, only if the search walks to it.
+type variant struct {
 	trees  int
 	chunks int
-	sched  *collective.Schedule
 	bound  des.Time
 }
 
-// compileBest runs the plan search: pack once at the tree ceiling, emit and
-// verify every (forest prefix, chunk count) candidate, rank by static bound,
-// execute the finalists, return the fastest schedule.
-func compileBest(ctx context.Context, g *topology.Graph, nodes []topology.NodeID, bytes int64, opts Options) (*collective.Schedule, Report, error) {
-	forest, err := PackForest(g, nodes, opts.MaxTrees, opts.Seed, !opts.NoDetour)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	e := newEmitter(g, nodes, bytes, forest)
-
-	// The finalists are the first executeFinalists plans of a stable sort
-	// by bound, kept as the variants stream by so that every other variant
-	// is garbage as soon as it is ranked.
-	var top [executeFinalists]plan
-	finalists, variants := 0, 0
+// rank returns every (forest prefix, chunk count) variant the search
+// considers, in stable order of bound: ties keep the order of fewer trees,
+// then fewer chunks.
+func (e *emitter) rank(maxChunks int) []variant {
+	var ranked []variant
 	for t := 1; t <= len(e.passes); t++ {
-		for _, k := range chunkCandidates(g, nodes, bytes, t, opts.MaxChunks) {
-			if err := ctx.Err(); err != nil {
-				return nil, Report{}, fmt.Errorf("synth: compilation canceled: %w", &des.CanceledError{Cause: err})
-			}
-			sched, err := e.emit(t, k)
-			if err != nil {
-				// A plan that fails verification is discarded, never patched:
-				// the search must only ever rank proven schedules.
-				continue
-			}
-			bound, err := sched.MakespanBound()
-			if err != nil {
-				continue
-			}
-			variants++
-			i := finalists
-			for i > 0 && top[i-1].bound > bound {
-				i--
-			}
-			if i < executeFinalists {
-				finalists = min(finalists+1, executeFinalists)
-				copy(top[i+1:finalists], top[i:finalists-1])
-				top[i] = plan{trees: t, chunks: k, sched: sched, bound: bound}
-			}
+		for _, k := range chunkCandidates(e.g, e.nodes, e.bytes, t, maxChunks) {
+			ranked = append(ranked, variant{trees: t, chunks: k, bound: max(e.bound(t, k))})
 		}
 	}
-	if variants == 0 {
-		return nil, Report{}, fmt.Errorf("synth: no compilable plan for %d participants at %d bytes", len(nodes), bytes)
-	}
+	sort.SliceStable(ranked, func(a, b int) bool { return ranked[a].bound < ranked[b].bound })
+	return ranked
+}
 
-	best := -1
-	var bestTotal des.Time
-	for i := range top[:finalists] {
-		res, err := top[i].sched.ExecuteCtx(ctx)
+// compileBest runs the plan search: pack once at the tree ceiling, rank
+// every (forest prefix, chunk count) variant by the bound the emitter
+// derives from its chunk passes, then walk the variants in stable bound
+// order. Each one walked is emitted and assembled — collective.Assemble
+// runs the full static verifier — and executed on the DES, until
+// executeFinalists have run or the next bound is no lower than the best
+// makespan so far. The bound is a provable lower bound, so a variant past
+// that point could at best tie, and a tie keeps the earlier finalist. A
+// variant that fails verification is dropped and the next by bound takes its
+// place, so only assembled schedules ever execute or win.
+func compileBest(ctx context.Context, g *topology.Graph, nodes []topology.NodeID, bytes int64, opts Options) (*Result, error) {
+	forest, err := PackForest(g, nodes, opts.MaxTrees, opts.Seed, !opts.NoDetour)
+	if err != nil {
+		return nil, err
+	}
+	e := newEmitter(g, nodes, bytes, forest)
+	ranked := e.rank(opts.MaxChunks)
+
+	var w variant
+	var best *collective.Schedule
+	var run *collective.Result
+	executed, rejected := 0, 0
+	for _, v := range ranked {
+		if executed == executeFinalists || (best != nil && v.bound >= run.Total) {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("synth: compilation canceled: %w", &des.CanceledError{Cause: err})
+		}
+		sched, err := e.emit(v.trees, v.chunks)
+		if err != nil {
+			// A plan that fails verification is discarded, never patched.
+			rejected++
+			continue
+		}
+		executed++
+		res, err := sched.ExecuteCtx(ctx)
 		if err != nil {
 			var ce *des.CanceledError
 			if isCanceled(err, &ce) {
-				return nil, Report{}, err
+				return nil, err
 			}
 			continue
 		}
-		if best < 0 || res.Total < bestTotal {
-			best, bestTotal = i, res.Total
+		if best == nil || res.Total < run.Total {
+			w, best, run = v, sched, res
 		}
 	}
-	if best < 0 {
-		return nil, Report{}, fmt.Errorf("synth: no plan executed successfully")
+	if executed == 0 {
+		return nil, fmt.Errorf("synth: no compilable plan for %d participants at %d bytes", len(nodes), bytes)
 	}
-	w := top[best]
+	if best == nil {
+		return nil, fmt.Errorf("synth: no plan executed successfully")
+	}
 	detours := 0
 	for _, p := range e.passes[:w.trees] {
 		detours += p.detours
 	}
-	return w.sched, Report{
-		Trees:    w.trees,
-		Chunks:   w.chunks,
-		Detours:  detours,
-		Passes:   e.passNames(w.trees, w.chunks),
-		Variants: variants,
+	return &Result{
+		Schedule: best,
+		Report: Report{
+			Trees:    w.trees,
+			Chunks:   w.chunks,
+			Detours:  detours,
+			Passes:   e.passNames(w.trees, w.chunks),
+			Variants: len(ranked) - rejected,
+		},
+		Run: run,
 	}, nil
 }
 
@@ -287,12 +298,11 @@ func chunkCandidates(g *topology.Graph, nodes []topology.NodeID, bytes int64, t,
 	alpha, beta := fabricParams(g)
 	kOpt := costmodel.KOpt(costmodel.Params{Alpha: alpha, Beta: beta, P: len(nodes), N: float64(bytes)}, maxChunks)
 	var out []int
-	seen := map[int]bool{}
 	add := func(k int) {
-		if k >= t && k <= maxChunks && int64(k) <= bytes && !seen[k] {
-			seen[k] = true
-			out = append(out, k)
+		if k < t || k > maxChunks || int64(k) > bytes || slices.Contains(out, k) {
+			return
 		}
+		out = append(out, k)
 	}
 	for m := 1; ; m *= 2 {
 		k := t * m
