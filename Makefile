@@ -21,7 +21,8 @@ race:
 	$(GO) test -race -run ParallelMatchesSerial ./internal/experiments/
 
 # Engine micro-benchmarks (with the alloc gate), the real-layer benches on
-# built-in and synthesized schedules (verify, build, synthesis), plus the
+# built-in and synthesized schedules (verify, build, synthesis, execution
+# and one training iteration), plus the
 # experiment-level timing report: writes BENCH_ccube.json with ns/op,
 # allocs/op, schedule-cache hit rates, the fig13 cached+parallel vs
 # serial+uncached reference, and the schedule-store cold vs warm fig13
@@ -31,6 +32,7 @@ bench:
 	$(GO) test -run '^$$' -bench Check -benchmem ./internal/schedcheck/
 	$(GO) test -run '^$$' -bench Build -benchmem ./internal/collective/
 	$(GO) test -run '^$$' -bench Synthesize -benchmem ./internal/synth/
+	$(GO) test -run '^$$' -bench Execute -benchmem ./internal/collective/ ./internal/train/
 	rm -rf /tmp/ccube-bench-store && $(GO) run ./cmd/ccube-bench -fig 13 -benchjson BENCH_ccube.json -store /tmp/ccube-bench-store
 
 vet:

@@ -280,14 +280,14 @@ func printBusiest(g *topology.Graph, res *collective.Result, topChannels int) {
 		busy float64
 	}
 	var uses []chanUse
-	for i, r := range res.Resources {
-		if r.BusyTime() > 0 {
+	for i, busy := range res.ChannelBusy {
+		if busy > 0 {
 			uses = append(uses, chanUse{
 				name: fmt.Sprintf("%s->%s (%s)",
 					g.Node(g.Channel(topology.ChannelID(i)).From).Name,
 					g.Node(g.Channel(topology.ChannelID(i)).To).Name,
 					g.Channel(topology.ChannelID(i)).Tag),
-				busy: r.Utilization(res.Total),
+				busy: res.Utilization(topology.ChannelID(i)),
 			})
 		}
 	}

@@ -415,7 +415,7 @@ func TestDetourUsesIntermediateGPUChannels(t *testing.T) {
 	busyOn := func(a, b topology.NodeID) des.Time {
 		var total des.Time
 		for _, cid := range s.Graph.ChannelsBetween(a, b) {
-			total += res.Resources[cid].BusyTime()
+			total += res.ChannelBusy[cid]
 		}
 		return total
 	}

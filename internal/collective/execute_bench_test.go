@@ -1,0 +1,61 @@
+package collective
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"ccube/internal/topology"
+)
+
+// BenchmarkExecute times one DES run of a cached, verified schedule — the
+// work a schedule-cache hit leaves to ExecuteCtx — on the dgx1 C-Cube tree
+// at 16 MiB, C-Cube on the 64-GPU cluster at 128 chunks (the simulate_scale
+// shape) and the chained hierarchical AllReduce over 32 DGX-1 boxes (256
+// GPUs). Schedules are built outside the timer. Besides ns/op, B/op and
+// allocs/op it reports ns/transfer.
+func BenchmarkExecute(b *testing.B) {
+	b.Run("dgx1-ccube-16MiB", func(b *testing.B) {
+		g := topology.DGX1(topology.DefaultDGX1Config())
+		runExecuteBench(b, func() (*Schedule, error) {
+			return Build(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 16 << 20})
+		})
+	})
+	b.Run("cluster64-ccube-128chunks", func(b *testing.B) {
+		g := topology.Hierarchy(topology.DefaultHierarchyConfig(64))
+		runExecuteBench(b, func() (*Schedule, error) {
+			return Build(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 64 << 20, Chunks: 128,
+				AllowSharedChannels: true})
+		})
+	})
+	b.Run("cluster256-hierarchical", func(b *testing.B) {
+		mn, err := topology.BuildMultiNode(topology.DefaultMultiNodeConfig(32))
+		if err != nil {
+			b.Fatal(err)
+		}
+		runExecuteBench(b, func() (*Schedule, error) {
+			return BuildHierarchical(HierarchicalConfig{Cluster: mn, Bytes: 64 << 20, Chained: true})
+		})
+	})
+}
+
+func runExecuteBench(b *testing.B, build func() (*Schedule, error)) {
+	s, err := build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := s.ExecuteCtx(ctx); err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.ExecuteCtx(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.NumTransfers()), "ns/transfer")
+}

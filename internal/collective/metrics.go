@@ -61,13 +61,14 @@ func (s *Schedule) reductionTransfers() []bool {
 	return red
 }
 
-// OverlapEfficiency measures the paper's C1 claim on an executed schedule:
+// overlapEfficiency measures the paper's C1 claim on an executed schedule:
 // the fraction of the reduction window — [first reduction-transfer start,
 // last reduction-transfer end] — during which at least one broadcast
 // transfer occupies a channel. The baseline double tree broadcasts only
 // after the reduction barrier, scoring ~0; the overlapped variants push
-// broadcast hops under the reduction and score well above it.
-func (s *Schedule) OverlapEfficiency(g *des.Graph, taskIDs []int) float64 {
+// broadcast hops under the reduction and score well above it. start and
+// end hold each transfer's executed window, indexed by transfer id.
+func (s *Schedule) overlapEfficiency(start, end []des.Time) float64 {
 	red := s.reductionTransfers()
 	var wStart, wEnd des.Time
 	haveWindow := false
@@ -75,12 +76,11 @@ func (s *Schedule) OverlapEfficiency(g *des.Graph, taskIDs []int) float64 {
 		if s.ops[i].Marker() || !red[i] {
 			continue
 		}
-		task := g.Task(taskIDs[i])
-		if !haveWindow || task.Start < wStart {
-			wStart = task.Start
+		if !haveWindow || start[i] < wStart {
+			wStart = start[i]
 		}
-		if !haveWindow || task.End > wEnd {
-			wEnd = task.End
+		if !haveWindow || end[i] > wEnd {
+			wEnd = end[i]
 		}
 		haveWindow = true
 	}
@@ -94,8 +94,7 @@ func (s *Schedule) OverlapEfficiency(g *des.Graph, taskIDs []int) float64 {
 		if s.ops[i].Marker() || red[i] {
 			continue
 		}
-		task := g.Task(taskIDs[i])
-		lo, hi := task.Start, task.End
+		lo, hi := start[i], end[i]
 		if lo < wStart {
 			lo = wStart
 		}
@@ -127,13 +126,13 @@ func (s *Schedule) OverlapEfficiency(g *des.Graph, taskIDs []int) float64 {
 }
 
 // publishExecutionMetrics records one execution's channel traffic, bandwidth
-// achievement, detour share, and overlap efficiency. Called from ExecuteOnCtx
-// only when collection is enabled: the aggregation allocates and must stay
-// off the disabled path.
-func (s *Schedule) publishExecutionMetrics(res []*des.Resource, g *des.Graph, taskIDs []int, total des.Time) {
+// achievement, detour share, and overlap efficiency, read off the run's
+// columns in f. Called after a completed run only when collection is
+// enabled: the aggregation allocates and must stay off the disabled path.
+func (s *Schedule) publishExecutionMetrics(f *des.Flat, total des.Time) {
 	mExecutions.Inc()
 
-	chBytes := make([]int64, len(res))
+	chBytes := make([]int64, len(f.Busy))
 	var totalBytes, detourBytes int64
 	for i := range s.ops {
 		op := &s.ops[i]
@@ -151,7 +150,7 @@ func (s *Schedule) publishExecutionMetrics(res []*des.Resource, g *des.Graph, ta
 		mDetourShare.Set(float64(detourBytes) / float64(totalBytes))
 	}
 
-	for i, r := range res {
+	for i, busy := range f.Busy {
 		if chBytes[i] == 0 {
 			continue
 		}
@@ -161,12 +160,12 @@ func (s *Schedule) publishExecutionMetrics(res []*des.Resource, g *des.Graph, ta
 		mChannelNominalBW.With(name).Set(ch.Bandwidth)
 		mChannelEffectiveBW.With(name).Set(ch.EffectiveBandwidth())
 		if total > 0 {
-			mChannelUtilization.With(name).Set(r.Utilization(total))
+			mChannelUtilization.With(name).Set(float64(busy) / float64(total))
 		}
-		if busy := r.BusyTime(); busy > 0 {
+		if busy > 0 {
 			mChannelAchievedBW.With(name).Set(float64(chBytes[i]) / busy.Seconds())
 		}
 	}
 
-	mOverlapEfficiency.Set(s.OverlapEfficiency(g, taskIDs))
+	mOverlapEfficiency.Set(s.overlapEfficiency(f.Start, f.End))
 }

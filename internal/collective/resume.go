@@ -56,47 +56,47 @@ func (cp *Checkpoint) Remap(oldToNew []int, n int) *Checkpoint {
 // checkpoint is an aborted run, not a result. Cancellation and other errors
 // return no checkpoint.
 func (s *Schedule) ExecuteCheckpointCtx(ctx context.Context, res []*des.Resource) (*Result, *Checkpoint, error) {
-	r, _, cp, err := s.execute(ctx, res)
+	if err := s.checkResources(res); err != nil {
+		return nil, nil, err
+	}
+	r, _, cp, err := s.execute(ctx, res, false)
 	return r, cp, err
 }
 
-// checkpointFrom reads the executed prefix out of an aborted graph run.
-// taskIDs[i] is the graph task embedding transfer i; at is the virtual time
-// the run reached (the makespan of the executed prefix).
-func (s *Schedule) checkpointFrom(g *des.Graph, taskIDs []int, res []*des.Resource, at des.Time) *Checkpoint {
+// checkpointFrom reads the executed prefix out of an aborted run of f; at is
+// the virtual time the run reached (the makespan of the executed prefix).
+// After a resumed run, f's executed prefix includes the checkpoint it
+// resumed from.
+func (s *Schedule) checkpointFrom(f *des.Flat, at des.Time) *Checkpoint {
 	cp := &Checkpoint{
 		At:       at,
 		Executed: make([]bool, len(s.ops)),
-		End:      make([]des.Time, len(s.ops)),
-		FreeAt:   make([]des.Time, len(res)),
+		End:      append([]des.Time(nil), f.End...),
+		FreeAt:   append([]des.Time(nil), f.FreeAt...),
 	}
-	for i, id := range taskIDs {
-		if id >= 0 && g.Done(id) {
+	for i := range s.ops {
+		if f.Done(i) {
 			cp.Executed[i] = true
-			cp.End[i] = g.End(id)
 			cp.NumExecuted++
 		}
-	}
-	for c, r := range res {
-		cp.FreeAt[c] = r.FreeAt()
 	}
 	return cp
 }
 
-// ResumeOnCtx continues a checkpointed run: only unexecuted transfers are
-// instantiated; a dependency on an executed transfer becomes an
-// earliest-start bound at its recorded completion time; and every channel
-// still carrying work gets a blocker task occupying it until the
-// checkpoint's FreeAt horizon, so the virtual clock — and with it every
-// resumed timestamp — stays absolute. The caller provides fresh resources
-// (re-armed with the fault plan's remaining breakpoints at their original
-// absolute times).
+// ResumeOnCtx continues a checkpointed run on the same run loop as
+// ExecuteCtx: executed transfers count as done at their recorded End; a
+// dependency on one becomes an earliest-start bound at that time; and every
+// channel starts busy until the checkpoint's FreeAt horizon, so the virtual
+// clock — and with it every resumed timestamp — stays absolute. The caller
+// provides fresh resources (re-armed with the fault plan's remaining
+// breakpoints at their original absolute times).
 //
 // On success the Result merges executed and resumed completion times, so
 // Total is directly comparable with an uninterrupted run of the same
-// schedule. A further resource fault returns a merged Checkpoint covering
-// both the old prefix and the newly executed transfers, enabling chained
-// adaptation under sustained churn.
+// schedule; its ChannelBusy counts the resumed transfers. A further
+// resource fault returns a merged Checkpoint covering both the old prefix
+// and the newly executed transfers, enabling chained adaptation under
+// sustained churn.
 func (s *Schedule) ResumeOnCtx(ctx context.Context, cp *Checkpoint, res []*des.Resource) (*Result, *Checkpoint, error) {
 	if cp == nil {
 		return nil, nil, fmt.Errorf("collective: resume without a checkpoint")
@@ -109,78 +109,24 @@ func (s *Schedule) ResumeOnCtx(ctx context.Context, cp *Checkpoint, res []*des.R
 		return nil, nil, fmt.Errorf("collective: %d resources / %d channel horizons for %d channels",
 			len(res), len(cp.FreeAt), s.Graph.NumChannels())
 	}
-	if s.builtFor != 0 {
-		if fp := s.Graph.Fingerprint(); fp != s.builtFor {
-			return nil, nil, &StaleScheduleError{Built: s.builtFor, Current: fp}
-		}
-	}
 
 	// Only the remaining transfers must ride healthy channels; the executed
 	// prefix may sit on a link that has since died — that is the whole point
-	// of resuming.
-	usedCh := make([]bool, len(res))
-	for i := range s.ops {
-		op := &s.ops[i]
-		if cp.Executed[i] || op.Marker() {
-			continue
-		}
-		ch := s.Graph.Channel(op.Channel)
-		if ch.Down() {
-			return nil, nil, &DeadChannelError{Transfer: i, Label: s.Label(i), Channel: op.Channel,
-				From: ch.From, To: ch.To}
-		}
-		usedCh[op.Channel] = true
+	// of resuming. fill checks exactly those.
+	f := des.GetFlat()
+	defer des.PutFlat(f)
+	if err := s.fill(f, res, cp); err != nil {
+		return nil, nil, err
 	}
-
-	g := des.NewGraph()
-	for c := range res {
-		if usedCh[c] && cp.FreeAt[c] > 0 {
-			// Occupy [0, FreeAt): work granted before the abort still holds
-			// the channel; resumed transfers queue behind it exactly as they
-			// would have in the uninterrupted run.
-			g.Add("resume/carryover", res[c], cp.FreeAt[c])
-		}
+	ready, err := s.readyIDs()
+	if err != nil {
+		return nil, nil, err
 	}
-	ids := make([]int, len(s.ops))
-	var deps []int
-	for i := range s.ops {
-		op := &s.ops[i]
-		ids[i] = -1
-		if cp.Executed[i] {
-			continue
-		}
-		var r *des.Resource
-		var d des.Time
-		if !op.Marker() {
-			ch := s.Graph.Channel(op.Channel)
-			r = res[op.Channel]
-			d = ch.TransferTime(op.Bytes)
-			if op.NoAlpha {
-				d -= ch.Latency
-			}
-		}
-		deps = deps[:0]
-		var earliest des.Time
-		for _, dep := range op.Deps {
-			if cp.Executed[dep] {
-				if cp.End[dep] > earliest {
-					earliest = cp.End[dep]
-				}
-			} else {
-				deps = append(deps, ids[dep])
-			}
-		}
-		ids[i] = g.Add(op.Kind(), r, d, deps...)
-		if earliest > 0 {
-			g.SetEarliest(ids[i], earliest)
-		}
-	}
-
-	total, err := g.RunCtx(ctx)
+	total, err := s.run(ctx, f)
 	if err != nil {
 		var fe *des.FaultError
 		if errors.As(err, &fe) {
-			return nil, s.mergeCheckpoint(cp, g, ids, res, total), fmt.Errorf("collective: resumed execution aborted: %w", err)
+			return nil, s.checkpointFrom(f, max(total, cp.At)), fmt.Errorf("collective: resumed execution aborted: %w", err)
 		}
 		var ce *des.CanceledError
 		if errors.As(err, &ce) {
@@ -188,100 +134,11 @@ func (s *Schedule) ResumeOnCtx(ctx context.Context, cp *Checkpoint, res []*des.R
 		}
 		return nil, nil, fmt.Errorf("collective: resumed execution aborted: %w", err)
 	}
-
-	end := func(i int) des.Time {
+	total = max(total, cp.At)
+	for i := range s.ops {
 		if cp.Executed[i] {
-			return cp.End[i]
-		}
-		return g.End(ids[i])
-	}
-	if total < cp.At {
-		total = cp.At
-	}
-	for i := range s.ops {
-		if cp.Executed[i] && cp.End[i] > total {
-			total = cp.End[i]
+			total = max(total, cp.End[i])
 		}
 	}
-
-	idx := s.nodeIndex()
-	k := s.Partition.NumChunks()
-	ready := make([][]des.Time, len(s.Nodes))
-	seen := make([][]bool, len(s.Nodes))
-	for i := range ready {
-		ready[i] = make([]des.Time, k)
-		seen[i] = make([]bool, k)
-	}
-	for i := range s.ops {
-		op := &s.ops[i]
-		if op.Final < 0 {
-			continue
-		}
-		ni := idx.of(op.Final)
-		if ni < 0 {
-			return nil, nil, fmt.Errorf("collective: final node %d not a participant", op.Final)
-		}
-		// Last final wins, matching Instantiate's overwrite semantics.
-		ready[ni][op.Chunk] = end(i)
-		seen[ni][op.Chunk] = true
-	}
-	done := make([]des.Time, k)
-	for c := 0; c < k; c++ {
-		for i := range ready {
-			if !seen[i][c] {
-				return nil, nil, fmt.Errorf("collective: chunk %d never becomes ready at node %v", c, s.Nodes[i])
-			}
-			if ready[i][c] > done[c] {
-				done[c] = ready[i][c]
-			}
-		}
-	}
-	for _, r := range res {
-		if err := r.ValidateSerialized(); err != nil {
-			return nil, nil, err
-		}
-	}
-	return &Result{
-		Total:      total,
-		ChunkReady: ready,
-		ChunkDone:  done,
-		Turnaround: done[0],
-		Resources:  res,
-		Partition:  s.Partition,
-		InOrder:    s.InOrder,
-	}, nil, nil
-}
-
-// mergeCheckpoint folds a resumed run's newly executed transfers into the
-// checkpoint it started from, producing the checkpoint for the next round
-// of adaptation.
-func (s *Schedule) mergeCheckpoint(cp *Checkpoint, g *des.Graph, ids []int, res []*des.Resource, at des.Time) *Checkpoint {
-	out := &Checkpoint{
-		At:       at,
-		Executed: append([]bool(nil), cp.Executed...),
-		End:      append([]des.Time(nil), cp.End...),
-		FreeAt:   make([]des.Time, len(res)),
-	}
-	if out.At < cp.At {
-		out.At = cp.At
-	}
-	for i := range s.ops {
-		if !out.Executed[i] && ids[i] >= 0 && g.Done(ids[i]) {
-			out.Executed[i] = true
-			out.End[i] = g.End(ids[i])
-		}
-	}
-	for i := range out.Executed {
-		if out.Executed[i] {
-			out.NumExecuted++
-		}
-	}
-	for c, r := range res {
-		f := r.FreeAt()
-		if f < cp.FreeAt[c] {
-			f = cp.FreeAt[c]
-		}
-		out.FreeAt[c] = f
-	}
-	return out
+	return s.result(f, ready, total), nil, nil
 }

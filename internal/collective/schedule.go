@@ -175,12 +175,21 @@ type Result struct {
 	// first chunk is available at every node.
 	Turnaround des.Time
 
-	// Resources holds one entry per topology channel, with recorded
-	// occupancy, for utilization analysis and serialization checks.
-	Resources []*des.Resource
+	// ChannelBusy[c] is the time channel c was occupied during the run
+	// (index = topology.ChannelID), for utilization analysis.
+	ChannelBusy []des.Time
 
 	Partition chunk.Partition
 	InOrder   bool
+}
+
+// Utilization returns the fraction of the run channel ch was occupied (0
+// for an empty run).
+func (r *Result) Utilization(ch topology.ChannelID) float64 {
+	if r.Total <= 0 {
+		return 0
+	}
+	return float64(r.ChannelBusy[ch]) / float64(r.Total)
 }
 
 // Bandwidth returns the achieved AllReduce bandwidth in bytes/second
@@ -200,8 +209,6 @@ type Instantiation struct {
 	// ReadyTask[i][c] is the graph task id whose End makes chunk c available
 	// at Schedule.Nodes[i].
 	ReadyTask [][]int
-	// TaskIDs maps transfer index to graph task id.
-	TaskIDs []int
 }
 
 // Instantiate adds the schedule's transfers to an existing des.Graph using
@@ -295,40 +302,59 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 			}
 		}
 	}
-	return &Instantiation{ReadyTask: readyTask, TaskIDs: ids}, nil
+	return &Instantiation{ReadyTask: readyTask}, nil
 }
 
-// ExecuteCtx runs the schedule on the discrete-event engine over fresh
-// channel resources and returns timing. A request deadline (or explicit
-// cancel) aborts the run at its next task-pop checkpoint with a wrapped
-// *des.CanceledError.
+// ExecuteCtx runs the schedule on the discrete-event engine and returns
+// timing. It runs straight from the schedule's ops, with no named channel
+// resources and no occupancy log; Result.ChannelBusy still sums each
+// channel's occupancy. A request deadline (or explicit cancel) aborts the
+// run at its next task-pop checkpoint with a wrapped *des.CanceledError.
 func (s *Schedule) ExecuteCtx(ctx context.Context) (*Result, error) {
-	r, _, err := s.ExecuteOnCtx(ctx, s.Graph.Resources())
+	r, _, _, err := s.execute(ctx, nil, false)
 	return r, err
 }
 
 // ExecuteOnCtx is ExecuteCtx over caller-provided channel resources (index =
 // ChannelID), additionally returning the executed task graph for timeline
-// export (see internal/trace). It is the entry point for fault injection:
-// the caller may arm resources with SetSlowdownAt/FailAt breakpoints before
-// the run, and a failed resource surfaces as a wrapped *des.FaultError,
-// never a panic. Cancellation surfaces as a wrapped *des.CanceledError
-// (which unwraps further to the context error).
+// export (see internal/trace): task i is transfer i, named by its kind. Each
+// resource logs its occupancy intervals. It is the entry point for fault
+// injection: the caller may arm resources with SetSlowdownAt/FailAt
+// breakpoints before the run, and a failed resource surfaces as a wrapped
+// *des.FaultError, never a panic. Cancellation surfaces as a wrapped
+// *des.CanceledError (which unwraps further to the context error).
 func (s *Schedule) ExecuteOnCtx(ctx context.Context, res []*des.Resource) (*Result, *des.Graph, error) {
-	r, g, _, err := s.execute(ctx, res)
+	if err := s.checkResources(res); err != nil {
+		return nil, nil, err
+	}
+	r, g, _, err := s.execute(ctx, res, true)
 	return r, g, err
 }
 
-// execute is the run loop behind ExecuteOnCtx and ExecuteCheckpointCtx: it
-// instantiates the schedule into a fresh task graph over res and runs it.
-// A resource fault additionally yields a checkpoint of the executed prefix.
-func (s *Schedule) execute(ctx context.Context, res []*des.Resource) (*Result, *des.Graph, *Checkpoint, error) {
-	g := des.NewGraph()
-	inst, err := s.Instantiate(g, res, -1)
+// checkResources requires one caller resource per channel.
+func (s *Schedule) checkResources(res []*des.Resource) error {
+	if len(res) != s.Graph.NumChannels() {
+		return fmt.Errorf("collective: %d resources for %d channels", len(res), s.Graph.NumChannels())
+	}
+	return nil
+}
+
+// execute is the run behind ExecuteCtx, ExecuteOnCtx and
+// ExecuteCheckpointCtx: it fills a pooled des.Flat from the ops, runs it,
+// and reads the Result off its columns. res, when non-nil, binds one
+// resource per channel. A resource fault additionally yields a checkpoint
+// of the executed prefix; export also returns the run as a des.Graph.
+func (s *Schedule) execute(ctx context.Context, res []*des.Resource, export bool) (*Result, *des.Graph, *Checkpoint, error) {
+	f := des.GetFlat()
+	defer des.PutFlat(f)
+	if err := s.fill(f, res, nil); err != nil {
+		return nil, nil, nil, err
+	}
+	ready, err := s.readyIDs()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	total, err := g.RunCtx(ctx)
+	total, err := s.run(ctx, f)
 	if err != nil {
 		var ce *des.CanceledError
 		if errors.As(err, &ce) {
@@ -337,54 +363,166 @@ func (s *Schedule) execute(ctx context.Context, res []*des.Resource) (*Result, *
 		var cp *Checkpoint
 		var fe *des.FaultError
 		if errors.As(err, &fe) {
-			cp = s.checkpointFrom(g, inst.TaskIDs, res, total)
+			cp = s.checkpointFrom(f, total)
 		}
 		return nil, nil, cp, fmt.Errorf("collective: execution aborted: %w", err)
 	}
-	r, err := s.buildResult(g, inst, res, total)
-	if err != nil {
-		return nil, nil, nil, err
+	r := s.result(f, ready, total)
+	if metrics.Default.Enabled() {
+		s.publishExecutionMetrics(f, total)
+	}
+	var g *des.Graph
+	if export {
+		g = des.NewGraph()
+		if _, err := s.Instantiate(g, res, -1); err != nil {
+			return nil, nil, nil, err
+		}
+		g.Load(f)
 	}
 	return r, g, nil, nil
 }
 
-// buildResult assembles the Result of a completed run: per-(node, chunk)
-// readiness from the instantiation's final tasks, serialization validation,
-// and metrics.
-func (s *Schedule) buildResult(g *des.Graph, inst *Instantiation, res []*des.Resource, total des.Time) (*Result, error) {
-	k := s.Partition.NumChunks()
-	ready := make([][]des.Time, len(s.Nodes))
-	for i := range ready {
-		ready[i] = make([]des.Time, k)
-		for c, id := range inst.ReadyTask[i] {
-			ready[i][c] = g.End(id)
+// fill writes the schedule into f: transfer i is task i, on resource
+// op.Channel (−1 for markers) for its alpha-beta transfer time, with one
+// successor edge per dependency. res, when non-nil, is bound one resource
+// per channel. cp, when non-nil, is a checkpoint to resume from: its
+// executed transfers count as done at their recorded End, a dependency on
+// one becomes an earliest-start bound, and each channel starts busy until
+// the checkpoint's FreeAt.
+//
+// fill checks what a run needs before it starts — the topology fingerprint
+// and healthy channels under the transfers still to run. It allocates
+// nothing once f's columns have grown.
+func (s *Schedule) fill(f *des.Flat, res []*des.Resource, cp *Checkpoint) error {
+	if s.builtFor != 0 {
+		if fp := s.Graph.Fingerprint(); fp != s.builtFor {
+			return &StaleScheduleError{Built: s.builtFor, Current: fp}
 		}
 	}
+	f.Reset(len(s.ops), s.Graph.NumChannels())
+	for c, r := range res {
+		f.Bind(c, r)
+		if cp != nil {
+			f.FreeAt[c] = max(f.FreeAt[c], cp.FreeAt[c])
+		}
+	}
+	for i := range s.ops {
+		op := &s.ops[i]
+		f.Dur[i], f.Res[i] = 0, -1
+		if cp != nil && cp.Executed[i] {
+			f.Pending[i] = -1
+			f.End[i] = cp.End[i]
+			continue
+		}
+		var pending int32
+		var earliest des.Time
+		for _, d := range op.Deps {
+			if cp != nil && cp.Executed[d] {
+				earliest = max(earliest, cp.End[d])
+				continue
+			}
+			pending++
+			f.CountSucc(d)
+		}
+		f.Pending[i] = pending
+		if earliest > 0 {
+			f.SetEarliest(i, earliest)
+		}
+		if op.Marker() {
+			continue
+		}
+		ch := s.Graph.Channel(op.Channel)
+		if ch.Down() {
+			return &DeadChannelError{Transfer: i, Label: s.Label(i), Channel: op.Channel,
+				From: ch.From, To: ch.To}
+		}
+		f.Dur[i] = ch.TransferTime(op.Bytes)
+		if op.NoAlpha {
+			f.Dur[i] -= ch.Latency
+		}
+		f.Res[i] = int32(op.Channel)
+	}
+	f.Link()
+	for i := range s.ops {
+		if f.Pending[i] < 0 {
+			continue
+		}
+		for _, d := range s.ops[i].Deps {
+			if f.Pending[d] >= 0 {
+				f.AddSucc(d, i)
+			}
+		}
+	}
+	return nil
+}
+
+// readyIDs returns the ChunkReady matrix holding, for now, the transfer id
+// whose End makes each chunk ready at each node (the last final wins); it
+// fails unless every (node, chunk) has a final.
+func (s *Schedule) readyIDs() ([][]des.Time, error) {
+	idx := s.nodeIndex()
+	k := s.Partition.NumChunks()
+	ready := make([][]des.Time, len(s.Nodes))
+	cells := make([]des.Time, len(s.Nodes)*k)
+	for i := range ready {
+		ready[i] = cells[i*k : (i+1)*k : (i+1)*k]
+	}
+	for i := range cells {
+		cells[i] = -1
+	}
+	for i := range s.ops {
+		op := &s.ops[i]
+		if op.Final < 0 {
+			continue
+		}
+		ni := idx.of(op.Final)
+		if ni < 0 {
+			return nil, fmt.Errorf("collective: final node %d not a participant", op.Final)
+		}
+		ready[ni][op.Chunk] = des.Time(i)
+	}
+	for i := range ready {
+		for c, id := range ready[i] {
+			if id < 0 {
+				return nil, fmt.Errorf("collective: chunk %d never becomes ready at node %v", c, s.Nodes[i])
+			}
+		}
+	}
+	return ready, nil
+}
+
+// run executes a filled Flat, naming a refused transfer by its kind.
+func (s *Schedule) run(ctx context.Context, f *des.Flat) (des.Time, error) {
+	total, err := f.RunCtx(ctx)
+	if fe, ok := err.(*des.FaultError); ok {
+		fe.Faults[0].Label = s.ops[fe.Faults[0].TaskID].Kind()
+	}
+	return total, err
+}
+
+// result assembles the Result of a completed run from f's columns: ready
+// holds, per (node, chunk), the transfer whose End makes the chunk ready
+// (see readyIDs) and becomes ChunkReady.
+func (s *Schedule) result(f *des.Flat, ready [][]des.Time, total des.Time) *Result {
+	k := s.Partition.NumChunks()
 	done := make([]des.Time, k)
-	for c := 0; c < k; c++ {
-		for i := range ready {
+	for i := range ready {
+		for c, id := range ready[i] {
+			ready[i][c] = f.End[id]
 			if ready[i][c] > done[c] {
 				done[c] = ready[i][c]
 			}
 		}
 	}
-	for _, r := range res {
-		if err := r.ValidateSerialized(); err != nil {
-			return nil, err
-		}
-	}
-	if metrics.Default.Enabled() {
-		s.publishExecutionMetrics(res, g, inst.TaskIDs, total)
-	}
 	return &Result{
-		Total:      total,
-		ChunkReady: ready,
-		ChunkDone:  done,
-		Turnaround: done[0],
-		Resources:  res,
-		Partition:  s.Partition,
-		InOrder:    s.InOrder,
-	}, nil
+		Total:       total,
+		ChunkReady:  ready,
+		ChunkDone:   done,
+		Turnaround:  done[0],
+		ChannelBusy: append([]des.Time(nil), f.Busy...),
+		Partition:   s.Partition,
+		InOrder:     s.InOrder,
+	}
 }
 
 // ExecuteData runs the schedule's data semantics over per-node input vectors

@@ -303,3 +303,61 @@ func TestZeroEventHandleIsInert(t *testing.T) {
 		t.Fatalf("zero handle At() = %v", h.At())
 	}
 }
+
+// TestFlatRunZeroAllocSteadyState is the alloc gate for the one run loop: a
+// warm Flat — columns, successor CSR and radix queue already grown — refilled
+// and run again over a cancellable context allocates nothing, with a bound
+// resource (slowdown plan, occupancy log) and with unbound ones, and with
+// metrics collection on.
+func TestFlatRunZeroAllocSteadyState(t *testing.T) {
+	metrics.Default.Enable()
+	t.Cleanup(func() {
+		metrics.Default.Disable()
+		metrics.Default.Reset()
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const links, chunks = 4, 64
+	bound := NewResource("link0")
+	bound.SetSlowdownAt(500, 2)
+	bound.Prealloc(chunks)
+	f := new(Flat)
+	cycle := func() {
+		bound.Reset()
+		f.Reset(links*chunks+1, links)
+		f.Bind(0, bound)
+		for l := 0; l < links; l++ {
+			for c := 0; c < chunks; c++ {
+				id := l*chunks + c
+				f.Dur[id], f.Res[id], f.Pending[id] = Time(10+c%3), int32(l), 0
+				if l > 0 {
+					f.Pending[id] = 1
+					f.CountSucc(id - chunks)
+				}
+			}
+		}
+		join := links * chunks
+		f.Dur[join], f.Res[join], f.Pending[join] = 0, -1, chunks
+		for c := 0; c < chunks; c++ {
+			f.CountSucc((links-1)*chunks + c)
+		}
+		f.Link()
+		for id := chunks; id < join; id++ {
+			f.AddSucc(id-chunks, id)
+		}
+		for c := 0; c < chunks; c++ {
+			f.AddSucc((links-1)*chunks+c, join)
+		}
+		f.SetEarliest(3, 40)
+		if _, err := f.RunCtx(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // warm up: grow the columns, the queue and the interval log once
+	if allocs := testing.AllocsPerRun(50, cycle); allocs > steadyStateAllocBudget {
+		t.Fatalf("warm Flat run allocates %.1f/op, budget %d", allocs, steadyStateAllocBudget)
+	}
+	if len(bound.Busy()) != chunks || mTasksExecuted.Value() == 0 {
+		t.Fatalf("run logged %d grants on the bound link, executed %d tasks", len(bound.Busy()), mTasksExecuted.Value())
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -125,5 +126,20 @@ func TestGraphRunErrSurfacesFault(t *testing.T) {
 	}
 	if fe.Error() == "" {
 		t.Fatal("empty error string")
+	}
+}
+
+// TestGrantThatWouldOverlapIsAnError pins the grant-time serialization
+// check: a grant whose end overflows past its start (so the next grant on
+// the resource could start inside it) fails the run with an error instead
+// of logging an overlapping interval.
+func TestGrantThatWouldOverlapIsAnError(t *testing.T) {
+	g := NewGraph()
+	r := NewResource("link")
+	a := g.Add("a", r, 10)
+	g.Add("b", r, math.MaxInt64, a)
+	_, err := g.RunCtx(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "ends before it starts") {
+		t.Fatalf("overflowing grant: err = %v", err)
 	}
 }

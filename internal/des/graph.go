@@ -20,11 +20,9 @@ type Task struct {
 	Start Time // when the resource was granted
 	End   Time // Start + Duration (after resource slowdown)
 
-	deps      int // remaining unfinished dependencies
-	depsTotal int
-	scheduled bool
-	done      bool
-	earliest  Time // lower bound on readiness independent of deps
+	deps     int // declared dependencies
+	done     bool
+	earliest Time // lower bound on readiness independent of deps
 }
 
 // Graph is a DAG of Tasks executed over serialized Resources. Build it once,
@@ -35,106 +33,46 @@ type Task struct {
 // append, not a heap allocation per task (use Reserve when the count is
 // known). The *Task pointers returned by Task are therefore only stable
 // once construction is done: hold ids, not pointers, while still adding.
-// Dependency edges accumulate in one flat list and are compiled into a CSR
-// adjacency at run time, so a task's dependent fan-out costs no per-task
-// slice.
+// Dependency edges accumulate in one flat list; RunCtx compiles tasks and
+// edges into the columns of the graph's Flat and runs the one run loop
+// there.
 type Graph struct {
 	tasks []Task
 	edges []depEdge // (pred, succ) in insertion order
-	// CSR adjacency compiled by RunCtx: dependents of task i are
-	// depAdj[depOff[i-1]:depOff[i]] (depOff[-1] treated as 0), preserving
-	// per-pred insertion order for deterministic scheduling.
-	depOff []int32
-	depAdj []int32
-	ready  []int32 // ready-heap scratch, reused across Reset/run cycles
-	ran    bool
+	flat  *Flat     // run scratch, kept across Reset/run cycles
+	ran   bool
 }
 
 type depEdge struct{ pred, succ int32 }
-
-// dependents returns task id's successors; valid after buildAdjacency.
-func (g *Graph) dependents(id int32) []int32 {
-	var start int32
-	if id > 0 {
-		start = g.depOff[id-1]
-	}
-	return g.depAdj[start:g.depOff[id]]
-}
-
-// buildAdjacency compiles the flat edge list into the CSR arrays: a counting
-// sort by predecessor, stable in insertion order. depOff doubles as the fill
-// cursor — after the forward fill, depOff[i] has advanced from task i's
-// start offset to its end offset, which is exactly the convention
-// dependents() reads.
-func (g *Graph) buildAdjacency() {
-	if cap(g.depOff) >= len(g.tasks) {
-		g.depOff = g.depOff[:len(g.tasks)]
-		for i := range g.depOff {
-			g.depOff[i] = 0
-		}
-	} else {
-		g.depOff = make([]int32, len(g.tasks)) // prealloc: exact CSR offset table
-	}
-	for _, e := range g.edges {
-		g.depOff[e.pred]++
-	}
-	var sum int32
-	for i := range g.depOff {
-		c := g.depOff[i]
-		g.depOff[i] = sum // start offset of task i
-		sum += c
-	}
-	if cap(g.depAdj) >= len(g.edges) {
-		g.depAdj = g.depAdj[:len(g.edges)]
-	} else {
-		g.depAdj = make([]int32, len(g.edges)) // prealloc: exact CSR payload
-	}
-	for _, e := range g.edges {
-		g.depAdj[g.depOff[e.pred]] = e.succ
-		g.depOff[e.pred]++
-	}
-}
 
 // NewGraph returns an empty task graph.
 func NewGraph() *Graph { return &Graph{} }
 
 // Reserve preallocates capacity for n tasks, so the following Adds don't
-// grow the slice — and sizes the run-time scratch (CSR offset table, ready
-// heap) that scales with the task count, so a reserved graph runs without
-// growing those either. Schedule instantiation knows its task count up front.
+// grow the slice. Schedule instantiation knows its task count up front.
 func (g *Graph) Reserve(n int) {
 	if cap(g.tasks)-len(g.tasks) < n {
 		grown := make([]Task, len(g.tasks), len(g.tasks)+n) // prealloc: sizing the task store once
 		copy(grown, g.tasks)
 		g.tasks = grown
 	}
-	if cap(g.depOff) < cap(g.tasks) {
-		g.depOff = make([]int32, 0, cap(g.tasks)) // prealloc: sizing the CSR offset table once
-	}
-	if cap(g.ready) < cap(g.tasks) {
-		g.ready = make([]int32, 0, cap(g.tasks)) // prealloc: sizing the ready heap once
-	}
 }
 
-// ReserveEdges preallocates capacity for n additional dependency edges (the
-// flat edge list plus the CSR payload compiled at run time), so edge-heavy
-// schedules declare and compile dependencies without growing either array.
+// ReserveEdges preallocates capacity for n additional dependency edges, so
+// edge-heavy schedules declare dependencies without growing the list.
 func (g *Graph) ReserveEdges(n int) {
 	if cap(g.edges)-len(g.edges) < n {
 		grown := make([]depEdge, len(g.edges), len(g.edges)+n) // prealloc: sizing the edge list once
 		copy(grown, g.edges)
 		g.edges = grown
 	}
-	if cap(g.depAdj) < len(g.edges)+n {
-		g.depAdj = make([]int32, 0, len(g.edges)+n) // prealloc: sizing the CSR payload once
-	}
 }
 
 // Reset returns the graph to the empty, never-ran state while keeping every
-// backing allocation — task store, edge list, CSR arrays, ready-heap scratch
-// — so a caller rebuilding a same-shape graph reuses the warm capacity
-// instead of reallocating it. Resources are not touched; reset them
-// separately if they are reused too.
+// backing allocation — task store, edge list and run scratch — so a caller
+// rebuilding a same-shape graph reuses the warm capacity instead of
+// reallocating it.
+// Resources are not touched; reset them separately if they are reused too.
 func (g *Graph) Reset() {
 	g.tasks = g.tasks[:0]
 	g.edges = g.edges[:0]
@@ -177,7 +115,6 @@ func (g *Graph) AddDeps(id int, deps ...int) {
 		}
 		g.edges = append(g.edges, depEdge{pred: int32(d), succ: int32(id)}) // amortized: one flat list for all edges
 		t.deps++
-		t.depsTotal++
 	}
 }
 
@@ -188,56 +125,6 @@ func (g *Graph) SetEarliest(id int, t Time) {
 		panic("des: mutating a graph that already ran")
 	}
 	g.tasks[id].earliest = t
-}
-
-// The ready queue is a hand-rolled binary min-heap of task ids ordered by
-// (ready time, id) for deterministic FIFO grants — ids rather than pointers,
-// and manual sifting rather than container/heap, to keep RunCtx's inner loop
-// free of interface dispatch.
-
-func readyLess(tasks []Task, a, b int32) bool {
-	if tasks[a].Ready != tasks[b].Ready {
-		return tasks[a].Ready < tasks[b].Ready
-	}
-	return a < b
-}
-
-func readyPush(tasks []Task, h []int32, id int32) []int32 {
-	h = append(h, id) // amortized: RunCtx preallocates full capacity
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !readyLess(tasks, h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	return h
-}
-
-func readyPop(tasks []Task, h []int32) (int32, []int32) {
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		min := l
-		if r := l + 1; r < n && readyLess(tasks, h[r], h[l]) {
-			min = r
-		}
-		if !readyLess(tasks, h[min], h[i]) {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	return top, h
 }
 
 // TaskFault identifies one task refused by its failed resource.
@@ -277,102 +164,80 @@ func (e *FaultError) Error() string {
 //     nothing.
 //
 // Either way the graph counts as ran. Dependency cycles panic — they are
-// construction bugs, not faults.
+// construction bugs, not faults. The run itself is Flat.RunCtx over the
+// graph compiled into its Flat; the times are copied back into the tasks.
 func (g *Graph) RunCtx(ctx context.Context) (Time, error) {
 	if g.ran {
 		panic("des: graph ran twice")
 	}
 	g.ran = true
-	g.buildAdjacency()
-	done := ctx.Done()
-
-	ready := g.ready[:0]
-	if cap(ready) < len(g.tasks) {
-		ready = make([]int32, 0, len(g.tasks)) // prealloc: every task enters the heap at most once
+	if g.flat == nil {
+		g.flat = new(Flat)
 	}
-	g.ready = ready // retain the backing array for the next Reset/run cycle
+	f := g.flat
+	g.compile(f)
+	makespan, err := f.RunCtx(ctx)
+	g.Load(f)
+	if fe, ok := err.(*FaultError); ok {
+		fe.Faults[0].Label = g.tasks[fe.Faults[0].TaskID].Label
+	}
+	return makespan, err
+}
+
+// compile writes the graph into f: one task column entry per task, one
+// resource index per distinct Resource (bound, so its plan applies and its
+// occupancy is logged), and the successor CSR in edge insertion order.
+func (g *Graph) compile(f *Flat) {
+	for i := range g.tasks {
+		if r := g.tasks[i].Resource; r != nil {
+			r.slot = -1
+		}
+	}
+	var nres int32
+	for i := range g.tasks {
+		if r := g.tasks[i].Resource; r != nil && r.slot < 0 {
+			r.slot = nres
+			nres++
+		}
+	}
+	f.Reset(len(g.tasks), int(nres))
 	for i := range g.tasks {
 		t := &g.tasks[i]
-		if t.deps == 0 {
-			t.Ready = t.earliest
-			t.scheduled = true
-			ready = readyPush(g.tasks, ready, int32(i))
+		f.Dur[i] = t.Duration
+		f.Pending[i] = int32(t.deps)
+		f.Res[i] = -1
+		if r := t.Resource; r != nil {
+			f.Res[i] = r.slot
+			f.Bind(int(r.slot), r)
+		}
+		if t.earliest != 0 {
+			f.SetEarliest(i, t.earliest)
 		}
 	}
+	for _, e := range g.edges {
+		f.CountSucc(int(e.pred))
+	}
+	f.Link()
+	for _, e := range g.edges {
+		f.AddSucc(int(e.pred), int(e.succ))
+	}
+}
 
-	var makespan Time
-	executed := 0
-	maxReadyDepth := len(ready)
-	for len(ready) > 0 {
-		if done != nil {
-			select {
-			case <-done:
-				mTasksExecuted.Add(int64(executed))
-				mReadyDepthMax.SetMax(float64(maxReadyDepth))
-				return makespan, &CanceledError{
-					At:        makespan,
-					Executed:  executed,
-					Remaining: len(g.tasks) - executed,
-					Cause:     context.Cause(ctx),
-				}
-			default:
-			}
-		}
-		if len(ready) > maxReadyDepth {
-			maxReadyDepth = len(ready)
-		}
-		var id int32
-		id, ready = readyPop(g.tasks, ready)
-		t := &g.tasks[id]
-		if t.Resource != nil {
-			start, end, err := t.Resource.reserve(t.Ready, t.Duration, t.ID)
-			if err != nil {
-				ref := err.(*refusal)
-				mTasksExecuted.Add(int64(executed))
-				mReadyDepthMax.SetMax(float64(maxReadyDepth))
-				return makespan, &FaultError{
-					Faults: []TaskFault{{
-						TaskID:   t.ID,
-						Label:    t.Label,
-						Resource: ref.Resource,
-						At:       ref.At,
-						FailedAt: ref.FailedAt,
-					}},
-					Executed: executed,
-					Total:    len(g.tasks),
-				}
-			}
-			t.Start, t.End = start, end
-		} else {
-			t.Start = t.Ready
-			t.End = t.Start + t.Duration
-		}
-		t.done = true
-		executed++
-		if t.End > makespan {
-			makespan = t.End
-		}
-		for _, did := range g.dependents(id) {
-			d := &g.tasks[did]
-			if t.End > d.Ready {
-				d.Ready = t.End
-			}
-			d.deps--
-			if d.deps == 0 {
-				if d.earliest > d.Ready {
-					d.Ready = d.earliest
-				}
-				d.scheduled = true
-				ready = readyPush(g.tasks, ready, int32(did))
-			}
-		}
+// Load records a run of f as the graph's outcome and marks the graph ran:
+// task i takes f's Ready, Start and End for task i and counts as done when
+// f ran it. f must hold the graph's tasks under the same ids — compiled by
+// RunCtx, or filled by a caller that ran the same tasks straight from its
+// own representation and wants them as a Graph (for timeline export).
+func (g *Graph) Load(f *Flat) {
+	if len(f.Dur) != len(g.tasks) {
+		panic(fmt.Sprintf("des: loading a run of %d tasks into a graph of %d", len(f.Dur), len(g.tasks)))
 	}
-	if executed != len(g.tasks) {
-		panic(fmt.Sprintf("des: dependency cycle: %d of %d tasks executed", executed, len(g.tasks)))
+	g.ran = true
+	for i := range g.tasks {
+		t := &g.tasks[i]
+		t.Ready, t.Start, t.End = f.Ready[i], f.Start[i], f.End[i]
+		t.done = f.Done(i)
 	}
-	mTasksExecuted.Add(int64(executed))
-	mReadyDepthMax.SetMax(float64(maxReadyDepth))
-	return makespan, nil
 }
 
 // Ran reports whether RunCtx has executed.
@@ -400,36 +265,48 @@ func (g *Graph) Makespan() Time {
 
 // CriticalPath returns one chain of task ids ending at the makespan task,
 // following, at each step, the dependency whose End equals the task's Ready
-// time. Useful for explaining where time went in an experiment.
+// time (the first such dependency in declaration order). Useful for
+// explaining where time went in an experiment.
 func (g *Graph) CriticalPath() []int {
 	if len(g.tasks) == 0 {
 		return nil
 	}
 	// Find the makespan task.
-	last := &g.tasks[0]
-	for i := range g.tasks[1:] {
-		if t := &g.tasks[i+1]; t.End > last.End {
-			last = t
+	last := 0
+	for i := range g.tasks {
+		if g.tasks[i].End > g.tasks[last].End {
+			last = i
 		}
 	}
-	// Build reverse dependency lists lazily: find, for each task on the path,
-	// a predecessor that determined its readiness.
-	prev := make(map[int][]int, len(g.tasks))
+	// The predecessor view: a counting sort of the edge list by successor,
+	// stable in declaration order, so task i's dependencies are
+	// pred[off[i]:off[i+1]].
+	off := make([]int32, len(g.tasks)+1)
 	for _, e := range g.edges {
-		prev[int(e.succ)] = append(prev[int(e.succ)], int(e.pred))
+		off[e.succ+1]++
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	pred := make([]int32, len(g.edges))
+	next := make([]int32, len(g.tasks))
+	copy(next, off)
+	for _, e := range g.edges {
+		pred[next[e.succ]] = e.pred
+		next[e.succ]++
 	}
 	var path []int
 	cur := last
 	for {
-		path = append(path, cur.ID)
-		var next *Task
-		for _, pid := range prev[cur.ID] {
-			if p := &g.tasks[pid]; p.End == cur.Ready {
-				next = p
+		path = append(path, cur)
+		next := -1
+		for _, p := range pred[off[cur]:off[cur+1]] {
+			if g.tasks[p].End == g.tasks[cur].Ready {
+				next = int(p)
 				break
 			}
 		}
-		if next == nil {
+		if next < 0 {
 			break
 		}
 		cur = next

@@ -18,9 +18,9 @@ var (
 	mPoolAlloc = metrics.Default.Counter("des_event_pool_alloc_total",
 		"event records allocated because the free list was empty")
 	mTasksExecuted = metrics.Default.Counter("des_tasks_executed_total",
-		"graph tasks completed by Graph.RunCtx")
+		"tasks completed by the DES run loop")
 	mReadyDepthMax = metrics.Default.Gauge("des_ready_queue_depth_max",
-		"high-water mark of the ready-task heap across runs")
+		"high-water mark of the ready-task queue across runs")
 	mResourceBusyNS = metrics.Default.Counter("des_resource_busy_ns_total",
-		"virtual nanoseconds of resource occupancy granted by reserve")
+		"virtual nanoseconds of resource occupancy granted by the run loop")
 )

@@ -42,6 +42,10 @@ type Resource struct {
 	// any reservation that would start at or after failAt is refused.
 	failAt  Time
 	hasFail bool
+
+	// slot is the resource's index in the Flat a Graph run compiles into;
+	// only meaningful while that run is being compiled.
+	slot int32
 }
 
 // NewResource returns an idle resource with no slowdown.
@@ -88,8 +92,8 @@ func (r *Resource) SetSlowdownAt(at Time, factor float64) {
 }
 
 // FailAt schedules the resource's death: any reservation starting at or
-// after `at` is refused with a structured error (Graph.RunCtx surfaces it as
-// a FaultError). A reservation already started when the failure hits runs to
+// after `at` is refused with a structured error (the run surfaces it as a
+// FaultError). A reservation already started when the failure hits runs to
 // completion — links fail between transfers, not mid-flit, in this model.
 func (r *Resource) FailAt(at Time) {
 	if at < 0 {
@@ -123,33 +127,19 @@ func (r *Resource) scaledAt(start Time, d Time) Time {
 	return Time(int64(d) * ppm / 1_000_000)
 }
 
-// refusal is returned by reserve when the resource has failed.
-type refusal struct {
-	Resource string
-	At       Time // when the reservation would have started
-	FailedAt Time // when the resource died
-}
-
-func (e *refusal) Error() string {
-	return fmt.Sprintf("des: resource %s failed at %v, refused reservation at %v", e.Resource, e.FailedAt, e.At)
-}
-
-// reserve grants the resource to a task that became ready at `ready` for
-// duration d, returning the granted [start, end) window. A failed resource
-// refuses any reservation starting at or after its failure time.
-func (r *Resource) reserve(ready Time, d Time, taskID int) (start, end Time, err error) {
-	start = ready
-	if r.freeAt > start {
-		start = r.freeAt
-	}
+// grant books the resource from start for d, scaled by the slowdown in
+// effect at start, logs the interval and returns the scaled duration. A
+// failed resource refuses (ok false) any grant starting at or after its
+// failure time. The caller has already waited start out to the resource's
+// free time.
+func (r *Resource) grant(start, d Time, taskID int) (scaled Time, ok bool) {
 	if r.hasFail && start >= r.failAt {
-		return 0, 0, &refusal{Resource: r.Name, At: start, FailedAt: r.failAt}
+		return 0, false
 	}
-	end = start + r.scaledAt(start, d)
-	r.freeAt = end
-	r.busy = append(r.busy, Interval{Start: start, End: end, TaskID: taskID}) // amortized: Reset keeps the backing array
-	mResourceBusyNS.Add(int64(end - start))
-	return start, end, nil
+	scaled = r.scaledAt(start, d)
+	r.freeAt = start + scaled
+	r.busy = append(r.busy, Interval{Start: start, End: r.freeAt, TaskID: taskID}) // amortized: Reset keeps the backing array
+	return scaled, true
 }
 
 // Prealloc ensures capacity for n further occupancy intervals, so a sized

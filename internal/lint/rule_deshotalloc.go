@@ -9,7 +9,7 @@ func init() {
 	Register(&Analyzer{
 		Name: "des-hot-alloc",
 		Doc: "the DES engine's hot functions (internal/des: event scheduling, the " +
-			"batched drain, the graph run loop, resource grants) and the serve " +
+			"batched drain, the flat run loop and its radix queue, resource grants) and the serve " +
 			"JSON fast path (internal/server: pooled buffers, key hashing) must " +
 			"stay allocation-free in steady state; every make or append there " +
 			"needs a same-line comment containing \"amortized\" or \"prealloc\" " +
@@ -27,8 +27,9 @@ func init() {
 // by the event count. The zero-alloc contract is enforced dynamically by the
 // AllocsPerRun tests; this rule enforces the paper trail.
 var desHotFuncs = map[string]bool{
-	// des.go / graph.go — the run loops (Engine.RunCtx, Graph.RunCtx); the
-	// cancellation checkpoint must stay allocation-free too
+	// des.go / flat.go — the run loops (Engine.RunCtx, Flat.RunCtx, and
+	// Graph.RunCtx around it); the cancellation checkpoint must stay
+	// allocation-free too
 	"RunCtx": true,
 	// des.go — event engine
 	"At": true, "After": true,
@@ -37,12 +38,15 @@ var desHotFuncs = map[string]bool{
 	// des.go — batched equal-timestamp drain
 	"popRun": true, "fireBatch": true, "sortBySeq": true,
 	"siftEntryDown": true, "flushBatchMetrics": true,
-	// graph.go — task graph construction and run-loop helpers
-	"Add": true, "AddDeps": true, "buildAdjacency": true,
-	"dependents": true, "readyPush": true, "readyPop": true,
-	"Reset": true, "ReserveEdges": true,
+	// flat.go — column sizing, resource binding and CSR construction
+	"Reset": true, "resize": true, "zeroed": true, "Bind": true,
+	"SetEarliest": true, "CountSucc": true, "Link": true, "AddSucc": true,
+	// radix.go — the ready queue (push and pop are listed above)
+	"reset": true, "place": true, "refill": true, "nowPush": true, "nowPop": true,
+	// graph.go — task graph construction and its compilation into a Flat
+	"Add": true, "AddDeps": true, "ReserveEdges": true, "compile": true, "Load": true,
 	// resource.go — per-grant path
-	"reserve": true, "Prealloc": true,
+	"grant": true, "Prealloc": true,
 	// internal/server — JSON fast path buffer pool and key hashing
 	"getBuf": true, "putBuf": true, "encodeBody": true,
 	"canonicalKey": true, "writeAPIError": true,

@@ -184,14 +184,14 @@ func (s *Server) runSimulate(ctx context.Context, req SimulateRequest) (any, *ap
 // busiestChannels reports the topN channels by utilization.
 func busiestChannels(g *topology.Graph, res *collective.Result, topN int) []ChannelUse {
 	uses := make([]ChannelUse, 0, topN)
-	for i, r := range res.Resources {
-		if r.BusyTime() <= 0 {
+	for i, busy := range res.ChannelBusy {
+		if busy <= 0 {
 			continue
 		}
 		ch := g.Channel(topology.ChannelID(i))
 		uses = append(uses, ChannelUse{
 			Channel:     fmt.Sprintf("%s->%s (%s)", g.Node(ch.From).Name, g.Node(ch.To).Name, ch.Tag),
-			Utilization: r.Utilization(res.Total),
+			Utilization: res.Utilization(topology.ChannelID(i)),
 		})
 	}
 	sort.Slice(uses, func(a, b int) bool { return uses[a].Utilization > uses[b].Utilization })

@@ -176,7 +176,7 @@ func RunBackwardOverlapCtx(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		return nil, fmt.Errorf("train: DDP iteration aborted: %w", err)
 	}
-	res := &Result{Mode: ModeDDP, PerGPU: make([]des.Time, len(nodes)), ComputeTime: computeTime}
+	res := &Result{Mode: ModeDDP, PerGPU: make([]des.Time, len(nodes)), ComputeTime: computeTime, Graph: g}
 	for i := range nodes {
 		res.PerGPU[i] = g.End(fwdLast[i])
 		if res.PerGPU[i] > res.IterTime {

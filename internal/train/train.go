@@ -171,7 +171,7 @@ type Result struct {
 	LayerDequeueWait []des.Time
 
 	// Graph is the executed iteration pipeline, for timeline export
-	// (internal/trace). RunBackwardOverlapCtx leaves it nil.
+	// (internal/trace).
 	Graph *des.Graph
 }
 
