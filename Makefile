@@ -20,11 +20,13 @@ race:
 	$(GO) test -race ./internal/p2psync/... ./internal/gpusim/... ./internal/gradqueue/... ./internal/fault/... ./internal/sweep/... ./internal/server/... ./internal/loadgen/... ./internal/collective/...
 	$(GO) test -race -run ParallelMatchesSerial ./internal/experiments/
 
-# Engine micro-benchmarks (with the alloc gate), the real-layer benches on
-# built-in and synthesized schedules (verify, build, synthesis, execution
-# and one training iteration), plus the
-# experiment-level timing report: writes BENCH_ccube.json with ns/op,
-# allocs/op, schedule-cache hit rates, the fig13 cached+parallel vs
+# The des run-loop benches (Resource, GraphPipeline) and its zero-alloc
+# tests, the real-layer benches on built-in and synthesized schedules
+# (verify, build, synthesis, execution and one training iteration), plus
+# the experiment-level timing report: writes BENCH_ccube.json with each
+# in-process bench's median ns/op and MAD over repeated samples (the
+# real-layer ones gated against the committed medians), allocs/op against
+# the budgets, schedule-cache hit rates, the fig13 cached+parallel vs
 # serial+uncached reference, and the schedule-store cold vs warm fig13
 # timings with the corruption probe.
 bench:

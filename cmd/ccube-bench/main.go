@@ -14,6 +14,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,15 +40,16 @@ import (
 	"ccube/internal/topology"
 )
 
-// benchReport is the BENCH_ccube.json payload: the engine micro-benchmark
-// results, per-experiment wall time, schedule-cache traffic, and — when
-// fig13 is among the runs — the serial/uncached reference timing that the
-// cache+parallel speedup is measured against.
+// benchReport is the BENCH_ccube.json payload: the bench results (median
+// and spread over repeated samples), per-experiment wall time,
+// schedule-cache traffic, and — when fig13 is among the runs — the
+// serial/uncached reference timing that the cache+parallel speedup is
+// measured against.
 type benchReport struct {
 	NumCPU         int                      `json:"num_cpu"`
 	GoMaxProcs     int                      `json:"gomaxprocs"`
 	Parallelism    int                      `json:"parallelism"`
-	Engine         []bench.Result           `json:"engine"`
+	Benches        []bench.Result           `json:"benches"`
 	Experiments    []expTiming              `json:"experiments"`
 	CacheHits      uint64                   `json:"schedule_cache_hits"`
 	CacheMisses    uint64                   `json:"schedule_cache_misses"`
@@ -124,28 +126,30 @@ type expTiming struct {
 }
 
 // baselineReport records the regression gate: the committed BENCH_ccube.json
-// is read before being overwritten and the headline engine bench must not be
-// slower than it by more than the tolerance. Allocation budgets are exact
-// (bench.CheckBudgets); wall time gets the tolerance because shared CI
-// machines are noisy.
+// is read before being overwritten and no gated bench's median may be slower
+// than its committed median by more than the tolerance. Allocation budgets
+// are exact (bench.CheckBudgets); wall time gets the tolerance because
+// shared CI machines are noisy.
 type baselineReport struct {
-	Path            string  `json:"path"`
+	Path      string          `json:"path"`
+	Tolerance float64         `json:"tolerance"`
+	Benches   []baselineDelta `json:"benches"`
+}
+
+// baselineDelta is one gated bench against its committed median.
+type baselineDelta struct {
 	Bench           string  `json:"bench"`
 	BaselineNsPerOp float64 `json:"baseline_ns_per_op"`
 	CurrentNsPerOp  float64 `json:"current_ns_per_op"`
 	// Delta is (current-baseline)/baseline; negative means faster.
-	Delta     float64 `json:"delta"`
-	Tolerance float64 `json:"tolerance"`
+	Delta float64 `json:"delta"`
 }
 
-// baselineBench is the headline timing gate: the engine schedule/run loop is
-// the inner loop of every figure, so it is the one bench whose wall time is
-// held against the committed baseline.
-const baselineBench = "EngineScheduleRun1024"
-
-// checkBaseline compares the freshly measured engine results against the
-// previously committed report at path. A missing or pre-gate baseline file
-// is not an error (first run); a regression beyond tol is.
+// checkBaseline compares the median of every gated bench in results against
+// the previously committed report at path. A missing file is not an error
+// (first run); a gated bench the file has no entry for is, because a
+// renamed or dropped bench would otherwise turn its gate off without a
+// word; so is a median slower than the baseline's by more than tol.
 func checkBaseline(path string, results []bench.Result, tol float64) (*baselineReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -155,38 +159,35 @@ func checkBaseline(path string, results []bench.Result, tol float64) (*baselineR
 		return nil, err
 	}
 	var prev struct {
-		Engine []bench.Result `json:"engine"`
+		Benches []bench.Result `json:"benches"`
 	}
 	if err := json.Unmarshal(data, &prev); err != nil {
 		return nil, fmt.Errorf("parse baseline %s: %w", path, err)
 	}
-	var base, cur *bench.Result
-	for i := range prev.Engine {
-		if prev.Engine[i].Name == baselineBench {
-			base = &prev.Engine[i]
+	base := map[string]float64{}
+	for _, r := range prev.Benches {
+		base[r.Name] = r.NsPerOp
+	}
+	br := &baselineReport{Path: path, Tolerance: tol}
+	var errs []error
+	for _, r := range results {
+		if !r.Gated {
+			continue
+		}
+		b := base[r.Name]
+		if b <= 0 {
+			errs = append(errs, fmt.Errorf("gated bench %s has no entry in baseline %s; regenerate it with -baseline none",
+				r.Name, path))
+			continue
+		}
+		d := baselineDelta{Bench: r.Name, BaselineNsPerOp: b, CurrentNsPerOp: r.NsPerOp, Delta: (r.NsPerOp - b) / b}
+		br.Benches = append(br.Benches, d)
+		if d.Delta > tol {
+			errs = append(errs, fmt.Errorf("%s regressed %.1f%% vs %s (median %.0f -> %.0f ns/op, tolerance %.0f%%)",
+				r.Name, d.Delta*100, path, b, r.NsPerOp, tol*100))
 		}
 	}
-	for i := range results {
-		if results[i].Name == baselineBench {
-			cur = &results[i]
-		}
-	}
-	if base == nil || cur == nil || base.NsPerOp <= 0 {
-		return nil, nil
-	}
-	br := &baselineReport{
-		Path:            path,
-		Bench:           baselineBench,
-		BaselineNsPerOp: base.NsPerOp,
-		CurrentNsPerOp:  cur.NsPerOp,
-		Delta:           (cur.NsPerOp - base.NsPerOp) / base.NsPerOp,
-		Tolerance:       tol,
-	}
-	if br.Delta > tol {
-		return br, fmt.Errorf("%s regressed %.1f%% vs %s (%.0f -> %.0f ns/op, tolerance %.0f%%)",
-			baselineBench, br.Delta*100, path, base.NsPerOp, cur.NsPerOp, tol*100)
-	}
-	return br, nil
+	return br, errors.Join(errs...)
 }
 
 // lintTiming tracks analyzer cost over time: a cold full-module ccube-lint
@@ -254,11 +255,11 @@ func run() int {
 	parallel := flag.Int("parallel", runtime.NumCPU(),
 		"worker count for the grid sweeps (1 = serial reference path)")
 	benchJSON := flag.String("benchjson", "",
-		"write machine-readable benchmark results (engine allocs, wall times) to this JSON file")
+		"write machine-readable benchmark results (bench medians and allocs, wall times) to this JSON file")
 	baseline := flag.String("baseline", "",
 		"baseline BENCH JSON for the regression gate (default: the -benchjson path, read before overwrite); 'none' disables")
 	baselineTol := flag.Float64("baseline-tolerance", 0.10,
-		"fail if the headline engine bench is slower than the baseline by more than this fraction")
+		"fail if any gated bench's median is slower than the baseline's by more than this fraction")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics and /healthz on this address while running (e.g. :9090)")
@@ -361,14 +362,19 @@ func run() int {
 		// Collect the runtime metrics layer alongside the wall times so the
 		// JSON records utilization/overlap/queue behavior, not just totals.
 		metrics.Default.Enable()
-		fmt.Println("running engine micro-benchmarks...")
-		rep.Engine = bench.Engine()
-		for _, r := range rep.Engine {
-			fmt.Printf("  %-28s %12.0f ns/op %6d B/op %4d allocs/op\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
+		fmt.Printf("running benchmarks (median and MAD over %d samples)...\n", bench.Samples)
+		results, err := bench.Run()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		rep.Benches = results
+		for _, r := range results {
+			fmt.Printf("  %-34s %12.0f ns/op ±%5.1f%% %9d B/op %6d allocs/op\n",
+				r.Name, r.NsPerOp, 100*r.MADNsPerOp/r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 		}
 		fmt.Println()
-		if over := bench.CheckBudgets(rep.Engine); len(over) > 0 {
+		if over := bench.CheckBudgets(results); len(over) > 0 {
 			fmt.Fprintf(os.Stderr, "alloc budget exceeded: %s\n", strings.Join(over, ", "))
 			return 1
 		}
@@ -377,15 +383,18 @@ func run() int {
 			if basePath == "" {
 				basePath = *benchJSON
 			}
-			br, err := checkBaseline(basePath, rep.Engine, *baselineTol)
+			br, err := checkBaseline(basePath, results, *baselineTol)
 			rep.Baseline = br
+			if br != nil {
+				for _, d := range br.Benches {
+					fmt.Printf("[baseline %s: %s %.0f -> %.0f ns/op (%+.1f%%, tolerance %.0f%%)]\n",
+						br.Path, d.Bench, d.BaselineNsPerOp, d.CurrentNsPerOp, d.Delta*100, br.Tolerance*100)
+				}
+				fmt.Println()
+			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
-			}
-			if br != nil {
-				fmt.Printf("[baseline %s: %s %.0f -> %.0f ns/op (%+.1f%%, tolerance %.0f%%)]\n\n",
-					br.Path, br.Bench, br.BaselineNsPerOp, br.CurrentNsPerOp, br.Delta*100, br.Tolerance*100)
 			}
 		}
 	}
@@ -655,8 +664,8 @@ func churnGate() ([]churnFloor, error) {
 // enforces the synthesis acceptance contract: on every fig13 evaluation
 // platform cell the synthesized schedule must not lose to the best built-in
 // (ratio > 1), and the total cold compile time must stay within tol of the
-// committed baseline. A baseline without a synth block (pre-gate report) or
-// a missing file passes, mirroring checkBaseline.
+// committed baseline. A missing file or a baseline without a synth block
+// (pre-gate report) passes.
 func synthGate(baselinePath string, tol float64) (*synthReport, error) {
 	cells, err := experiments.SynthSweep()
 	if err != nil {
@@ -699,7 +708,7 @@ func synthGate(baselinePath string, tol float64) (*synthReport, error) {
 }
 
 // serverSmoke boots an in-process ccube-serve instance and drives it with
-// the loadgen mix, recording service throughput alongside the engine
+// the loadgen mix, recording service throughput alongside the bench
 // numbers. Any response other than 200 or a deliberate 429 fails the run.
 func serverSmoke() (*loadgen.Report, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

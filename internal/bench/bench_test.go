@@ -10,15 +10,37 @@ import (
 
 // TestBudgetsCoverKnownBenches keeps the budget table honest: every override
 // must name a real benchmark, so a rename can't silently un-gate a bench
-// (anything unnamed falls back to the zero-alloc default).
+// (anything unnamed falls back to the zero-alloc default), and every gated
+// real-layer bench must carry an explicit budget.
 func TestBudgetsCoverKnownBenches(t *testing.T) {
 	names := map[string]bool{}
 	for _, bm := range benchmarks() {
 		names[bm.name] = true
+		if _, ok := Budgets[bm.name]; bm.gated && !ok {
+			t.Errorf("gated bench %q has no explicit Budgets entry", bm.name)
+		}
 	}
 	for name := range Budgets {
 		if !names[name] {
 			t.Errorf("Budgets entry %q does not match any benchmark", name)
+		}
+	}
+}
+
+// TestRealLayerBenchesDoWork runs one op of every gated bench and checks it
+// succeeds, so the gate can never time a setup that failed or an op that
+// errors out early.
+func TestRealLayerBenchesDoWork(t *testing.T) {
+	for _, bm := range benchmarks() {
+		if !bm.gated {
+			continue
+		}
+		op, err := bm.setup()
+		if err != nil {
+			t.Fatalf("%s setup: %v", bm.name, err)
+		}
+		if err := op(); err != nil {
+			t.Errorf("%s op: %v", bm.name, err)
 		}
 	}
 }
@@ -60,10 +82,10 @@ func TestEncoderBenchFixturesGolden(t *testing.T) {
 	}
 }
 
-// TestGraphPipelineReuseWithinBudget pins the reworked GraphPipeline8x256
-// shape: re-populating a Reset graph costs at most the budgeted handful of
-// variadic dep slices, never the ~109 allocs/op of building the graph,
-// resources, and adjacency from scratch each op.
+// TestGraphPipelineReuseWithinBudget pins the GraphPipeline8x256 shape:
+// re-populating a Reset graph and running it allocates nothing, never the
+// ~109 allocs/op of building the graph, resources, and adjacency from
+// scratch each op.
 func TestGraphPipelineReuseWithinBudget(t *testing.T) {
 	const d, k = 8, 256
 	g := des.NewGraph()
@@ -94,9 +116,8 @@ func TestGraphPipelineReuseWithinBudget(t *testing.T) {
 		}
 	}
 	op() // warm the backing arrays
-	budget := Budgets["GraphPipeline8x256"]
-	if allocs := testing.AllocsPerRun(5, op); int64(allocs) > budget {
-		t.Errorf("graph reuse op: %v allocs/op, budget %d", allocs, budget)
+	if allocs := testing.AllocsPerRun(5, op); int64(allocs) > SteadyStateBudget {
+		t.Errorf("graph reuse op: %v allocs/op, budget %d", allocs, SteadyStateBudget)
 	}
 	// The result must still be the full pipeline: 2048 tasks, correct makespan
 	// (8 serial hops of 100 on the critical path, 256 chains sharing each link
@@ -106,27 +127,5 @@ func TestGraphPipelineReuseWithinBudget(t *testing.T) {
 	}
 	if want := des.Time((k + d - 1) * 100); g.Makespan() != want {
 		t.Errorf("makespan = %v, want %v", g.Makespan(), want)
-	}
-}
-
-// TestEngineBatchDrainShape runs one op of the batch-drain bench and checks
-// the engine actually fires every event (the bench would otherwise happily
-// time a no-op).
-func TestEngineBatchDrainShape(t *testing.T) {
-	e := des.NewEngine()
-	const n = 1024
-	e.Reserve(n)
-	fired := 0
-	fn := func() { fired++ }
-	base := e.Now()
-	for j := 0; j < n; j++ {
-		e.At(base+des.Time(j%4), fn)
-	}
-	e.RunCtx(context.Background())
-	if fired != n {
-		t.Errorf("fired %d events, want %d", fired, n)
-	}
-	if e.Pending() != 0 {
-		t.Errorf("pending = %d after RunCtx", e.Pending())
 	}
 }

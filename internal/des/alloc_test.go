@@ -8,71 +8,9 @@ import (
 )
 
 // The zero-alloc budget for the DES hot path. These tests are the alloc
-// regression gate CI's benchmark smoke job runs: steady-state scheduling,
-// running, cancelling, and resource acquire/release must not allocate.
+// regression gate CI's benchmark smoke job runs: a warm run through the one
+// run loop, resource grants and metrics publishing must not allocate.
 const steadyStateAllocBudget = 0
-
-// TestEngineScheduleRunZeroAllocSteadyState proves that once the event pool
-// and heap have grown to a workload's high-water mark, a full
-// schedule-then-run cycle performs zero heap allocations.
-func TestEngineScheduleRunZeroAllocSteadyState(t *testing.T) {
-	e := NewEngine()
-	const n = 256
-	fn := func() {}
-	cycle := func() {
-		base := e.Now()
-		for i := 0; i < n; i++ {
-			e.At(base+Time(i%7), fn)
-		}
-		e.RunCtx(context.Background())
-	}
-	cycle() // warm up: grow pool and heap once
-	if allocs := testing.AllocsPerRun(50, cycle); allocs > steadyStateAllocBudget {
-		t.Fatalf("steady-state Schedule+Run allocates %.1f/op, budget %d", allocs, steadyStateAllocBudget)
-	}
-}
-
-// TestEngineReservePreallocatesZeroAlloc proves Reserve removes even the
-// first-run growth: a reserved engine never allocates while scheduling up to
-// the reserved count.
-func TestEngineReservePreallocatesZeroAlloc(t *testing.T) {
-	e := NewEngine()
-	const n = 128
-	e.Reserve(n)
-	fn := func() {}
-	cycle := func() {
-		base := e.Now()
-		for i := 0; i < n; i++ {
-			e.At(base+Time(i), fn)
-		}
-		e.RunCtx(context.Background())
-	}
-	if allocs := testing.AllocsPerRun(20, cycle); allocs > steadyStateAllocBudget {
-		t.Fatalf("reserved engine allocates %.1f/op, budget %d", allocs, steadyStateAllocBudget)
-	}
-}
-
-// TestEngineCancelZeroAllocSteadyState covers the cancel path: cancelled
-// events are dropped at pop time and recycled without allocating.
-func TestEngineCancelZeroAllocSteadyState(t *testing.T) {
-	e := NewEngine()
-	const n = 64
-	fn := func() {}
-	cycle := func() {
-		base := e.Now()
-		for i := 0; i < n; i++ {
-			h := e.At(base+Time(i), fn)
-			if i%2 == 0 {
-				h.Cancel()
-			}
-		}
-		e.RunCtx(context.Background())
-	}
-	cycle()
-	if allocs := testing.AllocsPerRun(50, cycle); allocs > steadyStateAllocBudget {
-		t.Fatalf("steady-state cancel cycle allocates %.1f/op, budget %d", allocs, steadyStateAllocBudget)
-	}
-}
 
 // TestResourceReserveResetZeroAllocSteadyState covers resource
 // acquire/release: after the interval log has grown once, reserve+Reset
@@ -113,31 +51,6 @@ func TestResourcePreallocZeroAllocFirstRun(t *testing.T) {
 	}
 }
 
-// TestEngineRunCtxZeroAllocSteadyState extends the alloc gate to the
-// cancellation checkpoint: RunCtx over a live (cancellable, never
-// cancelled) context performs the per-pop Done check on every event and
-// must still be allocation-free in steady state.
-func TestEngineRunCtxZeroAllocSteadyState(t *testing.T) {
-	e := NewEngine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	const n = 256
-	fn := func() {}
-	cycle := func() {
-		base := e.Now()
-		for i := 0; i < n; i++ {
-			e.At(base+Time(i%7), fn)
-		}
-		if _, err := e.RunCtx(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cycle() // warm up: grow pool and heap once
-	if allocs := testing.AllocsPerRun(50, cycle); allocs > steadyStateAllocBudget {
-		t.Fatalf("steady-state RunCtx allocates %.1f/op, budget %d (context check must be free)", allocs, steadyStateAllocBudget)
-	}
-}
-
 // TestGraphRunCtxErrZeroExtraAlloc pins that the task-graph checkpoint adds
 // no per-task allocations: an identical graph run with a live context
 // allocates exactly as much as with a background one, whose nil Done skips
@@ -175,132 +88,83 @@ func TestGraphRunCtxErrZeroExtraAlloc(t *testing.T) {
 	}
 }
 
-// allocCycle is the engine+resource workload the metrics-gating tests below
-// share: schedule/run a batch of events (half cancelled) and reserve/Reset a
-// resource — every instrumented hot path in one loop.
-func allocCycle(t *testing.T, e *Engine, r *Resource) {
-	t.Helper()
-	const n = 128
-	fn := func() {}
-	base := e.Now()
-	for i := 0; i < n; i++ {
-		h := e.At(base+Time(i%7), fn)
-		if i%2 == 0 {
-			h.Cancel()
-		}
+// pipelineCycle returns the run the metrics-gating tests below share: a
+// Reset graph re-populated with a links x chunks pipeline over reused
+// resources and run through Graph.RunCtx, so one call covers graph
+// compilation, the Flat run loop, resource grants and the run's metrics
+// publication.
+func pipelineCycle(t *testing.T, links, chunks int) func() {
+	g := NewGraph()
+	res := make([]*Resource, links)
+	for l := range res {
+		res[l] = NewResource("link")
 	}
-	e.RunCtx(context.Background())
-	for i := 0; i < n; i++ {
-		if _, _, err := r.reserve(Time(i), 10, i); err != nil {
+	prev := make([]int, chunks)
+	return func() {
+		g.Reset()
+		for _, r := range res {
+			r.Reset()
+		}
+		for l, r := range res {
+			for c := range prev {
+				if l == 0 {
+					prev[c] = g.Add("hop", r, 10)
+				} else {
+					prev[c] = g.Add("hop", r, 10, prev[c])
+				}
+			}
+		}
+		if _, err := g.RunCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r.Reset()
 }
 
 // TestMetricsRegisteredDisabledZeroAlloc is the observability half of the
 // alloc gate: the des instruments are registered at package init, so this
-// asserts explicitly that carrying them — disabled, the default — keeps the
-// hot path at zero allocations.
+// asserts explicitly that carrying them — disabled, the default — keeps a
+// warm run at zero allocations and records nothing.
 func TestMetricsRegisteredDisabledZeroAlloc(t *testing.T) {
 	if metrics.Default.Enabled() {
 		t.Fatal("metrics.Default unexpectedly enabled at test start")
 	}
-	e := NewEngine()
-	r := NewResource("link")
-	allocCycle(t, e, r) // warm up: grow pool, heap, and interval log once
-	allocs := testing.AllocsPerRun(50, func() { allocCycle(t, e, r) })
+	cycle := pipelineCycle(t, 4, 32)
+	cycle() // warm up: grow the task store, the Flat and the interval logs once
+	tasks, busy := mTasksExecuted.Value(), mResourceBusyNS.Value()
+	allocs := testing.AllocsPerRun(50, cycle)
 	if allocs > steadyStateAllocBudget {
 		t.Fatalf("metrics registered-but-disabled: %.1f allocs/op, budget %d",
 			allocs, steadyStateAllocBudget)
 	}
+	if mTasksExecuted.Value() != tasks || mResourceBusyNS.Value() != busy {
+		t.Fatal("disabled metrics recorded run-loop work")
+	}
 }
 
 // TestMetricsEnabledZeroAlloc proves the stronger property: even with
-// collection on, the counters are preallocated atomics, so the steady-state
-// hot path still does not allocate.
+// collection on, the counters are preallocated atomics, so a warm run still
+// does not allocate, and each run publishes exactly its tasks and its
+// granted occupancy.
 func TestMetricsEnabledZeroAlloc(t *testing.T) {
 	metrics.Default.Enable()
 	t.Cleanup(func() {
 		metrics.Default.Disable()
 		metrics.Default.Reset()
 	})
-	e := NewEngine()
-	r := NewResource("link")
-	allocCycle(t, e, r)
-	allocs := testing.AllocsPerRun(50, func() { allocCycle(t, e, r) })
+	const links, chunks = 4, 32
+	cycle := pipelineCycle(t, links, chunks)
+	cycle()
+	allocs := testing.AllocsPerRun(50, cycle)
 	if allocs > steadyStateAllocBudget {
 		t.Fatalf("metrics enabled: %.1f allocs/op, budget %d", allocs, steadyStateAllocBudget)
 	}
-	if mEventsScheduled.Value() == 0 || mResourceBusyNS.Value() == 0 {
-		t.Fatal("enabled metrics recorded nothing — instrumentation not wired")
+	tasks, busy := mTasksExecuted.Value(), mResourceBusyNS.Value()
+	cycle()
+	if got := mTasksExecuted.Value() - tasks; got != links*chunks {
+		t.Errorf("one run published %d executed tasks, want %d", got, links*chunks)
 	}
-}
-
-// TestEventHandleSurvivesRecycling pins the Cancel-after-fire contract: a
-// handle to a fired event must be inert even after the engine reuses the
-// event's storage for a new event.
-func TestEventHandleSurvivesRecycling(t *testing.T) {
-	e := NewEngine()
-	firstRan := false
-	stale := e.At(1, func() { firstRan = true })
-	e.RunCtx(context.Background())
-	if !firstRan {
-		t.Fatal("first event did not run")
-	}
-	if stale.Pending() {
-		t.Fatal("fired event still reports Pending")
-	}
-	// The pool guarantees the next event reuses the fired event's record.
-	secondRan := false
-	fresh := e.At(e.Now()+1, func() { secondRan = true })
-	if fresh.ev != stale.ev {
-		t.Fatalf("pool did not recycle the fired event's record")
-	}
-	stale.Cancel() // must NOT cancel the unrelated second event
-	e.RunCtx(context.Background())
-	if !secondRan {
-		t.Fatal("stale Cancel killed a recycled event — generation guard broken")
-	}
-	if stale.At() != 1 {
-		t.Fatalf("stale handle At() = %v, want 1", stale.At())
-	}
-}
-
-// TestCancelledEventRecycledAtPop asserts the lazy-drop path returns
-// cancelled events to the pool when their fire time arrives, instead of
-// leaking them.
-func TestCancelledEventRecycledAtPop(t *testing.T) {
-	e := NewEngine()
-	h := e.At(5, func() { t.Fatal("cancelled event fired") })
-	h.Cancel()
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d before pop, want 1 (lazy cancellation)", e.Pending())
-	}
-	e.RunCtx(context.Background())
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after run, want 0", e.Pending())
-	}
-	if len(e.pool) != 1 {
-		t.Fatalf("pool = %d after run, want 1 recycled event", len(e.pool))
-	}
-	if e.Fired() != 0 {
-		t.Fatalf("fired = %d, want 0: cancelled events must not count", e.Fired())
-	}
-	if e.Now() != 0 {
-		t.Fatalf("now = %v, want 0: dropping a cancelled event must not advance time", e.Now())
-	}
-}
-
-// TestZeroEventHandleIsInert guards the documented zero-value behavior.
-func TestZeroEventHandleIsInert(t *testing.T) {
-	var h Event
-	h.Cancel() // must not panic
-	if h.Pending() {
-		t.Fatal("zero handle reports Pending")
-	}
-	if h.At() != 0 {
-		t.Fatalf("zero handle At() = %v", h.At())
+	if got := mResourceBusyNS.Value() - busy; got != links*chunks*10 {
+		t.Errorf("one run published %d busy ns, want %d", got, links*chunks*10)
 	}
 }
 

@@ -1,54 +1,13 @@
 package des
 
 import (
-	"context"
 	"fmt"
 	"testing"
 )
 
-// Engine micro-benchmarks: the per-event and per-task costs every simulated
-// experiment pays. Run with -benchmem; steady-state allocs/op must be 0 for
-// the engine and resource benches (asserted by alloc_test.go, smoked by CI).
-
-// BenchmarkEngineScheduleRun measures one schedule-then-drain cycle of 1024
-// events on a warm engine — the DES hot path in isolation.
-func BenchmarkEngineScheduleRun(b *testing.B) {
-	e := NewEngine()
-	const n = 1024
-	e.Reserve(n)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := e.Now()
-		for j := 0; j < n; j++ {
-			e.At(base+Time(j%13), fn)
-		}
-		e.RunCtx(context.Background())
-	}
-	b.ReportMetric(float64(e.Fired())/float64(b.N), "events/op")
-}
-
-// BenchmarkEngineScheduleCancelRun measures the lazy-cancellation path: half
-// the events are cancelled and collected at pop time.
-func BenchmarkEngineScheduleCancelRun(b *testing.B) {
-	e := NewEngine()
-	const n = 1024
-	e.Reserve(n)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := e.Now()
-		for j := 0; j < n; j++ {
-			h := e.At(base+Time(j%13), fn)
-			if j%2 == 0 {
-				h.Cancel()
-			}
-		}
-		e.RunCtx(context.Background())
-	}
-}
+// Run-loop micro-benchmarks: the per-grant and per-task costs every
+// simulated experiment pays. Run with -benchmem; steady-state allocs/op must
+// be 0 for the resource bench (asserted by alloc_test.go, smoked by CI).
 
 // BenchmarkResourceReserveReset measures resource acquire/release cycles.
 func BenchmarkResourceReserveReset(b *testing.B) {

@@ -4,19 +4,18 @@ import "fmt"
 
 // CanceledError reports that a run stopped at a cancellation checkpoint
 // before draining its work: the caller's context was cancelled (or its
-// deadline expired) mid-simulation. The engine checks the context at
-// event-pop granularity and the task graph at task-pop granularity, so the
-// abort is prompt — at most one event/task executes after cancellation —
-// and deterministic with respect to virtual time: At records how far the
-// simulated clock got.
+// deadline expired) mid-simulation. The run loop checks the context at
+// task-pop granularity, so the abort is prompt — at most the task already
+// granted completes after cancellation — and deterministic with respect to
+// virtual time: At records how far the simulated clock got.
 //
 // CanceledError unwraps to the context error, so callers can test
 // errors.Is(err, context.DeadlineExceeded) as well as errors.As into the
 // typed form.
 type CanceledError struct {
 	At        Time  // virtual time reached when cancellation was observed
-	Executed  int   // events fired / tasks completed before the stop
-	Remaining int   // events / tasks left unexecuted
+	Executed  int   // tasks completed before the stop
+	Remaining int   // tasks left unexecuted
 	Cause     error // context.Canceled or context.DeadlineExceeded
 }
 

@@ -7,75 +7,14 @@ import (
 	"time"
 )
 
-// TestEngineRunCtxUncancelled proves RunCtx with a background context
-// drains every event: same final time, all events fired.
-func TestEngineRunCtxUncancelled(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	for i := 0; i < 10; i++ {
-		e.At(Time(i*5), func() { fired++ })
-	}
-	end, err := e.RunCtx(context.Background())
-	if err != nil {
-		t.Fatalf("RunCtx: %v", err)
-	}
-	if end != 45 || fired != 10 {
-		t.Fatalf("end=%v fired=%d, want 45/10", end, fired)
-	}
-}
-
-// TestEngineRunCtxCancelMidRun is the mid-simulation abort proof: an event
-// cancels the context at virtual time 50, and the very next pop observes
-// it — no later event fires, the clock stops where cancellation happened,
-// and the remaining events stay pending.
-func TestEngineRunCtxCancelMidRun(t *testing.T) {
-	e := NewEngine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	fired := 0
-	for i := 0; i < 100; i++ {
-		at := Time(i)
-		if at == 50 {
-			e.At(at, func() { fired++; cancel() })
-		} else {
-			e.At(at, func() { fired++ })
-		}
-	}
-	end, err := e.RunCtx(ctx)
-	var ce *CanceledError
-	if !errors.As(err, &ce) {
-		t.Fatalf("RunCtx after mid-run cancel returned %v, want *CanceledError", err)
-	}
-	if fired != 51 {
-		t.Fatalf("fired %d events, want exactly 51 (through the cancelling one)", fired)
-	}
-	if end != 50 || ce.At != 50 {
-		t.Fatalf("end=%v ce.At=%v, want both 50", end, ce.At)
-	}
-	if ce.Executed != 51 || ce.Remaining != 49 {
-		t.Fatalf("ce = %d executed / %d remaining, want 51/49", ce.Executed, ce.Remaining)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("CanceledError does not unwrap to context.Canceled: %v", err)
-	}
-	if e.Pending() != 49 {
-		t.Fatalf("pending=%d after cancelled run, want 49", e.Pending())
-	}
-	// The engine stays usable: a second run drains the leftovers.
-	e.RunCtx(context.Background())
-	if fired != 100 || e.Pending() != 0 {
-		t.Fatalf("drain run: fired=%d pending=%d, want 100/0", fired, e.Pending())
-	}
-}
-
-// TestEngineRunCtxDeadline pins the deadline flavor: an already-expired
-// deadline aborts before the first event and unwraps to DeadlineExceeded.
-func TestEngineRunCtxDeadline(t *testing.T) {
-	e := NewEngine()
-	e.At(10, func() { t.Fatal("event fired under an expired deadline") })
+// TestGraphRunCtxDeadline pins the deadline flavor: an already-expired
+// deadline aborts before the first task and unwraps to DeadlineExceeded.
+func TestGraphRunCtxDeadline(t *testing.T) {
+	g := NewGraph()
+	g.Add("t", NewResource("link"), 10)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
-	_, err := e.RunCtx(ctx)
+	_, err := g.RunCtx(ctx)
 	var ce *CanceledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("got %v, want *CanceledError", err)
@@ -83,15 +22,15 @@ func TestEngineRunCtxDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cause = %v, want context.DeadlineExceeded", ce.Cause)
 	}
-	if ce.Executed != 0 || ce.Remaining != 1 {
-		t.Fatalf("ce = %d executed / %d remaining, want 0/1", ce.Executed, ce.Remaining)
+	if ce.Executed != 0 || ce.Remaining != 1 || g.Task(0).End != 0 {
+		t.Fatalf("ce = %d executed / %d remaining, end %v; want 0/1 and nothing run",
+			ce.Executed, ce.Remaining, g.Task(0).End)
 	}
 }
 
 // TestGraphRunCtxErrCancelled proves the task-graph checkpoint: a graph run
 // under a cancelled context executes nothing and reports every task
-// remaining, and the typed error flows through errors.As/Is like the
-// engine's.
+// remaining, and the typed error flows through errors.As/Is.
 func TestGraphRunCtxErrCancelled(t *testing.T) {
 	g := NewGraph()
 	r := NewResource("link")

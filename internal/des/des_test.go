@@ -16,74 +16,21 @@ func mustRun(tb testing.TB, g *Graph) Time {
 	return m
 }
 
-func TestEngineRunsEventsInTimeOrder(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
-	end, _ := e.RunCtx(context.Background())
-	if end != 30 {
-		t.Fatalf("end time = %v, want 30", end)
+// TestGraphEqualReadyTimesGrantInIDOrder pins the determinism contract's
+// tie-break: tasks that become ready at the same virtual time are granted a
+// shared resource in id (submission) order.
+func TestGraphEqualReadyTimesGrantInIDOrder(t *testing.T) {
+	g := NewGraph()
+	r := NewResource("r")
+	for i := 0; i < 10; i++ {
+		g.SetEarliest(g.Add("t", r, 1), 5)
 	}
-	want := []int{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
+	mustRun(t, g)
+	for i := 0; i < 10; i++ {
+		if got, want := g.Task(i).Start, Time(5+i); got != want {
+			t.Fatalf("task %d start = %v, want %v: equal-ready tie order broken", i, got, want)
 		}
 	}
-}
-
-func TestEngineEqualTimesPreserveScheduleOrder(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.At(5, func() { got = append(got, i) })
-	}
-	e.RunCtx(context.Background())
-	for i := 0; i < 10; i++ {
-		if got[i] != i {
-			t.Fatalf("tie order broken: %v", got)
-		}
-	}
-}
-
-func TestEngineAfterAndNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	e.After(10, func() {
-		fired = append(fired, e.Now())
-		e.After(15, func() { fired = append(fired, e.Now()) })
-	})
-	e.RunCtx(context.Background())
-	if len(fired) != 2 || fired[0] != 10 || fired[1] != 25 {
-		t.Fatalf("fired = %v, want [10 25]", fired)
-	}
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	ev := e.At(5, func() { ran = true })
-	ev.Cancel()
-	e.RunCtx(context.Background())
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-}
-
-func TestEngineSchedulingInPastPanics(t *testing.T) {
-	e := NewEngine()
-	e.At(100, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		e.At(50, func() {})
-	})
-	e.RunCtx(context.Background())
 }
 
 func TestResourceSerializesAndRecordsIntervals(t *testing.T) {

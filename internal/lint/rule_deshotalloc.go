@@ -8,8 +8,9 @@ import (
 func init() {
 	Register(&Analyzer{
 		Name: "des-hot-alloc",
-		Doc: "the DES engine's hot functions (internal/des: event scheduling, the " +
-			"batched drain, the flat run loop and its radix queue, resource grants) and the serve " +
+		Doc: "the DES hot functions (internal/des: the flat run loop, its column " +
+			"sizing and CSR construction, the radix ready queue, Graph compilation " +
+			"and resource grants) and the serve " +
 			"JSON fast path (internal/server: pooled buffers, key hashing) must " +
 			"stay allocation-free in steady state; every make or append there " +
 			"needs a same-line comment containing \"amortized\" or \"prealloc\" " +
@@ -23,28 +24,22 @@ func init() {
 }
 
 // desHotFuncs are the internal/des functions on (or reachable from) the
-// simulator's per-event / per-task fast path, where an allocation multiplies
-// by the event count. The zero-alloc contract is enforced dynamically by the
+// simulator's per-task fast path, where an allocation multiplies by the task
+// count. The zero-alloc contract is enforced dynamically by the
 // AllocsPerRun tests; this rule enforces the paper trail.
 var desHotFuncs = map[string]bool{
-	// des.go / flat.go — the run loops (Engine.RunCtx, Flat.RunCtx, and
-	// Graph.RunCtx around it); the cancellation checkpoint must stay
-	// allocation-free too
+	// flat.go — the run loop (Flat.RunCtx, and Graph.RunCtx around it); the
+	// cancellation checkpoint must stay allocation-free too
 	"RunCtx": true,
-	// des.go — event engine
-	"At": true, "After": true,
-	"step": true, "recycle": true, "recycleQuiet": true, "push": true,
-	"pop": true, "siftDown": true, "Reserve": true,
-	// des.go — batched equal-timestamp drain
-	"popRun": true, "fireBatch": true, "sortBySeq": true,
-	"siftEntryDown": true, "flushBatchMetrics": true,
 	// flat.go — column sizing, resource binding and CSR construction
 	"Reset": true, "resize": true, "zeroed": true, "Bind": true,
 	"SetEarliest": true, "CountSucc": true, "Link": true, "AddSucc": true,
-	// radix.go — the ready queue (push and pop are listed above)
-	"reset": true, "place": true, "refill": true, "nowPush": true, "nowPop": true,
+	// radix.go — the ready queue
+	"reset": true, "push": true, "pop": true, "place": true, "refill": true,
+	"nowPush": true, "nowPop": true,
 	// graph.go — task graph construction and its compilation into a Flat
-	"Add": true, "AddDeps": true, "ReserveEdges": true, "compile": true, "Load": true,
+	"Add": true, "AddDeps": true, "Reserve": true, "ReserveEdges": true,
+	"compile": true, "Load": true,
 	// resource.go — per-grant path
 	"grant": true, "Prealloc": true,
 	// internal/server — JSON fast path buffer pool and key hashing
@@ -80,7 +75,7 @@ func runDesHotAlloc(p *Pass) {
 				}
 				if pos := fset.Position(call.Pos()); !annotated[pos.Line] {
 					p.Reportf(call.Pos(),
-						`%s in DES hot function %s without an "amortized"/"prealloc" same-line comment; the engine's steady state must not allocate`,
+						`%s in DES hot function %s without an "amortized"/"prealloc" same-line comment; the run loop's steady state must not allocate`,
 						id.Name, fn.Name.Name)
 				}
 				return true

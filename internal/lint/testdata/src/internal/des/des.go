@@ -8,63 +8,59 @@ import (
 	"time"
 )
 
-// Engine is a miniature stand-in for the real event engine.
-type Engine struct {
-	buf []int
-	now int64
+// Flat is a miniature stand-in for the real run loop's task columns.
+type Flat struct {
+	Dur  []int64
+	Succ []int32
+	q    radixQueue
 }
 
-// RunCtx drains the engine under a cancellation context: the run loop is
+// radixQueue is a miniature stand-in for the run loop's ready queue.
+type radixQueue struct {
+	now  []int32
+	next []int32
+}
+
+// RunCtx drains the run loop under a cancellation context: the loop is
 // hot, so this undocumented growth is flagged.
-func (e *Engine) RunCtx(ctx context.Context) (int, error) {
+func (f *Flat) RunCtx(ctx context.Context) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	e.now++
-	e.buf = append(e.buf, int(e.now)) // want "des-hot-alloc"
-	return len(e.buf), nil
+	f.Dur = append(f.Dur, int64(len(f.Dur))) // want "des-hot-alloc"
+	return len(f.Dur), nil
 }
 
-// push is on the per-event hot path; this growth is undocumented.
-func (e *Engine) push(v int) {
-	e.buf = append(e.buf, v) // want "des-hot-alloc"
-}
-
-// pop is hot too; its growth is documented, so it passes.
-func (e *Engine) pop() int {
-	if len(e.buf) == 0 {
-		e.buf = append(e.buf, 0) // amortized: grow-once backfill
+// Link sizes the successor CSR; its growth is documented, so it passes.
+func (f *Flat) Link(edges int) {
+	if cap(f.Succ) < edges {
+		f.Succ = make([]int32, edges) // prealloc: grown once, kept across runs
 	}
-	v := e.buf[len(e.buf)-1]
-	e.buf = e.buf[:len(e.buf)-1]
-	return v
+	f.Succ = f.Succ[:edges]
 }
 
-// recycle is hot; its growth is waved through to exercise suppression.
-func (e *Engine) recycle() {
-	e.buf = append(e.buf, 0) //lint:ignore des-hot-alloc fixture: suppressed hot-path growth
+// push is on the per-task hot path; this growth is undocumented.
+func (q *radixQueue) push(id int32) {
+	q.now = append(q.now, id) // want "des-hot-alloc"
 }
 
-// popRun models the batched drain: documented scratch reuse passes.
-func (e *Engine) popRun(n int) {
-	e.buf = e.buf[:0]
-	for i := 0; i < n; i++ {
-		e.buf = append(e.buf, i) // amortized: batch scratch reused across runs
-	}
+// nowPush is hot too; its scratch reuse is documented, so it passes.
+func (q *radixQueue) nowPush(id int32) {
+	q.now = append(q.now, id) // amortized: heap capacity is reused across runs
 }
 
-// fireBatch is on the batched hot path; this growth is undocumented.
-func (e *Engine) fireBatch() {
-	e.buf = append(e.buf, 0) // want "des-hot-alloc"
+// reset is hot; its growth is waved through to exercise suppression.
+func (q *radixQueue) reset(tasks int) {
+	q.next = make([]int32, tasks) //lint:ignore des-hot-alloc fixture: suppressed hot-path growth
 }
 
-// Drain exists so the unexported hot-path helpers above are referenced.
-func (e *Engine) Drain(v int) int {
-	e.push(v)
-	e.recycle()
-	e.popRun(2)
-	e.fireBatch()
-	return e.pop()
+// Run exists so the unexported hot-path helpers above are referenced.
+func (f *Flat) Run(id int32) int {
+	f.q.reset(int(id) + 1)
+	f.q.push(id)
+	f.q.nowPush(id)
+	f.Link(1)
+	return len(f.q.now)
 }
 
 // Wait blocks on the host clock: forbidden in a simulator package.
