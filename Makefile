@@ -25,8 +25,8 @@ race:
 # (verify, build, synthesis, execution and one training iteration), plus
 # the experiment-level timing report: writes BENCH_ccube.json with each
 # in-process bench's median ns/op and MAD over repeated samples (the
-# real-layer ones gated against the committed medians), allocs/op against
-# the budgets, schedule-cache hit rates, the fig13 cached+parallel vs
+# real-layer ones compared with the committed medians), allocs/op held to
+# the exact budgets, schedule-cache hit rates, the fig13 cached+parallel vs
 # serial+uncached reference, and the schedule-store cold vs warm fig13
 # timings with the corruption probe.
 bench:

@@ -4,16 +4,18 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"ccube/internal/bench"
 )
 
-// TestCheckBaseline pins the per-bench median gate: a gated median over the
-// tolerance fails, one within it passes, a gated bench missing from an
-// existing baseline fails with a pointer to -baseline none, ungated benches
-// are not compared, and a missing baseline file is a first run.
+// TestCheckBaseline pins the per-bench median comparison: a gated median
+// over the tolerance is listed as regressed, one within it is not, a gated
+// bench missing from an existing baseline fails with a pointer to
+// -baseline none, ungated benches are not compared, and a missing baseline
+// file is a first run.
 func TestCheckBaseline(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, benches []bench.Result) string {
@@ -39,17 +41,18 @@ func TestCheckBaseline(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name    string
-		path    string
-		results []bench.Result
-		wantErr string // "" = pass
-		deltas  int
+		name      string
+		path      string
+		results   []bench.Result
+		wantErr   string // "" = pass
+		deltas    int
+		regressed []string
 	}{
-		{"within tolerance", base, gated(1090, 1500), "", 2},
-		{"over tolerance", base, gated(1000, 2300), "Check/b regressed 15.0%", 2},
+		{"within tolerance", base, gated(1090, 1500), "", 2, nil},
+		{"over tolerance", base, gated(1000, 2300), "", 2, []string{"Check/b"}},
 		{"missing bench", base, append(gated(1000, 2000), bench.Result{Name: "Build/c", NsPerOp: 5, Gated: true}),
-			"Build/c has no entry in baseline", 2},
-		{"missing file", filepath.Join(dir, "absent.json"), gated(1e9, 1e9), "", 0},
+			"Build/c has no entry in baseline", 2, nil},
+		{"missing file", filepath.Join(dir, "absent.json"), gated(1e9, 1e9), "", 0, nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -63,12 +66,16 @@ func TestCheckBaseline(t *testing.T) {
 			if strings.Contains(c.wantErr, "no entry") && !strings.Contains(err.Error(), "-baseline none") {
 				t.Errorf("missing-bench error %q does not name -baseline none", err)
 			}
-			got := 0
+			var got int
+			var regressed []string
 			if br != nil {
-				got = len(br.Benches)
+				got, regressed = len(br.Benches), br.Regressed
 			}
 			if got != c.deltas {
 				t.Errorf("report compares %d benches, want %d", got, c.deltas)
+			}
+			if !slices.Equal(regressed, c.regressed) {
+				t.Errorf("regressed = %v, want %v", regressed, c.regressed)
 			}
 		})
 	}

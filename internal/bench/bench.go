@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"time"
 
@@ -47,8 +48,9 @@ type Result struct {
 	OpsPerSample int     `json:"ops_per_sample"`
 	AllocsPerOp  int64   `json:"allocs_per_op"`
 	BytesPerOp   int64   `json:"bytes_per_op"`
-	// Gated marks the benches whose median ccube-bench holds against the
-	// committed baseline.
+	// Gated marks the real-layer benches: each needs an explicit Budgets
+	// entry and an entry in the committed baseline, and ccube-bench
+	// compares its median with the baseline's.
 	Gated bool `json:"gated,omitempty"`
 }
 
@@ -290,7 +292,11 @@ func Run() ([]Result, error) {
 		ops[i] = op
 		out[i] = Result{Name: bm.name, Samples: Samples, OpsPerSample: n, Gated: bm.gated}
 	}
-	var before, after runtime.MemStats
+	for i, op := range ops {
+		if err := countAllocs(op, &out[i]); err != nil {
+			return nil, fmt.Errorf("bench %s: %w", bms[i].name, err)
+		}
+	}
 	for range Samples {
 		for i, op := range ops {
 			// Each sample starts from a collected heap, and one untimed op
@@ -298,26 +304,19 @@ func Run() ([]Result, error) {
 			// drained, so every sample times warm ops.
 			runtime.GC()
 			err := op()
-			runtime.ReadMemStats(&before)
 			start := time.Now()
 			for j := 0; err == nil && j < out[i].OpsPerSample; j++ {
 				err = op()
 			}
 			elapsed := time.Since(start)
-			runtime.ReadMemStats(&after)
 			if err != nil {
 				return nil, fmt.Errorf("bench %s: %w", bms[i].name, err)
 			}
 			ns[i] = append(ns[i], float64(elapsed.Nanoseconds())/float64(out[i].OpsPerSample))
-			out[i].AllocsPerOp += int64(after.Mallocs - before.Mallocs)
-			out[i].BytesPerOp += int64(after.TotalAlloc - before.TotalAlloc)
 		}
 	}
 	for i := range out {
 		r := &out[i]
-		n := int64(r.OpsPerSample * Samples)
-		r.AllocsPerOp /= n // the sums over every sample become per-op
-		r.BytesPerOp /= n
 		r.NsPerOp = median(ns[i])
 		for j, v := range ns[i] {
 			ns[i][j] = math.Abs(v - r.NsPerOp)
@@ -325,6 +324,33 @@ func Run() ([]Result, error) {
 		r.MADNsPerOp = median(ns[i])
 	}
 	return out, nil
+}
+
+// allocOps is how many warm ops countAllocs counts over.
+const allocOps = 5
+
+// countAllocs sets r's allocs/op and B/op from allocOps warm ops run on one
+// P with the collector paused. A collection empties every sync.Pool, and a
+// goroutine that moves to another P misses the pooled object it put back
+// on the first, so counting across timed samples would charge an op for
+// however many collections and migrations happened to land in its sample.
+// Pinned and paused, as testing.AllocsPerRun pins, the count is the op's
+// own and the same on every run, which is what lets Budgets hold it
+// exactly.
+func countAllocs(op func() error, r *Result) error {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	err := op()
+	runtime.ReadMemStats(&before)
+	for j := 0; err == nil && j < allocOps; j++ {
+		err = op()
+	}
+	runtime.ReadMemStats(&after)
+	r.AllocsPerOp = int64(after.Mallocs-before.Mallocs) / allocOps
+	r.BytesPerOp = int64(after.TotalAlloc-before.TotalAlloc) / allocOps
+	return err
 }
 
 // calibrate returns how many ops fill about sampleTime, timing runs of
@@ -359,16 +385,16 @@ const SteadyStateBudget = 0
 
 // Budgets maps each benchmark to its allocs/op ceiling. Benches absent from
 // the map get SteadyStateBudget (zero). The real-layer benches build,
-// verify, synthesize or return a result per op, so each is held at the
-// allocs/op it measured when it was added, under ccube-bench with metrics
-// enabled; Synthesize/dgx1 reads 1209–1211 from run to run, so it is held
-// at the highest.
+// verify, synthesize or return a result per op, so each is held at exactly
+// the allocs/op it counts under ccube-bench, with metrics enabled; the
+// count is the same on every run (countAllocs), so any new allocation on
+// these paths fails the budget.
 var Budgets = map[string]int64{
 	"Execute/cluster64-ccube-128chunks": 29,
 	"Execute/dgx1-ccube-16MiB":          20,
 	"Build/cluster64-ccube-128chunks":   1348,
 	"Check/cluster64-ccube-128chunks":   51,
-	"Synthesize/dgx1":                   1211,
+	"Synthesize/dgx1":                   1207,
 }
 
 // CheckBudgets returns a description of every bench exceeding its allocs/op

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"ccube/internal/des"
@@ -41,6 +42,33 @@ func TestRealLayerBenchesDoWork(t *testing.T) {
 		}
 		if err := op(); err != nil {
 			t.Errorf("%s op: %v", bm.name, err)
+		}
+	}
+}
+
+// TestAllocCountsRepeat pins what lets Budgets hold allocs/op exactly: two
+// counts of the same bench agree, however many collections ran before.
+func TestAllocCountsRepeat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops objects at random under -race")
+	}
+	for _, bm := range benchmarks() {
+		op, err := bm.setup()
+		if err != nil {
+			t.Fatalf("%s setup: %v", bm.name, err)
+		}
+		var first, second Result
+		if err := countAllocs(op, &first); err != nil {
+			t.Fatalf("%s: %v", bm.name, err)
+		}
+		runtime.GC()
+		runtime.GC() // empty every sync.Pool, victims included
+		if err := countAllocs(op, &second); err != nil {
+			t.Fatalf("%s: %v", bm.name, err)
+		}
+		if first.AllocsPerOp != second.AllocsPerOp || first.BytesPerOp != second.BytesPerOp {
+			t.Errorf("%s: counted %d allocs/op (%d B/op), then %d (%d B/op)", bm.name,
+				first.AllocsPerOp, first.BytesPerOp, second.AllocsPerOp, second.BytesPerOp)
 		}
 	}
 }
