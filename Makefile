@@ -14,10 +14,11 @@ test:
 # p2psync primitives, the gpusim kernel runners, and the gradient queue —
 # plus the fault-matrix suite, which drives repairs end to end, the sweep
 # executor with its parallel-vs-serial determinism tests, the HTTP service
-# layer with its load generator, and the on-disk schedule store (shared by
-# concurrent caches and processes).
+# layer with its load generator, the on-disk schedule store (shared by
+# concurrent caches and processes), and the topology graph's memoized
+# fingerprint (filled by whichever request goroutine reads it first).
 race:
-	$(GO) test -race ./internal/p2psync/... ./internal/gpusim/... ./internal/gradqueue/... ./internal/fault/... ./internal/sweep/... ./internal/server/... ./internal/loadgen/... ./internal/collective/...
+	$(GO) test -race ./internal/topology/ ./internal/p2psync/... ./internal/gpusim/... ./internal/gradqueue/... ./internal/fault/... ./internal/sweep/... ./internal/server/... ./internal/loadgen/... ./internal/collective/...
 	$(GO) test -race -run ParallelMatchesSerial ./internal/experiments/
 
 # The des run-loop benches (Resource, GraphPipeline) and its zero-alloc

@@ -1,7 +1,9 @@
 package collective
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"ccube/internal/des"
 	"ccube/internal/metrics"
@@ -39,13 +41,33 @@ var (
 		"per-channel effective bandwidth after degradation", "channel")
 )
 
-// reductionTransfers classifies each transfer as reduction-side or not.
-// Accumulating transfers are the reduction's last hops; a detour chain
-// feeding one is reduction work too, so the flag propagates backwards
-// through relay slots. Construction is topological (a relay slot's owner
-// precedes its reader), so one descending pass settles every chain.
-func (s *Schedule) reductionTransfers() []bool {
-	red := make([]bool, len(s.ops))
+// metricsScratch is publishExecutionMetrics' working set: per-channel byte
+// counts, the reduction-side flag of every transfer and the clipped
+// broadcast spans. It is pooled because ccube-serve runs with metrics on,
+// and on a cluster:64 schedule these are ~1 MB per execution.
+type metricsScratch struct {
+	chBytes []int64
+	red     []bool
+	spans   []des.Interval
+}
+
+var metricsPool = sync.Pool{New: func() any { return new(metricsScratch) }}
+
+// resized returns buf with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resized[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
+}
+
+// reductionTransfers sets red[i] when transfer i is reduction-side; red
+// must be all false and one entry per op. Accumulating transfers are the
+// reduction's last hops; a detour chain feeding one is reduction work too,
+// so the flag propagates backwards through relay slots. Construction is
+// topological (a relay slot's owner precedes its reader), so one descending
+// pass settles every chain.
+func (s *Schedule) reductionTransfers(red []bool) {
 	for i := len(s.ops) - 1; i >= 0; i-- {
 		op := &s.ops[i]
 		if op.Marker() {
@@ -58,7 +80,6 @@ func (s *Schedule) reductionTransfers() []bool {
 			red[op.Src.Relay] = true
 		}
 	}
-	return red
 }
 
 // overlapEfficiency measures the paper's C1 claim on an executed schedule:
@@ -67,9 +88,12 @@ func (s *Schedule) reductionTransfers() []bool {
 // transfer occupies a channel. The baseline double tree broadcasts only
 // after the reduction barrier, scoring ~0; the overlapped variants push
 // broadcast hops under the reduction and score well above it. start and
-// end hold each transfer's executed window, indexed by transfer id.
-func (s *Schedule) overlapEfficiency(start, end []des.Time) float64 {
-	red := s.reductionTransfers()
+// end hold each transfer's executed window, indexed by transfer id; sc
+// supplies the working buffers.
+func (s *Schedule) overlapEfficiency(start, end []des.Time, sc *metricsScratch) float64 {
+	sc.red = resized(sc.red, len(s.ops))
+	red := sc.red
+	s.reductionTransfers(red)
 	var wStart, wEnd des.Time
 	haveWindow := false
 	for i := range s.ops {
@@ -89,33 +113,26 @@ func (s *Schedule) overlapEfficiency(start, end []des.Time) float64 {
 	}
 	// Collect broadcast-side occupancy clipped to the window and measure
 	// the union of the intervals.
-	var spans []des.Interval
+	spans := sc.spans[:0]
 	for i := range s.ops {
 		if s.ops[i].Marker() || red[i] {
 			continue
 		}
-		lo, hi := start[i], end[i]
-		if lo < wStart {
-			lo = wStart
-		}
-		if hi > wEnd {
-			hi = wEnd
-		}
+		lo, hi := max(start[i], wStart), min(end[i], wEnd)
 		if hi > lo {
 			spans = append(spans, des.Interval{Start: lo, End: hi})
 		}
 	}
+	sc.spans = spans
 	if len(spans) == 0 {
 		return 0
 	}
-	sort.Slice(spans, func(a, b int) bool { return spans[a].Start < spans[b].Start })
+	slices.SortFunc(spans, func(a, b des.Interval) int { return cmp.Compare(a.Start, b.Start) })
 	var covered des.Time
 	cur := spans[0]
 	for _, iv := range spans[1:] {
 		if iv.Start <= cur.End {
-			if iv.End > cur.End {
-				cur.End = iv.End
-			}
+			cur.End = max(cur.End, iv.End)
 			continue
 		}
 		covered += cur.End - cur.Start
@@ -128,11 +145,16 @@ func (s *Schedule) overlapEfficiency(start, end []des.Time) float64 {
 // publishExecutionMetrics records one execution's channel traffic, bandwidth
 // achievement, detour share, and overlap efficiency, read off the run's
 // columns in f. Called after a completed run only when collection is
-// enabled: the aggregation allocates and must stay off the disabled path.
+// enabled: the aggregation is two passes over the ops, a sort of the
+// broadcast spans and a labelled series update per used channel, and must
+// stay off the disabled path.
 func (s *Schedule) publishExecutionMetrics(f *des.Flat, total des.Time) {
 	mExecutions.Inc()
+	sc := metricsPool.Get().(*metricsScratch)
+	defer metricsPool.Put(sc)
 
-	chBytes := make([]int64, len(f.Busy))
+	sc.chBytes = resized(sc.chBytes, len(f.Busy))
+	chBytes := sc.chBytes
 	var totalBytes, detourBytes int64
 	for i := range s.ops {
 		op := &s.ops[i]
@@ -167,5 +189,5 @@ func (s *Schedule) publishExecutionMetrics(f *des.Flat, total des.Time) {
 		}
 	}
 
-	mOverlapEfficiency.Set(s.overlapEfficiency(f.Start, f.End))
+	mOverlapEfficiency.Set(s.overlapEfficiency(f.Start, f.End, sc))
 }

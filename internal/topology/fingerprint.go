@@ -38,8 +38,14 @@ func mixString(h uint64, s string) uint64 {
 // DegradeChannel) is how a cached schedule detects it has gone stale.
 //
 // The hash is FNV-1a over a canonical field order; it is deterministic
-// across processes and allocation-free, cheap enough to recompute on every
-// cache lookup and schedule instantiation.
+// across processes and allocation-free. It is computed once and memoized on
+// the graph: every method that changes hashed state (AddNode, AddChannel,
+// KillChannel, DegradeChannel, RestoreChannel, SetHealth, RestoreHealth)
+// clears the memo, so a cache lookup or a pre-run staleness check costs one
+// atomic load until the topology next changes. That relies on the exported
+// Node and Channel fields being construction-time only (see Graph.Nodes and
+// Graph.Channel). Concurrent readers may race to fill the memo; they store
+// the same value.
 //
 // Cross-process stability is a compatibility contract, not an accident: the
 // fingerprint is half of the on-disk schedule store's content address
@@ -53,6 +59,17 @@ func mixString(h uint64, s string) uint64 {
 // every existing store entry (they just miss; nothing breaks), and must be
 // deliberate. TestFingerprintGolden pins the current value.
 func (g *Graph) Fingerprint() uint64 {
+	if fp := g.fp.Load(); fp != 0 {
+		return fp
+	}
+	fp := g.fingerprint()
+	g.fp.Store(fp)
+	return fp
+}
+
+// fingerprint hashes the graph from scratch. A graph whose hash is 0 is
+// never memoized and rehashes on every call; that is one graph in 2^64.
+func (g *Graph) fingerprint() uint64 {
 	h := uint64(fnvOffset)
 	h = mix64(h, uint64(len(g.nodes)))
 	for i := range g.nodes {

@@ -86,10 +86,11 @@ func (r *Router) Release(id ChannelID) {
 // Claimed reports whether the channel has been claimed.
 func (r *Router) Claimed(id ChannelID) bool { return r.claimed[id] }
 
-// direct returns the first unclaimed, healthy direct channel a->b, or -1.
+// direct returns the first unclaimed, healthy direct channel a->b in id
+// order, or -1.
 func (r *Router) direct(a, b NodeID) ChannelID {
-	for _, cid := range r.g.ChannelsBetween(a, b) {
-		if !r.claimed[cid] && !r.g.Channel(cid).Down() {
+	for _, cid := range r.g.out[a] {
+		if c := &r.g.channels[cid]; c.To == b && !c.down && !r.claimed[cid] {
 			return cid
 		}
 	}

@@ -11,6 +11,7 @@ package topology
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"ccube/internal/des"
 )
@@ -105,11 +106,19 @@ func (c *Channel) TransferTime(bytes int64) des.Time {
 // is append-only — experiments never add or remove links from a built
 // topology — but each channel carries mutable *health* state (down,
 // degraded) that the fault-injection layer flips and restores.
+//
+// A Graph is safe for concurrent readers once built. Mutators (the Add*
+// builders and the health setters) must not run concurrently with anything
+// else on the same graph.
 type Graph struct {
 	nodes    []Node
 	channels []Channel
 	out      map[NodeID][]ChannelID
 	in       map[NodeID][]ChannelID
+
+	// fp memoizes Fingerprint (0 = not computed). Every mutator of nodes,
+	// channels or channel health clears it.
+	fp atomic.Uint64
 }
 
 // NewGraph returns an empty topology.
@@ -124,6 +133,7 @@ func NewGraph() *Graph {
 func (g *Graph) AddNode(name string, kind NodeKind) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Kind: kind})
+	g.fp.Store(0)
 	return id
 }
 
@@ -148,6 +158,7 @@ func (g *Graph) AddChannel(from, to NodeID, bandwidth float64, latency des.Time,
 	})
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
+	g.fp.Store(0)
 	return id
 }
 
@@ -170,13 +181,19 @@ func (g *Graph) NumChannels() int { return len(g.channels) }
 // Node returns the node with the given id.
 func (g *Graph) Node(id NodeID) Node { return g.nodes[id] }
 
-// Channel returns the channel with the given id.
+// Channel returns the channel with the given id. The pointer is for reading:
+// From, To, Bandwidth, Latency and Tag are construction-time only, and
+// health changes go through the Graph's methods. Writing a field through it
+// would leave the memoized Fingerprint stale.
 func (g *Graph) Channel(id ChannelID) *Channel { return &g.channels[id] }
 
-// Nodes returns all nodes. The slice is owned by the graph.
+// Nodes returns all nodes. The slice is owned by the graph and read-only:
+// a node's Name and Kind are construction-time only, and the memoized
+// Fingerprint does not see writes to them.
 func (g *Graph) Nodes() []Node { return g.nodes }
 
-// Channels returns all channels. The slice is owned by the graph.
+// Channels returns all channels. The slice is owned by the graph and
+// read-only, as for Channel.
 func (g *Graph) Channels() []Channel { return g.channels }
 
 // GPUs returns the ids of all GPU nodes in id order.
@@ -208,7 +225,14 @@ func (g *Graph) ChannelsBetween(a, b NodeID) []ChannelID {
 }
 
 // HasDirect reports whether any directed channel a->b exists.
-func (g *Graph) HasDirect(a, b NodeID) bool { return len(g.ChannelsBetween(a, b)) > 0 }
+func (g *Graph) HasDirect(a, b NodeID) bool {
+	for _, cid := range g.out[a] {
+		if g.channels[cid].To == b {
+			return true
+		}
+	}
+	return false
+}
 
 // Neighbors returns the distinct nodes reachable from id over one channel.
 func (g *Graph) Neighbors(id NodeID) []NodeID {
@@ -253,6 +277,7 @@ func (g *Graph) Validate() error {
 // RestoreChannel is called. Killing an already-dead channel is a no-op.
 func (g *Graph) KillChannel(id ChannelID) {
 	g.channels[g.mustChannel(id)].down = true
+	g.fp.Store(0)
 }
 
 // DegradeChannel divides a channel's effective bandwidth by factor (>= 1).
@@ -263,6 +288,7 @@ func (g *Graph) DegradeChannel(id ChannelID, factor float64) {
 		panic(fmt.Sprintf("topology: degrade factor %v < 1 on channel %d", factor, id))
 	}
 	g.channels[g.mustChannel(id)].degrade = factor
+	g.fp.Store(0)
 }
 
 // RestoreChannel clears all health state on a channel.
@@ -276,6 +302,7 @@ func (g *Graph) RestoreChannel(id ChannelID) {
 	c := &g.channels[g.mustChannel(id)]
 	c.down = false
 	c.degrade = 0
+	g.fp.Store(0)
 }
 
 // ChannelHealth is the mutable health state of one channel, as a value.
@@ -301,6 +328,7 @@ func (g *Graph) SetHealth(id ChannelID, h ChannelHealth) {
 	c := &g.channels[g.mustChannel(id)]
 	c.down = h.Down
 	c.degrade = h.Degrade
+	g.fp.Store(0)
 }
 
 // SnapshotHealth captures the health of every channel, index = ChannelID.
@@ -321,6 +349,7 @@ func (g *Graph) RestoreHealth(snap []ChannelHealth) {
 		g.channels[i].down = snap[i].Down
 		g.channels[i].degrade = snap[i].Degrade
 	}
+	g.fp.Store(0)
 }
 
 // DownChannels returns the ids of all failed channels, in id order.
