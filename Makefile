@@ -15,10 +15,11 @@ test:
 # plus the fault-matrix suite, which drives repairs end to end, the sweep
 # executor with its parallel-vs-serial determinism tests, the HTTP service
 # layer with its load generator, the on-disk schedule store (shared by
-# concurrent caches and processes), and the topology graph's memoized
-# fingerprint (filled by whichever request goroutine reads it first).
+# concurrent caches and processes), the topology graph's memoized
+# fingerprint (filled by whichever request goroutine reads it first), and
+# the verifier's pool of checkers (shared by every concurrent Check).
 race:
-	$(GO) test -race ./internal/topology/ ./internal/p2psync/... ./internal/gpusim/... ./internal/gradqueue/... ./internal/fault/... ./internal/sweep/... ./internal/server/... ./internal/loadgen/... ./internal/collective/...
+	$(GO) test -race ./internal/topology/ ./internal/p2psync/... ./internal/gpusim/... ./internal/gradqueue/... ./internal/fault/... ./internal/sweep/... ./internal/server/... ./internal/loadgen/... ./internal/collective/... ./internal/schedcheck/
 	$(GO) test -race -run ParallelMatchesSerial ./internal/experiments/
 
 # The des run-loop benches (Resource, GraphPipeline) and its zero-alloc

@@ -101,6 +101,20 @@ func executeBench(cfg func() collective.Config) func() (func() error, error) {
 	}
 }
 
+// checkBench times one verification of a built schedule: the cold-path
+// Check every full build pays. The dgx1 shape (~700 transfers) is the size
+// plan_unique verifies six of per request, where per-call setup dominates.
+func checkBench(cfg func() collective.Config) func() (func() error, error) {
+	return func() (func() error, error) {
+		s, err := collective.Build(cfg())
+		if err != nil {
+			return nil, err
+		}
+		p := s.Program()
+		return func() error { return schedcheck.Check(p).Err() }, nil
+	}
+}
+
 // synthSizes are the message sizes BenchmarkSynthesize cycles through.
 var synthSizes = []int64{1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20}
 
@@ -116,14 +130,8 @@ func benchmarks() []benchmark {
 				return err
 			}, nil
 		}},
-		{"Check/cluster64-ccube-128chunks", true, func() (func() error, error) {
-			s, err := collective.Build(cluster64CCube())
-			if err != nil {
-				return nil, err
-			}
-			p := s.Program()
-			return func() error { return schedcheck.Check(p).Err() }, nil
-		}},
+		{"Check/cluster64-ccube-128chunks", true, checkBench(cluster64CCube)},
+		{"Check/dgx1-ccube-16MiB", true, checkBench(dgx1CCube)},
 		{"Synthesize/dgx1", true, func() (func() error, error) {
 			// One op is a cold compile (NoCache) at each of
 			// BenchmarkSynthesize's sizes, so every op does the same work.
@@ -395,8 +403,9 @@ var Budgets = map[string]int64{
 	"Execute/cluster64-ccube-128chunks": 6,
 	"Execute/dgx1-ccube-16MiB":          6,
 	"Build/cluster64-ccube-128chunks":   592,
-	"Check/cluster64-ccube-128chunks":   51,
-	"Synthesize/dgx1":                   1135,
+	"Check/cluster64-ccube-128chunks":   2,
+	"Check/dgx1-ccube-16MiB":            2,
+	"Synthesize/dgx1":                   930,
 }
 
 // CheckBudgets returns a description of every bench exceeding its allocs/op

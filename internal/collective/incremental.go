@@ -1,5 +1,7 @@
 package collective
 
+import "ccube/internal/schedcheck"
+
 // Incremental rebuilds: when the cache misses only because the message size
 // changed — same topology fingerprint, algorithm, participants, chunk-count
 // request, and sharing flag — the compiled task graph of a cached sibling is
@@ -13,13 +15,14 @@ package collective
 // sibling passed it, and every property it proves — acyclicity, hazard
 // ordering, link validity, conservation, in-order delivery — is invariant
 // under changing positive byte counts (the verifier's byte-dependent checks
-// are exactly the bytes > 0 structural guards, which validateStructure
-// re-runs). The patch is conservative: any transfer whose bytes do not
-// equal its chunk's size in the sibling's partition — a shape assumption
-// violated — aborts the patch and falls back to a full build, as does a
-// chunk-count change (tree chunk counts depend on bytes through the KOpt
-// heuristic). TestIncrementalMatchesFullBuild pins the equivalence:
-// patched and freshly built schedules must be deep-equal.
+// are exactly the bytes > 0 guards of its structure class, which
+// schedcheck.CheckStructure re-runs on the patched schedule). The patch is
+// conservative: any transfer whose bytes do not equal its chunk's size in
+// the sibling's partition — a shape assumption violated — aborts the patch
+// and falls back to a full build, as does a chunk-count change (tree chunk
+// counts depend on bytes through the KOpt heuristic).
+// TestIncrementalMatchesFullBuild pins the equivalence: patched and freshly
+// built schedules must be deep-equal.
 
 // shapeSiblingLocked scans the memory cache for an entry differing from k
 // only in bytes. Caller holds c.mu. The scan is O(entries) but the cache is
@@ -73,7 +76,7 @@ func patchFromSibling(sib *Schedule, cfg Config) (*Schedule, bool) {
 		}
 		op.Bytes = part.Sizes[op.Chunk]
 	}
-	if err := s.validateStructure(); err != nil {
+	if !schedcheck.CheckStructure(s.Program()).OK() {
 		return nil, false
 	}
 	s.stamp()

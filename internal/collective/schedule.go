@@ -724,32 +724,3 @@ func (s *Schedule) MakespanBound() (des.Time, error) {
 func (s *Schedule) Validate() error {
 	return schedcheck.Check(s.Program()).Err()
 }
-
-// validateStructure runs a cheap structural pass alone: index ranges,
-// positive transfer sizes, dependency validity, acyclicity. Incremental
-// rebuilds use it (they patch a verified sibling and re-check only
-// structure — the byte-independent proofs carry over).
-func (s *Schedule) validateStructure() error {
-	k := s.Partition.NumChunks()
-	for i := range s.ops {
-		op := &s.ops[i]
-		if op.Chunk < 0 || op.Chunk >= k {
-			return fmt.Errorf("collective: transfer %d chunk %d out of range", i, op.Chunk)
-		}
-		if !op.Marker() {
-			if int(op.Channel) >= s.Graph.NumChannels() {
-				return fmt.Errorf("collective: transfer %d references channel %d", i, op.Channel)
-			}
-			if op.Bytes <= 0 {
-				return fmt.Errorf("collective: transfer %d moves %d bytes", i, op.Bytes)
-			}
-		}
-		for _, d := range op.Deps {
-			if d < 0 || d >= len(s.ops) {
-				return fmt.Errorf("collective: transfer %d has invalid dep %d", i, d)
-			}
-		}
-	}
-	_, err := s.topoOrder()
-	return err
-}

@@ -4,24 +4,35 @@ package schedcheck
 // hazard, conservation and order classes ask, but only about a few pairs per
 // op: two thirds of the questions name a direct dependency, and most of the
 // rest stay inside one chunk or cross a phase barrier. So Check plans its
-// questions before it builds any closure:
+// questions before it builds any closure, in two passes over the columns the
+// decode pass left (checks.go):
 //
-//   - ask settles a question on the spot when the target lists the source in
-//     Deps, or when a barrier hub witnesses it (below), and queues it
-//     otherwise, raising the source's horizon to the target's position;
+//   - topoSort orders the ops (Kahn's algorithm, lowest ready chunk first)
+//     and hands out the barrier hubs' up labels on the way; hubLabels adds
+//     the down labels in one reverse sweep;
+//   - one sweep in that order plans hazards and conservation together, and
+//     the order class plans its marker chains after it. A question is
+//     settled on the spot when the target lists the source in Deps or a
+//     barrier hub witnesses it (below); otherwise enqueue puts it on its
+//     class's pending list and raises the source's horizon to the target's
+//     position;
 //   - buildClosure then computes a banded closure over topological
 //     positions: row k holds the positions k+1 through hz[k] that k reaches.
 //     Horizons are pushed forward along dependency edges first, so every
 //     dependent's row covers at least its predecessors' bands and one
 //     reverse sweep ORs rows exactly as the full closure would, only
 //     narrower;
-//   - answered tests the queued questions against the band.
+//   - answered tests each class's queued questions against the band. A
+//     class the plan does not prove reports through its exact pass, whose
+//     questions are planned the same way before the band is rebuilt once
+//     for all of them (report). So every question reaches gets is either
+//     settled or inside the band.
 //
-// The chunk-priority topological order (topoSort) keeps a chunk's ops
-// together, so the band spans about one chunk's ops rather than the whole
-// schedule. Anything without a plan — CheckDeep's contention pairs, an
-// exact reporting path that asks outside the band after a failure — uses the
-// full triangle, which is the same band with every horizon at n-1.
+// The chunk-priority order keeps a chunk's ops together, so the band spans
+// about one chunk's ops rather than the whole schedule. Only CheckDeep,
+// whose contention pairs are arbitrary, builds the full triangle, which is
+// the same band with every horizon at n-1, before its walks; they answer as
+// they go.
 //
 // A barrier hub is a marker that announces nothing (Final == -1): the
 // separated tree's barrier, the hierarchical box-ready and barrier markers,
@@ -35,29 +46,32 @@ package schedcheck
 type query struct{ a, b int32 }
 
 // hubLabels fills ck.down from the hubs topoSort found, in one reverse
-// sweep; without hubs both labels stay nil.
+// sweep; without hubs neither label is used.
 func (ck *checker) hubLabels() {
-	if ck.up == nil {
+	if len(ck.hubs) == 0 {
 		return
 	}
-	ck.down = make([]uint64, len(ck.topo))
+	down, off, items := zeroed(ck.down, len(ck.topo)), ck.dependents.off, ck.dependents.items
 	for i, h := range ck.hubs {
-		ck.down[h] = 1 << uint(i)
+		down[h] = 1 << uint(i)
 	}
 	for k := len(ck.topo) - 1; k >= 0; k-- {
 		id := ck.topo[k]
-		for _, d := range ck.dependents.row(int(id)) {
-			ck.down[id] |= ck.down[d]
+		lab := down[id]
+		for _, d := range items[off[id]:off[id+1]] {
+			lab |= down[d]
 		}
+		down[id] = lab
 	}
+	ck.down = down
 }
 
-// dependsOn reports whether b lists a among its direct dependencies. It
-// scans a's row of the compact dependents index rather than b's Deps, which
-// would pull b's whole Op into cache for one comparison.
-func (ck *checker) dependsOn(b, a int) bool {
-	for _, d := range ck.dependents.row(a) {
-		if int(d) == b {
+// dependsOn reports whether b lists a among its direct dependencies, from
+// b's row of the deps column: the sweep asks its questions about the op it
+// is at, so that row is hot.
+func (ck *checker) dependsOn(b, a int32) bool {
+	for _, d := range ck.deps.row(int(b)) {
+		if d == a {
 			return true
 		}
 	}
@@ -66,40 +80,48 @@ func (ck *checker) dependsOn(b, a int) bool {
 
 // settled reports whether a reaches b without consulting any closure: a
 // direct dependency or a hub witness.
-func (ck *checker) settled(a, b int) bool {
-	return (ck.up != nil && ck.down[a]&ck.up[b] != 0) || ck.dependsOn(b, a)
+func (ck *checker) settled(a, b int32) bool {
+	return len(ck.hubs) > 0 && ck.down[a]&ck.up[b] != 0 || ck.dependsOn(b, a)
 }
 
-// enqueue queues the question (a, b), with pos[a] < pos[b], for the band.
-func (ck *checker) enqueue(a, b int) {
+// enqueue queues the question (a, b), with pos[a] < pos[b], on pd.
+func (ck *checker) enqueue(a, b int32, pd *pending) {
 	pa, pb := ck.pos[a], ck.pos[b]
-	ck.queries = append(ck.queries, query{pa, pb})
+	pd.queries = append(pd.queries, query{pa, pb})
 	if ck.hz[pa] < pb {
 		ck.hz[pa] = pb
 	}
 }
 
-// ask records that a class needs "a reaches b". It returns false only when
-// the answer is already known to be no; a queued question is answered by
-// answered once the closure exists. With the closure already built
-// (CheckDeep) it answers at once.
-func (ck *checker) ask(a, b int) bool {
+// ask records that a class needs "a reaches b", queueing the question on pd
+// unless it is settled. It returns false only when the answer is already
+// known to be no. With the closure already built (CheckDeep) it answers at
+// once.
+func (ck *checker) ask(a, b int32, pd *pending) bool {
 	switch {
 	case ck.pos[b] <= ck.pos[a]:
 		return false
-	case ck.rowOff != nil: // the closure is built
-		return ck.reaches(a, b)
+	case !ck.plan:
+		return ck.reaches(int(a), int(b))
 	case ck.settled(a, b):
 		return true
 	}
-	ck.enqueue(a, b)
+	ck.enqueue(a, b, pd)
 	return true
 }
 
-// answered reports whether every question queued in ck.queries[from:to]
-// holds in the band.
-func (ck *checker) answered(from, to int) bool {
-	for _, q := range ck.queries[from:to] {
+// need plans a question an exact pass will ask reaches later: unless the
+// positions or a settling witness already answer it, it is queued on
+// ck.exact (in the planned mode only; CheckDeep's closure is full).
+func (ck *checker) need(a, b int) {
+	if ck.plan && ck.pos[a] < ck.pos[b] && !ck.settled(int32(a), int32(b)) {
+		ck.enqueue(int32(a), int32(b), &ck.exact)
+	}
+}
+
+// answered reports whether every question in qs holds in the band.
+func (ck *checker) answered(qs []query) bool {
+	for _, q := range qs {
 		if !ck.bandBit(int(q.a), int(q.b)) {
 			return false
 		}
@@ -108,40 +130,45 @@ func (ck *checker) answered(from, to int) bool {
 }
 
 // buildClosure computes the closure rows for the current horizons, or the
-// full triangle when there are none. Planned horizons are first pushed
+// full triangle when ck.full is set. Planned horizons are first pushed
 // forward along every dependency edge; that pass also lays out the rows,
 // since a position's horizon is final once its predecessors are done.
 func (ck *checker) buildClosure() {
 	n := len(ck.topo)
-	full := ck.hz == nil
-	if full {
-		ck.hz = make([]int32, n)
-		for k := range ck.hz {
-			ck.hz[k] = int32(n - 1)
+	topo, pos, hz, off, items := ck.topo, ck.pos, ck.hz, ck.dependents.off, ck.dependents.items
+	if ck.full {
+		for k := range hz {
+			hz[k] = int32(n - 1)
 		}
 	}
-	ck.rowOff = make([]int, n+1)
-	for k, id := range ck.topo {
-		h := ck.hz[k]
-		ck.rowOff[k+1] = ck.rowOff[k] + rowWords(k, int(h))
-		if full {
+	rowOff := grow(ck.rowOff, n+1)
+	rowOff[0] = 0
+	for k, id := range topo {
+		h := hz[k]
+		rowOff[k+1] = rowOff[k] + rowWords(k, int(h))
+		if ck.full {
 			continue
 		}
-		for _, d := range ck.dependents.row(int(id)) {
-			if pd := ck.pos[d]; ck.hz[pd] < h {
-				ck.hz[pd] = h
+		for _, d := range items[off[id]:off[id+1]] {
+			if pd := pos[d]; hz[pd] < h {
+				hz[pd] = h
 			}
 		}
 	}
-	ck.closure = make([]uint64, ck.rowOff[n])
+	// Each row is cleared just before the sweep fills it, while it is in
+	// cache, rather than in a pass of its own.
+	closure := grow(ck.closure, rowOff[n])
+	ck.rowOff, ck.closure = rowOff, closure
 	for k := n - 1; k >= 0; k-- {
-		row, base, hz := ck.row(k), k>>6, ck.hz[k]
+		row, base, h := closure[rowOff[k]:rowOff[k+1]], k>>6, hz[k]
 		if len(row) == 0 {
 			continue
 		}
-		for _, d := range ck.dependents.row(int(ck.topo[k])) {
-			pd := ck.pos[d]
-			if pd > hz {
+		clear(row)
+		id := topo[k]
+		for _, d := range items[off[id]:off[id+1]] {
+			pd := pos[d]
+			if pd > h {
 				continue // past the band, and so are all of d's descendants
 			}
 			wi, bit := int(pd>>6)-base, uint64(1)<<uint(pd&63)
@@ -149,7 +176,7 @@ func (ck *checker) buildClosure() {
 				continue // reached through an earlier dependent, whose row holds d's
 			}
 			row[wi] |= bit
-			src := ck.row(int(pd))
+			src := closure[rowOff[pd]:rowOff[pd+1]]
 			dst := row[wi:]
 			if len(src) > len(dst) {
 				src = src[:len(dst)]
@@ -182,23 +209,18 @@ func (ck *checker) bandBit(pa, pb int) bool {
 }
 
 // reaches reports whether a dependency path a -> ... -> b exists (b
-// transitively depends on a). A question outside the band that no direct
-// dependency settles was not planned; it rebuilds the closure as the full
-// triangle, so every answer is exact whatever was planned.
+// transitively depends on a). Every question it gets was planned, so one
+// outside the band is settled by a direct dependency or hub label.
 func (ck *checker) reaches(a, b int) bool {
 	pa, pb := int(ck.pos[a]), int(ck.pos[b])
 	if pb <= pa {
 		return false
 	}
-	if ck.up != nil && ck.down[a]&ck.up[b] != 0 {
-		return true
-	}
 	if pb > int(ck.hz[pa]) {
-		if ck.dependsOn(b, a) {
-			return true
+		if !ck.settled(int32(a), int32(b)) {
+			panic("schedcheck: reachability question outside the planned band")
 		}
-		ck.hz = nil
-		ck.buildClosure()
+		return true
 	}
 	return ck.bandBit(pa, pb)
 }

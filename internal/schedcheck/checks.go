@@ -3,48 +3,164 @@ package schedcheck
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"ccube/internal/topology"
 )
 
-// checker carries the shared state of one verification run. Buffer regions
-// are dense: region ni*NumChunks+c is participant index ni's storage for
-// chunk c.
+// checker carries one verification run. Every entry point takes one from
+// checkers and puts it back, so each slice below is scratch: resliced to the
+// program at hand, grown to the largest program the checker has seen, and
+// never referenced by the Report it returns.
+//
+// The decode pass (structure) reads each Op once, in id order, and leaves
+// the compact columns and counts every later pass works from; a passing
+// Check never reads the Ops again. Buffer regions are dense and
+// chunk-major, as the sweep visits them: region c*len(Nodes)+ni is
+// participant index ni's storage for chunk c. Relay slots are numbered
+// densely in op order.
 type checker struct {
 	p *Program
 	r *Report
 
-	nodeIdx    []int32    // NodeID -> index in p.Nodes, -1 for non-participants
-	topo       []int32    // chunk-priority topological order of op ids
-	pos        []int32    // pos[id] = position of op id in topo
-	dependents csr[int32] // row i = ops listing i in Deps, in id order
-	readers    csr[int32] // row i = ops whose Src is op i's relay slot
-	finals     csr[int32] // row r = ops marking region r ready, in id order
+	nodeIdx []int32 // NodeID -> index in p.Nodes, -1 for non-participants
 
-	// Reachability (bitset.go). plan selects the planned mode; hubs are the
-	// barrier hubs' op ids, up and down their labels (nil without hubs);
-	// hz, rowOff and closure are the band; queries are the questions
-	// waiting for it.
-	plan       bool
-	hubs       []int32
-	up, down   []uint64
-	hz         []int32
-	rowOff     []int
-	closure    []uint64
-	queries    []query
-	forcedGen  []int32 // forcedAfter memo: generation stamp per op
-	forcedVal  []bool  // forcedAfter memo: result per op, valid at forcedGen
-	forcedCall int32   // current forcedAfter generation
+	// Op columns, indexed by op id. src and dst are valid for transfers
+	// only: a region, or a relay slot written as its complement (^owner for
+	// the slot an op reads, ^slot for the one a relay hop writes).
+	kind       []opKind
+	chunk      []int32
+	src, dst   []int32
+	finNext    []int32    // next op marking the same region ready, in id order, or -1
+	nread      []int32    // how many ops read the op's relay slot
+	deps       csr[int32] // row i = op i's Deps
+	dependents csr[int32] // row i = ops listing i in Deps, in id order
+	relays     []int32    // slot -> the relay hop owning it
+
+	// Region columns, indexed by region. finFirst and finLast are the
+	// first and last op marking the region ready, or -1; accOff[r] is where
+	// region r's accesses start in acc, counted by the decode pass.
+	finFirst, finLast []int32
+	accOff            []int32
+
+	// The sweep's state (sweep): region r's accesses land in acc in
+	// topological order, and runs[r] tracks its last two runs; sets holds a
+	// contribution set per region and then per relay slot.
+	acc  []int32
+	runs []regionRuns
+	sets []uint64
+
+	topo []int32     // chunk-priority topological order of op ids
+	pos  []int32     // pos[id] = position of op id in topo; aliases q.next
+	q    chunkQueues // Kahn's ready set
+
+	// Reachability (bitset.go). plan selects the planned mode and full the
+	// full triangle; hubs are the barrier hubs' op ids and up and down their
+	// labels (meaningful only when there are hubs); hz, rowOff and closure
+	// are the band. haz, cons, ord and exact hold the questions each plan
+	// queued for it.
+	plan, full            bool
+	hubs                  []int32
+	up, down              []uint64
+	hz                    []int32 // aliases the in-degrees Kahn's sort used up
+	rowOff                []int
+	closure               []uint64
+	haz, cons, ord, exact pending
+
+	// The order proof's forcedAfter memo: a generation stamp and a result
+	// per op, the result valid while the stamp is the current generation.
+	forcedGen  []int32
+	forcedVal  []bool
+	forcedCall int32
+
+	// Reporting: the decode pass's link violations, held until structure
+	// passes; the exact passes' access index (per region, in id order); and
+	// conservation's exact pass, its writes per region in sweep order and
+	// its contribution counts.
+	linkV  []Violation
+	accID  csr[access]
+	writes csr[int32]
+	counts []int32
 }
 
-func newChecker(p *Program) *checker {
-	return &checker{p: p, r: &Report{NumOps: len(p.Ops)}}
+// opKind is what an op does, decoded once from its buffers.
+type opKind uint8
+
+const (
+	kBarrier opKind = iota // marker announcing nothing: a barrier hub candidate
+	kMarker                // marker announcing a final
+	kRelay                 // detour hop into its own relay slot
+	kReduce                // accumulation into a region
+	kCopy                  // overwrite of a region
+)
+
+func (k opKind) marker() bool { return k <= kMarker }
+
+// regionRuns is one region's place in the hazard run walk (sweep): its
+// accesses so far are acc[accOff[r]:end], the current run starts at cur
+// and the previous one at prev, and kind is the current run's access kind.
+type regionRuns struct {
+	end, cur, prev int32
+	kind           accessKind
+}
+
+var checkers = sync.Pool{New: func() any { return new(checker) }}
+
+// getChecker takes a pooled checker and points it at p with a fresh Report.
+// Its scratch is resized by the passes that use it.
+func getChecker(p *Program) *checker {
+	ck := checkers.Get().(*checker)
+	ck.p = p
+	ck.r = &Report{NumOps: len(p.Ops), Checked: make([]Class, 0, numClasses)}
+	ck.plan, ck.full = false, false
+	ck.hubs = ck.hubs[:0]
+	ck.haz.reset()
+	ck.cons.reset()
+	ck.ord.reset()
+	ck.exact.reset()
+	ck.forcedCall = 0
+	return ck
+}
+
+// release returns ck to the pool. The Report stays with the caller.
+func (ck *checker) release() {
+	ck.p, ck.r = nil, nil
+	clear(ck.linkV)
+	ck.linkV = ck.linkV[:0]
+	checkers.Put(ck)
+}
+
+// grow returns s resliced to length n, reallocating only when its capacity
+// is short. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// zeroed returns s grown to length n and cleared.
+func zeroed[T any](s []T, n int) []T {
+	s = grow(s, n)
+	clear(s)
+	return s
+}
+
+// filled returns s grown to length n with every element set to v.
+func filled[T any](s []T, n int, v T) []T {
+	s = grow(s, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 func (ck *checker) fail(class Class, op int, format string, args ...any) {
-	ck.r.Violations = append(ck.r.Violations, Violation{
-		Class: class, Op: op, Msg: fmt.Sprintf(format, args...),
-	})
+	ck.r.Violations = append(ck.r.Violations, violation(class, op, format, args...))
+}
+
+func violation(class Class, op int, format string, args ...any) Violation {
+	return Violation{Class: class, Op: op, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (ck *checker) participant(n topology.NodeID) bool {
@@ -53,7 +169,7 @@ func (ck *checker) participant(n topology.NodeID) bool {
 
 // region returns the dense index of participant n's storage for chunk c.
 func (ck *checker) region(n topology.NodeID, c int) int {
-	return int(ck.nodeIdx[n])*ck.p.NumChunks + c
+	return c*len(ck.p.Nodes) + int(ck.nodeIdx[n])
 }
 
 // csr is a compressed row index: row i holds items[off[i]:off[i+1]].
@@ -64,16 +180,16 @@ type csr[T any] struct {
 
 func (c *csr[T]) row(i int) []T { return c.items[c.off[i]:c.off[i+1]] }
 
-// buildCSR indexes n rows from visit, which must emit the same (row, item)
-// sequence on both of its calls: the first counts, the second fills. Items
-// keep their emission order within a row.
-func buildCSR[T any](n int, visit func(emit func(row int, item T))) csr[T] {
-	off := make([]int32, n+1)
+// build indexes n rows from visit into c's own storage. visit must emit the
+// same (row, item) sequence on both of its calls: the first counts, the
+// second fills. Items keep their emission order within a row.
+func (c *csr[T]) build(n int, visit func(emit func(row int, item T))) {
+	off := zeroed(c.off, n+1)
 	visit(func(row int, _ T) { off[row+1]++ })
 	for i := 0; i < n; i++ {
 		off[i+1] += off[i]
 	}
-	items := make([]T, off[n])
+	items := grow(c.items, int(off[n]))
 	// off[row] is row's fill cursor; filled, it has advanced to the row's
 	// end, so shifting the array by one restores the starts.
 	visit(func(row int, item T) {
@@ -82,19 +198,7 @@ func buildCSR[T any](n int, visit func(emit func(row int, item T))) csr[T] {
 	})
 	copy(off[1:], off[:n])
 	off[0] = 0
-	return csr[T]{off: off, items: items}
-}
-
-// indexReaders fills ck.readers, used by linkOp (relay never read) and the
-// relay read-after-write checks.
-func (ck *checker) indexReaders() {
-	ck.readers = buildCSR(len(ck.p.Ops), func(emit func(int, int32)) {
-		for i := range ck.p.Ops {
-			if r := ck.p.Ops[i].Src.Relay; r >= 0 {
-				emit(r, int32(i))
-			}
-		}
-	})
+	c.off, c.items = off, items
 }
 
 // label renders an op for messages.
@@ -102,13 +206,19 @@ func (ck *checker) label(id int) string {
 	return fmt.Sprintf("#%d(%s)", id, ck.p.Label(id))
 }
 
-// --- structure -------------------------------------------------------------
+// --- structure: the decode pass --------------------------------------------
 
 // structure checks well-formedness: consistent ids, in-range references,
 // relay-slot wiring, and acyclicity of the dependency graph. An acyclic
 // dependency graph is deadlock-free: some op is always runnable until all
 // have completed.
-func (ck *checker) structure() {
+//
+// It is also the decode pass. While no violation has been found, each op is
+// decoded into the columns as it is checked, and the same walk counts every
+// index the later passes need: dependents, relay readers, region accesses,
+// relay slots, and the finals list of every region. With links set, the
+// walk also runs each op's link checks into ck.linkV, for reportLinks.
+func (ck *checker) structure(links bool) {
 	p := ck.p
 	if p.Graph == nil {
 		ck.fail(ClassStructure, -1, "program has no topology graph")
@@ -127,10 +237,7 @@ func (ck *checker) structure() {
 		return
 	}
 	nn := p.Graph.NumNodes()
-	ck.nodeIdx = make([]int32, nn)
-	for i := range ck.nodeIdx {
-		ck.nodeIdx[i] = -1
-	}
+	ck.nodeIdx = filled(ck.nodeIdx, nn, -1)
 	for i, n := range p.Nodes {
 		if n < 0 || int(n) >= nn {
 			ck.fail(ClassStructure, -1, "participant %d is node %d, outside the graph's %d nodes", i, n, nn)
@@ -138,6 +245,20 @@ func (ck *checker) structure() {
 		}
 		ck.nodeIdx[n] = int32(i)
 	}
+	n, nr, nch := len(p.Ops), len(p.Nodes)*p.NumChunks, p.Graph.NumChannels()
+	ck.kind = grow(ck.kind, n)
+	ck.chunk = grow(ck.chunk, n)
+	ck.src = grow(ck.src, n)
+	ck.dst = grow(ck.dst, n)
+	ck.finNext = grow(ck.finNext, n)
+	ck.nread = zeroed(ck.nread, n)
+	ck.deps.off = grow(ck.deps.off, n+1)
+	ck.dependents.off = zeroed(ck.dependents.off, n+1)
+	ck.relays = ck.relays[:0]
+	ck.finFirst = filled(ck.finFirst, nr, -1)
+	ck.finLast = filled(ck.finLast, nr, -1)
+	ck.accOff = zeroed(ck.accOff, nr+1)
+	depItems, depCount := ck.deps.items[:0], ck.dependents.off
 	for i := range p.Ops {
 		op := &p.Ops[i]
 		if op.ID != i {
@@ -147,8 +268,9 @@ func (ck *checker) structure() {
 		if op.Chunk < 0 || op.Chunk >= p.NumChunks {
 			ck.fail(ClassStructure, i, "chunk %d out of range [0,%d)", op.Chunk, p.NumChunks)
 		}
+		ck.deps.off[i] = int32(len(depItems))
 		for _, d := range op.Deps {
-			if d < 0 || d >= len(p.Ops) {
+			if d < 0 || d >= n {
 				ck.fail(ClassStructure, i, "dependency %d out of range", d)
 				return
 			}
@@ -156,6 +278,8 @@ func (ck *checker) structure() {
 				ck.fail(ClassStructure, i, "op depends on itself")
 				return
 			}
+			depItems = append(depItems, int32(d))
+			depCount[d+1]++
 		}
 		if op.Final != -1 && !ck.participant(op.Final) {
 			ck.fail(ClassStructure, i, "final node %d is not a participant", op.Final)
@@ -164,14 +288,20 @@ func (ck *checker) structure() {
 			if !op.Src.IsNone() || !op.Dst.IsNone() {
 				ck.fail(ClassStructure, i, "marker touches buffers")
 			}
+			if ck.r.OK() {
+				ck.kind[i] = kMarker
+				if op.Final < 0 {
+					ck.kind[i] = kBarrier
+				}
+				ck.decodeFinal(i, op)
+			}
 			continue
 		}
 		if op.Bytes <= 0 {
 			ck.fail(ClassStructure, i, "transfer moves %d bytes", op.Bytes)
 		}
-		if int(op.Channel) >= p.Graph.NumChannels() {
-			ck.fail(ClassStructure, i, "channel %d does not exist (%d channels)",
-				op.Channel, p.Graph.NumChannels())
+		if int(op.Channel) >= nch {
+			ck.fail(ClassStructure, i, "channel %d does not exist (%d channels)", op.Channel, nch)
 		}
 		if op.Src.IsNone() {
 			ck.fail(ClassStructure, i, "transfer has no source buffer")
@@ -187,7 +317,7 @@ func (ck *checker) structure() {
 		}
 		if op.Src.IsRelay() {
 			r := op.Src.Relay
-			if r < 0 || r >= len(p.Ops) {
+			if r < 0 || r >= n {
 				ck.fail(ClassStructure, i, "source relay slot %d out of range", r)
 			} else if owner := &p.Ops[r]; !owner.Dst.IsRelay() || owner.Dst.Relay != r {
 				ck.fail(ClassStructure, i, "source relay slot %d is not written by op %d", r, r)
@@ -203,11 +333,74 @@ func (ck *checker) structure() {
 				ck.fail(ClassStructure, i, "relay hop accumulates; detour forwarding must copy")
 			}
 		}
+		if !ck.r.OK() {
+			continue // the columns are only read once every op passes
+		}
+		ck.decodeTransfer(i, op)
+		ck.decodeFinal(i, op)
+		if links {
+			ck.linkOp(i)
+		}
 	}
+	ck.deps.off[n] = int32(len(depItems))
+	ck.deps.items = depItems
 	if !ck.r.OK() {
 		return
 	}
+	for r := 0; r < nr; r++ {
+		ck.accOff[r+1] += ck.accOff[r]
+	}
 	ck.topoSort()
+}
+
+// decodeTransfer fills op i's kind, src and dst columns and counts
+// its region accesses, relay read and relay slot. An op whose source and
+// destination are the same region accesses it once, with its (stronger)
+// write kind.
+func (ck *checker) decodeTransfer(i int, op *Op) {
+	c := op.Chunk
+	var s, d int32
+	if op.Src.IsRelay() {
+		s = ^int32(op.Src.Relay)
+		ck.nread[op.Src.Relay]++
+	} else {
+		s = int32(ck.region(op.Src.Node, c))
+	}
+	switch {
+	case op.Dst.IsRelay():
+		ck.kind[i] = kRelay
+		d = ^int32(len(ck.relays))
+		ck.relays = append(ck.relays, int32(i))
+	case op.Accumulate:
+		ck.kind[i] = kReduce
+	default:
+		ck.kind[i] = kCopy
+	}
+	if d >= 0 {
+		d = int32(ck.region(op.Dst.Node, c))
+		ck.accOff[d+1]++
+	}
+	if s >= 0 && s != d {
+		ck.accOff[s+1]++
+	}
+	ck.src[i], ck.dst[i] = s, d
+}
+
+// decodeFinal fills op i's chunk column (markers have no other) and appends
+// it to the finals list of the region it marks ready.
+func (ck *checker) decodeFinal(i int, op *Op) {
+	ck.chunk[i] = int32(op.Chunk)
+	ck.finNext[i] = -1
+	if op.Final < 0 {
+		return
+	}
+	r := ck.region(op.Final, op.Chunk)
+	if ck.finFirst[r] < 0 {
+		ck.finFirst[r] = int32(i)
+	} else {
+		ck.finNext[ck.finLast[r]] = int32(i)
+	}
+	ck.finLast[r] = int32(i)
 }
 
 // topoSort fills ck.dependents, ck.topo and ck.pos or reports a cycle. It
@@ -217,72 +410,65 @@ func (ck *checker) structure() {
 // planned mode the same sweep hands out the barrier hub bits, propagates
 // the up labels and sets every horizon to its floor.
 func (ck *checker) topoSort() {
-	ops := ck.p.Ops
-	n := len(ops)
-	// The dependents index is buildCSR's, written out: it is the largest
-	// one, and the count pass also seeds the in-degrees and the queues.
-	indeg := make([]int32, n)
-	off := make([]int32, n+1)
-	q := newChunkQueues(n, ck.p.NumChunks)
-	for i := range ops {
-		deps := ops[i].Deps
-		for _, d := range deps {
-			off[d+1]++
-		}
-		if indeg[i] = int32(len(deps)); indeg[i] == 0 {
-			q.push(int32(i), ops[i].Chunk)
-		}
-	}
+	n := len(ck.p.Ops)
+	// The dependents index transposes the deps column; the decode pass
+	// counted its rows. The in-degrees come from the deps rows. The hot
+	// loops below work on local copies of the slices they touch.
+	off, depOff, depItems, chunk := ck.dependents.off, ck.deps.off, ck.deps.items, ck.chunk
 	for i := 0; i < n; i++ {
 		off[i+1] += off[i]
 	}
-	items := make([]int32, off[n])
-	for i := range ops {
-		for _, d := range ops[i].Deps {
+	items := grow(ck.dependents.items, int(off[n]))
+	indeg := grow(ck.hz, n)
+	q := ck.q
+	q.reset(n, ck.p.NumChunks)
+	for i := 0; i < n; i++ {
+		row := depItems[depOff[i]:depOff[i+1]]
+		for _, d := range row {
 			items[off[d]] = int32(i)
 			off[d]++
+		}
+		if indeg[i] = int32(len(row)); indeg[i] == 0 {
+			q.push(int32(i), chunk[i])
 		}
 	}
 	copy(off[1:], off[:n])
 	off[0] = 0
-	ck.dependents = csr[int32]{off: off, items: items}
-	order := make([]int32, 0, n)
+	ck.dependents.items = items
+	order, up, hubs, kind := grow(ck.topo, n)[:0], ck.up, ck.hubs, ck.kind
 	for id := q.pop(); id >= 0; id = q.pop() {
 		order = append(order, id)
-		if op := &ops[id]; ck.plan && op.Marker() && op.Final == -1 && len(ck.hubs) < 64 {
-			if ck.up == nil {
-				ck.up = make([]uint64, n) // no op before the first hub has a label
+		if ck.plan && kind[id] == kBarrier && len(hubs) < 64 {
+			if len(hubs) == 0 {
+				up = zeroed(up, n) // no op before the first hub has a label
 			}
-			ck.up[id] |= 1 << uint(len(ck.hubs))
-			ck.hubs = append(ck.hubs, id)
+			up[id] |= 1 << uint(len(hubs))
+			hubs = append(hubs, id)
 		}
 		var lab uint64
-		if ck.up != nil {
-			lab = ck.up[id]
+		if len(hubs) > 0 {
+			lab = up[id]
 		}
-		for _, dep := range ck.dependents.row(int(id)) {
+		for _, dep := range items[off[id]:off[id+1]] {
 			if lab != 0 {
-				ck.up[dep] |= lab
+				up[dep] |= lab
 			}
 			if indeg[dep]--; indeg[dep] == 0 {
-				q.push(dep, ops[dep].Chunk)
+				q.push(dep, chunk[dep])
 			}
 		}
 	}
+	ck.q, ck.topo, ck.hz, ck.up, ck.hubs = q, order, indeg, up, hubs
 	if len(order) != n {
 		ck.fail(ClassStructure, -1,
 			"dependency cycle: only %d of %d ops can execute (deadlock)", len(order), n)
 		return
 	}
-	ck.topo = order
 	ck.pos = q.next // every op is placed, so its queue link is free
-	if ck.plan {
-		ck.hz = indeg // all zero now; the horizons' floor is set below
-	}
 	for k, id := range order {
 		ck.pos[id] = int32(k)
 		if ck.plan {
-			ck.hz[k] = int32(k)
+			indeg[k] = int32(k) // the horizons' floor; the in-degrees are all zero
 		}
 	}
 }
@@ -295,25 +481,21 @@ type chunkQueues struct {
 	lo               int // every word of ready below lo is zero
 }
 
-func newChunkQueues(ops, chunks int) *chunkQueues {
-	q := &chunkQueues{
-		head:  make([]int32, chunks),
-		tail:  make([]int32, chunks),
-		next:  make([]int32, ops),
-		ready: make([]uint64, (chunks+63)>>6),
-	}
-	for c := range q.head {
-		q.head[c] = -1
-	}
-	return q
+// reset empties the queues for ops ops over chunks chunks.
+func (q *chunkQueues) reset(ops, chunks int) {
+	q.head = filled(q.head, chunks, -1)
+	q.tail = grow(q.tail, chunks)
+	q.next = grow(q.next, ops)
+	q.ready = zeroed(q.ready, (chunks+63)>>6)
+	q.lo = 0
 }
 
-func (q *chunkQueues) push(id int32, c int) {
+func (q *chunkQueues) push(id, c int32) {
 	q.next[id] = -1
 	if q.head[c] < 0 {
 		q.head[c] = id
 		q.ready[c>>6] |= 1 << uint(c&63)
-		q.lo = min(q.lo, c>>6)
+		q.lo = min(q.lo, int(c>>6))
 	} else {
 		q.next[q.tail[c]] = id
 	}
@@ -338,70 +520,87 @@ func (q *chunkQueues) pop() int32 {
 
 // --- link validity ---------------------------------------------------------
 
-// links checks that every transfer rides a real physical channel whose
-// endpoints match its buffers, and that detour routes are contiguous chains
-// of real links forwarded by GPUs (paper §IV-A: static routing kernels run
-// on intermediate GPUs, never on switches or phantom links).
-func (ck *checker) links() {
-	for i := range ck.p.Ops {
-		ck.linkOp(i)
-	}
-}
-
-// linkOp runs the link checks for a single op; CheckPatch reuses it to
-// re-verify only the ops a patch touched.
+// linkOp runs the link checks of one transfer into ck.linkV: every transfer
+// rides a real physical channel whose endpoints match its buffers, and
+// detour routes are contiguous chains of real links forwarded by GPUs
+// (paper §IV-A: static routing kernels run on intermediate GPUs, never on
+// switches or phantom links). The decode pass runs it on every op it
+// decodes and CheckPatch on the ops a patch touched. The relay slot's
+// never-read check needs every reader counted, so it is left to the caller
+// (neverRead).
 func (ck *checker) linkOp(i int) {
 	p := ck.p
-	{
-		op := &p.Ops[i]
-		if op.Marker() {
-			return
+	op := &p.Ops[i]
+	if op.Marker() {
+		return
+	}
+	ch := p.Graph.Channel(op.Channel)
+	if ch.Down() {
+		ck.linkFail(i, "channel %d (%s->%s) is down: schedule needs repair",
+			op.Channel, p.Graph.Node(ch.From).Name, p.Graph.Node(ch.To).Name)
+	}
+	if op.Src.IsNode() && ch.From != op.Src.Node {
+		ck.linkFail(i, "channel %d starts at node %d but source buffer is on node %d",
+			op.Channel, ch.From, op.Src.Node)
+	}
+	// In the decode pass a relay slot's owner may come later in id order,
+	// still unchecked. One that rides no channel fails structure on its own,
+	// and then no link violation is reported.
+	if r := op.Src.Relay; r >= 0 && p.Ops[r].Channel >= 0 && int(p.Ops[r].Channel) < p.Graph.NumChannels() {
+		owner := &p.Ops[r]
+		ownerCh := p.Graph.Channel(owner.Channel)
+		if ownerCh.To != ch.From {
+			ck.linkFail(i,
+				"detour discontinuity: previous hop %s lands at node %d, this hop departs node %d",
+				ck.label(owner.ID), ownerCh.To, ch.From)
 		}
-		ch := p.Graph.Channel(op.Channel)
-		if ch.Down() {
-			ck.fail(ClassLink, i, "channel %d (%s->%s) is down: schedule needs repair",
-				op.Channel, p.Graph.Node(ch.From).Name, p.Graph.Node(ch.To).Name)
+		// Chunk identity must survive the relay: contribution counts cannot
+		// tell two fully-reduced chunks apart, so forwarding chunk X's bytes
+		// into chunk Y's region would otherwise pass conservation unnoticed.
+		if owner.Chunk != op.Chunk {
+			ck.linkFail(i,
+				"detour forwards chunk %d data from %s as chunk %d",
+				owner.Chunk, ck.label(owner.ID), op.Chunk)
 		}
-		if op.Src.IsNode() && ch.From != op.Src.Node {
-			ck.fail(ClassLink, i, "channel %d starts at node %d but source buffer is on node %d",
-				op.Channel, ch.From, op.Src.Node)
-		}
-		if op.Src.IsRelay() {
-			owner := &p.Ops[op.Src.Relay]
-			ownerCh := p.Graph.Channel(owner.Channel)
-			if ownerCh.To != ch.From {
-				ck.fail(ClassLink, i,
-					"detour discontinuity: previous hop %s lands at node %d, this hop departs node %d",
-					ck.label(owner.ID), ownerCh.To, ch.From)
-			}
-			// Chunk identity must survive the relay: contribution counts
-			// cannot tell two fully-reduced chunks apart, so forwarding
-			// chunk X's bytes into chunk Y's region would otherwise pass
-			// conservation unnoticed.
-			if owner.Chunk != op.Chunk {
-				ck.fail(ClassLink, i,
-					"detour forwards chunk %d data from %s as chunk %d",
-					owner.Chunk, ck.label(owner.ID), op.Chunk)
-			}
-		}
-		if op.Dst.IsNode() && ch.To != op.Dst.Node {
-			ck.fail(ClassLink, i, "channel %d ends at node %d but destination buffer is on node %d",
-				op.Channel, ch.To, op.Dst.Node)
-		}
-		if op.Dst.IsRelay() {
-			if p.Graph.Node(ch.To).Kind != topology.GPU {
-				ck.fail(ClassLink, i, "detour intermediate %s is not a GPU (forwarding kernels run on GPUs)",
-					p.Graph.Node(ch.To).Name)
-			}
-			if len(ck.readers.row(i)) == 0 {
-				ck.fail(ClassLink, i, "relay slot is never read: detour data dropped at %s",
-					p.Graph.Node(ch.To).Name)
-			}
-		}
+	}
+	if op.Dst.IsNode() && ch.To != op.Dst.Node {
+		ck.linkFail(i, "channel %d ends at node %d but destination buffer is on node %d",
+			op.Channel, ch.To, op.Dst.Node)
+	}
+	if op.Dst.IsRelay() && p.Graph.Node(ch.To).Kind != topology.GPU {
+		ck.linkFail(i, "detour intermediate %s is not a GPU (forwarding kernels run on GPUs)",
+			p.Graph.Node(ch.To).Name)
 	}
 }
 
-// --- data hazards ----------------------------------------------------------
+func (ck *checker) linkFail(op int, format string, args ...any) {
+	ck.linkV = append(ck.linkV, violation(ClassLink, op, format, args...))
+}
+
+// neverRead is the link violation of relay hop i when no op reads its slot.
+func (ck *checker) neverRead(i int) Violation {
+	ch := ck.p.Graph.Channel(ck.p.Ops[i].Channel)
+	return violation(ClassLink, i, "relay slot is never read: detour data dropped at %s",
+		ck.p.Graph.Node(ch.To).Name)
+}
+
+// reportLinks reports the link class from the decode pass's findings, each
+// unread relay slot's violation after the other violations of its op.
+func (ck *checker) reportLinks() {
+	j := 0
+	for _, id := range ck.relays {
+		if ck.nread[id] > 0 {
+			continue
+		}
+		for ; j < len(ck.linkV) && ck.linkV[j].Op <= int(id); j++ {
+			ck.r.Violations = append(ck.r.Violations, ck.linkV[j])
+		}
+		ck.r.Violations = append(ck.r.Violations, ck.neverRead(int(id)))
+	}
+	ck.r.Violations = append(ck.r.Violations, ck.linkV[j:]...)
+}
+
+// --- the planned sweep: hazards and conservation ---------------------------
 
 // accessKind classifies how an op touches a buffer region. Accumulation is
 // an atomic read-modify-write: two accumulations into the same region
@@ -428,227 +627,165 @@ func compatible(a, b accessKind) bool {
 	return a == accAccum && b == accAccum
 }
 
-// writeKind is how op touches its destination region.
-func writeKind(op *Op) accessKind {
-	if op.Accumulate {
+// writeKind is how an op of kind k touches its destination region.
+func writeKind(k opKind) accessKind {
+	if k == kReduce {
 		return accAccum
 	}
 	return accCopy
 }
 
-// accessIndex lists, per buffer region, the ops touching it: in topological
-// order for Check's run walk, in id order for the exact report and
-// CheckPatch's deltaHazards. Relay slots are not regions: each has a single
-// writer by construction and is checked against its readers. An op whose
-// source and destination are the same region is listed once, with its
-// (stronger) write kind.
-func (ck *checker) accessIndex(inTopo bool) csr[access] {
-	p := ck.p
-	return buildCSR(len(p.Nodes)*p.NumChunks, func(emit func(int, access)) {
-		for i := range p.Ops {
-			id := i
-			if inTopo {
-				id = int(ck.topo[i])
-			}
-			op := &p.Ops[id]
-			src, dst := -1, -1
-			if op.Src.IsNode() {
-				src = ck.region(op.Src.Node, op.Chunk)
-			}
-			if op.Dst.IsNode() {
-				dst = ck.region(op.Dst.Node, op.Chunk)
-			}
-			if src >= 0 && src != dst {
-				emit(src, access{op: int32(id), kind: accRead})
-			}
-			if dst >= 0 {
-				emit(dst, access{op: int32(id), kind: writeKind(op)})
-			}
-		}
-	})
-}
-
-// pending is what a class's planning walk leaves for its report: the
-// questions it queued in ck.queries[from:to], and whether it already knows
-// the class cannot pass as planned.
+// pending is what a class's plan leaves for its report: the questions it
+// queued for the band, and whether it already knows the class cannot pass
+// as planned.
 type pending struct {
-	from, to int
-	failed   bool
+	queries []query
+	failed  bool
 }
 
-// passes reports whether the planned walk proved the class: nothing failed
-// and the band confirms every queued question.
-func (ck *checker) passes(pd pending) bool {
-	return !pd.failed && ck.answered(pd.from, pd.to)
+func (pd *pending) reset() { pd.queries, pd.failed = pd.queries[:0], false }
+
+// passes reports whether the plan proved the class: nothing failed and the
+// band confirms every queued question.
+func (ck *checker) passes(pd *pending) bool {
+	return !pd.failed && ck.answered(pd.queries)
 }
 
-// planHazards plans the hazard class. For every pair of operations touching
-// the same buffer region, where the pair does not commute (anything but
-// read/read or accumulate/accumulate), a dependency path must order them.
-// That is what makes the C1 overlap trustworthy: a broadcast reading a chunk
-// that some reduction can still write, under any interleaving, fails here.
-// Relay slots additionally require the reader to be ordered after the writer
-// (read-after-write), not merely ordered.
+// sweep plans the hazard and conservation classes in one pass over the
+// columns in topological order.
 //
-// All pairs need not be asked. Walking a region's accesses in topological
-// order, group them into maximal runs of mutually compatible accesses (reads,
-// or accumulations; each copy is a run of its own). Two adjacent runs always
-// conflict pairwise, so they must be ordered; and once every adjacent pair
-// is ordered, any conflicting pair further apart is ordered through any op
-// of each run in between. So the adjacent-run pairs decide the class.
-func (ck *checker) planHazards() pending {
-	p := ck.p
-	pd := pending{from: len(ck.queries)}
-	for i := range p.Ops {
-		// Relay read-after-write: the reader must depend on the slot's
-		// writer, or it can observe an empty slot.
-		if r := p.Ops[i].Src.Relay; r >= 0 && !ck.ask(r, i) {
-			pd.failed = true
-		}
-	}
-	acc := ck.accessIndex(true)
-	for r := 0; r < len(acc.off)-1 && !pd.failed; r++ {
-		list := acc.row(r)
-		prev := 0 // the previous run is list[prev:cur]
-		for cur := 0; cur < len(list); {
-			end := cur + 1
-			if kind := list[cur].kind; kind != accCopy {
-				for end < len(list) && list[end].kind == kind {
-					end++
-				}
-			}
-			for _, x := range list[prev:cur] {
-				for _, y := range list[cur:end] {
-					if !ck.ask(int(x.op), int(y.op)) {
-						pd.failed = true
-					}
-				}
-			}
-			prev, cur = cur, end
-		}
-	}
-	pd.to = len(ck.queries)
-	return pd
-}
-
-// hazards reports the hazard class. When the plan does not prove it, the
-// exact pass asks about every conflicting pair, so the violations come out
-// as the all-pairs definition has them: relay reads in op order, then
-// regions in order, pairs in id order.
-func (ck *checker) hazards(pd pending) {
-	if ck.passes(pd) {
-		return
-	}
-	p := ck.p
-	for i := range p.Ops {
-		if r := p.Ops[i].Src.Relay; r >= 0 && !ck.reaches(r, i) {
-			ck.fail(ClassHazard, i, "reads relay slot of %s without depending on it", ck.label(r))
-		}
-	}
-	acc := ck.accessIndex(false)
-	for r := 0; r < len(acc.off)-1; r++ {
-		list := acc.row(r)
-		for a := 0; a < len(list); a++ {
-			for b := a + 1; b < len(list); b++ {
-				if compatible(list[a].kind, list[b].kind) {
-					continue
-				}
-				if x, y := int(list[a].op), int(list[b].op); !ck.pathBetween(x, y) {
-					ck.fail(ClassHazard, x,
-						"unordered conflicting access to node %d chunk %d: %s and %s",
-						p.Nodes[r/p.NumChunks], r%p.NumChunks, ck.label(x), ck.label(y))
-				}
-			}
-		}
-	}
-}
-
-// --- conservation / coverage -----------------------------------------------
-
-// planConservation plans the conservation class: an abstract interpretation
-// of the schedule's data semantics over contribution sets. Buffer state is
-// "which participants' inputs are summed here"; copies clone it,
-// accumulations add it. Because the hazard check proves all non-commuting
-// conflicting accesses are ordered (and the remaining unordered pairs —
-// concurrent accumulations — commute), any topological order yields the
-// same end state, so one sweep is a proof, not a sample. The class rejects
-// chunks reduced twice, missing or duplicated contributions under the
-// AllReduce contract, (node, chunk) pairs that never become ready, and
-// readiness markers not ordered after the writes they announce.
+// Hazards: for every pair of operations touching the same buffer region,
+// where the pair does not commute (anything but read/read or
+// accumulate/accumulate), a dependency path must order them. That is what
+// makes the C1 overlap trustworthy: a broadcast reading a chunk that some
+// reduction can still write, under any interleaving, fails here. Relay slots
+// additionally require the reader to be ordered after the writer
+// (read-after-write), not merely ordered. All pairs need not be asked: in
+// topological order, a region's accesses fall into maximal runs of mutually
+// compatible accesses (reads, or accumulations; each copy is a run of its
+// own). Two adjacent runs always conflict pairwise, so they must be
+// ordered; and once every adjacent pair is ordered, any conflicting pair
+// further apart is ordered through any op of each run in between. So each
+// access asks only about the run before its own, which runs[r] keeps.
 //
-// Each region and relay slot holds a ⌈P/64⌉-word set, and accumulation is
-// an overlap test plus OR. While no accumulation overlaps, every count is 0
-// or 1 and the sets are the count vectors exactly; the first overlap, like
-// any other failure, leaves the report to conservation's exact pass. The finals
-// index is left in ck.finals for the order check.
-func (ck *checker) planConservation() pending {
+// Conservation: an abstract interpretation of the schedule's data semantics
+// over contribution sets. Buffer state is "which participants' inputs are
+// summed here"; copies clone it, accumulations add it. Because the hazard
+// check proves all non-commuting conflicting accesses are ordered (and the
+// remaining unordered pairs — concurrent accumulations — commute), any
+// topological order yields the same end state, so one sweep is a proof, not
+// a sample. The class rejects chunks reduced twice, missing or duplicated
+// contributions under the AllReduce contract, (node, chunk) pairs that
+// never become ready, and readiness markers not ordered after the writes
+// they announce. Each region and relay slot holds a ⌈P/64⌉-word set, and
+// accumulation is an overlap test plus OR. While no accumulation overlaps,
+// every count is 0 or 1 and the sets are the count vectors exactly; the
+// first overlap, like any other failure, leaves the report to
+// conservation's exact pass.
+func (ck *checker) sweep() {
 	p := ck.p
 	np, nr := len(p.Nodes), len(p.Nodes)*p.NumChunks
-	ck.finals = buildCSR(nr, func(emit func(int, int32)) {
-		for i := range p.Ops {
-			if op := &p.Ops[i]; op.Final >= 0 {
-				emit(ck.region(op.Final, op.Chunk), int32(i))
-			}
-		}
-	})
-	pd := pending{from: len(ck.queries)}
-
+	haz, cons := &ck.haz, &ck.cons
+	ck.acc = grow(ck.acc, int(ck.accOff[nr]))
+	ck.runs = grow(ck.runs, nr)
+	for r := range ck.runs {
+		ck.runs[r] = regionRuns{end: ck.accOff[r], cur: ck.accOff[r], prev: ck.accOff[r]}
+	}
 	// One arena: a set per region, starting with the participant's own
 	// input, then a set per relay slot (empty until written: an empty-slot
 	// read is already a hazard violation).
 	w := (np + 63) >> 6
-	slot, slots := ck.relaySlots()
-	arena := make([]uint64, (nr+slots)*w)
-	set := func(i int) []uint64 { return arena[i*w : (i+1)*w] }
+	ck.sets = zeroed(ck.sets, (nr+len(ck.relays))*w)
 	for r := 0; r < nr; r++ {
-		ni := r / p.NumChunks
-		arena[r*w+ni>>6] |= 1 << uint(ni&63)
+		ni := r % np
+		ck.sets[r*w+ni>>6] |= 1 << uint(ni&63)
 	}
-	for _, t := range ck.topo {
-		id := int(t)
-		op := &p.Ops[id]
-		if op.Marker() {
+	kind, src, dst, sets, finFirst, finNext := ck.kind, ck.src, ck.dst, ck.sets, ck.finFirst, ck.finNext
+	for _, y := range ck.topo {
+		kd := kind[y]
+		if kd.marker() {
 			continue
 		}
-		var src []uint64
-		if op.Src.IsRelay() {
-			src = set(nr + int(slot[op.Src.Relay]))
-		} else {
-			src = set(ck.region(op.Src.Node, op.Chunk))
-		}
-		if op.Dst.IsRelay() {
-			copy(set(nr+int(slot[id])), src)
-			continue
-		}
-		r := ck.region(op.Dst.Node, op.Chunk)
-		dst := set(r)
-		if op.Accumulate {
-			for j, x := range src {
-				if dst[j]&x != 0 {
-					pd.failed = true
-				}
-				dst[j] |= x
+		s, d := src[y], dst[y]
+		var from int // the word offset of the set read
+		if s < 0 {
+			owner := ^s
+			if !haz.failed && !ck.ask(owner, y, haz) {
+				haz.failed = true // read before the write
 			}
+			from = (nr + int(^dst[owner])) * w
 		} else {
-			copy(dst, src)
+			if s != d && !haz.failed {
+				ck.access(s, y, accRead)
+			}
+			from = int(s) * w
+		}
+		if kd == kRelay {
+			to := (nr + int(^d)) * w
+			copy(sets[to:to+w], sets[from:from+w])
+			continue
+		}
+		if !haz.failed {
+			ck.access(d, y, writeKind(kd))
+		}
+		to := int(d) * w
+		if kd == kCopy {
+			copy(sets[to:to+w], sets[from:from+w])
+		} else if ck.accumulate(to, from, w) {
+			cons.failed = true
 		}
 		if p.AllReduce {
 			// Readiness must come after the data: every write to the region
 			// has to be ordered before every final op announcing it.
-			for _, f := range ck.finals.row(r) {
-				if int(f) != id && !ck.ask(id, int(f)) {
-					pd.failed = true
+			for f := finFirst[d]; f >= 0; f = finNext[f] {
+				if f != y && !ck.ask(y, f, cons) {
+					cons.failed = true
 				}
 			}
 		}
 	}
 	for r := 0; r < nr; r++ {
-		if len(ck.finals.row(r)) == 0 || p.AllReduce && !fullSet(set(r), np) {
-			pd.failed = true
+		if ck.finFirst[r] < 0 || p.AllReduce && !fullSet(ck.sets[r*w:(r+1)*w], np) {
+			cons.failed = true
 		}
 	}
-	pd.to = len(ck.queries)
-	return pd
+}
+
+// accumulate ORs the w-word set at from into the one at to, reporting
+// whether they overlapped: a contribution summed twice.
+func (ck *checker) accumulate(to, from, w int) bool {
+	if w == 1 {
+		x := ck.sets[from]
+		overlap := ck.sets[to]&x != 0
+		ck.sets[to] |= x
+		return overlap
+	}
+	overlap := false
+	for j, x := range ck.sets[from : from+w] {
+		overlap = overlap || ck.sets[to+j]&x != 0
+		ck.sets[to+j] |= x
+	}
+	return overlap
+}
+
+// access records op y's access of kind k to region r, asking that every
+// access of the region's previous run reaches it. A failed answer (possible
+// only with the closure built, under CheckDeep) fails the hazard plan.
+func (ck *checker) access(r, y int32, k accessKind) {
+	rr := &ck.runs[r]
+	if rr.end == rr.cur || k == accCopy || k != rr.kind {
+		rr.prev, rr.cur, rr.kind = rr.cur, rr.end, k
+	}
+	for _, x := range ck.acc[rr.prev:rr.cur] {
+		// x came first in the sweep, so only a built closure can say no.
+		if !ck.plan {
+			ck.haz.failed = ck.haz.failed || !ck.reaches(int(x), int(y))
+		} else if !ck.settled(x, y) {
+			ck.enqueue(x, y, &ck.haz)
+		}
+	}
+	ck.acc[rr.end] = y
+	rr.end++
 }
 
 // fullSet reports whether s holds exactly the indices 0..n-1.
@@ -665,54 +802,129 @@ func fullSet(s []uint64, n int) bool {
 	return true
 }
 
-// relaySlots numbers the relay slots densely in op order: slot[id] for every
-// op writing one, and the slot count.
-func (ck *checker) relaySlots() ([]int32, int) {
-	slot := make([]int32, len(ck.p.Ops))
-	n := 0
-	for i := range ck.p.Ops {
-		if ck.p.Ops[i].Dst.IsRelay() {
-			slot[i] = int32(n)
-			n++
+// --- exact reporting --------------------------------------------------------
+
+// report runs the exact passes of the classes the plan did not prove, so
+// their violations come out as the all-pairs definitions have them. Every
+// question an exact pass asks is planned first: the hazard pass's by a dry
+// run of it, conservation's are the ones its planned sweep already queued.
+// The band is then rebuilt once for all of them, so a failing program is
+// verified in about the band a passing one needs, not the full triangle.
+func (ck *checker) report() {
+	exactHaz, exactCons := !ck.passes(&ck.haz), !ck.passes(&ck.cons)
+	if exactHaz {
+		ck.indexAccesses()
+		if ck.plan {
+			ck.hazards(false)
+			if len(ck.exact.queries) > 0 {
+				ck.buildClosure()
+			}
 		}
+		ck.hazards(true)
 	}
-	return slot, n
+	ck.r.Checked = append(ck.r.Checked, ClassHazard)
+	if exactCons {
+		ck.conservation()
+	}
+	ck.r.Checked = append(ck.r.Checked, ClassConservation)
 }
 
-// conservation reports the conservation class. When the plan does not prove
-// it, the exact pass reruns the interpretation over contribution-count
-// vectors (indexed by participant), so every report names the counts as they
-// are: a double sum shows as a 2, not as a set member.
-func (ck *checker) conservation(pd pending) {
-	if ck.passes(pd) {
-		return
+// indexAccesses fills ck.accID: per region, the ops touching it in id order.
+// Relay slots are not regions: each has a single writer by construction and
+// is checked against its readers.
+func (ck *checker) indexAccesses() {
+	nr := len(ck.p.Nodes) * ck.p.NumChunks
+	ck.accID.build(nr, func(emit func(int, access)) {
+		for i, kd := range ck.kind {
+			if kd.marker() {
+				continue
+			}
+			s, d := ck.src[i], ck.dst[i]
+			if s >= 0 && s != d {
+				emit(int(s), access{op: int32(i), kind: accRead})
+			}
+			if d >= 0 {
+				emit(int(d), access{op: int32(i), kind: writeKind(kd)})
+			}
+		}
+	})
+}
+
+// hazards is the hazard class's exact pass: every relay read against its
+// writer, in op order, then every conflicting pair of every region, in
+// region order and id order within it. With reporting unset it only plans
+// the questions (need) for the band the reporting run answers them from.
+func (ck *checker) hazards(reporting bool) {
+	p := ck.p
+	for i, kd := range ck.kind {
+		if kd.marker() || ck.src[i] >= 0 {
+			continue
+		}
+		r := int(^ck.src[i])
+		if !reporting {
+			ck.need(r, i)
+		} else if !ck.reaches(r, i) {
+			ck.fail(ClassHazard, i, "reads relay slot of %s without depending on it", ck.label(r))
+		}
 	}
+	np := len(p.Nodes)
+	for ni := range p.Nodes { // regions in report order: by participant, then chunk
+		for c := 0; c < p.NumChunks; c++ {
+			list := ck.accID.row(c*np + ni)
+			for a := 0; a < len(list); a++ {
+				for b := a + 1; b < len(list); b++ {
+					if compatible(list[a].kind, list[b].kind) {
+						continue
+					}
+					x, y := int(list[a].op), int(list[b].op)
+					if !reporting {
+						if ck.pos[x] > ck.pos[y] {
+							ck.need(y, x)
+						} else {
+							ck.need(x, y)
+						}
+					} else if !ck.pathBetween(x, y) {
+						ck.fail(ClassHazard, x,
+							"unordered conflicting access to node %d chunk %d: %s and %s",
+							p.Nodes[ni], c, ck.label(x), ck.label(y))
+					}
+				}
+			}
+		}
+	}
+}
+
+// conservation is the conservation class's exact pass: it reruns the
+// interpretation over contribution-count vectors (indexed by participant),
+// so every report names the counts as they are: a double sum shows as a 2,
+// not as a set member.
+func (ck *checker) conservation() {
 	p := ck.p
 	np, nr := len(p.Nodes), len(p.Nodes)*p.NumChunks
-	slot, slots := ck.relaySlots()
-	state := make([]int32, (nr+slots)*np)
-	vec := func(i int) []int32 { return state[i*np : (i+1)*np] }
+	ck.counts = zeroed(ck.counts, (nr+len(ck.relays))*np)
+	vec := func(i int) []int32 { return ck.counts[i*np : (i+1)*np] }
 	for r := 0; r < nr; r++ {
-		state[r*np+r/p.NumChunks] = 1
+		ck.counts[r*np+r%np] = 1
 	}
 	for _, t := range ck.topo {
 		id := int(t)
-		op := &p.Ops[id]
-		if op.Marker() {
+		kd := ck.kind[id]
+		if kd.marker() {
 			continue
 		}
+		s, d := ck.src[id], ck.dst[id]
 		var src []int32
-		if op.Src.IsRelay() {
-			src = vec(nr + int(slot[op.Src.Relay]))
+		if s < 0 {
+			src = vec(nr + int(^ck.dst[^s]))
 		} else {
-			src = vec(ck.region(op.Src.Node, op.Chunk))
+			src = vec(int(s))
 		}
-		if op.Dst.IsRelay() {
-			copy(vec(nr+int(slot[id])), src)
+		if kd == kRelay {
+			copy(vec(nr+int(^d)), src)
 			continue
 		}
-		dst := vec(ck.region(op.Dst.Node, op.Chunk))
-		if !op.Accumulate {
+		dst := vec(int(d))
+		if kd == kCopy {
 			copy(dst, src)
 			continue
 		}
@@ -720,45 +932,46 @@ func (ck *checker) conservation(pd pending) {
 			if src[j] > 0 && dst[j] > 0 {
 				ck.fail(ClassConservation, id,
 					"chunk %d at node %d would sum node %d's contribution twice",
-					op.Chunk, op.Dst.Node, p.Nodes[j])
+					ck.chunk[id], p.Nodes[int(d)%np], p.Nodes[j])
 			}
 			dst[j] += src[j]
 		}
 	}
 
 	// writes lists every op writing each region, in sweep order.
-	writes := buildCSR(nr, func(emit func(int, int32)) {
+	ck.writes.build(nr, func(emit func(int, int32)) {
 		for _, id := range ck.topo {
-			if op := &p.Ops[id]; op.Dst.IsNode() {
-				emit(ck.region(op.Dst.Node, op.Chunk), id)
+			if kd := ck.kind[id]; kd == kReduce || kd == kCopy {
+				emit(int(ck.dst[id]), id)
 			}
 		}
 	})
-	for r := 0; r < nr; r++ {
-		n, c := p.Nodes[r/p.NumChunks], r%p.NumChunks
-		finals := ck.finals.row(r)
-		if len(finals) == 0 {
-			ck.fail(ClassConservation, -1, "chunk %d never becomes ready at node %d", c, n)
-			continue
-		}
-		if !p.AllReduce {
-			continue
-		}
-		ws := writes.row(r)
-		if v := vec(r); !exactlyOnce(v) {
-			op := -1
-			if len(ws) > 0 {
-				op = int(ws[len(ws)-1])
+	for ni, n := range p.Nodes { // regions in report order: by participant, then chunk
+		for c := 0; c < p.NumChunks; c++ {
+			r := c*np + ni
+			if ck.finFirst[r] < 0 {
+				ck.fail(ClassConservation, -1, "chunk %d never becomes ready at node %d", c, n)
+				continue
 			}
-			ck.fail(ClassConservation, op,
-				"node %d ends chunk %d with contributions %v, want exactly one each", n, c, v)
-		}
-		for _, w := range ws {
-			for _, f := range finals {
-				if f != w && !ck.reaches(int(w), int(f)) {
-					ck.fail(ClassConservation, int(f),
-						"chunk %d marked ready at node %d without depending on write %s",
-						c, n, ck.label(int(w)))
+			if !p.AllReduce {
+				continue
+			}
+			ws := ck.writes.row(r)
+			if v := vec(r); !exactlyOnce(v) {
+				op := -1
+				if len(ws) > 0 {
+					op = int(ws[len(ws)-1])
+				}
+				ck.fail(ClassConservation, op,
+					"node %d ends chunk %d with contributions %v, want exactly one each", n, c, v)
+			}
+			for _, w := range ws {
+				for f := ck.finFirst[r]; f >= 0; f = ck.finNext[f] {
+					if f != w && !ck.reaches(int(w), int(f)) {
+						ck.fail(ClassConservation, int(f),
+							"chunk %d marked ready at node %d without depending on write %s",
+							c, n, ck.label(int(w)))
+					}
 				}
 			}
 		}
@@ -784,7 +997,6 @@ func exactlyOnce(v []int32) bool {
 // dependency path exists, or the earlier final is a zero-cost marker whose
 // every dependency is itself forced before the later final (markers finish
 // the instant their inputs do, so they inherit their inputs' ordering).
-// Requires ck.finals from planConservation.
 //
 // With planning set it proves nothing yet: it queues every question
 // forcedAfter can ask, through planForced, for the band the proof will run
@@ -793,21 +1005,21 @@ func (ck *checker) order(planning bool) {
 	p := ck.p
 	k := p.NumChunks
 	streams := max(p.Streams, 1)
-	if ck.forcedGen == nil {
-		ck.forcedGen = make([]int32, len(p.Ops))
-		ck.forcedVal = make([]bool, len(p.Ops))
+	if ck.forcedCall == 0 {
+		ck.forcedGen = zeroed(ck.forcedGen, len(p.Ops))
+		ck.forcedVal = grow(ck.forcedVal, len(p.Ops))
 	}
 	for ni := range p.Nodes {
 		for c := streams; c < k; c++ {
-			prev, cur := ck.finalAt(ni*k+c-streams), ck.finalAt(ni*k+c)
+			prev, cur := ck.finLast[(c-streams)*len(p.Nodes)+ni], ck.finLast[c*len(p.Nodes)+ni]
 			if prev < 0 || cur < 0 {
 				continue // missing finals already reported by conservation
 			}
 			ck.forcedCall++
 			if planning {
-				ck.planForced(prev, cur)
-			} else if !ck.forcedAfter(prev, cur) {
-				ck.fail(ClassOrder, cur,
+				ck.planForced(int(prev), int(cur))
+			} else if !ck.forcedAfter(int(prev), int(cur)) {
+				ck.fail(ClassOrder, int(cur),
 					"node %d: chunk %d may complete before chunk %d — in-order claim unproven",
 					p.Nodes[ni], c, c-streams)
 			}
@@ -824,45 +1036,36 @@ func (ck *checker) planForced(a, b int) {
 		return
 	}
 	if ck.pos[a] < ck.pos[b] {
-		if ck.settled(a, b) {
-			return
+		if ck.settled(int32(a), int32(b)) {
+			return // forcedAfter answers at reaches, without the marker chain
 		}
-		ck.enqueue(a, b)
+		ck.enqueue(int32(a), int32(b), &ck.ord)
 	}
-	op := &ck.p.Ops[a]
-	if !op.Marker() {
+	if !ck.kind[a].marker() {
 		return
 	}
-	for _, d := range op.Deps {
+	for _, d := range ck.deps.row(a) {
 		if ck.forcedGen[d] != ck.forcedCall {
 			ck.forcedGen[d] = ck.forcedCall
-			ck.planForced(d, b)
+			ck.planForced(int(d), b)
 		}
 	}
-}
-
-// finalAt returns the effective final of region r, or -1: the last one
-// added, matching Schedule.Instantiate's overwrite semantics.
-func (ck *checker) finalAt(r int) int {
-	f := ck.finals.row(r)
-	if len(f) == 0 {
-		return -1
-	}
-	return int(f[len(f)-1])
 }
 
 // forcedAfter reports whether op b can never complete before op a, under
 // any interleaving consistent with the dependencies. The memo holds results
-// for the current b (one generation per top-level call).
+// for the current b (one generation per top-level call). The effective
+// final of a region is its last one, matching Schedule.Instantiate's
+// overwrite semantics.
 func (ck *checker) forcedAfter(a, b int) bool {
 	if a == b || ck.reaches(a, b) {
 		return true
 	}
-	op := &ck.p.Ops[a]
-	if !op.Marker() {
+	if !ck.kind[a].marker() {
 		return false
 	}
-	if len(op.Deps) == 0 {
+	deps := ck.deps.row(a)
+	if len(deps) == 0 {
 		return true // completes at time zero
 	}
 	if ck.forcedGen[a] == ck.forcedCall {
@@ -870,8 +1073,8 @@ func (ck *checker) forcedAfter(a, b int) bool {
 	}
 	ck.forcedGen[a], ck.forcedVal[a] = ck.forcedCall, true // a DAG never re-enters a
 	out := true
-	for _, d := range op.Deps {
-		if !ck.forcedAfter(d, b) {
+	for _, d := range deps {
+		if !ck.forcedAfter(int(d), b) {
 			out = false
 			break
 		}

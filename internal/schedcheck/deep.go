@@ -96,7 +96,7 @@ func (ck *checker) channelLoads() []des.Time {
 // overlap the schedule was built for silently serializes. Single-stream
 // schedules (ring, halving-doubling) claim no channel-level overlap and pass
 // vacuously; their bandwidth-boundness is what MakespanBound prices.
-// Requires ck.reach.
+// Requires the full closure.
 func (ck *checker) contention() {
 	streams := ck.p.Streams
 	if streams < 2 {
@@ -233,16 +233,18 @@ func (ck *checker) waitFor() {
 		n-processed, strings.Join(labels, " -> "))
 }
 
-// boundChecker runs the structural prerequisite for the exported
-// cost-model queries and returns the checker, or an error for a program the
-// bounds are meaningless on.
-func boundChecker(p *Program) (*checker, error) {
-	ck := newChecker(p)
-	ck.structure()
+// withStructure runs the structural prerequisite for the exported
+// cost-model queries and then f on the pooled checker, or returns the error
+// for a program the bounds are meaningless on.
+func withStructure(p *Program, f func(ck *checker)) error {
+	ck := getChecker(p)
+	defer ck.release()
+	ck.structure(false)
 	if err := ck.r.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	return ck, nil
+	f(ck)
+	return nil
 }
 
 // CriticalPath returns the duration-weighted longest path through the
@@ -250,21 +252,17 @@ func boundChecker(p *Program) (*checker, error) {
 // time with unlimited parallelism. Fails if the program is structurally
 // invalid.
 func CriticalPath(p *Program) (des.Time, error) {
-	ck, err := boundChecker(p)
-	if err != nil {
-		return 0, err
-	}
-	return ck.criticalPath(), nil
+	var cp des.Time
+	err := withStructure(p, func(ck *checker) { cp = ck.criticalPath() })
+	return cp, err
 }
 
 // ChannelLoads returns each channel's serialized transfer load (the sum of
 // its transfers' alpha-beta costs), indexed by channel id.
 func ChannelLoads(p *Program) ([]des.Time, error) {
-	ck, err := boundChecker(p)
-	if err != nil {
-		return nil, err
-	}
-	return ck.channelLoads(), nil
+	var loads []des.Time
+	err := withStructure(p, func(ck *checker) { loads = ck.channelLoads() })
+	return loads, err
 }
 
 // MakespanBound returns a provable lower bound on the completion time of
@@ -273,15 +271,14 @@ func ChannelLoads(p *Program) ([]des.Time, error) {
 // schedule faster; how much slower it finishes is bounded by the grid test
 // in internal/collective, which asserts simulated <= slack * bound.
 func MakespanBound(p *Program) (des.Time, error) {
-	ck, err := boundChecker(p)
-	if err != nil {
-		return 0, err
-	}
-	bound := ck.criticalPath()
-	for _, load := range ck.channelLoads() {
-		if load > bound {
-			bound = load
+	var bound des.Time
+	err := withStructure(p, func(ck *checker) {
+		bound = ck.criticalPath()
+		for _, load := range ck.channelLoads() {
+			if load > bound {
+				bound = load
+			}
 		}
-	}
-	return bound, nil
+	})
+	return bound, err
 }

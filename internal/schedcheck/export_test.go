@@ -4,16 +4,28 @@ package schedcheck
 // triangle over p, returning its relation: reaches(a, b) reports whether op
 // b transitively depends on op a. It fails if p is structurally invalid.
 func Reaches(p *Program) (func(a, b int) bool, error) {
-	ck, err := boundChecker(p)
-	if err != nil {
+	ck := unpooled(p)
+	ck.structure(false)
+	if err := ck.r.Err(); err != nil {
 		return nil, err
 	}
+	ck.full = true
 	ck.buildClosure()
 	return ck.reaches, nil
 }
 
+// unpooled returns a checker of its own for p, for the exports below whose
+// results keep it.
+func unpooled(p *Program) *checker {
+	return &checker{p: p, r: &Report{NumOps: len(p.Ops)}}
+}
+
 // ReferenceCheck runs the pre-planning verifier (reference_test.go).
 func ReferenceCheck(p *Program) *Report { return referenceCheck(p) }
+
+// WalkCheck runs Check's previous layout, one walk over the ops per index
+// and class (walkcheck_test.go).
+func WalkCheck(p *Program) *Report { return walkCheck(p) }
 
 // Plan is what Check's planned mode left behind on one program.
 type Plan struct {
@@ -33,17 +45,19 @@ type Plan struct {
 
 // CheckPlan runs Check over p and returns its plan.
 func CheckPlan(p *Program) *Plan {
-	ck := newChecker(p)
+	ck := unpooled(p)
 	ck.run(false)
 	pl := &Plan{Report: ck.r}
-	if ck.topo == nil {
+	if ck.closure == nil {
 		return pl
 	}
-	for _, q := range ck.queries {
-		pl.Queued = append(pl.Queued, [2]int{int(ck.topo[q.a]), int(ck.topo[q.b])})
+	for _, pd := range []*pending{&ck.haz, &ck.cons, &ck.ord, &ck.exact} {
+		for _, q := range pd.queries {
+			pl.Queued = append(pl.Queued, [2]int{int(ck.topo[q.a]), int(ck.topo[q.b])})
+		}
 	}
 	pl.Band = func(a, b int) bool { return ck.bandBit(int(ck.pos[a]), int(ck.pos[b])) }
-	pl.Settled = func(a, b int) bool { return a != b && ck.plan && ck.settled(a, b) }
+	pl.Settled = func(a, b int) bool { return a != b && ck.settled(int32(a), int32(b)) }
 	pl.Hubs = len(ck.hubs)
 	pl.BandWords = len(ck.closure)
 	for k := range ck.topo {

@@ -53,8 +53,9 @@ type PatchSpec struct {
 // CheckPatch-accepted patch must also pass Check once dead channels are
 // taken out of the picture.
 func CheckPatch(patched *Program, spec *PatchSpec) *Report {
-	ck := newChecker(patched)
-	ck.structure()
+	ck := getChecker(patched)
+	defer ck.release()
+	ck.structure(false)
 	ck.r.Checked = append(ck.r.Checked, ClassStructure)
 	if !ck.r.OK() {
 		return ck.r
@@ -66,13 +67,13 @@ func CheckPatch(patched *Program, spec *PatchSpec) *Report {
 		return ck.r
 	}
 
-	// readers is needed by linkOp (relay-never-read) and the relay hazard
-	// delta; it is a cheap O(ops) scan, unlike the full reachability
-	// closure, which the delta mode never builds.
-	ck.indexReaders()
 	for _, id := range touched {
 		ck.linkOp(id)
+		if ck.kind[id] == kRelay && ck.nread[id] == 0 {
+			ck.linkV = append(ck.linkV, ck.neverRead(id))
+		}
 	}
+	ck.r.Violations = append(ck.r.Violations, ck.linkV...)
 	ck.r.Checked = append(ck.r.Checked, ClassLink)
 
 	ck.deltaHazards(touched)
@@ -303,30 +304,34 @@ func depsSuperset(have, want []int) bool {
 func (ck *checker) deltaHazards(touched []int) {
 	p := ck.p
 	n := len(p.Ops)
-	acc := ck.accessIndex(false)
+	ck.indexAccesses()
+	acc := &ck.accID
+	var readers csr[int32] // row i = ops reading op i's relay slot
+	readers.build(n, func(emit func(int, int32)) {
+		for i, s := range ck.src {
+			if s < 0 && !ck.kind[i].marker() {
+				emit(int(^s), int32(i))
+			}
+		}
+	})
 
 	// bfs marks every op reachable from start along dependents (forward) or
 	// dependencies (backward).
 	bfs := func(start int, forward bool) []bool {
 		seen := make([]bool, n)
 		seen[start] = true
-		queue := []int{start}
-		visit := func(next int) {
-			if !seen[next] {
-				seen[next] = true
-				queue = append(queue, next)
-			}
-		}
+		queue := []int32{int32(start)}
 		for len(queue) > 0 {
 			id := queue[0]
 			queue = queue[1:]
+			next := ck.deps.row(int(id))
 			if forward {
-				for _, next := range ck.dependents.row(id) {
-					visit(int(next))
-				}
-			} else {
-				for _, next := range p.Ops[id].Deps {
-					visit(next)
+				next = ck.dependents.row(int(id))
+			}
+			for _, x := range next {
+				if !seen[x] {
+					seen[x] = true
+					queue = append(queue, x)
 				}
 			}
 		}
@@ -349,7 +354,7 @@ func (ck *checker) deltaHazards(touched []int) {
 		// If the touched op writes a relay, each of its readers must read
 		// after the write.
 		if op.Dst.IsRelay() {
-			for _, reader := range ck.readers.row(t) {
+			for _, reader := range readers.row(t) {
 				if !fwd[reader] {
 					ck.fail(ClassHazard, int(reader), "reads relay slot of %s without depending on it", ck.label(t))
 				}
@@ -372,7 +377,7 @@ func (ck *checker) deltaHazards(touched []int) {
 			check(op.Src.Node, accRead)
 		}
 		if op.Dst.IsNode() {
-			check(op.Dst.Node, writeKind(op))
+			check(op.Dst.Node, writeKind(ck.kind[t]))
 		}
 	}
 }

@@ -208,3 +208,32 @@ func TestBandMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestFailingCheckStaysBanded drops every dependency of one mid-schedule
+// transfer of the cluster:64 C-Cube schedule (128 chunks, 16,256 ops). The
+// report must still equal both references', and the exact reporting pass
+// must plan its questions into the band rather than fall back to the full
+// triangle: the closure stays under a tenth of it.
+func TestFailingCheckStaysBanded(t *testing.T) {
+	p := buildProgram(t, collective.Config{
+		Graph:     topology.Hierarchy(topology.DefaultHierarchyConfig(64)),
+		Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 64 << 20, Chunks: 128,
+		AllowSharedChannels: true,
+	}).Clone()
+	i := len(p.Ops) / 2
+	for p.Ops[i].Marker() || len(p.Ops[i].Deps) == 0 {
+		i++
+	}
+	p.Ops[i].Deps = nil
+	pl := schedcheck.CheckPlan(p)
+	if pl.Report.OK() {
+		t.Fatalf("dropping every dependency of op %d went unnoticed", i)
+	}
+	assertMatchesReference(t, p, schedcheck.Check(p))
+	ratio := float64(pl.BandWords) / float64(pl.FullWords)
+	t.Logf("op %d: %d violations, band %d words, %.4f of the full triangle",
+		i, len(pl.Report.Violations), pl.BandWords, ratio)
+	if ratio >= 0.10 {
+		t.Errorf("band is %.3f of the full triangle, want < 0.10", ratio)
+	}
+}

@@ -92,10 +92,11 @@ func checkDeep(t *testing.T, p *schedcheck.Program) *schedcheck.Report {
 	return schedcheck.CheckDeep(p)
 }
 
-// assertMatchesReference compares Check's report on p with the reference
-// verifier's (the pre-planning algorithm: breadth-first order, full closure,
-// all-pairs hazards, count vectors). OK, the checked classes and every
-// structure, link, hazard and order violation must be identical, in order.
+// assertMatchesReference requires Check's report on p to equal the walk
+// checker's byte for byte, and compares it with the reference verifier's
+// (the pre-planning algorithm: breadth-first order, full closure, all-pairs
+// hazards, count vectors). OK, the checked classes and every structure,
+// link, hazard and order violation must be identical, in order.
 // Conservation violations must match as a multiset, with two allowances for
 // Check's different topological sweep order:
 //   - when two accumulations into the same region double-count a
@@ -105,6 +106,9 @@ func checkDeep(t *testing.T, p *schedcheck.Program) *schedcheck.Report {
 //     proof only on hazard-free programs), so conservation is not compared.
 func assertMatchesReference(t *testing.T, p *schedcheck.Program, got *schedcheck.Report) {
 	t.Helper()
+	if walk := schedcheck.WalkCheck(p); reportText(got) != reportText(walk) {
+		t.Fatalf("Check and the walk checker disagree:\n%s\nvs\n%s", reportText(got), reportText(walk))
+	}
 	want := schedcheck.ReferenceCheck(p)
 	if got.OK() != want.OK() || fmt.Sprint(got.Checked) != fmt.Sprint(want.Checked) {
 		t.Fatalf("Check and the reference disagree:\n%s\n%v\nvs\n%s\n%v",
@@ -144,6 +148,12 @@ func assertMatchesReference(t *testing.T, p *schedcheck.Program, got *schedcheck
 	if len(gotCons) != len(wantCons) {
 		t.Fatalf("conservation violations differ:\n%v\nvs\n%v", gotCons, wantCons)
 	}
+}
+
+// reportText renders everything a report says: its op count, the classes
+// checked and every violation, in order.
+func reportText(r *schedcheck.Report) string {
+	return fmt.Sprintf("%d ops %v\n%v", r.NumOps, r.Checked, r.Violations)
 }
 
 // sameRegionAccumulations reports whether ops a and b both accumulate into

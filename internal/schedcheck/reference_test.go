@@ -4,22 +4,23 @@ package schedcheck
 // differential oracle for Check: a breadth-first Kahn order, a full
 // reachability closure, every conflicting pair of accesses asked
 // separately, and contribution counts as int32 vectors. It shares only the
-// parts of the checker that planning did not touch: the structure and link
-// passes, the access index in id order, labels and violation rendering.
+// parts of the walk checker (walkcheck_test.go) that planning did not
+// touch: the structure and link passes, the access index in id order,
+// labels and violation rendering.
 type reference struct {
-	*checker
+	*walkChecker
 	rows [][]uint64 // rows[id] holds one bit per op id the op reaches
 }
 
 // referenceCheck runs the reference verifier over p.
 func referenceCheck(p *Program) *Report {
-	ck := newChecker(p)
+	ck := newWalkChecker(p)
 	ck.structure()
 	ck.r.Checked = append(ck.r.Checked, ClassStructure)
 	if !ck.r.OK() {
 		return ck.r
 	}
-	ref := &reference{checker: ck}
+	ref := &reference{walkChecker: ck}
 	ref.bfsOrder()
 	ref.closure()
 	ck.indexReaders()

@@ -200,6 +200,9 @@ const (
 	ClassPatch
 )
 
+// numClasses is the number of check classes, the most a Report lists.
+const numClasses = int(ClassPatch) + 1
+
 func (c Class) String() string {
 	switch c {
 	case ClassStructure:
@@ -299,6 +302,11 @@ func (r *Report) Err() error {
 // reference is bounds-checked before the deeper classes run), so Check is
 // also the schedule store's verify-on-load step: deserialized garbage fails
 // cleanly instead of panicking. Violations come out in a fixed order.
+//
+// Check reads the ops once, in a decode pass in id order, and then works on
+// compact columns: a topological sort and one sweep in that order plan the
+// classes (checks.go, bitset.go). Its scratch comes from a pool, so a warm
+// Check allocates only its Report. It is safe for concurrent use.
 func Check(p *Program) *Report { return check(p, false) }
 
 // CheckDeep is Check plus the performance proofs of deep.go: channel
@@ -308,8 +316,21 @@ func Check(p *Program) *Report { return check(p, false) }
 // violate them and still be correct, just slower than its structure claims.
 func CheckDeep(p *Program) *Report { return check(p, true) }
 
+// CheckStructure runs the structure class alone: ids, ranges, relay-slot
+// wiring and acyclicity. It is the structural gate for programs derived
+// from verified ones by changes that keep every other class's proof, such
+// as rescaling transfer sizes.
+func CheckStructure(p *Program) *Report {
+	ck := getChecker(p)
+	defer ck.release()
+	ck.structure(false)
+	ck.r.Checked = append(ck.r.Checked, ClassStructure)
+	return ck.r
+}
+
 func check(p *Program, deep bool) *Report {
-	ck := newChecker(p)
+	ck := getChecker(p)
+	defer ck.release()
 	ck.run(deep)
 	return ck.r
 }
@@ -317,8 +338,8 @@ func check(p *Program, deep bool) *Report {
 // run runs Check's classes, and CheckDeep's too when deep is set.
 func (ck *checker) run(deep bool) {
 	p := ck.p
-	ck.plan = !deep
-	ck.structure()
+	ck.plan, ck.full = !deep, deep
+	ck.structure(true)
 	ck.r.Checked = append(ck.r.Checked, ClassStructure)
 	if !ck.r.OK() {
 		return
@@ -326,26 +347,21 @@ func (ck *checker) run(deep bool) {
 	// Plan every reachability question, build only the closure they need,
 	// then report. CheckDeep's contention pass asks about arbitrary pairs,
 	// so there the full closure comes first and the walks answer as they go.
-	if ck.plan {
-		ck.hubLabels()
-	} else {
+	if deep {
 		ck.buildClosure()
+	} else {
+		ck.hubLabels()
 	}
-	ck.indexReaders()
-	ck.links()
+	ck.reportLinks()
 	ck.r.Checked = append(ck.r.Checked, ClassLink)
-	haz := ck.planHazards()
-	cons := ck.planConservation()
+	ck.sweep()
 	if p.InOrder && ck.plan {
 		ck.order(true)
 	}
-	if ck.rowOff == nil {
+	if ck.plan {
 		ck.buildClosure()
 	}
-	ck.hazards(haz)
-	ck.r.Checked = append(ck.r.Checked, ClassHazard)
-	ck.conservation(cons)
-	ck.r.Checked = append(ck.r.Checked, ClassConservation)
+	ck.report()
 	if p.InOrder {
 		ck.order(false)
 		ck.r.Checked = append(ck.r.Checked, ClassOrder)

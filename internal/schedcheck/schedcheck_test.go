@@ -104,6 +104,58 @@ func TestDGX1TreeCoversDetours(t *testing.T) {
 	}
 }
 
+// TestCatchesUnreadRelaySlot makes a detour's last hop read its own GPU's
+// buffer instead of the relay slot the previous hop filled, so the slot's
+// data is dropped. The pristine program goes through the pool of checkers
+// first, so a reader count left behind would hide the violation.
+func TestCatchesUnreadRelaySlot(t *testing.T) {
+	p := buildProgram(t, collective.Config{
+		Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8,
+	}).Clone()
+	for i := range p.Ops {
+		if !p.Ops[i].Src.IsRelay() {
+			continue
+		}
+		if r := schedcheck.Check(p); !r.OK() {
+			t.Fatal(r.Err())
+		}
+		slot := p.Ops[i].Src.Relay
+		p.Ops[i].Src = schedcheck.NodeBuf(p.Graph.Channel(p.Ops[i].Channel).From)
+		r := schedcheck.Check(p)
+		want := fmt.Sprintf("[link] op %d: relay slot is never read", slot)
+		if !strings.Contains(r.Err().Error(), want) {
+			t.Fatalf("unread relay slot of op %d not flagged: %v", slot, r.Err())
+		}
+		assertMatchesReference(t, p, r)
+		return
+	}
+	t.Fatal("no relay reader found")
+}
+
+// TestCatchesUnorderedCopies overwrites node 1's chunk from node 0 and from
+// node 2 with nothing ordering the two copies. Copies never commute, so the
+// pair must be flagged even with no other access to the region, and an op
+// reading and writing one region (here, a misrouted transfer) must count as
+// one access to it.
+func TestCatchesUnorderedCopies(t *testing.T) {
+	g := topology.FullyConnected(3, deepBW, deepLat)
+	copyTo1 := func(id int, from topology.NodeID) schedcheck.Op {
+		return schedcheck.Op{ID: id, Chunk: 0, Bytes: 1000, Channel: channelBetween(t, g, from, 1),
+			Src: schedcheck.NodeBuf(from), Dst: schedcheck.NodeBuf(1), Final: -1}
+	}
+	p := &schedcheck.Program{
+		Graph: g, Nodes: []topology.NodeID{0, 1, 2}, NumChunks: 1,
+		Ops: []schedcheck.Op{copyTo1(0, 0), copyTo1(1, 2), marker(2, 0, 0), marker(3, 0, 1), marker(4, 0, 2)},
+	}
+	r := schedcheck.Check(p)
+	if len(r.Class(schedcheck.ClassHazard)) != 1 {
+		t.Fatalf("unordered copies into one region not flagged once: %v", r.Err())
+	}
+	assertMatchesReference(t, p, r)
+	p.Ops[1].Src = schedcheck.NodeBuf(1)
+	assertMatchesReference(t, p, schedcheck.Check(p))
+}
+
 // TestHierarchicalVerifies covers the multi-box cluster schedule in both
 // barrier and chained modes.
 func TestHierarchicalVerifies(t *testing.T) {
@@ -245,17 +297,30 @@ func TestCatchesDoubleReduce(t *testing.T) {
 	t.Fatal("no copy transfer found")
 }
 
+// TestCatchesMissingFinal removes one final from an in-order schedule, just
+// after a larger program went through the pool of checkers: the order proof
+// must skip the region with no final, not read a final the previous program
+// left behind, and the report must match the references'.
 func TestCatchesMissingFinal(t *testing.T) {
 	p := treeProgram(t)
+	if !p.InOrder {
+		t.Fatal("tree schedule does not claim in-order delivery")
+	}
 	for i := range p.Ops {
 		if p.Ops[i].Final < 0 {
 			continue
 		}
 		p.Ops[i].Final = -1
+		big := buildProgram(t, collective.Config{
+			Graph: fullyConnected(16), Algorithm: collective.AlgTree, Bytes: 1 << 20, Chunks: 64,
+			AllowSharedChannels: true,
+		})
+		schedcheck.Check(big)
 		r := schedcheck.Check(p)
 		if !hasClass(r, schedcheck.ClassConservation) {
 			t.Fatalf("missing final not flagged: %s", r.Summary())
 		}
+		assertMatchesReference(t, p, r)
 		return
 	}
 	t.Fatal("no final op found")
@@ -401,8 +466,10 @@ func TestViolationOrderIsDeterministic(t *testing.T) {
 }
 
 // TestCheckConcurrent verifies programs of different sizes from several
-// goroutines at once: checks share no state, so every report must match the
-// serial one.
+// goroutines at once, through the shared pool of checkers: a checker grown
+// for one program and reused for a smaller or larger one, or a failing one,
+// must leave nothing behind, so every report, Checked classes and
+// violations in order, must match the serial one.
 func TestCheckConcurrent(t *testing.T) {
 	var progs []*schedcheck.Program
 	for _, n := range []int{4, 8, 16} {
@@ -411,24 +478,39 @@ func TestCheckConcurrent(t *testing.T) {
 			Chunks: 2 * n, AllowSharedChannels: true,
 		}))
 	}
+	progs = append(progs, buildProgram(t, collective.Config{
+		Graph: topology.Hierarchy(topology.DefaultHierarchyConfig(16)), Algorithm: collective.AlgTree,
+		Bytes: 1 << 20, Chunks: 24, AllowSharedChannels: true,
+	}))
 	broken := progs[1].Clone()
 	for i := range broken.Ops {
 		broken.Ops[i].Deps = nil
 	}
-	progs = append(progs, broken)
-	want := make([]string, len(progs))
-	for i, p := range progs {
-		want[i] = fmt.Sprint(schedcheck.CheckDeep(p).Violations)
+	dropped := progs[3].Clone()
+	for i := range dropped.Ops {
+		if deps := dropped.Ops[i].Deps; i%5 == 0 && len(deps) > 0 {
+			dropped.Ops[i].Deps = deps[1:]
+		}
+	}
+	cyclic := progs[2].Clone()
+	cyclic.Ops[0].Deps = []int{len(cyclic.Ops) - 1}
+	progs = append(progs, broken, dropped, cyclic)
+	checks := []func(*schedcheck.Program) *schedcheck.Report{schedcheck.Check, schedcheck.CheckDeep}
+	want := make([][]string, len(checks))
+	for c, check := range checks {
+		for _, p := range progs {
+			want[c] = append(want[c], reportText(check(p)))
+		}
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for round := 0; round < 8; round++ {
-				i := (g + round) % len(progs)
-				if got := fmt.Sprint(schedcheck.CheckDeep(progs[i]).Violations); got != want[i] {
-					t.Errorf("program %d: concurrent report differs from the serial one", i)
+			for round := 0; round < 16; round++ {
+				i, c := (g+round)%len(progs), round%len(checks)
+				if got := reportText(checks[c](progs[i])); got != want[c][i] {
+					t.Errorf("program %d: concurrent report differs from the serial one:\n%s\nvs\n%s", i, got, want[c][i])
 					return
 				}
 			}
