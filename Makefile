@@ -10,16 +10,16 @@ build:
 test:
 	$(GO) test ./...
 
-# Race detector over the packages that actually spawn goroutines: the
-# p2psync primitives, the gpusim kernel runners, and the gradient queue —
-# plus the fault-matrix suite, which drives repairs end to end, the sweep
-# executor with its parallel-vs-serial determinism tests, the HTTP service
-# layer with its load generator, the on-disk schedule store (shared by
-# concurrent caches and processes), the topology graph's memoized
-# fingerprint (filled by whichever request goroutine reads it first), and
-# the verifier's pool of checkers (shared by every concurrent Check).
+# Race detector over the packages that actually spawn goroutines or share
+# state across them, as CI's race steps run it: the DES run loop and its
+# pooled columns, the topology graph's memoized fingerprint, the metrics
+# registry, the p2psync primitives, the gpusim kernel runners, the gradient
+# queue, the fault-matrix suite (its adaptation tests are CI's third race
+# step), the sweep executor, the HTTP service layer with its load generator,
+# the schedule builders, cache and on-disk store, the verifier's pool of
+# checkers, and the synthesis compiler, which emits through the builders.
 race:
-	$(GO) test -race ./internal/topology/ ./internal/p2psync/... ./internal/gpusim/... ./internal/gradqueue/... ./internal/fault/... ./internal/sweep/... ./internal/server/... ./internal/loadgen/... ./internal/collective/... ./internal/schedcheck/
+	$(GO) test -race ./internal/des/ ./internal/topology/ ./internal/metrics/... ./internal/p2psync/... ./internal/gpusim/... ./internal/gradqueue/... ./internal/fault/... ./internal/sweep/... ./internal/server/... ./internal/loadgen/... ./internal/collective/... ./internal/schedcheck/ ./internal/synth/
 	$(GO) test -race -run ParallelMatchesSerial ./internal/experiments/
 
 # The des run-loop benches (Resource, GraphPipeline) and its zero-alloc

@@ -402,10 +402,10 @@ const SteadyStateBudget = 0
 var Budgets = map[string]int64{
 	"Execute/cluster64-ccube-128chunks": 6,
 	"Execute/dgx1-ccube-16MiB":          6,
-	"Build/cluster64-ccube-128chunks":   592,
+	"Build/cluster64-ccube-128chunks":   575,
 	"Check/cluster64-ccube-128chunks":   2,
 	"Check/dgx1-ccube-16MiB":            2,
-	"Synthesize/dgx1":                   930,
+	"Synthesize/dgx1":                   955,
 }
 
 // CheckBudgets returns a description of every bench exceeding its allocs/op

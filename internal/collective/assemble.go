@@ -8,15 +8,13 @@ import (
 	"ccube/internal/topology"
 )
 
-// This file is the assembly boundary for externally compiled schedules:
-// internal/synth emits its plans straight into the schedule IR
-// (schedcheck.Op) and Assemble adopts them as a Schedule, the same type the
-// hand-written builders produce, so synthesized collectives flow through
-// schedcheck, the cache/store, and the DES engine unchanged.
-//
-// Assemble is the only way to obtain an externally compiled schedule, and it
-// runs the full static verifier before returning, so an assembled schedule
-// the checker never saw cannot exist.
+// This file is the assembly boundary for externally compiled schedules.
+// internal/synth hands its routed trees to AssembleForest and
+// OverlappedChunk, which lay them out through the built-in tree
+// algorithms' own tree phases; Assemble adopts ops written one by one, as
+// the reference compilers in synth's and des's tests do. AssembleForest and
+// Assemble run the full static verifier before they return, so an
+// assembled schedule the checker never saw cannot exist.
 
 // AssembleSpec is a complete externally compiled schedule.
 type AssembleSpec struct {
@@ -74,6 +72,42 @@ func Assemble(spec AssembleSpec) (*Schedule, error) {
 		}
 		s.add(op, op.Deps...)
 	}
+	return s.adopt()
+}
+
+// OverlappedChunk returns one chunk's pass over rt as AssembleForest lays
+// it out: the reduction up the tree in ReduceOrder, the root-ready marker,
+// and the broadcast down in Order, started the moment the chunk is reduced.
+// Detour hops are relay-spliced (paper §IV-A). Op ids, deps and relay slots
+// are relative to the pass; Chunk and Bytes are zero.
+func OverlappedChunk(nodes []topology.NodeID, rt RoutedTree) ([]schedcheck.Op, error) {
+	s, err := chunkMajor(nil, nodes, chunk.Partition{Sizes: []int64{0}}, []RoutedTree{rt})
+	if err != nil {
+		return nil, err
+	}
+	return s.ops, nil
+}
+
+// AssembleForest builds the overlapped AllReduce of part's chunks over the
+// routed trees, chunk-major: chunk c takes OverlappedChunk's pass over tree
+// c mod t (t = len(trees)), every hop also depending on the same hop of
+// chunk c-t. That FIFO chain, the persistent channel kernel, makes each
+// tree an in-order stream. Like Assemble, it verifies and stamps the
+// schedule before returning it.
+func AssembleForest(g *topology.Graph, nodes []topology.NodeID, part chunk.Partition, trees []RoutedTree) (*Schedule, error) {
+	if g == nil {
+		return nil, fmt.Errorf("collective: assemble forest: nil graph")
+	}
+	s, err := chunkMajor(g, nodes, part, trees)
+	if err != nil {
+		return nil, err
+	}
+	return s.adopt()
+}
+
+// adopt verifies an externally compiled schedule and stamps it against the
+// current topology.
+func (s *Schedule) adopt() (*Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("collective: assembled schedule failed verification: %w", err)
 	}

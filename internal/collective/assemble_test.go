@@ -2,6 +2,7 @@ package collective
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -259,5 +260,80 @@ func TestStoreKeyIncludesSynth(t *testing.T) {
 	k.synth = "v1.t8"
 	if other := storeKey(k); other == withSynth {
 		t.Fatal("distinct synth fingerprints share a store key")
+	}
+}
+
+// TestMalformedRoutedTreesRejected: OverlappedChunk and AssembleForest lay
+// out only routed trees whose every edge has a route each way, whose
+// participant count matches, and whose links and walk orders agree; a
+// malformed tree is an error, never a send with no ops or a read of another
+// participant's hop slot. The base is DGX-1 tree 1, whose 2->4 edge detours.
+func TestMalformedRoutedTreesRejected(t *testing.T) {
+	g := dgx1()
+	nodes := g.GPUs()
+	t1, _ := DGX1Trees()
+	base, err := assignRoutes(g, nodes, t1, topology.NewRouter(g), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := func(rt RoutedTree) RoutedTree {
+		rt.Parent = slices.Clone(rt.Parent)
+		rt.Children = slices.Clone(rt.Children)
+		rt.Up, rt.Down = slices.Clone(rt.Up), slices.Clone(rt.Down)
+		rt.Order, rt.ReduceOrder = slices.Clone(rt.Order), slices.Clone(rt.ReduceOrder)
+		return rt
+	}
+	leaf := base.ReduceOrder[0]
+	cases := []struct {
+		name  string
+		nodes []topology.NodeID
+		edit  func(rt *RoutedTree)
+	}{
+		{"empty up route", nodes, func(rt *RoutedTree) { rt.Up[leaf] = topology.Route{} }},
+		{"empty down route", nodes, func(rt *RoutedTree) { rt.Down[2] = topology.Route{} }},
+		{"too few participants", nodes[:7], func(*RoutedTree) {}},
+		{"too many participants", append(slices.Clone(nodes), nodes[0]), func(*RoutedTree) {}},
+		{"route at the root", nodes, func(rt *RoutedTree) { rt.Up[rt.Root] = rt.Up[leaf] }},
+		{"second root", nodes, func(rt *RoutedTree) { rt.Parent[leaf] = -1 }},
+		{"child of the wrong parent", nodes, func(rt *RoutedTree) { rt.Children[rt.Root] = append(slices.Clone(rt.Children[rt.Root]), leaf) }},
+		{"child listed twice in place of its sibling", nodes, func(rt *RoutedTree) {
+			kids := rt.Children[rt.Root] // two in tree 1
+			rt.Children[rt.Root] = []int{kids[0], kids[0]}
+		}},
+		{"child left out", nodes, func(rt *RoutedTree) { rt.Children[rt.Parent[leaf]] = nil }},
+		{"broadcast children first", nodes, func(rt *RoutedTree) { slices.Reverse(rt.Order) }},
+		{"reduce parents first", nodes, func(rt *RoutedTree) { rt.ReduceOrder = slices.Clone(rt.Order) }},
+		{"order repeats a participant", nodes, func(rt *RoutedTree) { rt.Order[len(rt.Order)-1] = rt.Order[1] }},
+	}
+	part := chunk.Split(1<<20, 4)
+	if _, err := OverlappedChunk(nodes, base); err != nil {
+		t.Fatalf("OverlappedChunk rejected the base tree: %v", err)
+	}
+	if _, err := AssembleForest(g, nodes, part, []RoutedTree{base}); err != nil {
+		t.Fatalf("AssembleForest rejected the base tree: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := clone(base)
+			tc.edit(&rt)
+			if _, err := OverlappedChunk(tc.nodes, rt); err == nil {
+				t.Error("OverlappedChunk accepted a malformed routed tree")
+			}
+			if _, err := AssembleForest(g, tc.nodes, part, []RoutedTree{base, rt}); err == nil {
+				t.Error("AssembleForest accepted a malformed routed tree")
+			}
+		})
+	}
+	for name, call := range map[string]func() error{
+		"nil graph": func() error { _, err := AssembleForest(nil, nodes, part, []RoutedTree{base}); return err },
+		"no trees":  func() error { _, err := AssembleForest(g, nodes, part, nil); return err },
+		"too few chunks": func() error {
+			_, err := AssembleForest(g, nodes, chunk.Split(1<<20, 1), []RoutedTree{base, base})
+			return err
+		},
+	} {
+		if call() == nil {
+			t.Errorf("AssembleForest accepted %s", name)
+		}
 	}
 }

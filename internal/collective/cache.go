@@ -174,8 +174,8 @@ func (c *Cache) Build(cfg Config) (*Schedule, error) {
 // builder runs on a full miss (memory, disk, no patchable sibling) and its
 // result is stamped, cached, and written through to the disk store exactly
 // like a built-in's. The builder must return a verified schedule — an
-// external one can only come from Assemble, which verifies before it
-// returns. internal/synth uses it to give compiled schedules the same
+// external one can only come from AssembleForest or Assemble, which verify
+// before they return. internal/synth uses it to give compiled schedules the same
 // memoization as the hand-written algorithms; the cache key additionally
 // carries cfg.SynthKey so distinct synthesis configs never alias. Sibling
 // patching is skipped — the cache cannot derive an external builder's

@@ -45,7 +45,8 @@ const (
 	AlgHalvingDoubling
 	// Synth is a schedule compiled by internal/synth rather than one of the
 	// hand-written builders above. Build cannot construct it — synthesized
-	// schedules enter through Assemble and are cached under a Config whose
+	// schedules enter through AssembleForest, laid out by the same tree
+	// phases as the built-in trees, and are cached under a Config whose
 	// SynthKey carries the synthesis-config fingerprint (Cache.BuildWith).
 	AlgSynth
 )

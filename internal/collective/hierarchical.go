@@ -80,23 +80,23 @@ func BuildHierarchical(cfg HierarchicalConfig) (*Schedule, error) {
 
 	// Route every phase before emitting anything, so the schedule reserves
 	// its exact size.
-	boxUp := make([]*treePhase, m)
-	boxDown := make([]*treePhase, m)
+	boxUp := make([]treePhase, m)
+	boxDown := make([]treePhase, m)
 	for b := 0; b < m; b++ {
 		routes, err := assignRoutes(g, boxes[b], intraTree, topology.NewRouter(g), false)
 		if err != nil {
 			return nil, fmt.Errorf("collective: box %d intra routes: %w", b, err)
 		}
-		boxUp[b] = newTreePhase(s, boxes[b], intraTree, routes, true)
-		boxDown[b] = newTreePhase(s, boxes[b], intraTree, routes, false)
+		boxUp[b] = newTreePhase(s, boxes[b], routes, true)
+		boxDown[b] = newTreePhase(s, boxes[b], routes, false)
 	}
 	interTree := InorderTree(m)
 	interRoutes, err := assignRoutes(g, leaders, interTree, topology.NewRouter(g), false)
 	if err != nil {
 		return nil, fmt.Errorf("collective: inter-node routes: %w", err)
 	}
-	interUp := newTreePhase(s, leaders, interTree, interRoutes, true)
-	interDown := newTreePhase(s, leaders, interTree, interRoutes, false)
+	interUp := newTreePhase(s, leaders, interRoutes, true)
+	interDown := newTreePhase(s, leaders, interRoutes, false)
 
 	ops, deps := 0, 0
 	add := func(o, d int) { ops, deps = ops+o, deps+d }

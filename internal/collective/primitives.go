@@ -170,7 +170,7 @@ func buildTreePhase(g *topology.Graph, nodes []topology.NodeID, part chunk.Parti
 	k, root := part.NumChunks(), tree.Root
 
 	if reduce {
-		up := newTreePhase(s, nodes, tree, routes, true)
+		up := newTreePhase(s, nodes, routes, true)
 		// Per chunk, one done marker at the root and one sent marker per
 		// other participant.
 		ops, deps := up.cost(k, false)
@@ -188,7 +188,7 @@ func buildTreePhase(g *topology.Graph, nodes []topology.NodeID, part chunk.Parti
 	}
 
 	// Broadcast: root's buffer flows down, pipelined per chunk.
-	down := newTreePhase(s, nodes, tree, routes, false)
+	down := newTreePhase(s, nodes, routes, false)
 	ops, deps := down.cost(k, false)
 	s.reserve(ops+k, deps)
 	for ci := 0; ci < k; ci++ {

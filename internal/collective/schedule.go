@@ -225,6 +225,10 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 			return nil, &StaleScheduleError{Built: s.builtFor, Current: fp}
 		}
 	}
+	ready, err := s.readyIDs()
+	if err != nil {
+		return nil, err
+	}
 	g.Reserve(len(s.ops))
 	// Size each channel's interval log up front: busy-slice growth inside
 	// the run loop was a measurable allocation source across a sweep. The
@@ -274,32 +278,13 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 		}
 		ids[i] = g.Add(op.Kind(), r, d, deps...)
 	}
-
-	idx := s.nodeIndex()
 	k := s.Partition.NumChunks()
-	readyTask := make([][]int, len(s.Nodes))
-	for i := range readyTask {
-		readyTask[i] = make([]int, k)
-		for c := range readyTask[i] {
-			readyTask[i][c] = -1
-		}
-	}
-	for i := range s.ops {
-		op := &s.ops[i]
-		if op.Final < 0 {
-			continue
-		}
-		ni := idx.of(op.Final)
-		if ni < 0 {
-			return nil, fmt.Errorf("collective: final node %d not a participant", op.Final)
-		}
-		readyTask[ni][op.Chunk] = ids[i]
-	}
-	for i := range readyTask {
-		for c, id := range readyTask[i] {
-			if id < 0 {
-				return nil, fmt.Errorf("collective: chunk %d never becomes ready at node %v", c, s.Nodes[i])
-			}
+	readyTask := make([][]int, len(ready))
+	cells := make([]int, len(ready)*k)
+	for i, row := range ready {
+		readyTask[i] = cells[i*k : (i+1)*k : (i+1)*k]
+		for c, id := range row {
+			readyTask[i][c] = ids[id]
 		}
 	}
 	return &Instantiation{ReadyTask: readyTask}, nil

@@ -200,11 +200,67 @@ func treeChunks(k, numTrees, t int) []int {
 	return out
 }
 
-// edgeRoutes holds the physical routes assigned to one tree's edges, indexed
-// by child participant (the root's entries are empty).
-type edgeRoutes struct {
-	up   []topology.Route // child => parent
-	down []topology.Route // parent => child
+// RoutedTree is a logical tree whose edges have claimed physical routes,
+// indexed by child participant (the root's are empty), plus the walk orders
+// a chunk is laid out in: Order lists the participants parents first, for
+// the broadcast, and ReduceOrder children first, for the reduction. The
+// built-in algorithms use PreOrder and PostOrder.
+type RoutedTree struct {
+	Tree
+	Up, Down           []topology.Route // child => parent, parent => child
+	Order, ReduceOrder []int
+}
+
+// check reports why rt cannot be laid out over nodes.
+func (rt *RoutedTree) check(nodes []topology.NodeID) error {
+	n := len(nodes)
+	if len(rt.Parent) != n || len(rt.Children) != n || len(rt.Up) != n || len(rt.Down) != n {
+		return fmt.Errorf("spans %d participants, want %d", len(rt.Parent), n)
+	}
+	seen := make([]bool, n)
+	if !walkOrder(rt.Order, rt.Parent, false, seen) || !walkOrder(rt.ReduceOrder, rt.Parent, true, seen) {
+		return fmt.Errorf("walk orders must list every participant once, parents first in Order and last in ReduceOrder")
+	}
+	clear(seen) // now: listed as a child
+	kids := 0
+	for v, p := range rt.Parent {
+		edge := v != rt.Root
+		bad := (p >= 0) != edge || (rt.Up[v].Hops() > 0) != edge || (rt.Down[v].Hops() > 0) != edge
+		for _, w := range rt.Children[v] {
+			bad = bad || w < 0 || w >= n || rt.Parent[w] != v || seen[w]
+			if !bad {
+				seen[w] = true
+			}
+		}
+		if bad {
+			return fmt.Errorf("participant %d (parent %d, root %d): every tree edge needs a route each way, the root none, and parent and child links must agree", v, p, rt.Root)
+		}
+		kids += len(rt.Children[v])
+	}
+	if kids != n-1 {
+		return fmt.Errorf("children lists hold %d participants, want %d", kids, n-1)
+	}
+	return nil
+}
+
+// walkOrder reports whether order lists every participant once, each after
+// its parent, or before it when childFirst. seen is scratch, one entry per
+// participant.
+func walkOrder(order, parent []int, childFirst bool, seen []bool) bool {
+	if len(order) != len(parent) {
+		return false
+	}
+	clear(seen)
+	for _, v := range order {
+		if v < 0 || v >= len(parent) || seen[v] {
+			return false
+		}
+		if p := parent[v]; p >= len(parent) || p >= 0 && seen[p] == childFirst {
+			return false
+		}
+		seen[v] = true
+	}
+	return true
 }
 
 // assignRoutes claims physical routes for every edge of a tree, in both
@@ -212,10 +268,11 @@ type edgeRoutes struct {
 // first so that a detour never steals a channel a direct edge needs. If
 // sharing is permitted (see buildTreeSchedule), claim failures fall back to
 // reusing claimed channels.
-func assignRoutes(g *topology.Graph, nodes []topology.NodeID, t Tree, r *topology.Router, allowShared bool) (edgeRoutes, error) {
-	er := edgeRoutes{up: make([]topology.Route, len(nodes)), down: make([]topology.Route, len(nodes))}
+func assignRoutes(g *topology.Graph, nodes []topology.NodeID, t Tree, r *topology.Router, allowShared bool) (RoutedTree, error) {
+	rt := RoutedTree{Tree: t, Up: make([]topology.Route, len(nodes)), Down: make([]topology.Route, len(nodes)),
+		Order: t.PreOrder(), ReduceOrder: t.PostOrder()}
 	var direct, detour []int
-	for _, v := range t.PostOrder() {
+	for _, v := range rt.ReduceOrder {
 		if v == t.Root {
 			continue
 		}
@@ -229,16 +286,16 @@ func assignRoutes(g *topology.Graph, nodes []topology.NodeID, t Tree, r *topolog
 		p := t.Parent[v]
 		up, err := routeOrShared(g, r, nodes[v], nodes[p], allowShared)
 		if err != nil {
-			return er, fmt.Errorf("collective: no uplink route %v->%v: %w", nodes[v], nodes[p], err)
+			return rt, fmt.Errorf("collective: no uplink route %v->%v: %w", nodes[v], nodes[p], err)
 		}
 		down, err := routeOrShared(g, r, nodes[p], nodes[v], allowShared)
 		if err != nil {
-			return er, fmt.Errorf("collective: no downlink route %v->%v: %w", nodes[p], nodes[v], err)
+			return rt, fmt.Errorf("collective: no downlink route %v->%v: %w", nodes[p], nodes[v], err)
 		}
-		er.up[v] = up
-		er.down[v] = down
+		rt.Up[v] = up
+		rt.Down[v] = down
 	}
-	return er, nil
+	return rt, nil
 }
 
 // routeOrShared claims an exclusive route, or, when allowed, reuses already
@@ -286,50 +343,94 @@ func routeOrShared(g *topology.Graph, r *topology.Router, from, to topology.Node
 // order, which is what gives the tree algorithm its in-order property
 // (Observation #3).
 func buildTreeSchedule(g *topology.Graph, nodes []topology.NodeID, part chunk.Partition, trees []Tree, overlap, allowShared bool) (*Schedule, error) {
-	if len(trees) == 0 {
-		return nil, fmt.Errorf("collective: no trees")
-	}
-	k := part.NumChunks()
-	if k < len(trees) {
-		return nil, fmt.Errorf("collective: %d chunks cannot feed %d trees", k, len(trees))
-	}
-	s := newSchedule(g, nodes, part)
-	s.InOrder = true
-	s.Streams = len(trees) // chunks round-robin over trees; order holds per tree
-	s.Contract = ContractAllReduce
-	router := topology.NewRouter(g)
-
 	// Route every tree before emitting anything, so the schedule reserves
 	// its exact size.
-	up := make([]*treePhase, len(trees))
-	down := make([]*treePhase, len(trees))
-	chunks := make([][]int, len(trees))
-	ops, deps := 0, 0
-	add := func(o, d int) { ops, deps = ops+o, deps+d }
+	router := topology.NewRouter(g)
+	routed := make([]RoutedTree, len(trees))
 	for ti, tree := range trees {
 		if len(tree.Parent) != len(nodes) {
 			return nil, fmt.Errorf("collective: tree %d spans %d participants, want %d", ti, len(tree.Parent), len(nodes))
 		}
-		routes, err := assignRoutes(g, nodes, tree, router, allowShared)
-		if err != nil {
+		var err error
+		if routed[ti], err = assignRoutes(g, nodes, tree, router, allowShared); err != nil {
 			return nil, err
 		}
-		up[ti] = newTreePhase(s, nodes, tree, routes, true)
-		down[ti] = newTreePhase(s, nodes, tree, routes, false)
-		chunks[ti] = treeChunks(k, len(trees), ti)
-		n := len(chunks[ti])
-		add(up[ti].cost(n, false))
-		add(n, n*len(tree.Children[tree.Root])) // root-ready markers
+	}
+	f, err := newForest(g, nodes, part, routed, overlap)
+	if err != nil {
+		return nil, err
+	}
+	for ti := range trees {
+		buildSingleTree(f.s, &f.up[ti], &f.down[ti], treeChunks(part.NumChunks(), len(trees), ti), overlap)
+	}
+	return f.s, nil
+}
+
+// forest is an AllReduce schedule under construction over routed trees,
+// chunk c riding tree c mod len(trees): per tree, its reduction and
+// broadcast phases. Trees are laid out tree-major (buildSingleTree, the
+// built-in algorithms) or chunk-major (chunkMajor, AssembleForest); the two
+// orders number the same ops differently.
+type forest struct {
+	s        *Schedule
+	up, down []treePhase
+}
+
+// newForest starts the schedule of part's chunks over trees and reserves
+// exactly the ops and deps they take: per tree, its chunks' reductions,
+// root-ready markers and broadcasts, plus a barrier unless overlap.
+func newForest(g *topology.Graph, nodes []topology.NodeID, part chunk.Partition, trees []RoutedTree, overlap bool) (forest, error) {
+	k, t := part.NumChunks(), len(trees)
+	if t == 0 {
+		return forest{}, fmt.Errorf("collective: no trees")
+	}
+	if k < t {
+		return forest{}, fmt.Errorf("collective: %d chunks cannot feed %d trees", k, t)
+	}
+	s := newSchedule(g, nodes, part)
+	s.InOrder = true
+	s.Streams = t // chunks round-robin over trees; order holds per tree
+	s.Contract = ContractAllReduce
+	phases := make([]treePhase, 2*t)
+	f := forest{s: s, up: phases[:t], down: phases[t:]}
+	ops, deps := 0, 0
+	add := func(o, d int) { ops, deps = ops+o, deps+d }
+	for ti, rt := range trees {
+		f.up[ti] = newTreePhase(s, nodes, rt, true)
+		f.down[ti] = newTreePhase(s, nodes, rt, false)
+		n := (k - ti + t - 1) / t // chunks riding tree ti
+		add(f.up[ti].cost(n, false))
+		add(n, n*len(rt.Children[rt.Root])) // root-ready markers
 		if !overlap {
 			add(1, 1) // the barrier
 		}
-		add(down[ti].cost(n, true))
+		add(f.down[ti].cost(n, true))
 	}
 	s.reserve(ops, deps)
+	return f, nil
+}
+
+// chunkMajor lays part's chunks over the routed trees chunk by chunk:
+// chunk c's reduction over tree c mod t, its root-ready marker, then its
+// broadcast, started the moment c is reduced, every hop chained behind the
+// same hop of chunk c-t.
+func chunkMajor(g *topology.Graph, nodes []topology.NodeID, part chunk.Partition, trees []RoutedTree) (*Schedule, error) {
 	for ti := range trees {
-		buildSingleTree(s, up[ti], down[ti], chunks[ti], overlap)
+		if err := trees[ti].check(nodes); err != nil {
+			return nil, fmt.Errorf("collective: routed tree %d: %w", ti, err)
+		}
 	}
-	return s, nil
+	f, err := newForest(g, nodes, part, trees, true)
+	if err != nil {
+		return nil, err
+	}
+	t := len(trees)
+	for c := 0; c < part.NumChunks(); c++ {
+		up := &f.up[c%t]
+		ready := f.s.addMarker(c, up.parts[up.tree.Root], up.reduce(c, c >= t, nil)...)
+		f.down[c%t].broadcast(c, c >= t, ready)
+	}
+	return f.s, nil
 }
 
 // buildSingleTree adds one tree's transfers to the schedule.
@@ -366,7 +467,7 @@ type treePhase struct {
 	s        *Schedule
 	parts    []topology.NodeID // participant index -> node
 	tree     Tree
-	order    []int            // post-order to reduce, pre-order to broadcast
+	order    []int            // the routed tree's ReduceOrder or Order
 	routes   []topology.Route // per child participant: its edge's route this way
 	hopOff   []int            // participant v's latest hop ids are hops[hopOff[v]:hopOff[v+1]]
 	hops     []int
@@ -374,17 +475,22 @@ type treePhase struct {
 	reducing bool  // up the tree, accumulating; else down, copying
 }
 
-func newTreePhase(s *Schedule, parts []topology.NodeID, tree Tree, routes edgeRoutes, reduce bool) *treePhase {
-	tp := &treePhase{s: s, parts: parts, tree: tree, hopOff: make([]int, len(parts)+1), reducing: reduce}
+func newTreePhase(s *Schedule, parts []topology.NodeID, rt RoutedTree, reduce bool) treePhase {
+	tp := treePhase{s: s, parts: parts, tree: rt.Tree, order: rt.Order, routes: rt.Down, reducing: reduce}
 	if reduce {
-		tp.order, tp.routes = tree.PostOrder(), routes.up
-	} else {
-		tp.order, tp.routes = tree.PreOrder(), routes.down
+		tp.order, tp.routes = rt.ReduceOrder, rt.Up
 	}
-	for v, rt := range tp.routes {
-		tp.hopOff[v+1] = tp.hopOff[v] + rt.Hops()
+	// One buffer holds the hop offsets, the hop table and the deps scratch:
+	// at most a participant's children plus one more dependency.
+	n, hops := len(parts)+1, 0
+	for _, r := range tp.routes {
+		hops += r.Hops()
 	}
-	tp.hops = make([]int, tp.hopOff[len(parts)])
+	buf := make([]int, n+hops+rt.MaxChildren()+1)
+	tp.hopOff, tp.hops, tp.deps = buf[:n:n], buf[n:n+hops:n+hops], buf[n+hops:n+hops]
+	for v, r := range tp.routes {
+		tp.hopOff[v+1] = tp.hopOff[v] + r.Hops()
+	}
 	return tp
 }
 

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"ccube/internal/chunk"
 	"ccube/internal/collective"
 	"ccube/internal/des"
 	"ccube/internal/schedcheck"
@@ -98,11 +99,11 @@ func TestEmitMatchesReference(t *testing.T) {
 // the variants it walks to, and stops at the first bound no lower than the
 // best makespan so far. That rests on three facts. For every (forest
 // prefix, chunk count) variant on the differential fabrics, seeds and
-// detour settings, at a megabyte and at one byte per chunk, Assemble
-// accepts it, and its pass-derived bound equals schedcheck.MakespanBound
-// exactly, term by term: critical path and busiest channel load. And every
-// variant a search ranks at 1 and 256 MiB finishes, when executed, no
-// earlier than its bound.
+// detour settings, at a megabyte and at one byte per chunk,
+// collective.AssembleForest accepts it, and its pass-derived bound equals
+// schedcheck.MakespanBound exactly, term by term: critical path and busiest
+// channel load. And every variant a search ranks at 1 and 256 MiB
+// finishes, when executed, no earlier than its bound.
 func TestEveryVariantVerifies(t *testing.T) {
 	const maxChunks = 64
 	for name, mk := range differentialFabrics() {
@@ -173,9 +174,10 @@ func TestEveryVariantVerifies(t *testing.T) {
 // TestFallbackPromotesNextByBound plants a verification failure on the
 // best-bound variant of a search that variant wins when it verifies. The
 // rejected variant is never returned, and it cannot have been executed:
-// the search executes only what Assemble returns. The next variant by
-// bound is assembled in its place, the winner is the fastest of the next
-// executeFinalists by bound, and Report.Variants counts one variant fewer.
+// the search executes only what collective.AssembleForest returns. The
+// next variant by bound is assembled in its place, the winner is the
+// fastest of the next executeFinalists by bound, and Report.Variants
+// counts one variant fewer.
 func TestFallbackPromotesNextByBound(t *testing.T) {
 	g := dgx1()
 	nodes := g.GPUs()
@@ -217,16 +219,16 @@ func TestFallbackPromotesNextByBound(t *testing.T) {
 		}
 	}
 
-	orig := assemble
-	t.Cleanup(func() { assemble = orig })
+	orig := assembleForest
+	t.Cleanup(func() { assembleForest = orig })
 	var assembled []variant
-	assemble = func(spec collective.AssembleSpec) (*collective.Schedule, error) {
-		v := variant{trees: spec.Streams, chunks: spec.Partition.NumChunks()}
+	assembleForest = func(g *topology.Graph, nodes []topology.NodeID, part chunk.Partition, trees []collective.RoutedTree) (*collective.Schedule, error) {
+		v := variant{trees: len(trees), chunks: part.NumChunks()}
 		assembled = append(assembled, v)
 		if v.trees == rejected.trees && v.chunks == rejected.chunks {
 			return nil, errors.New("planted verification failure")
 		}
-		return orig(spec)
+		return orig(g, nodes, part, trees)
 	}
 	got, err := Synthesize(context.Background(), g, bytes, opts)
 	if err != nil {
@@ -334,5 +336,33 @@ func TestEmitReservesExactly(t *testing.T) {
 	ops := s.Program().Ops
 	if cap(ops) != len(ops) {
 		t.Fatalf("ops cap %d, len %d: the emitter did not reserve exactly", cap(ops), len(ops))
+	}
+}
+
+// TestUnlayoutableTreeEndsUsableForest: a tree collective cannot lay out —
+// here one tree edge lost its up route — ends the usable forest, so the
+// search ranks only the prefixes before it.
+func TestUnlayoutableTreeEndsUsableForest(t *testing.T) {
+	g := topology.FullyConnected(8, 25e9, des.Microsecond)
+	nodes := g.GPUs()
+	forest, err := PackForest(g, nodes, DefaultMaxTrees, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(forest.Trees) < 3 {
+		t.Fatalf("%d trees: too few to cut one out of the middle", len(forest.Trees))
+	}
+	broken := *forest.Trees[1]
+	broken.Up = slices.Clone(broken.Up)
+	broken.Up[broken.ReduceOrder[0]] = topology.Route{}
+	forest.Trees[1] = &broken
+	e := newEmitter(g, nodes, 1<<20, forest)
+	if len(e.passes) != 1 || len(e.trees) != 1 {
+		t.Fatalf("usable forest holds %d passes and %d trees, want 1 and 1", len(e.passes), len(e.trees))
+	}
+	for _, v := range e.rank(DefaultMaxChunks) {
+		if v.trees != 1 {
+			t.Fatalf("ranked a variant over %d trees", v.trees)
+		}
 	}
 }

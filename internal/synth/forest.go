@@ -2,23 +2,18 @@ package synth
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"ccube/internal/collective"
 	"ccube/internal/topology"
 )
 
 // Tree is one packed spanning tree over the participant set, with the
-// physical routes its edges claimed. Parent/Children/Up/Down are indexed by
-// participant index; Order is the attachment order (root first), so
-// iterating Order gives parents-before-children and iterating it backwards
-// gives children-before-parents.
+// physical routes its edges claimed. Its Order is the attachment order
+// (root first, so parents before children) and its ReduceOrder the reverse.
 type Tree struct {
-	Root     int
-	Parent   []int
-	Children [][]int
-	Order    []int
-	Up       []topology.Route // child -> parent, indexed by child
-	Down     []topology.Route // parent -> child, indexed by child
+	collective.RoutedTree
 	// Bottleneck is the minimum effective bandwidth over every channel the
 	// tree claimed (detour hops carry double traffic weight).
 	Bottleneck float64
@@ -143,13 +138,12 @@ type attachment struct {
 // tree's provisional claims are rolled back and nil is returned.
 func (pk *packer) packTree(root int) *Tree {
 	n := len(pk.nodes)
-	t := &Tree{
-		Root:     root,
-		Parent:   make([]int, n),
-		Children: make([][]int, n),
-		Up:       make([]topology.Route, n),
-		Down:     make([]topology.Route, n),
-	}
+	t := &Tree{RoutedTree: collective.RoutedTree{
+		Tree:  collective.Tree{Root: root, Parent: make([]int, n), Children: make([][]int, n)},
+		Up:    make([]topology.Route, n),
+		Down:  make([]topology.Route, n),
+		Order: make([]int, 0, n),
+	}}
 	for i := range t.Parent {
 		t.Parent[i] = -1
 	}
@@ -194,6 +188,8 @@ func (pk *packer) packTree(root int) *Tree {
 			t.Bottleneck = best.score
 		}
 	}
+	t.ReduceOrder = slices.Clone(t.Order)
+	slices.Reverse(t.ReduceOrder)
 	return t
 }
 

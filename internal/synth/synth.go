@@ -4,24 +4,25 @@
 // The compiler follows GC3 (collective programs lowered through one IR)
 // seeded by a ForestColl-style generator (throughput-oriented packing of
 // channel-disjoint spanning trees over the measured fabric). Its IR is the
-// schedule IR itself, schedcheck.Op: one emitter loop over the forest
-// writes every plan variant straight into it.
+// schedule IR itself, schedcheck.Op, and its layout rule is the built-in
+// tree algorithms' own: collective lays every routed tree out, so one
+// emitter serves both.
 //
 //	primitive        Allreduce(bytes) over topology.Graph
 //	   │  PackForest: bandwidth-weighted, health-aware spanning-tree packing
 //	   ▼
-//	forest           trees whose edges claim physical (maybe relay) routes
-//	   │  newChunkPass: one chunk's up hops → root-ready marker → down hops
+//	forest           collective.RoutedTrees: edges claim physical (maybe relay) routes
+//	   │  collective.OverlappedChunk: one chunk's up hops → root-ready marker → down hops
 //	   ▼
 //	chunk passes     one per tree, ids relative to the chunk
 //	   │  bound(t, k): every variant ranked, no op emitted
-//	   │  emit(t, k): chunk c rides tree c mod t; FIFO dep on chunk c-t
 //	   ▼
-//	collective.Schedule   via collective.Assemble + Validate
+//	collective.Schedule   via collective.AssembleForest(first t trees, k chunks):
+//	                      chunk c rides tree c mod t, FIFO dep on chunk c-t; Validate
 //
 // Only the variants the search walks to are emitted, and each passes the
-// full static verifier in collective.Assemble before it is executed or
-// escapes this package. Synthesize memoizes through the schedule
+// full static verifier in collective.AssembleForest before it is executed
+// or escapes this package. Synthesize memoizes through the schedule
 // cache/store under a key that includes the synthesis-config fingerprint,
 // so compiled schedules get the exact same correctness gate, staleness
 // detection, and warm-start behavior as the built-in algorithms.
@@ -204,10 +205,10 @@ func (e *emitter) rank(maxChunks int) []variant {
 // compileBest runs the plan search: pack once at the tree ceiling, rank
 // every (forest prefix, chunk count) variant by the bound the emitter
 // derives from its chunk passes, then walk the variants in stable bound
-// order. Each one walked is emitted and assembled — collective.Assemble
-// runs the full static verifier — and executed on the DES, until
-// executeFinalists have run or the next bound is no lower than the best
-// makespan so far. The bound is a provable lower bound, so a variant past
+// order. Each one walked is emitted and assembled —
+// collective.AssembleForest runs the full static verifier — and executed
+// on the DES, until executeFinalists have run or the next bound is no
+// lower than the best makespan so far. The bound is a provable lower bound, so a variant past
 // that point could at best tie, and a tie keeps the earlier finalist. A
 // variant that fails verification is dropped and the next by bound takes its
 // place, so only assembled schedules ever execute or win.
