@@ -58,5 +58,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzSplit -fuzztime=10s ./internal/chunk
 	$(GO) test -fuzz=FuzzLayerChunkTable -fuzztime=10s ./internal/chunk
 	$(GO) test -fuzz=FuzzSchedCheck -fuzztime=20s ./internal/schedcheck
+	$(GO) test -fuzz=FuzzDecodeSchedule -fuzztime=10s -fuzzminimizetime=100x ./internal/collective
 
 all: build vet test race lint bench-module

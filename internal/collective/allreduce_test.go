@@ -478,8 +478,10 @@ func TestScheduleValidateCatchesCorruption(t *testing.T) {
 	s.ops[0].Bytes = 100
 	// Introduce a dependency cycle.
 	last := len(s.ops) - 1
-	s.ops[0].Deps = append(s.ops[0].Deps, last)
-	s.ops[last].Deps = append(s.ops[last].Deps, 0)
+	deps := s.depLists()
+	deps[0] = append(deps[0], last)
+	deps[last] = append(deps[last], 0)
+	s.setDeps(deps)
 	if err := s.Validate(); err == nil {
 		t.Error("cyclic schedule accepted")
 	}
@@ -499,20 +501,23 @@ func TestScheduleValidateCatchesCorruption(t *testing.T) {
 		if caught || tr.Marker() || tr.Src.Relay >= 0 {
 			continue
 		}
-		for di, d := range tr.Deps {
+		for di, d := range s.depsOf(i) {
 			w := &s.ops[d]
 			if w.Marker() || !w.Accumulate || w.Dst != tr.Src || w.Chunk != tr.Chunk {
 				continue
 			}
-			dropped := tr.Deps[di]
-			tr.Deps = append(tr.Deps[:di], tr.Deps[di+1:]...)
+			deps := s.depLists()
+			kept := deps[i]
+			deps[i] = append(append([]int(nil), kept[:di]...), kept[di+1:]...)
+			s.setDeps(deps)
 			if err := s.Validate(); err != nil {
 				caught = true
 				break
 			}
 			// Edge was redundant (another path orders the pair); restore
 			// and keep looking.
-			tr.Deps = append(tr.Deps, dropped)
+			deps[i] = kept
+			s.setDeps(deps)
 		}
 	}
 	if !caught {

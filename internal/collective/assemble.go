@@ -24,10 +24,11 @@ type AssembleSpec struct {
 	InOrder   bool
 	Streams   int
 	Contract  Contract
-	// Ops is the schedule, op i with id i. Assemble takes ownership of the
-	// slice: it numbers the ops in place and moves their Deps, which may
-	// live in any scratch storage, into the schedule's one arena.
-	Ops []schedcheck.Op
+	// Ops is the schedule, op i with id i, and Deps[i] is op i's
+	// dependencies. Assemble takes ownership of Ops and copies Deps into
+	// the schedule's CSR.
+	Ops  []schedcheck.Op
+	Deps [][]int
 }
 
 // Assemble materializes an externally compiled schedule. Index sanity (dep
@@ -50,27 +51,30 @@ func Assemble(spec AssembleSpec) (*Schedule, error) {
 	s.InOrder = spec.InOrder
 	s.Streams = spec.Streams
 	s.Contract = spec.Contract
+	if len(spec.Deps) != len(spec.Ops) {
+		return nil, fmt.Errorf("collective: assemble: %d dependency lists for %d ops", len(spec.Deps), len(spec.Ops))
+	}
 	numChunks := spec.Partition.NumChunks()
 	deps := 0
-	for i := range spec.Ops {
-		deps += len(spec.Ops[i].Deps)
+	for _, d := range spec.Deps {
+		deps += len(d)
 	}
 	// add writes op i back into slot i of the caller's slice, after reading it.
 	s.ops = spec.Ops[:0]
-	s.deps = make([]int, 0, deps)
+	s.reserveDeps(len(spec.Ops), deps)
 	for i, op := range spec.Ops {
-		if op.Chunk < 0 || op.Chunk >= numChunks {
+		if op.Chunk < 0 || int(op.Chunk) >= numChunks {
 			return nil, fmt.Errorf("collective: assemble: op %d: chunk %d outside partition [0,%d)", i, op.Chunk, numChunks)
 		}
-		for _, d := range op.Deps {
+		for _, d := range spec.Deps[i] {
 			if d < 0 || d >= i {
 				return nil, fmt.Errorf("collective: assemble: op %d: dep %d is not an earlier op", i, d)
 			}
 		}
-		if op.Src.Relay >= i {
+		if int(op.Src.Relay) >= i {
 			return nil, fmt.Errorf("collective: assemble: op %d: relay source %d is not an earlier op", i, op.Src.Relay)
 		}
-		s.add(op, op.Deps...)
+		s.add(op, spec.Deps[i]...)
 	}
 	return s.adopt()
 }
@@ -79,13 +83,14 @@ func Assemble(spec AssembleSpec) (*Schedule, error) {
 // it out: the reduction up the tree in ReduceOrder, the root-ready marker,
 // and the broadcast down in Order, started the moment the chunk is reduced.
 // Detour hops are relay-spliced (paper §IV-A). Op ids, deps and relay slots
-// are relative to the pass; Chunk and Bytes are zero.
-func OverlappedChunk(nodes []topology.NodeID, rt RoutedTree) ([]schedcheck.Op, error) {
+// are relative to the pass; Chunk and Bytes are zero, and the program has
+// no graph.
+func OverlappedChunk(nodes []topology.NodeID, rt RoutedTree) (schedcheck.Program, error) {
 	s, err := chunkMajor(nil, nodes, chunk.Partition{Sizes: []int64{0}}, []RoutedTree{rt})
 	if err != nil {
-		return nil, err
+		return schedcheck.Program{}, err
 	}
-	return s.ops, nil
+	return *s.Program(), nil
 }
 
 // AssembleForest builds the overlapped AllReduce of part's chunks over the

@@ -12,16 +12,32 @@ import (
 	"ccube/internal/topology"
 )
 
+// specOp is one op of an assembled spec with its dependencies.
+type specOp struct {
+	op   schedcheck.Op
+	deps []int
+}
+
 // xfer is an assembled transfer of chunk c over channel ch between node
 // buffers, overwriting or accumulating; final >= 0 marks the chunk ready there.
-func xfer(ch topology.ChannelID, c int, bytes int64, from, to topology.NodeID, acc bool, final topology.NodeID, deps ...int) schedcheck.Op {
-	return schedcheck.Op{Channel: ch, Chunk: c, Bytes: bytes, Src: schedcheck.NodeBuf(from), Dst: schedcheck.NodeBuf(to),
-		Accumulate: acc, Final: final, Deps: deps}
+func xfer(ch topology.ChannelID, c int, bytes int64, from, to topology.NodeID, acc bool, final topology.NodeID, deps ...int) specOp {
+	return specOp{schedcheck.Op{Channel: int32(ch), Chunk: int32(c), Bytes: bytes, Src: schedcheck.NodeBuf(from),
+		Dst: schedcheck.NodeBuf(to), Accumulate: acc, Final: int32(final)}, deps}
 }
 
 // marker is an assembled zero-cost join marking chunk c ready at final.
-func marker(c int, final topology.NodeID, deps ...int) schedcheck.Op {
-	return schedcheck.Op{Channel: -1, Chunk: c, Src: schedcheck.NoBuf(), Dst: schedcheck.NoBuf(), Final: final, Deps: deps}
+func marker(c int, final topology.NodeID, deps ...int) specOp {
+	return specOp{schedcheck.Op{Channel: -1, Chunk: int32(c), Src: schedcheck.NoBuf(), Dst: schedcheck.NoBuf(),
+		Final: int32(final)}, deps}
+}
+
+// withOps returns spec holding ops, split into its Ops and Deps.
+func withOps(spec AssembleSpec, ops ...specOp) AssembleSpec {
+	for _, o := range ops {
+		spec.Ops = append(spec.Ops, o.op)
+		spec.Deps = append(spec.Deps, o.deps)
+	}
+	return spec
 }
 
 // assembleAllReduce2 hand-assembles the minimal two-node allreduce: reduce
@@ -30,19 +46,18 @@ func assembleAllReduce2(g *topology.Graph) (*Schedule, error) {
 	nodes := g.GPUs()
 	up := g.ChannelsBetween(nodes[0], nodes[1])[0]
 	down := g.ChannelsBetween(nodes[1], nodes[0])[0]
-	return Assemble(AssembleSpec{
+	return Assemble(withOps(AssembleSpec{
 		Graph:     g,
 		Nodes:     nodes,
 		Partition: chunk.Split(1<<16, 1),
 		InOrder:   true,
 		Streams:   1,
 		Contract:  ContractAllReduce,
-		Ops: []schedcheck.Op{
-			xfer(up, 0, 1<<16, nodes[0], nodes[1], true, -1),
-			marker(0, nodes[1], 0),
-			xfer(down, 0, 1<<16, nodes[1], nodes[0], false, nodes[0], 1),
-		},
-	})
+	},
+		xfer(up, 0, 1<<16, nodes[0], nodes[1], true, -1),
+		marker(0, nodes[1], 0),
+		xfer(down, 0, 1<<16, nodes[1], nodes[0], false, nodes[0], 1),
+	))
 }
 
 func TestAssembleMinimalAllReduce(t *testing.T) {
@@ -70,14 +85,14 @@ func TestAssembleMinimalAllReduce(t *testing.T) {
 }
 
 // Assemble adopts the caller's ops but never their deps storage: every
-// op's deps land in the schedule's one arena, which holds nothing else.
+// op's deps land in the schedule's one CSR, which holds nothing else.
 func TestAssembleMovesDepsIntoArena(t *testing.T) {
 	g := topology.FullyConnected(2, 10e9, 5*des.Microsecond)
 	s, err := assembleAllReduce2(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ArenaError(); err != nil {
+	if err := s.CSRError(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,21 +111,19 @@ func TestAssembleRejectsMalformedSpecs(t *testing.T) {
 		}
 	}
 	fromRelay := xfer(ch, 0, 1, nodes[0], nodes[1], false, -1)
-	fromRelay.Src = schedcheck.RelayBuf(0)
+	fromRelay.op.Src = schedcheck.RelayBuf(0)
 	cases := []struct {
 		name string
-		ops  []schedcheck.Op
+		ops  []specOp
 	}{
-		{"forward dep", []schedcheck.Op{xfer(ch, 0, 1, nodes[0], nodes[1], false, -1, 1)}},
-		{"self dep", []schedcheck.Op{xfer(ch, 0, 1, nodes[0], nodes[1], false, -1, 0)}},
-		{"chunk out of range", []schedcheck.Op{xfer(ch, 3, 1, nodes[0], nodes[1], false, -1)}},
-		{"relay forward reference", []schedcheck.Op{fromRelay}},
+		{"forward dep", []specOp{xfer(ch, 0, 1, nodes[0], nodes[1], false, -1, 1)}},
+		{"self dep", []specOp{xfer(ch, 0, 1, nodes[0], nodes[1], false, -1, 0)}},
+		{"chunk out of range", []specOp{xfer(ch, 3, 1, nodes[0], nodes[1], false, -1)}},
+		{"relay forward reference", []specOp{fromRelay}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := base()
-			spec.Ops = tc.ops
-			if _, err := Assemble(spec); err == nil {
+			if _, err := Assemble(withOps(base(), tc.ops...)); err == nil {
 				t.Fatal("Assemble accepted a malformed spec")
 			}
 		})
@@ -128,14 +141,14 @@ func TestAssembleRejectsUnverifiableSpec(t *testing.T) {
 	cases := []struct {
 		name  string
 		class string // the verifier class that must reject the spec
-		ops   []schedcheck.Op
+		ops   []specOp
 	}{
-		{"channel does not connect its endpoints", "link", []schedcheck.Op{
+		{"channel does not connect its endpoints", "link", []specOp{
 			xfer(wrong, 0, 1<<16, nodes[0], nodes[1], false, -1),
 		}},
 		// The minimal two-node allreduce with the reduction turned into an
 		// overwrite: node 1 loses its own contribution.
-		{"ops do not conserve the data", "conservation", []schedcheck.Op{
+		{"ops do not conserve the data", "conservation", []specOp{
 			xfer(up, 0, 1<<16, nodes[0], nodes[1], false, -1),
 			marker(0, nodes[1], 0),
 			xfer(down, 0, 1<<16, nodes[1], nodes[0], false, nodes[0], 1),
@@ -143,14 +156,13 @@ func TestAssembleRejectsUnverifiableSpec(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Assemble(AssembleSpec{
+			_, err := Assemble(withOps(AssembleSpec{
 				Graph:     g,
 				Nodes:     nodes[:2],
 				Partition: chunk.Split(1<<16, 1),
 				Streams:   1,
 				Contract:  ContractAllReduce,
-				Ops:       tc.ops,
-			})
+			}, tc.ops...))
 			if err == nil {
 				t.Fatal("Assemble returned a schedule the verifier rejects")
 			}

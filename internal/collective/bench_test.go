@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -46,20 +47,31 @@ func BenchmarkBuild(b *testing.B) {
 	})
 }
 
-func runBuildBench(b *testing.B, build func() (*Schedule, error)) {
+// retainedPerTransfer builds one schedule between two collections and
+// returns the live heap it holds per transfer, and its transfer count.
+func retainedPerTransfer(build func() (*Schedule, error)) (float64, int, error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	s, err := build()
 	if err != nil {
-		b.Fatal(err)
+		return 0, 0, err
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	n := s.NumTransfers()
 	retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
 	runtime.KeepAlive(s)
+	return retained / float64(n), n, nil
+}
 
+func runBuildBench(b *testing.B, build func() (*Schedule, error)) {
+	retained, n, err := retainedPerTransfer(build)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
 	b.ReportAllocs()
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
@@ -72,6 +84,45 @@ func runBuildBench(b *testing.B, build func() (*Schedule, error)) {
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/transfer")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*n), "B/transfer")
-	b.ReportMetric(retained/float64(n), "retained-B/transfer")
+	b.ReportMetric(retained, "retained-B/transfer")
 	b.ReportMetric(float64(n), "transfers")
+}
+
+// BenchmarkRepair times RepairSchedule on the DGX-1 C-Cube schedule with
+// both parallel NVLinks of its first ridden channel killed, so every
+// stranded transfer is spliced onto a detour through a third GPU: at 4
+// chunks, as in TestRepairMatrix, and at 32, which strands eight times the
+// transfers. Besides allocs/op it reports the forwarding hops each repair
+// adds.
+func BenchmarkRepair(b *testing.B) {
+	for _, chunks := range []int{4, 32} {
+		b.Run(fmt.Sprintf("dgx1-ccube-two-link-kill-%dchunks", chunks), func(b *testing.B) {
+			g := dgx1()
+			s, err := Build(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 1 << 18, Chunks: chunks})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, cid := range usedChannels(s) {
+				ch := g.Channel(cid)
+				if len(g.ChannelsBetween(ch.From, ch.To)) == 2 {
+					for _, sib := range g.ChannelsBetween(ch.From, ch.To) {
+						g.KillChannel(sib)
+					}
+					break
+				}
+			}
+			_, rep, err := RepairSchedule(s, g.DownChannels(), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := RepairSchedule(s, g.DownChannels(), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rep.AddedHops), "added-hops")
+		})
+	}
 }

@@ -19,7 +19,7 @@ func dgx1() *topology.Graph { return topology.DGX1(topology.DefaultDGX1Config())
 // TestScheduleCodecV2RoundTrip decodes the encoding of every schedule kind
 // that reaches the store — the six built-ins, a synthesized schedule, a
 // repaired one and a hierarchical one — into a schedule reflect.DeepEqual
-// to its source: ops, the deps arena, partition and stamp.
+// to its source: ops, the dependency CSR, partition and stamp.
 func TestScheduleCodecV2RoundTrip(t *testing.T) {
 	cases := map[string]func() (*collective.Schedule, error){
 		"synth": func() (*collective.Schedule, error) {
@@ -41,8 +41,8 @@ func TestScheduleCodecV2RoundTrip(t *testing.T) {
 				if op.Marker() {
 					continue
 				}
-				if ch := g.Channel(op.Channel); len(g.ChannelsBetween(ch.From, ch.To)) == 1 {
-					g.KillChannel(op.Channel)
+				if ch := g.Channel(op.ChannelID()); len(g.ChannelsBetween(ch.From, ch.To)) == 1 {
+					g.KillChannel(op.ChannelID())
 					break
 				}
 			}
@@ -102,11 +102,9 @@ func relayFabric() *topology.Graph {
 	return g
 }
 
-// TestAssembledScheduleStoreRoundTrip: a synthesized schedule — adopted by
-// Assemble from the compiler's ops, relay hops included — keeps the arena
-// invariant (every op's deps a three-index subslice of the one arena, which
-// holds nothing else) through the store codec, and the decoded copy
-// verifies.
+// TestAssembledScheduleStoreRoundTrip: a synthesized schedule — laid out
+// by AssembleForest, relay hops included — keeps a well-formed dependency
+// CSR through the store codec, and the decoded copy verifies.
 func TestAssembledScheduleStoreRoundTrip(t *testing.T) {
 	for name, g := range map[string]*topology.Graph{"dgx1": dgx1(), "relay": relayFabric()} {
 		t.Run(name, func(t *testing.T) {
@@ -115,14 +113,14 @@ func TestAssembledScheduleStoreRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := res.Schedule
-			if err := s.ArenaError(); err != nil {
+			if err := s.CSRError(); err != nil {
 				t.Fatalf("assembled: %v", err)
 			}
 			dec, err := collective.DecodeSchedule(collective.EncodeSchedule(s), g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := dec.ArenaError(); err != nil {
+			if err := dec.CSRError(); err != nil {
 				t.Fatalf("decoded: %v", err)
 			}
 			if err := dec.Validate(); err != nil {
@@ -164,11 +162,11 @@ func encodeV1(s *collective.Schedule) []byte {
 		buf = binary.AppendVarint(buf, int64(op.Chunk))
 		buf = binary.AppendVarint(buf, op.Bytes)
 		buf = binary.AppendVarint(buf, int64(op.Channel))
-		buf = binary.AppendUvarint(buf, uint64(len(op.Deps)))
-		for _, d := range op.Deps {
+		buf = binary.AppendUvarint(buf, uint64(len(p.Deps(i))))
+		for _, d := range p.Deps(i) {
 			buf = binary.AppendVarint(buf, int64(d))
 		}
-		for _, v := range []int{int(op.Src.Node), op.Src.Relay, int(op.Dst.Node), op.Dst.Relay} {
+		for _, v := range []int32{op.Src.Node, op.Src.Relay, op.Dst.Node, op.Dst.Relay} {
 			buf = binary.AppendVarint(buf, int64(v))
 		}
 		var tf uint64

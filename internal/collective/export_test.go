@@ -11,23 +11,39 @@ var (
 // Stamp binds s to its graph's current fingerprint, as a cache load does.
 func (s *Schedule) Stamp() { s.stamp() }
 
-// ArenaError checks the schedule's arena invariant: op i's deps are the next
-// len(Deps) arena entries, as a three-index subslice, and the arena holds
-// exactly the ops' deps.
-func (s *Schedule) ArenaError() error {
-	off := 0
-	for i := range s.ops {
-		d := s.ops[i].Deps
-		if cap(d) != len(d) {
-			return fmt.Errorf("op %d: deps cap %d != len %d: an append would overwrite a neighbour", i, cap(d), len(d))
-		}
-		if len(d) > 0 && (off+len(d) > len(s.deps) || &d[0] != &s.deps[off]) {
-			return fmt.Errorf("op %d: deps are not arena entries [%d,%d)", i, off, off+len(d))
-		}
-		off += len(d)
+// CSRError checks the schedule's dependency CSR: one offset per op plus a
+// leading 0, rows in order, and the last row ending the deps slice.
+func (s *Schedule) CSRError() error {
+	n := len(s.ops)
+	if len(s.depOff) != n+1 || s.depOff[0] != 0 {
+		return fmt.Errorf("%d offsets for %d ops", len(s.depOff), n)
 	}
-	if off != len(s.deps) {
-		return fmt.Errorf("arena holds %d deps, ops hold %d", len(s.deps), off)
+	for i := 0; i < n; i++ {
+		if s.depOff[i+1] < s.depOff[i] {
+			return fmt.Errorf("op %d: row [%d,%d) runs backwards", i, s.depOff[i], s.depOff[i+1])
+		}
+	}
+	if int(s.depOff[n]) != len(s.deps) {
+		return fmt.Errorf("rows cover %d deps, the CSR holds %d", s.depOff[n], len(s.deps))
 	}
 	return nil
+}
+
+// depLists returns s's dependencies as one list per transfer, for tests
+// that edit them and write them back with setDeps.
+func (s *Schedule) depLists() [][]int {
+	out := make([][]int, len(s.ops))
+	for i := range s.ops {
+		for _, d := range s.depsOf(i) {
+			out[i] = append(out[i], int(d))
+		}
+	}
+	return out
+}
+
+// setDeps replaces s's dependency CSR with deps[i] as transfer i's.
+func (s *Schedule) setDeps(deps [][]int) {
+	p := s.Program()
+	p.SetDeps(deps)
+	s.depOff, s.deps = p.DepOff, p.DepList
 }

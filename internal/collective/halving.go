@@ -176,7 +176,7 @@ func buildHalvingDoublingSchedule(g *topology.Graph, nodes []topology.NodeID, pa
 			}
 			for c := lo; c < hi; c++ {
 				id := send(ch, r, partner, c, false, c == lo, snapshot)
-				s.ops[id].Final = nodes[partner]
+				s.ops[id].Final = int32(nodes[partner])
 			}
 		}
 		stepMarkers(step, base)

@@ -61,7 +61,7 @@ func patchFromSibling(sib *Schedule, cfg Config) (*Schedule, bool) {
 		return nil, false
 	}
 	// The clone copies the op slice once and shares the sibling's deps
-	// arena: only bytes change. The patch assumes every transfer moves
+	// CSR: only bytes change. The patch assumes every transfer moves
 	// exactly its chunk's bytes. All current builders satisfy this; if a
 	// future one does not, bail to the full build rather than mis-scale.
 	s := sib.clone()

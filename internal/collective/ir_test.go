@@ -7,25 +7,17 @@ import (
 	"ccube/internal/topology"
 )
 
-// checkFlat asserts the flat-IR layout of s: the op slice and the deps arena
-// were reserved at their exact final size, every op's deps are a
-// three-index subslice (cap == len, so an append reallocates instead of
-// overwriting the next op's deps), and the arena holds exactly the ops'
-// deps.
+// checkFlat asserts the flat-IR layout of s: the op slice and the
+// dependency CSR were reserved at their exact final size, and the CSR's
+// rows cover exactly the ops and their deps.
 func checkFlat(t *testing.T, name string, s *Schedule) {
 	t.Helper()
-	if cap(s.ops) != len(s.ops) || cap(s.deps) != len(s.deps) {
-		t.Fatalf("%s: reserved %d ops / %d deps, built %d / %d", name, cap(s.ops), cap(s.deps), len(s.ops), len(s.deps))
+	if cap(s.ops) != len(s.ops) || cap(s.depOff) != len(s.depOff) || cap(s.deps) != len(s.deps) {
+		t.Fatalf("%s: reserved %d ops / %d offsets / %d deps, built %d / %d / %d", name,
+			cap(s.ops), cap(s.depOff), cap(s.deps), len(s.ops), len(s.depOff), len(s.deps))
 	}
-	n := 0
-	for i := range s.ops {
-		if d := s.ops[i].Deps; cap(d) != len(d) {
-			t.Fatalf("%s: op %d deps have spare capacity %d", name, i, cap(d)-len(d))
-		}
-		n += len(s.ops[i].Deps)
-	}
-	if n != len(s.deps) {
-		t.Fatalf("%s: ops hold %d deps, the arena %d", name, n, len(s.deps))
+	if err := s.CSRError(); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 }
 
@@ -108,4 +100,31 @@ func TestBuildAllocationsDoNotScaleWithTransfers(t *testing.T) {
 	if large > small+8 {
 		t.Fatalf("building 128 chunks allocates %.0f times, 16 chunks %.0f: allocations scale with transfers", large, small)
 	}
+}
+
+// TestBuildRetainedBytes bounds the live heap one built cluster:64 C-Cube
+// schedule at 128 chunks holds, measured as BenchmarkBuild's
+// retained-B/transfer: the 40-byte op, its 4-byte CSR offset and about two
+// 4-byte deps come to ~52 bytes a transfer. The best of three builds
+// counts, so a stray allocation elsewhere in the process cannot fail it.
+func TestBuildRetainedBytes(t *testing.T) {
+	g := topology.Hierarchy(topology.DefaultHierarchyConfig(64))
+	build := func() (*Schedule, error) {
+		return Build(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 64 << 20, Chunks: 128,
+			AllowSharedChannels: true})
+	}
+	best := 0.0
+	for i := 0; i < 3; i++ {
+		per, _, err := retainedPerTransfer(build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || per < best {
+			best = per
+		}
+	}
+	if best > 56 {
+		t.Fatalf("a built schedule retains %.1f B/transfer, want <= 56", best)
+	}
+	t.Logf("retained %.1f B/transfer", best)
 }

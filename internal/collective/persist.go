@@ -138,8 +138,9 @@ func encodeSchedule(s *Schedule) []byte {
 		buf = binary.AppendVarint(buf, int64(op.Chunk))
 		buf = binary.AppendVarint(buf, op.Bytes)
 		buf = binary.AppendVarint(buf, int64(op.Channel))
-		buf = binary.AppendUvarint(buf, uint64(len(op.Deps)))
-		for _, d := range op.Deps {
+		deps := s.depsOf(i)
+		buf = binary.AppendUvarint(buf, uint64(len(deps)))
+		for _, d := range deps {
 			buf = binary.AppendVarint(buf, int64(d))
 		}
 		buf = binary.AppendVarint(buf, int64(op.Src.Node))
@@ -173,12 +174,15 @@ func (r *decReader) fail(format string, args ...any) {
 	}
 }
 
+// uvarint reads one uvarint in its shortest form. A longer encoding of the
+// same value (a trailing zero group) is rejected, so every accepted payload
+// re-encodes to its own bytes.
 func (r *decReader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.data[n-1] == 0) {
 		r.fail("collective: truncated or malformed uvarint")
 		return 0
 	}
@@ -186,17 +190,29 @@ func (r *decReader) uvarint() uint64 {
 	return v
 }
 
+// varint reads one zigzag varint in its shortest form.
 func (r *decReader) varint() int64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(r.data)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.data[n-1] == 0) {
 		r.fail("collective: truncated or malformed varint")
 		return 0
 	}
 	r.data = r.data[n:]
 	return v
+}
+
+// int32 reads a varint that transfer i's op narrows to int32: a chunk,
+// channel, node, relay slot, final node or dependency. A value outside
+// int32 is an error, never truncated.
+func (r *decReader) int32(i int, what string) int32 {
+	v := r.varint()
+	if r.err == nil && int64(int32(v)) != v {
+		r.fail("collective: decoded transfer %d %s %d does not fit in int32", i, what, v)
+	}
+	return int32(v)
 }
 
 // count reads a length field and rejects values that cannot possibly be
@@ -271,6 +287,9 @@ func decodeSchedule(data []byte, g *topology.Graph) (*Schedule, error) {
 	}
 
 	flags := r.uvarint()
+	if r.err == nil && flags&^sfInOrder != 0 {
+		return nil, fmt.Errorf("collective: decoded unknown schedule flags %#x", flags)
+	}
 	streams := int(r.varint())
 	contract := Contract(r.uvarint())
 	if r.err == nil && contract != ContractGeneric && contract != ContractAllReduce {
@@ -293,33 +312,34 @@ func decodeSchedule(data []byte, g *topology.Graph) (*Schedule, error) {
 	}
 	s.reserve(numTransfers, numDeps)
 	for i := 0; i < numTransfers && r.err == nil; i++ {
-		op := schedcheck.Op{ID: i}
-		op.Chunk = int(r.varint())
+		var op schedcheck.Op
+		op.Chunk = r.int32(i, "chunk")
 		op.Bytes = r.varint()
-		op.Channel = topology.ChannelID(r.varint())
+		op.Channel = r.int32(i, "channel")
 		nd := r.count("dep")
 		if len(s.deps)+nd > numDeps {
 			return nil, fmt.Errorf("collective: decoded transfer %d overflows the declared %d deps", i, numDeps)
 		}
-		start := len(s.deps)
 		for d := 0; d < nd && r.err == nil; d++ {
-			dep := int(r.varint())
-			if r.err == nil && (dep < 0 || dep >= numTransfers) {
+			dep := r.int32(i, "dep")
+			if r.err == nil && (dep < 0 || int(dep) >= numTransfers) {
 				return nil, fmt.Errorf("collective: decoded transfer %d dep %d out of range", i, dep)
 			}
 			s.deps = append(s.deps, dep)
 		}
-		op.Deps = s.deps[start:len(s.deps):len(s.deps)]
-		op.Src = schedcheck.Buf{Node: topology.NodeID(r.varint()), Relay: int(r.varint())}
-		op.Dst = schedcheck.Buf{Node: topology.NodeID(r.varint()), Relay: int(r.varint())}
+		op.Src = schedcheck.Buf{Node: r.int32(i, "source node"), Relay: r.int32(i, "source relay")}
+		op.Dst = schedcheck.Buf{Node: r.int32(i, "destination node"), Relay: r.int32(i, "destination relay")}
 		tf := r.uvarint()
+		if r.err == nil && tf&^(tfAccumulate|tfNoAlpha) != 0 {
+			return nil, fmt.Errorf("collective: decoded transfer %d unknown flags %#x", i, tf)
+		}
 		op.Accumulate = tf&tfAccumulate != 0
 		op.NoAlpha = tf&tfNoAlpha != 0
-		op.Final = topology.NodeID(r.varint())
+		op.Final = r.int32(i, "final node")
 		if r.err != nil {
 			break
 		}
-		if op.Chunk < 0 || op.Chunk >= numChunks {
+		if op.Chunk < 0 || int(op.Chunk) >= numChunks {
 			return nil, fmt.Errorf("collective: decoded transfer %d chunk %d out of range [0,%d)", i, op.Chunk, numChunks)
 		}
 		if int(op.Channel) >= g.NumChannels() {
@@ -329,6 +349,7 @@ func decodeSchedule(data []byte, g *topology.Graph) (*Schedule, error) {
 			return nil, fmt.Errorf("collective: decoded transfer %d moves %d bytes", i, op.Bytes)
 		}
 		s.ops = append(s.ops, op)
+		s.depOff = append(s.depOff, int32(len(s.deps)))
 	}
 	if r.err == nil && len(s.deps) != numDeps {
 		return nil, fmt.Errorf("collective: decoded %d deps, payload declared %d", len(s.deps), numDeps)

@@ -1,13 +1,18 @@
 package collective
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"ccube/internal/collective/store"
+	"ccube/internal/des"
 	"ccube/internal/topology"
 )
 
@@ -27,7 +32,7 @@ func schedulesEqual(a, b *Schedule) bool {
 	return a.Graph == b.Graph && reflect.DeepEqual(a.Nodes, b.Nodes) &&
 		reflect.DeepEqual(a.Partition, b.Partition) &&
 		a.InOrder == b.InOrder && a.Streams == b.Streams && a.Contract == b.Contract &&
-		reflect.DeepEqual(a.ops, b.ops)
+		reflect.DeepEqual(a.ops, b.ops) && reflect.DeepEqual(a.depOff, b.depOff) && reflect.DeepEqual(a.deps, b.deps)
 }
 
 var codecConfigs = []struct {
@@ -136,6 +141,99 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	})
 }
 
+// TestDecodeRejectsValuesWiderThanInt32: the op record and its CSR hold
+// int32 chunks, channels, nodes, relay slots, finals and deps, so a wider
+// value on the wire is an error, never truncated (channel 1<<40 would
+// truncate to channel 0, dep 1<<33 to op 0).
+func TestDecodeRejectsValuesWiderThanInt32(t *testing.T) {
+	g := topology.FullyConnected(2, 10e9, des.Microsecond)
+	// payload is a two-op schedule: a transfer 0->1 over channel ch and a
+	// marker depending on dep that makes the chunk final at node 1.
+	payload := func(ch, dep int64) []byte {
+		v := binary.AppendVarint
+		u := binary.AppendUvarint
+		buf := u(nil, schedCodecVersion)
+		buf = v(u(buf, 2), 0)
+		buf = v(buf, 1)
+		buf = v(u(v(buf, 1<<20), 1), 1<<20)
+		buf = u(v(u(buf, 0), 1), uint64(ContractGeneric))
+		buf = u(u(buf, 2), 1)
+		buf = v(v(v(buf, 0), 1<<20), ch)
+		buf = v(v(v(v(u(buf, 0), 0), -1), 1), -1)
+		buf = v(u(buf, 0), -1)
+		buf = v(v(v(buf, 0), 0), -1)
+		buf = v(u(buf, 1), dep)
+		buf = v(v(v(v(buf, -1), -1), -1), -1)
+		return v(u(buf, 0), 1)
+	}
+	if _, err := decodeSchedule(payload(0, 0), g); err != nil {
+		t.Fatalf("the in-range payload does not decode: %v", err)
+	}
+	for _, tc := range []struct {
+		name     string
+		ch, dep  int64
+		wantText string
+	}{
+		{"channel 1<<40", 1 << 40, 0, "channel 1099511627776 does not fit in int32"},
+		{"dep 1<<33", 0, 1 << 33, "dep 8589934592 does not fit in int32"},
+	} {
+		_, err := decodeSchedule(payload(tc.ch, tc.dep), g)
+		if err == nil || !strings.Contains(err.Error(), tc.wantText) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantText)
+		}
+	}
+}
+
+// TestDecodeStoredV2Payloads loads payloads written before the op record
+// was narrowed (same wire format, codec version 2) through a cache's
+// verify-on-load, re-encodes them to their own bytes, and executes them to
+// the Totals they had when they were written.
+func TestDecodeStoredV2Payloads(t *testing.T) {
+	g := topology.DGX1(topology.DefaultDGX1Config())
+	for _, tc := range []struct {
+		file  string
+		cfg   Config
+		total des.Time
+	}{
+		{"codec-v2-dgx1-ccube.bin", Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}, 90662},
+		{"codec-v2-dgx1-halving.bin", Config{Graph: g, Algorithm: AlgHalvingDoubling, Bytes: 1 << 20}, 91388},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			payload, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := openStoreT(t)
+			key, ok := StoreKey(tc.cfg)
+			if !ok {
+				t.Fatal("config not cacheable")
+			}
+			if err := st.Put(key, payload); err != nil {
+				t.Fatal(err)
+			}
+			c := NewCache()
+			c.SetStore(st)
+			s, err := c.Build(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := st.Stats(); got.Hits != 1 || got.Corrupt != 0 {
+				t.Fatalf("store stats = %+v, want the stored payload loaded and verified", got)
+			}
+			if !bytes.Equal(encodeSchedule(s), payload) {
+				t.Error("the loaded schedule does not re-encode to its payload")
+			}
+			r, err := s.ExecuteCtx(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Total != tc.total {
+				t.Errorf("Total = %d, want %d", r.Total, tc.total)
+			}
+		})
+	}
+}
+
 // TestStoreWarmStart is the end-to-end warm-start contract: one cache
 // populates a store directory; a second cache — fresh process state, same
 // topology content rebuilt from scratch — starts warm from it, re-verifies
@@ -181,7 +279,8 @@ func TestStoreWarmStart(t *testing.T) {
 		t.Fatal("loaded schedule not stamped against the live topology")
 	}
 	if !schedulesEqual(sCold, &Schedule{Graph: sCold.Graph, Nodes: sWarm.Nodes, Partition: sWarm.Partition,
-		InOrder: sWarm.InOrder, Streams: sWarm.Streams, Contract: sWarm.Contract, ops: sWarm.ops}) {
+		InOrder: sWarm.InOrder, Streams: sWarm.Streams, Contract: sWarm.Contract, ops: sWarm.ops,
+		depOff: sWarm.depOff, deps: sWarm.deps}) {
 		t.Fatal("loaded schedule content differs from the built one")
 	}
 	rWarm, err := sWarm.ExecuteCtx(context.Background())
@@ -306,11 +405,11 @@ func TestStoreVerifyOnLoadCatchesTamperedPayload(t *testing.T) {
 		if tr.Marker() {
 			continue
 		}
-		ch := bad.Graph.Channel(tr.Channel)
+		ch := bad.Graph.Channel(tr.ChannelID())
 		for cid := 0; cid < bad.Graph.NumChannels(); cid++ {
 			cand := bad.Graph.Channel(topology.ChannelID(cid))
 			if cand.From != ch.From || cand.To != ch.To {
-				tr.Channel = topology.ChannelID(cid)
+				tr.Channel = int32(cid)
 				rerouted = true
 				break
 			}

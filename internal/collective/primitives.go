@@ -242,7 +242,7 @@ func buildRingPhase(g *topology.Graph, nodes []topology.NodeID, part chunk.Parti
 					s.addDep(sent[prev(pos)*(p-1)+step-1])
 				}
 				if !accumulate {
-					s.ops[id].Final = node(pos + 1)
+					s.ops[id].Final = int32(node(pos + 1))
 				}
 				sent[pos*(p-1)+step] = id
 			}

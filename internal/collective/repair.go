@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ccube/internal/schedcheck"
@@ -110,7 +111,7 @@ func RepairSchedule(s *Schedule, channels []topology.ChannelID, skip []bool) (*S
 
 	byChannel := make(map[topology.ChannelID][]int)
 	for id := range out.ops {
-		if ch := out.ops[id].Channel; !skipped(id) && targetSet[ch] {
+		if ch := out.ops[id].ChannelID(); !skipped(id) && targetSet[ch] {
 			byChannel[ch] = append(byChannel[ch], id)
 		}
 	}
@@ -124,11 +125,11 @@ func RepairSchedule(s *Schedule, channels []topology.ChannelID, skip []bool) (*S
 			router = topology.NewRouter(out.Graph)
 			for i := range out.ops {
 				op := &out.ops[i]
-				if op.Marker() || out.Graph.Channel(op.Channel).Down() {
+				if op.Marker() || out.Graph.Channel(op.ChannelID()).Down() {
 					continue
 				}
-				if !router.Claimed(op.Channel) {
-					router.Claim(op.Channel)
+				if !router.Claimed(op.ChannelID()) {
+					router.Claim(op.ChannelID())
 				}
 			}
 		}
@@ -173,19 +174,28 @@ func RepairSchedule(s *Schedule, channels []topology.ChannelID, skip []bool) (*S
 
 	// Stranded transfers take their dead channel's route in id order, so
 	// the forwarding hops splice appends are numbered in that order too.
+	// lastHop[id] is the last forwarding hop spliced in front of transfer
+	// id, its one new dependency, or -1.
+	var lastHop []int32
 	for id := 0; id < oldN; id++ {
-		rt, ok := routeFor[out.ops[id].Channel]
+		rt, ok := routeFor[out.ops[id].ChannelID()]
 		if !ok || skipped(id) {
 			continue
 		}
 		rep.Rerouted++
 		touched[id] = true
 		if rt.Direct() {
-			out.ops[id].Channel = rt.Channels[0]
+			out.ops[id].Channel = int32(rt.Channels[0])
 			continue
 		}
 		rep.AddedHops += rt.Hops() - 1
-		out.splice(id, rt)
+		if lastHop == nil {
+			lastHop = make([]int32, oldN)
+			for i := range lastHop {
+				lastHop[i] = -1
+			}
+		}
+		lastHop[id] = int32(out.splice(id, rt))
 	}
 
 	if len(touched) == 0 {
@@ -199,7 +209,7 @@ func RepairSchedule(s *Schedule, channels []topology.ChannelID, skip []bool) (*S
 		return out, rep, nil
 	}
 
-	newID, err := out.renumber()
+	newID, err := out.renumber(lastHop)
 	if err != nil {
 		return nil, nil, fmt.Errorf("collective: patch produced an unorderable schedule: %w", err)
 	}
@@ -296,8 +306,8 @@ func (s *Schedule) rebalance(stranded []int, group []topology.ChannelID, touched
 		if op.Marker() || inStranded[i] {
 			continue
 		}
-		if k, ok := idx[op.Channel]; ok {
-			load[k] += float64(op.Bytes) / s.Graph.Channel(op.Channel).EffectiveBandwidth()
+		if k, ok := idx[op.ChannelID()]; ok {
+			load[k] += float64(op.Bytes) / s.Graph.Channel(op.ChannelID()).EffectiveBandwidth()
 		}
 	}
 	moved := 0
@@ -311,8 +321,8 @@ func (s *Schedule) rebalance(stranded []int, group []topology.ChannelID, touched
 			}
 		}
 		load[best] = bestCost
-		if group[best] != op.Channel {
-			op.Channel = group[best]
+		if group[best] != op.ChannelID() {
+			op.Channel = int32(group[best])
 			touched[id] = true
 			moved++
 		}
@@ -341,84 +351,95 @@ func verifyPatch(base, patched *Schedule, rep *PatchReport) error {
 }
 
 // clone copies the schedule's op slice for editing and shares everything
-// else, the deps arena included: the arena is immutable. An op whose deps
-// change gets a slice of its own (its three-index subslice cannot grow in
-// place), and renumber rebuilds a fresh arena. The clone is unstamped.
+// else, the dependency CSR included: a built schedule's CSR is immutable.
+// The clone's CSR slices are capped at their length, so splice's appends
+// reallocate them instead of writing past the end of the shared arrays. The
+// clone is unstamped.
 func (s *Schedule) clone() *Schedule {
 	out := *s
 	out.ops = append([]schedcheck.Op(nil), s.ops...)
+	out.depOff = s.depOff[:len(s.depOff):len(s.depOff)]
+	out.deps = s.deps[:len(s.deps):len(s.deps)]
 	out.builtFor = 0
 	return &out
 }
 
 // splice rewires stranded transfer id over multi-hop route rt: forwarding
-// transfers for every hop but the last are appended (writing relay slots),
-// and the transfer itself becomes the final hop, reading the last relay.
-// The appended transfers carry ids after it — renumber restores
-// topological id order.
-func (s *Schedule) splice(id int, rt topology.Route) {
+// transfers for every hop but the last are appended through add (writing
+// relay slots; the first takes over id's dependencies), and the transfer
+// itself becomes the final hop, reading the last relay. It returns that
+// last hop's id, which transfer id must now also depend on; the caller
+// hands it to renumber, which restores topological id order, since the
+// appended transfers carry ids after id.
+func (s *Schedule) splice(id int, rt topology.Route) int {
 	t := s.ops[id]
-	prevSrc, prevDeps, prevID := t.Src, t.Deps, 0
+	src := t.Src
 	for h := 0; h < rt.Hops()-1; h++ {
 		hop := len(s.ops)
 		// Forwarding never reduces; accumulation happens at the final dst.
-		s.ops = append(s.ops, schedcheck.Op{ID: hop, Chunk: t.Chunk, Bytes: t.Bytes, Channel: rt.Channels[h],
-			Deps: prevDeps, Src: prevSrc, Dst: schedcheck.RelayBuf(hop), Final: -1})
-		prevSrc, prevDeps, prevID = schedcheck.RelayBuf(hop), []int{hop}, hop
+		s.add(schedcheck.Op{Chunk: t.Chunk, Bytes: t.Bytes, Channel: int32(rt.Channels[h]),
+			Src: src, Dst: schedcheck.RelayBuf(hop), Final: -1})
+		if h == 0 {
+			for _, d := range s.depsOf(id) {
+				s.addDep(int(d))
+			}
+		} else {
+			s.addDep(hop - 1)
+		}
+		src = schedcheck.RelayBuf(hop)
 	}
 	op := &s.ops[id]
-	op.Channel = rt.Channels[rt.Hops()-1]
-	op.Src = schedcheck.RelayBuf(prevID)
-	// Keep the original ordering edges (buffer hazards) and add the data
-	// dependency on the last forwarding hop.
-	op.Deps = appendUnique(op.Deps, prevID)
-}
-
-func appendUnique(deps []int, d int) []int {
-	for _, x := range deps {
-		if x == d {
-			return deps
-		}
-	}
-	return append(deps, d)
+	op.Channel = int32(rt.Channels[rt.Hops()-1])
+	op.Src = src
+	return int(src.Relay)
 }
 
 // renumber rewrites transfers into topological id order (dependencies
 // before dependents), rewriting ids, deps, and relay-slot references into a
-// fresh op slice and deps arena, and returns the mapping: newID[old] is the
-// id transfer old was assigned. Instantiate and the verifier both require
-// id order to respect the DAG; splice violates it by appending hops that
-// stranded transfers depend on. RepairSchedule threads the mapping into
-// PatchReport.OldToNew so delta verification (schedcheck.CheckPatch) and
-// checkpoint remapping can line the patched schedule up with its base.
-func (s *Schedule) renumber() ([]int, error) {
-	order, err := s.topoOrder()
+// fresh op slice and dependency CSR, and returns the mapping: newID[old] is
+// the id transfer old was assigned. Instantiate and the verifier both
+// require id order to respect the DAG; splice violates it by appending hops
+// that stranded transfers depend on. lastHop, when non-nil, holds those
+// dependencies: transfer i keeps its own and also depends on lastHop[i]
+// when lastHop[i] >= 0. Each transfer's deps come out ascending.
+// RepairSchedule threads the mapping into PatchReport.OldToNew so delta
+// verification (schedcheck.CheckPatch) and checkpoint remapping can line
+// the patched schedule up with its base.
+func (s *Schedule) renumber(lastHop []int32) ([]int, error) {
+	order, err := s.topoOrder(lastHop)
 	if err != nil {
 		return nil, err
 	}
 	newID := make([]int, len(s.ops))
-	deps := 0
 	for pos, old := range order {
 		newID[old] = pos
-		deps += len(s.ops[old].Deps)
 	}
 	remap := func(b schedcheck.Buf) schedcheck.Buf {
 		if b.Relay >= 0 {
-			b.Relay = newID[b.Relay]
+			b.Relay = int32(newID[b.Relay])
 		}
 		return b
+	}
+	deps := len(s.deps)
+	for _, h := range lastHop {
+		if h >= 0 {
+			deps++
+		}
 	}
 	out := &Schedule{}
 	out.reserve(len(s.ops), deps)
 	for _, old := range order {
 		op := s.ops[old]
 		op.Src, op.Dst = remap(op.Src), remap(op.Dst)
-		id := out.add(op)
-		for _, d := range op.Deps {
+		out.add(op)
+		for _, d := range s.depsOf(old) {
 			out.addDep(newID[d])
 		}
-		sort.Ints(out.ops[id].Deps)
+		if old < len(lastHop) && lastHop[old] >= 0 {
+			out.addDep(newID[lastHop[old]])
+		}
+		slices.Sort(out.deps[out.depOff[len(out.depOff)-2]:])
 	}
-	s.ops, s.deps = out.ops, out.deps
+	s.ops, s.depOff, s.deps = out.ops, out.depOff, out.deps
 	return newID, nil
 }

@@ -17,11 +17,11 @@ func usedChannels(s *Schedule) []topology.ChannelID {
 	var out []topology.ChannelID
 	for i := range s.ops {
 		op := &s.ops[i]
-		if op.Marker() || seen[op.Channel] {
+		if op.Marker() || seen[op.ChannelID()] {
 			continue
 		}
-		seen[op.Channel] = true
-		out = append(out, op.Channel)
+		seen[op.ChannelID()] = true
+		out = append(out, op.ChannelID())
 	}
 	return out
 }
@@ -193,7 +193,7 @@ func TestRepairIncrementalEverySingleLinkFailure(t *testing.T) {
 		checkAllReduceData(t, patched, rng, 1024)
 		found := false
 		for i := range s.ops {
-			if !s.ops[i].Marker() && s.ops[i].Channel == dead {
+			if !s.ops[i].Marker() && s.ops[i].ChannelID() == dead {
 				found = true
 			}
 		}
@@ -264,7 +264,7 @@ func TestRepairTwoRingHierarchyTakesIdleDetour(t *testing.T) {
 			t.Fatalf("channel %d: repair %v added no detour hop", cid, rep.Routes)
 		}
 		for _, id := range rep.Touched {
-			if ch := repaired.ops[id].Channel; used[ch] {
+			if ch := repaired.ops[id].ChannelID(); used[ch] {
 				t.Fatalf("channel %d: rerouted transfer %d rides busy channel %d (%v)", cid, id, ch, rep.Routes)
 			}
 		}
@@ -319,7 +319,7 @@ func TestRepairScheduleDGX1DoubleTreeDeadLink(t *testing.T) {
 			}
 			// The original schedule is untouched by the repair.
 			for i := range s.ops {
-				if !s.ops[i].Marker() && s.ops[i].Channel == dead {
+				if !s.ops[i].Marker() && s.ops[i].ChannelID() == dead {
 					return // still references the dead channel, as built
 				}
 			}
@@ -472,7 +472,7 @@ func TestRepairIncrementalSkipsExecutedPrefix(t *testing.T) {
 	dead := usedChannels(s)[0]
 	var onDead []int
 	for i := range s.ops {
-		if !s.ops[i].Marker() && s.ops[i].Channel == dead {
+		if !s.ops[i].Marker() && s.ops[i].ChannelID() == dead {
 			onDead = append(onDead, i)
 		}
 	}
@@ -489,7 +489,7 @@ func TestRepairIncrementalSkipsExecutedPrefix(t *testing.T) {
 	if rep.Rerouted != len(onDead)-1 {
 		t.Fatalf("rerouted %d, want %d (one transfer was executed)", rep.Rerouted, len(onDead)-1)
 	}
-	if got := patched.ops[rep.OldToNew[onDead[0]]].Channel; got != dead {
+	if got := patched.ops[rep.OldToNew[onDead[0]]].ChannelID(); got != dead {
 		t.Fatalf("executed transfer moved to channel %d", got)
 	}
 	// A patched schedule keeping an executed transfer on a dead channel can
@@ -612,10 +612,10 @@ func TestVerifyPatchRejectsTampering(t *testing.T) {
 		if tr.Marker() || touched[i] {
 			continue
 		}
-		ch := patched.Graph.Channel(tr.Channel)
+		ch := patched.Graph.Channel(tr.ChannelID())
 		for _, sib := range patched.Graph.ChannelsBetween(ch.From, ch.To) {
-			if sib != tr.Channel && !patched.Graph.Channel(sib).Down() {
-				tr.Channel = sib
+			if sib != tr.ChannelID() && !patched.Graph.Channel(sib).Down() {
+				tr.Channel = int32(sib)
 				tampered = true
 				break
 			}

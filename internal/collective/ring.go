@@ -118,7 +118,7 @@ func buildOneRing(s *Schedule, router *topology.Router, order []int, ringIdx, nu
 				dep = ag[prev(pos)*(p-1)+step-1]
 			}
 			id := s.addTransfer(next[pos], global(pos+1-step), node(pos), node(pos+1), false, dep)
-			s.ops[id].Final = node(pos + 1)
+			s.ops[id].Final = int32(node(pos + 1))
 			ag[pos*(p-1)+step] = id
 		}
 	}

@@ -45,12 +45,15 @@ type Schedule struct {
 	Contract Contract
 
 	// ops is the schedule in its one representation, the verifier's IR:
-	// transfer i is ops[i], with ID i, and ids are a topological order. Every
-	// op's Deps is a three-index subslice of deps, the one dependency arena,
-	// so appending to one op's deps reallocates instead of overwriting its
-	// neighbour's. Builders reserve both slices at their exact final size.
-	ops  []schedcheck.Op
-	deps []int
+	// transfer i is ops[i], a 40-byte record with no pointers, and ids are
+	// a topological order. Dependencies are one CSR beside it: transfer i
+	// depends on deps[depOff[i]:depOff[i+1]], so depOff holds a leading 0
+	// and one entry per op. Builders append to all three and reserve them at
+	// their exact final size; a built schedule never edits them, so clones
+	// share the CSR.
+	ops    []schedcheck.Op
+	depOff []int32
+	deps   []int32
 
 	// builtFor is the topology fingerprint the schedule was built (and, for
 	// cached schedules, schedcheck-verified) against; 0 means unstamped.
@@ -63,44 +66,58 @@ func newSchedule(g *topology.Graph, nodes []topology.NodeID, part chunk.Partitio
 	return &Schedule{Graph: g, Nodes: nodes, Partition: part}
 }
 
-// reserve sizes the op slice and the deps arena for exactly ops operations
-// holding deps dependencies in total, so building grows neither.
+// reserve sizes the op slice and the dependency CSR for exactly ops
+// operations holding deps dependencies in total, so building grows none of
+// them.
 func (s *Schedule) reserve(ops, deps int) {
 	s.ops = make([]schedcheck.Op, 0, ops)
-	s.deps = make([]int, 0, deps)
+	s.reserveDeps(ops, deps)
 }
 
-// add appends op with id len(ops) and deps copied into the arena, and
-// returns the id.
+// reserveDeps sizes the dependency CSR alone. Its two slices share one
+// block, each capped at its share.
+func (s *Schedule) reserveDeps(ops, deps int) {
+	csr := make([]int32, ops+1+deps)
+	s.depOff = csr[: 1 : ops+1]
+	s.deps = csr[ops+1 : ops+1 : ops+1+deps]
+}
+
+// add appends op with id len(ops) and its deps to the CSR, and returns the
+// id.
 func (s *Schedule) add(op schedcheck.Op, deps ...int) int {
-	op.ID = len(s.ops)
-	start := len(s.deps)
-	s.deps = append(s.deps, deps...)
-	op.Deps = s.deps[start:len(s.deps):len(s.deps)]
+	for _, d := range deps {
+		s.deps = append(s.deps, int32(d))
+	}
+	s.depOff = append(s.depOff, int32(len(s.deps)))
 	s.ops = append(s.ops, op)
-	return op.ID
+	return len(s.ops) - 1
 }
 
-// addDep appends d to the dependencies of the op added last, whose deps end
-// the arena.
+// addDep appends d to the dependencies of the op added last, whose row ends
+// the CSR.
 func (s *Schedule) addDep(d int) {
-	op := &s.ops[len(s.ops)-1]
-	s.deps = append(s.deps, d)
-	n := len(s.deps)
-	op.Deps = s.deps[n-len(op.Deps)-1 : n : n]
+	s.deps = append(s.deps, int32(d))
+	s.depOff[len(s.depOff)-1]++
+}
+
+// depsOf returns transfer i's dependencies, a view of the CSR.
+func (s *Schedule) depsOf(i int) []int32 {
+	lo, hi := s.depOff[i], s.depOff[i+1]
+	return s.deps[lo:hi:hi]
 }
 
 // addTransfer appends chunk c moving over channel ch from node from's buffer
 // into node to's, accumulating or overwriting, and returns its id.
 func (s *Schedule) addTransfer(ch topology.ChannelID, c int, from, to topology.NodeID, accumulate bool, deps ...int) int {
-	return s.add(schedcheck.Op{Chunk: c, Bytes: s.Partition.Sizes[c], Channel: ch,
+	return s.add(schedcheck.Op{Chunk: int32(c), Bytes: s.Partition.Sizes[c], Channel: int32(ch),
 		Src: schedcheck.NodeBuf(from), Dst: schedcheck.NodeBuf(to), Accumulate: accumulate, Final: -1}, deps...)
 }
 
 // addMarker appends a zero-cost join; if final >= 0 its completion marks the
 // chunk ready at that node.
 func (s *Schedule) addMarker(c int, final topology.NodeID, deps ...int) int {
-	return s.add(schedcheck.Op{Chunk: c, Channel: -1, Src: schedcheck.NoBuf(), Dst: schedcheck.NoBuf(), Final: final}, deps...)
+	return s.add(schedcheck.Op{Chunk: int32(c), Channel: -1, Src: schedcheck.NoBuf(), Dst: schedcheck.NoBuf(),
+		Final: int32(final)}, deps...)
 }
 
 // NumTransfers reports how many operations the schedule contains (markers
@@ -232,7 +249,7 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 	g.Reserve(len(s.ops))
 	// Size each channel's interval log up front: busy-slice growth inside
 	// the run loop was a measurable allocation source across a sweep. The
-	// graph's flat edge list and CSR payload are sized from the deps arena,
+	// graph's flat edge list and CSR payload are sized from the deps CSR,
 	// plus one startDep edge per root op.
 	chCount := make([]int, len(res))
 	edges := len(s.deps)
@@ -241,7 +258,7 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 		if !op.Marker() {
 			chCount[op.Channel]++
 		}
-		if startDep >= 0 && len(op.Deps) == 0 {
+		if startDep >= 0 && s.depOff[i] == s.depOff[i+1] {
 			edges++
 		}
 	}
@@ -258,9 +275,9 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 		var r *des.Resource
 		var d des.Time
 		if !op.Marker() {
-			ch := s.Graph.Channel(op.Channel)
+			ch := s.Graph.Channel(op.ChannelID())
 			if ch.Down() {
-				return nil, &DeadChannelError{Transfer: i, Label: s.Label(i), Channel: op.Channel,
+				return nil, &DeadChannelError{Transfer: i, Label: s.Label(i), Channel: op.ChannelID(),
 					From: ch.From, To: ch.To}
 			}
 			r = res[op.Channel]
@@ -270,10 +287,10 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 			}
 		}
 		deps = deps[:0]
-		for _, dep := range op.Deps {
+		for _, dep := range s.depsOf(i) {
 			deps = append(deps, ids[dep])
 		}
-		if len(op.Deps) == 0 && startDep >= 0 {
+		if len(deps) == 0 && startDep >= 0 {
 			deps = append(deps, startDep)
 		}
 		ids[i] = g.Add(op.Kind(), r, d, deps...)
@@ -395,50 +412,86 @@ func (s *Schedule) fill(f *des.Flat, res []*des.Resource, cp *Checkpoint) error 
 		op := &s.ops[i]
 		f.Dur[i], f.Res[i] = 0, -1
 		if cp != nil && cp.Executed[i] {
-			f.Pending[i] = -1
 			f.End[i] = cp.End[i]
 			continue
-		}
-		var pending int32
-		var earliest des.Time
-		for _, d := range op.Deps {
-			if cp != nil && cp.Executed[d] {
-				earliest = max(earliest, cp.End[d])
-				continue
-			}
-			pending++
-			f.CountSucc(d)
-		}
-		f.Pending[i] = pending
-		if earliest > 0 {
-			f.SetEarliest(i, earliest)
 		}
 		if op.Marker() {
 			continue
 		}
-		ch := s.Graph.Channel(op.Channel)
+		ch := s.Graph.Channel(op.ChannelID())
 		if ch.Down() {
-			return &DeadChannelError{Transfer: i, Label: s.Label(i), Channel: op.Channel,
+			return &DeadChannelError{Transfer: i, Label: s.Label(i), Channel: op.ChannelID(),
 				From: ch.From, To: ch.To}
 		}
 		f.Dur[i] = ch.TransferTime(op.Bytes)
 		if op.NoAlpha {
 			f.Dur[i] -= ch.Latency
 		}
-		f.Res[i] = int32(op.Channel)
+		f.Res[i] = op.Channel
+	}
+	if cp == nil {
+		s.link(f)
+	} else {
+		s.linkResumed(f, cp)
+	}
+	return nil
+}
+
+// link writes the transfers' dependencies into f: each one's pending count
+// and the successor CSR, read off the deps CSR. Every transfer runs, so the
+// pending counts are the row lengths and every dep is one successor edge.
+func (s *Schedule) link(f *des.Flat) {
+	off, deps := s.depOff, s.deps
+	for i := range s.ops {
+		f.Pending[i] = off[i+1] - off[i]
+	}
+	for _, d := range deps {
+		f.CountSucc(int(d))
 	}
 	f.Link()
 	for i := range s.ops {
-		if f.Pending[i] < 0 {
+		for _, d := range deps[off[i]:off[i+1]] {
+			f.AddSucc(int(d), i)
+		}
+	}
+}
+
+// linkResumed is link for a run resumed from cp: an executed transfer is
+// done (pending -1), and a dependency on one is an earliest-start bound
+// instead of an edge.
+func (s *Schedule) linkResumed(f *des.Flat, cp *Checkpoint) {
+	off, deps := s.depOff, s.deps
+	for i := range s.ops {
+		if cp.Executed[i] {
+			f.Pending[i] = -1
 			continue
 		}
-		for _, d := range s.ops[i].Deps {
-			if f.Pending[d] >= 0 {
-				f.AddSucc(d, i)
+		var pending int32
+		var earliest des.Time
+		for _, d := range deps[off[i]:off[i+1]] {
+			if cp.Executed[d] {
+				earliest = max(earliest, cp.End[d])
+				continue
+			}
+			pending++
+			f.CountSucc(int(d))
+		}
+		f.Pending[i] = pending
+		if earliest > 0 {
+			f.SetEarliest(i, earliest)
+		}
+	}
+	f.Link()
+	for i := range s.ops {
+		if cp.Executed[i] {
+			continue
+		}
+		for _, d := range deps[off[i]:off[i+1]] {
+			if !cp.Executed[d] {
+				f.AddSucc(int(d), i)
 			}
 		}
 	}
-	return nil
 }
 
 // readyIDs returns the ChunkReady matrix holding, for now, the transfer id
@@ -460,7 +513,7 @@ func (s *Schedule) readyIDs() ([][]des.Time, error) {
 		if op.Final < 0 {
 			continue
 		}
-		ni := idx.of(op.Final)
+		ni := idx.of(op.FinalNode())
 		if ni < 0 {
 			return nil, fmt.Errorf("collective: final node %d not a participant", op.Final)
 		}
@@ -544,12 +597,12 @@ func (s *Schedule) ExecuteData(inputs [][]float64) ([][]float64, error) {
 
 	view := func(b schedcheck.Buf, c, id int) ([]float64, error) {
 		if b.Relay >= 0 {
-			if b.Relay >= len(relay) || relay[b.Relay] == nil {
+			if int(b.Relay) >= len(relay) || relay[b.Relay] == nil {
 				return nil, fmt.Errorf("collective: transfer %d (%s) reads empty relay slot %d", id, s.Label(id), b.Relay)
 			}
 			return relay[b.Relay], nil
 		}
-		ni := idx.of(b.Node)
+		ni := idx.of(b.NodeID())
 		if ni < 0 {
 			return nil, fmt.Errorf("collective: transfer %d (%s) references non-participant node %d", id, s.Label(id), b.Node)
 		}
@@ -557,7 +610,7 @@ func (s *Schedule) ExecuteData(inputs [][]float64) ([][]float64, error) {
 		return buf[ni][lo : lo+part.Sizes[c]], nil
 	}
 
-	order, err := s.topoOrder()
+	order, err := s.topoOrder(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -566,7 +619,7 @@ func (s *Schedule) ExecuteData(inputs [][]float64) ([][]float64, error) {
 		if op.Marker() {
 			continue
 		}
-		src, err := view(op.Src, op.Chunk, id)
+		src, err := view(op.Src, int(op.Chunk), id)
 		if err != nil {
 			return nil, err
 		}
@@ -574,7 +627,7 @@ func (s *Schedule) ExecuteData(inputs [][]float64) ([][]float64, error) {
 			relay[id] = append([]float64(nil), src...)
 			continue
 		}
-		dst, err := view(op.Dst, op.Chunk, id)
+		dst, err := view(op.Dst, int(op.Chunk), id)
 		if err != nil {
 			return nil, err
 		}
@@ -600,7 +653,7 @@ func (s *Schedule) ForwardedBytes() map[topology.NodeID]int64 {
 		if op.Marker() || op.Dst.Relay < 0 {
 			continue
 		}
-		out[s.Graph.Channel(op.Channel).To] += op.Bytes
+		out[s.Graph.Channel(op.ChannelID()).To] += op.Bytes
 	}
 	return out
 }
@@ -619,29 +672,36 @@ func (s *Schedule) DetourNodes() []topology.NodeID {
 
 // topoOrder returns transfer ids in dependency order: Kahn's algorithm with
 // a FIFO queue, over the dependents in CSR form (row i, the ops listing i,
-// is targets[off[i]:off[i+1]] in id order), read off the deps arena in one
-// counting pass and one filling pass.
-func (s *Schedule) topoOrder() ([]int, error) {
+// is targets[off[i]:off[i+1]] in id order), read off the deps CSR in one
+// counting pass and one filling pass. extra, when non-nil, adds one
+// dependency per op: op i also depends on extra[i] when extra[i] >= 0.
+func (s *Schedule) topoOrder(extra []int32) ([]int, error) {
 	n := len(s.ops)
 	off := make([]int32, n+1)
 	indeg := make([]int32, n)
-	for i := range s.ops {
-		indeg[i] = int32(len(s.ops[i].Deps))
-		for _, d := range s.ops[i].Deps {
-			off[d+1]++
+	each := func(visit func(i int, d int32)) {
+		for i := range s.ops {
+			for _, d := range s.depsOf(i) {
+				visit(i, d)
+			}
+			if i < len(extra) && extra[i] >= 0 {
+				visit(i, extra[i])
+			}
 		}
 	}
+	each(func(i int, d int32) {
+		indeg[i]++
+		off[d+1]++
+	})
 	for i := 0; i < n; i++ {
 		off[i+1] += off[i]
 	}
 	targets := make([]int32, off[n])
 	next := append([]int32(nil), off[:n]...)
-	for i := range s.ops {
-		for _, d := range s.ops[i].Deps {
-			targets[next[d]] = int32(i)
-			next[d]++
-		}
-	}
+	each(func(i int, d int32) {
+		targets[next[d]] = int32(i)
+		next[d]++
+	})
 	// order doubles as the queue: ops are appended once runnable.
 	order := make([]int, 0, n)
 	for id, d := range indeg {
@@ -678,6 +738,8 @@ func (s *Schedule) Program() *schedcheck.Program {
 		Streams:   s.Streams,
 		AllReduce: s.Contract == ContractAllReduce,
 		Ops:       s.ops,
+		DepOff:    s.depOff,
+		DepList:   s.deps,
 	}
 }
 

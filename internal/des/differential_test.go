@@ -211,9 +211,9 @@ func ridden(s *collective.Schedule) []topology.ChannelID {
 	seen := map[topology.ChannelID]bool{}
 	var out []topology.ChannelID
 	for _, op := range s.Program().Ops {
-		if !op.Marker() && !seen[op.Channel] {
-			seen[op.Channel] = true
-			out = append(out, op.Channel)
+		if ch := op.ChannelID(); !op.Marker() && !seen[ch] {
+			seen[ch] = true
+			out = append(out, ch)
 		}
 	}
 	return out
@@ -232,7 +232,7 @@ func faultPlans(t *testing.T, s *collective.Schedule) map[string]armFunc {
 	var last topology.ChannelID
 	for _, op := range s.Program().Ops {
 		if !op.Marker() {
-			last = op.Channel
+			last = op.ChannelID()
 		}
 	}
 	half := healthy.Total / 2
@@ -321,20 +321,23 @@ func TestDifferentialSchedules(t *testing.T) {
 			for i := range sink {
 				sink[i] = true
 			}
-			for _, op := range p.Ops {
-				for _, d := range op.Deps {
+			deps := make([][]int, len(p.Ops), len(p.Ops)+1)
+			for i := range p.Ops {
+				for _, d := range p.Deps(i) {
 					sink[d] = false
+					deps[i] = append(deps[i], int(d))
 				}
 			}
-			late := schedcheck.Op{Chunk: 0, Channel: -1, Src: schedcheck.NoBuf(), Dst: schedcheck.NoBuf(), Final: s.Nodes[0]}
+			late := schedcheck.Op{Chunk: 0, Channel: -1, Src: schedcheck.NoBuf(), Dst: schedcheck.NoBuf(), Final: int32(s.Nodes[0])}
+			var lateDeps []int
 			for i, isSink := range sink {
 				if isSink {
-					late.Deps = append(late.Deps, i)
+					lateDeps = append(lateDeps, i)
 				}
 			}
 			// The late final breaks chunk order at that node: drop the claim.
 			out, err := collective.Assemble(collective.AssembleSpec{Graph: s.Graph, Nodes: s.Nodes, Partition: s.Partition,
-				Contract: s.Contract, Ops: append(p.Ops, late)})
+				Contract: s.Contract, Ops: append(p.Ops, late), Deps: append(deps, lateDeps)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -397,7 +400,7 @@ func referenceResume(s *collective.Schedule, cp *collective.Checkpoint, res []*d
 		var r *des.Resource
 		var d des.Time
 		if !op.Marker() {
-			ch := s.Graph.Channel(op.Channel)
+			ch := s.Graph.Channel(op.ChannelID())
 			r = res[op.Channel]
 			d = ch.TransferTime(op.Bytes)
 			if op.NoAlpha {
@@ -406,7 +409,7 @@ func referenceResume(s *collective.Schedule, cp *collective.Checkpoint, res []*d
 		}
 		var deps []int
 		var earliest des.Time
-		for _, dep := range op.Deps {
+		for _, dep := range p.Deps(i) {
 			if cp.Executed[dep] {
 				earliest = max(earliest, cp.End[dep])
 			} else {
@@ -457,7 +460,7 @@ func TestDifferentialResume(t *testing.T) {
 			var second topology.ChannelID
 			for _, op := range patched.Program().Ops {
 				if !op.Marker() {
-					second = op.Channel
+					second = op.ChannelID()
 				}
 			}
 			for name, arm := range map[string]armFunc{
@@ -527,7 +530,7 @@ func TestDifferentialResume(t *testing.T) {
 						for c := range got.ChunkReady[ni] {
 							var want des.Time
 							for i, op := range patched.Program().Ops {
-								if op.Final == node && op.Chunk == c {
+								if op.FinalNode() == node && int(op.Chunk) == c {
 									want = end(i)
 								}
 							}

@@ -121,9 +121,9 @@ func RunChurnCtx(ctx context.Context, cfg ChurnConfig) (*ChurnReport, error) {
 		p := s.Program()
 		seen := make(map[topology.ChannelID]bool)
 		for i := range p.Ops {
-			if !p.Ops[i].Marker() && !seen[p.Ops[i].Channel] {
-				seen[p.Ops[i].Channel] = true
-				used = append(used, p.Ops[i].Channel)
+			if ch := p.Ops[i].ChannelID(); !p.Ops[i].Marker() && !seen[ch] {
+				seen[ch] = true
+				used = append(used, ch)
 			}
 		}
 	}

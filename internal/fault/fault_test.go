@@ -136,7 +136,7 @@ func usedChannel(t *testing.T, cfg collective.Config) topology.ChannelID {
 	p := s.Program()
 	for i := range p.Ops {
 		if !p.Ops[i].Marker() {
-			return p.Ops[i].Channel
+			return p.Ops[i].ChannelID()
 		}
 	}
 	t.Fatal("schedule has no transfers")
@@ -291,7 +291,7 @@ func TestRunCollectiveIrrelevantTimedDeath(t *testing.T) {
 	p := s.Program()
 	for i := range p.Ops {
 		if !p.Ops[i].Marker() {
-			used[p.Ops[i].Channel] = true
+			used[p.Ops[i].ChannelID()] = true
 		}
 	}
 	unused := topology.ChannelID(-1)

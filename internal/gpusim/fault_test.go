@@ -15,8 +15,8 @@ import (
 func ridden(t *testing.T, p *schedcheck.Program, pick func(i int, ch *topology.Channel) bool) topology.ChannelID {
 	t.Helper()
 	for i := range p.Ops {
-		if op := &p.Ops[i]; !op.Marker() && pick(i, p.Graph.Channel(op.Channel)) {
-			return op.Channel
+		if op := &p.Ops[i]; !op.Marker() && pick(i, p.Graph.Channel(op.ChannelID())) {
+			return op.ChannelID()
 		}
 	}
 	t.Fatal("no ridden channel matches")

@@ -131,13 +131,20 @@ func newPlan(p *schedcheck.Program) (*plan, error) {
 	for i, n := range p.Nodes {
 		pl.kernel[n] = i
 	}
+	n := len(p.Ops)
+	if len(p.DepOff) != n+1 || p.DepOff[0] != 0 || int(p.DepOff[n]) != len(p.DepList) {
+		return nil, fmt.Errorf("gpusim: dependency offsets do not cover %d ops", n)
+	}
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		if op.ID != i || op.Chunk < 0 || op.Chunk >= p.NumChunks {
-			return nil, fmt.Errorf("gpusim: op %d has id %d, chunk %d of %d", i, op.ID, op.Chunk, p.NumChunks)
+		if lo, hi := p.DepOff[i], p.DepOff[i+1]; hi < lo || int(hi) > len(p.DepList) {
+			return nil, fmt.Errorf("gpusim: op %d has dependency offsets [%d,%d)", i, lo, hi)
 		}
-		for _, d := range op.Deps {
-			if d < 0 || d >= i {
+		if op.Chunk < 0 || int(op.Chunk) >= p.NumChunks {
+			return nil, fmt.Errorf("gpusim: op %d has chunk %d of %d", i, op.Chunk, p.NumChunks)
+		}
+		for _, d := range p.Deps(i) {
+			if d < 0 || int(d) >= i {
 				return nil, fmt.Errorf("gpusim: op %d depends on op %d: ids must be a topological order", i, d)
 			}
 		}
@@ -146,16 +153,16 @@ func newPlan(p *schedcheck.Program) (*plan, error) {
 			if int(op.Channel) >= p.Graph.NumChannels() || !pl.bufOK(p, op.Src, i, false) || !pl.bufOK(p, op.Dst, i, true) {
 				return nil, fmt.Errorf("gpusim: op %d has a bad channel or buffer", i)
 			}
-			ch := p.Graph.Channel(op.Channel)
+			ch := p.Graph.Channel(op.ChannelID())
 			pl.dead[i] = ch.Down()
 			pl.anyDead = pl.anyDead || ch.Down()
 			on = ch.To
 			if op.Dst.IsNode() {
-				on = op.Dst.Node
+				on = op.Dst.NodeID()
 			}
 		}
 		if op.Final >= 0 {
-			on = op.Final
+			on = op.FinalNode()
 		}
 		g, ok := pl.kernel[on]
 		if !ok {
@@ -172,11 +179,11 @@ func newPlan(p *schedcheck.Program) (*plan, error) {
 func (pl *plan) bufOK(p *schedcheck.Program, b schedcheck.Buf, i int, write bool) bool {
 	if b.IsRelay() {
 		if write {
-			return b.Relay == i
+			return int(b.Relay) == i
 		}
-		return b.Relay < i && p.Ops[b.Relay].Dst.Relay == b.Relay
+		return int(b.Relay) < i && p.Ops[b.Relay].Dst.Relay == b.Relay
 	}
-	_, ok := pl.kernel[b.Node]
+	_, ok := pl.kernel[b.NodeID()]
 	return b.IsNode() && ok
 }
 
@@ -258,7 +265,7 @@ func run(p *schedcheck.Program, inputs [][]float32, cfg Config, bounded bool) (*
 			return relay[b.Relay]
 		}
 		lo := part.Offsets[c]
-		return res.Buffers[pl.kernel[b.Node]][lo : lo+part.Sizes[c]]
+		return res.Buffers[pl.kernel[b.NodeID()]][lo : lo+part.Sizes[c]]
 	}
 	label := func(i int) string { return fmt.Sprintf("#%d(%s)", i, p.Label(i)) }
 	st := &stallTracker{}
@@ -269,9 +276,9 @@ func run(p *schedcheck.Program, inputs [][]float32, cfg Config, bounded bool) (*
 			defer wg.Done()
 			for _, id := range pl.ops[g] {
 				op := &p.Ops[id]
-				for _, d := range op.Deps {
+				for _, d := range p.Deps(id) {
 					if !done[d].CheckBounded(1, budget) {
-						st.note("gpu %d kernel: op %s starved waiting for op %s", g, label(id), label(d))
+						st.note("gpu %d kernel: op %s starved waiting for op %s", g, label(id), label(int(d)))
 						return
 					}
 				}
@@ -279,24 +286,25 @@ func run(p *schedcheck.Program, inputs [][]float32, cfg Config, bounded bool) (*
 					st.note("gpu %d kernel: op %s never arrives over down channel %d", g, label(id), op.Channel)
 					return
 				}
+				c := int(op.Chunk)
 				if !op.Marker() {
-					src := view(op.Src, op.Chunk)
+					src := view(op.Src, c)
 					switch {
 					case op.Dst.IsRelay():
 						relay[id] = append([]float32(nil), src...)
 					case op.Accumulate:
-						dst := view(op.Dst, op.Chunk)
+						dst := view(op.Dst, c)
 						for j := range dst {
 							dst[j] += src[j]
 						}
 					default:
-						copy(view(op.Dst, op.Chunk), src)
+						copy(view(op.Dst, c), src)
 					}
 				}
 				if op.Final >= 0 {
-					res.ArrivalOrder[g] = append(res.ArrivalOrder[g], op.Chunk)
+					res.ArrivalOrder[g] = append(res.ArrivalOrder[g], c)
 					if queues != nil {
-						queues[g].Enqueue(op.Chunk)
+						queues[g].Enqueue(c)
 					}
 				}
 				done[id].Post()

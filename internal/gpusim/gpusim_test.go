@@ -273,7 +273,9 @@ func TestConfigValidation(t *testing.T) {
 	mismatched := inputs(8, 10)
 	mismatched[3] = make([]float32, 9)
 	forward := p.Clone()
-	forward.Ops[0].Deps = []int{1}
+	deps := make([][]int, len(forward.Ops))
+	deps[0] = []int{1}
+	forward.SetDeps(deps)
 	bcast, err := collective.BuildPrimitive(collective.PrimitiveConfig{
 		Graph: dgx1(), Primitive: collective.PrimBroadcast, Bytes: 1 << 20, Chunks: 4})
 	if err != nil {

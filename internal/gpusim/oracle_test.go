@@ -179,10 +179,10 @@ func desRespectsDeps(t *testing.T, s *collective.Schedule) {
 		if task.Label != op.Kind() || task.Resource != want {
 			t.Fatalf("task %d is a %s on %v, transfer %d (%s) is not", i, task.Label, task.Resource, i, p.Label(i))
 		}
-		for _, d := range op.Deps {
-			if dep := g.Task(d); task.Start < dep.End {
+		for _, d := range p.Deps(i) {
+			if dep := g.Task(int(d)); task.Start < dep.End {
 				t.Fatalf("transfer %d (%s) starts at %v, before dependency %d (%s) ends at %v",
-					i, p.Label(i), task.Start, d, p.Label(d), dep.End)
+					i, p.Label(i), task.Start, d, p.Label(int(d)), dep.End)
 			}
 		}
 	}
@@ -210,7 +210,7 @@ func resumed(t *testing.T) *collective.Schedule {
 		res := g.Resources()
 		res[op.Channel].FailAt(healthy.Total / 2)
 		if _, next, err := s.ExecuteCheckpointCtx(ctx, res); err != nil && next != nil && next.NumExecuted > 0 {
-			cp, dead = next, op.Channel
+			cp, dead = next, op.ChannelID()
 			break
 		}
 	}

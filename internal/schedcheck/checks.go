@@ -33,8 +33,8 @@ type checker struct {
 	src, dst   []int32
 	finNext    []int32    // next op marking the same region ready, in id order, or -1
 	nread      []int32    // how many ops read the op's relay slot
-	deps       csr[int32] // row i = op i's Deps
-	dependents csr[int32] // row i = ops listing i in Deps, in id order
+	deps       csr[int32] // row i = op i's deps: the program's own CSR, not scratch
+	dependents csr[int32] // row i = ops listing i as a dep, in id order
 	relays     []int32    // slot -> the relay hop owning it
 
 	// Region columns, indexed by region. finFirst and finLast are the
@@ -125,6 +125,7 @@ func getChecker(p *Program) *checker {
 // release returns ck to the pool. The Report stays with the caller.
 func (ck *checker) release() {
 	ck.p, ck.r = nil, nil
+	ck.deps = csr[int32]{}
 	clear(ck.linkV)
 	ck.linkV = ck.linkV[:0]
 	checkers.Put(ck)
@@ -208,16 +209,17 @@ func (ck *checker) label(id int) string {
 
 // --- structure: the decode pass --------------------------------------------
 
-// structure checks well-formedness: consistent ids, in-range references,
-// relay-slot wiring, and acyclicity of the dependency graph. An acyclic
-// dependency graph is deadlock-free: some op is always runnable until all
-// have completed.
+// structure checks well-formedness: a dependency CSR that covers the ops,
+// in-range references, relay-slot wiring, and acyclicity of the dependency
+// graph. An acyclic dependency graph is deadlock-free: some op is always
+// runnable until all have completed.
 //
 // It is also the decode pass. While no violation has been found, each op is
-// decoded into the columns as it is checked, and the same walk counts every
-// index the later passes need: dependents, relay readers, region accesses,
-// relay slots, and the finals list of every region. With links set, the
-// walk also runs each op's link checks into ck.linkV, for reportLinks.
+// decoded into the columns as it is checked (its deps are read in place
+// from the program's CSR), and the same walk counts every index the later
+// passes need: dependents, relay readers, region accesses, relay slots, and
+// the finals list of every region. With links set, the walk also runs each
+// op's link checks into ck.linkV, for reportLinks.
 func (ck *checker) structure(links bool) {
 	p := ck.p
 	if p.Graph == nil {
@@ -246,42 +248,44 @@ func (ck *checker) structure(links bool) {
 		ck.nodeIdx[n] = int32(i)
 	}
 	n, nr, nch := len(p.Ops), len(p.Nodes)*p.NumChunks, p.Graph.NumChannels()
+	if len(p.DepOff) != n+1 || p.DepOff[0] != 0 || int(p.DepOff[n]) != len(p.DepList) {
+		ck.fail(ClassStructure, -1, "dependency offsets do not cover %d ops and %d deps", n, len(p.DepList))
+		return
+	}
 	ck.kind = grow(ck.kind, n)
 	ck.chunk = grow(ck.chunk, n)
 	ck.src = grow(ck.src, n)
 	ck.dst = grow(ck.dst, n)
 	ck.finNext = grow(ck.finNext, n)
 	ck.nread = zeroed(ck.nread, n)
-	ck.deps.off = grow(ck.deps.off, n+1)
 	ck.dependents.off = zeroed(ck.dependents.off, n+1)
 	ck.relays = ck.relays[:0]
 	ck.finFirst = filled(ck.finFirst, nr, -1)
 	ck.finLast = filled(ck.finLast, nr, -1)
 	ck.accOff = zeroed(ck.accOff, nr+1)
-	depItems, depCount := ck.deps.items[:0], ck.dependents.off
+	depCount := ck.dependents.off
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		if op.ID != i {
-			ck.fail(ClassStructure, i, "op id %d at position %d", op.ID, i)
-			return // ids are used as indices everywhere; stop early
+		lo, hi := p.DepOff[i], p.DepOff[i+1]
+		if hi < lo || int(hi) > len(p.DepList) {
+			ck.fail(ClassStructure, i, "dependency offsets [%d,%d) out of order", lo, hi)
+			return // rows are read in place everywhere; stop early
 		}
-		if op.Chunk < 0 || op.Chunk >= p.NumChunks {
+		if op.Chunk < 0 || int(op.Chunk) >= p.NumChunks {
 			ck.fail(ClassStructure, i, "chunk %d out of range [0,%d)", op.Chunk, p.NumChunks)
 		}
-		ck.deps.off[i] = int32(len(depItems))
-		for _, d := range op.Deps {
-			if d < 0 || d >= n {
+		for _, d := range p.DepList[lo:hi] {
+			if d < 0 || int(d) >= n {
 				ck.fail(ClassStructure, i, "dependency %d out of range", d)
 				return
 			}
-			if d == i {
+			if int(d) == i {
 				ck.fail(ClassStructure, i, "op depends on itself")
 				return
 			}
-			depItems = append(depItems, int32(d))
 			depCount[d+1]++
 		}
-		if op.Final != -1 && !ck.participant(op.Final) {
+		if op.Final != -1 && !ck.participant(op.FinalNode()) {
 			ck.fail(ClassStructure, i, "final node %d is not a participant", op.Final)
 		}
 		if op.Marker() {
@@ -309,15 +313,15 @@ func (ck *checker) structure(links bool) {
 		if op.Dst.IsNone() {
 			ck.fail(ClassStructure, i, "transfer has no destination buffer")
 		}
-		if op.Src.IsNode() && !ck.participant(op.Src.Node) {
+		if op.Src.IsNode() && !ck.participant(op.Src.NodeID()) {
 			ck.fail(ClassStructure, i, "source node %d is not a participant", op.Src.Node)
 		}
-		if op.Dst.IsNode() && !ck.participant(op.Dst.Node) {
+		if op.Dst.IsNode() && !ck.participant(op.Dst.NodeID()) {
 			ck.fail(ClassStructure, i, "destination node %d is not a participant", op.Dst.Node)
 		}
 		if op.Src.IsRelay() {
 			r := op.Src.Relay
-			if r < 0 || r >= n {
+			if int(r) >= n {
 				ck.fail(ClassStructure, i, "source relay slot %d out of range", r)
 			} else if owner := &p.Ops[r]; !owner.Dst.IsRelay() || owner.Dst.Relay != r {
 				ck.fail(ClassStructure, i, "source relay slot %d is not written by op %d", r, r)
@@ -326,7 +330,7 @@ func (ck *checker) structure(links bool) {
 		if op.Dst.IsRelay() {
 			// The writer owns its relay slot: the slot is named by the
 			// writing op's id, so each slot has exactly one writer.
-			if op.Dst.Relay != i {
+			if int(op.Dst.Relay) != i {
 				ck.fail(ClassStructure, i, "relay destination slot %d is not the op's own", op.Dst.Relay)
 			}
 			if op.Accumulate {
@@ -342,8 +346,7 @@ func (ck *checker) structure(links bool) {
 			ck.linkOp(i)
 		}
 	}
-	ck.deps.off[n] = int32(len(depItems))
-	ck.deps.items = depItems
+	ck.deps = csr[int32]{off: p.DepOff, items: p.DepList}
 	if !ck.r.OK() {
 		return
 	}
@@ -358,13 +361,13 @@ func (ck *checker) structure(links bool) {
 // destination are the same region accesses it once, with its (stronger)
 // write kind.
 func (ck *checker) decodeTransfer(i int, op *Op) {
-	c := op.Chunk
+	c := int(op.Chunk)
 	var s, d int32
 	if op.Src.IsRelay() {
-		s = ^int32(op.Src.Relay)
+		s = ^op.Src.Relay
 		ck.nread[op.Src.Relay]++
 	} else {
-		s = int32(ck.region(op.Src.Node, c))
+		s = int32(ck.region(op.Src.NodeID(), c))
 	}
 	switch {
 	case op.Dst.IsRelay():
@@ -377,7 +380,7 @@ func (ck *checker) decodeTransfer(i int, op *Op) {
 		ck.kind[i] = kCopy
 	}
 	if d >= 0 {
-		d = int32(ck.region(op.Dst.Node, c))
+		d = int32(ck.region(op.Dst.NodeID(), c))
 		ck.accOff[d+1]++
 	}
 	if s >= 0 && s != d {
@@ -389,12 +392,12 @@ func (ck *checker) decodeTransfer(i int, op *Op) {
 // decodeFinal fills op i's chunk column (markers have no other) and appends
 // it to the finals list of the region it marks ready.
 func (ck *checker) decodeFinal(i int, op *Op) {
-	ck.chunk[i] = int32(op.Chunk)
+	ck.chunk[i] = op.Chunk
 	ck.finNext[i] = -1
 	if op.Final < 0 {
 		return
 	}
-	r := ck.region(op.Final, op.Chunk)
+	r := ck.region(op.FinalNode(), int(op.Chunk))
 	if ck.finFirst[r] < 0 {
 		ck.finFirst[r] = int32(i)
 	} else {
@@ -534,12 +537,12 @@ func (ck *checker) linkOp(i int) {
 	if op.Marker() {
 		return
 	}
-	ch := p.Graph.Channel(op.Channel)
+	ch := p.Graph.Channel(op.ChannelID())
 	if ch.Down() {
 		ck.linkFail(i, "channel %d (%s->%s) is down: schedule needs repair",
 			op.Channel, p.Graph.Node(ch.From).Name, p.Graph.Node(ch.To).Name)
 	}
-	if op.Src.IsNode() && ch.From != op.Src.Node {
+	if op.Src.IsNode() && ch.From != op.Src.NodeID() {
 		ck.linkFail(i, "channel %d starts at node %d but source buffer is on node %d",
 			op.Channel, ch.From, op.Src.Node)
 	}
@@ -548,11 +551,11 @@ func (ck *checker) linkOp(i int) {
 	// and then no link violation is reported.
 	if r := op.Src.Relay; r >= 0 && p.Ops[r].Channel >= 0 && int(p.Ops[r].Channel) < p.Graph.NumChannels() {
 		owner := &p.Ops[r]
-		ownerCh := p.Graph.Channel(owner.Channel)
+		ownerCh := p.Graph.Channel(owner.ChannelID())
 		if ownerCh.To != ch.From {
 			ck.linkFail(i,
 				"detour discontinuity: previous hop %s lands at node %d, this hop departs node %d",
-				ck.label(owner.ID), ownerCh.To, ch.From)
+				ck.label(int(r)), ownerCh.To, ch.From)
 		}
 		// Chunk identity must survive the relay: contribution counts cannot
 		// tell two fully-reduced chunks apart, so forwarding chunk X's bytes
@@ -560,10 +563,10 @@ func (ck *checker) linkOp(i int) {
 		if owner.Chunk != op.Chunk {
 			ck.linkFail(i,
 				"detour forwards chunk %d data from %s as chunk %d",
-				owner.Chunk, ck.label(owner.ID), op.Chunk)
+				owner.Chunk, ck.label(int(r)), op.Chunk)
 		}
 	}
-	if op.Dst.IsNode() && ch.To != op.Dst.Node {
+	if op.Dst.IsNode() && ch.To != op.Dst.NodeID() {
 		ck.linkFail(i, "channel %d ends at node %d but destination buffer is on node %d",
 			op.Channel, ch.To, op.Dst.Node)
 	}
@@ -579,7 +582,7 @@ func (ck *checker) linkFail(op int, format string, args ...any) {
 
 // neverRead is the link violation of relay hop i when no op reads its slot.
 func (ck *checker) neverRead(i int) Violation {
-	ch := ck.p.Graph.Channel(ck.p.Ops[i].Channel)
+	ch := ck.p.Graph.Channel(ck.p.Ops[i].ChannelID())
 	return violation(ClassLink, i, "relay slot is never read: detour data dropped at %s",
 		ck.p.Graph.Node(ch.To).Name)
 }

@@ -45,7 +45,7 @@ func (ck *checker) opDuration(op *Op) des.Time {
 	if op.Marker() {
 		return 0
 	}
-	ch := ck.p.Graph.Channel(op.Channel)
+	ch := ck.p.Graph.Channel(op.ChannelID())
 	d := ch.TransferTime(op.Bytes)
 	if op.NoAlpha {
 		d -= ch.Latency
@@ -62,7 +62,7 @@ func (ck *checker) criticalPath() des.Time {
 	for _, id := range ck.topo {
 		op := &ck.p.Ops[id]
 		var start des.Time
-		for _, d := range op.Deps {
+		for _, d := range ck.deps.row(int(id)) {
 			if finish[d] > start {
 				start = finish[d]
 			}
@@ -115,14 +115,14 @@ func (ck *checker) contention() {
 		for a := 0; a < len(ids); a++ {
 			for b := a + 1; b < len(ids); b++ {
 				oa, ob := &ck.p.Ops[ids[a]], &ck.p.Ops[ids[b]]
-				if oa.Chunk%streams == ob.Chunk%streams || ck.pathBetween(ids[a], ids[b]) {
+				if int(oa.Chunk)%streams == int(ob.Chunk)%streams || ck.pathBetween(ids[a], ids[b]) {
 					continue
 				}
 				ch := ck.p.Graph.Channel(topology.ChannelID(chID))
 				ck.fail(ClassContention, ids[b],
 					"channel %d (%s->%s) is shared by concurrent streams %d and %d: %s and %s are unordered and will queue on one physical link (overlapped trees need disjoint channels)",
 					chID, ck.p.Graph.Node(ch.From).Name, ck.p.Graph.Node(ch.To).Name,
-					oa.Chunk%streams, ob.Chunk%streams, ck.label(ids[a]), ck.label(ids[b]))
+					int(oa.Chunk)%streams, int(ob.Chunk)%streams, ck.label(ids[a]), ck.label(ids[b]))
 				break pairs
 			}
 		}
@@ -146,13 +146,13 @@ func (ck *checker) waitFor() {
 		indeg[to]++
 	}
 	for i := range ck.p.Ops {
-		for _, d := range ck.p.Ops[i].Deps {
-			addEdge(d, i)
+		for _, d := range ck.deps.row(i) {
+			addEdge(int(d), i)
 		}
 	}
 	// Channel service order: op ids ascend in schedule order, so chaining
 	// each channel's ops by id models in-order grant.
-	lastOn := map[topology.ChannelID]int{}
+	lastOn := map[int32]int{}
 	for i := range ck.p.Ops {
 		op := &ck.p.Ops[i]
 		if op.Marker() {

@@ -34,11 +34,23 @@ func channelBetween(t *testing.T, g *topology.Graph, from, to topology.NodeID) t
 }
 
 // marker returns a readiness marker announcing chunk c at node n.
-func marker(id, c int, n topology.NodeID) schedcheck.Op {
+func marker(c int, n topology.NodeID) schedcheck.Op {
 	return schedcheck.Op{
-		ID: id, Chunk: c, Channel: -1,
-		Src: schedcheck.NoBuf(), Dst: schedcheck.NoBuf(), Final: n,
+		Chunk: int32(c), Channel: -1,
+		Src: schedcheck.NoBuf(), Dst: schedcheck.NoBuf(), Final: int32(n),
 	}
+}
+
+// depLists returns p's dependencies as one list per op, for tests that edit
+// them and write them back with SetDeps.
+func depLists(p *schedcheck.Program) [][]int {
+	out := make([][]int, len(p.Ops))
+	for i := range p.Ops {
+		for _, d := range p.Deps(i) {
+			out[i] = append(out[i], int(d))
+		}
+	}
+	return out
 }
 
 // twoStreamProgram sends chunk 0 and chunk 1 from node 0 to node 1 over the
@@ -49,21 +61,23 @@ func twoStreamProgram(t *testing.T, ordered bool, streams int) *schedcheck.Progr
 	t.Helper()
 	g := deepGraph()
 	up := channelBetween(t, g, 0, 1)
-	ops := []schedcheck.Op{
-		{ID: 0, Chunk: 0, Bytes: 1000, Channel: up,
-			Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
-		{ID: 1, Chunk: 1, Bytes: 1000, Channel: up,
-			Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
-		marker(2, 0, 0),
-		marker(3, 1, 0),
+	p := &schedcheck.Program{
+		Graph: g, Nodes: []topology.NodeID{0, 1}, NumChunks: 2, Streams: streams,
+		Ops: []schedcheck.Op{
+			{Chunk: 0, Bytes: 1000, Channel: int32(up),
+				Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
+			{Chunk: 1, Bytes: 1000, Channel: int32(up),
+				Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
+			marker(0, 0),
+			marker(1, 0),
+		},
 	}
+	deps := make([][]int, len(p.Ops))
 	if ordered {
-		ops[1].Deps = []int{0}
+		deps[1] = []int{0}
 	}
-	return &schedcheck.Program{
-		Graph: g, Nodes: []topology.NodeID{0, 1}, NumChunks: 2,
-		Streams: streams, Ops: ops,
-	}
+	p.SetDeps(deps)
+	return p
 }
 
 func TestContentionFlagsUnorderedCrossStreamSharing(t *testing.T) {
@@ -112,18 +126,19 @@ func waitForProgram(t *testing.T) *schedcheck.Program {
 	t.Helper()
 	g := deepGraph()
 	up := channelBetween(t, g, 0, 1)
-	ops := []schedcheck.Op{
-		{ID: 0, Chunk: 0, Bytes: 1000, Channel: up, Deps: []int{1},
-			Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
-		{ID: 1, Chunk: 1, Bytes: 1000, Channel: up,
-			Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
-		marker(2, 0, 0),
-		marker(3, 1, 0),
+	p := &schedcheck.Program{
+		Graph: g, Nodes: []topology.NodeID{0, 1}, NumChunks: 2, Streams: 1,
+		Ops: []schedcheck.Op{
+			{Chunk: 0, Bytes: 1000, Channel: int32(up),
+				Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
+			{Chunk: 1, Bytes: 1000, Channel: int32(up),
+				Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
+			marker(0, 0),
+			marker(1, 0),
+		},
 	}
-	return &schedcheck.Program{
-		Graph: g, Nodes: []topology.NodeID{0, 1}, NumChunks: 2,
-		Streams: 1, Ops: ops,
-	}
+	p.SetDeps([][]int{{1}, nil, nil, nil})
+	return p
 }
 
 func TestWaitForFlagsChannelOrderDeadlock(t *testing.T) {
@@ -201,15 +216,17 @@ func chainProgram(t *testing.T) *schedcheck.Program {
 	g := deepGraph()
 	up := channelBetween(t, g, 0, 1)
 	down := channelBetween(t, g, 1, 0)
-	return &schedcheck.Program{
+	p := &schedcheck.Program{
 		Graph: g, Nodes: []topology.NodeID{0, 1}, NumChunks: 1, AllReduce: true,
 		Ops: []schedcheck.Op{
-			{ID: 0, Chunk: 0, Bytes: 1000, Channel: up,
+			{Chunk: 0, Bytes: 1000, Channel: int32(up),
 				Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
-			{ID: 1, Chunk: 0, Bytes: 1000, Channel: down, Deps: []int{0},
+			{Chunk: 0, Bytes: 1000, Channel: int32(down),
 				Src: schedcheck.NodeBuf(1), Dst: schedcheck.NodeBuf(0), Final: 0},
 		},
 	}
+	p.SetDeps([][]int{nil, {0}})
+	return p
 }
 
 func TestBoundsPathDominated(t *testing.T) {
@@ -242,7 +259,7 @@ func TestBoundsHonorNoAlpha(t *testing.T) {
 
 func TestBoundsRejectInvalidProgram(t *testing.T) {
 	p := chainProgram(t)
-	p.Ops[0].ID = 5 // ids must equal positions
+	p.DepList[0] = 5 // a dependency on no op
 	if _, err := schedcheck.CriticalPath(p); err == nil {
 		t.Error("CriticalPath accepted a structurally invalid program")
 	}

@@ -301,7 +301,7 @@ func fuzzDropDep(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
 	type edge struct{ op, di int }
 	var candidates []edge
 	for i := range p.Ops {
-		for di, d := range p.Ops[i].Deps {
+		for di, d := range p.Deps(i) {
 			if conflicts(&p.Ops[d], &p.Ops[i]) {
 				candidates = append(candidates, edge{i, di})
 			}
@@ -311,9 +311,10 @@ func fuzzDropDep(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
 		t.Skip()
 	}
 	e := candidates[int(pick)%len(candidates)]
-	op := &p.Ops[e.op]
-	d := op.Deps[e.di]
-	op.Deps = append(append([]int(nil), op.Deps[:e.di]...), op.Deps[e.di+1:]...)
+	deps := depLists(p)
+	d := deps[e.op][e.di]
+	deps[e.op] = append(deps[e.op][:e.di], deps[e.op][e.di+1:]...)
+	p.SetDeps(deps)
 	r := check(t, p)
 	if stillReaches(p, d, e.op) {
 		// The edge was redundant; the program is semantically unchanged and
@@ -339,11 +340,12 @@ func fuzzRetargetChannel(t *testing.T, p *schedcheck.Program, pick, pick2 uint16
 	if len(candidates) == 0 {
 		t.Skip()
 	}
-	op := &p.Ops[candidates[int(pick)%len(candidates)]]
-	var wrong []topology.ChannelID
+	id := candidates[int(pick)%len(candidates)]
+	op := &p.Ops[id]
+	var wrong []int32
 	for ch := 0; ch < p.Graph.NumChannels(); ch++ {
-		if p.Graph.Channel(topology.ChannelID(ch)).From != op.Src.Node {
-			wrong = append(wrong, topology.ChannelID(ch))
+		if p.Graph.Channel(topology.ChannelID(ch)).From != op.Src.NodeID() {
+			wrong = append(wrong, int32(ch))
 		}
 	}
 	if len(wrong) == 0 {
@@ -352,7 +354,7 @@ func fuzzRetargetChannel(t *testing.T, p *schedcheck.Program, pick, pick2 uint16
 	op.Channel = wrong[int(pick2)%len(wrong)]
 	if r := check(t, p); !hasClass(r, schedcheck.ClassLink) {
 		t.Fatalf("transfer %d on a channel not starting at its source went unnoticed: %s",
-			op.ID, r.Summary())
+			id, r.Summary())
 	}
 }
 
@@ -364,9 +366,9 @@ func fuzzRepair(t *testing.T, g *topology.Graph, s *collective.Schedule, p *sche
 	seen := make(map[topology.ChannelID]bool)
 	var used []topology.ChannelID
 	for i := range p.Ops {
-		if op := &p.Ops[i]; !op.Marker() && !seen[op.Channel] {
-			seen[op.Channel] = true
-			used = append(used, op.Channel)
+		if op := &p.Ops[i]; !op.Marker() && !seen[op.ChannelID()] {
+			seen[op.ChannelID()] = true
+			used = append(used, op.ChannelID())
 		}
 	}
 	if len(used) == 0 {
@@ -405,9 +407,9 @@ func fuzzIncrementalRepair(t *testing.T, g *topology.Graph, s *collective.Schedu
 	seen := make(map[topology.ChannelID]bool)
 	var used []topology.ChannelID
 	for i := range p.Ops {
-		if op := &p.Ops[i]; !op.Marker() && !seen[op.Channel] {
-			seen[op.Channel] = true
-			used = append(used, op.Channel)
+		if op := &p.Ops[i]; !op.Marker() && !seen[op.ChannelID()] {
+			seen[op.ChannelID()] = true
+			used = append(used, op.ChannelID())
 		}
 	}
 	if len(used) == 0 {
@@ -483,10 +485,10 @@ func fuzzContention(t *testing.T, p *schedcheck.Program, pick uint16) {
 		for j := i + 1; j < len(p.Ops); j++ {
 			oj := &p.Ops[j]
 			if oj.Marker() || oi.Channel == oj.Channel ||
-				oi.Chunk%streams == oj.Chunk%streams {
+				int(oi.Chunk)%streams == int(oj.Chunk)%streams {
 				continue
 			}
-			ci, cj := p.Graph.Channel(oi.Channel), p.Graph.Channel(oj.Channel)
+			ci, cj := p.Graph.Channel(oi.ChannelID()), p.Graph.Channel(oj.ChannelID())
 			if ci.From != cj.From || ci.To != cj.To {
 				continue
 			}
@@ -539,7 +541,9 @@ func fuzzWaitFor(t *testing.T, p *schedcheck.Program, pick uint16) {
 		t.Skip()
 	}
 	e := candidates[int(pick)%len(candidates)]
-	p.Ops[e.a].Deps = append(p.Ops[e.a].Deps, e.b)
+	deps := depLists(p)
+	deps[e.a] = append(deps[e.a], e.b)
+	p.SetDeps(deps)
 	if r := check(t, p); !r.OK() {
 		t.Fatalf("forward dependency must be invisible to shallow checks, got: %s", r.Err())
 	}
@@ -560,8 +564,8 @@ func fuzzSwapChunks(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
 	if len(candidates) < 2 {
 		t.Skip()
 	}
-	a := &p.Ops[candidates[int(pick)%len(candidates)]]
-	b := &p.Ops[candidates[int(pick2)%len(candidates)]]
+	ia, ib := candidates[int(pick)%len(candidates)], candidates[int(pick2)%len(candidates)]
+	a, b := &p.Ops[ia], &p.Ops[ib]
 	if a.Chunk == b.Chunk {
 		t.Skip()
 	}
@@ -574,6 +578,6 @@ func fuzzSwapChunks(t *testing.T, p *schedcheck.Program, pick, pick2 uint16) {
 	}
 	a.Chunk, b.Chunk = b.Chunk, a.Chunk
 	if r := check(t, p); r.OK() {
-		t.Fatalf("swapping chunks of ops %d and %d went unnoticed", a.ID, b.ID)
+		t.Fatalf("swapping chunks of ops %d and %d went unnoticed", ia, ib)
 	}
 }

@@ -182,7 +182,7 @@ func (ck *checker) patchMapping(spec *PatchSpec) ([]int, bool) {
 		if !bufEqualMapped(bop.Dst, op.Dst, spec.OldToNew) {
 			ck.fail(ClassPatch, j, "base op %d changed its destination buffer", i)
 		}
-		mapped := mapDeps(bop.Deps, spec.OldToNew)
+		mapped := mapDeps(base.Deps(i), spec.OldToNew)
 		if op.Marker() || !isTouched[j] {
 			// Untouched ops (and all markers — repair never edits a marker)
 			// must be bit-identical modulo renumbering.
@@ -195,7 +195,7 @@ func (ck *checker) patchMapping(spec *PatchSpec) ([]int, bool) {
 					ck.fail(ClassPatch, j, "untouched op %d changed its source buffer", i)
 				}
 			}
-			if !depsEqual(mapped, op.Deps) {
+			if !depsEqual(mapped, p.Deps(j)) {
 				ck.fail(ClassPatch, j, "untouched op %d changed dependencies", i)
 			}
 			continue
@@ -203,7 +203,7 @@ func (ck *checker) patchMapping(spec *PatchSpec) ([]int, bool) {
 		// Touched ops may reroute (Channel, Src) and gain dependencies, but
 		// never lose one: removing an ordering edge could invalidate any
 		// hazard/order proof that relied on it, anywhere in the program.
-		if !depsSuperset(op.Deps, mapped) {
+		if !depsSuperset(p.Deps(j), mapped) {
 			ck.fail(ClassPatch, j, "touched op %d dropped a dependency; patches may only add ordering", i)
 		}
 		// The data's node origin must survive the reroute: a detour moves the
@@ -240,8 +240,8 @@ func originNode(p *Program, id int) (int, bool) {
 		if !op.Src.IsRelay() {
 			return -1, false
 		}
-		r := op.Src.Relay
-		if r < 0 || r >= len(p.Ops) {
+		r := int(op.Src.Relay)
+		if r >= len(p.Ops) {
 			return -1, false
 		}
 		id = r
@@ -251,15 +251,15 @@ func originNode(p *Program, id int) (int, bool) {
 
 func bufEqualMapped(b Buf, pb Buf, oldToNew []int) bool {
 	if b.IsRelay() {
-		if b.Relay < 0 || b.Relay >= len(oldToNew) {
+		if int(b.Relay) >= len(oldToNew) {
 			return false
 		}
-		return pb.IsRelay() && pb.Relay == oldToNew[b.Relay]
+		return pb.IsRelay() && int(pb.Relay) == oldToNew[b.Relay]
 	}
 	return b == pb
 }
 
-func mapDeps(deps []int, oldToNew []int) []int {
+func mapDeps(deps []int32, oldToNew []int) []int {
 	out := make([]int, len(deps))
 	for i, d := range deps {
 		out[i] = oldToNew[d]
@@ -268,11 +268,14 @@ func mapDeps(deps []int, oldToNew []int) []int {
 	return out
 }
 
-func depsEqual(a, b []int) bool {
+func depsEqual(a []int, b []int32) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	bs := append([]int(nil), b...)
+	bs := make([]int, len(b))
+	for i, d := range b {
+		bs[i] = int(d)
+	}
 	sort.Ints(bs)
 	for i := range a {
 		if a[i] != bs[i] {
@@ -282,10 +285,10 @@ func depsEqual(a, b []int) bool {
 	return true
 }
 
-func depsSuperset(have, want []int) bool {
+func depsSuperset(have []int32, want []int) bool {
 	set := make(map[int]bool, len(have))
 	for _, d := range have {
-		set[d] = true
+		set[int(d)] = true
 	}
 	for _, d := range want {
 		if !set[d] {
@@ -349,7 +352,7 @@ func (ck *checker) deltaHazards(touched []int) {
 		// Relay read-after-write: the touched reader must depend on its
 		// slot's writer, not merely be ordered with it.
 		if r := op.Src.Relay; r >= 0 && !bwd[r] {
-			ck.fail(ClassHazard, t, "reads relay slot of %s without depending on it", ck.label(r))
+			ck.fail(ClassHazard, t, "reads relay slot of %s without depending on it", ck.label(int(r)))
 		}
 		// If the touched op writes a relay, each of its readers must read
 		// after the write.
@@ -361,7 +364,7 @@ func (ck *checker) deltaHazards(touched []int) {
 			}
 		}
 		check := func(node topology.NodeID, kind accessKind) {
-			for _, other := range acc.row(ck.region(node, op.Chunk)) {
+			for _, other := range acc.row(ck.region(node, int(op.Chunk))) {
 				x := int(other.op)
 				if x == t || compatible(kind, other.kind) {
 					continue
@@ -374,10 +377,10 @@ func (ck *checker) deltaHazards(touched []int) {
 			}
 		}
 		if op.Src.IsNode() {
-			check(op.Src.Node, accRead)
+			check(op.Src.NodeID(), accRead)
 		}
 		if op.Dst.IsNode() {
-			check(op.Dst.Node, writeKind(ck.kind[t]))
+			check(op.Dst.NodeID(), writeKind(ck.kind[t]))
 		}
 	}
 }

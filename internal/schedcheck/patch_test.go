@@ -30,9 +30,9 @@ func buildPatchFixture(t *testing.T, pickChannel func(*topology.Graph, []topolog
 	used := make(map[topology.ChannelID]bool)
 	var usedList []topology.ChannelID
 	for i := range base.Ops {
-		if !base.Ops[i].Marker() && !used[base.Ops[i].Channel] {
-			used[base.Ops[i].Channel] = true
-			usedList = append(usedList, base.Ops[i].Channel)
+		if ch := base.Ops[i].ChannelID(); !base.Ops[i].Marker() && !used[ch] {
+			used[ch] = true
+			usedList = append(usedList, ch)
 		}
 	}
 	dead := pickChannel(g, usedList)
@@ -134,7 +134,7 @@ func TestCheckPatchRejectsTampering(t *testing.T) {
 	// An untouched non-marker transfer with at least one dependency.
 	victim := -1
 	for j := range fx.patched.Ops {
-		if !fx.patched.Ops[j].Marker() && !touched[j] && len(fx.patched.Ops[j].Deps) > 0 {
+		if !fx.patched.Ops[j].Marker() && !touched[j] && len(fx.patched.Deps(j)) > 0 {
 			victim = j
 			break
 		}
@@ -164,10 +164,10 @@ func TestCheckPatchRejectsTampering(t *testing.T) {
 			if op.Marker() || touched[j] {
 				continue
 			}
-			ch := p.Graph.Channel(op.Channel)
+			ch := p.Graph.Channel(op.ChannelID())
 			for _, sib := range p.Graph.ChannelsBetween(ch.From, ch.To) {
-				if sib != op.Channel && !p.Graph.Channel(sib).Down() {
-					op.Channel = sib
+				if sib != op.ChannelID() && !p.Graph.Channel(sib).Down() {
+					op.Channel = int32(sib)
 					return true
 				}
 			}
@@ -175,7 +175,9 @@ func TestCheckPatchRejectsTampering(t *testing.T) {
 		return false
 	})
 	expect("untouched dropped dependency", func(p *schedcheck.Program) bool {
-		p.Ops[victim].Deps = p.Ops[victim].Deps[:len(p.Ops[victim].Deps)-1]
+		deps := depLists(p)
+		deps[victim] = deps[victim][:len(deps[victim])-1]
+		p.SetDeps(deps)
 		return true
 	})
 	expect("accumulate flip", func(p *schedcheck.Program) bool {
@@ -196,9 +198,11 @@ func TestCheckPatchRejectsTampering(t *testing.T) {
 		return true
 	})
 	expect("touched op dropped a mapped dependency", func(p *schedcheck.Program) bool {
+		deps := depLists(p)
 		for _, j := range fx.spec.Touched {
-			if len(p.Ops[j].Deps) > 0 {
-				p.Ops[j].Deps = p.Ops[j].Deps[:len(p.Ops[j].Deps)-1]
+			if len(deps[j]) > 0 {
+				deps[j] = deps[j][:len(deps[j])-1]
+				p.SetDeps(deps)
 				return true
 			}
 		}
@@ -256,23 +260,25 @@ func TestCheckPatchDetourObligations(t *testing.T) {
 		p.Ops[newOp].Dst = schedcheck.NodeBuf(p.Nodes[0])
 	}, schedcheck.ClassPatch, schedcheck.ClassStructure)
 	expect("new op marks a final", func(p *schedcheck.Program) {
-		p.Ops[newOp].Final = p.Nodes[0]
+		p.Ops[newOp].Final = int32(p.Nodes[0])
 	}, schedcheck.ClassPatch, schedcheck.ClassStructure)
 	expect("relay reader drops its edge", func(p *schedcheck.Program) {
 		// The touched reader of newOp's relay slot loses exactly that edge:
 		// still a superset of its mapped base deps, so only the delta hazard
 		// pass can notice.
+		all := depLists(p)
 		for j := range p.Ops {
-			if p.Ops[j].Src.Relay != newOp {
+			if int(p.Ops[j].Src.Relay) != newOp {
 				continue
 			}
-			deps := p.Ops[j].Deps[:0]
-			for _, d := range p.Ops[j].Deps {
+			deps := all[j][:0]
+			for _, d := range all[j] {
 				if d != newOp {
 					deps = append(deps, d)
 				}
 			}
-			p.Ops[j].Deps = deps
+			all[j] = deps
+			p.SetDeps(all)
 			return
 		}
 		t.Fatal("no reader of the new relay slot")
@@ -296,7 +302,7 @@ func TestCheckPatchTouchedOpOnDeadChannel(t *testing.T) {
 	if target < 0 {
 		t.Skip("no touched transfer")
 	}
-	fx.graph.KillChannel(fx.patched.Ops[target].Channel)
+	fx.graph.KillChannel(fx.patched.Ops[target].ChannelID())
 	r := schedcheck.CheckPatch(fx.patched, fx.spec)
 	if r.OK() || !hasClass(r, schedcheck.ClassLink) {
 		t.Fatalf("dead rerouted channel accepted (violations %v)", r.Violations)

@@ -68,7 +68,7 @@ func planMatrix(t *testing.T) map[string]*schedcheck.Program {
 	}
 	for i, op := range s.Program().Ops {
 		if !op.Marker() && i%3 == 0 {
-			rg.KillChannel(op.Channel)
+			rg.KillChannel(op.ChannelID())
 			break
 		}
 	}
@@ -130,18 +130,21 @@ func TestCheckMatchesReference(t *testing.T) {
 				}
 			}
 			broken := p.Clone()
-			for i := range broken.Ops {
-				if deps := broken.Ops[i].Deps; i%7 == 0 && len(deps) > 0 {
-					broken.Ops[i].Deps = deps[1:]
+			deps := depLists(p)
+			for i := range deps {
+				if i%7 == 0 && len(deps[i]) > 0 {
+					deps[i] = deps[i][1:]
 				}
 			}
+			broken.SetDeps(deps)
 			assertMatchesReference(t, broken, schedcheck.Check(broken))
 			stride := len(p.Ops)/60 + 1
 			for i := 0; i < len(p.Ops); i += stride {
-				for j := range p.Ops[i].Deps {
+				for j := range p.Deps(i) {
 					broken := p.Clone()
-					deps := broken.Ops[i].Deps
-					broken.Ops[i].Deps = append(deps[:j:j], deps[j+1:]...)
+					deps := depLists(p)
+					deps[i] = append(deps[i][:j:j], deps[i][j+1:]...)
+					broken.SetDeps(deps)
 					assertMatchesReference(t, broken, schedcheck.Check(broken))
 				}
 			}
@@ -221,10 +224,12 @@ func TestFailingCheckStaysBanded(t *testing.T) {
 		AllowSharedChannels: true,
 	}).Clone()
 	i := len(p.Ops) / 2
-	for p.Ops[i].Marker() || len(p.Ops[i].Deps) == 0 {
+	for p.Ops[i].Marker() || len(p.Deps(i)) == 0 {
 		i++
 	}
-	p.Ops[i].Deps = nil
+	deps := depLists(p)
+	deps[i] = nil
+	p.SetDeps(deps)
 	pl := schedcheck.CheckPlan(p)
 	if pl.Report.OK() {
 		t.Fatalf("dropping every dependency of op %d went unnoticed", i)

@@ -16,7 +16,7 @@ import (
 func dependentsOf(p *schedcheck.Program) [][]int {
 	dependents := make([][]int, len(p.Ops))
 	for i := range p.Ops {
-		for _, d := range p.Ops[i].Deps {
+		for _, d := range p.Deps(i) {
 			dependents[d] = append(dependents[d], i)
 		}
 	}
@@ -217,7 +217,7 @@ func TestReachabilityIsExact(t *testing.T) {
 			p := s.Program()
 			for i := range p.Ops {
 				if !p.Ops[i].Marker() {
-					g.KillChannel(p.Ops[i].Channel)
+					g.KillChannel(p.Ops[i].ChannelID())
 					break
 				}
 			}

@@ -44,7 +44,7 @@ func (ref *reference) bfsOrder() {
 	indeg := make([]int, len(ops))
 	var order []int32
 	for i := range ops {
-		if indeg[i] = len(ops[i].Deps); indeg[i] == 0 {
+		if indeg[i] = len(ref.p.Deps(i)); indeg[i] == 0 {
 			order = append(order, int32(i))
 		}
 	}
@@ -87,7 +87,7 @@ func (ref *reference) pathBetween(a, b int) bool { return ref.reaches(a, b) || r
 func (ref *reference) hazards() {
 	p := ref.p
 	for i := range p.Ops {
-		if r := p.Ops[i].Src.Relay; r >= 0 && !ref.reaches(r, i) {
+		if r := int(p.Ops[i].Src.Relay); r >= 0 && !ref.reaches(r, i) {
 			ref.fail(ClassHazard, i, "reads relay slot of %s without depending on it", ref.label(r))
 		}
 	}
@@ -117,7 +117,7 @@ func (ref *reference) conservation() {
 	ref.finals = buildCSR(nr, func(emit func(int, int32)) {
 		for i := range p.Ops {
 			if op := &p.Ops[i]; op.Final >= 0 {
-				emit(ref.region(op.Final, op.Chunk), int32(i))
+				emit(ref.region(op.FinalNode(), int(op.Chunk)), int32(i))
 			}
 		}
 	})
@@ -134,9 +134,9 @@ func (ref *reference) conservation() {
 		if op.Marker() {
 			continue
 		}
-		src := relays[op.Src.Relay]
+		src := relays[int(op.Src.Relay)]
 		if !op.Src.IsRelay() {
-			src = state[ref.region(op.Src.Node, op.Chunk)]
+			src = state[ref.region(op.Src.NodeID(), int(op.Chunk))]
 		}
 		if src == nil {
 			src = make([]int32, np)
@@ -145,7 +145,7 @@ func (ref *reference) conservation() {
 			relays[id] = append([]int32(nil), src...)
 			continue
 		}
-		r := ref.region(op.Dst.Node, op.Chunk)
+		r := ref.region(op.Dst.NodeID(), int(op.Chunk))
 		writes[r] = append(writes[r], id)
 		dst := state[r]
 		if !op.Accumulate {
@@ -207,7 +207,7 @@ func (ref *reference) order() {
 		if !op.Marker() {
 			return false
 		}
-		if len(op.Deps) == 0 {
+		if len(p.Deps(a)) == 0 {
 			return true
 		}
 		key := [2]int{a, b}
@@ -216,8 +216,8 @@ func (ref *reference) order() {
 		}
 		memo[key] = true
 		out := true
-		for _, d := range op.Deps {
-			if !forcedAfter(d, b) {
+		for _, d := range p.Deps(a) {
+			if !forcedAfter(int(d), b) {
 				out = false
 				break
 			}

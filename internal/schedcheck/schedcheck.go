@@ -15,10 +15,13 @@
 // The verifier consumes a neutral intermediate representation (Program /
 // Op) rather than collective's own types, so collective can depend on
 // schedcheck (Schedule.Validate delegates here) without an import cycle.
+// The IR is flat, as in GC3's instruction lists: an Op is a 40-byte record
+// with no pointers, its id is its index, and every op's dependencies sit in
+// one CSR on the Program (DepOff, DepList), read through Program.Deps.
 // Five check classes run over a Program:
 //
-//	structure     — ids, ranges, relay-slot wiring, acyclicity (deadlock
-//	                freedom of the dependency graph)
+//	structure     — dependency CSR, ranges, relay-slot wiring, acyclicity
+//	                (deadlock freedom of the dependency graph)
 //	hazard        — for every pair of operations touching the same buffer
 //	                where at least one writes, a dependency path must order
 //	                them (catches C1 overlap races)
@@ -44,8 +47,8 @@ import (
 // buffer region for one chunk (Node >= 0), a relay slot owned by a detour
 // hop (Relay >= 0), or nothing (markers).
 type Buf struct {
-	Node  topology.NodeID // owning node, or -1
-	Relay int             // id of the op owning the relay slot, or -1
+	Node  int32 // owning node (a topology.NodeID), or -1
+	Relay int32 // id of the op owning the relay slot, or -1
 }
 
 // IsNode reports whether the buffer is a node's gradient buffer region.
@@ -57,27 +60,36 @@ func (b Buf) IsRelay() bool { return b.Relay >= 0 }
 // IsNone reports whether the op touches no buffer on this side (markers).
 func (b Buf) IsNone() bool { return b.Node < 0 && b.Relay < 0 }
 
+// NodeID returns the owning node.
+func (b Buf) NodeID() topology.NodeID { return topology.NodeID(b.Node) }
+
 // NodeBuf names node n's buffer region.
-func NodeBuf(n topology.NodeID) Buf { return Buf{Node: n, Relay: -1} }
+func NodeBuf(n topology.NodeID) Buf { return Buf{Node: int32(n), Relay: -1} }
 
 // RelayBuf names the relay slot owned by op id.
-func RelayBuf(id int) Buf { return Buf{Node: -1, Relay: id} }
+func RelayBuf(id int) Buf { return Buf{Node: -1, Relay: int32(id)} }
 
 // NoBuf is the empty buffer reference used by markers.
 func NoBuf() Buf { return Buf{Node: -1, Relay: -1} }
 
 // Op is one scheduled operation: a chunk moving over a channel, or a
 // zero-cost marker (Channel < 0) joining dependencies. It is also the
-// schedule IR collective builds, stores and executes: ops carry no label,
+// schedule IR collective builds, stores and executes. An op is 40 bytes and
+// holds no pointers: its id is its index in Program.Ops, its dependencies
+// live in the program's CSR (Program.Deps), and it carries no label —
 // Program.Label renders one from the fields when a message needs it.
 type Op struct {
-	ID      int
-	Chunk   int
 	Bytes   int64
-	Channel topology.ChannelID // < 0 for markers
-	Deps    []int
+	Chunk   int32
+	Channel int32 // a topology.ChannelID, < 0 for markers
 
-	Src, Dst   Buf
+	Src, Dst Buf
+
+	// Final >= 0 records that completion of this op makes chunk Chunk
+	// fully reduced and available at that node (a topology.NodeID); -1
+	// means none.
+	Final int32
+
 	Accumulate bool // dst += src (reduction) vs dst = src (copy/forward)
 
 	// NoAlpha drops the channel's fixed latency from the op's cost in the
@@ -85,11 +97,13 @@ type Op struct {
 	// schedule's block-continuation transfers that pay only the bandwidth
 	// term. It does not affect the correctness classes.
 	NoAlpha bool
-
-	// Final >= 0 records that completion of this op makes chunk Chunk
-	// fully reduced and available at that node; -1 means none.
-	Final topology.NodeID
 }
+
+// ChannelID returns the channel the op rides; meaningful for transfers only.
+func (o *Op) ChannelID() topology.ChannelID { return topology.ChannelID(o.Channel) }
+
+// FinalNode returns the node Final marks the chunk ready at, or -1.
+func (o *Op) FinalNode() topology.NodeID { return topology.NodeID(o.Final) }
 
 // Marker reports whether the op is a zero-cost dependency join.
 func (o *Op) Marker() bool { return o.Channel < 0 }
@@ -134,7 +148,36 @@ type Program struct {
 	// require the full sum.
 	AllReduce bool
 
-	Ops []Op
+	// Ops is the program, op i with id i. Op i's dependencies are
+	// DepList[DepOff[i]:DepOff[i+1]], read through Deps: DepOff has one
+	// entry per op plus a leading 0, and ends at len(DepList).
+	Ops     []Op
+	DepOff  []int32
+	DepList []int32
+}
+
+// Deps returns op i's dependencies, a view of the program's CSR that an
+// append cannot write through.
+func (p *Program) Deps(i int) []int32 {
+	lo, hi := p.DepOff[i], p.DepOff[i+1]
+	return p.DepList[lo:hi:hi]
+}
+
+// SetDeps replaces the program's dependencies with a fresh CSR holding
+// deps[i] as op i's, for i < len(Ops).
+func (p *Program) SetDeps(deps [][]int) {
+	n := 0
+	for i := range p.Ops {
+		n += len(deps[i])
+	}
+	p.DepOff = make([]int32, 1, len(p.Ops)+1)
+	p.DepList = make([]int32, 0, n)
+	for i := range p.Ops {
+		for _, d := range deps[i] {
+			p.DepList = append(p.DepList, int32(d))
+		}
+		p.DepOff = append(p.DepOff, int32(len(p.DepList)))
+	}
 }
 
 // Label renders op id for diagnostics from its fields: kind, chunk and the
@@ -153,30 +196,20 @@ func (p *Program) Label(id int) string {
 	if p.Graph == nil || int(op.Channel) >= p.Graph.NumChannels() {
 		return fmt.Sprintf("%s c%d ch%d", op.Kind(), op.Chunk, op.Channel)
 	}
-	ch := p.Graph.Channel(op.Channel)
+	ch := p.Graph.Channel(op.ChannelID())
 	return fmt.Sprintf("%s c%d %d->%d", op.Kind(), op.Chunk, ch.From, ch.To)
 }
 
-// Clone returns a deep copy of p: participants, ops, and the ops'
-// dependencies in one fresh arena. The topology graph is shared. A program
+// Clone returns a deep copy of p: participants, ops and the dependency
+// CSR, each one flat slice copy. The topology graph is shared. A program
 // from Schedule.Program is a view of the schedule, possibly a cached and
 // verified one, so code that edits a program edits a clone.
 func (p *Program) Clone() *Program {
 	out := *p
 	out.Nodes = append([]topology.NodeID(nil), p.Nodes...)
 	out.Ops = append([]Op(nil), p.Ops...)
-	n := 0
-	for i := range p.Ops {
-		n += len(p.Ops[i].Deps)
-	}
-	arena := make([]int, 0, n)
-	for i := range out.Ops {
-		if deps := out.Ops[i].Deps; deps != nil {
-			start := len(arena)
-			arena = append(arena, deps...)
-			out.Ops[i].Deps = arena[start:len(arena):len(arena)]
-		}
-	}
+	out.DepOff = append([]int32(nil), p.DepOff...)
+	out.DepList = append([]int32(nil), p.DepList...)
 	return &out
 }
 
@@ -316,10 +349,10 @@ func Check(p *Program) *Report { return check(p, false) }
 // violate them and still be correct, just slower than its structure claims.
 func CheckDeep(p *Program) *Report { return check(p, true) }
 
-// CheckStructure runs the structure class alone: ids, ranges, relay-slot
-// wiring and acyclicity. It is the structural gate for programs derived
-// from verified ones by changes that keep every other class's proof, such
-// as rescaling transfer sizes.
+// CheckStructure runs the structure class alone: dependency CSR, ranges,
+// relay-slot wiring and acyclicity. It is the structural gate for programs
+// derived from verified ones by changes that keep every other class's
+// proof, such as rescaling transfer sizes.
 func CheckStructure(p *Program) *Report {
 	ck := getChecker(p)
 	defer ck.release()

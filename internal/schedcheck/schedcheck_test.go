@@ -11,6 +11,7 @@ import (
 
 	"ccube/internal/collective"
 	"ccube/internal/des"
+	"ccube/internal/gpusim"
 	"ccube/internal/schedcheck"
 	"ccube/internal/topology"
 )
@@ -120,7 +121,7 @@ func TestCatchesUnreadRelaySlot(t *testing.T) {
 			t.Fatal(r.Err())
 		}
 		slot := p.Ops[i].Src.Relay
-		p.Ops[i].Src = schedcheck.NodeBuf(p.Graph.Channel(p.Ops[i].Channel).From)
+		p.Ops[i].Src = schedcheck.NodeBuf(p.Graph.Channel(p.Ops[i].ChannelID()).From)
 		r := schedcheck.Check(p)
 		want := fmt.Sprintf("[link] op %d: relay slot is never read", slot)
 		if !strings.Contains(r.Err().Error(), want) {
@@ -139,14 +140,15 @@ func TestCatchesUnreadRelaySlot(t *testing.T) {
 // one access to it.
 func TestCatchesUnorderedCopies(t *testing.T) {
 	g := topology.FullyConnected(3, deepBW, deepLat)
-	copyTo1 := func(id int, from topology.NodeID) schedcheck.Op {
-		return schedcheck.Op{ID: id, Chunk: 0, Bytes: 1000, Channel: channelBetween(t, g, from, 1),
+	copyTo1 := func(from topology.NodeID) schedcheck.Op {
+		return schedcheck.Op{Chunk: 0, Bytes: 1000, Channel: int32(channelBetween(t, g, from, 1)),
 			Src: schedcheck.NodeBuf(from), Dst: schedcheck.NodeBuf(1), Final: -1}
 	}
 	p := &schedcheck.Program{
 		Graph: g, Nodes: []topology.NodeID{0, 1, 2}, NumChunks: 1,
-		Ops: []schedcheck.Op{copyTo1(0, 0), copyTo1(1, 2), marker(2, 0, 0), marker(3, 0, 1), marker(4, 0, 2)},
+		Ops: []schedcheck.Op{copyTo1(0), copyTo1(2), marker(0, 0), marker(0, 1), marker(0, 2)},
 	}
+	p.SetDeps(make([][]int, len(p.Ops)))
 	r := schedcheck.Check(p)
 	if len(r.Class(schedcheck.ClassHazard)) != 1 {
 		t.Fatalf("unordered copies into one region not flagged once: %v", r.Err())
@@ -210,8 +212,10 @@ func treeProgram(t *testing.T) *schedcheck.Program {
 func TestCatchesCycle(t *testing.T) {
 	p := treeProgram(t)
 	last := len(p.Ops) - 1
-	p.Ops[0].Deps = append(append([]int(nil), p.Ops[0].Deps...), last)
-	p.Ops[last].Deps = append(append([]int(nil), p.Ops[last].Deps...), 0)
+	deps := depLists(p)
+	deps[0] = append(deps[0], last)
+	deps[last] = append(deps[last], 0)
+	p.SetDeps(deps)
 	r := schedcheck.Check(p)
 	if !hasClass(r, schedcheck.ClassStructure) {
 		t.Fatalf("cycle not flagged: %s", r.Summary())
@@ -229,6 +233,53 @@ func TestCatchesChunkOutOfRange(t *testing.T) {
 	}
 }
 
+// TestCatchesMalformedDepCSR: the dependency CSR is read in place, so a
+// program whose offsets do not cover its ops — the shape a corrupted store
+// payload or a careless edit could leave — fails structure at every entry
+// point, never panicking, and gpusim refuses it too.
+func TestCatchesMalformedDepCSR(t *testing.T) {
+	base := treeProgram(t)
+	n := len(base.Ops)
+	cases := map[string]func(p *schedcheck.Program){
+		"no offsets":         func(p *schedcheck.Program) { p.DepOff = nil },
+		"one offset short":   func(p *schedcheck.Program) { p.DepOff = p.DepOff[:n] },
+		"nonzero first":      func(p *schedcheck.Program) { p.DepOff[0] = 1 },
+		"rows overrun deps":  func(p *schedcheck.Program) { p.DepList = p.DepList[:len(p.DepList)-1] },
+		"row runs backwards": func(p *schedcheck.Program) { p.DepOff[n/2] = p.DepOff[n/2+1] + 1 },
+		"row past the end":   func(p *schedcheck.Program) { p.DepOff[n/2] = int32(len(p.DepList) + 5) },
+	}
+	identity := make([]int, n)
+	for i := range identity {
+		identity[i] = i
+	}
+	for name, corrupt := range cases {
+		p := base.Clone()
+		corrupt(p)
+		reports := []*schedcheck.Report{
+			schedcheck.Check(p),
+			schedcheck.CheckDeep(p),
+			schedcheck.CheckStructure(p),
+			schedcheck.CheckPatch(p, &schedcheck.PatchSpec{Base: base, OldToNew: identity}),
+		}
+		for _, r := range reports {
+			if !hasClass(r, schedcheck.ClassStructure) {
+				t.Fatalf("%s: not flagged as structure: %s", name, r.Summary())
+			}
+		}
+		assertMatchesReference(t, p, reports[0])
+		if _, err := schedcheck.MakespanBound(p); err == nil {
+			t.Fatalf("%s: MakespanBound accepted the program", name)
+		}
+		inputs := make([][]float32, len(p.Nodes))
+		for i := range inputs {
+			inputs[i] = make([]float32, 64)
+		}
+		if _, err := gpusim.Run(p, inputs, gpusim.Config{}); err == nil {
+			t.Fatalf("%s: gpusim ran the program", name)
+		}
+	}
+}
+
 // TestCatchesDroppedDependency seeds the hazard the old structural
 // validator missed: removing the edge that orders a reduction before the
 // send reading its result leaves an acyclic, well-indexed schedule with an
@@ -240,12 +291,14 @@ func TestCatchesDroppedDependency(t *testing.T) {
 		if op.Marker() || !op.Src.IsNode() {
 			continue
 		}
-		for di, d := range op.Deps {
+		for di, d := range p.Deps(i) {
 			w := &p.Ops[d]
 			if w.Marker() || !w.Accumulate || w.Dst != op.Src || w.Chunk != op.Chunk {
 				continue
 			}
-			op.Deps = append(append([]int(nil), op.Deps[:di]...), op.Deps[di+1:]...)
+			deps := depLists(p)
+			deps[i] = append(deps[i][:di], deps[i][di+1:]...)
+			p.SetDeps(deps)
 			r := schedcheck.Check(p)
 			if !hasClass(r, schedcheck.ClassHazard) {
 				t.Fatalf("dropped dep %d->%d not flagged as hazard: %s", d, i, r.Summary())
@@ -264,10 +317,10 @@ func TestCatchesRetargetedChannel(t *testing.T) {
 			continue
 		}
 		for ch := 0; ch < p.Graph.NumChannels(); ch++ {
-			if p.Graph.Channel(topology.ChannelID(ch)).From == op.Src.Node {
+			if p.Graph.Channel(topology.ChannelID(ch)).From == op.Src.NodeID() {
 				continue
 			}
-			op.Channel = topology.ChannelID(ch)
+			op.Channel = int32(ch)
 			r := schedcheck.Check(p)
 			if !hasClass(r, schedcheck.ClassLink) {
 				t.Fatalf("retargeted channel not flagged: %s", r.Summary())
@@ -378,35 +431,26 @@ func corruptNodeID(p *schedcheck.Program, field, pick int) (*schedcheck.Program,
 	if field/4%2 == 1 {
 		bad = topology.NodeID(p.Graph.NumNodes() + pick%64)
 	}
-	var slots []*topology.NodeID
-	switch field % 4 {
-	case 0:
-		for i := range p.Nodes {
-			slots = append(slots, &p.Nodes[i])
-		}
-	case 1:
-		for i := range p.Ops {
-			if p.Ops[i].Src.IsNode() {
-				slots = append(slots, &p.Ops[i].Src.Node)
-			}
-		}
-	case 2:
-		for i := range p.Ops {
-			if p.Ops[i].Dst.IsNode() {
-				slots = append(slots, &p.Ops[i].Dst.Node)
-			}
-		}
-	case 3:
-		for i := range p.Ops {
-			if p.Ops[i].Final >= 0 {
-				slots = append(slots, &p.Ops[i].Final)
-			}
+	if field%4 == 0 {
+		p.Nodes[pick%len(p.Nodes)] = bad
+		return p, true
+	}
+	var slots []*int32
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		switch {
+		case field%4 == 1 && op.Src.IsNode():
+			slots = append(slots, &op.Src.Node)
+		case field%4 == 2 && op.Dst.IsNode():
+			slots = append(slots, &op.Dst.Node)
+		case field%4 == 3 && op.Final >= 0:
+			slots = append(slots, &op.Final)
 		}
 	}
 	if len(slots) == 0 {
 		return p, false
 	}
-	*slots[pick%len(slots)] = bad
+	*slots[pick%len(slots)] = int32(bad)
 	return p, true
 }
 
@@ -450,9 +494,7 @@ func TestViolationOrderIsDeterministic(t *testing.T) {
 		Graph: fullyConnected(8), Algorithm: collective.AlgTree, Bytes: 1 << 20, Chunks: 8,
 		AllowSharedChannels: true,
 	}).Clone()
-	for i := range p.Ops {
-		p.Ops[i].Deps = nil
-	}
+	p.SetDeps(make([][]int, len(p.Ops)))
 	r := schedcheck.Check(p)
 	if n := len(r.Class(schedcheck.ClassHazard)); n < 9 {
 		t.Fatalf("only %d hazard violations; the test needs more than Err prints", n)
@@ -483,17 +525,19 @@ func TestCheckConcurrent(t *testing.T) {
 		Bytes: 1 << 20, Chunks: 24, AllowSharedChannels: true,
 	}))
 	broken := progs[1].Clone()
-	for i := range broken.Ops {
-		broken.Ops[i].Deps = nil
-	}
+	broken.SetDeps(make([][]int, len(broken.Ops)))
 	dropped := progs[3].Clone()
-	for i := range dropped.Ops {
-		if deps := dropped.Ops[i].Deps; i%5 == 0 && len(deps) > 0 {
-			dropped.Ops[i].Deps = deps[1:]
+	deps := depLists(dropped)
+	for i := range deps {
+		if i%5 == 0 && len(deps[i]) > 0 {
+			deps[i] = deps[i][1:]
 		}
 	}
+	dropped.SetDeps(deps)
 	cyclic := progs[2].Clone()
-	cyclic.Ops[0].Deps = []int{len(cyclic.Ops) - 1}
+	deps = depLists(cyclic)
+	deps[0] = []int{len(cyclic.Ops) - 1}
+	cyclic.SetDeps(deps)
 	progs = append(progs, broken, dropped, cyclic)
 	checks := []func(*schedcheck.Program) *schedcheck.Report{schedcheck.Check, schedcheck.CheckDeep}
 	want := make([][]string, len(checks))

@@ -91,7 +91,7 @@ func (ck *walkChecker) indexReaders() {
 	ck.readers = buildCSR(len(ck.p.Ops), func(emit func(int, int32)) {
 		for i := range ck.p.Ops {
 			if r := ck.p.Ops[i].Src.Relay; r >= 0 {
-				emit(r, int32(i))
+				emit(int(r), int32(i))
 			}
 		}
 	})
@@ -138,26 +138,30 @@ func (ck *walkChecker) structure() {
 		}
 		ck.nodeIdx[n] = int32(i)
 	}
+	if n := len(p.Ops); len(p.DepOff) != n+1 || p.DepOff[0] != 0 || int(p.DepOff[n]) != len(p.DepList) {
+		ck.fail(ClassStructure, -1, "dependency offsets do not cover %d ops and %d deps", n, len(p.DepList))
+		return
+	}
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		if op.ID != i {
-			ck.fail(ClassStructure, i, "op id %d at position %d", op.ID, i)
-			return // ids are used as indices everywhere; stop early
+		if lo, hi := p.DepOff[i], p.DepOff[i+1]; hi < lo || int(hi) > len(p.DepList) {
+			ck.fail(ClassStructure, i, "dependency offsets [%d,%d) out of order", lo, hi)
+			return
 		}
-		if op.Chunk < 0 || op.Chunk >= p.NumChunks {
+		if op.Chunk < 0 || int(op.Chunk) >= p.NumChunks {
 			ck.fail(ClassStructure, i, "chunk %d out of range [0,%d)", op.Chunk, p.NumChunks)
 		}
-		for _, d := range op.Deps {
-			if d < 0 || d >= len(p.Ops) {
+		for _, d := range p.Deps(i) {
+			if d < 0 || int(d) >= len(p.Ops) {
 				ck.fail(ClassStructure, i, "dependency %d out of range", d)
 				return
 			}
-			if d == i {
+			if int(d) == i {
 				ck.fail(ClassStructure, i, "op depends on itself")
 				return
 			}
 		}
-		if op.Final != -1 && !ck.participant(op.Final) {
+		if op.Final != -1 && !ck.participant(op.FinalNode()) {
 			ck.fail(ClassStructure, i, "final node %d is not a participant", op.Final)
 		}
 		if op.Marker() {
@@ -179,15 +183,15 @@ func (ck *walkChecker) structure() {
 		if op.Dst.IsNone() {
 			ck.fail(ClassStructure, i, "transfer has no destination buffer")
 		}
-		if op.Src.IsNode() && !ck.participant(op.Src.Node) {
+		if op.Src.IsNode() && !ck.participant(op.Src.NodeID()) {
 			ck.fail(ClassStructure, i, "source node %d is not a participant", op.Src.Node)
 		}
-		if op.Dst.IsNode() && !ck.participant(op.Dst.Node) {
+		if op.Dst.IsNode() && !ck.participant(op.Dst.NodeID()) {
 			ck.fail(ClassStructure, i, "destination node %d is not a participant", op.Dst.Node)
 		}
 		if op.Src.IsRelay() {
 			r := op.Src.Relay
-			if r < 0 || r >= len(p.Ops) {
+			if int(r) >= len(p.Ops) {
 				ck.fail(ClassStructure, i, "source relay slot %d out of range", r)
 			} else if owner := &p.Ops[r]; !owner.Dst.IsRelay() || owner.Dst.Relay != r {
 				ck.fail(ClassStructure, i, "source relay slot %d is not written by op %d", r, r)
@@ -196,7 +200,7 @@ func (ck *walkChecker) structure() {
 		if op.Dst.IsRelay() {
 			// The writer owns its relay slot: the slot is named by the
 			// writing op's id, so each slot has exactly one writer.
-			if op.Dst.Relay != i {
+			if int(op.Dst.Relay) != i {
 				ck.fail(ClassStructure, i, "relay destination slot %d is not the op's own", op.Dst.Relay)
 			}
 			if op.Accumulate {
@@ -225,12 +229,12 @@ func (ck *walkChecker) topoSort() {
 	off := make([]int32, n+1)
 	q := newWalkQueues(n, ck.p.NumChunks)
 	for i := range ops {
-		deps := ops[i].Deps
+		deps := ck.p.Deps(i)
 		for _, d := range deps {
 			off[d+1]++
 		}
 		if indeg[i] = int32(len(deps)); indeg[i] == 0 {
-			q.push(int32(i), ops[i].Chunk)
+			q.push(int32(i), int(ops[i].Chunk))
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -238,7 +242,7 @@ func (ck *walkChecker) topoSort() {
 	}
 	items := make([]int32, off[n])
 	for i := range ops {
-		for _, d := range ops[i].Deps {
+		for _, d := range ck.p.Deps(i) {
 			items[off[d]] = int32(i)
 			off[d]++
 		}
@@ -265,7 +269,7 @@ func (ck *walkChecker) topoSort() {
 				ck.up[dep] |= lab
 			}
 			if indeg[dep]--; indeg[dep] == 0 {
-				q.push(dep, ops[dep].Chunk)
+				q.push(dep, int(ops[dep].Chunk))
 			}
 		}
 	}
@@ -357,22 +361,22 @@ func (ck *walkChecker) linkOp(i int) {
 		if op.Marker() {
 			return
 		}
-		ch := p.Graph.Channel(op.Channel)
+		ch := p.Graph.Channel(op.ChannelID())
 		if ch.Down() {
 			ck.fail(ClassLink, i, "channel %d (%s->%s) is down: schedule needs repair",
 				op.Channel, p.Graph.Node(ch.From).Name, p.Graph.Node(ch.To).Name)
 		}
-		if op.Src.IsNode() && ch.From != op.Src.Node {
+		if op.Src.IsNode() && ch.From != op.Src.NodeID() {
 			ck.fail(ClassLink, i, "channel %d starts at node %d but source buffer is on node %d",
 				op.Channel, ch.From, op.Src.Node)
 		}
 		if op.Src.IsRelay() {
 			owner := &p.Ops[op.Src.Relay]
-			ownerCh := p.Graph.Channel(owner.Channel)
+			ownerCh := p.Graph.Channel(owner.ChannelID())
 			if ownerCh.To != ch.From {
 				ck.fail(ClassLink, i,
 					"detour discontinuity: previous hop %s lands at node %d, this hop departs node %d",
-					ck.label(owner.ID), ownerCh.To, ch.From)
+					ck.label(int(op.Src.Relay)), ownerCh.To, ch.From)
 			}
 			// Chunk identity must survive the relay: contribution counts
 			// cannot tell two fully-reduced chunks apart, so forwarding
@@ -381,10 +385,10 @@ func (ck *walkChecker) linkOp(i int) {
 			if owner.Chunk != op.Chunk {
 				ck.fail(ClassLink, i,
 					"detour forwards chunk %d data from %s as chunk %d",
-					owner.Chunk, ck.label(owner.ID), op.Chunk)
+					owner.Chunk, ck.label(int(op.Src.Relay)), op.Chunk)
 			}
 		}
-		if op.Dst.IsNode() && ch.To != op.Dst.Node {
+		if op.Dst.IsNode() && ch.To != op.Dst.NodeID() {
 			ck.fail(ClassLink, i, "channel %d ends at node %d but destination buffer is on node %d",
 				op.Channel, ch.To, op.Dst.Node)
 		}
@@ -420,10 +424,10 @@ func (ck *walkChecker) accessIndex(inTopo bool) csr[access] {
 			op := &p.Ops[id]
 			src, dst := -1, -1
 			if op.Src.IsNode() {
-				src = ck.region(op.Src.Node, op.Chunk)
+				src = ck.region(op.Src.NodeID(), int(op.Chunk))
 			}
 			if op.Dst.IsNode() {
-				dst = ck.region(op.Dst.Node, op.Chunk)
+				dst = ck.region(op.Dst.NodeID(), int(op.Chunk))
 			}
 			if src >= 0 && src != dst {
 				emit(src, access{op: int32(id), kind: accRead})
@@ -477,7 +481,7 @@ func (ck *walkChecker) planHazards() walkPending {
 	for i := range p.Ops {
 		// Relay read-after-write: the reader must depend on the slot's
 		// writer, or it can observe an empty slot.
-		if r := p.Ops[i].Src.Relay; r >= 0 && !ck.ask(r, i) {
+		if r := int(p.Ops[i].Src.Relay); r >= 0 && !ck.ask(r, i) {
 			pd.failed = true
 		}
 	}
@@ -516,7 +520,7 @@ func (ck *walkChecker) hazards(pd walkPending) {
 	}
 	p := ck.p
 	for i := range p.Ops {
-		if r := p.Ops[i].Src.Relay; r >= 0 && !ck.reaches(r, i) {
+		if r := int(p.Ops[i].Src.Relay); r >= 0 && !ck.reaches(r, i) {
 			ck.fail(ClassHazard, i, "reads relay slot of %s without depending on it", ck.label(r))
 		}
 	}
@@ -562,7 +566,7 @@ func (ck *walkChecker) planConservation() walkPending {
 	ck.finals = buildCSR(nr, func(emit func(int, int32)) {
 		for i := range p.Ops {
 			if op := &p.Ops[i]; op.Final >= 0 {
-				emit(ck.region(op.Final, op.Chunk), int32(i))
+				emit(ck.region(op.FinalNode(), int(op.Chunk)), int32(i))
 			}
 		}
 	})
@@ -589,13 +593,13 @@ func (ck *walkChecker) planConservation() walkPending {
 		if op.Src.IsRelay() {
 			src = set(nr + int(slot[op.Src.Relay]))
 		} else {
-			src = set(ck.region(op.Src.Node, op.Chunk))
+			src = set(ck.region(op.Src.NodeID(), int(op.Chunk)))
 		}
 		if op.Dst.IsRelay() {
 			copy(set(nr+int(slot[id])), src)
 			continue
 		}
-		r := ck.region(op.Dst.Node, op.Chunk)
+		r := ck.region(op.Dst.NodeID(), int(op.Chunk))
 		dst := set(r)
 		if op.Accumulate {
 			for j, x := range src {
@@ -666,13 +670,13 @@ func (ck *walkChecker) conservation(pd walkPending) {
 		if op.Src.IsRelay() {
 			src = vec(nr + int(slot[op.Src.Relay]))
 		} else {
-			src = vec(ck.region(op.Src.Node, op.Chunk))
+			src = vec(ck.region(op.Src.NodeID(), int(op.Chunk)))
 		}
 		if op.Dst.IsRelay() {
 			copy(vec(nr+int(slot[id])), src)
 			continue
 		}
-		dst := vec(ck.region(op.Dst.Node, op.Chunk))
+		dst := vec(ck.region(op.Dst.NodeID(), int(op.Chunk)))
 		if !op.Accumulate {
 			copy(dst, src)
 			continue
@@ -691,7 +695,7 @@ func (ck *walkChecker) conservation(pd walkPending) {
 	writes := buildCSR(nr, func(emit func(int, int32)) {
 		for _, id := range ck.topo {
 			if op := &p.Ops[id]; op.Dst.IsNode() {
-				emit(ck.region(op.Dst.Node, op.Chunk), id)
+				emit(ck.region(op.Dst.NodeID(), int(op.Chunk)), id)
 			}
 		}
 	})
@@ -784,10 +788,10 @@ func (ck *walkChecker) planForced(a, b int) {
 	if !op.Marker() {
 		return
 	}
-	for _, d := range op.Deps {
+	for _, d := range ck.p.Deps(a) {
 		if ck.forcedGen[d] != ck.forcedCall {
 			ck.forcedGen[d] = ck.forcedCall
-			ck.planForced(d, b)
+			ck.planForced(int(d), b)
 		}
 	}
 }
@@ -813,7 +817,7 @@ func (ck *walkChecker) forcedAfter(a, b int) bool {
 	if !op.Marker() {
 		return false
 	}
-	if len(op.Deps) == 0 {
+	if len(ck.p.Deps(a)) == 0 {
 		return true // completes at time zero
 	}
 	if ck.forcedGen[a] == ck.forcedCall {
@@ -821,8 +825,8 @@ func (ck *walkChecker) forcedAfter(a, b int) bool {
 	}
 	ck.forcedGen[a], ck.forcedVal[a] = ck.forcedCall, true // a DAG never re-enters a
 	out := true
-	for _, d := range op.Deps {
-		if !ck.forcedAfter(d, b) {
+	for _, d := range ck.p.Deps(a) {
+		if !ck.forcedAfter(int(d), b) {
 			out = false
 			break
 		}

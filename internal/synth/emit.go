@@ -13,10 +13,10 @@ import (
 // chunkPass is one chunk's trip through one packed tree, in the schedule
 // IR, as collective.OverlappedChunk lays it out: the reduction up the tree,
 // the root-ready marker, and the broadcast back down, every tree edge
-// expanded into one op per physical hop of the route it claimed. Op ids in
-// Deps are relative to the chunk's first op.
+// expanded into one op per physical hop of the route it claimed. Op ids,
+// deps included, are relative to the chunk's first op.
 type chunkPass struct {
-	ops     []schedcheck.Op
+	pass    schedcheck.Program
 	detours int // tree edges routed through a relay GPU
 	// hops counts the pass's ops per channel: one chunk's load on each
 	// channel the tree rides, in units of that chunk's transfer time.
@@ -36,25 +36,26 @@ type channelHops struct {
 // newChunkPass lays one chunk out over tree t and counts its hops per
 // channel.
 func newChunkPass(t *Tree, nodes []topology.NodeID) (*chunkPass, error) {
-	ops, err := collective.OverlappedChunk(nodes, t.RoutedTree)
+	pass, err := collective.OverlappedChunk(nodes, t.RoutedTree)
 	if err != nil {
 		return nil, err
 	}
-	p := &chunkPass{ops: ops, detours: t.Detours}
-	for i := range p.ops {
-		if p.ops[i].Marker() {
+	p := &chunkPass{pass: pass, detours: t.Detours}
+	for i := range pass.Ops {
+		if pass.Ops[i].Marker() {
 			continue
 		}
+		ch := pass.Ops[i].ChannelID()
 		j := 0
-		for j < len(p.hops) && p.hops[j].ch != p.ops[i].Channel {
+		for j < len(p.hops) && p.hops[j].ch != ch {
 			j++
 		}
 		if j == len(p.hops) {
-			p.hops = append(p.hops, channelHops{ch: p.ops[i].Channel})
+			p.hops = append(p.hops, channelHops{ch: ch})
 		}
 		p.hops[j].n++
 	}
-	n := len(p.ops)
+	n := len(pass.Ops)
 	scratch := make([]des.Time, 3*n)
 	p.small, p.big, p.finish = scratch[:n:n], scratch[n:2*n:2*n], scratch[2*n:]
 	return p, nil
@@ -123,10 +124,10 @@ func (e *emitter) bound(t, k int) (path, load des.Time) {
 	extra := int(e.bytes % int64(k))
 	passes := e.passes[:t]
 	for _, p := range passes {
-		for j := range p.ops {
+		for j := range p.pass.Ops {
 			p.finish[j] = 0
-			if op := &p.ops[j]; !op.Marker() {
-				ch := e.g.Channel(op.Channel)
+			if op := &p.pass.Ops[j]; !op.Marker() {
+				ch := e.g.Channel(op.ChannelID())
 				p.small[j], p.big[j] = ch.TransferTime(small), ch.TransferTime(small+1)
 			}
 		}
@@ -137,13 +138,12 @@ func (e *emitter) bound(t, k int) (path, load des.Time) {
 		if c < extra {
 			dur = p.big
 		}
-		for j := range p.ops {
-			op := &p.ops[j]
+		for j := range p.pass.Ops {
 			var start des.Time
-			if !op.Marker() {
+			if !p.pass.Ops[j].Marker() {
 				start = p.finish[j] // the same hop of chunk c-t; zero for c < t
 			}
-			for _, d := range op.Deps {
+			for _, d := range p.pass.Deps(j) {
 				start = max(start, p.finish[d])
 			}
 			p.finish[j] = start + dur[j]

@@ -318,9 +318,8 @@ func TestReportDetoursCachedMatchesCold(t *testing.T) {
 	}
 }
 
-// TestEmitReservesExactly: a variant's ops slice is allocated at its final
-// size. (The deps arena's exactness is checked in the collective package's
-// store round trip of a synthesized schedule.)
+// TestEmitReservesExactly: a variant's ops slice and dependency CSR are
+// allocated at their final size.
 func TestEmitReservesExactly(t *testing.T) {
 	g := topology.RandomRegular(16, 4, 25e9, des.Microsecond, 1)
 	nodes := g.GPUs()
@@ -333,9 +332,10 @@ func TestEmitReservesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := s.Program().Ops
-	if cap(ops) != len(ops) {
-		t.Fatalf("ops cap %d, len %d: the emitter did not reserve exactly", cap(ops), len(ops))
+	p := s.Program()
+	if cap(p.Ops) != len(p.Ops) || cap(p.DepOff) != len(p.DepOff) || cap(p.DepList) != len(p.DepList) {
+		t.Fatalf("ops, offsets and deps caps %d, %d, %d, lens %d, %d, %d: the emitter did not reserve exactly",
+			cap(p.Ops), cap(p.DepOff), cap(p.DepList), len(p.Ops), len(p.DepOff), len(p.DepList))
 	}
 }
 

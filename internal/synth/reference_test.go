@@ -326,17 +326,19 @@ func refLower(p *refProgram) ([]refOpSpec, error) {
 	return specs, nil
 }
 
-// refOps translates op specs into schedule ops the way assembly did.
-func refOps(specs []refOpSpec) []schedcheck.Op {
+// refOps translates op specs into schedule ops and their dependencies the
+// way assembly did.
+func refOps(specs []refOpSpec) ([]schedcheck.Op, [][]int) {
 	ops := make([]schedcheck.Op, len(specs))
+	deps := make([][]int, len(specs))
 	for i, op := range specs {
-		o := schedcheck.Op{ID: i, Chunk: op.Chunk, Channel: -1, Src: schedcheck.NoBuf(), Dst: schedcheck.NoBuf(), Final: -1,
-			Deps: op.Deps}
+		o := schedcheck.Op{Chunk: int32(op.Chunk), Channel: -1, Src: schedcheck.NoBuf(), Dst: schedcheck.NoBuf(), Final: -1}
+		deps[i] = op.Deps
 		if op.HasFinal {
-			o.Final = op.Final
+			o.Final = int32(op.Final)
 		}
 		if op.Channel >= 0 {
-			o.Channel, o.Bytes, o.Accumulate, o.NoAlpha = op.Channel, op.Bytes, op.Accumulate, op.NoAlpha
+			o.Channel, o.Bytes, o.Accumulate, o.NoAlpha = int32(op.Channel), op.Bytes, op.Accumulate, op.NoAlpha
 			o.Src = schedcheck.NodeBuf(op.SrcNode)
 			if op.FromRelay {
 				o.Src = schedcheck.RelayBuf(op.SrcRelay)
@@ -348,7 +350,7 @@ func refOps(specs []refOpSpec) []schedcheck.Op {
 		}
 		ops[i] = o
 	}
-	return ops
+	return ops, deps
 }
 
 // refSchedule compiles one variant with the reference passes and assembles
@@ -362,6 +364,7 @@ func refSchedule(g *topology.Graph, nodes []topology.NodeID, bytes int64, f *For
 	if err != nil {
 		return nil, nil, err
 	}
+	ops, deps := refOps(specs)
 	s, err := collective.Assemble(collective.AssembleSpec{
 		Graph:     p.Graph,
 		Nodes:     p.Nodes,
@@ -369,7 +372,8 @@ func refSchedule(g *topology.Graph, nodes []topology.NodeID, bytes int64, f *For
 		InOrder:   p.InOrder,
 		Streams:   p.Streams,
 		Contract:  collective.ContractAllReduce,
-		Ops:       refOps(specs),
+		Ops:       ops,
+		Deps:      deps,
 	})
 	return s, p, err
 }

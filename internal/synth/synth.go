@@ -280,7 +280,7 @@ func planDetours(s *collective.Schedule) int {
 	n := 0
 	ops := s.Program().Ops
 	for i := range ops {
-		if ops[i].Chunk < s.Streams && ops[i].Dst.IsRelay() {
+		if int(ops[i].Chunk) < s.Streams && ops[i].Dst.IsRelay() {
 			n++
 		}
 	}

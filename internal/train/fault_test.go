@@ -22,7 +22,7 @@ func usedChannelFor(t *testing.T, cfg Config) topology.ChannelID {
 	p := sched.Program()
 	for i := range p.Ops {
 		if !p.Ops[i].Marker() {
-			return p.Ops[i].Channel
+			return p.Ops[i].ChannelID()
 		}
 	}
 	t.Fatal("no transfers")
