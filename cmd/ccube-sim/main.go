@@ -150,7 +150,7 @@ func main() {
 		// The fresh graph holds one task per transfer, in id order, named
 		// only by kind; name each by its chunk and endpoints for the viewer.
 		for i := 0; i < sched.NumTransfers(); i++ {
-			taskGraph.Task(i).Label = sched.Label(i)
+			taskGraph.SetLabel(i, sched.Label(i))
 		}
 		f, err := os.Create(*traceFile)
 		if err != nil {

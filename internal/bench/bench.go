@@ -1,9 +1,10 @@
 // Package bench runs the simulator's benchmarks in-process, so ccube-bench
 // can record machine-readable performance numbers (wall time, allocations)
 // next to the figures they time. The real-layer benches time the layers a
-// served request pays for — schedule build, verification, synthesis and
-// execution — on the shapes the package benches (BenchmarkExecute,
-// BenchmarkBuild, BenchmarkCheck, BenchmarkSynthesize) already use; the
+// served request pays for — schedule build, verification, synthesis,
+// execution and a training iteration — on the shapes the package benches
+// (BenchmarkExecute, BenchmarkBuild, BenchmarkCheck, BenchmarkSynthesize)
+// already use; the
 // rest time the Graph run path, a schedule-cache hit and the serve JSON
 // encoders. The alloc budgets are enforced both here (CheckBudgets, run by
 // ccube-bench and CI) and by the des/server packages' AllocsPerRun tests.
@@ -20,11 +21,13 @@ import (
 
 	"ccube/internal/collective"
 	"ccube/internal/des"
+	"ccube/internal/dnn"
 	"ccube/internal/report"
 	"ccube/internal/schedcheck"
 	"ccube/internal/server"
 	"ccube/internal/synth"
 	"ccube/internal/topology"
+	"ccube/internal/train"
 )
 
 // Samples is how many timed samples Run takes of every bench. Each sample
@@ -146,20 +149,32 @@ func benchmarks() []benchmark {
 				return nil
 			}, nil
 		}},
+		{"Train/dgx1-resnet50-CC", true, func() (func() error, error) {
+			// One ModeCC iteration of ResNet-50 at batch 64 on the DGX-1,
+			// as train.BenchmarkExecute times it: the schedule is a cache
+			// hit after the untimed first op, so an op is the standalone
+			// collective run plus building and running the iteration
+			// graph, the path /v1/train requests take.
+			cfg := train.Config{Model: dnn.ResNet50(), Batch: 64,
+				Graph: topology.DGX1(topology.DefaultDGX1Config()), Mode: train.ModeCC}
+			ctx := context.Background()
+			op := func() error {
+				_, err := train.RunCtx(ctx, cfg)
+				return err
+			}
+			return op, op()
+		}},
 		{"GraphPipeline8x256", false, func() (func() error, error) {
 			// Steady-state graph reuse: the graph, its resources, and every
 			// backing array are built once; each op Resets and re-Adds the
-			// 8×256 pipeline and runs it through the production Graph→Flat
-			// path, so the per-op cost must be the task work, not
+			// 8×256 pipeline and runs it through the production
+			// Graph.RunCtx, so the per-op cost must be the task work, not
 			// allocator traffic.
 			const d, k = 8, 256
 			g := des.NewGraph()
-			g.Reserve(d * k)
-			g.ReserveEdges((d - 1) * k)
 			links := make([]*des.Resource, d)
 			for l := range links {
 				links[l] = des.NewResource("link")
-				links[l].Prealloc(k)
 			}
 			prev := make([]int, k)
 			ctx := context.Background()
@@ -406,6 +421,7 @@ var Budgets = map[string]int64{
 	"Check/cluster64-ccube-128chunks":   2,
 	"Check/dgx1-ccube-16MiB":            2,
 	"Synthesize/dgx1":                   955,
+	"Train/dgx1-resnet50-CC":            2730,
 }
 
 // CheckBudgets returns a description of every bench exceeding its allocs/op

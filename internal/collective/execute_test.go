@@ -29,7 +29,7 @@ func TestExecuteFillRunZeroAllocSteadyState(t *testing.T) {
 		if err := s.fill(f, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		if total, err = s.run(ctx, f); err != nil {
+		if total, err = f.RunCtx(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -105,7 +105,7 @@ func (s *Schedule) OverlapEfficiencies() (got, want float64, err error) {
 	if err := s.fill(f, nil, nil); err != nil {
 		return 0, 0, err
 	}
-	if _, err := s.run(context.Background(), f); err != nil {
+	if _, err := f.RunCtx(context.Background()); err != nil {
 		return 0, 0, err
 	}
 	sc := metricsPool.Get().(*metricsScratch)

@@ -10,8 +10,8 @@ import (
 )
 
 // DeadChannelError reports a transfer scheduled over a channel that has
-// failed. Instantiate returns it instead of silently timing traffic over a
-// dead link; callers react by invoking RepairSchedule.
+// failed. Running or instantiating the schedule returns it instead of
+// timing traffic over a dead link; callers react with RepairSchedule.
 type DeadChannelError struct {
 	Transfer int
 	Label    string
@@ -397,9 +397,9 @@ func (s *Schedule) splice(id int, rt topology.Route) int {
 // renumber rewrites transfers into topological id order (dependencies
 // before dependents), rewriting ids, deps, and relay-slot references into a
 // fresh op slice and dependency CSR, and returns the mapping: newID[old] is
-// the id transfer old was assigned. Instantiate and the verifier both
-// require id order to respect the DAG; splice violates it by appending hops
-// that stranded transfers depend on. lastHop, when non-nil, holds those
+// the id transfer old was assigned. The verifier requires id order to
+// respect the DAG; splice violates it by appending hops that stranded
+// transfers depend on. lastHop, when non-nil, holds those
 // dependencies: transfer i keeps its own and also depends on lastHop[i]
 // when lastHop[i] >= 0. Each transfer's deps come out ascending.
 // RepairSchedule threads the mapping into PatchReport.OldToNew so delta

@@ -2,7 +2,6 @@ package collective
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"ccube/internal/des"
@@ -59,7 +58,7 @@ func (s *Schedule) ExecuteCheckpointCtx(ctx context.Context, res []*des.Resource
 	if err := s.checkResources(res); err != nil {
 		return nil, nil, err
 	}
-	r, _, cp, err := s.execute(ctx, res, false)
+	r, _, cp, err := s.execute(ctx, res, nil, false)
 	return r, cp, err
 }
 
@@ -113,32 +112,6 @@ func (s *Schedule) ResumeOnCtx(ctx context.Context, cp *Checkpoint, res []*des.R
 	// Only the remaining transfers must ride healthy channels; the executed
 	// prefix may sit on a link that has since died — that is the whole point
 	// of resuming. fill checks exactly those.
-	f := des.GetFlat()
-	defer des.PutFlat(f)
-	if err := s.fill(f, res, cp); err != nil {
-		return nil, nil, err
-	}
-	ready, err := s.readyIDs()
-	if err != nil {
-		return nil, nil, err
-	}
-	total, err := s.run(ctx, f)
-	if err != nil {
-		var fe *des.FaultError
-		if errors.As(err, &fe) {
-			return nil, s.checkpointFrom(f, max(total, cp.At)), fmt.Errorf("collective: resumed execution aborted: %w", err)
-		}
-		var ce *des.CanceledError
-		if errors.As(err, &ce) {
-			return nil, nil, fmt.Errorf("collective: resumed execution canceled: %w", err)
-		}
-		return nil, nil, fmt.Errorf("collective: resumed execution aborted: %w", err)
-	}
-	total = max(total, cp.At)
-	for i := range s.ops {
-		if cp.Executed[i] {
-			total = max(total, cp.End[i])
-		}
-	}
-	return s.result(f, ready, total), nil, nil
+	r, _, next, err := s.execute(ctx, res, cp, false)
+	return r, next, err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ccube/internal/chunk"
 	"ccube/internal/des"
@@ -169,7 +170,7 @@ func (e *StaleScheduleError) Error() string {
 		e.Built, e.Current)
 }
 
-// stamp binds the schedule to the current topology fingerprint; Instantiate
+// stamp binds the schedule to the current topology fingerprint; checkFresh
 // then fails loudly if the topology mutates underneath it.
 func (s *Schedule) stamp() { s.builtFor = s.Graph.Fingerprint() }
 
@@ -218,93 +219,52 @@ func (r *Result) Bandwidth() float64 {
 	return float64(r.Partition.TotalBytes) / r.Total.Seconds()
 }
 
-// Instantiation is the result of embedding a schedule's transfers into a
-// des.Graph: the task ids that mark chunk availability, for wiring
-// schedule completion into a larger pipeline (the training simulator chains
-// forward-compute tasks onto these).
-type Instantiation struct {
-	// ReadyTask[i][c] is the graph task id whose End makes chunk c available
-	// at Schedule.Nodes[i].
-	ReadyTask [][]int
-}
-
-// Instantiate adds the schedule's transfers to an existing des.Graph using
-// the given per-channel resources (index = ChannelID). Every transfer with
-// no intra-schedule dependencies additionally depends on startDep when
+// Instantiate appends the schedule's transfers to an existing des.Graph as
+// one block, over the given per-channel resources (index = ChannelID):
+// transfer i becomes task base+i, lowered exactly as the executors lower
+// it, with its dependencies shifted by base. Every transfer with no
+// intra-schedule dependencies additionally depends on startDep when
 // startDep >= 0 (e.g. "backward pass finished"; the one-shot collective is
-// invoked once, after all gradients exist).
-func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) (*Instantiation, error) {
-	if len(res) != s.Graph.NumChannels() {
-		return nil, fmt.Errorf("collective: %d resources for %d channels", len(res), s.Graph.NumChannels())
+// invoked once, after all gradients exist). On an error the graph holds a
+// partial block and must be discarded.
+//
+// It returns the task ids that mark chunk availability, for wiring schedule
+// completion into a larger pipeline (the training simulator chains
+// forward-compute tasks onto these): ready[i][c] is the task whose End makes
+// chunk c available at Schedule.Nodes[i].
+func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) (ready [][]int, err error) {
+	if err := s.checkResources(res); err != nil {
+		return nil, err
 	}
-	if s.builtFor != 0 {
-		if fp := s.Graph.Fingerprint(); fp != s.builtFor {
-			return nil, &StaleScheduleError{Built: s.builtFor, Current: fp}
-		}
+	if err := s.checkFresh(); err != nil {
+		return nil, err
 	}
-	ready, err := s.readyIDs()
+	ids, err := s.readyIDs()
 	if err != nil {
 		return nil, err
 	}
-	g.Reserve(len(s.ops))
-	// Size each channel's interval log up front: busy-slice growth inside
-	// the run loop was a measurable allocation source across a sweep. The
-	// graph's flat edge list and CSR payload are sized from the deps CSR,
-	// plus one startDep edge per root op.
-	chCount := make([]int, len(res))
-	edges := len(s.deps)
+	base := g.AddBlock(len(s.ops), s.depOff, s.deps, startDep)
 	for i := range s.ops {
-		op := &s.ops[i]
-		if !op.Marker() {
-			chCount[op.Channel]++
+		d, ch, err := s.lower(i)
+		if err != nil {
+			return nil, err
 		}
-		if startDep >= 0 && s.depOff[i] == s.depOff[i+1] {
-			edges++
-		}
-	}
-	g.ReserveEdges(edges)
-	for i, n := range chCount {
-		if n > 0 {
-			res[i].Prealloc(n)
-		}
-	}
-	ids := make([]int, len(s.ops))
-	var deps []int // scratch, reused: Graph.Add copies deps into its edge list
-	for i := range s.ops {
-		op := &s.ops[i]
 		var r *des.Resource
-		var d des.Time
-		if !op.Marker() {
-			ch := s.Graph.Channel(op.ChannelID())
-			if ch.Down() {
-				return nil, &DeadChannelError{Transfer: i, Label: s.Label(i), Channel: op.ChannelID(),
-					From: ch.From, To: ch.To}
-			}
-			r = res[op.Channel]
-			d = ch.TransferTime(op.Bytes)
-			if op.NoAlpha {
-				d -= ch.Latency
-			}
+		if ch >= 0 {
+			r = res[ch]
 		}
-		deps = deps[:0]
-		for _, dep := range s.depsOf(i) {
-			deps = append(deps, ids[dep])
-		}
-		if len(deps) == 0 && startDep >= 0 {
-			deps = append(deps, startDep)
-		}
-		ids[i] = g.Add(op.Kind(), r, d, deps...)
+		g.Set(base+i, s.ops[i].Kind(), r, d)
 	}
 	k := s.Partition.NumChunks()
-	readyTask := make([][]int, len(ready))
-	cells := make([]int, len(ready)*k)
-	for i, row := range ready {
-		readyTask[i] = cells[i*k : (i+1)*k : (i+1)*k]
+	ready = make([][]int, len(ids))
+	cells := make([]int, len(ids)*k)
+	for i, row := range ids {
+		ready[i] = cells[i*k : (i+1)*k : (i+1)*k]
 		for c, id := range row {
-			readyTask[i][c] = ids[id]
+			ready[i][c] = base + int(id)
 		}
 	}
-	return &Instantiation{ReadyTask: readyTask}, nil
+	return ready, nil
 }
 
 // ExecuteCtx runs the schedule on the discrete-event engine and returns
@@ -313,7 +273,7 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 // channel's occupancy. A request deadline (or explicit cancel) aborts the
 // run at its next task-pop checkpoint with a wrapped *des.CanceledError.
 func (s *Schedule) ExecuteCtx(ctx context.Context) (*Result, error) {
-	r, _, _, err := s.execute(ctx, nil, false)
+	r, _, _, err := s.execute(ctx, nil, nil, false)
 	return r, err
 }
 
@@ -329,7 +289,7 @@ func (s *Schedule) ExecuteOnCtx(ctx context.Context, res []*des.Resource) (*Resu
 	if err := s.checkResources(res); err != nil {
 		return nil, nil, err
 	}
-	r, g, _, err := s.execute(ctx, res, true)
+	r, g, _, err := s.execute(ctx, res, nil, true)
 	return r, g, err
 }
 
@@ -341,65 +301,78 @@ func (s *Schedule) checkResources(res []*des.Resource) error {
 	return nil
 }
 
-// execute is the run behind ExecuteCtx, ExecuteOnCtx and
-// ExecuteCheckpointCtx: it fills a pooled des.Flat from the ops, runs it,
-// and reads the Result off its columns. res, when non-nil, binds one
-// resource per channel. A resource fault additionally yields a checkpoint
-// of the executed prefix; export also returns the run as a des.Graph.
-func (s *Schedule) execute(ctx context.Context, res []*des.Resource, export bool) (*Result, *des.Graph, *Checkpoint, error) {
+// execute is the run behind ExecuteCtx, ExecuteOnCtx,
+// ExecuteCheckpointCtx and ResumeOnCtx: it fills a pooled des.Flat from the
+// ops, runs it, and reads the Result off its columns. res, when non-nil,
+// binds one resource per channel; cp, when non-nil, is the checkpoint the
+// run resumes from (see fill), and the clock continues from it. A resource
+// fault additionally yields a checkpoint of the executed prefix; export
+// also returns the run itself as a des.Graph, task i naming transfer i by
+// its kind.
+func (s *Schedule) execute(ctx context.Context, res []*des.Resource, cp *Checkpoint, export bool) (*Result, *des.Graph, *Checkpoint, error) {
 	f := des.GetFlat()
-	defer des.PutFlat(f)
-	if err := s.fill(f, res, nil); err != nil {
+	if !export {
+		defer des.PutFlat(f)
+	}
+	if err := s.fill(f, res, cp); err != nil {
 		return nil, nil, nil, err
 	}
 	ready, err := s.readyIDs()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	total, err := s.run(ctx, f)
+	total, err := f.RunCtx(ctx)
+	if fe, ok := err.(*des.FaultError); ok {
+		fe.Faults[0].Label = s.ops[fe.Faults[0].TaskID].Kind()
+	}
+	run := "execution"
+	if cp != nil {
+		total = max(total, cp.At)
+		run = "resumed execution"
+	}
 	if err != nil {
 		var ce *des.CanceledError
 		if errors.As(err, &ce) {
-			return nil, nil, nil, fmt.Errorf("collective: execution canceled: %w", err)
+			return nil, nil, nil, fmt.Errorf("collective: %s canceled: %w", run, err)
 		}
-		var cp *Checkpoint
+		var next *Checkpoint
 		var fe *des.FaultError
 		if errors.As(err, &fe) {
-			cp = s.checkpointFrom(f, total)
+			next = s.checkpointFrom(f, total)
 		}
-		return nil, nil, cp, fmt.Errorf("collective: execution aborted: %w", err)
+		return nil, nil, next, fmt.Errorf("collective: %s aborted: %w", run, err)
+	}
+	if cp != nil {
+		total = max(total, slices.Max(f.End)) // the executed prefix's ends too
 	}
 	r := s.result(f, ready, total)
-	if metrics.Default.Enabled() {
+	if cp == nil && metrics.Default.Enabled() {
 		s.publishExecutionMetrics(f, total)
 	}
 	var g *des.Graph
 	if export {
-		g = des.NewGraph()
-		if _, err := s.Instantiate(g, res, -1); err != nil {
-			return nil, nil, nil, err
+		labels := make([]string, len(s.ops))
+		for i := range s.ops {
+			labels[i] = s.ops[i].Kind()
 		}
-		g.Load(f)
+		g = des.RanGraph(f, labels)
 	}
 	return r, g, nil, nil
 }
 
-// fill writes the schedule into f: transfer i is task i, on resource
-// op.Channel (−1 for markers) for its alpha-beta transfer time, with one
-// successor edge per dependency. res, when non-nil, is bound one resource
-// per channel. cp, when non-nil, is a checkpoint to resume from: its
-// executed transfers count as done at their recorded End, a dependency on
-// one becomes an earliest-start bound, and each channel starts busy until
-// the checkpoint's FreeAt.
+// fill writes the schedule into f: transfer i is task i, lowered by lower,
+// with the deps CSR linked into f's successor CSR. res, when non-nil, is
+// bound one resource per channel. cp, when non-nil, is a checkpoint to
+// resume from: its executed transfers count as done at their recorded End,
+// a dependency on one becomes an earliest-start bound (des.Flat.Link), and
+// each channel starts busy until the checkpoint's FreeAt.
 //
 // fill checks what a run needs before it starts — the topology fingerprint
 // and healthy channels under the transfers still to run. It allocates
 // nothing once f's columns have grown.
 func (s *Schedule) fill(f *des.Flat, res []*des.Resource, cp *Checkpoint) error {
-	if s.builtFor != 0 {
-		if fp := s.Graph.Fingerprint(); fp != s.builtFor {
-			return &StaleScheduleError{Built: s.builtFor, Current: fp}
-		}
+	if err := s.checkFresh(); err != nil {
+		return err
 	}
 	f.Reset(len(s.ops), s.Graph.NumChannels())
 	for c, r := range res {
@@ -409,89 +382,50 @@ func (s *Schedule) fill(f *des.Flat, res []*des.Resource, cp *Checkpoint) error 
 		}
 	}
 	for i := range s.ops {
-		op := &s.ops[i]
-		f.Dur[i], f.Res[i] = 0, -1
 		if cp != nil && cp.Executed[i] {
-			f.End[i] = cp.End[i]
+			f.Dur[i], f.Res[i] = 0, -1
+			f.SetDone(i, cp.End[i])
 			continue
 		}
-		if op.Marker() {
-			continue
+		d, ch, err := s.lower(i)
+		if err != nil {
+			return err
 		}
-		ch := s.Graph.Channel(op.ChannelID())
-		if ch.Down() {
-			return &DeadChannelError{Transfer: i, Label: s.Label(i), Channel: op.ChannelID(),
-				From: ch.From, To: ch.To}
-		}
-		f.Dur[i] = ch.TransferTime(op.Bytes)
-		if op.NoAlpha {
-			f.Dur[i] -= ch.Latency
-		}
-		f.Res[i] = op.Channel
+		f.Dur[i], f.Res[i] = d, ch
 	}
-	if cp == nil {
-		s.link(f)
-	} else {
-		s.linkResumed(f, cp)
+	f.Link(s.depOff, s.deps)
+	return nil
+}
+
+// checkFresh fails with a *StaleScheduleError when the topology changed
+// since the schedule was stamped.
+func (s *Schedule) checkFresh() error {
+	if s.builtFor != 0 {
+		if fp := s.Graph.Fingerprint(); fp != s.builtFor {
+			return &StaleScheduleError{Built: s.builtFor, Current: fp}
+		}
 	}
 	return nil
 }
 
-// link writes the transfers' dependencies into f: each one's pending count
-// and the successor CSR, read off the deps CSR. Every transfer runs, so the
-// pending counts are the row lengths and every dep is one successor edge.
-func (s *Schedule) link(f *des.Flat) {
-	off, deps := s.depOff, s.deps
-	for i := range s.ops {
-		f.Pending[i] = off[i+1] - off[i]
+// lower turns transfer i into its DES task: the alpha-beta transfer time
+// and the channel it occupies, or zero and −1 for a marker. A transfer
+// riding a down channel is a *DeadChannelError.
+func (s *Schedule) lower(i int) (des.Time, int32, error) {
+	op := &s.ops[i]
+	if op.Marker() {
+		return 0, -1, nil
 	}
-	for _, d := range deps {
-		f.CountSucc(int(d))
+	ch := s.Graph.Channel(op.ChannelID())
+	if ch.Down() {
+		return 0, -1, &DeadChannelError{Transfer: i, Label: s.Label(i), Channel: op.ChannelID(),
+			From: ch.From, To: ch.To}
 	}
-	f.Link()
-	for i := range s.ops {
-		for _, d := range deps[off[i]:off[i+1]] {
-			f.AddSucc(int(d), i)
-		}
+	d := ch.TransferTime(op.Bytes)
+	if op.NoAlpha {
+		d -= ch.Latency
 	}
-}
-
-// linkResumed is link for a run resumed from cp: an executed transfer is
-// done (pending -1), and a dependency on one is an earliest-start bound
-// instead of an edge.
-func (s *Schedule) linkResumed(f *des.Flat, cp *Checkpoint) {
-	off, deps := s.depOff, s.deps
-	for i := range s.ops {
-		if cp.Executed[i] {
-			f.Pending[i] = -1
-			continue
-		}
-		var pending int32
-		var earliest des.Time
-		for _, d := range deps[off[i]:off[i+1]] {
-			if cp.Executed[d] {
-				earliest = max(earliest, cp.End[d])
-				continue
-			}
-			pending++
-			f.CountSucc(int(d))
-		}
-		f.Pending[i] = pending
-		if earliest > 0 {
-			f.SetEarliest(i, earliest)
-		}
-	}
-	f.Link()
-	for i := range s.ops {
-		if cp.Executed[i] {
-			continue
-		}
-		for _, d := range deps[off[i]:off[i+1]] {
-			if !cp.Executed[d] {
-				f.AddSucc(int(d), i)
-			}
-		}
-	}
+	return d, op.Channel, nil
 }
 
 // readyIDs returns the ChunkReady matrix holding, for now, the transfer id
@@ -527,15 +461,6 @@ func (s *Schedule) readyIDs() ([][]des.Time, error) {
 		}
 	}
 	return ready, nil
-}
-
-// run executes a filled Flat, naming a refused transfer by its kind.
-func (s *Schedule) run(ctx context.Context, f *des.Flat) (des.Time, error) {
-	total, err := f.RunCtx(ctx)
-	if fe, ok := err.(*des.FaultError); ok {
-		fe.Faults[0].Label = s.ops[fe.Faults[0].TaskID].Kind()
-	}
-	return total, err
 }
 
 // result assembles the Result of a completed run from f's columns: ready

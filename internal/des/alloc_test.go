@@ -62,7 +62,6 @@ func TestGraphRunCtxErrZeroExtraAlloc(t *testing.T) {
 	const n = 128
 	build := func() *Graph {
 		g := NewGraph()
-		g.Reserve(n)
 		prev := -1
 		for i := 0; i < n; i++ {
 			if prev < 0 {
@@ -185,33 +184,35 @@ func TestFlatRunZeroAllocSteadyState(t *testing.T) {
 	bound := NewResource("link0")
 	bound.SetSlowdownAt(500, 2)
 	bound.Prealloc(chunks)
+	// The predecessor CSR: each hop waits for the same chunk on the link
+	// before, and a join waits for every chunk on the last link.
+	join := links * chunks
+	off := make([]int32, 0, join+2)
+	var preds []int32
+	for id := 0; id < join; id++ {
+		off = append(off, int32(len(preds)))
+		if id >= chunks {
+			preds = append(preds, int32(id-chunks))
+		}
+	}
+	off = append(off, int32(len(preds)))
+	for c := 0; c < chunks; c++ {
+		preds = append(preds, int32((links-1)*chunks+c))
+	}
+	off = append(off, int32(len(preds)))
 	f := new(Flat)
 	cycle := func() {
 		bound.Reset()
-		f.Reset(links*chunks+1, links)
+		f.Reset(join+1, links)
 		f.Bind(0, bound)
 		for l := 0; l < links; l++ {
 			for c := 0; c < chunks; c++ {
 				id := l*chunks + c
-				f.Dur[id], f.Res[id], f.Pending[id] = Time(10+c%3), int32(l), 0
-				if l > 0 {
-					f.Pending[id] = 1
-					f.CountSucc(id - chunks)
-				}
+				f.Dur[id], f.Res[id] = Time(10+c%3), int32(l)
 			}
 		}
-		join := links * chunks
-		f.Dur[join], f.Res[join], f.Pending[join] = 0, -1, chunks
-		for c := 0; c < chunks; c++ {
-			f.CountSucc((links-1)*chunks + c)
-		}
-		f.Link()
-		for id := chunks; id < join; id++ {
-			f.AddSucc(id-chunks, id)
-		}
-		for c := 0; c < chunks; c++ {
-			f.AddSucc((links-1)*chunks+c, join)
-		}
+		f.Dur[join], f.Res[join] = 0, -1
+		f.Link(off, preds)
 		f.SetEarliest(3, 40)
 		if _, err := f.RunCtx(ctx); err != nil {
 			t.Fatal(err)

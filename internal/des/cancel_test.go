@@ -22,9 +22,9 @@ func TestGraphRunCtxDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cause = %v, want context.DeadlineExceeded", ce.Cause)
 	}
-	if ce.Executed != 0 || ce.Remaining != 1 || g.Task(0).End != 0 {
+	if ce.Executed != 0 || ce.Remaining != 1 || g.End(0) != 0 {
 		t.Fatalf("ce = %d executed / %d remaining, end %v; want 0/1 and nothing run",
-			ce.Executed, ce.Remaining, g.Task(0).End)
+			ce.Executed, ce.Remaining, g.End(0))
 	}
 }
 

@@ -5,9 +5,10 @@
 // GPU compute streams).
 //
 // There is one run loop, Flat.RunCtx (flat.go): tasks and resources kept in
-// columns, a successor CSR, and a monotone radix heap as the ready queue
-// (radix.go). A collective schedule fills a Flat straight from its ops;
-// a Graph is the builder API that compiles into one (graph.go).
+// columns, a successor CSR linked from a predecessor CSR, and a monotone
+// radix heap as the ready queue (radix.go). A collective schedule fills a
+// Flat straight from its ops; a Graph keeps its tasks in a Flat's columns
+// (graph.go), and a schedule joins one as a block of rows.
 //
 // Time is virtual and measured in integer nanoseconds, so runs are exactly
 // reproducible: two executions of the same graph yield bit-identical

@@ -20,8 +20,8 @@ import (
 // The differential tests hold the one run loop (Flat.RunCtx, behind
 // Graph.RunCtx and the collective executors) to the engine it replaced,
 // kept in reference_test.go: every task's Ready, Start and End, every
-// FaultError and CanceledError field, the checkpoint of an aborted run,
-// each resource's occupancy log, and the critical path.
+// FaultError and CanceledError field, the checkpoint of an aborted run and
+// each resource's occupancy log.
 
 // sameTasks requires got and want to hold the same tasks with the same
 // outcome.
@@ -31,10 +31,11 @@ func sameTasks(t *testing.T, got, want *des.Graph) {
 		t.Fatalf("%d tasks, reference has %d", got.NumTasks(), want.NumTasks())
 	}
 	for i := 0; i < want.NumTasks(); i++ {
-		g, w := got.Task(i), want.Task(i)
-		if g.Ready != w.Ready || g.Start != w.Start || g.End != w.End || got.Done(i) != want.Done(i) {
+		if got.Ready(i) != want.Ready(i) || got.Start(i) != want.Start(i) || got.End(i) != want.End(i) ||
+			des.Done(got, i) != des.Done(want, i) {
 			t.Fatalf("task %d %q: ready/start/end/done %v/%v/%v/%v, reference %v/%v/%v/%v",
-				i, w.Label, g.Ready, g.Start, g.End, got.Done(i), w.Ready, w.Start, w.End, want.Done(i))
+				i, want.Label(i), got.Ready(i), got.Start(i), got.End(i), des.Done(got, i),
+				want.Ready(i), want.Start(i), want.End(i), des.Done(want, i))
 		}
 	}
 }
@@ -86,16 +87,16 @@ func resources(g *topology.Graph, arm armFunc) []*des.Resource {
 
 // referenceRun instantiates s into a task graph over fresh resources, the
 // way the former executor did, and runs it on the reference engine.
-func referenceRun(t *testing.T, ctx context.Context, s *collective.Schedule, arm armFunc) (*des.Graph, *collective.Instantiation, []*des.Resource, des.Time, error) {
+func referenceRun(t *testing.T, ctx context.Context, s *collective.Schedule, arm armFunc) (*des.Graph, [][]int, []*des.Resource, des.Time, error) {
 	t.Helper()
 	res := resources(s.Graph, arm)
 	g := des.NewGraph()
-	inst, err := s.Instantiate(g, res, -1)
+	ready, err := s.Instantiate(g, res, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total, err := des.RunReference(ctx, g)
-	return g, inst, res, total, err
+	return g, ready, res, total, err
 }
 
 // checkSchedule runs s three ways — the reference engine, Graph.RunCtx on
@@ -104,7 +105,7 @@ func referenceRun(t *testing.T, ctx context.Context, s *collective.Schedule, arm
 // faulted.
 func checkSchedule(t *testing.T, s *collective.Schedule, arm armFunc) bool {
 	ctx := context.Background()
-	ref, inst, refRes, refTotal, refErr := referenceRun(t, ctx, s, arm)
+	ref, ready, refRes, refTotal, refErr := referenceRun(t, ctx, s, arm)
 
 	// Graph.RunCtx compiles the same graph into the run loop.
 	viaGraph := des.NewGraph()
@@ -134,9 +135,9 @@ func checkSchedule(t *testing.T, s *collective.Schedule, arm armFunc) bool {
 		// The reference graph is fresh: transfer i is task i.
 		n := 0
 		for i := range cp.Executed {
-			if cp.Executed[i] != ref.Done(i) || (cp.Executed[i] && cp.End[i] != ref.End(i)) {
+			if cp.Executed[i] != des.Done(ref, i) || (cp.Executed[i] && cp.End[i] != ref.End(i)) {
 				t.Fatalf("checkpoint transfer %d: executed %v end %v, reference %v %v",
-					i, cp.Executed[i], cp.End[i], ref.Done(i), ref.End(i))
+					i, cp.Executed[i], cp.End[i], des.Done(ref, i), ref.End(i))
 			}
 			if cp.Executed[i] {
 				n++
@@ -161,14 +162,11 @@ func checkSchedule(t *testing.T, s *collective.Schedule, arm armFunc) bool {
 	}
 	sameTasks(t, g, ref)
 	sameOccupancy(t, directRes, refRes)
-	if want, got := des.CriticalPathReference(ref), g.CriticalPath(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("critical path %v, reference %v", got, want)
-	}
 	want := &collective.Result{Total: refTotal, Turnaround: 0, Partition: s.Partition, InOrder: s.InOrder,
 		ChunkDone: make([]des.Time, s.Partition.NumChunks())}
-	for i := range inst.ReadyTask {
-		row := make([]des.Time, len(inst.ReadyTask[i]))
-		for c, id := range inst.ReadyTask[i] {
+	for i := range ready {
+		row := make([]des.Time, len(ready[i]))
+		for c, id := range ready[i] {
 			row[c] = ref.End(id)
 			want.ChunkDone[c] = max(want.ChunkDone[c], row[c])
 		}
@@ -503,7 +501,7 @@ func TestDifferentialResume(t *testing.T) {
 							t.Fatalf("merged checkpoint at %v, reference %v", next.At, max(refTotal, rcp.At))
 						}
 						for i := 0; i < n; i++ {
-							done := rcp.Executed[i] || ref.Done(ids[i])
+							done := rcp.Executed[i] || des.Done(ref, ids[i])
 							if next.Executed[i] != done || (done && next.End[i] != end(i)) {
 								t.Fatalf("merged transfer %d: executed %v end %v, reference %v %v",
 									i, next.Executed[i], next.End[i], done, end(i))
@@ -566,9 +564,6 @@ func TestDifferentialTraining(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameTasks(t, res.Graph, ref)
-			if got, want := res.Graph.CriticalPath(), des.CriticalPathReference(ref); !reflect.DeepEqual(got, want) {
-				t.Fatalf("critical path %v, reference %v", got, want)
-			}
 		})
 	}
 }
@@ -627,10 +622,6 @@ func TestRunLoopMatchesReferenceOnRandomDAGs(t *testing.T) {
 		sameTasks(t, g, ref)
 		if refErr != nil {
 			faulted++
-		} else {
-			if got, want := g.CriticalPath(), des.CriticalPathReference(ref); !reflect.DeepEqual(got, want) {
-				t.Fatalf("iter %d: critical path %v, reference %v", iter, got, want)
-			}
 		}
 	}
 	if faulted == 0 || faulted == iters {

@@ -7,8 +7,8 @@ import (
 )
 
 // Flat is the simulator's one run loop and its state, kept in columns
-// indexed by task id and by resource index. Graph.RunCtx compiles its tasks
-// into a Flat; a collective schedule fills one straight from its ops.
+// indexed by task id and by resource index. A Graph keeps its tasks in a
+// Flat's columns; a collective schedule fills one straight from its ops.
 //
 // Task i occupies resource Res[i] (−1 for none) for Dur[i] once its
 // Pending[i] predecessors have ended; its successors are
@@ -22,9 +22,9 @@ import (
 // compare and an add per grant. Reset keeps every backing array, so a warm
 // Flat runs without allocating.
 type Flat struct {
-	// Task columns: the caller sets Dur, Res and Pending and builds the
-	// successor CSR with CountSucc, Link and AddSucc; RunCtx fills Ready,
-	// Start and End.
+	// Task columns: the caller sets Dur and Res, marks executed tasks with
+	// SetDone, and derives Pending and the successor CSR from a
+	// predecessor CSR with Link; RunCtx fills Ready, Start and End.
 	Dur     []Time
 	Res     []int32
 	Pending []int32
@@ -39,6 +39,7 @@ type Flat struct {
 	Busy   []Time
 
 	earliest []Time      // lower bounds on readiness; empty when no task has one
+	resumed  bool        // some task was marked executed by SetDone
 	bound    []*Resource // per resource index: the bound Resource, or nil
 	q        radixQueue
 }
@@ -56,24 +57,29 @@ func PutFlat(f *Flat) {
 	flatPool.Put(f)
 }
 
-// Reset sizes f for tasks tasks over resources resources: Ready, Start,
-// End, FreeAt, Busy and the CSR offsets are zeroed, nothing is bound, and
-// no task has an earliest bound. Dur, Res and Pending keep stale values:
-// the caller sets every entry.
+// Reset sizes f for tasks tasks over resources resources: Pending, Ready,
+// Start, End, FreeAt and Busy are zeroed, nothing is bound, and no task is
+// executed or has an earliest bound. Dur and Res keep stale values: the
+// caller sets every entry.
 func (f *Flat) Reset(tasks, resources int) {
 	f.Dur = resize(f.Dur, tasks)
+	f.earliest = f.earliest[:0]
+	f.resumed = false
+	f.size(resources)
+}
+
+// size sizes every column but Dur and earliest for len(f.Dur) tasks over
+// resources resources, as Reset describes.
+func (f *Flat) size(resources int) {
+	tasks := len(f.Dur)
 	f.Res = resize(f.Res, tasks)
-	f.Pending = resize(f.Pending, tasks)
+	f.Pending = zeroed(f.Pending, tasks)
 	f.Ready = zeroed(f.Ready, tasks)
 	f.Start = zeroed(f.Start, tasks)
 	f.End = zeroed(f.End, tasks)
-	// SuccOff carries one extra slot while counting; Link trims it.
-	f.SuccOff = zeroed(f.SuccOff, tasks+2)
-	f.Succ = f.Succ[:0]
 	f.FreeAt = zeroed(f.FreeAt, resources)
 	f.Busy = zeroed(f.Busy, resources)
 	f.bound = zeroed(f.bound, resources)
-	f.earliest = f.earliest[:0]
 }
 
 // resize returns s with length n, reallocating only when it lacks capacity.
@@ -111,25 +117,71 @@ func (f *Flat) SetEarliest(i int, t Time) {
 	f.earliest[i] = t
 }
 
-// CountSucc counts one successor edge out of task pred. Count every edge,
-// call Link, then add every edge with AddSucc.
-func (f *Flat) CountSucc(pred int) { f.SuccOff[pred+2]++ }
-
-// Link turns the counts into CSR offsets and sizes Succ for the edges.
-func (f *Flat) Link() {
-	off := f.SuccOff
-	for i := 2; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	f.Succ = resize(f.Succ, int(off[len(off)-1]))
-	f.SuccOff = off[:len(off)-1]
+// SetDone marks task i as already executed, ending at end: the run will
+// not queue it, and Link turns a dependency on it into an earliest-start
+// bound.
+func (f *Flat) SetDone(i int, end Time) {
+	f.Pending[i], f.End[i] = -1, end
+	f.resumed = true
 }
 
-// AddSucc records succ as the next successor of pred. After the last edge,
-// task i's successors are Succ[SuccOff[i]:SuccOff[i+1]] in the order added.
-func (f *Flat) AddSucc(pred, succ int) {
-	f.Succ[f.SuccOff[pred+1]] = int32(succ)
-	f.SuccOff[pred+1]++
+// Link derives Pending and the successor CSR from a predecessor CSR: task
+// i depends on preds[off[i]:off[i+1]]. A task marked executed (SetDone)
+// waits on nothing, and a dependency on one is no wait but an
+// earliest-start bound at its End. Every other task's Pending becomes its
+// count of unexecuted predecessors, and its successors come out in
+// ascending id order. An executed task's successor row is never read: it
+// never runs.
+func (f *Flat) Link(off, preds []int32) {
+	n := len(f.Dur)
+	pending := f.Pending[:n]
+	// SuccOff carries one extra slot while counting: task p's successors
+	// are counted at p+2, shift down to p+1 as they are placed, and end at
+	// p+1 after the last.
+	so := zeroed(f.SuccOff, n+2)
+	for i := range pending {
+		if pending[i] >= 0 {
+			pending[i] = off[i+1] - off[i]
+		}
+	}
+	for _, p := range preds[off[0]:off[n]] {
+		so[p+2]++
+	}
+	if f.resumed {
+		for i := range pending {
+			row := preds[off[i]:off[i+1]]
+			if pending[i] < 0 {
+				for _, p := range row {
+					so[p+2]--
+				}
+				continue
+			}
+			var bound Time
+			for _, p := range row {
+				if pending[p] < 0 {
+					pending[i]--
+					bound = max(bound, f.End[p])
+				}
+			}
+			if bound > 0 && (len(f.earliest) == 0 || bound > f.earliest[i]) {
+				f.SetEarliest(i, bound)
+			}
+		}
+	}
+	for i := 2; i < len(so); i++ {
+		so[i] += so[i-1]
+	}
+	succ := resize(f.Succ, int(so[n+1]))
+	for i := range pending {
+		if pending[i] < 0 {
+			continue
+		}
+		for _, p := range preds[off[i]:off[i+1]] {
+			succ[so[p+1]] = int32(i)
+			so[p+1]++
+		}
+	}
+	f.Succ, f.SuccOff = succ, so[:n+1]
 }
 
 // Done reports whether task i completed in the last run.

@@ -3,120 +3,130 @@ package des
 import (
 	"context"
 	"fmt"
+	"slices"
 )
 
-// Task is a unit of work in a dependency graph. A task becomes ready when all
-// of its dependencies have ended; it then occupies its Resource (if any) for
-// Duration. Tasks without a Resource model pure delays (or instantaneous
-// joins when Duration is zero).
-type Task struct {
-	ID       int
-	Label    string
-	Resource *Resource // nil for a delay/join task
-	Duration Time
-
-	// Filled in by Graph.RunCtx.
-	Ready Time // when all dependencies ended
-	Start Time // when the resource was granted
-	End   Time // Start + Duration (after resource slowdown)
-
-	deps     int // declared dependencies
-	done     bool
-	earliest Time // lower bound on readiness independent of deps
-}
-
-// Graph is a DAG of Tasks executed over serialized Resources. Build it once,
+// Graph is a DAG of tasks executed over serialized Resources. Build it once,
 // then call RunCtx; the computed Start/End times answer every timing question an
-// experiment asks.
+// experiment asks. A task becomes ready when all of its dependencies have
+// ended; it then occupies its Resource (if any) for its duration. Tasks
+// without a Resource model pure delays (or joins, when instantaneous).
 //
-// Tasks live in one contiguous slice — adding a task is an amortized slice
-// append, not a heap allocation per task (use Reserve when the count is
-// known). The *Task pointers returned by Task are therefore only stable
-// once construction is done: hold ids, not pointers, while still adding.
-// Dependency edges accumulate in one flat list; RunCtx compiles tasks and
-// edges into the columns of the graph's Flat and runs the one run loop
-// there.
+// Tasks are rows of the graph's Flat columns plus a resource and a label,
+// and task i depends on preds[predOff[i]:predOff[i+1]]. RunCtx binds each
+// distinct Resource once, links the CSR into the Flat and runs the one run
+// loop there; Start, End and Ready read the outcome off its columns.
 type Graph struct {
-	tasks []Task
-	edges []depEdge // (pred, succ) in insertion order
-	flat  *Flat     // run scratch, kept across Reset/run cycles
-	ran   bool
+	f       Flat
+	res     []*Resource // per task: the resource it occupies, nil for a delay
+	labels  []string
+	predOff []int32
+	preds   []int32
+	ran     bool
 }
-
-type depEdge struct{ pred, succ int32 }
 
 // NewGraph returns an empty task graph.
-func NewGraph() *Graph { return &Graph{} }
-
-// Reserve preallocates capacity for n tasks, so the following Adds don't
-// grow the slice. Schedule instantiation knows its task count up front.
-func (g *Graph) Reserve(n int) {
-	if cap(g.tasks)-len(g.tasks) < n {
-		grown := make([]Task, len(g.tasks), len(g.tasks)+n) // prealloc: sizing the task store once
-		copy(grown, g.tasks)
-		g.tasks = grown
-	}
-}
-
-// ReserveEdges preallocates capacity for n additional dependency edges, so
-// edge-heavy schedules declare dependencies without growing the list.
-func (g *Graph) ReserveEdges(n int) {
-	if cap(g.edges)-len(g.edges) < n {
-		grown := make([]depEdge, len(g.edges), len(g.edges)+n) // prealloc: sizing the edge list once
-		copy(grown, g.edges)
-		g.edges = grown
-	}
-}
+func NewGraph() *Graph { return &Graph{predOff: []int32{0}} }
 
 // Reset returns the graph to the empty, never-ran state while keeping every
-// backing allocation — task store, edge list and run scratch — so a caller
-// rebuilding a same-shape graph reuses the warm capacity instead of
+// backing allocation — task columns, predecessor CSR and run scratch — so a
+// caller rebuilding a same-shape graph reuses the warm capacity instead of
 // reallocating it.
 // Resources are not touched; reset them separately if they are reused too.
 func (g *Graph) Reset() {
-	g.tasks = g.tasks[:0]
-	g.edges = g.edges[:0]
+	g.res = g.res[:0]
+	g.labels = g.labels[:0]
+	g.f.Dur = g.f.Dur[:0]
+	g.f.earliest = g.f.earliest[:0]
+	g.predOff = append(g.predOff[:0], 0) // amortized: reuses the offsets' array
+	g.preds = g.preds[:0]
 	g.ran = false
 }
 
 // NumTasks reports how many tasks have been added.
-func (g *Graph) NumTasks() int { return len(g.tasks) }
-
-// Task returns the task with the given id. The pointer aliases the graph's
-// task store: it is invalidated by a later Add, so only retain it after
-// construction is complete.
-func (g *Graph) Task(id int) *Task { return &g.tasks[id] }
+func (g *Graph) NumTasks() int { return len(g.res) }
 
 // Add appends a task occupying res for d, depending on the given task ids,
-// and returns its id. A nil res models a pure delay.
+// and returns its id. A nil res models a pure delay. Dependencies must
+// already exist (the graph is built topologically).
 func (g *Graph) Add(label string, res *Resource, d Time, deps ...int) int {
+	id := g.addRows(1)
+	g.Set(id, label, res, d)
+	for _, p := range deps {
+		if p < 0 || p >= id {
+			panic(fmt.Sprintf("des: task %q depends on unknown task %d", label, p))
+		}
+		g.preds = append(g.preds, int32(p)) // amortized: one CSR for all dependencies
+	}
+	g.predOff = append(g.predOff, int32(len(g.preds))) // amortized: Reset keeps the offsets
+	return id
+}
+
+// AddBlock appends n tasks as one block and returns the first one's id,
+// base. Block task i depends on block task p for every p in
+// preds[off[i]:off[i+1]], and a block task with no such dependency depends
+// on root instead when root >= 0. The tasks start as zero-duration delays;
+// Set gives each its label, resource and duration.
+func (g *Graph) AddBlock(n int, off, preds []int32, root int) int {
+	if root >= len(g.res) {
+		panic(fmt.Sprintf("des: block depends on unknown task %d", root))
+	}
+	base := g.addRows(n)
+	for i := 0; i < n; i++ {
+		row := preds[off[i]:off[i+1]]
+		if len(row) == 0 && root >= 0 {
+			g.preds = append(g.preds, int32(root)) // amortized: Reset keeps the CSR
+		}
+		for _, p := range row {
+			g.preds = append(g.preds, int32(base)+p) // amortized: Reset keeps the CSR
+		}
+		g.predOff = append(g.predOff, int32(len(g.preds))) // amortized: Reset keeps the CSR
+	}
+	return base
+}
+
+// addRows appends n zero rows to the task columns and returns the first
+// one's id.
+func (g *Graph) addRows(n int) int {
 	if g.ran {
 		panic("des: adding task to a graph that already ran")
+	}
+	if len(g.predOff) == 0 {
+		g.predOff = append(g.predOff, 0) // amortized: once per zero-value graph
+	}
+	id := len(g.res)
+	g.res = extend(g.res, n)
+	g.labels = extend(g.labels, n)
+	g.f.Dur = extend(g.f.Dur, n)
+	if len(g.f.earliest) > 0 {
+		g.f.earliest = extend(g.f.earliest, n)
+	}
+	return id
+}
+
+// extend returns s with n more entries, zeroed. It grows s only past the
+// capacity Reset keeps, so a warm graph adds rows without allocating.
+func extend[T any](s []T, n int) []T {
+	s = slices.Grow(s, n)[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
+}
+
+// Set makes task id occupy res for d under label. A nil res models a pure
+// delay.
+func (g *Graph) Set(id int, label string, res *Resource, d Time) {
+	if g.ran {
+		panic("des: mutating a graph that already ran")
 	}
 	if d < 0 {
 		panic(fmt.Sprintf("des: task %q has negative duration %v", label, d))
 	}
-	id := len(g.tasks)
-	g.tasks = append(g.tasks, Task{ID: id, Label: label, Resource: res, Duration: d}) // amortized: Reserve sizes the store
-	g.AddDeps(id, deps...)
-	return id
+	g.labels[id], g.res[id], g.f.Dur[id] = label, res, d
 }
 
-// AddDeps declares that task id depends on each task in deps. Dependencies
-// must already exist and must precede id (the graph is built topologically).
-func (g *Graph) AddDeps(id int, deps ...int) {
-	t := &g.tasks[id]
-	for _, d := range deps {
-		if d < 0 || d >= len(g.tasks) {
-			panic(fmt.Sprintf("des: task %q depends on unknown task %d", t.Label, d))
-		}
-		if d == id {
-			panic(fmt.Sprintf("des: task %q depends on itself", t.Label))
-		}
-		g.edges = append(g.edges, depEdge{pred: int32(d), succ: int32(id)}) // amortized: one flat list for all edges
-		t.deps++
-	}
-}
+// SetLabel renames task id; unlike every other mutator it may be called
+// after the run, to name tasks for timeline export.
+func (g *Graph) SetLabel(id int, label string) { g.labels[id] = label }
 
 // SetEarliest sets a lower bound on when the task may become ready,
 // independent of its dependencies (e.g. an external arrival time).
@@ -124,7 +134,7 @@ func (g *Graph) SetEarliest(id int, t Time) {
 	if g.ran {
 		panic("des: mutating a graph that already ran")
 	}
-	g.tasks[id].earliest = t
+	g.f.SetEarliest(id, t)
 }
 
 // TaskFault identifies one task refused by its failed resource.
@@ -165,155 +175,81 @@ func (e *FaultError) Error() string {
 //
 // Either way the graph counts as ran. Dependency cycles panic — they are
 // construction bugs, not faults. The run itself is Flat.RunCtx over the
-// graph compiled into its Flat; the times are copied back into the tasks.
+// graph's columns.
 func (g *Graph) RunCtx(ctx context.Context) (Time, error) {
 	if g.ran {
 		panic("des: graph ran twice")
 	}
 	g.ran = true
-	if g.flat == nil {
-		g.flat = new(Flat)
-	}
-	f := g.flat
-	g.compile(f)
-	makespan, err := f.RunCtx(ctx)
-	g.Load(f)
-	if fe, ok := err.(*FaultError); ok {
-		fe.Faults[0].Label = g.tasks[fe.Faults[0].TaskID].Label
-	}
-	return makespan, err
-}
-
-// compile writes the graph into f: one task column entry per task, one
-// resource index per distinct Resource (bound, so its plan applies and its
-// occupancy is logged), and the successor CSR in edge insertion order.
-func (g *Graph) compile(f *Flat) {
-	for i := range g.tasks {
-		if r := g.tasks[i].Resource; r != nil {
+	for _, r := range g.res {
+		if r != nil {
 			r.slot = -1
 		}
 	}
 	var nres int32
-	for i := range g.tasks {
-		if r := g.tasks[i].Resource; r != nil && r.slot < 0 {
+	for _, r := range g.res {
+		if r != nil && r.slot < 0 {
 			r.slot = nres
 			nres++
 		}
 	}
-	f.Reset(len(g.tasks), int(nres))
-	for i := range g.tasks {
-		t := &g.tasks[i]
-		f.Dur[i] = t.Duration
-		f.Pending[i] = int32(t.deps)
+	// Bind each resource once, sizing its interval log for its tasks up
+	// front so no grant grows it; Busy counts the tasks until the run sums
+	// occupancy into it.
+	f := &g.f
+	f.size(int(nres))
+	for i, r := range g.res {
 		f.Res[i] = -1
-		if r := t.Resource; r != nil {
+		if r != nil {
 			f.Res[i] = r.slot
-			f.Bind(int(r.slot), r)
-		}
-		if t.earliest != 0 {
-			f.SetEarliest(i, t.earliest)
+			f.bound[r.slot] = r
+			f.Busy[r.slot]++
 		}
 	}
-	for _, e := range g.edges {
-		f.CountSucc(int(e.pred))
+	for k, r := range f.bound {
+		f.Bind(k, r)
+		r.Prealloc(int(f.Busy[k]))
 	}
-	f.Link()
-	for _, e := range g.edges {
-		f.AddSucc(int(e.pred), int(e.succ))
+	clear(f.Busy)
+	f.Link(g.predOff, g.preds)
+	makespan, err := f.RunCtx(ctx)
+	if fe, ok := err.(*FaultError); ok {
+		fe.Faults[0].Label = g.labels[fe.Faults[0].TaskID]
 	}
+	return makespan, err
 }
 
-// Load records a run of f as the graph's outcome and marks the graph ran:
-// task i takes f's Ready, Start and End for task i and counts as done when
-// f ran it. f must hold the graph's tasks under the same ids — compiled by
-// RunCtx, or filled by a caller that ran the same tasks straight from its
-// own representation and wants them as a Graph (for timeline export).
-func (g *Graph) Load(f *Flat) {
-	if len(f.Dur) != len(g.tasks) {
-		panic(fmt.Sprintf("des: loading a run of %d tasks into a graph of %d", len(f.Dur), len(g.tasks)))
+// RanGraph wraps a finished run of f as a graph for timeline export: task i
+// is f's task i, named labels[i], on the Resource bound at f.Res[i]. The
+// graph takes f over; the caller must not touch f afterwards.
+func RanGraph(f *Flat, labels []string) *Graph {
+	if len(labels) != len(f.Dur) {
+		panic(fmt.Sprintf("des: %d labels for a run of %d tasks", len(labels), len(f.Dur)))
 	}
-	g.ran = true
-	for i := range g.tasks {
-		t := &g.tasks[i]
-		t.Ready, t.Start, t.End = f.Ready[i], f.Start[i], f.End[i]
-		t.done = f.Done(i)
+	res := make([]*Resource, len(f.Dur))
+	for i, k := range f.Res {
+		if k >= 0 {
+			res[i] = f.bound[k]
+		}
 	}
+	return &Graph{f: *f, res: res, labels: labels, ran: true}
 }
 
 // Ran reports whether RunCtx has executed.
 func (g *Graph) Ran() bool { return g.ran }
 
+// Label returns task id's label.
+func (g *Graph) Label(id int) string { return g.labels[id] }
+
+// Resource returns the resource task id occupies, nil for a delay.
+func (g *Graph) Resource(id int) *Resource { return g.res[id] }
+
+// Ready returns when task id's dependencies had all ended (valid after
+// RunCtx).
+func (g *Graph) Ready(id int) Time { return g.f.Ready[id] }
+
+// Start returns when task id was granted its resource (valid after RunCtx).
+func (g *Graph) Start(id int) Time { return g.f.Start[id] }
+
 // End returns the end time of task id (valid after RunCtx).
-func (g *Graph) End(id int) Time { return g.tasks[id].End }
-
-// Done reports whether task id completed. After a clean run every task is
-// done; after an aborted run (FaultError, CanceledError) the done set is the
-// executed prefix, which is what checkpoint/resume machinery needs to decide
-// which work survives a mid-run repair.
-func (g *Graph) Done(id int) bool { return g.tasks[id].done }
-
-// Makespan recomputes the maximum End across all tasks (valid after RunCtx).
-func (g *Graph) Makespan() Time {
-	var m Time
-	for i := range g.tasks {
-		if g.tasks[i].End > m {
-			m = g.tasks[i].End
-		}
-	}
-	return m
-}
-
-// CriticalPath returns one chain of task ids ending at the makespan task,
-// following, at each step, the dependency whose End equals the task's Ready
-// time (the first such dependency in declaration order). Useful for
-// explaining where time went in an experiment.
-func (g *Graph) CriticalPath() []int {
-	if len(g.tasks) == 0 {
-		return nil
-	}
-	// Find the makespan task.
-	last := 0
-	for i := range g.tasks {
-		if g.tasks[i].End > g.tasks[last].End {
-			last = i
-		}
-	}
-	// The predecessor view: a counting sort of the edge list by successor,
-	// stable in declaration order, so task i's dependencies are
-	// pred[off[i]:off[i+1]].
-	off := make([]int32, len(g.tasks)+1)
-	for _, e := range g.edges {
-		off[e.succ+1]++
-	}
-	for i := 1; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	pred := make([]int32, len(g.edges))
-	next := make([]int32, len(g.tasks))
-	copy(next, off)
-	for _, e := range g.edges {
-		pred[next[e.succ]] = e.pred
-		next[e.succ]++
-	}
-	var path []int
-	cur := last
-	for {
-		path = append(path, cur)
-		next := -1
-		for _, p := range pred[off[cur]:off[cur+1]] {
-			if g.tasks[p].End == g.tasks[cur].Ready {
-				next = int(p)
-				break
-			}
-		}
-		if next < 0 {
-			break
-		}
-		cur = next
-	}
-	// Reverse into source-to-sink order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
-}
+func (g *Graph) End(id int) Time { return g.f.End[id] }

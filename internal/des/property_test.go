@@ -41,33 +41,30 @@ func TestGraphPropertyInvariants(t *testing.T) {
 
 		var maxEnd Time
 		for i := 0; i < g.NumTasks(); i++ {
-			task := g.Task(i)
+			start, end := g.Start(i), g.End(i)
 			// Start/End consistency.
-			if task.Start < task.Ready {
-				t.Fatalf("iter %d task %d: start %v before ready %v", iter, i, task.Start, task.Ready)
+			if start < g.Ready(i) {
+				t.Fatalf("iter %d task %d: start %v before ready %v", iter, i, start, g.Ready(i))
 			}
-			if task.End < task.Start {
-				t.Fatalf("iter %d task %d: end %v before start %v", iter, i, task.End, task.Start)
+			if end < start {
+				t.Fatalf("iter %d task %d: end %v before start %v", iter, i, end, start)
 			}
-			if task.Resource == nil && task.End != task.Start+task.Duration {
+			if g.Resource(i) == nil && end != start+g.f.Dur[i] {
 				t.Fatalf("iter %d task %d: delay task duration wrong", iter, i)
 			}
 			// Causality: no task starts before all dependencies ended.
 			for _, d := range deps[i] {
-				if task.Start < g.Task(d).End {
+				if start < g.End(d) {
 					t.Fatalf("iter %d: task %d started %v before dep %d ended %v",
-						iter, i, task.Start, d, g.Task(d).End)
+						iter, i, start, d, g.End(d))
 				}
 			}
-			if task.End > maxEnd {
-				maxEnd = task.End
+			if end > maxEnd {
+				maxEnd = end
 			}
 		}
 		if makespan != maxEnd {
 			t.Fatalf("iter %d: makespan %v != max end %v", iter, makespan, maxEnd)
-		}
-		if g.Makespan() != maxEnd {
-			t.Fatalf("iter %d: Makespan() %v != max end %v", iter, g.Makespan(), maxEnd)
 		}
 		// Resource serialization.
 		for _, r := range res {
@@ -90,7 +87,7 @@ func TestGraphDeterminism(t *testing.T) {
 		t.Fatal("identical graphs produced different makespans")
 	}
 	for i := 0; i < g1.NumTasks(); i++ {
-		if g1.Task(i).Start != g2.Task(i).Start || g1.Task(i).End != g2.Task(i).End {
+		if g1.Start(i) != g2.Start(i) || g1.End(i) != g2.End(i) {
 			t.Fatalf("task %d timing differs between identical runs", i)
 		}
 	}
@@ -105,9 +102,8 @@ func TestGraphWorkConservation(t *testing.T) {
 		mustRun(t, g)
 		var wantBusy Time
 		for i := 0; i < g.NumTasks(); i++ {
-			task := g.Task(i)
-			if task.Resource != nil {
-				wantBusy += task.End - task.Start
+			if g.Resource(i) != nil {
+				wantBusy += g.End(i) - g.Start(i)
 			}
 		}
 		var gotBusy Time
@@ -116,29 +112,6 @@ func TestGraphWorkConservation(t *testing.T) {
 		}
 		if gotBusy != wantBusy {
 			t.Fatalf("iter %d: busy %v != scheduled %v", iter, gotBusy, wantBusy)
-		}
-	}
-}
-
-func TestCriticalPathProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for iter := 0; iter < 50; iter++ {
-		g, _, _ := randomGraph(rng)
-		mustRun(t, g)
-		path := g.CriticalPath()
-		if len(path) == 0 {
-			t.Fatalf("iter %d: empty critical path", iter)
-		}
-		// The path ends at a makespan task and is causally ordered.
-		last := g.Task(path[len(path)-1])
-		if last.End != g.Makespan() {
-			t.Fatalf("iter %d: critical path ends at %v, makespan %v", iter, last.End, g.Makespan())
-		}
-		for i := 1; i < len(path); i++ {
-			prev, cur := g.Task(path[i-1]), g.Task(path[i])
-			if prev.End > cur.Ready {
-				t.Fatalf("iter %d: critical path not causally ordered", iter)
-			}
 		}
 	}
 }

@@ -6,38 +6,46 @@ import (
 )
 
 // This file keeps the task-graph engine the one run loop (Flat.RunCtx)
-// replaced: a binary ready heap over 96-byte Tasks, a per-run CSR compiled
-// from the edge list, and per-reservation Resource bookkeeping. It is the
-// reference the differential tests (differential_test.go) hold the run loop
-// to, Start, End and Ready of every task and every FaultError and
-// CanceledError field included.
+// replaced: a binary ready heap over per-task state, a successor CSR
+// compiled per run, and per-reservation Resource bookkeeping. It reads a
+// Graph's task columns and predecessor CSR and writes its outcome into the
+// same Ready, Start and End columns (and marks executed tasks in Pending),
+// so the Graph accessors read either engine's run. It is the reference the
+// differential tests (differential_test.go) hold the run loop to, Start,
+// End and Ready of every task and every FaultError and CanceledError field
+// included.
 
 // RunReference runs g on the reference engine. Like RunCtx it may be
 // called once per graph.
 func RunReference(ctx context.Context, g *Graph) (Time, error) { return g.referenceRunCtx(ctx) }
 
+// Done reports whether task id completed in g's run.
+func Done(g *Graph, id int) bool { return g.f.Done(id) }
+
 // CloneUnrun returns a copy of g's structure — tasks, durations, earliest
-// bounds and edges — that has not run, over fresh copies of its resources
-// that keep their slowdown and failure plans but no occupancy, as they were
-// before a run of fresh resources. It lets a test rerun a graph some
-// package built and ran on the reference engine.
+// bounds and dependencies — that has not run, over fresh copies of its
+// resources that keep their slowdown and failure plans but no occupancy, as
+// they were before a run of fresh resources. It lets a test rerun a graph
+// some package built and ran on the reference engine.
 func CloneUnrun(g *Graph) *Graph {
 	clones := map[*Resource]*Resource{}
 	out := NewGraph()
-	for _, t := range g.tasks {
+	for i, src := range g.res {
 		var r *Resource
-		if t.Resource != nil {
-			if r = clones[t.Resource]; r == nil {
-				src := t.Resource
+		if src != nil {
+			if r = clones[src]; r == nil {
 				r = &Resource{Name: src.Name, slowdownPPM: src.slowdownPPM,
 					breaks: append([]slowBreak(nil), src.breaks...), failAt: src.failAt, hasFail: src.hasFail}
 				clones[src] = r
 			}
 		}
-		out.tasks = append(out.tasks, Task{ID: t.ID, Label: t.Label, Resource: r, Duration: t.Duration,
-			deps: t.deps, earliest: t.earliest})
+		out.Add(g.labels[i], r, g.f.Dur[i])
+		if len(g.f.earliest) > 0 && g.f.earliest[i] != 0 {
+			out.SetEarliest(i, g.f.earliest[i])
+		}
 	}
-	out.edges = append(out.edges, g.edges...)
+	out.predOff = append(out.predOff[:0], g.predOff...)
+	out.preds = append(out.preds, g.preds...)
 	return out
 }
 
@@ -70,13 +78,13 @@ func (r *Resource) reserve(ready Time, d Time, taskID int) (start, end Time, err
 	return start, end, nil
 }
 
-// referenceAdjacency compiles the flat edge list into CSR arrays: a
-// counting sort by predecessor, stable in insertion order. Dependents of
-// task i are depAdj[depOff[i-1]:depOff[i]] (depOff[-1] treated as 0).
+// referenceAdjacency compiles the predecessor CSR into successor CSR
+// arrays: a counting sort by predecessor, stable in task order. Dependents
+// of task i are depAdj[depOff[i-1]:depOff[i]] (depOff[-1] treated as 0).
 func (g *Graph) referenceAdjacency() (depOff, depAdj []int32) {
-	depOff = make([]int32, len(g.tasks))
-	for _, e := range g.edges {
-		depOff[e.pred]++
+	depOff = make([]int32, len(g.res))
+	for _, p := range g.preds {
+		depOff[p]++
 	}
 	var sum int32
 	for i := range depOff {
@@ -84,22 +92,30 @@ func (g *Graph) referenceAdjacency() (depOff, depAdj []int32) {
 		depOff[i] = sum // start offset of task i
 		sum += c
 	}
-	depAdj = make([]int32, len(g.edges))
-	for _, e := range g.edges {
-		depAdj[depOff[e.pred]] = e.succ
-		depOff[e.pred]++
+	depAdj = make([]int32, len(g.preds))
+	for i := range g.res {
+		for _, p := range g.preds[g.predOff[i]:g.predOff[i+1]] {
+			depAdj[depOff[p]] = int32(i)
+			depOff[p]++
+		}
 	}
 	return depOff, depAdj
 }
 
-func readyLess(tasks []Task, a, b int32) bool {
+// refTask is the reference engine's per-task run state.
+type refTask struct {
+	Ready Time
+	deps  int // dependencies not yet ended
+}
+
+func readyLess(tasks []refTask, a, b int32) bool {
 	if tasks[a].Ready != tasks[b].Ready {
 		return tasks[a].Ready < tasks[b].Ready
 	}
 	return a < b
 }
 
-func readyPush(tasks []Task, h []int32, id int32) []int32 {
+func readyPush(tasks []refTask, h []int32, id int32) []int32 {
 	h = append(h, id)
 	i := len(h) - 1
 	for i > 0 {
@@ -113,7 +129,7 @@ func readyPush(tasks []Task, h []int32, id int32) []int32 {
 	return h
 }
 
-func readyPop(tasks []Task, h []int32) (int32, []int32) {
+func readyPop(tasks []refTask, h []int32) (int32, []int32) {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
@@ -152,14 +168,40 @@ func (g *Graph) referenceRunCtx(ctx context.Context) (Time, error) {
 		return depAdj[start:depOff[id]]
 	}
 	done := ctx.Done()
-
-	ready := make([]int32, 0, len(g.tasks))
-	for i := range g.tasks {
-		t := &g.tasks[i]
-		if t.deps == 0 {
-			t.Ready = t.earliest
-			ready = readyPush(g.tasks, ready, int32(i))
+	earliest := func(i int) Time {
+		if len(g.f.earliest) == 0 {
+			return 0
 		}
+		return g.f.earliest[i]
+	}
+	n := len(g.res)
+	g.f.size(0)
+	// Size the interval logs as Graph.RunCtx does, so both engines leave
+	// them alike.
+	count := map[*Resource]int{}
+	for _, r := range g.res {
+		if r != nil {
+			count[r]++
+		}
+	}
+	for r, c := range count {
+		r.Prealloc(c)
+	}
+	tasks := make([]refTask, n)
+	ready := make([]int32, 0, n)
+	for i := range tasks {
+		t := &tasks[i]
+		t.deps = int(g.predOff[i+1] - g.predOff[i])
+		if t.deps == 0 {
+			t.Ready = earliest(i)
+			g.f.Ready[i] = t.Ready
+			ready = readyPush(tasks, ready, int32(i))
+		}
+	}
+	// record writes a task's outcome into the graph's columns.
+	record := func(id int32, start, end Time) {
+		g.f.Ready[id], g.f.Start[id], g.f.End[id] = tasks[id].Ready, start, end
+		g.f.Pending[id] = -1
 	}
 
 	var makespan Time
@@ -171,97 +213,62 @@ func (g *Graph) referenceRunCtx(ctx context.Context) (Time, error) {
 				return makespan, &CanceledError{
 					At:        makespan,
 					Executed:  executed,
-					Remaining: len(g.tasks) - executed,
+					Remaining: n - executed,
 					Cause:     context.Cause(ctx),
 				}
 			default:
 			}
 		}
 		var id int32
-		id, ready = readyPop(g.tasks, ready)
-		t := &g.tasks[id]
-		if t.Resource != nil {
-			start, end, err := t.Resource.reserve(t.Ready, t.Duration, t.ID)
+		id, ready = readyPop(tasks, ready)
+		t := &tasks[id]
+		var start, end Time
+		if r := g.res[id]; r != nil {
+			var err error
+			start, end, err = r.reserve(t.Ready, g.f.Dur[id], int(id))
 			if err != nil {
 				ref := err.(*refusal)
 				return makespan, &FaultError{
 					Faults: []TaskFault{{
-						TaskID:   t.ID,
-						Label:    t.Label,
+						TaskID:   int(id),
+						Label:    g.labels[id],
 						Resource: ref.Resource,
 						At:       ref.At,
 						FailedAt: ref.FailedAt,
 					}},
 					Executed: executed,
-					Total:    len(g.tasks),
+					Total:    n,
 				}
 			}
-			t.Start, t.End = start, end
 		} else {
-			t.Start = t.Ready
-			t.End = t.Start + t.Duration
+			start = t.Ready
+			end = start + g.f.Dur[id]
 		}
-		t.done = true
+		record(id, start, end)
 		executed++
-		if t.End > makespan {
-			makespan = t.End
+		if end > makespan {
+			makespan = end
 		}
 		for _, did := range dependents(id) {
-			d := &g.tasks[did]
-			if t.End > d.Ready {
-				d.Ready = t.End
+			d := &tasks[did]
+			if end > d.Ready {
+				d.Ready = end
 			}
+			// Ready is visible before the dependent runs, as it was in
+			// the per-task state the engine used to keep.
+			g.f.Ready[did] = d.Ready
 			d.deps--
 			if d.deps == 0 {
-				if d.earliest > d.Ready {
-					d.Ready = d.earliest
+				if e := earliest(int(did)); e > d.Ready {
+					d.Ready = e
+					g.f.Ready[did] = e
 				}
-				ready = readyPush(g.tasks, ready, int32(did))
+				ready = readyPush(tasks, ready, did)
 			}
 		}
 	}
-	if executed != len(g.tasks) {
-		panic(fmt.Sprintf("des: dependency cycle: %d of %d tasks executed", executed, len(g.tasks)))
+	if executed != n {
+		panic(fmt.Sprintf("des: dependency cycle: %d of %d tasks executed", executed, n))
 	}
 	return makespan, nil
-}
-
-// CriticalPathReference is the former Graph.CriticalPath, which looked
-// predecessors up in a map built over every edge.
-func CriticalPathReference(g *Graph) []int {
-	if len(g.tasks) == 0 {
-		return nil
-	}
-	// Find the makespan task.
-	last := &g.tasks[0]
-	for i := range g.tasks[1:] {
-		if t := &g.tasks[i+1]; t.End > last.End {
-			last = t
-		}
-	}
-	prev := make(map[int][]int, len(g.tasks))
-	for _, e := range g.edges {
-		prev[int(e.succ)] = append(prev[int(e.succ)], int(e.pred))
-	}
-	var path []int
-	cur := last
-	for {
-		path = append(path, cur.ID)
-		var next *Task
-		for _, pid := range prev[cur.ID] {
-			if p := &g.tasks[pid]; p.End == cur.Ready {
-				next = p
-				break
-			}
-		}
-		if next == nil {
-			break
-		}
-		cur = next
-	}
-	// Reverse into source-to-sink order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
 }

@@ -43,8 +43,8 @@ type Resource struct {
 	failAt  Time
 	hasFail bool
 
-	// slot is the resource's index in the Flat a Graph run compiles into;
-	// only meaningful while that run is being compiled.
+	// slot is the resource's index in the Flat a Graph runs on; only
+	// meaningful while Graph.RunCtx binds its resources.
 	slot int32
 }
 

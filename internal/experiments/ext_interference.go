@@ -79,20 +79,20 @@ func runPair(a, b collective.Algorithm, bytes int64) (des.Time, des.Time, error)
 	}
 	g := des.NewGraph()
 	res := graph.Resources()
-	instA, err := schedA.Instantiate(g, res, -1)
+	readyA, err := schedA.Instantiate(g, res, -1)
 	if err != nil {
 		return 0, 0, err
 	}
-	instB, err := schedB.Instantiate(g, res, -1)
+	readyB, err := schedB.Instantiate(g, res, -1)
 	if err != nil {
 		return 0, 0, err
 	}
 	if _, err := g.RunCtx(context.TODO()); err != nil {
 		return 0, 0, err
 	}
-	latest := func(inst *collective.Instantiation) des.Time {
+	latest := func(ready [][]int) des.Time {
 		var end des.Time
-		for _, row := range inst.ReadyTask {
+		for _, row := range ready {
 			for _, id := range row {
 				if e := g.End(id); e > end {
 					end = e
@@ -101,5 +101,5 @@ func runPair(a, b collective.Algorithm, bytes int64) (des.Time, des.Time, error)
 		}
 		return end
 	}
-	return latest(instA), latest(instB), nil
+	return latest(readyA), latest(readyB), nil
 }

@@ -171,18 +171,17 @@ func desRespectsDeps(t *testing.T, s *collective.Schedule) {
 		t.Fatalf("DES ran %d tasks for %d transfers", g.NumTasks(), len(p.Ops))
 	}
 	for i, op := range p.Ops {
-		task := g.Task(i)
 		var want *des.Resource
 		if !op.Marker() {
 			want = res[op.Channel]
 		}
-		if task.Label != op.Kind() || task.Resource != want {
-			t.Fatalf("task %d is a %s on %v, transfer %d (%s) is not", i, task.Label, task.Resource, i, p.Label(i))
+		if g.Label(i) != op.Kind() || g.Resource(i) != want {
+			t.Fatalf("task %d is a %s on %v, transfer %d (%s) is not", i, g.Label(i), g.Resource(i), i, p.Label(i))
 		}
 		for _, d := range p.Deps(i) {
-			if dep := g.Task(int(d)); task.Start < dep.End {
+			if end := g.End(int(d)); g.Start(i) < end {
 				t.Fatalf("transfer %d (%s) starts at %v, before dependency %d (%s) ends at %v",
-					i, p.Label(i), task.Start, d, p.Label(int(d)), dep.End)
+					i, p.Label(i), g.Start(i), d, p.Label(int(d)), end)
 			}
 		}
 	}

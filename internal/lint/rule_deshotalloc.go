@@ -9,8 +9,8 @@ func init() {
 	Register(&Analyzer{
 		Name: "des-hot-alloc",
 		Doc: "the DES hot functions (internal/des: the flat run loop, its column " +
-			"sizing and CSR construction, the radix ready queue, Graph compilation " +
-			"and resource grants) and the serve " +
+			"sizing and successor-CSR linker, the radix ready queue, Graph " +
+			"construction and block appends, and resource grants) and the serve " +
 			"JSON fast path (internal/server: pooled buffers, key hashing) must " +
 			"stay allocation-free in steady state; every make or append there " +
 			"needs a same-line comment containing \"amortized\" or \"prealloc\" " +
@@ -31,15 +31,15 @@ var desHotFuncs = map[string]bool{
 	// flat.go — the run loop (Flat.RunCtx, and Graph.RunCtx around it); the
 	// cancellation checkpoint must stay allocation-free too
 	"RunCtx": true,
-	// flat.go — column sizing, resource binding and CSR construction
-	"Reset": true, "resize": true, "zeroed": true, "Bind": true,
-	"SetEarliest": true, "CountSucc": true, "Link": true, "AddSucc": true,
+	// flat.go — column sizing, resource binding and the successor-CSR linker
+	"Reset": true, "size": true, "resize": true, "zeroed": true, "Bind": true,
+	"SetEarliest": true, "Link": true,
 	// radix.go — the ready queue
 	"reset": true, "push": true, "pop": true, "place": true, "refill": true,
 	"nowPush": true, "nowPop": true,
-	// graph.go — task graph construction and its compilation into a Flat
-	"Add": true, "AddDeps": true, "Reserve": true, "ReserveEdges": true,
-	"compile": true, "Load": true,
+	// graph.go — task rows and the predecessor CSR, one task or one
+	// schedule block at a time
+	"Add": true, "AddBlock": true, "addRows": true, "extend": true, "Set": true,
 	// resource.go — per-grant path
 	"grant": true, "Prealloc": true,
 	// internal/server — JSON fast path buffer pool and key hashing

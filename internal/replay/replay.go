@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"ccube/internal/collective"
 	"ccube/internal/des"
@@ -172,17 +173,11 @@ func Run(t Trace, cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("replay: op %d: %w", i, err)
 			}
-			inst, err := sched.Instantiate(g, chres, prev)
+			ready, err := sched.Instantiate(g, chres, prev)
 			if err != nil {
 				return nil, fmt.Errorf("replay: op %d: %w", i, err)
 			}
-			var deps []int
-			for n := range inst.ReadyTask {
-				for _, id := range inst.ReadyTask[n] {
-					deps = append(deps, id)
-				}
-			}
-			prev = g.Add(fmt.Sprintf("op%d:done", i), nil, 0, deps...)
+			prev = g.Add(fmt.Sprintf("op%d:done", i), nil, 0, slices.Concat(ready...)...)
 		}
 		opEnds[i] = prev
 	}

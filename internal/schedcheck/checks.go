@@ -1058,8 +1058,8 @@ func (ck *checker) planForced(a, b int) {
 // forcedAfter reports whether op b can never complete before op a, under
 // any interleaving consistent with the dependencies. The memo holds results
 // for the current b (one generation per top-level call). The effective
-// final of a region is its last one, matching Schedule.Instantiate's
-// overwrite semantics.
+// final of a region is its last one, matching the executors' ChunkReady,
+// where the last final wins.
 func (ck *checker) forcedAfter(a, b int) bool {
 	if a == b || ck.reaches(a, b) {
 		return true

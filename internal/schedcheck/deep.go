@@ -38,7 +38,7 @@ import (
 // cost-model drift between the analyzer and the DES into a test failure.
 
 // opDuration returns the op's alpha-beta cost on its channel, matching the
-// task durations Schedule.Instantiate hands the DES: Latency +
+// task durations the collective executors lower each op to: Latency +
 // Bytes/EffectiveBandwidth, minus the latency term for NoAlpha continuation
 // transfers. Markers are free.
 func (ck *checker) opDuration(op *Op) des.Time {

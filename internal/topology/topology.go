@@ -92,8 +92,8 @@ func (c *Channel) EffectiveBandwidth() float64 { return c.Bandwidth / c.DegradeF
 
 // TransferTime returns the alpha-beta cost of moving `bytes` over the
 // channel: Latency + bytes/EffectiveBandwidth. Whether the channel is Down
-// is the caller's concern (Schedule.Instantiate refuses down channels with a
-// structured error); the cost of a hypothetical transfer is still defined.
+// is the caller's concern (the collective executors refuse down channels);
+// the cost of a hypothetical transfer is still defined.
 func (c *Channel) TransferTime(bytes int64) des.Time {
 	if bytes < 0 {
 		panic(fmt.Sprintf("topology: negative transfer size %d", bytes))

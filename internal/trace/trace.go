@@ -70,34 +70,32 @@ func Chrome(w io.Writer, g *des.Graph) error {
 	}
 
 	for i := 0; i < g.NumTasks(); i++ {
-		t := g.Task(i)
-		if t.End == t.Start {
-			tid := 0
-			if t.Resource != nil {
-				tid = laneOf(t.Resource, t.Resource.Name)
-			} else {
-				tid = laneOf(nil, "markers")
+		start, end, res := g.Start(i), g.End(i), g.Resource(i)
+		if end == start {
+			lane := "markers"
+			if res != nil {
+				lane = res.Name
 			}
 			events = append(events, chromeInstant{
-				Name: t.Label,
+				Name: g.Label(i),
 				Ph:   "i",
-				Ts:   t.Start.Micros(),
+				Ts:   start.Micros(),
 				Pid:  0,
-				Tid:  tid,
+				Tid:  laneOf(res, lane),
 				S:    "t",
 			})
 			continue
 		}
-		if t.Resource == nil {
+		if res == nil {
 			continue
 		}
 		events = append(events, chromeEvent{
-			Name: t.Label,
+			Name: g.Label(i),
 			Ph:   "X",
-			Ts:   t.Start.Micros(),
-			Dur:  (t.End - t.Start).Micros(),
+			Ts:   start.Micros(),
+			Dur:  (end - start).Micros(),
 			Pid:  0,
-			Tid:  laneOf(t.Resource, t.Resource.Name),
+			Tid:  laneOf(res, res.Name),
 		})
 	}
 	for tid, name := range laneNames {
@@ -129,26 +127,26 @@ func Gantt(g *des.Graph, opts GanttOptions) string {
 	}
 	type lane struct {
 		res   *des.Resource
-		tasks []*des.Task
+		tasks []int
 		busy  des.Time
 	}
 	byRes := make(map[*des.Resource]*lane)
 	var horizon des.Time
 	for i := 0; i < g.NumTasks(); i++ {
-		t := g.Task(i)
-		if t.End > horizon {
-			horizon = t.End
+		start, end, res := g.Start(i), g.End(i), g.Resource(i)
+		if end > horizon {
+			horizon = end
 		}
-		if t.Resource == nil || t.End == t.Start {
+		if res == nil || end == start {
 			continue
 		}
-		l, ok := byRes[t.Resource]
+		l, ok := byRes[res]
 		if !ok {
-			l = &lane{res: t.Resource}
-			byRes[t.Resource] = l
+			l = &lane{res: res}
+			byRes[res] = l
 		}
-		l.tasks = append(l.tasks, t)
-		l.busy += t.End - t.Start
+		l.tasks = append(l.tasks, i)
+		l.busy += end - start
 	}
 	if horizon == 0 || len(byRes) == 0 {
 		return "(empty timeline)\n"
@@ -183,9 +181,9 @@ func Gantt(g *des.Graph, opts GanttOptions) string {
 		for i := range row {
 			row[i] = ' '
 		}
-		for _, t := range l.tasks {
-			lo := int(float64(t.Start) / cell)
-			hi := int(float64(t.End) / cell)
+		for _, id := range l.tasks {
+			lo := int(float64(g.Start(id)) / cell)
+			hi := int(float64(g.End(id)) / cell)
 			if hi >= opts.Width {
 				hi = opts.Width - 1
 			}

@@ -146,15 +146,12 @@ func RunBackwardOverlapCtx(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("train: bucket %d: %w", bi, err)
 		}
-		inst, err := sched.Instantiate(g, chres, launch)
+		chunkReady, err := sched.Instantiate(g, chres, launch)
 		if err != nil {
 			return nil, err
 		}
 		for i := range nodes {
-			k := sched.Partition.NumChunks()
-			for c := 0; c < k; c++ {
-				commDoneDeps[i] = append(commDoneDeps[i], inst.ReadyTask[i][c])
-			}
+			commDoneDeps[i] = append(commDoneDeps[i], chunkReady[i]...)
 		}
 	}
 

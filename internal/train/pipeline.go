@@ -111,7 +111,7 @@ func RunPipeline(ctx context.Context, cfg Config, iters int) (*PipelineResult, e
 		}
 		bwdDone := g.Add(fmt.Sprintf("it%d:bwd-done", k), nil, 0, lastBwd...)
 
-		inst, err := sched.Instantiate(g, chres, bwdDone)
+		ready, err := sched.Instantiate(g, chres, bwdDone)
 		if err != nil {
 			return nil, err
 		}
@@ -122,13 +122,11 @@ func RunPipeline(ctx context.Context, cfg Config, iters int) (*PipelineResult, e
 			if sched.InOrder {
 				for t := 0; t < numTrees && t < kChunks; t++ {
 					if last := lastTreeChunkAtMost(kChunks-1, kChunks, numTrees, t); last >= 0 {
-						deps = append(deps, inst.ReadyTask[i][last])
+						deps = append(deps, ready[i][last])
 					}
 				}
 			} else {
-				for c := 0; c < kChunks; c++ {
-					deps = append(deps, inst.ReadyTask[i][c])
-				}
+				deps = append(deps, ready[i]...)
 			}
 			commDone[i] = g.Add(fmt.Sprintf("it%d:comm-done:g%d", k, i), nil, 0, deps...)
 		}
@@ -150,7 +148,7 @@ func RunPipeline(ctx context.Context, cfg Config, iters int) (*PipelineResult, e
 					lastChunk := table.LastChunk[l]
 					for t := 0; t < numTrees; t++ {
 						if c := lastTreeChunkAtMost(lastChunk, kChunks, numTrees, t); c >= 0 {
-							deps = append(deps, inst.ReadyTask[i][c])
+							deps = append(deps, ready[i][c])
 						}
 					}
 				} else {

@@ -360,7 +360,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	bwdDone := g.Add("bwd-done", nil, 0, lastBwd...)
 
 	// One-shot AllReduce after backward (paper §II-B).
-	inst, err := sched.Instantiate(g, chres, bwdDone)
+	ready, err := sched.Instantiate(g, chres, bwdDone)
 	if err != nil {
 		return nil, err
 	}
@@ -381,15 +381,12 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			// all of that tree's chunks.
 			last := lastTreeChunkAtMost(k-1, k, numTrees, t)
 			if last >= 0 {
-				deps = append(deps, inst.ReadyTask[i][last])
+				deps = append(deps, ready[i][last])
 			}
 		}
 		if !sched.InOrder {
 			// Ring: no per-GPU ordering guarantee; join on every chunk.
-			deps = deps[:0]
-			for c := 0; c < k; c++ {
-				deps = append(deps, inst.ReadyTask[i][c])
-			}
+			deps = append(deps[:0], ready[i]...)
 		}
 		commDone[i] = g.Add(fmt.Sprintf("comm-done:g%d", i), nil, 0, deps...)
 	}
@@ -411,7 +408,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 				for t := 0; t < numTrees; t++ {
 					c := lastTreeChunkAtMost(lastChunk, sched.Partition.NumChunks(), numTrees, t)
 					if c >= 0 {
-						deps = append(deps, inst.ReadyTask[i][c])
+						deps = append(deps, ready[i][c])
 					}
 				}
 			} else {
@@ -444,7 +441,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		res.PerGPU[i] = g.End(fwdTasks[i][len(fwd)-1])
 		if res.PerGPU[i] > res.IterTime {
 			res.IterTime = res.PerGPU[i]
-			firstStart := g.Task(fwdTasks[i][0]).Start
+			firstStart := g.Start(fwdTasks[i][0])
 			res.FirstForwardWait = firstStart - bwdEnd
 			res.CommDone = g.End(commDone[i])
 			if res.LayerForwardStart == nil {
@@ -453,16 +450,16 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			var bubbles des.Time
 			for l := 0; l < len(fwd); l++ {
-				t := g.Task(fwdTasks[i][l])
-				res.LayerForwardStart[l] = t.Start
+				id := fwdTasks[i][l]
+				res.LayerForwardStart[l] = g.Start(id)
 				computeFree := bwdEnd
 				if l > 0 {
 					computeFree = g.End(fwdTasks[i][l-1])
-					if gap := t.Start - computeFree; gap > 0 {
+					if gap := g.Start(id) - computeFree; gap > 0 {
 						bubbles += gap
 					}
 				}
-				if wait := t.Ready - computeFree; wait > 0 {
+				if wait := g.Ready(id) - computeFree; wait > 0 {
 					res.LayerDequeueWait[l] = wait
 				} else {
 					res.LayerDequeueWait[l] = 0
