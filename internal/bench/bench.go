@@ -133,6 +133,28 @@ func benchmarks() []benchmark {
 				return err
 			}, nil
 		}},
+		{"Cache/resize-cluster64-ccube-128chunks", true, func() (func() error, error) {
+			// A same-shape miss: the cache holds the cluster:64 C-Cube op
+			// graph and every op asks for a size it does not hold, served
+			// by a new header over that graph and the size's partition.
+			// The sizes cycle through twice the cache's capacity, so from
+			// the warm-up on every op inserts one entry and evicts one.
+			c := collective.NewCache()
+			cfg := cluster64CCube()
+			base, i := cfg.Bytes, 0
+			op := func() error {
+				i = (i + 1) % (2 * collective.DefaultCacheCapacity)
+				cfg.Bytes = base + int64(i)
+				_, err := c.Build(cfg)
+				return err
+			}
+			for range 2 * collective.DefaultCacheCapacity {
+				if err := op(); err != nil {
+					return nil, err
+				}
+			}
+			return op, nil
+		}},
 		{"Check/cluster64-ccube-128chunks", true, checkBench(cluster64CCube)},
 		{"Check/dgx1-ccube-16MiB", true, checkBench(dgx1CCube)},
 		{"Synthesize/dgx1", true, func() (func() error, error) {
@@ -415,13 +437,14 @@ const SteadyStateBudget = 0
 // count is the same on every run (countAllocs), so any new allocation on
 // these paths fails the budget.
 var Budgets = map[string]int64{
-	"Execute/cluster64-ccube-128chunks": 6,
-	"Execute/dgx1-ccube-16MiB":          6,
-	"Build/cluster64-ccube-128chunks":   575,
-	"Check/cluster64-ccube-128chunks":   2,
-	"Check/dgx1-ccube-16MiB":            2,
-	"Synthesize/dgx1":                   955,
-	"Train/dgx1-resnet50-CC":            2730,
+	"Execute/cluster64-ccube-128chunks":      6,
+	"Execute/dgx1-ccube-16MiB":               6,
+	"Build/cluster64-ccube-128chunks":        442,
+	"Cache/resize-cluster64-ccube-128chunks": 12,
+	"Check/cluster64-ccube-128chunks":        2,
+	"Check/dgx1-ccube-16MiB":                 2,
+	"Synthesize/dgx1":                        955,
+	"Train/dgx1-resnet50-CC":                 2730,
 }
 
 // CheckBudgets returns a description of every bench exceeding its allocs/op

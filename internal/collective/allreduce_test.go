@@ -470,12 +470,13 @@ func TestScheduleValidateCatchesCorruption(t *testing.T) {
 		t.Error("out-of-range chunk accepted")
 	}
 	s.ops[0].Chunk = 0
-	// Corrupt bytes.
-	s.ops[0].Bytes = 0
+	// Corrupt a chunk's size.
+	size := s.Partition.Sizes[0]
+	s.Partition.Sizes[0] = 0
 	if err := s.Validate(); err == nil {
-		t.Error("zero-byte transfer accepted")
+		t.Error("zero-byte chunk accepted")
 	}
-	s.ops[0].Bytes = 100
+	s.Partition.Sizes[0] = size
 	// Introduce a dependency cycle.
 	last := len(s.ops) - 1
 	deps := s.depLists()

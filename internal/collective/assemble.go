@@ -83,8 +83,8 @@ func Assemble(spec AssembleSpec) (*Schedule, error) {
 // it out: the reduction up the tree in ReduceOrder, the root-ready marker,
 // and the broadcast down in Order, started the moment the chunk is reduced.
 // Detour hops are relay-spliced (paper §IV-A). Op ids, deps and relay slots
-// are relative to the pass; Chunk and Bytes are zero, and the program has
-// no graph.
+// are relative to the pass; Chunk is zero, the pass's one chunk has no
+// size, and the program has no graph.
 func OverlappedChunk(nodes []topology.NodeID, rt RoutedTree) (schedcheck.Program, error) {
 	s, err := chunkMajor(nil, nodes, chunk.Partition{Sizes: []int64{0}}, []RoutedTree{rt})
 	if err != nil {

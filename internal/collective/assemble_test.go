@@ -20,8 +20,8 @@ type specOp struct {
 
 // xfer is an assembled transfer of chunk c over channel ch between node
 // buffers, overwriting or accumulating; final >= 0 marks the chunk ready there.
-func xfer(ch topology.ChannelID, c int, bytes int64, from, to topology.NodeID, acc bool, final topology.NodeID, deps ...int) specOp {
-	return specOp{schedcheck.Op{Channel: int32(ch), Chunk: int32(c), Bytes: bytes, Src: schedcheck.NodeBuf(from),
+func xfer(ch topology.ChannelID, c int, from, to topology.NodeID, acc bool, final topology.NodeID, deps ...int) specOp {
+	return specOp{schedcheck.Op{Channel: int32(ch), Chunk: int32(c), Src: schedcheck.NodeBuf(from),
 		Dst: schedcheck.NodeBuf(to), Accumulate: acc, Final: int32(final)}, deps}
 }
 
@@ -54,9 +54,9 @@ func assembleAllReduce2(g *topology.Graph) (*Schedule, error) {
 		Streams:   1,
 		Contract:  ContractAllReduce,
 	},
-		xfer(up, 0, 1<<16, nodes[0], nodes[1], true, -1),
+		xfer(up, 0, nodes[0], nodes[1], true, -1),
 		marker(0, nodes[1], 0),
-		xfer(down, 0, 1<<16, nodes[1], nodes[0], false, nodes[0], 1),
+		xfer(down, 0, nodes[1], nodes[0], false, nodes[0], 1),
 	))
 }
 
@@ -110,15 +110,15 @@ func TestAssembleRejectsMalformedSpecs(t *testing.T) {
 			Contract:  ContractAllReduce,
 		}
 	}
-	fromRelay := xfer(ch, 0, 1, nodes[0], nodes[1], false, -1)
+	fromRelay := xfer(ch, 0, nodes[0], nodes[1], false, -1)
 	fromRelay.op.Src = schedcheck.RelayBuf(0)
 	cases := []struct {
 		name string
 		ops  []specOp
 	}{
-		{"forward dep", []specOp{xfer(ch, 0, 1, nodes[0], nodes[1], false, -1, 1)}},
-		{"self dep", []specOp{xfer(ch, 0, 1, nodes[0], nodes[1], false, -1, 0)}},
-		{"chunk out of range", []specOp{xfer(ch, 3, 1, nodes[0], nodes[1], false, -1)}},
+		{"forward dep", []specOp{xfer(ch, 0, nodes[0], nodes[1], false, -1, 1)}},
+		{"self dep", []specOp{xfer(ch, 0, nodes[0], nodes[1], false, -1, 0)}},
+		{"chunk out of range", []specOp{xfer(ch, 3, nodes[0], nodes[1], false, -1)}},
 		{"relay forward reference", []specOp{fromRelay}},
 	}
 	for _, tc := range cases {
@@ -144,14 +144,14 @@ func TestAssembleRejectsUnverifiableSpec(t *testing.T) {
 		ops   []specOp
 	}{
 		{"channel does not connect its endpoints", "link", []specOp{
-			xfer(wrong, 0, 1<<16, nodes[0], nodes[1], false, -1),
+			xfer(wrong, 0, nodes[0], nodes[1], false, -1),
 		}},
 		// The minimal two-node allreduce with the reduction turned into an
 		// overwrite: node 1 loses its own contribution.
 		{"ops do not conserve the data", "conservation", []specOp{
-			xfer(up, 0, 1<<16, nodes[0], nodes[1], false, -1),
+			xfer(up, 0, nodes[0], nodes[1], false, -1),
 			marker(0, nodes[1], 0),
-			xfer(down, 0, 1<<16, nodes[1], nodes[0], false, nodes[0], 1),
+			xfer(down, 0, nodes[1], nodes[0], false, nodes[0], 1),
 		}},
 	}
 	for _, tc := range cases {
@@ -213,14 +213,14 @@ func TestCacheSynthKeySeparates(t *testing.T) {
 	}
 }
 
-// TestCacheSynthSkipsSiblingPatch: a synth entry at one size must never be
-// byte-rescaled into another size — the compiler's plan search is
+// TestCacheSynthSkipsSiblingPatch: a synth entry at one size must never
+// serve another size as a same-shape header — the compiler's plan search is
 // size-dependent, so the shape cannot be assumed to carry over.
 func TestCacheSynthSkipsSiblingPatch(t *testing.T) {
 	g := topology.DGX1(topology.DefaultDGX1Config())
 	c := NewCache()
 
-	// Built-in baseline: sibling patching fires across sizes.
+	// Built-in baseline: a same-shape header serves the new size.
 	if _, err := c.Build(cacheTestConfig(g)); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestCacheSynthSkipsSiblingPatch(t *testing.T) {
 		}
 	}
 	if builds != 2 {
-		t.Fatalf("builds = %d, want 2: synth entries must not be sibling-patched", builds)
+		t.Fatalf("builds = %d, want 2: synth entries must not serve other sizes", builds)
 	}
 	if c.IncrementalBuilds() != 1 {
 		t.Fatalf("IncrementalBuilds = %d, want still 1 after synth builds", c.IncrementalBuilds())

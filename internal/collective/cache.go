@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"ccube/internal/collective/store"
+	"ccube/internal/metrics"
 	"ccube/internal/topology"
 )
 
@@ -64,14 +65,23 @@ type Cache struct {
 	// store directory.
 	disk *store.Store
 
-	// incremental counts misses served by patching a same-shape cached
-	// sibling (incremental.go) instead of a full build.
+	// incremental counts misses served by a header over a resident
+	// same-shape op graph (incremental.go) instead of a full build.
 	incremental uint64
+
+	// shapes indexes the resident op graphs of the built-in algorithms by
+	// shape; an entry lives exactly as long as some LRU entry references
+	// its graph. retained is the bytes of every resident op graph, each
+	// counted once, and retainedGauge, when set, publishes it.
+	shapes        map[cacheKey]*opGraph
+	retained      int64
+	retainedGauge *metrics.Gauge
 }
 
 type lruEntry struct {
 	key cacheKey
 	s   *Schedule
+	g   *opGraph // the op graph s is, or is a header over
 }
 
 // DefaultCacheCapacity bounds DefaultCache (and every NewCache). Sized for
@@ -98,12 +108,18 @@ func NewCache() *Cache {
 		entries:  make(map[cacheKey]*list.Element),
 		lru:      list.New(),
 		capacity: DefaultCacheCapacity,
+		shapes:   make(map[cacheKey]*opGraph),
 	}
 }
 
 // DefaultCache is the process-wide schedule cache used by BuildCached and
-// RunCtx. Experiment sweeps share it across goroutines.
-var DefaultCache = NewCache()
+// RunCtx. Experiment sweeps share it across goroutines. It publishes its
+// retained op-graph bytes as collective_cache_retained_bytes.
+var DefaultCache = func() *Cache {
+	c := NewCache()
+	c.retainedGauge = mCacheRetained
+	return c
+}()
 
 // BuildCached builds the configured collective through the DefaultCache.
 func BuildCached(cfg Config) (*Schedule, error) { return DefaultCache.Build(cfg) }
@@ -146,17 +162,18 @@ func (c *Cache) key(cfg Config) cacheKey {
 // immutable (every execution path already does); RepairSchedule clones
 // before it rewrites transfers.
 //
-// A miss resolves through up to three levels, cheapest first:
+// A miss resolves through up to two levels, cheapest first:
 //
 //  1. disk store (if attached): decode + verify-on-load an entry written by
 //     a previous process — skips construction, re-runs the proof.
-//  2. incremental patch: a cached sibling differing only in message size is
-//     cloned and its transfer byte counts rescaled — skips construction and
-//     the byte-independent parts of the proof (see incremental.go).
-//  3. full build + full verification.
+//  2. full build + full verification.
 //
-// Levels 2 and 3 write the result through to the disk store, so the next
-// process starts at level 1.
+// Before either, a miss whose shape — everything but the message size, with
+// the chunk count resolved — matches a resident op graph is served by a new
+// header over that graph: the new partition and nothing else, with no
+// construction and no proof to redo (see incremental.go). Headers and
+// builds write the result through to the disk store, so the next process
+// starts at level 1.
 func (c *Cache) Build(cfg Config) (*Schedule, error) {
 	return c.buildThrough(cfg, func() (*Schedule, error) {
 		s, err := Build(cfg)
@@ -171,15 +188,15 @@ func (c *Cache) Build(cfg Config) (*Schedule, error) {
 }
 
 // BuildWith is Build for schedules the package cannot construct itself:
-// builder runs on a full miss (memory, disk, no patchable sibling) and its
-// result is stamped, cached, and written through to the disk store exactly
-// like a built-in's. The builder must return a verified schedule — an
-// external one can only come from AssembleForest or Assemble, which verify
-// before they return. internal/synth uses it to give compiled schedules the same
-// memoization as the hand-written algorithms; the cache key additionally
-// carries cfg.SynthKey so distinct synthesis configs never alias. Sibling
-// patching is skipped — the cache cannot derive an external builder's
-// partition shape.
+// builder runs on a full miss (memory, disk) and its result is stamped,
+// cached, and written through to the disk store exactly like a built-in's.
+// The builder must return a verified schedule — an external one can only
+// come from AssembleForest or Assemble, which verify before they return.
+// internal/synth uses it to give compiled schedules the same memoization as
+// the hand-written algorithms; the cache key additionally carries
+// cfg.SynthKey so distinct synthesis configs never alias. Same-shape headers
+// are skipped — the cache cannot derive an external builder's partition
+// shape.
 func (c *Cache) BuildWith(cfg Config, builder func() (*Schedule, error)) (*Schedule, error) {
 	return c.buildThrough(cfg, builder)
 }
@@ -210,26 +227,30 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 		return s, nil
 	}
 	disk := c.disk
-	var sib *Schedule
-	if k.synth == "" {
-		// Sibling patching derives the partition shape from cfg, which only
-		// works for the built-in algorithms; synthesized shapes depend on the
-		// compiler's size-driven search, so synth keys always build fully.
-		sib = c.shapeSiblingLocked(k)
-	}
 	c.mu.Unlock()
+
+	// Headers derive the partition shape from cfg, which only works for the
+	// built-in algorithms; synthesized shapes depend on the compiler's
+	// size-driven search, so synth keys always build fully.
+	if k.synth == "" {
+		if part, ok := shapePartition(cfg); ok {
+			if s := c.fromShape(k, part); s != nil {
+				mCacheMisses.Inc()
+				mCacheIncremental.Inc()
+				writeThrough(disk, k, s)
+				return s, nil
+			}
+		}
+	}
 
 	// Resolve the miss outside the lock: construction and verification can
 	// be expensive, and independent cells of a parallel sweep miss on
 	// different keys. A concurrent duplicate resolution of the same key is
 	// benign — all results are identical, and the second insert wins.
 	var s *Schedule
-	var fromDisk, patched bool
+	var fromDisk bool
 	if disk != nil {
 		s, fromDisk = c.loadFromStore(disk, k)
-	}
-	if s == nil && sib != nil {
-		s, patched = patchFromSibling(sib, cfg)
 	}
 	if s == nil {
 		var err error
@@ -239,43 +260,55 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 		}
 		s.stamp()
 	}
-	if disk != nil && !fromDisk {
-		// Write-through. A failed write (full disk, permissions) costs only
-		// warmth, never correctness — ignore it.
-		_ = disk.Put(storeKey(k), encodeSchedule(s))
+	if !fromDisk {
+		writeThrough(disk, k, s)
 	}
 
 	c.mu.Lock()
 	c.misses++
-	if patched {
-		c.incremental++
-	}
-	evicted := c.insertLocked(k, s)
+	evicted := c.insertLocked(k, s, nil)
 	c.mu.Unlock()
 	mCacheMisses.Inc()
-	if patched {
-		mCacheIncremental.Inc()
-	}
 	mCacheEvictions.Add(int64(evicted))
 	return s, nil
 }
 
+// writeThrough stores s under k in disk, when one is attached. A failed
+// write (full disk, permissions) costs only warmth, never correctness, so
+// it is ignored.
+func writeThrough(disk *store.Store, k cacheKey, s *Schedule) {
+	if disk != nil {
+		_ = disk.Put(storeKey(k), encodeSchedule(s))
+	}
+}
+
 // insertLocked inserts (or refreshes) an entry as most-recently-used and
 // evicts from the LRU end while the cache is over capacity, returning how
-// many entries were dropped. Caller holds c.mu.
-func (c *Cache) insertLocked(k cacheKey, s *Schedule) (evicted int) {
+// many entries were dropped. g is the resident op graph s is a header over,
+// or nil when s brings its own. Caller holds c.mu.
+func (c *Cache) insertLocked(k cacheKey, s *Schedule, g *opGraph) (evicted int) {
+	if g == nil {
+		g = &opGraph{s: s, bytes: opGraphBytes(s)}
+		if k.synth == "" {
+			g.key = k.shape(s.Partition.NumChunks())
+		}
+	}
+	c.ref(g)
+	defer c.retainedGauge.Set(float64(c.retained))
 	if el, ok := c.entries[k]; ok {
 		// A concurrent duplicate build of the same key landed first; keep
 		// the newer result (both are identical) and just refresh recency.
-		el.Value.(*lruEntry).s = s
+		e := el.Value.(*lruEntry)
+		c.unref(e.g)
+		e.s, e.g = s, g
 		c.lru.MoveToFront(el)
 		return 0
 	}
-	c.entries[k] = c.lru.PushFront(&lruEntry{key: k, s: s})
+	c.entries[k] = c.lru.PushFront(&lruEntry{key: k, s: s, g: g})
 	for c.capacity > 0 && c.lru.Len() > c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*lruEntry).key)
+		oldest := c.lru.Remove(c.lru.Back()).(*lruEntry)
+		delete(c.entries, oldest.key)
+		c.unref(oldest.g)
 		c.evictions++
 		evicted++
 	}
@@ -299,9 +332,9 @@ func (c *Cache) Evictions() uint64 {
 	return c.evictions
 }
 
-// IncrementalBuilds reports how many misses were served by patching a
-// same-shape cached sibling instead of a full build, since construction (or
-// the last Clear).
+// IncrementalBuilds reports how many misses were served by a header over a
+// resident same-shape op graph instead of a full build, since construction
+// (or the last Clear).
 func (c *Cache) IncrementalBuilds() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -349,5 +382,8 @@ func (c *Cache) Clear() {
 	defer c.mu.Unlock()
 	c.entries = make(map[cacheKey]*list.Element)
 	c.lru.Init()
+	c.shapes = make(map[cacheKey]*opGraph)
+	c.retained = 0
+	c.retainedGauge.Set(0)
 	c.hits, c.misses, c.evictions, c.incremental = 0, 0, 0, 0
 }

@@ -159,8 +159,12 @@ func encodeV1(s *collective.Schedule) []byte {
 	buf = binary.AppendUvarint(buf, uint64(s.Contract))
 	buf = binary.AppendUvarint(buf, uint64(len(p.Ops)))
 	for i, op := range p.Ops {
+		var bytes int64
+		if !op.Marker() {
+			bytes = p.ChunkBytes[op.Chunk]
+		}
 		buf = binary.AppendVarint(buf, int64(op.Chunk))
-		buf = binary.AppendVarint(buf, op.Bytes)
+		buf = binary.AppendVarint(buf, bytes)
 		buf = binary.AppendVarint(buf, int64(op.Channel))
 		buf = binary.AppendUvarint(buf, uint64(len(p.Deps(i))))
 		for _, d := range p.Deps(i) {

@@ -140,13 +140,14 @@ func kOptFor(alpha, beta float64, p int, n float64) int {
 	return costmodel.KOpt(costmodel.Params{Alpha: alpha, Beta: beta, P: p, N: n}, MaxAutoChunks)
 }
 
-// chunkCount resolves the chunk count for tree algorithms.
-func (c *Config) chunkCount() int {
+// chunkCount resolves the chunk count for tree algorithms over p
+// participants.
+func (c *Config) chunkCount(p int) int {
 	if c.Chunks > 0 {
 		return c.Chunks
 	}
 	ch := c.Graph.Channel(0)
-	k := kOptFor(ch.Latency.Seconds(), 1/ch.Bandwidth, len(c.nodes()), float64(c.Bytes))
+	k := kOptFor(ch.Latency.Seconds(), 1/ch.Bandwidth, p, float64(c.Bytes))
 	if k < 2 {
 		k = 2 // double trees need at least one chunk each
 	}
@@ -155,8 +156,8 @@ func (c *Config) chunkCount() int {
 
 // resolveRingOrders returns the ring embeddings Build will use for cfg:
 // explicit overrides first, then the DGX-1 double Hamiltonian cycles, then a
-// single identity ring. Factored out so the incremental rebuild path
-// (incremental.go) derives the same partition shape Build would.
+// single identity ring. Factored out so partition, which the cache's
+// same-shape lookup also runs (incremental.go), sees the rings Build will.
 func resolveRingOrders(cfg Config, nodes []topology.NodeID) [][]int {
 	orders := cfg.RingOrders
 	if orders == nil && cfg.RingOrder != nil {
@@ -187,19 +188,29 @@ func resolveTrees(cfg Config, nodes []topology.NodeID) []Tree {
 	} else {
 		t1, t2 = DoubleTrees(len(nodes))
 	}
-	switch cfg.Algorithm {
-	case AlgTree, AlgTreeOverlap:
+	if cfg.treeCount() == 1 {
 		return []Tree{t1}
+	}
+	return []Tree{t1, t2}
+}
+
+// treeCount is how many trees resolveTrees returns for c, without building
+// them.
+func (c *Config) treeCount() int {
+	switch {
+	case c.Trees != nil:
+		return len(c.Trees)
+	case c.Algorithm == AlgTree || c.Algorithm == AlgTreeOverlap:
+		return 1
 	default:
-		return []Tree{t1, t2}
+		return 2
 	}
 }
 
 // partition computes the chunk partition Build would use for cfg, without
 // building anything. It is the single source of truth for partition shape:
-// Build consumes it directly, and the incremental rebuild path uses it to
-// decide whether a cached sibling schedule has the same shape (equal chunk
-// count) and can be patched instead of rebuilt.
+// Build consumes it directly, and the cache resolves a miss's chunk count
+// with it to find a resident op graph of the same shape (incremental.go).
 func (c *Config) partition(nodes []topology.NodeID) (chunk.Partition, error) {
 	switch c.Algorithm {
 	case AlgRing:
@@ -217,11 +228,7 @@ func (c *Config) partition(nodes []topology.NodeID) (chunk.Partition, error) {
 		return chunk.Split(c.Bytes, len(nodes)), nil
 
 	case AlgTree, AlgTreeOverlap, AlgDoubleTree, AlgDoubleTreeOverlap:
-		trees := resolveTrees(*c, nodes)
-		k := c.chunkCount()
-		if k < len(trees) {
-			k = len(trees)
-		}
+		k := max(c.chunkCount(len(nodes)), c.treeCount())
 		// The chunk count is advisory for trees (KOpt heuristic), so an
 		// explicit clamp is correct; buildTreeSchedule re-validates that the
 		// actual count can feed every tree.

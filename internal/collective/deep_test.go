@@ -120,8 +120,8 @@ func TestMakespanBoundDetectsCostDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := s.Program().Clone()
-	for i := range p.Ops {
-		p.Ops[i].Bytes *= 2
+	for c := range p.ChunkBytes {
+		p.ChunkBytes[c] *= 2
 	}
 	inflated, err := schedcheck.MakespanBound(p)
 	if err != nil {

@@ -1,84 +1,117 @@
 package collective
 
-import "ccube/internal/schedcheck"
+import (
+	"unsafe"
 
-// Incremental rebuilds: when the cache misses only because the message size
-// changed — same topology fingerprint, algorithm, participants, chunk-count
-// request, and sharing flag — the compiled task graph of a cached sibling is
-// reusable as-is. The transfer DAG of every algorithm here is a function of
-// the topology, the participant set, and the *chunk count*; the bytes only
-// scale each transfer's cost. So instead of re-embedding trees or rings and
-// re-proving the result, we clone the sibling, swap in the new partition,
-// and patch each transfer's byte count to its chunk's new size.
+	"ccube/internal/chunk"
+	"ccube/internal/schedcheck"
+)
+
+// Same-shape headers: the transfer DAG of every built-in algorithm is a
+// function of the topology, the participant set, the ring or tree
+// embedding, the sharing flag and the *resolved* chunk count. The message
+// size only sets each chunk's bytes, and an op carries no byte count — a
+// transfer moves its chunk's size, Partition.Sizes[Chunk]. So a miss whose
+// shape matches a resident op graph is served by a new Schedule header: the
+// new partition over that op graph's ops, dependency CSR and stamp. Nothing
+// is cloned, rescaled or re-checked.
 //
-// Safety argument for skipping the full static verifier on this path: the
-// sibling passed it, and every property it proves — acyclicity, hazard
-// ordering, link validity, conservation, in-order delivery — is invariant
-// under changing positive byte counts (the verifier's byte-dependent checks
-// are exactly the bytes > 0 guards of its structure class, which
-// schedcheck.CheckStructure re-runs on the patched schedule). The patch is
-// conservative: any transfer whose bytes do not equal its chunk's size in
-// the sibling's partition — a shape assumption violated — aborts the patch
-// and falls back to a full build, as does a chunk-count change (tree chunk
-// counts depend on bytes through the KOpt heuristic).
-// TestIncrementalMatchesFullBuild pins the equivalence: patched and freshly
-// built schedules must be deep-equal.
+// Safety argument for skipping the static verifier on this path: the op
+// graph passed the full Check when it entered the cache, and every class
+// Check proves — acyclicity, hazard ordering, link validity, conservation,
+// in-order delivery — is a property of the op graph alone. Its one
+// byte-dependent check is that every chunk holds a positive size, which the
+// new partition meets by construction (chunk.Split and SplitAtMost emit no
+// empty chunk). TestIncrementalMatchesFullBuild pins the equivalence: a
+// header and a fresh build of the same config are deep-equal.
 
-// shapeSiblingLocked scans the memory cache for an entry differing from k
-// only in bytes. Caller holds c.mu. The scan is O(entries) but the cache is
-// small (DefaultCacheCapacity) and the scan only runs on misses, which are
-// immediately followed by a build or disk load that dwarfs it.
-func (c *Cache) shapeSiblingLocked(k cacheKey) *Schedule {
-	for key, el := range c.entries {
-		if key.graph == k.graph && key.fp == k.fp && key.alg == k.alg &&
-			key.chunks == k.chunks && key.shared == k.shared &&
-			key.extra == k.extra && key.synth == k.synth && key.bytes != k.bytes {
-			return el.Value.(*lruEntry).s
-		}
-	}
-	return nil
+// shape returns the key of k's op graph, the shape index's key: k without
+// its size, and with chunks, the resolved chunk count, in place of the
+// requested one (0 requests the KOpt count, which depends on the size).
+func (k cacheKey) shape(chunks int) cacheKey {
+	k.bytes, k.chunks = 0, chunks
+	return k
 }
 
-// patchFromSibling builds the schedule for cfg by rescaling sib, a cached
-// schedule for the same shape at a different message size. It reports ok =
-// false — caller falls back to a full build — whenever the shapes turn out
-// not to match after all.
-func patchFromSibling(sib *Schedule, cfg Config) (*Schedule, bool) {
-	if cfg.Graph == nil || cfg.Bytes <= 0 {
-		return nil, false
+// opGraph is one verified op graph the cache holds: the schedule it was
+// verified in, referenced by every LRU entry whose schedule is that one or
+// a header over it. key is zero (a nil graph) for a synthesized schedule,
+// whose op graph the shape index never holds: synth's search is
+// size-driven.
+type opGraph struct {
+	s     *Schedule
+	key   cacheKey
+	refs  int
+	bytes int64
+}
+
+// opGraphBytes is what s's op graph occupies: its ops and dependency CSR.
+func opGraphBytes(s *Schedule) int64 {
+	return int64(len(s.ops))*int64(unsafe.Sizeof(schedcheck.Op{})) + 4*int64(len(s.depOff)+len(s.deps))
+}
+
+// shapePartition returns the partition Build would use for cfg, or false
+// when Build would fail on cfg, which then takes the full build to report
+// its error.
+func shapePartition(cfg Config) (chunk.Partition, bool) {
+	if cfg.Bytes <= 0 {
+		return chunk.Partition{}, false
 	}
 	nodes := cfg.nodes()
 	if len(nodes) < 2 {
-		return nil, false
+		return chunk.Partition{}, false
 	}
 	part, err := cfg.partition(nodes)
-	if err != nil {
-		return nil, false
+	return part, err == nil
+}
+
+// fromShape serves the miss on k with partition part from a resident op
+// graph of the same shape, and caches the header under k. It returns nil,
+// and changes nothing, when no such op graph is resident.
+func (c *Cache) fromShape(k cacheKey, part chunk.Partition) *Schedule {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	g := c.shapes[k.shape(part.NumChunks())]
+	if g == nil {
+		return nil
 	}
-	// Tree algorithms pick their chunk count from the message size (KOpt)
-	// when not pinned; a different count means a different transfer DAG.
-	if part.NumChunks() != sib.Partition.NumChunks() {
-		return nil, false
-	}
-	// The clone copies the op slice once and shares the sibling's deps
-	// CSR: only bytes change. The patch assumes every transfer moves
-	// exactly its chunk's bytes. All current builders satisfy this; if a
-	// future one does not, bail to the full build rather than mis-scale.
-	s := sib.clone()
+	// The header: the ops, dependency CSR and stamp are the op graph's own.
+	s := *g.s
 	s.Partition = part
-	for i := range s.ops {
-		op := &s.ops[i]
-		if op.Marker() {
-			continue
+	c.misses++
+	c.incremental++
+	mCacheEvictions.Add(int64(c.insertLocked(k, &s, g)))
+	return &s
+}
+
+// ref records one more LRU entry over g. Caller holds c.mu.
+func (c *Cache) ref(g *opGraph) {
+	if g.refs == 0 {
+		c.retained += g.bytes
+		if g.key.graph != nil && c.shapes[g.key] == nil {
+			c.shapes[g.key] = g
 		}
-		if op.Bytes != sib.Partition.Sizes[op.Chunk] {
-			return nil, false
+	}
+	g.refs++
+}
+
+// unref drops one LRU entry's reference to g, and g itself from the shape
+// index with its last one. Caller holds c.mu.
+func (c *Cache) unref(g *opGraph) {
+	g.refs--
+	if g.refs == 0 {
+		c.retained -= g.bytes
+		if c.shapes[g.key] == g {
+			delete(c.shapes, g.key)
 		}
-		op.Bytes = part.Sizes[op.Chunk]
 	}
-	if !schedcheck.CheckStructure(s.Program()).OK() {
-		return nil, false
-	}
-	s.stamp()
-	return s, true
+}
+
+// RetainedBytes reports the bytes of the op graphs the cache holds — ops
+// plus dependency CSR — counting a graph shared by several message sizes
+// once. Headers and partitions are not counted.
+func (c *Cache) RetainedBytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.retained
 }

@@ -104,8 +104,8 @@ func TestBuildAllocationsDoNotScaleWithTransfers(t *testing.T) {
 
 // TestBuildRetainedBytes bounds the live heap one built cluster:64 C-Cube
 // schedule at 128 chunks holds, measured as BenchmarkBuild's
-// retained-B/transfer: the 40-byte op, its 4-byte CSR offset and about two
-// 4-byte deps come to ~52 bytes a transfer. The best of three builds
+// retained-B/transfer: the 32-byte op, its 4-byte CSR offset and about two
+// 4-byte deps come to ~44 bytes a transfer. The best of three builds
 // counts, so a stray allocation elsewhere in the process cannot fail it.
 func TestBuildRetainedBytes(t *testing.T) {
 	g := topology.Hierarchy(topology.DefaultHierarchyConfig(64))
@@ -123,8 +123,8 @@ func TestBuildRetainedBytes(t *testing.T) {
 			best = per
 		}
 	}
-	if best > 56 {
-		t.Fatalf("a built schedule retains %.1f B/transfer, want <= 56", best)
+	if best > 48 {
+		t.Fatalf("a built schedule retains %.1f B/transfer, want <= 48", best)
 	}
 	t.Logf("retained %.1f B/transfer", best)
 }

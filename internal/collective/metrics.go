@@ -20,7 +20,9 @@ var (
 	mCacheEvictions = metrics.Default.Counter("collective_cache_evictions_total",
 		"schedules dropped by the cache's LRU capacity bound")
 	mCacheIncremental = metrics.Default.Counter("collective_cache_incremental_total",
-		"cache misses served by incrementally patching a same-shape cached schedule instead of a full rebuild")
+		"cache misses served by a header over a resident same-shape op graph instead of a full rebuild")
+	mCacheRetained = metrics.Default.Gauge("collective_cache_retained_bytes",
+		"bytes of the op graphs (ops plus dependency CSR) the default schedule cache holds, each shared graph counted once")
 	mExecutions = metrics.Default.Counter("collective_executions_total",
 		"timed schedule executions")
 	mBytesMoved = metrics.Default.Counter("collective_bytes_moved_total",
@@ -161,10 +163,11 @@ func (s *Schedule) publishExecutionMetrics(f *des.Flat, total des.Time) {
 		if op.Marker() {
 			continue
 		}
-		chBytes[op.Channel] += op.Bytes
-		totalBytes += op.Bytes
+		b := s.Partition.Sizes[op.Chunk]
+		chBytes[op.Channel] += b
+		totalBytes += b
 		if op.Src.Relay >= 0 || op.Dst.Relay >= 0 {
-			detourBytes += op.Bytes
+			detourBytes += b
 		}
 	}
 	mBytesMoved.Add(totalBytes)

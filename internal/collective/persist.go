@@ -106,6 +106,10 @@ const minTransferBytes = 11
 //	  chunk, bytes, channel, depCount, deps...,
 //	  src.node, src.relay, dst.node, dst.relay,
 //	  flags (accumulate|noAlpha), finalNode
+//
+// An op carries no byte count; the bytes slot holds what the transfer
+// moves, its chunk's size (0 for a marker), so the wire format is the one
+// written when ops carried their own.
 func encodeSchedule(s *Schedule) []byte {
 	// Rough size guess: ~16 bytes per transfer and 2 per dependency avoids
 	// most regrowth.
@@ -136,7 +140,7 @@ func encodeSchedule(s *Schedule) []byte {
 	for i := range s.ops {
 		op := &s.ops[i]
 		buf = binary.AppendVarint(buf, int64(op.Chunk))
-		buf = binary.AppendVarint(buf, op.Bytes)
+		buf = binary.AppendVarint(buf, s.opBytes(op))
 		buf = binary.AppendVarint(buf, int64(op.Channel))
 		deps := s.depsOf(i)
 		buf = binary.AppendUvarint(buf, uint64(len(deps)))
@@ -158,6 +162,14 @@ func encodeSchedule(s *Schedule) []byte {
 		buf = binary.AppendVarint(buf, int64(op.Final))
 	}
 	return buf
+}
+
+// opBytes returns what op moves: its chunk's size, or 0 for a marker.
+func (s *Schedule) opBytes(op *schedcheck.Op) int64 {
+	if op.Marker() {
+		return 0
+	}
+	return s.Partition.Sizes[op.Chunk]
 }
 
 // decReader walks an encoded payload, latching the first error. Count
@@ -314,7 +326,7 @@ func decodeSchedule(data []byte, g *topology.Graph) (*Schedule, error) {
 	for i := 0; i < numTransfers && r.err == nil; i++ {
 		var op schedcheck.Op
 		op.Chunk = r.int32(i, "chunk")
-		op.Bytes = r.varint()
+		bytes := r.varint()
 		op.Channel = r.int32(i, "channel")
 		nd := r.count("dep")
 		if len(s.deps)+nd > numDeps {
@@ -345,8 +357,8 @@ func decodeSchedule(data []byte, g *topology.Graph) (*Schedule, error) {
 		if int(op.Channel) >= g.NumChannels() {
 			return nil, fmt.Errorf("collective: decoded transfer %d channel %d outside graph (%d channels)", i, op.Channel, g.NumChannels())
 		}
-		if !op.Marker() && op.Bytes <= 0 {
-			return nil, fmt.Errorf("collective: decoded transfer %d moves %d bytes", i, op.Bytes)
+		if want := s.opBytes(&op); bytes != want {
+			return nil, fmt.Errorf("collective: decoded transfer %d moves %d bytes, its chunk holds %d", i, bytes, want)
 		}
 		s.ops = append(s.ops, op)
 		s.depOff = append(s.depOff, int32(len(s.deps)))

@@ -82,8 +82,8 @@ func BuildPrimitive(cfg PrimitiveConfig) (*Schedule, error) {
 		}
 		k := cfg.Chunks
 		if k <= 0 {
-			c := Config{Graph: cfg.Graph, Bytes: cfg.Bytes, Nodes: nodes}
-			k = c.chunkCount()
+			c := Config{Graph: cfg.Graph, Bytes: cfg.Bytes}
+			k = c.chunkCount(len(nodes))
 		}
 		// Chunk count is advisory here; clamp explicitly for tiny messages.
 		part := chunk.SplitAtMost(cfg.Bytes, k)

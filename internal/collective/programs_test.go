@@ -64,7 +64,7 @@ func programHash(s *Schedule) string {
 	put(int64(len(p.Ops)))
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		put(int64(i), int64(op.Chunk), op.Bytes, int64(op.Channel),
+		put(int64(i), int64(op.Chunk), s.opBytes(op), int64(op.Channel),
 			int64(op.Src.Node), int64(op.Src.Relay), int64(op.Dst.Node), int64(op.Dst.Relay),
 			b(op.Accumulate), b(op.NoAlpha), int64(op.Final), int64(len(p.Deps(i))))
 		for _, d := range p.Deps(i) {

@@ -307,15 +307,16 @@ func (s *Schedule) rebalance(stranded []int, group []topology.ChannelID, touched
 			continue
 		}
 		if k, ok := idx[op.ChannelID()]; ok {
-			load[k] += float64(op.Bytes) / s.Graph.Channel(op.ChannelID()).EffectiveBandwidth()
+			load[k] += float64(s.Partition.Sizes[op.Chunk]) / s.Graph.Channel(op.ChannelID()).EffectiveBandwidth()
 		}
 	}
 	moved := 0
 	for _, id := range stranded {
 		op := &s.ops[id]
+		bytes := float64(s.Partition.Sizes[op.Chunk])
 		best, bestCost := -1, 0.0
 		for k, cid := range group {
-			cost := load[k] + float64(op.Bytes)/s.Graph.Channel(cid).EffectiveBandwidth()
+			cost := load[k] + bytes/s.Graph.Channel(cid).EffectiveBandwidth()
 			if best < 0 || cost < bestCost {
 				best, bestCost = k, cost
 			}
@@ -377,7 +378,7 @@ func (s *Schedule) splice(id int, rt topology.Route) int {
 	for h := 0; h < rt.Hops()-1; h++ {
 		hop := len(s.ops)
 		// Forwarding never reduces; accumulation happens at the final dst.
-		s.add(schedcheck.Op{Chunk: t.Chunk, Bytes: t.Bytes, Channel: int32(rt.Channels[h]),
+		s.add(schedcheck.Op{Chunk: t.Chunk, Channel: int32(rt.Channels[h]),
 			Src: src, Dst: schedcheck.RelayBuf(hop), Final: -1})
 		if h == 0 {
 			for _, d := range s.depsOf(id) {

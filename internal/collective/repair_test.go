@@ -454,8 +454,8 @@ func TestRepairIncrementalTouchesOnlyStrandedRegion(t *testing.T) {
 		if touched[id] || tr.Marker() {
 			continue
 		}
-		if patched.ops[id].Channel != tr.Channel || patched.ops[id].Bytes != tr.Bytes {
-			t.Fatalf("untouched transfer %d changed channel/bytes under renumbering", old)
+		if patched.ops[id].Channel != tr.Channel || patched.ops[id].Chunk != tr.Chunk {
+			t.Fatalf("untouched transfer %d changed channel/chunk under renumbering", old)
 		}
 	}
 }

@@ -46,12 +46,14 @@ type Schedule struct {
 	Contract Contract
 
 	// ops is the schedule in its one representation, the verifier's IR:
-	// transfer i is ops[i], a 40-byte record with no pointers, and ids are
-	// a topological order. Dependencies are one CSR beside it: transfer i
-	// depends on deps[depOff[i]:depOff[i+1]], so depOff holds a leading 0
-	// and one entry per op. Builders append to all three and reserve them at
-	// their exact final size; a built schedule never edits them, so clones
-	// share the CSR.
+	// transfer i is ops[i], a 32-byte record with no pointers, and ids are
+	// a topological order. A transfer moves its chunk's bytes,
+	// Partition.Sizes[Chunk], so the op graph is independent of the message
+	// size. Dependencies are one CSR beside it: transfer i depends on
+	// deps[depOff[i]:depOff[i+1]], so depOff holds a leading 0 and one entry
+	// per op. Builders append to all three and reserve them at their exact
+	// final size; a built schedule never edits them, so clones share the CSR
+	// and the cache shares all three between message sizes.
 	ops    []schedcheck.Op
 	depOff []int32
 	deps   []int32
@@ -110,7 +112,7 @@ func (s *Schedule) depsOf(i int) []int32 {
 // addTransfer appends chunk c moving over channel ch from node from's buffer
 // into node to's, accumulating or overwriting, and returns its id.
 func (s *Schedule) addTransfer(ch topology.ChannelID, c int, from, to topology.NodeID, accumulate bool, deps ...int) int {
-	return s.add(schedcheck.Op{Chunk: int32(c), Bytes: s.Partition.Sizes[c], Channel: int32(ch),
+	return s.add(schedcheck.Op{Chunk: int32(c), Channel: int32(ch),
 		Src: schedcheck.NodeBuf(from), Dst: schedcheck.NodeBuf(to), Accumulate: accumulate, Final: -1}, deps...)
 }
 
@@ -421,7 +423,7 @@ func (s *Schedule) lower(i int) (des.Time, int32, error) {
 		return 0, -1, &DeadChannelError{Transfer: i, Label: s.Label(i), Channel: op.ChannelID(),
 			From: ch.From, To: ch.To}
 	}
-	d := ch.TransferTime(op.Bytes)
+	d := ch.TransferTime(s.Partition.Sizes[op.Chunk])
 	if op.NoAlpha {
 		d -= ch.Latency
 	}
@@ -578,7 +580,7 @@ func (s *Schedule) ForwardedBytes() map[topology.NodeID]int64 {
 		if op.Marker() || op.Dst.Relay < 0 {
 			continue
 		}
-		out[s.Graph.Channel(op.ChannelID()).To] += op.Bytes
+		out[s.Graph.Channel(op.ChannelID()).To] += s.Partition.Sizes[op.Chunk]
 	}
 	return out
 }
@@ -656,15 +658,16 @@ func (s *Schedule) topoOrder(extra []int32) ([]int, error) {
 // edit a Clone.
 func (s *Schedule) Program() *schedcheck.Program {
 	return &schedcheck.Program{
-		Graph:     s.Graph,
-		Nodes:     s.Nodes,
-		NumChunks: s.Partition.NumChunks(),
-		InOrder:   s.InOrder,
-		Streams:   s.Streams,
-		AllReduce: s.Contract == ContractAllReduce,
-		Ops:       s.ops,
-		DepOff:    s.depOff,
-		DepList:   s.deps,
+		Graph:      s.Graph,
+		Nodes:      s.Nodes,
+		NumChunks:  s.Partition.NumChunks(),
+		ChunkBytes: s.Partition.Sizes,
+		InOrder:    s.InOrder,
+		Streams:    s.Streams,
+		AllReduce:  s.Contract == ContractAllReduce,
+		Ops:        s.ops,
+		DepOff:     s.depOff,
+		DepList:    s.deps,
 	}
 }
 

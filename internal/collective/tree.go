@@ -556,7 +556,7 @@ func (tp *treePhase) send(v, c int, src, dst topology.NodeID, fifo bool, deps []
 	last := len(hops) - 1
 	for h, ch := range tp.routes[v].Channels {
 		id := len(s.ops)
-		op := schedcheck.Op{Chunk: int32(c), Bytes: s.Partition.Sizes[c], Channel: int32(ch),
+		op := schedcheck.Op{Chunk: int32(c), Channel: int32(ch),
 			Src: schedcheck.NodeBuf(src), Dst: schedcheck.RelayBuf(id), Final: -1}
 		if h > 0 {
 			op.Src = schedcheck.RelayBuf(id - 1)

@@ -400,7 +400,7 @@ func referenceResume(s *collective.Schedule, cp *collective.Checkpoint, res []*d
 		if !op.Marker() {
 			ch := s.Graph.Channel(op.ChannelID())
 			r = res[op.Channel]
-			d = ch.TransferTime(op.Bytes)
+			d = ch.TransferTime(p.ChunkBytes[op.Chunk])
 			if op.NoAlpha {
 				d -= ch.Latency
 			}

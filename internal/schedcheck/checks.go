@@ -234,6 +234,15 @@ func (ck *checker) structure(links bool) {
 		ck.fail(ClassStructure, -1, "program has %d chunks", p.NumChunks)
 		return
 	}
+	if len(p.ChunkBytes) != p.NumChunks {
+		ck.fail(ClassStructure, -1, "program sizes %d of its %d chunks", len(p.ChunkBytes), p.NumChunks)
+		return
+	}
+	for c, b := range p.ChunkBytes {
+		if b <= 0 {
+			ck.fail(ClassStructure, -1, "chunk %d has %d bytes", c, b)
+		}
+	}
 	if len(p.Ops) == 0 {
 		ck.fail(ClassStructure, -1, "program has no operations")
 		return
@@ -300,9 +309,6 @@ func (ck *checker) structure(links bool) {
 				ck.decodeFinal(i, op)
 			}
 			continue
-		}
-		if op.Bytes <= 0 {
-			ck.fail(ClassStructure, i, "transfer moves %d bytes", op.Bytes)
 		}
 		if int(op.Channel) >= nch {
 			ck.fail(ClassStructure, i, "channel %d does not exist (%d channels)", op.Channel, nch)

@@ -39,14 +39,14 @@ import (
 
 // opDuration returns the op's alpha-beta cost on its channel, matching the
 // task durations the collective executors lower each op to: Latency +
-// Bytes/EffectiveBandwidth, minus the latency term for NoAlpha continuation
-// transfers. Markers are free.
+// ChunkBytes[Chunk]/EffectiveBandwidth, minus the latency term for NoAlpha
+// continuation transfers. Markers are free.
 func (ck *checker) opDuration(op *Op) des.Time {
 	if op.Marker() {
 		return 0
 	}
 	ch := ck.p.Graph.Channel(op.ChannelID())
-	d := ch.TransferTime(op.Bytes)
+	d := ch.TransferTime(ck.p.ChunkBytes[op.Chunk])
 	if op.NoAlpha {
 		d -= ch.Latency
 	}

@@ -62,11 +62,11 @@ func twoStreamProgram(t *testing.T, ordered bool, streams int) *schedcheck.Progr
 	g := deepGraph()
 	up := channelBetween(t, g, 0, 1)
 	p := &schedcheck.Program{
-		Graph: g, Nodes: []topology.NodeID{0, 1}, NumChunks: 2, Streams: streams,
+		Graph: g, Nodes: []topology.NodeID{0, 1}, NumChunks: 2, ChunkBytes: []int64{1000, 1000}, Streams: streams,
 		Ops: []schedcheck.Op{
-			{Chunk: 0, Bytes: 1000, Channel: int32(up),
+			{Chunk: 0, Channel: int32(up),
 				Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
-			{Chunk: 1, Bytes: 1000, Channel: int32(up),
+			{Chunk: 1, Channel: int32(up),
 				Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
 			marker(0, 0),
 			marker(1, 0),
@@ -127,11 +127,11 @@ func waitForProgram(t *testing.T) *schedcheck.Program {
 	g := deepGraph()
 	up := channelBetween(t, g, 0, 1)
 	p := &schedcheck.Program{
-		Graph: g, Nodes: []topology.NodeID{0, 1}, NumChunks: 2, Streams: 1,
+		Graph: g, Nodes: []topology.NodeID{0, 1}, NumChunks: 2, ChunkBytes: []int64{1000, 1000}, Streams: 1,
 		Ops: []schedcheck.Op{
-			{Chunk: 0, Bytes: 1000, Channel: int32(up),
+			{Chunk: 0, Channel: int32(up),
 				Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
-			{Chunk: 1, Bytes: 1000, Channel: int32(up),
+			{Chunk: 1, Channel: int32(up),
 				Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
 			marker(0, 0),
 			marker(1, 0),
@@ -217,11 +217,11 @@ func chainProgram(t *testing.T) *schedcheck.Program {
 	up := channelBetween(t, g, 0, 1)
 	down := channelBetween(t, g, 1, 0)
 	p := &schedcheck.Program{
-		Graph: g, Nodes: []topology.NodeID{0, 1}, NumChunks: 1, AllReduce: true,
+		Graph: g, Nodes: []topology.NodeID{0, 1}, NumChunks: 1, ChunkBytes: []int64{1000}, AllReduce: true,
 		Ops: []schedcheck.Op{
-			{Chunk: 0, Bytes: 1000, Channel: int32(up),
+			{Chunk: 0, Channel: int32(up),
 				Src: schedcheck.NodeBuf(0), Dst: schedcheck.NodeBuf(1), Accumulate: true, Final: 1},
-			{Chunk: 0, Bytes: 1000, Channel: int32(down),
+			{Chunk: 0, Channel: int32(down),
 				Src: schedcheck.NodeBuf(1), Dst: schedcheck.NodeBuf(0), Final: 0},
 		},
 	}

@@ -451,7 +451,7 @@ func fuzzIncrementalRepair(t *testing.T, g *topology.Graph, s *collective.Schedu
 	tampered := pp.Clone()
 	v := untampered[int(pick2)%len(untampered)]
 	if pick2%2 == 0 {
-		tampered.Ops[v].Bytes++
+		tampered.ChunkBytes[tampered.Ops[v].Chunk]++
 	} else {
 		tampered.Ops[v].Accumulate = !tampered.Ops[v].Accumulate
 	}

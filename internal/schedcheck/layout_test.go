@@ -8,12 +8,12 @@ import (
 	"ccube/internal/schedcheck"
 )
 
-// TestOpLayout guards the op record every schedule is made of: at most 40
+// TestOpLayout guards the op record every schedule is made of: at most 32
 // bytes, and nothing in it the collector has to scan, so a schedule's ops
 // are one pointer-free block however many a cache holds.
 func TestOpLayout(t *testing.T) {
-	if n := unsafe.Sizeof(schedcheck.Op{}); n > 40 {
-		t.Errorf("schedcheck.Op is %d bytes, want <= 40", n)
+	if n := unsafe.Sizeof(schedcheck.Op{}); n > 32 {
+		t.Errorf("schedcheck.Op is %d bytes, want <= 32", n)
 	}
 	var walk func(ty reflect.Type, path string)
 	walk = func(ty reflect.Type, path string) {

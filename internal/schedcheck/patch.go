@@ -1,6 +1,7 @@
 package schedcheck
 
 import (
+	"slices"
 	"sort"
 
 	"ccube/internal/topology"
@@ -26,10 +27,11 @@ type PatchSpec struct {
 //
 //	structure — re-run in full on the patched program (it is a single O(ops)
 //	            sweep plus a topological sort; there is nothing to save).
-//	patch     — the mapping obligations. Every base op must have an image;
-//	            untouched images must be field-identical modulo renumbering
+//	patch     — the mapping obligations. The chunk sizes must be the
+//	            base's and every base op must have an image; untouched
+//	            images must be field-identical modulo renumbering
 //	            with exactly the mapped dependencies; touched images must
-//	            preserve the data-flow contract (chunk, bytes, destination,
+//	            preserve the data-flow contract (chunk, destination,
 //	            accumulate flag, final marker, and the node origin of the
 //	            data reached through relay chains) and may only ADD
 //	            dependencies; markers are immutable; new ops must be pure
@@ -111,9 +113,9 @@ func (ck *checker) patchMapping(spec *PatchSpec) ([]int, bool) {
 			return nil, false
 		}
 	}
-	if base.NumChunks != p.NumChunks || base.InOrder != p.InOrder ||
-		base.Streams != p.Streams || base.AllReduce != p.AllReduce {
-		ck.fail(ClassPatch, -1, "schedule contract changed (chunks/in-order/streams/allreduce)")
+	if base.NumChunks != p.NumChunks || !slices.Equal(base.ChunkBytes, p.ChunkBytes) ||
+		base.InOrder != p.InOrder || base.Streams != p.Streams || base.AllReduce != p.AllReduce {
+		ck.fail(ClassPatch, -1, "schedule contract changed (chunks/bytes/in-order/streams/allreduce)")
 		return nil, false
 	}
 
@@ -174,10 +176,9 @@ func (ck *checker) patchMapping(spec *PatchSpec) ([]int, bool) {
 		// Invariants for every surviving op, touched or not: the data-flow
 		// contract. Only Channel and Src (and Deps, additively) may change,
 		// and only on touched ops.
-		if bop.Chunk != op.Chunk || bop.Bytes != op.Bytes ||
-			bop.Accumulate != op.Accumulate || bop.Final != op.Final ||
-			bop.NoAlpha != op.NoAlpha {
-			ck.fail(ClassPatch, j, "base op %d changed chunk/bytes/accumulate/final", i)
+		if bop.Chunk != op.Chunk || bop.Accumulate != op.Accumulate ||
+			bop.Final != op.Final || bop.NoAlpha != op.NoAlpha {
+			ck.fail(ClassPatch, j, "base op %d changed chunk/accumulate/final", i)
 		}
 		if !bufEqualMapped(bop.Dst, op.Dst, spec.OldToNew) {
 			ck.fail(ClassPatch, j, "base op %d changed its destination buffer", i)

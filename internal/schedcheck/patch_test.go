@@ -194,7 +194,7 @@ func TestCheckPatchRejectsTampering(t *testing.T) {
 		return false
 	})
 	expect("bytes change", func(p *schedcheck.Program) bool {
-		p.Ops[victim].Bytes++
+		p.ChunkBytes[p.Ops[victim].Chunk]++
 		return true
 	})
 	expect("touched op dropped a mapped dependency", func(p *schedcheck.Program) bool {

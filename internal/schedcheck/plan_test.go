@@ -15,8 +15,8 @@ import (
 // planMatrix is the program grid the planned verifier is held to the
 // reference and to the full triangle on: every built-in on four topologies
 // at two chunk counts, the multi-box hierarchy in both modes, synthesis, a
-// repaired schedule, the standalone primitives and a sibling-patched
-// schedule.
+// repaired schedule, the standalone primitives and a same-shape header
+// served by the cache at a new size.
 func planMatrix(t *testing.T) map[string]*schedcheck.Program {
 	t.Helper()
 	progs := map[string]*schedcheck.Program{}
@@ -102,7 +102,7 @@ func planMatrix(t *testing.T) map[string]*schedcheck.Program {
 		t.Fatal(err)
 	}
 	if c.IncrementalBuilds() != 1 {
-		t.Fatal("second build was not patched from its cached sibling")
+		t.Fatal("second build was not served by a header over its cached sibling")
 	}
 	progs["dgx1/sibling-patched"] = patched.Program()
 	return progs

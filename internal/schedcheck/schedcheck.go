@@ -15,13 +15,16 @@
 // The verifier consumes a neutral intermediate representation (Program /
 // Op) rather than collective's own types, so collective can depend on
 // schedcheck (Schedule.Validate delegates here) without an import cycle.
-// The IR is flat, as in GC3's instruction lists: an Op is a 40-byte record
+// The IR is flat, as in GC3's instruction lists: an Op is a 32-byte record
 // with no pointers, its id is its index, and every op's dependencies sit in
-// one CSR on the Program (DepOff, DepList), read through Program.Deps.
+// one CSR on the Program (DepOff, DepList), read through Program.Deps. An op
+// names its chunk, not a byte count: a transfer moves its chunk's size,
+// Program.ChunkBytes, so one op graph serves every message size that splits
+// into the same chunk count.
 // Five check classes run over a Program:
 //
-//	structure     — dependency CSR, ranges, relay-slot wiring, acyclicity
-//	                (deadlock freedom of the dependency graph)
+//	structure     — dependency CSR, ranges, chunk sizes, relay-slot wiring,
+//	                acyclicity (deadlock freedom of the dependency graph)
 //	hazard        — for every pair of operations touching the same buffer
 //	                where at least one writes, a dependency path must order
 //	                them (catches C1 overlap races)
@@ -74,12 +77,12 @@ func NoBuf() Buf { return Buf{Node: -1, Relay: -1} }
 
 // Op is one scheduled operation: a chunk moving over a channel, or a
 // zero-cost marker (Channel < 0) joining dependencies. It is also the
-// schedule IR collective builds, stores and executes. An op is 40 bytes and
+// schedule IR collective builds, stores and executes. An op is 32 bytes and
 // holds no pointers: its id is its index in Program.Ops, its dependencies
-// live in the program's CSR (Program.Deps), and it carries no label —
-// Program.Label renders one from the fields when a message needs it.
+// live in the program's CSR (Program.Deps), a transfer moves
+// Program.ChunkBytes[Chunk] bytes, and it carries no label — Program.Label
+// renders one from the fields when a message needs it.
 type Op struct {
-	Bytes   int64
 	Chunk   int32
 	Channel int32 // a topology.ChannelID, < 0 for markers
 
@@ -130,6 +133,10 @@ type Program struct {
 	Graph     *topology.Graph
 	Nodes     []topology.NodeID // participants
 	NumChunks int
+
+	// ChunkBytes[c] is chunk c's size, the bytes every transfer of chunk c
+	// moves; it has NumChunks entries.
+	ChunkBytes []int64
 
 	// InOrder is the schedule's claim that chunks complete in index order
 	// at every node; the order check proves or refutes it.
@@ -201,12 +208,13 @@ func (p *Program) Label(id int) string {
 }
 
 // Clone returns a deep copy of p: participants, ops and the dependency
-// CSR, each one flat slice copy. The topology graph is shared. A program
+// CSR and chunk sizes, each one flat slice copy. The topology graph is shared. A program
 // from Schedule.Program is a view of the schedule, possibly a cached and
 // verified one, so code that edits a program edits a clone.
 func (p *Program) Clone() *Program {
 	out := *p
 	out.Nodes = append([]topology.NodeID(nil), p.Nodes...)
+	out.ChunkBytes = append([]int64(nil), p.ChunkBytes...)
 	out.Ops = append([]Op(nil), p.Ops...)
 	out.DepOff = append([]int32(nil), p.DepOff...)
 	out.DepList = append([]int32(nil), p.DepList...)
@@ -348,18 +356,6 @@ func Check(p *Program) *Report { return check(p, false) }
 // separate because they constrain performance, not delivery: a schedule can
 // violate them and still be correct, just slower than its structure claims.
 func CheckDeep(p *Program) *Report { return check(p, true) }
-
-// CheckStructure runs the structure class alone: dependency CSR, ranges,
-// relay-slot wiring and acyclicity. It is the structural gate for programs
-// derived from verified ones by changes that keep every other class's
-// proof, such as rescaling transfer sizes.
-func CheckStructure(p *Program) *Report {
-	ck := getChecker(p)
-	defer ck.release()
-	ck.structure(false)
-	ck.r.Checked = append(ck.r.Checked, ClassStructure)
-	return ck.r
-}
 
 func check(p *Program, deep bool) *Report {
 	ck := getChecker(p)

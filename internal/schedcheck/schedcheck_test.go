@@ -141,11 +141,11 @@ func TestCatchesUnreadRelaySlot(t *testing.T) {
 func TestCatchesUnorderedCopies(t *testing.T) {
 	g := topology.FullyConnected(3, deepBW, deepLat)
 	copyTo1 := func(from topology.NodeID) schedcheck.Op {
-		return schedcheck.Op{Chunk: 0, Bytes: 1000, Channel: int32(channelBetween(t, g, from, 1)),
+		return schedcheck.Op{Chunk: 0, Channel: int32(channelBetween(t, g, from, 1)),
 			Src: schedcheck.NodeBuf(from), Dst: schedcheck.NodeBuf(1), Final: -1}
 	}
 	p := &schedcheck.Program{
-		Graph: g, Nodes: []topology.NodeID{0, 1, 2}, NumChunks: 1,
+		Graph: g, Nodes: []topology.NodeID{0, 1, 2}, NumChunks: 1, ChunkBytes: []int64{1000},
 		Ops: []schedcheck.Op{copyTo1(0), copyTo1(2), marker(0, 0), marker(0, 1), marker(0, 2)},
 	}
 	p.SetDeps(make([][]int, len(p.Ops)))
@@ -258,7 +258,6 @@ func TestCatchesMalformedDepCSR(t *testing.T) {
 		reports := []*schedcheck.Report{
 			schedcheck.Check(p),
 			schedcheck.CheckDeep(p),
-			schedcheck.CheckStructure(p),
 			schedcheck.CheckPatch(p, &schedcheck.PatchSpec{Base: base, OldToNew: identity}),
 		}
 		for _, r := range reports {
@@ -276,6 +275,41 @@ func TestCatchesMalformedDepCSR(t *testing.T) {
 		}
 		if _, err := gpusim.Run(p, inputs, gpusim.Config{}); err == nil {
 			t.Fatalf("%s: gpusim ran the program", name)
+		}
+	}
+}
+
+// TestCatchesMalformedChunkSizes: a transfer moves its chunk's size, so a
+// program whose sizes do not cover its chunks, or hold an empty chunk,
+// fails structure at every entry point, never panicking.
+func TestCatchesMalformedChunkSizes(t *testing.T) {
+	base := treeProgram(t)
+	identity := make([]int, len(base.Ops))
+	for i := range identity {
+		identity[i] = i
+	}
+	cases := map[string]func(p *schedcheck.Program){
+		"no sizes":     func(p *schedcheck.Program) { p.ChunkBytes = nil },
+		"one short":    func(p *schedcheck.Program) { p.ChunkBytes = p.ChunkBytes[:p.NumChunks-1] },
+		"empty chunk":  func(p *schedcheck.Program) { p.ChunkBytes[1] = 0 },
+		"negative one": func(p *schedcheck.Program) { p.ChunkBytes[0] = -5 },
+	}
+	for name, corrupt := range cases {
+		p := base.Clone()
+		corrupt(p)
+		reports := []*schedcheck.Report{
+			schedcheck.Check(p),
+			schedcheck.CheckDeep(p),
+			schedcheck.CheckPatch(p, &schedcheck.PatchSpec{Base: base, OldToNew: identity}),
+		}
+		for _, r := range reports {
+			if !hasClass(r, schedcheck.ClassStructure) {
+				t.Fatalf("%s: not flagged as structure: %s", name, r.Summary())
+			}
+		}
+		assertMatchesReference(t, p, reports[0])
+		if _, err := schedcheck.MakespanBound(p); err == nil {
+			t.Fatalf("%s: MakespanBound accepted the program", name)
 		}
 	}
 }

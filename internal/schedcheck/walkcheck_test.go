@@ -122,6 +122,15 @@ func (ck *walkChecker) structure() {
 		ck.fail(ClassStructure, -1, "program has %d chunks", p.NumChunks)
 		return
 	}
+	if len(p.ChunkBytes) != p.NumChunks {
+		ck.fail(ClassStructure, -1, "program sizes %d of its %d chunks", len(p.ChunkBytes), p.NumChunks)
+		return
+	}
+	for c, b := range p.ChunkBytes {
+		if b <= 0 {
+			ck.fail(ClassStructure, -1, "chunk %d has %d bytes", c, b)
+		}
+	}
 	if len(p.Ops) == 0 {
 		ck.fail(ClassStructure, -1, "program has no operations")
 		return
@@ -169,9 +178,6 @@ func (ck *walkChecker) structure() {
 				ck.fail(ClassStructure, i, "marker touches buffers")
 			}
 			continue
-		}
-		if op.Bytes <= 0 {
-			ck.fail(ClassStructure, i, "transfer moves %d bytes", op.Bytes)
 		}
 		if int(op.Channel) >= p.Graph.NumChannels() {
 			ck.fail(ClassStructure, i, "channel %d does not exist (%d channels)",

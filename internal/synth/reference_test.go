@@ -279,7 +279,6 @@ func refPipeline(p *refProgram) {
 type refOpSpec struct {
 	Channel      topology.ChannelID
 	Chunk        int
-	Bytes        int64
 	SrcNode      topology.NodeID
 	FromRelay    bool
 	SrcRelay     int
@@ -295,7 +294,7 @@ type refOpSpec struct {
 func refLower(p *refProgram) ([]refOpSpec, error) {
 	specs := make([]refOpSpec, 0, len(p.Ops))
 	for i, op := range p.Ops {
-		o := refOpSpec{Chunk: op.Chunk, Bytes: op.Bytes, Deps: op.Deps, Channel: op.Channel}
+		o := refOpSpec{Chunk: op.Chunk, Deps: op.Deps, Channel: op.Channel}
 		switch op.Kind {
 		case refMarker:
 			o.Channel = -1
@@ -338,7 +337,7 @@ func refOps(specs []refOpSpec) ([]schedcheck.Op, [][]int) {
 			o.Final = int32(op.Final)
 		}
 		if op.Channel >= 0 {
-			o.Channel, o.Bytes, o.Accumulate, o.NoAlpha = int32(op.Channel), op.Bytes, op.Accumulate, op.NoAlpha
+			o.Channel, o.Accumulate, o.NoAlpha = int32(op.Channel), op.Accumulate, op.NoAlpha
 			o.Src = schedcheck.NodeBuf(op.SrcNode)
 			if op.FromRelay {
 				o.Src = schedcheck.RelayBuf(op.SrcRelay)
