@@ -17,9 +17,11 @@ test:
 # queue, the fault-matrix suite (its adaptation tests are CI's third race
 # step), the sweep executor, the HTTP service layer with its load generator,
 # the schedule builders, cache and on-disk store, the verifier's pool of
-# checkers, and the synthesis compiler, which emits through the builders.
+# checkers, the training simulator, whose iterations share cached schedules
+# across the server's workers, and the synthesis compiler, which emits
+# through the builders.
 race:
-	$(GO) test -race ./internal/des/ ./internal/topology/ ./internal/metrics/... ./internal/p2psync/... ./internal/gpusim/... ./internal/gradqueue/... ./internal/fault/... ./internal/sweep/... ./internal/server/... ./internal/loadgen/... ./internal/collective/... ./internal/schedcheck/ ./internal/synth/
+	$(GO) test -race ./internal/des/ ./internal/topology/ ./internal/metrics/... ./internal/p2psync/... ./internal/gpusim/... ./internal/gradqueue/... ./internal/fault/... ./internal/sweep/... ./internal/server/... ./internal/loadgen/... ./internal/collective/... ./internal/schedcheck/ ./internal/train/ ./internal/synth/
 	$(GO) test -race -run ParallelMatchesSerial ./internal/experiments/
 
 # The des run-loop benches (Resource, GraphPipeline) and its zero-alloc

@@ -174,9 +174,9 @@ func benchmarks() []benchmark {
 		{"Train/dgx1-resnet50-CC", true, func() (func() error, error) {
 			// One ModeCC iteration of ResNet-50 at batch 64 on the DGX-1,
 			// as train.BenchmarkExecute times it: the schedule is a cache
-			// hit after the untimed first op, so an op is the standalone
-			// collective run plus building and running the iteration
-			// graph, the path /v1/train requests take.
+			// hit after the untimed first op, so an op is building and
+			// running the iteration graph, the collective a block of it,
+			// the path /v1/train requests take.
 			cfg := train.Config{Model: dnn.ResNet50(), Batch: 64,
 				Graph: topology.DGX1(topology.DefaultDGX1Config()), Mode: train.ModeCC}
 			ctx := context.Background()

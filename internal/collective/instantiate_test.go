@@ -3,6 +3,7 @@ package collective
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -43,19 +44,53 @@ func parityCases(t *testing.T) map[string]func() *Schedule {
 // start dependency and runs it.
 func instantiateAlone(s *Schedule) (*des.Graph, [][]int, des.Time, error) {
 	g := des.NewGraph()
-	ready, err := s.Instantiate(g, s.Graph.Resources(), -1)
+	block, err := s.Instantiate(g, s.Graph.Resources(), -1)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	total, err := g.RunCtx(context.Background())
-	return g, ready, total, err
+	return g, block.Ready, total, err
+}
+
+// blockStart is when instantiateBehind's start task ends: the time the
+// block is shifted by.
+const blockStart = 3*des.Millisecond + 17
+
+// instantiateBehind instantiates s behind a start task ending at
+// blockStart, in a graph whose unrelated "other" resource stays busy
+// before, across and after the block's window, runs it and returns the
+// block's Result.
+func instantiateBehind(t *testing.T, s *Schedule) *Result {
+	t.Helper()
+	g := des.NewGraph()
+	other := des.NewResource("other")
+	prev := g.Add("other:0", other, blockStart/2)
+	start := g.Add("start", nil, blockStart)
+	block, err := s.Instantiate(g, s.Graph.Resources(), start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 8; i++ {
+		prev = g.Add("other", other, des.Millisecond, prev)
+	}
+	if _, err := g.RunCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if g.End(start) != blockStart {
+		t.Fatalf("start task ends at %v, want %v", g.End(start), blockStart)
+	}
+	return block.Result(g)
 }
 
 // TestInstantiateMatchesExecute pins Instantiate's block append to the
 // executor: a schedule instantiated alone into a graph times every transfer
-// exactly as ExecuteCtx and ExecuteOnCtx do, and both refuse a dead channel and a stale
-// schedule with the same error.
+// exactly as ExecuteCtx and ExecuteOnCtx do, and both refuse a dead channel
+// and a stale schedule with the same error. Instantiated behind a start
+// task that ends at a non-zero time, beside unrelated work, the block's
+// Result is ExecuteCtx's field for field, and it publishes the same
+// overlap efficiency, bit for bit, as one more execution.
 func TestInstantiateMatchesExecute(t *testing.T) {
+	withMetrics(t)
 	ctx := context.Background()
 	for name, build := range parityCases(t) {
 		t.Run(name, func(t *testing.T) {
@@ -68,8 +103,20 @@ func TestInstantiateMatchesExecute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fast, err := s.ExecuteCtx(ctx); err != nil || !reflect.DeepEqual(fast, want) {
+			fast, err := s.ExecuteCtx(ctx)
+			if err != nil || !reflect.DeepEqual(fast, want) {
 				t.Fatalf("ExecuteCtx %+v (%v), ExecuteOnCtx %+v", fast, err, want)
+			}
+			standaloneOverlap := mOverlapEfficiency.Value()
+			executions := mExecutions.Value()
+			if got := instantiateBehind(t, s); !reflect.DeepEqual(got, fast) {
+				t.Fatalf("block result %+v, ExecuteCtx %+v", got, fast)
+			}
+			if got := mOverlapEfficiency.Value(); math.Float64bits(got) != math.Float64bits(standaloneOverlap) {
+				t.Fatalf("block overlap efficiency %v, standalone %v", got, standaloneOverlap)
+			}
+			if got := mExecutions.Value(); got != executions+1 {
+				t.Fatalf("block result counted %v executions, want 1", got-executions)
 			}
 			if total != want.Total {
 				t.Fatalf("instantiated total %v, ExecuteCtx %v", total, want.Total)

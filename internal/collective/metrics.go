@@ -145,17 +145,19 @@ func (s *Schedule) overlapEfficiency(start, end []des.Time, sc *metricsScratch) 
 }
 
 // publishExecutionMetrics records one execution's channel traffic, bandwidth
-// achievement, detour share, and overlap efficiency, read off the run's
-// columns in f. Called after a completed run only when collection is
-// enabled: the aggregation is two passes over the ops, a sort of the
-// broadcast spans and a labelled series update per used channel, and must
-// stay off the disabled path.
-func (s *Schedule) publishExecutionMetrics(f *des.Flat, total des.Time) {
+// achievement, detour share, and overlap efficiency, read off the run:
+// start and end hold each transfer's executed window, busy each channel's
+// occupancy, and total the makespan. Only time differences enter, so a run
+// shifted in time publishes the same values. Called after a completed run
+// only when collection is enabled: the aggregation is two passes over the
+// ops, a sort of the broadcast spans and a labelled series update per used
+// channel, and must stay off the disabled path.
+func (s *Schedule) publishExecutionMetrics(start, end, busy []des.Time, total des.Time) {
 	mExecutions.Inc()
 	sc := metricsPool.Get().(*metricsScratch)
 	defer metricsPool.Put(sc)
 
-	sc.chBytes = resized(sc.chBytes, len(f.Busy))
+	sc.chBytes = resized(sc.chBytes, len(busy))
 	chBytes := sc.chBytes
 	var totalBytes, detourBytes int64
 	for i := range s.ops {
@@ -175,7 +177,7 @@ func (s *Schedule) publishExecutionMetrics(f *des.Flat, total des.Time) {
 		mDetourShare.Set(float64(detourBytes) / float64(totalBytes))
 	}
 
-	for i, busy := range f.Busy {
+	for i, occ := range busy {
 		if chBytes[i] == 0 {
 			continue
 		}
@@ -185,12 +187,12 @@ func (s *Schedule) publishExecutionMetrics(f *des.Flat, total des.Time) {
 		mChannelNominalBW.With(name).Set(ch.Bandwidth)
 		mChannelEffectiveBW.With(name).Set(ch.EffectiveBandwidth())
 		if total > 0 {
-			mChannelUtilization.With(name).Set(float64(busy) / float64(total))
+			mChannelUtilization.With(name).Set(float64(occ) / float64(total))
 		}
-		if busy > 0 {
-			mChannelAchievedBW.With(name).Set(float64(chBytes[i]) / busy.Seconds())
+		if occ > 0 {
+			mChannelAchievedBW.With(name).Set(float64(chBytes[i]) / occ.Seconds())
 		}
 	}
 
-	mOverlapEfficiency.Set(s.overlapEfficiency(f.Start, f.End, sc))
+	mOverlapEfficiency.Set(s.overlapEfficiency(start, end, sc))
 }

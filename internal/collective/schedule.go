@@ -230,11 +230,11 @@ func (r *Result) Bandwidth() float64 {
 // invoked once, after all gradients exist). On an error the graph holds a
 // partial block and must be discarded.
 //
-// It returns the task ids that mark chunk availability, for wiring schedule
-// completion into a larger pipeline (the training simulator chains
-// forward-compute tasks onto these): ready[i][c] is the task whose End makes
-// chunk c available at Schedule.Nodes[i].
-func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) (ready [][]int, err error) {
+// The returned Block names the tasks that mark chunk availability, for
+// wiring schedule completion into a larger pipeline (the training
+// simulator chains forward-compute tasks onto them), and reads the block's
+// Result once the graph has run.
+func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) (*Block, error) {
 	if err := s.checkResources(res); err != nil {
 		return nil, err
 	}
@@ -257,16 +257,63 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 		}
 		g.Set(base+i, s.ops[i].Kind(), r, d)
 	}
-	k := s.Partition.NumChunks()
-	ready = make([][]int, len(ids))
-	cells := make([]int, len(ids)*k)
+	ready := grid[int](len(ids), s.Partition.NumChunks())
 	for i, row := range ids {
-		ready[i] = cells[i*k : (i+1)*k : (i+1)*k]
 		for c, id := range row {
 			ready[i][c] = base + int(id)
 		}
 	}
-	return ready, nil
+	return &Block{Ready: ready, s: s, base: base, start: startDep}, nil
+}
+
+// Block is a schedule instantiated into a des.Graph: transfer i is task
+// base+i, and the block starts when its start task ends (at time zero when
+// it has none).
+type Block struct {
+	// Ready[i][c] is the task whose End makes chunk c available at
+	// Schedule.Nodes[i].
+	Ready [][]int
+
+	s     *Schedule
+	base  int
+	start int
+}
+
+// Result reads the block's timing off g after g ran to completion, with
+// every time relative to the block's start: Total is the latest block
+// task's End, ChunkReady the End of each Ready task, and ChannelBusy sums
+// each channel's block transfers. When the block's channel resources serve
+// only the block and carry no timed slowdown or failure, this is exactly
+// the Result ExecuteCtx reports: the run loop grants in (ready time, id)
+// order, block ids keep the schedule's order, and every root transfer
+// becomes ready at the start, so the block is the standalone run shifted
+// by the start time. With collection enabled Result also records the run
+// in the execution metrics as ExecuteCtx does, so call it once per run.
+func (b *Block) Result(g *des.Graph) *Result {
+	s := b.s
+	start, end := g.Times(b.base, b.base+len(s.ops))
+	var t0 des.Time
+	if b.start >= 0 {
+		t0 = g.End(b.start)
+	}
+	busy := make([]des.Time, s.Graph.NumChannels())
+	var total des.Time
+	for i := range s.ops {
+		total = max(total, end[i]-t0)
+		if !s.ops[i].Marker() {
+			busy[s.ops[i].Channel] += end[i] - start[i]
+		}
+	}
+	ready := grid[des.Time](len(b.Ready), s.Partition.NumChunks())
+	for i, row := range b.Ready {
+		for c, id := range row {
+			ready[i][c] = des.Time(id - b.base)
+		}
+	}
+	if metrics.Default.Enabled() {
+		s.publishExecutionMetrics(start, end, busy, total)
+	}
+	return s.result(ready, end, t0, busy, total)
 }
 
 // ExecuteCtx runs the schedule on the discrete-event engine and returns
@@ -347,10 +394,10 @@ func (s *Schedule) execute(ctx context.Context, res []*des.Resource, cp *Checkpo
 	if cp != nil {
 		total = max(total, slices.Max(f.End)) // the executed prefix's ends too
 	}
-	r := s.result(f, ready, total)
 	if cp == nil && metrics.Default.Enabled() {
-		s.publishExecutionMetrics(f, total)
+		s.publishExecutionMetrics(f.Start, f.End, f.Busy, total)
 	}
+	r := s.result(ready, f.End, 0, slices.Clone(f.Busy), total)
 	var g *des.Graph
 	if export {
 		labels := make([]string, len(s.ops))
@@ -435,14 +482,11 @@ func (s *Schedule) lower(i int) (des.Time, int32, error) {
 // fails unless every (node, chunk) has a final.
 func (s *Schedule) readyIDs() ([][]des.Time, error) {
 	idx := s.nodeIndex()
-	k := s.Partition.NumChunks()
-	ready := make([][]des.Time, len(s.Nodes))
-	cells := make([]des.Time, len(s.Nodes)*k)
-	for i := range ready {
-		ready[i] = cells[i*k : (i+1)*k : (i+1)*k]
-	}
-	for i := range cells {
-		cells[i] = -1
+	ready := grid[des.Time](len(s.Nodes), s.Partition.NumChunks())
+	for _, row := range ready {
+		for c := range row {
+			row[c] = -1
+		}
 	}
 	for i := range s.ops {
 		op := &s.ops[i]
@@ -465,15 +509,26 @@ func (s *Schedule) readyIDs() ([][]des.Time, error) {
 	return ready, nil
 }
 
-// result assembles the Result of a completed run from f's columns: ready
-// holds, per (node, chunk), the transfer whose End makes the chunk ready
-// (see readyIDs) and becomes ChunkReady.
-func (s *Schedule) result(f *des.Flat, ready [][]des.Time, total des.Time) *Result {
+// grid returns a rows × k matrix whose rows share one backing array.
+func grid[T any](rows, k int) [][]T {
+	m := make([][]T, rows)
+	cells := make([]T, rows*k)
+	for i := range m {
+		m[i] = cells[i*k : (i+1)*k : (i+1)*k]
+	}
+	return m
+}
+
+// result assembles the Result of a completed run: ready holds, per (node,
+// chunk), the transfer whose End makes the chunk ready (see readyIDs) and
+// becomes ChunkReady, read off the End column end (indexed by transfer id)
+// relative to t0; busy, indexed by channel, becomes ChannelBusy.
+func (s *Schedule) result(ready [][]des.Time, end []des.Time, t0 des.Time, busy []des.Time, total des.Time) *Result {
 	k := s.Partition.NumChunks()
 	done := make([]des.Time, k)
 	for i := range ready {
 		for c, id := range ready[i] {
-			ready[i][c] = f.End[id]
+			ready[i][c] = end[id] - t0
 			if ready[i][c] > done[c] {
 				done[c] = ready[i][c]
 			}
@@ -484,7 +539,7 @@ func (s *Schedule) result(f *des.Flat, ready [][]des.Time, total des.Time) *Resu
 		ChunkReady:  ready,
 		ChunkDone:   done,
 		Turnaround:  done[0],
-		ChannelBusy: append([]des.Time(nil), f.Busy...),
+		ChannelBusy: busy,
 		Partition:   s.Partition,
 		InOrder:     s.InOrder,
 	}

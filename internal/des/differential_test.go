@@ -91,12 +91,12 @@ func referenceRun(t *testing.T, ctx context.Context, s *collective.Schedule, arm
 	t.Helper()
 	res := resources(s.Graph, arm)
 	g := des.NewGraph()
-	ready, err := s.Instantiate(g, res, -1)
+	block, err := s.Instantiate(g, res, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total, err := des.RunReference(ctx, g)
-	return g, ready, res, total, err
+	return g, block.Ready, res, total, err
 }
 
 // checkSchedule runs s three ways — the reference engine, Graph.RunCtx on

@@ -253,3 +253,10 @@ func (g *Graph) Start(id int) Time { return g.f.Start[id] }
 
 // End returns the end time of task id (valid after RunCtx).
 func (g *Graph) End(id int) Time { return g.f.End[id] }
+
+// Times returns the Start and End columns of tasks lo..hi-1 (valid after
+// RunCtx), indexed from lo. They are views of the graph's own columns:
+// read them, never write them.
+func (g *Graph) Times(lo, hi int) (start, end []Time) {
+	return g.f.Start[lo:hi:hi], g.f.End[lo:hi:hi]
+}

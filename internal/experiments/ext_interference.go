@@ -79,11 +79,11 @@ func runPair(a, b collective.Algorithm, bytes int64) (des.Time, des.Time, error)
 	}
 	g := des.NewGraph()
 	res := graph.Resources()
-	readyA, err := schedA.Instantiate(g, res, -1)
+	blockA, err := schedA.Instantiate(g, res, -1)
 	if err != nil {
 		return 0, 0, err
 	}
-	readyB, err := schedB.Instantiate(g, res, -1)
+	blockB, err := schedB.Instantiate(g, res, -1)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -101,5 +101,5 @@ func runPair(a, b collective.Algorithm, bytes int64) (des.Time, des.Time, error)
 		}
 		return end
 	}
-	return latest(readyA), latest(readyB), nil
+	return latest(blockA.Ready), latest(blockB.Ready), nil
 }

@@ -173,11 +173,11 @@ func Run(t Trace, cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("replay: op %d: %w", i, err)
 			}
-			ready, err := sched.Instantiate(g, chres, prev)
+			block, err := sched.Instantiate(g, chres, prev)
 			if err != nil {
 				return nil, fmt.Errorf("replay: op %d: %w", i, err)
 			}
-			prev = g.Add(fmt.Sprintf("op%d:done", i), nil, 0, slices.Concat(ready...)...)
+			prev = g.Add(fmt.Sprintf("op%d:done", i), nil, 0, slices.Concat(block.Ready...)...)
 		}
 		opEnds[i] = prev
 	}

@@ -136,7 +136,9 @@ func RunBackwardOverlapCtx(ctx context.Context, cfg Config) (*Result, error) {
 			ready = append(ready, bwdTask[i][bk.firstLayer])
 		}
 		launch := g.Add(fmt.Sprintf("bucket%d:launch", bi), nil, BucketInvocationOverhead, ready...)
-		sched, err := collective.Build(collective.Config{
+		// BuildCached: every iteration of a model asks for the same bucket
+		// schedules, so each is built and verified once, then shared.
+		sched, err := collective.BuildCached(collective.Config{
 			Graph:               cfg.Graph,
 			Algorithm:           collective.AlgRing, // DDP's default backend behavior
 			Nodes:               nodes,
@@ -146,12 +148,12 @@ func RunBackwardOverlapCtx(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("train: bucket %d: %w", bi, err)
 		}
-		chunkReady, err := sched.Instantiate(g, chres, launch)
+		block, err := sched.Instantiate(g, chres, launch)
 		if err != nil {
 			return nil, err
 		}
 		for i := range nodes {
-			commDoneDeps[i] = append(commDoneDeps[i], chunkReady[i]...)
+			commDoneDeps[i] = append(commDoneDeps[i], block.Ready[i]...)
 		}
 	}
 

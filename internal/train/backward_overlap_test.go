@@ -4,7 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"ccube/internal/collective"
+	"ccube/internal/des"
 	"ccube/internal/dnn"
+	"ccube/internal/topology"
 )
 
 func TestMakeBuckets(t *testing.T) {
@@ -88,5 +91,56 @@ func TestBackwardOverlapValidation(t *testing.T) {
 	}
 	if _, err := RunBackwardOverlapCtx(context.Background(), Config{Model: dnn.ZFNet(), Batch: 1}); err == nil {
 		t.Error("nil graph accepted")
+	}
+}
+
+// ddpIterTimes pins RunBackwardOverlapCtx's iteration time at batch 64 for
+// every model on both DGX-1 fabrics, as it was when each bucket's ring
+// schedule was built per request without verification. Verified, cached
+// bucket schedules time identically.
+var ddpIterTimes = map[string]map[string]des.Time{
+	"dgx1":     {"zfnet": 69322556, "vgg16": 912387206, "resnet50": 228285746, "bert-base": 660995898},
+	"dgx1-low": {"zfnet": 70887672, "vgg16": 912620446, "resnet50": 230111318, "bert-base": 673984426},
+}
+
+func TestBackwardOverlapIterTimesUnchanged(t *testing.T) {
+	graphs := map[string]*topology.Graph{"dgx1": dgx1(), "dgx1-low": lowBW()}
+	for gname, g := range graphs {
+		for _, m := range []dnn.Model{dnn.ZFNet(), dnn.VGG16(), dnn.ResNet50(), dnn.BERTBase()} {
+			res, err := RunBackwardOverlapCtx(context.Background(), Config{Model: m, Batch: 64, Graph: g})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ddpIterTimes[gname][m.Name]; res.IterTime != want {
+				t.Errorf("%s/%s: DDP iteration %d ns, want %d", gname, m.Name, res.IterTime, want)
+			}
+		}
+	}
+}
+
+// TestBackwardOverlapSharesCachedBuckets: bucket schedules come from the
+// schedule cache, verified once. A second iteration of the model, at
+// another batch size, asks for the same buckets and builds and checks
+// nothing: every lookup hits.
+func TestBackwardOverlapSharesCachedBuckets(t *testing.T) {
+	g := dgx1() // a fresh graph: its keys are new to the cache
+	model := dnn.ResNet50()
+	_, cold := collective.DefaultCache.Stats()
+	if _, err := RunBackwardOverlapCtx(context.Background(), Config{Model: model, Batch: 16, Graph: g}); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := collective.DefaultCache.Stats()
+	if misses == cold {
+		t.Fatal("first iteration on a fresh graph never missed the cache")
+	}
+	if _, err := RunBackwardOverlapCtx(context.Background(), Config{Model: model, Batch: 64, Graph: g}); err != nil {
+		t.Fatal(err)
+	}
+	hits2, misses2 := collective.DefaultCache.Stats()
+	if misses2 != misses {
+		t.Errorf("second iteration missed the cache %d times, want 0", misses2-misses)
+	}
+	if got, want := hits2-hits, uint64(NumBuckets(model)); got != want {
+		t.Errorf("second iteration hit the cache %d times, want one per bucket (%d)", got, want)
 	}
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // BenchmarkExecute times one ModeCC training iteration of ResNet-50 at
-// batch 64 on the DGX-1: the standalone collective run plus the whole
-// iteration graph (backward, one-shot AllReduce, chained forward). The
-// schedule comes from the cache after the first iteration, so the timed
-// work is the two DES runs and the graph construction around them.
+// batch 64 on the DGX-1: building and running the iteration graph
+// (backward, the one-shot AllReduce as one block, chained forward) and
+// reading the collective's Result off its block. The schedule comes from
+// the cache after the first iteration, so the timed work is the one DES
+// run and the graph construction around it.
 func BenchmarkExecute(b *testing.B) {
 	b.Run("dgx1-resnet50-CC", func(b *testing.B) {
 		cfg := Config{Model: dnn.ResNet50(), Batch: 64, Graph: dgx1(), Mode: ModeCC}

@@ -111,10 +111,11 @@ func RunPipeline(ctx context.Context, cfg Config, iters int) (*PipelineResult, e
 		}
 		bwdDone := g.Add(fmt.Sprintf("it%d:bwd-done", k), nil, 0, lastBwd...)
 
-		ready, err := sched.Instantiate(g, chres, bwdDone)
+		block, err := sched.Instantiate(g, chres, bwdDone)
 		if err != nil {
 			return nil, err
 		}
+		ready := block.Ready
 		kChunks := sched.Partition.NumChunks()
 		commDone := make([]int, len(nodes))
 		for i := range nodes {

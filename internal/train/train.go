@@ -139,8 +139,13 @@ type Result struct {
 	// ComputeTime is the single-GPU forward+backward time (the ideal).
 	ComputeTime des.Time
 
-	// CommTime is the standalone AllReduce completion time (no overlap with
-	// compute), for decomposition analysis.
+	// CommTime is the AllReduce's completion time, measured from the end of
+	// backward (when the one-shot collective launches) to its last transfer,
+	// for decomposition analysis. The collective runs on channels nothing
+	// else uses, so without timed faults this equals a standalone run of the
+	// schedule. A timed fault (Config.Faults, At > 0) that lands inside the
+	// collective's window slows or stops it here too: a LinkDegrade armed
+	// mid-collective lengthens CommTime.
 	CommTime des.Time
 
 	// Turnaround is when the first chunk was available at every GPU,
@@ -245,10 +250,11 @@ func (cfg *Config) buildSchedule(nodes []topology.NodeID) (*collective.Schedule,
 
 // RunCtx simulates one iteration and returns its timing decomposition,
 // with the executed pipeline graph on Result.Graph for timeline export
-// (internal/trace). A deadline or explicit cancel aborts both
-// discrete-event runs the iteration performs (the standalone collective and
-// the full pipeline graph) at their next checkpoint, surfacing a wrapped
-// *des.CanceledError.
+// (internal/trace). The iteration is one discrete-event run: backward, the
+// one-shot AllReduce as a block of the graph, and the next forward pass;
+// CommTime and Turnaround are read off the AllReduce's block. A deadline or
+// explicit cancel aborts the run at its next checkpoint, surfacing a
+// wrapped *des.CanceledError.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	//lint:ignore virtual-time host-side instrumentation only: wallStart feeds the metrics exporter, never the DES clock
 	wallStart := time.Now()
@@ -286,12 +292,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		sched = repaired
-	}
-
-	// Standalone communication time and turnaround for the decomposition.
-	commRes, err := sched.ExecuteCtx(ctx)
-	if err != nil {
-		return nil, err
 	}
 
 	dev := cfg.device()
@@ -360,10 +360,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	bwdDone := g.Add("bwd-done", nil, 0, lastBwd...)
 
 	// One-shot AllReduce after backward (paper §II-B).
-	ready, err := sched.Instantiate(g, chres, bwdDone)
+	block, err := sched.Instantiate(g, chres, bwdDone)
 	if err != nil {
 		return nil, err
 	}
+	ready := block.Ready
 
 	// Forward pass of the next iteration.
 	table := chunk.BuildLayerChunkTable(cfg.Model.LayerBytes(), sched.Partition)
@@ -428,6 +429,10 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("train: iteration aborted by mid-run fault: %w", err)
 	}
 
+	// The collective's decomposition, read off its block: its channel
+	// resources serve nothing else, so this is the standalone run shifted
+	// by the end of backward (see collective.Block.Result).
+	commRes := block.Result(g)
 	res := &Result{
 		Mode:        cfg.Mode,
 		PerGPU:      make([]des.Time, len(nodes)),
