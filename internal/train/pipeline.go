@@ -25,6 +25,10 @@ type PipelineResult struct {
 	// CycleTimes[k] = Boundaries[k] - Boundaries[k-1] (CycleTimes[0] is the
 	// first full cycle from time zero).
 	CycleTimes []des.Time
+
+	// Graph is the executed multi-iteration graph, for timeline export
+	// (internal/trace).
+	Graph *des.Graph
 }
 
 // SteadyCycle returns the last cycle time — the steady-state iteration
@@ -87,7 +91,7 @@ func RunPipeline(ctx context.Context, cfg Config, iters int) (*PipelineResult, e
 		streams[i] = des.NewResource(fmt.Sprintf("stream:%s", cfg.Graph.Node(n).Name))
 	}
 
-	res := &PipelineResult{Mode: cfg.Mode}
+	res := &PipelineResult{Mode: cfg.Mode, Graph: g}
 	boundaryTasks := make([][]int, iters)
 	// prevFwdLast[i]: last forward task of the previous iteration on GPU i.
 	prevFwdLast := make([]int, len(nodes))
