@@ -149,9 +149,7 @@ func main() {
 	if *traceFile != "" {
 		// The fresh graph holds one task per transfer, in id order, named
 		// only by kind; name each by its chunk and endpoints for the viewer.
-		for i := 0; i < sched.NumTransfers(); i++ {
-			taskGraph.SetLabel(i, sched.Label(i))
-		}
+		taskGraph.SetNamer(sched)
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			fail("%v", err)

@@ -202,15 +202,16 @@ func benchmarks() []benchmark {
 			ctx := context.Background()
 			return func() error {
 				g.Reset()
+				g.SetNamer(des.NamerFunc(func(int) string { return "hop" }))
 				for _, r := range links {
 					r.Reset()
 				}
 				for l := 0; l < d; l++ {
 					for c := 0; c < k; c++ {
 						if l == 0 {
-							prev[c] = g.Add("hop", links[l], 100)
+							prev[c] = g.Add(links[l], 100)
 						} else {
-							prev[c] = g.Add("hop", links[l], 100, prev[c])
+							prev[c] = g.Add(links[l], 100, prev[c])
 						}
 					}
 				}
@@ -444,7 +445,7 @@ var Budgets = map[string]int64{
 	"Check/cluster64-ccube-128chunks":        2,
 	"Check/dgx1-ccube-16MiB":                 2,
 	"Synthesize/dgx1":                        955,
-	"Train/dgx1-resnet50-CC":                 2730,
+	"Train/dgx1-resnet50-CC":                 214,
 }
 
 // CheckBudgets returns a description of every bench exceeding its allocs/op

@@ -131,9 +131,9 @@ func TestGraphPipelineReuseWithinBudget(t *testing.T) {
 		for l := 0; l < d; l++ {
 			for c := 0; c < k; c++ {
 				if l == 0 {
-					prev[c] = g.Add("hop", links[l], 100)
+					prev[c] = g.Add(links[l], 100)
 				} else {
-					prev[c] = g.Add("hop", links[l], 100, prev[c])
+					prev[c] = g.Add(links[l], 100, prev[c])
 				}
 			}
 		}

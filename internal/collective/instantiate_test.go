@@ -48,6 +48,7 @@ func instantiateAlone(s *Schedule) (*des.Graph, [][]int, des.Time, error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	g.SetNamer(block) // the block is the whole graph
 	total, err := g.RunCtx(context.Background())
 	return g, block.Ready, total, err
 }
@@ -64,14 +65,14 @@ func instantiateBehind(t *testing.T, s *Schedule) *Result {
 	t.Helper()
 	g := des.NewGraph()
 	other := des.NewResource("other")
-	prev := g.Add("other:0", other, blockStart/2)
-	start := g.Add("start", nil, blockStart)
+	prev := g.Add(other, blockStart/2)
+	start := g.Add(nil, blockStart)
 	block, err := s.Instantiate(g, s.Graph.Resources(), start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 8; i++ {
-		prev = g.Add("other", other, des.Millisecond, prev)
+		prev = g.Add(other, des.Millisecond, prev)
 	}
 	if _, err := g.RunCtx(context.Background()); err != nil {
 		t.Fatal(err)

@@ -255,7 +255,7 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 		if ch >= 0 {
 			r = res[ch]
 		}
-		g.Set(base+i, s.ops[i].Kind(), r, d)
+		g.Set(base+i, r, d)
 	}
 	ready := grid[int](len(ids), s.Partition.NumChunks())
 	for i, row := range ids {
@@ -268,7 +268,8 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 
 // Block is a schedule instantiated into a des.Graph: transfer i is task
 // base+i, and the block starts when its start task ends (at time zero when
-// it has none).
+// it has none). The block stores no task names; Label derives them for the
+// graph's namer.
 type Block struct {
 	// Ready[i][c] is the task whose End makes chunk c available at
 	// Schedule.Nodes[i].
@@ -278,6 +279,11 @@ type Block struct {
 	base  int
 	start int
 }
+
+// Label names block task id (base <= id < base+NumTransfers) by its
+// transfer's kind — "reduce", "copy", "relay" or "marker" — as
+// ExecuteOnCtx's graph names it.
+func (b *Block) Label(id int) string { return b.s.ops[id-b.base].Kind() }
 
 // Result reads the block's timing off g after g ran to completion, with
 // every time relative to the block's start: Total is the latest block
@@ -400,11 +406,7 @@ func (s *Schedule) execute(ctx context.Context, res []*des.Resource, cp *Checkpo
 	r := s.result(ready, f.End, 0, slices.Clone(f.Busy), total)
 	var g *des.Graph
 	if export {
-		labels := make([]string, len(s.ops))
-		for i := range s.ops {
-			labels[i] = s.ops[i].Kind()
-		}
-		g = des.RanGraph(f, labels)
+		g = des.RanGraph(f, &Block{s: s}) // transfer i is task i
 	}
 	return r, g, nil, nil
 }

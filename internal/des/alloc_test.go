@@ -65,9 +65,9 @@ func TestGraphRunCtxErrZeroExtraAlloc(t *testing.T) {
 		prev := -1
 		for i := 0; i < n; i++ {
 			if prev < 0 {
-				prev = g.Add("t", nil, 1)
+				prev = g.Add(nil, 1)
 			} else {
-				prev = g.Add("t", nil, 1, prev)
+				prev = g.Add(nil, 1, prev)
 			}
 		}
 		return g
@@ -107,9 +107,9 @@ func pipelineCycle(t *testing.T, links, chunks int) func() {
 		for l, r := range res {
 			for c := range prev {
 				if l == 0 {
-					prev[c] = g.Add("hop", r, 10)
+					prev[c] = g.Add(r, 10)
 				} else {
-					prev[c] = g.Add("hop", r, 10, prev[c])
+					prev[c] = g.Add(r, 10, prev[c])
 				}
 			}
 		}

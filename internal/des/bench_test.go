@@ -43,9 +43,9 @@ func BenchmarkGraphPipeline(b *testing.B) {
 				for l := 0; l < size.d; l++ {
 					for c := 0; c < size.k; c++ {
 						if l == 0 {
-							prev[c] = g.Add("hop", links[l], 100)
+							prev[c] = g.Add(links[l], 100)
 						} else {
-							prev[c] = g.Add("hop", links[l], 100, prev[c])
+							prev[c] = g.Add(links[l], 100, prev[c])
 						}
 					}
 				}

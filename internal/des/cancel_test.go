@@ -11,7 +11,7 @@ import (
 // deadline aborts before the first task and unwraps to DeadlineExceeded.
 func TestGraphRunCtxDeadline(t *testing.T) {
 	g := NewGraph()
-	g.Add("t", NewResource("link"), 10)
+	g.Add(NewResource("link"), 10)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
 	_, err := g.RunCtx(ctx)
@@ -34,9 +34,9 @@ func TestGraphRunCtxDeadline(t *testing.T) {
 func TestGraphRunCtxErrCancelled(t *testing.T) {
 	g := NewGraph()
 	r := NewResource("link")
-	prev := g.Add("t0", r, 10)
+	prev := g.Add(r, 10)
 	for i := 1; i < 64; i++ {
-		prev = g.Add("t", r, 10, prev)
+		prev = g.Add(r, 10, prev)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -60,9 +60,9 @@ func TestGraphRunCtxErrUncancelled(t *testing.T) {
 	build := func() *Graph {
 		g := NewGraph()
 		r := NewResource("link")
-		a := g.Add("a", r, 7)
-		b := g.Add("b", r, 5)
-		g.Add("c", nil, 3, a, b)
+		a := g.Add(r, 7)
+		b := g.Add(r, 5)
+		g.Add(nil, 3, a, b)
 		return g
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -82,7 +82,7 @@ func TestGraphRunCtxErrUncancelled(t *testing.T) {
 // cancellation returns the typed error rather than panicking.
 func TestGraphRunCtxCancelReturnsError(t *testing.T) {
 	g := NewGraph()
-	g.Add("t", nil, 10)
+	g.Add(nil, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := g.RunCtx(ctx)

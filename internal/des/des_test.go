@@ -23,7 +23,7 @@ func TestGraphEqualReadyTimesGrantInIDOrder(t *testing.T) {
 	g := NewGraph()
 	r := NewResource("r")
 	for i := 0; i < 10; i++ {
-		g.SetEarliest(g.Add("t", r, 1), 5)
+		g.SetEarliest(g.Add(r, 1), 5)
 	}
 	mustRun(t, g)
 	for i := 0; i < 10; i++ {
@@ -72,9 +72,9 @@ func TestResourceSlowdownBelowOnePanics(t *testing.T) {
 func TestGraphLinearChain(t *testing.T) {
 	g := NewGraph()
 	r := NewResource("r")
-	a := g.Add("a", r, 10)
-	b := g.Add("b", r, 20, a)
-	c := g.Add("c", r, 30, b)
+	a := g.Add(r, 10)
+	b := g.Add(r, 20, a)
+	c := g.Add(r, 30, b)
 	end := mustRun(t, g)
 	if end != 60 {
 		t.Fatalf("makespan = %v, want 60", end)
@@ -89,15 +89,15 @@ func TestGraphResourceContention(t *testing.T) {
 	// run in parallel.
 	g1 := NewGraph()
 	r := NewResource("r")
-	g1.Add("a", r, 10)
-	g1.Add("b", r, 10)
+	g1.Add(r, 10)
+	g1.Add(r, 10)
 	if end := mustRun(t, g1); end != 20 {
 		t.Fatalf("shared resource makespan = %v, want 20", end)
 	}
 
 	g2 := NewGraph()
-	g2.Add("a", NewResource("r1"), 10)
-	g2.Add("b", NewResource("r2"), 10)
+	g2.Add(NewResource("r1"), 10)
+	g2.Add(NewResource("r2"), 10)
 	if end := mustRun(t, g2); end != 10 {
 		t.Fatalf("separate resources makespan = %v, want 10", end)
 	}
@@ -105,10 +105,10 @@ func TestGraphResourceContention(t *testing.T) {
 
 func TestGraphDiamondDependency(t *testing.T) {
 	g := NewGraph()
-	src := g.Add("src", nil, 5)
-	l := g.Add("l", NewResource("rl"), 10, src)
-	rr := g.Add("r", NewResource("rr"), 20, src)
-	sink := g.Add("sink", nil, 0, l, rr)
+	src := g.Add(nil, 5)
+	l := g.Add(NewResource("rl"), 10, src)
+	rr := g.Add(NewResource("rr"), 20, src)
+	sink := g.Add(nil, 0, l, rr)
 	end := mustRun(t, g)
 	if end != 25 {
 		t.Fatalf("makespan = %v, want 25", end)
@@ -123,9 +123,9 @@ func TestGraphFIFOGrantOrderIsDeterministic(t *testing.T) {
 	// even if it was added later.
 	g := NewGraph()
 	r := NewResource("r")
-	slow := g.Add("slow-prereq", nil, 100)
-	late := g.Add("late", r, 10, slow) // ready at 100
-	early := g.Add("early", r, 10)     // ready at 0
+	slow := g.Add(nil, 100)
+	late := g.Add(r, 10, slow) // ready at 100
+	early := g.Add(r, 10)      // ready at 0
 	mustRun(t, g)
 	if g.Start(early) != 0 {
 		t.Fatalf("early start = %v, want 0", g.Start(early))
@@ -137,7 +137,7 @@ func TestGraphFIFOGrantOrderIsDeterministic(t *testing.T) {
 
 func TestGraphSetEarliest(t *testing.T) {
 	g := NewGraph()
-	a := g.Add("a", NewResource("r"), 10)
+	a := g.Add(NewResource("r"), 10)
 	g.SetEarliest(a, 50)
 	mustRun(t, g)
 	if g.Start(a) != 50 {
@@ -159,7 +159,7 @@ func TestGraphCycleDetection(t *testing.T) {
 
 func TestGraphRunTwicePanics(t *testing.T) {
 	g := NewGraph()
-	g.Add("a", nil, 1)
+	g.Add(nil, 1)
 	mustRun(t, g)
 	defer func() {
 		if recover() == nil {
@@ -208,7 +208,7 @@ func TestPipelineMatchesAlphaBetaModel(t *testing.T) {
 			if l > 0 {
 				deps = append(deps, ids[l-1][c])
 			}
-			ids[l][c] = g.Add("hop", links[l], hop, deps...)
+			ids[l][c] = g.Add(links[l], hop, deps...)
 		}
 	}
 	end := mustRun(t, g)

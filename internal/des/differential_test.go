@@ -95,6 +95,7 @@ func referenceRun(t *testing.T, ctx context.Context, s *collective.Schedule, arm
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.SetNamer(block)
 	total, err := des.RunReference(ctx, g)
 	return g, block.Ready, res, total, err
 }
@@ -110,9 +111,11 @@ func checkSchedule(t *testing.T, s *collective.Schedule, arm armFunc) bool {
 	// Graph.RunCtx compiles the same graph into the run loop.
 	viaGraph := des.NewGraph()
 	graphRes := resources(s.Graph, arm)
-	if _, err := s.Instantiate(viaGraph, graphRes, -1); err != nil {
+	block, err := s.Instantiate(viaGraph, graphRes, -1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	viaGraph.SetNamer(block)
 	total, err := viaGraph.RunCtx(ctx)
 	sameErr(t, err, refErr)
 	if total != refTotal {
@@ -382,10 +385,13 @@ func referenceResume(s *collective.Schedule, cp *collective.Checkpoint, res []*d
 		}
 	}
 	g := des.NewGraph()
+	var names []string
+	g.SetNamer(des.NamerFunc(func(id int) string { return names[id] }))
 	carry := 0
 	for c := range res {
 		if used[c] && cp.FreeAt[c] > 0 {
-			g.Add("resume/carryover", res[c], cp.FreeAt[c])
+			g.Add(res[c], cp.FreeAt[c])
+			names = append(names, "resume/carryover")
 			carry++
 		}
 	}
@@ -414,7 +420,8 @@ func referenceResume(s *collective.Schedule, cp *collective.Checkpoint, res []*d
 				deps = append(deps, ids[dep])
 			}
 		}
-		ids[i] = g.Add(op.Kind(), r, d, deps...)
+		ids[i] = g.Add(r, d, deps...)
+		names = append(names, op.Kind())
 		if earliest > 0 {
 			g.SetEarliest(ids[i], earliest)
 		}
@@ -594,7 +601,7 @@ func randomArmedGraph(rng *rand.Rand) (*des.Graph, []*des.Resource) {
 		for j := rng.Intn(4); i > 0 && j > 0; j-- {
 			deps = append(deps, rng.Intn(i))
 		}
-		id := g.Add("t", r, des.Time(5*rng.Intn(3)), deps...)
+		id := g.Add(r, des.Time(5*rng.Intn(3)), deps...)
 		if rng.Intn(8) == 0 {
 			g.SetEarliest(id, des.Time(10*rng.Intn(4)))
 		}

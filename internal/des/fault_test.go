@@ -108,10 +108,12 @@ func TestGraphRunErrSurfacesFault(t *testing.T) {
 	g := NewGraph()
 	link := NewResource("ch3")
 	link.FailAt(15)
-	a := g.Add("send-a", link, 10)
-	g.Add("send-b", link, 10, a) // would start at 10 < 15: fine? start = freeAt = 10 < 15 -> ok, ends 20
-	c := g.Add("send-c", link, 10, a)
+	a := g.Add(link, 10)
+	g.Add(link, 10, a) // would start at 10 < 15: fine? start = freeAt = 10 < 15 -> ok, ends 20
+	c := g.Add(link, 10, a)
 	_ = c // starts at 20 >= 15: refused
+	names := []string{"send-a", "send-b", "send-c"}
+	g.SetNamer(NamerFunc(func(id int) string { return names[id] }))
 	_, err := g.RunCtx(context.Background())
 	var fe *FaultError
 	if !errors.As(err, &fe) {
@@ -136,8 +138,8 @@ func TestGraphRunErrSurfacesFault(t *testing.T) {
 func TestGrantThatWouldOverlapIsAnError(t *testing.T) {
 	g := NewGraph()
 	r := NewResource("link")
-	a := g.Add("a", r, 10)
-	g.Add("b", r, math.MaxInt64, a)
+	a := g.Add(r, 10)
+	g.Add(r, math.MaxInt64, a)
 	_, err := g.RunCtx(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "ends before it starts") {
 		t.Fatalf("overflowing grant: err = %v", err)

@@ -12,18 +12,33 @@ import (
 // ended; it then occupies its Resource (if any) for its duration. Tasks
 // without a Resource model pure delays (or joins, when instantaneous).
 //
-// Tasks are rows of the graph's Flat columns plus a resource and a label,
-// and task i depends on preds[predOff[i]:predOff[i+1]]. RunCtx binds each
-// distinct Resource once, links the CSR into the Flat and runs the one run
-// loop there; Start, End and Ready read the outcome off its columns.
+// Tasks are rows of the graph's Flat columns plus a resource, and task i
+// depends on preds[predOff[i]:predOff[i+1]]. RunCtx binds each distinct
+// Resource once, links the CSR into the Flat and runs the one run loop
+// there; Start, End and Ready read the outcome off its columns. Tasks
+// carry no names: the graph's Namer derives them.
 type Graph struct {
 	f       Flat
 	res     []*Resource // per task: the resource it occupies, nil for a delay
-	labels  []string
+	namer   Namer
 	predOff []int32
 	preds   []int32
 	ran     bool
 }
+
+// Namer names a graph's tasks. Label(id) is asked only when a name is
+// needed — timeline export, a FaultError, a construction panic — so a
+// graph builder derives names from each task's position instead of
+// formatting one per task.
+type Namer interface {
+	Label(id int) string
+}
+
+// NamerFunc adapts a function to a Namer.
+type NamerFunc func(id int) string
+
+// Label returns f(id).
+func (f NamerFunc) Label(id int) string { return f(id) }
 
 // NewGraph returns an empty task graph.
 func NewGraph() *Graph { return &Graph{predOff: []int32{0}} }
@@ -31,11 +46,11 @@ func NewGraph() *Graph { return &Graph{predOff: []int32{0}} }
 // Reset returns the graph to the empty, never-ran state while keeping every
 // backing allocation — task columns, predecessor CSR and run scratch — so a
 // caller rebuilding a same-shape graph reuses the warm capacity instead of
-// reallocating it.
+// reallocating it. The namer is dropped with the tasks it named.
 // Resources are not touched; reset them separately if they are reused too.
 func (g *Graph) Reset() {
 	g.res = g.res[:0]
-	g.labels = g.labels[:0]
+	g.namer = nil
 	g.f.Dur = g.f.Dur[:0]
 	g.f.earliest = g.f.earliest[:0]
 	g.predOff = append(g.predOff[:0], 0) // amortized: reuses the offsets' array
@@ -46,15 +61,18 @@ func (g *Graph) Reset() {
 // NumTasks reports how many tasks have been added.
 func (g *Graph) NumTasks() int { return len(g.res) }
 
+// SetNamer makes name render the graph's task names (see Namer).
+func (g *Graph) SetNamer(name Namer) { g.namer = name }
+
 // Add appends a task occupying res for d, depending on the given task ids,
 // and returns its id. A nil res models a pure delay. Dependencies must
 // already exist (the graph is built topologically).
-func (g *Graph) Add(label string, res *Resource, d Time, deps ...int) int {
+func (g *Graph) Add(res *Resource, d Time, deps ...int) int {
 	id := g.addRows(1)
-	g.Set(id, label, res, d)
+	g.Set(id, res, d)
 	for _, p := range deps {
 		if p < 0 || p >= id {
-			panic(fmt.Sprintf("des: task %q depends on unknown task %d", label, p))
+			panic(fmt.Sprintf("des: task %q depends on unknown task %d", g.Label(id), p))
 		}
 		g.preds = append(g.preds, int32(p)) // amortized: one CSR for all dependencies
 	}
@@ -66,7 +84,7 @@ func (g *Graph) Add(label string, res *Resource, d Time, deps ...int) int {
 // base. Block task i depends on block task p for every p in
 // preds[off[i]:off[i+1]], and a block task with no such dependency depends
 // on root instead when root >= 0. The tasks start as zero-duration delays;
-// Set gives each its label, resource and duration.
+// Set gives each its resource and duration.
 func (g *Graph) AddBlock(n int, off, preds []int32, root int) int {
 	if root >= len(g.res) {
 		panic(fmt.Sprintf("des: block depends on unknown task %d", root))
@@ -96,7 +114,6 @@ func (g *Graph) addRows(n int) int {
 	}
 	id := len(g.res)
 	g.res = extend(g.res, n)
-	g.labels = extend(g.labels, n)
 	g.f.Dur = extend(g.f.Dur, n)
 	if len(g.f.earliest) > 0 {
 		g.f.earliest = extend(g.f.earliest, n)
@@ -112,21 +129,16 @@ func extend[T any](s []T, n int) []T {
 	return s
 }
 
-// Set makes task id occupy res for d under label. A nil res models a pure
-// delay.
-func (g *Graph) Set(id int, label string, res *Resource, d Time) {
+// Set makes task id occupy res for d. A nil res models a pure delay.
+func (g *Graph) Set(id int, res *Resource, d Time) {
 	if g.ran {
 		panic("des: mutating a graph that already ran")
 	}
 	if d < 0 {
-		panic(fmt.Sprintf("des: task %q has negative duration %v", label, d))
+		panic(fmt.Sprintf("des: task %q has negative duration %v", g.Label(id), d))
 	}
-	g.labels[id], g.res[id], g.f.Dur[id] = label, res, d
+	g.res[id], g.f.Dur[id] = res, d
 }
-
-// SetLabel renames task id; unlike every other mutator it may be called
-// after the run, to name tasks for timeline export.
-func (g *Graph) SetLabel(id int, label string) { g.labels[id] = label }
 
 // SetEarliest sets a lower bound on when the task may become ready,
 // independent of its dependencies (e.g. an external arrival time).
@@ -214,32 +226,35 @@ func (g *Graph) RunCtx(ctx context.Context) (Time, error) {
 	f.Link(g.predOff, g.preds)
 	makespan, err := f.RunCtx(ctx)
 	if fe, ok := err.(*FaultError); ok {
-		fe.Faults[0].Label = g.labels[fe.Faults[0].TaskID]
+		fe.Faults[0].Label = g.Label(fe.Faults[0].TaskID)
 	}
 	return makespan, err
 }
 
 // RanGraph wraps a finished run of f as a graph for timeline export: task i
-// is f's task i, named labels[i], on the Resource bound at f.Res[i]. The
+// is f's task i, named by name, on the Resource bound at f.Res[i]. The
 // graph takes f over; the caller must not touch f afterwards.
-func RanGraph(f *Flat, labels []string) *Graph {
-	if len(labels) != len(f.Dur) {
-		panic(fmt.Sprintf("des: %d labels for a run of %d tasks", len(labels), len(f.Dur)))
-	}
+func RanGraph(f *Flat, name Namer) *Graph {
 	res := make([]*Resource, len(f.Dur))
 	for i, k := range f.Res {
 		if k >= 0 {
 			res[i] = f.bound[k]
 		}
 	}
-	return &Graph{f: *f, res: res, labels: labels, ran: true}
+	return &Graph{f: *f, res: res, namer: name, ran: true}
 }
 
 // Ran reports whether RunCtx has executed.
 func (g *Graph) Ran() bool { return g.ran }
 
-// Label returns task id's label.
-func (g *Graph) Label(id int) string { return g.labels[id] }
+// Label renders task id's name through the graph's namer; a graph without
+// one names every task "".
+func (g *Graph) Label(id int) string {
+	if g.namer == nil {
+		return ""
+	}
+	return g.namer.Label(id)
+}
 
 // Resource returns the resource task id occupies, nil for a delay.
 func (g *Graph) Resource(id int) *Resource { return g.res[id] }

@@ -28,7 +28,7 @@ func randomGraph(rng *rand.Rand) (*Graph, []*Resource, [][]int) {
 				deps[i] = append(deps[i], rng.Intn(i))
 			}
 		}
-		g.Add("t", r, Time(rng.Intn(1000)), deps[i]...)
+		g.Add(r, Time(rng.Intn(1000)), deps[i]...)
 	}
 	return g, res, deps
 }

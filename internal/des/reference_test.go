@@ -39,11 +39,12 @@ func CloneUnrun(g *Graph) *Graph {
 				clones[src] = r
 			}
 		}
-		out.Add(g.labels[i], r, g.f.Dur[i])
+		out.Add(r, g.f.Dur[i])
 		if len(g.f.earliest) > 0 && g.f.earliest[i] != 0 {
 			out.SetEarliest(i, g.f.earliest[i])
 		}
 	}
+	out.namer = g.namer
 	out.predOff = append(out.predOff[:0], g.predOff...)
 	out.preds = append(out.preds, g.preds...)
 	return out
@@ -231,7 +232,7 @@ func (g *Graph) referenceRunCtx(ctx context.Context) (Time, error) {
 				return makespan, &FaultError{
 					Faults: []TaskFault{{
 						TaskID:   int(id),
-						Label:    g.labels[id],
+						Label:    g.Label(int(id)),
 						Resource: ref.Resource,
 						At:       ref.At,
 						FailedAt: ref.FailedAt,

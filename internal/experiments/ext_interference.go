@@ -87,6 +87,13 @@ func runPair(a, b collective.Algorithm, bytes int64) (des.Time, des.Time, error)
 	if err != nil {
 		return 0, 0, err
 	}
+	nA := schedA.NumTransfers()
+	g.SetNamer(des.NamerFunc(func(id int) string {
+		if id < nA {
+			return blockA.Label(id)
+		}
+		return blockB.Label(id)
+	}))
 	if _, err := g.RunCtx(context.TODO()); err != nil {
 		return 0, 0, err
 	}

@@ -152,8 +152,11 @@ func Run(t Trace, cfg Config) (*Result, error) {
 
 	res := &Result{Trace: t}
 	// prev joins the previous op's completion; each op starts after it.
+	// Op i's tasks end at its join, opEnds[i]: a compute op's per-stream
+	// tasks or a collective's block come first.
 	prev := -1
 	opEnds := make([]int, len(t.Ops))
+	blocks := make([]*collective.Block, len(t.Ops))
 	for i, op := range t.Ops {
 		switch op.Kind {
 		case "compute":
@@ -164,9 +167,9 @@ func Run(t Trace, cfg Config) (*Result, error) {
 				if prev >= 0 {
 					deps = append(deps, prev)
 				}
-				ids = append(ids, g.Add(fmt.Sprintf("op%d:compute:g%d", i, s), streams[s], d, deps...))
+				ids = append(ids, g.Add(streams[s], d, deps...))
 			}
-			prev = g.Add(fmt.Sprintf("op%d:done", i), nil, 0, ids...)
+			prev = g.Add(nil, 0, ids...)
 
 		default:
 			sched, err := buildOp(cfg, op)
@@ -177,10 +180,24 @@ func Run(t Trace, cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("replay: op %d: %w", i, err)
 			}
-			prev = g.Add(fmt.Sprintf("op%d:done", i), nil, 0, slices.Concat(block.Ready...)...)
+			blocks[i] = block
+			prev = g.Add(nil, 0, slices.Concat(block.Ready...)...)
 		}
 		opEnds[i] = prev
 	}
+	g.SetNamer(des.NamerFunc(func(id int) string {
+		i, _ := slices.BinarySearch(opEnds, id)
+		switch {
+		case id == opEnds[i]:
+			return fmt.Sprintf("op%d:done", i)
+		case blocks[i] != nil:
+			return blocks[i].Label(id)
+		case i == 0:
+			return fmt.Sprintf("op%d:compute:g%d", i, id)
+		default:
+			return fmt.Sprintf("op%d:compute:g%d", i, id-opEnds[i-1]-1)
+		}
+	}))
 
 	total, err := g.RunCtx(context.TODO())
 	if err != nil {

@@ -181,22 +181,27 @@ func (s *Server) runSimulate(ctx context.Context, req SimulateRequest) (any, *ap
 	return resp, nil
 }
 
-// busiestChannels reports the topN channels by utilization.
+// busiestChannels reports the topN channels by utilization. It ranks
+// (channel, utilization) pairs and names only the channels it returns.
 func busiestChannels(g *topology.Graph, res *collective.Result, topN int) []ChannelUse {
-	uses := make([]ChannelUse, 0, topN)
-	for i, busy := range res.ChannelBusy {
-		if busy <= 0 {
-			continue
-		}
-		ch := g.Channel(topology.ChannelID(i))
-		uses = append(uses, ChannelUse{
-			Channel:     fmt.Sprintf("%s->%s (%s)", g.Node(ch.From).Name, g.Node(ch.To).Name, ch.Tag),
-			Utilization: res.Utilization(topology.ChannelID(i)),
-		})
+	type busy struct {
+		ch   topology.ChannelID
+		util float64
 	}
-	sort.Slice(uses, func(a, b int) bool { return uses[a].Utilization > uses[b].Utilization })
-	if len(uses) > topN {
-		uses = uses[:topN]
+	var ranked []busy
+	for i, t := range res.ChannelBusy {
+		if t > 0 {
+			ranked = append(ranked, busy{topology.ChannelID(i), res.Utilization(topology.ChannelID(i))})
+		}
+	}
+	sort.Slice(ranked, func(a, b int) bool { return ranked[a].util > ranked[b].util })
+	uses := make([]ChannelUse, min(len(ranked), topN))
+	for k := range uses {
+		ch := g.Channel(ranked[k].ch)
+		uses[k] = ChannelUse{
+			Channel:     fmt.Sprintf("%s->%s (%s)", g.Node(ch.From).Name, g.Node(ch.To).Name, ch.Tag),
+			Utilization: ranked[k].util,
+		}
 	}
 	return uses
 }

@@ -17,10 +17,12 @@ func executedGraph(t *testing.T) *des.Graph {
 	g := des.NewGraph()
 	link := des.NewResource("link:A->B")
 	gpu := des.NewResource("stream:A")
-	a := g.Add("send-1", link, 100)
-	b := g.Add("send-2", link, 100, a)
-	g.Add("compute", gpu, 150, a)
-	g.Add("marker", nil, 0, b)
+	a := g.Add(link, 100)
+	b := g.Add(link, 100, a)
+	g.Add(gpu, 150, a)
+	g.Add(nil, 0, b)
+	names := []string{"send-1", "send-2", "compute", "marker"}
+	g.SetNamer(des.NamerFunc(func(id int) string { return names[id] }))
 	g.RunCtx(context.Background())
 	return g
 }
@@ -93,8 +95,10 @@ func TestChromeInstantOnResourceLane(t *testing.T) {
 	// lane, not on the shared markers lane.
 	g := des.NewGraph()
 	link := des.NewResource("link:A->B")
-	a := g.Add("send", link, 100)
-	g.Add("flush", link, 0, a)
+	a := g.Add(link, 100)
+	g.Add(link, 0, a)
+	names := []string{"send", "flush"}
+	g.SetNamer(des.NamerFunc(func(id int) string { return names[id] }))
 	g.RunCtx(context.Background())
 	var buf bytes.Buffer
 	if err := Chrome(&buf, g); err != nil {
@@ -130,7 +134,7 @@ func TestChromeInstantOnResourceLane(t *testing.T) {
 
 func TestChromeRequiresExecutedGraph(t *testing.T) {
 	g := des.NewGraph()
-	g.Add("pending", nil, 1)
+	g.Add(nil, 1)
 	var buf bytes.Buffer
 	if err := Chrome(&buf, g); err == nil {
 		t.Fatal("unexecuted graph exported")
@@ -161,7 +165,7 @@ func TestGantt(t *testing.T) {
 func TestGanttLaneCap(t *testing.T) {
 	g := des.NewGraph()
 	for i := 0; i < 30; i++ {
-		g.Add("t", des.NewResource("r"), 10)
+		g.Add(des.NewResource("r"), 10)
 	}
 	g.RunCtx(context.Background())
 	out := Gantt(g, GanttOptions{Width: 20, MaxLanes: 5})
@@ -177,7 +181,7 @@ func TestGanttLaneCap(t *testing.T) {
 func TestGanttZeroMaxLanesShowsAll(t *testing.T) {
 	g := des.NewGraph()
 	for i := 0; i < 30; i++ {
-		g.Add("t", des.NewResource("r"), 10)
+		g.Add(des.NewResource("r"), 10)
 	}
 	g.RunCtx(context.Background())
 	out := Gantt(g, GanttOptions{Width: 20}) // MaxLanes 0 = all

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ccube/internal/collective"
 	"ccube/internal/des"
 	"ccube/internal/dnn"
 )
@@ -75,99 +74,20 @@ func makeBuckets(layerBytes []int64, bucketBytes int64) []bucket {
 }
 
 // RunBackwardOverlapCtx simulates one iteration with DDP-style bucketed
-// backward overlap. The cfg.Mode field is ignored (forced to ModeDDP). A
-// deadline or explicit cancel aborts the run with a wrapped
-// *des.CanceledError.
+// backward overlap. The cfg.Mode field is ignored (forced to ModeDDP).
+// ComputeScale slows GPUs as in RunCtx; a non-empty Faults plan is
+// rejected, since the bucket schedules are not repaired. A deadline or
+// explicit cancel aborts the run with a wrapped *des.CanceledError.
 func RunBackwardOverlapCtx(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.Model.Validate(); err != nil {
+	a, revert, err := cfg.newAppender(true)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Batch < 1 {
-		return nil, fmt.Errorf("train: batch %d", cfg.Batch)
+	defer revert()
+	if err := a.appendIteration(); err != nil {
+		return nil, err
 	}
-	if cfg.Graph == nil {
-		return nil, fmt.Errorf("train: nil graph")
-	}
-	nodes := cfg.Nodes
-	if nodes == nil {
-		nodes = cfg.Graph.GPUs()
-	}
-	dev := cfg.Device
-	if dev.PeakFLOPS == 0 {
-		dev = dnn.V100()
-	}
-	fwd := dev.FwdTimes(cfg.Model, cfg.Batch)
-	bwd := dev.BwdTimes(cfg.Model, cfg.Batch)
-	computeTime := dev.IterTime(cfg.Model, cfg.Batch)
-
-	buckets := makeBuckets(cfg.Model.LayerBytes(), DefaultBucketBytes)
-
-	g := des.NewGraph()
-	chres := cfg.Graph.Resources()
-	streams := make([]*des.Resource, len(nodes))
-	for i, n := range nodes {
-		streams[i] = des.NewResource(fmt.Sprintf("stream:%s", cfg.Graph.Node(n).Name))
-	}
-
-	// Backward tasks, slowed by the in-flight collective kernels, recording
-	// per-layer completion across GPUs.
-	bwdTask := make([][]int, len(nodes)) // [gpu][layer]
-	for i := range nodes {
-		bwdTask[i] = make([]int, len(bwd))
-		prev := -1
-		for l := len(bwd) - 1; l >= 0; l-- {
-			var deps []int
-			if prev >= 0 {
-				deps = append(deps, prev)
-			}
-			dur := des.Time(float64(bwd[l]) * (1 + BackwardContention))
-			prev = g.Add(fmt.Sprintf("bwd:g%d:l%d", i, l), streams[i], dur, deps...)
-			bwdTask[i][l] = prev
-		}
-	}
-
-	// One AllReduce per bucket, launched when every GPU has produced the
-	// bucket's gradients (its first layer in forward order backs last).
-	var commDoneDeps [][]int // per GPU, final tasks of each bucket
-	commDoneDeps = make([][]int, len(nodes))
-	for bi, bk := range buckets {
-		var ready []int
-		for i := range nodes {
-			ready = append(ready, bwdTask[i][bk.firstLayer])
-		}
-		launch := g.Add(fmt.Sprintf("bucket%d:launch", bi), nil, BucketInvocationOverhead, ready...)
-		// BuildCached: every iteration of a model asks for the same bucket
-		// schedules, so each is built and verified once, then shared.
-		sched, err := collective.BuildCached(collective.Config{
-			Graph:               cfg.Graph,
-			Algorithm:           collective.AlgRing, // DDP's default backend behavior
-			Nodes:               nodes,
-			Bytes:               bk.bytes,
-			AllowSharedChannels: cfg.AllowSharedChannels,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("train: bucket %d: %w", bi, err)
-		}
-		block, err := sched.Instantiate(g, chres, launch)
-		if err != nil {
-			return nil, err
-		}
-		for i := range nodes {
-			commDoneDeps[i] = append(commDoneDeps[i], block.Ready[i]...)
-		}
-	}
-
-	// Forward waits for every bucket (no in-order property to chain on).
-	fwdLast := make([]int, len(nodes))
-	for i := range nodes {
-		commDone := g.Add(fmt.Sprintf("comm-done:g%d", i), nil, 0, commDoneDeps[i]...)
-		prev := commDone
-		for l := 0; l < len(fwd); l++ {
-			prev = g.Add(fmt.Sprintf("fwd:g%d:l%d", i, l), streams[i], fwd[l], prev)
-		}
-		fwdLast[i] = prev
-	}
-
+	g := a.g
 	if _, err := g.RunCtx(ctx); err != nil {
 		var ce *des.CanceledError
 		if errors.As(err, &ce) {
@@ -175,18 +95,14 @@ func RunBackwardOverlapCtx(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		return nil, fmt.Errorf("train: DDP iteration aborted: %w", err)
 	}
-	res := &Result{Mode: ModeDDP, PerGPU: make([]des.Time, len(nodes)), ComputeTime: computeTime, Graph: g}
-	for i := range nodes {
-		res.PerGPU[i] = g.End(fwdLast[i])
-		if res.PerGPU[i] > res.IterTime {
-			res.IterTime = res.PerGPU[i]
-		}
+	res := &Result{Mode: ModeDDP, PerGPU: make([]des.Time, len(a.nodes)), ComputeTime: a.computeTime, Graph: g}
+	for i := range a.nodes {
+		res.PerGPU[i] = g.End(a.fwdTask(&a.iters[0], i, len(a.fwd)-1))
+		res.IterTime = max(res.IterTime, res.PerGPU[i])
 	}
-	res.Normalized = float64(computeTime) / float64(res.IterTime)
-	for _, r := range chres {
-		if err := r.ValidateSerialized(); err != nil {
-			return nil, err
-		}
+	res.Normalized = float64(a.computeTime) / float64(res.IterTime)
+	if err := a.validateSerialized(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -7,6 +7,7 @@ import (
 	"ccube/internal/collective"
 	"ccube/internal/des"
 	"ccube/internal/dnn"
+	"ccube/internal/fault"
 	"ccube/internal/topology"
 )
 
@@ -142,5 +143,38 @@ func TestBackwardOverlapSharesCachedBuckets(t *testing.T) {
 	}
 	if got, want := hits2-hits, uint64(NumBuckets(model)); got != want {
 		t.Errorf("second iteration hit the cache %d times, want one per bucket (%d)", got, want)
+	}
+}
+
+// TestBackwardOverlapHonorsComputeScale: a straggler slows DDP's backward
+// and forward passes, so the iteration stretches.
+func TestBackwardOverlapHonorsComputeScale(t *testing.T) {
+	ctx := context.Background()
+	cfg := Config{Model: dnn.ResNet50(), Batch: 64, Graph: dgx1()}
+	uniform, err := RunBackwardOverlapCtx(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ComputeScale = straggler()
+	straggled, err := RunBackwardOverlapCtx(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ratio := float64(straggled.IterTime) / float64(uniform.IterTime); ratio < 1.1 || ratio > 1.25 {
+		t.Errorf("straggler slowdown %.3f (%v over %v), want ~1.2", ratio, straggled.IterTime, uniform.IterTime)
+	}
+	cfg.ComputeScale = []float64{1, 1}
+	if _, err := RunBackwardOverlapCtx(ctx, cfg); err == nil {
+		t.Error("wrong-length ComputeScale accepted")
+	}
+}
+
+// TestBackwardOverlapRejectsFaults: DDP's bucket schedules are not
+// repaired, so a fault plan is an error, not healthy timings.
+func TestBackwardOverlapRejectsFaults(t *testing.T) {
+	cfg := Config{Model: dnn.ResNet50(), Batch: 64, Graph: dgx1(),
+		Faults: fault.NewPlan(fault.Event{Kind: fault.GPUSlow, GPU: 3, Factor: 1.5})}
+	if _, err := RunBackwardOverlapCtx(context.Background(), cfg); err == nil {
+		t.Fatal("DDP ran under a fault plan")
 	}
 }

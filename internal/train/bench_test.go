@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ccube/internal/dnn"
+	"ccube/internal/metrics"
 )
 
 // BenchmarkExecute times one ModeCC training iteration of ResNet-50 at
@@ -28,4 +29,33 @@ func BenchmarkExecute(b *testing.B) {
 			}
 		}
 	})
+}
+
+// iterationAllocs is what one warm ModeCC ResNet-50 iteration on the DGX-1
+// (the Train/dgx1-resnet50-CC bench) allocates: the resources, the graph's
+// columns as they grow, the collective block and the Result. None of it is
+// per task: tasks carry no formatted name and their dependencies pass
+// through one reused scratch slice.
+const iterationAllocs = 214
+
+// TestIterationAllocations pins a warm iteration's allocations at their
+// exact count. Timing is too noisy to catch a formatted name or a per-task
+// slice coming back; either adds thousands of allocations here.
+func TestIterationAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a -race build allocates differently")
+	}
+	if metrics.Default.Enabled() {
+		t.Skip("metrics collection allocates on top of the iteration")
+	}
+	cfg := Config{Model: dnn.ResNet50(), Batch: 64, Graph: dgx1(), Mode: ModeCC}
+	run(t, cfg) // warms the schedule cache
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := RunCtx(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != iterationAllocs {
+		t.Fatalf("a warm ModeCC ResNet-50 iteration allocates %.1f times, want %d", allocs, iterationAllocs)
+	}
 }

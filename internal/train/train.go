@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"time"
 
-	"ccube/internal/chunk"
 	"ccube/internal/collective"
 	"ccube/internal/des"
 	"ccube/internal/dnn"
@@ -205,32 +204,18 @@ func (cfg *Config) validate() error {
 	return nil
 }
 
-// device resolves the compute model (default: V100).
-func (cfg *Config) device() dnn.Device {
-	if cfg.Device.PeakFLOPS == 0 {
-		return dnn.V100()
-	}
-	return cfg.Device
-}
-
 // buildSchedule constructs the mode's collective schedule over the given
 // participants.
 func (cfg *Config) buildSchedule(nodes []topology.NodeID) (*collective.Schedule, error) {
 	if cfg.Cluster != nil {
 		switch cfg.Mode {
-		case ModeB, ModeC2:
+		case ModeB, ModeC1, ModeC2, ModeCC:
 			return collective.BuildHierarchical(collective.HierarchicalConfig{
-				Cluster: cfg.Cluster, Bytes: cfg.Model.GradientBytes(),
-				Chunks: cfg.Chunks, Chained: false,
+				Cluster: cfg.Cluster, Bytes: cfg.Model.GradientBytes(), Chunks: cfg.Chunks,
+				Chained: cfg.Mode == ModeC1 || cfg.Mode == ModeCC, // B and C2 run phase-barriered
 			})
-		case ModeC1, ModeCC:
-			return collective.BuildHierarchical(collective.HierarchicalConfig{
-				Cluster: cfg.Cluster, Bytes: cfg.Model.GradientBytes(),
-				Chunks: cfg.Chunks, Chained: true,
-			})
-		default:
-			return nil, fmt.Errorf("train: mode %s not supported on a multi-node cluster", cfg.Mode)
 		}
+		return nil, fmt.Errorf("train: mode %s not supported on a multi-node cluster", cfg.Mode)
 	}
 	alg, err := cfg.Mode.algorithm()
 	if err != nil {
@@ -258,169 +243,15 @@ func (cfg *Config) buildSchedule(nodes []topology.NodeID) (*collective.Schedule,
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	//lint:ignore virtual-time host-side instrumentation only: wallStart feeds the metrics exporter, never the DES clock
 	wallStart := time.Now()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	alg, err := cfg.Mode.algorithm()
+	a, revert, err := cfg.newAppender(false)
 	if err != nil {
 		return nil, err
 	}
-	nodes := cfg.Nodes
-	if nodes == nil {
-		nodes = cfg.Graph.GPUs()
-	}
-
-	// Build the communication schedule first: its chunk partition defines
-	// the layer-chunk table for chaining, and its detour assignment defines
-	// the SM tax.
-	sched, err := cfg.buildSchedule(nodes)
-	if err != nil {
+	defer revert()
+	if err := a.appendIteration(); err != nil {
 		return nil, err
 	}
-
-	// Fault injection: the schedule above was built for the healthy fabric;
-	// apply the static faults and repair the schedule around any dead links
-	// before anything executes.
-	if !cfg.Faults.Empty() {
-		if err := cfg.Faults.Validate(cfg.Graph); err != nil {
-			return nil, err
-		}
-		revert := cfg.Faults.Apply(cfg.Graph)
-		defer revert()
-		repaired, _, err := collective.RepairSchedule(sched, cfg.Graph.DownChannels(), nil)
-		if err != nil {
-			return nil, err
-		}
-		sched = repaired
-	}
-
-	dev := cfg.device()
-	fwd := dev.FwdTimes(cfg.Model, cfg.Batch)
-	bwd := dev.BwdTimes(cfg.Model, cfg.Batch)
-	computeTime := dev.IterTime(cfg.Model, cfg.Batch)
-
-	// The iteration pipeline graph.
-	g := des.NewGraph()
-	chres := cfg.Graph.Resources()
-	cfg.Faults.ApplyToResources(cfg.Graph, chres)
-	streams := make([]*des.Resource, len(nodes))
-	tax := cfg.DetourSMTax
-	if tax == 0 {
-		tax = DefaultDetourSMTax
-	}
-	detour := make(map[topology.NodeID]bool)
-	for _, n := range sched.DetourNodes() {
-		detour[n] = true
-	}
-	if cfg.ComputeScale != nil && len(cfg.ComputeScale) != len(nodes) {
-		return nil, fmt.Errorf("train: %d compute scales for %d GPUs",
-			len(cfg.ComputeScale), len(nodes))
-	}
-	faultFactor := func(int) float64 { return 1 }
-	if !cfg.Faults.Empty() {
-		maxID := 0
-		for _, n := range nodes {
-			if int(n) > maxID {
-				maxID = int(n)
-			}
-		}
-		gf := cfg.Faults.GPUFactors(maxID + 1)
-		faultFactor = func(i int) float64 { return gf[nodes[i]] }
-	}
-	straggler := func(i int) float64 {
-		s := 1.0
-		if cfg.ComputeScale != nil && cfg.ComputeScale[i] >= 1 {
-			s = cfg.ComputeScale[i]
-		}
-		return s * faultFactor(i)
-	}
-	fwdScale := make([]float64, len(nodes))
-	for i, n := range nodes {
-		streams[i] = des.NewResource(fmt.Sprintf("stream:%s", cfg.Graph.Node(n).Name))
-		fwdScale[i] = straggler(i)
-		if tax > 0 && detour[n] {
-			fwdScale[i] *= 1 / (1 - tax)
-		}
-	}
-
-	// Backward pass, layers L-1..0, on every GPU's compute stream.
-	lastBwd := make([]int, len(nodes))
-	for i := range nodes {
-		prev := -1
-		for l := len(bwd) - 1; l >= 0; l-- {
-			var deps []int
-			if prev >= 0 {
-				deps = append(deps, prev)
-			}
-			dur := des.Time(float64(bwd[l]) * straggler(i))
-			prev = g.Add(fmt.Sprintf("bwd:g%d:l%d", i, l), streams[i], dur, deps...)
-		}
-		lastBwd[i] = prev
-	}
-	bwdDone := g.Add("bwd-done", nil, 0, lastBwd...)
-
-	// One-shot AllReduce after backward (paper §II-B).
-	block, err := sched.Instantiate(g, chres, bwdDone)
-	if err != nil {
-		return nil, err
-	}
-	ready := block.Ready
-
-	// Forward pass of the next iteration.
-	table := chunk.BuildLayerChunkTable(cfg.Model.LayerBytes(), sched.Partition)
-	numTrees := 1
-	if cfg.Cluster == nil &&
-		(alg == collective.AlgDoubleTree || alg == collective.AlgDoubleTreeOverlap) {
-		numTrees = 2
-	}
-	commDone := make([]int, len(nodes)) // all chunks at GPU i
-	for i := range nodes {
-		k := sched.Partition.NumChunks()
-		deps := make([]int, 0, numTrees)
-		for t := 0; t < numTrees && t < k; t++ {
-			// Per-tree FIFO ordering makes the last chunk of each tree imply
-			// all of that tree's chunks.
-			last := lastTreeChunkAtMost(k-1, k, numTrees, t)
-			if last >= 0 {
-				deps = append(deps, ready[i][last])
-			}
-		}
-		if !sched.InOrder {
-			// Ring: no per-GPU ordering guarantee; join on every chunk.
-			deps = append(deps[:0], ready[i]...)
-		}
-		commDone[i] = g.Add(fmt.Sprintf("comm-done:g%d", i), nil, 0, deps...)
-	}
-
-	fwdTasks := make([][]int, len(nodes))
-	for i := range nodes {
-		fwdTasks[i] = make([]int, len(fwd))
-		prev := -1
-		for l := 0; l < len(fwd); l++ {
-			var deps []int
-			if prev >= 0 {
-				deps = append(deps, prev)
-			}
-			if cfg.Mode.chained() && sched.InOrder {
-				// Gradient queuing: layer l dequeues once chunks
-				// 0..LastChunk[l] have arrived; per-tree in-order arrival
-				// means depending on each tree's latest chunk in that prefix.
-				lastChunk := table.LastChunk[l]
-				for t := 0; t < numTrees; t++ {
-					c := lastTreeChunkAtMost(lastChunk, sched.Partition.NumChunks(), numTrees, t)
-					if c >= 0 {
-						deps = append(deps, ready[i][c])
-					}
-				}
-			} else {
-				deps = append(deps, commDone[i])
-			}
-			dur := des.Time(float64(fwd[l]) * fwdScale[i])
-			prev = g.Add(fmt.Sprintf("fwd:g%d:l%d", i, l), streams[i], dur, deps...)
-			fwdTasks[i][l] = prev
-		}
-	}
-
+	g := a.g
 	if _, err := g.RunCtx(ctx); err != nil {
 		var ce *des.CanceledError
 		if errors.As(err, &ce) {
@@ -432,57 +263,47 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	// The collective's decomposition, read off its block: its channel
 	// resources serve nothing else, so this is the standalone run shifted
 	// by the end of backward (see collective.Block.Result).
-	commRes := block.Result(g)
+	it := &a.iters[0]
+	commRes := it.stages[0].block.Result(g)
+	L := len(a.fwd)
 	res := &Result{
-		Mode:        cfg.Mode,
-		PerGPU:      make([]des.Time, len(nodes)),
-		ComputeTime: computeTime,
-		CommTime:    commRes.Total,
-		Turnaround:  commRes.Turnaround,
-		Graph:       g,
+		Mode:              cfg.Mode,
+		PerGPU:            make([]des.Time, len(a.nodes)),
+		ComputeTime:       a.computeTime,
+		CommTime:          commRes.Total,
+		Turnaround:        commRes.Turnaround,
+		LayerForwardStart: make([]des.Time, L),
+		LayerDequeueWait:  make([]des.Time, L),
+		Graph:             g,
 	}
-	bwdEnd := g.End(bwdDone)
-	for i := range nodes {
-		res.PerGPU[i] = g.End(fwdTasks[i][len(fwd)-1])
+	bwdEnd := g.End(it.stages[0].launch)
+	for i := range a.nodes {
+		res.PerGPU[i] = g.End(a.fwdTask(it, i, L-1))
 		if res.PerGPU[i] > res.IterTime {
 			res.IterTime = res.PerGPU[i]
-			firstStart := g.Start(fwdTasks[i][0])
-			res.FirstForwardWait = firstStart - bwdEnd
-			res.CommDone = g.End(commDone[i])
-			if res.LayerForwardStart == nil {
-				res.LayerForwardStart = make([]des.Time, len(fwd))
-				res.LayerDequeueWait = make([]des.Time, len(fwd))
-			}
+			res.FirstForwardWait = g.Start(a.fwdTask(it, i, 0)) - bwdEnd
+			res.CommDone = g.End(a.commDone(it, i))
 			var bubbles des.Time
-			for l := 0; l < len(fwd); l++ {
-				id := fwdTasks[i][l]
+			for l := range L {
+				id := a.fwdTask(it, i, l)
 				res.LayerForwardStart[l] = g.Start(id)
 				computeFree := bwdEnd
 				if l > 0 {
-					computeFree = g.End(fwdTasks[i][l-1])
-					if gap := g.Start(id) - computeFree; gap > 0 {
-						bubbles += gap
-					}
+					computeFree = g.End(a.fwdTask(it, i, l-1))
+					bubbles += max(g.Start(id)-computeFree, 0)
 				}
-				if wait := g.Ready(id) - computeFree; wait > 0 {
-					res.LayerDequeueWait[l] = wait
-				} else {
-					res.LayerDequeueWait[l] = 0
-				}
+				res.LayerDequeueWait[l] = max(g.Ready(id)-computeFree, 0)
 			}
 			res.Bubbles = bubbles
 		}
 	}
-	res.Normalized = float64(computeTime) / float64(res.IterTime)
+	res.Normalized = float64(a.computeTime) / float64(res.IterTime)
 	if metrics.Default.Enabled() {
 		//lint:ignore virtual-time host-side instrumentation only: exported wall time, never fed into simulated results
 		publishIteration(res, bwdEnd, time.Since(wallStart))
 	}
-
-	for _, r := range chres {
-		if err := r.ValidateSerialized(); err != nil {
-			return nil, err
-		}
+	if err := a.validateSerialized(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -490,13 +311,9 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 // lastTreeChunkAtMost returns the largest chunk index <= limit assigned to
 // tree t under round-robin assignment over k chunks, or -1 if none.
 func lastTreeChunkAtMost(limit, k, numTrees, t int) int {
-	if limit >= k {
-		limit = k - 1
+	limit = min(limit, k-1)
+	if limit < t {
+		return -1
 	}
-	for c := limit; c >= 0; c-- {
-		if c%numTrees == t {
-			return c
-		}
-	}
-	return -1
+	return limit - (limit-t)%numTrees
 }
