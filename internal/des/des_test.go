@@ -2,6 +2,8 @@ package des
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -167,6 +169,37 @@ func TestGraphRunTwicePanics(t *testing.T) {
 		}
 	}()
 	g.RunCtx(context.Background())
+}
+
+// TestNamerRendersOnDemand: a graph stores no task names. Building never
+// asks its namer; Label does, a graph without a namer names every task "",
+// a bad dependency's panic names the task through the namer, and Reset
+// drops the namer with the tasks it named.
+func TestNamerRendersOnDemand(t *testing.T) {
+	g := NewGraph()
+	calls := 0
+	g.SetNamer(NamerFunc(func(id int) string { calls++; return fmt.Sprintf("task-%d", id) }))
+	a := g.Add(nil, 1)
+	b := g.Add(NewResource("r"), 2, a)
+	if calls != 0 {
+		t.Fatalf("building called the namer %d times", calls)
+	}
+	if got := g.Label(b); got != "task-1" {
+		t.Fatalf("Label(%d) = %q, want task-1", b, got)
+	}
+	func() {
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, `"task-2"`) {
+				t.Errorf("bad-dependency panic %q does not name the task", msg)
+			}
+		}()
+		g.Add(nil, 1, 7)
+	}()
+	g.Reset()
+	g.Add(nil, 1)
+	if got := g.Label(0); got != "" {
+		t.Fatalf("after Reset, Label(0) = %q, want \"\"", got)
+	}
 }
 
 func TestTimeString(t *testing.T) {
