@@ -57,7 +57,8 @@ lint:
 # Short fuzz bursts of every fuzz target; the seed corpora already replay
 # under plain `make test`.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzSplit -fuzztime=10s ./internal/chunk
+	$(GO) test -fuzz='^FuzzSplit$$' -fuzztime=10s ./internal/chunk
+	$(GO) test -fuzz='^FuzzSplitRates$$' -fuzztime=10s ./internal/chunk
 	$(GO) test -fuzz=FuzzLayerChunkTable -fuzztime=10s ./internal/chunk
 	$(GO) test -fuzz=FuzzSchedCheck -fuzztime=20s ./internal/schedcheck
 	$(GO) test -fuzz=FuzzDecodeSchedule -fuzztime=10s -fuzzminimizetime=100x ./internal/collective

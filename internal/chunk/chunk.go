@@ -7,7 +7,12 @@
 // gradient queue reuses the gradient buffer at chunk granularity.
 package chunk
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Partition describes a message of TotalBytes split into contiguous chunks.
 // Chunk i covers bytes [Offsets[i], Offsets[i]+Sizes[i]).
@@ -23,15 +28,7 @@ type Partition struct {
 // iterate chunk indices 0..k-1 would silently desync from a clamped
 // partition. Use SplitAtMost when a smaller chunk count is acceptable.
 func Split(total int64, k int) Partition {
-	if total <= 0 {
-		panic(fmt.Sprintf("chunk: total bytes %d <= 0", total))
-	}
-	if k < 1 {
-		panic(fmt.Sprintf("chunk: chunk count %d < 1", k))
-	}
-	if int64(k) > total {
-		panic(fmt.Sprintf("chunk: %d chunks for %d bytes (zero-byte chunks); use SplitAtMost for an explicit clamp", k, total))
-	}
+	mustSplit(total, k)
 	p := Partition{
 		TotalBytes: total,
 		Sizes:      make([]int64, k),
@@ -52,6 +49,19 @@ func Split(total int64, k int) Partition {
 	return p
 }
 
+// mustSplit panics unless total bytes split into k chunks of a byte or more.
+func mustSplit(total int64, k int) {
+	if total <= 0 {
+		panic(fmt.Sprintf("chunk: total bytes %d <= 0", total))
+	}
+	if k < 1 {
+		panic(fmt.Sprintf("chunk: chunk count %d < 1", k))
+	}
+	if int64(k) > total {
+		panic(fmt.Sprintf("chunk: %d chunks for %d bytes (zero-byte chunks); use SplitAtMost for an explicit clamp", k, total))
+	}
+}
+
 // SplitAtMost partitions total bytes into min(k, total) near-equal chunks.
 // The clamp is explicit: the caller must take the actual chunk count from
 // Partition.NumChunks rather than assuming k.
@@ -61,6 +71,116 @@ func SplitAtMost(total int64, k int) Partition {
 	}
 	return Split(total, k)
 }
+
+// rateScale is the fixed-point scale rates are quantized to: a stream's
+// weight is its rate relative to the fastest, in units of 2^-20, so the
+// share arithmetic below is exact integer math and equal rates compare
+// equal.
+const rateScale = 1 << 20
+
+// Stream is one stream's share of a rate-weighted partition (see Streams):
+// each of its chunks holds Size bytes, and its first Big chunks one byte
+// more.
+type Stream struct {
+	Size int64
+	Big  int
+	w    uint64 // quantized rate
+	rem  uint64 // remainder of the exact per-chunk share, over the total weight
+}
+
+// SplitRates partitions total bytes into k chunks sized by stream rate:
+// chunk c belongs to stream c mod len(rates), and its size is proportional
+// to that stream's rate. Every chunk gets at least one byte, the chunks of
+// one stream differ by at most one byte, and with equal rates the result is
+// exactly Split(total, k). Streams describes the same sizes per stream
+// without building the partition. SplitRates panics where Split does, and
+// on an empty rate list or a rate that is not positive and finite.
+func SplitRates(total int64, k int, rates []float64) Partition {
+	var buf [8]Stream
+	st := Streams(buf[:0], total, k, rates)
+	p := Partition{
+		TotalBytes: total,
+		Sizes:      make([]int64, k),
+		Offsets:    make([]int64, k),
+	}
+	var off int64
+	for c := 0; c < k; c++ {
+		s := &st[c%len(st)]
+		size := s.Size
+		if c/len(st) < s.Big {
+			size++
+		}
+		p.Sizes[c] = size
+		p.Offsets[c] = off
+		off += size
+	}
+	return p
+}
+
+// Streams returns, in dst resized to len(rates), each stream's share of
+// SplitRates(total, k, rates). Each chunk first gets one byte. The other
+// total-k bytes are shared in proportion to the chunks' rates, rounded
+// down. The bytes rounding leaves over go one each to the chunks with the
+// largest rounded-off remainder, ties to the lower chunk index, so they
+// land on a prefix of each stream's chunks. With equal rates every
+// remainder ties and they go to the first chunks, as in Split.
+func Streams(dst []Stream, total int64, k int, rates []float64) []Stream {
+	mustSplit(total, k)
+	if len(rates) == 0 {
+		panic("chunk: no stream rates")
+	}
+	fastest := 0.0
+	for i, r := range rates {
+		if !(r > 0) || math.IsInf(r, 1) {
+			panic(fmt.Sprintf("chunk: stream %d rate %v is not positive and finite", i, r))
+		}
+		fastest = max(fastest, r)
+	}
+	dst = slices.Grow(dst[:0], len(rates))[:len(rates)]
+	s := len(rates)
+	var weight uint64 // summed over chunks
+	for i, r := range rates {
+		dst[i] = Stream{w: max(1, uint64(math.Round(r/fastest*rateScale)))}
+		weight += uint64(chunksOf(k, s, i)) * dst[i].w
+	}
+	spare := uint64(total) - uint64(k)
+	left := spare
+	for i := range dst {
+		n := chunksOf(k, s, i)
+		if n == 0 {
+			continue // a stream past the last chunk carries nothing
+		}
+		hi, lo := bits.Mul64(spare, dst[i].w)
+		q, rem := bits.Div64(hi, lo, weight)
+		dst[i].Size, dst[i].rem = 1+int64(q), rem
+		left -= uint64(n) * q
+	}
+	// Hand out the leftover bytes by descending remainder. The streams tied
+	// at one remainder take theirs in chunk order: round j gives chunk j of
+	// each tied stream, lowest stream first.
+	above := uint64(math.MaxUint64) // remainders at or above this are done
+	for left > 0 {
+		var cur uint64
+		for i := range dst {
+			if dst[i].rem < above {
+				cur = max(cur, dst[i].rem)
+			}
+		}
+		for j := 0; left > 0 && j < chunksOf(k, s, 0); j++ {
+			for i := 0; left > 0 && i < s; i++ {
+				if dst[i].rem == cur && j < chunksOf(k, s, i) {
+					dst[i].Big++
+					left--
+				}
+			}
+		}
+		above = cur
+	}
+	return dst
+}
+
+// chunksOf is how many of k round-robin chunks stream i of s carries.
+func chunksOf(k, s, i int) int { return (k - i + s - 1) / s }
 
 // NumChunks returns the chunk count.
 func (p Partition) NumChunks() int { return len(p.Sizes) }

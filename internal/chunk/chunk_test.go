@@ -1,7 +1,9 @@
 package chunk
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -72,6 +74,68 @@ func TestSplitPanics(t *testing.T) {
 			defer func() {
 				if recover() == nil {
 					t.Error("invalid Split did not panic")
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestSplitRatesSizesByRate: chunk c is sized by the rate of stream
+// c mod len(rates). Three streams at 25, 18.75 and 12.5 GB/s over 63 chunks
+// carry 4/9, 3/9 and 2/9 of the message; Streams reports the same sizes per
+// stream, and the leftover bytes land on each stream's first chunks.
+func TestSplitRatesSizesByRate(t *testing.T) {
+	rates := []float64{25e9, 18.75e9, 12.5e9}
+	p := SplitRates(16<<20, 63, rates)
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var stream [3]int64
+	for c, size := range p.Sizes {
+		stream[c%3] += size
+	}
+	for i, want := range []int64{4, 3, 2} {
+		if got := float64(stream[i]) / float64(16<<20); math.Abs(got-float64(want)/9) > 1e-5 {
+			t.Errorf("stream %d carries %.6f of the message, want %d/9", i, got, want)
+		}
+	}
+	st := Streams(nil, 16<<20, 63, rates)
+	for c, size := range p.Sizes {
+		s := st[c%3]
+		want := s.Size
+		if c/3 < s.Big {
+			want++
+		}
+		if size != want {
+			t.Fatalf("chunk %d: %d bytes, Streams says %d", c, size, want)
+		}
+	}
+	// One spare byte over two streams at 3:1 goes to the fast stream's
+	// first chunk.
+	if got := SplitRates(5, 4, []float64{3, 1}).Sizes; !reflect.DeepEqual(got, []int64{2, 1, 1, 1}) {
+		t.Errorf("SplitRates(5, 4, [3 1]) sizes %v, want [2 1 1 1]", got)
+	}
+	// Every chunk keeps a byte however slow its stream.
+	if got := SplitRates(10, 4, []float64{1e12, 1}).Sizes; !reflect.DeepEqual(got, []int64{4, 1, 4, 1}) {
+		t.Errorf("SplitRates(10, 4, [1e12 1]) sizes %v, want [4 1 4 1]", got)
+	}
+}
+
+func TestSplitRatesPanics(t *testing.T) {
+	for _, f := range []func(){
+		func() { SplitRates(0, 4, []float64{1}) },
+		func() { SplitRates(10, 0, []float64{1}) },
+		func() { SplitRates(3, 4, []float64{1}) },
+		func() { SplitRates(10, 4, nil) },
+		func() { SplitRates(10, 4, []float64{1, 0}) },
+		func() { SplitRates(10, 4, []float64{1, math.NaN()}) },
+		func() { SplitRates(10, 4, []float64{math.Inf(1)}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("invalid SplitRates did not panic")
 				}
 			}()
 			f()

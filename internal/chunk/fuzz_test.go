@@ -1,6 +1,10 @@
 package chunk
 
-import "testing"
+import (
+	"math"
+	"reflect"
+	"testing"
+)
 
 // FuzzSplit exercises SplitAtMost across arbitrary sizes: the partition must
 // always cover exactly the total, in order, with near-equal chunks, and the
@@ -43,6 +47,53 @@ func FuzzSplit(f *testing.F) {
 			if got := p.ChunkOf(p.Offsets[i]); got != i {
 				t.Fatalf("ChunkOf(offset[%d]) = %d", i, got)
 			}
+		}
+	})
+}
+
+// FuzzSplitRates checks the rate-weighted partition over arbitrary sizes,
+// chunk counts and stream rates (one stream per rate byte, rate byte+1
+// times a scale of 10^exp): the sizes cover the total with contiguous
+// offsets and at least one byte each, the chunks of one stream differ by
+// at most one byte, and the same call with every rate equal is exactly
+// Split.
+func FuzzSplitRates(f *testing.F) {
+	f.Add(int64(16<<20), 63, []byte{199, 149, 99}, uint8(9))
+	f.Add(int64(100), 7, []byte{0, 255}, uint8(0))
+	f.Add(int64(5), 5, []byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3}, uint8(2))
+	f.Add(int64(1<<31), 512, []byte{7}, uint8(12))
+	f.Fuzz(func(t *testing.T, total int64, k int, rateBytes []byte, exp uint8) {
+		if total <= 0 || k < 1 || int64(k) > total || total > 1<<40 || k > 1<<16 ||
+			len(rateBytes) == 0 || len(rateBytes) > 64 {
+			t.Skip()
+		}
+		scale := math.Pow(10, float64(exp%16))
+		rates := make([]float64, len(rateBytes))
+		for i, b := range rateBytes {
+			rates[i] = (float64(b) + 1) * scale
+		}
+		p := SplitRates(total, k, rates)
+		if p.NumChunks() != k {
+			t.Fatalf("SplitRates(%d,%d,%v) = %d chunks", total, k, rates, p.NumChunks())
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("SplitRates(%d,%d,%v): %v", total, k, rates, err)
+		}
+		s := len(rates)
+		for i := 0; i < s && i < k; i++ {
+			lo, hi := p.Sizes[i], p.Sizes[i]
+			for c := i; c < k; c += s {
+				lo, hi = min(lo, p.Sizes[c]), max(hi, p.Sizes[c])
+			}
+			if hi-lo > 1 {
+				t.Fatalf("SplitRates(%d,%d,%v): stream %d sizes span [%d, %d]", total, k, rates, i, lo, hi)
+			}
+		}
+		for i := range rates {
+			rates[i] = rates[0]
+		}
+		if got, want := SplitRates(total, k, rates), Split(total, k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("SplitRates(%d,%d) with %d equal rates differs from Split", total, k, s)
 		}
 	})
 }

@@ -17,12 +17,13 @@ import (
 // deps included, are relative to the chunk's first op.
 type chunkPass struct {
 	pass    schedcheck.Program
-	detours int // tree edges routed through a relay GPU
+	detours int     // tree edges routed through a relay GPU
+	rate    float64 // the tree's bottleneck bandwidth, its chunks' weight
 	// hops counts the pass's ops per channel: one chunk's load on each
 	// channel the tree rides, in units of that chunk's transfer time.
 	hops []channelHops
 	// small, big and finish are bound's per-op scratch: the op's duration
-	// at the variant's two chunk sizes, and its finish time in the latest
+	// at its tree's two chunk sizes, and its finish time in the latest
 	// chunk to ride this tree.
 	small, big, finish []des.Time
 }
@@ -40,7 +41,7 @@ func newChunkPass(t *Tree, nodes []topology.NodeID) (*chunkPass, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &chunkPass{pass: pass, detours: t.Detours}
+	p := &chunkPass{pass: pass, detours: t.Detours, rate: t.Bottleneck}
 	for i := range pass.Ops {
 		if pass.Ops[i].Marker() {
 			continue
@@ -89,7 +90,9 @@ func newEmitter(g *topology.Graph, nodes []topology.NodeID, bytes int64, f *Fore
 
 // emit compiles the variant running k chunks round-robin over the first t
 // trees (chunk c rides tree c mod t, so stream identity is tree identity)
-// into a verified schedule, through collective.AssembleForest.
+// into a verified schedule, through collective.AssembleForest. Each chunk
+// is sized by its tree's bottleneck bandwidth (chunk.SplitRates), so every
+// tree is fed at its own rate; trees of equal rate get chunk.Split's sizes.
 func (e *emitter) emit(t, k int) (*collective.Schedule, error) {
 	if k < t {
 		return nil, fmt.Errorf("synth: %d chunks cannot feed %d trees", k, t)
@@ -97,7 +100,17 @@ func (e *emitter) emit(t, k int) (*collective.Schedule, error) {
 	if int64(k) > e.bytes {
 		return nil, fmt.Errorf("synth: %d chunks for %d bytes", k, e.bytes)
 	}
-	return assembleForest(e.g, e.nodes, chunk.Split(e.bytes, k), e.trees[:t])
+	var buf [DefaultMaxTrees]float64
+	return assembleForest(e.g, e.nodes, chunk.SplitRates(e.bytes, k, e.rates(buf[:0], t)), e.trees[:t])
+}
+
+// rates appends the rates of the first t trees to buf, which the callers
+// keep on the stack.
+func (e *emitter) rates(buf []float64, t int) []float64 {
+	for _, p := range e.passes[:t] {
+		buf = append(buf, p.rate)
+	}
+	return buf
 }
 
 // assembleForest lays out and verifies an emitted variant. It is
@@ -115,27 +128,31 @@ var assembleForest = collective.AssembleForest
 // the critical path is one forward sweep over the chunks. Chunk c's ops
 // depend on its own earlier ops and on the same hop of chunk c-t, the
 // previous chunk on its tree, so one finish-time array per tree, rewritten
-// in place, holds every value the sweep reads. chunk.Split gives chunks
-// c < bytes%k one byte more than the rest, so each op has two possible
-// durations, and a channel's load is, per tree, its hop count in the pass
-// times the summed transfer times of the chunks riding that tree.
+// in place, holds every value the sweep reads. chunk.Streams gives the
+// size of a tree's chunks under chunk.SplitRates, the tree's first Big
+// chunks one byte more, so each op has two possible durations per tree, and
+// a channel's load is,
+// per tree, its hop count in the pass times the summed transfer times of
+// the chunks riding that tree.
 func (e *emitter) bound(t, k int) (path, load des.Time) {
-	small := e.bytes / int64(k)
-	extra := int(e.bytes % int64(k))
+	var rbuf [DefaultMaxTrees]float64
+	var sbuf [DefaultMaxTrees]chunk.Stream
+	streams := chunk.Streams(sbuf[:0], e.bytes, k, e.rates(rbuf[:0], t))
 	passes := e.passes[:t]
-	for _, p := range passes {
+	for ti, p := range passes {
+		size := streams[ti].Size
 		for j := range p.pass.Ops {
 			p.finish[j] = 0
 			if op := &p.pass.Ops[j]; !op.Marker() {
 				ch := e.g.Channel(op.ChannelID())
-				p.small[j], p.big[j] = ch.TransferTime(small), ch.TransferTime(small+1)
+				p.small[j], p.big[j] = ch.TransferTime(size), ch.TransferTime(size+1)
 			}
 		}
 	}
 	for c := 0; c < k; c++ {
 		p := passes[c%t]
 		dur := p.small
-		if c < extra {
+		if c/t < streams[c%t].Big {
 			dur = p.big
 		}
 		for j := range p.pass.Ops {
@@ -152,11 +169,11 @@ func (e *emitter) bound(t, k int) (path, load des.Time) {
 	}
 	clear(e.loads)
 	for ti, p := range passes {
-		n := des.Time((k - ti + t - 1) / t)        // chunks riding tree ti
-		nBig := des.Time((extra - ti + t - 1) / t) // of which one byte larger
+		n := des.Time((k - ti + t - 1) / t) // chunks riding tree ti
+		nBig, size := des.Time(streams[ti].Big), streams[ti].Size
 		for _, h := range p.hops {
 			ch := e.g.Channel(h.ch)
-			e.loads[h.ch] += des.Time(h.n) * ((n-nBig)*ch.TransferTime(small) + nBig*ch.TransferTime(small+1))
+			e.loads[h.ch] += des.Time(h.n) * ((n-nBig)*ch.TransferTime(size) + nBig*ch.TransferTime(size+1))
 			load = max(load, e.loads[h.ch])
 		}
 	}

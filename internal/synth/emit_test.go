@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"ccube/internal/chunk"
@@ -316,6 +318,126 @@ func TestReportDetoursCachedMatchesCold(t *testing.T) {
 	if cold.Report.Detours != 1 || hit.Report.Detours != 1 {
 		t.Fatalf("Detours cold=%d hit=%d, want 1 and 1", cold.Report.Detours, hit.Report.Detours)
 	}
+}
+
+// TestReportSharesCachedMatchesCold: a cache hit reports the same per-tree
+// byte shares as the compile that filled the cache — both read them off the
+// schedule's partition — on a fabric whose trees run at unequal rates.
+func TestReportSharesCachedMatchesCold(t *testing.T) {
+	g, _ := differentialFabrics()["fcasym:8"]()
+	const bytes = 16<<20 + 3
+	opts := Options{Seed: 61}
+	cold, err := Synthesize(context.Background(), g, bytes, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := Synthesize(context.Background(), g, bytes, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Report.CacheHit || !hit.Report.CacheHit {
+		t.Fatalf("cold hit=%v, second hit=%v: want a compile then a cache hit", cold.Report.CacheHit, hit.Report.CacheHit)
+	}
+	shares := cold.Report.Shares()
+	if !reflect.DeepEqual(shares, hit.Report.Shares()) {
+		t.Fatalf("shares cold %v, cached %v", shares, hit.Report.Shares())
+	}
+	if len(shares) != cold.Report.Trees {
+		t.Fatalf("%d shares for %d trees", len(shares), cold.Report.Trees)
+	}
+	sum := 0.0
+	for _, f := range shares {
+		sum += f
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("shares %v sum to %v", shares, sum)
+	}
+	if !strings.Contains(hit.Report.String(), "shares=[") {
+		t.Fatalf("report %q does not render the shares", hit.Report)
+	}
+}
+
+// TestEqualRatesKeepEqualChunks: on fabrics whose packed trees all run at
+// one rate, the rate-weighted emitter compiles exactly the schedules the
+// equal-chunk one did — every variant's program and partition match the
+// chunk.Split layout, at a megabyte and at a size no chunk count divides.
+func TestEqualRatesKeepEqualChunks(t *testing.T) {
+	fabrics := differentialFabrics()
+	for _, name := range []string{"dgx1", "dgx1-low", "fc:8", "rr:16", "dgx1-degraded"} {
+		t.Run(name, func(t *testing.T) {
+			g, nodes := fabrics[name]()
+			forest, err := PackForest(g, nodes, DefaultMaxTrees, 0, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range forest.Trees {
+				if tr.Bottleneck != forest.Trees[0].Bottleneck {
+					t.Fatalf("tree bottlenecks differ (%v vs %v): not an equal-rate fabric", tr.Bottleneck, forest.Trees[0].Bottleneck)
+				}
+			}
+			for _, bytes := range []int64{1 << 20, 1<<20 + 37} {
+				e := newEmitter(g, nodes, bytes, forest)
+				for tr := 1; tr <= len(e.passes); tr++ {
+					for k := tr; k <= DefaultMaxChunks; k++ {
+						got, err := e.emit(tr, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := collective.AssembleForest(g, nodes, chunk.Split(bytes, k), e.trees[:tr])
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got.Partition, want.Partition) || !reflect.DeepEqual(got.Program(), want.Program()) {
+							t.Fatalf("trees=%d k=%d bytes=%d: the variant differs from its equal-chunk layout", tr, k, bytes)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSlowTreePrefixCompetes: on fcasym:8 the packed trees' bottlenecks are
+// 25, 18.75 and 12.5 GB/s. Fed at their own rates, the prefix holding the
+// slow third tree wins at 16 MiB, and it beats the equal-chunk winner, two
+// trees at 64 chunks.
+func TestSlowTreePrefixCompetes(t *testing.T) {
+	g, nodes := differentialFabrics()["fcasym:8"]()
+	const bytes = 16 << 20
+	res, err := Synthesize(context.Background(), g, bytes, Options{NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.Trees != 3 {
+		t.Fatalf("winner %s: want all 3 trees", res.Report)
+	}
+	forest, err := PackForest(g, nodes, DefaultMaxTrees, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares := res.Report.Shares()
+	for i := range shares {
+		want := forest.Trees[i].Bottleneck / (forest.Trees[0].Bottleneck + forest.Trees[1].Bottleneck + forest.Trees[2].Bottleneck)
+		if math.Abs(shares[i]-want) > 1e-3 {
+			t.Fatalf("tree %d carries %.4f of the message, want its rate share %.4f", i, shares[i], want)
+		}
+	}
+	trees := make([]collective.RoutedTree, 2)
+	for i := range trees {
+		trees[i] = forest.Trees[i].RoutedTree
+	}
+	even, err := collective.AssembleForest(g, nodes, chunk.Split(bytes, 64), trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := even.ExecuteCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Run.Total >= before.Total {
+		t.Fatalf("winner %s in %s, no faster than the equal-chunk 2-tree plan's %s", res.Report, res.Run.Total, before.Total)
+	}
+	t.Logf("%s in %s; equal chunks over 2 trees: %s", res.Report, res.Run.Total, before.Total)
 }
 
 // TestEmitReservesExactly: a variant's ops slice and dependency CSR are

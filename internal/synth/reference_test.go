@@ -3,6 +3,9 @@ package synth
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/big"
+	"slices"
 	"sort"
 
 	"ccube/internal/chunk"
@@ -17,7 +20,8 @@ import (
 // edge and hop, rewritten by four passes
 //
 //	lift         Allreduce(bytes) → single-chunk logical program on tree 0
-//	parallelize  split into K chunks, round-robin across the forest's trees
+//	parallelize  split into K chunks sized by tree rate, round-robin across
+//	             the forest's trees
 //	route        logical edges → physical hops (relay-spliced detours)
 //	pipeline     FIFO deps between consecutive chunks on every hop
 //
@@ -172,7 +176,11 @@ func refParallelize(p *refProgram, k int) error {
 	if int64(k) > p.Partition.TotalBytes {
 		return fmt.Errorf("synth: %d chunks for %d bytes", k, p.Partition.TotalBytes)
 	}
-	p.Partition = chunk.Split(p.Partition.TotalBytes, k)
+	rates := make([]float64, trees)
+	for i, t := range p.Forest.Trees {
+		rates[i] = t.Bottleneck
+	}
+	p.Partition = refSplitRates(p.Partition.TotalBytes, k, rates)
 	p.Streams = trees
 	p.Ops = p.Ops[:0]
 	for c := 0; c < k; c++ {
@@ -180,6 +188,44 @@ func refParallelize(p *refProgram, k int) error {
 	}
 	p.Passes = append(p.Passes, fmt.Sprintf("parallelize(k=%d,trees=%d)", k, trees))
 	return nil
+}
+
+// refSplitRates is the rate-weighted partition worked chunk by chunk in
+// exact rational arithmetic, independent of chunk.SplitRates: every chunk
+// gets one byte, the rest is shared in proportion to the rate of the
+// chunk's tree (c mod len(rates)), quantized to 2^-20 of the fastest, and
+// the bytes left by rounding down go one each to the chunks of largest
+// remainder, the lower index first.
+func refSplitRates(total int64, k int, rates []float64) chunk.Partition {
+	fastest := slices.Max(rates)
+	w := make([]*big.Int, k)
+	sum := new(big.Int)
+	for c := range w {
+		w[c] = big.NewInt(max(1, int64(math.Round(rates[c%len(rates)]/fastest*(1<<20)))))
+		sum.Add(sum, w[c])
+	}
+	spare := big.NewInt(total - int64(k))
+	sizes := make([]int64, k)
+	rems := make([]*big.Int, k)
+	left := total - int64(k)
+	for c := range w {
+		q, r := new(big.Int).QuoRem(new(big.Int).Mul(spare, w[c]), sum, new(big.Int))
+		sizes[c], rems[c] = 1+q.Int64(), r
+		left -= q.Int64()
+	}
+	order := make([]int, k)
+	for c := range order {
+		order[c] = c
+	}
+	sort.SliceStable(order, func(a, b int) bool { return rems[order[a]].Cmp(rems[order[b]]) > 0 })
+	for _, c := range order[:left] {
+		sizes[c]++
+	}
+	p := chunk.Partition{TotalBytes: total, Sizes: sizes, Offsets: make([]int64, k)}
+	for c := 1; c < k; c++ {
+		p.Offsets[c] = p.Offsets[c-1] + sizes[c-1]
+	}
+	return p
 }
 
 func refRoute(p *refProgram) error {
@@ -440,10 +486,11 @@ func refCompileBest(ctx context.Context, g *topology.Graph, nodes []topology.Nod
 	}
 	w := finalists[best]
 	return w.sched, Report{
-		Trees:    w.trees,
-		Chunks:   w.chunks,
-		Detours:  w.prog.Detours,
-		Passes:   w.prog.Passes,
-		Variants: len(plans),
+		Trees:     w.trees,
+		Chunks:    w.chunks,
+		Detours:   w.prog.Detours,
+		Passes:    w.prog.Passes,
+		Variants:  len(plans),
+		partition: w.prog.Partition,
 	}, nil
 }

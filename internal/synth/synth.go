@@ -15,9 +15,11 @@
 //	   │  collective.OverlappedChunk: one chunk's up hops → root-ready marker → down hops
 //	   ▼
 //	chunk passes     one per tree, ids relative to the chunk
-//	   │  bound(t, k): every variant ranked, no op emitted
+//	   │  bound(t, k): every variant ranked, no op emitted, chunk sizes
+//	   │  from chunk.Streams (chunk c sized by tree c mod t's bottleneck)
 //	   ▼
-//	collective.Schedule   via collective.AssembleForest(first t trees, k chunks):
+//	collective.Schedule   via collective.AssembleForest(first t trees,
+//	                      chunk.SplitRates(bytes, k, tree bottlenecks)):
 //	                      chunk c rides tree c mod t, FIFO dep on chunk c-t; Validate
 //
 // Only the variants the search walks to are emitted, and each passes the
@@ -35,6 +37,7 @@ import (
 	"sort"
 	"strings"
 
+	"ccube/internal/chunk"
 	"ccube/internal/collective"
 	"ccube/internal/costmodel"
 	"ccube/internal/des"
@@ -88,16 +91,19 @@ func (o Options) normalized() Options {
 }
 
 // Fingerprint renders the synthesis configuration as a short stable string:
-// the pass list plus every output-shaping knob. It is the SynthKey of the
-// cache/store content address, so two configs that could compile different
-// schedules for the same graph and size can never alias to one entry.
+// a compiler version, the pass list and every output-shaping knob. It is
+// the SynthKey of the cache/store content address, so two configs that
+// could compile different schedules for the same graph and size can never
+// alias to one entry. The version moves whenever the same Options start to
+// compile different schedules, so a store filled by an older compiler is
+// never served: v2 sizes chunks by their tree's rate, v1 split them evenly.
 func (o Options) Fingerprint() string {
 	o = o.normalized()
 	detour := 1
 	if o.NoDetour {
 		detour = 0
 	}
-	return fmt.Sprintf("v1.t%d.k%d.s%d.d%d.lift-parallelize-route-pipeline",
+	return fmt.Sprintf("v2.t%d.k%d.s%d.d%d.lift-parallelize-route-pipeline",
 		o.MaxTrees, o.MaxChunks, o.Seed, detour)
 }
 
@@ -109,6 +115,26 @@ type Report struct {
 	Passes   []string // compilation stages of the winning plan, in order
 	Variants int      // (forest prefix, chunk count) plans ranked, less any that failed verification
 	CacheHit bool     // served from the schedule cache/store; Passes empty
+	// partition is the winning schedule's own, which Shares reads.
+	partition chunk.Partition
+}
+
+// Shares returns each tree's fraction of the message, derived from the
+// schedule's partition (chunk c rides tree c mod Trees) rather than
+// stored, so a cache hit reports the shares of the compile that filled
+// the cache. It is nil for a Report that Synthesize did not return.
+func (r Report) Shares() []float64 {
+	if r.partition.TotalBytes == 0 {
+		return nil
+	}
+	shares := make([]float64, r.Trees)
+	for c, size := range r.partition.Sizes {
+		shares[c%r.Trees] += float64(size)
+	}
+	for i := range shares {
+		shares[i] /= float64(r.partition.TotalBytes)
+	}
+	return shares
 }
 
 // Result is a compiled collective.
@@ -173,10 +199,11 @@ func Synthesize(ctx context.Context, g *topology.Graph, bytes int64, opts Option
 	// Cache or store hit: the plan metadata was not recomputed, but the
 	// load-bearing facts survive in the schedule itself.
 	return &Result{Schedule: s, Report: Report{
-		Trees:    s.Streams,
-		Chunks:   s.Partition.NumChunks(),
-		Detours:  planDetours(s),
-		CacheHit: true,
+		Trees:     s.Streams,
+		Chunks:    s.Partition.NumChunks(),
+		Detours:   planDetours(s),
+		CacheHit:  true,
+		partition: s.Partition,
 	}}, nil
 }
 
@@ -263,11 +290,12 @@ func compileBest(ctx context.Context, g *topology.Graph, nodes []topology.NodeID
 	return &Result{
 		Schedule: best,
 		Report: Report{
-			Trees:    w.trees,
-			Chunks:   w.chunks,
-			Detours:  detours,
-			Passes:   e.passNames(w.trees, w.chunks),
-			Variants: len(ranked) - rejected,
+			Trees:     w.trees,
+			Chunks:    w.chunks,
+			Detours:   detours,
+			Passes:    e.passNames(w.trees, w.chunks),
+			Variants:  len(ranked) - rejected,
+			partition: best.Partition,
 		},
 		Run: run,
 	}, nil
@@ -365,6 +393,13 @@ func (r Report) String() string {
 	if r.CacheHit {
 		src = "cached"
 	}
-	return fmt.Sprintf("%s: trees=%d chunks=%d detours=%d variants=%d passes=[%s]",
-		src, r.Trees, r.Chunks, r.Detours, r.Variants, strings.Join(r.Passes, " "))
+	var shares strings.Builder
+	for i, f := range r.Shares() {
+		if i > 0 {
+			shares.WriteByte(' ')
+		}
+		fmt.Fprintf(&shares, "%.3f", f)
+	}
+	return fmt.Sprintf("%s: trees=%d chunks=%d detours=%d variants=%d shares=[%s] passes=[%s]",
+		src, r.Trees, r.Chunks, r.Detours, r.Variants, shares.String(), strings.Join(r.Passes, " "))
 }
