@@ -35,7 +35,6 @@ import (
 	"ccube/internal/loadgen"
 	"ccube/internal/metrics"
 	"ccube/internal/report"
-	"ccube/internal/schedcheck"
 	"ccube/internal/server"
 	"ccube/internal/topology"
 )
@@ -250,8 +249,6 @@ func run() int {
 	list := flag.Bool("list", false, "list available experiments and exit")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	mdDir := flag.String("md", "", "also write each table as Markdown into this directory")
-	verify := flag.Bool("verify", false,
-		"statically verify the whole algorithm zoo with schedcheck before running experiments")
 	parallel := flag.Int("parallel", runtime.NumCPU(),
 		"worker count for the grid sweeps (1 = serial reference path)")
 	benchJSON := flag.String("benchjson", "",
@@ -322,12 +319,6 @@ func run() int {
 				fmt.Fprintln(os.Stderr, err)
 			}
 		}()
-	}
-
-	if *verify {
-		if !verifyZoo(os.Stdout) {
-			return 1
-		}
 	}
 
 	if *list {
@@ -737,55 +728,4 @@ func lintRun() (*lintTiming, error) {
 		Packages:    res.NumPackages,
 		Files:       res.NumFiles,
 	}, nil
-}
-
-// verifyZoo runs the schedcheck static verifier over every algorithm on the
-// topologies the experiments use, as a pre-flight: the figures mean nothing
-// if a schedule has a hazard, a phantom link, or a false in-order claim.
-// Returns false when any schedule fails.
-func verifyZoo(w io.Writer) bool {
-	algorithms := []collective.Algorithm{
-		collective.AlgRing,
-		collective.AlgTree,
-		collective.AlgTreeOverlap,
-		collective.AlgDoubleTree,
-		collective.AlgDoubleTreeOverlap,
-		collective.AlgHalvingDoubling,
-	}
-	lowCfg := topology.DefaultDGX1Config()
-	lowCfg.LowBandwidth = true
-	topos := []struct {
-		name   string
-		graph  *topology.Graph
-		shared bool
-	}{
-		{"dgx1", topology.DGX1(topology.DefaultDGX1Config()), false},
-		{"dgx1-low", topology.DGX1(lowCfg), false},
-		{"fc4", topology.FullyConnected(4, 25e9, 0), true},
-		{"fc16", topology.FullyConnected(16, 25e9, 0), true},
-	}
-	t := report.New("Static schedule verification (schedcheck)",
-		"algorithm", "topology", "result")
-	ok := true
-	for _, tp := range topos {
-		for _, alg := range algorithms {
-			s, err := collective.Build(collective.Config{
-				Graph: tp.graph, Algorithm: alg, Bytes: 64 << 20, Chunks: 16,
-				AllowSharedChannels: tp.shared,
-			})
-			if err != nil {
-				ok = false
-				t.AddRow(alg.String(), tp.name, fmt.Sprintf("build failed: %v", err))
-				continue
-			}
-			r := schedcheck.Check(s.Program())
-			if !r.OK() {
-				ok = false
-				fmt.Fprintf(w, "%s on %s:\n%v\n", alg, tp.name, r.Err())
-			}
-			t.AddRow(alg.String(), tp.name, r.Summary())
-		}
-	}
-	fmt.Fprintln(w, t.Render())
-	return ok
 }

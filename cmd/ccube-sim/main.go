@@ -24,7 +24,6 @@ import (
 	"ccube/internal/fault"
 	"ccube/internal/metrics"
 	"ccube/internal/report"
-	"ccube/internal/schedcheck"
 	"ccube/internal/synth"
 	"ccube/internal/topology"
 	"ccube/internal/trace"
@@ -54,7 +53,6 @@ func main() {
 	bytesFlag := flag.String("bytes", "64M", "message size (supports K/M/G suffixes)")
 	chunks := flag.Int("chunks", 0, "chunk count (0 = cost-model optimum)")
 	shared := flag.Bool("shared", false, "allow logical flows to share physical channels")
-	verify := flag.Bool("verify", false, "run the schedcheck static verifier on the built schedule before executing")
 	topChannels := flag.Int("top", 8, "how many busiest channels to show")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file")
 	gantt := flag.Bool("gantt", false, "print an ASCII Gantt view of channel occupancy")
@@ -125,22 +123,14 @@ func main() {
 		}
 		sched = res.Schedule
 		fmt.Printf("synth: %s\n\n", res.Report)
-	} else if *storeDir != "" {
-		// The cached path verifies on every miss (and re-verifies store
-		// loads), so a warm run here skips construction, not the proof.
-		sched, err = collective.BuildCached(cfg)
 	} else {
-		sched, err = collective.Build(cfg)
+		// Every build is proved before it returns (and every store load
+		// re-proved), so a warm -store run skips construction, not the
+		// proof.
+		sched, err = collective.BuildCached(cfg)
 	}
 	if err != nil {
 		fail("%v", err)
-	}
-	if *verify {
-		r := schedcheck.Check(sched.Program())
-		if !r.OK() {
-			fail("schedule failed static verification:\n%v", r.Err())
-		}
-		fmt.Printf("schedcheck: %s\n\n", r.Summary())
 	}
 	res, taskGraph, err := sched.ExecuteOnCtx(context.Background(), sched.Graph.Resources())
 	if err != nil {

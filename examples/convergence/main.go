@@ -73,9 +73,6 @@ func trainRun(xs, ys [][][]float32, overlap bool) *dnn.MLP {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := s.Validate(); err != nil {
-		log.Fatal(err)
-	}
 	prog := s.Program()
 	cfg := gpusim.Config{
 		LayerElems: replicas[0].LayerElems(),

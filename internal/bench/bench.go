@@ -87,12 +87,11 @@ func dgx1CCube() collective.Config {
 }
 
 // executeBench times one DES run of a built, verified schedule: the work a
-// schedule-cache hit leaves to ExecuteCtx. The schedule comes out of a
-// private cache, so it is stamped and every run pays the topology staleness
-// check a served execution pays.
+// schedule-cache hit leaves to ExecuteCtx. Every run pays the topology
+// staleness check a served execution pays.
 func executeBench(cfg func() collective.Config) func() (func() error, error) {
 	return func() (func() error, error) {
-		s, err := collective.NewCache().Build(cfg())
+		s, err := collective.Build(cfg())
 		if err != nil {
 			return nil, err
 		}
@@ -127,6 +126,9 @@ func benchmarks() []benchmark {
 		{"Execute/cluster64-ccube-128chunks", true, executeBench(cluster64CCube)},
 		{"Execute/dgx1-ccube-16MiB", true, executeBench(dgx1CCube)},
 		{"Build/cluster64-ccube-128chunks", true, func() (func() error, error) {
+			// What a cold miss pays: construction plus the proof Build runs
+			// before it returns (collective.BenchmarkBuild times the raw
+			// builder alone).
 			cfg := cluster64CCube()
 			return func() error {
 				_, err := collective.Build(cfg)
@@ -440,7 +442,7 @@ const SteadyStateBudget = 0
 var Budgets = map[string]int64{
 	"Execute/cluster64-ccube-128chunks":      6,
 	"Execute/dgx1-ccube-16MiB":               6,
-	"Build/cluster64-ccube-128chunks":        442,
+	"Build/cluster64-ccube-128chunks":        445,
 	"Cache/resize-cluster64-ccube-128chunks": 12,
 	"Check/cluster64-ccube-128chunks":        2,
 	"Check/dgx1-ccube-16MiB":                 2,

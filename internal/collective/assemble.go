@@ -109,13 +109,3 @@ func AssembleForest(g *topology.Graph, nodes []topology.NodeID, part chunk.Parti
 	}
 	return s.adopt()
 }
-
-// adopt verifies an externally compiled schedule and stamps it against the
-// current topology.
-func (s *Schedule) adopt() (*Schedule, error) {
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("collective: assembled schedule failed verification: %w", err)
-	}
-	s.stamp()
-	return s, nil
-}

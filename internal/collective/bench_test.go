@@ -8,25 +8,25 @@ import (
 	"ccube/internal/topology"
 )
 
-// BenchmarkBuild times schedule construction on the shapes the served
-// requests build cold: C-Cube on the DGX-1 at 16 MiB (cost-model chunk
-// count), the ring on a 16-GPU fully connected fabric, the chained
-// hierarchical AllReduce over 32 DGX-1 boxes (256 GPUs), and C-Cube on the
-// 64-GPU cluster at 128 chunks (the simulate_scale shape). Topologies are
-// built outside the timer. Besides ns/op and allocs/op it reports
+// BenchmarkBuild times raw schedule construction, without the proof the
+// exported constructors add, on the shapes the served requests build cold:
+// C-Cube on the DGX-1 at 16 MiB (cost-model chunk count), the ring on a
+// 16-GPU fully connected fabric, the chained hierarchical AllReduce over 32
+// DGX-1 boxes (256 GPUs), and C-Cube on the 64-GPU cluster at 128 chunks
+// (the simulate_scale shape). Topologies are built outside the timer. Besides ns/op and allocs/op it reports
 // ns/transfer, B/transfer (allocated while building) and
 // retained-B/transfer (live heap one built schedule holds).
 func BenchmarkBuild(b *testing.B) {
 	b.Run("dgx1-ccube-16MiB", func(b *testing.B) {
 		g := topology.DGX1(topology.DefaultDGX1Config())
 		runBuildBench(b, func() (*Schedule, error) {
-			return Build(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 16 << 20})
+			return build(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 16 << 20})
 		})
 	})
 	b.Run("fc16-ring", func(b *testing.B) {
 		g := topology.FullyConnected(16, topology.NVLinkBandwidth, topology.NVLinkLatency)
 		runBuildBench(b, func() (*Schedule, error) {
-			return Build(Config{Graph: g, Algorithm: AlgRing, Bytes: 16 << 20})
+			return build(Config{Graph: g, Algorithm: AlgRing, Bytes: 16 << 20})
 		})
 	})
 	b.Run("cluster256-hierarchical", func(b *testing.B) {
@@ -35,13 +35,13 @@ func BenchmarkBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		runBuildBench(b, func() (*Schedule, error) {
-			return BuildHierarchical(HierarchicalConfig{Cluster: mn, Bytes: 64 << 20, Chained: true})
+			return buildHierarchical(HierarchicalConfig{Cluster: mn, Bytes: 64 << 20, Chained: true})
 		})
 	})
 	b.Run("cluster64-ccube-128chunks", func(b *testing.B) {
 		g := topology.Hierarchy(topology.DefaultHierarchyConfig(64))
 		runBuildBench(b, func() (*Schedule, error) {
-			return Build(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 64 << 20, Chunks: 128,
+			return build(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 64 << 20, Chunks: 128,
 				AllowSharedChannels: true})
 		})
 	})
@@ -49,11 +49,11 @@ func BenchmarkBuild(b *testing.B) {
 
 // retainedPerTransfer builds one schedule between two collections and
 // returns the live heap it holds per transfer, and its transfer count.
-func retainedPerTransfer(build func() (*Schedule, error)) (float64, int, error) {
+func retainedPerTransfer(construct func() (*Schedule, error)) (float64, int, error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	s, err := build()
+	s, err := construct()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -65,8 +65,8 @@ func retainedPerTransfer(build func() (*Schedule, error)) (float64, int, error) 
 	return retained / float64(n), n, nil
 }
 
-func runBuildBench(b *testing.B, build func() (*Schedule, error)) {
-	retained, n, err := retainedPerTransfer(build)
+func runBuildBench(b *testing.B, construct func() (*Schedule, error)) {
+	retained, n, err := retainedPerTransfer(construct)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func runBuildBench(b *testing.B, build func() (*Schedule, error)) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := build(); err != nil {
+		if _, err := construct(); err != nil {
 			b.Fatal(err)
 		}
 	}

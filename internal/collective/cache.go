@@ -24,9 +24,9 @@ import (
 //
 // Correctness properties:
 //
-//   - Misses verify: a schedule enters the cache only after passing the full
-//     static verifier (Schedule.Validate), so hits never skip a check that
-//     was not already performed on identical inputs.
+//   - Misses verify: every constructor runs the full static verifier before
+//     it returns, so a schedule enters the cache proved, and hits never skip
+//     a check that was not already performed on identical inputs.
 //   - Staleness is loud: cached schedules are stamped with the fingerprint
 //     they were verified against. Mutating the topology (KillChannel,
 //     DegradeChannel) changes its fingerprint, so the next lookup misses and
@@ -175,23 +175,14 @@ func (c *Cache) key(cfg Config) cacheKey {
 // builds write the result through to the disk store, so the next process
 // starts at level 1.
 func (c *Cache) Build(cfg Config) (*Schedule, error) {
-	return c.buildThrough(cfg, func() (*Schedule, error) {
-		s, err := Build(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
-		return s, nil
-	})
+	return c.buildThrough(cfg, func() (*Schedule, error) { return Build(cfg) })
 }
 
 // BuildWith is Build for schedules the package cannot construct itself:
-// builder runs on a full miss (memory, disk) and its result is stamped,
-// cached, and written through to the disk store exactly like a built-in's.
-// The builder must return a verified schedule — an external one can only
-// come from AssembleForest or Assemble, which verify before they return.
+// builder runs on a full miss (memory, disk) and its result is cached and
+// written through to the disk store exactly like a built-in's. Its schedule
+// is verified and stamped by construction — an external one can only come
+// from AssembleForest or Assemble.
 // internal/synth uses it to give compiled schedules the same memoization as
 // the hand-written algorithms; the cache key additionally carries
 // cfg.SynthKey so distinct synthesis configs never alias. Same-shape headers
@@ -201,10 +192,10 @@ func (c *Cache) BuildWith(cfg Config, builder func() (*Schedule, error)) (*Sched
 	return c.buildThrough(cfg, builder)
 }
 
-// buildThrough resolves cfg through the cache levels. builder must return a
-// verified schedule; the cache only stamps what it stores. Uncacheable
-// configurations (Trees overrides) and a disabled cache call builder
-// directly, so they are verified the same way and only skip memoization.
+// buildThrough resolves cfg through the cache levels. builder returns a
+// schedule its constructor verified and stamped. Uncacheable configurations
+// (Trees overrides) and a disabled cache call builder directly, so they
+// are verified and stamped the same way and only skip memoization.
 func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Schedule, error) {
 	if !cacheable(cfg) {
 		return builder()
@@ -258,7 +249,6 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 		if err != nil {
 			return nil, err
 		}
-		s.stamp()
 	}
 	if !fromDisk {
 		writeThrough(disk, k, s)

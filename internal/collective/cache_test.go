@@ -182,22 +182,52 @@ func TestCacheBypassesTreeOverrides(t *testing.T) {
 	}
 }
 
-// Verification happens in one place per builder — Cache.Build's built-in
-// builder runs Validate, Assemble runs it for external builders — and the
-// cache only stamps. So a disabled cache and a Trees override verify
-// built-ins too, a disabled cache still runs an external builder, and the
-// cache never proves a builder's result a second time.
+// A schedule the cache does not memoize — a Trees override, or any config
+// while the cache is disabled — is still stamped, so it goes stale like a
+// cached one when its topology mutates.
+func TestUncachedScheduleGoesStale(t *testing.T) {
+	t1, t2 := DGX1Trees()
+	for name, build := range map[string]func(c *Cache, cfg Config) (*Schedule, error){
+		"trees-override": func(c *Cache, cfg Config) (*Schedule, error) {
+			cfg.Trees = []Tree{t2, t1}
+			return c.Build(cfg)
+		},
+		"disabled": func(c *Cache, cfg Config) (*Schedule, error) {
+			c.SetEnabled(false)
+			return c.Build(cfg)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			g := dgx1()
+			s, err := build(NewCache(), cacheTestConfig(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.DegradeChannel(usedChannels(s)[0], 4)
+			var stale *StaleScheduleError
+			if _, err := s.ExecuteCtx(context.Background()); !errors.As(err, &stale) {
+				t.Fatalf("executing on a degraded fabric: got %v, want *StaleScheduleError", err)
+			}
+		})
+	}
+}
+
+// Verification happens in one place, the constructor (Build, Assemble,
+// AssembleForest), and the cache neither proves nor stamps. So a disabled
+// cache and a Trees override verify built-ins too, a disabled cache still
+// runs an external builder, and the cache never proves a builder's result a
+// second time.
 func TestCacheVerifiesInOnePlace(t *testing.T) {
 	// Halving-doubling takes the first channel of each pair without checking
-	// its health, so with rank 0's first partner channel dead, Build succeeds
-	// and Validate's link check fails.
+	// its health, so with rank 0's first partner channel dead, the raw
+	// builder succeeds and Validate's link check fails.
 	g := topology.FullyConnected(4, 10e9, 5*des.Microsecond)
 	nodes := g.GPUs()
 	g.KillChannel(g.ChannelsBetween(nodes[0], nodes[2])[0])
 	bad := Config{Graph: g, Algorithm: AlgHalvingDoubling, Bytes: 1 << 16}
-	unverified, err := Build(bad)
+	unverified, err := build(bad)
 	if err != nil {
-		t.Fatalf("precondition: Build: %v", err)
+		t.Fatalf("precondition: build: %v", err)
 	}
 	if err := unverified.Validate(); err == nil {
 		t.Fatal("precondition: schedule over a dead channel validates")
@@ -225,17 +255,21 @@ func TestCacheVerifiesInOnePlace(t *testing.T) {
 		t.Errorf("BuildWith with the cache disabled: %v", err)
 	}
 
-	// Enabled, the cache stamps and stores the builder's result as is. Only
-	// in-package code can hand it an unverified schedule; external builders
-	// go through Assemble, which has already verified.
+	// Enabled, the cache stores the builder's result as is. Only in-package
+	// code can hand it an unverified schedule; external builders go through
+	// Assemble, which has already verified and stamped. The cache does not
+	// stamp it, so no executor runs it.
 	c.SetEnabled(true)
 	got, err := c.BuildWith(Config{Graph: g, Algorithm: AlgSynth, Bytes: 1 << 16, SynthKey: "v1.a"},
 		func() (*Schedule, error) { return unverified, nil })
 	if err != nil {
 		t.Fatalf("BuildWith verified its builder's result again: %v", err)
 	}
-	if got != unverified || got.BuiltFingerprint() != g.Fingerprint() {
-		t.Fatal("BuildWith did not stamp and return its builder's schedule")
+	if got != unverified || got.BuiltFingerprint() != 0 {
+		t.Fatal("BuildWith did not return its builder's schedule as is")
+	}
+	if _, err := got.ExecuteCtx(context.Background()); !errors.Is(err, ErrUnverified) {
+		t.Fatalf("executing an unverified cached schedule: got %v, want ErrUnverified", err)
 	}
 }
 

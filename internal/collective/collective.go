@@ -242,8 +242,13 @@ func (c *Config) partition(nodes []topology.NodeID) (chunk.Partition, error) {
 	}
 }
 
-// Build constructs the transfer schedule for the configured operation.
-func Build(cfg Config) (*Schedule, error) {
+// Build constructs the transfer schedule for the configured operation,
+// proves it with the static verifier and stamps it against the topology's
+// current fingerprint.
+func Build(cfg Config) (*Schedule, error) { return verified(build(cfg)) }
+
+// build is Build without the proof: the raw builders' output, unstamped.
+func build(cfg Config) (*Schedule, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("collective: nil graph")
 	}

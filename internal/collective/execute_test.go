@@ -2,6 +2,7 @@ package collective
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -78,4 +79,53 @@ func TestExecuteConcurrentRunsAgree(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// Every executor refuses a schedule no constructor proved: a hand-made one
+// and a clone of a built one (RepairSchedule's working copy) each get
+// ErrUnverified, and RepairSchedule will not patch either.
+func TestExecutorsRefuseUnverified(t *testing.T) {
+	g := dgx1()
+	built, err := Build(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cp := &Checkpoint{Executed: make([]bool, built.NumTransfers()), End: make([]des.Time, built.NumTransfers()),
+		FreeAt: make([]des.Time, g.NumChannels())}
+	executors := map[string]func(s *Schedule) error{
+		"ExecuteCtx": func(s *Schedule) error { _, err := s.ExecuteCtx(ctx); return err },
+		"ExecuteOnCtx": func(s *Schedule) error {
+			_, _, err := s.ExecuteOnCtx(ctx, g.Resources())
+			return err
+		},
+		"ExecuteCheckpointCtx": func(s *Schedule) error {
+			_, _, err := s.ExecuteCheckpointCtx(ctx, g.Resources())
+			return err
+		},
+		"ResumeOnCtx": func(s *Schedule) error {
+			_, _, err := s.ResumeOnCtx(ctx, cp, g.Resources())
+			return err
+		},
+		"Instantiate": func(s *Schedule) error {
+			_, err := s.Instantiate(des.NewGraph(), g.Resources(), -1)
+			return err
+		},
+		"RepairSchedule": func(s *Schedule) error {
+			_, _, err := RepairSchedule(s, nil, nil)
+			return err
+		},
+	}
+	for kind, s := range map[string]*Schedule{"hand-made": {}, "clone": built.clone()} {
+		for name, run := range executors {
+			if err := run(s); !errors.Is(err, ErrUnverified) {
+				t.Errorf("%s %s: got %v, want ErrUnverified", kind, name, err)
+			}
+		}
+	}
+	for name, run := range executors {
+		if err := run(built); err != nil {
+			t.Errorf("built %s: %v", name, err)
+		}
+	}
 }

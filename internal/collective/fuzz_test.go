@@ -49,7 +49,7 @@ func FuzzDecodeSchedule(f *testing.F) {
 		if again := encodeSchedule(s); !bytes.Equal(again, payload) {
 			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", again, payload)
 		}
-		if s.Validate() != nil {
+		if _, err := s.adopt(); err != nil {
 			return
 		}
 		if _, err := s.ExecuteCtx(context.Background()); err != nil {

@@ -32,8 +32,13 @@ type HierarchicalConfig struct {
 	Chained bool
 }
 
-// BuildHierarchical constructs the cluster-wide AllReduce schedule.
+// BuildHierarchical constructs the cluster-wide AllReduce schedule,
+// verified and stamped as Build's.
 func BuildHierarchical(cfg HierarchicalConfig) (*Schedule, error) {
+	return verified(buildHierarchical(cfg))
+}
+
+func buildHierarchical(cfg HierarchicalConfig) (*Schedule, error) {
 	if cfg.Cluster == nil {
 		return nil, fmt.Errorf("collective: nil cluster")
 	}

@@ -21,8 +21,8 @@ func checkFlat(t *testing.T, name string, s *Schedule) {
 	}
 }
 
-// TestBuildReservesExactly runs checkFlat over every builder, the codec and
-// repair's renumbering.
+// TestBuildReservesExactly runs checkFlat over every raw builder, the codec
+// and repair's renumbering.
 func TestBuildReservesExactly(t *testing.T) {
 	topos := []struct {
 		name   string
@@ -37,7 +37,7 @@ func TestBuildReservesExactly(t *testing.T) {
 		for alg := AlgRing; alg <= AlgHalvingDoubling; alg++ {
 			for _, chunks := range []int{0, 5} {
 				name := topo.name + "/" + alg.String()
-				s, err := Build(Config{Graph: topo.graph(), Algorithm: alg, Bytes: 1 << 20, Chunks: chunks,
+				s, err := build(Config{Graph: topo.graph(), Algorithm: alg, Bytes: 1 << 20, Chunks: chunks,
 					AllowSharedChannels: topo.shared})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -56,14 +56,14 @@ func TestBuildReservesExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := BuildHierarchical(HierarchicalConfig{Cluster: mn, Bytes: 1 << 20, Chunks: 5, Chained: chained})
+		s, err := buildHierarchical(HierarchicalConfig{Cluster: mn, Bytes: 1 << 20, Chunks: 5, Chained: chained})
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkFlat(t, "hierarchical", s)
 	}
 	for prim := PrimBroadcast; prim <= PrimAllGather; prim++ {
-		s, err := BuildPrimitive(PrimitiveConfig{Graph: dgx1(), Primitive: prim, Bytes: 1 << 20, Chunks: 5})
+		s, err := buildPrimitive(PrimitiveConfig{Graph: dgx1(), Primitive: prim, Bytes: 1 << 20, Chunks: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestBuildAllocationsDoNotScaleWithTransfers(t *testing.T) {
 	allocs := func(chunks int) float64 {
 		cfg := Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 64 << 20, Chunks: chunks, AllowSharedChannels: true}
 		return testing.AllocsPerRun(3, func() {
-			if _, err := Build(cfg); err != nil {
+			if _, err := build(cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -109,13 +109,13 @@ func TestBuildAllocationsDoNotScaleWithTransfers(t *testing.T) {
 // counts, so a stray allocation elsewhere in the process cannot fail it.
 func TestBuildRetainedBytes(t *testing.T) {
 	g := topology.Hierarchy(topology.DefaultHierarchyConfig(64))
-	build := func() (*Schedule, error) {
-		return Build(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 64 << 20, Chunks: 128,
+	cluster := func() (*Schedule, error) {
+		return build(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 64 << 20, Chunks: 128,
 			AllowSharedChannels: true})
 	}
 	best := 0.0
 	for i := 0; i < 3; i++ {
-		per, _, err := retainedPerTransfer(build)
+		per, _, err := retainedPerTransfer(cluster)
 		if err != nil {
 			t.Fatal(err)
 		}

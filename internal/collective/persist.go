@@ -246,7 +246,7 @@ func (r *decReader) count(what string) int {
 // graph and the payload's own declared counts, so arbitrary bytes can fail
 // but never panic or allocate unboundedly. A nil error here still does NOT
 // make the schedule trustworthy — the caller must run verify-on-load
-// (Schedule.Validate) before stamping or executing it.
+// (adopt) before executing it.
 func decodeSchedule(data []byte, g *topology.Graph) (*Schedule, error) {
 	if g == nil {
 		return nil, fmt.Errorf("collective: decode into nil graph")
@@ -402,10 +402,9 @@ func (c *Cache) loadFromStore(disk *store.Store, k cacheKey) (*Schedule, bool) {
 		disk.Invalidate(key)
 		return nil, false
 	}
-	if err := s.Validate(); err != nil {
+	if _, err := s.adopt(); err != nil {
 		disk.Invalidate(key)
 		return nil, false
 	}
-	s.stamp()
 	return s, true
 }

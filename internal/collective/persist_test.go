@@ -77,7 +77,7 @@ func TestScheduleCodecRoundTrip(t *testing.T) {
 			if !schedulesEqual(orig, dec) {
 				t.Fatal("decoded schedule differs from the original")
 			}
-			if err := dec.Validate(); err != nil {
+			if _, err := dec.adopt(); err != nil {
 				t.Fatalf("verify-on-load: %v", err)
 			}
 			ro, err := orig.ExecuteCtx(context.Background())

@@ -58,8 +58,11 @@ type PrimitiveConfig struct {
 	AllowSharedChannels bool
 }
 
-// BuildPrimitive constructs the schedule for a standalone collective.
-func BuildPrimitive(cfg PrimitiveConfig) (*Schedule, error) {
+// BuildPrimitive constructs the schedule for a standalone collective,
+// verified and stamped as Build's.
+func BuildPrimitive(cfg PrimitiveConfig) (*Schedule, error) { return verified(buildPrimitive(cfg)) }
+
+func buildPrimitive(cfg PrimitiveConfig) (*Schedule, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("collective: nil graph")
 	}

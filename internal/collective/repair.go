@@ -65,7 +65,7 @@ type PatchReport struct {
 // without rebuilding it — the paper's detour mechanism (§IV-A) as a repair.
 // Only transfers riding those channels are rewritten; the rest of the
 // schedule survives bit-identical modulo renumbering. The input schedule is
-// not modified.
+// not modified; one no constructor proved fails with ErrUnverified.
 //
 // Per patched channel:
 //   - down: every stranded transfer takes the channel's one shared
@@ -88,6 +88,9 @@ type PatchReport struct {
 // When a stranded transfer has no healthy replacement route the repair fails
 // with *UnrepairableError.
 func RepairSchedule(s *Schedule, channels []topology.ChannelID, skip []bool) (*Schedule, *PatchReport, error) {
+	if s.builtFor == 0 {
+		return nil, nil, ErrUnverified // CheckPatch's delta proof needs a proved base
+	}
 	rep := &PatchReport{}
 	out := s.clone()
 	oldN := len(out.ops)

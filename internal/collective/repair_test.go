@@ -292,6 +292,9 @@ func TestRepairScheduleDGX1DoubleTreeDeadLink(t *testing.T) {
 			if err := s.Validate(); err == nil {
 				t.Fatal("schedule over a dead channel verified clean")
 			}
+			// Restamped for the killed fabric, the run gets past the
+			// staleness check to lower's dead-channel check.
+			s.Stamp()
 			if _, err := s.ExecuteCtx(context.Background()); err == nil {
 				t.Fatal("Execute over a dead channel succeeded")
 			} else {
@@ -418,6 +421,9 @@ func TestDegradedChannelSlowsButCompletes(t *testing.T) {
 	gd := dgx1()
 	sd := build(gd)
 	gd.DegradeChannel(usedChannels(sd)[0], 8)
+	if _, err := sd.adopt(); err != nil { // re-proved for the degraded fabric
+		t.Fatal(err)
+	}
 	degraded, err := sd.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -535,7 +541,11 @@ func TestRepairIncrementalDegradedRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rebalancing must actually relieve the slow link: the degraded run on
-	// the patched schedule beats the unpatched one.
+	// the patched schedule beats the unpatched one, re-proved for the
+	// degraded fabric.
+	if _, err := s.adopt(); err != nil {
+		t.Fatal(err)
+	}
 	slow, err := s.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)

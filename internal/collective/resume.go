@@ -97,6 +97,9 @@ func (s *Schedule) checkpointFrom(f *des.Flat, at des.Time) *Checkpoint {
 // and the newly executed transfers, enabling chained adaptation under
 // sustained churn.
 func (s *Schedule) ResumeOnCtx(ctx context.Context, cp *Checkpoint, res []*des.Resource) (*Result, *Checkpoint, error) {
+	if err := s.checkResources(res); err != nil {
+		return nil, nil, err
+	}
 	if cp == nil {
 		return nil, nil, fmt.Errorf("collective: resume without a checkpoint")
 	}
@@ -104,9 +107,9 @@ func (s *Schedule) ResumeOnCtx(ctx context.Context, cp *Checkpoint, res []*des.R
 		return nil, nil, fmt.Errorf("collective: checkpoint covers %d transfers, schedule has %d (missing Remap?)",
 			len(cp.Executed), len(s.ops))
 	}
-	if len(res) != s.Graph.NumChannels() || len(cp.FreeAt) != len(res) {
-		return nil, nil, fmt.Errorf("collective: %d resources / %d channel horizons for %d channels",
-			len(res), len(cp.FreeAt), s.Graph.NumChannels())
+	if len(cp.FreeAt) != len(res) {
+		return nil, nil, fmt.Errorf("collective: checkpoint has %d channel horizons for %d channels",
+			len(cp.FreeAt), len(res))
 	}
 
 	// Only the remaining transfers must ride healthy channels; the executed

@@ -159,6 +159,7 @@ func TestResumeInputValidation(t *testing.T) {
 	// Resuming the unpatched schedule on the dead fabric: a remaining
 	// transfer still rides the dead channel.
 	g.KillChannel(dead)
+	s.Stamp() // past the staleness check to lower's dead-channel check
 	_, _, rerr := s.ResumeOnCtx(context.Background(), cp, g.Resources())
 	var dce *DeadChannelError
 	if !errors.As(rerr, &dce) || dce.Channel != dead {

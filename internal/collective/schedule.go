@@ -58,10 +58,10 @@ type Schedule struct {
 	depOff []int32
 	deps   []int32
 
-	// builtFor is the topology fingerprint the schedule was built (and, for
-	// cached schedules, schedcheck-verified) against; 0 means unstamped.
-	// Stamped schedules refuse to instantiate on a topology whose
-	// fingerprint has drifted — see StaleScheduleError.
+	// builtFor is the topology fingerprint the schedule was proved against
+	// (schedcheck.Check, or CheckPatch for a repair); 0 means unproved.
+	// Executors refuse an unproved schedule (ErrUnverified) and one whose
+	// topology fingerprint has drifted (StaleScheduleError).
 	builtFor uint64
 }
 
@@ -172,12 +172,38 @@ func (e *StaleScheduleError) Error() string {
 		e.Built, e.Current)
 }
 
+// ErrUnverified is what every executor returns for a schedule that never
+// passed the static verifier, such as a hand-made &Schedule{}: only adopt
+// (which every constructor and a store load finish through) and
+// RepairSchedule stamp a schedule.
+var ErrUnverified = errors.New("collective: schedule was never verified; build it with a constructor")
+
 // stamp binds the schedule to the current topology fingerprint; checkFresh
 // then fails loudly if the topology mutates underneath it.
 func (s *Schedule) stamp() { s.builtFor = s.Graph.Fingerprint() }
 
+// verified finishes a constructor: it adopts the schedule a raw builder
+// returned, or passes the builder's error on.
+func verified(s *Schedule, err error) (*Schedule, error) {
+	if err != nil {
+		return nil, err
+	}
+	return s.adopt()
+}
+
+// adopt proves a newly constructed schedule with the static verifier and
+// stamps it against the current topology: the one step that makes a
+// schedule executable.
+func (s *Schedule) adopt() (*Schedule, error) {
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("collective: schedule failed verification: %w", err)
+	}
+	s.stamp()
+	return s, nil
+}
+
 // BuiltFingerprint returns the topology fingerprint the schedule is stamped
-// with (0 for unstamped schedules, which skip the staleness check).
+// with (0 for a schedule no constructor proved, which no executor runs).
 func (s *Schedule) BuiltFingerprint() uint64 { return s.builtFor }
 
 // Result summarizes one timed execution of a schedule.
@@ -236,9 +262,6 @@ func (r *Result) Bandwidth() float64 {
 // Result once the graph has run.
 func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) (*Block, error) {
 	if err := s.checkResources(res); err != nil {
-		return nil, err
-	}
-	if err := s.checkFresh(); err != nil {
 		return nil, err
 	}
 	ids, err := s.readyIDs()
@@ -348,8 +371,12 @@ func (s *Schedule) ExecuteOnCtx(ctx context.Context, res []*des.Resource) (*Resu
 	return r, g, err
 }
 
-// checkResources requires one caller resource per channel.
+// checkResources requires a schedule an executor may run (checkFresh) and
+// one caller resource per channel.
 func (s *Schedule) checkResources(res []*des.Resource) error {
+	if err := s.checkFresh(); err != nil {
+		return err
+	}
 	if len(res) != s.Graph.NumChannels() {
 		return fmt.Errorf("collective: %d resources for %d channels", len(res), s.Graph.NumChannels())
 	}
@@ -448,13 +475,15 @@ func (s *Schedule) fill(f *des.Flat, res []*des.Resource, cp *Checkpoint) error 
 	return nil
 }
 
-// checkFresh fails with a *StaleScheduleError when the topology changed
-// since the schedule was stamped.
+// checkFresh is every executor's gate: it fails with ErrUnverified for an
+// unstamped schedule and with a *StaleScheduleError when the topology
+// changed since the schedule was stamped.
 func (s *Schedule) checkFresh() error {
-	if s.builtFor != 0 {
-		if fp := s.Graph.Fingerprint(); fp != s.builtFor {
-			return &StaleScheduleError{Built: s.builtFor, Current: fp}
-		}
+	if s.builtFor == 0 {
+		return ErrUnverified
+	}
+	if fp := s.Graph.Fingerprint(); fp != s.builtFor {
+		return &StaleScheduleError{Built: s.builtFor, Current: fp}
 	}
 	return nil
 }
