@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzSplit$$' -fuzztime=10s ./internal/chunk
 	$(GO) test -fuzz='^FuzzSplitRates$$' -fuzztime=10s ./internal/chunk
 	$(GO) test -fuzz=FuzzLayerChunkTable -fuzztime=10s ./internal/chunk
+	$(GO) test -fuzz='^FuzzPackForest$$' -fuzztime=10s ./internal/synth
 	$(GO) test -fuzz=FuzzSchedCheck -fuzztime=20s ./internal/schedcheck
 	$(GO) test -fuzz=FuzzDecodeSchedule -fuzztime=10s -fuzzminimizetime=100x ./internal/collective
 

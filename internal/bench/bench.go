@@ -446,7 +446,7 @@ var Budgets = map[string]int64{
 	"Cache/resize-cluster64-ccube-128chunks": 12,
 	"Check/cluster64-ccube-128chunks":        2,
 	"Check/dgx1-ccube-16MiB":                 2,
-	"Synthesize/dgx1":                        955,
+	"Synthesize/dgx1":                        950,
 	"Train/dgx1-resnet50-CC":                 214,
 }
 

@@ -69,10 +69,10 @@ type Cache struct {
 	// same-shape op graph (incremental.go) instead of a full build.
 	incremental uint64
 
-	// shapes indexes the resident op graphs of the built-in algorithms by
-	// shape; an entry lives exactly as long as some LRU entry references
-	// its graph. retained is the bytes of every resident op graph, each
-	// counted once, and retainedGauge, when set, publishes it.
+	// shapes indexes the resident op graphs by shape; an entry lives
+	// exactly as long as some LRU entry references its graph. retained is
+	// the bytes of every resident op graph, each counted once, and
+	// retainedGauge, when set, publishes it.
 	shapes        map[cacheKey]*opGraph
 	retained      int64
 	retainedGauge *metrics.Gauge
@@ -99,6 +99,9 @@ type cacheKey struct {
 	shared bool
 	extra  string // canonical encoding of Nodes / ring-order overrides
 	synth  string // synthesis-config fingerprint (AlgSynth only, else "")
+	// streams is a synthesized shape's tree count, set only in shape-index
+	// keys (see shape).
+	streams int
 }
 
 // NewCache returns an empty schedule cache bounded at DefaultCacheCapacity
@@ -182,12 +185,13 @@ func (c *Cache) Build(cfg Config) (*Schedule, error) {
 // builder runs on a full miss (memory, disk) and its result is cached and
 // written through to the disk store exactly like a built-in's. Its schedule
 // is verified and stamped by construction — an external one can only come
-// from AssembleForest or Assemble.
+// from AssembleForest or Assemble, or is a Header over a resident op graph.
 // internal/synth uses it to give compiled schedules the same memoization as
 // the hand-written algorithms; the cache key additionally carries
-// cfg.SynthKey so distinct synthesis configs never alias. Same-shape headers
-// are skipped — the cache cannot derive an external builder's partition
-// shape.
+// cfg.SynthKey so distinct synthesis configs never alias. The cache cannot
+// derive a synthesized partition from cfg, since the compiler's search
+// picks it, so builder asks for a same-shape header itself (Header); a
+// result that is one shares, and is counted with, its resident op graph.
 func (c *Cache) BuildWith(cfg Config, builder func() (*Schedule, error)) (*Schedule, error) {
 	return c.buildThrough(cfg, builder)
 }
@@ -220,17 +224,12 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 	disk := c.disk
 	c.mu.Unlock()
 
-	// Headers derive the partition shape from cfg, which only works for the
-	// built-in algorithms; synthesized shapes depend on the compiler's
-	// size-driven search, so synth keys always build fully.
-	if k.synth == "" {
-		if part, ok := shapePartition(cfg); ok {
-			if s := c.fromShape(k, part); s != nil {
-				mCacheMisses.Inc()
-				mCacheIncremental.Inc()
-				writeThrough(disk, k, s)
-				return s, nil
-			}
+	if part, ok := shapePartition(cfg); ok {
+		if s := c.fromShape(k, part); s != nil {
+			mCacheMisses.Inc()
+			mCacheIncremental.Inc()
+			writeThrough(disk, k, s)
+			return s, nil
 		}
 	}
 
@@ -256,7 +255,16 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 
 	c.mu.Lock()
 	c.misses++
-	evicted := c.insertLocked(k, s, nil)
+	// A synthesized result may be a Header over a resident op graph: it
+	// then shares that graph and counts as an incremental miss.
+	g := c.shapes[k.shape(s.Partition.NumChunks(), s.Streams)]
+	if g != nil && g.holds(s) {
+		c.incremental++
+		mCacheIncremental.Inc()
+	} else {
+		g = nil
+	}
+	evicted := c.insertLocked(k, s, g)
 	c.mu.Unlock()
 	mCacheMisses.Inc()
 	mCacheEvictions.Add(int64(evicted))
@@ -278,10 +286,7 @@ func writeThrough(disk *store.Store, k cacheKey, s *Schedule) {
 // or nil when s brings its own. Caller holds c.mu.
 func (c *Cache) insertLocked(k cacheKey, s *Schedule, g *opGraph) (evicted int) {
 	if g == nil {
-		g = &opGraph{s: s, bytes: opGraphBytes(s)}
-		if k.synth == "" {
-			g.key = k.shape(s.Partition.NumChunks())
-		}
+		g = &opGraph{s: s, key: k.shape(s.Partition.NumChunks(), s.Streams), bytes: opGraphBytes(s)}
 	}
 	c.ref(g)
 	defer c.retainedGauge.Set(float64(c.retained))

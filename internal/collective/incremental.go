@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"slices"
 	"unsafe"
 
 	"ccube/internal/chunk"
@@ -14,35 +15,50 @@ import (
 // transfer moves its chunk's size, Partition.Sizes[Chunk]. So a miss whose
 // shape matches a resident op graph is served by a new Schedule header: the
 // new partition over that op graph's ops, dependency CSR and stamp. Nothing
-// is cloned, rescaled or re-checked.
+// is cloned, rescaled or re-checked. A synthesized schedule's DAG is
+// likewise a function of the topology, the synthesis config and the tree
+// and chunk counts its compiler's search picked; the compiler asks for its
+// header (Header) once the search has picked them.
 //
 // Safety argument for skipping the static verifier on this path: the op
 // graph passed the full Check when it entered the cache, and every class
 // Check proves — acyclicity, hazard ordering, link validity, conservation,
 // in-order delivery — is a property of the op graph alone. Its one
 // byte-dependent check is that every chunk holds a positive size, which the
-// new partition meets by construction (chunk.Split and SplitAtMost emit no
-// empty chunk). TestIncrementalMatchesFullBuild pins the equivalence: a
-// header and a fresh build of the same config are deep-equal.
+// new partition meets by construction (chunk.Split, SplitAtMost and
+// SplitRates emit no empty chunk). TestIncrementalMatchesFullBuild pins the
+// equivalence for the built-ins, and synth's TestHeaderMatchesColdCompile
+// for synthesized schedules: a header and a fresh build of the same config
+// are deep-equal.
 
 // shape returns the key of k's op graph, the shape index's key: k without
 // its size, and with chunks, the resolved chunk count, in place of the
-// requested one (0 requests the KOpt count, which depends on the size).
-func (k cacheKey) shape(chunks int) cacheKey {
+// requested one (0 requests the KOpt count, which depends on the size). A
+// synthesized key also takes streams, the tree count the compiler picked;
+// a built-in's stream count follows from the rest of its key, so its
+// shape ignores streams.
+func (k cacheKey) shape(chunks, streams int) cacheKey {
 	k.bytes, k.chunks = 0, chunks
+	if k.synth != "" {
+		k.streams = streams
+	}
 	return k
 }
 
 // opGraph is one verified op graph the cache holds: the schedule it was
 // verified in, referenced by every LRU entry whose schedule is that one or
-// a header over it. key is zero (a nil graph) for a synthesized schedule,
-// whose op graph the shape index never holds: synth's search is
-// size-driven.
+// a header over it, and indexed under key while no other graph of that
+// shape is.
 type opGraph struct {
 	s     *Schedule
 	key   cacheKey
 	refs  int
 	bytes int64
+}
+
+// holds reports whether s is g's schedule or a header over it.
+func (g *opGraph) holds(s *Schedule) bool {
+	return unsafe.SliceData(s.ops) == unsafe.SliceData(g.s.ops)
 }
 
 // opGraphBytes is what s's op graph occupies: its ops and dependency CSR.
@@ -71,7 +87,7 @@ func shapePartition(cfg Config) (chunk.Partition, bool) {
 func (c *Cache) fromShape(k cacheKey, part chunk.Partition) *Schedule {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	g := c.shapes[k.shape(part.NumChunks())]
+	g := c.shapes[k.shape(part.NumChunks(), 0)]
 	if g == nil {
 		return nil
 	}
@@ -84,11 +100,34 @@ func (c *Cache) fromShape(k cacheKey, part chunk.Partition) *Schedule {
 	return &s
 }
 
+// Header returns a schedule with partition part over the resident op graph
+// of the synthesized shape cfg, streams trees and part's chunk count, or
+// nil when none is resident, the cache is disabled or part has an empty
+// chunk (the caller then assembles, and the proof reports it). Like a
+// built-in's same-shape miss, it re-checks nothing: see the safety
+// argument above. It caches and counts nothing either; the compiler
+// returns it to BuildWith, which caches it over the resident op graph.
+func (c *Cache) Header(cfg Config, streams int, part chunk.Partition) *Schedule {
+	if !cacheable(cfg) || slices.ContainsFunc(part.Sizes, func(size int64) bool { return size <= 0 }) {
+		return nil
+	}
+	k := c.key(cfg).shape(part.NumChunks(), streams)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	g := c.shapes[k]
+	if c.disabled || g == nil {
+		return nil
+	}
+	s := *g.s
+	s.Partition = part
+	return &s
+}
+
 // ref records one more LRU entry over g. Caller holds c.mu.
 func (c *Cache) ref(g *opGraph) {
 	if g.refs == 0 {
 		c.retained += g.bytes
-		if g.key.graph != nil && c.shapes[g.key] == nil {
+		if c.shapes[g.key] == nil {
 			c.shapes[g.key] = g
 		}
 	}

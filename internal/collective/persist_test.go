@@ -653,7 +653,7 @@ func TestCacheRetainsOneOpGraphPerShape(t *testing.T) {
 	if got, want := c.RetainedBytes(), opGraphBytes(a); got != want || len(c.shapes) != 1 {
 		t.Fatalf("two sizes retain %d bytes in %d shapes, want one op graph of %d", got, len(c.shapes), want)
 	}
-	key := c.key(tree).shape(8)
+	key := c.key(tree).shape(8, 0)
 	if c.shapes[key] == nil || c.shapes[key].refs != 2 {
 		t.Fatal("the shape index does not hold the op graph both sizes reference")
 	}

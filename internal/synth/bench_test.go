@@ -42,3 +42,29 @@ func BenchmarkSynthesize(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPackForest times one PackForest at the default tree ceiling, as
+// a compile runs it, on the served fabrics and a 32-GPU random 4-regular
+// graph, where the packer's cost in the participant count shows.
+func BenchmarkPackForest(b *testing.B) {
+	fabrics := []struct {
+		name  string
+		graph *topology.Graph
+	}{
+		{"dgx1", dgx1()},
+		{"fcasym8", topology.AsymmetricFullyConnected(8, 25e9, des.Microsecond, 1)},
+		{"rr16", topology.RandomRegular(16, 4, 25e9, des.Microsecond, 1)},
+		{"rr32", topology.RandomRegular(32, 4, 25e9, des.Microsecond, 1)},
+	}
+	for _, f := range fabrics {
+		b.Run(f.name, func(b *testing.B) {
+			nodes := f.graph.GPUs()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := PackForest(f.graph, nodes, DefaultMaxTrees, 0, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

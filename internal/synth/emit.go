@@ -5,6 +5,7 @@ import (
 
 	"ccube/internal/chunk"
 	"ccube/internal/collective"
+	"ccube/internal/costmodel"
 	"ccube/internal/des"
 	"ccube/internal/schedcheck"
 	"ccube/internal/topology"
@@ -67,16 +68,21 @@ type emitter struct {
 	g      *topology.Graph
 	nodes  []topology.NodeID
 	bytes  int64
+	fabric costmodel.Params        // the cost model's terms for g, no size
 	trees  []collective.RoutedTree // the usable trees of the forest
 	passes []*chunkPass            // per usable tree
 	loads  []des.Time              // bound's per-channel scratch
+	// cache serves emit's same-shape headers under cfg, the compile's
+	// cache configuration; nil assembles every variant.
+	cache *collective.Cache
+	cfg   collective.Config
 }
 
 // newEmitter lays out the chunk pass of every tree of f. A tree that cannot
 // be laid out ends the usable forest: every prefix holding it is
 // uncompilable.
 func newEmitter(g *topology.Graph, nodes []topology.NodeID, bytes int64, f *Forest) *emitter {
-	e := &emitter{g: g, nodes: nodes, bytes: bytes, loads: make([]des.Time, g.NumChannels())}
+	e := &emitter{g: g, nodes: nodes, bytes: bytes, fabric: fabricParams(g, len(nodes)), loads: make([]des.Time, g.NumChannels())}
 	for _, t := range f.Trees {
 		p, err := newChunkPass(t, nodes)
 		if err != nil {
@@ -90,9 +96,12 @@ func newEmitter(g *topology.Graph, nodes []topology.NodeID, bytes int64, f *Fore
 
 // emit compiles the variant running k chunks round-robin over the first t
 // trees (chunk c rides tree c mod t, so stream identity is tree identity)
-// into a verified schedule, through collective.AssembleForest. Each chunk
-// is sized by its tree's bottleneck bandwidth (chunk.SplitRates), so every
-// tree is fed at its own rate; trees of equal rate get chunk.Split's sizes.
+// into a verified schedule. Each chunk is sized by its tree's bottleneck
+// bandwidth (chunk.SplitRates), so every tree is fed at its own rate; trees
+// of equal rate get chunk.Split's sizes. The op graph does not depend on
+// the sizes, so when the cache holds a verified one of this shape the
+// schedule is a header over it with the new partition; otherwise it is
+// laid out and verified through collective.AssembleForest.
 func (e *emitter) emit(t, k int) (*collective.Schedule, error) {
 	if k < t {
 		return nil, fmt.Errorf("synth: %d chunks cannot feed %d trees", k, t)
@@ -101,7 +110,13 @@ func (e *emitter) emit(t, k int) (*collective.Schedule, error) {
 		return nil, fmt.Errorf("synth: %d chunks for %d bytes", k, e.bytes)
 	}
 	var buf [DefaultMaxTrees]float64
-	return assembleForest(e.g, e.nodes, chunk.SplitRates(e.bytes, k, e.rates(buf[:0], t)), e.trees[:t])
+	part := chunk.SplitRates(e.bytes, k, e.rates(buf[:0], t))
+	if e.cache != nil {
+		if s := e.cache.Header(e.cfg, t, part); s != nil {
+			return s, nil
+		}
+	}
+	return assembleForest(e.g, e.nodes, part, e.trees[:t])
 }
 
 // rates appends the rates of the first t trees to buf, which the callers

@@ -152,7 +152,7 @@ func TestEveryVariantVerifies(t *testing.T) {
 					for _, bytes := range []int64{1 << 20, 256 << 20} {
 						e.bytes = bytes
 						for tr := 1; tr <= len(e.passes); tr++ {
-							for _, k := range chunkCandidates(g, nodes, bytes, tr, DefaultMaxChunks) {
+							for _, k := range chunkCandidates(fabricParams(g, len(nodes)), bytes, tr, DefaultMaxChunks) {
 								s, err := e.emit(tr, k)
 								if err != nil {
 									t.Fatal(err)

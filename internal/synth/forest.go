@@ -38,7 +38,8 @@ type Forest struct {
 // participant may be spliced in over a two-hop detour through another GPU
 // (unless allowDetour is false). Packing stops at the first tree that
 // cannot span; at least one tree must span or PackForest errors. seed
-// rotates the root sequence, making distinct seeds distinct packings.
+// rotates the root sequence, making distinct seeds distinct packings. It
+// costs O(T·P³) for T trees over P participants (see packer).
 func PackForest(g *topology.Graph, nodes []topology.NodeID, want int, seed int64, allowDetour bool) (*Forest, error) {
 	n := len(nodes)
 	if n < 2 {
@@ -93,33 +94,78 @@ func rootOrder(g *topology.Graph, nodes []topology.NodeID) []int {
 	return order
 }
 
-// packer is the state of one PackForest call.
+// packer is the state of one PackForest call. Its pair index holds every
+// ordered participant pair's healthy channels, built once per call, with
+// the pair's best free direct channel and best two-hop splice memoized: an
+// attachment step reads each candidate pair's routes in O(1), and a claim
+// or rollback drops only the memos it can change.
 type packer struct {
-	g           *topology.Graph
-	nodes       []topology.NodeID
+	n           int
 	allowDetour bool
-	claimed     []bool                 // by channel id: taken by a tree so far
-	out         [][]topology.ChannelID // by participant: g.Out of its node, looked up once
+	pairs       []pair // by a*n+b for participants a, b
+	links       []link // every pair's channels, pair after pair
 }
 
+// pair is one ordered participant pair (a, b) of the pair index.
+type pair struct {
+	lo, hi int32 // its channels from nodes[a] to nodes[b]: links[lo:hi], in g.Out order
+	// direct is the best free channel (an index into links, -1 when none)
+	// and splice the best two-hop route through a third GPU (two link
+	// indexes, splice[0] = -1 when none); each holds while its fresh flag
+	// is set.
+	direct                   int32
+	splice                   [2]int32
+	directFresh, spliceFresh bool
+}
+
+// link is one healthy channel between two participants.
+type link struct {
+	ch      topology.ChannelID
+	bw      float64 // effective bandwidth
+	pair    int32   // its pair's index
+	claimed bool    // taken by a tree so far
+}
+
+// newPacker indexes the healthy channels between participants, pair by
+// pair. Health cannot change during a call, so dead channels are left out
+// of the index rather than skipped on every scan.
 func newPacker(g *topology.Graph, nodes []topology.NodeID, allowDetour bool) *packer {
-	pk := &packer{g: g, nodes: nodes, allowDetour: allowDetour,
-		claimed: make([]bool, g.NumChannels()), out: make([][]topology.ChannelID, len(nodes))}
-	for i, id := range nodes {
-		pk.out[i] = g.Out(id)
+	n := len(nodes)
+	out := 0
+	for _, id := range nodes {
+		out += len(g.Out(id))
+	}
+	pk := &packer{n: n, allowDetour: allowDetour, pairs: make([]pair, n*n), links: make([]link, 0, out)}
+	for a, from := range nodes {
+		for b, to := range nodes {
+			p := &pk.pairs[a*n+b]
+			p.lo = int32(len(pk.links))
+			for _, ch := range g.Out(from) {
+				if c := g.Channel(ch); c.To == to && !c.Down() {
+					pk.links = append(pk.links, link{ch: ch, bw: c.EffectiveBandwidth(), pair: int32(a*n + b)})
+				}
+			}
+			p.hi = int32(len(pk.links))
+		}
 	}
 	return pk
 }
 
-// path is a route of one or two channels, held by value so that comparing
-// candidate attachments allocates nothing.
+// path is a route of one or two channels, as indexes into the packer's
+// links, held by value so that comparing candidate attachments allocates
+// nothing.
 type path struct {
-	ch   [2]topology.ChannelID
+	l    [2]int32
 	hops int
 }
 
-func (p path) route() topology.Route {
-	return topology.Route{Channels: append([]topology.ChannelID(nil), p.ch[:p.hops]...)}
+// route returns p's channels.
+func (pk *packer) route(p path) topology.Route {
+	r := topology.Route{Channels: make([]topology.ChannelID, p.hops)}
+	for i := range r.Channels {
+		r.Channels[i] = pk.links[p.l[i]].ch
+	}
+	return r
 }
 
 // attachment is one candidate way to connect participant v to the growing
@@ -137,7 +183,7 @@ type attachment struct {
 // success every channel the tree uses is marked claimed; on failure the
 // tree's provisional claims are rolled back and nil is returned.
 func (pk *packer) packTree(root int) *Tree {
-	n := len(pk.nodes)
+	n := pk.n
 	t := &Tree{RoutedTree: collective.RoutedTree{
 		Tree:  collective.Tree{Root: root, Parent: make([]int, n), Children: make([][]int, n)},
 		Up:    make([]topology.Route, n),
@@ -152,19 +198,19 @@ func (pk *packer) packTree(root int) *Tree {
 	inTree[root] = true
 	t.Order = append(t.Order, root)
 
-	var mine []topology.ChannelID // this tree's claims, for rollback
+	var mine []int32 // this tree's claimed links, for rollback
 	claim := func(p path) {
-		for _, ch := range p.ch[:p.hops] {
-			pk.claimed[ch] = true
-			mine = append(mine, ch)
+		for _, l := range p.l[:p.hops] {
+			pk.setClaimed(l, true)
+			mine = append(mine, l)
 		}
 	}
 
 	for len(t.Order) < n {
 		best, ok := pk.bestAttachment(inTree, depth, t)
 		if !ok {
-			for _, ch := range mine {
-				pk.claimed[ch] = false
+			for _, l := range mine {
+				pk.setClaimed(l, false)
 			}
 			return nil
 		}
@@ -173,8 +219,8 @@ func (pk *packer) packTree(root int) *Tree {
 		v, u := best.v, best.u
 		t.Parent[v] = u
 		t.Children[u] = append(t.Children[u], v)
-		t.Up[v] = best.up.route()
-		t.Down[v] = best.down.route()
+		t.Up[v] = pk.route(best.up)
+		t.Down[v] = pk.route(best.down)
 		depth[v] = depth[u] + 1
 		inTree[v] = true
 		t.Order = append(t.Order, v)
@@ -225,11 +271,11 @@ func (pk *packer) bestAttachment(inTree []bool, depth []int, t *Tree) (attachmen
 		return c.u < best.u
 	}
 
-	for v := range pk.nodes {
+	for v := range pk.n {
 		if inTree[v] {
 			continue
 		}
-		for u := range pk.nodes {
+		for u := range pk.n {
 			if !inTree[u] {
 				continue
 			}
@@ -262,51 +308,76 @@ func (pk *packer) bestAttachment(inTree []bool, depth []int, t *Tree) (attachmen
 // collide: every hop is a directed (src, dst) pair and the two routes
 // traverse opposite directions.
 func (pk *packer) bestRouteDir(from, to int) (path, float64, bool) {
-	if ch, bw, ok := pk.bestChannel(from, to); ok {
-		return path{ch: [2]topology.ChannelID{ch}, hops: 1}, bw, true
+	if l := pk.direct(from, to); l >= 0 {
+		return path{l: [2]int32{l}, hops: 1}, pk.links[l].bw, true
 	}
 	if !pk.allowDetour {
 		return path{}, 0, false
 	}
-	var best path
-	bestBW := 0.0
-	for m := range pk.nodes {
-		if m == from || m == to {
-			continue
-		}
-		h1, bw1, ok := pk.bestChannel(from, m)
-		if !ok {
-			continue
-		}
-		h2, bw2, ok := pk.bestChannel(m, to)
-		if !ok {
-			continue
-		}
-		if bw := min2(bw1, bw2) / 2; best.hops == 0 || bw > bestBW {
-			best = path{ch: [2]topology.ChannelID{h1, h2}, hops: 2}
-			bestBW = bw
-		}
+	s := pk.splice(from, to)
+	if s[0] < 0 {
+		return path{}, 0, false
 	}
-	return best, bestBW, best.hops > 0
+	return path{l: s, hops: 2}, min2(pk.links[s[0]].bw, pk.links[s[1]].bw) / 2, true
 }
 
-// bestChannel picks the highest-effective-bandwidth channel from
-// participant a to participant b that is neither claimed nor dead (ties to
-// the lowest id, for determinism).
-func (pk *packer) bestChannel(a, b int) (topology.ChannelID, float64, bool) {
-	bestID := topology.ChannelID(-1)
-	bestBW := 0.0
-	for _, ch := range pk.out[a] {
-		c := pk.g.Channel(ch)
-		if c.To != pk.nodes[b] || pk.claimed[ch] || c.Down() {
-			continue
-		}
-		bw := c.EffectiveBandwidth()
-		if bestID < 0 || bw > bestBW {
-			bestID, bestBW = ch, bw
+// direct returns the highest-effective-bandwidth unclaimed channel from
+// participant a to participant b (ties to the first in g.Out order, the
+// lowest id), or -1.
+func (pk *packer) direct(a, b int) int32 {
+	p := &pk.pairs[a*pk.n+b]
+	if !p.directFresh {
+		p.direct, p.directFresh = -1, true
+		for l := p.lo; l < p.hi; l++ {
+			if !pk.links[l].claimed && (p.direct < 0 || pk.links[l].bw > pk.links[p.direct].bw) {
+				p.direct = l
+			}
 		}
 	}
-	return bestID, bestBW, bestID >= 0
+	return p.direct
+}
+
+// splice returns the best two-hop route from participant from to
+// participant to through a third GPU m, by the bottleneck of its two direct
+// hops (ties to the lowest m), or {-1, -1}.
+func (pk *packer) splice(from, to int) [2]int32 {
+	p := &pk.pairs[from*pk.n+to]
+	if !p.spliceFresh {
+		p.splice, p.spliceFresh = [2]int32{-1, -1}, true
+		bestBW := 0.0
+		for m := 0; m < pk.n; m++ {
+			if m == from || m == to {
+				continue
+			}
+			h1 := pk.direct(from, m)
+			if h1 < 0 {
+				continue
+			}
+			h2 := pk.direct(m, to)
+			if h2 < 0 {
+				continue
+			}
+			if bw := min2(pk.links[h1].bw, pk.links[h2].bw) / 2; p.splice[0] < 0 || bw > bestBW {
+				p.splice, bestBW = [2]int32{h1, h2}, bw
+			}
+		}
+	}
+	return p.splice
+}
+
+// setClaimed claims or frees link l and drops the memos that can change:
+// its pair's direct channel, every splice leaving the pair's source (whose
+// first hop may be this pair) and every splice entering its target (whose
+// second hop may be).
+func (pk *packer) setClaimed(l int32, claimed bool) {
+	pk.links[l].claimed = claimed
+	pi := int(pk.links[l].pair)
+	a, b := pi/pk.n, pi%pk.n
+	pk.pairs[pi].directFresh = false
+	for x := 0; x < pk.n; x++ {
+		pk.pairs[a*pk.n+x].spliceFresh = false
+		pk.pairs[x*pk.n+b].spliceFresh = false
+	}
 }
 
 func min2(a, b float64) float64 {

@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"ccube/internal/des"
@@ -220,4 +222,107 @@ func TestPackForestDetourFallback(t *testing.T) {
 	if _, err := PackForest(g2, nodes2, 1, 0, false); err == nil {
 		t.Fatal("PackForest spanned the asymmetric fabric with detours disabled")
 	}
+}
+
+// packFabrics are the fabrics PackForest is compared with the reference
+// packer on, each built from a graph seed: the DGX-1 (which has none), the
+// asymmetric 8-GPU mesh and random 4-regular graphs of 12 and 16 GPUs.
+var packFabrics = []struct {
+	name  string
+	graph func(seed int64) *topology.Graph
+}{
+	{"dgx1", func(int64) *topology.Graph { return dgx1() }},
+	{"fcasym:8", func(seed int64) *topology.Graph {
+		return topology.AsymmetricFullyConnected(8, 25e9, des.Microsecond, seed)
+	}},
+	{"rr:12", func(seed int64) *topology.Graph { return topology.RandomRegular(12, 4, 25e9, des.Microsecond, seed) }},
+	{"rr:16", func(seed int64) *topology.Graph { return topology.RandomRegular(16, 4, 25e9, des.Microsecond, seed) }},
+}
+
+// samePacking fails t unless PackForest and the reference packer agree on
+// g: both error with the same message, or both return deep-equal forests.
+func samePacking(t *testing.T, g *topology.Graph, want int, seed int64, detour bool) {
+	t.Helper()
+	nodes := g.GPUs()
+	got, gerr := PackForest(g, nodes, want, seed, detour)
+	ref, rerr := refPackForest(g, nodes, want, seed, detour)
+	if (gerr == nil) != (rerr == nil) || (gerr != nil && gerr.Error() != rerr.Error()) {
+		t.Fatalf("want=%d seed=%d detour=%v: error %v, reference %v", want, seed, detour, gerr, rerr)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("want=%d seed=%d detour=%v: forest differs from the reference packer's", want, seed, detour)
+	}
+}
+
+// damage kills and degrades channels of g by the bits of two masks: bit
+// i%64 of kill kills channel i, bit i%64 of degrade divides its bandwidth
+// by 2 + i%7.
+func damage(g *topology.Graph, kill, degrade uint64) {
+	for i := 0; i < g.NumChannels(); i++ {
+		ch := topology.ChannelID(i)
+		if kill>>(i%64)&1 == 1 {
+			g.KillChannel(ch)
+		} else if degrade>>(i%64)&1 == 1 {
+			g.DegradeChannel(ch, float64(2+i%7))
+		}
+	}
+}
+
+// TestPackForestMatchesReference: the indexed packer's forests are
+// byte-identical to the reference packer's, which rescans every pair at
+// every step — over every fabric and graph seed, tree count, packer seed
+// and detour setting, on the pristine graph and again after killing and
+// degrading a random few of its channels.
+func TestPackForestMatchesReference(t *testing.T) {
+	graphSeeds := 20
+	if testing.Short() {
+		graphSeeds = 3
+	}
+	for _, f := range packFabrics {
+		t.Run(f.name, func(t *testing.T) {
+			for gs := int64(1); gs <= int64(graphSeeds); gs++ {
+				g := f.graph(gs)
+				rng := rand.New(rand.NewSource(gs))
+				for _, damaged := range []bool{false, true} {
+					if damaged {
+						// About one channel in 16 dead, one in 8 degraded.
+						damage(g, rng.Uint64()&rng.Uint64()&rng.Uint64()&rng.Uint64(), rng.Uint64()&rng.Uint64()&rng.Uint64())
+					}
+					for _, want := range []int{1, 2, 4, 8} {
+						for seed := int64(0); seed < 5; seed++ {
+							for _, detour := range []bool{true, false} {
+								samePacking(t, g, want, seed, detour)
+							}
+						}
+					}
+				}
+				if f.name == "dgx1" {
+					break // the DGX-1 has no graph seed
+				}
+			}
+		})
+	}
+}
+
+// FuzzPackForest draws a fabric, its graph seed, a tree count, a packer
+// seed, the detour flag and kill and degrade masks; PackForest must agree
+// with the reference packer.
+func FuzzPackForest(f *testing.F) {
+	f.Add(uint8(0), uint8(8), int64(1), int64(0), uint8(4), true, uint64(0), uint64(0))
+	f.Add(uint8(1), uint8(8), int64(3), int64(2), uint8(8), true, uint64(0x8421), uint64(0x1248))
+	f.Add(uint8(2), uint8(16), int64(5), int64(4), uint8(2), false, uint64(0), uint64(0xff00))
+	f.Add(uint8(2), uint8(12), int64(7), int64(1), uint8(1), true, uint64(0x0101), uint64(0))
+	f.Fuzz(func(t *testing.T, fabric, n uint8, graphSeed, seed int64, want uint8, detour bool, kill, degrade uint64) {
+		var g *topology.Graph
+		switch fabric % 3 {
+		case 0:
+			g = dgx1()
+		case 1:
+			g = topology.AsymmetricFullyConnected(2+int(n%11), 25e9, des.Microsecond, graphSeed)
+		default:
+			g = topology.RandomRegular(6+2*int(n%6), 4, 25e9, des.Microsecond, graphSeed)
+		}
+		damage(g, kill, degrade)
+		samePacking(t, g, int(want%10), seed, detour)
+	})
 }

@@ -450,7 +450,7 @@ func refCompileBest(ctx context.Context, g *topology.Graph, nodes []topology.Nod
 	var plans []refPlan
 	for t := 1; t <= len(forest.Trees); t++ {
 		sub := refForestPrefix(forest, t)
-		for _, k := range chunkCandidates(g, nodes, bytes, t, opts.MaxChunks) {
+		for _, k := range chunkCandidates(fabricParams(g, len(nodes)), bytes, t, opts.MaxChunks) {
 			sched, prog, err := refSchedule(g, nodes, bytes, sub, k)
 			if err != nil {
 				continue

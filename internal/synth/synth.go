@@ -21,17 +21,25 @@
 //	collective.Schedule   via collective.AssembleForest(first t trees,
 //	                      chunk.SplitRates(bytes, k, tree bottlenecks)):
 //	                      chunk c rides tree c mod t, FIFO dep on chunk c-t; Validate
+//	                      (or a cached op graph of shape (t, k), new partition)
 //
 // Only the variants the search walks to are emitted, and each passes the
 // full static verifier in collective.AssembleForest before it is executed
-// or escapes this package. Synthesize memoizes through the schedule
-// cache/store under a key that includes the synthesis-config fingerprint,
-// so compiled schedules get the exact same correctness gate, staleness
-// detection, and warm-start behavior as the built-in algorithms.
+// or escapes this package, or is a header over an op graph that passed it.
+// Synthesize memoizes through the schedule cache/store under a key that
+// includes the synthesis-config fingerprint, so compiled schedules get the
+// exact same correctness gate, staleness detection, and warm-start
+// behavior as the built-in algorithms. A variant's op graph depends on the
+// graph, the config and its tree and chunk counts, never on the message
+// size, so the cache also indexes each winner's op graph by that shape:
+// a later compile at another size emits any variant of a resident shape
+// as a header over it, its own partition and nothing re-checked, exactly
+// as a built-in's same-shape miss is served.
 package synth
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -153,7 +161,8 @@ type Result struct {
 // on the DES the finalists that can still win, and returns the fastest with
 // its timing. The winner is cached — memory, then disk store — under the
 // topology fingerprint plus Options.Fingerprint, with the same
-// verify-on-miss invariant as the built-in algorithms.
+// verify-on-miss invariant as the built-in algorithms, and its op graph
+// serves later compiles that pick its tree and chunk counts.
 func Synthesize(ctx context.Context, g *topology.Graph, bytes int64, opts Options) (*Result, error) {
 	if g == nil {
 		return nil, fmt.Errorf("synth: nil graph")
@@ -167,9 +176,19 @@ func Synthesize(ctx context.Context, g *topology.Graph, bytes int64, opts Option
 		return nil, fmt.Errorf("synth: %d participants", len(nodes))
 	}
 
+	cfg := collective.Config{
+		Graph:     g,
+		Algorithm: collective.AlgSynth,
+		Bytes:     bytes,
+		SynthKey:  opts.Fingerprint(),
+	}
+	var cache *collective.Cache
+	if !opts.NoCache {
+		cache = collective.DefaultCache
+	}
 	var cold *Result
 	builder := func() (*collective.Schedule, error) {
-		r, err := compileBest(ctx, g, nodes, bytes, opts)
+		r, err := compileBest(ctx, cache, cfg, nodes, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -179,16 +198,10 @@ func Synthesize(ctx context.Context, g *topology.Graph, bytes int64, opts Option
 
 	var s *collective.Schedule
 	var err error
-	if opts.NoCache {
+	if cache == nil {
 		s, err = builder()
 	} else {
-		cfg := collective.Config{
-			Graph:     g,
-			Algorithm: collective.AlgSynth,
-			Bytes:     bytes,
-			SynthKey:  opts.Fingerprint(),
-		}
-		s, err = collective.DefaultCache.BuildWith(cfg, builder)
+		s, err = cache.BuildWith(cfg, builder)
 	}
 	if err != nil {
 		return nil, err
@@ -221,7 +234,7 @@ type variant struct {
 func (e *emitter) rank(maxChunks int) []variant {
 	var ranked []variant
 	for t := 1; t <= len(e.passes); t++ {
-		for _, k := range chunkCandidates(e.g, e.nodes, e.bytes, t, maxChunks) {
+		for _, k := range chunkCandidates(e.fabric, e.bytes, t, maxChunks) {
 			ranked = append(ranked, variant{trees: t, chunks: k, bound: max(e.bound(t, k))})
 		}
 	}
@@ -229,22 +242,26 @@ func (e *emitter) rank(maxChunks int) []variant {
 	return ranked
 }
 
-// compileBest runs the plan search: pack once at the tree ceiling, rank
-// every (forest prefix, chunk count) variant by the bound the emitter
-// derives from its chunk passes, then walk the variants in stable bound
-// order. Each one walked is emitted and assembled —
-// collective.AssembleForest runs the full static verifier — and executed
-// on the DES, until executeFinalists have run or the next bound is no
-// lower than the best makespan so far. The bound is a provable lower bound, so a variant past
-// that point could at best tie, and a tie keeps the earlier finalist. A
-// variant that fails verification is dropped and the next by bound takes its
-// place, so only assembled schedules ever execute or win.
-func compileBest(ctx context.Context, g *topology.Graph, nodes []topology.NodeID, bytes int64, opts Options) (*Result, error) {
+// compileBest runs the plan search for cfg's graph and size: pack once at
+// the tree ceiling, rank every (forest prefix, chunk count) variant by the
+// bound the emitter derives from its chunk passes, then walk the variants
+// in stable bound order. Each one walked is emitted — a header over a
+// verified op graph of its shape resident in cache, when there is one,
+// else assembled by collective.AssembleForest, which runs the full static
+// verifier — and executed on the DES, until executeFinalists have run or
+// the next bound is no lower than the best makespan so far. The bound is a
+// provable lower bound, so a variant past that point could at best tie,
+// and a tie keeps the earlier finalist. A variant that fails verification
+// is dropped and the next by bound takes its place, so only verified
+// schedules ever execute or win. cache is nil for a NoCache compile.
+func compileBest(ctx context.Context, cache *collective.Cache, cfg collective.Config, nodes []topology.NodeID, opts Options) (*Result, error) {
+	g, bytes := cfg.Graph, cfg.Bytes
 	forest, err := PackForest(g, nodes, opts.MaxTrees, opts.Seed, !opts.NoDetour)
 	if err != nil {
 		return nil, err
 	}
 	e := newEmitter(g, nodes, bytes, forest)
+	e.cache, e.cfg = cache, cfg
 	ranked := e.rank(opts.MaxChunks)
 
 	var w variant
@@ -267,8 +284,7 @@ func compileBest(ctx context.Context, g *topology.Graph, nodes []topology.NodeID
 		executed++
 		res, err := sched.ExecuteCtx(ctx)
 		if err != nil {
-			var ce *des.CanceledError
-			if isCanceled(err, &ce) {
+			if isCanceled(err) {
 				return nil, err
 			}
 			continue
@@ -318,14 +334,14 @@ func planDetours(s *collective.Schedule) int {
 // chunkCandidates returns the chunk counts the pipelining search evaluates
 // for a t-tree plan: multiples of t (round-robin keeps every tree fed) in
 // powers of two, seeded around the cost model's K_opt (Eq. 4) for the
-// fabric's alpha/beta, capped by the configured maximum and by the message
-// size (no zero-byte chunks).
-func chunkCandidates(g *topology.Graph, nodes []topology.NodeID, bytes int64, t, maxChunks int) []int {
+// fabric's alpha/beta (fabricParams), capped by the configured maximum and
+// by the message size (no zero-byte chunks).
+func chunkCandidates(fabric costmodel.Params, bytes int64, t, maxChunks int) []int {
 	if int64(t) > bytes {
 		return nil
 	}
-	alpha, beta := fabricParams(g)
-	kOpt := costmodel.KOpt(costmodel.Params{Alpha: alpha, Beta: beta, P: len(nodes), N: float64(bytes)}, maxChunks)
+	fabric.N = float64(bytes)
+	kOpt := costmodel.KOpt(fabric, maxChunks)
 	var out []int
 	add := func(k int) {
 		if k < t || k > maxChunks || int64(k) > bytes || slices.Contains(out, k) {
@@ -349,42 +365,36 @@ func chunkCandidates(g *topology.Graph, nodes []topology.NodeID, bytes int64, t,
 	return out
 }
 
-// fabricParams derives representative alpha/beta terms from the healthy
-// channels: the largest latency and the slowest effective bandwidth, the
-// conservative ends a pipelined schedule must amortize.
-func fabricParams(g *topology.Graph) (alpha, beta float64) {
+// fabricParams derives the cost model's terms for p participants on g,
+// with no message size: representative alpha/beta from the healthy
+// channels, the largest latency and the slowest effective bandwidth, the
+// conservative ends a pipelined schedule must amortize. They walk every
+// channel, so a compile derives them once.
+func fabricParams(g *topology.Graph, p int) costmodel.Params {
+	fabric := costmodel.Params{P: p}
 	minBW := 0.0
 	for _, ch := range g.Channels() {
 		if ch.Down() {
 			continue
 		}
-		if l := ch.Latency.Seconds(); l > alpha {
-			alpha = l
+		if l := ch.Latency.Seconds(); l > fabric.Alpha {
+			fabric.Alpha = l
 		}
 		if bw := ch.EffectiveBandwidth(); minBW == 0 || bw < minBW {
 			minBW = bw
 		}
 	}
 	if minBW > 0 {
-		beta = 1 / minBW
+		fabric.Beta = 1 / minBW
 	}
-	return alpha, beta
+	return fabric
 }
 
-// isCanceled reports whether err wraps a *des.CanceledError, binding it.
-func isCanceled(err error, ce **des.CanceledError) bool {
-	for e := err; e != nil; {
-		if c, ok := e.(*des.CanceledError); ok {
-			*ce = c
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
+// isCanceled reports whether err wraps a *des.CanceledError anywhere in its
+// tree, errors.Join included.
+func isCanceled(err error) bool {
+	var ce *des.CanceledError
+	return errors.As(err, &ce)
 }
 
 // String renders the report compactly for logs and tables.
