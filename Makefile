@@ -59,9 +59,10 @@ lint:
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzSplit$$' -fuzztime=10s ./internal/chunk
 	$(GO) test -fuzz='^FuzzSplitRates$$' -fuzztime=10s ./internal/chunk
-	$(GO) test -fuzz=FuzzLayerChunkTable -fuzztime=10s ./internal/chunk
+	$(GO) test -fuzz='^FuzzLayerChunkTable$$' -fuzztime=10s ./internal/chunk
 	$(GO) test -fuzz='^FuzzPackForest$$' -fuzztime=10s ./internal/synth
-	$(GO) test -fuzz=FuzzSchedCheck -fuzztime=20s ./internal/schedcheck
-	$(GO) test -fuzz=FuzzDecodeSchedule -fuzztime=10s -fuzzminimizetime=100x ./internal/collective
+	$(GO) test -run='^$$' -fuzz='^FuzzSchedCheck$$' -fuzztime=20s ./internal/schedcheck
+	$(GO) test -run='^$$' -fuzz='^FuzzPeriodicWindow$$' -fuzztime=10s ./internal/schedcheck
+	$(GO) test -fuzz='^FuzzDecodeSchedule$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/collective
 
 all: build vet test race lint bench-module

@@ -77,6 +77,17 @@ func cluster64CCube() collective.Config {
 	}
 }
 
+// cluster64Tree is the separated tree on the 64-GPU cluster at 96 chunks:
+// its barrier marker carries the last chunk's index, so Check proves it in
+// full, past the periodic window.
+func cluster64Tree() collective.Config {
+	return collective.Config{
+		Graph:     topology.Hierarchy(topology.DefaultHierarchyConfig(64)),
+		Algorithm: collective.AlgTree, Bytes: 64 << 20, Chunks: 96,
+		AllowSharedChannels: true,
+	}
+}
+
 // dgx1CCube is the paper's headline shape: the C-Cube tree on the DGX-1 at
 // 16 MiB (cost-model chunk count).
 func dgx1CCube() collective.Config {
@@ -106,6 +117,8 @@ func executeBench(cfg func() collective.Config) func() (func() error, error) {
 // checkBench times one verification of a built schedule: the cold-path
 // Check every full build pays. The dgx1 shape (~700 transfers) is the size
 // plan_unique verifies six of per request, where per-call setup dominates.
+// The cluster:64 C-Cube shape is proved by its periodic window, the
+// separated tree in full.
 func checkBench(cfg func() collective.Config) func() (func() error, error) {
 	return func() (func() error, error) {
 		s, err := collective.Build(cfg())
@@ -158,6 +171,7 @@ func benchmarks() []benchmark {
 			return op, nil
 		}},
 		{"Check/cluster64-ccube-128chunks", true, checkBench(cluster64CCube)},
+		{"Check/cluster64-tree-96chunks", true, checkBench(cluster64Tree)},
 		{"Check/dgx1-ccube-16MiB", true, checkBench(dgx1CCube)},
 		{"Synthesize/dgx1", true, func() (func() error, error) {
 			// One op is a cold compile (NoCache) at each of
@@ -445,6 +459,7 @@ var Budgets = map[string]int64{
 	"Build/cluster64-ccube-128chunks":        445,
 	"Cache/resize-cluster64-ccube-128chunks": 12,
 	"Check/cluster64-ccube-128chunks":        2,
+	"Check/cluster64-tree-96chunks":          2,
 	"Check/dgx1-ccube-16MiB":                 2,
 	"Synthesize/dgx1":                        950,
 	"Train/dgx1-resnet50-CC":                 214,

@@ -13,8 +13,8 @@ import (
 // OverlappedChunk, which lay them out through the built-in tree
 // algorithms' own tree phases; Assemble adopts ops written one by one, as
 // the reference compilers in synth's and des's tests do. AssembleForest and
-// Assemble run the full static verifier before they return, so an
-// assembled schedule the checker never saw cannot exist.
+// Assemble prove their schedule with schedcheck.Check before they return,
+// so an assembled schedule the checker never saw cannot exist.
 
 // AssembleSpec is a complete externally compiled schedule.
 type AssembleSpec struct {

@@ -24,9 +24,11 @@ import (
 //
 // Correctness properties:
 //
-//   - Misses verify: every constructor runs the full static verifier before
-//     it returns, so a schedule enters the cache proved, and hits never skip
-//     a check that was not already performed on identical inputs.
+//   - Misses verify: every constructor proves its schedule with
+//     schedcheck.Check before it returns (a periodic schedule by its
+//     certified window, any other one in full; the Report is the same), so
+//     a schedule enters the cache proved, and hits never skip a check that
+//     was not already performed on identical inputs.
 //   - Staleness is loud: cached schedules are stamped with the fingerprint
 //     they were verified against. Mutating the topology (KillChannel,
 //     DegradeChannel) changes its fingerprint, so the next lookup misses and

@@ -21,7 +21,8 @@ import (
 // header (Header) once the search has picked them.
 //
 // Safety argument for skipping the static verifier on this path: the op
-// graph passed the full Check when it entered the cache, and every class
+// graph was proved by Check when it entered the cache (by its periodic
+// window or in full, with the same Report either way), and every class
 // Check proves — acyclicity, hazard ordering, link validity, conservation,
 // in-order delivery — is a property of the op graph alone. Its one
 // byte-dependent check is that every chunk holds a positive size, which the

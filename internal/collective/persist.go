@@ -377,7 +377,7 @@ func decodeSchedule(data []byte, g *topology.Graph) (*Schedule, error) {
 
 // loadFromStore attempts the second cache level: fetch the entry for k from
 // the disk store, decode it against the live graph, and re-verify it with
-// the full static verifier — verify-on-load. Disk bytes were never proven
+// schedcheck.Check — verify-on-load. Disk bytes were never proven
 // in this process (another process, or a past life of this one, did the
 // proving), so the miss-verify invariant demands the proof be redone before
 // the schedule is stamped and shared. Any failure along the way invalidates

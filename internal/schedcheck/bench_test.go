@@ -8,12 +8,14 @@ import (
 	"ccube/internal/topology"
 )
 
-// BenchmarkCheck times the full verifier on real schedules: the six DGX-1
-// built-ins at 64 MiB (cost-model chunk count), the C-Cube schedule on the
-// 64-GPU cluster hierarchy at 128 chunks, and the other tree schedules the
-// served /v1/simulate requests verify cold there, at 96 chunks. Schedules
-// are built and lowered outside the timer; ns/transfer divides by every op
-// checked, and closure-B/transfer is the reachability closure Check builds.
+// BenchmarkCheck times the verifier on real schedules: the six DGX-1
+// built-ins at 64 MiB (cost-model chunk count), the C-Cube and overlapped
+// tree schedules on the 64-GPU cluster hierarchy at 128 chunks, and the tree
+// schedules the served /v1/simulate requests verify cold there, at 96
+// chunks. The overlapped trees are proved by their periodic window, the
+// separated tree and double tree in full. Schedules are built and lowered
+// outside the timer; ns/transfer divides by every op checked, and
+// closure-B/transfer is the reachability closure the full path builds.
 func BenchmarkCheck(b *testing.B) {
 	b.Run("dgx1-builtins-64MiB", func(b *testing.B) {
 		g := dgx1()
@@ -31,6 +33,7 @@ func BenchmarkCheck(b *testing.B) {
 		chunks int
 	}{
 		{"cluster64-ccube-128chunks", collective.AlgDoubleTreeOverlap, 128},
+		{"cluster64-tree-overlap-128chunks", collective.AlgTreeOverlap, 128},
 		{"cluster64-double-tree-96chunks", collective.AlgDoubleTree, 96},
 		{"cluster64-tree-overlap-96chunks", collective.AlgTreeOverlap, 96},
 		{"cluster64-tree-96chunks", collective.AlgTree, 96},

@@ -81,6 +81,8 @@ type checker struct {
 	accID  csr[access]
 	writes csr[int32]
 	counts []int32
+
+	win windowScratch // the periodic window's certificate and program
 }
 
 // opKind is what an op does, decoded once from its buffers.
@@ -112,6 +114,12 @@ func getChecker(p *Program) *checker {
 	ck := checkers.Get().(*checker)
 	ck.p = p
 	ck.r = &Report{NumOps: len(p.Ops), Checked: make([]Class, 0, numClasses)}
+	ck.reset()
+	return ck
+}
+
+// reset clears the state one run leaves behind for the next.
+func (ck *checker) reset() {
 	ck.plan, ck.full = false, false
 	ck.hubs = ck.hubs[:0]
 	ck.haz.reset()
@@ -119,13 +127,15 @@ func getChecker(p *Program) *checker {
 	ck.ord.reset()
 	ck.exact.reset()
 	ck.forcedCall = 0
-	return ck
+	clear(ck.linkV)
+	ck.linkV = ck.linkV[:0]
 }
 
 // release returns ck to the pool. The Report stays with the caller.
 func (ck *checker) release() {
 	ck.p, ck.r = nil, nil
 	ck.deps = csr[int32]{}
+	ck.win.sub = Program{}
 	clear(ck.linkV)
 	ck.linkV = ck.linkV[:0]
 	checkers.Put(ck)
@@ -1090,4 +1100,263 @@ func (ck *checker) forcedAfter(a, b int) bool {
 	}
 	ck.forcedVal[a] = out
 	return out
+}
+
+// --- the periodic window ----------------------------------------------------
+
+// A periodic schedule is proved by one window. The overlapped trees (C1),
+// C-Cube and synthesized forests send chunk c down tree c mod t behind the
+// same hops of chunk c-t, t = Program.Streams (so do the chained
+// hierarchical schedule and the repairs of all of these), so from some chunk
+// w on every chunk is an op-for-op translate of chunk c-t. Check certifies
+// that translate in O(ops+deps) (certify) and then runs its classes on the
+// window alone: the sub-program of chunks [0, w+t) (windowProgram).
+//
+// The certificate, with t = max(Streams, 1):
+//   - well formed: every chunk size is positive, the dependency CSR covers
+//     the ops, and every op's chunk, dependency and relay slot is in range;
+//   - chunk-closed: no op depends on an op of a later chunk, a marker
+//     depends only on ops of its own chunk, and every relay slot an op reads
+//     or writes belongs to an op of its own chunk;
+//   - translate: pair a chunk's ops by rank in id order. For every chunk
+//     c >= w, chunk c has as many ops as chunk c-t, and each op x of chunk c
+//     equals its partner y in chunk c-t field for field, but for a chunk t
+//     higher; each relay slot x names pairs with the one y names, and x's
+//     dependencies pair with y's in list order, where references pair when
+//     the first is an op t chunks above the second, at the same rank.
+//
+// w is the smallest value >= t with every chunk from w on a translate, and
+// the window runs only when w+t < NumChunks. Closure and the marker and
+// relay rules are tested on the window's ops; the translate carries them to
+// the rest, since a paired reference keeps its chunk offset.
+//
+// Why the window's verdict is the whole program's. Along a dependency edge
+// the chunk never rises, so every path between ops of chunks a and b stays
+// inside chunks a..b. Every question Check asks sits in a window of at most
+// t+1 consecutive chunks:
+//   - structure and link questions are about one op, its relay slot's owner
+//     and readers, all in its chunk, or about a cycle, whose ops share one
+//     chunk; the program-wide ones (graph, participants) are the window's
+//     too, and chunk sizes are checked here, all of them;
+//   - hazard and conservation questions live in one region (chunk, node) or
+//     one op's own relay slot: the ops touching it, and every path between
+//     them, are in one chunk;
+//   - the order proof pairs the finals of chunks c-t and c of one stream,
+//     and the marker chains it follows stay in chunk c-t.
+//
+// The translate maps chunks [w, NumChunks) onto [w-t, NumChunks-t), and it
+// preserves fields, relay wiring and dependency edges both ways, so a
+// question about chunks >= w has its translate's answer. Translating down
+// by t lands a one-chunk question in [w-t, w) and an order question on
+// chunks c-t and c with c in [w, w+t): inside the window. The window is a
+// prefix of the chunk order, so by closure it holds every ancestor of its
+// ops, and each question there has the same answer as in the whole program.
+// A certified translate of a proved window is proved, and its Report is the
+// one the full Check returns: the window's, with NumOps the whole program's.
+// A broken certificate, or any violation in the window, runs the full Check
+// on the original program instead, so every failing Report is the full one.
+
+// windowScratch is the periodic window's scratch: the certificate's
+// indexes and the window program, which shares the checked program's graph,
+// participants and chunk sizes and lays out its own ops and dependencies.
+type windowScratch struct {
+	key     []int64 // op id -> its chunk<<32 | its rank among the chunk's ops, in id order
+	off     []int32 // chunk c's ops are byChunk[off[c]:off[c+1]]
+	byChunk []int32 // op ids, chunk by chunk, in id order within a chunk
+	bits    []uint64
+	ids     []int32 // the window's op ids, in id order
+	newID   []int32 // op id -> its id in the window program
+	ops     []Op
+	depOff  []int32
+	depList []int32
+	sub     Program
+}
+
+// window proves ck.p by its periodic window and reports whether it did.
+// When it did not, ck is ready for the full Check of ck.p.
+func (ck *checker) window() bool {
+	p := ck.p
+	end := ck.certify()
+	if end == 0 {
+		return false
+	}
+	if ck.p = ck.windowProgram(end); ck.p == nil {
+		ck.p = p
+		return false
+	}
+	ck.run(false)
+	ck.p = p
+	if ck.r.OK() {
+		return true
+	}
+	ck.r.Checked, ck.r.Violations = ck.r.Checked[:0], nil
+	ck.reset()
+	return false
+}
+
+// certify tests the translate and returns the window's end, w+t. It returns
+// 0 when the window would cover the whole program, or when the program
+// breaks the certificate: the full Check then says what is wrong.
+func (ck *checker) certify() int {
+	p, ws := ck.p, &ck.win
+	n, k, t := len(p.Ops), p.NumChunks, max(p.Streams, 1)
+	if n == 0 || k <= 2*t || len(p.ChunkBytes) != k ||
+		len(p.DepOff) != n+1 || p.DepOff[0] != 0 || int(p.DepOff[n]) != len(p.DepList) {
+		return 0
+	}
+	for _, b := range p.ChunkBytes {
+		if b <= 0 {
+			return 0
+		}
+	}
+	// Key every op by its chunk and rank, counting each chunk's ops.
+	key, off := grow(ws.key, n), zeroed(ws.off, k+1)
+	for i := range p.Ops {
+		c := p.Ops[i].Chunk
+		if c < 0 || int(c) >= k || p.DepOff[i+1] < p.DepOff[i] {
+			return 0
+		}
+		key[i] = int64(c)<<32 | int64(off[c+1])
+		off[c+1]++
+	}
+	ws.key, ws.off = key, off
+	// A translate has its partner's op count, which bounds w from below.
+	w := k
+	for w > t && off[w] == off[w-t] {
+		w--
+	}
+	if w+t >= k {
+		return 0
+	}
+	for c := 0; c < k; c++ {
+		off[c+1] += off[c]
+	}
+	byChunk := grow(ws.byChunk, n)
+	for i, kc := range key {
+		byChunk[off[kc>>32]+int32(kc)] = int32(i)
+	}
+	ws.byChunk = byChunk
+	// Most programs that are not periodic fail at once on their last chunk.
+	last := k - 1
+	ys := byChunk[off[last-t]:]
+	for j, x := range byChunk[off[last]:] {
+		if !ck.translate(x, ys[j], int32(t)) {
+			return 0
+		}
+	}
+	// The rest in id order, where a chunk's ops sit near its partner's: w
+	// ends up one past the highest chunk that is not a translate.
+	for x, kc := range key {
+		if c := int(kc >> 32); c >= w && !ck.translate(int32(x), byChunk[off[c-t]+int32(kc)], int32(t)) {
+			w = c + 1
+		}
+	}
+	if w+t >= k {
+		return 0
+	}
+	return w + t
+}
+
+// translate reports whether op x is the translate of op y, its partner t
+// chunks below it: the same fields, relay slots and dependencies that pair.
+func (ck *checker) translate(x, y, t int32) bool {
+	p := ck.p
+	a, b := &p.Ops[x], &p.Ops[y]
+	if a.Channel != b.Channel || a.Final != b.Final || a.Src.Node != b.Src.Node || a.Dst.Node != b.Dst.Node ||
+		a.Accumulate != b.Accumulate || a.NoAlpha != b.NoAlpha ||
+		!ck.pairsSlot(a.Src.Relay, b.Src.Relay, t) || !ck.pairsSlot(a.Dst.Relay, b.Dst.Relay, t) {
+		return false
+	}
+	da, db := p.Deps(int(x)), p.Deps(int(y))
+	if len(da) != len(db) {
+		return false
+	}
+	for j, d := range da {
+		if !ck.pairs(d, db[j], t) {
+			return false
+		}
+	}
+	return true
+}
+
+// pairs reports whether reference r of a translate pairs with its
+// partner's reference s: both name ops, r's chunk is t above s's, and they
+// share a rank.
+func (ck *checker) pairs(r, s, t int32) bool {
+	key := ck.win.key
+	n := uint32(len(key))
+	return uint32(r) < n && uint32(s) < n && key[r] == key[s]+int64(t)<<32
+}
+
+// pairsSlot is pairs for relay slots, which also pair when both are none
+// (and equal).
+func (ck *checker) pairsSlot(r, s, t int32) bool {
+	return r < 0 && r == s || ck.pairs(r, s, t)
+}
+
+// windowProgram lays out the sub-program of chunks [0, end): their ops in
+// id order, renumbered, with their dependencies and relay slots. It returns
+// nil when one of those ops breaks closure or the marker or relay rule.
+func (ck *checker) windowProgram(end int) *Program {
+	p, ws := ck.p, &ck.win
+	n, m := len(p.Ops), int(ws.off[end])
+	// The window's ops in id order: a bitmap over the ids, filled from the
+	// window's chunks and read word by word.
+	set := zeroed(ws.bits, (n+63)>>6)
+	for _, i := range ws.byChunk[:m] {
+		set[i>>6] |= 1 << uint(i&63)
+	}
+	ids, newID := grow(ws.ids, m)[:0], grow(ws.newID, n)
+	var nd int32
+	for wi, word := range set {
+		for ; word != 0; word &= word - 1 {
+			i := int32(wi<<6 + bits.TrailingZeros64(word))
+			newID[i] = int32(len(ids))
+			ids = append(ids, i)
+			nd += p.DepOff[i+1] - p.DepOff[i]
+		}
+	}
+	ops, depOff, depList := grow(ws.ops, m), grow(ws.depOff, m+1), grow(ws.depList, int(nd))
+	ws.bits, ws.ids, ws.newID, ws.ops, ws.depOff, ws.depList = set, ids, newID, ops, depOff, depList
+	depOff[0] = 0
+	nd = 0
+	for j, i := range ids {
+		op := p.Ops[i]
+		c := op.Chunk
+		if op.Src.Relay >= 0 {
+			if !ck.ownSlot(op.Src.Relay, c) {
+				return nil
+			}
+			op.Src.Relay = newID[op.Src.Relay]
+		}
+		if op.Dst.Relay >= 0 {
+			if !ck.ownSlot(op.Dst.Relay, c) {
+				return nil
+			}
+			op.Dst.Relay = newID[op.Dst.Relay]
+		}
+		for _, d := range p.Deps(int(i)) {
+			if d < 0 || int(d) >= n {
+				return nil
+			}
+			if dc := p.Ops[d].Chunk; dc > c || op.Marker() && dc != c {
+				return nil
+			}
+			depList[nd] = newID[d]
+			nd++
+		}
+		ops[j] = op
+		depOff[j+1] = nd
+	}
+	ws.sub = Program{
+		Graph: p.Graph, Nodes: p.Nodes, NumChunks: end, ChunkBytes: p.ChunkBytes[:end],
+		InOrder: p.InOrder, Streams: p.Streams, AllReduce: p.AllReduce,
+		Ops: ops, DepOff: depOff, DepList: depList,
+	}
+	return &ws.sub
+}
+
+// ownSlot reports whether relay slot r belongs to an op of chunk c.
+func (ck *checker) ownSlot(r, c int32) bool {
+	return int(r) < len(ck.p.Ops) && ck.p.Ops[r].Chunk == c
 }

@@ -82,7 +82,7 @@ func twoStreamProgram(t *testing.T, ordered bool, streams int) *schedcheck.Progr
 
 func TestContentionFlagsUnorderedCrossStreamSharing(t *testing.T) {
 	p := twoStreamProgram(t, false, 2)
-	if r := schedcheck.Check(p); !r.OK() {
+	if r := checkBoth(t, p); !r.OK() {
 		t.Fatalf("program must be clean under the shallow classes: %s", r.Err())
 	}
 	r := schedcheck.CheckDeep(p)
@@ -143,7 +143,7 @@ func waitForProgram(t *testing.T) *schedcheck.Program {
 
 func TestWaitForFlagsChannelOrderDeadlock(t *testing.T) {
 	p := waitForProgram(t)
-	if r := schedcheck.Check(p); !r.OK() {
+	if r := checkBoth(t, p); !r.OK() {
 		t.Fatalf("program must be clean under the shallow classes: %s", r.Err())
 	}
 	r := schedcheck.CheckDeep(p)
@@ -166,7 +166,7 @@ func TestDeepClassesRunOnlyUnderCheckDeep(t *testing.T) {
 		return false
 	}
 	p := twoStreamProgram(t, false, 2)
-	shallow, deep := schedcheck.Check(p), schedcheck.CheckDeep(p)
+	shallow, deep := checkBoth(t, p), schedcheck.CheckDeep(p)
 	for _, c := range []schedcheck.Class{schedcheck.ClassContention, schedcheck.ClassWaitFor} {
 		if checked(shallow, c) {
 			t.Errorf("Check ran deep class %s", c)

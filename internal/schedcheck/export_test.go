@@ -65,3 +65,20 @@ func CheckPlan(p *Program) *Plan {
 	}
 	return pl
 }
+
+// CheckFull runs Check's full path on p, never its periodic window.
+func CheckFull(p *Program) *Report { return check(p, false) }
+
+// Window reports the periodic window Check proves p by first: chunks
+// [0, w+t), where every chunk from w on is a translate of chunk c-t. ok is
+// false when the certificate fails and Check takes the full path at once.
+func Window(p *Program) (w, t int, ok bool) {
+	ck := getChecker(p)
+	defer ck.release()
+	end := ck.certify()
+	if end == 0 || ck.windowProgram(end) == nil {
+		return 0, 0, false
+	}
+	t = max(p.Streams, 1)
+	return end - t, t, true
+}

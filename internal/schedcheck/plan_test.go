@@ -118,7 +118,7 @@ func TestCheckMatchesReference(t *testing.T) {
 	planned, hubs := 0, 0
 	for name, p := range planMatrix(t) {
 		t.Run(name, func(t *testing.T) {
-			r := schedcheck.Check(p)
+			r := checkBoth(t, p)
 			if !r.OK() {
 				t.Fatal(r.Err())
 			}
@@ -137,7 +137,7 @@ func TestCheckMatchesReference(t *testing.T) {
 				}
 			}
 			broken.SetDeps(deps)
-			assertMatchesReference(t, broken, schedcheck.Check(broken))
+			assertMatchesReference(t, broken, checkBoth(t, broken))
 			stride := len(p.Ops)/60 + 1
 			for i := 0; i < len(p.Ops); i += stride {
 				for j := range p.Deps(i) {
@@ -145,7 +145,7 @@ func TestCheckMatchesReference(t *testing.T) {
 					deps := depLists(p)
 					deps[i] = append(deps[i][:j:j], deps[i][j+1:]...)
 					broken.SetDeps(deps)
-					assertMatchesReference(t, broken, schedcheck.Check(broken))
+					assertMatchesReference(t, broken, checkBoth(t, broken))
 				}
 			}
 		})
@@ -234,7 +234,7 @@ func TestFailingCheckStaysBanded(t *testing.T) {
 	if pl.Report.OK() {
 		t.Fatalf("dropping every dependency of op %d went unnoticed", i)
 	}
-	assertMatchesReference(t, p, schedcheck.Check(p))
+	assertMatchesReference(t, p, checkBoth(t, p))
 	ratio := float64(pl.BandWords) / float64(pl.FullWords)
 	t.Logf("op %d: %d violations, band %d words, %.4f of the full triangle",
 		i, len(pl.Report.Violations), pl.BandWords, ratio)

@@ -3,6 +3,7 @@ package schedcheck_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ccube/internal/collective"
@@ -75,7 +76,7 @@ const maxExactOps = 2000
 // matches the reference verifier's.
 func check(t *testing.T, p *schedcheck.Program) *schedcheck.Report {
 	t.Helper()
-	r := schedcheck.Check(p)
+	r := checkBoth(t, p)
 	if len(p.Ops) <= maxExactOps {
 		assertExactReach(t, p)
 		assertMatchesReference(t, p, r)
@@ -87,15 +88,15 @@ func checkDeep(t *testing.T, p *schedcheck.Program) *schedcheck.Report {
 	t.Helper()
 	if len(p.Ops) <= maxExactOps {
 		assertExactReach(t, p)
-		assertMatchesReference(t, p, schedcheck.Check(p))
+		assertMatchesReference(t, p, checkBoth(t, p))
 	}
 	return schedcheck.CheckDeep(p)
 }
 
-// assertMatchesReference requires Check's report on p to equal the walk
-// checker's byte for byte, and compares it with the reference verifier's
-// (the pre-planning algorithm: breadth-first order, full closure, all-pairs
-// hazards, count vectors). OK, the checked classes and every structure,
+// assertMatchesReference requires Check's report on p to deep-equal its
+// full path's and to equal the walk checker's byte for byte, and compares it
+// with the reference verifier's (the pre-planning algorithm: breadth-first
+// order, full closure, all-pairs hazards, count vectors). OK, the checked classes and every structure,
 // link, hazard and order violation must be identical, in order.
 // Conservation violations must match as a multiset, with two allowances for
 // Check's different topological sweep order:
@@ -106,6 +107,9 @@ func checkDeep(t *testing.T, p *schedcheck.Program) *schedcheck.Report {
 //     proof only on hazard-free programs), so conservation is not compared.
 func assertMatchesReference(t *testing.T, p *schedcheck.Program, got *schedcheck.Report) {
 	t.Helper()
+	if full := schedcheck.CheckFull(p); !reflect.DeepEqual(got, full) {
+		t.Fatalf("Check and its full path disagree:\n%s\nvs\n%s", reportText(got), reportText(full))
+	}
 	if walk := schedcheck.WalkCheck(p); reportText(got) != reportText(walk) {
 		t.Fatalf("Check and the walk checker disagree:\n%s\nvs\n%s", reportText(got), reportText(walk))
 	}
@@ -231,7 +235,7 @@ func TestReachabilityIsExact(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			p := c.build(t)
-			if r := schedcheck.Check(p); !r.OK() {
+			if r := checkBoth(t, p); !r.OK() {
 				t.Fatal(r.Err())
 			}
 			assertExactReach(t, p)

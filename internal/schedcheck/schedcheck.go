@@ -346,9 +346,21 @@ func (r *Report) Err() error {
 //
 // Check reads the ops once, in a decode pass in id order, and then works on
 // compact columns: a topological sort and one sweep in that order plan the
-// classes (checks.go, bitset.go). Its scratch comes from a pool, so a warm
-// Check allocates only its Report. It is safe for concurrent use.
-func Check(p *Program) *Report { return check(p, false) }
+// classes (checks.go, bitset.go). A periodic program — every chunk from some
+// w on an op-for-op translate of chunk c-Streams, no dependency on a later
+// chunk — is proved by its window of chunks [0, w+Streams) once one pass
+// certifies the translate; any other program, and any violation in the
+// window, takes the full path, so the Report is the same on both (checks.go,
+// "the periodic window"). Its scratch comes from a pool, so a warm Check
+// allocates only its Report. It is safe for concurrent use.
+func Check(p *Program) *Report {
+	ck := getChecker(p)
+	defer ck.release()
+	if !ck.window() {
+		ck.run(false)
+	}
+	return ck.r
+}
 
 // CheckDeep is Check plus the performance proofs of deep.go: channel
 // contention (no link oversubscribed past the dependency critical path) and

@@ -68,7 +68,7 @@ func TestAllAlgorithmsVerify(t *testing.T) {
 					Graph: tp.graph, Algorithm: alg, Bytes: 1 << 20, Chunks: 8,
 					AllowSharedChannels: tp.shared,
 				})
-				r := schedcheck.Check(p)
+				r := checkBoth(t, p)
 				if !r.OK() {
 					t.Fatalf("%s", r.Err())
 				}
@@ -117,12 +117,12 @@ func TestCatchesUnreadRelaySlot(t *testing.T) {
 		if !p.Ops[i].Src.IsRelay() {
 			continue
 		}
-		if r := schedcheck.Check(p); !r.OK() {
+		if r := checkBoth(t, p); !r.OK() {
 			t.Fatal(r.Err())
 		}
 		slot := p.Ops[i].Src.Relay
 		p.Ops[i].Src = schedcheck.NodeBuf(p.Graph.Channel(p.Ops[i].ChannelID()).From)
-		r := schedcheck.Check(p)
+		r := checkBoth(t, p)
 		want := fmt.Sprintf("[link] op %d: relay slot is never read", slot)
 		if !strings.Contains(r.Err().Error(), want) {
 			t.Fatalf("unread relay slot of op %d not flagged: %v", slot, r.Err())
@@ -149,13 +149,13 @@ func TestCatchesUnorderedCopies(t *testing.T) {
 		Ops: []schedcheck.Op{copyTo1(0), copyTo1(2), marker(0, 0), marker(0, 1), marker(0, 2)},
 	}
 	p.SetDeps(make([][]int, len(p.Ops)))
-	r := schedcheck.Check(p)
+	r := checkBoth(t, p)
 	if len(r.Class(schedcheck.ClassHazard)) != 1 {
 		t.Fatalf("unordered copies into one region not flagged once: %v", r.Err())
 	}
 	assertMatchesReference(t, p, r)
 	p.Ops[1].Src = schedcheck.NodeBuf(1)
-	assertMatchesReference(t, p, schedcheck.Check(p))
+	assertMatchesReference(t, p, checkBoth(t, p))
 }
 
 // TestHierarchicalVerifies covers the multi-box cluster schedule in both
@@ -172,7 +172,7 @@ func TestHierarchicalVerifies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := schedcheck.Check(s.Program()); !r.OK() {
+		if r := checkBoth(t, s.Program()); !r.OK() {
 			t.Fatalf("chained=%v: %s", chained, r.Err())
 		}
 	}
@@ -192,7 +192,7 @@ func TestPrimitivesVerify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := schedcheck.Check(s.Program()); !r.OK() {
+		if r := checkBoth(t, s.Program()); !r.OK() {
 			t.Fatalf("%v: %s", prim, r.Err())
 		}
 	}
@@ -216,7 +216,7 @@ func TestCatchesCycle(t *testing.T) {
 	deps[0] = append(deps[0], last)
 	deps[last] = append(deps[last], 0)
 	p.SetDeps(deps)
-	r := schedcheck.Check(p)
+	r := checkBoth(t, p)
 	if !hasClass(r, schedcheck.ClassStructure) {
 		t.Fatalf("cycle not flagged: %s", r.Summary())
 	}
@@ -228,7 +228,7 @@ func TestCatchesCycle(t *testing.T) {
 func TestCatchesChunkOutOfRange(t *testing.T) {
 	p := treeProgram(t)
 	p.Ops[0].Chunk = 99
-	if r := schedcheck.Check(p); !hasClass(r, schedcheck.ClassStructure) {
+	if r := checkBoth(t, p); !hasClass(r, schedcheck.ClassStructure) {
 		t.Fatalf("out-of-range chunk not flagged: %s", r.Summary())
 	}
 }
@@ -256,7 +256,7 @@ func TestCatchesMalformedDepCSR(t *testing.T) {
 		p := base.Clone()
 		corrupt(p)
 		reports := []*schedcheck.Report{
-			schedcheck.Check(p),
+			checkBoth(t, p),
 			schedcheck.CheckDeep(p),
 			schedcheck.CheckPatch(p, &schedcheck.PatchSpec{Base: base, OldToNew: identity}),
 		}
@@ -298,7 +298,7 @@ func TestCatchesMalformedChunkSizes(t *testing.T) {
 		p := base.Clone()
 		corrupt(p)
 		reports := []*schedcheck.Report{
-			schedcheck.Check(p),
+			checkBoth(t, p),
 			schedcheck.CheckDeep(p),
 			schedcheck.CheckPatch(p, &schedcheck.PatchSpec{Base: base, OldToNew: identity}),
 		}
@@ -333,7 +333,7 @@ func TestCatchesDroppedDependency(t *testing.T) {
 			deps := depLists(p)
 			deps[i] = append(deps[i][:di], deps[i][di+1:]...)
 			p.SetDeps(deps)
-			r := schedcheck.Check(p)
+			r := checkBoth(t, p)
 			if !hasClass(r, schedcheck.ClassHazard) {
 				t.Fatalf("dropped dep %d->%d not flagged as hazard: %s", d, i, r.Summary())
 			}
@@ -355,7 +355,7 @@ func TestCatchesRetargetedChannel(t *testing.T) {
 				continue
 			}
 			op.Channel = int32(ch)
-			r := schedcheck.Check(p)
+			r := checkBoth(t, p)
 			if !hasClass(r, schedcheck.ClassLink) {
 				t.Fatalf("retargeted channel not flagged: %s", r.Summary())
 			}
@@ -375,7 +375,7 @@ func TestCatchesDoubleReduce(t *testing.T) {
 			continue
 		}
 		op.Accumulate = true
-		r := schedcheck.Check(p)
+		r := checkBoth(t, p)
 		if !hasClass(r, schedcheck.ClassConservation) {
 			t.Fatalf("double reduce not flagged: %s", r.Summary())
 		}
@@ -403,7 +403,7 @@ func TestCatchesMissingFinal(t *testing.T) {
 			AllowSharedChannels: true,
 		})
 		schedcheck.Check(big)
-		r := schedcheck.Check(p)
+		r := checkBoth(t, p)
 		if !hasClass(r, schedcheck.ClassConservation) {
 			t.Fatalf("missing final not flagged: %s", r.Summary())
 		}
@@ -426,7 +426,7 @@ func TestCatchesFalseInOrderClaim(t *testing.T) {
 	}
 	p.InOrder = true
 	p.Streams = 1
-	r := schedcheck.Check(p)
+	r := checkBoth(t, p)
 	if !hasClass(r, schedcheck.ClassOrder) {
 		t.Fatalf("false in-order claim not refuted: %s", r.Summary())
 	}
@@ -434,7 +434,7 @@ func TestCatchesFalseInOrderClaim(t *testing.T) {
 
 func TestReportRendering(t *testing.T) {
 	p := treeProgram(t)
-	r := schedcheck.Check(p)
+	r := checkBoth(t, p)
 	if !strings.Contains(r.Summary(), "OK") {
 		t.Fatalf("clean summary = %q", r.Summary())
 	}
@@ -445,7 +445,7 @@ func TestReportRendering(t *testing.T) {
 	for i := range p.Ops {
 		p.Ops[i].Final = -1
 	}
-	r = schedcheck.Check(p)
+	r = checkBoth(t, p)
 	if r.Err() == nil {
 		t.Fatal("corrupted report returned nil error")
 	}
@@ -504,7 +504,7 @@ func TestNodeIDsOutsideGraph(t *testing.T) {
 			t.Fatalf("slot kind %d: no slot to corrupt", field%4)
 		}
 		reports := []*schedcheck.Report{
-			schedcheck.Check(p),
+			checkBoth(t, p),
 			schedcheck.CheckDeep(p),
 			schedcheck.CheckPatch(p, &schedcheck.PatchSpec{Base: base, OldToNew: identity}),
 		}
@@ -529,7 +529,7 @@ func TestViolationOrderIsDeterministic(t *testing.T) {
 		AllowSharedChannels: true,
 	}).Clone()
 	p.SetDeps(make([][]int, len(p.Ops)))
-	r := schedcheck.Check(p)
+	r := checkBoth(t, p)
 	if n := len(r.Class(schedcheck.ClassHazard)); n < 9 {
 		t.Fatalf("only %d hazard violations; the test needs more than Err prints", n)
 	}
@@ -543,8 +543,9 @@ func TestViolationOrderIsDeterministic(t *testing.T) {
 
 // TestCheckConcurrent verifies programs of different sizes from several
 // goroutines at once, through the shared pool of checkers: a checker grown
-// for one program and reused for a smaller or larger one, or a failing one,
-// must leave nothing behind, so every report, Checked classes and
+// for one program and reused for a smaller or larger one, a failing one, or
+// one that proved a periodic program by its window, must leave nothing
+// behind, so every report, Checked classes and
 // violations in order, must match the serial one.
 func TestCheckConcurrent(t *testing.T) {
 	var progs []*schedcheck.Program
@@ -573,7 +574,7 @@ func TestCheckConcurrent(t *testing.T) {
 	deps[0] = []int{len(cyclic.Ops) - 1}
 	cyclic.SetDeps(deps)
 	progs = append(progs, broken, dropped, cyclic)
-	checks := []func(*schedcheck.Program) *schedcheck.Report{schedcheck.Check, schedcheck.CheckDeep}
+	checks := []func(*schedcheck.Program) *schedcheck.Report{schedcheck.Check, schedcheck.CheckFull, schedcheck.CheckDeep}
 	want := make([][]string, len(checks))
 	for c, check := range checks {
 		for _, p := range progs {

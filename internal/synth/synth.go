@@ -24,7 +24,7 @@
 //	                      (or a cached op graph of shape (t, k), new partition)
 //
 // Only the variants the search walks to are emitted, and each passes the
-// full static verifier in collective.AssembleForest before it is executed
+// static verifier in collective.AssembleForest before it is executed
 // or escapes this package, or is a header over an op graph that passed it.
 // Synthesize memoizes through the schedule cache/store under a key that
 // includes the synthesis-config fingerprint, so compiled schedules get the
