@@ -68,13 +68,15 @@ type Cache struct {
 	disk *store.Store
 
 	// incremental counts misses served by a header over a resident
-	// same-shape op graph (incremental.go) instead of a full build.
+	// same-shape op graph or a prefix of one (incremental.go) instead of a
+	// full build.
 	incremental uint64
 
-	// shapes indexes the resident op graphs by shape; an entry lives
-	// exactly as long as some LRU entry references its graph. retained is
-	// the bytes of every resident op graph, each counted once, and
-	// retainedGauge, when set, publishes it.
+	// shapes indexes the resident op graphs by shape, a prefix carrier
+	// without its chunk count; an entry lives exactly as long as some LRU
+	// entry references its graph, or until a carrier with more chunks
+	// takes its place. retained is the bytes of every resident op graph,
+	// each counted once, and retainedGauge, when set, publishes it.
 	shapes        map[cacheKey]*opGraph
 	retained      int64
 	retainedGauge *metrics.Gauge
@@ -176,9 +178,12 @@ func (c *Cache) key(cfg Config) cacheKey {
 // Before either, a miss whose shape — everything but the message size, with
 // the chunk count resolved — matches a resident op graph is served by a new
 // header over that graph: the new partition and nothing else, with no
-// construction and no proof to redo (see incremental.go). Headers and
-// builds write the result through to the disk store, so the next process
-// starts at level 1.
+// construction and no proof to redo. A chunk-major graph (the overlapped
+// tree, C-Cube) is indexed without its chunk count and serves every count
+// up to its own, as a header over its first chunks; a miss for more chunks
+// than any resident one holds builds the new, larger carrier (see
+// incremental.go). Headers and builds write the result through to the disk
+// store, so the next process starts at level 1.
 func (c *Cache) Build(cfg Config) (*Schedule, error) {
 	return c.buildThrough(cfg, func() (*Schedule, error) { return Build(cfg) })
 }
@@ -255,16 +260,19 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 		writeThrough(disk, k, s)
 	}
 
+	// Classify the new op graph before taking the lock: the prefix test
+	// walks every op and dependency.
+	own := newOpGraph(k, s)
 	c.mu.Lock()
 	c.misses++
 	// A synthesized result may be a Header over a resident op graph: it
 	// then shares that graph and counts as an incremental miss.
-	g := c.shapes[k.shape(s.Partition.NumChunks(), s.Streams)]
+	g := c.residentLocked(k, s.Partition.NumChunks(), s.Streams)
 	if g != nil && g.holds(s) {
 		c.incremental++
 		mCacheIncremental.Inc()
 	} else {
-		g = nil
+		g = own
 	}
 	evicted := c.insertLocked(k, s, g)
 	c.mu.Unlock()
@@ -284,12 +292,9 @@ func writeThrough(disk *store.Store, k cacheKey, s *Schedule) {
 
 // insertLocked inserts (or refreshes) an entry as most-recently-used and
 // evicts from the LRU end while the cache is over capacity, returning how
-// many entries were dropped. g is the resident op graph s is a header over,
-// or nil when s brings its own. Caller holds c.mu.
+// many entries were dropped. g is the op graph s is, or is a header over.
+// Caller holds c.mu.
 func (c *Cache) insertLocked(k cacheKey, s *Schedule, g *opGraph) (evicted int) {
-	if g == nil {
-		g = &opGraph{s: s, key: k.shape(s.Partition.NumChunks(), s.Streams), bytes: opGraphBytes(s)}
-	}
 	c.ref(g)
 	defer c.retainedGauge.Set(float64(c.retained))
 	if el, ok := c.entries[k]; ok {
@@ -330,8 +335,8 @@ func (c *Cache) Evictions() uint64 {
 }
 
 // IncrementalBuilds reports how many misses were served by a header over a
-// resident same-shape op graph instead of a full build, since construction
-// (or the last Clear).
+// resident same-shape op graph, or a prefix of one, instead of a full
+// build, since construction (or the last Clear).
 func (c *Cache) IncrementalBuilds() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

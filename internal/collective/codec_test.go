@@ -193,7 +193,7 @@ func encodeV1(s *collective.Schedule) []byte {
 // an entry written by the version-1 codec simply misses; and a v1 payload
 // found under the current key is a clean miss that deletes the entry, never
 // an error. Either way the cache builds the schedule afresh and writes a
-// v2 payload through.
+// payload of the current version, 3, through.
 func TestStoreDropsV1Payloads(t *testing.T) {
 	cfg := collective.Config{Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}
 	want, err := collective.Build(cfg)
@@ -202,18 +202,18 @@ func TestStoreDropsV1Payloads(t *testing.T) {
 	}
 	v1 := encodeV1(want)
 	if _, err := collective.DecodeSchedule(v1, cfg.Graph); err == nil {
-		t.Fatal("the v2 decoder accepted a v1 payload")
+		t.Fatal("the current decoder accepted a v1 payload")
 	}
 	key, ok := collective.StoreKey(cfg)
-	if !ok || !strings.HasPrefix(key, "ccs/v2/") {
-		t.Fatalf("store key %q does not carry codec version 2", key)
+	if !ok || !strings.HasPrefix(key, "ccs/v3/") {
+		t.Fatalf("store key %q does not carry codec version 3", key)
 	}
 	for _, tc := range []struct {
 		name        string
 		key         string
 		wantCorrupt uint64
 	}{
-		{"v1 key", "ccs/v1/" + strings.TrimPrefix(key, "ccs/v2/"), 0},
+		{"v1 key", "ccs/v1/" + strings.TrimPrefix(key, "ccs/v3/"), 0},
 		{"current key", key, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -240,8 +240,8 @@ func TestStoreDropsV1Payloads(t *testing.T) {
 			if !ok {
 				t.Fatal("the rebuild wrote nothing through")
 			}
-			if v, _ := binary.Uvarint(payload); v != 2 {
-				t.Fatalf("written-through payload has codec version %d, want 2", v)
+			if v, _ := binary.Uvarint(payload); v != 3 {
+				t.Fatalf("written-through payload has codec version %d, want 3", v)
 			}
 		})
 	}

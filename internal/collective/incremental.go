@@ -20,6 +20,22 @@ import (
 // and chunk counts its compiler's search picked; the compiler asks for its
 // header (Header) once the search has picked them.
 //
+// Prefix headers: the overlapped trees, C-Cube and synthesized forests are
+// laid out chunk-major (chunkMajor; overlapped trees sharing a channel
+// excepted, see buildTreeSchedule), each chunk one reduce-then-broadcast
+// pass behind the same hops of chunk c-t, so a k-chunk schedule is the
+// first k chunks of any longer one of its shape. An op graph qualifies by a
+// property of the graph, tested once when it enters the shape index
+// (schedcheck.ChunkPrefixes, O(ops+deps)): its op chunks never fall in id
+// order and it is chunk-closed. A qualifying graph is indexed without its
+// chunk count, with its per-chunk op offsets, and the index keeps the
+// resident carrier with the most chunks. A miss for k chunks, at most the
+// carrier's K and at least its stream count, is a header over the
+// carrier's first n_k ops: ops[:n_k:n_k], depOff[:n_k+1:n_k+1] and
+// deps[:depOff[n_k]:depOff[n_k]]. The three-index slices mean no append can
+// reach the carrier's arrays. A request for more chunks than any resident
+// carrier holds builds, and its graph becomes the carrier.
+//
 // Safety argument for skipping the static verifier on this path: the op
 // graph was proved by Check when it entered the cache (by its periodic
 // window or in full, with the same Report either way), and every class
@@ -27,17 +43,24 @@ import (
 // in-order delivery — is a property of the op graph alone. Its one
 // byte-dependent check is that every chunk holds a positive size, which the
 // new partition meets by construction (chunk.Split, SplitAtMost and
-// SplitRates emit no empty chunk). TestIncrementalMatchesFullBuild pins the
-// equivalence for the built-ins, and synth's TestHeaderMatchesColdCompile
-// for synthesized schedules: a header and a fresh build of the same config
-// are deep-equal.
+// SplitRates emit no empty chunk). A prefix of a chunk-major, chunk-closed
+// graph answers every question Check asks about its chunks as the whole
+// graph does; the argument is in schedcheck's checks.go ("chunk prefixes").
+// TestIncrementalMatchesFullBuild pins the equivalence for the built-ins,
+// prefixes included, and synth's TestHeaderMatchesColdCompile for
+// synthesized schedules: a header and a fresh build of the same config are
+// deep-equal.
+
+// anyChunks is the chunk count in the shape key of a prefix carrier, which
+// serves every chunk count up to its own.
+const anyChunks = -1
 
 // shape returns the key of k's op graph, the shape index's key: k without
-// its size, and with chunks, the resolved chunk count, in place of the
-// requested one (0 requests the KOpt count, which depends on the size). A
-// synthesized key also takes streams, the tree count the compiler picked;
-// a built-in's stream count follows from the rest of its key, so its
-// shape ignores streams.
+// its size, and with chunks, the resolved chunk count (or anyChunks), in
+// place of the requested one (0 requests the KOpt count, which depends on
+// the size). A synthesized key also takes streams, the tree count the
+// compiler picked; a built-in's stream count follows from the rest of its
+// key, so its shape ignores streams.
 func (k cacheKey) shape(chunks, streams int) cacheKey {
 	k.bytes, k.chunks = 0, chunks
 	if k.synth != "" {
@@ -49,12 +72,40 @@ func (k cacheKey) shape(chunks, streams int) cacheKey {
 // opGraph is one verified op graph the cache holds: the schedule it was
 // verified in, referenced by every LRU entry whose schedule is that one or
 // a header over it, and indexed under key while no other graph of that
-// shape is.
+// shape is (for a prefix carrier: no other with as many chunks).
 type opGraph struct {
 	s     *Schedule
 	key   cacheKey
 	refs  int
 	bytes int64
+	// chunkOff, for a prefix carrier, holds its chunks' op offsets: chunk
+	// c's ops are s.ops[chunkOff[c]:chunkOff[c+1]]. It is nil otherwise.
+	chunkOff []int32
+}
+
+// newOpGraph records s, cached under k, as its own op graph, keyed as a
+// prefix carrier when it qualifies.
+func newOpGraph(k cacheKey, s *Schedule) *opGraph {
+	g := &opGraph{s: s, bytes: opGraphBytes(s), chunkOff: schedcheck.ChunkPrefixes(s.Program())}
+	chunks := s.Partition.NumChunks()
+	if g.chunkOff != nil {
+		chunks = anyChunks
+	}
+	g.key = k.shape(chunks, s.Streams)
+	return g
+}
+
+// header returns a schedule with partition part over g: over all of it, or
+// over its first part.NumChunks() chunks when g is a prefix carrier.
+func (g *opGraph) header(part chunk.Partition) *Schedule {
+	s := *g.s
+	s.Partition = part
+	if g.chunkOff != nil {
+		n := g.chunkOff[part.NumChunks()]
+		d := s.depOff[n]
+		s.ops, s.depOff, s.deps = s.ops[:n:n], s.depOff[:n+1:n+1], s.deps[:d:d]
+	}
+	return &s
 }
 
 // holds reports whether s is g's schedule or a header over it.
@@ -82,27 +133,43 @@ func shapePartition(cfg Config) (chunk.Partition, bool) {
 	return part, err == nil
 }
 
+// residentLocked returns the resident op graph that serves chunks chunks
+// of k's shape (streams trees, for a synthesized one): the graph of exactly
+// that shape, or a prefix carrier with at least chunks chunks, and chunks
+// at least its stream count, which every build of the shape needs. Caller
+// holds c.mu.
+func (c *Cache) residentLocked(k cacheKey, chunks, streams int) *opGraph {
+	if g := c.shapes[k.shape(chunks, streams)]; g != nil {
+		return g
+	}
+	g := c.shapes[k.shape(anyChunks, streams)]
+	if g == nil || chunks > g.s.Partition.NumChunks() || chunks < max(g.s.Streams, 1) {
+		return nil
+	}
+	return g
+}
+
 // fromShape serves the miss on k with partition part from a resident op
-// graph of the same shape, and caches the header under k. It returns nil,
-// and changes nothing, when no such op graph is resident.
+// graph of its shape, and caches the header under k. It returns nil, and
+// changes nothing, when no such op graph is resident.
 func (c *Cache) fromShape(k cacheKey, part chunk.Partition) *Schedule {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	g := c.shapes[k.shape(part.NumChunks(), 0)]
+	g := c.residentLocked(k, part.NumChunks(), 0)
 	if g == nil {
 		return nil
 	}
 	// The header: the ops, dependency CSR and stamp are the op graph's own.
-	s := *g.s
-	s.Partition = part
+	s := g.header(part)
 	c.misses++
 	c.incremental++
-	mCacheEvictions.Add(int64(c.insertLocked(k, &s, g)))
-	return &s
+	mCacheEvictions.Add(int64(c.insertLocked(k, s, g)))
+	return s
 }
 
 // Header returns a schedule with partition part over the resident op graph
-// of the synthesized shape cfg, streams trees and part's chunk count, or
+// of the synthesized shape cfg, streams trees and part's chunk count — or
+// over the first chunks of a resident carrier of that shape with more —, or
 // nil when none is resident, the cache is disabled or part has an empty
 // chunk (the caller then assembles, and the proof reports it). Like a
 // built-in's same-shape miss, it re-checks nothing: see the safety
@@ -112,23 +179,26 @@ func (c *Cache) Header(cfg Config, streams int, part chunk.Partition) *Schedule 
 	if !cacheable(cfg) || slices.ContainsFunc(part.Sizes, func(size int64) bool { return size <= 0 }) {
 		return nil
 	}
-	k := c.key(cfg).shape(part.NumChunks(), streams)
+	k := c.key(cfg)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	g := c.shapes[k]
-	if c.disabled || g == nil {
+	if c.disabled {
 		return nil
 	}
-	s := *g.s
-	s.Partition = part
-	return &s
+	g := c.residentLocked(k, part.NumChunks(), streams)
+	if g == nil {
+		return nil
+	}
+	return g.header(part)
 }
 
-// ref records one more LRU entry over g. Caller holds c.mu.
+// ref records one more LRU entry over g. A graph entering the cache is
+// indexed unless the index holds one of its shape with at least as many
+// chunks. Caller holds c.mu.
 func (c *Cache) ref(g *opGraph) {
 	if g.refs == 0 {
 		c.retained += g.bytes
-		if c.shapes[g.key] == nil {
+		if cur := c.shapes[g.key]; cur == nil || cur.s.Partition.NumChunks() < g.s.Partition.NumChunks() {
 			c.shapes[g.key] = g
 		}
 	}

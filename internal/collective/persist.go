@@ -30,7 +30,9 @@ import (
 // then decode-fail and are dropped as corrupt, which is the intended
 // migration path (the store is a cache, not a database). Version 2 dropped
 // the per-transfer labels and declares the total dependency count up front.
-const schedCodecVersion = 2
+// Version 3 keeps the byte layout: the overlapped built-ins (tree-overlap,
+// C-Cube) are laid out chunk-major since, so their ops are numbered anew.
+const schedCodecVersion = 3
 
 // storeKey renders a cache key as the store's content address. It is the
 // in-memory cacheKey minus the graph pointer: the pointer is meaningless in

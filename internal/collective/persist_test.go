@@ -184,22 +184,93 @@ func TestDecodeRejectsValuesWiderThanInt32(t *testing.T) {
 	}
 }
 
-// TestDecodeStoredV2Payloads loads payloads written before the op record
-// was narrowed (same wire format, codec version 2) through a cache's
-// verify-on-load, re-encodes them to their own bytes, and executes them to
-// the Totals they had when they were written.
-func TestDecodeStoredV2Payloads(t *testing.T) {
-	g := topology.DGX1(topology.DefaultDGX1Config())
-	for _, tc := range []struct {
-		file  string
+// storedPayloads are the committed store payloads: a chunk-major C-Cube
+// schedule and halving-doubling on the DGX-1, with the Totals they run in.
+func storedPayloads(g *topology.Graph) []struct {
+	name  string
+	cfg   Config
+	total des.Time
+} {
+	return []struct {
+		name  string
 		cfg   Config
 		total des.Time
 	}{
-		{"codec-v2-dgx1-ccube.bin", Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}, 90662},
-		{"codec-v2-dgx1-halving.bin", Config{Graph: g, Algorithm: AlgHalvingDoubling, Bytes: 1 << 20}, 91388},
-	} {
-		t.Run(tc.file, func(t *testing.T) {
-			payload, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		{"dgx1-ccube", Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}, 90662},
+		{"dgx1-halving", Config{Graph: g, Algorithm: AlgHalvingDoubling, Bytes: 1 << 20}, 91388},
+	}
+}
+
+// TestDecodeStoredV2Payloads: payloads written under codec version 2,
+// before the overlapped built-ins were laid out chunk-major, are refused.
+// Under their own v2 address a cache never reads them, and planted under
+// the current address the decoder rejects their version and drops them as
+// corrupt. Either way the request is a miss that builds afresh.
+func TestDecodeStoredV2Payloads(t *testing.T) {
+	g := topology.DGX1(topology.DefaultDGX1Config())
+	for _, tc := range storedPayloads(g) {
+		t.Run("codec-v2-"+tc.name+".bin", func(t *testing.T) {
+			payload, err := os.ReadFile(filepath.Join("testdata", "codec-v2-"+tc.name+".bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			key, ok := StoreKey(tc.cfg)
+			if !ok {
+				t.Fatal("config not cacheable")
+			}
+			if !strings.HasPrefix(key, "ccs/v3/") {
+				t.Fatalf("store key %q does not carry codec version 3", key)
+			}
+			for _, at := range []string{strings.Replace(key, "ccs/v3/", "ccs/v2/", 1), key} {
+				st := openStoreT(t)
+				if err := st.Put(at, payload); err != nil {
+					t.Fatal(err)
+				}
+				c := NewCache()
+				c.SetStore(st)
+				s, err := c.Build(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantCorrupt := uint64(0)
+				if at == key {
+					wantCorrupt = 1
+				}
+				if got := st.Stats(); got.Hits != 0 || got.Corrupt != wantCorrupt {
+					t.Fatalf("under %q: store stats = %+v, want no hit and %d corrupt", at, got, wantCorrupt)
+				}
+				full, err := Build(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !schedulesEqual(s, full) {
+					t.Fatalf("under %q: the miss did not build the current schedule", at)
+				}
+			}
+		})
+	}
+}
+
+// TestDecodeStoredV3Payloads loads the committed codec version 3 payloads
+// through a cache's verify-on-load, re-encodes them to their own bytes, and
+// executes them to the Totals they had when they were written. Rewrite them
+// with -update only after a deliberate codec or layout change.
+func TestDecodeStoredV3Payloads(t *testing.T) {
+	g := topology.DGX1(topology.DefaultDGX1Config())
+	for _, tc := range storedPayloads(g) {
+		file := "codec-v3-" + tc.name + ".bin"
+		t.Run(file, func(t *testing.T) {
+			path := filepath.Join("testdata", file)
+			if *update {
+				s, err := Build(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, encodeSchedule(s), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			payload, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -506,7 +577,11 @@ func TestStoreConcurrentCaches(t *testing.T) {
 // TestIncrementalMatchesFullBuild pins the same-shape header's equivalence
 // claim for every built-in algorithm: a miss served by a header over a
 // resident op graph must be deep-equal to a from-scratch build at the new
-// size, and must share that op graph rather than copy it.
+// size, and must share that op graph rather than copy it. The prefix/
+// subtests pin the prefix header's: on the overlapped built-ins (DGX-1 and
+// cluster:64) and a forest, every chunk count k up to the carrier's 128 is
+// a header over the carrier's first chunks, deep-equal to a cold build,
+// running identically, with the carrier's bytes counted once (prefixCases).
 func TestIncrementalMatchesFullBuild(t *testing.T) {
 	g := topology.DGX1(topology.DefaultDGX1Config())
 	cases := []struct {
@@ -562,6 +637,9 @@ func TestIncrementalMatchesFullBuild(t *testing.T) {
 				t.Fatalf("header executes in %v, full build in %v", rh.Total, rf.Total)
 			}
 		})
+	}
+	for _, pc := range prefixCases(t) {
+		t.Run("prefix/"+pc.name, func(t *testing.T) { checkPrefixes(t, pc) })
 	}
 }
 
@@ -653,7 +731,7 @@ func TestCacheRetainsOneOpGraphPerShape(t *testing.T) {
 	if got, want := c.RetainedBytes(), opGraphBytes(a); got != want || len(c.shapes) != 1 {
 		t.Fatalf("two sizes retain %d bytes in %d shapes, want one op graph of %d", got, len(c.shapes), want)
 	}
-	key := c.key(tree).shape(8, 0)
+	key := c.key(tree).shape(anyChunks, 0) // a prefix carrier, indexed without its chunk count
 	if c.shapes[key] == nil || c.shapes[key].refs != 2 {
 		t.Fatal("the shape index does not hold the op graph both sizes reference")
 	}

@@ -338,6 +338,15 @@ func routeOrShared(g *topology.Graph, r *topology.Router, from, to topology.Node
 // is fully reduced at the root (the paper's overlapped tree, Fig. 5(c),
 // Observations #1 and #2).
 //
+// The overlapped trees are laid out chunk-major (chunkMajor), so a k-chunk
+// schedule is the first k chunks of any longer one, unless two of their
+// hops share a channel (sharedHops); those and the separated trees are laid
+// out tree-major (buildSingleTree). The DES grants a channel's
+// simultaneously ready transfers in id order. On an unshared channel the
+// FIFO chain already orders every transfer, so the layouts run
+// identically; on a shared one tree-major ids give tree 0 the ties, and
+// chunk-major ids would change the schedule's timing.
+//
 // FIFO dependencies between consecutive chunks on every hop model the
 // persistent-kernel execution: a channel kernel processes chunks strictly in
 // order, which is what gives the tree algorithm its in-order property
@@ -356,6 +365,9 @@ func buildTreeSchedule(g *topology.Graph, nodes []topology.NodeID, part chunk.Pa
 			return nil, err
 		}
 	}
+	if overlap && !sharedHops(g, routed) {
+		return chunkMajor(g, nodes, part, routed)
+	}
 	f, err := newForest(g, nodes, part, routed, overlap)
 	if err != nil {
 		return nil, err
@@ -366,11 +378,32 @@ func buildTreeSchedule(g *topology.Graph, nodes []topology.NodeID, part chunk.Pa
 	return f.s, nil
 }
 
+// sharedHops reports whether two hops of the routed trees ride one
+// channel, which only routeOrShared's fallback produces.
+func sharedHops(g *topology.Graph, trees []RoutedTree) bool {
+	used := make([]bool, g.NumChannels())
+	for _, rt := range trees {
+		for _, routes := range [2][]topology.Route{rt.Up, rt.Down} {
+			for _, r := range routes {
+				for _, ch := range r.Channels {
+					if used[ch] {
+						return true
+					}
+					used[ch] = true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // forest is an AllReduce schedule under construction over routed trees,
 // chunk c riding tree c mod len(trees): per tree, its reduction and
-// broadcast phases. Trees are laid out tree-major (buildSingleTree, the
-// built-in algorithms) or chunk-major (chunkMajor, AssembleForest); the two
-// orders number the same ops differently.
+// broadcast phases. The separated trees, and overlapped ones sharing a
+// channel, are laid out tree-major (buildSingleTree); the other overlapped
+// built-ins and AssembleForest's forests chunk-major (chunkMajor), so
+// chunks [0, k) of a K-chunk forest are its first ops, and the cache serves
+// a k-chunk request as a header over that prefix (incremental.go).
 type forest struct {
 	s        *Schedule
 	up, down []treePhase

@@ -1360,3 +1360,74 @@ func (ck *checker) windowProgram(end int) *Program {
 func (ck *checker) ownSlot(r, c int32) bool {
 	return int(r) < len(ck.p.Ops) && ck.p.Ops[r].Chunk == c
 }
+
+// --- chunk prefixes ---------------------------------------------------------
+
+// A chunk-major program's chunk prefix is proved with it. The overlapped
+// built-ins (unless two of their hops share a channel) and synthesized
+// forests are laid out chunk by chunk, so the ops of chunks [0, k) are the
+// program's first n_k ops, and the cache serves a k-chunk request as the
+// sub-program Ops[:n_k], DepOff[:n_k+1] and DepList[:DepOff[n_k]] of a
+// proved one with more chunks, over the new chunk sizes, with no second
+// Check (collective's prefix headers).
+//
+// ChunkPrefixes certifies what that needs, in O(ops+deps):
+//   - chunk-major: op chunks never fall in id order, so chunk c's ops are
+//     the contiguous range [off[c], off[c+1]);
+//   - chunk-closed, the periodic window's rule: no op depends on an op of a
+//     later chunk, a marker depends only on ops of its own chunk, and every
+//     relay slot an op reads or writes belongs to an op of its own chunk.
+//
+// Why the prefix's verdict is the whole program's. By closure every
+// dependency and relay reference of a prefix op names an op of a chunk
+// below k, so the prefix is closed under both: it holds every ancestor of
+// its ops, and every path between two of them. Each question Check asks
+// about chunks [0, k) — one op and its relay slot's owner and readers, one
+// region (chunk, node) and the ops touching it, the order of two finals of
+// one stream and the marker chains below them — is about ops of those
+// chunks and their ancestors, exactly as in the window argument above, so
+// it has the same answer in the prefix as in the whole program. The
+// program-wide questions (graph, participants, in-order claim, streams)
+// are unchanged, and the new chunk sizes must be positive, which every
+// chunk.Split* partition is. The CSR prefix is well formed because DepOff
+// is non-decreasing and DepOff[n_k] ends the prefix's lists. So a proved
+// program's prefix of any k >= 1 chunks passes Check, and the cache only
+// needs the offsets. (It also asks k >= Streams, as every build does.)
+
+// ChunkPrefixes returns the op offsets of p's chunks when p is chunk-major
+// and chunk-closed: chunk c's ops are p.Ops[off[c]:off[c+1]], and off has
+// NumChunks+1 entries. It returns nil when p is neither, or is malformed.
+func ChunkPrefixes(p *Program) []int32 {
+	n, k := len(p.Ops), p.NumChunks
+	if k <= 0 || len(p.DepOff) != n+1 || p.DepOff[0] != 0 || int(p.DepOff[n]) != len(p.DepList) {
+		return nil
+	}
+	off := make([]int32, k+1)
+	c := int32(0)
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		if op.Chunk < c || int(op.Chunk) >= k || p.DepOff[i+1] < p.DepOff[i] {
+			return nil
+		}
+		for ; c < op.Chunk; c++ {
+			off[c+1] = int32(i)
+		}
+		for _, r := range [2]int32{op.Src.Relay, op.Dst.Relay} {
+			if r >= 0 && (int(r) >= n || p.Ops[r].Chunk != c) {
+				return nil
+			}
+		}
+		for _, d := range p.Deps(i) {
+			if d < 0 || int(d) >= n {
+				return nil
+			}
+			if dc := p.Ops[d].Chunk; dc > c || op.Marker() && dc != c {
+				return nil
+			}
+		}
+	}
+	for ; int(c) < k; c++ {
+		off[c+1] = int32(n)
+	}
+	return off
+}

@@ -3,6 +3,7 @@ package schedcheck_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ccube/internal/collective"
@@ -213,18 +214,25 @@ func TestBandMemory(t *testing.T) {
 }
 
 // TestFailingCheckStaysBanded drops every dependency of one mid-schedule
-// transfer of the cluster:64 C-Cube schedule (128 chunks, 16,256 ops). The
-// report must still equal both references', and the exact reporting pass
-// must plan its questions into the band rather than fall back to the full
-// triangle: the closure stays under a tenth of it.
+// broadcast hop of the cluster:64 C-Cube schedule (128 chunks, 16,256 ops).
+// The hop is picked by role: a delivery that depends on its own chunk's
+// data, so dropping its dependencies is a real hazard. (A hop whose only
+// dependency is the FIFO edge to the chunk before, like a leaf's reduce
+// send, stays correct without it.) The report must still equal both
+// references', and the exact reporting pass must plan its questions into
+// the band rather than fall back to the full triangle: the closure stays
+// under a tenth of it.
 func TestFailingCheckStaysBanded(t *testing.T) {
 	p := buildProgram(t, collective.Config{
 		Graph:     topology.Hierarchy(topology.DefaultHierarchyConfig(64)),
 		Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 64 << 20, Chunks: 128,
 		AllowSharedChannels: true,
 	}).Clone()
+	dataDep := func(i int) bool {
+		return slices.ContainsFunc(p.Deps(i), func(d int32) bool { return p.Ops[d].Chunk == p.Ops[i].Chunk })
+	}
 	i := len(p.Ops) / 2
-	for p.Ops[i].Marker() || len(p.Deps(i)) == 0 {
+	for p.Ops[i].Marker() || p.Ops[i].Final < 0 || !dataDep(i) {
 		i++
 	}
 	deps := depLists(p)

@@ -350,3 +350,73 @@ func mutate(p *schedcheck.Program, deps [][]int, x int, kind uint8, pick uint16)
 	}
 	return true
 }
+
+// TestChunkPrefixes pins the prefix certificate both ways. On the
+// chunk-major overlapped built-ins every chunk prefix it offers — the
+// sub-program Ops[:off[k]] over the first k chunk sizes — passes Check, as
+// the soundness note claims. And it refuses a program whose chunks fall in
+// id order, or that breaks closure: a dependency on a later chunk, a marker
+// depending on an earlier chunk, a relay slot read across chunks (the
+// DGX-1 trees' detour hops read relay slots).
+func TestChunkPrefixes(t *testing.T) {
+	relayCovered := false
+	for _, cfg := range []collective.Config{
+		{Graph: topology.DGX1(topology.DefaultDGX1Config()), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 12},
+		{Graph: topology.DGX1(topology.DefaultDGX1Config()), Algorithm: collective.AlgTreeOverlap, Bytes: 1 << 20, Chunks: 9},
+		{Graph: topology.FullyConnected(8, topology.NVLinkBandwidth, topology.NVLinkLatency), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 10},
+	} {
+		name := fmt.Sprintf("%v/%d", cfg.Algorithm, cfg.Chunks)
+		p := buildProgram(t, cfg)
+		off := schedcheck.ChunkPrefixes(p)
+		if off == nil {
+			t.Fatalf("%s: a chunk-major built-in was refused", name)
+		}
+		for k := 1; k <= p.NumChunks; k++ {
+			n := off[k]
+			d := p.DepOff[n]
+			sub := *p
+			sub.NumChunks, sub.ChunkBytes = k, p.ChunkBytes[:k]
+			sub.Ops, sub.DepOff, sub.DepList = p.Ops[:n:n], p.DepOff[:n+1:n+1], p.DepList[:d:d]
+			if r := checkBoth(t, &sub); !r.OK() {
+				t.Fatalf("%s: the %d-chunk prefix fails Check: %v", name, k, r.Err())
+			}
+		}
+
+		// Each mutation breaks one rule on a clone; pick returns the first
+		// op of chunk 1 matching pred, or -1.
+		pick := func(pred func(op *schedcheck.Op) bool) int {
+			for i := off[1]; i < off[2]; i++ {
+				if pred(&p.Ops[i]) {
+					return int(i)
+				}
+			}
+			return -1
+		}
+		addDep := func(i, d int) func(q *schedcheck.Program) {
+			return func(q *schedcheck.Program) {
+				deps := depLists(q)
+				deps[i] = append(deps[i], d)
+				q.SetDeps(deps)
+			}
+		}
+		mutations := map[string]func(q *schedcheck.Program){
+			"chunks fall":                func(q *schedcheck.Program) { q.Ops[len(q.Ops)-1].Chunk-- },
+			"later-chunk dependency":     addDep(pick(func(op *schedcheck.Op) bool { return !op.Marker() }), int(off[2])),
+			"marker on an earlier chunk": addDep(pick(func(op *schedcheck.Op) bool { return op.Marker() }), 0),
+		}
+		if i := pick(func(op *schedcheck.Op) bool { return op.Src.IsRelay() }); i >= 0 {
+			relayCovered = true
+			mutations["relay slot across chunks"] = func(q *schedcheck.Program) { q.Ops[i].Src.Relay = 0 }
+		}
+		for rule, mutate := range mutations {
+			q := p.Clone()
+			mutate(q)
+			if schedcheck.ChunkPrefixes(q) != nil {
+				t.Errorf("%s: %s: certified", name, rule)
+			}
+		}
+	}
+	if !relayCovered {
+		t.Error("no program read a relay slot, so the relay rule went untested")
+	}
+}
