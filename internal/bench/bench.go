@@ -78,12 +78,22 @@ func cluster64CCube() collective.Config {
 }
 
 // cluster64Tree is the separated tree on the 64-GPU cluster at 96 chunks:
-// its barrier marker carries the last chunk's index, so Check proves it in
-// full, past the periodic window.
+// its barrier is a cut between the reduction and the broadcast, so Check
+// proves it by its periodic window, chunks [0, 3) plus the barrier.
 func cluster64Tree() collective.Config {
 	return collective.Config{
 		Graph:     topology.Hierarchy(topology.DefaultHierarchyConfig(64)),
 		Algorithm: collective.AlgTree, Bytes: 64 << 20, Chunks: 96,
+		AllowSharedChannels: true,
+	}
+}
+
+// cluster64Ring is the ring on the 64-GPU cluster (8,128 ops): it has no
+// short period, so Check proves it in full, which keeps the full path gated.
+func cluster64Ring() collective.Config {
+	return collective.Config{
+		Graph:     topology.Hierarchy(topology.DefaultHierarchyConfig(64)),
+		Algorithm: collective.AlgRing, Bytes: 64 << 20,
 		AllowSharedChannels: true,
 	}
 }
@@ -117,8 +127,8 @@ func executeBench(cfg func() collective.Config) func() (func() error, error) {
 // checkBench times one verification of a built schedule: the cold-path
 // Check every full build pays. The dgx1 shape (~700 transfers) is the size
 // plan_unique verifies six of per request, where per-call setup dominates.
-// The cluster:64 C-Cube shape is proved by its periodic window, the
-// separated tree in full.
+// The cluster:64 C-Cube and separated tree shapes are proved by their
+// periodic windows, the ring in full.
 func checkBench(cfg func() collective.Config) func() (func() error, error) {
 	return func() (func() error, error) {
 		s, err := collective.Build(cfg())
@@ -200,6 +210,7 @@ func benchmarks() []benchmark {
 		}},
 		{"Check/cluster64-ccube-128chunks", true, checkBench(cluster64CCube)},
 		{"Check/cluster64-tree-96chunks", true, checkBench(cluster64Tree)},
+		{"Check/cluster64-ring", true, checkBench(cluster64Ring)},
 		{"Check/dgx1-ccube-16MiB", true, checkBench(dgx1CCube)},
 		{"Synthesize/dgx1", true, func() (func() error, error) {
 			// One op is a cold compile (NoCache) at each of
@@ -489,6 +500,7 @@ var Budgets = map[string]int64{
 	"Cache/resize-cluster64-ccube-128chunks": 12,
 	"Check/cluster64-ccube-128chunks":        2,
 	"Check/cluster64-tree-96chunks":          2,
+	"Check/cluster64-ring":                   2,
 	"Check/dgx1-ccube-16MiB":                 2,
 	"Synthesize/dgx1":                        950,
 	"Train/dgx1-resnet50-CC":                 213,

@@ -10,12 +10,13 @@ import (
 
 // BenchmarkCheck times the verifier on real schedules: the six DGX-1
 // built-ins at 64 MiB (cost-model chunk count), the C-Cube and overlapped
-// tree schedules on the 64-GPU cluster hierarchy at 128 chunks, and the tree
+// tree schedules on the 64-GPU cluster hierarchy at 128 chunks, the tree
 // schedules the served /v1/simulate requests verify cold there, at 96
-// chunks. The overlapped trees are proved by their periodic window, the
-// separated tree and double tree in full. Schedules are built and lowered
-// outside the timer; ns/transfer divides by every op checked, and
-// closure-B/transfer is the reachability closure the full path builds.
+// chunks, and the ring there. Every tree schedule is proved by its periodic
+// window (the separated tree and double tree through their barriers' cuts),
+// the ring in full. Schedules are built and lowered outside the timer;
+// ns/transfer divides by every op checked, and closure-B/transfer is the
+// reachability closure the full path builds.
 func BenchmarkCheck(b *testing.B) {
 	b.Run("dgx1-builtins-64MiB", func(b *testing.B) {
 		g := dgx1()
@@ -37,6 +38,7 @@ func BenchmarkCheck(b *testing.B) {
 		{"cluster64-double-tree-96chunks", collective.AlgDoubleTree, 96},
 		{"cluster64-tree-overlap-96chunks", collective.AlgTreeOverlap, 96},
 		{"cluster64-tree-96chunks", collective.AlgTree, 96},
+		{"cluster64-ring", collective.AlgRing, 0},
 	}
 	for _, c := range cluster {
 		b.Run(c.name, func(b *testing.B) {

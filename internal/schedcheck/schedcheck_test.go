@@ -385,9 +385,11 @@ func TestCatchesDoubleReduce(t *testing.T) {
 }
 
 // TestCatchesMissingFinal removes one final from an in-order schedule, just
-// after a larger program went through the pool of checkers: the order proof
-// must skip the region with no final, not read a final the previous program
-// left behind, and the report must match the references'.
+// after a larger program went through the pool of checkers on the full path
+// (CheckFull: Check would prove it by its window, and leave only the
+// window's finals behind): the order proof must skip the region with no
+// final, not read a final the previous program left behind, and the report
+// must match the references'.
 func TestCatchesMissingFinal(t *testing.T) {
 	p := treeProgram(t)
 	if !p.InOrder {
@@ -402,7 +404,7 @@ func TestCatchesMissingFinal(t *testing.T) {
 			Graph: fullyConnected(16), Algorithm: collective.AlgTree, Bytes: 1 << 20, Chunks: 64,
 			AllowSharedChannels: true,
 		})
-		schedcheck.Check(big)
+		schedcheck.CheckFull(big)
 		r := checkBoth(t, p)
 		if !hasClass(r, schedcheck.ClassConservation) {
 			t.Fatalf("missing final not flagged: %s", r.Summary())
