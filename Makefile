@@ -63,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzPackForest$$' -fuzztime=10s ./internal/synth
 	$(GO) test -run='^$$' -fuzz='^FuzzSchedCheck$$' -fuzztime=20s ./internal/schedcheck
 	$(GO) test -run='^$$' -fuzz='^FuzzPeriodicWindow$$' -fuzztime=10s ./internal/schedcheck
+	$(GO) test -run='^$$' -fuzz='^FuzzPhasePrefix$$' -fuzztime=10s ./internal/schedcheck
 	$(GO) test -fuzz='^FuzzDecodeSchedule$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/collective
 	$(GO) test -run='^$$' -fuzz='^FuzzPrefixHeader$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/collective
 

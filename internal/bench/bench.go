@@ -208,6 +208,27 @@ func benchmarks() []benchmark {
 			}
 			return op, nil
 		}},
+		{"Build/cluster64-tree-derived", true, func() (func() error, error) {
+			// A miss served by a derived schedule: the cache holds the
+			// cluster:64 separated tree at 128 chunks, and every op asks
+			// for 68 chunks, as simulate_scale pins chunk counts below the
+			// carrier's. It is a copy of the carrier's first chunks of each
+			// phase with the barrier re-pointed, with nothing built or
+			// proved. Each op then evicts its entry, so the next one
+			// derives again rather than finding a header over this one's.
+			c := collective.NewCache()
+			cfg := cluster64Tree()
+			cfg.Chunks = 128
+			if _, err := c.Build(cfg); err != nil {
+				return nil, err
+			}
+			cfg.Chunks = 68
+			return func() error {
+				_, err := c.Build(cfg)
+				c.Evict(cfg)
+				return err
+			}, nil
+		}},
 		{"Check/cluster64-ccube-128chunks", true, checkBench(cluster64CCube)},
 		{"Check/cluster64-tree-96chunks", true, checkBench(cluster64Tree)},
 		{"Check/cluster64-ring", true, checkBench(cluster64Ring)},
@@ -497,6 +518,7 @@ var Budgets = map[string]int64{
 	"Execute/dgx1-ccube-16MiB":               6,
 	"Build/cluster64-ccube-128chunks":        444,
 	"Build/cluster64-ccube-prefix":           12,
+	"Build/cluster64-tree-derived":           15,
 	"Cache/resize-cluster64-ccube-128chunks": 12,
 	"Check/cluster64-ccube-128chunks":        2,
 	"Check/cluster64-tree-96chunks":          2,

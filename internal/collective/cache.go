@@ -68,15 +68,17 @@ type Cache struct {
 	disk *store.Store
 
 	// incremental counts misses served by a header over a resident
-	// same-shape op graph or a prefix of one (incremental.go) instead of a
-	// full build.
+	// same-shape op graph or a prefix of one, or derived from a resident
+	// phase-prefix carrier (incremental.go), instead of a full build.
 	incremental uint64
 
-	// shapes indexes the resident op graphs by shape, a prefix carrier
-	// without its chunk count; an entry lives exactly as long as some LRU
-	// entry references its graph, or until a carrier with more chunks
-	// takes its place. retained is the bytes of every resident op graph,
-	// each counted once, and retainedGauge, when set, publishes it.
+	// shapes indexes the resident op graphs by shape, a prefix or
+	// phase-prefix carrier without its chunk count; an entry lives exactly
+	// as long as some LRU entry references its graph (a carrier, also
+	// while a graph derived from it is resident), or until a carrier with
+	// more chunks takes its place. retained is the bytes of every resident
+	// op graph, each counted once, and retainedGauge, when set, publishes
+	// it.
 	shapes        map[cacheKey]*opGraph
 	retained      int64
 	retainedGauge *metrics.Gauge
@@ -180,10 +182,14 @@ func (c *Cache) key(cfg Config) cacheKey {
 // header over that graph: the new partition and nothing else, with no
 // construction and no proof to redo. A chunk-major graph (the overlapped
 // tree, C-Cube) is indexed without its chunk count and serves every count
-// up to its own, as a header over its first chunks; a miss for more chunks
-// than any resident one holds builds the new, larger carrier (see
-// incremental.go). Headers and builds write the result through to the disk
-// store, so the next process starts at level 1.
+// up to its own, as a header over its first chunks. So is a separated tree
+// or double tree, which serves a smaller count by a derived schedule: a
+// copy of each tree's first chunks of both phases with the barrier
+// re-pointed, not re-proved, whose entry holds the carrier resident. A
+// miss for more chunks than any resident carrier holds builds the new,
+// larger carrier (see incremental.go). Headers, derived schedules and
+// builds write the result through to the disk store, so the next process
+// starts at level 1.
 func (c *Cache) Build(cfg Config) (*Schedule, error) {
 	return c.buildThrough(cfg, func() (*Schedule, error) { return Build(cfg) })
 }
@@ -317,6 +323,24 @@ func (c *Cache) insertLocked(k cacheKey, s *Schedule, g *opGraph) (evicted int) 
 	return evicted
 }
 
+// Evict drops cfg's entry, if the cache holds one, as the capacity bound
+// would, without counting an eviction: its op graph leaves the shape index
+// with the last entry over it. The bench of a derived miss uses it, so each
+// of its requests misses again instead of finding the last one's op graph.
+func (c *Cache) Evict(cfg Config) {
+	if !cacheable(cfg) {
+		return
+	}
+	k := c.key(cfg)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[k]; ok {
+		delete(c.entries, k)
+		c.unref(c.lru.Remove(el).(*lruEntry).g)
+		c.retainedGauge.Set(float64(c.retained))
+	}
+}
+
 // Stats reports cache hits and misses since construction (or the last
 // Clear). Errors count toward neither; evicted entries keep their recorded
 // hits and misses.
@@ -335,8 +359,9 @@ func (c *Cache) Evictions() uint64 {
 }
 
 // IncrementalBuilds reports how many misses were served by a header over a
-// resident same-shape op graph, or a prefix of one, instead of a full
-// build, since construction (or the last Clear).
+// resident same-shape op graph or a prefix of one, or derived from a
+// resident carrier, instead of a full build, since construction (or the
+// last Clear).
 func (c *Cache) IncrementalBuilds() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -36,6 +36,19 @@ import (
 // reach the carrier's arrays. A request for more chunks than any resident
 // carrier holds builds, and its graph becomes the carrier.
 //
+// Derived schedules: the separated tree and double tree are laid out tree
+// by tree (buildSingleTree): each tree's reductions, its barrier, then its
+// broadcasts. So a k-chunk schedule is not a prefix of a longer one, but it
+// is, tree by tree, the first chunks of each phase with the barrier
+// re-pointed to the last root-ready marker below k. A graph of that layout
+// whose barriers may move (schedcheck.PhasePrefixes, O(ops+deps), run once
+// when it enters the shape index) is a phase-prefix carrier, indexed like a
+// prefix carrier. A k-chunk miss, t <= k < K, is served by a copy of its
+// kept ops, with ids, relay slots and dependencies shifted per phase
+// (schedcheck.Phases.Derive: one linear pass, two allocations). The copy
+// is its own op graph, indexed under its exact shape so other sizes of it
+// are headers over it, and it holds its carrier resident while it is.
+//
 // Safety argument for skipping the static verifier on this path: the op
 // graph was proved by Check when it entered the cache (by its periodic
 // window or in full, with the same Report either way), and every class
@@ -45,14 +58,15 @@ import (
 // new partition meets by construction (chunk.Split, SplitAtMost and
 // SplitRates emit no empty chunk). A prefix of a chunk-major, chunk-closed
 // graph answers every question Check asks about its chunks as the whole
-// graph does; the argument is in schedcheck's checks.go ("chunk prefixes").
-// TestIncrementalMatchesFullBuild pins the equivalence for the built-ins,
-// prefixes included, and synth's TestHeaderMatchesColdCompile for
-// synthesized schedules: a header and a fresh build of the same config are
-// deep-equal.
+// graph does, and a derived schedule every question about its kept ops;
+// the arguments are in schedcheck's checks.go ("chunk prefixes", "phase
+// prefixes"). TestIncrementalMatchesFullBuild pins the equivalence for the
+// built-ins, prefixes and derived schedules included, and synth's
+// TestHeaderMatchesColdCompile for synthesized schedules: a header or a
+// derived schedule and a fresh build of the same config are deep-equal.
 
-// anyChunks is the chunk count in the shape key of a prefix carrier, which
-// serves every chunk count up to its own.
+// anyChunks is the chunk count in the shape key of a prefix or phase-prefix
+// carrier, which serves every chunk count up to its own.
 const anyChunks = -1
 
 // shape returns the key of k's op graph, the shape index's key: k without
@@ -70,9 +84,9 @@ func (k cacheKey) shape(chunks, streams int) cacheKey {
 }
 
 // opGraph is one verified op graph the cache holds: the schedule it was
-// verified in, referenced by every LRU entry whose schedule is that one or
-// a header over it, and indexed under key while no other graph of that
-// shape is (for a prefix carrier: no other with as many chunks).
+// verified in (or derived as), referenced by every LRU entry whose schedule
+// is that one or a header over it, and indexed under key while no other
+// graph of that shape is (for a carrier: no other with as many chunks).
 type opGraph struct {
 	s     *Schedule
 	key   cacheKey
@@ -81,14 +95,24 @@ type opGraph struct {
 	// chunkOff, for a prefix carrier, holds its chunks' op offsets: chunk
 	// c's ops are s.ops[chunkOff[c]:chunkOff[c+1]]. It is nil otherwise.
 	chunkOff []int32
+	// phases, for a phase-prefix carrier, certifies its layout for derive.
+	// It is nil otherwise.
+	phases *schedcheck.Phases
+	// carrier, for a derived op graph, is the phase-prefix carrier it was
+	// copied from, which it holds resident. It is nil otherwise.
+	carrier *opGraph
 }
 
 // newOpGraph records s, cached under k, as its own op graph, keyed as a
-// prefix carrier when it qualifies.
+// prefix or phase-prefix carrier when it qualifies.
 func newOpGraph(k cacheKey, s *Schedule) *opGraph {
-	g := &opGraph{s: s, bytes: opGraphBytes(s), chunkOff: schedcheck.ChunkPrefixes(s.Program())}
+	p := s.Program()
+	g := &opGraph{s: s, bytes: opGraphBytes(s), chunkOff: schedcheck.ChunkPrefixes(p)}
+	if g.chunkOff == nil {
+		g.phases = schedcheck.PhasePrefixes(p)
+	}
 	chunks := s.Partition.NumChunks()
-	if g.chunkOff != nil {
+	if g.chunkOff != nil || g.phases != nil {
 		chunks = anyChunks
 	}
 	g.key = k.shape(chunks, s.Streams)
@@ -96,8 +120,13 @@ func newOpGraph(k cacheKey, s *Schedule) *opGraph {
 }
 
 // header returns a schedule with partition part over g: over all of it, or
-// over its first part.NumChunks() chunks when g is a prefix carrier.
+// over its first part.NumChunks() chunks when g is a prefix carrier. It
+// returns nil for fewer chunks than a phase-prefix carrier holds, which
+// derive serves.
 func (g *opGraph) header(part chunk.Partition) *Schedule {
+	if g.phases != nil && part.NumChunks() < g.s.Partition.NumChunks() {
+		return nil
+	}
 	s := *g.s
 	s.Partition = part
 	if g.chunkOff != nil {
@@ -106,6 +135,16 @@ func (g *opGraph) header(part chunk.Partition) *Schedule {
 		s.ops, s.depOff, s.deps = s.ops[:n:n], s.depOff[:n+1:n+1], s.deps[:d:d]
 	}
 	return &s
+}
+
+// derive returns the op graph, cached under k, of the schedule with
+// partition part derived from g, a phase-prefix carrier with more chunks:
+// a copy of its kept ops with its stamp, holding g resident.
+func (g *opGraph) derive(k cacheKey, part chunk.Partition) *opGraph {
+	s := *g.s
+	s.Partition = part
+	s.ops, s.depOff, s.deps = g.phases.Derive(g.s.Program(), part.NumChunks())
+	return &opGraph{s: &s, key: k.shape(part.NumChunks(), s.Streams), bytes: opGraphBytes(&s), carrier: g}
 }
 
 // holds reports whether s is g's schedule or a header over it.
@@ -135,9 +174,9 @@ func shapePartition(cfg Config) (chunk.Partition, bool) {
 
 // residentLocked returns the resident op graph that serves chunks chunks
 // of k's shape (streams trees, for a synthesized one): the graph of exactly
-// that shape, or a prefix carrier with at least chunks chunks, and chunks
-// at least its stream count, which every build of the shape needs. Caller
-// holds c.mu.
+// that shape, or a prefix or phase-prefix carrier with at least chunks
+// chunks, and chunks at least its stream count, which every build of the
+// shape needs. Caller holds c.mu.
 func (c *Cache) residentLocked(k cacheKey, chunks, streams int) *opGraph {
 	if g := c.shapes[k.shape(chunks, streams)]; g != nil {
 		return g
@@ -150,20 +189,31 @@ func (c *Cache) residentLocked(k cacheKey, chunks, streams int) *opGraph {
 }
 
 // fromShape serves the miss on k with partition part from a resident op
-// graph of its shape, and caches the header under k. It returns nil, and
-// changes nothing, when no such op graph is resident.
+// graph of its shape, and caches the result under k: a header, or a
+// schedule derived from a phase-prefix carrier. It returns nil, and changes
+// nothing, when no such op graph is resident.
 func (c *Cache) fromShape(k cacheKey, part chunk.Partition) *Schedule {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	g := c.residentLocked(k, part.NumChunks(), 0)
 	if g == nil {
+		c.mu.Unlock()
 		return nil
 	}
 	// The header: the ops, dependency CSR and stamp are the op graph's own.
 	s := g.header(part)
+	if s == nil {
+		// Copy outside the lock: the carrier is immutable, and the copy
+		// holds it resident once inserted.
+		c.mu.Unlock()
+		g = g.derive(k, part)
+		s = g.s
+		c.mu.Lock()
+	}
 	c.misses++
 	c.incremental++
-	mCacheEvictions.Add(int64(c.insertLocked(k, s, g)))
+	evicted := c.insertLocked(k, s, g)
+	c.mu.Unlock()
+	mCacheEvictions.Add(int64(evicted))
 	return s
 }
 
@@ -194,19 +244,22 @@ func (c *Cache) Header(cfg Config, streams int, part chunk.Partition) *Schedule 
 
 // ref records one more LRU entry over g. A graph entering the cache is
 // indexed unless the index holds one of its shape with at least as many
-// chunks. Caller holds c.mu.
+// chunks, and a derived one holds its carrier. Caller holds c.mu.
 func (c *Cache) ref(g *opGraph) {
 	if g.refs == 0 {
 		c.retained += g.bytes
 		if cur := c.shapes[g.key]; cur == nil || cur.s.Partition.NumChunks() < g.s.Partition.NumChunks() {
 			c.shapes[g.key] = g
 		}
+		if g.carrier != nil {
+			c.ref(g.carrier)
+		}
 	}
 	g.refs++
 }
 
 // unref drops one LRU entry's reference to g, and g itself from the shape
-// index with its last one. Caller holds c.mu.
+// index with its last one, releasing its carrier. Caller holds c.mu.
 func (c *Cache) unref(g *opGraph) {
 	g.refs--
 	if g.refs == 0 {
@@ -214,12 +267,16 @@ func (c *Cache) unref(g *opGraph) {
 		if c.shapes[g.key] == g {
 			delete(c.shapes, g.key)
 		}
+		if g.carrier != nil {
+			c.unref(g.carrier)
+		}
 	}
 }
 
 // RetainedBytes reports the bytes of the op graphs the cache holds — ops
 // plus dependency CSR — counting a graph shared by several message sizes
-// once. Headers and partitions are not counted.
+// once: a derived graph counts its own ops, and its carrier once. Headers
+// and partitions are not counted.
 func (c *Cache) RetainedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -582,6 +582,11 @@ func TestStoreConcurrentCaches(t *testing.T) {
 // cluster:64) and a forest, every chunk count k up to the carrier's 128 is
 // a header over the carrier's first chunks, deep-equal to a cold build,
 // running identically, with the carrier's bytes counted once (prefixCases).
+// The derived/ subtests pin the derived schedule's: on the separated tree
+// and double tree (DGX-1, fc:8, fc:16, cluster:32, cluster:64, shared
+// channels or not), every chunk count k from the stream count up to the
+// carrier's 128 is derived from the carrier, deep-equal to a cold build,
+// running identically and summing correctly (derivedCases, checkDerived).
 func TestIncrementalMatchesFullBuild(t *testing.T) {
 	g := topology.DGX1(topology.DefaultDGX1Config())
 	cases := []struct {
@@ -640,6 +645,9 @@ func TestIncrementalMatchesFullBuild(t *testing.T) {
 	}
 	for _, pc := range prefixCases(t) {
 		t.Run("prefix/"+pc.name, func(t *testing.T) { checkPrefixes(t, pc) })
+	}
+	for _, dc := range derivedCases() {
+		t.Run("derived/"+dc.name, func(t *testing.T) { checkDerived(t, dc.cfg) })
 	}
 }
 

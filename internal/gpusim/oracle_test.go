@@ -86,6 +86,24 @@ func TestDifferentialOracle(t *testing.T) {
 			}
 			return patched
 		}},
+		oracleCase{name: "dgx1/derived", build: func(t *testing.T) *collective.Schedule {
+			// A separated double tree derived from a larger carrier: each
+			// tree's first chunks of both phases, the barrier re-pointed.
+			c := collective.NewCache()
+			cfg := collective.Config{Graph: dgx1(), Algorithm: collective.AlgDoubleTree, Bytes: 1 << 20, Chunks: 24}
+			if _, err := c.Build(cfg); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Chunks = 9
+			s, err := c.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.IncrementalBuilds() != 1 {
+				t.Fatal("the 9-chunk double tree was not derived from the 24-chunk carrier")
+			}
+			return s
+		}},
 		oracleCase{name: "dgx1/resumed", build: resumed},
 		oracleCase{name: "hierarchical/2-boxes", build: func(t *testing.T) *collective.Schedule {
 			return hierSchedule(t, 2, 8, true)

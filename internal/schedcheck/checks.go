@@ -1720,3 +1720,248 @@ func ChunkPrefixes(p *Program) []int32 {
 	}
 	return off
 }
+
+// --- phase prefixes ---------------------------------------------------------
+
+// A two-phase program's phase prefix is proved with it. The separated tree
+// and double tree (the 2(log P + K)-step baseline C1 overlaps) are laid out
+// tree by tree, each tree one stream: its chunks' reductions, one barrier
+// waiting for the last chunk's root-ready marker, then its chunks'
+// broadcasts. So the k-chunk program of the same shape is, stream by
+// stream, the first chunks of the reduction segment, the barrier re-pointed
+// to the last root-ready marker below k, and the first chunks of the
+// broadcast segment, with ids, relay slots and dependencies shifted per
+// segment. The cache serves a k-chunk request as that copy of a proved
+// program with more chunks, with no second Check (collective's derived
+// schedules, Phases.Derive).
+//
+// PhasePrefixes certifies what that needs, in O(ops+deps), with
+// t = max(Streams, 1) and NumChunks >= t:
+//   - layout: the program is t sections in stream order; stream s's is its
+//     reduction segment, its barrier, then its broadcast segment. Each
+//     segment holds one contiguous block per chunk of the stream, in rising
+//     chunk order (s, s+t, ...), none empty, and each reduction block ends
+//     with a root-ready marker (a marker with Final >= 0);
+//   - the reduction segment is chunk-closed: an op depends only on ops of
+//     its own segment at lower ids, so of its own or an earlier chunk, and
+//     every relay slot it reads or writes belongs to an op of its own block
+//     at or below its id;
+//   - the barrier is a marker with Final == -1 in the stream's last chunk,
+//     and depends only on the op before it, the last root-ready marker;
+//   - the broadcast segment depends only on itself, at lower ids, and on
+//     the barrier, with relay slots as in the reduction segment. So no
+//     dependency or relay slot crosses streams;
+//   - reach: every reduction transfer of chunk c reaches the root-ready
+//     marker of every chunk c' >= c of its stream. One reverse sweep proves
+//     it from two rules: each transfer reaches its own chunk's marker
+//     through ops of its chunk, and, unless its chunk is the stream's
+//     last, a reduction transfer of chunk c+t depends on it or on an op of
+//     its chunk it reaches. Descending induction over the chunks does the
+//     rest.
+//
+// Why a derivative of a proved program passes Check. Call the ops the
+// derivative keeps, chunks [0, k) of each segment plus each barrier, kept.
+// The derivative is the kept sub-program renumbered, with one edge
+// changed: barrier b of stream s now depends on the root-ready marker
+// m_k of its last chunk below k. Every question Check asks of it (see the
+// window argument above) is about kept ops: an op and its relay slot's
+// owner and readers, in one block; a region (chunk, node) and the ops
+// touching it, all in the chunk's blocks; the finals of chunks c-t and c of
+// one stream, c < k, and the marker chains below them, in kept blocks. The
+// program-wide questions are unchanged, and the new chunk sizes must be
+// positive, which every chunk.Split* partition is. Every such question was
+// answered yes in the proved program; each yes survives:
+//   - a path that avoids b lies in one segment: every ancestor of a
+//     reduction op is an earlier op of its segment, and a path into a
+//     broadcast op that avoids b comes from its segment. By closure every
+//     op on it is kept, with its edges;
+//   - a path through b starts at an ancestor of b, a reduction op of
+//     chunk c < k. If it is a transfer, it reaches m_k by reach (c and the
+//     last chunk below k share the stream), and so b and the rest of the
+//     path in the derivative. The questions that start at a marker are the
+//     order proof's, and there a marker is forced before a later final
+//     whenever its dependencies are: by induction down the marker chain
+//     each dependency is a transfer carried by the same argument, or a
+//     marker.
+// The derivative drops b's edge from the last chunk's marker, which is not
+// kept, and the edge m_k -> b it adds only adds paths, which turns no yes
+// into a no. So the derivative of a proved program at any k, with
+// t <= k <= NumChunks, passes Check; TestIncrementalMatchesFullBuild pins it
+// deep-equal to a cold build, and FuzzPhasePrefix pins the certificate
+// against mutated carriers.
+
+// Phases is PhasePrefixes' certificate: the block offsets of a two-phase
+// program, from which Derive lays out its prefix of any chunk count.
+type Phases struct {
+	streams int
+	// red[c], for a chunk c < NumChunks, is where chunk c's reduction block
+	// starts; for c in [NumChunks, NumChunks+t), red[c] is the barrier of
+	// stream c mod t, where the stream's reduction segment ends. bc is the
+	// same for the broadcast blocks, and bc[c] for c >= NumChunks ends the
+	// stream's section.
+	red, bc []int32
+}
+
+// Phase-prefix reach flags, per reduction op (PhasePrefixes).
+const (
+	reachReady uint8 = 1 << iota // reaches its chunk's root-ready marker
+	reachNext                    // reaches a reduction transfer of chunk c+t
+)
+
+// PhasePrefixes returns p's phase-prefix certificate when p is laid out as
+// above and passes its rules, or nil when it is not, or is malformed.
+func PhasePrefixes(p *Program) *Phases {
+	n, k, t := len(p.Ops), p.NumChunks, max(p.Streams, 1)
+	if k < t || len(p.DepOff) != n+1 || p.DepOff[0] != 0 || int(p.DepOff[n]) != len(p.DepList) {
+		return nil
+	}
+	for i := range n {
+		if p.DepOff[i+1] < p.DepOff[i] {
+			return nil
+		}
+	}
+	off := make([]int32, 2*(k+t))
+	ph := &Phases{streams: t, red: off[: k+t : k+t], bc: off[k+t:]}
+	// block reads one block of chunk c from op i on: ops of chunk c that are
+	// not barriers, each depending only on ops in [lo, itself) and owning or
+	// reading relay slots of the block. It returns where the block ends.
+	block := func(i, c, lo int, reduce bool) int {
+		start := i
+		for ; i < n && int(p.Ops[i].Chunk) == c; i++ {
+			op := &p.Ops[i]
+			if reduce && op.Marker() && op.Final < 0 {
+				break // the barrier
+			}
+			for _, d := range p.Deps(i) {
+				if int(d) < lo || int(d) >= i {
+					return -1
+				}
+			}
+			for _, r := range [2]int32{op.Src.Relay, op.Dst.Relay} {
+				if r >= 0 && (int(r) < start || int(r) > i) {
+					return -1
+				}
+			}
+		}
+		if i == start || reduce && (!p.Ops[i-1].Marker() || p.Ops[i-1].Final < 0) {
+			return -1
+		}
+		return i
+	}
+	i := 0
+	for s := range t {
+		last := s + (k-1-s)/t*t
+		lo := i
+		for c := s; c <= last; c += t {
+			ph.red[c] = int32(i)
+			if i = block(i, c, lo, true); i < 0 {
+				return nil
+			}
+		}
+		b := i
+		if b >= n || !p.Ops[b].Marker() || p.Ops[b].Final != -1 || int(p.Ops[b].Chunk) != last ||
+			!slices.Equal(p.Deps(b), []int32{int32(b - 1)}) {
+			return nil
+		}
+		ph.red[last+t] = int32(b)
+		i = b + 1
+		for c := s; c <= last; c += t {
+			ph.bc[c] = int32(i)
+			if i = block(i, c, b, false); i < 0 {
+				return nil
+			}
+		}
+		ph.bc[last+t] = int32(i)
+	}
+	if i != n || !ph.reach(p) {
+		return nil
+	}
+	return ph
+}
+
+// reach proves the reach rule by one sweep over each reduction segment
+// against id order, where an op's dependents come before it.
+func (ph *Phases) reach(p *Program) bool {
+	k, t := p.NumChunks, ph.streams
+	flags := make([]uint8, len(p.Ops))
+	for s := range t {
+		last := s + (k-1-s)/t*t
+		b := int(ph.red[last+t])
+		for i := b - 1; i >= int(ph.red[s]); i-- {
+			op := &p.Ops[i]
+			f := flags[i]
+			if op.Marker() && op.Final >= 0 && (i+1 == b || p.Ops[i+1].Chunk != op.Chunk) {
+				f |= reachReady // its chunk's root-ready marker
+			}
+			if !op.Marker() && (f&reachReady == 0 || int(op.Chunk) != last && f&reachNext == 0) {
+				return false
+			}
+			for _, d := range p.Deps(i) {
+				switch dc := p.Ops[d].Chunk; {
+				case dc == op.Chunk:
+					flags[d] |= f
+				case int(dc)+t == int(op.Chunk) && !op.Marker():
+					flags[d] |= reachNext
+				}
+			}
+		}
+	}
+	return true
+}
+
+// Derive returns the ops and dependency CSR of p's derivative at k chunks,
+// t <= k <= NumChunks, where p is the program ph certifies: per stream, the
+// blocks of its chunks below k in each segment and its barrier, depending
+// on the last kept root-ready marker, with every id shifted to its place.
+// The ops take one allocation and the CSR another, its offsets and list
+// sharing one block.
+func (ph *Phases) Derive(p *Program, k int) (ops []Op, depOff, deps []int32) {
+	t := ph.streams
+	// end returns the end of stream s's kept blocks in a segment, whose
+	// block offsets are segOff: where the first chunk of the stream at or
+	// above k starts, or the segment's end.
+	end := func(segOff []int32, s int) int32 { return segOff[s+(k-1-s)/t*t+t] }
+	nOps, nDeps := 0, 0
+	for s := range t {
+		r0, r1, b0, b1 := ph.red[s], end(ph.red, s), ph.bc[s], end(ph.bc, s)
+		nOps += int(r1-r0) + 1 + int(b1-b0)
+		nDeps += int(p.DepOff[r1]-p.DepOff[r0]) + 1 + int(p.DepOff[b1]-p.DepOff[b0])
+	}
+	ops = make([]Op, nOps)
+	csr := make([]int32, nOps+1+nDeps)
+	depOff, deps = csr[:nOps+1:nOps+1], csr[nOps+1:]
+	j, e := int32(0), int32(0) // the next op's id and dependency offset
+	// shift lays out ops [from, to) of p at id j, moved by j-from: their
+	// relay slots and dependencies move with them.
+	shift := func(from, to int32) {
+		delta := j - from
+		out := ops[j : j+to-from]
+		copy(out, p.Ops[from:to])
+		for x := range out {
+			if out[x].Src.Relay >= 0 {
+				out[x].Src.Relay += delta
+			}
+			if out[x].Dst.Relay >= 0 {
+				out[x].Dst.Relay += delta
+			}
+		}
+		lo, hi := p.DepOff[from], p.DepOff[to]
+		for x, d := range p.DepList[lo:hi] {
+			deps[int(e)+x] = d + delta
+		}
+		for x, o := range p.DepOff[from+1 : to+1] {
+			depOff[j+1+int32(x)] = o - lo + e
+		}
+		j, e = j+to-from, e+hi-lo
+	}
+	for s := range t {
+		shift(ph.red[s], end(ph.red, s))
+		ops[j] = p.Ops[ph.bc[s]-1]
+		ops[j].Chunk = int32(s + (k-1-s)/t*t)
+		deps[e] = j - 1
+		j, e = j+1, e+1
+		depOff[j] = e
+		shift(ph.bc[s], end(ph.bc, s))
+	}
+	return ops, depOff, deps
+}

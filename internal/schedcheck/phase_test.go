@@ -1,0 +1,230 @@
+package schedcheck_test
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"ccube/internal/collective"
+	"ccube/internal/schedcheck"
+	"ccube/internal/topology"
+)
+
+// derived returns p's derivative at k chunks under the certificate ph, over
+// p's first k chunk sizes (any positive sizes serve).
+func derived(p *schedcheck.Program, ph *schedcheck.Phases, k int) *schedcheck.Program {
+	d := *p
+	d.NumChunks, d.ChunkBytes = k, p.ChunkBytes[:k]
+	d.Ops, d.DepOff, d.DepList = ph.Derive(p, k)
+	return &d
+}
+
+// samePrograms reports whether a and b hold the same ops and dependency CSR.
+func samePrograms(a, b *schedcheck.Program) bool {
+	return a.NumChunks == b.NumChunks && a.Streams == b.Streams && reflect.DeepEqual(a.Ops, b.Ops) &&
+		reflect.DeepEqual(a.DepOff, b.DepOff) && reflect.DeepEqual(a.DepList, b.DepList)
+}
+
+// TestPhasePrefixesQualifyByLayout: the separated tree and double tree are
+// phase-prefix carriers at every chunk count, on the DGX-1, fc:8 and
+// cluster:32, shared channels or not, and each derivative at k chunks is
+// the program Build emits for k, which passes Check. The overlapped trees,
+// the ring, halving-doubling and the hierarchical schedules are not
+// carriers: they have no barrier, or more than one on a stream.
+func TestPhasePrefixesQualifyByLayout(t *testing.T) {
+	for _, fab := range []struct {
+		name  string
+		graph *topology.Graph
+	}{
+		{"dgx1", dgx1()},
+		{"fc8", fullyConnected(8)},
+		{"cluster32", topology.Hierarchy(topology.DefaultHierarchyConfig(32))},
+	} {
+		for _, alg := range allAlgorithms {
+			for _, shared := range []bool{false, true} {
+				cfg := collective.Config{Graph: fab.graph, Algorithm: alg, Bytes: 64 << 20, Chunks: 40, AllowSharedChannels: shared}
+				if _, err := collective.Build(cfg); err != nil {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s/%v/shared=%v", fab.name, alg, shared), func(t *testing.T) {
+					p := buildProgram(t, cfg)
+					ph := schedcheck.PhasePrefixes(p)
+					separated := alg == collective.AlgTree || alg == collective.AlgDoubleTree
+					if (ph != nil) != separated {
+						t.Fatalf("qualifies = %v, want %v", ph != nil, separated)
+					}
+					if ph == nil {
+						return
+					}
+					for k := max(p.Streams, 1); k <= p.NumChunks; k++ {
+						at := cfg
+						at.Chunks = k
+						want := buildProgram(t, at)
+						d := derived(p, ph, k)
+						if !samePrograms(d, want) {
+							t.Fatalf("k=%d: the derivative differs from Build's program", k)
+						}
+						if k%8 == 0 {
+							if r := schedcheck.CheckFull(d); !r.OK() {
+								t.Fatalf("k=%d: %s", k, r.Err())
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+	for _, chained := range []bool{false, true} {
+		mn, err := topology.BuildMultiNode(topology.DefaultMultiNodeConfig(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := collective.BuildHierarchical(collective.HierarchicalConfig{Cluster: mn, Bytes: 64 << 20, Chunks: 32, Chained: chained})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if schedcheck.PhasePrefixes(s.Program()) != nil {
+			t.Errorf("hierarchical (chained=%v) qualified as a phase-prefix carrier", chained)
+		}
+	}
+}
+
+// reductionFIFO returns the reduction FIFO edges of p, whose dependencies
+// are deps and whose barriers per stream are bars: each as (op, index in
+// its list) of a transfer's dependency on an op of chunk c-t below its
+// stream's barrier.
+func reductionFIFO(p *schedcheck.Program, deps [][]int, bars map[int]int) [][2]int {
+	t := max(p.Streams, 1)
+	var out [][2]int
+	for i, ds := range deps {
+		op := &p.Ops[i]
+		b, ok := bars[int(op.Chunk)%t]
+		if op.Marker() || !ok || i > b {
+			continue
+		}
+		for j, d := range ds {
+			if p.Ops[d].Chunk+int32(t) == op.Chunk {
+				out = append(out, [2]int{i, j})
+			}
+		}
+	}
+	return out
+}
+
+// The reduction FIFO mutations, after the barrier mutations.
+const (
+	dropFIFO = numBarrierMutations + iota // drop one reduction FIFO edge
+	skipFIFO                              // lift one a chunk up, and the in-order claim
+	numPhaseMutations
+)
+
+// fifoMutation applies FIFO mutation kind to p, whose dependencies are deps
+// and whose barriers per stream are bars, on the edge pick chooses, and
+// reports whether it changed p. skipFIFO moves edge d -> x, x of chunk c,
+// to d -> y, y the op of chunk c+t that x's FIFO edge leads to, so d's
+// chunk no longer waits for chunk c: the proof still holds once the
+// program stops claiming in-order delivery, but a derivative ending at
+// chunk c may broadcast d's chunk before d lands, unless the reach rule
+// refuses the carrier.
+func fifoMutation(p *schedcheck.Program, deps [][]int, bars map[int]int, kind int, pick uint16) bool {
+	edges := reductionFIFO(p, deps, bars)
+	if len(edges) == 0 {
+		return false
+	}
+	e := edges[int(pick)%len(edges)]
+	x, d := e[0], deps[e[0]][e[1]]
+	if kind == skipFIFO {
+		y := -1
+		for _, f := range edges {
+			if deps[f[0]][f[1]] == x {
+				y = f[0]
+			}
+		}
+		if y < 0 {
+			return false
+		}
+		deps[y] = append(deps[y], d)
+		p.InOrder = false
+	}
+	deps[x] = slices.Delete(deps[x], e[1], e[1]+1)
+	return true
+}
+
+// FuzzPhasePrefix draws a fabric (the DGX-1, fc:n up to 16, cluster:n up to
+// 32), the separated tree or double tree, the sharing flag and a chunk
+// count K up to 64, then mutates the carrier: one of FuzzPeriodicWindow's
+// five barrier mutations (barrierMutation) at a drawn chunk, a dropped or
+// lifted reduction FIFO edge (fifoMutation), or nothing. Whenever the mutant
+// passes Check and PhasePrefixes accepts it, its derivative at every k from
+// the stream count to K must pass the full Check: the certificate must
+// never admit a proved carrier whose derivative is wrong. The pristine
+// carrier must be accepted, with derivatives equal to Build's programs.
+//
+// Run `go test -run '^$' -fuzz '^FuzzPhasePrefix$' ./internal/schedcheck`
+// to explore beyond the seeds.
+func FuzzPhasePrefix(f *testing.F) {
+	for kind := uint8(0); kind <= numPhaseMutations; kind++ {
+		f.Add(uint8(0), uint8(0), uint8(1), false, uint8(20), kind, uint16(3), uint16(1))
+		f.Add(uint8(2), uint8(14), uint8(0), true, uint8(33), kind, uint16(77), uint16(5))
+		f.Add(uint8(1), uint8(6), uint8(1), false, uint8(9), kind, uint16(1000), uint16(2))
+	}
+	// A root child's delivery lifted a chunk up on cluster:14: the carrier
+	// passes Check once it stops claiming in-order delivery, and only the
+	// reach rule refuses it.
+	f.Add(uint8(2), uint8(12), uint8(0), true, uint8(33), uint8(skipFIFO), uint16(77), uint16(5))
+	f.Fuzz(func(t *testing.T, fabric, size, alg uint8, shared bool, bigK, kind uint8, pick, pick2 uint16) {
+		var g *topology.Graph
+		switch fabric % 3 {
+		case 0:
+			g = dgx1()
+		case 1:
+			g = topology.FullyConnected(2+int(size)%15, topology.NVLinkBandwidth, topology.NVLinkLatency)
+		default:
+			g = topology.Hierarchy(topology.DefaultHierarchyConfig(2 + int(size)%31))
+		}
+		cfg := collective.Config{Graph: g, Algorithm: collective.AlgTree, Bytes: 64 << 20,
+			Chunks: 1 + int(bigK)%64, AllowSharedChannels: shared}
+		if alg%2 == 1 {
+			cfg.Algorithm = collective.AlgDoubleTree
+		}
+		s, err := collective.Build(cfg)
+		if err != nil {
+			t.Skip(err) // no disjoint channels for the trees without sharing
+		}
+		p := s.Program()
+		streams := max(p.Streams, 1)
+		if schedcheck.PhasePrefixes(p) == nil {
+			t.Fatalf("the pristine %d-chunk %v was refused", p.NumChunks, cfg.Algorithm)
+		}
+		m := p.Clone()
+		deps := depLists(m)
+		bars := barriers(m, deps)
+		mk := int(kind % (numPhaseMutations + 1)) // numPhaseMutations: none
+		switch {
+		case mk < numBarrierMutations && len(bars) > 0:
+			barrierMutation(m, deps, bars, int(pick)%m.NumChunks, mk, pick2)
+		case mk < numPhaseMutations:
+			fifoMutation(m, deps, bars, mk, pick)
+		}
+		m.SetDeps(deps)
+		ph := schedcheck.PhasePrefixes(m)
+		if ph == nil || !schedcheck.Check(m).OK() {
+			return
+		}
+		pristine := samePrograms(m, p)
+		for k := streams; k <= m.NumChunks; k++ {
+			d := derived(m, ph, k)
+			if r := schedcheck.CheckFull(d); !r.OK() {
+				t.Fatalf("mutation %d accepted, but the %d-chunk derivative fails: %s", mk, k, r.Err())
+			}
+			if pristine && k == streams+int(pick2)%(m.NumChunks-streams+1) {
+				at := cfg
+				at.Chunks = k
+				if !samePrograms(d, buildProgram(t, at)) {
+					t.Fatalf("the %d-chunk derivative differs from Build's program", k)
+				}
+			}
+		}
+	})
+}
