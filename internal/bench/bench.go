@@ -247,6 +247,41 @@ func benchmarks() []benchmark {
 				return nil
 			}, nil
 		}},
+		{"Synthesize/rr16-resident", true, func() (func() error, error) {
+			// A cache-on compile at a new size, what a synth_irregular
+			// request pays once the fabric is warm: the packed forest and
+			// its chunk passes are in the schedule cache's memo and the
+			// winners of BenchmarkSynthesize's sizes are resident, so an op
+			// ranks the variants, emits the finalists (the winner a header
+			// over its resident op graph), executes them and caches the
+			// winner. Each op then evicts its entry, so the next one
+			// misses again on the same cache.
+			g := topology.RandomRegular(16, 4, 25e9, des.Microsecond, 1)
+			ctx := context.Background()
+			for _, size := range synthSizes {
+				if _, err := synth.Synthesize(ctx, g, size, synth.Options{}); err != nil {
+					return nil, err
+				}
+			}
+			cfg := collective.Config{Graph: g, Algorithm: collective.AlgSynth, Bytes: 16<<20 + 4097,
+				SynthKey: synth.Options{}.Fingerprint()}
+			op := func() error {
+				res, err := synth.Synthesize(ctx, g, cfg.Bytes, synth.Options{})
+				collective.DefaultCache.Evict(cfg)
+				if err == nil && res.Report.CacheHit {
+					err = fmt.Errorf("synthesize rr16 at %d bytes: served whole from the cache", cfg.Bytes)
+				}
+				return err
+			}
+			before := collective.DefaultCache.IncrementalBuilds()
+			if err := op(); err != nil {
+				return nil, err
+			}
+			if collective.DefaultCache.IncrementalBuilds() == before {
+				return nil, fmt.Errorf("synthesize rr16 at %d bytes: the winner's op graph is not resident", cfg.Bytes)
+			}
+			return op, nil
+		}},
 		{"Train/dgx1-resnet50-CC", true, func() (func() error, error) {
 			// One ModeCC iteration of ResNet-50 at batch 64 on the DGX-1,
 			// as train.BenchmarkExecute times it: the schedule is a cache
@@ -398,8 +433,13 @@ func SimulateFixture() *server.SimulateResponse {
 // The samples are taken round-robin across the benches, so a stretch of
 // host noise lands on one sample of each bench instead of on every sample
 // of one. Every bench carries an allocs/op budget (Budgets); CI's bench job
-// fails via CheckBudgets if any regresses.
+// fails via CheckBudgets if any regresses. The benches time in-memory
+// layers, so a disk store attached to DefaultCache is detached while they
+// run: a miss a bench repeats must not turn into a store hit.
 func Run() ([]Result, error) {
+	st := collective.DefaultCache.Store()
+	collective.DefaultCache.SetStore(nil)
+	defer collective.DefaultCache.SetStore(st)
 	bms := benchmarks()
 	ops := make([]func() error, len(bms))
 	ns := make([][]float64, len(bms)) // ns/op of each sample
@@ -524,7 +564,8 @@ var Budgets = map[string]int64{
 	"Check/cluster64-tree-96chunks":          2,
 	"Check/cluster64-ring":                   2,
 	"Check/dgx1-ccube-16MiB":                 2,
-	"Synthesize/dgx1":                        950,
+	"Synthesize/dgx1":                        635,
+	"Synthesize/rr16-resident":               54,
 	"Train/dgx1-resnet50-CC":                 213,
 }
 

@@ -82,6 +82,22 @@ type Cache struct {
 	shapes        map[cacheKey]*opGraph
 	retained      int64
 	retainedGauge *metrics.Gauge
+
+	// memo holds the values Memo keeps, by key with no size or chunk
+	// count, in an LRU list of *memoEntry bounded at memoCapacity (front =
+	// MRU).
+	memo    map[cacheKey]*list.Element
+	memoLRU *list.List
+}
+
+// memoCapacity bounds the values a Cache memoizes (Memo). A value is
+// keyed by a graph's fingerprint, so health churn mints new keys; the
+// bound keeps the dead ones from piling up.
+const memoCapacity = 32
+
+type memoEntry struct {
+	key cacheKey
+	v   any
 }
 
 type lruEntry struct {
@@ -118,6 +134,8 @@ func NewCache() *Cache {
 		lru:      list.New(),
 		capacity: DefaultCacheCapacity,
 		shapes:   make(map[cacheKey]*opGraph),
+		memo:     make(map[cacheKey]*list.Element),
+		memoLRU:  list.New(),
 	}
 }
 
@@ -400,16 +418,66 @@ func (c *Cache) SetEnabled(on bool) {
 	c.disabled = !on
 }
 
-// Clear drops every cached schedule and resets the statistics. Benchmarks
-// use it to measure cold-cache builds. The attached disk store (if any) is
-// left untouched — its entries and counters belong to the store, which has
-// its own Clear and ResetStats.
+// Memo returns the value kept for cfg's graph (pointer and fingerprint, so
+// a health change misses), participants, algorithm and synthesis key —
+// never its size or chunk count —, calling build on a miss and keeping
+// what it returns. It holds a compiler's size-independent work over one
+// fabric: internal/synth keeps its packed forest and chunk passes here.
+// The values are shared by every caller and must be immutable. An error
+// is returned and nothing kept; concurrent misses may each build, and the
+// first value kept is the one every later call gets. A disabled cache and
+// an uncacheable cfg call build every time and keep nothing; Clear drops
+// every value. At most memoCapacity values are kept, the least
+// recently used dropped first.
+func (c *Cache) Memo(cfg Config, build func() (any, error)) (any, error) {
+	if !cacheable(cfg) {
+		return build()
+	}
+	cfg.Bytes, cfg.Chunks = 0, 0
+	k := c.key(cfg)
+	c.mu.Lock()
+	if c.disabled {
+		c.mu.Unlock()
+		return build()
+	}
+	if el, ok := c.memo[k]; ok {
+		c.memoLRU.MoveToFront(el)
+		v := el.Value.(*memoEntry).v
+		c.mu.Unlock()
+		return v, nil
+	}
+	c.mu.Unlock()
+	v, err := build()
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.memo[k]; ok {
+		return el.Value.(*memoEntry).v, nil
+	}
+	if c.disabled {
+		return v, nil
+	}
+	c.memo[k] = c.memoLRU.PushFront(&memoEntry{key: k, v: v})
+	if c.memoLRU.Len() > memoCapacity {
+		delete(c.memo, c.memoLRU.Remove(c.memoLRU.Back()).(*memoEntry).key)
+	}
+	return v, nil
+}
+
+// Clear drops every cached schedule and memoized value (Memo) and resets
+// the statistics. Benchmarks use it to measure cold-cache builds. The
+// attached disk store (if any) is left untouched — its entries and
+// counters belong to the store, which has its own Clear and ResetStats.
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = make(map[cacheKey]*list.Element)
 	c.lru.Init()
 	c.shapes = make(map[cacheKey]*opGraph)
+	c.memo = make(map[cacheKey]*list.Element)
+	c.memoLRU.Init()
 	c.retained = 0
 	c.retainedGauge.Set(0)
 	c.hits, c.misses, c.evictions, c.incremental = 0, 0, 0, 0

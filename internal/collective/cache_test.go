@@ -296,6 +296,78 @@ func TestCacheClear(t *testing.T) {
 	}
 }
 
+// TestCacheMemo: Memo keeps one value per graph, fingerprint,
+// participants, algorithm and synthesis key, whatever the size or chunk
+// count; a health change misses; a disabled cache builds every time and
+// keeps nothing; Clear drops every value; and fingerprint churn keeps at
+// most memoCapacity values.
+func TestCacheMemo(t *testing.T) {
+	g := topology.DGX1(topology.DefaultDGX1Config())
+	c := NewCache()
+	builds := 0
+	build := func() (any, error) {
+		builds++
+		return builds, nil
+	}
+	cfg := Config{Graph: g, Algorithm: AlgSynth, SynthKey: "k", Bytes: 1 << 20}
+	memo := func(cfg Config) any {
+		t.Helper()
+		v, err := c.Memo(cfg, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if v := memo(cfg); v != 1 {
+		t.Fatalf("first Memo = %v, want the first build", v)
+	}
+	resized := cfg
+	resized.Bytes, resized.Chunks = 7<<20, 12
+	if v := memo(resized); v != 1 || builds != 1 {
+		t.Fatalf("Memo at another size = %v after %d builds, want the kept value", v, builds)
+	}
+	for name, other := range map[string]Config{
+		"synth key":    {Graph: g, Algorithm: AlgSynth, SynthKey: "other"},
+		"participants": {Graph: g, Algorithm: AlgSynth, SynthKey: "k", Nodes: g.GPUs()[:4]},
+		"graph":        {Graph: topology.DGX1(topology.DefaultDGX1Config()), Algorithm: AlgSynth, SynthKey: "k"},
+	} {
+		before := builds
+		if memo(other); builds != before+1 {
+			t.Fatalf("a Memo with another %s did not build", name)
+		}
+	}
+	before := builds
+	if _, err := c.Memo(cfg, func() (any, error) { return nil, errors.New("planted") }); err != nil || builds != before {
+		t.Fatal("a kept value was rebuilt")
+	}
+	g.DegradeChannel(0, 2)
+	if _, err := c.Memo(cfg, func() (any, error) { return nil, errors.New("planted") }); err == nil {
+		t.Fatal("a health change was served the value of the old fingerprint")
+	}
+	c.SetEnabled(false)
+	before = builds
+	memo(cfg)
+	memo(cfg)
+	c.SetEnabled(true)
+	if builds != before+2 {
+		t.Fatalf("a disabled cache built %d times for two calls", builds-before)
+	}
+	if v := memo(cfg); v != builds {
+		t.Fatal("a disabled cache kept a value")
+	}
+	c.Clear()
+	if c.memoLRU.Len() != 0 || len(c.memo) != 0 {
+		t.Fatalf("Clear left %d values", c.memoLRU.Len())
+	}
+	for i := range 2 * memoCapacity {
+		g.DegradeChannel(0, float64(2+i))
+		memo(cfg)
+	}
+	if c.memoLRU.Len() != memoCapacity || len(c.memo) != memoCapacity {
+		t.Fatalf("fingerprint churn left %d values, want the bound %d", c.memoLRU.Len(), memoCapacity)
+	}
+}
+
 // TestCacheResizeAllocations pins what a same-shape miss costs on the
 // cluster:64 C-Cube schedule (16,256 transfers): a header, the new size's
 // partition, the LRU entry and the participant list — a dozen small

@@ -14,14 +14,16 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 
 // goldenIDs are the experiments whose rendered tables are pinned in
 // testdata/<id>.golden: the fault tables, so any change to the repair route
-// policy lands as a reviewed diff.
-var goldenIDs = map[string]bool{"ext-faults": true, "ext-churn": true}
+// policy lands as a reviewed diff, and the synthesis tables (makespans and
+// plans, no compile time), so any change to the forest packing or the plan
+// search does.
+var goldenIDs = map[string]bool{"ext-faults": true, "ext-churn": true, "ext-synth": true}
 
 // checkGolden compares an experiment's tables, rendered as ccube-bench
 // prints them (minus the wall-clock "regenerated in" line), against its
 // golden file. After reviewing a deliberate change, regenerate with
 //
-//	go test ./internal/experiments -run 'TestAllExperimentsRun/ext-(faults|churn)' -update
+//	go test ./internal/experiments -run 'TestAllExperimentsRun/ext-(faults|churn|synth)' -update
 func checkGolden(t *testing.T, id string, tables []*report.Table) {
 	t.Helper()
 	var b strings.Builder

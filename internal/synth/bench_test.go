@@ -11,7 +11,7 @@ import (
 // BenchmarkSynthesize times cold compiles (NoCache) on the fabrics and
 // message sizes the served synth_irregular requests compile for: the DGX-1,
 // an asymmetric 8-GPU mesh and a 16-GPU random 4-regular graph, cycling
-// 1-256 MiB. One op is one Synthesize — packing, every plan variant ranked
+// 1-256 MiB. One op is one Synthesize — the packing search, every plan variant ranked
 // by its bound, the finalists emitted, verified and executed. Besides
 // ns/op, B/op and allocs/op it reports ns/variant, the cost per ranked plan.
 func BenchmarkSynthesize(b *testing.B) {
@@ -44,8 +44,10 @@ func BenchmarkSynthesize(b *testing.B) {
 }
 
 // BenchmarkPackForest times one PackForest at the default tree ceiling, as
-// a compile runs it, on the served fabrics and a 32-GPU random 4-regular
-// graph, where the packer's cost in the participant count shows.
+// a compile that misses the memo runs it, on the served fabrics and a
+// 32-GPU random 4-regular graph, where the packer's cost in the participant
+// count shows: each greedy pass is O(T·P³), and a fabric whose forests never
+// reach the channel bound (fcasym8, rr32) runs all P rotations.
 func BenchmarkPackForest(b *testing.B) {
 	fabrics := []struct {
 		name  string

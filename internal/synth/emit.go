@@ -15,7 +15,8 @@ import (
 // IR, as collective.OverlappedChunk lays it out: the reduction up the tree,
 // the root-ready marker, and the broadcast back down, every tree edge
 // expanded into one op per physical hop of the route it claimed. Op ids,
-// deps included, are relative to the chunk's first op.
+// deps included, are relative to the chunk's first op. It is part of a
+// memoized plan, so nothing writes it once it is built.
 type chunkPass struct {
 	pass    schedcheck.Program
 	detours int     // tree edges routed through a relay GPU
@@ -23,10 +24,6 @@ type chunkPass struct {
 	// hops counts the pass's ops per channel: one chunk's load on each
 	// channel the tree rides, in units of that chunk's transfer time.
 	hops []channelHops
-	// small, big and finish are bound's per-op scratch: the op's duration
-	// at its tree's two chunk sizes, and its finish time in the latest
-	// chunk to ride this tree.
-	small, big, finish []des.Time
 }
 
 // channelHops is how many of one chunk pass's ops ride a channel.
@@ -57,39 +54,74 @@ func newChunkPass(t *Tree, nodes []topology.NodeID) (*chunkPass, error) {
 		}
 		p.hops[j].n++
 	}
-	n := len(pass.Ops)
-	scratch := make([]des.Time, 3*n)
-	p.small, p.big, p.finish = scratch[:n:n], scratch[n:2*n:2*n], scratch[2*n:]
 	return p, nil
 }
 
-// emitter compiles plan variants over one packed forest.
-type emitter struct {
-	g      *topology.Graph
-	nodes  []topology.NodeID
-	bytes  int64
-	fabric costmodel.Params        // the cost model's terms for g, no size
+// plan is a compile's size-independent work over one fabric: the cost
+// model's terms and the usable trees of the packed forest with their chunk
+// passes. It depends only on the graph (its health included), the
+// participants and the Options, so a cached compile memoizes it through
+// the schedule cache (collective.Cache.Memo) and every compile over the
+// fabric shares it; nothing writes it once it is built.
+type plan struct {
+	fabric costmodel.Params        // the cost model's terms for the graph, no size
 	trees  []collective.RoutedTree // the usable trees of the forest
 	passes []*chunkPass            // per usable tree
-	loads  []des.Time              // bound's per-channel scratch
+}
+
+// newPlan lays out the chunk pass of every tree of f. A tree that cannot
+// be laid out ends the usable forest: every prefix holding it is
+// uncompilable.
+func newPlan(g *topology.Graph, nodes []topology.NodeID, f *Forest) *plan {
+	p := &plan{fabric: fabricParams(g, len(nodes))}
+	for _, t := range f.Trees {
+		pass, err := newChunkPass(t, nodes)
+		if err != nil {
+			break
+		}
+		p.trees = append(p.trees, t.RoutedTree)
+		p.passes = append(p.passes, pass)
+	}
+	return p
+}
+
+// emitter compiles plan variants at one message size. It holds the
+// compile's own scratch over its shared plan.
+type emitter struct {
+	*plan
+	g     *topology.Graph
+	nodes []topology.NodeID
+	bytes int64
+	// small, big and finish are bound's per-op scratch, per tree: the op's
+	// duration at its tree's two chunk sizes, and its finish time in the
+	// latest chunk to ride the tree. loads is its per-channel scratch.
+	small, big, finish [][]des.Time
+	loads              []des.Time
 	// cache serves emit's same-shape headers under cfg, the compile's
 	// cache configuration; nil assembles every variant.
 	cache *collective.Cache
 	cfg   collective.Config
 }
 
-// newEmitter lays out the chunk pass of every tree of f. A tree that cannot
-// be laid out ends the usable forest: every prefix holding it is
-// uncompilable.
+// newEmitter compiles at bytes over the trees of f, laid out by newPlan.
 func newEmitter(g *topology.Graph, nodes []topology.NodeID, bytes int64, f *Forest) *emitter {
-	e := &emitter{g: g, nodes: nodes, bytes: bytes, fabric: fabricParams(g, len(nodes)), loads: make([]des.Time, g.NumChannels())}
-	for _, t := range f.Trees {
-		p, err := newChunkPass(t, nodes)
-		if err != nil {
-			break
-		}
-		e.trees = append(e.trees, t.RoutedTree)
-		e.passes = append(e.passes, p)
+	return newPlan(g, nodes, f).emitter(g, nodes, bytes)
+}
+
+// emitter returns a compile at bytes over p, with its own scratch.
+func (p *plan) emitter(g *topology.Graph, nodes []topology.NodeID, bytes int64) *emitter {
+	e := &emitter{plan: p, g: g, nodes: nodes, bytes: bytes, loads: make([]des.Time, g.NumChannels())}
+	ops := 0
+	for _, pass := range p.passes {
+		ops += len(pass.pass.Ops)
+	}
+	scratch := make([]des.Time, 3*ops)
+	cols := make([][]des.Time, 3*len(p.passes))
+	e.small, e.big, e.finish = cols[:len(p.passes)], cols[len(p.passes):2*len(p.passes)], cols[2*len(p.passes):]
+	for ti, pass := range p.passes {
+		n := len(pass.pass.Ops)
+		e.small[ti], e.big[ti], e.finish[ti] = scratch[:n:n], scratch[n:2*n:2*n], scratch[2*n:3*n:3*n]
+		scratch = scratch[3*n:]
 	}
 	return e
 }
@@ -156,30 +188,32 @@ func (e *emitter) bound(t, k int) (path, load des.Time) {
 	passes := e.passes[:t]
 	for ti, p := range passes {
 		size := streams[ti].Size
+		small, big := e.small[ti], e.big[ti]
+		clear(e.finish[ti])
 		for j := range p.pass.Ops {
-			p.finish[j] = 0
 			if op := &p.pass.Ops[j]; !op.Marker() {
 				ch := e.g.Channel(op.ChannelID())
-				p.small[j], p.big[j] = ch.TransferTime(size), ch.TransferTime(size+1)
+				small[j], big[j] = ch.TransferTime(size), ch.TransferTime(size+1)
 			}
 		}
 	}
 	for c := 0; c < k; c++ {
-		p := passes[c%t]
-		dur := p.small
-		if c/t < streams[c%t].Big {
-			dur = p.big
+		ti := c % t
+		p, finish := passes[ti], e.finish[ti]
+		dur := e.small[ti]
+		if c/t < streams[ti].Big {
+			dur = e.big[ti]
 		}
 		for j := range p.pass.Ops {
 			var start des.Time
 			if !p.pass.Ops[j].Marker() {
-				start = p.finish[j] // the same hop of chunk c-t; zero for c < t
+				start = finish[j] // the same hop of chunk c-t; zero for c < t
 			}
 			for _, d := range p.pass.Deps(j) {
-				start = max(start, p.finish[d])
+				start = max(start, finish[d])
 			}
-			p.finish[j] = start + dur[j]
-			path = max(path, p.finish[j])
+			finish[j] = start + dur[j]
+			path = max(path, finish[j])
 		}
 	}
 	clear(e.loads)

@@ -357,10 +357,12 @@ func TestReportSharesCachedMatchesCold(t *testing.T) {
 	}
 }
 
-// TestEqualRatesKeepEqualChunks: on fabrics whose packed trees all run at
-// one rate, the rate-weighted emitter compiles exactly the schedules the
+// TestEqualRatesKeepEqualChunks: over packed trees that all run at one
+// rate, the rate-weighted emitter compiles exactly the schedules the
 // equal-chunk one did — every variant's program and partition match the
 // chunk.Split layout, at a megabyte and at a size no chunk count divides.
+// On the degraded DGX-1 only the first two trees share a rate (the third
+// rides the quarter-rate GPU0–GPU1 links), so it is held to that prefix.
 func TestEqualRatesKeepEqualChunks(t *testing.T) {
 	fabrics := differentialFabrics()
 	for _, name := range []string{"dgx1", "dgx1-low", "fc:8", "rr:16", "dgx1-degraded"} {
@@ -370,14 +372,20 @@ func TestEqualRatesKeepEqualChunks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, tr := range forest.Trees {
-				if tr.Bottleneck != forest.Trees[0].Bottleneck {
-					t.Fatalf("tree bottlenecks differ (%v vs %v): not an equal-rate fabric", tr.Bottleneck, forest.Trees[0].Bottleneck)
-				}
+			equal := 1
+			for equal < len(forest.Trees) && forest.Trees[equal].Bottleneck == forest.Trees[0].Bottleneck {
+				equal++
+			}
+			want := len(forest.Trees)
+			if name == "dgx1-degraded" {
+				want = 2
+			}
+			if equal != want {
+				t.Fatalf("the first %d of %d trees share a rate, want %d", equal, len(forest.Trees), want)
 			}
 			for _, bytes := range []int64{1 << 20, 1<<20 + 37} {
 				e := newEmitter(g, nodes, bytes, forest)
-				for tr := 1; tr <= len(e.passes); tr++ {
+				for tr := 1; tr <= equal; tr++ {
 					for k := tr; k <= DefaultMaxChunks; k++ {
 						got, err := e.emit(tr, k)
 						if err != nil {

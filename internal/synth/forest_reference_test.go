@@ -12,8 +12,8 @@ import (
 // This file keeps the forest packer as it was before its pair index and
 // memoized routes: every attachment step rescans each candidate pair's
 // channels and, for a pair with no free direct channel, every relay GPU.
-// TestPackForestMatchesReference and FuzzPackForest hold PackForest to it
-// forest for forest.
+// TestPackForestMatchesReference and FuzzPackForest hold one greedy pass of
+// PackForest's search (packRotation) to it forest for forest.
 
 // refPackForest packs up to `want` channel-disjoint spanning trees over the
 // participants, ForestColl-style: each tree grows greedily by the

@@ -239,18 +239,66 @@ var packFabrics = []struct {
 	{"rr:16", func(seed int64) *topology.Graph { return topology.RandomRegular(16, 4, 25e9, des.Microsecond, seed) }},
 }
 
-// samePacking fails t unless PackForest and the reference packer agree on
-// g: both error with the same message, or both return deep-equal forests.
+// samePacking fails t unless one greedy pass (packRotation) and the
+// reference packer agree on g: both error with the same message, or both
+// return deep-equal forests.
 func samePacking(t *testing.T, g *topology.Graph, want int, seed int64, detour bool) {
 	t.Helper()
 	nodes := g.GPUs()
-	got, gerr := PackForest(g, nodes, want, seed, detour)
+	got, gerr := packRotation(g, nodes, want, seed, detour)
 	ref, rerr := refPackForest(g, nodes, want, seed, detour)
 	if (gerr == nil) != (rerr == nil) || (gerr != nil && gerr.Error() != rerr.Error()) {
 		t.Fatalf("want=%d seed=%d detour=%v: error %v, reference %v", want, seed, detour, gerr, rerr)
 	}
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatalf("want=%d seed=%d detour=%v: forest differs from the reference packer's", want, seed, detour)
+	}
+}
+
+// channelBound is the most channel-disjoint spanning trees g's healthy
+// participant-to-participant channels can hold, capped at want: every tree
+// claims at least one channel up and one down per edge.
+func channelBound(g *topology.Graph, nodes []topology.NodeID, want int) int {
+	in := map[topology.NodeID]bool{}
+	for _, id := range nodes {
+		in[id] = true
+	}
+	links := 0
+	for _, id := range nodes {
+		for _, ch := range g.Out(id) {
+			if c := g.Channel(ch); in[c.To] && c.To != id && !c.Down() {
+				links++
+			}
+		}
+	}
+	return min(max(want, 1), links/(2*(len(nodes)-1)))
+}
+
+// sameSearch fails t unless PackForest's search on g keeps a forest that
+// passes checkForest, holds at least as many trees as the seed's rotation
+// packs alone and at most the channel bound, and is the same forest on a
+// second call.
+func sameSearch(t *testing.T, g *topology.Graph, want int, seed int64, detour bool) {
+	t.Helper()
+	nodes := g.GPUs()
+	got, err := PackForest(g, nodes, want, seed, detour)
+	first, ferr := packRotation(g, nodes, want, seed, detour)
+	if err != nil {
+		if ferr == nil {
+			t.Fatalf("want=%d seed=%d detour=%v: the search failed (%v) where its first rotation packs %d trees", want, seed, detour, err, len(first.Trees))
+		}
+		return
+	}
+	checkForest(t, g, nodes, got)
+	if ferr == nil && len(got.Trees) < len(first.Trees) {
+		t.Fatalf("want=%d seed=%d detour=%v: kept %d trees, the first rotation packs %d", want, seed, detour, len(got.Trees), len(first.Trees))
+	}
+	if b := channelBound(g, nodes, want); len(got.Trees) > b {
+		t.Fatalf("want=%d seed=%d detour=%v: %d trees over the channel bound %d", want, seed, detour, len(got.Trees), b)
+	}
+	again, err := PackForest(g, nodes, want, seed, detour)
+	if err != nil || !reflect.DeepEqual(got, again) {
+		t.Fatalf("want=%d seed=%d detour=%v: a second search kept another forest (%v)", want, seed, detour, err)
 	}
 }
 
@@ -268,11 +316,12 @@ func damage(g *topology.Graph, kill, degrade uint64) {
 	}
 }
 
-// TestPackForestMatchesReference: the indexed packer's forests are
-// byte-identical to the reference packer's, which rescans every pair at
-// every step — over every fabric and graph seed, tree count, packer seed
-// and detour setting, on the pristine graph and again after killing and
-// degrading a random few of its channels.
+// TestPackForestMatchesReference: one greedy pass of the indexed packer
+// (packRotation) packs byte-identical forests to the reference packer's,
+// which rescans every pair at every step, and the search over passes keeps
+// a forest sameSearch accepts — over every fabric and graph seed, tree
+// count, packer seed and detour setting, on the pristine graph and again
+// after killing and degrading a random few of its channels.
 func TestPackForestMatchesReference(t *testing.T) {
 	graphSeeds := 20
 	if testing.Short() {
@@ -292,6 +341,7 @@ func TestPackForestMatchesReference(t *testing.T) {
 						for seed := int64(0); seed < 5; seed++ {
 							for _, detour := range []bool{true, false} {
 								samePacking(t, g, want, seed, detour)
+								sameSearch(t, g, want, seed, detour)
 							}
 						}
 					}
@@ -305,8 +355,9 @@ func TestPackForestMatchesReference(t *testing.T) {
 }
 
 // FuzzPackForest draws a fabric, its graph seed, a tree count, a packer
-// seed, the detour flag and kill and degrade masks; PackForest must agree
-// with the reference packer.
+// seed, the detour flag and kill and degrade masks. One greedy pass must
+// agree with the reference packer, and the search must keep the forest
+// sameSearch asks for.
 func FuzzPackForest(f *testing.F) {
 	f.Add(uint8(0), uint8(8), int64(1), int64(0), uint8(4), true, uint64(0), uint64(0))
 	f.Add(uint8(1), uint8(8), int64(3), int64(2), uint8(8), true, uint64(0x8421), uint64(0x1248))
@@ -324,5 +375,6 @@ func FuzzPackForest(f *testing.F) {
 		}
 		damage(g, kill, degrade)
 		samePacking(t, g, int(want%10), seed, detour)
+		sameSearch(t, g, int(want%10), seed, detour)
 	})
 }

@@ -9,12 +9,14 @@
 // emitter serves both.
 //
 //	primitive        Allreduce(bytes) over topology.Graph
-//	   │  PackForest: bandwidth-weighted, health-aware spanning-tree packing
+//	   │  PackForest: bandwidth-weighted, health-aware spanning-tree packing,
+//	   │  one greedy pass per root rotation up to the fabric's channel bound
 //	   ▼
 //	forest           collective.RoutedTrees: edges claim physical (maybe relay) routes
 //	   │  collective.OverlappedChunk: one chunk's up hops → root-ready marker → down hops
 //	   ▼
-//	chunk passes     one per tree, ids relative to the chunk
+//	chunk passes     one per tree, ids relative to the chunk; with the forest,
+//	   │             the fabric's plan, memoized per fabric (Cache.Memo)
 //	   │  bound(t, k): every variant ranked, no op emitted, chunk sizes
 //	   │  from chunk.Streams (chunk c sized by tree c mod t's bottleneck)
 //	   ▼
@@ -34,7 +36,11 @@
 // size, so the cache also indexes each winner's op graph by that shape:
 // a later compile at another size emits any variant of a resident shape
 // as a header over it, its own partition and nothing re-checked, exactly
-// as a built-in's same-shape miss is served.
+// as a built-in's same-shape miss is served. The forest and its chunk
+// passes depend on no size at all, so a cached compile takes them from
+// the cache's memo (collective.Cache.Memo), keyed by the graph, its
+// fingerprint, the participants and the config: the packing search runs
+// once per fabric.
 package synth
 
 import (
@@ -77,8 +83,9 @@ type Options struct {
 	MaxTrees int
 	// MaxChunks caps the chunk-count search (0 = DefaultMaxChunks).
 	MaxChunks int
-	// Seed rotates the packer's root order; distinct seeds explore
-	// distinct packings.
+	// Seed picks the root-order rotation the packing search tries first,
+	// which keeps its forest when no later rotation packs more trees or
+	// more summed bottleneck.
 	Seed int64
 	// NoDetour disables relay-spliced two-hop attachments during packing.
 	NoDetour bool
@@ -104,14 +111,15 @@ func (o Options) normalized() Options {
 // could compile different schedules for the same graph and size can never
 // alias to one entry. The version moves whenever the same Options start to
 // compile different schedules, so a store filled by an older compiler is
-// never served: v2 sizes chunks by their tree's rate, v1 split them evenly.
+// never served: v3 packs the forest by a search over root rotations, v2
+// by one greedy pass, and v1 split chunks evenly instead of by tree rate.
 func (o Options) Fingerprint() string {
 	o = o.normalized()
 	detour := 1
 	if o.NoDetour {
 		detour = 0
 	}
-	return fmt.Sprintf("v2.t%d.k%d.s%d.d%d.lift-parallelize-route-pipeline",
+	return fmt.Sprintf("v3.t%d.k%d.s%d.d%d.lift-parallelize-route-pipeline",
 		o.MaxTrees, o.MaxChunks, o.Seed, detour)
 }
 
@@ -156,7 +164,8 @@ type Result struct {
 
 // Synthesize compiles an AllReduce schedule for the graph's GPUs: packs
 // channel-disjoint spanning trees weighted by effective bandwidth (degraded
-// links avoided, dead links never used), ranks every candidate tree count
+// links avoided, dead links never used), up to as many as the fabric's
+// channels hold, once per fabric, ranks every candidate tree count
 // and chunk count by its static makespan bound, emits, verifies and executes
 // on the DES the finalists that can still win, and returns the fastest with
 // its timing. The winner is cached — memory, then disk store — under the
@@ -242,8 +251,9 @@ func (e *emitter) rank(maxChunks int) []variant {
 	return ranked
 }
 
-// compileBest runs the plan search for cfg's graph and size: pack once at
-// the tree ceiling, rank every (forest prefix, chunk count) variant by the
+// compileBest runs the plan search for cfg's graph and size: take the
+// fabric's plan (the forest packed at the tree ceiling, memoized unless
+// cache is nil), rank every (forest prefix, chunk count) variant by the
 // bound the emitter derives from its chunk passes, then walk the variants
 // in stable bound order. Each one walked is emitted — a header over a
 // verified op graph of its shape resident in cache, when there is one,
@@ -256,11 +266,11 @@ func (e *emitter) rank(maxChunks int) []variant {
 // schedules ever execute or win. cache is nil for a NoCache compile.
 func compileBest(ctx context.Context, cache *collective.Cache, cfg collective.Config, nodes []topology.NodeID, opts Options) (*Result, error) {
 	g, bytes := cfg.Graph, cfg.Bytes
-	forest, err := PackForest(g, nodes, opts.MaxTrees, opts.Seed, !opts.NoDetour)
+	p, err := fabricPlan(cache, cfg, nodes, opts)
 	if err != nil {
 		return nil, err
 	}
-	e := newEmitter(g, nodes, bytes, forest)
+	e := p.emitter(g, nodes, bytes)
 	e.cache, e.cfg = cache, cfg
 	ranked := e.rank(opts.MaxChunks)
 
@@ -315,6 +325,34 @@ func compileBest(ctx context.Context, cache *collective.Cache, cfg collective.Co
 		},
 		Run: run,
 	}, nil
+}
+
+// fabricPlan returns the plan for cfg's graph and the participants under
+// opts: the forest PackForest packs at the tree ceiling, laid out chunk by
+// chunk. A NoCache compile (nil cache) packs and lays it out itself; any
+// other takes it from cache.Memo, keyed by the graph, its fingerprint, the
+// participants and opts.Fingerprint() (cfg.SynthKey), so the search runs
+// once per fabric and every later compile over it, at any size, shares it.
+func fabricPlan(cache *collective.Cache, cfg collective.Config, nodes []topology.NodeID, opts Options) (*plan, error) {
+	build := func() (any, error) {
+		f, err := PackForest(cfg.Graph, nodes, opts.MaxTrees, opts.Seed, !opts.NoDetour)
+		if err != nil {
+			return nil, err
+		}
+		return newPlan(cfg.Graph, nodes, f), nil
+	}
+	var v any
+	var err error
+	if cache == nil {
+		v, err = build()
+	} else {
+		cfg.Nodes = nodes
+		v, err = cache.Memo(cfg, build)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return v.(*plan), nil
 }
 
 // planDetours counts the detoured tree edges of a compiled schedule's plan:
