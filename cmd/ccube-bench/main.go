@@ -28,7 +28,6 @@ import (
 
 	"ccube/internal/bench"
 	"ccube/internal/collective"
-	"ccube/internal/collective/store"
 	"ccube/internal/des"
 	"ccube/internal/experiments"
 	"ccube/internal/lint"
@@ -36,7 +35,6 @@ import (
 	"ccube/internal/metrics"
 	"ccube/internal/report"
 	"ccube/internal/server"
-	"ccube/internal/topology"
 )
 
 // benchReport is the BENCH_ccube.json payload: the bench results (median
@@ -58,31 +56,9 @@ type benchReport struct {
 	Churn          []churnFloor             `json:"churn_floor,omitempty"`
 	Synth          *synthReport             `json:"synth,omitempty"`
 	Baseline       *baselineReport          `json:"baseline,omitempty"`
-	Store          *storeReport             `json:"schedule_store,omitempty"`
 	ServerSmoke    *loadgen.Report          `json:"server_smoke,omitempty"`
 	Lint           *lintTiming              `json:"lint,omitempty"`
 	Metrics        []metrics.FamilySnapshot `json:"metrics,omitempty"`
-}
-
-// storeReport records the warm-start behavior of the on-disk schedule
-// store: the fig13 sweep runs twice against one directory — first with the
-// store empty (cold), then with the in-memory cache dropped so every
-// schedule must be loaded and re-verified from disk (warm) — followed by a
-// corruption probe that damages one entry on disk and confirms it is
-// detected, counted, deleted, and rebuilt without failing the run.
-type storeReport struct {
-	Dir            string  `json:"dir"`
-	Entries        int     `json:"entries"`
-	ColdSeconds    float64 `json:"fig13_cold_seconds"`
-	WarmSeconds    float64 `json:"fig13_warm_seconds"`
-	WarmSpeedup    float64 `json:"fig13_warm_speedup"`
-	ColdMisses     uint64  `json:"cold_misses"`
-	ColdWrites     uint64  `json:"cold_writes"`
-	WarmHits       uint64  `json:"warm_hits"`
-	WarmMisses     uint64  `json:"warm_misses"`
-	WarmHitRate    float64 `json:"warm_hit_rate"`
-	CorruptEntries uint64  `json:"corrupt_entries"`
-	ProbeRestored  bool    `json:"probe_restored"`
 }
 
 // churnFloor records one cell of the scale-out churn gate: at 64 nodes the
@@ -260,8 +236,6 @@ func run() int {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	metricsAddr := flag.String("metrics-addr", "", "serve GET /metrics and /healthz on this address while running (e.g. :9090)")
-	storeDir := flag.String("store", "",
-		"on-disk schedule store directory; with -benchjson the directory is cleared and fig13 is timed cold vs warm against it, plus a corruption probe")
 	flag.Parse()
 
 	if *metricsAddr != "" {
@@ -281,18 +255,6 @@ func run() int {
 
 	experiments.Fig14MaxNodes = *maxNodes
 	experiments.Parallelism = *parallel
-
-	var st *store.Store
-	if *storeDir != "" {
-		var err error
-		st, err = store.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		collective.DefaultCache.SetStore(st)
-		fmt.Fprintf(os.Stderr, "schedule store %s (%d entries)\n", st.Dir(), st.Len())
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -455,16 +417,6 @@ func run() int {
 			fmt.Printf("[fig13: %.1fs serial/uncached vs %.1fs cached/parallel = %.1fx]\n\n",
 				ref, t.Seconds, rep.Fig13Ref.Speedup)
 		}
-		if st != nil {
-			sr, err := measureStore(st)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "schedule store: %v\n", err)
-				return 1
-			}
-			rep.Store = sr
-			fmt.Printf("[store: fig13 %.2fs cold vs %.2fs warm (%.1fx), warm hit rate %.2f, corruption probe: %d corrupt, restored=%v]\n\n",
-				sr.ColdSeconds, sr.WarmSeconds, sr.WarmSpeedup, sr.WarmHitRate, sr.CorruptEntries, sr.ProbeRestored)
-		}
 		smoke, err := serverSmoke()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "server smoke: %v\n", err)
@@ -520,88 +472,6 @@ func run() int {
 		fmt.Printf("benchmark results written to %s\n", *benchJSON)
 	}
 	return 0
-}
-
-// measureStore times the fig13 sweep twice against one store directory.
-// Cold: both cache levels emptied, so every schedule is built, verified,
-// and written through. Warm: only the in-memory level is dropped —
-// equivalent to a process restart — so every schedule comes off disk and
-// through the verify-on-load path. A corruption probe then truncates one
-// entry's file and rebuilds it, confirming damage is detected, counted,
-// deleted, and repaired by write-through without failing the run.
-func measureStore(st *store.Store) (*storeReport, error) {
-	collective.DefaultCache.Clear()
-	if err := st.Clear(); err != nil {
-		return nil, err
-	}
-	st.ResetStats()
-	start := time.Now()
-	if _, err := experiments.Fig13Sweep(); err != nil {
-		return nil, fmt.Errorf("cold fig13: %w", err)
-	}
-	cold := time.Since(start).Seconds()
-	coldStats := st.Stats()
-
-	collective.DefaultCache.Clear()
-	st.ResetStats()
-	start = time.Now()
-	if _, err := experiments.Fig13Sweep(); err != nil {
-		return nil, fmt.Errorf("warm fig13: %w", err)
-	}
-	warm := time.Since(start).Seconds()
-	warmStats := st.Stats()
-
-	sr := &storeReport{
-		Dir:         st.Dir(),
-		Entries:     st.Len(),
-		ColdSeconds: cold,
-		WarmSeconds: warm,
-		ColdMisses:  coldStats.Misses,
-		ColdWrites:  coldStats.Writes,
-		WarmHits:    warmStats.Hits,
-		WarmMisses:  warmStats.Misses,
-		WarmHitRate: warmStats.HitRate(),
-	}
-	if warm > 0 {
-		sr.WarmSpeedup = cold / warm
-	}
-
-	// The probe uses a chunk count the fig13 sweep never asks for, so its
-	// entry is distinct from the sweep's and truncating it cannot disturb
-	// the warm-start numbers recorded above.
-	probe := collective.Config{
-		Graph:     topology.DGX1(topology.DefaultDGX1Config()),
-		Algorithm: collective.AlgDoubleTreeOverlap,
-		Bytes:     48 << 20,
-		Chunks:    13,
-	}
-	if _, err := collective.BuildCached(probe); err != nil {
-		return nil, fmt.Errorf("corruption probe build: %w", err)
-	}
-	key, ok := collective.StoreKey(probe)
-	if !ok {
-		return nil, fmt.Errorf("corruption probe: config has no store key")
-	}
-	path := st.EntryPath(key)
-	if err := os.Truncate(path, 3); err != nil {
-		return nil, fmt.Errorf("corruption probe: %w", err)
-	}
-	collective.DefaultCache.Clear()
-	st.ResetStats()
-	if _, err := collective.BuildCached(probe); err != nil {
-		return nil, fmt.Errorf("corruption probe rebuild: %w", err)
-	}
-	ps := st.Stats()
-	sr.CorruptEntries = ps.Corrupt
-	if ps.Corrupt != 1 || ps.Hits != 0 {
-		return nil, fmt.Errorf("corruption probe: truncated entry not detected (stats %+v)", ps)
-	}
-	if _, err := os.Stat(path); err != nil {
-		return nil, fmt.Errorf("corruption probe: entry not rewritten: %w", err)
-	}
-	sr.ProbeRestored = true
-	sr.Entries = st.Len()
-	return sr, nil
 }
 
 // churnGate runs the scale-out churn sweep's acceptance check: 64 nodes,
@@ -667,8 +537,11 @@ func synthGate() (*synthReport, error) {
 }
 
 // serverSmoke boots an in-process ccube-serve instance and drives it with
-// the loadgen mix, recording service throughput alongside the bench
-// numbers. Any response other than 200 or a deliberate 429 fails the run.
+// 24 warmup and 1000 measured requests over three fixed bodies, recording
+// service throughput alongside the bench numbers. After warmup every
+// request is a response-cache hit, so it measures HTTP plus response-cache
+// replay, not schedule compute. Any response other than 200 or a
+// deliberate 429 fails the run.
 func serverSmoke() (*loadgen.Report, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

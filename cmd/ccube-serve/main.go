@@ -29,8 +29,6 @@ import (
 	"syscall"
 	"time"
 
-	"ccube/internal/collective"
-	"ccube/internal/collective/store"
 	"ccube/internal/metrics"
 	"ccube/internal/server"
 )
@@ -46,19 +44,9 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "mount /debug/pprof/")
 	accessLog := flag.Bool("access-log", true, "log one line per request to stderr")
 	drainWait := flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight work on shutdown")
-	storeDir := flag.String("store", "", "on-disk schedule store directory (restarts reuse compiled schedules; verified on load)")
 	flag.Parse()
 
 	metrics.Default.Enable()
-
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			fail("schedule store: %v", err)
-		}
-		collective.DefaultCache.SetStore(st)
-		fmt.Fprintf(os.Stderr, "ccube-serve: schedule store %s (%d entries)\n", st.Dir(), st.Len())
-	}
 
 	cfg := server.Config{
 		Workers:        *workers,

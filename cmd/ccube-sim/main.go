@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"ccube/internal/collective"
-	"ccube/internal/collective/store"
 	"ccube/internal/des"
 	"ccube/internal/fault"
 	"ccube/internal/metrics"
@@ -60,7 +59,6 @@ func main() {
 	faultSpec := flag.String("fault", "", `inject faults and repair around them, e.g. "kill:2-3", "degrade:0-1x4,slow:0x1.5", "kill:ch17@50000" (@T = virtual ns)`)
 	showMetrics := flag.Bool("metrics", false, "collect runtime metrics and print a Prometheus text dump after the run")
 	metricsJSON := flag.String("metrics-json", "", "collect runtime metrics and write a JSON snapshot to this file")
-	storeDir := flag.String("store", "", "on-disk schedule store directory (repeat runs reuse compiled schedules; verified on load)")
 	flag.Parse()
 
 	if *showMetrics || *metricsJSON != "" {
@@ -95,13 +93,6 @@ func main() {
 		Chunks:              *chunks,
 		AllowSharedChannels: *shared,
 	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			fail("schedule store: %v", err)
-		}
-		collective.DefaultCache.SetStore(st)
-	}
 	if *faultSpec != "" {
 		if isSynth {
 			// Synthesis already adapts to channel health: degrade or kill
@@ -124,9 +115,6 @@ func main() {
 		sched = res.Schedule
 		fmt.Printf("synth: %s\n\n", res.Report)
 	} else {
-		// Every build is proved before it returns (and every store load
-		// re-proved), so a warm -store run skips construction, not the
-		// proof.
 		sched, err = collective.BuildCached(cfg)
 	}
 	if err != nil {

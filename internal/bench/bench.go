@@ -433,13 +433,8 @@ func SimulateFixture() *server.SimulateResponse {
 // The samples are taken round-robin across the benches, so a stretch of
 // host noise lands on one sample of each bench instead of on every sample
 // of one. Every bench carries an allocs/op budget (Budgets); CI's bench job
-// fails via CheckBudgets if any regresses. The benches time in-memory
-// layers, so a disk store attached to DefaultCache is detached while they
-// run: a miss a bench repeats must not turn into a store hit.
+// fails via CheckBudgets if any regresses.
 func Run() ([]Result, error) {
-	st := collective.DefaultCache.Store()
-	collective.DefaultCache.SetStore(nil)
-	defer collective.DefaultCache.SetStore(st)
 	bms := benchmarks()
 	ops := make([]func() error, len(bms))
 	ns := make([][]float64, len(bms)) // ns/op of each sample

@@ -255,26 +255,6 @@ func TestCacheSynthSkipsSiblingPatch(t *testing.T) {
 	}
 }
 
-// TestStoreKeyIncludesSynth: the on-disk content address grows a /sy=
-// component exactly when the key carries a synthesis fingerprint, keeping
-// every pre-synth warm store valid.
-func TestStoreKeyIncludesSynth(t *testing.T) {
-	k := cacheKey{fp: 42, alg: AlgRing, bytes: 1 << 20, chunks: 8}
-	plain := storeKey(k)
-	if strings.Contains(plain, "/sy=") {
-		t.Fatalf("built-in store key %q grew a synth component", plain)
-	}
-	k.synth = "v1.t4"
-	withSynth := storeKey(k)
-	if !strings.HasSuffix(withSynth, "/sy=v1.t4") {
-		t.Fatalf("synth store key %q lacks the /sy= component", withSynth)
-	}
-	k.synth = "v1.t8"
-	if other := storeKey(k); other == withSynth {
-		t.Fatal("distinct synth fingerprints share a store key")
-	}
-}
-
 // TestMalformedRoutedTreesRejected: OverlappedChunk and AssembleForest lay
 // out only routed trees whose every edge has a route each way, whose
 // participant count matches, and whose links and walk orders agree; a

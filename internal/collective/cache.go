@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"ccube/internal/collective/store"
 	"ccube/internal/metrics"
 	"ccube/internal/topology"
 )
@@ -58,14 +57,6 @@ type Cache struct {
 	misses    uint64
 	evictions uint64
 	disabled  bool
-
-	// disk is the optional second cache level (SetStore): a content-
-	// addressed on-disk store consulted on memory misses and written through
-	// on builds, so a fresh process starts warm. Entries loaded from it are
-	// re-verified by the full static checker before use (verify-on-load in
-	// loadFromStore) — the miss-verify invariant holds per process, not per
-	// store directory.
-	disk *store.Store
 
 	// incremental counts misses served by a header over a resident
 	// same-shape op graph or a prefix of one, or derived from a resident
@@ -189,15 +180,9 @@ func (c *Cache) key(cfg Config) cacheKey {
 // immutable (every execution path already does); RepairSchedule clones
 // before it rewrites transfers.
 //
-// A miss resolves through up to two levels, cheapest first:
-//
-//  1. disk store (if attached): decode + verify-on-load an entry written by
-//     a previous process — skips construction, re-runs the proof.
-//  2. full build + full verification.
-//
-// Before either, a miss whose shape — everything but the message size, with
-// the chunk count resolved — matches a resident op graph is served by a new
-// header over that graph: the new partition and nothing else, with no
+// A miss whose shape — everything but the message size, with the chunk
+// count resolved — matches a resident op graph is served by a new header
+// over that graph: the new partition and nothing else, with no
 // construction and no proof to redo. A chunk-major graph (the overlapped
 // tree, C-Cube) is indexed without its chunk count and serves every count
 // up to its own, as a header over its first chunks. So is a separated tree
@@ -205,18 +190,19 @@ func (c *Cache) key(cfg Config) cacheKey {
 // copy of each tree's first chunks of both phases with the barrier
 // re-pointed, not re-proved, whose entry holds the carrier resident. A
 // miss for more chunks than any resident carrier holds builds the new,
-// larger carrier (see incremental.go). Headers, derived schedules and
-// builds write the result through to the disk store, so the next process
-// starts at level 1.
+// larger carrier (see incremental.go); any other miss is a full build
+// and its proof. So every schedule the cache returns was proved in this
+// process: it is a build, a header over an op graph built here, or a copy
+// derived from one.
 func (c *Cache) Build(cfg Config) (*Schedule, error) {
 	return c.buildThrough(cfg, func() (*Schedule, error) { return Build(cfg) })
 }
 
 // BuildWith is Build for schedules the package cannot construct itself:
-// builder runs on a full miss (memory, disk) and its result is cached and
-// written through to the disk store exactly like a built-in's. Its schedule
-// is verified and stamped by construction — an external one can only come
-// from AssembleForest or Assemble, or is a Header over a resident op graph.
+// builder runs on a full miss and its result is cached exactly like a
+// built-in's. Its schedule is verified and stamped by construction — an
+// external one can only come from AssembleForest or Assemble, or is a
+// Header over a resident op graph.
 // internal/synth uses it to give compiled schedules the same memoization as
 // the hand-written algorithms; the cache key additionally carries
 // cfg.SynthKey so distinct synthesis configs never alias. The cache cannot
@@ -227,7 +213,7 @@ func (c *Cache) BuildWith(cfg Config, builder func() (*Schedule, error)) (*Sched
 	return c.buildThrough(cfg, builder)
 }
 
-// buildThrough resolves cfg through the cache levels. builder returns a
+// buildThrough resolves cfg through the cache. builder returns a
 // schedule its constructor verified and stamped. Uncacheable configurations
 // (Trees overrides) and a disabled cache call builder directly, so they
 // are verified and stamped the same way and only skip memoization.
@@ -252,14 +238,12 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 		mCacheHits.Inc()
 		return s, nil
 	}
-	disk := c.disk
 	c.mu.Unlock()
 
 	if part, ok := shapePartition(cfg); ok {
 		if s := c.fromShape(k, part); s != nil {
 			mCacheMisses.Inc()
 			mCacheIncremental.Inc()
-			writeThrough(disk, k, s)
 			return s, nil
 		}
 	}
@@ -268,20 +252,9 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 	// be expensive, and independent cells of a parallel sweep miss on
 	// different keys. A concurrent duplicate resolution of the same key is
 	// benign — all results are identical, and the second insert wins.
-	var s *Schedule
-	var fromDisk bool
-	if disk != nil {
-		s, fromDisk = c.loadFromStore(disk, k)
-	}
-	if s == nil {
-		var err error
-		s, err = builder()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !fromDisk {
-		writeThrough(disk, k, s)
+	s, err := builder()
+	if err != nil {
+		return nil, err
 	}
 
 	// Classify the new op graph before taking the lock: the prefix test
@@ -303,15 +276,6 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 	mCacheMisses.Inc()
 	mCacheEvictions.Add(int64(evicted))
 	return s, nil
-}
-
-// writeThrough stores s under k in disk, when one is attached. A failed
-// write (full disk, permissions) costs only warmth, never correctness, so
-// it is ignored.
-func writeThrough(disk *store.Store, k cacheKey, s *Schedule) {
-	if disk != nil {
-		_ = disk.Put(storeKey(k), encodeSchedule(s))
-	}
 }
 
 // insertLocked inserts (or refreshes) an entry as most-recently-used and
@@ -386,22 +350,6 @@ func (c *Cache) IncrementalBuilds() uint64 {
 	return c.incremental
 }
 
-// SetStore attaches (or, with nil, detaches) an on-disk schedule store as
-// the cache's second level. Safe to call while the cache is in use; in-
-// flight misses resolve against whichever store they captured.
-func (c *Cache) SetStore(st *store.Store) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.disk = st
-}
-
-// Store returns the attached on-disk store, or nil.
-func (c *Cache) Store() *store.Store {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.disk
-}
-
 // Len reports the number of cached schedules.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -411,7 +359,7 @@ func (c *Cache) Len() int {
 
 // SetEnabled turns memoization on or off. Disabled, every Build and
 // BuildWith runs its builder — construction plus verification — with no
-// lookup and no store. ccube-bench uses this for its reference timing.
+// lookup. ccube-bench uses this for its reference timing.
 func (c *Cache) SetEnabled(on bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -467,9 +415,7 @@ func (c *Cache) Memo(cfg Config, build func() (any, error)) (any, error) {
 }
 
 // Clear drops every cached schedule and memoized value (Memo) and resets
-// the statistics. Benchmarks use it to measure cold-cache builds. The
-// attached disk store (if any) is left untouched — its entries and
-// counters belong to the store, which has its own Clear and ResetStats.
+// the statistics. Benchmarks use it to measure cold-cache builds.
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -3,6 +3,7 @@ package collective
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -403,5 +404,256 @@ func TestCacheResizeAllocations(t *testing.T) {
 	}
 	if per := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); per > 16<<10 {
 		t.Errorf("a same-shape miss allocates %d bytes, want <= 16 KiB (no op-graph copy)", per)
+	}
+}
+
+// schedulesEqual deep-compares two schedules' content, ignoring the
+// fingerprint stamp (both sides are expected to be stamped identically
+// anyway when built on the same graph).
+func schedulesEqual(a, b *Schedule) bool {
+	return a.Graph == b.Graph && reflect.DeepEqual(a.Nodes, b.Nodes) &&
+		reflect.DeepEqual(a.Partition, b.Partition) &&
+		a.InOrder == b.InOrder && a.Streams == b.Streams && a.Contract == b.Contract &&
+		reflect.DeepEqual(a.ops, b.ops) && reflect.DeepEqual(a.depOff, b.depOff) && reflect.DeepEqual(a.deps, b.deps)
+}
+
+// TestIncrementalMatchesFullBuild pins the same-shape header's equivalence
+// claim for every built-in algorithm: a miss served by a header over a
+// resident op graph must be deep-equal to a from-scratch build at the new
+// size, and must share that op graph rather than copy it. The prefix/
+// subtests pin the prefix header's: on the overlapped built-ins (DGX-1 and
+// cluster:64) and a forest, every chunk count k up to the carrier's 128 is
+// a header over the carrier's first chunks, deep-equal to a cold build,
+// running identically, with the carrier's bytes counted once (prefixCases).
+// The derived/ subtests pin the derived schedule's: on the separated tree
+// and double tree (DGX-1, fc:8, fc:16, cluster:32, cluster:64, shared
+// channels or not), every chunk count k from the stream count up to the
+// carrier's 128 is derived from the carrier, deep-equal to a cold build,
+// running identically and summing correctly (derivedCases, checkDerived).
+func TestIncrementalMatchesFullBuild(t *testing.T) {
+	g := topology.DGX1(topology.DefaultDGX1Config())
+	cases := []struct {
+		name string
+		base Config
+	}{
+		{"ring", Config{Graph: g, Algorithm: AlgRing, Bytes: 1 << 20}},
+		{"halving-doubling", Config{Graph: g, Algorithm: AlgHalvingDoubling, Bytes: 1 << 20}},
+		{"double-tree-overlap", Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}},
+		{"double-tree", Config{Graph: g, Algorithm: AlgDoubleTree, Bytes: 1 << 20, Chunks: 6}},
+		{"tree-overlap", Config{Graph: g, Algorithm: AlgTreeOverlap, Bytes: 1 << 20, Chunks: 7}},
+		{"tree", Config{Graph: g, Algorithm: AlgTree, Bytes: 1 << 20, Chunks: 5}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCache()
+			base, err := c.Build(tc.base)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			resized := tc.base
+			resized.Bytes = tc.base.Bytes + 3<<19 // same shape, ragged chunk sizes
+			header, err := c.Build(resized)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.IncrementalBuilds(); got != 1 {
+				t.Fatalf("IncrementalBuilds = %d, want 1 (the resident op graph should serve the new size)", got)
+			}
+			if !sharesOpGraph(header, base) {
+				t.Fatal("the header does not share the resident op graph")
+			}
+			full, err := Build(resized)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !schedulesEqual(header, full) {
+				t.Fatal("header differs from a full build at the new size")
+			}
+			if header.BuiltFingerprint() != g.Fingerprint() {
+				t.Fatal("header unstamped")
+			}
+			rh, err := header.ExecuteCtx(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rf, err := full.ExecuteCtx(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rh.Total != rf.Total {
+				t.Fatalf("header executes in %v, full build in %v", rh.Total, rf.Total)
+			}
+		})
+	}
+	for _, pc := range prefixCases(t) {
+		t.Run("prefix/"+pc.name, func(t *testing.T) { checkPrefixes(t, pc) })
+	}
+	for _, dc := range derivedCases() {
+		t.Run("derived/"+dc.name, func(t *testing.T) { checkDerived(t, dc.cfg) })
+	}
+}
+
+// sharesOpGraph reports whether a and b are headers over one op graph: the
+// same ops and dependency CSR arrays, not equal copies.
+func sharesOpGraph(a, b *Schedule) bool {
+	return &a.ops[0] == &b.ops[0] && &a.depOff[0] == &b.depOff[0] &&
+		len(a.ops) == len(b.ops) && len(a.deps) == len(b.deps) &&
+		(len(a.deps) == 0 || &a.deps[0] == &b.deps[0])
+}
+
+// TestIncrementalMatchesResolvedChunks: auto-chunked trees resolve their
+// chunk count from the size (KOpt), so two resident sizes of one request
+// shape can hold different op graphs. A third size is served from the one
+// whose resolved count it shares, without building anything.
+func TestIncrementalMatchesResolvedChunks(t *testing.T) {
+	g := topology.DGX1(topology.DefaultDGX1Config())
+	cfg := func(bytes int64) Config {
+		return Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: bytes} // auto chunks
+	}
+	resolved := func(bytes int64) int {
+		c := cfg(bytes)
+		part, err := c.partition(c.nodes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return part.NumChunks()
+	}
+	small, large, third := int64(1<<20), int64(64<<20), int64(64<<20+12345)
+	if resolved(small) == resolved(large) || resolved(third) != resolved(large) {
+		t.Fatalf("resolved chunks %d, %d, %d: want the first to differ and the last two equal",
+			resolved(small), resolved(large), resolved(third))
+	}
+
+	c := NewCache()
+	builds := 0
+	build := func(bytes int64) *Schedule {
+		t.Helper()
+		s, err := c.BuildWith(cfg(bytes), func() (*Schedule, error) {
+			builds++
+			s, err := Build(cfg(bytes))
+			if err != nil {
+				return nil, err
+			}
+			return s, s.Validate()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	build(small)
+	sib := build(large)
+	if builds != 2 || c.IncrementalBuilds() != 0 {
+		t.Fatalf("builds = %d, incremental = %d after two shapes, want 2 and 0", builds, c.IncrementalBuilds())
+	}
+	// Exercise the lookup repeatedly: a scan over resident entries that
+	// matched the requested chunk count (0) could return either sibling.
+	for i := int64(0); i < 8; i++ {
+		s := build(third + i)
+		if builds != 2 {
+			t.Fatalf("size %d ran a build; the resident sibling with its resolved chunk count should serve it", third+i)
+		}
+		if got := c.IncrementalBuilds(); got != uint64(i+1) {
+			t.Fatalf("IncrementalBuilds = %d, want %d", got, i+1)
+		}
+		if !sharesOpGraph(s, sib) {
+			t.Fatalf("size %d does not share its sibling's ops and dependency CSR", third+i)
+		}
+	}
+}
+
+// TestCacheRetainsOneOpGraphPerShape: two sizes of one shape hold one op
+// graph between them, counted once by RetainedBytes, and evicting both
+// drops the graph from the shape index.
+func TestCacheRetainsOneOpGraphPerShape(t *testing.T) {
+	g := topology.DGX1(topology.DefaultDGX1Config())
+	c := NewCache()
+	c.capacity = 2
+	tree := Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}
+	a, err := c.Build(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree.Bytes += 777
+	if _, err := c.Build(tree); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.RetainedBytes(), opGraphBytes(a); got != want || len(c.shapes) != 1 {
+		t.Fatalf("two sizes retain %d bytes in %d shapes, want one op graph of %d", got, len(c.shapes), want)
+	}
+	key := c.key(tree).shape(anyChunks, 0) // a prefix carrier, indexed without its chunk count
+	if c.shapes[key] == nil || c.shapes[key].refs != 2 {
+		t.Fatal("the shape index does not hold the op graph both sizes reference")
+	}
+
+	// Two ring sizes of another shape push both tree entries out.
+	ring := Config{Graph: g, Algorithm: AlgRing, Bytes: 1 << 20}
+	r, err := c.Build(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring.Bytes += 777
+	if _, err := c.Build(ring); err != nil {
+		t.Fatal(err)
+	}
+	if c.Evictions() != 2 {
+		t.Fatalf("Evictions = %d, want both tree sizes evicted", c.Evictions())
+	}
+	if c.shapes[key] != nil || len(c.shapes) != 1 {
+		t.Fatal("evicting every size of a shape left its op graph in the shape index")
+	}
+	if got, want := c.RetainedBytes(), opGraphBytes(r); got != want {
+		t.Fatalf("RetainedBytes = %d after the evictions, want the ring's %d", got, want)
+	}
+	c.Clear()
+	if c.RetainedBytes() != 0 || len(c.shapes) != 0 {
+		t.Fatal("Clear kept op graphs")
+	}
+}
+
+// TestIncrementalSkipsShapeChanges: when the resize changes the chunk count
+// (auto-chunked trees pick K from the message size), no resident op graph
+// matches and the miss falls through to a full build.
+func TestIncrementalSkipsShapeChanges(t *testing.T) {
+	g := topology.DGX1(topology.DefaultDGX1Config())
+	c := NewCache()
+	base := Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 1 << 20} // auto chunks
+	s1, err := c.Build(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := base
+	big.Bytes = 64 << 20
+	s2, err := c.Build(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s1.Partition.NumChunks() == s2.Partition.NumChunks() {
+		t.Skip("KOpt picked the same chunk count; shape-change case not exercised")
+	}
+	if got := c.IncrementalBuilds(); got != 0 {
+		t.Fatalf("IncrementalBuilds = %d, want 0 across a chunk-count change", got)
+	}
+	if err := s2.Validate(); err != nil {
+		t.Fatalf("full build after a shape change invalid: %v", err)
+	}
+}
+
+// TestCacheHitAllocationFree pins the warm-path lookup contract the bench
+// gate enforces: a hit with default participants allocates nothing.
+func TestCacheHitAllocationFree(t *testing.T) {
+	g := topology.DGX1(topology.DefaultDGX1Config())
+	c := NewCache()
+	cfg := cacheTestConfig(g)
+	if _, err := c.Build(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := c.Build(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Fatalf("warm cache hit allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -113,8 +113,8 @@ type Config struct {
 
 	// SynthKey is the synthesis-config fingerprint (pass list, chunk-count
 	// cap, tree-pack seed) for AlgSynth schedules. It is part of the cache
-	// and store content address so two synthesis configs for the same graph
-	// and size can never alias to one entry. Empty for built-in algorithms.
+	// key so two synthesis configs for the same graph and size can never
+	// alias to one entry. Empty for built-in algorithms.
 	SynthKey string
 }
 

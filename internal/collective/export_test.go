@@ -2,13 +2,7 @@ package collective
 
 import "fmt"
 
-// Hooks for the external test package, which can import internal/synth.
-var (
-	EncodeSchedule = encodeSchedule
-	DecodeSchedule = decodeSchedule
-)
-
-// Stamp binds s to its graph's current fingerprint, as a cache load does.
+// Stamp binds s to its graph's current fingerprint without proving it.
 func (s *Schedule) Stamp() { s.stamp() }
 
 // CSRError checks the schedule's dependency CSR: one offset per op plus a

@@ -21,8 +21,8 @@ func checkFlat(t *testing.T, name string, s *Schedule) {
 	}
 }
 
-// TestBuildReservesExactly runs checkFlat over every raw builder, the codec
-// and repair's renumbering.
+// TestBuildReservesExactly runs checkFlat over every raw builder and
+// repair's renumbering.
 func TestBuildReservesExactly(t *testing.T) {
 	topos := []struct {
 		name   string
@@ -43,11 +43,6 @@ func TestBuildReservesExactly(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				checkFlat(t, name, s)
-				dec, err := decodeSchedule(encodeSchedule(s), s.Graph)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				checkFlat(t, name+"/decoded", dec)
 			}
 		}
 	}

@@ -174,8 +174,8 @@ func (e *StaleScheduleError) Error() string {
 
 // ErrUnverified is what every executor returns for a schedule that never
 // passed the static verifier, such as a hand-made &Schedule{}: only adopt
-// (which every constructor and a store load finish through) and
-// RepairSchedule stamp a schedule.
+// (which every constructor finishes through) and RepairSchedule stamp a
+// schedule.
 var ErrUnverified = errors.New("collective: schedule was never verified; build it with a constructor")
 
 // stamp binds the schedule to the current topology fingerprint; checkFresh
@@ -205,6 +205,14 @@ func (s *Schedule) adopt() (*Schedule, error) {
 // BuiltFingerprint returns the topology fingerprint the schedule is stamped
 // with (0 for a schedule no constructor proved, which no executor runs).
 func (s *Schedule) BuiltFingerprint() uint64 { return s.builtFor }
+
+// opBytes returns what op moves: its chunk's size, or 0 for a marker.
+func (s *Schedule) opBytes(op *schedcheck.Op) int64 {
+	if op.Marker() {
+		return 0
+	}
+	return s.Partition.Sizes[op.Chunk]
+}
 
 // Result summarizes one timed execution of a schedule.
 type Result struct {

@@ -6,10 +6,11 @@ import (
 
 	"ccube/internal/chunk"
 	"ccube/internal/collective"
-	"ccube/internal/collective/store"
 	"ccube/internal/synth"
 	"ccube/internal/topology"
 )
+
+func dgx1() *topology.Graph { return topology.DGX1(topology.DefaultDGX1Config()) }
 
 // TestEveryConstructorVerifies runs the output of every exported path that
 // returns a *Schedule: each comes out stamped with its graph's live
@@ -79,24 +80,6 @@ func TestEveryConstructorVerifies(t *testing.T) {
 		s, err := c.Build(cfg)
 		if c.IncrementalBuilds() != 1 {
 			t.Fatalf("%d same-shape headers served, want 1", c.IncrementalBuilds())
-		}
-		return must(t, s, err)
-	}
-	cases["Cache.Build/store-load"] = func(t *testing.T) built {
-		st, err := store.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := collective.NewCache()
-		c.SetStore(st)
-		g := dgx1()
-		if _, err := c.Build(ccube(g)); err != nil {
-			t.Fatal(err)
-		}
-		c.Clear() // only the store remembers the schedule
-		s, err := c.Build(ccube(g))
-		if st.Stats().Hits != 1 {
-			t.Fatalf("store stats %+v, want the rebuild served by one load", st.Stats())
 		}
 		return must(t, s, err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ccube/internal/collective"
-	"ccube/internal/collective/store"
 	"ccube/internal/des"
 	"ccube/internal/synth"
 	"ccube/internal/topology"
@@ -108,7 +107,6 @@ func TestDifferentialOracle(t *testing.T) {
 		oracleCase{name: "hierarchical/2-boxes", build: func(t *testing.T) *collective.Schedule {
 			return hierSchedule(t, 2, 8, true)
 		}},
-		oracleCase{name: "dgx1/store-loaded", build: storeLoaded},
 	)
 	root := collective.InorderTree(8).Root
 	cases = append(cases,
@@ -288,32 +286,4 @@ func primitiveCase(prim collective.Primitive, contract func(in [][]float64, n, j
 			return out
 		},
 	}
-}
-
-// storeLoaded round-trips the C-Cube schedule through the on-disk store: one
-// cache builds and writes it, a second cache with a fresh graph loads it.
-func storeLoaded(t *testing.T) *collective.Schedule {
-	dir := t.TempDir()
-	cfg := func() collective.Config {
-		return collective.Config{Graph: dgx1(), Algorithm: collective.AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8}
-	}
-	for i := 0; i < 2; i++ {
-		st, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := collective.NewCache()
-		c.SetStore(st)
-		s, err := c.Build(cfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 1 {
-			if hits := st.Stats().Hits; hits != 1 {
-				t.Fatalf("store hits = %d, want the schedule loaded from disk", hits)
-			}
-			return s
-		}
-	}
-	return nil
 }

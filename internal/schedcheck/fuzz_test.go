@@ -1,14 +1,13 @@
 package schedcheck_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ccube/internal/collective"
-	"ccube/internal/collective/store"
 	"ccube/internal/des"
 	"ccube/internal/gpusim"
 	"ccube/internal/schedcheck"
@@ -135,7 +134,7 @@ func fuzzOne(t *testing.T, s *collective.Schedule, kind uint8, pick, pick2 uint1
 // view of its schedule, so a kind corrupting the view instead of a Clone
 // would corrupt the cached schedule for every later caller: after each kind
 // (and with any channel it killed restored) the schedule must still verify
-// and encode to the same bytes.
+// and its program must equal a deep copy taken before the kind ran.
 func TestFuzzKindsLeaveCachedSchedulesIntact(t *testing.T) {
 	for kind := uint8(0); kind < fuzzKinds; kind++ {
 		corrupted := 0
@@ -143,7 +142,7 @@ func TestFuzzKindsLeaveCachedSchedulesIntact(t *testing.T) {
 			for _, pick := range [][2]uint16{{0, 7}, {13, 101}, {5, 2}} {
 				t.Run(fmt.Sprintf("kind%d/algo%d/pick%d", kind, algo, pick[0]), func(t *testing.T) {
 					s := cachedSchedule(t, kind, algo)
-					before := storedBytes(t, s)
+					before := s.Program().Clone()
 					t.Run("corrupt", func(t *testing.T) {
 						fuzzOne(t, s, kind, pick[0], pick[1])
 						corrupted++ // not reached when the kind skips
@@ -154,8 +153,8 @@ func TestFuzzKindsLeaveCachedSchedulesIntact(t *testing.T) {
 					if err := s.Validate(); err != nil {
 						t.Fatalf("cached schedule corrupted: %v", err)
 					}
-					if !bytes.Equal(storedBytes(t, s), before) {
-						t.Fatal("cached schedule's encoding changed")
+					if !reflect.DeepEqual(s.Program(), before) {
+						t.Fatal("cached schedule's program changed")
 					}
 				})
 			}
@@ -189,28 +188,6 @@ func cachedSchedule(t *testing.T, kind, algo uint8) *collective.Schedule {
 		t.Fatal("schedule did not come from the cache")
 	}
 	return s
-}
-
-// storedBytes returns the schedule store's encoding of s: a fresh cache with
-// a fresh store takes s as a verified external build and writes it through.
-func storedBytes(t *testing.T, s *collective.Schedule) []byte {
-	t.Helper()
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := collective.NewCache()
-	c.SetStore(st)
-	cfg := collective.Config{Graph: s.Graph, Algorithm: collective.AlgSynth, Bytes: 1, SynthKey: "snapshot"}
-	if _, err := c.BuildWith(cfg, func() (*collective.Schedule, error) { return s, nil }); err != nil {
-		t.Fatal(err)
-	}
-	key, _ := collective.StoreKey(cfg)
-	payload, ok := st.Get(key)
-	if !ok {
-		t.Fatal("store holds no encoding")
-	}
-	return payload
 }
 
 // fuzzKinds is the number of corruption kinds FuzzSchedCheck cycles through.

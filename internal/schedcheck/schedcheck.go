@@ -340,9 +340,9 @@ func (r *Report) Err() error {
 // checks fail, the deeper classes are skipped — their analyses assume a
 // well-formed acyclic program. The structural pass assumes nothing about its
 // input (every id, dep, chunk, channel, relay, participant and node
-// reference is bounds-checked before the deeper classes run), so Check is
-// also the schedule store's verify-on-load step: deserialized garbage fails
-// cleanly instead of panicking. Violations come out in a fixed order.
+// reference is bounds-checked before the deeper classes run), so a
+// malformed program fails cleanly instead of panicking. Violations come out
+// in a fixed order.
 //
 // Check reads the ops once, in a decode pass in id order, and then works on
 // compact columns: a topological sort and one sweep in that order plan the

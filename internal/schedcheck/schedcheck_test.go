@@ -234,8 +234,8 @@ func TestCatchesChunkOutOfRange(t *testing.T) {
 }
 
 // TestCatchesMalformedDepCSR: the dependency CSR is read in place, so a
-// program whose offsets do not cover its ops — the shape a corrupted store
-// payload or a careless edit could leave — fails structure at every entry
+// program whose offsets do not cover its ops — the shape a careless edit
+// could leave — fails structure at every entry
 // point, never panicking, and gpusim refuses it too.
 func TestCatchesMalformedDepCSR(t *testing.T) {
 	base := treeProgram(t)

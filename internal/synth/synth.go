@@ -28,15 +28,15 @@
 // Only the variants the search walks to are emitted, and each passes the
 // static verifier in collective.AssembleForest before it is executed
 // or escapes this package, or is a header over an op graph that passed it.
-// Synthesize memoizes through the schedule cache/store under a key that
-// includes the synthesis-config fingerprint, so compiled schedules get the
-// exact same correctness gate, staleness detection, and warm-start
-// behavior as the built-in algorithms. A variant's op graph depends on the
-// graph, the config and its tree and chunk counts, never on the message
-// size, so the cache also indexes each winner's op graph by that shape:
-// a later compile at another size emits any variant of a resident shape
-// as a header over it, its own partition and nothing re-checked, exactly
-// as a built-in's same-shape miss is served. The forest and its chunk
+// Synthesize memoizes through the schedule cache under a key that includes
+// the synthesis-config fingerprint, so compiled schedules get the exact
+// same correctness gate and staleness detection as the built-in
+// algorithms. A variant's op graph depends on the graph, the config and
+// its tree and chunk counts, never on the message size, so the cache also
+// indexes each winner's op graph by that shape: a later compile at
+// another size emits any variant of a resident shape as a header over
+// it, its own partition and nothing re-checked, exactly as a built-in's
+// same-shape miss is served. The forest and its chunk
 // passes depend on no size at all, so a cached compile takes them from
 // the cache's memo (collective.Cache.Memo), keyed by the graph, its
 // fingerprint, the participants and the config: the packing search runs
@@ -75,7 +75,7 @@ const executeFinalists = 3
 
 // Options parameterizes the compiler. The zero value is the default
 // configuration; every field that shapes the output is part of
-// Fingerprint, the cache/store content-address component.
+// Fingerprint, the schedule cache's key component.
 type Options struct {
 	// MaxTrees caps the spanning-tree packing (0 = DefaultMaxTrees). The
 	// search also considers every prefix of the packed forest, so this is
@@ -106,20 +106,18 @@ func (o Options) normalized() Options {
 }
 
 // Fingerprint renders the synthesis configuration as a short stable string:
-// a compiler version, the pass list and every output-shaping knob. It is
-// the SynthKey of the cache/store content address, so two configs that
-// could compile different schedules for the same graph and size can never
-// alias to one entry. The version moves whenever the same Options start to
-// compile different schedules, so a store filled by an older compiler is
-// never served: v3 packs the forest by a search over root rotations, v2
-// by one greedy pass, and v1 split chunks evenly instead of by tree rate.
+// every output-shaping knob and the pass list. It is the SynthKey of the
+// schedule cache's key, so two configs that could compile different
+// schedules for the same graph and size can never alias to one entry. The
+// cache lives in one process, which runs one compiler, so the string names
+// no compiler version.
 func (o Options) Fingerprint() string {
 	o = o.normalized()
 	detour := 1
 	if o.NoDetour {
 		detour = 0
 	}
-	return fmt.Sprintf("v3.t%d.k%d.s%d.d%d.lift-parallelize-route-pipeline",
+	return fmt.Sprintf("t%d.k%d.s%d.d%d.lift-parallelize-route-pipeline",
 		o.MaxTrees, o.MaxChunks, o.Seed, detour)
 }
 
@@ -130,7 +128,7 @@ type Report struct {
 	Detours  int      // relay-spliced tree edges in the winning plan
 	Passes   []string // compilation stages of the winning plan, in order
 	Variants int      // (forest prefix, chunk count) plans ranked, less any that failed verification
-	CacheHit bool     // served from the schedule cache/store; Passes empty
+	CacheHit bool     // served from the schedule cache; Passes empty
 	// partition is the winning schedule's own, which Shares reads.
 	partition chunk.Partition
 }
@@ -168,10 +166,10 @@ type Result struct {
 // channels hold, once per fabric, ranks every candidate tree count
 // and chunk count by its static makespan bound, emits, verifies and executes
 // on the DES the finalists that can still win, and returns the fastest with
-// its timing. The winner is cached — memory, then disk store — under the
-// topology fingerprint plus Options.Fingerprint, with the same
-// verify-on-miss invariant as the built-in algorithms, and its op graph
-// serves later compiles that pick its tree and chunk counts.
+// its timing. The winner is cached under the topology fingerprint plus
+// Options.Fingerprint, with the same verify-on-miss invariant as the
+// built-in algorithms, and its op graph serves later compiles that pick
+// its tree and chunk counts.
 func Synthesize(ctx context.Context, g *topology.Graph, bytes int64, opts Options) (*Result, error) {
 	if g == nil {
 		return nil, fmt.Errorf("synth: nil graph")
@@ -218,7 +216,7 @@ func Synthesize(ctx context.Context, g *topology.Graph, bytes int64, opts Option
 	if cold != nil {
 		return cold, nil
 	}
-	// Cache or store hit: the plan metadata was not recomputed, but the
+	// Cache hit: the plan metadata was not recomputed, but the
 	// load-bearing facts survive in the schedule itself.
 	return &Result{Schedule: s, Report: Report{
 		Trees:     s.Streams,

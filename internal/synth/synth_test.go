@@ -3,13 +3,10 @@ package synth
 import (
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
-	"ccube/internal/chunk"
 	"ccube/internal/collective"
-	"ccube/internal/collective/store"
 	"ccube/internal/des"
 	"ccube/internal/topology"
 )
@@ -254,142 +251,6 @@ func TestSynthesizeConfigsDoNotAlias(t *testing.T) {
 		t.Fatal("distinct synthesis config was served another config's schedule")
 	}
 	_ = a
-}
-
-// TestStaleV1EntryNotServed: a store filled by the equal-chunk compiler
-// holds its winner under the v1 fingerprint. The rate-weighted compiler's
-// key (v2, v3 since) never reads it: with only that entry on disk,
-// Synthesize compiles cold, and what it returns and caches is the schedule
-// a cache-off compile returns.
-func TestStaleV1EntryNotServed(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	collective.DefaultCache.Clear()
-	collective.DefaultCache.SetStore(st)
-	t.Cleanup(func() {
-		collective.DefaultCache.SetStore(nil)
-		collective.DefaultCache.Clear()
-	})
-	g := asymFC8()
-	nodes := g.GPUs()
-	const bytes = 16 << 20
-	forest, err := PackForest(g, nodes, DefaultMaxTrees, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale, err := collective.AssembleForest(g, nodes, chunk.Split(bytes, 64),
-		[]collective.RoutedTree{forest.Trees[0].RoutedTree, forest.Trees[1].RoutedTree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := collective.Config{Graph: g, Algorithm: collective.AlgSynth, Bytes: bytes,
-		SynthKey: "v1.t4.k64.s0.d1.lift-parallelize-route-pipeline"}
-	if _, err := collective.DefaultCache.BuildWith(v1, func() (*collective.Schedule, error) { return stale, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 1 {
-		t.Fatalf("store holds %d entries after planting the v1 one", st.Len())
-	}
-	collective.DefaultCache.Clear() // only the store remembers the v1 winner
-
-	on, err := Synthesize(context.Background(), g, bytes, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Report.CacheHit {
-		t.Fatalf("current synthesis was served from the cache: %s", on.Report)
-	}
-	off, err := Synthesize(context.Background(), g, bytes, Options{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit, err := Synthesize(context.Background(), g, bytes, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit.Report.CacheHit {
-		t.Fatal("the current compile was not cached")
-	}
-	for name, r := range map[string]*Result{"cold": on, "cached": hit} {
-		if !reflect.DeepEqual(r.Schedule.Partition, off.Schedule.Partition) || !reflect.DeepEqual(r.Schedule.Program(), off.Schedule.Program()) {
-			t.Fatalf("%s cache-on schedule (%s) differs from the cache-off one (%s)", name, r.Report, off.Report)
-		}
-	}
-	if reflect.DeepEqual(on.Schedule.Partition, stale.Partition) {
-		t.Fatal("the current winner has the stale entry's partition: the test plants nothing it could tell apart")
-	}
-}
-
-// TestStaleV2EntryNotServed: a store filled by the one-pass packer holds
-// its DGX-1 winner, two trees of the seed's rotation at 64 chunks, under
-// the v2 fingerprint. The rotation search's v3 key never reads it: with
-// only that entry on disk, Synthesize compiles cold, and what it returns
-// and caches is the schedule a cache-off compile returns.
-func TestStaleV2EntryNotServed(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	collective.DefaultCache.Clear()
-	collective.DefaultCache.SetStore(st)
-	t.Cleanup(func() {
-		collective.DefaultCache.SetStore(nil)
-		collective.DefaultCache.Clear()
-	})
-	g := dgx1()
-	nodes := g.GPUs()
-	const bytes = 16 << 20
-	forest, err := packRotation(g, nodes, DefaultMaxTrees, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(forest.Trees) != 2 {
-		t.Fatalf("the seed's rotation packs %d trees, want the one-pass packer's 2", len(forest.Trees))
-	}
-	trees := []collective.RoutedTree{forest.Trees[0].RoutedTree, forest.Trees[1].RoutedTree}
-	rates := []float64{forest.Trees[0].Bottleneck, forest.Trees[1].Bottleneck}
-	stale, err := collective.AssembleForest(g, nodes, chunk.SplitRates(bytes, 64, rates), trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := collective.Config{Graph: g, Algorithm: collective.AlgSynth, Bytes: bytes,
-		SynthKey: "v2.t4.k64.s0.d1.lift-parallelize-route-pipeline"}
-	if _, err := collective.DefaultCache.BuildWith(v2, func() (*collective.Schedule, error) { return stale, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 1 {
-		t.Fatalf("store holds %d entries after planting the v2 one", st.Len())
-	}
-	collective.DefaultCache.Clear() // only the store remembers the v2 winner
-
-	on, err := Synthesize(context.Background(), g, bytes, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Report.CacheHit {
-		t.Fatalf("v3 synthesis was served from the cache: %s", on.Report)
-	}
-	off, err := Synthesize(context.Background(), g, bytes, Options{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit, err := Synthesize(context.Background(), g, bytes, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit.Report.CacheHit {
-		t.Fatal("the v3 compile was not cached")
-	}
-	for name, r := range map[string]*Result{"cold": on, "cached": hit} {
-		if !reflect.DeepEqual(r.Schedule.Partition, off.Schedule.Partition) || !reflect.DeepEqual(r.Schedule.Program(), off.Schedule.Program()) {
-			t.Fatalf("%s cache-on schedule (%s) differs from the cache-off one (%s)", name, r.Report, off.Report)
-		}
-	}
-	if on.Schedule.Streams == stale.Streams || reflect.DeepEqual(on.Schedule.Program(), stale.Program()) {
-		t.Fatalf("the v3 winner %s has the stale entry's %d trees: the test plants nothing it could tell apart", on.Report, stale.Streams)
-	}
 }
 
 func TestFingerprint(t *testing.T) {

@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // fnv64 constants (FNV-1a), inlined so fingerprinting allocates nothing.
 const (
@@ -47,17 +44,11 @@ func mixString(h uint64, s string) uint64 {
 // Graph.Channel). Concurrent readers may race to fill the memo; they store
 // the same value.
 //
-// Cross-process stability is a compatibility contract, not an accident: the
-// fingerprint is half of the on-disk schedule store's content address
-// (internal/collective/store), so two processes — or two CI runs sharing a
-// store directory — must derive the same value for content-identical
-// topologies. That pins the exact serialization: nodes in id order
-// contributing (kind, name), then channels in id order contributing (from,
-// to, bandwidth bits, latency, tag, down flag, degrade-factor bits), each
-// length-prefixed string mixed byte-wise. Changing any of this — field
-// order, a new hashed field, float canonicalization — silently invalidates
-// every existing store entry (they just miss; nothing breaks), and must be
-// deliberate. TestFingerprintGolden pins the current value.
+// The value depends only on content, never on the process: nodes in id
+// order contribute (kind, name), then channels in id order contribute
+// (from, to, bandwidth bits, latency, tag, down flag, degrade-factor bits),
+// each length-prefixed string mixed byte-wise. TestFingerprintGolden pins
+// the current value, so a change to the serialization is deliberate.
 func (g *Graph) Fingerprint() uint64 {
 	if fp := g.fp.Load(); fp != 0 {
 		return fp
@@ -94,7 +85,3 @@ func (g *Graph) fingerprint() uint64 {
 	}
 	return h
 }
-
-// FormatFingerprint renders a fingerprint in the canonical zero-padded hex
-// form used by store keys, staleness errors, and logs.
-func FormatFingerprint(fp uint64) string { return fmt.Sprintf("%016x", fp) }

@@ -60,39 +60,28 @@ func TestFingerprintTracksHealthState(t *testing.T) {
 	}
 }
 
-// TestFingerprintGolden pins the fingerprint's exact serialization. The
-// fingerprint is half of the on-disk schedule store's content address, so it
-// must be identical across processes and repo versions for content-identical
-// topologies; any change to the canonical field order or hashed fields moves
-// this value and silently invalidates every existing store directory. If
-// this test fails because of a deliberate format change, update the pinned
-// values AND bump the schedule codec version in internal/collective so old
-// entries miss cleanly.
+// TestFingerprintGolden pins the fingerprint's exact serialization: any
+// change to the canonical field order or hashed fields moves this value, so
+// such a change is deliberate. Update the pinned values only then.
 func TestFingerprintGolden(t *testing.T) {
 	g := NewGraph()
 	a := g.AddNode("g0", GPU)
 	b := g.AddNode("g1", GPU)
 	g.AddBidi(a, b, 25e9, 1_300, "nvlink")
 
-	const wantHealthy = "524c57aff5f0285e"
-	if got := FormatFingerprint(g.Fingerprint()); got != wantHealthy {
-		t.Fatalf("fingerprint of pinned 2-GPU graph = %s, want %s (serialization changed?)", got, wantHealthy)
+	const wantHealthy = 0x524c57aff5f0285e
+	if got := g.Fingerprint(); got != wantHealthy {
+		t.Fatalf("fingerprint of pinned 2-GPU graph = %016x, want %016x (serialization changed?)", got, uint64(wantHealthy))
 	}
 
 	g.KillChannel(0)
-	const wantKilled = "317d473cf3e5ca2f"
-	if got := FormatFingerprint(g.Fingerprint()); got != wantKilled {
-		t.Fatalf("fingerprint with channel 0 down = %s, want %s", got, wantKilled)
+	const wantKilled = 0x317d473cf3e5ca2f
+	if got := g.Fingerprint(); got != wantKilled {
+		t.Fatalf("fingerprint with channel 0 down = %016x, want %016x", got, uint64(wantKilled))
 	}
 	g.RestoreChannel(0)
-	if got := FormatFingerprint(g.Fingerprint()); got != wantHealthy {
-		t.Fatalf("fingerprint after restore = %s, want %s", got, wantHealthy)
-	}
-}
-
-func TestFormatFingerprint(t *testing.T) {
-	if got := FormatFingerprint(0x1a); got != "000000000000001a" {
-		t.Fatalf("FormatFingerprint(0x1a) = %q, want zero-padded 16-digit hex", got)
+	if got := g.Fingerprint(); got != wantHealthy {
+		t.Fatalf("fingerprint after restore = %016x, want %016x", got, uint64(wantHealthy))
 	}
 }
 
