@@ -78,8 +78,8 @@ func cluster64CCube() collective.Config {
 }
 
 // cluster64Tree is the separated tree on the 64-GPU cluster at 96 chunks:
-// its barrier is a cut between the reduction and the broadcast, so Check
-// proves it by its periodic window, chunks [0, 3) plus the barrier.
+// its last chunk holds the barrier every broadcast waits for, so Check
+// proves it in full, as a cold carrier build does.
 func cluster64Tree() collective.Config {
 	return collective.Config{
 		Graph:     topology.Hierarchy(topology.DefaultHierarchyConfig(64)),
@@ -127,8 +127,8 @@ func executeBench(cfg func() collective.Config) func() (func() error, error) {
 // checkBench times one verification of a built schedule: the cold-path
 // Check every full build pays. The dgx1 shape (~700 transfers) is the size
 // plan_unique verifies six of per request, where per-call setup dominates.
-// The cluster:64 C-Cube and separated tree shapes are proved by their
-// periodic windows, the ring in full.
+// The cluster:64 C-Cube shape is proved by its periodic window, the
+// separated tree and the ring in full.
 func checkBench(cfg func() collective.Config) func() (func() error, error) {
 	return func() (func() error, error) {
 		s, err := collective.Build(cfg())

@@ -9,8 +9,8 @@ import (
 )
 
 // TestCheckAllocFree pins a warm Check to its Report: on the cluster:64
-// C-Cube schedule (128 chunks, 16,256 ops), the separated tree (96 chunks,
-// proved through its barrier's cut) and the ring (the full path) every
+// C-Cube schedule (128 chunks, 16,256 ops, proved by its periodic window),
+// the separated tree (96 chunks) and the ring (both the full path) every
 // scratch slice comes from the pooled checker, so the Report and its
 // Checked list are all a Check allocates, whatever the op count.
 func TestCheckAllocFree(t *testing.T) {

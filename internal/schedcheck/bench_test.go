@@ -12,11 +12,12 @@ import (
 // built-ins at 64 MiB (cost-model chunk count), the C-Cube and overlapped
 // tree schedules on the 64-GPU cluster hierarchy at 128 chunks, the tree
 // schedules the served /v1/simulate requests verify cold there, at 96
-// chunks, and the ring there. Every tree schedule is proved by its periodic
-// window (the separated tree and double tree through their barriers' cuts),
-// the ring in full. Schedules are built and lowered outside the timer;
-// ns/transfer divides by every op checked, and closure-B/transfer is the
-// reachability closure the full path builds.
+// chunks, and the ring there. The overlapped trees are proved by their
+// periodic window; the separated tree, the double tree and the ring, whose
+// barriers or lack of a short period leave no window, in full. Schedules
+// are built and lowered outside the timer; ns/transfer divides by every op
+// checked, and closure-B/transfer is the reachability closure the full path
+// builds.
 func BenchmarkCheck(b *testing.B) {
 	b.Run("dgx1-builtins-64MiB", func(b *testing.B) {
 		g := dgx1()

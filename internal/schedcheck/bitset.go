@@ -35,14 +35,12 @@ package schedcheck
 // they go.
 //
 // A barrier hub is a marker that announces nothing (Final == -1): the
-// separated tree's barrier (in its periodic window too, where it depends
-// on its reduction's frontier; checks.go), the hierarchical box-ready and
-// barrier markers, halving-doubling's step markers. The first 64 of them in
-// topological order get one bit each; down[a] holds the hubs a reaches or
-// is, up[b] the hubs that reach or are b, and down[a]&up[b] != 0 (a != b)
-// proves a reaches b. A missing bit proves nothing and leaves the question
-// to the band, so hubs change how questions are answered, never the
-// answers.
+// separated tree's barrier, the hierarchical box-ready and barrier markers,
+// halving-doubling's step markers. The first 64 of them in topological
+// order get one bit each; down[a] holds the hubs a reaches or is, up[b] the
+// hubs that reach or are b, and down[a]&up[b] != 0 (a != b) proves a
+// reaches b. A missing bit proves nothing and leaves the question to the
+// band, so hubs change how questions are answered, never the answers.
 
 // query is one reachability question queued for the band, by position.
 type query struct{ a, b int32 }

@@ -1109,42 +1109,29 @@ func (ck *checker) forcedAfter(a, b int) bool {
 // C-Cube and synthesized forests send chunk c down tree c mod t behind the
 // same hops of chunk c-t, t = Program.Streams (so do the chained
 // hierarchical schedule and the repairs of all of these), so from some chunk
-// w on every chunk is an op-for-op translate of chunk c-t. The separated
-// tree and double tree (the baseline C1 overlaps) do the same in each of
-// their two phases, joined by one barrier per tree. Check certifies the
-// translate, and each barrier as a cut, in O(ops+deps) (certify, cut) and
-// then runs its classes on the window alone: the sub-program of chunks
-// [0, w+t), plus each barrier (windowProgram).
+// w on every chunk is an op-for-op translate of chunk c-t. Check certifies
+// that translate in O(ops+deps) (certify) and then runs its classes on the
+// window alone: the sub-program of chunks [0, w+t) (windowProgram).
 //
-// A stream barrier is an op some op of a lower chunk depends on: the
-// separated tree's barrier sits in its tree's last chunk, and every chunk's
-// broadcast waits for it. It must be a marker that announces nothing
-// (Final == -1), and its first dependent in id order must be of a lower
-// chunk. Its stream is its chunk mod t, and within its chunk it takes no
-// rank. A program with barriers must list every dependency at a lower id
-// than its dependent. The built-ins and their repairs do all of this.
+// The separated tree and double tree (the baseline C1 overlaps) are not
+// periodic this way: each tree's last chunk also holds its barrier, which
+// every broadcast waits for, so the op-count bound leaves no window and they
+// take the full path, like ring and halving-doubling. They are proved once
+// per resident carrier and served at smaller chunk counts as derived copies
+// ("phase prefixes" below).
 //
 // The certificate, with t = max(Streams, 1):
 //   - well formed: every chunk size is positive, the dependency CSR covers
 //     the ops, and every op's chunk, dependency and relay slot is in range;
-//   - chunk-closed: no op depends on an op of a later chunk unless it is a
-//     barrier, a marker depends only on ops of its own chunk and never on a
-//     barrier, and every relay slot an op reads or writes belongs to an op
-//     of its own chunk;
-//   - cut, per barrier b of stream i, over its ancestors A_b and its
-//     descendants D_b: no other barrier is on stream i, in A_b or in D_b;
-//     A_b and D_b are disjoint and hold only ops of stream i; and every op
-//     of stream i outside A_b, D_b and {b} is a sink (the separated tree's
-//     root-ready markers of every chunk but the last);
+//   - chunk-closed: no op depends on an op of a later chunk, a marker
+//     depends only on ops of its own chunk, and every relay slot an op reads
+//     or writes belongs to an op of its own chunk;
 //   - translate: pair a chunk's ops by rank in id order. For every chunk
 //     c >= w, chunk c has as many ops as chunk c-t, and each op x of chunk c
 //     equals its partner y in chunk c-t field for field, but for a chunk t
 //     higher; each relay slot x names pairs with the one y names, and x's
 //     dependencies pair with y's in list order, where references pair when
-//     the first is an op t chunks above the second, at the same rank, or
-//     both are the same barrier. x is in a D_b exactly when y is, and in an
-//     A_b whenever y is (the last chunk's root-ready marker is the one op in
-//     A_b whose partner is a sink).
+//     the first is an op t chunks above the second, at the same rank.
 //
 // w is the smallest value >= t with every chunk from w on a translate, and
 // the window runs only when w+t < NumChunks. Closure and the marker and
@@ -1152,65 +1139,36 @@ func (ck *checker) forcedAfter(a, b int) bool {
 // the rest, since a paired reference keeps its chunk offset.
 //
 // Why the window's verdict is the whole program's. Along a dependency edge
-// that names no barrier the chunk never rises, so every barrier-free path
-// between ops of chunks a and b stays inside chunks a..b. Every question
-// Check asks sits in a window of at most t+1 consecutive chunks of one
-// stream:
+// the chunk never rises, so every path between ops of chunks a and b stays
+// inside chunks a..b. Every question Check asks sits in a window of at most
+// t+1 consecutive chunks:
 //   - structure and link questions are about one op, its relay slot's owner
 //     and readers, all in its chunk, or about a cycle, whose ops share one
-//     chunk (with barriers the ids are in dependency order, so there is
-//     none); the program-wide ones (graph, participants) are the window's
+//     chunk; the program-wide ones (graph, participants) are the window's
 //     too, and chunk sizes are checked here, all of them;
 //   - hazard and conservation questions live in one region (chunk, node) or
-//     one op's own relay slot: the ops touching it, and every barrier-free
-//     path between them, are in one chunk;
+//     one op's own relay slot: the ops touching it, and every path between
+//     them, are in one chunk;
 //   - the order proof pairs the finals of chunks c-t and c of one stream,
 //     and the marker chains it follows stay in chunk c-t.
 //
-// A path through a barrier b runs A_b -> b -> D_b, and the cut keeps each
-// b on its own stream, so for ops x and y, x reaches y exactly when a
-// barrier-free path joins them or x is in an A_b and y in that D_b. The
-// first half is the one-phase argument below, and it holds within each
-// phase; the second is a question across phases, which the translate's
-// phase rule carries down: if x's and y's partners are ordered across b, so
-// are x and y. A sink and a D_b op are unordered on both sides.
-//
 // The translate maps chunks [w, NumChunks) onto [w-t, NumChunks-t), and it
-// preserves fields, relay wiring and barrier-free edges both ways, so a
-// question about chunks >= w is answered yes whenever its translate is (every
-// question Check asks must be answered yes to pass). Translating down by t
-// lands a one-chunk question in [w-t, w) and an order question on chunks c-t
-// and c with c in [w, w+t): inside the window. The window is a prefix of the
-// chunk order, so by closure it holds every barrier-free path into its ops.
-// Each barrier's window dependencies are its A_b frontier: the window's A_b
-// ops no window A_b op depends on. So in the window, as in the whole
-// program, every A_b op reaches b, b reaches every D_b op, and nothing else
-// reaches b, and each question there has the same answer as in the whole
-// program. A certified translate of a proved window is proved, and its
-// Report is the one the full Check returns: the window's, with NumOps the
-// whole program's. A broken certificate, or any violation in the window,
-// runs the full Check on the original program instead, so every failing
-// Report is the full one.
-
-// An op's side of its stream's cut, in windowScratch.side: its class in the
-// low bits, and whether any op depends on it.
-const (
-	sideNone    uint8 = iota // in no barrier's A_b or D_b
-	sideUp                   // in A_b: an ancestor of its stream's barrier
-	sideDown                 // in D_b: a descendant of its stream's barrier
-	sideBarrier              // the barrier b itself
-
-	sideFed   uint8 = 1 << 2 // some op depends on it
-	sideInner uint8 = 1 << 3 // a window A_b op depends on it (frontiers)
-	sideFront uint8 = 1 << 4 // on its stream's window A_b frontier (frontiers)
-	sideClass uint8 = 3
-)
+// preserves fields, relay wiring and dependency edges both ways, so a
+// question about chunks >= w has its translate's answer. Translating down
+// by t lands a one-chunk question in [w-t, w) and an order question on
+// chunks c-t and c with c in [w, w+t): inside the window. The window is a
+// prefix of the chunk order, so by closure it holds every ancestor of its
+// ops, and each question there has the same answer as in the whole program.
+// A certified translate of a proved window is proved, and its Report is the
+// one the full Check returns: the window's, with NumOps the whole program's.
+// A broken certificate, or any violation in the window, runs the full Check
+// on the original program instead, so every failing Report is the full one.
 
 // windowScratch is the periodic window's scratch: the certificate's
 // indexes and the window program, which shares the checked program's graph,
 // participants and chunk sizes and lays out its own ops and dependencies.
 type windowScratch struct {
-	key     []int64 // op id -> its chunk<<32 | its rank among the chunk's ops, in id order; -1 for a barrier
+	key     []int64 // op id -> its chunk<<32 | its rank among the chunk's ops, in id order
 	off     []int32 // chunk c's ops are byChunk[off[c]:off[c+1]]
 	byChunk []int32 // op ids, chunk by chunk, in id order within a chunk
 	bits    []uint64
@@ -1220,15 +1178,6 @@ type windowScratch struct {
 	depOff  []int32
 	depList []int32
 	sub     Program
-
-	// The cut (valid while barriers is set): each op's side, each stream's
-	// barrier or -1, and the window's A_b frontiers, stream by stream.
-	barriers bool
-	side     []uint8
-	barrier  []int32
-	streams  []int32 // chunk c -> its stream, c mod t (t > 1 only)
-	front    []int32
-	frontOff []int32
 }
 
 // window proves ck.p by its periodic window and reports whether it did.
@@ -1259,7 +1208,6 @@ func (ck *checker) window() bool {
 func (ck *checker) certify() int {
 	p, ws := ck.p, &ck.win
 	n, k, t := len(p.Ops), p.NumChunks, max(p.Streams, 1)
-	ws.barriers = false
 	if n == 0 || k <= 2*t || len(p.ChunkBytes) != k ||
 		len(p.DepOff) != n+1 || p.DepOff[0] != 0 || int(p.DepOff[n]) != len(p.DepList) {
 		return 0
@@ -1271,7 +1219,6 @@ func (ck *checker) certify() int {
 	}
 	// Key every op by its chunk and rank, counting each chunk's ops.
 	key, off := grow(ws.key, n), zeroed(ws.off, k+1)
-	ws.key, ws.off = key, off
 	for i := range p.Ops {
 		c := p.Ops[i].Chunk
 		if c < 0 || int(c) >= k || p.DepOff[i+1] < p.DepOff[i] {
@@ -1280,32 +1227,21 @@ func (ck *checker) certify() int {
 		key[i] = int64(c)<<32 | int64(off[c+1])
 		off[c+1]++
 	}
-	// A translate has its partner's op count, which bounds w from below. A
-	// barrier is one op more than its chunk's partner has, so only a
-	// program failing the bound is cut, from its first marker announcing
-	// nothing (the first op that can be a barrier), and the bound taken
-	// again without its barriers.
-	w := ck.countBound(k, t)
+	ws.key, ws.off = key, off
+	// A translate has its partner's op count, which bounds w from below.
+	w := k
+	for w > t && off[w] == off[w-t] {
+		w--
+	}
 	if w+t >= k {
-		first := 0
-		for first < n && (p.Ops[first].Final != -1 || !p.Ops[first].Marker()) {
-			first++
-		}
-		if first == n || !ck.cut(t, first) || !ws.barriers {
-			return 0
-		}
-		if w = ck.countBound(k, t); w+t >= k {
-			return 0
-		}
+		return 0
 	}
 	for c := 0; c < k; c++ {
 		off[c+1] += off[c]
 	}
-	byChunk := grow(ws.byChunk, int(off[k]))
+	byChunk := grow(ws.byChunk, n)
 	for i, kc := range key {
-		if kc >= 0 {
-			byChunk[off[kc>>32]+int32(kc)] = int32(i)
-		}
+		byChunk[off[kc>>32]+int32(kc)] = int32(i)
 	}
 	ws.byChunk = byChunk
 	// Most programs that are not periodic fail at once on their last chunk.
@@ -1317,15 +1253,10 @@ func (ck *checker) certify() int {
 		}
 	}
 	// The rest in id order, where a chunk's ops sit near its partner's: w
-	// ends up one past the highest chunk that is not a translate, or, with
-	// barriers, whose op is not on its partner's side of the cut.
-	barriers := ws.barriers
+	// ends up one past the highest chunk that is not a translate.
 	for x, kc := range key {
-		if c := int(kc >> 32); c >= w {
-			y := byChunk[off[c-t]+int32(kc)]
-			if !ck.translate(int32(x), y, int32(t)) || barriers && !ws.sameSide(int32(x), y) {
-				w = c + 1
-			}
+		if c := int(kc >> 32); c >= w && !ck.translate(int32(x), byChunk[off[c-t]+int32(kc)], int32(t)) {
+			w = c + 1
 		}
 	}
 	if w+t >= k {
@@ -1334,149 +1265,8 @@ func (ck *checker) certify() int {
 	return w + t
 }
 
-// countBound returns the smallest w >= t from which every chunk counts as
-// many ops as its partner t chunks below, from the per-chunk counts in
-// ck.win.off.
-func (ck *checker) countBound(k, t int) int {
-	off := ck.win.off
-	w := k
-	for w > t && off[w] == off[w-t] {
-		w--
-	}
-	return w
-}
-
-// cut finds the stream barriers and certifies each as a cut, in two sweeps
-// over the dependencies from the first marker that announces nothing
-// (first), the first op that can be a barrier. One in id order finds the
-// barriers, marks D_b and notes which ops have a dependent; a barrier's
-// first dependent must be of a lower chunk, so the sweep knows it for one
-// before it meets any op below it. The barriers then give up their ranks.
-// One against id order, where an op's dependents come before it, marks A_b,
-// notes the dependents the first sweep did not see, and finds every op
-// outside both with a dependent. It fills ck.win.side and ck.win.barrier,
-// sets ck.win.barriers when it finds a barrier, and reports false when the
-// program breaks the certificate.
-func (ck *checker) cut(t, first int) bool {
-	p, ws := ck.p, &ck.win
-	n, key, off := len(p.Ops), ws.key, ws.off
-	depOff, depList := p.DepOff, p.DepList
-	side := zeroed(ws.side, n)
-	ws.side = side
-	// An op's stream is its chunk's, through a table when there are several.
-	streams := ws.streams[:0]
-	if t > 1 {
-		streams = grow(ws.streams, len(off)-1)
-		for c := range streams {
-			streams[c] = int32(c % t)
-		}
-	}
-	ws.streams = streams
-	bar := filled(ws.barrier, t, -1)
-	ws.barrier = bar
-	ordered := true
-	lo := depOff[first+1]
-	for x := first + 1; x < n; x++ {
-		c := key[x] >> 32
-		own := sideNone
-		hi := depOff[x+1]
-		row := depList[lo:hi]
-		lo = hi
-		for _, d := range row {
-			if uint32(d) >= uint32(x) {
-				if uint32(d) >= uint32(n) {
-					return false
-				}
-				ordered = false
-			}
-			sd := side[d]
-			cd := key[d] >> 32
-			if cd > c && sd&sideClass != sideBarrier {
-				// A later chunk's op: a barrier met first by this op, or the
-				// certificate fails.
-				b := &p.Ops[d]
-				if sd != sideNone || b.Final != -1 || !b.Marker() || bar[ws.stream(cd)] >= 0 {
-					return false
-				}
-				bar[ws.stream(cd)], sd = d, sideBarrier
-			}
-			side[d] = sd | sideFed
-			if sd&sideClass < sideDown {
-				continue
-			}
-			// d is b or below it, so x is below it too.
-			if cd != c && ws.stream(cd) != ws.stream(c) || sd&sideClass == sideBarrier && p.Ops[x].Marker() {
-				return false
-			}
-			own = sideDown
-		}
-		side[x] |= own
-	}
-	if ws.barriers = slices.ContainsFunc(bar, func(b int32) bool { return b >= 0 }); !ws.barriers || !ordered {
-		return !ws.barriers // the sweeps need every dependency at a lower id
-	}
-	// A barrier's chunk loses its rank: the ops after it move down one.
-	for _, b := range bar {
-		if b >= 0 {
-			cb := key[b] >> 32
-			off[cb+1]--
-			key[b] = -1
-			for x := int(b) + 1; x < n; x++ {
-				if key[x]>>32 == cb {
-					key[x]--
-				}
-			}
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		own := side[i] & sideClass
-		switch {
-		case own == sideUp || own == sideBarrier:
-			c := int64(p.Ops[i].Chunk)
-			for _, d := range depList[depOff[i]:depOff[i+1]] {
-				sd := side[d]
-				if uint32(d) >= uint32(i) || sd&sideClass >= sideDown || key[d]>>32 != c && ws.stream(key[d]>>32) != ws.stream(c) {
-					return false // a D_b op or barrier above b, or another stream's
-				}
-				side[d] = sd | sideUp
-			}
-		case i <= first:
-			// The first sweep did not see these dependencies.
-			for _, d := range depList[depOff[i]:depOff[i+1]] {
-				if uint32(d) >= uint32(i) {
-					return false
-				}
-				side[d] |= sideFed
-			}
-			fallthrough
-		case own == sideNone:
-			// Every dependent of i has been seen by now.
-			if side[i] == sideFed && bar[ws.stream(key[i]>>32)] >= 0 {
-				return false // not a sink, but on neither side of its stream's cut
-			}
-		}
-	}
-	return true
-}
-
-// stream returns chunk c's stream, c mod t.
-func (ws *windowScratch) stream(c int64) int32 {
-	if len(ws.streams) == 0 {
-		return 0
-	}
-	return ws.streams[c]
-}
-
-// sameSide reports whether op x is on its partner y's side of their
-// stream's cut: in D_b exactly when y is, and in A_b whenever y is.
-func (ws *windowScratch) sameSide(x, y int32) bool {
-	sx, sy := ws.side[x]&sideClass, ws.side[y]&sideClass
-	return (sx == sideDown) == (sy == sideDown) && (sy != sideUp || sx == sideUp)
-}
-
 // translate reports whether op x is the translate of op y, its partner t
 // chunks below it: the same fields, relay slots and dependencies that pair.
-// (With barriers, certify also asks sameSide.)
 func (ck *checker) translate(x, y, t int32) bool {
 	p := ck.p
 	a, b := &p.Ops[x], &p.Ops[y]
@@ -1499,40 +1289,30 @@ func (ck *checker) translate(x, y, t int32) bool {
 
 // pairs reports whether reference r of a translate pairs with its
 // partner's reference s: both name ops, r's chunk is t above s's, and they
-// share a rank; or both name the same barrier.
+// share a rank.
 func (ck *checker) pairs(r, s, t int32) bool {
 	key := ck.win.key
 	n := uint32(len(key))
-	return uint32(r) < n && uint32(s) < n && (key[r] == key[s]+int64(t)<<32 || r == s && key[r] < 0)
+	return uint32(r) < n && uint32(s) < n && key[r] == key[s]+int64(t)<<32
 }
 
 // pairsSlot is pairs for relay slots, which also pair when both are none
-// (and equal). A slot naming a barrier fails the window's structure pass.
+// (and equal).
 func (ck *checker) pairsSlot(r, s, t int32) bool {
 	return r < 0 && r == s || ck.pairs(r, s, t)
 }
 
-// windowProgram lays out the sub-program of chunks [0, end), plus each
-// barrier: their ops in id order, renumbered, with their dependencies and
-// relay slots, each barrier moved to its stream's last window chunk and
-// depending on its A_b frontier. It returns nil when one of those ops breaks
-// closure or the marker or relay rule.
+// windowProgram lays out the sub-program of chunks [0, end): their ops in
+// id order, renumbered, with their dependencies and relay slots. It returns
+// nil when one of those ops breaks closure or the marker or relay rule.
 func (ck *checker) windowProgram(end int) *Program {
 	p, ws := ck.p, &ck.win
-	n, m, t := len(p.Ops), int(ws.off[end]), max(p.Streams, 1)
+	n, m := len(p.Ops), int(ws.off[end])
 	// The window's ops in id order: a bitmap over the ids, filled from the
-	// window's chunks and barriers and read word by word.
+	// window's chunks and read word by word.
 	set := zeroed(ws.bits, (n+63)>>6)
 	for _, i := range ws.byChunk[:m] {
 		set[i>>6] |= 1 << uint(i&63)
-	}
-	if ws.barriers {
-		for _, b := range ws.barrier {
-			if b >= 0 {
-				set[b>>6] |= 1 << uint(b&63)
-				m++
-			}
-		}
 	}
 	ids, newID := grow(ws.ids, m)[:0], grow(ws.newID, n)
 	var nd int32
@@ -1544,28 +1324,13 @@ func (ck *checker) windowProgram(end int) *Program {
 			nd += p.DepOff[i+1] - p.DepOff[i]
 		}
 	}
-	ws.bits, ws.ids, ws.newID = set, ids, newID
-	if ws.barriers {
-		nd += ck.frontiers(t)
-	}
 	ops, depOff, depList := grow(ws.ops, m), grow(ws.depOff, m+1), grow(ws.depList, int(nd))
-	ws.ops, ws.depOff, ws.depList = ops, depOff, depList
+	ws.bits, ws.ids, ws.newID, ws.ops, ws.depOff, ws.depList = set, ids, newID, ops, depOff, depList
 	depOff[0] = 0
 	nd = 0
 	for j, i := range ids {
 		op := p.Ops[i]
 		c := op.Chunk
-		if ws.barriers && ws.side[i]&sideClass == sideBarrier {
-			s := c % int32(t)
-			op.Chunk = int32(end-1) - (int32(end-1)-s)%int32(t)
-			for _, f := range ws.front[ws.frontOff[s]:ws.frontOff[s+1]] {
-				depList[nd] = newID[f]
-				nd++
-			}
-			ops[j] = op
-			depOff[j+1] = nd
-			continue
-		}
 		if op.Src.Relay >= 0 {
 			if !ck.ownSlot(op.Src.Relay, c) {
 				return nil
@@ -1582,9 +1347,7 @@ func (ck *checker) windowProgram(end int) *Program {
 			if d < 0 || int(d) >= n {
 				return nil
 			}
-			// cut vetted every dependency on a barrier.
-			onBarrier := ws.barriers && ws.side[d]&sideClass == sideBarrier
-			if dc := p.Ops[d].Chunk; !onBarrier && (dc > c || op.Marker() && dc != c) {
+			if dc := p.Ops[d].Chunk; dc > c || op.Marker() && dc != c {
 				return nil
 			}
 			depList[nd] = newID[d]
@@ -1599,50 +1362,6 @@ func (ck *checker) windowProgram(end int) *Program {
 		Ops: ops, DepOff: depOff, DepList: depList,
 	}
 	return &ws.sub
-}
-
-// frontiers fills ck.win.front with every stream's A_b frontier among the
-// window's ops ck.win.ids, in id order, stream s's at
-// front[frontOff[s]:frontOff[s+1]]. It returns how many dependencies the
-// barriers gain in the window over the ones they have in the program.
-func (ck *checker) frontiers(t int) int32 {
-	p, ws := ck.p, &ck.win
-	side, st := ws.side, int32(t)
-	off := zeroed(ws.frontOff, t+1)
-	var gain int32
-	// Against id order, an A_b op's window dependents have all been seen
-	// when it is reached: it is on the frontier unless one marked it inner.
-	for j := len(ws.ids) - 1; j >= 0; j-- {
-		i := ws.ids[j]
-		switch side[i] & sideClass {
-		case sideBarrier:
-			gain -= p.DepOff[i+1] - p.DepOff[i]
-		case sideUp:
-			if side[i]&sideInner == 0 {
-				side[i] |= sideFront
-				off[p.Ops[i].Chunk%st+1]++
-				gain++
-			}
-			for _, d := range p.Deps(int(i)) {
-				side[d] |= sideInner
-			}
-		}
-	}
-	for s := 0; s < t; s++ {
-		off[s+1] += off[s]
-	}
-	front := grow(ws.front, int(off[t]))
-	for _, i := range ws.ids {
-		if side[i]&sideFront != 0 {
-			s := p.Ops[i].Chunk % st
-			front[off[s]] = i
-			off[s]++
-		}
-	}
-	copy(off[1:], off[:t])
-	off[0] = 0
-	ws.front, ws.frontOff = front, off
-	return gain
 }
 
 // ownSlot reports whether relay slot r belongs to an op of chunk c.

@@ -90,6 +90,82 @@ func TestPhasePrefixesQualifyByLayout(t *testing.T) {
 	}
 }
 
+// barriers returns the barrier of each stream of p, whose dependencies are
+// deps: the op some op of a lower chunk depends on. It is empty for a
+// program without barriers.
+func barriers(p *schedcheck.Program, deps [][]int) map[int]int {
+	out := map[int]int{}
+	for i, ds := range deps {
+		for _, d := range ds {
+			if p.Ops[d].Chunk > p.Ops[i].Chunk {
+				out[int(p.Ops[d].Chunk)%max(p.Streams, 1)] = d
+			}
+		}
+	}
+	return out
+}
+
+// The barrier mutations, by kind.
+const (
+	dropBarrierDep    = iota // a root send no longer waits for its barrier
+	repointBarrier           // the barrier waits for chunk c's root-ready marker instead
+	crossStream              // an op waits for another stream's barrier
+	ancestorOnBarrier        // a reduction waits for its own barrier: a cycle
+	sinkFed                  // an op waits for chunk c's root-ready marker
+	numBarrierMutations
+)
+
+// barrierMutation applies barrier mutation kind to chunk c of p, whose
+// dependencies are deps and whose barriers per stream are bars, unless the
+// chunk has no op it applies to. pick chooses among the chunk's candidates
+// by their order in the chunk.
+func barrierMutation(p *schedcheck.Program, deps [][]int, bars map[int]int, c, kind int, pick uint16) {
+	streams := max(p.Streams, 1)
+	b := bars[c%streams]
+	inChunk := func(keep func(i int) bool) int {
+		var ids []int
+		for i := range p.Ops {
+			if int(p.Ops[i].Chunk) == c && i != b && keep(i) {
+				ids = append(ids, i)
+			}
+		}
+		if len(ids) == 0 {
+			return -1
+		}
+		return ids[int(pick)%len(ids)]
+	}
+	rootReady := inChunk(func(i int) bool { return p.Ops[i].Marker() && p.Ops[i].Final >= 0 })
+	switch kind {
+	case dropBarrierDep:
+		if x := inChunk(func(i int) bool { return slices.Contains(deps[i], b) }); x >= 0 {
+			deps[x] = slices.DeleteFunc(deps[x], func(d int) bool { return d == b })
+		}
+	case repointBarrier:
+		if rootReady >= 0 && int(p.Ops[b].Chunk) != c {
+			deps[b] = []int{rootReady}
+		}
+	case crossStream:
+		if streams < 2 {
+			return
+		}
+		other := bars[(c+1+int(pick)%(streams-1))%streams]
+		if x := inChunk(func(i int) bool { return !slices.Contains(deps[i], other) }); x >= 0 {
+			deps[x] = append(deps[x], other)
+		}
+	case ancestorOnBarrier:
+		if x := inChunk(func(i int) bool { return p.Ops[i].Accumulate }); x >= 0 {
+			deps[x] = append(deps[x], b)
+		}
+	default: // sinkFed
+		if rootReady < 0 || int(p.Ops[b].Chunk) == c {
+			return
+		}
+		if x := inChunk(func(i int) bool { return i != rootReady && !slices.Contains(deps[i], rootReady) }); x >= 0 {
+			deps[x] = append(deps[x], rootReady)
+		}
+	}
+}
+
 // reductionFIFO returns the reduction FIFO edges of p, whose dependencies
 // are deps and whose barriers per stream are bars: each as (op, index in
 // its list) of a transfer's dependency on an op of chunk c-t below its
@@ -153,10 +229,10 @@ func fifoMutation(p *schedcheck.Program, deps [][]int, bars map[int]int, kind in
 
 // FuzzPhasePrefix draws a fabric (the DGX-1, fc:n up to 16, cluster:n up to
 // 32), the separated tree or double tree, the sharing flag and a chunk
-// count K up to 64, then mutates the carrier: one of FuzzPeriodicWindow's
-// five barrier mutations (barrierMutation) at a drawn chunk, a dropped or
-// lifted reduction FIFO edge (fifoMutation), or nothing. Whenever the mutant
-// passes Check and PhasePrefixes accepts it, its derivative at every k from
+// count K up to 64, then mutates the carrier: one of five barrier mutations
+// (barrierMutation) at a drawn chunk, a dropped or lifted reduction FIFO
+// edge (fifoMutation), or nothing. Whenever the mutant passes Check and
+// PhasePrefixes accepts it, its derivative at every k from
 // the stream count to K must pass the full Check: the certificate must
 // never admit a proved carrier whose derivative is wrong. The pristine
 // carrier must be accepted, with derivatives equal to Build's programs.

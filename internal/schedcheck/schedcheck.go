@@ -349,9 +349,10 @@ func (r *Report) Err() error {
 // classes (checks.go, bitset.go). A periodic program — every chunk from some
 // w on an op-for-op translate of chunk c-Streams, no dependency on a later
 // chunk — is proved by its window of chunks [0, w+Streams) once one pass
-// certifies the translate; any other program, and any violation in the
-// window, takes the full path, so the Report is the same on both (checks.go,
-// "the periodic window"). Its scratch comes from a pool, so a warm Check
+// certifies the translate; any other program (among them the separated tree
+// and double tree, whose barriers every broadcast waits for), and any
+// violation in the window, takes the full path, so the Report is the same on
+// both (checks.go, "the periodic window"). Its scratch comes from a pool, so a warm Check
 // allocates only its Report. It is safe for concurrent use.
 func Check(p *Program) *Report {
 	ck := getChecker(p)

@@ -386,10 +386,9 @@ func TestCatchesDoubleReduce(t *testing.T) {
 
 // TestCatchesMissingFinal removes one final from an in-order schedule, just
 // after a larger program went through the pool of checkers on the full path
-// (CheckFull: Check would prove it by its window, and leave only the
-// window's finals behind): the order proof must skip the region with no
-// final, not read a final the previous program left behind, and the report
-// must match the references'.
+// (CheckFull, so every one of its finals is left behind): the order proof
+// must skip the region with no final, not read a final the previous program
+// left behind, and the report must match the references'.
 func TestCatchesMissingFinal(t *testing.T) {
 	p := treeProgram(t)
 	if !p.InOrder {

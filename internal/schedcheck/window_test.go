@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"ccube/internal/chunk"
@@ -49,28 +48,21 @@ var windowFabrics = []struct {
 //     at 8 to 128 chunks: chunk c >= t chains behind chunk c-t, so chunks t
 //     and up differ from the first t by those edges, and from 2t on each
 //     is a translate;
-//   - the separated tree (2, 1) and double tree (4, 2) there too, for the
-//     same reason: each tree's barrier, in its last chunk, takes no rank,
-//     every broadcast's dependency on it pairs with itself, and it cuts the
-//     tree's chunks into its reduction (the barrier's ancestors), its
-//     broadcast (its descendants) and the root-ready markers of every chunk
-//     but the last (sinks);
 //   - every synthesized forest on dgx1, fcasym:8 and rr:16 at the sizes
 //     synth's TestHeaderMatchesColdCompile compiles (1 to 256 MiB, cold or
 //     served as same-shape headers), with w = 2t for its tree count t, for
 //     the same reason;
-//   - the chained hierarchical schedule (2, 1), and the four trees repaired
-//     around a dead channel, which reroute every chunk alike.
+//   - the chained hierarchical schedule (2, 1), and the overlapped trees
+//     repaired around a dead channel, which reroute every chunk alike.
 //
-// Ring and halving-doubling have no short period. The barrier hierarchical
-// schedule takes the full path too: its three phase barriers sit on its one
-// stream, and each phase's barrier descends from the one before, so none of
-// them is a cut. Every program's Report is the same on both paths.
+// The separated tree, the double tree and their repairs hold each tree's
+// barrier in its last chunk, one op more than that chunk's partner has;
+// ring and halving-doubling have no short period; and the barrier
+// hierarchical schedule depends on its phase barriers: they take the full
+// path. Every program's Report is the same on both paths.
 func TestWindowCoverage(t *testing.T) {
 	periodic := map[collective.Algorithm][2]int{
-		collective.AlgTree:              {2, 1},
 		collective.AlgTreeOverlap:       {2, 1},
-		collective.AlgDoubleTree:        {4, 2},
 		collective.AlgDoubleTreeOverlap: {4, 2},
 	}
 	expect := func(t *testing.T, p *schedcheck.Program, want [2]int, window bool) {
@@ -162,32 +154,38 @@ func TestWindowCoverage(t *testing.T) {
 }
 
 // FuzzPeriodicWindow mutates periodic schedules — the overlapped tree,
-// C-Cube, a synthesized forest laid out by collective.AssembleForest, and
-// the separated tree and double tree, whose barriers are cuts — on dgx1 and
-// cluster:32 at 8 to 128 chunks. A mutation changes one op field (channel,
-// accumulation, final or source node), drops or retargets one dependency, or
-// rewires one relay read. In the single mode it hits one op of a chunk at or
-// past the pristine window's end, w+t: the certificate must then keep that
-// chunk inside the window it proves by, or fail, and Check's Report must
-// equal the full path's, so the mutant is rejected exactly when the full
-// verifier rejects it. In the periodic mode the same mutation hits the op of
-// the same rank in every chunk of one stream: the schedule stays periodic,
-// the certificate must hold, and the window alone must catch whatever the
-// full verifier catches.
-//
-// The separated trees also take barrier mutations (barrierMutation), at a
-// chunk at or past w+t or in every chunk of a stream. Any mutation of theirs
-// may break a barrier's cut, so in the periodic mode only their Reports are
-// compared.
+// C-Cube, and a synthesized forest laid out by collective.AssembleForest —
+// on dgx1 and cluster:32 at 8 to 128 chunks. A mutation changes one op
+// field (channel, accumulation, final or source node), drops or retargets
+// one dependency, or rewires one relay read. In the single mode it hits one
+// op of a chunk at or past the pristine window's end, w+t: the certificate
+// must then keep that chunk inside the window it proves by, or fail, and
+// Check's Report must equal the full path's, so the mutant is rejected
+// exactly when the full verifier rejects it. In the periodic mode the same
+// mutation hits the op of the same rank in every chunk of one stream: the
+// schedule stays periodic, the certificate must hold, and the window alone
+// must catch whatever the full verifier catches.
 //
 // Run `go test -run '^$' -fuzz '^FuzzPeriodicWindow$' ./internal/schedcheck`
 // to explore beyond the seeds.
 func FuzzPeriodicWindow(f *testing.F) {
+	// Every schedule, fabric, mutation kind and mode at 8, 32, 64 and 128
+	// chunks (a forest at no fewer than 3t+1). Relay rewires only where
+	// relay slots are read: the built-ins on the DGX-1, whose detours
+	// forward through a GPU.
 	for algo := uint8(0); algo < numPeriodic; algo++ {
-		for kind := uint8(0); kind < 4+numBarrierMutations; kind++ {
-			f.Add(algo, uint8(0), uint8(0), kind, uint16(3), uint16(1), false)
-			f.Add(algo, uint8(1), uint8(120), kind, uint16(77), uint16(5), true)
-			f.Add(algo, algo%2, uint8(24), kind, uint16(1000), uint16(2), algo%2 == 0)
+		for fabric := uint8(0); fabric < 2; fabric++ {
+			for kind := uint8(0); kind < 4; kind++ {
+				if kind == 3 && (algo == 2 || fabric == 1) {
+					continue
+				}
+				for _, periodic := range []bool{false, true} {
+					f.Add(algo, fabric, uint8(0), kind, uint16(3), uint16(1), periodic)
+					f.Add(algo, fabric, uint8(24), kind, uint16(1000), uint16(2), periodic)
+					f.Add(algo, fabric, uint8(56), kind, uint16(250), uint16(7), periodic)
+					f.Add(algo, fabric, uint8(120), kind, uint16(77), uint16(5), periodic)
+				}
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, algo, fabric, chunks, kind uint8, pick, pick2 uint16, periodic bool) {
@@ -202,25 +200,7 @@ func FuzzPeriodicWindow(f *testing.F) {
 		m := p.Clone()
 		deps := depLists(m)
 		x := int(pick) % len(m.Ops)
-		bars := barriers(m, deps)
-		bk := int(kind%(4+numBarrierMutations)) - 4 // the barrier mutation, if >= 0
-		if len(bars) == 0 {
-			bk = -1
-		}
-		switch {
-		case bk >= 0 && periodic:
-			for c := int(m.Ops[x].Chunk) % streams; c < m.NumChunks; c += streams {
-				barrierMutation(m, deps, bars, c, bk, pick2)
-				if bk == repointBarrier {
-					break // a stream has one barrier
-				}
-			}
-		case bk >= 0:
-			c := w + streams + int(pick)%(m.NumChunks-w-streams)
-			if x = barrierMutation(m, deps, bars, c, bk, pick2); x == noMutation {
-				t.Skip()
-			}
-		case periodic:
+		if periodic {
 			c := int(m.Ops[x].Chunk) % streams
 			rank := rankOf(m, x)
 			for ; c < m.NumChunks; c += streams {
@@ -228,26 +208,22 @@ func FuzzPeriodicWindow(f *testing.F) {
 					mutate(m, deps, y, kind, pick2)
 				}
 			}
-		default:
-			for int(m.Ops[x].Chunk) < w+streams {
-				x = (x + 1) % len(m.Ops)
-			}
-			if !mutate(m, deps, x, kind, pick2) {
-				t.Skip()
-			}
-			for _, b := range bars {
-				if b == x {
-					x = -1 // a barrier has no rank: it is in every window
+		} else {
+			// The first op from x on, past the window, that the mutation
+			// changes.
+			for tried := 0; int(m.Ops[x].Chunk) < w+streams || !mutate(m, deps, x, kind, pick2); tried++ {
+				if tried == len(m.Ops) {
+					t.Skip()
 				}
+				x = (x + 1) % len(m.Ops)
 			}
 		}
 		m.SetDeps(deps)
 		mw, _, mok := schedcheck.Window(m)
-		if periodic && len(bars) == 0 && !mok {
-			// (With barriers, a periodic mutation may still break a cut.)
+		if periodic && !mok {
 			t.Fatal("a mutation of every chunk of a stream broke the certificate")
 		}
-		if !periodic && x >= 0 && mok && mw <= int(m.Ops[x].Chunk) {
+		if !periodic && mok && mw <= int(m.Ops[x].Chunk) {
 			t.Fatalf("op %d of chunk %d mutated, but every chunk from %d on certifies", x, m.Ops[x].Chunk, mw)
 		}
 		if len(m.Ops) <= maxExactOps {
@@ -259,12 +235,12 @@ func FuzzPeriodicWindow(f *testing.F) {
 }
 
 // numPeriodic is how many schedules periodicProgram builds.
-const numPeriodic = 5
+const numPeriodic = 3
 
 // periodicProgram builds the periodic schedule algo%numPeriodic names on
-// the fabric fabric%2 names, at k chunks: the overlapped tree, C-Cube, a
+// the fabric fabric%2 names, at k chunks: the overlapped tree, C-Cube, or a
 // forest packed by synth and laid out chunk by chunk (at more than three
-// chunks per tree), the separated tree or the double tree.
+// chunks per tree).
 func periodicProgram(t *testing.T, algo, fabric uint8, k int) *schedcheck.Program {
 	t.Helper()
 	g := dgx1()
@@ -289,110 +265,19 @@ func periodicProgram(t *testing.T, algo, fabric uint8, k int) *schedcheck.Progra
 		}
 		return s.Program()
 	}
-	alg := [numPeriodic]collective.Algorithm{collective.AlgTreeOverlap, collective.AlgDoubleTreeOverlap, 0,
-		collective.AlgTree, collective.AlgDoubleTree}[algo%numPeriodic]
+	alg := collective.AlgTreeOverlap
+	if algo%numPeriodic == 1 {
+		alg = collective.AlgDoubleTreeOverlap
+	}
 	return buildProgram(t, collective.Config{Graph: g, Algorithm: alg, Bytes: 64 << 20, Chunks: k,
 		AllowSharedChannels: fabric%2 == 1})
 }
 
-// barriers returns the barrier of each stream of p, whose dependencies are
-// deps: the op some op of a lower chunk depends on. It is empty for a
-// program without barriers.
-func barriers(p *schedcheck.Program, deps [][]int) map[int]int {
-	out := map[int]int{}
-	for i, ds := range deps {
-		for _, d := range ds {
-			if p.Ops[d].Chunk > p.Ops[i].Chunk {
-				out[int(p.Ops[d].Chunk)%max(p.Streams, 1)] = d
-			}
-		}
-	}
-	return out
-}
-
-// The barrier mutations, by kind.
-const (
-	dropBarrierDep    = iota // a root send no longer waits for its barrier
-	repointBarrier           // the barrier waits for chunk c's root-ready marker instead
-	crossStream              // an op waits for another stream's barrier
-	ancestorOnBarrier        // a reduction waits for its own barrier: a cycle
-	sinkFed                  // an op waits for chunk c's root-ready marker
-	numBarrierMutations
-
-	noMutation = -2 // barrierMutation changed nothing
-)
-
-// barrierMutation applies barrier mutation kind to chunk c of p, whose
-// dependencies are deps and whose barriers per stream are bars, and returns
-// the op whose dependencies it changed: -1 for a barrier, which has no rank,
-// or noMutation. pick chooses among the chunk's candidates by their order in
-// the chunk, so the same mutation of every chunk of a stream hits the same
-// op of each.
-func barrierMutation(p *schedcheck.Program, deps [][]int, bars map[int]int, c, kind int, pick uint16) int {
-	streams := max(p.Streams, 1)
-	b := bars[c%streams]
-	inChunk := func(keep func(i int) bool) int {
-		var ids []int
-		for i := range p.Ops {
-			if int(p.Ops[i].Chunk) == c && i != b && keep(i) {
-				ids = append(ids, i)
-			}
-		}
-		if len(ids) == 0 {
-			return noMutation
-		}
-		return ids[int(pick)%len(ids)]
-	}
-	rootReady := inChunk(func(i int) bool { return p.Ops[i].Marker() && p.Ops[i].Final >= 0 })
-	switch kind {
-	case dropBarrierDep:
-		x := inChunk(func(i int) bool { return slices.Contains(deps[i], b) })
-		if x != noMutation {
-			deps[x] = slices.DeleteFunc(deps[x], func(d int) bool { return d == b })
-		}
-		return x
-	case repointBarrier:
-		if rootReady == noMutation || int(p.Ops[b].Chunk) == c {
-			return noMutation
-		}
-		deps[b] = []int{rootReady}
-		return -1
-	case crossStream:
-		if streams < 2 {
-			return noMutation
-		}
-		other := bars[(c+1+int(pick)%(streams-1))%streams]
-		x := inChunk(func(i int) bool { return !slices.Contains(deps[i], other) })
-		if x != noMutation {
-			deps[x] = append(deps[x], other)
-		}
-		return x
-	case ancestorOnBarrier:
-		x := inChunk(func(i int) bool { return p.Ops[i].Accumulate })
-		if x != noMutation {
-			deps[x] = append(deps[x], b)
-		}
-		return x
-	default: // sinkFed
-		if rootReady == noMutation || int(p.Ops[b].Chunk) == c {
-			return noMutation
-		}
-		x := inChunk(func(i int) bool { return i != rootReady && !slices.Contains(deps[i], rootReady) })
-		if x != noMutation {
-			deps[x] = append(deps[x], rootReady)
-		}
-		return x
-	}
-}
-
-// rankOf returns op x's rank among its chunk's ops, in id order. Like the
-// certificate's ranks, they skip the markers that announce nothing, which in
-// the periodic programs are the separated trees' barriers: a tree's last
-// chunk has its barrier, the chunk before it none.
+// rankOf returns op x's rank among its chunk's ops, in id order.
 func rankOf(p *schedcheck.Program, x int) int {
 	rank := 0
 	for i := 0; i < x; i++ {
-		if p.Ops[i].Chunk == p.Ops[x].Chunk && ranked(&p.Ops[i]) {
+		if p.Ops[i].Chunk == p.Ops[x].Chunk {
 			rank++
 		}
 	}
@@ -402,7 +287,7 @@ func rankOf(p *schedcheck.Program, x int) int {
 // opAtRank returns the op of chunk c with the given rank, or -1.
 func opAtRank(p *schedcheck.Program, c, rank int) int {
 	for i := range p.Ops {
-		if int(p.Ops[i].Chunk) == c && ranked(&p.Ops[i]) {
+		if int(p.Ops[i].Chunk) == c {
 			if rank == 0 {
 				return i
 			}
@@ -411,9 +296,6 @@ func opAtRank(p *schedcheck.Program, c, rank int) int {
 	}
 	return -1
 }
-
-// ranked reports whether rankOf counts op.
-func ranked(op *schedcheck.Op) bool { return !op.Marker() || op.Final != -1 }
 
 // mutate applies mutation kind to op x of p, whose dependencies are deps,
 // and reports whether the op changed. Every new value names the same thing
