@@ -419,6 +419,9 @@ func (c *Cache) Memo(cfg Config, build func() (any, error)) (any, error) {
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		c.unref(el.Value.(*lruEntry).g)
+	}
 	c.entries = make(map[cacheKey]*list.Element)
 	c.lru.Init()
 	c.shapes = make(map[cacheKey]*opGraph)

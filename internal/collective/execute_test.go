@@ -24,10 +24,10 @@ func TestExecuteFillRunZeroAllocSteadyState(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	f := new(des.Flat)
+	f := new(run)
 	var total des.Time
 	cycle := func() {
-		if err := s.fill(f, nil, nil); err != nil {
+		if _, err := s.fill(f, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if total, err = f.RunCtx(ctx); err != nil {

@@ -101,6 +101,12 @@ type opGraph struct {
 	// carrier, for a derived op graph, is the phase-prefix carrier it was
 	// copied from, which it holds resident. It is nil otherwise.
 	carrier *opGraph
+	// cache is the cache g is resident in, set when it first enters (runs
+	// read it once g owns its skeleton holder); skeleton is the bytes of
+	// its lowered skeleton that cache counts in its retained bytes, 0 until
+	// the skeleton is built and counted (countSkeleton).
+	cache    *Cache
+	skeleton int64
 }
 
 // newOpGraph records s, cached under k, as its own op graph, keyed as a
@@ -144,6 +150,7 @@ func (g *opGraph) derive(k cacheKey, part chunk.Partition) *opGraph {
 	s := *g.s
 	s.Partition = part
 	s.ops, s.depOff, s.deps = g.phases.Derive(g.s.Program(), part.NumChunks())
+	s.low = newLowering(&s)
 	return &opGraph{s: &s, key: k.shape(part.NumChunks(), s.Streams), bytes: opGraphBytes(&s), carrier: g}
 }
 
@@ -244,10 +251,17 @@ func (c *Cache) Header(cfg Config, streams int, part chunk.Partition) *Schedule 
 
 // ref records one more LRU entry over g. A graph entering the cache is
 // indexed unless the index holds one of its shape with at least as many
-// chunks, and a derived one holds its carrier. Caller holds c.mu.
+// chunks, and a derived one holds its carrier. Its lowered skeleton, if
+// built, counts from then on. Caller holds c.mu.
 func (c *Cache) ref(g *opGraph) {
 	if g.refs == 0 {
 		c.retained += g.bytes
+		if g.cache == nil {
+			g.cache = c // once: a carrier re-entering holds it already
+		}
+		if low := g.s.low; low != nil {
+			low.owner.CompareAndSwap(nil, g)
+		}
 		if cur := c.shapes[g.key]; cur == nil || cur.s.Partition.NumChunks() < g.s.Partition.NumChunks() {
 			c.shapes[g.key] = g
 		}
@@ -256,6 +270,7 @@ func (c *Cache) ref(g *opGraph) {
 		}
 	}
 	g.refs++
+	c.countSkeletonLocked(g)
 }
 
 // unref drops one LRU entry's reference to g, and g itself from the shape
@@ -263,7 +278,11 @@ func (c *Cache) ref(g *opGraph) {
 func (c *Cache) unref(g *opGraph) {
 	g.refs--
 	if g.refs == 0 {
-		c.retained -= g.bytes
+		c.retained -= g.bytes + g.skeleton
+		g.skeleton = 0
+		if low := g.s.low; low != nil {
+			low.owner.CompareAndSwap(g, nil)
+		}
 		if c.shapes[g.key] == g {
 			delete(c.shapes, g.key)
 		}
@@ -273,10 +292,31 @@ func (c *Cache) unref(g *opGraph) {
 	}
 }
 
+// countSkeletonLocked adds g's lowered skeleton to the retained bytes once
+// it is built, if g is resident and the skeleton is g's own to count.
+// Caller holds c.mu.
+func (c *Cache) countSkeletonLocked(g *opGraph) {
+	if g.refs == 0 || g.skeleton != 0 || g.s.low == nil || g.s.low.owner.Load() != g {
+		return
+	}
+	g.skeleton = g.s.low.skeletonBytes()
+	c.retained += g.skeleton
+}
+
+// countSkeleton is countSkeletonLocked for the run that just built g's
+// skeleton.
+func (c *Cache) countSkeleton(g *opGraph) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.countSkeletonLocked(g)
+	c.retainedGauge.Set(float64(c.retained))
+}
+
 // RetainedBytes reports the bytes of the op graphs the cache holds — ops
-// plus dependency CSR — counting a graph shared by several message sizes
-// once: a derived graph counts its own ops, and its carrier once. Headers
-// and partitions are not counted.
+// plus dependency CSR, and the lowered skeleton (lower.go) of each that has
+// run twice, at its exact size — counting a graph shared by several message
+// sizes once: a derived graph counts its own ops and skeleton, and its
+// carrier once. Headers and partitions are not counted.
 func (c *Cache) RetainedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

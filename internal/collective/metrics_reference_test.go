@@ -100,9 +100,9 @@ func overlapEfficiencyReference(s *Schedule, start, end []des.Time) float64 {
 // OverlapEfficiencies runs s and returns its overlap efficiency twice: from
 // the production gauge code and from the reference above.
 func (s *Schedule) OverlapEfficiencies() (got, want float64, err error) {
-	f := des.GetFlat()
-	defer des.PutFlat(f)
-	if err := s.fill(f, nil, nil); err != nil {
+	f := getRun()
+	defer putRun(f)
+	if _, err := s.fill(f, nil, nil); err != nil {
 		return 0, 0, err
 	}
 	if _, err := f.RunCtx(context.Background()); err != nil {

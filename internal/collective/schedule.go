@@ -63,6 +63,10 @@ type Schedule struct {
 	// Executors refuse an unproved schedule (ErrUnverified) and one whose
 	// topology fingerprint has drifted (StaleScheduleError).
 	builtFor uint64
+
+	// low holds the op graph's lowered skeleton, shared by every header
+	// over the graph (see lower.go); nil for a schedule never adopted.
+	low *lowering
 }
 
 func newSchedule(g *topology.Graph, nodes []topology.NodeID, part chunk.Partition) *Schedule {
@@ -135,8 +139,10 @@ func (s *Schedule) Label(id int) string { return s.Program().Label(id) }
 // do not participate.
 type nodeIndex []int32
 
-func (s *Schedule) nodeIndex() nodeIndex {
-	idx := make(nodeIndex, s.Graph.NumNodes())
+// indexNodes returns the schedule's nodeIndex, in idx's array when it has
+// the capacity.
+func (s *Schedule) indexNodes(idx nodeIndex) nodeIndex {
+	idx = slices.Grow(idx[:0], s.Graph.NumNodes())[:s.Graph.NumNodes()]
 	for i := range idx {
 		idx[i] = -1
 	}
@@ -193,12 +199,14 @@ func verified(s *Schedule, err error) (*Schedule, error) {
 
 // adopt proves a newly constructed schedule with the static verifier and
 // stamps it against the current topology: the one step that makes a
-// schedule executable.
+// schedule executable. It gives the schedule its op graph's skeleton
+// holder.
 func (s *Schedule) adopt() (*Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("collective: schedule failed verification: %w", err)
 	}
 	s.stamp()
+	s.low = newLowering(s)
 	return s, nil
 }
 
@@ -272,26 +280,29 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 	if err := s.checkResources(res); err != nil {
 		return nil, err
 	}
-	ids, err := s.readyIDs()
+	r := getRun()
+	defer putRun(r)
+	r.prepare(s)
+	ids, stride, err := r.readyIDs(s, s.skeleton())
 	if err != nil {
 		return nil, err
 	}
 	base := g.AddBlock(len(s.ops), s.depOff, s.deps, startDep)
 	for i := range s.ops {
-		d, ch, err := s.lower(i)
+		d, ch, err := r.transfer(s, i)
 		if err != nil {
 			return nil, err
 		}
-		var r *des.Resource
+		var cr *des.Resource
 		if ch >= 0 {
-			r = res[ch]
+			cr = res[ch]
 		}
-		g.Set(base+i, r, d)
+		g.Set(base+i, cr, d)
 	}
-	ready := grid[int](len(ids), s.Partition.NumChunks())
-	for i, row := range ids {
-		for c, id := range row {
-			ready[i][c] = base + int(id)
+	ready := grid[int](len(s.Nodes), s.Partition.NumChunks())
+	for i, row := range ready {
+		for c := range row {
+			row[c] = base + int(ids[i*stride+c])
 		}
 	}
 	return &Block{Ready: ready, s: s, base: base, start: startDep}, nil
@@ -341,23 +352,28 @@ func (b *Block) Result(g *des.Graph) *Result {
 			busy[s.ops[i].Channel] += end[i] - start[i]
 		}
 	}
-	ready := grid[des.Time](len(b.Ready), s.Partition.NumChunks())
+	r := getRun()
+	defer putRun(r)
+	k := s.Partition.NumChunks()
+	r.ready = slices.Grow(r.ready[:0], len(b.Ready)*k)[:len(b.Ready)*k]
 	for i, row := range b.Ready {
 		for c, id := range row {
-			ready[i][c] = des.Time(id - b.base)
+			r.ready[i*k+c] = int32(id - b.base)
 		}
 	}
 	if metrics.Default.Enabled() {
 		s.publishExecutionMetrics(start, end, busy, total)
 	}
-	return s.result(ready, end, t0, busy, total)
+	return s.result(r.ready, k, end, t0, busy, total)
 }
 
 // ExecuteCtx runs the schedule on the discrete-event engine and returns
 // timing. It runs straight from the schedule's ops, with no named channel
-// resources and no occupancy log; Result.ChannelBusy still sums each
-// channel's occupancy. A request deadline (or explicit cancel) aborts the
-// run at its next task-pop checkpoint with a wrapped *des.CanceledError.
+// resources and no occupancy log, on its op graph's lowered skeleton from
+// the graph's second run on (see lower.go); Result.ChannelBusy still sums
+// each channel's occupancy. A request deadline (or explicit cancel) aborts
+// the run with a wrapped *des.CanceledError: the run loop checks the
+// context before its first task pop and then before every 64th.
 func (s *Schedule) ExecuteCtx(ctx context.Context) (*Result, error) {
 	r, _, _, err := s.execute(ctx, nil, nil, false)
 	return r, err
@@ -392,22 +408,23 @@ func (s *Schedule) checkResources(res []*des.Resource) error {
 }
 
 // execute is the run behind ExecuteCtx, ExecuteOnCtx,
-// ExecuteCheckpointCtx and ResumeOnCtx: it fills a pooled des.Flat from the
-// ops, runs it, and reads the Result off its columns. res, when non-nil,
-// binds one resource per channel; cp, when non-nil, is the checkpoint the
-// run resumes from (see fill), and the clock continues from it. A resource
-// fault additionally yields a checkpoint of the executed prefix; export
-// also returns the run itself as a des.Graph, task i naming transfer i by
-// its kind.
+// ExecuteCheckpointCtx and ResumeOnCtx: it fills a pooled run's des.Flat
+// from the ops, runs it, and reads the Result off its columns. res, when
+// non-nil, binds one resource per channel; cp, when non-nil, is the
+// checkpoint the run resumes from (see fill), and the clock continues from
+// it. A resource fault additionally yields a checkpoint of the executed
+// prefix; export also returns the run itself as a des.Graph, task i naming
+// transfer i by its kind.
 func (s *Schedule) execute(ctx context.Context, res []*des.Resource, cp *Checkpoint, export bool) (*Result, *des.Graph, *Checkpoint, error) {
-	f := des.GetFlat()
+	f := getRun()
 	if !export {
-		defer des.PutFlat(f)
+		defer putRun(f)
 	}
-	if err := s.fill(f, res, cp); err != nil {
+	sk, err := s.fill(f, res, cp)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	ready, err := s.readyIDs()
+	ids, stride, err := f.readyIDs(s, sk)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -428,7 +445,7 @@ func (s *Schedule) execute(ctx context.Context, res []*des.Resource, cp *Checkpo
 		var next *Checkpoint
 		var fe *des.FaultError
 		if errors.As(err, &fe) {
-			next = s.checkpointFrom(f, total)
+			next = s.checkpointFrom(&f.Flat, total)
 		}
 		return nil, nil, next, fmt.Errorf("collective: %s aborted: %w", run, err)
 	}
@@ -438,28 +455,33 @@ func (s *Schedule) execute(ctx context.Context, res []*des.Resource, cp *Checkpo
 	if cp == nil && metrics.Default.Enabled() {
 		s.publishExecutionMetrics(f.Start, f.End, f.Busy, total)
 	}
-	r := s.result(ready, f.End, 0, slices.Clone(f.Busy), total)
+	r := s.result(ids, stride, f.End, 0, slices.Clone(f.Busy), total)
 	var g *des.Graph
 	if export {
-		g = des.RanGraph(f, &Block{s: s}) // transfer i is task i
+		g = des.RanGraph(&f.Flat, &Block{s: s}) // transfer i is task i
 	}
 	return r, g, nil, nil
 }
 
-// fill writes the schedule into f: transfer i is task i, lowered by lower,
-// with the deps CSR linked into f's successor CSR. res, when non-nil, is
-// bound one resource per channel. cp, when non-nil, is a checkpoint to
-// resume from: its executed transfers count as done at their recorded End,
-// a dependency on one becomes an earliest-start bound (des.Flat.Link), and
-// each channel starts busy until the checkpoint's FreeAt.
+// fill writes the schedule into f's Flat: transfer i is task i, lowered by
+// f's lowerer (lower.go), from the skeleton's compact op columns when the
+// schedule has one to run on and no checkpoint. It returns that skeleton,
+// whose successor CSR a plain run (res nil) borrows; any other run links
+// the deps CSR into f's own successor CSR. res, when non-nil, is bound one
+// resource per channel. cp, when non-nil, is a checkpoint to resume from:
+// its executed transfers count as done at their recorded End, a dependency
+// on one becomes an earliest-start bound (des.Flat.Link), and each channel
+// starts busy until the checkpoint's FreeAt.
 //
 // fill checks what a run needs before it starts — the topology fingerprint
 // and healthy channels under the transfers still to run. It allocates
 // nothing once f's columns have grown.
-func (s *Schedule) fill(f *des.Flat, res []*des.Resource, cp *Checkpoint) error {
+func (s *Schedule) fill(f *run, res []*des.Resource, cp *Checkpoint) (*skeleton, error) {
 	if err := s.checkFresh(); err != nil {
-		return err
+		return nil, err
 	}
+	sk := s.skeleton()
+	f.prepare(s)
 	f.Reset(len(s.ops), s.Graph.NumChannels())
 	for c, r := range res {
 		f.Bind(c, r)
@@ -467,20 +489,30 @@ func (s *Schedule) fill(f *des.Flat, res []*des.Resource, cp *Checkpoint) error 
 			f.FreeAt[c] = max(f.FreeAt[c], cp.FreeAt[c])
 		}
 	}
-	for i := range s.ops {
-		if cp != nil && cp.Executed[i] {
-			f.Dur[i], f.Res[i] = 0, -1
-			f.SetDone(i, cp.End[i])
-			continue
+	if sk != nil && cp == nil {
+		if err := f.lowerAll(s, sk, f.Dur, f.Res); err != nil {
+			return nil, err
 		}
-		d, ch, err := s.lower(i)
-		if err != nil {
-			return err
+	} else {
+		for i := range s.ops {
+			if cp != nil && cp.Executed[i] {
+				f.Dur[i], f.Res[i] = 0, -1
+				f.SetDone(i, cp.End[i])
+				continue
+			}
+			d, ch, err := f.transfer(s, i)
+			if err != nil {
+				return nil, err
+			}
+			f.Dur[i], f.Res[i] = d, ch
 		}
-		f.Dur[i], f.Res[i] = d, ch
 	}
-	f.Link(s.depOff, s.deps)
-	return nil
+	if sk != nil && res == nil {
+		f.Borrow(&sk.Skeleton)
+	} else {
+		f.Link(s.depOff, s.deps)
+	}
+	return sk, nil
 }
 
 // checkFresh is every executor's gate: it fails with ErrUnverified for an
@@ -496,58 +528,6 @@ func (s *Schedule) checkFresh() error {
 	return nil
 }
 
-// lower turns transfer i into its DES task: the alpha-beta transfer time
-// and the channel it occupies, or zero and −1 for a marker. A transfer
-// riding a down channel is a *DeadChannelError.
-func (s *Schedule) lower(i int) (des.Time, int32, error) {
-	op := &s.ops[i]
-	if op.Marker() {
-		return 0, -1, nil
-	}
-	ch := s.Graph.Channel(op.ChannelID())
-	if ch.Down() {
-		return 0, -1, &DeadChannelError{Transfer: i, Label: s.Label(i), Channel: op.ChannelID(),
-			From: ch.From, To: ch.To}
-	}
-	d := ch.TransferTime(s.Partition.Sizes[op.Chunk])
-	if op.NoAlpha {
-		d -= ch.Latency
-	}
-	return d, op.Channel, nil
-}
-
-// readyIDs returns the ChunkReady matrix holding, for now, the transfer id
-// whose End makes each chunk ready at each node (the last final wins); it
-// fails unless every (node, chunk) has a final.
-func (s *Schedule) readyIDs() ([][]des.Time, error) {
-	idx := s.nodeIndex()
-	ready := grid[des.Time](len(s.Nodes), s.Partition.NumChunks())
-	for _, row := range ready {
-		for c := range row {
-			row[c] = -1
-		}
-	}
-	for i := range s.ops {
-		op := &s.ops[i]
-		if op.Final < 0 {
-			continue
-		}
-		ni := idx.of(op.FinalNode())
-		if ni < 0 {
-			return nil, fmt.Errorf("collective: final node %d not a participant", op.Final)
-		}
-		ready[ni][op.Chunk] = des.Time(i)
-	}
-	for i := range ready {
-		for c, id := range ready[i] {
-			if id < 0 {
-				return nil, fmt.Errorf("collective: chunk %d never becomes ready at node %v", c, s.Nodes[i])
-			}
-		}
-	}
-	return ready, nil
-}
-
 // grid returns a rows × k matrix whose rows share one backing array.
 func grid[T any](rows, k int) [][]T {
 	m := make([][]T, rows)
@@ -558,19 +538,18 @@ func grid[T any](rows, k int) [][]T {
 	return m
 }
 
-// result assembles the Result of a completed run: ready holds, per (node,
-// chunk), the transfer whose End makes the chunk ready (see readyIDs) and
-// becomes ChunkReady, read off the End column end (indexed by transfer id)
-// relative to t0; busy, indexed by channel, becomes ChannelBusy.
-func (s *Schedule) result(ready [][]des.Time, end []des.Time, t0 des.Time, busy []des.Time, total des.Time) *Result {
+// result assembles the Result of a completed run: ids[i*stride+c] is the
+// transfer whose End makes chunk c ready at node i (see lowerer.readyIDs),
+// read off the End column end (indexed by transfer id) relative to t0 into
+// ChunkReady; busy, indexed by channel, becomes ChannelBusy.
+func (s *Schedule) result(ids []int32, stride int, end []des.Time, t0 des.Time, busy []des.Time, total des.Time) *Result {
 	k := s.Partition.NumChunks()
+	ready := grid[des.Time](len(s.Nodes), k)
 	done := make([]des.Time, k)
-	for i := range ready {
-		for c, id := range ready[i] {
-			ready[i][c] = end[id] - t0
-			if ready[i][c] > done[c] {
-				done[c] = ready[i][c]
-			}
+	for i, row := range ready {
+		for c := range row {
+			row[c] = end[ids[i*stride+c]] - t0
+			done[c] = max(done[c], row[c])
 		}
 	}
 	return &Result{
@@ -608,7 +587,7 @@ func (s *Schedule) ExecuteData(inputs [][]float64) ([][]float64, error) {
 	if part.NumChunks() != s.Partition.NumChunks() {
 		return nil, fmt.Errorf("collective: %d elements cannot form %d chunks", n, s.Partition.NumChunks())
 	}
-	idx := s.nodeIndex()
+	idx := s.indexNodes(nil)
 	// Node buffers start as copies of the inputs.
 	buf := make([][]float64, len(inputs))
 	for i, in := range inputs {

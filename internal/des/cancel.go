@@ -4,10 +4,11 @@ import "fmt"
 
 // CanceledError reports that a run stopped at a cancellation checkpoint
 // before draining its work: the caller's context was cancelled (or its
-// deadline expired) mid-simulation. The run loop checks the context at
-// task-pop granularity, so the abort is prompt — at most the task already
-// granted completes after cancellation — and deterministic with respect to
-// virtual time: At records how far the simulated clock got.
+// deadline expired) mid-simulation. The run loop checks the context before
+// its first task pop and then before every 64th, so the abort is prompt —
+// at most 64 tasks are granted after cancellation — and deterministic with
+// respect to virtual time: At records how far the simulated clock got, and
+// Executed and Remaining count the tasks on either side of the stop.
 //
 // CanceledError unwraps to the context error, so callers can test
 // errors.Is(err, context.DeadlineExceeded) as well as errors.As into the

@@ -3,7 +3,6 @@ package des
 import (
 	"context"
 	"fmt"
-	"sync"
 )
 
 // Flat is the simulator's one run loop and its state, kept in columns
@@ -24,7 +23,8 @@ import (
 type Flat struct {
 	// Task columns: the caller sets Dur and Res, marks executed tasks with
 	// SetDone, and derives Pending and the successor CSR from a
-	// predecessor CSR with Link; RunCtx fills Ready, Start and End.
+	// predecessor CSR with Link, or borrows them from a Skeleton with
+	// Borrow; RunCtx fills Ready, Start and End.
 	Dur     []Time
 	Res     []int32
 	Pending []int32
@@ -42,19 +42,24 @@ type Flat struct {
 	resumed  bool        // some task was marked executed by SetDone
 	bound    []*Resource // per resource index: the bound Resource, or nil
 	q        radixQueue
+
+	// linkOff and linkSucc back the successor CSR Link builds. Borrow
+	// points SuccOff and Succ at a Skeleton's arrays instead, so Link never
+	// writes into a borrowed one.
+	linkOff  []int32
+	linkSucc []int32
 }
 
-var flatPool = sync.Pool{New: func() any { return new(Flat) }}
+// cancelPoll is how many pops RunCtx runs between two checks of its
+// context: it checks before the first pop and before every cancelPoll-th.
+const cancelPoll = 64
 
-// GetFlat returns a Flat from a process-wide pool; PutFlat returns it. A
-// pooled Flat keeps the columns its last run grew, so a caller that runs
-// many schedules reuses them instead of allocating per run.
-func GetFlat() *Flat { return flatPool.Get().(*Flat) }
-
-// PutFlat returns f to the pool. The caller must not touch f afterwards.
-func PutFlat(f *Flat) {
-	clear(f.bound) // drop resource references so the pool pins no run state
-	flatPool.Put(f)
+// Release drops f's references to the resources bound to it and to a
+// borrowed skeleton and keeps its columns, so a Flat parked in a pool
+// between runs reuses them and pins no run state.
+func (f *Flat) Release() {
+	clear(f.bound)
+	f.SuccOff, f.Succ = nil, nil
 }
 
 // Reset sizes f for tasks tasks over resources resources: Pending, Ready,
@@ -131,14 +136,15 @@ func (f *Flat) SetDone(i int, end Time) {
 // earliest-start bound at its End. Every other task's Pending becomes its
 // count of unexecuted predecessors, and its successors come out in
 // ascending id order. An executed task's successor row is never read: it
-// never runs.
+// never runs. Link builds the CSR in f's own arrays, never in a borrowed
+// Skeleton's.
 func (f *Flat) Link(off, preds []int32) {
 	n := len(f.Dur)
 	pending := f.Pending[:n]
 	// SuccOff carries one extra slot while counting: task p's successors
 	// are counted at p+2, shift down to p+1 as they are placed, and end at
 	// p+1 after the last.
-	so := zeroed(f.SuccOff, n+2)
+	so := zeroed(f.linkOff, n+2)
 	for i := range pending {
 		if pending[i] >= 0 {
 			pending[i] = off[i+1] - off[i]
@@ -171,7 +177,15 @@ func (f *Flat) Link(off, preds []int32) {
 	for i := 2; i < len(so); i++ {
 		so[i] += so[i-1]
 	}
-	succ := resize(f.Succ, int(so[n+1]))
+	f.linkOff, f.linkSucc = so, place(so, resize(f.linkSucc, int(so[n+1])), pending, off, preds)
+	f.SuccOff, f.Succ = so[:n+1], f.linkSucc
+}
+
+// place fills a successor CSR whose row p starts at so[p+1] (the counts,
+// taken at p+2, summed): it writes each task with Pending >= 0 into the
+// rows of its predecessors, in ascending id order, leaving task p's row at
+// succ[so[p]:so[p+1]]. It returns succ.
+func place(so, succ, pending, off, preds []int32) []int32 {
 	for i := range pending {
 		if pending[i] < 0 {
 			continue
@@ -181,7 +195,55 @@ func (f *Flat) Link(off, preds []int32) {
 			so[p+1]++
 		}
 	}
-	f.Succ, f.SuccOff = succ, so[:n+1]
+	return succ
+}
+
+// Skeleton is the part of a run's state that depends only on the task
+// graph, not on durations or resources: the pending counts and the
+// successor CSR Link derives from a predecessor CSR with no task executed.
+// It is immutable once built, so any number of Flats may borrow it at once
+// (Borrow), each running the graph or any prefix of it.
+type Skeleton struct {
+	Pending []int32
+	SuccOff []int32
+	Succ    []int32
+}
+
+// NewSkeleton links the predecessor CSR off, preds of len(off)−1 tasks, as
+// Link does for a run with no task executed, into one allocation.
+func NewSkeleton(off, preds []int32) *Skeleton {
+	n := len(off) - 1
+	block := make([]int32, n+(n+2)+int(off[n]-off[0]))
+	pending, so := block[:n:n], block[n:2*n+2:2*n+2]
+	for i := range pending {
+		pending[i] = off[i+1] - off[i]
+	}
+	for _, p := range preds[off[0]:off[n]] {
+		so[p+2]++
+	}
+	for i := 2; i < len(so); i++ {
+		so[i] += so[i-1]
+	}
+	succ := place(so, block[2*n+2:], pending, off, preds)
+	return &Skeleton{Pending: pending, SuccOff: so[: n+1 : n+1], Succ: succ}
+}
+
+// Bytes reports what the skeleton's one allocation holds.
+func (sk *Skeleton) Bytes() int64 {
+	return 4 * int64(len(sk.Pending)+len(sk.SuccOff)+1+len(sk.Succ))
+}
+
+// Borrow is Link from a skeleton: f's tasks must be the skeleton's first
+// len(f.Dur) tasks, none marked executed. It copies their pending counts
+// into f and points SuccOff and Succ at the skeleton's arrays, which the
+// run only reads. Since Link lists successors in ascending id order and
+// every predecessor id is below its task's, the first n tasks' pending
+// counts are the whole graph's, and RunCtx reads each successor row only
+// up to its first id >= n: a prefix of the graph runs on its rows.
+func (f *Flat) Borrow(sk *Skeleton) {
+	n := len(f.Dur)
+	copy(f.Pending[:n], sk.Pending[:n])
+	f.SuccOff, f.Succ = sk.SuccOff[:n+1], sk.Succ
 }
 
 // Done reports whether task i completed in the last run.
@@ -196,16 +258,21 @@ func (f *Flat) Done(i int) bool { return f.Pending[i] < 0 }
 //   - a bound resource's failure plan refuses a grant: RunCtx returns the
 //     makespan so far with a *FaultError naming the task (its Label is left
 //     for the caller to fill in);
-//   - ctx is cancelled: RunCtx returns a *CanceledError. The checkpoint sits
-//     at task-pop granularity; a context whose Done channel is nil skips it.
+//   - ctx is cancelled: RunCtx returns a *CanceledError. It checks ctx
+//     before the first pop and then before every cancelPoll-th, so a
+//     cancellation stops the run within cancelPoll pops; a context whose
+//     Done channel is nil skips the check.
 //
 // Every grant is checked as it is made: it must not end before it starts,
 // which keeps each resource's grants serialized (every start is at or after
 // the previous grant's end); a violation is an error, never a silent pass.
-// A dependency cycle panics — it is a construction bug, not a fault.
+// A dependency cycle panics — it is a construction bug, not a fault. A
+// successor row is read up to its first id >= len(f.Dur), the cutoff that
+// lets a prefix of a borrowed skeleton run (Borrow).
 func (f *Flat) RunCtx(ctx context.Context) (Time, error) {
 	done := ctx.Done()
 	n := len(f.Dur)
+	cut := int32(n)
 	q := &f.q
 	q.reset(n)
 	already := 0
@@ -227,20 +294,14 @@ func (f *Flat) RunCtx(ctx context.Context) (Time, error) {
 	maxDepth := q.n
 	var err error
 	for q.n > 0 {
-		if done != nil {
-			select {
-			case <-done:
-				err = &CanceledError{
-					At:        makespan,
-					Executed:  executed,
-					Remaining: total - executed,
-					Cause:     context.Cause(ctx),
-				}
-			default:
+		if done != nil && executed%cancelPoll == 0 && ctx.Err() != nil {
+			err = &CanceledError{
+				At:        makespan,
+				Executed:  executed,
+				Remaining: total - executed,
+				Cause:     context.Cause(ctx),
 			}
-			if err != nil {
-				break
-			}
+			break
 		}
 		if q.n > maxDepth {
 			maxDepth = q.n
@@ -284,6 +345,9 @@ func (f *Flat) RunCtx(ctx context.Context) (Time, error) {
 			makespan = end
 		}
 		for _, s := range f.Succ[f.SuccOff[id]:f.SuccOff[id+1]] {
+			if s >= cut {
+				break
+			}
 			if end > f.Ready[s] {
 				f.Ready[s] = end
 			}

@@ -179,10 +179,10 @@ func (e *FaultError) Error() string {
 //   - a failed resource (Resource.FailAt) refuses a task: the run returns
 //     the makespan so far with a *FaultError naming the refused task;
 //     callers repair the schedule and retry on a fresh graph.
-//   - ctx is cancelled: the run returns a *CanceledError. The checkpoint
-//     sits at task-pop granularity, so at most the task already holding its
-//     resource completes after cancellation. A context whose Done channel is
-//     nil skips the checkpoint entirely, so the uncancellable path pays
+//   - ctx is cancelled: the run returns a *CanceledError. The run checks
+//     ctx before its first task pop and then before every 64th, so at most
+//     64 tasks are granted after cancellation. A context whose Done channel
+//     is nil skips the check entirely, so the uncancellable path pays
 //     nothing.
 //
 // Either way the graph counts as ran. Dependency cycles panic — they are

@@ -36,7 +36,7 @@ func BenchmarkExecute(b *testing.B) {
 // columns as they grow, the collective block and the Result. None of it is
 // per task: tasks carry no formatted name and their dependencies pass
 // through one reused scratch slice.
-const iterationAllocs = 213
+const iterationAllocs = 210
 
 // TestIterationAllocations pins a warm iteration's allocations at their
 // exact count. Timing is too noisy to catch a formatted name or a per-task
