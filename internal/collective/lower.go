@@ -14,11 +14,13 @@ import (
 // Lowering a schedule into the DES: what a run derives from the op graph
 // alone — the successor CSR, the initial pending counts and, per
 // (participant, chunk), the transfer whose End makes the chunk ready there
-// — is built once per op graph, as its skeleton, on the graph's second run
-// (most derived copies run once), and shared by every schedule over it. A
-// run writes only what depends on its sizes: each transfer's duration,
-// read from a per-run table of one TransferTime per (channel, distinct
-// chunk size).
+// — is built once per op graph, as its skeleton, on the graph's second
+// executor run (most derived copies run once), and shared by every schedule
+// over it. A run writes only what depends on its sizes: each transfer's
+// duration, read from a per-run table of one TransferTime per (channel,
+// distinct chunk size). Instantiate, which appends the deps to a des.Graph
+// and never borrows the CSR, reads the ready ids of a skeleton already
+// built but never builds one.
 //
 // Every verified schedule holds its op graph's skeleton holder. adopt gives
 // a new schedule its own; a header copies its op graph's with the rest of
@@ -47,8 +49,7 @@ type lowering struct {
 func newLowering(s *Schedule) *lowering { return &lowering{src: s} }
 
 // skeleton is an op graph lowered once: des.Skeleton's pending counts and
-// successor CSR, the ready-id matrix, and the two op fields a duration
-// depends on, in 8 bytes an op instead of the op's 32.
+// successor CSR, and the ready-id matrix.
 type skeleton struct {
 	des.Skeleton
 	ops    *schedcheck.Op // the op graph's first op: whose ops these are
@@ -56,16 +57,10 @@ type skeleton struct {
 	// ready[i*chunks+c] is the transfer whose End makes chunk c ready at
 	// participant i (the last final wins).
 	ready []int32
-	// res[i] is op i's channel, −1 for a marker, and chunk[i] its chunk.
-	res, chunk []int32
-	// noAlpha lists the NoAlpha ops in id order.
-	noAlpha []int32
 }
 
 // bytes is what the skeleton's arrays hold.
-func (sk *skeleton) bytes() int64 {
-	return sk.Skeleton.Bytes() + 4*int64(len(sk.ready)+len(sk.res)+len(sk.chunk)+len(sk.noAlpha))
-}
+func (sk *skeleton) bytes() int64 { return sk.Skeleton.Bytes() + 4*int64(len(sk.ready)) }
 
 // skeletonBytes reports the bytes of l's skeleton, 0 until it is built.
 func (l *lowering) skeletonBytes() int64 {
@@ -76,31 +71,35 @@ func (l *lowering) skeletonBytes() int64 {
 }
 
 // skeleton returns the skeleton s runs on, counting the ask as a run of s's
-// op graph: the graph's, built by the graph's second run, when s's ops are
-// the graph's or their first len(s.ops). It returns nil before that run,
-// for a schedule without a holder and for one whose ops are not the
-// graph's.
+// op graph, so the graph's second run builds it. It is nil before that run,
+// and otherwise as for builtSkeleton.
 func (s *Schedule) skeleton() *skeleton {
 	l := s.low
 	if l == nil {
 		return nil
 	}
-	sk := l.sk.Load()
-	if sk == nil {
-		if l.runs.Add(1) < 2 {
-			return nil
-		}
+	if l.sk.Load() == nil && l.runs.Add(1) >= 2 {
 		l.once.Do(func() {
 			l.sk.Store(l.src.newSkeleton())
 			if g := l.owner.Load(); g != nil {
 				g.cache.countSkeleton(g)
 			}
 		})
-		if sk = l.sk.Load(); sk == nil {
-			return nil
-		}
 	}
-	if unsafe.SliceData(s.ops) != sk.ops || len(s.ops) > len(sk.Pending) || s.Partition.NumChunks() > sk.chunks {
+	return s.builtSkeleton()
+}
+
+// builtSkeleton returns s's op graph's skeleton, if some run has built it,
+// when s's ops are the graph's or their first len(s.ops). It returns nil
+// otherwise, and for a schedule without a holder. It counts no run, so a
+// caller that does not borrow the successor CSR (Instantiate) never makes
+// a graph lower.
+func (s *Schedule) builtSkeleton() *skeleton {
+	if s.low == nil {
+		return nil
+	}
+	sk := s.low.sk.Load()
+	if sk == nil || unsafe.SliceData(s.ops) != sk.ops || len(s.ops) > len(sk.Pending) || s.Partition.NumChunks() > sk.chunks {
 		return nil
 	}
 	return sk
@@ -109,20 +108,10 @@ func (s *Schedule) skeleton() *skeleton {
 // newSkeleton lowers s's op graph, or returns nil when some (participant,
 // chunk) has no final, which every run of s then reports.
 func (s *Schedule) newSkeleton() *skeleton {
-	k, n := s.Partition.NumChunks(), len(s.ops)
-	r := len(s.Nodes) * k
-	block := make([]int32, r+2*n) // ready, res, chunk
-	sk := &skeleton{ops: unsafe.SliceData(s.ops), chunks: k,
-		ready: block[:r:r], res: block[r : r+n : r+n], chunk: block[r+n:]}
+	k := s.Partition.NumChunks()
+	sk := &skeleton{ops: unsafe.SliceData(s.ops), chunks: k, ready: make([]int32, len(s.Nodes)*k)}
 	if s.scanReady(sk.ready, s.indexNodes(nil)) != nil {
 		return nil
-	}
-	for i := range s.ops {
-		op := &s.ops[i]
-		sk.res[i], sk.chunk[i] = op.Channel, op.Chunk
-		if op.NoAlpha {
-			sk.noAlpha = append(sk.noAlpha, int32(i))
-		}
 	}
 	sk.Skeleton = *des.NewSkeleton(s.depOff, s.deps)
 	return sk
@@ -231,34 +220,6 @@ func (l *lowerer) transfer(s *Schedule, i int) (des.Time, int32, error) {
 		d -= s.Graph.Channel(op.ChannelID()).Latency
 	}
 	return d, op.Channel, nil
-}
-
-// lowerAll is transfer for the first len(dur) ops of s at once, written
-// into dur and res, reading the op fields from sk's compact columns.
-func (l *lowerer) lowerAll(s *Schedule, sk *skeleton, dur []des.Time, res []int32) error {
-	n, m := len(dur), len(l.sizes)
-	copy(res, sk.res[:n])
-	for i, ch := range sk.res[:n] {
-		if ch < 0 {
-			dur[i] = 0
-			continue
-		}
-		d := l.dur[int(ch)*m+int(l.class[sk.chunk[i]])]
-		if d < 0 {
-			var err error
-			if d, err = l.entry(s, i); err != nil {
-				return err
-			}
-		}
-		dur[i] = d
-	}
-	for _, i := range sk.noAlpha {
-		if int(i) >= n {
-			break
-		}
-		dur[i] -= s.Graph.Channel(s.ops[i].ChannelID()).Latency
-	}
-	return nil
 }
 
 // entry fills the table entry of transfer i's channel and chunk size with

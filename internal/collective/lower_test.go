@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"ccube/internal/des"
 	"ccube/internal/topology"
 )
 
@@ -224,7 +225,7 @@ func TestPooledFlatLeavesSkeletonIntact(t *testing.T) {
 	sk := s.low.sk.Load()
 	want := *sk
 	want.Pending, want.SuccOff, want.Succ = slices.Clone(sk.Pending), slices.Clone(sk.SuccOff), slices.Clone(sk.Succ)
-	want.ready, want.res, want.chunk = slices.Clone(sk.ready), slices.Clone(sk.res), slices.Clone(sk.chunk)
+	want.ready = slices.Clone(sk.ready)
 	ctx := context.Background()
 	for _, alg := range []Algorithm{AlgRing, AlgHalvingDoubling, AlgTree} {
 		other, err := Build(Config{Graph: g, Algorithm: alg, Bytes: 16 << 20})
@@ -302,14 +303,13 @@ func TestConcurrentHeadersLowerOnce(t *testing.T) {
 
 // TestRetainedBytesCountsSkeleton: the cache counts an op graph's lowered
 // skeleton from its second run on, at its exact size (pending counts,
-// successor offsets and CSR in one block; the ready-id matrix and the
-// channel and chunk columns in another; the tree has no NoAlpha op), once
-// per op graph however many headers run on it, and drops it with the
+// successor offsets and CSR in one block; the ready-id matrix in another),
+// once per op graph however many headers run on it, and drops it with the
 // graph; a graph lowered after it left the cache is not counted.
 func TestRetainedBytesCountsSkeleton(t *testing.T) {
 	skeletonSize := func(s *Schedule) int64 {
 		n := int64(len(s.ops))
-		return 4 * (n + n + 2 + int64(s.depOff[n]) + int64(len(s.Nodes)*s.Partition.NumChunks()) + 2*n)
+		return 4 * (n + n + 2 + int64(s.depOff[n]) + int64(len(s.Nodes)*s.Partition.NumChunks()))
 	}
 	ctx := context.Background()
 	c := NewCache()
@@ -365,5 +365,45 @@ func TestRetainedBytesCountsSkeleton(t *testing.T) {
 	c.Clear()
 	if got := c.RetainedBytes(); got != 0 {
 		t.Fatalf("after Clear: RetainedBytes = %d", got)
+	}
+}
+
+// TestInstantiateNeverLowers: Instantiate counts no run of the op graph, so
+// a graph only ever instantiated (the training path) holds no skeleton;
+// once executor runs have built one, Instantiate reads its ready ids, and
+// the block's Result is unchanged.
+func TestInstantiateNeverLowers(t *testing.T) {
+	g := dgx1()
+	s, err := Build(Config{Graph: g, Algorithm: AlgDoubleTreeOverlap, Bytes: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	instantiate := func() *Result {
+		t.Helper()
+		dg := des.NewGraph()
+		b, err := s.Instantiate(dg, g.Resources(), -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dg.RunCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return b.Result(dg)
+	}
+	want := instantiate()
+	for range 3 {
+		if got := instantiate(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("an instantiated run ends at %v, the first at %v", got.Total, want.Total)
+		}
+	}
+	if s.low.sk.Load() != nil {
+		t.Fatal("Instantiate lowered the op graph")
+	}
+	lowerByRuns(t, s)
+	if s.builtSkeleton() == nil {
+		t.Fatal("two executor runs did not give Instantiate a skeleton to read")
+	}
+	if got := instantiate(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("on the skeleton's ready ids an instantiated run ends at %v, without at %v", got.Total, want.Total)
 	}
 }

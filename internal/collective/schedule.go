@@ -283,7 +283,7 @@ func (s *Schedule) Instantiate(g *des.Graph, res []*des.Resource, startDep int) 
 	r := getRun()
 	defer putRun(r)
 	r.prepare(s)
-	ids, stride, err := r.readyIDs(s, s.skeleton())
+	ids, stride, err := r.readyIDs(s, s.builtSkeleton())
 	if err != nil {
 		return nil, err
 	}
@@ -464,10 +464,9 @@ func (s *Schedule) execute(ctx context.Context, res []*des.Resource, cp *Checkpo
 }
 
 // fill writes the schedule into f's Flat: transfer i is task i, lowered by
-// f's lowerer (lower.go), from the skeleton's compact op columns when the
-// schedule has one to run on and no checkpoint. It returns that skeleton,
-// whose successor CSR a plain run (res nil) borrows; any other run links
-// the deps CSR into f's own successor CSR. res, when non-nil, is bound one
+// f's lowerer (lower.go). It returns the skeleton the schedule runs on, if
+// any, whose successor CSR a plain run (res nil) borrows; any other run
+// links the deps CSR into f's own successor CSR. res, when non-nil, is bound one
 // resource per channel. cp, when non-nil, is a checkpoint to resume from:
 // its executed transfers count as done at their recorded End, a dependency
 // on one becomes an earliest-start bound (des.Flat.Link), and each channel
@@ -489,23 +488,17 @@ func (s *Schedule) fill(f *run, res []*des.Resource, cp *Checkpoint) (*skeleton,
 			f.FreeAt[c] = max(f.FreeAt[c], cp.FreeAt[c])
 		}
 	}
-	if sk != nil && cp == nil {
-		if err := f.lowerAll(s, sk, f.Dur, f.Res); err != nil {
+	for i := range s.ops {
+		if cp != nil && cp.Executed[i] {
+			f.Dur[i], f.Res[i] = 0, -1
+			f.SetDone(i, cp.End[i])
+			continue
+		}
+		d, ch, err := f.transfer(s, i)
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		for i := range s.ops {
-			if cp != nil && cp.Executed[i] {
-				f.Dur[i], f.Res[i] = 0, -1
-				f.SetDone(i, cp.End[i])
-				continue
-			}
-			d, ch, err := f.transfer(s, i)
-			if err != nil {
-				return nil, err
-			}
-			f.Dur[i], f.Res[i] = d, ch
-		}
+		f.Dur[i], f.Res[i] = d, ch
 	}
 	if sk != nil && res == nil {
 		f.Borrow(&sk.Skeleton)

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"ccube/internal/collective"
-	"ccube/internal/des"
+	"ccube/internal/collective/collectivetest"
 	"ccube/internal/scaleout"
 )
 
@@ -37,53 +37,14 @@ func TestFig13ParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("cell count: serial %d, parallel %d", len(serial), len(parallel))
 	}
 	for i := range serial {
-		if !sameFig13Cell(serial[i], parallel[i]) {
+		// Every field of the cell, the executed pipeline graph with its
+		// collective blocks and their schedules included; only a schedule's
+		// skeleton holder, whose state records the order the cache served
+		// the sweep in, is skipped.
+		if !collectivetest.DeepEqual(serial[i], parallel[i]) {
 			t.Fatalf("cell %d differs:\nserial:   %+v\nparallel: %+v", i, serial[i], parallel[i])
 		}
 	}
-}
-
-// sameFig13Cell reports whether two cells are bit-identical: every field of
-// the cell and its Result, and of the executed pipeline graph every task's
-// name, resource (its whole state) and times. reflect.DeepEqual over the graph itself would
-// also walk each collective block's schedule into its op graph's
-// lowered-skeleton holder, whose run count and carrier record the order in
-// which the cache served the sweep, which the worker count changes.
-func sameFig13Cell(a, b Fig13Cell) bool {
-	ra, rb := *a.Result, *b.Result
-	ga, gb := ra.Graph, rb.Graph
-	ra.Graph, rb.Graph = nil, nil
-	a.Result, b.Result = &ra, &rb
-	if !reflect.DeepEqual(a, b) || (ga == nil) != (gb == nil) {
-		return false
-	}
-	if ga == nil {
-		return true
-	}
-	if ga.NumTasks() != gb.NumTasks() {
-		return false
-	}
-	paired := map[*des.Resource]*des.Resource{}
-	for i := range ga.NumTasks() {
-		resA, resB := ga.Resource(i), gb.Resource(i)
-		if (resA == nil) != (resB == nil) {
-			return false
-		}
-		if resA != nil {
-			if p, ok := paired[resA]; ok {
-				if p != resB {
-					return false
-				}
-			} else if paired[resA] = resB; !reflect.DeepEqual(*resA, *resB) {
-				return false
-			}
-		}
-		if ga.Label(i) != gb.Label(i) || ga.Ready(i) != gb.Ready(i) ||
-			ga.Start(i) != gb.Start(i) || ga.End(i) != gb.End(i) {
-			return false
-		}
-	}
-	return true
 }
 
 func TestExtFaultsParallelMatchesSerial(t *testing.T) {

@@ -11,21 +11,10 @@ import (
 
 	"ccube/internal/chunk"
 	"ccube/internal/collective"
+	"ccube/internal/collective/collectivetest"
 	"ccube/internal/des"
 	"ccube/internal/topology"
 )
-
-// sameSchedule reports whether a and b are the same schedule: every field,
-// the op graph through Program, and the stamp. reflect.DeepEqual over the
-// schedules would also walk the op graph's lowered-skeleton holder, whose
-// run count and lazily built skeleton record how often the graph ran, not
-// what the schedule is.
-func sameSchedule(a, b *collective.Schedule) bool {
-	return a.Graph == b.Graph && reflect.DeepEqual(a.Nodes, b.Nodes) &&
-		reflect.DeepEqual(a.Partition, b.Partition) && a.InOrder == b.InOrder &&
-		a.Streams == b.Streams && a.Contract == b.Contract &&
-		reflect.DeepEqual(a.Program(), b.Program()) && a.BuiltFingerprint() == b.BuiltFingerprint()
-}
 
 // countAssemblies replaces the assembleForest seam, the one path from
 // synthesis into the static verifier, with one that records the (trees,
@@ -77,7 +66,7 @@ func TestHeaderMatchesColdCompile(t *testing.T) {
 						t.Fatal(err)
 					}
 					at := fmt.Sprintf("%d bytes", bytes)
-					if !sameSchedule(got.Schedule, cold.Schedule) {
+					if !collectivetest.DeepEqual(got.Schedule, cold.Schedule) {
 						t.Fatalf("%s: schedule differs from a NoCache compile's", at)
 					}
 					if !reflect.DeepEqual(got.Report, cold.Report) || !reflect.DeepEqual(got.Report.Shares(), cold.Report.Shares()) {
@@ -163,7 +152,7 @@ func TestConcurrentHeaders(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !sameSchedule(res.Schedule, want[i]) {
+				if !collectivetest.DeepEqual(res.Schedule, want[i]) {
 					t.Errorf("%d bytes: schedule differs from a NoCache compile's", sizes[i])
 				}
 			}
