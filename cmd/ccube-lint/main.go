@@ -4,9 +4,9 @@
 // of each package; this command only parses flags, selects a reporter, and
 // maps outcomes to exit codes.
 //
-// The eight rules (see `ccube-lint -rules` or internal/lint's rule files):
+// The seven rules (see `ccube-lint -rules` or internal/lint's rule files):
 //
-//	no-sleep, lock-pairing, kernel-goroutine, des-hot-alloc, goroutine-leak,
+//	no-sleep, lock-pairing, kernel-goroutine, goroutine-leak,
 //	metrics-cardinality, virtual-time, unchecked-engine-err
 //
 // Inline suppressions: `//lint:ignore <rule> <reason>` on the offending
@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	ccube-lint [-format text|json|sarif] [-rules] [packages...]
+//	ccube-lint [-C dir] [-format text|sarif] [-rules] [packages...]
 //
 // Arguments accept the mixed forms of go tooling: "./...", directories, or
 // individual .go files; no arguments means the whole module. Test files are
@@ -38,7 +38,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ccube-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	format := fs.String("format", "text", "output format: text, json, or sarif")
+	format := fs.String("format", "text", "output format: text or sarif")
 	listRules := fs.Bool("rules", false, "list registered rules and exit")
 	dir := fs.String("C", ".", "module root to lint (directory containing go.mod)")
 	if err := fs.Parse(args); err != nil {

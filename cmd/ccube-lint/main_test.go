@@ -56,9 +56,8 @@ func TestDriverRuleListing(t *testing.T) {
 		t.Fatalf("exit = %d, want 0", code)
 	}
 	rules := []string{
-		"no-sleep", "lock-pairing", "kernel-goroutine", "des-hot-alloc",
-		"goroutine-leak", "metrics-cardinality", "virtual-time",
-		"unchecked-engine-err",
+		"no-sleep", "lock-pairing", "kernel-goroutine", "goroutine-leak",
+		"metrics-cardinality", "virtual-time", "unchecked-engine-err",
 	}
 	for _, rule := range rules {
 		if !strings.Contains(stdout.String(), rule) {
@@ -70,10 +69,14 @@ func TestDriverRuleListing(t *testing.T) {
 	}
 }
 
+// TestDriverUnknownFormat pins the reporters to text and sarif: any other
+// format, json included, exits 2.
 func TestDriverUnknownFormat(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", fixtureRoot, "-format", "xml", "internal/metrics"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit = %d, want 2 for unknown format", code)
+	for _, format := range []string{"xml", "json"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-C", fixtureRoot, "-format", format, "internal/metrics"}, &stdout, &stderr); code != 2 {
+			t.Errorf("-format %s: exit = %d, want 2 for unknown format", format, code)
+		}
 	}
 }
 

@@ -226,3 +226,53 @@ func TestFlatRunZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("run logged %d grants on the bound link, executed %d tasks", len(bound.Busy()), mTasksExecuted.Value())
 	}
 }
+
+// TestGraphBlockZeroAllocSteadyState is the alloc gate for the way a
+// schedule joins a graph — one AddBlock, then Set on each of its rows —
+// and for an external arrival bound (SetEarliest): a Reset graph
+// re-populated the same way and run again allocates nothing.
+func TestGraphBlockZeroAllocSteadyState(t *testing.T) {
+	const links, chunks = 4, 32
+	// The block is a links x chunks pipeline: row l*chunks+c waits for the
+	// same chunk on the link before, and the first link's rows on the root.
+	off := make([]int32, 0, links*chunks+1)
+	var preds []int32
+	for id := 0; id < links*chunks; id++ {
+		off = append(off, int32(len(preds)))
+		if id >= chunks {
+			preds = append(preds, int32(id-chunks))
+		}
+	}
+	off = append(off, int32(len(preds)))
+	res := make([]*Resource, links)
+	for l := range res {
+		res[l] = NewResource("link")
+	}
+	g := NewGraph()
+	var makespan Time
+	cycle := func() {
+		g.Reset()
+		for _, r := range res {
+			r.Reset()
+		}
+		root := g.Add(nil, 5)
+		g.SetEarliest(root, 100)
+		base := g.AddBlock(links*chunks, off, preds, root)
+		for l, r := range res {
+			for c := 0; c < chunks; c++ {
+				g.Set(base+l*chunks+c, r, 10)
+			}
+		}
+		var err error
+		if makespan, err = g.RunCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // warm up: grow the graph's columns, its CSR and the interval logs once
+	if allocs := testing.AllocsPerRun(50, cycle); allocs > steadyStateAllocBudget {
+		t.Fatalf("warm block graph run allocates %.1f/op, budget %d", allocs, steadyStateAllocBudget)
+	}
+	if want := Time(105 + (chunks+links-1)*10); makespan != want {
+		t.Fatalf("makespan = %v, want %v", makespan, want)
+	}
+}

@@ -16,8 +16,8 @@
 //
 // A warm run is allocation-free: a Flat keeps its columns and queue across
 // Reset, and Resources keep their interval logs. Regression tests assert
-// this with testing.AllocsPerRun, and cmd/ccube-lint's des-hot-alloc rule
-// flags any unannotated make/append that sneaks into the hot functions.
+// this with testing.AllocsPerRun (alloc_test.go), and the exact allocs/op
+// budgets of internal/bench gate the same paths end to end.
 package des
 
 import "fmt"

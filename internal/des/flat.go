@@ -90,7 +90,7 @@ func (f *Flat) size(resources int) {
 // resize returns s with length n, reallocating only when it lacks capacity.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n) // prealloc: grown once, kept across runs
+		return make([]T, n) // grown once, kept across runs
 	}
 	return s[:n]
 }
@@ -98,7 +98,7 @@ func resize[T any](s []T, n int) []T {
 // zeroed is resize with every entry cleared.
 func zeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n) // prealloc: grown once, kept across runs
+		return make([]T, n) // grown once, kept across runs
 	}
 	s = s[:n]
 	clear(s)

@@ -53,7 +53,7 @@ func (g *Graph) Reset() {
 	g.namer = nil
 	g.f.Dur = g.f.Dur[:0]
 	g.f.earliest = g.f.earliest[:0]
-	g.predOff = append(g.predOff[:0], 0) // amortized: reuses the offsets' array
+	g.predOff = append(g.predOff[:0], 0) // reuses the offsets' array
 	g.preds = g.preds[:0]
 	g.ran = false
 }
@@ -74,9 +74,9 @@ func (g *Graph) Add(res *Resource, d Time, deps ...int) int {
 		if p < 0 || p >= id {
 			panic(fmt.Sprintf("des: task %q depends on unknown task %d", g.Label(id), p))
 		}
-		g.preds = append(g.preds, int32(p)) // amortized: one CSR for all dependencies
+		g.preds = append(g.preds, int32(p)) // one CSR for all dependencies
 	}
-	g.predOff = append(g.predOff, int32(len(g.preds))) // amortized: Reset keeps the offsets
+	g.predOff = append(g.predOff, int32(len(g.preds))) // Reset keeps the offsets
 	return id
 }
 
@@ -93,12 +93,12 @@ func (g *Graph) AddBlock(n int, off, preds []int32, root int) int {
 	for i := 0; i < n; i++ {
 		row := preds[off[i]:off[i+1]]
 		if len(row) == 0 && root >= 0 {
-			g.preds = append(g.preds, int32(root)) // amortized: Reset keeps the CSR
+			g.preds = append(g.preds, int32(root))
 		}
 		for _, p := range row {
-			g.preds = append(g.preds, int32(base)+p) // amortized: Reset keeps the CSR
+			g.preds = append(g.preds, int32(base)+p)
 		}
-		g.predOff = append(g.predOff, int32(len(g.preds))) // amortized: Reset keeps the CSR
+		g.predOff = append(g.predOff, int32(len(g.preds)))
 	}
 	return base
 }
@@ -110,7 +110,7 @@ func (g *Graph) addRows(n int) int {
 		panic("des: adding task to a graph that already ran")
 	}
 	if len(g.predOff) == 0 {
-		g.predOff = append(g.predOff, 0) // amortized: once per zero-value graph
+		g.predOff = append(g.predOff, 0) // once per zero-value graph
 	}
 	id := len(g.res)
 	g.res = extend(g.res, n)

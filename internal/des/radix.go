@@ -97,7 +97,7 @@ func (q *radixQueue) refill(ready []Time) {
 }
 
 func (q *radixQueue) nowPush(id int32) {
-	h := append(q.now, id) // amortized: now keeps its array across runs
+	h := append(q.now, id) // now keeps its array across runs
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2

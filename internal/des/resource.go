@@ -138,7 +138,7 @@ func (r *Resource) grant(start, d Time, taskID int) (scaled Time, ok bool) {
 	}
 	scaled = r.scaledAt(start, d)
 	r.freeAt = start + scaled
-	r.busy = append(r.busy, Interval{Start: start, End: r.freeAt, TaskID: taskID}) // amortized: Reset keeps the backing array
+	r.busy = append(r.busy, Interval{Start: start, End: r.freeAt, TaskID: taskID}) // Reset keeps the backing array
 	return scaled, true
 }
 
@@ -148,7 +148,7 @@ func (r *Resource) grant(start, d Time, taskID int) (scaled Time, ok bool) {
 // allocation-free).
 func (r *Resource) Prealloc(n int) {
 	if want := len(r.busy) + n; cap(r.busy) < want {
-		grown := make([]Interval, len(r.busy), want) // prealloc: sizing the interval log once
+		grown := make([]Interval, len(r.busy), want)
 		copy(grown, r.busy)
 		r.busy = grown
 	}

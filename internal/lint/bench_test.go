@@ -26,7 +26,7 @@ func runRepo(tb testing.TB) *Result {
 
 // TestRepoLintsCleanAndFast is the acceptance gate for the framework: the
 // repo itself must lint clean (violations are fixed, not accumulated), and a
-// full cold run — parse, type-check, all ten analyzers over every package —
+// full cold run — parse, type-check, every analyzer over every package —
 // must finish well under the 5 s budget.
 func TestRepoLintsCleanAndFast(t *testing.T) {
 	if testing.Short() {
@@ -47,7 +47,7 @@ func TestRepoLintsCleanAndFast(t *testing.T) {
 }
 
 // BenchmarkLintModule measures a full cold lint of the module: shared
-// single-parse/single-type-check across all ten analyzers.
+// single-parse/single-type-check across every analyzer.
 func BenchmarkLintModule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := runRepo(b)

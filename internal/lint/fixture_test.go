@@ -10,7 +10,7 @@ import (
 // TestFixtures runs every registered analyzer over the fixture module in
 // testdata/src and compares the surviving diagnostics against the inline
 // `// want "regexp"` expectations, analysistest-style. Regexps match against
-// "<rule>: <message>". Each of the eight rules has at least one firing case
+// "<rule>: <message>". Each of the seven rules has at least one firing case
 // here and one //lint:ignore-suppressed case (counted at the bottom).
 func TestFixtures(t *testing.T) {
 	loader, err := NewLoader("testdata/src")
@@ -21,8 +21,8 @@ func TestFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if len(pkgs) != 5 {
-		t.Errorf("loaded %d fixture packages, want 5", len(pkgs))
+	if len(pkgs) != 4 {
+		t.Errorf("loaded %d fixture packages, want 4", len(pkgs))
 	}
 	for _, p := range pkgs {
 		for _, te := range p.TypeErrors {
@@ -87,9 +87,9 @@ func TestFixtures(t *testing.T) {
 		}
 	}
 
-	// One suppressed case per rule: eight //lint:ignore directives, each
+	// One suppressed case per rule: seven //lint:ignore directives, each
 	// silencing exactly one diagnostic.
-	if res.Suppressed != 8 {
-		t.Errorf("suppressed = %d, want 8 (one silenced case per rule)", res.Suppressed)
+	if res.Suppressed != 7 {
+		t.Errorf("suppressed = %d, want 7 (one silenced case per rule)", res.Suppressed)
 	}
 }

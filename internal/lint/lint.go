@@ -8,16 +8,15 @@
 // Each rule is a self-registering *Analyzer. Analyzers share one
 // type-checked load of every package (each file is parsed once and each
 // package type-checked once, with the *types.Info shared), report
-// *Diagnostic values that may carry a rendered suggested fix, and honor
-// inline suppressions of the form
+// *Diagnostic values, and honor inline suppressions of the form
 //
 //	//lint:ignore <rule> <reason>
 //
 // placed on the offending line or on the line immediately above it. The
 // reason is mandatory: a suppression without one is itself a diagnostic.
 //
-// Reporters render a Result as plain text, JSON, or SARIF 2.1.0 (see
-// report.go). The ccube-lint command is a thin driver over Load + Run.
+// Reporters render a Result as plain text or SARIF 2.1.0 (see report.go).
+// The ccube-lint command is a thin driver over Load + Run.
 package lint
 
 import (
@@ -73,31 +72,15 @@ func All() []*Analyzer {
 	return out
 }
 
-// Lookup returns the analyzer with the given name, or nil.
-func Lookup(name string) *Analyzer { return registry[name] }
-
-// SuggestedFix is a rendered replacement the reporter shows next to a
-// diagnostic. Fixes are advisory (rendered, not applied).
-type SuggestedFix struct {
-	Message string // e.g. `use RunCtx so the context propagates`
-	NewText string // the replacement snippet, e.g. `eng.RunCtx(ctx)`
-}
-
 // Diagnostic is one finding.
 type Diagnostic struct {
-	Rule     string
-	Pos      token.Position
-	Message  string
-	Fix      *SuggestedFix
-	Category string // optional sub-category for SARIF rule metadata
+	Rule    string
+	Pos     token.Position
+	Message string
 }
 
 func (d Diagnostic) String() string {
-	s := fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
-	if d.Fix != nil {
-		s += fmt.Sprintf("\n\tsuggested fix: %s: `%s`", d.Fix.Message, d.Fix.NewText)
-	}
-	return s
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
 }
 
 // Pass carries one analyzer's view of one loaded package.
@@ -118,26 +101,12 @@ func (p *Pass) Files() []*ast.File { return p.Pkg.Files }
 // never nil, but may be sparsely populated if the package had type errors.
 func (p *Pass) TypesInfo() *types.Info { return p.Pkg.Info }
 
-// TypesPkg returns the type-checked package object (may be nil on hard
-// type-check failure).
-func (p *Pass) TypesPkg() *types.Package { return p.Pkg.Types }
-
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, fmt.Sprintf(format, args...), nil)
-}
-
-// ReportWithFix records a diagnostic carrying a rendered suggested fix.
-func (p *Pass) ReportWithFix(pos token.Pos, msg string, fix *SuggestedFix) {
-	p.report(pos, msg, fix)
-}
-
-func (p *Pass) report(pos token.Pos, msg string, fix *SuggestedFix) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Rule:    p.Analyzer.Name,
 		Pos:     p.Pkg.Fset.Position(pos),
-		Message: msg,
-		Fix:     fix,
+		Message: fmt.Sprintf(format, args...),
 	})
 }
 

@@ -180,9 +180,6 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("no module line in %s", gomod)
 }
 
-// Fset returns the shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Import implements types.Importer: module-local paths are loaded from
 // source (recursively, through the cache); everything else — the standard
 // library — comes from compiler export data.

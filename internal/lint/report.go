@@ -13,7 +13,6 @@ type Format string
 
 const (
 	FormatText  Format = "text"
-	FormatJSON  Format = "json"
 	FormatSARIF Format = "sarif"
 )
 
@@ -23,12 +22,10 @@ func Write(w io.Writer, res *Result, format Format) error {
 	switch format {
 	case FormatText, "":
 		return writeText(w, res)
-	case FormatJSON:
-		return writeJSON(w, res)
 	case FormatSARIF:
 		return writeSARIF(w, res)
 	default:
-		return fmt.Errorf("lint: unknown format %q (want text, json, or sarif)", format)
+		return fmt.Errorf("lint: unknown format %q (want text or sarif)", format)
 	}
 }
 
@@ -43,47 +40,6 @@ func writeText(w io.Writer, res *Result) error {
 		return err
 	}
 	return nil
-}
-
-// jsonDiagnostic is the stable machine-readable shape of one finding.
-type jsonDiagnostic struct {
-	Rule     string `json:"rule"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-	Fix      string `json:"suggested_fix,omitempty"`
-	FixText  string `json:"suggested_fix_text,omitempty"`
-	Category string `json:"category,omitempty"`
-}
-
-type jsonReport struct {
-	Diagnostics []jsonDiagnostic `json:"diagnostics"`
-	Suppressed  int              `json:"suppressed"`
-	Packages    int              `json:"packages"`
-	Files       int              `json:"files"`
-}
-
-func writeJSON(w io.Writer, res *Result) error {
-	rep := jsonReport{
-		Diagnostics: make([]jsonDiagnostic, 0, len(res.Diagnostics)),
-		Suppressed:  res.Suppressed,
-		Packages:    res.NumPackages,
-		Files:       res.NumFiles,
-	}
-	for _, d := range res.Diagnostics {
-		jd := jsonDiagnostic{
-			Rule: d.Rule, File: d.Pos.Filename, Line: d.Pos.Line,
-			Column: d.Pos.Column, Message: d.Message, Category: d.Category,
-		}
-		if d.Fix != nil {
-			jd.Fix, jd.FixText = d.Fix.Message, d.Fix.NewText
-		}
-		rep.Diagnostics = append(rep.Diagnostics, jd)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // --- SARIF 2.1.0 -------------------------------------------------------------
@@ -176,15 +132,11 @@ func writeSARIF(w io.Writer, res *Result) error {
 
 	results := make([]sarifResult, 0, len(res.Diagnostics))
 	for _, d := range res.Diagnostics {
-		msg := d.Message
-		if d.Fix != nil {
-			msg += fmt.Sprintf(" (suggested fix: %s: `%s`)", d.Fix.Message, d.Fix.NewText)
-		}
 		results = append(results, sarifResult{
 			RuleID:    d.Rule,
 			RuleIndex: ruleIdx[d.Rule],
 			Level:     "error",
-			Message:   sarifMessage{Text: msg},
+			Message:   sarifMessage{Text: d.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysicalLocation{
 					ArtifactLocation: sarifArtifactLocation{URI: filepath.ToSlash(d.Pos.Filename)},

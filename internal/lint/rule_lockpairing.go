@@ -115,7 +115,7 @@ func runLockPairing(p *Pass) {
 				}
 			}
 		}
-		funcScopes(file, func(body *ast.BlockStmt, _ *ast.FuncDecl, lit *ast.FuncLit) {
+		funcScopes(file, func(body *ast.BlockStmt, lit *ast.FuncLit) {
 			if lit != nil && merged[lit] {
 				return // checked as part of the registering function
 			}

@@ -82,19 +82,18 @@ func funcReturnsErrorLast(obj types.Object) bool {
 }
 
 // funcScopes walks every function body in the file — declared functions and
-// function literals — calling fn with the enclosing callable's body. Each
-// literal is visited once as its own scope.
-func funcScopes(file *ast.File, fn func(body *ast.BlockStmt, decl *ast.FuncDecl, lit *ast.FuncLit)) {
-	var outer *ast.FuncDecl
+// function literals — calling fn with each body and, for a literal, the
+// literal itself (nil for a declared function). Each literal is visited once
+// as its own scope.
+func funcScopes(file *ast.File, fn func(body *ast.BlockStmt, lit *ast.FuncLit)) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.FuncDecl:
-			outer = node
 			if node.Body != nil {
-				fn(node.Body, node, nil)
+				fn(node.Body, nil)
 			}
 		case *ast.FuncLit:
-			fn(node.Body, outer, node)
+			fn(node.Body, node)
 		}
 		return true
 	})

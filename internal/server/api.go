@@ -250,7 +250,7 @@ func canonicalKey(ep endpoint, req any) reqKey {
 		b = r.appendJSON(b)
 	default:
 		if m, err := json.Marshal(req); err == nil {
-			b = append(b, m...) // amortized: pooled key buffer reused across requests
+			b = append(b, m...)
 		}
 		// Unmarshalable requests hash as the empty body: request types are
 		// plain data, so this cannot happen outside of tests.

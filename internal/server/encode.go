@@ -21,7 +21,7 @@ import (
 // not allocate an interface box; the same pointer shuttles Get→Put.
 var bufPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, 0, 4096) // amortized: pooled; steady state reuses grown buffers
+		b := make([]byte, 0, 4096) // steady state reuses grown buffers
 		return &b
 	},
 }
@@ -49,8 +49,8 @@ func encodeBody(v any) *cachedResponse {
 		putBuf(buf)
 		return nil
 	}
-	body = append(body, '\n') // amortized: pooled response buffer reused across requests
-	*buf = body               // retain any growth for the next Get
+	body = append(body, '\n')
+	*buf = body // retain any growth for the next Get
 	resp := &cachedResponse{status: http.StatusOK, body: body, buf: buf}
 	resp.refs.Store(1)
 	return resp

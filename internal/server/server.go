@@ -235,7 +235,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeAPIError(w http.ResponseWriter, e *apiError) {
 	buf := getBuf()
 	b := appendErrorBody((*buf)[:0], e.kind, e.msg)
-	b = append(b, '\n') // amortized: pooled error buffer reused across requests
+	b = append(b, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(e.status)
 	w.Write(b)
