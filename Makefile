@@ -11,15 +11,17 @@ test:
 	$(GO) test ./...
 
 # Race detector over the packages that actually spawn goroutines or share
-# state across them, as CI's race steps run it: the DES run loop and its
-# pooled columns, the topology graph's memoized fingerprint, the metrics
-# registry, the p2psync primitives, the gpusim kernel runners, the gradient
-# queue, the fault-matrix suite (its adaptation tests are CI's third race
-# step), the sweep executor, the HTTP service layer with its load generator,
-# the schedule builders and cache, the verifier's pool of
+# state across them, as CI runs it: the DES run loop and its pooled
+# columns, the topology graph's memoized fingerprint, the metrics registry,
+# the p2psync primitives, the gpusim kernel runners, the gradient queue, the
+# fault-matrix suite with the online-adaptation path (mid-run checkpoint,
+# the repair matrix and the patch tests, delta verification, resume, and
+# the churn harness that drives them all, in fault, collective and
+# schedcheck), the sweep executor, the HTTP service layer with its load
+# generator, the schedule builders and cache, the verifier's pool of
 # checkers, the training simulator, whose iterations share cached schedules
 # across the server's workers, and the synthesis compiler, which emits
-# through the builders.
+# through the builders; then the parallel sweep's determinism.
 race:
 	$(GO) test -race ./internal/des/ ./internal/topology/ ./internal/metrics/... ./internal/p2psync/... ./internal/gpusim/... ./internal/gradqueue/... ./internal/fault/... ./internal/sweep/... ./internal/server/... ./internal/loadgen/... ./internal/collective/... ./internal/schedcheck/ ./internal/train/ ./internal/synth/
 	$(GO) test -race -run ParallelMatchesSerial ./internal/experiments/
@@ -53,13 +55,37 @@ bench-module:
 lint:
 	$(GO) run ./cmd/ccube-lint ./...
 
-# Short fuzz bursts of every fuzz target; the seed corpora already replay
-# under plain `make test`.
+# Short fuzz bursts of every fuzz target, as CI runs them; the seed corpora
+# already replay under plain `make test`, so each burst skips the unit
+# tests:
+#   - the chunk partitions: Split; the rate-weighted split synthesis sizes
+#     every chunk with (sizes cover the message with at least a byte each,
+#     one stream's chunks differ by at most a byte, and equal rates give
+#     Split); the per-layer chunk table;
+#   - the indexed forest packer against the reference packer that rescans
+#     every pair at every step, on drawn fabrics, seeds, tree counts, detour
+#     flags and kill/degrade masks: the forests must be identical;
+#   - the verifier, including corruption kind 7, which mutates freshly
+#     synthesized schedules, so the lowering path gets adversarial coverage
+#     on every push, not just when the seed corpus grows;
+#   - the chunk-closed schedules proved by one window (overlapped tree,
+#     C-Cube, a synthesized forest): one op mutated past the window must
+#     keep its chunk inside the certified window or fail the certificate,
+#     the same mutation in every chunk of a stream must be caught by the
+#     window alone, and every report must equal the full path's;
+#   - the segment certificate (PhasePrefixes): a separated-tree carrier
+#     mutated at its barriers or reduction FIFO edges, or a one-phase
+#     carrier (C-Cube, a forest), that still passes Check and the
+#     certificate must have every derivative pass the full Check;
+#   - prefix headers on drawn fabrics, overlapped algorithms or packed
+#     forests, sharing flags and chunk counts K >= k: a cache holding the
+#     K-chunk carrier serves k chunks as a header over its first ops,
+#     deep-equal to a cold build, running identically, counted once.
 fuzz-smoke:
-	$(GO) test -fuzz='^FuzzSplit$$' -fuzztime=10s ./internal/chunk
-	$(GO) test -fuzz='^FuzzSplitRates$$' -fuzztime=10s ./internal/chunk
-	$(GO) test -fuzz='^FuzzLayerChunkTable$$' -fuzztime=10s ./internal/chunk
-	$(GO) test -fuzz='^FuzzPackForest$$' -fuzztime=10s ./internal/synth
+	$(GO) test -run='^$$' -fuzz='^FuzzSplit$$' -fuzztime=10s ./internal/chunk
+	$(GO) test -run='^$$' -fuzz='^FuzzSplitRates$$' -fuzztime=10s ./internal/chunk
+	$(GO) test -run='^$$' -fuzz='^FuzzLayerChunkTable$$' -fuzztime=10s ./internal/chunk
+	$(GO) test -run='^$$' -fuzz='^FuzzPackForest$$' -fuzztime=10s ./internal/synth
 	$(GO) test -run='^$$' -fuzz='^FuzzSchedCheck$$' -fuzztime=20s ./internal/schedcheck
 	$(GO) test -run='^$$' -fuzz='^FuzzPeriodicWindow$$' -fuzztime=10s ./internal/schedcheck
 	$(GO) test -run='^$$' -fuzz='^FuzzPhasePrefix$$' -fuzztime=10s ./internal/schedcheck

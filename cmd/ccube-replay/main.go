@@ -22,15 +22,6 @@ import (
 	"ccube/internal/topology"
 )
 
-var algorithms = map[string]collective.Algorithm{
-	"ring":             collective.AlgRing,
-	"tree":             collective.AlgTree,
-	"tree-overlap":     collective.AlgTreeOverlap,
-	"double-tree":      collective.AlgDoubleTree,
-	"ccube":            collective.AlgDoubleTreeOverlap,
-	"halving-doubling": collective.AlgHalvingDoubling,
-}
-
 func main() {
 	traceFile := flag.String("trace", "", "trace JSON to replay")
 	algo := flag.String("algo", "ccube", "AllReduce algorithm for 'allreduce' ops")
@@ -63,7 +54,7 @@ func main() {
 	if *traceFile == "" {
 		fail("either -trace or -gen is required")
 	}
-	alg, ok := algorithms[*algo]
+	alg, ok := collective.ParseAlgorithm(*algo)
 	if !ok {
 		fail("unknown algorithm %q", *algo)
 	}

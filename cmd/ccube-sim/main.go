@@ -15,11 +15,9 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"ccube/internal/collective"
-	"ccube/internal/des"
 	"ccube/internal/fault"
 	"ccube/internal/metrics"
 	"ccube/internal/report"
@@ -27,24 +25,6 @@ import (
 	"ccube/internal/topology"
 	"ccube/internal/trace"
 )
-
-var algorithms = map[string]collective.Algorithm{
-	"ring":             collective.AlgRing,
-	"tree":             collective.AlgTree,
-	"tree-overlap":     collective.AlgTreeOverlap,
-	"double-tree":      collective.AlgDoubleTree,
-	"ccube":            collective.AlgDoubleTreeOverlap,
-	"halving-doubling": collective.AlgHalvingDoubling,
-}
-
-func algorithmNames() []string {
-	names := make([]string, 0, len(algorithms))
-	for n := range algorithms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 func main() {
 	algo := flag.String("algo", "ccube", "algorithm: ring, tree, tree-overlap, double-tree, ccube, halving-doubling, or synth (compile a schedule for the topology)")
@@ -69,16 +49,16 @@ func main() {
 	var alg collective.Algorithm
 	if !isSynth {
 		var ok bool
-		alg, ok = algorithms[*algo]
+		alg, ok = collective.ParseAlgorithm(*algo)
 		if !ok {
-			fail("unknown algorithm %q (want synth, %s)", *algo, strings.Join(algorithmNames(), ", "))
+			fail("unknown algorithm %q (want synth, %s)", *algo, strings.Join(collective.AlgorithmNames(), ", "))
 		}
 	}
-	g, err := buildTopology(*topo)
+	g, err := topology.Named(*topo)
 	if err != nil {
 		fail("%v", err)
 	}
-	n, err := parseBytes(*bytesFlag)
+	n, err := report.ParseBytes(*bytesFlag)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -277,69 +257,6 @@ func printBusiest(g *topology.Graph, res *collective.Result, topChannels int) {
 		ct.AddRow(u.name, report.Percent(u.busy))
 	}
 	fmt.Println(ct.Render())
-}
-
-func buildTopology(name string) (*topology.Graph, error) {
-	switch {
-	case name == "dgx1":
-		return topology.DGX1(topology.DefaultDGX1Config()), nil
-	case name == "dgx1-low":
-		cfg := topology.DefaultDGX1Config()
-		cfg.LowBandwidth = true
-		return topology.DGX1(cfg), nil
-	case strings.HasPrefix(name, "cluster:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "cluster:"))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad cluster size in %q", name)
-		}
-		return topology.Hierarchy(topology.DefaultHierarchyConfig(n)), nil
-	case strings.HasPrefix(name, "fc:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "fc:"))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad fc size in %q", name)
-		}
-		return topology.FullyConnected(n, irregularBW, irregularLat), nil
-	case strings.HasPrefix(name, "fcasym:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "fcasym:"))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad fcasym size in %q", name)
-		}
-		return topology.AsymmetricFullyConnected(n, irregularBW, irregularLat, irregularSeed), nil
-	case strings.HasPrefix(name, "rr:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "rr:"))
-		if err != nil || n < 5 {
-			return nil, fmt.Errorf("bad rr size in %q (want n >= 5)", name)
-		}
-		return topology.RandomRegular(n, 4, irregularBW, irregularLat, irregularSeed), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q (want dgx1, dgx1-low, cluster:<n>, fc:<n>, fcasym:<n>, rr:<n>)", name)
-	}
-}
-
-// fc/fcasym/rr link parameters (one NVLink-class lane per pair) and the
-// fixed generator seed: a topology name must always denote the same graph,
-// matching the server's naming.
-const (
-	irregularBW   = 25e9 // bytes/sec
-	irregularLat  = des.Microsecond
-	irregularSeed = 1
-)
-
-func parseBytes(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "G"):
-		mult, s = 1<<30, strings.TrimSuffix(s, "G")
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1<<20, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "K"):
-		mult, s = 1<<10, strings.TrimSuffix(s, "K")
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return v * mult, nil
 }
 
 func fail(format string, args ...any) {

@@ -609,7 +609,7 @@ var Budgets = map[string]int64{
 	"Check/cluster64-ring":                   2,
 	"Check/dgx1-ccube-16MiB":                 2,
 	"Synthesize/dgx1":                        635,
-	"Synthesize/rr16-resident":               53,
+	"Synthesize/rr16-resident":               51,
 	"Train/dgx1-resnet50-CC":                 210,
 }
 

@@ -310,7 +310,7 @@ func TestRingMatchesCostModelShape(t *testing.T) {
 	}
 	// A single-ring embedding takes ~2x as long.
 	single, err := RunCtx(context.Background(), Config{Graph: dgx1(), Algorithm: AlgRing, Bytes: bytes,
-		RingOrder: DGX1RingOrder()})
+		RingOrders: [][]int{DGX1RingOrder()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +353,8 @@ func TestBuildErrors(t *testing.T) {
 		{Graph: nil, Algorithm: AlgRing, Bytes: 1},
 		{Graph: g, Algorithm: AlgRing, Bytes: 0},
 		{Graph: g, Algorithm: Algorithm(99), Bytes: 1},
-		{Graph: g, Algorithm: AlgRing, Bytes: 1 << 20, RingOrder: []int{0, 1, 2}},
-		{Graph: g, Algorithm: AlgRing, Bytes: 1 << 20, RingOrder: []int{0, 0, 1, 2, 3, 4, 5, 6}},
+		{Graph: g, Algorithm: AlgRing, Bytes: 1 << 20, RingOrders: [][]int{{0, 1, 2}}},
+		{Graph: g, Algorithm: AlgRing, Bytes: 1 << 20, RingOrders: [][]int{{0, 0, 1, 2, 3, 4, 5, 6}}},
 	}
 	for i, cfg := range cases {
 		if _, err := Build(cfg); err == nil {
@@ -366,7 +366,7 @@ func TestBuildErrors(t *testing.T) {
 func TestRingRequiresDirectChannels(t *testing.T) {
 	// Identity ring order on DGX-1 hits the missing 3-4 edge.
 	order := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	if _, err := Build(Config{Graph: dgx1(), Algorithm: AlgRing, Bytes: 1 << 20, RingOrder: order}); err == nil {
+	if _, err := Build(Config{Graph: dgx1(), Algorithm: AlgRing, Bytes: 1 << 20, RingOrders: [][]int{order}}); err == nil {
 		t.Fatal("ring built over missing channel 3->4")
 	}
 }

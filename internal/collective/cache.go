@@ -58,13 +58,13 @@ type Cache struct {
 	evictions uint64
 	disabled  bool
 
-	// incremental counts misses served by a header over a resident
-	// same-shape op graph or a prefix of one, or derived from a resident
-	// phase-prefix carrier (incremental.go), instead of a full build.
+	// incremental counts misses served from a resident op graph of their
+	// shape, a header over it or a copy derived from a carrier
+	// (incremental.go), instead of a full build.
 	incremental uint64
 
-	// shapes indexes the resident op graphs by shape, a prefix or
-	// phase-prefix carrier without its chunk count; an entry lives exactly
+	// shapes indexes the resident op graphs by shape, a carrier without
+	// its chunk count; an entry lives exactly
 	// as long as some LRU entry references its graph (a carrier, also
 	// while a graph derived from it is resident), or until a carrier with
 	// more chunks takes its place. retained is the bytes of every resident
@@ -152,11 +152,7 @@ func (c *Cache) key(cfg Config) cacheKey {
 		sb.WriteByte('n')
 		sb.WriteString(strconv.Itoa(int(n)))
 	}
-	orders := cfg.RingOrders
-	if orders == nil && cfg.RingOrder != nil {
-		orders = [][]int{cfg.RingOrder}
-	}
-	for _, ord := range orders {
+	for _, ord := range cfg.RingOrders {
 		sb.WriteByte('r')
 		for _, i := range ord {
 			sb.WriteByte(',')
@@ -183,14 +179,15 @@ func (c *Cache) key(cfg Config) cacheKey {
 // A miss whose shape — everything but the message size, with the chunk
 // count resolved — matches a resident op graph is served by a new header
 // over that graph: the new partition and nothing else, with no
-// construction and no proof to redo. A chunk-major graph (the overlapped
-// tree, C-Cube) is indexed without its chunk count and serves every count
-// up to its own, as a header over its first chunks. So is a separated tree
-// or double tree, which serves a smaller count by a derived schedule: a
-// copy of each tree's first chunks of both phases with the barrier
-// re-pointed, not re-proved, whose entry holds the carrier resident. A
-// miss for more chunks than any resident carrier holds builds the new,
-// larger carrier (see incremental.go); any other miss is a full build
+// construction and no proof to redo. A graph laid out in segments (one
+// certificate, schedcheck.PhasePrefixes) is a carrier, indexed without its
+// chunk count, and serves every count up to its own: a chunk-major one
+// (the overlapped tree, C-Cube) as a header over its first chunks; a
+// separated tree or double tree, at a smaller count, by a derived
+// schedule: a copy of each tree's first chunks of both phases with the
+// barrier re-pointed, not re-proved, whose entry holds the carrier
+// resident. A miss for more chunks than any resident carrier holds builds
+// the new, larger carrier (see incremental.go); any other miss is a full build
 // and its proof. So every schedule the cache returns was proved in this
 // process: it is a build, a header over an op graph built here, or a copy
 // derived from one.
@@ -257,20 +254,22 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 		return nil, err
 	}
 
-	// Classify the new op graph before taking the lock: the prefix test
-	// walks every op and dependency.
-	own := newOpGraph(k, s)
-	c.mu.Lock()
-	c.misses++
 	// A synthesized result may be a Header over a resident op graph: it
-	// then shares that graph and counts as an incremental miss.
+	// then shares that graph and counts as an incremental miss. Any other
+	// result is its own op graph, classified outside the lock: the
+	// certificate walks every op and dependency.
+	c.mu.Lock()
 	g := c.residentLocked(k, s.Partition.NumChunks(), s.Streams)
-	if g != nil && g.holds(s) {
+	header := g != nil && g.holds(s)
+	if header {
 		c.incremental++
 		mCacheIncremental.Inc()
 	} else {
-		g = own
+		c.mu.Unlock()
+		g = newOpGraph(k, s)
+		c.mu.Lock()
 	}
+	c.misses++
 	evicted := c.insertLocked(k, s, g)
 	c.mu.Unlock()
 	mCacheMisses.Inc()
@@ -340,10 +339,9 @@ func (c *Cache) Evictions() uint64 {
 	return c.evictions
 }
 
-// IncrementalBuilds reports how many misses were served by a header over a
-// resident same-shape op graph or a prefix of one, or derived from a
-// resident carrier, instead of a full build, since construction (or the
-// last Clear).
+// IncrementalBuilds reports how many misses were served from a resident op
+// graph of their shape, a header over it or a copy derived from a carrier,
+// instead of a full build, since construction (or the last Clear).
 func (c *Cache) IncrementalBuilds() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

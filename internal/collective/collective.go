@@ -11,6 +11,7 @@ package collective
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"ccube/internal/chunk"
 	"ccube/internal/costmodel"
@@ -72,6 +73,33 @@ func (a Algorithm) String() string {
 	}
 }
 
+// namedAlgorithms maps each built-in algorithm's name, as the CLIs and the
+// service spell it, to the algorithm: its String, but "ccube" for C-Cube.
+var namedAlgorithms = map[string]Algorithm{
+	"ring":             AlgRing,
+	"tree":             AlgTree,
+	"tree-overlap":     AlgTreeOverlap,
+	"double-tree":      AlgDoubleTree,
+	"ccube":            AlgDoubleTreeOverlap,
+	"halving-doubling": AlgHalvingDoubling,
+}
+
+// ParseAlgorithm returns the built-in algorithm named name.
+func ParseAlgorithm(name string) (Algorithm, bool) {
+	a, ok := namedAlgorithms[name]
+	return a, ok
+}
+
+// AlgorithmNames returns the names ParseAlgorithm accepts, sorted.
+func AlgorithmNames() []string {
+	names := make([]string, 0, len(namedAlgorithms))
+	for n := range namedAlgorithms {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	return names
+}
+
 // MaxAutoChunks caps the automatically chosen chunk count.
 const MaxAutoChunks = 512
 
@@ -96,11 +124,8 @@ type Config struct {
 	// mesh-cube, otherwise the generic inorder/shift double tree.
 	Trees []Tree
 
-	// RingOrder overrides the ring embedding with a single ring (ring only).
-	RingOrder []int
-
-	// RingOrders overrides the embedding with multiple link-disjoint rings,
-	// the message split across them (takes precedence over RingOrder).
+	// RingOrders overrides the ring embedding (ring only) with one ring, or
+	// with several link-disjoint rings, the message split across them.
 	// Default: the two disjoint Hamiltonian cycles of the DGX-1 mesh-cube,
 	// or a single identity ring elsewhere.
 	RingOrders [][]int
@@ -160,9 +185,6 @@ func (c *Config) chunkCount(p int) int {
 // same-shape lookup also runs (incremental.go), sees the rings Build will.
 func resolveRingOrders(cfg Config, nodes []topology.NodeID) [][]int {
 	orders := cfg.RingOrders
-	if orders == nil && cfg.RingOrder != nil {
-		orders = [][]int{cfg.RingOrder}
-	}
 	if orders == nil {
 		if isDGX1(cfg.Graph, nodes) {
 			orders = DGX1RingOrders()

@@ -20,34 +20,32 @@ import (
 // and chunk counts its compiler's search picked; the compiler asks for its
 // header (Header) once the search has picked them.
 //
-// Prefix headers: the overlapped trees, C-Cube and synthesized forests are
-// laid out chunk-major (chunkMajor; overlapped trees sharing a channel
-// excepted, see buildTreeSchedule), each chunk one reduce-then-broadcast
-// pass behind the same hops of chunk c-t, so a k-chunk schedule is the
-// first k chunks of any longer one of its shape. An op graph qualifies by a
-// property of the graph, tested once when it enters the shape index
-// (schedcheck.ChunkPrefixes, O(ops+deps)): its op chunks never fall in id
-// order and it is chunk-closed. A qualifying graph is indexed without its
-// chunk count, with its per-chunk op offsets, and the index keeps the
-// resident carrier with the most chunks. A miss for k chunks, at most the
-// carrier's K and at least its stream count, is a header over the
-// carrier's first n_k ops: ops[:n_k:n_k], depOff[:n_k+1:n_k+1] and
-// deps[:depOff[n_k]:depOff[n_k]]. The three-index slices mean no append can
-// reach the carrier's arrays. A request for more chunks than any resident
-// carrier holds builds, and its graph becomes the carrier.
-//
-// Derived schedules: the separated tree and double tree are laid out tree
-// by tree (buildSingleTree): each tree's reductions, its barrier, then its
-// broadcasts. So a k-chunk schedule is not a prefix of a longer one, but it
-// is, tree by tree, the first chunks of each phase with the barrier
-// re-pointed to the last root-ready marker below k. A graph of that layout
-// whose barriers may move (schedcheck.PhasePrefixes, O(ops+deps), run once
-// when it enters the shape index) is a phase-prefix carrier, indexed like a
-// prefix carrier. A k-chunk miss, t <= k < K, is served by a copy of its
-// kept ops, with ids, relay slots and dependencies shifted per phase
-// (schedcheck.Phases.Derive: one linear pass, two allocations). The copy
-// is its own op graph, indexed under its exact shape so other sizes of it
-// are headers over it, and it holds its carrier resident while it is.
+// Carriers: a graph laid out in segments serves every smaller chunk count
+// of its shape, by one certificate tested once when it enters the shape
+// index (schedcheck.PhasePrefixes, O(ops+deps)). Two layouts qualify. The
+// overlapped trees, C-Cube and synthesized forests are laid out
+// chunk-major (chunkMajor; overlapped trees sharing a channel excepted,
+// see buildTreeSchedule), each chunk one reduce-then-broadcast pass behind
+// the same hops of chunk c-t: one phase, one chunk-closed segment, so a
+// k-chunk schedule is the first n_k ops of any longer one of its shape.
+// The separated tree and double tree are laid out tree by tree
+// (buildSingleTree), each tree's reductions, its barrier, then its
+// broadcasts: two phases, so a k-chunk schedule is, tree by tree, the
+// first chunks of each phase with the barrier re-pointed to the last
+// root-ready marker below k. A qualifying graph is a carrier, indexed
+// without its chunk count, and the index keeps the resident carrier with
+// the most chunks. A miss for k chunks, at most the carrier's K and at
+// least its stream count, is served from it (opGraph.serve,
+// schedcheck.Phases.Derive). When nothing moves — one phase, or k = K — it
+// is a header over the carrier's first n_k ops: ops[:n_k:n_k],
+// depOff[:n_k+1:n_k+1] and deps[:depOff[n_k]:depOff[n_k]], whose
+// three-index slices mean no append can reach the carrier's arrays.
+// Otherwise it is a copy of the kept ops, with ids, relay slots and
+// dependencies shifted per phase (one linear pass, two allocations): its
+// own op graph, indexed under its exact shape so other sizes of it are
+// headers over it, holding its carrier resident while it is. A request
+// for more chunks than any resident carrier holds builds, and its graph
+// becomes the carrier.
 //
 // Safety argument for skipping the static verifier on this path: the op
 // graph was proved by Check when it entered the cache (by its periodic
@@ -56,17 +54,17 @@ import (
 // in-order delivery — is a property of the op graph alone. Its one
 // byte-dependent check is that every chunk holds a positive size, which the
 // new partition meets by construction (chunk.Split, SplitAtMost and
-// SplitRates emit no empty chunk). A prefix of a chunk-major, chunk-closed
-// graph answers every question Check asks about its chunks as the whole
-// graph does, and a derived schedule every question about its kept ops;
-// the arguments are in schedcheck's checks.go ("chunk prefixes", "phase
-// prefixes"). TestIncrementalMatchesFullBuild pins the equivalence for the
-// built-ins, prefixes and derived schedules included, and synth's
-// TestHeaderMatchesColdCompile for synthesized schedules: a header or a
-// derived schedule and a fresh build of the same config are deep-equal.
+// SplitRates emit no empty chunk). A carrier's derivative at k chunks, a
+// prefix or a copy, answers every question Check asks about its kept ops
+// as the whole graph does; the argument is in schedcheck's checks.go
+// ("phase prefixes"). TestIncrementalMatchesFullBuild pins the
+// equivalence for the built-ins, prefixes and derived schedules included,
+// and synth's TestHeaderMatchesColdCompile for synthesized schedules: a
+// header or a derived schedule and a fresh build of the same config are
+// deep-equal.
 
-// anyChunks is the chunk count in the shape key of a prefix or phase-prefix
-// carrier, which serves every chunk count up to its own.
+// anyChunks is the chunk count in the shape key of a carrier, which serves
+// every chunk count up to its own.
 const anyChunks = -1
 
 // shape returns the key of k's op graph, the shape index's key: k without
@@ -92,14 +90,11 @@ type opGraph struct {
 	key   cacheKey
 	refs  int
 	bytes int64
-	// chunkOff, for a prefix carrier, holds its chunks' op offsets: chunk
-	// c's ops are s.ops[chunkOff[c]:chunkOff[c+1]]. It is nil otherwise.
-	chunkOff []int32
-	// phases, for a phase-prefix carrier, certifies its layout for derive.
-	// It is nil otherwise.
+	// phases, for a carrier, certifies the layout its smaller chunk counts
+	// are served from (serve). It is nil otherwise.
 	phases *schedcheck.Phases
-	// carrier, for a derived op graph, is the phase-prefix carrier it was
-	// copied from, which it holds resident. It is nil otherwise.
+	// carrier, for a derived op graph, is the carrier it was copied from,
+	// which it holds resident. It is nil otherwise.
 	carrier *opGraph
 	// cache is the cache g is resident in, set when it first enters (runs
 	// read it once g owns its skeleton holder); skeleton is the bytes of
@@ -110,48 +105,36 @@ type opGraph struct {
 }
 
 // newOpGraph records s, cached under k, as its own op graph, keyed as a
-// prefix or phase-prefix carrier when it qualifies.
+// carrier when it qualifies.
 func newOpGraph(k cacheKey, s *Schedule) *opGraph {
-	p := s.Program()
-	g := &opGraph{s: s, bytes: opGraphBytes(s), chunkOff: schedcheck.ChunkPrefixes(p)}
-	if g.chunkOff == nil {
-		g.phases = schedcheck.PhasePrefixes(p)
-	}
+	g := &opGraph{s: s, bytes: opGraphBytes(s), phases: schedcheck.PhasePrefixes(s.Program())}
 	chunks := s.Partition.NumChunks()
-	if g.chunkOff != nil || g.phases != nil {
+	if g.phases != nil {
 		chunks = anyChunks
 	}
 	g.key = k.shape(chunks, s.Streams)
 	return g
 }
 
-// header returns a schedule with partition part over g: over all of it, or
-// over its first part.NumChunks() chunks when g is a prefix carrier. It
-// returns nil for fewer chunks than a phase-prefix carrier holds, which
-// derive serves.
-func (g *opGraph) header(part chunk.Partition) *Schedule {
-	if g.phases != nil && part.NumChunks() < g.s.Partition.NumChunks() {
-		return nil
-	}
+// serve returns the schedule with partition part served from g, and the
+// op graph it is cached with, under k. When g's certificate serves part's
+// chunk count from g's own ops — g's count, or any count of a one-phase
+// carrier — the schedule is a header over them: g's arrays, or their
+// first chunks, and g's stamp and skeleton holder. Otherwise it is a copy
+// of g's kept ops with g's stamp and a holder of its own, in a derived op
+// graph that holds g resident.
+func (g *opGraph) serve(k cacheKey, part chunk.Partition) (*Schedule, *opGraph) {
 	s := *g.s
 	s.Partition = part
-	if g.chunkOff != nil {
-		n := g.chunkOff[part.NumChunks()]
-		d := s.depOff[n]
-		s.ops, s.depOff, s.deps = s.ops[:n:n], s.depOff[:n+1:n+1], s.deps[:d:d]
+	if g.phases == nil {
+		return &s, g
 	}
-	return &s
-}
-
-// derive returns the op graph, cached under k, of the schedule with
-// partition part derived from g, a phase-prefix carrier with more chunks:
-// a copy of its kept ops with its stamp, holding g resident.
-func (g *opGraph) derive(k cacheKey, part chunk.Partition) *opGraph {
-	s := *g.s
-	s.Partition = part
 	s.ops, s.depOff, s.deps = g.phases.Derive(g.s.Program(), part.NumChunks())
+	if g.holds(&s) {
+		return &s, g
+	}
 	s.low = newLowering(&s)
-	return &opGraph{s: &s, key: k.shape(part.NumChunks(), s.Streams), bytes: opGraphBytes(&s), carrier: g}
+	return &s, &opGraph{s: &s, key: k.shape(part.NumChunks(), s.Streams), bytes: opGraphBytes(&s), carrier: g}
 }
 
 // holds reports whether s is g's schedule or a header over it.
@@ -181,8 +164,7 @@ func shapePartition(cfg Config) (chunk.Partition, bool) {
 
 // residentLocked returns the resident op graph that serves chunks chunks
 // of k's shape (streams trees, for a synthesized one): the graph of exactly
-// that shape, or a prefix or phase-prefix carrier with at least chunks
-// chunks, and chunks at least its stream count, which every build of the
+// that shape, or a carrier with at least chunks chunks, and chunks at least its stream count, which every build of the
 // shape needs. Caller holds c.mu.
 func (c *Cache) residentLocked(k cacheKey, chunks, streams int) *opGraph {
 	if g := c.shapes[k.shape(chunks, streams)]; g != nil {
@@ -197,25 +179,19 @@ func (c *Cache) residentLocked(k cacheKey, chunks, streams int) *opGraph {
 
 // fromShape serves the miss on k with partition part from a resident op
 // graph of its shape, and caches the result under k: a header, or a
-// schedule derived from a phase-prefix carrier. It returns nil, and changes
-// nothing, when no such op graph is resident.
+// schedule derived from a carrier. It returns nil, and changes nothing,
+// when no such op graph is resident.
 func (c *Cache) fromShape(k cacheKey, part chunk.Partition) *Schedule {
 	c.mu.Lock()
 	g := c.residentLocked(k, part.NumChunks(), 0)
+	c.mu.Unlock()
 	if g == nil {
-		c.mu.Unlock()
 		return nil
 	}
-	// The header: the ops, dependency CSR and stamp are the op graph's own.
-	s := g.header(part)
-	if s == nil {
-		// Copy outside the lock: the carrier is immutable, and the copy
-		// holds it resident once inserted.
-		c.mu.Unlock()
-		g = g.derive(k, part)
-		s = g.s
-		c.mu.Lock()
-	}
+	// Serve outside the lock: the op graph is immutable, a copy of it
+	// takes a linear pass, and the entry refs it again once inserted.
+	s, g := g.serve(k, part)
+	c.mu.Lock()
 	c.misses++
 	c.incremental++
 	evicted := c.insertLocked(k, s, g)
@@ -224,29 +200,30 @@ func (c *Cache) fromShape(k cacheKey, part chunk.Partition) *Schedule {
 	return s
 }
 
-// Header returns a schedule with partition part over the resident op graph
-// of the synthesized shape cfg, streams trees and part's chunk count — or
-// over the first chunks of a resident carrier of that shape with more —, or
-// nil when none is resident, the cache is disabled or part has an empty
-// chunk (the caller then assembles, and the proof reports it). Like a
-// built-in's same-shape miss, it re-checks nothing: see the safety
-// argument above. It caches and counts nothing either; the compiler
-// returns it to BuildWith, which caches it over the resident op graph.
+// Header returns a schedule with partition part served from the resident
+// op graph of the synthesized shape cfg, streams trees and part's chunk
+// count — or from a resident carrier of that shape with more —, or nil
+// when none is resident, the cache is disabled or part has an empty chunk
+// (the caller then assembles, and the proof reports it). Like a built-in's
+// same-shape miss, it re-checks nothing: see the safety argument above. It
+// caches and counts nothing either; the compiler returns it to BuildWith,
+// which caches a header over the resident op graph with that graph.
 func (c *Cache) Header(cfg Config, streams int, part chunk.Partition) *Schedule {
 	if !cacheable(cfg) || slices.ContainsFunc(part.Sizes, func(size int64) bool { return size <= 0 }) {
 		return nil
 	}
 	k := c.key(cfg)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.disabled {
-		return nil
+	var g *opGraph
+	if !c.disabled {
+		g = c.residentLocked(k, part.NumChunks(), streams)
 	}
-	g := c.residentLocked(k, part.NumChunks(), streams)
+	c.mu.Unlock()
 	if g == nil {
 		return nil
 	}
-	return g.header(part)
+	s, _ := g.serve(k, part)
+	return s
 }
 
 // ref records one more LRU entry over g. A graph entering the cache is

@@ -25,8 +25,8 @@ import (
 // Every verified schedule holds its op graph's skeleton holder. adopt gives
 // a new schedule its own; a header copies its op graph's with the rest of
 // the schedule, so the graph's headers of every size share one skeleton;
-// derive, and clone and renumber (repair), give their new op graphs fresh
-// ones. A schedule runs on the skeleton only when its ops are the graph's
+// a derived copy (opGraph.serve), and clone and renumber (repair), give
+// their new op graphs fresh ones. A schedule runs on the skeleton only when its ops are the graph's
 // own, or their first n (a prefix header): since des.Flat.Link lists
 // successors in ascending id order and every dependency id is below its
 // op's, a prefix's pending counts and ready ids are the graph's, and the run

@@ -60,7 +60,7 @@ func FuzzPrefixHeader(f *testing.F) {
 			if cold, err = collective.Build(cfg); err != nil {
 				t.Fatal(err)
 			}
-			if schedcheck.ChunkPrefixes(carrier.Program()) == nil {
+			if schedcheck.PhasePrefixes(carrier.Program()) == nil {
 				// Trees sharing a channel keep the tree-major layout: only
 				// the carrier's own chunk count is served from it.
 				exact := header.Partition.NumChunks() == carrier.Partition.NumChunks()

@@ -164,39 +164,6 @@ func checkPrefixes(t *testing.T, pc prefixCase) {
 	}
 }
 
-// TestChunkPrefixesQualifyByLayout: the overlapped built-ins and forests
-// are chunk-major and chunk-closed at every chunk count, and the separated
-// trees, whose broadcasts wait on a barrier, are not once a tree carries two
-// chunks. Overlapped trees that share a channel keep the tree-major layout,
-// whose DES ties favour tree 0, so they do not qualify either.
-func TestChunkPrefixesQualifyByLayout(t *testing.T) {
-	fc4 := topology.FullyConnected(4, topology.NVLinkBandwidth, topology.NVLinkLatency)
-	shared, err := Build(Config{Graph: fc4, Algorithm: AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8, AllowSharedChannels: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if schedcheck.ChunkPrefixes(shared.Program()) != nil {
-		t.Error("C-Cube on fc:4, whose trees share a channel, was laid out chunk-major")
-	}
-	g := dgx1()
-	for _, alg := range []Algorithm{AlgTree, AlgTreeOverlap, AlgDoubleTree, AlgDoubleTreeOverlap} {
-		for _, k := range []int{1, 2, 3, 8, 33} {
-			s, err := Build(Config{Graph: g, Algorithm: alg, Bytes: 1 << 20, Chunks: k})
-			if err != nil {
-				t.Fatal(err)
-			}
-			off := schedcheck.ChunkPrefixes(s.Program())
-			overlap := alg == AlgTreeOverlap || alg == AlgDoubleTreeOverlap
-			if want := overlap || s.Partition.NumChunks() == s.Streams; (off != nil) != want {
-				t.Errorf("%v at %d chunks: qualifies = %v, want %v", alg, s.Partition.NumChunks(), off != nil, want)
-			}
-			if off != nil && (off[0] != 0 || int(off[len(off)-1]) != s.NumTransfers() || !slices.IsSorted(off)) {
-				t.Errorf("%v at %d chunks: offsets %v do not cover the ops in order", alg, k, off)
-			}
-		}
-	}
-}
-
 // TestTreeMajorServedOnlyByExactShape: an overlapped forest laid out tree
 // by tree (every chunk of tree 0, then tree 1's) is correct but not
 // chunk-major, so the cache keys it by its chunk count. A request of that
@@ -246,7 +213,7 @@ func TestTreeMajorServedOnlyByExactShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if schedcheck.ChunkPrefixes(tm.Program()) != nil {
+	if schedcheck.PhasePrefixes(tm.Program()) != nil {
 		t.Fatal("a tree-major layout qualified as chunk-major")
 	}
 	if c.shapes[c.key(cfg).shape(K, streams)] == nil || c.shapes[c.key(cfg).shape(anyChunks, streams)] != nil {

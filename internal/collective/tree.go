@@ -402,8 +402,11 @@ func sharedHops(g *topology.Graph, trees []RoutedTree) bool {
 // broadcast phases. The separated trees, and overlapped ones sharing a
 // channel, are laid out tree-major (buildSingleTree); the other overlapped
 // built-ins and AssembleForest's forests chunk-major (chunkMajor), so
-// chunks [0, k) of a K-chunk forest are its first ops, and the cache serves
-// a k-chunk request as a header over that prefix (incremental.go).
+// chunks [0, k) of a K-chunk forest are its first ops. One certificate
+// (schedcheck.PhasePrefixes) takes both: chunk-major is one phase, and the
+// cache serves a k-chunk request as a header over that prefix; the
+// separated trees are two, served by a copy with each barrier re-pointed
+// (incremental.go). Tree-major overlapped trees take neither.
 type forest struct {
 	s        *Schedule
 	up, down []treePhase
@@ -446,7 +449,8 @@ func newForest(g *topology.Graph, nodes []topology.NodeID, part chunk.Partition,
 // chunkMajor lays part's chunks over the routed trees chunk by chunk:
 // chunk c's reduction over tree c mod t, its root-ready marker, then its
 // broadcast, started the moment c is reduced, every hop chained behind the
-// same hop of chunk c-t.
+// same hop of chunk c-t. The result is one phase of one segment, each
+// chunk's block closed over itself and earlier chunks.
 func chunkMajor(g *topology.Graph, nodes []topology.NodeID, part chunk.Partition, trees []RoutedTree) (*Schedule, error) {
 	for ti := range trees {
 		if err := trees[ti].check(nodes); err != nil {

@@ -4,6 +4,8 @@ package report
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"ccube/internal/des"
@@ -91,6 +93,29 @@ func Bytes(n int64) string {
 	default:
 		return fmt.Sprintf("%dB", n)
 	}
+}
+
+// ParseBytes parses a positive byte count with an optional power-of-two
+// K, M or G suffix, e.g. "16M", the sizes the CLIs and the service accept.
+// A size that does not fit in an int64 is an error.
+func ParseBytes(s string) (int64, error) {
+	orig, mult := s, int64(1)
+	switch {
+	case strings.HasSuffix(s, "G"):
+		mult, s = 1<<30, strings.TrimSuffix(s, "G")
+	case strings.HasSuffix(s, "M"):
+		mult, s = 1<<20, strings.TrimSuffix(s, "M")
+	case strings.HasSuffix(s, "K"):
+		mult, s = 1<<10, strings.TrimSuffix(s, "K")
+	}
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || v <= 0 {
+		return 0, fmt.Errorf("bad size %q", s)
+	}
+	if v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("size %q overflows int64", orig)
+	}
+	return v * mult, nil
 }
 
 // Time renders a virtual time.

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -93,6 +94,36 @@ func TestWriteMarkdown(t *testing.T) {
 	for _, want := range []string{"### My Table", "| a | b |", "|---|---|", "x\\|y", "- a note"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestParseBytes(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int64 // 0: an error
+	}{
+		{"16M", 16 << 20},
+		{"64", 64},
+		{"2K", 2 << 10},
+		{"1G", 1 << 30},
+		{"9223372036854775807", math.MaxInt64},
+		{"8589934591G", 8589934591 << 30}, // the largest G size that fits
+		{"17179869185G", 0},               // wrapped to 1 GiB unchecked
+		{"8796093022209M", 0},             // wrapped negative unchecked
+		{"9007199254740992K", 0},
+		{"0", 0},
+		{"-4M", 0},
+		{"M", 0},
+		{"12T", 0},
+	} {
+		got, err := ParseBytes(tc.in)
+		if tc.want == 0 {
+			if err == nil {
+				t.Errorf("ParseBytes(%q) = %d, want an error", tc.in, got)
+			}
+		} else if err != nil || got != tc.want {
+			t.Errorf("ParseBytes(%q) = %d, %v, want %d", tc.in, got, err, tc.want)
 		}
 	}
 }

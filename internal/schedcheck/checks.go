@@ -1369,131 +1369,71 @@ func (ck *checker) ownSlot(r, c int32) bool {
 	return int(r) < len(ck.p.Ops) && ck.p.Ops[r].Chunk == c
 }
 
-// --- chunk prefixes ---------------------------------------------------------
-
-// A chunk-major program's chunk prefix is proved with it. The overlapped
-// built-ins (unless two of their hops share a channel) and synthesized
-// forests are laid out chunk by chunk, so the ops of chunks [0, k) are the
-// program's first n_k ops, and the cache serves a k-chunk request as the
-// sub-program Ops[:n_k], DepOff[:n_k+1] and DepList[:DepOff[n_k]] of a
-// proved one with more chunks, over the new chunk sizes, with no second
-// Check (collective's prefix headers).
-//
-// ChunkPrefixes certifies what that needs, in O(ops+deps):
-//   - chunk-major: op chunks never fall in id order, so chunk c's ops are
-//     the contiguous range [off[c], off[c+1]);
-//   - chunk-closed, the periodic window's rule: no op depends on an op of a
-//     later chunk, a marker depends only on ops of its own chunk, and every
-//     relay slot an op reads or writes belongs to an op of its own chunk.
-//
-// Why the prefix's verdict is the whole program's. By closure every
-// dependency and relay reference of a prefix op names an op of a chunk
-// below k, so the prefix is closed under both: it holds every ancestor of
-// its ops, and every path between two of them. Each question Check asks
-// about chunks [0, k) — one op and its relay slot's owner and readers, one
-// region (chunk, node) and the ops touching it, the order of two finals of
-// one stream and the marker chains below them — is about ops of those
-// chunks and their ancestors, exactly as in the window argument above, so
-// it has the same answer in the prefix as in the whole program. The
-// program-wide questions (graph, participants, in-order claim, streams)
-// are unchanged, and the new chunk sizes must be positive, which every
-// chunk.Split* partition is. The CSR prefix is well formed because DepOff
-// is non-decreasing and DepOff[n_k] ends the prefix's lists. So a proved
-// program's prefix of any k >= 1 chunks passes Check, and the cache only
-// needs the offsets. (It also asks k >= Streams, as every build does.)
-
-// ChunkPrefixes returns the op offsets of p's chunks when p is chunk-major
-// and chunk-closed: chunk c's ops are p.Ops[off[c]:off[c+1]], and off has
-// NumChunks+1 entries. It returns nil when p is neither, or is malformed.
-func ChunkPrefixes(p *Program) []int32 {
-	n, k := len(p.Ops), p.NumChunks
-	if k <= 0 || len(p.DepOff) != n+1 || p.DepOff[0] != 0 || int(p.DepOff[n]) != len(p.DepList) {
-		return nil
-	}
-	off := make([]int32, k+1)
-	c := int32(0)
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		if op.Chunk < c || int(op.Chunk) >= k || p.DepOff[i+1] < p.DepOff[i] {
-			return nil
-		}
-		for ; c < op.Chunk; c++ {
-			off[c+1] = int32(i)
-		}
-		for _, r := range [2]int32{op.Src.Relay, op.Dst.Relay} {
-			if r >= 0 && (int(r) >= n || p.Ops[r].Chunk != c) {
-				return nil
-			}
-		}
-		for _, d := range p.Deps(i) {
-			if d < 0 || int(d) >= n {
-				return nil
-			}
-			if dc := p.Ops[d].Chunk; dc > c || op.Marker() && dc != c {
-				return nil
-			}
-		}
-	}
-	for ; int(c) < k; c++ {
-		off[c+1] = int32(n)
-	}
-	return off
-}
-
 // --- phase prefixes ---------------------------------------------------------
 
-// A two-phase program's phase prefix is proved with it. The separated tree
-// and double tree (the 2(log P + K)-step baseline C1 overlaps) are laid out
-// tree by tree, each tree one stream: its chunks' reductions, one barrier
-// waiting for the last chunk's root-ready marker, then its chunks'
-// broadcasts. So the k-chunk program of the same shape is, stream by
-// stream, the first chunks of the reduction segment, the barrier re-pointed
-// to the last root-ready marker below k, and the first chunks of the
-// broadcast segment, with ids, relay slots and dependencies shifted per
-// segment. The cache serves a k-chunk request as that copy of a proved
-// program with more chunks, with no second Check (collective's derived
-// schedules, Phases.Derive).
+// A program laid out in segments serves its prefixes at fewer chunks with
+// no second Check. A segment holds one contiguous block per chunk of its
+// section, in rising chunk order, and two layouts qualify:
+//   - one phase: one section of one segment with no barrier, so chunks
+//     0, 1, ..., K-1 in id order. The overlapped built-ins (unless two of
+//     their hops share a channel) and synthesized forests are laid out so,
+//     each chunk one reduce-then-broadcast pass, and the k-chunk program of
+//     the same shape is the first n_k ops: Ops[:n_k], DepOff[:n_k+1] and
+//     DepList[:DepOff[n_k]] (collective's prefix headers);
+//   - two phases: t = max(Streams, 1) sections, one per stream in stream
+//     order, each a reduction segment, one barrier waiting for the
+//     stream's last root-ready marker, then a broadcast segment. The
+//     separated tree and double tree (the 2(log P + K)-step baseline C1
+//     overlaps) are laid out so, tree by tree, and the k-chunk program of
+//     the same shape is, stream by stream, the first chunks of each
+//     segment with the barrier re-pointed to the last root-ready marker
+//     below k, and ids, relay slots and dependencies shifted per segment
+//     (collective's derived schedules).
+// Derive lays the k-chunk program out: the program's own arrays, sliced,
+// when nothing moves (one phase, or k = NumChunks), a copy otherwise.
 //
-// PhasePrefixes certifies what that needs, in O(ops+deps), with
-// t = max(Streams, 1) and NumChunks >= t:
-//   - layout: the program is t sections in stream order; stream s's is its
-//     reduction segment, its barrier, then its broadcast segment. Each
-//     segment holds one contiguous block per chunk of the stream, in rising
-//     chunk order (s, s+t, ...), none empty, and each reduction block ends
-//     with a root-ready marker (a marker with Final >= 0);
-//   - the reduction segment is chunk-closed: an op depends only on ops of
-//     its own segment at lower ids, so of its own or an earlier chunk, and
-//     every relay slot it reads or writes belongs to an op of its own block
-//     at or below its id;
+// PhasePrefixes certifies what that needs, in O(ops+deps):
+//   - layout: as above, no block empty, and in two phases each reduction
+//     block ends with a root-ready marker (a marker with Final >= 0);
+//   - every segment is chunk-closed: an op depends only on ops of its own
+//     segment at lower ids, so of its own or an earlier chunk, and every
+//     relay slot it reads or writes belongs to an op of its own block at or
+//     below its id;
 //   - the barrier is a marker with Final == -1 in the stream's last chunk,
 //     and depends only on the op before it, the last root-ready marker;
-//   - the broadcast segment depends only on itself, at lower ids, and on
-//     the barrier, with relay slots as in the reduction segment. So no
-//     dependency or relay slot crosses streams;
-//   - reach: every reduction transfer of chunk c reaches the root-ready
-//     marker of every chunk c' >= c of its stream. One reverse sweep proves
-//     it from two rules: each transfer reaches its own chunk's marker
-//     through ops of its chunk, and, unless its chunk is the stream's
-//     last, a reduction transfer of chunk c+t depends on it or on an op of
-//     its chunk it reaches. Descending induction over the chunks does the
-//     rest.
+//   - a broadcast segment may also depend on its barrier, and on nothing
+//     else outside itself. So no dependency or relay slot crosses sections;
+//   - reach, which only a moving barrier needs (two phases): every
+//     reduction transfer of chunk c reaches the root-ready marker of every
+//     chunk c' >= c of its stream. One reverse sweep proves it from two
+//     rules: each transfer reaches its own chunk's marker through ops of
+//     its chunk, and, unless its chunk is the stream's last, a reduction
+//     transfer of chunk c+t depends on it or on an op of its chunk it
+//     reaches. Descending induction over the chunks does the rest.
 //
-// Why a derivative of a proved program passes Check. Call the ops the
-// derivative keeps, chunks [0, k) of each segment plus each barrier, kept.
-// The derivative is the kept sub-program renumbered, with one edge
-// changed: barrier b of stream s now depends on the root-ready marker
-// m_k of its last chunk below k. Every question Check asks of it (see the
-// window argument above) is about kept ops: an op and its relay slot's
-// owner and readers, in one block; a region (chunk, node) and the ops
-// touching it, all in the chunk's blocks; the finals of chunks c-t and c of
-// one stream, c < k, and the marker chains below them, in kept blocks. The
-// program-wide questions are unchanged, and the new chunk sizes must be
-// positive, which every chunk.Split* partition is. Every such question was
-// answered yes in the proved program; each yes survives:
+// Why a derivative of a proved program passes Check, at any k with
+// t <= k <= NumChunks (1 <= k in one phase; the cache also asks
+// k >= Streams, as every build does). Call the ops the derivative keeps,
+// chunks [0, k) of each segment plus each barrier, kept. The derivative is
+// the kept sub-program renumbered, in two phases with one edge changed:
+// barrier b of stream s now depends on the root-ready marker m_k of its
+// last chunk below k. Every question Check asks of it (see the window
+// argument above) is about kept ops: an op and its relay slot's owner and
+// readers, in one block; a region (chunk, node) and the ops touching it,
+// all in the chunk's blocks; the finals of chunks c-t and c of one stream,
+// c < k, and the marker chains below them, in kept blocks. The
+// program-wide questions (graph, participants, in-order claim, streams)
+// are unchanged, and the new chunk sizes must be positive, which every
+// chunk.Split* partition is. Every such question was answered yes in the
+// proved program; each yes survives:
 //   - a path that avoids b lies in one segment: every ancestor of a
 //     reduction op is an earlier op of its segment, and a path into a
 //     broadcast op that avoids b comes from its segment. By closure every
-//     op on it is kept, with its edges;
+//     op on it is kept, with its edges. In one phase every path is such a
+//     path: the kept ops are the first n_k, closed under dependencies and
+//     relay references, so the prefix holds every ancestor of its ops and
+//     every path between two of them, and its CSR is well formed because
+//     DepOff is non-decreasing and DepOff[n_k] ends the prefix's lists;
 //   - a path through b starts at an ancestor of b, a reduction op of
 //     chunk c < k. If it is a transfer, it reaches m_k by reach (c and the
 //     last chunk below k share the stream), and so b and the rest of the
@@ -1504,20 +1444,21 @@ func ChunkPrefixes(p *Program) []int32 {
 //     marker.
 // The derivative drops b's edge from the last chunk's marker, which is not
 // kept, and the edge m_k -> b it adds only adds paths, which turns no yes
-// into a no. So the derivative of a proved program at any k, with
-// t <= k <= NumChunks, passes Check; TestIncrementalMatchesFullBuild pins it
-// deep-equal to a cold build, and FuzzPhasePrefix pins the certificate
-// against mutated carriers.
+// into a no. So the derivative of a proved program passes Check;
+// TestIncrementalMatchesFullBuild pins it deep-equal to a cold build, and
+// FuzzPhasePrefix pins the certificate against mutated carriers.
 
-// Phases is PhasePrefixes' certificate: the block offsets of a two-phase
-// program, from which Derive lays out its prefix of any chunk count.
+// Phases is PhasePrefixes' certificate: the block offsets of a program's
+// segments, from which Derive lays out its prefix at any chunk count.
 type Phases struct {
-	streams int
-	// red[c], for a chunk c < NumChunks, is where chunk c's reduction block
-	// starts; for c in [NumChunks, NumChunks+t), red[c] is the barrier of
-	// stream c mod t, where the stream's reduction segment ends. bc is the
-	// same for the broadcast blocks, and bc[c] for c >= NumChunks ends the
-	// stream's section.
+	// sections is 1 in one phase, t in two.
+	sections int
+	// red[c], for a chunk c < NumChunks, is where chunk c's block of the
+	// first segment starts; for c in [NumChunks, NumChunks+sections),
+	// red[c] is where section c mod sections' first segment ends: the end
+	// of the program in one phase, the section's barrier in two. bc is the
+	// same for the broadcast segment, bc[c] for c >= NumChunks ending the
+	// section, and nil in one phase.
 	red, bc []int32
 }
 
@@ -1527,11 +1468,12 @@ const (
 	reachNext                    // reaches a reduction transfer of chunk c+t
 )
 
-// PhasePrefixes returns p's phase-prefix certificate when p is laid out as
-// above and passes its rules, or nil when it is not, or is malformed.
+// PhasePrefixes returns p's phase-prefix certificate when p is laid out in
+// one phase or two, as above, and passes its rules, or nil when it is not,
+// or is malformed.
 func PhasePrefixes(p *Program) *Phases {
 	n, k, t := len(p.Ops), p.NumChunks, max(p.Streams, 1)
-	if k < t || len(p.DepOff) != n+1 || p.DepOff[0] != 0 || int(p.DepOff[n]) != len(p.DepList) {
+	if k < 1 || len(p.DepOff) != n+1 || p.DepOff[0] != 0 || int(p.DepOff[n]) != len(p.DepList) {
 		return nil
 	}
 	for i := range n {
@@ -1539,11 +1481,33 @@ func PhasePrefixes(p *Program) *Phases {
 			return nil
 		}
 	}
-	off := make([]int32, 2*(k+t))
-	ph := &Phases{streams: t, red: off[: k+t : k+t], bc: off[k+t:]}
-	// block reads one block of chunk c from op i on: ops of chunk c that are
-	// not barriers, each depending only on ops in [lo, itself) and owning or
-	// reading relay slots of the block. It returns where the block ends.
+	if slices.IsSortedFunc(p.Ops, func(a, b Op) int { return int(a.Chunk - b.Chunk) }) {
+		return segments(p, 1, false) // chunk-major: one phase
+	}
+	if k < t {
+		return nil
+	}
+	if ph := segments(p, t, true); ph != nil && ph.reach(p) {
+		return ph
+	}
+	return nil
+}
+
+// segments reads p as t sections of one segment each, or of two around a
+// barrier, and returns their offsets, or nil when p is not laid out so.
+func segments(p *Program, t int, barrier bool) *Phases {
+	n, k := len(p.Ops), p.NumChunks
+	ph := &Phases{sections: t}
+	if barrier {
+		off := make([]int32, 2*(k+t))
+		ph.red, ph.bc = off[:k+t:k+t], off[k+t:]
+	} else {
+		ph.red = make([]int32, k+t)
+	}
+	// block reads one block of chunk c from op i on: ops of chunk c, up to
+	// the barrier of a reduction block, each depending only on ops in
+	// [lo, itself) and owning or reading relay slots of the block. It
+	// returns where the block ends.
 	block := func(i, c, lo int, reduce bool) int {
 		start := i
 		for ; i < n && int(p.Ops[i].Chunk) == c; i++ {
@@ -1567,32 +1531,38 @@ func PhasePrefixes(p *Program) *Phases {
 		}
 		return i
 	}
+	// segment reads the blocks of the section's chunks s, s+t, ..., last
+	// into off from op i on, depending on nothing below lo, and returns
+	// where the segment ends.
+	segment := func(off []int32, i, lo, s, last int, reduce bool) int {
+		for c := s; c <= last && i >= 0; c += t {
+			off[c] = int32(i)
+			i = block(i, c, lo, reduce)
+		}
+		if i >= 0 {
+			off[last+t] = int32(i)
+		}
+		return i
+	}
 	i := 0
 	for s := range t {
 		last := s + (k-1-s)/t*t
-		lo := i
-		for c := s; c <= last; c += t {
-			ph.red[c] = int32(i)
-			if i = block(i, c, lo, true); i < 0 {
-				return nil
-			}
+		if i = segment(ph.red, i, i, s, last, barrier); i < 0 {
+			return nil
+		}
+		if !barrier {
+			continue
 		}
 		b := i
 		if b >= n || !p.Ops[b].Marker() || p.Ops[b].Final != -1 || int(p.Ops[b].Chunk) != last ||
 			!slices.Equal(p.Deps(b), []int32{int32(b - 1)}) {
 			return nil
 		}
-		ph.red[last+t] = int32(b)
-		i = b + 1
-		for c := s; c <= last; c += t {
-			ph.bc[c] = int32(i)
-			if i = block(i, c, b, false); i < 0 {
-				return nil
-			}
+		if i = segment(ph.bc, b+1, b, s, last, false); i < 0 {
+			return nil
 		}
-		ph.bc[last+t] = int32(i)
 	}
-	if i != n || !ph.reach(p) {
+	if i != n {
 		return nil
 	}
 	return ph
@@ -1601,7 +1571,7 @@ func PhasePrefixes(p *Program) *Phases {
 // reach proves the reach rule by one sweep over each reduction segment
 // against id order, where an op's dependents come before it.
 func (ph *Phases) reach(p *Program) bool {
-	k, t := p.NumChunks, ph.streams
+	k, t := p.NumChunks, ph.sections
 	flags := make([]uint8, len(p.Ops))
 	for s := range t {
 		last := s + (k-1-s)/t*t
@@ -1629,13 +1599,24 @@ func (ph *Phases) reach(p *Program) bool {
 }
 
 // Derive returns the ops and dependency CSR of p's derivative at k chunks,
-// t <= k <= NumChunks, where p is the program ph certifies: per stream, the
-// blocks of its chunks below k in each segment and its barrier, depending
-// on the last kept root-ready marker, with every id shifted to its place.
-// The ops take one allocation and the CSR another, its offsets and list
-// sharing one block.
+// where p is the program ph certifies and k is at least its section count
+// and at most NumChunks. When nothing moves — one phase, or k = NumChunks
+// — they are p's own arrays, sliced with their capacity capped so no
+// append reaches p's, and Derive allocates nothing. Otherwise they are a
+// copy: per stream, the blocks of its chunks below k in each segment and
+// its barrier, depending on the last kept root-ready marker, with every id
+// shifted to its place, the ops in one allocation and the CSR in another,
+// its offsets and list sharing one block.
 func (ph *Phases) Derive(p *Program, k int) (ops []Op, depOff, deps []int32) {
-	t := ph.streams
+	if ph.bc == nil || k == p.NumChunks {
+		n := int32(len(p.Ops))
+		if ph.bc == nil {
+			n = ph.red[k]
+		}
+		d := p.DepOff[n]
+		return p.Ops[:n:n], p.DepOff[: n+1 : n+1], p.DepList[:d:d]
+	}
+	t := ph.sections
 	// end returns the end of stream s's kept blocks in a segment, whose
 	// block offsets are segOff: where the first chunk of the stream at or
 	// above k starts, or the segment's end.

@@ -6,8 +6,10 @@ import (
 	"slices"
 	"testing"
 
+	"ccube/internal/chunk"
 	"ccube/internal/collective"
 	"ccube/internal/schedcheck"
+	"ccube/internal/synth"
 	"ccube/internal/topology"
 )
 
@@ -26,12 +28,63 @@ func samePrograms(a, b *schedcheck.Program) bool {
 		reflect.DeepEqual(a.DepOff, b.DepOff) && reflect.DeepEqual(a.DepList, b.DepList)
 }
 
-// TestPhasePrefixesQualifyByLayout: the separated tree and double tree are
-// phase-prefix carriers at every chunk count, on the DGX-1, fc:8 and
-// cluster:32, shared channels or not, and each derivative at k chunks is
-// the program Build emits for k, which passes Check. The overlapped trees,
-// the ring, halving-doubling and the hierarchical schedules are not
-// carriers: they have no barrier, or more than one on a stream.
+// packedTrees returns the routed trees synth packs over g's GPUs, or skips
+// t when it packs none.
+func packedTrees(t testing.TB, g *topology.Graph) []collective.RoutedTree {
+	t.Helper()
+	forest, err := synth.PackForest(g, g.GPUs(), synth.DefaultMaxTrees, 0, true)
+	if err != nil {
+		t.Skip(err) // no spanning tree over the fabric's GPU links
+	}
+	trees := make([]collective.RoutedTree, len(forest.Trees))
+	for i, tr := range forest.Trees {
+		trees[i] = tr.RoutedTree
+	}
+	return trees
+}
+
+// forestProgram is the program of the forest over trees at k chunks, laid
+// out chunk by chunk as a synthesized schedule is.
+func forestProgram(t testing.TB, g *topology.Graph, trees []collective.RoutedTree, k int) *schedcheck.Program {
+	t.Helper()
+	s, err := collective.AssembleForest(g, g.GPUs(), chunk.Split(64<<20, k), trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Program()
+}
+
+// checkDerivatives pins ph, p's certificate, at every chunk count k from
+// p's stream count to its own: the derivative is the program want(k)
+// returns, shares p's arrays exactly when nothing moves (one phase, or
+// k = NumChunks), and passes the full Check at every eighth k.
+func checkDerivatives(t *testing.T, p *schedcheck.Program, ph *schedcheck.Phases, onePhase bool, want func(k int) *schedcheck.Program) {
+	t.Helper()
+	for k := max(p.Streams, 1); k <= p.NumChunks; k++ {
+		d := derived(p, ph, k)
+		if !samePrograms(d, want(k)) {
+			t.Fatalf("k=%d: the derivative differs from a cold build's program", k)
+		}
+		if shares := &d.Ops[0] == &p.Ops[0]; shares != (onePhase || k == p.NumChunks) {
+			t.Fatalf("k=%d: the derivative shares the program's ops = %v", k, shares)
+		}
+		if k%8 == 0 {
+			if r := schedcheck.CheckFull(d); !r.OK() {
+				t.Fatalf("k=%d: %s", k, r.Err())
+			}
+		}
+	}
+}
+
+// TestPhasePrefixesQualifyByLayout: one certificate serves both layouts.
+// The overlapped tree and C-Cube (one phase, chunk-major) and the separated
+// tree and double tree (two phases) qualify on the DGX-1, fc:8, fc:16,
+// cluster:32 and cluster:64, shared channels or not, and so do synthesized
+// forests on the DGX-1, fcasym:8 and rr:16; each derivative at k chunks is
+// the program a cold build emits for k. The ring and halving-doubling have
+// no such layout, the hierarchical schedules' barriers are not one per
+// stream, and C-Cube on fc:4 with shared channels is laid out tree-major,
+// whose broadcasts depend across its sections: none qualifies.
 func TestPhasePrefixesQualifyByLayout(t *testing.T) {
 	for _, fab := range []struct {
 		name  string
@@ -40,6 +93,8 @@ func TestPhasePrefixesQualifyByLayout(t *testing.T) {
 		{"dgx1", dgx1()},
 		{"fc8", fullyConnected(8)},
 		{"cluster32", topology.Hierarchy(topology.DefaultHierarchyConfig(32))},
+		{"fc16", fullyConnected(16)},
+		{"cluster64", topology.Hierarchy(topology.DefaultHierarchyConfig(64))},
 	} {
 		for _, alg := range allAlgorithms {
 			for _, shared := range []bool{false, true} {
@@ -50,30 +105,45 @@ func TestPhasePrefixesQualifyByLayout(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%v/shared=%v", fab.name, alg, shared), func(t *testing.T) {
 					p := buildProgram(t, cfg)
 					ph := schedcheck.PhasePrefixes(p)
-					separated := alg == collective.AlgTree || alg == collective.AlgDoubleTree
-					if (ph != nil) != separated {
-						t.Fatalf("qualifies = %v, want %v", ph != nil, separated)
+					onePhase := alg == collective.AlgTreeOverlap || alg == collective.AlgDoubleTreeOverlap
+					if want := onePhase || alg == collective.AlgTree || alg == collective.AlgDoubleTree; (ph != nil) != want {
+						t.Fatalf("qualifies = %v, want %v", ph != nil, want)
 					}
-					if ph == nil {
-						return
-					}
-					for k := max(p.Streams, 1); k <= p.NumChunks; k++ {
-						at := cfg
-						at.Chunks = k
-						want := buildProgram(t, at)
-						d := derived(p, ph, k)
-						if !samePrograms(d, want) {
-							t.Fatalf("k=%d: the derivative differs from Build's program", k)
-						}
-						if k%8 == 0 {
-							if r := schedcheck.CheckFull(d); !r.OK() {
-								t.Fatalf("k=%d: %s", k, r.Err())
-							}
-						}
+					if ph != nil {
+						checkDerivatives(t, p, ph, onePhase, func(k int) *schedcheck.Program {
+							at := cfg
+							at.Chunks = k
+							return buildProgram(t, at)
+						})
 					}
 				})
 			}
 		}
+	}
+	// They qualify at every chunk count: a separated tree with one chunk
+	// per tree is chunk-major too, so one phase.
+	for _, alg := range []collective.Algorithm{collective.AlgTree, collective.AlgTreeOverlap, collective.AlgDoubleTree, collective.AlgDoubleTreeOverlap} {
+		for _, k := range []int{1, 2, 3, 8, 33} {
+			p := buildProgram(t, collective.Config{Graph: dgx1(), Algorithm: alg, Bytes: 1 << 20, Chunks: k})
+			if schedcheck.PhasePrefixes(p) == nil {
+				t.Errorf("dgx1/%v at %d chunks was refused", alg, p.NumChunks)
+			}
+		}
+	}
+	for _, name := range []string{"dgx1", "fcasym:8", "rr:16"} {
+		t.Run(name+"/forest", func(t *testing.T) {
+			g, err := topology.Named(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trees := packedTrees(t, g)
+			p := forestProgram(t, g, trees, 40)
+			ph := schedcheck.PhasePrefixes(p)
+			if ph == nil {
+				t.Fatal("a forest was refused")
+			}
+			checkDerivatives(t, p, ph, true, func(k int) *schedcheck.Program { return forestProgram(t, g, trees, k) })
+		})
 	}
 	for _, chained := range []bool{false, true} {
 		mn, err := topology.BuildMultiNode(topology.DefaultMultiNodeConfig(2))
@@ -85,8 +155,16 @@ func TestPhasePrefixesQualifyByLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		if schedcheck.PhasePrefixes(s.Program()) != nil {
-			t.Errorf("hierarchical (chained=%v) qualified as a phase-prefix carrier", chained)
+			t.Errorf("hierarchical (chained=%v) qualified", chained)
 		}
+	}
+	tm := buildProgram(t, collective.Config{Graph: fullyConnected(4), Algorithm: collective.AlgDoubleTreeOverlap,
+		Bytes: 64 << 20, Chunks: 40, AllowSharedChannels: true})
+	if slices.IsSortedFunc(tm.Ops, func(a, b schedcheck.Op) int { return int(a.Chunk - b.Chunk) }) {
+		t.Fatal("C-Cube on fc:4 with shared channels was laid out chunk-major")
+	}
+	if schedcheck.PhasePrefixes(tm) != nil {
+		t.Error("the tree-major C-Cube on fc:4 qualified")
 	}
 }
 
@@ -228,14 +306,17 @@ func fifoMutation(p *schedcheck.Program, deps [][]int, bars map[int]int, kind in
 }
 
 // FuzzPhasePrefix draws a fabric (the DGX-1, fc:n up to 16, cluster:n up to
-// 32), the separated tree or double tree, the sharing flag and a chunk
-// count K up to 64, then mutates the carrier: one of five barrier mutations
+// 32), a carrier kind (the separated tree or double tree, in two phases;
+// C-Cube or a packed forest, in one), the sharing flag and a chunk count K
+// up to 64, then mutates the carrier: one of five barrier mutations
 // (barrierMutation) at a drawn chunk, a dropped or lifted reduction FIFO
-// edge (fifoMutation), or nothing. Whenever the mutant passes Check and
-// PhasePrefixes accepts it, its derivative at every k from
-// the stream count to K must pass the full Check: the certificate must
-// never admit a proved carrier whose derivative is wrong. The pristine
-// carrier must be accepted, with derivatives equal to Build's programs.
+// edge (fifoMutation), or nothing (a one-phase carrier has neither barrier
+// nor FIFO edge below one, so it stays pristine). Whenever the mutant
+// passes Check and PhasePrefixes accepts it, its derivative at every k
+// from the stream count to K must pass the full Check: the certificate
+// must never admit a proved carrier whose derivative is wrong. The
+// pristine carrier must be accepted, with derivatives equal to cold
+// builds' programs, unless it is C-Cube laid out tree-major.
 //
 // Run `go test -run '^$' -fuzz '^FuzzPhasePrefix$' ./internal/schedcheck`
 // to explore beyond the seeds.
@@ -249,6 +330,11 @@ func FuzzPhasePrefix(f *testing.F) {
 	// passes Check once it stops claiming in-order delivery, and only the
 	// reach rule refuses it.
 	f.Add(uint8(2), uint8(12), uint8(0), true, uint8(33), uint8(skipFIFO), uint16(77), uint16(5))
+	// One-phase carriers: C-Cube on the DGX-1 and on cluster:32, and a
+	// forest on the DGX-1.
+	f.Add(uint8(0), uint8(0), uint8(2), false, uint8(40), uint8(numPhaseMutations), uint16(0), uint16(7))
+	f.Add(uint8(2), uint8(30), uint8(2), true, uint8(63), uint8(numPhaseMutations), uint16(0), uint16(50))
+	f.Add(uint8(0), uint8(0), uint8(3), false, uint8(30), uint8(numPhaseMutations), uint16(0), uint16(11))
 	f.Fuzz(func(t *testing.T, fabric, size, alg uint8, shared bool, bigK, kind uint8, pick, pick2 uint16) {
 		var g *topology.Graph
 		switch fabric % 3 {
@@ -259,19 +345,32 @@ func FuzzPhasePrefix(f *testing.F) {
 		default:
 			g = topology.Hierarchy(topology.DefaultHierarchyConfig(2 + int(size)%31))
 		}
-		cfg := collective.Config{Graph: g, Algorithm: collective.AlgTree, Bytes: 64 << 20,
-			Chunks: 1 + int(bigK)%64, AllowSharedChannels: shared}
-		if alg%2 == 1 {
-			cfg.Algorithm = collective.AlgDoubleTree
+		K := 1 + int(bigK)%64
+		// build returns the carrier's program at k chunks.
+		var build func(k int) *schedcheck.Program
+		if alg%4 == 3 {
+			trees := packedTrees(t, g)
+			K = max(K, len(trees))
+			build = func(k int) *schedcheck.Program { return forestProgram(t, g, trees, k) }
+		} else {
+			cfg := collective.Config{Graph: g, Bytes: 64 << 20, Chunks: K, AllowSharedChannels: shared,
+				Algorithm: [...]collective.Algorithm{collective.AlgTree, collective.AlgDoubleTree, collective.AlgDoubleTreeOverlap}[alg%4]}
+			if _, err := collective.Build(cfg); err != nil {
+				t.Skip(err) // no disjoint channels for the trees without sharing
+			}
+			build = func(k int) *schedcheck.Program {
+				at := cfg
+				at.Chunks = k
+				return buildProgram(t, at)
+			}
 		}
-		s, err := collective.Build(cfg)
-		if err != nil {
-			t.Skip(err) // no disjoint channels for the trees without sharing
-		}
-		p := s.Program()
+		p := build(K)
 		streams := max(p.Streams, 1)
 		if schedcheck.PhasePrefixes(p) == nil {
-			t.Fatalf("the pristine %d-chunk %v was refused", p.NumChunks, cfg.Algorithm)
+			if alg%4 == 2 && !slices.IsSortedFunc(p.Ops, func(a, b schedcheck.Op) int { return int(a.Chunk - b.Chunk) }) {
+				return // C-Cube on trees sharing a hop, laid out tree-major
+			}
+			t.Fatalf("the pristine %d-chunk carrier (kind %d) was refused", p.NumChunks, alg%4)
 		}
 		m := p.Clone()
 		deps := depLists(m)
@@ -294,12 +393,8 @@ func FuzzPhasePrefix(f *testing.F) {
 			if r := schedcheck.CheckFull(d); !r.OK() {
 				t.Fatalf("mutation %d accepted, but the %d-chunk derivative fails: %s", mk, k, r.Err())
 			}
-			if pristine && k == streams+int(pick2)%(m.NumChunks-streams+1) {
-				at := cfg
-				at.Chunks = k
-				if !samePrograms(d, buildProgram(t, at)) {
-					t.Fatalf("the %d-chunk derivative differs from Build's program", k)
-				}
+			if pristine && k == streams+int(pick2)%(m.NumChunks-streams+1) && !samePrograms(d, build(k)) {
+				t.Fatalf("the %d-chunk derivative differs from a cold build's program", k)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ccube/internal/chunk"
@@ -369,13 +370,13 @@ func mutate(p *schedcheck.Program, deps [][]int, x int, kind uint8, pick uint16)
 	return true
 }
 
-// TestChunkPrefixes pins the prefix certificate both ways. On the
-// chunk-major overlapped built-ins every chunk prefix it offers — the
-// sub-program Ops[:off[k]] over the first k chunk sizes — passes Check, as
-// the soundness note claims. And it refuses a program whose chunks fall in
-// id order, or that breaks closure: a dependency on a later chunk, a marker
-// depending on an earlier chunk, a relay slot read across chunks (the
-// DGX-1 trees' detour hops read relay slots).
+// TestChunkPrefixes pins the one-phase certificate both ways. On the
+// chunk-major overlapped built-ins every chunk prefix it offers — Derive's
+// sub-slices Ops[:n_k] over the first k chunk sizes, the program's own
+// arrays — passes Check, as the soundness note claims. And it refuses a
+// program whose chunks fall in id order, or that breaks closure: a
+// dependency on a later chunk or at a higher id, a relay slot read across
+// chunks (the DGX-1 trees' detour hops read relay slots).
 func TestChunkPrefixes(t *testing.T) {
 	relayCovered := false
 	for _, cfg := range []collective.Config{
@@ -385,27 +386,28 @@ func TestChunkPrefixes(t *testing.T) {
 	} {
 		name := fmt.Sprintf("%v/%d", cfg.Algorithm, cfg.Chunks)
 		p := buildProgram(t, cfg)
-		off := schedcheck.ChunkPrefixes(p)
-		if off == nil {
+		ph := schedcheck.PhasePrefixes(p)
+		if ph == nil {
 			t.Fatalf("%s: a chunk-major built-in was refused", name)
 		}
 		for k := 1; k <= p.NumChunks; k++ {
-			n := off[k]
-			d := p.DepOff[n]
-			sub := *p
-			sub.NumChunks, sub.ChunkBytes = k, p.ChunkBytes[:k]
-			sub.Ops, sub.DepOff, sub.DepList = p.Ops[:n:n], p.DepOff[:n+1:n+1], p.DepList[:d:d]
-			if r := checkBoth(t, &sub); !r.OK() {
+			sub := derived(p, ph, k)
+			if &sub.Ops[0] != &p.Ops[0] || cap(sub.Ops) != len(sub.Ops) || cap(sub.DepOff) != len(sub.DepOff) {
+				t.Fatalf("%s: the %d-chunk prefix is not a capped slice of the program's arrays", name, k)
+			}
+			if r := checkBoth(t, sub); !r.OK() {
 				t.Fatalf("%s: the %d-chunk prefix fails Check: %v", name, k, r.Err())
 			}
 		}
 
-		// Each mutation breaks one rule on a clone; pick returns the first
-		// op of chunk 1 matching pred, or -1.
+		// Each mutation breaks one rule on a clone; chunk 1's ops are
+		// [lo, hi), and pick returns the first of them matching pred, or -1.
+		lo := slices.IndexFunc(p.Ops, func(op schedcheck.Op) bool { return op.Chunk == 1 })
+		hi := slices.IndexFunc(p.Ops, func(op schedcheck.Op) bool { return op.Chunk == 2 })
 		pick := func(pred func(op *schedcheck.Op) bool) int {
-			for i := off[1]; i < off[2]; i++ {
+			for i := lo; i < hi; i++ {
 				if pred(&p.Ops[i]) {
-					return int(i)
+					return i
 				}
 			}
 			return -1
@@ -418,9 +420,9 @@ func TestChunkPrefixes(t *testing.T) {
 			}
 		}
 		mutations := map[string]func(q *schedcheck.Program){
-			"chunks fall":                func(q *schedcheck.Program) { q.Ops[len(q.Ops)-1].Chunk-- },
-			"later-chunk dependency":     addDep(pick(func(op *schedcheck.Op) bool { return !op.Marker() }), int(off[2])),
-			"marker on an earlier chunk": addDep(pick(func(op *schedcheck.Op) bool { return op.Marker() }), 0),
+			"chunks fall":               func(q *schedcheck.Program) { q.Ops[len(q.Ops)-1].Chunk-- },
+			"later-chunk dependency":    addDep(pick(func(op *schedcheck.Op) bool { return !op.Marker() }), hi),
+			"dependency at a higher id": addDep(lo, hi-1),
 		}
 		if i := pick(func(op *schedcheck.Op) bool { return op.Src.IsRelay() }); i >= 0 {
 			relayCovered = true
@@ -429,7 +431,7 @@ func TestChunkPrefixes(t *testing.T) {
 		for rule, mutate := range mutations {
 			q := p.Clone()
 			mutate(q)
-			if schedcheck.ChunkPrefixes(q) != nil {
+			if schedcheck.PhasePrefixes(q) != nil {
 				t.Errorf("%s: %s: certified", name, rule)
 			}
 		}

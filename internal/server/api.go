@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"ccube/internal/report"
 )
@@ -25,7 +24,7 @@ func (b *ByteSize) UnmarshalJSON(data []byte) error {
 		if err := json.Unmarshal(data, &s); err != nil {
 			return err
 		}
-		v, err := parseBytes(s)
+		v, err := report.ParseBytes(s)
 		if err != nil {
 			return err
 		}
@@ -42,24 +41,6 @@ func (b *ByteSize) UnmarshalJSON(data []byte) error {
 
 func (b ByteSize) MarshalJSON() ([]byte, error) {
 	return strconv.AppendInt(nil, int64(b), 10), nil
-}
-
-// parseBytes parses "16M"-style sizes (same grammar as the ccube-sim flag).
-func parseBytes(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "G"):
-		mult, s = 1<<30, strings.TrimSuffix(s, "G")
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1<<20, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "K"):
-		mult, s = 1<<10, strings.TrimSuffix(s, "K")
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return v * mult, nil
 }
 
 // PlanRequest asks the autotuner to rank AllReduce algorithms.
@@ -106,10 +87,12 @@ type SimulateRequest struct {
 	Topology string `json:"topology"`
 	// Algorithm is ring, tree, tree-overlap, double-tree, ccube, or
 	// halving-doubling.
-	Algorithm   string   `json:"algorithm"`
-	Bytes       ByteSize `json:"bytes"`
-	Chunks      int      `json:"chunks,omitempty"`
-	AllowShared bool     `json:"allow_shared,omitempty"`
+	Algorithm string   `json:"algorithm"`
+	Bytes     ByteSize `json:"bytes"`
+	// Chunks pins the chunk count, at most collective.MaxAutoChunks; 0
+	// (the default) picks the cost-model optimum.
+	Chunks      int  `json:"chunks,omitempty"`
+	AllowShared bool `json:"allow_shared,omitempty"`
 	// Fault optionally injects faults, e.g. "kill:2-3" (fault.ParseSpec
 	// grammar). Faulted runs repair and relaunch like ccube-sim -fault.
 	Fault string `json:"fault,omitempty"`
@@ -159,10 +142,11 @@ type TrainRequest struct {
 	Batch int    `json:"batch"`
 	// Mode is B, C1, C2, R, CC (paper Fig. 13), or DDP (prior-work
 	// backward-overlap ablation).
-	Mode        string `json:"mode"`
-	Chunks      int    `json:"chunks,omitempty"`
-	AllowShared bool   `json:"allow_shared,omitempty"`
-	TimeoutMS   int    `json:"timeout_ms,omitempty"`
+	Mode string `json:"mode"`
+	// Chunks is as in SimulateRequest.
+	Chunks      int  `json:"chunks,omitempty"`
+	AllowShared bool `json:"allow_shared,omitempty"`
+	TimeoutMS   int  `json:"timeout_ms,omitempty"`
 }
 
 // TrainResponse is one simulated iteration.

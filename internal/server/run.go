@@ -15,25 +15,6 @@ import (
 	"ccube/internal/train"
 )
 
-// algorithms mirrors the ccube-sim CLI naming.
-var algorithms = map[string]collective.Algorithm{
-	"ring":             collective.AlgRing,
-	"tree":             collective.AlgTree,
-	"tree-overlap":     collective.AlgTreeOverlap,
-	"double-tree":      collective.AlgDoubleTree,
-	"ccube":            collective.AlgDoubleTreeOverlap,
-	"halving-doubling": collective.AlgHalvingDoubling,
-}
-
-func algorithmNames() []string {
-	names := make([]string, 0, len(algorithms))
-	for n := range algorithms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // runPlan evaluates every algorithm on the topology and ranks them.
 func (s *Server) runPlan(ctx context.Context, req PlanRequest) (any, *apiError) {
 	g, err := s.topos.shared(req.Topology)
@@ -87,15 +68,28 @@ func (s *Server) runPlan(ctx context.Context, req PlanRequest) (any, *apiError) 
 	return resp, nil
 }
 
+// checkChunks refuses a requested chunk count outside [0, MaxAutoChunks]
+// (0 asks for the cost-model optimum): a build takes an explicit count as
+// given, and its transfers grow with it.
+func checkChunks(n int) *apiError {
+	if n < 0 || n > collective.MaxAutoChunks {
+		return errBadRequest("chunks must be in [0, %d], got %d", collective.MaxAutoChunks, n)
+	}
+	return nil
+}
+
 // runSimulate executes one collective, optionally under a fault plan.
 func (s *Server) runSimulate(ctx context.Context, req SimulateRequest) (any, *apiError) {
-	alg, ok := algorithms[req.Algorithm]
+	alg, ok := collective.ParseAlgorithm(req.Algorithm)
 	if !ok {
 		return nil, errBadRequest("unknown algorithm %q (want %s)",
-			req.Algorithm, strings.Join(algorithmNames(), ", "))
+			req.Algorithm, strings.Join(collective.AlgorithmNames(), ", "))
 	}
 	if req.Bytes <= 0 {
 		return nil, errBadRequest("bytes must be positive")
+	}
+	if err := checkChunks(req.Chunks); err != nil {
+		return nil, err
 	}
 	topN := req.TopChannels
 	if topN <= 0 {
@@ -106,7 +100,7 @@ func (s *Server) runSimulate(ctx context.Context, req SimulateRequest) (any, *ap
 	var err error
 	if req.Fault != "" {
 		// Fault plans mutate channel health: use a private graph.
-		g, err = buildTopology(req.Topology)
+		g, err = topology.Named(req.Topology)
 	} else {
 		g, err = s.topos.shared(req.Topology)
 	}
@@ -225,6 +219,9 @@ func (s *Server) runTrain(ctx context.Context, req TrainRequest) (any, *apiError
 	}
 	if req.Batch < 1 {
 		return nil, errBadRequest("batch must be >= 1, got %d", req.Batch)
+	}
+	if err := checkChunks(req.Chunks); err != nil {
+		return nil, err
 	}
 	g, err := s.topos.shared(req.Topology)
 	if err != nil {

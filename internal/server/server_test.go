@@ -19,6 +19,7 @@ import (
 	"ccube/internal/collective"
 	"ccube/internal/des"
 	"ccube/internal/metrics"
+	"ccube/internal/topology"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -120,15 +121,15 @@ func TestPlanEndpointAllowSynth(t *testing.T) {
 
 func TestIrregularTopologyNames(t *testing.T) {
 	for _, name := range []string{"fcasym:8", "rr:16"} {
-		g, err := buildTopology(name)
+		g, err := topology.Named(name)
 		if err != nil {
-			t.Fatalf("buildTopology(%q): %v", name, err)
+			t.Fatalf("topology.Named(%q): %v", name, err)
 		}
 		if len(g.GPUs()) == 0 {
 			t.Fatalf("%q has no GPUs", name)
 		}
 		// Same name, same graph: the generators must be deterministic.
-		h, err := buildTopology(name)
+		h, err := topology.Named(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,8 +138,8 @@ func TestIrregularTopologyNames(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"fcasym:1", "rr:4", "rr:x"} {
-		if _, err := buildTopology(bad); err == nil {
-			t.Errorf("buildTopology(%q) succeeded, want error", bad)
+		if _, err := topology.Named(bad); err == nil {
+			t.Errorf("topology.Named(%q) succeeded, want error", bad)
 		}
 	}
 }
@@ -205,6 +206,17 @@ func TestTrainEndpoint(t *testing.T) {
 	}
 }
 
+// TestSimulateAcceptsMaxChunks: the chunk bound admits collective.MaxAutoChunks
+// itself, the largest count a build picks on its own.
+func TestSimulateAcceptsMaxChunks(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v1/simulate",
+		fmt.Sprintf(`{"topology":"dgx1","algorithm":"ccube","bytes":"1M","chunks":%d}`, collective.MaxAutoChunks))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 512})
 	cases := []struct {
@@ -218,6 +230,9 @@ func TestBadRequests(t *testing.T) {
 		{"unknown topology", "/v1/plan", `{"topology":"torus","bytes":1024}`, 400, "bad_request"},
 		{"unknown algorithm", "/v1/simulate", `{"topology":"dgx1","algorithm":"warp","bytes":1024}`, 400, "bad_request"},
 		{"bad fault spec", "/v1/simulate", `{"topology":"dgx1","algorithm":"ccube","bytes":1024,"fault":"zap"}`, 400, "bad_request"},
+		{"too many chunks", "/v1/simulate", `{"topology":"cluster:64","algorithm":"tree","bytes":"1G","chunks":100000000}`, 400, "bad_request"},
+		{"negative chunks", "/v1/simulate", `{"topology":"dgx1","algorithm":"ccube","bytes":1024,"chunks":-1}`, 400, "bad_request"},
+		{"too many train chunks", "/v1/train", `{"topology":"dgx1","model":"zfnet","batch":4,"mode":"CC","chunks":513}`, 400, "bad_request"},
 		{"unknown model", "/v1/train", `{"topology":"dgx1","model":"gpt99","batch":4,"mode":"CC"}`, 400, "bad_request"},
 		{"unknown mode", "/v1/train", `{"topology":"dgx1","model":"zfnet","batch":4,"mode":"ZZ"}`, 400, "bad_request"},
 		{"too large", "/v1/plan", `{"topology":"` + strings.Repeat("x", 600) + `","bytes":1}`, 413, "too_large"},
@@ -425,7 +440,7 @@ func TestDeadlineSurfacesCanceledError(t *testing.T) {
 	// *des.CanceledError carrying context.DeadlineExceeded.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
-	g, err := buildTopology("dgx1")
+	g, err := topology.Named("dgx1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,63 +1,9 @@
 package server
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
-	"ccube/internal/des"
 	"ccube/internal/topology"
-)
-
-// buildTopology constructs a fresh graph for a topology name: dgx1,
-// dgx1-low, cluster:<gpus>, or fc:<gpus> (fully connected mesh).
-func buildTopology(name string) (*topology.Graph, error) {
-	switch {
-	case name == "dgx1":
-		return topology.DGX1(topology.DefaultDGX1Config()), nil
-	case name == "dgx1-low":
-		cfg := topology.DefaultDGX1Config()
-		cfg.LowBandwidth = true
-		return topology.DGX1(cfg), nil
-	case strings.HasPrefix(name, "cluster:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "cluster:"))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad cluster size in %q", name)
-		}
-		return topology.Hierarchy(topology.DefaultHierarchyConfig(n)), nil
-	case strings.HasPrefix(name, "fc:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "fc:"))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad fc size in %q", name)
-		}
-		return topology.FullyConnected(n, fcBandwidth, fcLatency), nil
-	case strings.HasPrefix(name, "fcasym:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "fcasym:"))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad fcasym size in %q", name)
-		}
-		return topology.AsymmetricFullyConnected(n, fcBandwidth, fcLatency, irregularSeed), nil
-	case strings.HasPrefix(name, "rr:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "rr:"))
-		if err != nil || n < 5 {
-			return nil, fmt.Errorf("bad rr size in %q (want n >= 5)", name)
-		}
-		return topology.RandomRegular(n, 4, fcBandwidth, fcLatency, irregularSeed), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q (want dgx1, dgx1-low, cluster:<n>, fc:<n>, fcasym:<n>, rr:<n>)", name)
-	}
-}
-
-// irregularSeed fixes the irregular-fabric generators so a topology name
-// always denotes the same graph — the schedule cache and any two requests
-// naming the same topology must agree on its shape.
-const irregularSeed = 1
-
-// fc:<n> link parameters: one NVLink-class lane per pair.
-const (
-	fcBandwidth = 25e9 // bytes/sec
-	fcLatency   = des.Microsecond
 )
 
 // topoCache shares one graph per topology name across clean (fault-free)
@@ -66,7 +12,7 @@ const (
 // Clean execution never mutates a graph (Resources() mints fresh resources
 // per run; schedules are immutable), so concurrent sharing is safe. Faulted
 // requests must NOT share — Plan.Apply mutates channel health — and call
-// buildTopology directly for a private graph.
+// topology.Named directly for a private graph.
 type topoCache struct {
 	mu     sync.Mutex
 	graphs map[string]*topology.Graph
@@ -78,7 +24,7 @@ func (c *topoCache) shared(name string) (*topology.Graph, error) {
 	if g, ok := c.graphs[name]; ok {
 		return g, nil
 	}
-	g, err := buildTopology(name)
+	g, err := topology.Named(name)
 	if err != nil {
 		return nil, err
 	}

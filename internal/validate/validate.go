@@ -96,7 +96,7 @@ func checkPoint(g *topology.Graph, p int, n int64) ([]Entry, error) {
 	}{
 		{
 			collective.Config{Graph: g, Algorithm: collective.AlgRing, Bytes: n,
-				RingOrder: identity},
+				RingOrders: [][]int{identity}},
 			costmodel.Ring(pr),
 		},
 		{
