@@ -1,6 +1,7 @@
 package schedcheck
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -1481,7 +1482,7 @@ func PhasePrefixes(p *Program) *Phases {
 			return nil
 		}
 	}
-	if slices.IsSortedFunc(p.Ops, func(a, b Op) int { return int(a.Chunk - b.Chunk) }) {
+	if slices.IsSortedFunc(p.Ops, func(a, b Op) int { return cmp.Compare(a.Chunk, b.Chunk) }) {
 		return segments(p, 1, false) // chunk-major: one phase
 	}
 	if k < t {

@@ -1,6 +1,7 @@
 package schedcheck_test
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"slices"
@@ -160,7 +161,7 @@ func TestPhasePrefixesQualifyByLayout(t *testing.T) {
 	}
 	tm := buildProgram(t, collective.Config{Graph: fullyConnected(4), Algorithm: collective.AlgDoubleTreeOverlap,
 		Bytes: 64 << 20, Chunks: 40, AllowSharedChannels: true})
-	if slices.IsSortedFunc(tm.Ops, func(a, b schedcheck.Op) int { return int(a.Chunk - b.Chunk) }) {
+	if slices.IsSortedFunc(tm.Ops, func(a, b schedcheck.Op) int { return cmp.Compare(a.Chunk, b.Chunk) }) {
 		t.Fatal("C-Cube on fc:4 with shared channels was laid out chunk-major")
 	}
 	if schedcheck.PhasePrefixes(tm) != nil {
@@ -367,7 +368,7 @@ func FuzzPhasePrefix(f *testing.F) {
 		p := build(K)
 		streams := max(p.Streams, 1)
 		if schedcheck.PhasePrefixes(p) == nil {
-			if alg%4 == 2 && !slices.IsSortedFunc(p.Ops, func(a, b schedcheck.Op) int { return int(a.Chunk - b.Chunk) }) {
+			if alg%4 == 2 && !slices.IsSortedFunc(p.Ops, func(a, b schedcheck.Op) int { return cmp.Compare(a.Chunk, b.Chunk) }) {
 				return // C-Cube on trees sharing a hop, laid out tree-major
 			}
 			t.Fatalf("the pristine %d-chunk carrier (kind %d) was refused", p.NumChunks, alg%4)
