@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"cmp"
 	"context"
 	"reflect"
 	"slices"
@@ -161,6 +162,49 @@ func checkPrefixes(t *testing.T, pc prefixCase) {
 	if got := c.RetainedBytes(); sk == 0 || got != retained+sk {
 		t.Fatalf("RetainedBytes = %d after %d headers, want the carrier's %d and its skeleton's %d once",
 			got, pc.K-pc.first+1, retained, sk)
+	}
+}
+
+// TestChunkPrefixesQualifyByLayout: the built-in trees qualify for the
+// phase-prefix certificate on the DGX-1 at every chunk count. The
+// overlapped tree and C-Cube are laid out chunk-major, one phase, and the
+// separated trees in two phases, which a tree carrying one chunk is also
+// laid out as one. Overlapped trees that share a channel keep the
+// tree-major layout, whose DES ties favour tree 0, so they do not qualify.
+func TestChunkPrefixesQualifyByLayout(t *testing.T) {
+	byChunk := func(a, b schedcheck.Op) int { return cmp.Compare(a.Chunk, b.Chunk) }
+	fc4 := topology.FullyConnected(4, topology.NVLinkBandwidth, topology.NVLinkLatency)
+	shared, err := Build(Config{Graph: fc4, Algorithm: AlgDoubleTreeOverlap, Bytes: 1 << 20, Chunks: 8, AllowSharedChannels: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.IsSortedFunc(shared.Program().Ops, byChunk) {
+		t.Error("C-Cube on fc:4, whose trees share a channel, was laid out chunk-major")
+	}
+	if schedcheck.PhasePrefixes(shared.Program()) != nil {
+		t.Error("the tree-major C-Cube on fc:4 qualified")
+	}
+	g := dgx1()
+	for _, alg := range []Algorithm{AlgTree, AlgTreeOverlap, AlgDoubleTree, AlgDoubleTreeOverlap} {
+		for _, k := range []int{1, 2, 3, 8, 33} {
+			s, err := Build(Config{Graph: g, Algorithm: alg, Bytes: 1 << 20, Chunks: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := s.Program()
+			overlap := alg == AlgTreeOverlap || alg == AlgDoubleTreeOverlap
+			if want := overlap || s.Partition.NumChunks() == s.Streams; slices.IsSortedFunc(p.Ops, byChunk) != want {
+				t.Errorf("%v at %d chunks: chunk-major = %v, want %v", alg, s.Partition.NumChunks(), !want, want)
+			}
+			ph := schedcheck.PhasePrefixes(p)
+			if ph == nil {
+				t.Errorf("%v at %d chunks was refused", alg, s.Partition.NumChunks())
+				continue
+			}
+			if ops, _, _ := ph.Derive(p, p.NumChunks); len(ops) != s.NumTransfers() {
+				t.Errorf("%v at %d chunks: the full derivative has %d ops, want %d", alg, k, len(ops), s.NumTransfers())
+			}
+		}
 	}
 }
 

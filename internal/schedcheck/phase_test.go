@@ -83,9 +83,9 @@ func checkDerivatives(t *testing.T, p *schedcheck.Program, ph *schedcheck.Phases
 // cluster:32 and cluster:64, shared channels or not, and so do synthesized
 // forests on the DGX-1, fcasym:8 and rr:16; each derivative at k chunks is
 // the program a cold build emits for k. The ring and halving-doubling have
-// no such layout, the hierarchical schedules' barriers are not one per
-// stream, and C-Cube on fc:4 with shared channels is laid out tree-major,
-// whose broadcasts depend across its sections: none qualifies.
+// no such layout and the hierarchical schedules' barriers are not one per
+// stream: neither qualifies. Which layouts the built-ins choose, and at
+// which chunk counts, is TestChunkPrefixesQualifyByLayout's.
 func TestPhasePrefixesQualifyByLayout(t *testing.T) {
 	for _, fab := range []struct {
 		name  string
@@ -121,16 +121,6 @@ func TestPhasePrefixesQualifyByLayout(t *testing.T) {
 			}
 		}
 	}
-	// They qualify at every chunk count: a separated tree with one chunk
-	// per tree is chunk-major too, so one phase.
-	for _, alg := range []collective.Algorithm{collective.AlgTree, collective.AlgTreeOverlap, collective.AlgDoubleTree, collective.AlgDoubleTreeOverlap} {
-		for _, k := range []int{1, 2, 3, 8, 33} {
-			p := buildProgram(t, collective.Config{Graph: dgx1(), Algorithm: alg, Bytes: 1 << 20, Chunks: k})
-			if schedcheck.PhasePrefixes(p) == nil {
-				t.Errorf("dgx1/%v at %d chunks was refused", alg, p.NumChunks)
-			}
-		}
-	}
 	for _, name := range []string{"dgx1", "fcasym:8", "rr:16"} {
 		t.Run(name+"/forest", func(t *testing.T) {
 			g, err := topology.Named(name)
@@ -158,14 +148,6 @@ func TestPhasePrefixesQualifyByLayout(t *testing.T) {
 		if schedcheck.PhasePrefixes(s.Program()) != nil {
 			t.Errorf("hierarchical (chained=%v) qualified", chained)
 		}
-	}
-	tm := buildProgram(t, collective.Config{Graph: fullyConnected(4), Algorithm: collective.AlgDoubleTreeOverlap,
-		Bytes: 64 << 20, Chunks: 40, AllowSharedChannels: true})
-	if slices.IsSortedFunc(tm.Ops, func(a, b schedcheck.Op) int { return cmp.Compare(a.Chunk, b.Chunk) }) {
-		t.Fatal("C-Cube on fc:4 with shared channels was laid out chunk-major")
-	}
-	if schedcheck.PhasePrefixes(tm) != nil {
-		t.Error("the tree-major C-Cube on fc:4 qualified")
 	}
 }
 
