@@ -382,3 +382,50 @@ func TestPrefixHeaderRepairRace(t *testing.T) {
 		}
 	}
 }
+
+// TestHeaderReentersCarrier: a synthesized header taken from a 64-chunk
+// forest carrier, which then leaves the cache before BuildWith inserts the
+// header, re-enters the carrier's own op graph. The cache counts the
+// carrier's bytes, which the header's arrays pin, and the carrier serves
+// every chunk count up to its own again.
+func TestHeaderReentersCarrier(t *testing.T) {
+	g := dgx1()
+	t1, t2 := DGX1Trees()
+	trees := routedTrees(t, g, t1, t2)
+	nodes, streams := g.GPUs(), len(trees)
+	c := NewCache()
+	at := func(k int) (Config, chunk.Partition) {
+		cfg := Config{Graph: g, Algorithm: AlgSynth, SynthKey: "reenter", Bytes: 1<<20 + int64(k)}
+		return cfg, chunk.Split(cfg.Bytes, k)
+	}
+	cfg64, part64 := at(64)
+	carrier, err := c.BuildWith(cfg64, func() (*Schedule, error) { return AssembleForest(g, nodes, part64, trees) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg16, part16 := at(16)
+	h := c.Header(cfg16, streams, part16)
+	if h == nil || !sharesPrefix(h, carrier) {
+		t.Fatal("the 16-chunk request was not served by a header over the carrier's prefix")
+	}
+	c.Evict(cfg64)
+	if c.RetainedBytes() != 0 {
+		t.Fatalf("RetainedBytes = %d with no entry left", c.RetainedBytes())
+	}
+	got, err := c.BuildWith(cfg16, func() (*Schedule, error) { return h, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != h {
+		t.Fatal("BuildWith did not return the header")
+	}
+	if got, want := c.RetainedBytes(), opGraphBytes(carrier); got != want {
+		t.Fatalf("RetainedBytes = %d, want the carrier's %d, which the header pins", got, want)
+	}
+	for k := streams; k <= 64; k++ {
+		cfg, part := at(k)
+		if s := c.Header(cfg, streams, part); s == nil || !sharesPrefix(s, carrier) {
+			t.Fatalf("a %d-chunk request was not served from the carrier the header re-entered", k)
+		}
+	}
+}
