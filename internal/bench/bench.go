@@ -602,7 +602,7 @@ var Budgets = map[string]int64{
 	"Execute/cluster64-tree-derived":         5,
 	"Build/cluster64-ccube-128chunks":        445,
 	"Build/cluster64-ccube-prefix":           12,
-	"Build/cluster64-tree-derived":           16,
+	"Build/cluster64-tree-derived":           15,
 	"Cache/resize-cluster64-ccube-128chunks": 12,
 	"Check/cluster64-ccube-128chunks":        2,
 	"Check/cluster64-tree-96chunks":          2,

@@ -94,7 +94,6 @@ type memoEntry struct {
 type lruEntry struct {
 	key cacheKey
 	s   *Schedule
-	g   *opGraph // the op graph s is, or is a header over
 }
 
 // DefaultCacheCapacity bounds DefaultCache (and every NewCache). Sized for
@@ -254,50 +253,60 @@ func (c *Cache) buildThrough(cfg Config, builder func() (*Schedule, error)) (*Sc
 		return nil, err
 	}
 
-	// A synthesized result may be a Header over a resident op graph: it
-	// then shares that graph and counts as an incremental miss. Any other
-	// result is its own op graph, classified outside the lock: the
-	// certificate walks every op and dependency.
+	// A result whose record is resident is a header over that op graph, a
+	// synthesized Header's: it counts as an incremental miss.
+	s = c.admit(k, s)
 	c.mu.Lock()
-	g := c.residentLocked(k, s.Partition.NumChunks(), s.Streams)
-	header := g != nil && g.holds(s)
-	if header {
+	if s.g.refs > 0 {
 		c.incremental++
 		mCacheIncremental.Inc()
-	} else {
-		c.mu.Unlock()
-		g = newOpGraph(k, s)
-		c.mu.Lock()
 	}
 	c.misses++
-	evicted := c.insertLocked(k, s, g)
+	evicted := c.insertLocked(k, s)
 	c.mu.Unlock()
 	mCacheMisses.Inc()
 	mCacheEvictions.Add(int64(evicted))
 	return s, nil
 }
 
+// admit returns s as it enters c, with a record of c's. A record's first
+// entry claims and classifies it outside the lock, since the certificate
+// walks every op and dependency; an unadopted schedule gets its record
+// here. A record another cache holds stays that cache's, so s then enters
+// as a header over the same ops with a record of its own.
+func (c *Cache) admit(k cacheKey, s *Schedule) *Schedule {
+	if s.g == nil {
+		s.g = &opGraph{s: s}
+	}
+	if !s.g.claim(c, k) {
+		h := *s
+		h.g = &opGraph{s: &h}
+		h.g.claim(c, k)
+		s = &h
+	}
+	return s
+}
+
 // insertLocked inserts (or refreshes) an entry as most-recently-used and
 // evicts from the LRU end while the cache is over capacity, returning how
-// many entries were dropped. g is the op graph s is, or is a header over.
-// Caller holds c.mu.
-func (c *Cache) insertLocked(k cacheKey, s *Schedule, g *opGraph) (evicted int) {
-	c.ref(g)
+// many entries were dropped. Caller holds c.mu.
+func (c *Cache) insertLocked(k cacheKey, s *Schedule) (evicted int) {
+	c.ref(s.g)
 	defer c.retainedGauge.Set(float64(c.retained))
 	if el, ok := c.entries[k]; ok {
 		// A concurrent duplicate build of the same key landed first; keep
 		// the newer result (both are identical) and just refresh recency.
 		e := el.Value.(*lruEntry)
-		c.unref(e.g)
-		e.s, e.g = s, g
+		c.unref(e.s.g)
+		e.s = s
 		c.lru.MoveToFront(el)
 		return 0
 	}
-	c.entries[k] = c.lru.PushFront(&lruEntry{key: k, s: s, g: g})
+	c.entries[k] = c.lru.PushFront(&lruEntry{key: k, s: s})
 	for c.capacity > 0 && c.lru.Len() > c.capacity {
 		oldest := c.lru.Remove(c.lru.Back()).(*lruEntry)
 		delete(c.entries, oldest.key)
-		c.unref(oldest.g)
+		c.unref(oldest.s.g)
 		c.evictions++
 		evicted++
 	}
@@ -317,7 +326,7 @@ func (c *Cache) Evict(cfg Config) {
 	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {
 		delete(c.entries, k)
-		c.unref(c.lru.Remove(el).(*lruEntry).g)
+		c.unref(c.lru.Remove(el).(*lruEntry).s.g)
 		c.retainedGauge.Set(float64(c.retained))
 	}
 }
@@ -418,7 +427,7 @@ func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		c.unref(el.Value.(*lruEntry).g)
+		c.unref(el.Value.(*lruEntry).s.g)
 	}
 	c.entries = make(map[cacheKey]*list.Element)
 	c.lru.Init()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"ccube/internal/des"
@@ -670,5 +671,72 @@ func TestCacheHitAllocationFree(t *testing.T) {
 		}
 	}); allocs > 0 {
 		t.Fatalf("warm cache hit allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestCachesShareABuilderResult: a builder may return a schedule another
+// cache holds. Each cache then counts the op graph once, with a record of
+// its own: runs lower each record's skeleton for its own cache, and
+// evicting from one leaves the other's count as it was. Concurrent runs
+// and requests through both caches keep the counts exact (run it with
+// -race).
+func TestCachesShareABuilderResult(t *testing.T) {
+	a, b := NewCache(), NewCache()
+	cfg := Config{Graph: dgx1(), Algorithm: AlgTree, Bytes: 1 << 20, Chunks: 16}
+	sa, err := a.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := b.BuildWith(cfg, func() (*Schedule, error) { return a.Build(cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.g == sa.g || sb.g.cache.Load() != b || sa.g.cache.Load() != a || !sharesOpGraph(sb, sa) || !schedulesEqual(sb, sa) {
+		t.Fatal("the second cache does not hold the schedule's op graph with a record of its own")
+	}
+	bytes := opGraphBytes(sa)
+	if a.RetainedBytes() != bytes || b.RetainedBytes() != bytes || b.IncrementalBuilds() != 0 {
+		t.Fatalf("RetainedBytes = %d and %d, want the op graph's %d in each", a.RetainedBytes(), b.RetainedBytes(), bytes)
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				for _, s := range []*Schedule{sa, sb} {
+					if _, err := s.ExecuteCtx(ctx); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if s, err := b.Build(cfg); err != nil || s != sb {
+					t.Error("a second request missed the second cache's entry")
+					return
+				}
+				at := cfg
+				at.Bytes += int64(1 + w)
+				if _, err := a.Build(at); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	ska, skb := sa.g.sk.Load(), sb.g.sk.Load()
+	if ska == nil || skb == nil || ska == skb {
+		t.Fatal("the two records were not lowered apart")
+	}
+	if got, want := a.RetainedBytes(), bytes+ska.bytes(); got != want {
+		t.Fatalf("first cache: RetainedBytes = %d, want %d", got, want)
+	}
+	if got, want := b.RetainedBytes(), bytes+skb.bytes(); got != want {
+		t.Fatalf("second cache: RetainedBytes = %d, want %d", got, want)
+	}
+	a.Clear()
+	if got, want := b.RetainedBytes(), bytes+skb.bytes(); a.RetainedBytes() != 0 || got != want {
+		t.Fatalf("after clearing the first cache: RetainedBytes = %d and %d, want 0 and %d", a.RetainedBytes(), got, want)
 	}
 }

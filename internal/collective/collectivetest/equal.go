@@ -12,11 +12,11 @@ import (
 var scheduleType = reflect.TypeFor[collective.Schedule]()
 
 // DeepEqual is reflect.DeepEqual, except that it does not look at a
-// collective.Schedule's skeleton holder (its unexported field low). The
-// holder is shared by every schedule over one op graph and lowers that
-// graph on its second run, so its state records how often and in which
-// order a graph ran and which schedule first adopted it, not what any
-// schedule over it is. Every other field, unexported ones included, is
+// collective.Schedule's op-graph record (its unexported field g). The
+// record is shared by every schedule over one op graph, lowers that graph
+// on its second run and holds its cache residency, so its state records
+// how often and in which order a graph ran, which schedule first adopted
+// it and which cache holds it, not what any schedule over it is. Every other field, unexported ones included, is
 // compared as reflect.DeepEqual compares it.
 func DeepEqual(a, b any) bool {
 	if a == nil || b == nil {
@@ -79,7 +79,7 @@ func equal(a, b reflect.Value, visited map[visit]bool) bool {
 		return equal(a.Elem(), b.Elem(), visited)
 	case reflect.Struct:
 		for i := range a.NumField() {
-			if a.Type() == scheduleType && a.Type().Field(i).Name == "low" {
+			if a.Type() == scheduleType && a.Type().Field(i).Name == "g" {
 				continue
 			}
 			if !equal(a.Field(i), b.Field(i), visited) {

@@ -236,7 +236,7 @@ func TestDerivedConcurrent(t *testing.T) {
 	}
 	held := map[*opGraph]bool{}
 	for _, el := range c.entries {
-		for g := el.Value.(*lruEntry).g; g != nil; g = g.carrier {
+		for g := el.Value.(*lruEntry).s.g; g != nil; g = g.carrier {
 			held[g] = true
 		}
 	}

@@ -2,33 +2,43 @@ package collective
 
 import (
 	"slices"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"ccube/internal/chunk"
 	"ccube/internal/schedcheck"
 )
 
-// Same-shape headers: the transfer DAG of every built-in algorithm is a
-// function of the topology, the participant set, the ring or tree
+// One record per op graph: the transfer DAG of every built-in algorithm is
+// a function of the topology, the participant set, the ring or tree
 // embedding, the sharing flag and the *resolved* chunk count. The message
 // size only sets each chunk's bytes, and an op carries no byte count — a
-// transfer moves its chunk's size, Partition.Sizes[Chunk]. So a miss whose
-// shape matches a resident op graph is served by a new Schedule header: the
-// new partition over that op graph's ops, dependency CSR and stamp. Nothing
-// is cloned, rescaled or re-checked. A synthesized schedule's DAG is
-// likewise a function of the topology, the synthesis config and the tree
-// and chunk counts its compiler's search picked; the compiler asks for its
-// header (Header) once the search has picked them.
+// transfer moves its chunk's size, Partition.Sizes[Chunk]. A synthesized
+// schedule's DAG is likewise a function of the topology, the synthesis
+// config and the tree and chunk counts its compiler's search picked. So
+// the package builds and proves each op graph once and keeps one record of
+// it (opGraph), which every schedule over the graph points to
+// (Schedule.g): the schedule it was verified in, its lowered skeleton
+// (lower.go), and, once it enters a Cache, its shape, bytes, certificate,
+// carrier and reference count.
+//
+// Headers: a miss whose shape matches a resident op graph is served by a
+// new Schedule header — the new partition over that graph's ops,
+// dependency CSR, stamp and record. Nothing is cloned, rescaled or
+// re-checked. The synthesis compiler asks for its header (Header) once its
+// search has picked the tree and chunk counts, and hands it back to
+// BuildWith, which finds it a header exactly when its record is resident.
 //
 // Carriers: a graph laid out in segments serves every smaller chunk count
-// of its shape, by one certificate tested once when it enters the shape
-// index (schedcheck.PhasePrefixes, O(ops+deps)). Two layouts qualify. The
-// overlapped trees, C-Cube and synthesized forests are laid out
-// chunk-major (chunkMajor; overlapped trees sharing a channel excepted,
-// see buildTreeSchedule), each chunk one reduce-then-broadcast pass behind
-// the same hops of chunk c-t: one phase, one chunk-closed segment, so a
-// k-chunk schedule is the first n_k ops of any longer one of its shape.
-// The separated tree and double tree are laid out tree by tree
+// of its shape, by one certificate tested once, when its record first
+// enters the cache (schedcheck.PhasePrefixes, O(ops+deps)). Two layouts
+// qualify. The overlapped trees, C-Cube and synthesized forests are laid
+// out chunk-major (chunkMajor; overlapped trees sharing a channel
+// excepted, see buildTreeSchedule), each chunk one reduce-then-broadcast
+// pass behind the same hops of chunk c-t: one phase, one chunk-closed
+// segment, so a k-chunk schedule is the first n_k ops of any longer one of
+// its shape. The separated tree and double tree are laid out tree by tree
 // (buildSingleTree), each tree's reductions, its barrier, then its
 // broadcasts: two phases, so a k-chunk schedule is, tree by tree, the
 // first chunks of each phase with the barrier re-pointed to the last
@@ -39,29 +49,28 @@ import (
 // schedcheck.Phases.Derive). When nothing moves — one phase, or k = K — it
 // is a header over the carrier's first n_k ops: ops[:n_k:n_k],
 // depOff[:n_k+1:n_k+1] and deps[:depOff[n_k]:depOff[n_k]], whose
-// three-index slices mean no append can reach the carrier's arrays.
-// Otherwise it is a copy of the kept ops, with ids, relay slots and
-// dependencies shifted per phase (one linear pass, two allocations): its
-// own op graph, indexed under its exact shape so other sizes of it are
-// headers over it, holding its carrier resident while it is. A request
-// for more chunks than any resident carrier holds builds, and its graph
-// becomes the carrier.
+// three-index slices mean no append can reach the carrier's arrays, with
+// the carrier's record. Otherwise it is a copy of the kept ops, with ids,
+// relay slots and dependencies shifted per phase (one linear pass, two
+// allocations), and a record of its own: indexed under its exact shape so
+// other sizes of it are headers over it, holding its carrier resident
+// while it is. A request for more chunks than any resident carrier holds
+// builds, and its graph becomes the carrier.
 //
 // Safety argument for skipping the static verifier on this path: the op
-// graph was proved by Check when it entered the cache (by its periodic
-// window or in full, with the same Report either way), and every class
-// Check proves — acyclicity, hazard ordering, link validity, conservation,
-// in-order delivery — is a property of the op graph alone. Its one
-// byte-dependent check is that every chunk holds a positive size, which the
-// new partition meets by construction (chunk.Split, SplitAtMost and
-// SplitRates emit no empty chunk). A carrier's derivative at k chunks, a
-// prefix or a copy, answers every question Check asks about its kept ops
-// as the whole graph does; the argument is in schedcheck's checks.go
-// ("phase prefixes"). TestIncrementalMatchesFullBuild pins the
-// equivalence for the built-ins, prefixes and derived schedules included,
-// and synth's TestHeaderMatchesColdCompile for synthesized schedules: a
-// header or a derived schedule and a fresh build of the same config are
-// deep-equal.
+// graph was proved by Check when it was built (by its periodic window or
+// in full, with the same Report either way), and every class Check proves
+// — acyclicity, hazard ordering, link validity, conservation, in-order
+// delivery — is a property of the op graph alone. Its one byte-dependent
+// check is that every chunk holds a positive size, which the new partition
+// meets by construction (chunk.Split, SplitAtMost and SplitRates emit no
+// empty chunk). A carrier's derivative at k chunks, a prefix or a copy,
+// answers every question Check asks about its kept ops as the whole graph
+// does; the argument is in schedcheck's checks.go ("phase prefixes").
+// TestIncrementalMatchesFullBuild pins the equivalence for the built-ins,
+// prefixes and derived schedules included, and synth's
+// TestHeaderMatchesColdCompile for synthesized schedules: a header or a
+// derived schedule and a fresh build of the same config are deep-equal.
 
 // anyChunks is the chunk count in the shape key of a carrier, which serves
 // every chunk count up to its own.
@@ -81,65 +90,80 @@ func (k cacheKey) shape(chunks, streams int) cacheKey {
 	return k
 }
 
-// opGraph is one verified op graph the cache holds: the schedule it was
-// verified in (or derived as), referenced by every LRU entry whose schedule
-// is that one or a header over it, and indexed under key while no other
-// graph of that shape is (for a carrier: no other with as many chunks).
+// opGraph is one verified op graph's record, shared by the schedule it was
+// verified in (or derived as) and every header over it.
 type opGraph struct {
-	s     *Schedule
-	key   cacheKey
-	refs  int
-	bytes int64
+	s *Schedule
+
+	// The lowering (lower.go): runs counts the runs that asked for the
+	// skeleton before it existed; the second builds sk, once.
+	runs  atomic.Int32
+	lower sync.Once
+	sk    atomic.Pointer[skeleton]
+
+	// cache is the one Cache the record enters, claimed on its first entry
+	// (claim), when key, bytes and phases are classified; serve sets all
+	// four, and carrier, on a derived record. None of them changes after.
+	cache  atomic.Pointer[Cache]
+	claimed sync.Once
+	key    cacheKey
+	bytes  int64
 	// phases, for a carrier, certifies the layout its smaller chunk counts
 	// are served from (serve). It is nil otherwise.
 	phases *schedcheck.Phases
 	// carrier, for a derived op graph, is the carrier it was copied from,
 	// which it holds resident. It is nil otherwise.
 	carrier *opGraph
-	// cache is the cache g is resident in, set when it first enters (runs
-	// read it once g owns its skeleton holder); skeleton is the bytes of
-	// its lowered skeleton that cache counts in its retained bytes, 0 until
-	// the skeleton is built and counted (countSkeleton).
-	cache    *Cache
+
+	// Guarded by cache.mu: refs counts the LRU entries over the graph, and
+	// it is indexed under key while it has some and no other graph of that
+	// shape is (for a carrier: no other with as many chunks); skeleton is
+	// the bytes of its lowered skeleton that the cache counts in its
+	// retained bytes, 0 until the skeleton is built and counted
+	// (countSkeleton).
+	refs     int
 	skeleton int64
 }
 
-// newOpGraph records s, cached under k, as its own op graph, keyed as a
-// carrier when it qualifies.
-func newOpGraph(k cacheKey, s *Schedule) *opGraph {
-	g := &opGraph{s: s, bytes: opGraphBytes(s), phases: schedcheck.PhasePrefixes(s.Program())}
-	chunks := s.Partition.NumChunks()
-	if g.phases != nil {
-		chunks = anyChunks
-	}
-	g.key = k.shape(chunks, s.Streams)
-	return g
+// claim makes g c's on its first entry and classifies it under k, keyed
+// as a carrier when it qualifies; a derived record is already both. It
+// reports whether g is c's: a record entering a second cache stays the
+// first one's.
+func (g *opGraph) claim(c *Cache, k cacheKey) bool {
+	g.claimed.Do(func() {
+		if g.cache.Load() != nil {
+			return
+		}
+		g.bytes, g.phases = opGraphBytes(g.s), schedcheck.PhasePrefixes(g.s.Program())
+		chunks := g.s.Partition.NumChunks()
+		if g.phases != nil {
+			chunks = anyChunks
+		}
+		g.key = k.shape(chunks, g.s.Streams)
+		g.cache.Store(c)
+	})
+	return g.cache.Load() == c
 }
 
-// serve returns the schedule with partition part served from g, and the
-// op graph it is cached with, under k. When g's certificate serves part's
-// chunk count from g's own ops — g's count, or any count of a one-phase
-// carrier — the schedule is a header over them: g's arrays, or their
-// first chunks, and g's stamp and skeleton holder. Otherwise it is a copy
-// of g's kept ops with g's stamp and a holder of its own, in a derived op
-// graph that holds g resident.
-func (g *opGraph) serve(k cacheKey, part chunk.Partition) (*Schedule, *opGraph) {
+// serve returns the schedule with partition part served from g, under k.
+// When g's certificate serves part's chunk count from g's own ops — g's
+// count, or any count of a one-phase carrier — the schedule is a header
+// over them: g's arrays, or their first chunks, with g's stamp and record.
+// Otherwise it is a copy of g's kept ops with g's stamp and a derived
+// record of its own, in g's cache, that holds g resident.
+func (g *opGraph) serve(k cacheKey, part chunk.Partition) *Schedule {
 	s := *g.s
 	s.Partition = part
 	if g.phases == nil {
-		return &s, g
+		return &s
 	}
 	s.ops, s.depOff, s.deps = g.phases.Derive(g.s.Program(), part.NumChunks())
-	if g.holds(&s) {
-		return &s, g
+	if unsafe.SliceData(s.ops) == unsafe.SliceData(g.s.ops) {
+		return &s
 	}
-	s.low = newLowering(&s)
-	return &s, &opGraph{s: &s, key: k.shape(part.NumChunks(), s.Streams), bytes: opGraphBytes(&s), carrier: g}
-}
-
-// holds reports whether s is g's schedule or a header over it.
-func (g *opGraph) holds(s *Schedule) bool {
-	return unsafe.SliceData(s.ops) == unsafe.SliceData(g.s.ops)
+	s.g = &opGraph{s: &s, key: k.shape(part.NumChunks(), s.Streams), bytes: opGraphBytes(&s), carrier: g}
+	s.g.cache.Store(g.cache.Load())
+	return &s
 }
 
 // opGraphBytes is what s's op graph occupies: its ops and dependency CSR.
@@ -190,11 +214,11 @@ func (c *Cache) fromShape(k cacheKey, part chunk.Partition) *Schedule {
 	}
 	// Serve outside the lock: the op graph is immutable, a copy of it
 	// takes a linear pass, and the entry refs it again once inserted.
-	s, g := g.serve(k, part)
+	s := g.serve(k, part)
 	c.mu.Lock()
 	c.misses++
 	c.incremental++
-	evicted := c.insertLocked(k, s, g)
+	evicted := c.insertLocked(k, s)
 	c.mu.Unlock()
 	mCacheEvictions.Add(int64(evicted))
 	return s
@@ -207,7 +231,7 @@ func (c *Cache) fromShape(k cacheKey, part chunk.Partition) *Schedule {
 // (the caller then assembles, and the proof reports it). Like a built-in's
 // same-shape miss, it re-checks nothing: see the safety argument above. It
 // caches and counts nothing either; the compiler returns it to BuildWith,
-// which caches a header over the resident op graph with that graph.
+// which caches it with its record.
 func (c *Cache) Header(cfg Config, streams int, part chunk.Partition) *Schedule {
 	if !cacheable(cfg) || slices.ContainsFunc(part.Sizes, func(size int64) bool { return size <= 0 }) {
 		return nil
@@ -222,23 +246,16 @@ func (c *Cache) Header(cfg Config, streams int, part chunk.Partition) *Schedule 
 	if g == nil {
 		return nil
 	}
-	s, _ := g.serve(k, part)
-	return s
+	return g.serve(k, part)
 }
 
-// ref records one more LRU entry over g. A graph entering the cache is
-// indexed unless the index holds one of its shape with at least as many
-// chunks, and a derived one holds its carrier. Its lowered skeleton, if
-// built, counts from then on. Caller holds c.mu.
+// ref records one more LRU entry over g, one of c's records. A graph
+// entering the cache is indexed unless the index holds one of its shape
+// with at least as many chunks, and a derived one holds its carrier. Its
+// lowered skeleton, if built, counts from then on. Caller holds c.mu.
 func (c *Cache) ref(g *opGraph) {
 	if g.refs == 0 {
 		c.retained += g.bytes
-		if g.cache == nil {
-			g.cache = c // once: a carrier re-entering holds it already
-		}
-		if low := g.s.low; low != nil {
-			low.owner.CompareAndSwap(nil, g)
-		}
 		if cur := c.shapes[g.key]; cur == nil || cur.s.Partition.NumChunks() < g.s.Partition.NumChunks() {
 			c.shapes[g.key] = g
 		}
@@ -257,9 +274,6 @@ func (c *Cache) unref(g *opGraph) {
 	if g.refs == 0 {
 		c.retained -= g.bytes + g.skeleton
 		g.skeleton = 0
-		if low := g.s.low; low != nil {
-			low.owner.CompareAndSwap(g, nil)
-		}
 		if c.shapes[g.key] == g {
 			delete(c.shapes, g.key)
 		}
@@ -270,14 +284,12 @@ func (c *Cache) unref(g *opGraph) {
 }
 
 // countSkeletonLocked adds g's lowered skeleton to the retained bytes once
-// it is built, if g is resident and the skeleton is g's own to count.
-// Caller holds c.mu.
+// it is built, if g is resident. Caller holds c.mu.
 func (c *Cache) countSkeletonLocked(g *opGraph) {
-	if g.refs == 0 || g.skeleton != 0 || g.s.low == nil || g.s.low.owner.Load() != g {
-		return
+	if sk := g.sk.Load(); sk != nil && g.refs > 0 && g.skeleton == 0 {
+		g.skeleton = sk.bytes()
+		c.retained += g.skeleton
 	}
-	g.skeleton = g.s.low.skeletonBytes()
-	c.retained += g.skeleton
 }
 
 // countSkeleton is countSkeletonLocked for the run that just built g's

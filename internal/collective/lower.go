@@ -4,56 +4,40 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
-	"unsafe"
 
 	"ccube/internal/des"
-	"ccube/internal/schedcheck"
 )
 
 // Lowering a schedule into the DES: what a run derives from the op graph
 // alone — the successor CSR, the initial pending counts and, per
 // (participant, chunk), the transfer whose End makes the chunk ready there
 // — is built once per op graph, as its skeleton, on the graph's second
-// executor run (most derived copies run once), and shared by every schedule
-// over it. A run writes only what depends on its sizes: each transfer's
-// duration, read from a per-run table of one TransferTime per (channel,
-// distinct chunk size). Instantiate, which appends the deps to a des.Graph
-// and never borrows the CSR, reads the ready ids of a skeleton already
-// built but never builds one.
+// executor run (most derived copies run once). A run writes only what
+// depends on its sizes: each transfer's duration, read from a per-run table
+// of one TransferTime per (channel, distinct chunk size). Instantiate,
+// which appends the deps to a des.Graph and never borrows the CSR, reads
+// the ready ids of a skeleton already built but never builds one.
 //
-// Every verified schedule holds its op graph's skeleton holder. adopt gives
-// a new schedule its own; a header copies its op graph's with the rest of
-// the schedule, so the graph's headers of every size share one skeleton;
-// a derived copy (opGraph.serve), and clone and renumber (repair), give
-// their new op graphs fresh ones. A schedule runs on the skeleton only when its ops are the graph's
-// own, or their first n (a prefix header): since des.Flat.Link lists
-// successors in ascending id order and every dependency id is below its
-// op's, a prefix's pending counts and ready ids are the graph's, and the run
-// reads each successor row up to its first id >= n (des.Flat.Borrow). Any
-// other schedule, and every run that binds resources (fault injection,
+// The skeleton lives in the op graph's one record (opGraph, incremental.go),
+// which every verified schedule over the graph points to: adopt makes one
+// for a new schedule; a header, same-shape or prefix, copies its graph's
+// with the rest of the schedule, so the headers of every size share one
+// skeleton; a derived copy (opGraph.serve), clone and renumber (repair)
+// make new ones for their new op graphs. Sharing a record is what lets a
+// schedule run on its skeleton: its ops are the record's own or their
+// first n (a prefix header), and since des.Flat.Link lists successors in
+// ascending id order and every dependency id is below its op's, a prefix's
+// pending counts and ready ids are the graph's, and the run reads each
+// successor row up to its first id >= n (des.Flat.Borrow). A schedule
+// without a record, and every run that binds resources (fault injection,
 // checkpoints, resumes and the exported graph of ExecuteOnCtx), links its
 // own CSR.
-
-// lowering is one op graph's skeleton holder.
-type lowering struct {
-	src  *Schedule    // the schedule whose op graph this lowers
-	runs atomic.Int32 // runs that asked for the skeleton before it existed
-	once sync.Once
-	sk   atomic.Pointer[skeleton]
-	// owner is the resident op graph whose cache counts the skeleton in its
-	// retained bytes, or nil.
-	owner atomic.Pointer[opGraph]
-}
-
-func newLowering(s *Schedule) *lowering { return &lowering{src: s} }
 
 // skeleton is an op graph lowered once: des.Skeleton's pending counts and
 // successor CSR, and the ready-id matrix.
 type skeleton struct {
 	des.Skeleton
-	ops    *schedcheck.Op // the op graph's first op: whose ops these are
-	chunks int            // its chunk count, the stride of ready
+	chunks int // the op graph's chunk count, the stride of ready
 	// ready[i*chunks+c] is the transfer whose End makes chunk c ready at
 	// participant i (the last final wins).
 	ready []int32
@@ -62,54 +46,42 @@ type skeleton struct {
 // bytes is what the skeleton's arrays hold.
 func (sk *skeleton) bytes() int64 { return sk.Skeleton.Bytes() + 4*int64(len(sk.ready)) }
 
-// skeletonBytes reports the bytes of l's skeleton, 0 until it is built.
-func (l *lowering) skeletonBytes() int64 {
-	if sk := l.sk.Load(); sk != nil {
-		return sk.bytes()
-	}
-	return 0
-}
-
 // skeleton returns the skeleton s runs on, counting the ask as a run of s's
-// op graph, so the graph's second run builds it. It is nil before that run,
-// and otherwise as for builtSkeleton.
+// op graph, so the graph's second run builds it and, if the graph is
+// resident, its cache counts it. It is nil before that run, and otherwise
+// as for builtSkeleton.
 func (s *Schedule) skeleton() *skeleton {
-	l := s.low
-	if l == nil {
+	g := s.g
+	if g == nil {
 		return nil
 	}
-	if l.sk.Load() == nil && l.runs.Add(1) >= 2 {
-		l.once.Do(func() {
-			l.sk.Store(l.src.newSkeleton())
-			if g := l.owner.Load(); g != nil {
-				g.cache.countSkeleton(g)
+	if g.sk.Load() == nil && g.runs.Add(1) >= 2 {
+		g.lower.Do(func() {
+			g.sk.Store(g.s.newSkeleton())
+			if c := g.cache.Load(); c != nil {
+				c.countSkeleton(g)
 			}
 		})
 	}
-	return s.builtSkeleton()
+	return g.sk.Load()
 }
 
-// builtSkeleton returns s's op graph's skeleton, if some run has built it,
-// when s's ops are the graph's or their first len(s.ops). It returns nil
-// otherwise, and for a schedule without a holder. It counts no run, so a
-// caller that does not borrow the successor CSR (Instantiate) never makes
-// a graph lower.
+// builtSkeleton returns s's op graph's skeleton if some run has built it,
+// and nil otherwise or for a schedule without a record. It counts no run,
+// so a caller that does not borrow the successor CSR (Instantiate) never
+// makes a graph lower.
 func (s *Schedule) builtSkeleton() *skeleton {
-	if s.low == nil {
+	if s.g == nil {
 		return nil
 	}
-	sk := s.low.sk.Load()
-	if sk == nil || unsafe.SliceData(s.ops) != sk.ops || len(s.ops) > len(sk.Pending) || s.Partition.NumChunks() > sk.chunks {
-		return nil
-	}
-	return sk
+	return s.g.sk.Load()
 }
 
 // newSkeleton lowers s's op graph, or returns nil when some (participant,
 // chunk) has no final, which every run of s then reports.
 func (s *Schedule) newSkeleton() *skeleton {
 	k := s.Partition.NumChunks()
-	sk := &skeleton{ops: unsafe.SliceData(s.ops), chunks: k, ready: make([]int32, len(s.Nodes)*k)}
+	sk := &skeleton{chunks: k, ready: make([]int32, len(s.Nodes)*k)}
 	if s.scanReady(sk.ready, s.indexNodes(nil)) != nil {
 		return nil
 	}

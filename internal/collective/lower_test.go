@@ -13,12 +13,12 @@ import (
 	"ccube/internal/topology"
 )
 
-// linkRun runs s as a schedule without a skeleton holder runs: on a
+// linkRun runs s as a schedule without a record runs: on a
 // successor CSR linked fresh from its own dependency CSR.
 func linkRun(t *testing.T, s *Schedule) *Result {
 	t.Helper()
 	own := *s
-	own.low = nil
+	own.g = nil
 	r, err := own.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -31,14 +31,14 @@ func linkRun(t *testing.T, s *Schedule) *Result {
 func lowerByRuns(t *testing.T, s *Schedule) {
 	t.Helper()
 	for range 2 {
-		if s.low.sk.Load() != nil {
+		if s.g.sk.Load() != nil {
 			return
 		}
 		if _, err := s.ExecuteCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.low.sk.Load() == nil {
+	if s.g.sk.Load() == nil {
 		t.Fatal("two runs did not lower the op graph")
 	}
 }
@@ -102,7 +102,7 @@ func TestSkeletonRunsMatchLink(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: %v", alg, err)
 				}
-				if h.low != s.low || !sharesOpGraph(h, s) {
+				if h.g != s.g || !sharesOpGraph(h, s) {
 					t.Fatalf("%v: the next size is not a header over the first", alg)
 				}
 				checkSkeletonRun(t, h, fmt.Sprintf("%v header", alg))
@@ -125,7 +125,7 @@ func TestSkeletonRunsMatchLink(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v k=%d: %v", alg, k, err)
 					}
-					if h.low != carrier.low || !sharesPrefix(h, carrier) {
+					if h.g != carrier.g || !sharesPrefix(h, carrier) {
 						t.Fatalf("%v k=%d: not a header over the carrier's prefix", alg, k)
 					}
 					checkSkeletonRun(t, h, fmt.Sprintf("%v k=%d", alg, k))
@@ -148,7 +148,7 @@ func TestSkeletonRunsMatchLink(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v k=%d: %v", alg, k, err)
 					}
-					if d.low == carrier.low || sharesOpGraph(d, carrier) {
+					if d.g == carrier.g || sharesOpGraph(d, carrier) {
 						t.Fatalf("%v k=%d: not a derived copy", alg, k)
 					}
 					lowerByRuns(t, d)
@@ -158,7 +158,7 @@ func TestSkeletonRunsMatchLink(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v k=%d: %v", alg, k, err)
 					}
-					if h.low != d.low || !sharesOpGraph(h, d) {
+					if h.g != d.g || !sharesOpGraph(h, d) {
 						t.Fatalf("%v k=%d: the next size is not a header over the derived copy", alg, k)
 					}
 					checkSkeletonRun(t, h, fmt.Sprintf("%v header over derived k=%d", alg, k))
@@ -179,8 +179,8 @@ func TestSkeletonRunsMatchLink(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if repaired.low == s.low || repaired.low.sk.Load() != nil {
-				t.Fatal("the repaired clone shares its base's skeleton holder")
+			if repaired.g == s.g || repaired.g.sk.Load() != nil {
+				t.Fatal("the repaired clone shares its base's record")
 			}
 			lowerByRuns(t, repaired)
 			checkSkeletonRun(t, repaired, "repaired")
@@ -197,7 +197,7 @@ func TestSkeletonRunsMatchLink(t *testing.T) {
 			g.KillChannel(usedChannels(s)[1])
 			s.stamp() // stamped for the killed channel, so only the lowering refuses it
 			own := *s
-			own.low = nil
+			own.g = nil
 			_, linkErr := own.ExecuteCtx(context.Background())
 			if s.skeleton() == nil {
 				t.Fatal("does not run on a skeleton")
@@ -213,7 +213,7 @@ func TestSkeletonRunsMatchLink(t *testing.T) {
 
 // TestPooledFlatLeavesSkeletonIntact: pooled runs that borrow a skeleton,
 // interleaved with pooled runs that link other schedules' successor CSRs
-// (a checkpointed run, which binds resources, and runs without a holder),
+// (a checkpointed run, which binds resources, and runs without a record),
 // leave the skeleton byte-identical.
 func TestPooledFlatLeavesSkeletonIntact(t *testing.T) {
 	g := dgx1()
@@ -222,7 +222,7 @@ func TestPooledFlatLeavesSkeletonIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	lowerByRuns(t, s)
-	sk := s.low.sk.Load()
+	sk := s.g.sk.Load()
 	want := *sk
 	want.Pending, want.SuccOff, want.Succ = slices.Clone(sk.Pending), slices.Clone(sk.SuccOff), slices.Clone(sk.Succ)
 	want.ready = slices.Clone(sk.ready)
@@ -241,7 +241,7 @@ func TestPooledFlatLeavesSkeletonIntact(t *testing.T) {
 			}
 			linkRun(t, other)
 		}
-		if s.low.sk.Load() != sk || !reflect.DeepEqual(*sk, want) {
+		if s.g.sk.Load() != sk || !reflect.DeepEqual(*sk, want) {
 			t.Fatalf("pooled runs of %v changed the borrowed skeleton", alg)
 		}
 	}
@@ -271,7 +271,7 @@ func TestConcurrentHeadersLowerOnce(t *testing.T) {
 		headers = append(headers, h)
 		want = append(want, linkRun(t, h))
 	}
-	if carrier.low.sk.Load() != nil {
+	if carrier.g.sk.Load() != nil {
 		t.Fatal("the carrier was lowered before any run")
 	}
 	var wg sync.WaitGroup
@@ -293,7 +293,7 @@ func TestConcurrentHeadersLowerOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	sk := carrier.low.sk.Load()
+	sk := carrier.g.sk.Load()
 	for _, h := range headers {
 		if h.skeleton() != sk || sk == nil {
 			t.Fatal("the headers do not share the carrier's one skeleton")
@@ -396,7 +396,7 @@ func TestInstantiateNeverLowers(t *testing.T) {
 			t.Fatalf("an instantiated run ends at %v, the first at %v", got.Total, want.Total)
 		}
 	}
-	if s.low.sk.Load() != nil {
+	if s.g.sk.Load() != nil {
 		t.Fatal("Instantiate lowered the op graph")
 	}
 	lowerByRuns(t, s)

@@ -158,7 +158,10 @@ func checkPrefixes(t *testing.T, pc prefixCase) {
 	}
 	// The headers ran on the carrier's one lowered skeleton, which the
 	// cache counts once, at its exact size.
-	sk := carrier.low.skeletonBytes()
+	var sk int64
+	if built := carrier.g.sk.Load(); built != nil {
+		sk = built.bytes()
+	}
 	if got := c.RetainedBytes(); sk == 0 || got != retained+sk {
 		t.Fatalf("RetainedBytes = %d after %d headers, want the carrier's %d and its skeleton's %d once",
 			got, pc.K-pc.first+1, retained, sk)

@@ -358,14 +358,14 @@ func verifyPatch(base, patched *Schedule, rep *PatchReport) error {
 // else, the dependency CSR included: a built schedule's CSR is immutable.
 // The clone's CSR slices are capped at their length, so splice's appends
 // reallocate them instead of writing past the end of the shared arrays. The
-// clone is unstamped, with a fresh skeleton holder for its own op graph.
+// clone is unstamped, with a new record for its own op graph.
 func (s *Schedule) clone() *Schedule {
 	out := *s
 	out.ops = append([]schedcheck.Op(nil), s.ops...)
 	out.depOff = s.depOff[:len(s.depOff):len(s.depOff)]
 	out.deps = s.deps[:len(s.deps):len(s.deps)]
 	out.builtFor = 0
-	out.low = newLowering(&out)
+	out.g = &opGraph{s: &out}
 	return &out
 }
 
@@ -446,6 +446,6 @@ func (s *Schedule) renumber(lastHop []int32) ([]int, error) {
 		slices.Sort(out.deps[out.depOff[len(out.depOff)-2]:])
 	}
 	s.ops, s.depOff, s.deps = out.ops, out.depOff, out.deps
-	s.low = newLowering(s)
+	s.g = &opGraph{s: s}
 	return newID, nil
 }

@@ -64,9 +64,9 @@ type Schedule struct {
 	// topology fingerprint has drifted (StaleScheduleError).
 	builtFor uint64
 
-	// low holds the op graph's lowered skeleton, shared by every header
-	// over the graph (see lower.go); nil for a schedule never adopted.
-	low *lowering
+	// g is the op graph's one record, shared by every header over the
+	// graph (see incremental.go); nil for a schedule never adopted.
+	g *opGraph
 }
 
 func newSchedule(g *topology.Graph, nodes []topology.NodeID, part chunk.Partition) *Schedule {
@@ -199,14 +199,13 @@ func verified(s *Schedule, err error) (*Schedule, error) {
 
 // adopt proves a newly constructed schedule with the static verifier and
 // stamps it against the current topology: the one step that makes a
-// schedule executable. It gives the schedule its op graph's skeleton
-// holder.
+// schedule executable. It gives the schedule its op graph's record.
 func (s *Schedule) adopt() (*Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("collective: schedule failed verification: %w", err)
 	}
 	s.stamp()
-	s.low = newLowering(s)
+	s.g = &opGraph{s: s}
 	return s, nil
 }
 
