@@ -7,9 +7,9 @@
 // through intermediate GPUs and duplicated NVLink pairs — to run the scheme
 // on a double tree (CC).
 //
-// The implementation lives under internal/: see internal/core for the
-// library facade, internal/collective for the algorithms, internal/gpusim
-// for the persistent-kernel emulation, and internal/experiments for the
-// figure reproductions. The benches in bench_test.go regenerate every
+// The implementation lives under internal/: see internal/collective for
+// the algorithms, internal/train for the training-iteration simulator,
+// internal/gpusim for the persistent-kernel emulation, and
+// internal/experiments for the figure reproductions. The benches in bench_test.go regenerate every
 // figure of the paper's evaluation; cmd/ccube-bench prints them as tables.
 package ccube

@@ -13,12 +13,13 @@ import (
 
 	"ccube/internal/autotune"
 	"ccube/internal/collective"
-	"ccube/internal/core"
 	"ccube/internal/report"
+	"ccube/internal/topology"
 )
 
 func main() {
-	sys := core.DGX1(core.HighBandwidth)
+	ctx := context.Background()
+	g := topology.DGX1(topology.DefaultDGX1Config())
 	algs := []collective.Algorithm{
 		collective.AlgRing,
 		collective.AlgHalvingDoubling,
@@ -33,14 +34,14 @@ func main() {
 		t := report.New(fmt.Sprintf("AllReduce of %s on the DGX-1", report.Bytes(n)),
 			"algorithm", "total", "bandwidth", "turnaround", "in-order")
 		for _, alg := range algs {
-			res, err := sys.AllReduce(core.AllReduceOptions{Algorithm: alg, Bytes: n})
+			res, err := collective.RunCtx(ctx, collective.Config{Graph: g, Algorithm: alg, Bytes: n})
 			if err != nil {
 				log.Fatal(err)
 			}
 			t.AddRow(alg.String(), report.Time(res.Total), report.GBps(res.Bandwidth()),
 				report.Time(res.Turnaround), fmt.Sprintf("%v", res.InOrder))
 		}
-		best, err := autotune.BestWith(context.Background(), sys.Graph, n, autotune.Options{Objective: autotune.Latency})
+		best, err := autotune.BestWith(ctx, g, n, autotune.Options{Objective: autotune.Latency})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,32 +6,28 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"ccube/internal/collective"
-	"ccube/internal/core"
 	"ccube/internal/report"
+	"ccube/internal/topology"
 )
 
 func main() {
-	sys := core.DGX1(core.HighBandwidth)
+	ctx := context.Background()
+	g := topology.DGX1(topology.DefaultDGX1Config())
 
 	t := report.New("Quickstart: baseline vs C-Cube AllReduce on the DGX-1",
 		"size", "baseline (B)", "C-Cube (C1)", "speedup", "turnaround speedup")
 	for _, mb := range []int64{16, 64, 256} {
 		bytes := mb << 20
-		base, err := sys.AllReduce(core.AllReduceOptions{
-			Algorithm: collective.AlgDoubleTree,
-			Bytes:     bytes,
-		})
+		base, err := collective.RunCtx(ctx, collective.Config{Graph: g, Algorithm: collective.AlgDoubleTree, Bytes: bytes})
 		if err != nil {
 			log.Fatal(err)
 		}
-		over, err := sys.AllReduce(core.AllReduceOptions{
-			Algorithm: collective.AlgDoubleTreeOverlap,
-			Bytes:     bytes,
-		})
+		over, err := collective.RunCtx(ctx, collective.Config{Graph: g, Algorithm: collective.AlgDoubleTreeOverlap, Bytes: bytes})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,14 +7,36 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"ccube/internal/core"
 	"ccube/internal/dnn"
 	"ccube/internal/report"
+	"ccube/internal/topology"
 	"ccube/internal/train"
 )
+
+// dgx1 builds the DGX-1 at full NVLink bandwidth, or at the paper's low
+// setting (NVLink divided by 4), and names it.
+func dgx1(low bool) (*topology.Graph, string) {
+	cfg := topology.DefaultDGX1Config()
+	cfg.LowBandwidth = low
+	if low {
+		return topology.DGX1(cfg), "dgx1-low"
+	}
+	return topology.DGX1(cfg), "dgx1-high"
+}
+
+// iteration simulates one steady-state training iteration of model on g.
+func iteration(g *topology.Graph, model dnn.Model, batch int, mode train.Mode) *train.Result {
+	res, err := train.RunCtx(context.Background(), train.Config{
+		Model: model, Batch: batch, Device: dnn.V100(), Graph: g, Mode: mode})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
+}
 
 func main() {
 	model := dnn.ResNet50()
@@ -22,15 +44,15 @@ func main() {
 		model.Name, model.NumLayers(),
 		float64(model.TotalParams())/1e6, report.Bytes(model.GradientBytes()))
 
-	for _, bw := range []core.Bandwidth{core.LowBandwidth, core.HighBandwidth} {
-		sys := core.DGX1(bw)
+	for _, low := range []bool{true, false} {
+		g, name := dgx1(low)
 		t := report.New(
-			fmt.Sprintf("ResNet-50 normalized performance on %s", sys.Name()),
+			fmt.Sprintf("ResNet-50 normalized performance on %s", name),
 			"batch", "B", "C1", "C2", "R", "CC", "CC vs B")
 		for _, batch := range []int{16, 32, 64} {
-			results, err := sys.CompareModes(model, batch)
-			if err != nil {
-				log.Fatal(err)
+			results := make(map[train.Mode]*train.Result)
+			for _, m := range train.Modes() {
+				results[m] = iteration(g, model, batch, m)
 			}
 			t.AddRow(
 				fmt.Sprintf("%d", batch),
@@ -47,15 +69,9 @@ func main() {
 
 	// Decompose where C-Cube's win comes from at the most communication-
 	// bound point of the sweep.
-	sys := core.DGX1(core.LowBandwidth)
-	cc, err := sys.Train(core.TrainOptions{Model: model, Batch: 16, Mode: train.ModeCC})
-	if err != nil {
-		log.Fatal(err)
-	}
-	b, err := sys.Train(core.TrainOptions{Model: model, Batch: 16, Mode: train.ModeB})
-	if err != nil {
-		log.Fatal(err)
-	}
+	g, _ := dgx1(true)
+	cc := iteration(g, model, 16, train.ModeCC)
+	b := iteration(g, model, 16, train.ModeB)
 	fmt.Printf("decomposition at batch 16, low bandwidth:\n")
 	fmt.Printf("  standalone AllReduce:  B %v -> CC %v (overlapped tree)\n", b.CommTime, cc.CommTime)
 	fmt.Printf("  first-forward stall:   B %v -> CC %v (gradient queuing)\n", b.FirstForwardWait, cc.FirstForwardWait)
