@@ -130,34 +130,7 @@ func (p *Plan) Validate(g *topology.Graph) error {
 // same (graph, seed, n) always yields the same plan — experiment sweeps stay
 // reproducible.
 func RandomLinkFailures(g *topology.Graph, seed int64, n int) *Plan {
-	// Canonical directions (From < To) enumerate each physical link once.
-	var links []topology.ChannelID
-	for ci := 0; ci < g.NumChannels(); ci++ {
-		if c := g.Channel(topology.ChannelID(ci)); c.From < c.To {
-			links = append(links, c.ID)
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(len(links))
-	if n > len(perm) {
-		n = len(perm)
-	}
-	picked := make([]topology.ChannelID, n)
-	for i := 0; i < n; i++ {
-		picked[i] = links[perm[i]]
-	}
-	sort.Slice(picked, func(i, j int) bool { return picked[i] < picked[j] })
-	p := &Plan{}
-	for _, cid := range picked {
-		c := g.Channel(cid)
-		p.Events = append(p.Events, Event{Kind: LinkDown, Channel: cid})
-		for _, rid := range g.ChannelsBetween(c.To, c.From) {
-			if g.Channel(rid).Tag == c.Tag {
-				p.Events = append(p.Events, Event{Kind: LinkDown, Channel: rid})
-			}
-		}
-	}
-	return p
+	return killLinks(g, seed, n, 0, canonicalLinks(g))
 }
 
 // RandomTimedLinkFailures is RandomLinkFailures with each killed physical
@@ -167,13 +140,7 @@ func RandomLinkFailures(g *topology.Graph, seed int64, n int) *Plan {
 // exists for. The churn harness uses it with window set to the healthy
 // makespan, so failures land while the collective is in flight.
 func RandomTimedLinkFailures(g *topology.Graph, seed int64, n int, window des.Time) *Plan {
-	var links []topology.ChannelID
-	for ci := 0; ci < g.NumChannels(); ci++ {
-		if c := g.Channel(topology.ChannelID(ci)); c.From < c.To {
-			links = append(links, c.ID)
-		}
-	}
-	return randomTimedFailures(g, seed, n, window, links)
+	return killLinks(g, seed, n, max(window, 1), canonicalLinks(g))
 }
 
 // RandomTimedLinkFailuresAmong is RandomTimedLinkFailures restricted to the
@@ -186,54 +153,67 @@ func RandomTimedLinkFailuresAmong(g *topology.Graph, seed int64, n int, window d
 	// a link listed in both directions is sampled once.
 	seen := make(map[topology.ChannelID]bool, len(among))
 	var links []topology.ChannelID
-	add := func(cid topology.ChannelID) {
-		if !seen[cid] {
-			seen[cid] = true
-			links = append(links, cid)
-		}
-	}
 	for _, cid := range among {
-		c := g.Channel(cid)
-		if c.From < c.To {
-			add(cid)
-			continue
+		cands := []topology.ChannelID{cid}
+		if c := g.Channel(cid); c.From > c.To {
+			cands = reverses(g, c)
 		}
-		for _, rid := range g.ChannelsBetween(c.To, c.From) {
-			if g.Channel(rid).Tag == c.Tag {
-				add(rid)
+		for _, cid := range cands {
+			if !seen[cid] {
+				seen[cid] = true
+				links = append(links, cid)
 			}
 		}
 	}
 	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-	return randomTimedFailures(g, seed, n, window, links)
+	return killLinks(g, seed, n, max(window, 1), links)
 }
 
-// randomTimedFailures draws n links from the given canonical (From < To)
-// candidates and arms both directions of each at a seeded time in (0,
-// window].
-func randomTimedFailures(g *topology.Graph, seed int64, n int, window des.Time, links []topology.ChannelID) *Plan {
-	if window < 1 {
-		window = 1
+// canonicalLinks returns g's physical links, each by its From < To
+// channel, in id order.
+func canonicalLinks(g *topology.Graph) []topology.ChannelID {
+	var links []topology.ChannelID
+	for ci := 0; ci < g.NumChannels(); ci++ {
+		if c := g.Channel(topology.ChannelID(ci)); c.From < c.To {
+			links = append(links, c.ID)
+		}
 	}
+	return links
+}
+
+// reverses returns the channels running opposite c on its physical link:
+// those back from c.To to c.From with c's tag.
+func reverses(g *topology.Graph, c *topology.Channel) []topology.ChannelID {
+	var out []topology.ChannelID
+	for _, rid := range g.ChannelsBetween(c.To, c.From) {
+		if g.Channel(rid).Tag == c.Tag {
+			out = append(out, rid)
+		}
+	}
+	return out
+}
+
+// killLinks draws n of the canonical (From < To) links by seed and kills
+// both directions of each, in link id order. A timed plan (window > 0)
+// draws each link's kill time from the same generator, uniformly from
+// (0, window]; a static one draws nothing more and kills at t = 0.
+func killLinks(g *topology.Graph, seed int64, n int, window des.Time, links []topology.ChannelID) *Plan {
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(len(links))
-	if n > len(perm) {
-		n = len(perm)
-	}
-	picked := make([]topology.ChannelID, n)
-	for i := 0; i < n; i++ {
+	picked := make([]topology.ChannelID, min(n, len(perm)))
+	for i := range picked {
 		picked[i] = links[perm[i]]
 	}
 	sort.Slice(picked, func(i, j int) bool { return picked[i] < picked[j] })
 	p := &Plan{}
 	for _, cid := range picked {
-		at := des.Time(1 + rng.Int63n(int64(window)))
-		c := g.Channel(cid)
+		var at des.Time
+		if window > 0 {
+			at = des.Time(1 + rng.Int63n(int64(window)))
+		}
 		p.Events = append(p.Events, Event{Kind: LinkDown, Channel: cid, At: at})
-		for _, rid := range g.ChannelsBetween(c.To, c.From) {
-			if g.Channel(rid).Tag == c.Tag {
-				p.Events = append(p.Events, Event{Kind: LinkDown, Channel: rid, At: at})
-			}
+		for _, rid := range reverses(g, g.Channel(cid)) {
+			p.Events = append(p.Events, Event{Kind: LinkDown, Channel: rid, At: at})
 		}
 	}
 	return p
