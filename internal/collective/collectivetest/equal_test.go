@@ -32,7 +32,7 @@ func TestSkipsOnlyTheSkeletonHolder(t *testing.T) {
 		}
 	}
 	if reflect.DeepEqual(a, b) {
-		t.Fatal("reflect.DeepEqual does not see the lowered holder; the test no longer shows anything")
+		t.Fatal("reflect.DeepEqual does not see the lowered record; the test no longer shows anything")
 	}
 	if !DeepEqual(a, b) || !DeepEqual(*a, *b) {
 		t.Fatal("two builds of one config differ")

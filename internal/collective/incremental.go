@@ -102,12 +102,13 @@ type opGraph struct {
 	sk    atomic.Pointer[skeleton]
 
 	// cache is the one Cache the record enters, claimed on its first entry
-	// (claim), when key, bytes and phases are classified; serve sets all
-	// four, and carrier, on a derived record. None of them changes after.
-	cache  atomic.Pointer[Cache]
+	// (claim), which classifies key, bytes and phases; serve sets cache,
+	// key, bytes and carrier on a derived record. None of them changes
+	// after.
+	cache   atomic.Pointer[Cache]
 	claimed sync.Once
-	key    cacheKey
-	bytes  int64
+	key     cacheKey
+	bytes   int64
 	// phases, for a carrier, certifies the layout its smaller chunk counts
 	// are served from (serve). It is nil otherwise.
 	phases *schedcheck.Phases

@@ -39,7 +39,7 @@ func TestFig13ParallelMatchesSerial(t *testing.T) {
 	for i := range serial {
 		// Every field of the cell, the executed pipeline graph with its
 		// collective blocks and their schedules included; only a schedule's
-		// skeleton holder, whose state records the order the cache served
+		// op-graph record, whose state records the order the cache served
 		// the sweep in, is skipped.
 		if !collectivetest.DeepEqual(serial[i], parallel[i]) {
 			t.Fatalf("cell %d differs:\nserial:   %+v\nparallel: %+v", i, serial[i], parallel[i])
