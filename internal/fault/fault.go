@@ -153,16 +153,20 @@ func RandomTimedLinkFailuresAmong(g *topology.Graph, seed int64, n int, window d
 	// a link listed in both directions is sampled once.
 	seen := make(map[topology.ChannelID]bool, len(among))
 	var links []topology.ChannelID
-	for _, cid := range among {
-		cands := []topology.ChannelID{cid}
-		if c := g.Channel(cid); c.From > c.To {
-			cands = reverses(g, c)
+	add := func(cid topology.ChannelID) {
+		if !seen[cid] {
+			seen[cid] = true
+			links = append(links, cid)
 		}
-		for _, cid := range cands {
-			if !seen[cid] {
-				seen[cid] = true
-				links = append(links, cid)
-			}
+	}
+	for _, cid := range among {
+		c := g.Channel(cid)
+		if c.From < c.To {
+			add(cid)
+			continue
+		}
+		for _, rid := range reverses(g, c) {
+			add(rid)
 		}
 	}
 	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
